@@ -10,47 +10,69 @@ oracle (byte-identical ledger, bit-identical losses under frozen seeds).
 The workers are **resident**: ``fit`` ships the whole training program
 in one dispatch and the epoch loop runs worker-side with zero driver
 round-trips; remaining driver paths can fuse N commands into one
-pickle/wakeup with one batched ledger-digest check.
+pickle/wakeup with one batched ledger-digest check.  A command's bulk
+fields (feature matrix, operand) travel through a driver-owned
+shared-memory arena, never through the command pipes.
 
 Architecture map (driver process on the left, P-rank workers right)::
 
     ParallelRuntime ── ParallelAlgorithm        driver-side proxies
           │ programs / results (mp.Queue)       fit = ONE dispatch
     ProcessBackend ──spawns──> _worker_main x W  backend.py -- resident
-          │ heartbeat (shared counters)          command loop, fused
-          │                                      batches, stats()
+          │ dispatch arena (bulk fields, shm)    command loop, fused
+          │ heartbeat (shared counters)          batches, stats()
           │                    WorkerRuntime     runtime.py -- Runtime
           │                        │             protocol, local_ranks
           │                 ProcessCollectives   collectives.py -- SPMD
           │                        │             data plane + full-world
-          │                        │             alpha-beta charging
+          │                        │             alpha-beta charging; one
+          │                        │             rendezvous per collective
           │              PeerChannel | TcpChannel
-          │               channel.py | tcp.py -- same tagged (group,
-          │                        │             seq) exchange; shm
-          │                        │             descs vs pickle frames
+          │               channel.py | tcp.py -- ChannelBase.exchange:
+          │                        │             per-peer outbox, tagged
+          │                        │             (group, seq); shm descs
+          │                        │             vs pickle frames
           └─────────────── Arena / codec         shm.py -- shared-memory
                                                  payload transport
+
+Exchange protocol.  ``exchange(gkey, outbox, recv_from)`` posts each
+peer *its own* list of ``(key, payload)`` items and collects one list
+from every peer named in ``recv_from``: one message (and, on shm, one
+acknowledgement) per peer however many payloads it carries, and a
+payload object shared by several lists is encoded once.  The routed
+collectives -- ghost-row fetch, point-to-point routes, SUMMA stage
+broadcasts -- walk their global transfer list once, bucket every
+cross-worker transfer by peer worker and meet **once per call**, not
+once per ``(src rank, dst rank)`` pair.  The tag sequence of a ``gkey``
+advances on every call of the SPMD sequence, also on a worker with no
+traffic in it, so workers that sit a call out stay aligned with the ones
+that do not (W >= 3).
 
 Layer responsibilities:
 
 * ``shm.py``        -- encode/decode dense and CSR payloads into
-  per-worker shared-memory arenas (+ ephemeral overflow segments);
+  shared-memory arenas (+ ephemeral overflow segments); park/fetch the
+  bulk fields of a driver command the same way;
 * ``channel.py``    -- the one rendezvous primitive (post, collect,
-  ack, reclaim) with deterministic ``(group, seq)`` tags and the
-  shared no-progress timeout machinery (:class:`ChannelBase`);
+  ack, reclaim), written once in :class:`ChannelBase` with
+  deterministic ``(group, seq)`` tags, the out-of-order stash and the
+  shared no-progress timeout machinery; :class:`PeerChannel` is its
+  queue + shm wire;
 * ``tcp.py``        -- the same exchange over length-prefixed socket
   frames, one sender thread per connection, loopback or
   ``REPRO_PARALLEL_HOSTS`` rendezvous -- ranks can span machines;
 * ``collectives.py``-- the :class:`~repro.comm.collectives.Collectives`
   API for a rank-local worker: reductions fold in group-rank order (a
   fixed tree) so results match the virtual runtime bit for bit on
-  either transport;
+  either transport; the three routed collectives share one
+  ``_routed_exchange``;
 * ``runtime.py``    -- :class:`WorkerRuntime` (the rank-local
   :class:`~repro.comm.runtime.Runtime`), :class:`ParallelRuntime` and
   :class:`ParallelAlgorithm` (driver-side, VirtualRuntime-shaped);
 * ``backend.py``    -- process lifecycle: spawn-context workers, the
-  resident command loop (``fit`` / ``batch`` / ``stats``), heartbeat
-  liveness, error propagation, shutdown.
+  resident command loop (``fit`` / ``batch`` / ``stats``), bulk
+  dispatch through the driver arena, heartbeat liveness, error
+  propagation, shutdown.
 
 Entry points::
 

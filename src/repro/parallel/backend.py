@@ -4,10 +4,17 @@
 processes (a ``multiprocessing`` **spawn** context -- no inherited
 interpreter state, the same start method ``torch.distributed`` defaults
 to on CUDA), one command queue per worker, one shared result queue, one
-inbox queue per worker for peer traffic, and -- for the default ``shm``
-transport -- one shared-memory arena per worker.  The ``tcp`` transport
-replaces the arenas with a full mesh of sockets
-(:mod:`repro.parallel.tcp`) so the ranks can span machines.
+inbox queue per worker for peer traffic, a driver-owned **dispatch
+arena**, and -- for the default ``shm`` transport -- one shared-memory
+arena per worker.  The ``tcp`` transport replaces the worker arenas with
+a full mesh of sockets (:mod:`repro.parallel.tcp`) so the ranks can span
+machines.
+
+Commands travel as small pickles: the bulk fields of a payload (the
+feature matrix of ``fit`` / ``setup`` / ``predict``, the ``make_algo``
+operand) are written once to the dispatch arena and every worker copies
+them out (:func:`~repro.parallel.shm.park_fields`); the driver reclaims
+the arena when the last reply is in.
 
 The workers are **resident**: the driver ships whole programs, not
 individual steps.  ``fit`` is one dispatch -- the epoch loop runs
@@ -59,6 +66,7 @@ from repro.parallel.channel import (
 )
 from repro.parallel.faults import FaultPlan, parse_plan
 from repro.parallel.runtime import WorkerRuntime, ledger_digest, owner_map
+from repro.parallel.shm import Arena, fetch_fields, park_fields
 from repro.parallel.tcp import TcpChannel, parse_hosts
 
 __all__ = [
@@ -219,6 +227,9 @@ class ProcessBackend:
         self.arenas = []
         ctx = mp.get_context("spawn")
         w = self.nworkers
+        #: where :meth:`_dispatch` parks a command's bulk fields
+        self.dispatch = Arena(shared_memory.SharedMemory(
+            create=True, size=self.arena_bytes))
         self.inboxes = [ctx.Queue() for _ in range(w)]
         self.cmd_queues = [ctx.Queue() for _ in range(w)]
         self.result_queue = ctx.Queue()
@@ -246,6 +257,7 @@ class ProcessBackend:
             "profile": self.profile,
             "owners": self.owners,
             "arena_names": arena_names,
+            "dispatch_arena": self.dispatch.shm.name,
             "timeout": self.timeout,
             "transport": self.transport,
             "hosts": hosts,
@@ -274,7 +286,8 @@ class ProcessBackend:
                 else:
                     os.environ[v] = old
         self._finalizer = weakref.finalize(
-            self, _cleanup, list(self.procs), list(self.arenas),
+            self, _cleanup, list(self.procs),
+            self.arenas + [self.dispatch.shm],
             self.inboxes + self.cmd_queues + [self.result_queue],
         )
         self._started = True
@@ -301,9 +314,7 @@ class ProcessBackend:
             self.counters["commands"] += 1
             if op == "fit":
                 self.counters["fit_dispatches"] += 1
-        for q in self.cmd_queues:
-            q.put((op, payload))
-        return self._collect(op)
+        return self._dispatch(op, payload)
 
     def command_batch(self, commands) -> list:
         """Fuse N commands into one pickle/wakeup per worker.
@@ -320,9 +331,28 @@ class ProcessBackend:
         self.counters["dispatches"] += 1
         self.counters["commands"] += len(commands)
         self.counters["fused_batches"] += 1
-        for q in self.cmd_queues:
-            q.put(("batch", commands))
-        return self._collect("batch")
+        return self._dispatch("batch", commands)
+
+    def _dispatch(self, op: str, payload) -> list:
+        """Post one command to every worker and gather the replies.
+
+        Bulk fields ride the dispatch arena, encoded afresh on every
+        call (a recovery re-dispatch lands in the respawned pool's
+        arena).  A reply means its worker has copied them out, so the
+        arena is reclaimed as soon as :meth:`_collect` returns -- or
+        fails, in which case the pool is already torn down.
+        """
+        ephemerals: list = []
+        try:
+            msg = (op, park_fields(self.dispatch, payload, ephemerals))
+            for q in self.cmd_queues:
+                q.put(msg)
+            return self._collect(op)
+        finally:
+            self.dispatch.reset()
+            for seg in ephemerals:
+                seg.close()
+                seg.unlink()
 
     def _collect(self, op: str) -> list:
         """Gather one result per worker under the no-progress timeout."""
@@ -489,6 +519,16 @@ class ProcessBackend:
                 pass
         for p in self.procs:
             p.join(timeout=self.timeout)
+        if all(p.exitcode is not None for p in self.procs):
+            # Every worker read its 'close', so the command pipes are
+            # drained and the feeder threads idle: join them now.  Left
+            # to the garbage collector they exit whenever, and one that
+            # is still unlinking its queue's semaphores when the
+            # interpreter shuts down leaves the resource tracker a
+            # half-released name to warn about.
+            for q in self.cmd_queues:
+                q.close()
+                q.join_thread()
         self.terminate()
 
     def terminate(self) -> None:
@@ -535,6 +575,7 @@ def _worker_main(worker_id: int, spec: dict, inboxes, cmd_queue,
     channel.faults = FaultPlan.for_worker(worker_id, spec.get("faults"))
     rt = WorkerRuntime(spec["mesh"], spec["profile"], channel,
                        spec["owners"])
+    dispatch = shared_memory.SharedMemory(name=spec["dispatch_arena"])
     state = _WorkerState()
     paranoid = paranoid_mode()
     try:
@@ -543,6 +584,7 @@ def _worker_main(worker_id: int, spec: dict, inboxes, cmd_queue,
             if op == "close":
                 break
             try:
+                payload = fetch_fields(payload, dispatch.buf)
                 value = _handle(rt, worker_id, op, payload, state, channel,
                                 paranoid, spec.get("livestats"))
                 result_queue.put((worker_id, "ok", value))
@@ -555,6 +597,7 @@ def _worker_main(worker_id: int, spec: dict, inboxes, cmd_queue,
                                   traceback.format_exc()))
     finally:
         channel.close()
+        dispatch.close()
 
 
 def _digest_result(rt, worker_id: int, value, extras, item_digests,

@@ -2,20 +2,25 @@
 
 Every worker owns one inbox queue (driver-created) and one shared-memory
 arena (:mod:`repro.parallel.shm`).  All collective traffic reduces to one
-primitive, :meth:`PeerChannel.exchange`: post a list of payloads to a set
-of peers, collect one list from each of another set of peers, acknowledge
-shared-memory receipts, and reclaim the arena.
+primitive, :meth:`ChannelBase.exchange`: post each peer its own list of
+payloads (the *outbox*), collect one list from each of a set of peers,
+acknowledge shared-memory receipts, and reclaim the arena.  One call is
+one rendezvous however many payloads it carries, so the collectives
+above bucket a whole routed call by peer instead of meeting once per
+``(src rank, dst rank)`` pair.
 
 Ordering and deadlock freedom rest on the SPMD structure of the epochs:
 every worker executes the same global sequence of collectives, so any two
 workers see their *common* operations in the same relative order.  Tags
 are ``(group_key, sequence)`` pairs where the per-``group_key`` sequence
-counter advances identically on every participant; messages arriving
-early (a peer racing ahead on an unrelated group) are stashed until their
-tag is wanted.  Within one exchange a worker posts **all** outgoing
-messages before blocking on receives, so cyclic waits cannot form.  The
-tag/stash machinery lives in :class:`ChannelBase` so the TCP transport
-(:mod:`repro.parallel.tcp`) shares the exact same exchange semantics.
+counter advances on every call of that sequence -- also on a worker that
+has no traffic in it -- and so identically on every worker; messages
+arriving early (a peer racing ahead on an unrelated group) are stashed
+until their tag is wanted.  Within one exchange a worker posts **all**
+outgoing messages before blocking on receives, so cyclic waits cannot
+form.  The exchange itself lives in :class:`ChannelBase`; the TCP
+transport (:mod:`repro.parallel.tcp`) supplies a different wire under
+the exact same semantics.
 
 Blocking receives are governed by a **no-progress** timeout
 (``REPRO_PARALLEL_TIMEOUT`` seconds, default 120): each worker bumps a
@@ -31,7 +36,7 @@ from __future__ import annotations
 import os
 import queue
 from multiprocessing import shared_memory
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis import sanitize as _sanitize
 from repro.obs import spans as _spans
@@ -41,6 +46,7 @@ from repro.parallel.shm import (
     decode_payload,
     desc_needs_ack,
     encode_payload,
+    payload_bytes,
 )
 
 __all__ = ["ChannelBase", "PeerChannel", "ChannelTimeout",
@@ -67,12 +73,16 @@ WAIT_SLICE = 0.25
 
 
 class ChannelBase:
-    """Tag sequencing, out-of-order stash, and heartbeat accounting.
+    """The exchange primitive: tags, stash, heartbeat, per-peer outbox.
 
-    Both transports (queues+shm and TCP sockets) subclass this: the
-    ``(group_key, sequence)`` tag discipline -- and therefore the fixed
-    fold order of every reduction built on top -- is identical, which is
-    what makes the transports bit-interchangeable.
+    Both transports (queues+shm and TCP sockets) subclass this and
+    supply only the wire: :meth:`_post` (encode and send one message
+    per peer), :meth:`_read_msg` (pull one frame off the transport),
+    :meth:`_take` (decode one peer's message) and :meth:`_settle`
+    (reclaim what the post borrowed).  The ``(group_key, sequence)`` tag
+    discipline -- and therefore the fixed fold order of every reduction
+    built on top -- is identical, which is what makes the transports
+    bit-interchangeable.
     """
 
     def __init__(self, worker_id: int, timeout: Optional[float] = None,
@@ -83,9 +93,14 @@ class ChannelBase:
         self._stash: Dict[Tuple, Any] = {}
         self._seq: Dict[Any, int] = {}
         #: transport-level traffic counters (reported by
-        #: :meth:`ProcessBackend.stats`)
+        #: :meth:`ProcessBackend.stats`); ``bytes_sent`` counts payload
+        #: bytes *delivered* -- summed over the peers they were posted to
         self.bytes_sent = 0
         self.nexchanges = 0
+        # Per-exchange tracing accumulators: the transport hooks bank
+        # their serialize / wait / copy seconds here and exchange()
+        # folds them into its one span.
+        self._ser_s = self._wait_s = self._copy_s = 0.0
         #: the worker's :class:`repro.parallel.faults.FaultPlan`, when a
         #: fault plan is active (set by ``_worker_main``); consulted at
         #: the exchange injection point by both transports.
@@ -99,7 +114,7 @@ class ChannelBase:
         kill/hang/delay -- pinned to it.  Frame-level faults
         (drop/corrupt) are *not* executed here; the TCP transport asks
         ``faults.frame_fault(index)`` for those when it builds the
-        outbound frame.
+        outbound frames.
         """
         xi = self.nexchanges
         if self.faults is not None:
@@ -121,13 +136,6 @@ class ChannelBase:
         hb = self.heartbeat
         return None if hb is None else hb[src]
 
-    def _observe_arrival(self, msg) -> None:
-        """Sanitizer tap: every frame pulled off the transport, in
-        arrival order (stash hits were observed when first read)."""
-        san = _sanitize.ACTIVE
-        if san is not None:
-            san.observe_tag(self.wid, msg[2], msg[1], kind=msg[0])
-
     def _timeout_error(self, src: int, what: str) -> ChannelTimeout:
         return ChannelTimeout(
             f"worker {self.wid} saw no progress from worker {src} for "
@@ -135,12 +143,79 @@ class ChannelBase:
             "(deadlocked or dead peer?)"
         )
 
-    @staticmethod
-    def _span_label(gkey) -> str:
-        """A short human label for an exchange span (the group kind)."""
-        if isinstance(gkey, tuple) and gkey:
-            return str(gkey[0])
-        return str(gkey)
+    def _recv(self, kind: str, tag, src: int):
+        """The ``(kind, tag)`` message from ``src``: out of the stash when
+        it arrived early, else off the transport -- stashing whatever
+        else arrives first."""
+        key = (kind, tag, src)
+        hit = self._stash.pop(key, None)
+        if hit is not None:
+            return hit
+        san = _sanitize.ACTIVE
+        while True:
+            msg = self._read_msg(src, key)
+            if san is not None:
+                # Every frame pulled off the transport, in arrival
+                # order (stash hits were observed when first read).
+                san.observe_tag(self.wid, msg[2], msg[1], kind=msg[0])
+            mkey = (msg[0], msg[1], msg[2])
+            if mkey == key:
+                return msg
+            self._stash[mkey] = msg
+
+    # ------------------------------------------------------------------ #
+    # the one primitive
+    # ------------------------------------------------------------------ #
+    def exchange(
+        self,
+        gkey,
+        outbox: Mapping[int, Sequence[Tuple[Any, Any]]],
+        recv_from: Sequence[int],
+    ) -> Dict[int, List[Tuple[Any, Any]]]:
+        """Post ``outbox[w]`` (a list of ``(key, payload)`` pairs) to each
+        peer ``w``; collect the one list each worker in ``recv_from``
+        posted to us.  Returns ``{src_worker: [(key, payload), ...]}``
+        with decoded private payloads.  A payload object that appears in
+        several peers' lists is encoded once.
+
+        Every worker that *could* take part calls with the same ``gkey``
+        in the same relative order -- also when it has nothing to post
+        or collect this time, in which case only the tag sequence
+        advances and nothing touches the wire.  That keeps the sequence
+        identical on all workers even when some sit a call out.
+        Whatever the post borrowed (arena space, ephemeral segments) is
+        reclaimed before returning.
+        """
+        tag = self._tag(gkey)
+        if not outbox and not recv_from:
+            return {}
+        xi = self._inject_exchange_fault()
+        self.touch()
+        self.nexchanges += 1
+        # When tracing, the one span per exchange carries the phase split
+        # (serialize / wait / copy seconds) in its meta; the clock reads
+        # wrap whole blocks, not per-item work, to keep overhead flat.
+        rec = _spans.ACTIVE
+        t_start = rec.clock() if rec is not None else 0.0
+        self._ser_s = self._wait_s = self._copy_s = 0.0
+        sent, borrowed = self._post(tag, outbox, xi)
+        self.bytes_sent += sent
+        out = {w: self._take(tag, w) for w in recv_from}
+        self._settle(tag, borrowed)
+        if rec is not None:
+            label = gkey[0] if isinstance(gkey, tuple) and gkey else gkey
+            rec.record(
+                "exchange", "xchg", t_start, rec.clock(),
+                (str(label), self._ser_s, self._wait_s, self._copy_s, sent),
+            )
+        return out
+
+    def _take(self, tag, src: int) -> List[Tuple[Any, Any]]:
+        """The decoded item list ``src`` posted us under ``tag``."""
+        return self._recv("d", tag, src)[3]
+
+    def _settle(self, tag, borrowed) -> None:
+        """Reclaim what :meth:`_post` borrowed (nothing by default)."""
 
 
 class PeerChannel(ChannelBase):
@@ -164,7 +239,7 @@ class PeerChannel(ChannelBase):
         self._peer_shms: Dict[int, shared_memory.SharedMemory] = {}
 
     # ------------------------------------------------------------------ #
-    # internals
+    # the wire
     # ------------------------------------------------------------------ #
     def _peer_buf(self, w: int):
         shm = self._peer_shms.get(w)
@@ -173,18 +248,14 @@ class PeerChannel(ChannelBase):
             self._peer_shms[w] = shm
         return shm.buf
 
-    def _recv(self, kind: str, tag, src: int):
-        key = (kind, tag, src)
-        hit = self._stash.pop(key, None)
-        if hit is not None:
-            return hit
+    def _read_msg(self, src: int, key):
         inbox = self.inboxes[self.wid]
         slice_t = min(self.timeout, WAIT_SLICE) if self.timeout else WAIT_SLICE
         waited = 0.0
         last = self._peer_progress(src)
         while True:
             try:
-                msg = inbox.get(timeout=slice_t)
+                return inbox.get(timeout=slice_t)
             except queue.Empty:
                 now = self._peer_progress(src)
                 if now is not None and now != last:
@@ -193,98 +264,66 @@ class PeerChannel(ChannelBase):
                 waited += slice_t
                 if waited >= self.timeout:
                     raise self._timeout_error(
-                        src, f"{kind!r} {tag}") from None
-                continue
-            self._observe_arrival(msg)
-            mkey = (msg[0], msg[1], msg[2])
-            if mkey == key:
-                return msg
-            self._stash[mkey] = msg
+                        src, f"{key[0]!r} {key[1]}") from None
 
-    # ------------------------------------------------------------------ #
-    # the one primitive
-    # ------------------------------------------------------------------ #
-    def exchange(
-        self,
-        gkey,
-        items: Sequence[Tuple[Any, Any]],
-        send_to: Sequence[int],
-        recv_from: Sequence[int],
-    ) -> Dict[int, List[Tuple[Any, Any]]]:
-        """Post ``items`` (``(key, payload)`` pairs) to every worker in
-        ``send_to``; collect one posted list from each worker in
-        ``recv_from``.  Returns ``{src_worker: [(key, payload), ...]}``
-        with decoded private payloads.
-
-        Participants must call with the same ``gkey`` in the same
-        relative order; the tag sequence does the rest.  Arena space and
-        ephemeral segments used by ``items`` are reclaimed before
-        returning (receivers acknowledge shared-memory receipts).
-        """
-        self._inject_exchange_fault()
-        self.touch()
-        self.nexchanges += 1
-        # When tracing, the one span per exchange carries the phase split
-        # (serialize / wait / copy seconds) in its meta; the clock reads
-        # wrap whole blocks, not per-item work, to keep overhead flat.
+    def _post(self, tag, outbox, xi):
+        """Encode each distinct payload into the arena once, then post
+        every peer its own descriptor list.  Returns the payload bytes
+        delivered and what :meth:`_settle` must reclaim."""
         rec = _spans.ACTIVE
-        t_start = rec.clock() if rec is not None else 0.0
-        ser_s = wait_s = copy_s = 0.0
-        sent = 0
-        tag = self._tag(gkey)
-        ephemerals: List[shared_memory.SharedMemory] = []
+        t0 = rec.clock() if rec is not None else 0.0
         mark = self.arena.ptr
-        need_ack = False
-        if send_to:
-            descs = []
-            t0 = rec.clock() if rec is not None else 0.0
+        ephemerals: List[shared_memory.SharedMemory] = []
+        descs: Dict[int, Tuple] = {}
+        ack_from = []
+        sent = 0
+        for w, items in outbox.items():
+            line = []
+            need_ack = False
             for key, obj in items:
-                desc = encode_payload(self.arena, obj, ephemerals,
-                                      self.inline_max)
+                desc = descs.get(id(obj))
+                if desc is None:
+                    desc = descs[id(obj)] = encode_payload(
+                        self.arena, obj, ephemerals, self.inline_max)
                 need_ack = need_ack or desc_needs_ack(desc)
-                descs.append((key, desc))
-                sent += _desc_nbytes(desc)
-            if rec is not None:
-                ser_s = rec.clock() - t0
-            for w in send_to:
-                self.inboxes[w].put(("d", tag, self.wid, descs))
-            self.bytes_sent += sent * len(send_to)
-        out: Dict[int, List[Tuple[Any, Any]]] = {}
-        for w in recv_from:
-            if rec is None:
-                msg = self._recv("d", tag, w)
-            else:
-                t0 = rec.clock()
-                msg = self._recv("d", tag, w)
-                wait_s += rec.clock() - t0
-            descs_w = msg[3]
+                sent += payload_bytes(obj)
+                line.append((key, desc))
+            if need_ack:
+                ack_from.append(w)
+            self.inboxes[w].put(("d", tag, self.wid, line))
+        if rec is not None:
+            self._ser_s += rec.clock() - t0
+        return sent, (mark, ephemerals, ack_from)
+
+    def _take(self, tag, src: int) -> List[Tuple[Any, Any]]:
+        rec = _spans.ACTIVE
+        t0 = rec.clock() if rec is not None else 0.0
+        line = self._recv("d", tag, src)[3]
+        t1 = rec.clock() if rec is not None else 0.0
+        buf = self._peer_buf(src)
+        decoded = [(key, decode_payload(desc, buf)) for key, desc in line]
+        if rec is not None:
+            self._wait_s += t1 - t0
+            self._copy_s += rec.clock() - t1
+        if any(desc_needs_ack(desc) for _, desc in line):
+            self.inboxes[src].put(("a", tag, self.wid))
+        return decoded
+
+    def _settle(self, tag, borrowed) -> None:
+        """Wait until every peer that was handed shared memory has
+        copied it out, then reclaim the arena and ephemeral segments."""
+        mark, ephemerals, ack_from = borrowed
+        if ack_from:
+            rec = _spans.ACTIVE
             t0 = rec.clock() if rec is not None else 0.0
-            decoded = [
-                (key, decode_payload(desc, self._peer_buf(w)))
-                for key, desc in descs_w
-            ]
-            if rec is not None:
-                copy_s += rec.clock() - t0
-            out[w] = decoded
-            if any(desc_needs_ack(desc) for _, desc in descs_w):
-                self.inboxes[w].put(("a", tag, self.wid))
-        if need_ack:
-            t0 = rec.clock() if rec is not None else 0.0
-            for w in send_to:
+            for w in ack_from:
                 self._recv("a", tag, w)
             if rec is not None:
-                wait_s += rec.clock() - t0
+                self._wait_s += rec.clock() - t0
         self.arena.ptr = mark
         for seg in ephemerals:
             seg.close()
             seg.unlink()
-        if rec is not None:
-            rec.record(
-                "exchange", "xchg", t_start, rec.clock(),
-                (self._span_label(gkey), ser_s, wait_s, copy_s,
-                 sent * len(send_to)),
-            )
-        return out
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -294,23 +333,3 @@ class PeerChannel(ChannelBase):
         for shm in self._peer_shms.values():
             shm.close()
         self._peer_shms.clear()
-
-
-def _desc_nbytes(desc: Tuple) -> int:
-    """Payload bytes a descriptor stands for (inline or in shm)."""
-    kind = desc[0]
-    if kind == "none":
-        return 0
-    if kind == "inl":
-        return int(desc[1].nbytes)
-    if kind == "arr":
-        import numpy as np
-
-        _, shape, dtype, _, _ = desc
-        n = 1
-        for s in shape:
-            n *= int(s)
-        return n * np.dtype(dtype).itemsize
-    if kind == "csr":
-        return sum(_desc_nbytes(sub) for sub in desc[2:5])
-    return 0

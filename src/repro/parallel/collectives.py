@@ -99,7 +99,8 @@ class ProcessCollectives(Collectives):
         mine = [(r, values[r]) for r in group
                 if self.owner_of[r] == self.wid]
         others = [w for w in wset if w != self.wid]
-        got = self.channel.exchange(("cg", group), mine, others, others)
+        got = self.channel.exchange(("cg", group),
+                                    dict.fromkeys(others, mine), others)
         for pairs in got.values():
             full.update(pairs)
         return full
@@ -238,7 +239,8 @@ class ProcessCollectives(Collectives):
         wset = self._workers_of(group)
         if self.wid in wset and len(wset) > 1:
             others = [w for w in wset if w != self.wid]
-            self.channel.exchange(("bar", group), [], others, others)
+            self.channel.exchange(("bar", group), dict.fromkeys(others, ()),
+                                  others)
         super().barrier(group)
 
     # ------------------------------------------------------------------ #
@@ -247,45 +249,63 @@ class ProcessCollectives(Collectives):
     def _move_root_payload(self, gkey, group, root, value) -> Any:
         """Ship ``value`` from ``root``'s worker to the group's other
         member workers; every member worker returns the payload."""
-        wset = self._workers_of(group)
-        if self.owner_of[root] == self.wid:
-            others = [w for w in wset if w != self.wid]
-            if others:
-                self.channel.exchange(gkey, [(root, value)], others, [])
+        ow = self.owner_of[root]
+        if ow == self.wid:
+            others = [w for w in self._workers_of(group) if w != self.wid]
+            self.channel.exchange(
+                gkey, dict.fromkeys(others, [(root, value)]), [])
             return value
-        got = self.channel.exchange(gkey, [], [],
-                                    [self.owner_of[root]])
-        return got[self.owner_of[root]][0][1]
+        return self.channel.exchange(gkey, {}, [ow])[ow][0][1]
 
-    def routed_broadcast_data(self, routes, blocks) -> list:
-        out = [None] * len(routes)
-        for i, (group, root) in enumerate(routes):
-            group = self._group(group)
-            if self.wid not in self._workers_of(group):
+    def _routed_exchange(self, kind: str, routes, payload_of) -> list:
+        """One rendezvous for a whole routed call.
+
+        ``routes[i]`` is ``(src_rank, dst_workers)`` in the call's fixed
+        global order and ``payload_of(i)`` produces transfer ``i``'s
+        payload (evaluated on the source worker only).  Every worker
+        walks the same list once: what it owns goes into a per-peer
+        outbox (or straight to its own slot), what it is owed names the
+        peers to hear from, and a single :meth:`exchange` moves the lot.
+        Returns the received payload per transfer as a read-only
+        receipt, ``None`` where this worker is no destination.
+        """
+        out: list = [None] * len(routes)
+        outbox: Dict[int, list] = {}
+        sources: list = []
+        for i, (src, dst_workers) in enumerate(routes):
+            ow = self.owner_of[src]
+            if ow != self.wid:
+                if self.wid in dst_workers and ow not in sources:
+                    sources.append(ow)
                 continue
-            recv = self._move_root_payload(
-                ("rb", group), group, root,
-                blocks[root] if self.owner_of[root] == self.wid else None,
-            )
-            out[i] = _readonly(recv)
+            payload = payload_of(i)
+            for w in dst_workers:
+                if w == self.wid:
+                    out[i] = _readonly(payload)
+                else:
+                    outbox.setdefault(w, []).append((i, payload))
+        got = self.channel.exchange((kind,), outbox, sources)
+        for items in got.values():
+            for i, payload in items:
+                out[i] = _readonly(payload)
         return out
 
+    def routed_broadcast_data(self, routes, blocks) -> list:
+        return self._routed_exchange(
+            "rb",
+            [(root, self._workers_of(self._group(group)))
+             for group, root in routes],
+            lambda i: blocks[routes[i][1]],
+        )
+
     def routed_sendrecv_data(self, pairs, payloads) -> list:
-        out = [None] * len(pairs)
+        out = self._routed_exchange(
+            "sr", [(src, (self.owner_of[dst],)) for src, dst in pairs],
+            lambda i: payloads[pairs[i][0]],
+        )
         for i, (src, dst) in enumerate(pairs):
-            ow_s, ow_d = self.owner_of[src], self.owner_of[dst]
-            if src == dst:
-                if ow_s == self.wid:
-                    out[i] = payloads[src]
-                continue
-            if ow_s == self.wid and ow_d == self.wid:
-                out[i] = _readonly(payloads[src])
-            elif ow_s == self.wid:
-                self.channel.exchange(("sr", src, dst),
-                                      [(src, payloads[src])], [ow_d], [])
-            elif ow_d == self.wid:
-                got = self.channel.exchange(("sr", src, dst), [], [], [ow_s])
-                out[i] = _readonly(got[ow_s][0][1])
+            if src == dst and out[i] is not None:
+                out[i] = payloads[src]   # self-sends pass through as is
         return out
 
     def allgather_data(self, group, values) -> Dict[int, list]:
@@ -328,30 +348,15 @@ class ProcessCollectives(Collectives):
     def gather_rows_data(self, pairs, blocks) -> list:
         """Ghost-row transfers really crossing worker boundaries.
 
-        Every worker walks the same globally-ordered pair list (sends
-        are posted asynchronously, receives block), exactly like
-        :meth:`routed_sendrecv_data` -- the fixed order is what makes
-        the rendezvous deadlock-free.  Row selection happens on the
-        *source* worker, so only the requested rows travel.
+        Row selection happens on the *source* worker, so only the
+        requested rows travel -- all of a call's transfers between two
+        workers in one message.
         """
-        out = [None] * len(pairs)
-        for i, (src, dst, idx) in enumerate(pairs):
-            ow_s, ow_d = self.owner_of[src], self.owner_of[dst]
-            if ow_s == self.wid and ow_d == self.wid:
-                rows = blocks[src][idx]
-                rows.flags.writeable = False
-                out[i] = rows
-            elif ow_s == self.wid:
-                self.channel.exchange(
-                    ("gr", src, dst),
-                    [(src, np.ascontiguousarray(blocks[src][idx]))],
-                    [ow_d], [],
-                )
-            elif ow_d == self.wid:
-                got = self.channel.exchange(("gr", src, dst), [], [],
-                                            [ow_s])
-                out[i] = _readonly(got[ow_s][0][1])
-        return out
+        return self._routed_exchange(
+            "gr",
+            [(src, (self.owner_of[dst],)) for src, dst, _ in pairs],
+            lambda i: blocks[pairs[i][0]][pairs[i][2]],
+        )
 
     # ------------------------------------------------------------------ #
     # god-view-only operations

@@ -129,7 +129,8 @@ class WorkerRuntime(RuntimeBase):
             entry[1].append(r)
         items = [(tuple(ranks), block) for block, ranks in distinct.values()]
         others = [w for w in range(self.nworkers) if w != self.worker_id]
-        got = self.channel.exchange(("gb",), items, others, others)
+        got = self.channel.exchange(("gb",), dict.fromkeys(others, items),
+                                    others)
         full = dict(blocks)
         for pairs in got.values():
             for ranks, block in pairs:

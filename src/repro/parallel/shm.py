@@ -21,6 +21,12 @@ write-only to its owner) plus, for oversized payloads, per-payload
 Receivers copy payloads out of the sender's segment immediately (the
 sender reclaims arena space once every receiver acknowledges), so decoded
 arrays are private to the receiving worker.
+
+The driver's command dispatch uses the same codec: :func:`park_fields`
+moves a command's bulk ``ndarray`` / ``CSRMatrix`` fields into a
+driver-owned arena and leaves :class:`Parked` descriptors in their
+place, so the command queues carry descriptors, not megabytes of pickle;
+workers :func:`fetch_fields` them back out.
 """
 
 from __future__ import annotations
@@ -32,7 +38,8 @@ import numpy as np
 
 from repro.sparse.csr import CSRMatrix
 
-__all__ = ["Arena", "encode_payload", "decode_payload", "INLINE_MAX"]
+__all__ = ["Arena", "encode_payload", "decode_payload", "payload_bytes",
+           "INLINE_MAX", "Parked", "park_fields", "fetch_fields"]
 
 #: Payloads at or below this many bytes travel inline in the queue
 #: message instead of through shared memory (and need no ack).
@@ -127,6 +134,14 @@ def encode_payload(arena: Arena, obj: Any, ephemerals: List,
     )
 
 
+def payload_bytes(obj: Any) -> int:
+    """Array bytes the codec moves for ``obj`` (0 for anything it would
+    not take: the traffic counters and the inline limit both use it)."""
+    if isinstance(obj, CSRMatrix):
+        return obj.indptr.nbytes + obj.indices.nbytes + obj.data.nbytes
+    return obj.nbytes if isinstance(obj, np.ndarray) else 0
+
+
 def desc_needs_ack(desc: Tuple) -> bool:
     """Does this descriptor reference sender-owned shared memory?"""
     kind = desc[0]
@@ -173,3 +188,44 @@ def decode_payload(desc: Tuple, peer_buf) -> Any:
             validate=False,
         )
     return _decode_array(desc, peer_buf)
+
+
+class Parked:
+    """A command field moved to shared memory: its descriptor."""
+
+    __slots__ = ("desc",)
+
+    def __init__(self, desc: Tuple):
+        self.desc = desc
+
+
+def _map_fields(payload: Any, fn) -> Any:
+    """Apply ``fn`` to a command payload's top-level fields (the payload
+    itself when it is not a tuple of fields)."""
+    if isinstance(payload, tuple):
+        return tuple(fn(field) for field in payload)
+    return fn(payload)
+
+
+def park_fields(arena: Arena, payload: Any, ephemerals: List) -> Any:
+    """Replace the top-level array / CSR fields of a command payload
+    that exceed :data:`INLINE_MAX` by :class:`Parked` descriptors, their
+    bytes written to ``arena`` (or, when it is full, to segments
+    appended to ``ephemerals``).  Everything else passes through."""
+
+    def park(field: Any) -> Any:
+        if payload_bytes(field) <= INLINE_MAX:
+            return field
+        return Parked(encode_payload(arena, field, ephemerals))
+
+    return _map_fields(payload, park)
+
+
+def fetch_fields(payload: Any, arena_buf) -> Any:
+    """Inverse of :func:`park_fields` on the receiving side: private
+    copies of the parked fields, read out of ``arena_buf``."""
+    return _map_fields(
+        payload,
+        lambda field: (decode_payload(field.desc, arena_buf)
+                       if isinstance(field, Parked) else field),
+    )

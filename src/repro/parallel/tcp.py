@@ -10,9 +10,11 @@ travel as length-prefixed pickle frames over a full mesh of TCP sockets
 instead of queue descriptors plus shared memory, so the P ranks can span
 machines.
 
-Wire format: one frame per posted message, ``>Q`` byte length followed by
-``pickle(("d", tag, wid, items))``.  A frame is pickled **once** per
-exchange and the same bytes go to every destination.
+Wire format: one frame per posted message -- a ``>QQ`` header (body
+length, meta length), then ``pickle(("d", tag, wid, [(key, blob length),
+...]))`` followed by the payload blobs back to back.  Each distinct
+payload is pickled **once** per exchange and its blob is spliced into
+the frame of every peer whose outbox names it.
 
 Deadlock freedom: raw sockets, unlike ``multiprocessing.Queue`` (whose
 feeder thread makes ``put`` non-blocking), can deadlock when all peers
@@ -44,7 +46,7 @@ import socket
 import struct
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import spans as _spans
 from repro.parallel.channel import (
@@ -56,7 +58,8 @@ from repro.parallel.channel import (
 
 __all__ = ["TcpChannel", "parse_hosts"]
 
-_HDR = struct.Struct(">Q")
+_HDR = struct.Struct(">Q")      # handshake hello: the caller's worker id
+_FRAME = struct.Struct(">QQ")   # frame header: body length, meta length
 
 
 def parse_hosts(spec: str,
@@ -134,11 +137,6 @@ class TcpChannel(ChannelBase):
     ):
         super().__init__(worker_id, timeout=timeout, heartbeat=heartbeat)
         self.nworkers = nworkers
-        # Per-exchange tracing accumulators: frame reads happen inside
-        # _recv/_read_msg, so they bank their wait/deserialize seconds
-        # here and exchange() folds them into its span meta.
-        self._wait_s = 0.0
-        self._copy_s = 0.0
         self._socks: Dict[int, socket.socket] = {}
         self._sendqs: Dict[int, "queue.Queue"] = {}
         self._senders: List[threading.Thread] = []
@@ -243,7 +241,7 @@ class TcpChannel(ChannelBase):
             got += k
         return bytes(buf)
 
-    def _recv_exact(self, src: int, n: int) -> bytes:
+    def _recv_exact(self, src: int, n: int) -> bytearray:
         """Exact read from peer ``src`` under the no-progress timeout.
 
         A slow peer that keeps its heartbeat moving extends the wait;
@@ -284,99 +282,70 @@ class TcpChannel(ChannelBase):
                 )
             got += k
             waited = 0.0
-        return bytes(buf)
+        return buf
 
-    def _read_msg(self, src: int):
+    def _read_msg(self, src: int, key=None):
+        """Read and decode the next frame from peer ``src``; payloads
+        are pickled whole (numpy arrays round-trip bit-exactly), so the
+        receiver always holds private copies."""
         rec = _spans.ACTIVE
-        if rec is None:
-            (length,) = _HDR.unpack(self._recv_exact(src, _HDR.size))
-            return pickle.loads(self._recv_exact(src, length))
         # Wait covers the socket reads; copy the unpickle.  A frame read
         # here on behalf of a later tag (stash fill) is charged to the
         # exchange that performed the read -- that is where the wall
         # clock actually went.
-        t0 = rec.clock()
-        (length,) = _HDR.unpack(self._recv_exact(src, _HDR.size))
-        blob = self._recv_exact(src, length)
-        t1 = rec.clock()
-        msg = pickle.loads(blob)
-        self._wait_s += t1 - t0
-        self._copy_s += rec.clock() - t1
-        return msg
-
-    def _recv(self, kind: str, tag, src: int):
-        key = (kind, tag, src)
-        hit = self._stash.pop(key, None)
-        if hit is not None:
-            return hit
-        while True:
-            msg = self._read_msg(src)
-            self._observe_arrival(msg)
-            mkey = (msg[0], msg[1], msg[2])
-            if mkey == key:
-                return msg
-            self._stash[mkey] = msg
-
-    # ------------------------------------------------------------------ #
-    # the one primitive
-    # ------------------------------------------------------------------ #
-    def exchange(
-        self,
-        gkey,
-        items: Sequence[Tuple[Any, Any]],
-        send_to: Sequence[int],
-        recv_from: Sequence[int],
-    ) -> Dict[int, List[Tuple[Any, Any]]]:
-        """Same contract as :meth:`PeerChannel.exchange`; payloads are
-        pickled whole (numpy arrays round-trip bit-exactly) so receivers
-        always hold private copies."""
-        xi = self._inject_exchange_fault()
-        self.touch()
-        self.nexchanges += 1
-        # Frame faults only make sense when a frame goes on the wire:
-        # an exchange with no outbound peers leaves the fault armed.
-        frame_fault = (self.faults.frame_fault(xi)
-                       if self.faults is not None and send_to else None)
-        rec = _spans.ACTIVE
-        t_start = rec.clock() if rec is not None else 0.0
+        t0 = rec.clock() if rec is not None else 0.0
+        length, meta_len = _FRAME.unpack(self._recv_exact(src, _FRAME.size))
+        body = memoryview(self._recv_exact(src, length))
+        t1 = rec.clock() if rec is not None else 0.0
+        kind, tag, wid, index = pickle.loads(body[:meta_len])
+        items, at = [], meta_len
+        for item_key, n in index:
+            items.append((item_key, pickle.loads(body[at:at + n])))
+            at += n
         if rec is not None:
-            self._wait_s = self._copy_s = 0.0
-        ser_s = 0.0
+            self._wait_s += t1 - t0
+            self._copy_s += rec.clock() - t1
+        return (kind, tag, wid, items)
+
+    def _post(self, tag, outbox, xi):
+        """Pickle each distinct payload once, then queue every peer one
+        frame carrying its own items.  Returns the frame bytes posted."""
+        # A frame fault needs a frame on the wire: an exchange with no
+        # outbound peers leaves the fault armed.
+        fault = (self.faults.frame_fault(xi)
+                 if self.faults is not None and outbox else None)
+        rec = _spans.ACTIVE
+        t0 = rec.clock() if rec is not None else 0.0
+        blobs: Dict[int, bytes] = {}
         sent = 0
-        tag = self._tag(gkey)
-        if send_to:
-            t0 = rec.clock() if rec is not None else 0.0
-            blob = pickle.dumps(("d", tag, self.wid, list(items)),
-                                protocol=pickle.HIGHEST_PROTOCOL)
-            if frame_fault is not None and frame_fault.action == "corrupt":
+        for w, items in outbox.items():
+            parts = []
+            for _, obj in items:
+                blob = blobs.get(id(obj))
+                if blob is None:
+                    blob = blobs[id(obj)] = pickle.dumps(
+                        obj, protocol=pickle.HIGHEST_PROTOCOL)
+                parts.append(blob)
+            meta = pickle.dumps(
+                ("d", tag, self.wid,
+                 [(key, len(blob)) for (key, _), blob in zip(items, parts)]),
+                protocol=pickle.HIGHEST_PROTOCOL)
+            if fault is not None and fault.action == "corrupt":
                 # Same length, mangled first opcode: the receiver's
                 # unpickle raises, modeling on-the-wire corruption.
-                mangled = bytearray(blob)
-                mangled[0] ^= 0xFF
-                blob = bytes(mangled)
-            frame = _HDR.pack(len(blob)) + blob
-            if rec is not None:
-                ser_s = rec.clock() - t0
-            if frame_fault is not None and frame_fault.action == "drop":
+                meta = bytes([meta[0] ^ 0xFF]) + meta[1:]
+            frame = b"".join(
+                [_FRAME.pack(len(meta) + sum(map(len, parts)), len(meta)),
+                 meta] + parts)
+            if fault is not None and fault.action == "drop":
                 # The frame is never posted: the receiving peers' waits
                 # expire into ChannelTimeout (a transport error).
-                pass
-            else:
-                for w in send_to:
-                    self._sendqs[w].put(frame)
-                sent = len(frame) * len(send_to)
-                self.bytes_sent += sent
-        out: Dict[int, List[Tuple[Any, Any]]] = {}
-        for w in recv_from:
-            msg = self._recv("d", tag, w)
-            out[w] = msg[3]
+                continue
+            self._sendqs[w].put(frame)
+            sent += len(frame)
         if rec is not None:
-            rec.record(
-                "exchange", "xchg", t_start, rec.clock(),
-                (self._span_label(gkey), ser_s, self._wait_s,
-                 self._copy_s, sent),
-            )
-        return out
+            self._ser_s += rec.clock() - t0
+        return sent, None
 
     # ------------------------------------------------------------------ #
     # lifecycle

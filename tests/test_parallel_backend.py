@@ -12,6 +12,12 @@ both exercised.
 
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -62,6 +68,10 @@ MATRIX = [
     ("1d", 4, 3, {}),                       # uneven shards (2, 1, 1)
     ("1d", 4, 4, {"variant": "outer"}),
     ("1d", 4, 2, {"variant": "outer_sparse"}),
+    # W >= 3 on the coalesced ghost exchange: some workers sit out a
+    # routed call that others take part in.
+    ("1d", 4, 3, {"variant": "ghost", "partition": "multilevel"}),
+    ("1d", 4, 4, {"variant": "ghost", "partition": "multilevel"}),
     ("1.5d", 2, 2, {"replication": 2}),
     ("1.5d", 4, 2, {"replication": 2}),
     ("1.5d", 4, 4, {"replication": 2}),
@@ -267,6 +277,166 @@ class TestResidentDispatch:
         assert len(stats["per_worker"]) == 2
         # Workers run the same SPMD program: same exchange count.
         assert len({d["exchanges"] for d in stats["per_worker"]}) == 1
+
+
+GHOST = {"variant": "ghost", "partition": "multilevel"}
+
+
+class TestExchangeCounts:
+    """One rendezvous per routed collective: the per-epoch exchange count
+    is a property of the program, not of the host, so it is pinned."""
+
+    @pytest.mark.parametrize("transport", ["shm", "tcp"])
+    @pytest.mark.parametrize("name,kw,per_worker_epoch", [
+        # 6 ghost fetches (one exchange each) + 4 reductions
+        ("1d", GHOST, 10),
+        # 12 routed SUMMA stage broadcasts + 4 reductions
+        ("2d", {}, 16),
+    ])
+    def test_exchanges_per_epoch(self, ds, name, kw, per_worker_epoch,
+                                 transport):
+        algo = make_algorithm(name, 4, ds, hidden=HIDDEN, seed=0,
+                              backend="process", workers=2,
+                              transport=transport, **kw)
+        try:
+            algo.fit(ds.features, ds.labels, epochs=1)     # setup included
+            s0 = algo.rt.backend_stats()
+            algo.fit(ds.features, ds.labels, epochs=3)
+            s1 = algo.rt.backend_stats()
+        finally:
+            algo.rt.close()
+        per_worker = [b["exchanges"] - a["exchanges"] for a, b in
+                      zip(s0["per_worker"], s1["per_worker"])]
+        assert per_worker == [3 * per_worker_epoch] * 2
+        assert s1["exchanges"] - s0["exchanges"] == 6 * per_worker_epoch
+
+
+class _QueueTap:
+    """Stands in for a command queue: records each posted command's
+    pickled size, then forwards it."""
+
+    def __init__(self, q, sizes):
+        self._q, self._sizes = q, sizes
+
+    def put(self, msg):
+        self._sizes.append((msg[0], len(pickle.dumps(msg))))
+        self._q.put(msg)
+
+    def __getattr__(self, name):
+        return getattr(self._q, name)
+
+
+def _shm_segments():
+    return {f for f in os.listdir("/dev/shm") if f.startswith("psm_")}
+
+
+class TestBulkDispatch:
+    """Bulk command fields ride the driver's dispatch arena, not the
+    command pipes."""
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        # features: 600 x 64 doubles = 300 KiB >> INLINE_MAX
+        return make_synthetic(n=600, avg_degree=6, f=64, n_classes=4,
+                              seed=5)
+
+    @pytest.mark.parametrize("transport", ["shm", "tcp"])
+    def test_fit_dispatch_is_small_and_leaves_no_segment(self, big,
+                                                         transport):
+        before = _shm_segments()
+        v_hist = make_algorithm("1d", 4, big, hidden=HIDDEN, seed=0).fit(
+            big.features, big.labels, epochs=2)
+        algo = make_algorithm("1d", 4, big, hidden=HIDDEN, seed=0,
+                              backend="process", workers=2,
+                              transport=transport)
+        sizes = []
+        try:
+            backend = algo.rt._backend
+            backend.cmd_queues = [_QueueTap(q, sizes)
+                                  for q in backend.cmd_queues]
+            hist = algo.fit(big.features, big.labels, epochs=2)
+            lp = algo.predict(big.features)
+        finally:
+            algo.rt.close()
+        assert hist.losses == v_hist.losses
+        assert lp.shape == (big.num_vertices, big.num_classes)
+        assert big.features.nbytes > 256 * 1024
+        assert [op for op, _ in sizes] == ["fit"] * 2 + ["predict"] * 2 \
+            + ["close"] * 2
+        assert max(n for _, n in sizes) < 64 * 1024
+        assert _shm_segments() <= before
+
+    def test_payload_beyond_the_arena_spills_and_is_reclaimed(self, big):
+        """A dispatch arena smaller than the feature matrix: the payload
+        spills to an ephemeral segment, unlinked when the replies are in."""
+        before = _shm_segments()
+        rt = ParallelRuntime.make_1d(4, workers=2, arena_bytes=64 * 1024)
+        try:
+            algo = rt.make_algorithm("1d", big.adjacency,
+                                     big.layer_widths(hidden=HIDDEN), seed=0)
+            hist = algo.fit(big.features, big.labels, epochs=1)
+            assert rt._backend.dispatch.spills > 0
+            # two worker arenas + the dispatch arena; the spill is gone
+            assert len(_shm_segments() - before) == 3
+        finally:
+            rt.close()
+        assert np.isfinite(hist.losses[0])
+        assert _shm_segments() <= before
+
+    def test_recovery_redispatch_reencodes_and_leaves_no_segment(
+            self, big, tmp_path):
+        before = _shm_segments()
+        ref = make_algorithm("1d", 4, big, hidden=HIDDEN, seed=0).fit(
+            big.features, big.labels, epochs=3)
+        algo = make_algorithm("1d", 4, big, hidden=HIDDEN, seed=0,
+                              backend="process", workers=2,
+                              faults="kill:worker=1,epoch=1,attempt=1",
+                              max_restarts=2)
+        try:
+            hist = algo.fit(big.features, big.labels, epochs=3,
+                            checkpoint_path=str(tmp_path / "ck.npz"),
+                            checkpoint_every=1)
+            stats = algo.rt.backend_stats(workers=False)
+        finally:
+            algo.rt.close()
+        # The re-dispatch went to a fresh pool with a fresh arena: stale
+        # descriptors would have failed the resumed fit.
+        assert stats["restarts"] == 1
+        assert hist.losses == ref.losses
+        assert _shm_segments() <= before
+
+
+class TestCleanShutdown:
+    def test_plain_script_exits_with_empty_stderr(self, tmp_path):
+        """build -> fit -> close() in a plain script: no resource-tracker
+        warning (leaked semaphore / already-unlinked name) on exit, and
+        no command-queue feeder thread outlives close()."""
+        script = tmp_path / "driver.py"
+        script.write_text(textwrap.dedent("""
+            import threading
+            from repro.dist import make_algorithm
+            from repro.graph import make_synthetic
+
+            if __name__ == "__main__":
+                ds = make_synthetic(n=4000, avg_degree=4, f=64,
+                                    n_classes=3, seed=11)
+                algo = make_algorithm("1d", 4, ds, hidden=8, seed=0,
+                                      backend="process", workers=2)
+                algo.fit(ds.features, ds.labels, epochs=2)
+                algo.rt.close()
+                feeders = [t.name for t in threading.enumerate()
+                           if t.name == "QueueFeederThread"]
+                assert not feeders, feeders
+        """))
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        for _ in range(2):
+            done = subprocess.run([sys.executable, str(script)], env=env,
+                                  capture_output=True, text=True,
+                                  timeout=120)
+            assert done.returncode == 0, done.stderr
+            assert done.stderr == ""
 
 
 class TestDigestModes:

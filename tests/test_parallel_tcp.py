@@ -93,12 +93,15 @@ class TestTcpCrossBackendEquality:
         assert stats["channel_bytes"] > 0
         assert stats["exchanges"] > 0
 
-    def test_ghost_multilevel_partition_over_tcp(self, ds):
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_ghost_multilevel_partition_over_tcp(self, ds, workers):
         """The partition-aware ghost variant -- the hardest ledger to
-        reproduce -- stays byte-identical across the socket fabric."""
+        reproduce -- stays byte-identical across the socket fabric, also
+        at W >= 3 where some workers sit out a coalesced ghost call that
+        others take part in."""
         kw = {"variant": "ghost", "partition": "multilevel"}
         v_algo, v_hist, v_lp = run_virtual(ds, "1d", 4, kw)
-        p_hist, p_lp, p_tracker, _ = run_tcp(ds, "1d", 4, 2, kw)
+        p_hist, p_lp, p_tracker, _ = run_tcp(ds, "1d", 4, workers, kw)
         for e_v, e_p in zip(v_hist.epochs, p_hist.epochs):
             assert e_v.loss == e_p.loss
             assert e_v.bytes_by_category == e_p.bytes_by_category
@@ -108,28 +111,81 @@ class TestTcpCrossBackendEquality:
 
 
 class TestTcpChannelPrimitive:
-    """The socket exchange itself, driven by two threads in-process."""
+    """The socket exchange itself, driven by threads in-process."""
 
-    def _pair(self, timeout=10.0, heartbeat=None):
-        inboxes = [queue.Queue(), queue.Queue()]
-        chans = [None, None]
+    def _pair(self, timeout=10.0, heartbeat=None, n=2):
+        inboxes = [queue.Queue() for _ in range(n)]
+        chans = [None] * n
         errs = []
 
         def build(wid):
             try:
-                chans[wid] = TcpChannel(wid, 2, inboxes=inboxes,
+                chans[wid] = TcpChannel(wid, n, inboxes=inboxes,
                                         timeout=timeout,
                                         heartbeat=heartbeat)
             except Exception as exc:  # pragma: no cover - surfaced below
                 errs.append(exc)
 
-        ts = [threading.Thread(target=build, args=(w,)) for w in (0, 1)]
+        ts = [threading.Thread(target=build, args=(w,)) for w in range(n)]
         for t in ts:
             t.start()
         for t in ts:
             t.join(timeout=15)
         assert not errs, errs
         return chans
+
+    def test_per_peer_lists_pickle_a_shared_payload_once(self, monkeypatch):
+        """Peer 1 gets an item peer 2 does not; the payload object both
+        lists share is pickled once and spliced into both frames."""
+        import pickle
+        import types
+
+        from repro.parallel import tcp
+
+        chans = self._pair(n=3)
+        big = np.arange(4096.0)
+        extra = np.arange(3.0)
+        dumped = []
+
+        def dumps(obj, protocol=None):
+            dumped.append(obj)
+            return pickle.dumps(obj, protocol=protocol)
+
+        monkeypatch.setattr(tcp, "pickle", types.SimpleNamespace(
+            dumps=dumps, loads=pickle.loads,
+            HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL))
+        results, errs = {}, []
+        programs = {
+            0: lambda ch: ch.exchange(
+                "g", {1: [("x", big), ("only1", extra)], 2: [("x", big)]},
+                []),
+            1: lambda ch: ch.exchange("g", {}, [0]),
+            2: lambda ch: ch.exchange("g", {}, [0]),
+        }
+
+        def run(wid):
+            try:
+                results[wid] = programs[wid](chans[wid])
+            except Exception as exc:  # pragma: no cover
+                errs.append(exc)
+
+        ts = [threading.Thread(target=run, args=(w,)) for w in range(3)]
+        for t in ts:
+            t.start()
+        for t in ts:
+            t.join(timeout=15)
+        for ch in chans:
+            ch.close()
+        assert not errs, errs
+        assert [k for k, _ in results[1][0]] == ["x", "only1"]
+        assert [k for k, _ in results[2][0]] == ["x"]
+        for wid in (1, 2):
+            np.testing.assert_array_equal(results[wid][0][0][1], big)
+        np.testing.assert_array_equal(results[1][0][1][1], extra)
+        assert sum(obj is big for obj in dumped) == 1
+        # bytes_sent counts what was delivered: both frames carry `big`.
+        assert chans[0].bytes_sent > 2 * big.nbytes
+        assert chans[0].nexchanges == 1
 
     def test_roundtrip_and_out_of_order_stash(self):
         chans = self._pair()
@@ -141,16 +197,16 @@ class TestTcpChannelPrimitive:
             try:
                 if wid == 0:
                     # Post g1 then g2 ...
-                    ch.exchange("g1", [("a", np.arange(4.0))], [1], [])
-                    ch.exchange("g2", [("b", np.ones(3))], [1], [])
-                    got = ch.exchange("g3", [("c", None)], [1], [1])
+                    ch.exchange("g1", {1: [("a", np.arange(4.0))]}, [])
+                    ch.exchange("g2", {1: [("b", np.ones(3))]}, [])
+                    got = ch.exchange("g3", {1: [("c", None)]}, [1])
                     results[wid] = got
                 else:
                     # ... but consume g2 before g1: the stash must hold
                     # the early frame until its tag is wanted.
-                    g2 = ch.exchange("g2", [], [], [0])
-                    g1 = ch.exchange("g1", [], [], [0])
-                    got = ch.exchange("g3", [("d", np.zeros(2))], [0], [0])
+                    g2 = ch.exchange("g2", {}, [0])
+                    g1 = ch.exchange("g1", {}, [0])
+                    got = ch.exchange("g3", {0: [("d", np.zeros(2))]}, [0])
                     results[wid] = (g1, g2, got)
             except Exception as exc:  # pragma: no cover
                 errs.append(exc)
@@ -177,7 +233,7 @@ class TestTcpChannelPrimitive:
         try:
             with pytest.raises(ChannelTimeout, match="no progress from "
                                                      "worker 1"):
-                chans[0].exchange("g", [], [], [1])
+                chans[0].exchange("g", {}, [1])
         finally:
             for ch in chans:
                 ch.close()
@@ -196,14 +252,14 @@ class TestTcpChannelPrimitive:
 
         def late_send():
             stop.wait(1.5)  # well past the 0.6s window
-            chans[1].exchange("g", [("x", np.arange(2.0))], [0], [])
+            chans[1].exchange("g", {0: [("x", np.arange(2.0))]}, [])
 
         beater = threading.Thread(target=beat, daemon=True)
         sender = threading.Thread(target=late_send)
         beater.start()
         sender.start()
         try:
-            got = chans[0].exchange("g", [], [], [1])
+            got = chans[0].exchange("g", {}, [1])
             np.testing.assert_array_equal(got[1][0][1], np.arange(2.0))
         finally:
             stop.set()
