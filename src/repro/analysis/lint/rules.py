@@ -150,8 +150,9 @@ class ChargeDataPairing(Rule):
     fixit = "call the matching *_data method in the same function"
 
     PAIRS = {
-        "broadcast_charges_sized": ("routed_broadcast_data",),
-        "broadcast_charges": ("routed_broadcast_data",),
+        # a staged broadcast is charged where it is collected
+        "broadcast_charges_sized": ("routed_broadcast_collect",),
+        "broadcast_charges": ("routed_broadcast_collect",),
         "sendrecv_charges_sized": ("routed_sendrecv_data",),
         "sendrecv_charges": ("routed_sendrecv_data",),
         "allgather_charges": ("allgather_data",),

@@ -793,13 +793,22 @@ class Collectives:
     # contributions for the ranks they hold (all of them here) and
     # receive results for those same ranks.
     # ------------------------------------------------------------------ #
-    def routed_broadcast_data(
+    def routed_broadcast_post(
         self, routes: Sequence[Tuple[Sequence[int], int]],
         blocks: Mapping[int, Any],
-    ) -> list:
-        """Received payload per ``(group, root)`` route (one shared
-        read-only view each), charging nothing."""
+    ) -> Any:
+        """Start the broadcasts along ``(group, root)`` routes, charging
+        nothing; :meth:`routed_broadcast_collect` turns the returned
+        handle into the received payload per route (one shared
+        read-only view each).  Split so a stage loop can start the next
+        stage's broadcasts before it waits for this stage's: a backend
+        whose payloads travel moves them in between.  Nothing travels
+        here, so the handle is the finished list."""
         return [_readonly(blocks[root], "routed_broadcast") for _, root in routes]
+
+    def routed_broadcast_collect(self, posted: Any) -> list:
+        """The receipts of a :meth:`routed_broadcast_post`."""
+        return posted
 
     def routed_sendrecv_data(
         self, pairs: Sequence[Tuple[int, int]], payloads: Mapping[int, Any]

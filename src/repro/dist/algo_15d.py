@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.comm.runtime import VirtualRuntime
 from repro.comm.tracker import Category
-from repro.dist.base import BlockRowAlgorithm
+from repro.dist.base import BlockRowAlgorithm, RoutedBroadcast
 from repro.nn.optim import Optimizer
 from repro.obs import spans as _spans
 from repro.sparse.csr import CSRMatrix
@@ -165,24 +165,27 @@ class DistGCN15D(BlockRowAlgorithm):
         are unchanged, as is every charge.
         """
         # Broadcast rounds: round t moves each column's t-th source block,
-        # concurrently across the c replica columns.
+        # concurrently across the c replica columns -- staged, so round
+        # t + 1 is on the wire before round t is waited for.
         col_parts: List[List[np.ndarray]] = [[] for _ in range(self.c)]
         max_rounds = max(s1 - s0 for s0, s1 in self.subsets)
         nbytes = lambda root: (self._rows_of(root) * f * self.WB)
+        rounds = []
         for t in range(max_rounds):
-            routes = []
-            active = []
-            for j in range(self.c):
-                s0, s1 = self.subsets[j]
-                if t >= s1 - s0:
-                    continue
-                routes.append(
-                    (self._column_groups[j], self._rank_of(s0 + t, j))
-                )
-                active.append(j)
-            got = self._broadcast_routed(("brch", f, t), routes, blocks,
-                                         Category.DCOMM, pipelined=False,
-                                         nbytes=nbytes)
+            active = [j for j in range(self.c)
+                      if t < self.subsets[j][1] - self.subsets[j][0]]
+            rounds.append((active, [
+                (self._column_groups[j],
+                 self._rank_of(self.subsets[j][0] + t, j))
+                for j in active
+            ]))
+        received = self._broadcast_routed(
+            (RoutedBroadcast(("brch", f, t), routes, blocks,
+                             Category.DCOMM, pipelined=False,
+                             nbytes=nbytes),)
+            for t, (_, routes) in enumerate(rounds)
+        )
+        for (active, _), (got,) in zip(rounds, received):
             for j, payload in zip(active, got):
                 if payload is not None:
                     col_parts[j].append(payload)

@@ -33,7 +33,7 @@ import numpy as np
 from repro.comm.mesh import Mesh2D
 from repro.comm.runtime import VirtualRuntime
 from repro.comm.tracker import Category
-from repro.dist.base import GridAlgorithm
+from repro.dist.base import GridAlgorithm, RoutedBroadcast
 from repro.nn.optim import Optimizer
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.distribute import (
@@ -242,32 +242,43 @@ class DistGCN2D(GridAlgorithm):
         op_key = "a_t" if sparse_blocks is self.a_t_blocks else "a"
         stage_pieces = self._stage_pieces(sparse_blocks)
         col_groups = self._col_group_list
+
+        def stage_broadcasts():
+            # Drawn one stage ahead of the multiplies below (see
+            # _broadcast_routed): both operands are complete already.
+            for st, ((lo, hi, ro, co), pieces) in enumerate(
+                zip(self.stages, stage_pieces)
+            ):
+                r0 = self.row_ranges[ro][0]
+                dense_pieces = {
+                    root: dense_blocks[root][lo - r0 : hi - r0, :]
+                    for j in range(self.pc)
+                    for root in (mesh.rank_of(ro, j),)
+                    if root in dense_blocks
+                }
+
+                def dense_nbytes(root: int, lo=lo, hi=hi) -> int:
+                    b0, b1 = fcols[self._out_col(root)]
+                    return (hi - lo) * (b1 - b0) * self.WB
+
+                yield (
+                    RoutedBroadcast(
+                        ("bsch", op_key, st),
+                        [(groups[i], mesh.rank_of(i, co))
+                         for i in range(self.pr)],
+                        pieces, Category.SCOMM),
+                    RoutedBroadcast(
+                        ("bdch", f, st),
+                        [(col_groups[j], mesh.rank_of(ro, j))
+                         for j in range(self.pc)],
+                        dense_pieces, Category.DCOMM, nbytes=dense_nbytes),
+                )
+
+        received = self._broadcast_routed(stage_broadcasts())
         for st, ((lo, hi, ro, co), pieces) in enumerate(
             zip(self.stages, stage_pieces)
         ):
-            sparse_recv = self._broadcast_routed(
-                ("bsch", op_key, st),
-                [(groups[i], mesh.rank_of(i, co)) for i in range(self.pr)],
-                pieces, Category.SCOMM,
-            )
-            r0 = self.row_ranges[ro][0]
-            dense_pieces = {
-                root: dense_blocks[root][lo - r0 : hi - r0, :]
-                for j in range(self.pc)
-                for root in (mesh.rank_of(ro, j),)
-                if root in dense_blocks
-            }
-
-            def dense_nbytes(root: int, lo=lo, hi=hi) -> int:
-                b0, b1 = fcols[self._out_col(root)]
-                return (hi - lo) * (b1 - b0) * self.WB
-
-            stage_parts = self._broadcast_routed(
-                ("bdch", f, st),
-                [(col_groups[j], mesh.rank_of(ro, j))
-                 for j in range(self.pc)],
-                dense_pieces, Category.DCOMM, nbytes=dense_nbytes,
-            )
+            sparse_recv, stage_parts = next(received)
             # One dense join + SpMM per local column span (usually one).
             span_joins = {}
             for idx, (gi, group, members, (c_lo, c_hi)) in enumerate(

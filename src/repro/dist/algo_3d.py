@@ -34,7 +34,7 @@ import numpy as np
 from repro.comm.mesh import Mesh3D
 from repro.comm.runtime import VirtualRuntime
 from repro.comm.tracker import Category
-from repro.dist.base import GridAlgorithm
+from repro.dist.base import GridAlgorithm, RoutedBroadcast
 from repro.nn.optim import Optimizer
 from repro.obs import spans as _spans
 from repro.sparse.csr import CSRMatrix
@@ -210,16 +210,19 @@ class DistGCN3D(GridAlgorithm):
             b0, b1 = fcols[rj]
             return sub_rows[rk][ri] * (b1 - b0) * self.WB
 
-        # 1. SUMMA stages, concurrently in every layer.
+        # 1. SUMMA stages, concurrently in every layer; the broadcasts
+        # run one stage ahead of the multiplies (see _broadcast_routed).
+        received = self._broadcast_routed(
+            (RoutedBroadcast(("bsch", op_key, t),
+                             self._stage_sparse_routes[t],
+                             sparse_blocks, Category.SCOMM),
+             RoutedBroadcast(("bdch", f, t), self._stage_dense_routes[t],
+                             dense_blocks, Category.DCOMM,
+                             nbytes=dense_nbytes))
+            for t in range(s)
+        )
         for t in range(s):
-            sparse_got = self._broadcast_routed(
-                ("bsch", op_key, t), self._stage_sparse_routes[t],
-                sparse_blocks, Category.SCOMM,
-            )
-            dense_got = self._broadcast_routed(
-                ("bdch", f, t), self._stage_dense_routes[t],
-                dense_blocks, Category.DCOMM, nbytes=dense_nbytes,
-            )
+            sparse_got, dense_got = next(received)
             # One dense join + SpMM per local (layer, column span).
             span_joins: Dict[Tuple[int, int, int], np.ndarray] = {}
             for gi, group, members, (c_lo, c_hi) in groups_info:

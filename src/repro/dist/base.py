@@ -30,8 +30,9 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
+                    List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -59,6 +60,7 @@ if TYPE_CHECKING:  # import would cycle: simulate -> dist -> simulate
 __all__ = [
     "EpochStats",
     "DistTrainHistory",
+    "RoutedBroadcast",
     "DistAlgorithm",
     "BlockRowAlgorithm",
     "GridAlgorithm",
@@ -77,6 +79,24 @@ def _emit_epoch_event(stats, replayed: bool = False) -> None:
     if replayed:
         data["replayed"] = True
     _events.emit("epoch", **data)
+
+
+class RoutedBroadcast(NamedTuple):
+    """One set of concurrent broadcasts of a stage
+    (:meth:`DistAlgorithm._broadcast_routed`)."""
+
+    #: charge-cache key (the routes and payload shapes behind it are
+    #: fixed at setup)
+    key: Tuple
+    #: ``(group, root)`` per broadcast
+    routes: Sequence[Tuple[Sequence[int], int]]
+    #: ``{root: payload}`` for the roots this process holds
+    blocks: Mapping[int, Any]
+    category: str
+    #: SUMMA's pipelined broadcast (no ``lg p`` latency factor)
+    pipelined: bool = True
+    #: ``nbytes(root)``: a route's wire size from structure alone
+    nbytes: Optional[Callable[[int], int]] = None
 
 
 def clone_optimizer(opt: Optimizer) -> Optimizer:
@@ -374,37 +394,73 @@ class DistAlgorithm:
         rec.record(_obs_name, _obs_cat, t0, rec.clock())
         return out
 
-    def _broadcast_routed(self, key, routes, blocks, category: str,
-                          pipelined: bool = True, nbytes=None) -> list:
-        """Concurrent broadcasts along precomputed ``(group, root)``
-        routes, with the (static) charges replayed from the cache.
+    def _broadcast_routed(
+        self, stages: Iterable[Sequence[RoutedBroadcast]],
+    ) -> Iterator[List[list]]:
+        """The staged routed broadcast every stage loop runs over.
 
-        The payload shapes along a route are fixed at setup, so the full
-        per-rank charge list is computed once via
-        :meth:`Collectives.broadcast_charges_sized` and replayed with
-        ``charge_many`` on later epochs -- identical ledger entries.
-        ``nbytes(root)`` supplies the wire size of a route's payload from
-        structure alone; without it the payload itself is sized (only
-        valid when every root's payload is present, i.e. static operand
-        dicts).  Returns the received payload per route (shared read-only
-        views); routes with no local member yield ``None`` on the
-        multiprocess backend.
+        ``stages`` yields, per stage, the concurrent broadcasts that
+        stage needs (:class:`RoutedBroadcast`: ``(group, root)`` routes
+        and the operand dict the roots' payloads come from); this yields,
+        per stage, the received payload list of each of them (shared
+        read-only views, one per route; routes with no local member
+        yield ``None`` on the multiprocess backend).
+
+        Look-ahead is one stage: stage ``k + 1`` is drawn from ``stages``
+        and its broadcasts are put on the wire *before* stage ``k`` is
+        collected and handed to the caller's multiply, so on a backend
+        whose payloads travel they do so under that multiply.  Two
+        stages are in flight at most, which bounds the extra memory at
+        one stage's pieces.  A stage's payloads must therefore not
+        depend on an earlier stage's multiply -- every operand a stage
+        loop broadcasts is complete before the loop starts.
+
+        The (static) charges are replayed when a stage is *collected*,
+        i.e. at the program point the unstaged loop charged them, so the
+        ledger is the same entry for entry.  Payload shapes along a
+        route are fixed at setup: the per-rank charge list is computed
+        once via :meth:`Collectives.broadcast_charges_sized` and
+        replayed with ``charge_many`` on later epochs.
+        ``RoutedBroadcast.nbytes(root)`` supplies the wire size of a
+        route's payload from structure alone; without it the payload
+        itself is sized (only valid when every root's payload is
+        present, i.e. static operand dicts).
         """
-        charges = self._cache.get(key)
-        if charges is None:
-            charges = self.rt.coll.broadcast_charges_sized(
-                [(group, root,
-                  nbytes(root) if nbytes is not None
-                  else payload_nbytes(blocks[root]))
-                 for group, root in routes],
-                pipelined,
-            )
-            self._cache[key] = charges
-        self.rt.tracker.charge_many(category, charges)
-        return self._obs_call(
-            "bcast", category, self.rt.coll.routed_broadcast_data,
-            routes, blocks,
-        )
+        coll = self.rt.coll
+
+        def collect(stage: Sequence[RoutedBroadcast],
+                    posted: list) -> List[list]:
+            got = []
+            for b, handle in zip(stage, posted):
+                charges = self._cache.get(b.key)
+                if charges is None:
+                    charges = coll.broadcast_charges_sized(
+                        [(group, root,
+                          b.nbytes(root) if b.nbytes is not None
+                          else payload_nbytes(b.blocks[root]))
+                         for group, root in b.routes],
+                        b.pipelined,
+                    )
+                    self._cache[b.key] = charges
+                self.rt.tracker.charge_many(b.category, charges)
+                got.append(self._obs_call(
+                    "bcast", b.category, coll.routed_broadcast_collect,
+                    handle,
+                ))
+            return got
+
+        ahead: Optional[Tuple[Sequence[RoutedBroadcast], list]] = None
+        for stage in stages:
+            posted = [
+                self._obs_call("bcast", b.category,
+                               coll.routed_broadcast_post, b.routes, b.blocks)
+                for b in stage
+            ]
+            if ahead is not None:
+                yield collect(*ahead)
+            ahead = (stage, posted)
+        if ahead is not None:
+            yield collect(*ahead)
 
     def _sendrecv_routed(self, key, pairs, payloads, category: str,
                          nbytes=None) -> list:
@@ -412,7 +468,7 @@ class DistAlgorithm:
         with cached charge replay; returns what each ``dst`` receives
         (``None`` for non-local destinations on the multiprocess
         backend).  ``nbytes(src, dst)`` supplies structural wire sizes,
-        as in :meth:`_broadcast_routed`."""
+        as in :class:`RoutedBroadcast`."""
         charges = self._cache.get(key)
         if charges is None:
             charges = self.rt.coll.sendrecv_charges_sized(
@@ -1326,14 +1382,15 @@ class GridAlgorithm(DistAlgorithm):
         """Feature-column span covered by column indices [c_lo, c_hi)."""
         return fsplit[c_lo][0], fsplit[c_hi - 1][1]
 
-    def _stage_broadcast(self, blocks, t: int, f: int, key=None):
-        """Stage ``t`` of a replicated-W product: every row group's
-        ``t``-th member broadcasts its feature-column block row-wise.
-        Returns the received payloads indexed like
-        :attr:`_row_group_list` (shared by the whole group under
-        copy-on-write; ``None`` for non-local groups on the multiprocess
-        backend).  ``key`` enables cached charge replay (payload shapes
-        along a stage are fixed at setup); ``f`` sizes the charges from
+    def _stage_broadcast(self, blocks, f: int):
+        """The stage loop of a replicated-W product over ``blocks``:
+        in stage ``t`` every row group's ``t``-th member broadcasts its
+        feature-column block row-wise.  Yields ``(t, lo, hi, recv)`` per
+        non-empty stage of the ``f``-split -- ``recv`` the received
+        payloads indexed like :attr:`_row_group_list` (shared by the
+        whole group under copy-on-write; ``None`` for non-local groups
+        on the multiprocess backend) -- staged through
+        :meth:`_broadcast_routed`.  ``f`` also sizes the charges from
         structure (the broadcast block is ``group rows x stage width``).
         """
         fcols = self._fsplit(f)
@@ -1342,17 +1399,16 @@ class GridAlgorithm(DistAlgorithm):
             lo, hi = fcols[self._out_col(root)]
             return self._rows_of(root) * (hi - lo) * self.WB
 
-        if key is not None:
-            return self._broadcast_routed(
-                key,
+        stages = [(t, lo, hi) for t, (lo, hi) in enumerate(fcols) if hi > lo]
+        received = self._broadcast_routed(
+            (RoutedBroadcast(
+                ("sbch", f, t),
                 [(group, group[t]) for group in self._row_group_list],
-                blocks, Category.DCOMM, nbytes=nbytes,
-            )
-        return self.rt.coll.broadcast_many(
-            [(group, group[t], blocks[group[t]])
-             for group in self._row_group_list],
-            category=Category.DCOMM, pipelined=True,
+                blocks, Category.DCOMM, nbytes=nbytes),)
+            for t, _, _ in stages
         )
+        for (t, lo, hi), (recv,) in zip(stages, received):
+            yield t, lo, hi, recv
 
     def _matmul_w(self, t_blocks, w: np.ndarray, f_in: int, f_out: int,
                   ws_key=None):
@@ -1391,11 +1447,7 @@ class GridAlgorithm(DistAlgorithm):
                     o0, o1 = fouts[self._out_col(r)]
                     yield r, 2.0 * rows * (hi - lo) * (o1 - o0)
 
-        for t, (lo, hi) in enumerate(self._fsplit(f_in)):
-            if hi == lo:
-                continue
-            recv = self._stage_broadcast(t_blocks, t, f_in,
-                                         key=("sbch", f_in, t))
+        for t, lo, hi, recv in self._stage_broadcast(t_blocks, f_in):
             w_stage = w[lo:hi, :]
             for idx, (gi, group, members, span) in enumerate(groups_info):
                 acc, o_lo, o_hi = accs[idx]
@@ -1448,11 +1500,7 @@ class GridAlgorithm(DistAlgorithm):
                     o0, o1 = fouts[self._out_col(r)]
                     yield r, 2.0 * (hi - lo) * rows * (o1 - o0)
 
-        for t, (lo, hi) in enumerate(self._fsplit(f_in)):
-            if hi == lo:
-                continue
-            recv = self._stage_broadcast(t_blocks, t, f_in,
-                                         key=("sbch", f_in, t))
+        for t, lo, hi, recv in self._stage_broadcast(t_blocks, f_in):
             for idx, (gi, group, members, span) in enumerate(groups_info):
                 buf, o_lo = g_rows[idx]
                 band = weight_gradient(recv[gi], buf)  # (hi-lo, local span)

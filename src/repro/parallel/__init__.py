@@ -28,44 +28,61 @@ Architecture map (driver process on the left, P-rank workers right)::
           │                        │             alpha-beta charging; one
           │                        │             rendezvous per collective
           │              PeerChannel | TcpChannel
-          │               channel.py | tcp.py -- ChannelBase.exchange:
-          │                        │             per-peer outbox, tagged
-          │                        │             (group, seq); shm descs
-          │                        │             vs pickle frames
+          │               channel.py | tcp.py -- ChannelBase.post /
+          │                        │             collect: per-peer outbox,
+          │                        │             tagged (group, seq); shm
+          │                        │             descs vs pickle frames
           └─────────────── Arena / codec         shm.py -- shared-memory
                                                  payload transport
 
-Exchange protocol.  ``exchange(gkey, outbox, recv_from)`` posts each
-peer *its own* list of ``(key, payload)`` items and collects one list
-from every peer named in ``recv_from``: one message (and, on shm, one
+Exchange protocol.  A rendezvous has two halves.  ``post(gkey, outbox,
+recv_from)`` hands each peer *its own* list of ``(key, payload)`` items,
+names the peers this worker is owed a list from, puts everything on the
+wire and returns a ticket -- it never blocks.  ``collect(ticket)`` takes
+the one list every named peer posted, acknowledges and reclaims -- the
+only place a worker waits for a peer.  ``exchange`` is
+``collect(post(...))``.  One ticket is one message (and, on shm, one
 acknowledgement) per peer however many payloads it carries, and a
 payload object shared by several lists is encoded once.  The routed
 collectives -- ghost-row fetch, point-to-point routes, SUMMA stage
 broadcasts -- walk their global transfer list once, bucket every
 cross-worker transfer by peer worker and meet **once per call**, not
 once per ``(src rank, dst rank)`` pair.  The tag sequence of a ``gkey``
-advances on every call of the SPMD sequence, also on a worker with no
-traffic in it, so workers that sit a call out stay aligned with the ones
-that do not (W >= 3).
+advances on every post of the SPMD sequence, also on a worker with no
+traffic in it (its ticket is empty and free), so workers that sit a
+call out stay aligned with the ones that do not (W >= 3).
+
+Tickets and overlap.  Several tickets may be outstanding, each
+collected once and in the same order on every worker.  The stage loops
+of the 1.5D / 2D / 3D algorithms use that with a fixed look-ahead of
+one: stage ``k + 1``'s broadcasts are posted before stage ``k`` is
+collected and multiplied (``DistAlgorithm._broadcast_routed``), so they
+travel under the multiply.  A ticket owns what its post borrowed; on
+shm the arena pointer is rewound only when the last outstanding ticket
+is collected, and posts made meanwhile spill to ephemeral segments once
+the arena is full.  On tcp the posting thread writes the frame itself
+when the connection has no backlog and leaves only the unsent tail to
+the connection's sender thread.
 
 Layer responsibilities:
 
 * ``shm.py``        -- encode/decode dense and CSR payloads into
   shared-memory arenas (+ ephemeral overflow segments); park/fetch the
   bulk fields of a driver command the same way;
-* ``channel.py``    -- the one rendezvous primitive (post, collect,
-  ack, reclaim), written once in :class:`ChannelBase` with
-  deterministic ``(group, seq)`` tags, the out-of-order stash and the
-  shared no-progress timeout machinery; :class:`PeerChannel` is its
-  queue + shm wire;
-* ``tcp.py``        -- the same exchange over length-prefixed socket
-  frames, one sender thread per connection, loopback or
-  ``REPRO_PARALLEL_HOSTS`` rendezvous -- ranks can span machines;
+* ``channel.py``    -- the rendezvous in its two halves (``post``:
+  tag, encode, send; ``collect``: take, ack, reclaim), written once in
+  :class:`ChannelBase` with deterministic ``(group, seq)`` tags, the
+  out-of-order stash and the shared no-progress timeout machinery;
+  :class:`PeerChannel` is its queue + shm wire;
+* ``tcp.py``        -- the same two halves over length-prefixed frames
+  on non-blocking sockets, a sender thread per connection for what a
+  post could not write at once, loopback or ``REPRO_PARALLEL_HOSTS``
+  rendezvous -- ranks can span machines;
 * ``collectives.py``-- the :class:`~repro.comm.collectives.Collectives`
   API for a rank-local worker: reductions fold in group-rank order (a
   fixed tree) so results match the virtual runtime bit for bit on
   either transport; the three routed collectives share one
-  ``_routed_exchange``;
+  ``_routed_post`` / ``_routed_collect`` pair;
 * ``runtime.py``    -- :class:`WorkerRuntime` (the rank-local
   :class:`~repro.comm.runtime.Runtime`), :class:`ParallelRuntime` and
   :class:`ParallelAlgorithm` (driver-side, VirtualRuntime-shaped);

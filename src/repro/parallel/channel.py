@@ -1,30 +1,53 @@
 """Worker-to-worker rendezvous: tagged exchanges over queues + shm.
 
 Every worker owns one inbox queue (driver-created) and one shared-memory
-arena (:mod:`repro.parallel.shm`).  All collective traffic reduces to one
-primitive, :meth:`ChannelBase.exchange`: post each peer its own list of
-payloads (the *outbox*), collect one list from each of a set of peers,
-acknowledge shared-memory receipts, and reclaim the arena.  One call is
-one rendezvous however many payloads it carries, so the collectives
-above bucket a whole routed call by peer instead of meeting once per
-``(src rank, dst rank)`` pair.
+arena (:mod:`repro.parallel.shm`).  All collective traffic reduces to
+the two halves of one rendezvous:
+
+* :meth:`ChannelBase.post` hands each peer its own list of payloads (the
+  *outbox*) and names the peers this worker is owed a list from.  It
+  encodes, puts the messages on the wire and returns a **ticket**; it
+  never waits for a peer.
+* :meth:`ChannelBase.collect` redeems a ticket: it takes the one list
+  each named peer posted under the same tag, acknowledges
+  shared-memory receipts and reclaims what the post borrowed.  This is
+  the only half that blocks.
+
+:meth:`ChannelBase.exchange` is ``collect(post(...))``.  A caller whose
+next payloads do not depend on this exchange's receipts posts ahead --
+several tickets may be outstanding, each collected exactly once and in
+the same order on every worker (on shm a collect waits for the peer's
+acknowledgement of that same ticket) -- so the peer's frames travel
+while this worker computes (the SUMMA stage loops in :mod:`repro.dist`
+keep one stage ahead).  One ticket is one rendezvous however many
+payloads it carries, so the collectives above bucket a whole routed call
+by peer instead of meeting once per ``(src rank, dst rank)`` pair.
+
+Ticket lifetime and the arena: a ticket holds what its post borrowed --
+arena space and, when the arena was full, ephemeral overflow segments.
+``collect`` unlinks the ticket's own segments once its receivers have
+acknowledged, but the arena is a bump allocator, so its pointer is
+rewound to where the first outstanding post found it only when the
+**last** outstanding ticket is collected; posts made in between keep
+bumping (and spill to ephemeral segments when the arena fills).
 
 Ordering and deadlock freedom rest on the SPMD structure of the epochs:
 every worker executes the same global sequence of collectives, so any two
 workers see their *common* operations in the same relative order.  Tags
 are ``(group_key, sequence)`` pairs where the per-``group_key`` sequence
-counter advances on every call of that sequence -- also on a worker that
+counter advances on every post of that sequence -- also on a worker that
 has no traffic in it -- and so identically on every worker; messages
-arriving early (a peer racing ahead on an unrelated group) are stashed
-until their tag is wanted.  Within one exchange a worker posts **all**
-outgoing messages before blocking on receives, so cyclic waits cannot
-form.  The exchange itself lives in :class:`ChannelBase`; the TCP
-transport (:mod:`repro.parallel.tcp`) supplies a different wire under
-the exact same semantics.
+arriving early (a peer posting ahead, or racing ahead on an unrelated
+group) are stashed until their tag is wanted.  A post never blocks and a
+worker posts **all** of a rendezvous' outgoing messages before it
+collects, so cyclic waits cannot form however many tickets are open.
+Both halves live in :class:`ChannelBase`; the TCP transport
+(:mod:`repro.parallel.tcp`) supplies a different wire under the exact
+same semantics.
 
 Blocking receives are governed by a **no-progress** timeout
 (``REPRO_PARALLEL_TIMEOUT`` seconds, default 120): each worker bumps a
-shared heartbeat counter on every exchange (and once per resident-fit
+shared heartbeat counter on every post (and once per resident-fit
 epoch), and a receive only raises :class:`ChannelTimeout` when the
 awaited peer's counter has not advanced for the whole window.  A slow but
 healthy epoch keeps its peers patient; a dead or deadlocked peer
@@ -49,7 +72,7 @@ from repro.parallel.shm import (
     payload_bytes,
 )
 
-__all__ = ["ChannelBase", "PeerChannel", "ChannelTimeout",
+__all__ = ["ChannelBase", "PeerChannel", "Ticket", "ChannelTimeout",
            "default_timeout", "default_backoff"]
 
 
@@ -72,17 +95,33 @@ def default_backoff() -> float:
 WAIT_SLICE = 0.25
 
 
+class Ticket:
+    """One posted rendezvous awaiting its :meth:`ChannelBase.collect`."""
+
+    __slots__ = ("tag", "recv_from", "borrowed", "sent", "t_post", "ser_s")
+
+    def __init__(self, tag, recv_from, borrowed, sent, t_post, ser_s):
+        self.tag = tag
+        self.recv_from = recv_from
+        #: what the transport's ``_post`` borrowed, for ``_settle``
+        self.borrowed = borrowed
+        self.sent = sent
+        # tracing only: when the post began and how long it took
+        self.t_post = t_post
+        self.ser_s = ser_s
+
+
 class ChannelBase:
-    """The exchange primitive: tags, stash, heartbeat, per-peer outbox.
+    """Post and collect: tags, stash, heartbeat, per-peer outbox.
 
     Both transports (queues+shm and TCP sockets) subclass this and
     supply only the wire: :meth:`_post` (encode and send one message
-    per peer), :meth:`_read_msg` (pull one frame off the transport),
-    :meth:`_take` (decode one peer's message) and :meth:`_settle`
-    (reclaim what the post borrowed).  The ``(group_key, sequence)`` tag
-    discipline -- and therefore the fixed fold order of every reduction
-    built on top -- is identical, which is what makes the transports
-    bit-interchangeable.
+    per peer, without blocking), :meth:`_read_msg` (pull one frame off
+    the transport), :meth:`_take` (decode one peer's message) and
+    :meth:`_settle` (reclaim what the post borrowed).  The
+    ``(group_key, sequence)`` tag discipline -- and therefore the fixed
+    fold order of every reduction built on top -- is identical, which is
+    what makes the transports bit-interchangeable.
     """
 
     def __init__(self, worker_id: int, timeout: Optional[float] = None,
@@ -97,21 +136,21 @@ class ChannelBase:
         #: bytes *delivered* -- summed over the peers they were posted to
         self.bytes_sent = 0
         self.nexchanges = 0
-        # Per-exchange tracing accumulators: the transport hooks bank
-        # their serialize / wait / copy seconds here and exchange()
-        # folds them into its one span.
-        self._ser_s = self._wait_s = self._copy_s = 0.0
+        # Per-collect tracing accumulators: the transport hooks bank
+        # their wait / copy seconds here and collect() folds them, with
+        # the ticket's serialize seconds, into the exchange's one span.
+        self._wait_s = self._copy_s = 0.0
         #: the worker's :class:`repro.parallel.faults.FaultPlan`, when a
         #: fault plan is active (set by ``_worker_main``); consulted at
         #: the exchange injection point by both transports.
         self.faults = None
 
     def _inject_exchange_fault(self) -> int:
-        """Named injection point: start of every exchange.
+        """Named injection point: start of every non-empty post.
 
-        Returns the 0-based index of the exchange about to run (the
-        pre-increment ``nexchanges``) and executes any inline fault --
-        kill/hang/delay -- pinned to it.  Frame-level faults
+        Returns the 0-based index of the exchange about to be posted
+        (the pre-increment ``nexchanges``) and executes any inline fault
+        -- kill/hang/delay -- pinned to it.  Frame-level faults
         (drop/corrupt) are *not* executed here; the TCP transport asks
         ``faults.frame_fault(index)`` for those when it builds the
         outbound frames.
@@ -164,51 +203,78 @@ class ChannelBase:
             self._stash[mkey] = msg
 
     # ------------------------------------------------------------------ #
-    # the one primitive
+    # the two halves of a rendezvous
     # ------------------------------------------------------------------ #
+    def post(
+        self,
+        gkey,
+        outbox: Mapping[int, Sequence[Tuple[Any, Any]]],
+        recv_from: Sequence[int],
+    ) -> Optional[Ticket]:
+        """Put ``outbox[w]`` (a list of ``(key, payload)`` pairs) on the
+        wire to each peer ``w`` and name the peers in ``recv_from`` as
+        owing us one list each.  Never waits for a peer.  A payload
+        object that appears in several peers' lists is encoded once;
+        the caller may overwrite its payload buffers as soon as this
+        returns.
+
+        Every worker that *could* take part posts with the same ``gkey``
+        in the same relative order -- also when it has nothing to post
+        or collect this time, in which case only the tag sequence
+        advances, nothing touches the wire, a counter or a fault index,
+        and the ticket is ``None``.  That keeps the sequence identical
+        on all workers even when some sit a call out.
+        """
+        tag = self._tag(gkey)
+        if not outbox and not recv_from:
+            return None
+        xi = self._inject_exchange_fault()
+        self.touch()
+        self.nexchanges += 1
+        rec = _spans.ACTIVE
+        t_post = rec.clock() if rec is not None else 0.0
+        sent, borrowed = self._post(tag, outbox, xi)
+        self.bytes_sent += sent
+        ser_s = rec.clock() - t_post if rec is not None else 0.0
+        return Ticket(tag, tuple(recv_from), borrowed, sent, t_post, ser_s)
+
+    def collect(self, ticket: Optional[Ticket]
+                ) -> Dict[int, List[Tuple[Any, Any]]]:
+        """Redeem ``ticket``: the one list each peer it names posted us,
+        as ``{src_worker: [(key, payload), ...]}`` with decoded private
+        payloads.  Blocks until they have arrived and -- on shm -- until
+        the peers handed our memory have copied it out; then reclaims
+        what the post borrowed.  Collecting the empty ticket is free.
+        """
+        if ticket is None:
+            return {}
+        # When tracing, the one span per exchange runs from the start of
+        # its post to the end of its collect and carries the phase split
+        # in its meta: serialize is the post half, wait and copy the
+        # collect half.  The clock reads wrap whole blocks, not per-item
+        # work, to keep overhead flat.
+        rec = _spans.ACTIVE
+        self._wait_s = self._copy_s = 0.0
+        out = {w: self._take(ticket.tag, w) for w in ticket.recv_from}
+        self._settle(ticket.tag, ticket.borrowed)
+        if rec is not None:
+            gkey = ticket.tag[0]
+            label = gkey[0] if isinstance(gkey, tuple) and gkey else gkey
+            rec.record(
+                "exchange", "xchg", ticket.t_post, rec.clock(),
+                (str(label), ticket.ser_s, self._wait_s, self._copy_s,
+                 ticket.sent),
+            )
+        return out
+
     def exchange(
         self,
         gkey,
         outbox: Mapping[int, Sequence[Tuple[Any, Any]]],
         recv_from: Sequence[int],
     ) -> Dict[int, List[Tuple[Any, Any]]]:
-        """Post ``outbox[w]`` (a list of ``(key, payload)`` pairs) to each
-        peer ``w``; collect the one list each worker in ``recv_from``
-        posted to us.  Returns ``{src_worker: [(key, payload), ...]}``
-        with decoded private payloads.  A payload object that appears in
-        several peers' lists is encoded once.
-
-        Every worker that *could* take part calls with the same ``gkey``
-        in the same relative order -- also when it has nothing to post
-        or collect this time, in which case only the tag sequence
-        advances and nothing touches the wire.  That keeps the sequence
-        identical on all workers even when some sit a call out.
-        Whatever the post borrowed (arena space, ephemeral segments) is
-        reclaimed before returning.
-        """
-        tag = self._tag(gkey)
-        if not outbox and not recv_from:
-            return {}
-        xi = self._inject_exchange_fault()
-        self.touch()
-        self.nexchanges += 1
-        # When tracing, the one span per exchange carries the phase split
-        # (serialize / wait / copy seconds) in its meta; the clock reads
-        # wrap whole blocks, not per-item work, to keep overhead flat.
-        rec = _spans.ACTIVE
-        t_start = rec.clock() if rec is not None else 0.0
-        self._ser_s = self._wait_s = self._copy_s = 0.0
-        sent, borrowed = self._post(tag, outbox, xi)
-        self.bytes_sent += sent
-        out = {w: self._take(tag, w) for w in recv_from}
-        self._settle(tag, borrowed)
-        if rec is not None:
-            label = gkey[0] if isinstance(gkey, tuple) and gkey else gkey
-            rec.record(
-                "exchange", "xchg", t_start, rec.clock(),
-                (str(label), self._ser_s, self._wait_s, self._copy_s, sent),
-            )
-        return out
+        """One blocking rendezvous: :meth:`post` then :meth:`collect`."""
+        return self.collect(self.post(gkey, outbox, recv_from))
 
     def _take(self, tag, src: int) -> List[Tuple[Any, Any]]:
         """The decoded item list ``src`` posted us under ``tag``."""
@@ -237,6 +303,10 @@ class PeerChannel(ChannelBase):
             name=arena_names[worker_id]))
         self._arena_names = list(arena_names)
         self._peer_shms: Dict[int, shared_memory.SharedMemory] = {}
+        # Tickets posted and not yet collected, and where the arena
+        # pointer stood when the first of them was posted.
+        self._open = 0
+        self._mark = 0
 
     # ------------------------------------------------------------------ #
     # the wire
@@ -270,9 +340,9 @@ class PeerChannel(ChannelBase):
         """Encode each distinct payload into the arena once, then post
         every peer its own descriptor list.  Returns the payload bytes
         delivered and what :meth:`_settle` must reclaim."""
-        rec = _spans.ACTIVE
-        t0 = rec.clock() if rec is not None else 0.0
-        mark = self.arena.ptr
+        if self._open == 0:
+            self._mark = self.arena.ptr
+        self._open += 1
         ephemerals: List[shared_memory.SharedMemory] = []
         descs: Dict[int, Tuple] = {}
         ack_from = []
@@ -291,9 +361,7 @@ class PeerChannel(ChannelBase):
             if need_ack:
                 ack_from.append(w)
             self.inboxes[w].put(("d", tag, self.wid, line))
-        if rec is not None:
-            self._ser_s += rec.clock() - t0
-        return sent, (mark, ephemerals, ack_from)
+        return sent, (ephemerals, ack_from)
 
     def _take(self, tag, src: int) -> List[Tuple[Any, Any]]:
         rec = _spans.ACTIVE
@@ -311,8 +379,9 @@ class PeerChannel(ChannelBase):
 
     def _settle(self, tag, borrowed) -> None:
         """Wait until every peer that was handed shared memory has
-        copied it out, then reclaim the arena and ephemeral segments."""
-        mark, ephemerals, ack_from = borrowed
+        copied it out, then unlink the ticket's ephemeral segments and,
+        when no other ticket is outstanding, rewind the arena."""
+        ephemerals, ack_from = borrowed
         if ack_from:
             rec = _spans.ACTIVE
             t0 = rec.clock() if rec is not None else 0.0
@@ -320,7 +389,9 @@ class PeerChannel(ChannelBase):
                 self._recv("a", tag, w)
             if rec is not None:
                 self._wait_s += rec.clock() - t0
-        self.arena.ptr = mark
+        self._open -= 1
+        if self._open == 0:
+            self.arena.ptr = self._mark
         for seg in ephemerals:
             seg.close()
             seg.unlink()

@@ -257,17 +257,17 @@ class ProcessCollectives(Collectives):
             return value
         return self.channel.exchange(gkey, {}, [ow])[ow][0][1]
 
-    def _routed_exchange(self, kind: str, routes, payload_of) -> list:
-        """One rendezvous for a whole routed call.
+    def _routed_post(self, kind: str, routes, payload_of) -> tuple:
+        """Post a whole routed call as one rendezvous.
 
         ``routes[i]`` is ``(src_rank, dst_workers)`` in the call's fixed
         global order and ``payload_of(i)`` produces transfer ``i``'s
         payload (evaluated on the source worker only).  Every worker
         walks the same list once: what it owns goes into a per-peer
         outbox (or straight to its own slot), what it is owed names the
-        peers to hear from, and a single :meth:`exchange` moves the lot.
-        Returns the received payload per transfer as a read-only
-        receipt, ``None`` where this worker is no destination.
+        peers to hear from, and a single channel post puts the lot on
+        the wire.  Returns the handle :meth:`_routed_collect` finishes:
+        the per-transfer receipts filled in so far and the ticket.
         """
         out: list = [None] * len(routes)
         outbox: Dict[int, list] = {}
@@ -284,19 +284,32 @@ class ProcessCollectives(Collectives):
                     out[i] = _readonly(payload)
                 else:
                     outbox.setdefault(w, []).append((i, payload))
-        got = self.channel.exchange((kind,), outbox, sources)
-        for items in got.values():
+        return out, self.channel.post((kind,), outbox, sources)
+
+    def _routed_collect(self, posted: tuple) -> list:
+        """Wait for what a :meth:`_routed_post` is owed.  Returns the
+        received payload per transfer as a read-only receipt, ``None``
+        where this worker is no destination."""
+        out, ticket = posted
+        for items in self.channel.collect(ticket).values():
             for i, payload in items:
                 out[i] = _readonly(payload)
         return out
 
-    def routed_broadcast_data(self, routes, blocks) -> list:
-        return self._routed_exchange(
+    def _routed_exchange(self, kind: str, routes, payload_of) -> list:
+        return self._routed_collect(
+            self._routed_post(kind, routes, payload_of))
+
+    def routed_broadcast_post(self, routes, blocks) -> tuple:
+        return self._routed_post(
             "rb",
             [(root, self._workers_of(self._group(group)))
              for group, root in routes],
             lambda i: blocks[routes[i][1]],
         )
+
+    def routed_broadcast_collect(self, posted: tuple) -> list:
+        return self._routed_collect(posted)
 
     def routed_sendrecv_data(self, pairs, payloads) -> list:
         out = self._routed_exchange(

@@ -52,9 +52,9 @@ class Arena:
     """Bump allocator over one shared-memory segment.
 
     Only the owning worker writes; peers attach read-only and copy out.
-    The owner resets the bump pointer after each exchange completes (the
-    ack protocol in :mod:`repro.parallel.channel` guarantees every
-    receiver has copied by then).
+    The owner rewinds the bump pointer when its last outstanding ticket
+    is collected (the ack protocol in :mod:`repro.parallel.channel`
+    guarantees every receiver has copied by then).
     """
 
     def __init__(self, shm: shared_memory.SharedMemory):

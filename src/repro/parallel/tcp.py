@@ -18,10 +18,17 @@ the frame of every peer whose outbox names it.
 
 Deadlock freedom: raw sockets, unlike ``multiprocessing.Queue`` (whose
 feeder thread makes ``put`` non-blocking), can deadlock when all peers
-sit in ``sendall`` with full kernel buffers.  Each connection therefore
-gets a daemon **sender thread** fed by an unbounded queue -- posting is
-always non-blocking and the SPMD all-post-then-receive pattern stays
-cycle-free.
+sit in a blocking send with full kernel buffers.  The sockets are
+therefore non-blocking and ``post`` never waits for one: when a
+connection has no backlog the posting thread writes the frame itself
+(one ``send``, as much as the kernel buffer takes -- for the small
+frames of a SUMMA stage, all of it, with no thread hand-off); whatever
+that leaves goes to the connection's daemon **sender thread**, fed by
+an unbounded queue, and so does every later frame until the backlog has
+drained.  Frames of one connection therefore leave in post order, and
+the SPMD all-post-then-collect pattern stays cycle-free.  Every post is
+collected by its peer before that peer's dispatch returns, so no frame
+is still unsent when the driver sees a dispatch complete.
 
 Rendezvous: on one host (the default) each worker binds an ephemeral
 loopback port and advertises it to the peers over the driver's inbox
@@ -42,6 +49,7 @@ from __future__ import annotations
 
 import pickle
 import queue
+import select
 import socket
 import struct
 import threading
@@ -111,16 +119,60 @@ def parse_hosts(spec: str,
     return out
 
 
-def _sender_loop(sock: socket.socket, frames: "queue.Queue") -> None:
-    """Drain one connection's outgoing frames (daemon thread)."""
-    while True:
-        frame = frames.get()
-        if frame is None:
-            break
-        try:
-            sock.sendall(frame)
-        except OSError:
-            break
+class _Conn:
+    """One peer connection: the non-blocking socket and its send backlog.
+
+    ``queued`` is written only by the posting thread and ``drained``
+    only by the sender thread, so their difference -- the frames handed
+    to the sender and not yet fully written -- needs no lock: a stale
+    read can only make the posting thread queue a frame it could have
+    written itself.
+    """
+
+    __slots__ = ("sock", "backlog", "queued", "drained")
+
+    def __init__(self, sock: socket.socket):
+        sock.setblocking(False)
+        self.sock = sock
+        self.backlog: "queue.Queue" = queue.Queue()
+        self.queued = 0
+        self.drained = 0
+
+    def send(self, frame: bytes) -> None:
+        """Put ``frame`` on the wire without blocking: written here as
+        far as the kernel takes it when nothing is queued ahead of it,
+        the rest (or all of it) left to the sender thread."""
+        data = memoryview(frame)
+        if self.queued == self.drained:
+            try:
+                data = data[self.sock.send(data):]
+            except BlockingIOError:
+                pass
+            except OSError:
+                # A dead peer: the receive side reports it.
+                return
+            if not data:
+                return
+        self.queued += 1
+        self.backlog.put(data)
+
+    def drain(self) -> None:
+        """Write the backlog out in order (the daemon sender thread)."""
+        sock = self.sock
+        while True:
+            data = self.backlog.get()
+            if data is None:
+                return
+            try:
+                while data:
+                    select.select((), (sock,), ())
+                    try:
+                        data = data[sock.send(data):]
+                    except BlockingIOError:
+                        pass
+            except (OSError, ValueError):
+                return      # peer gone, or the socket closed under us
+            self.drained += 1
 
 
 class TcpChannel(ChannelBase):
@@ -137,8 +189,7 @@ class TcpChannel(ChannelBase):
     ):
         super().__init__(worker_id, timeout=timeout, heartbeat=heartbeat)
         self.nworkers = nworkers
-        self._socks: Dict[int, socket.socket] = {}
-        self._sendqs: Dict[int, "queue.Queue"] = {}
+        self._conns: Dict[int, _Conn] = {}
         self._senders: List[threading.Thread] = []
         self._listener: Optional[socket.socket] = None
         if nworkers == 1:
@@ -179,7 +230,7 @@ class TcpChannel(ChannelBase):
         # Deterministic handshake: connect to every lower id, accept
         # from every higher id.
         for w in range(worker_id):
-            self._socks[w] = self._dial(addrs[w])
+            self._conns[w] = _Conn(self._dial(addrs[w]))
         self._listener.settimeout(self.timeout or None)
         for _ in range(nworkers - 1 - worker_id):
             try:
@@ -190,14 +241,11 @@ class TcpChannel(ChannelBase):
                 ) from None
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             (peer,) = _HDR.unpack(self._read_exact_from(conn, _HDR.size))
-            self._socks[peer] = conn
-        for w, sock in self._socks.items():
-            frames: "queue.Queue" = queue.Queue()
-            t = threading.Thread(target=_sender_loop, args=(sock, frames),
-                                 daemon=True,
+            self._conns[peer] = _Conn(conn)
+        for w, peer_conn in self._conns.items():
+            t = threading.Thread(target=peer_conn.drain, daemon=True,
                                  name=f"tcp-send-{worker_id}-to-{w}")
             t.start()
-            self._sendqs[w] = frames
             self._senders.append(t)
 
     # ------------------------------------------------------------------ #
@@ -247,9 +295,8 @@ class TcpChannel(ChannelBase):
         A slow peer that keeps its heartbeat moving extends the wait;
         partial bytes received also count as progress.
         """
-        sock = self._socks[src]
+        sock = self._conns[src].sock
         slice_t = min(self.timeout, WAIT_SLICE) if self.timeout else WAIT_SLICE
-        sock.settimeout(slice_t)
         buf = bytearray(n)
         view = memoryview(buf)
         got = 0
@@ -258,7 +305,11 @@ class TcpChannel(ChannelBase):
         while got < n:
             try:
                 k = sock.recv_into(view[got:], n - got)
-            except socket.timeout:
+            except BlockingIOError:
+                # Nothing buffered (a frame posted ahead usually is):
+                # wait one slice for the socket to turn readable.
+                if select.select((sock,), (), (), slice_t)[0]:
+                    continue
                 now = self._peer_progress(src)
                 if now is not None and now != last:
                     last, waited = now, 0.0
@@ -308,14 +359,12 @@ class TcpChannel(ChannelBase):
         return (kind, tag, wid, items)
 
     def _post(self, tag, outbox, xi):
-        """Pickle each distinct payload once, then queue every peer one
+        """Pickle each distinct payload once, then send every peer one
         frame carrying its own items.  Returns the frame bytes posted."""
         # A frame fault needs a frame on the wire: an exchange with no
         # outbound peers leaves the fault armed.
         fault = (self.faults.frame_fault(xi)
                  if self.faults is not None and outbox else None)
-        rec = _spans.ACTIVE
-        t0 = rec.clock() if rec is not None else 0.0
         blobs: Dict[int, bytes] = {}
         sent = 0
         for w, items in outbox.items():
@@ -341,26 +390,23 @@ class TcpChannel(ChannelBase):
                 # The frame is never posted: the receiving peers' waits
                 # expire into ChannelTimeout (a transport error).
                 continue
-            self._sendqs[w].put(frame)
+            self._conns[w].send(frame)
             sent += len(frame)
-        if rec is not None:
-            self._ser_s += rec.clock() - t0
         return sent, None
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        for frames in self._sendqs.values():
-            frames.put(None)
+        for conn in self._conns.values():
+            conn.backlog.put(None)
         for t in self._senders:
             t.join(timeout=1.0)
-        for sock in self._socks.values():
+        for conn in self._conns.values():
             try:
-                sock.close()
+                conn.sock.close()
             except OSError:  # pragma: no cover
                 pass
         if self._listener is not None:
             self._listener.close()
-        self._socks.clear()
-        self._sendqs.clear()
+        self._conns.clear()

@@ -11,3 +11,8 @@ class Algo:
         charges = coll.sendrecv_charges_sized(routes)
         payloads = coll.routed_sendrecv_data(routes)
         return charges, payloads
+
+    def staged(self, coll, routes, blocks):
+        posted = coll.routed_broadcast_post(routes, blocks)
+        charges = coll.broadcast_charges_sized(routes, True)
+        return charges, coll.routed_broadcast_collect(posted)

@@ -33,6 +33,30 @@ class TestReLU:
         g = np.array([[5.0, 7.0]])
         np.testing.assert_array_equal(act.backward(z, g), [[0.0, 7.0]])
 
+    def test_backward_equals_where_reference(self):
+        # The mask multiply against the np.where reference on every
+        # sign combination, incl. z == 0 (subgradient 0), zero and
+        # negative gradients.  Equal as values; where the reference has
+        # +0.0 the fast form may hold -0.0 (masked-out negative
+        # gradient), which is the documented -- invisible -- difference.
+        act = ReLU()
+        z = np.array([[-2.0, -0.0, 0.0, 1.5],
+                      [3.0, -1.0, 0.0, 2.0],
+                      [0.5, 0.5, -0.5, -0.5]])
+        g = np.array([[-4.0, -1.0, 2.0, -3.0],
+                      [0.0, 0.0, -0.0, 5.0],
+                      [-0.0, -7.0, -7.0, 7.0]])
+        got = act.backward(z, g)
+        ref = np.where(z > 0.0, g, 0.0)
+        np.testing.assert_array_equal(got, ref)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert not got[z <= 0.0].any()              # masked out, any sign
+        np.testing.assert_array_equal(got[z > 0.0], g[z > 0.0])
+        # the one representational difference, and that sums cannot see it
+        assert np.signbit(got[0, 0]) and not np.signbit(ref[0, 0])
+        assert (got.sum(axis=0) == ref.sum(axis=0)).all()
+        assert (z.T @ got == z.T @ ref).all()
+
     def test_elementwise_flag(self):
         assert ReLU().elementwise
 

@@ -374,6 +374,24 @@ class TestProcessBackendNeutrality:
         assert any(s.cat == "xchg" for s in tr.spans)
         xs = tr.exchange_summary()
         assert xs["count"] > 0 and xs["bytes_sent"] > 0
+        # One span per exchange, from the start of its post to the end
+        # of its collect: serialize (post half) + wait + copy (collect
+        # half) fit inside it -- also for a 2D stage posted ahead,
+        # whose span then covers the multiply it travelled under.
+        assert sorted(xs) == ["bytes_sent", "copy_s", "count", "seconds",
+                              "serialize_s", "wait_s"]
+        for s in tr.spans:
+            if s.cat == "xchg":
+                label, ser, wait, copy, sent = s.meta
+                assert min(ser, wait, copy) >= 0.0 and sent >= 0
+                assert ser + wait + copy <= s.dur + 1e-9
+        if name == "2d":
+            # look-ahead: on each worker some exchange spans overlap
+            for pid in (0, 1):
+                xs_w = sorted((s for s in tr.spans
+                               if s.pid == pid and s.cat == "xchg"),
+                              key=lambda s: s.t0)
+                assert any(b.t0 < a.t1 for a, b in zip(xs_w, xs_w[1:]))
 
 
 # --------------------------------------------------------------------- #

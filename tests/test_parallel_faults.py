@@ -179,6 +179,31 @@ class TestOtherFaults:
         assert stats["restarts"] >= 1
 
 
+class TestFaultsWithATicketInFlight:
+    """The SUMMA stage loops post stage k + 1 before they collect stage
+    k, so an exchange-pinned fault can now land *between* the two: a 2D
+    P=4/W=2 worker makes 16 exchanges per epoch, so exchange 17 is the
+    look-ahead post of epoch 1's first sweep, issued while exchange 16's
+    ticket is still open (``test_parallel_tickets.py`` pins that
+    sequence).  The peer is left holding an uncollected ticket whose
+    sender is gone; recovery must still be bit-equal."""
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("action,timeout", [("kill", None),
+                                                ("hang", 1.5)])
+    def test_recovers_bit_equal(self, ds, references, tmp_path, transport,
+                                action, timeout):
+        losses, digest, stats = run_faulted(
+            ds, "2d", {}, transport,
+            faults=f"{action}:worker=1,exchange=17,attempt=1",
+            max_restarts=3, tmp_path=tmp_path, timeout=timeout)
+        ref_losses, ref_digest = references["2d", transport]
+        assert losses == ref_losses
+        assert digest == ref_digest
+        assert stats["restarts"] == 1
+        assert stats["fit_dispatches"] == 1
+
+
 class TestRestartBudget:
     def test_exhausted_budget_raises(self, ds, tmp_path):
         # The kill re-arms on every attempt (no attempt= key), so one

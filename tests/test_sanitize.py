@@ -184,8 +184,8 @@ def run_virtual(ds, name, kw, p=4):
     return losses, ledger_digest(algo.rt.tracker, *losses)
 
 
-def run_process(ds, transport, kw, workers=2, p=4):
-    algo = make_algorithm("1d", p, ds, hidden=HIDDEN, seed=0,
+def run_process(ds, transport, kw, workers=2, p=4, name="1d"):
+    algo = make_algorithm(name, p, ds, hidden=HIDDEN, seed=0,
                           backend="process", workers=workers,
                           transport=transport, **kw)
     try:
@@ -227,3 +227,15 @@ class TestBitEquality:
         sanitized = run_process(ds, transport, kw)
         assert sanitized == plain
         assert plain[0] == run_virtual(ds, "1d", kw)[0]
+
+    @pytest.mark.parametrize("name,p", [("2d", 4), ("3d", 8)])
+    def test_staged_broadcasts_over_tcp(self, ds, name, p, monkeypatch):
+        """The SUMMA families keep a stage's frames in flight while they
+        multiply: frames arrive before their collect and receipts are
+        handed out late.  The order check and the receipt hashing see
+        them all the same, and change nothing."""
+        plain = run_process(ds, "tcp", {}, p=p, name=name)
+        monkeypatch.setenv(sanitize.ENV_FLAG, "1")
+        sanitized = run_process(ds, "tcp", {}, p=p, name=name)
+        assert sanitized == plain
+        assert plain == run_virtual(ds, name, {}, p=p)
