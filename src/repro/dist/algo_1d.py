@@ -262,7 +262,11 @@ class DistGCN1D(BlockRowAlgorithm):
         out: Dict[int, np.ndarray] = {}
         for r in self._local(self.world):
             buf = self._ws(("ghost", r, f), (g.width[r], f))
-            buf[g.own_pos[r]] = blocks[r][g.own_idx[r]]
+            own = g.own_slice[r]
+            if own is None:
+                buf[g.own_pos[r]] = blocks[r][g.own_idx[r]]
+            else:
+                buf[own[0]:own[1]] = blocks[r]
             out[r] = buf
         for i, rows in enumerate(received):
             if rows is None:

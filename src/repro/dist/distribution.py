@@ -216,7 +216,11 @@ class GhostStructure:
     what keeps the multiprocess rendezvous deadlock-free;
     ``pair_slots[i] = (lo, hi)`` is the destination slice in ``dst``'s
     compact operand.  ``own_pos[r]`` / ``own_idx[r]`` place rank ``r``'s
-    own referenced rows (compact positions / block-local row indices).
+    own referenced rows (compact positions / block-local row indices);
+    when every own row is referenced (any operand with a full diagonal,
+    e.g. a GCN-normalised ``A + I``) they are one contiguous run holding
+    the whole block in order, recorded as ``own_slice[r] = (lo, hi)`` --
+    ``None`` otherwise.
     ``ghost_rows[r]`` is the paper's ``r_i`` (distinct remote
     neighbours) and ``nsources[r]`` the distinct owners it fetches from.
     """
@@ -228,6 +232,7 @@ class GhostStructure:
     ref_cols: Tuple[np.ndarray, ...]
     own_pos: Tuple[np.ndarray, ...]
     own_idx: Tuple[np.ndarray, ...]
+    own_slice: Tuple[Optional[Tuple[int, int]], ...]
     pairs: Tuple[Tuple[int, int, np.ndarray], ...]
     pair_slots: Tuple[Tuple[int, int], ...]
 
@@ -253,6 +258,7 @@ def ghost_structure(
     ref_cols: List[np.ndarray] = []
     own_pos: List[np.ndarray] = []
     own_idx: List[np.ndarray] = []
+    own_slice: List[Optional[Tuple[int, int]]] = []
     pairs: List[Tuple[int, int, np.ndarray]] = []
     pair_slots: List[Tuple[int, int]] = []
     for r, (lo, hi) in enumerate(row_ranges):
@@ -263,6 +269,11 @@ def ghost_structure(
         own_positions = np.flatnonzero(own)
         own_pos.append(own_positions)
         own_idx.append(cols[own_positions] - lo)
+        # cols is sorted, so the own columns are one run; it is the whole
+        # block, in order, exactly when none of the own rows is missing.
+        start = int(own_positions[0]) if own_positions.size else 0
+        own_slice.append((start, start + hi - lo)
+                         if own_positions.size == hi - lo else None)
         ghosts = cols[~own]
         ghost_rows.append(int(ghosts.size))
         # Owner of each ghost id; ranges are contiguous ascending, so
@@ -285,6 +296,7 @@ def ghost_structure(
         ref_cols=tuple(ref_cols),
         own_pos=tuple(own_pos),
         own_idx=tuple(own_idx),
+        own_slice=tuple(own_slice),
         pairs=tuple(pairs),
         pair_slots=tuple(pair_slots),
     )

@@ -115,6 +115,27 @@ def make_runtime_for(
     return cls.make_3d(p, profile, **kw)
 
 
+def _check_partition(partition, name: Optional[str] = None,
+                     p: Optional[int] = None) -> None:
+    """The partition checks that need no graph work: a known partitioner
+    name, and -- for the block-row family, which adopts the parts as its
+    rank row ranges -- a prebuilt :class:`Distribution` with one part
+    per rank."""
+    if partition is None:
+        return
+    if isinstance(partition, Distribution):
+        if name == "1d" and partition.nparts != p:
+            raise ValueError(
+                f"distribution has {partition.nparts} parts for "
+                f"P={p} ranks"
+            )
+    elif partition not in PARTITION_KINDS:
+        raise ValueError(
+            f"unknown partition {partition!r}; choose from "
+            f"{PARTITION_KINDS}"
+        )
+
+
 def make_distribution(partition, adjacency, p: int,
                       seed: int = 0) -> Optional[Distribution]:
     """Coerce a partition choice into a :class:`Distribution`.
@@ -124,13 +145,9 @@ def make_distribution(partition, adjacency, p: int,
     :data:`~repro.dist.distribution.PARTITION_KINDS`, or a prebuilt
     :class:`Distribution` (returned as-is).
     """
+    _check_partition(partition)
     if partition is None or isinstance(partition, Distribution):
         return partition
-    if partition not in PARTITION_KINDS:
-        raise ValueError(
-            f"unknown partition {partition!r}; choose from "
-            f"{PARTITION_KINDS}"
-        )
     return Distribution.build(partition, adjacency, p, seed=seed)
 
 
@@ -167,6 +184,12 @@ def make_algorithm(
     visible in the ledger.  Remaining keyword arguments pass through to
     the algorithm class (``variant`` for 1D, ``replication`` for 1.5D,
     ``summa_block`` for 2D).
+
+    On the process backend the pool is started as soon as the cheap
+    arguments check out and *before* the graph is partitioned, so the
+    workers boot (interpreter, imports, arena attach, rendezvous) while
+    the driver partitions; a failure after that point closes the pool
+    before it propagates.
     """
     name = name.lower()
     if name not in ALGORITHMS:
@@ -176,16 +199,25 @@ def make_algorithm(
                           transport=transport, faults=faults,
                           max_restarts=max_restarts)
     widths = dataset.layer_widths(hidden=hidden, layers=layers)
-    distribution = make_distribution(partition, dataset.adjacency, p,
-                                     seed=seed)
-    if distribution is not None:
-        kwargs = dict(kwargs, distribution=distribution)
-    if backend == "process":
-        return rt.make_algorithm(
-            name, dataset.adjacency, widths, seed=seed,
-            optimizer=optimizer, **kwargs,
+    process = backend == "process"
+    if process:
+        _check_partition(partition, name, p)
+        rt.start()
+    try:
+        distribution = make_distribution(partition, dataset.adjacency, p,
+                                         seed=seed)
+        if distribution is not None:
+            kwargs = dict(kwargs, distribution=distribution)
+        if process:
+            return rt.make_algorithm(
+                name, dataset.adjacency, widths, seed=seed,
+                optimizer=optimizer, **kwargs,
+            )
+        return ALGORITHMS[name](
+            rt, dataset.adjacency, widths, seed=seed, optimizer=optimizer,
+            **kwargs,
         )
-    return ALGORITHMS[name](
-        rt, dataset.adjacency, widths, seed=seed, optimizer=optimizer,
-        **kwargs,
-    )
+    except BaseException:
+        if process:
+            rt.close()
+        raise

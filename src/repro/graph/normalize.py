@@ -31,6 +31,12 @@ def add_self_loops(a: CSRMatrix, value: float = 1.0) -> CSRMatrix:
     )
 
 
+def _row_sums(a: CSRMatrix) -> np.ndarray:
+    """Per-row sums of the stored values, each row added up in stored
+    (column) order."""
+    return np.bincount(a.row_ids(), weights=a.data, minlength=a.nrows)
+
+
 def gcn_normalize(a: CSRMatrix, add_loops: bool = True) -> CSRMatrix:
     """The paper's modified adjacency: ``D^{-1/2} (A + I) D^{-1/2}``.
 
@@ -40,9 +46,7 @@ def gcn_normalize(a: CSRMatrix, add_loops: bool = True) -> CSRMatrix:
     """
     if add_loops:
         a = add_self_loops(a)
-    row_sums = np.zeros(a.nrows, dtype=np.float64)
-    row_ids = np.repeat(np.arange(a.nrows, dtype=np.int64), np.diff(a.indptr))
-    np.add.at(row_sums, row_ids, a.data)
+    row_sums = _row_sums(a)
     with np.errstate(divide="ignore"):
         inv_sqrt = np.where(row_sums > 0, 1.0 / np.sqrt(row_sums), 0.0)
     return a.scale_rows(inv_sqrt).scale_cols(inv_sqrt)
@@ -50,9 +54,7 @@ def gcn_normalize(a: CSRMatrix, add_loops: bool = True) -> CSRMatrix:
 
 def row_normalize(a: CSRMatrix) -> CSRMatrix:
     """Random-walk normalisation ``D^{-1} A`` (alternative to symmetric)."""
-    row_sums = np.zeros(a.nrows, dtype=np.float64)
-    row_ids = np.repeat(np.arange(a.nrows, dtype=np.int64), np.diff(a.indptr))
-    np.add.at(row_sums, row_ids, a.data)
+    row_sums = _row_sums(a)
     with np.errstate(divide="ignore"):
         inv = np.where(row_sums > 0, 1.0 / row_sums, 0.0)
     return a.scale_rows(inv)

@@ -64,6 +64,14 @@ the arena is full.  On tcp the posting thread writes the frame itself
 when the connection has no backlog and leaves only the unsent tail to
 the connection's sender thread.
 
+Cold start.  ``ParallelRuntime.start()`` launches the pool and returns
+without waiting for it (bare construction stays lazy: the first command
+starts the pool otherwise).  :func:`repro.dist.make_algorithm` calls it
+as soon as its cheap arguments check out and only then partitions the
+graph, so the workers' boot -- interpreter, imports, arena attach,
+rendezvous -- runs under the driver's partitioner instead of after it;
+any failure past that point closes the pool before it propagates.
+
 Layer responsibilities:
 
 * ``shm.py``        -- encode/decode dense and CSR payloads into

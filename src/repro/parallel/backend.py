@@ -160,6 +160,10 @@ def _cleanup(procs, arenas, queues):
         except FileNotFoundError:  # pragma: no cover - already gone
             pass
     for q in queues:
+        # close() tells the feeder thread to exit once its buffer is
+        # flushed; never wait for it (a dead reader may have left the
+        # pipe full).
+        q.close()
         q.cancel_join_thread()
 
 

@@ -45,6 +45,7 @@ from repro.sparse.csr import CSRMatrix
 
 if TYPE_CHECKING:  # runtime imports dist lazily; annotate without the cycle
     from repro.dist.base import DistTrainHistory, EpochStats
+    from repro.parallel.backend import ProcessBackend
 
 __all__ = [
     "WorkerRuntime",
@@ -167,7 +168,6 @@ class ParallelAlgorithm:
         #: rebuild the same algorithm on a respawned pool.
         self._ctor_payload = (name, a_t, self.widths, seed, optimizer,
                               kwargs)
-        rt._ensure_started()
         rt._command("make_algo", self._ctor_payload)
 
     # ------------------------------------------------------------------ #
@@ -241,7 +241,7 @@ class ParallelAlgorithm:
             trace_opts,
         )
         t_dispatch = time.monotonic()
-        backend = self.rt._ensure_started()
+        backend = self.rt.start()
         attempt = 1
         while True:
             try:
@@ -388,10 +388,10 @@ class ParallelRuntime(RuntimeBase):
     """Driver-side runtime for the multiprocess execution backend.
 
     Mirrors the :class:`VirtualRuntime` constructor surface plus a
-    ``workers`` count; the worker processes spawn lazily when the first
-    algorithm is built.  After every command the driver adopts worker 0's
-    tracker, so ``tracker`` / ``epoch_breakdown`` / ``modeled_seconds``
-    read exactly like the virtual runtime's.
+    ``workers`` count; the worker processes spawn on :meth:`start`, or
+    lazily with the first command.  After every command the driver
+    adopts worker 0's tracker, so ``tracker`` / ``epoch_breakdown`` /
+    ``modeled_seconds`` read exactly like the virtual runtime's.
     """
 
     backend = "process"
@@ -419,7 +419,7 @@ class ParallelRuntime(RuntimeBase):
         self.transport = transport
         #: per-worker span blobs from the last traced dispatch
         self.last_obs = None
-        self._backend = None
+        self._backend: Optional["ProcessBackend"] = None
         self._algorithm_built = False
         self._arena_bytes = arena_bytes
         self._timeout = timeout
@@ -459,7 +459,16 @@ class ParallelRuntime(RuntimeBase):
     # ------------------------------------------------------------------ #
     # backend plumbing
     # ------------------------------------------------------------------ #
-    def _ensure_started(self):
+    def start(self) -> "ProcessBackend":
+        """Spawn the worker pool now (idempotent) and return its backend.
+
+        Bare construction stays lazy -- the pool otherwise spawns on the
+        first command.  ``start()`` returns once the processes are
+        launched, not once they are up: the workers import, attach and
+        rendezvous on their own while the caller carries on with
+        driver-side work (:func:`repro.dist.make_algorithm` partitions
+        the graph in that window).
+        """
         if self._backend is None:
             from repro.parallel.backend import ProcessBackend
 
@@ -473,12 +482,12 @@ class ParallelRuntime(RuntimeBase):
         return self._backend
 
     def _command(self, op: str, payload) -> list:
-        return self._ensure_started().command(op, payload)
+        return self.start().command(op, payload)
 
     def _command_batch(self, commands) -> list:
         """Fuse a command stream into one dispatch; returns the ordered
         sub-command values (worker 0's), digest-checked as one batch."""
-        results = self._ensure_started().command_batch(commands)
+        results = self.start().command_batch(commands)
         return self._adopt_and_check(results)
 
     def _adopt_and_check(self, results):

@@ -79,18 +79,11 @@ def edge_cut_stats(a: CSRMatrix, assignment: np.ndarray, nparts: int) -> CutStat
     dst_part = assignment[cols]
     cut = src_part != dst_part
     total_cut = int(np.count_nonzero(cut))
-    per_part_cut = np.zeros(nparts, dtype=np.int64)
-    if total_cut:
-        np.add.at(per_part_cut, src_part[cut], 1)
+    per_part_cut = np.bincount(src_part[cut], minlength=nparts)
     # Ghost rows: distinct (owner part, remote vertex) pairs, where the
     # remote vertex's features must be shipped to the owner part.
-    ghost = np.zeros(nparts, dtype=np.int64)
-    if total_cut:
-        pairs = np.unique(
-            src_part[cut].astype(np.int64) * a.ncols + cols[cut]
-        )
-        owner = pairs // a.ncols
-        np.add.at(ghost, owner, 1)
+    pairs = np.unique(src_part[cut] * a.ncols + cols[cut])
+    ghost = np.bincount(pairs // a.ncols, minlength=nparts)
     return CutStats(
         nparts=nparts,
         total_cut_edges=total_cut,

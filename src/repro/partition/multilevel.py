@@ -5,10 +5,10 @@ partitioning helps the 1D algorithm.  Metis is not available offline, so
 this module implements the same classic multilevel recipe Metis uses:
 
 1. **Coarsening** by heavy-edge matching: every vertex points at its
-   heaviest neighbour; mutually-pointing pairs contract.  The matching is
-   fully vectorised (one lexsort + one pointer check per level), which
-   matters because the fine graph of a Reddit-scale stand-in has millions
-   of nonzeros.
+   heaviest still-unmatched neighbour and the pair contracts.  Visiting
+   is sequential (one masked ``argmax`` per visited vertex); building the
+   contracted graph is one O(nnz) radix CSR construction per level
+   (:func:`repro.sparse.csr.coo_to_csr_arrays`).
 2. **Initial partitioning** of the coarsest graph by BFS-order chopping
    into weight-balanced chunks.
 3. **Uncoarsening with boundary refinement**: at every level the coarse
@@ -24,8 +24,8 @@ partitioning-based 1D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -68,25 +68,24 @@ def _heavy_edge_matching(adj: CSRMatrix, rng: np.random.Generator) -> np.ndarray
     """
     n = adj.nrows
     match = np.full(n, -1, dtype=np.int64)
-    indptr, indices, data = adj.indptr, adj.indices, adj.data
-    for v in rng.permutation(n):
-        v = int(v)
+    indptr, indices, data = adj.indptr.tolist(), adj.indices, adj.data
+    for v in rng.permutation(n).tolist():
         if match[v] >= 0:
             continue
-        lo, hi = int(indptr[v]), int(indptr[v + 1])
+        # A singleton unless a free neighbour turns up; being matched
+        # also takes v's own self loop out of the running below.
+        match[v] = v
+        lo, hi = indptr[v], indptr[v + 1]
+        if lo == hi:
+            continue
         nbrs = indices[lo:hi]
-        if nbrs.size == 0:
-            match[v] = v
-            continue
-        free = match[nbrs] < 0
-        free &= nbrs != v
-        if not free.any():
-            match[v] = v
-            continue
-        cand = nbrs[free]
-        u = int(cand[np.argmax(data[lo:hi][free])])
-        match[v] = u
-        match[u] = v
+        # First maximum among the still-unmatched neighbours.
+        weights = np.where(match[nbrs] < 0, data[lo:hi], -np.inf)
+        k = weights.argmax()
+        if weights[k] != -np.inf:
+            u = nbrs[k]
+            match[v] = u
+            match[u] = v
     # Pair leader is the smaller id; both members take the leader's id.
     ids = np.arange(n, dtype=np.int64)
     coarse = np.minimum(ids, match)
@@ -97,16 +96,15 @@ def _heavy_edge_matching(adj: CSRMatrix, rng: np.random.Generator) -> np.ndarray
 def _contract(level: _Level, coarse_id: np.ndarray) -> _Level:
     """Build the coarse graph induced by a matching."""
     n_coarse = int(coarse_id.max()) + 1 if coarse_id.size else 0
-    rows, cols, w = level.adj.to_coo()
-    crows = coarse_id[rows]
-    ccols = coarse_id[cols]
+    adj = level.adj
+    crows = coarse_id[adj.row_ids()]
+    ccols = coarse_id[adj.indices]
     keep = crows != ccols  # contracted pairs' internal edges vanish
     coarse_adj = CSRMatrix.from_coo(
-        crows[keep], ccols[keep], w[keep], (n_coarse, n_coarse)
+        crows[keep], ccols[keep], adj.data[keep], (n_coarse, n_coarse)
     )
-    vwgt = np.zeros(n_coarse, dtype=np.int64)
-    np.add.at(vwgt, coarse_id, level.vwgt)
-    return _Level(adj=coarse_adj, vwgt=vwgt)
+    vwgt = np.bincount(coarse_id, weights=level.vwgt, minlength=n_coarse)
+    return _Level(adj=coarse_adj, vwgt=vwgt.astype(np.int64))
 
 
 def _bfs_order(adj: CSRMatrix, rng: np.random.Generator) -> np.ndarray:
@@ -192,38 +190,45 @@ def _refine(
     polish) runs at the end, since gain moves alone never repair an
     overweight part.
     """
-    n = level.adj.nrows
+    adj = level.adj
+    n = adj.nrows
     if n == 0 or nparts <= 1:
         return 0
-    rows, cols, w = level.adj.to_coo()
-    part_weights = np.zeros(nparts, dtype=np.float64)
-    np.add.at(part_weights, assignment, level.vwgt.astype(np.float64))
+    # Unchanged across passes: each edge's row offset into the flattened
+    # (n, nparts) table, the vertex ids, the vertex weights as floats.
+    row_base = adj.row_ids() * nparts
+    ids = np.arange(n)
+    vwgt = level.vwgt.astype(np.float64)
+
+    def connectivity() -> np.ndarray:
+        """conn[v, p] = total edge weight between v and part p."""
+        return np.bincount(
+            row_base + assignment[adj.indices], weights=adj.data,
+            minlength=n * nparts,
+        ).reshape(n, nparts)
+
+    part_weights = np.bincount(assignment, weights=vwgt, minlength=nparts)
     max_weight = part_weights.sum() / nparts * (1.0 + imbalance_tol)
+
     def gain_passes(npasses: int) -> int:
         applied = 0
         for _ in range(npasses):
-            # conn[v, p] = total edge weight between v and part p.
-            conn = np.zeros((n, nparts), dtype=np.float64)
-            np.add.at(conn, (rows, assignment[cols]), w)
-            cur = conn[np.arange(n), assignment]
+            conn = connectivity()
             best_part = np.argmax(conn, axis=1)
-            best = conn[np.arange(n), best_part]
-            gains = best - cur
+            gains = conn[ids, best_part] - conn[ids, assignment]
             candidates = np.flatnonzero(
                 (gains > 1e-12) & (best_part != assignment)
             )
             if candidates.size == 0:
                 break
             # Best-first, applied sequentially with a stale-gain tolerance:
-            # moves that became invalid (balance, part changed) are skipped.
+            # moves that became invalid (balance) are skipped.
             order = candidates[np.argsort(-gains[candidates])]
             moves = 0
-            for v in order:
-                src = int(assignment[v])
-                dst = int(best_part[v])
-                if dst == src:
-                    continue
-                wv = float(level.vwgt[v])
+            for v, src, dst, wv in zip(
+                order.tolist(), assignment[order].tolist(),
+                best_part[order].tolist(), vwgt[order].tolist(),
+            ):
                 if part_weights[dst] + wv > max_weight:
                     continue
                 if part_weights[src] - wv < 0:
@@ -239,7 +244,7 @@ def _refine(
 
     total_moves = gain_passes(max_passes)
     total_moves += _rebalance(
-        level, assignment, nparts, rows, cols, w, part_weights, max_weight
+        assignment, nparts, connectivity, vwgt, part_weights, max_weight
     )
     # One polish round: rebalancing may have parked vertices badly.
     total_moves += gain_passes(1)
@@ -247,12 +252,10 @@ def _refine(
 
 
 def _rebalance(
-    level: _Level,
     assignment: np.ndarray,
     nparts: int,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    w: np.ndarray,
+    connectivity: Callable[[], np.ndarray],
+    vwgt: np.ndarray,
     part_weights: np.ndarray,
     max_weight: float,
 ) -> int:
@@ -264,13 +267,11 @@ def _rebalance(
     vertices of each overweight part into the lightest parts, preferring
     destinations the vertex is already connected to.
     """
-    n = level.adj.nrows
     target = part_weights.sum() / nparts
     over = np.flatnonzero(part_weights > max_weight)
     if over.size == 0:
         return 0
-    conn = np.zeros((n, nparts), dtype=np.float64)
-    np.add.at(conn, (rows, assignment[cols]), w)
+    conn = connectivity()
     moves = 0
     for part in over:
         members = np.flatnonzero(assignment == part)
@@ -286,7 +287,7 @@ def _rebalance(
             best = candidates[np.argmax(conn[v, candidates])]
             if conn[v, candidates].max() == 0:
                 best = candidates[np.argmin(part_weights[candidates])]
-            wv = float(level.vwgt[v])
+            wv = vwgt[v]
             assignment[v] = best
             part_weights[part] -= wv
             part_weights[best] += wv

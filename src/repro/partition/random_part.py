@@ -74,6 +74,4 @@ def partition_sizes(assignment: np.ndarray, nparts: int) -> np.ndarray:
         assignment.min() < 0 or assignment.max() >= nparts
     ):
         raise ValueError(f"part ids outside [0, {nparts})")
-    sizes = np.zeros(nparts, dtype=np.int64)
-    np.add.at(sizes, assignment, 1)
-    return sizes
+    return np.bincount(assignment, minlength=nparts)

@@ -14,13 +14,45 @@ indices + indptr) so the collectives layer can charge sparse communication
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.config import INDEX_BYTES
 
 __all__ = ["CSRMatrix", "coo_to_csr_arrays"]
+
+
+def _stable_order(
+    keys: Sequence[Tuple[np.ndarray, int]], size: int
+) -> np.ndarray:
+    """Stable sort permutation of ``size`` entries by integer keys.
+
+    ``keys`` lists ``(key, bound)`` pairs from the *least* to the most
+    significant key, every key value in ``[0, bound)``.  This is an LSD
+    radix sort on 16-bit digits: numpy's stable argsort is a counting
+    radix sort for ``uint16`` (and a comparison sort for anything
+    wider), so each digit costs one O(size) pass, and stability of
+    every pass makes the composition the unique stable order -- ties
+    keep their input order.
+    """
+    order: Optional[np.ndarray] = None
+    for key, bound in keys:
+        for shift in range(0, max(bound - 1, 0).bit_length(), 16):
+            digits = (key if order is None else key[order]) >> shift
+            step = np.argsort(digits.astype(np.uint16), kind="stable")
+            order = step if order is None else order[step]
+    if order is None:  # every key is constant (or there are no entries)
+        order = np.arange(size, dtype=np.int64)
+    return order
+
+
+def _indptr_from_ids(ids: np.ndarray, nsegments: int) -> np.ndarray:
+    """CSR row pointer of ``nsegments`` segments from per-entry segment
+    ids (any order): count, then cumulative sum."""
+    indptr = np.zeros(nsegments + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids, minlength=nsegments), out=indptr[1:])
+    return indptr
 
 
 def coo_to_csr_arrays(
@@ -32,9 +64,11 @@ def coo_to_csr_arrays(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Convert COO triples to CSR ``(indptr, indices, data)``.
 
-    Entries are sorted by (row, col); duplicates are summed (the usual
-    semiring-add semantics) unless ``sum_duplicates=False``, in which case
-    duplicates raise.  Runs in O(nnz log nnz) via a single lexsort.
+    Entries are sorted by (row, col) with a stable radix sort (column
+    digits, then row digits: O(nnz) per 16 bits of index), so duplicates
+    keep their input order; they are summed in that order (the usual
+    semiring-add semantics) unless ``sum_duplicates=False``, in which
+    case duplicates raise.
     """
     m, n = shape
     rows = np.asarray(rows, dtype=np.int64)
@@ -49,7 +83,7 @@ def coo_to_csr_arrays(
             raise ValueError(f"row index out of range for shape {shape}")
         if cols.min() < 0 or cols.max() >= n:
             raise ValueError(f"col index out of range for shape {shape}")
-    order = np.lexsort((cols, rows))
+    order = _stable_order(((cols, n), (rows, m)), rows.size)
     rows, cols, vals = rows[order], cols[order], vals[order]
     if rows.size:
         dup = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
@@ -57,17 +91,12 @@ def coo_to_csr_arrays(
             if not sum_duplicates:
                 raise ValueError("duplicate (row, col) entries present")
             # Segment-sum duplicate runs: `first` marks the first entry of
-            # each unique (row, col); add each run into its first slot.
+            # each unique (row, col); bincount adds each run up in order.
             first = np.concatenate(([True], ~dup))
-            seg = np.cumsum(first) - 1
-            summed = np.zeros(int(seg[-1]) + 1, dtype=np.float64)
-            np.add.at(summed, seg, vals)
+            vals = np.bincount(np.cumsum(first) - 1, weights=vals)
             keep = np.flatnonzero(first)
-            rows, cols, vals = rows[keep], cols[keep], summed
-    indptr = np.zeros(m + 1, dtype=np.int64)
-    np.add.at(indptr, rows + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, cols.astype(np.int64), vals
+            rows, cols = rows[keep], cols[keep]
+    return _indptr_from_ids(rows, m), cols, vals
 
 
 class CSRMatrix:
@@ -237,12 +266,15 @@ class CSRMatrix:
         """nnz per row (out-degree for an adjacency matrix)."""
         return np.diff(self.indptr)
 
+    def row_ids(self) -> np.ndarray:
+        """Row index of every stored entry (the COO row array)."""
+        return np.repeat(
+            np.arange(self.nrows, dtype=np.int64), np.diff(self.indptr)
+        )
+
     def col_degrees(self) -> np.ndarray:
         """nnz per column (in-degree)."""
-        counts = np.zeros(self.ncols, dtype=np.int64)
-        if self.nnz:
-            np.add.at(counts, self.indices, 1)
-        return counts
+        return np.bincount(self.indices, minlength=self.ncols)
 
     def average_degree(self) -> float:
         return self.nnz / self.nrows if self.nrows else 0.0
@@ -257,10 +289,7 @@ class CSRMatrix:
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=np.float64)
         if self.nnz:
-            row_ids = np.repeat(
-                np.arange(self.nrows, dtype=np.int64), np.diff(self.indptr)
-            )
-            out[row_ids, self.indices] = self.data
+            out[self.row_ids(), self.indices] = self.data
         return out
 
     def to_scipy(self) -> Any:
@@ -286,10 +315,7 @@ class CSRMatrix:
         return self._scipy_cache
 
     def to_coo(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        row_ids = np.repeat(
-            np.arange(self.nrows, dtype=np.int64), np.diff(self.indptr)
-        )
-        return row_ids, self.indices.copy(), self.data.copy()
+        return self.row_ids(), self.indices.copy(), self.data.copy()
 
     def copy(self) -> "CSRMatrix":
         return CSRMatrix(
@@ -305,15 +331,12 @@ class CSRMatrix:
         m, n = self.shape
         if self.nnz == 0:
             return CSRMatrix.zeros((n, m))
-        col_counts = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(col_counts, self.indices + 1, 1)
-        t_indptr = np.cumsum(col_counts)
-        row_ids = np.repeat(np.arange(m, dtype=np.int64), np.diff(self.indptr))
         # Stable sort by column gives the transposed rows with original-row
         # (i.e. transposed-column) order preserved within each.
-        order = np.argsort(self.indices, kind="stable")
+        order = _stable_order(((self.indices, n),), self.nnz)
         return CSRMatrix(
-            t_indptr, row_ids[order], self.data[order], (n, m), validate=False
+            _indptr_from_ids(self.indices, n), self.row_ids()[order],
+            self.data[order], (n, m), validate=False,
         )
 
     def row_slice(self, r0: int, r1: int) -> "CSRMatrix":
@@ -346,15 +369,9 @@ class CSRMatrix:
             indptr = rows.indptr
         else:
             # Recount row lengths after dropping out-of-block columns.
-            row_ids = np.repeat(
-                np.arange(rows.nrows, dtype=np.int64), np.diff(rows.indptr)
-            )
-            row_ids = row_ids[keep]
             indices = rows.indices[keep] - c0
             data = rows.data[keep]
-            counts = np.zeros(rows.nrows + 1, dtype=np.int64)
-            np.add.at(counts, row_ids + 1, 1)
-            indptr = np.cumsum(counts)
+            indptr = _indptr_from_ids(rows.row_ids()[keep], rows.nrows)
         return CSRMatrix(indptr, indices, data, (r1 - r0, c1 - c0), validate=False)
 
     def scale_rows(self, scale: np.ndarray) -> "CSRMatrix":
@@ -362,13 +379,10 @@ class CSRMatrix:
         scale = np.asarray(scale, dtype=np.float64)
         if scale.shape != (self.nrows,):
             raise ValueError(f"need {self.nrows} row scales, got {scale.shape}")
-        row_ids = np.repeat(
-            np.arange(self.nrows, dtype=np.int64), np.diff(self.indptr)
-        )
         return CSRMatrix(
             self.indptr.copy(),
             self.indices.copy(),
-            self.data * scale[row_ids],
+            self.data * scale[self.row_ids()],
             self.shape,
             validate=False,
         )

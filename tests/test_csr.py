@@ -286,3 +286,150 @@ class TestPermutation:
         perm = np.random.default_rng(0).permutation(8)
         p = m.permute(perm)
         assert sorted(m.row_degrees()) == sorted(p.row_degrees())
+
+
+# ---------------------------------------------------------------------- #
+# Bit-identity of the radix / bincount kernels with the lexsort / add.at
+# implementations they replaced (kept here, verbatim, as the reference).
+# ---------------------------------------------------------------------- #
+def reference_coo_to_csr_arrays(rows, cols, vals, shape, sum_duplicates=True):
+    m, n = shape
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=np.float64)
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    if rows.size:
+        dup = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+        if dup.any():
+            if not sum_duplicates:
+                raise ValueError("duplicate (row, col) entries present")
+            first = np.concatenate(([True], ~dup))
+            seg = np.cumsum(first) - 1
+            summed = np.zeros(int(seg[-1]) + 1, dtype=np.float64)
+            np.add.at(summed, seg, vals)
+            keep = np.flatnonzero(first)
+            rows, cols, vals = rows[keep], cols[keep], summed
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.add.at(indptr, rows + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return indptr, cols.astype(np.int64), vals
+
+
+def reference_transpose(a):
+    m, n = a.shape
+    col_counts = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(col_counts, a.indices + 1, 1)
+    row_ids = np.repeat(np.arange(m, dtype=np.int64), np.diff(a.indptr))
+    order = np.argsort(a.indices, kind="stable")
+    return np.cumsum(col_counts), row_ids[order], a.data[order]
+
+
+def reference_block(a, r0, r1, c0, c1):
+    rows = a.row_slice(r0, r1)
+    keep = (rows.indices >= c0) & (rows.indices < c1)
+    row_ids = np.repeat(
+        np.arange(rows.nrows, dtype=np.int64), np.diff(rows.indptr)
+    )[keep]
+    counts = np.zeros(rows.nrows + 1, dtype=np.int64)
+    np.add.at(counts, row_ids + 1, 1)
+    return np.cumsum(counts), rows.indices[keep] - c0, rows.data[keep]
+
+
+def reference_gcn_normalize_data(a):
+    """``gcn_normalize(a, add_loops=False).data`` with add.at row sums."""
+    row_ids = np.repeat(np.arange(a.nrows, dtype=np.int64), np.diff(a.indptr))
+    row_sums = np.zeros(a.nrows, dtype=np.float64)
+    np.add.at(row_sums, row_ids, a.data)
+    with np.errstate(divide="ignore"):
+        inv_sqrt = np.where(row_sums > 0, 1.0 / np.sqrt(row_sums), 0.0)
+    return a.data * inv_sqrt[row_ids] * inv_sqrt[a.indices]
+
+
+def assert_same_arrays(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """COO triples built to stress the sort and the duplicate sum: empty
+    and rectangular shapes (one side up to 70 000, so row or column keys
+    need a second 16-bit digit), empty rows, duplicate runs longer than
+    two with values of mixed magnitude (float addition is not
+    associative: only the reference's summation *order* reproduces its
+    bits), and pre-sorted as well as shuffled entry order."""
+    m = draw(st.sampled_from([0, 1, 2, 5, 17, 70_000]))
+    n = draw(st.sampled_from([0, 1, 3, 8, 31, 70_000]))
+    nnz = draw(st.integers(0, 60)) if m and n else 0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(0, max(m, 1), nnz)
+    cols = rng.integers(0, max(n, 1), nnz)
+    if nnz and draw(st.booleans()):
+        run = draw(st.integers(3, 9))
+        rows[:run], cols[:run] = rows[0], cols[0]
+        idx = rng.permutation(nnz)
+        rows, cols = rows[idx], cols[idx]
+    vals = rng.standard_normal(nnz) * 10.0 ** rng.integers(-9, 9, nnz)
+    if draw(st.booleans()):
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+    return rows, cols, vals, (m, n)
+
+
+class TestKernelBitIdentity:
+    @given(kernel_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_coo_to_csr_arrays(self, triple):
+        rows, cols, vals, shape = triple
+        assert_same_arrays(
+            coo_to_csr_arrays(rows, cols, vals, shape),
+            reference_coo_to_csr_arrays(rows, cols, vals, shape),
+        )
+
+    @given(kernel_inputs())
+    @settings(max_examples=100, deadline=None)
+    def test_sum_duplicates_false_raises_like_the_reference(self, triple):
+        rows, cols, vals, shape = triple
+        try:
+            want = reference_coo_to_csr_arrays(rows, cols, vals, shape,
+                                               sum_duplicates=False)
+        except ValueError:
+            with pytest.raises(ValueError, match="duplicate"):
+                coo_to_csr_arrays(rows, cols, vals, shape,
+                                  sum_duplicates=False)
+        else:
+            assert_same_arrays(
+                coo_to_csr_arrays(rows, cols, vals, shape,
+                                  sum_duplicates=False), want)
+
+    @given(kernel_inputs())
+    @settings(max_examples=100, deadline=None)
+    def test_transpose_block_col_degrees(self, triple):
+        rows, cols, vals, shape = triple
+        a = CSRMatrix.from_coo(rows, cols, vals, shape)
+        t = a.transpose()
+        if a.nnz:
+            assert_same_arrays((t.indptr, t.indices, t.data),
+                               reference_transpose(a))
+        assert t.shape == (shape[1], shape[0])
+        assert np.array_equal(a.col_degrees(), t.row_degrees())
+        m, n = shape
+        r0, r1, c0, c1 = m // 4, m - m // 3, n // 3, n - n // 4
+        b = a.block(r0, r1, c0, c1)
+        assert_same_arrays((b.indptr, b.indices, b.data),
+                           reference_block(a, r0, r1, c0, c1))
+
+    @given(kernel_inputs())
+    @settings(max_examples=100, deadline=None)
+    def test_gcn_normalize_row_sums(self, triple):
+        from repro.graph.normalize import gcn_normalize
+
+        rows, cols, vals, (m, n) = triple
+        k = min(m, n)
+        inside = (rows < k) & (cols < k)
+        a = CSRMatrix.from_coo(rows[inside], cols[inside],
+                               np.abs(vals[inside]), (k, k))
+        got = gcn_normalize(a, add_loops=False)
+        assert np.array_equal(got.data, reference_gcn_normalize_data(a))

@@ -1,9 +1,12 @@
 """Multilevel (Metis-like) partitioner: balance and cut quality."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.graph.generators import (
+    edges_to_adjacency,
     erdos_renyi,
     grid_graph,
     rmat,
@@ -110,3 +113,73 @@ class TestQuality:
         a = stochastic_block_model((60, 60), p_in=0.2, p_out=0.02, seed=2)
         result = MultilevelPartitioner(nparts=2, seed=0).partition(a)
         assert result.refinement_moves > 0
+
+
+def _path_graph(n):
+    idx = np.arange(n - 1, dtype=np.int64)
+    return edges_to_adjacency(idx, idx + 1, n)
+
+
+_PINNED_GRAPHS = {
+    "sbm": lambda: stochastic_block_model(
+        (512,) * 4, p_in=0.03, p_out=0.002, seed=3),
+    "rmat": lambda: rmat(10, seed=5),
+    "path": lambda: _path_graph(700),
+}
+
+#: sha256(assignment)[:16] recorded at the commit before the partitioner
+#: lost its lexsort / np.add.at kernels (PR 13, 041628c): the assignment
+#: is a function of (graph, nparts, seed) that speed-ups may not move --
+#: the ghost-row ledger of every partitioned run hangs off it.
+_PINNED_ASSIGNMENTS = {
+    ("sbm", 2, 0): "68b2c4d8c43d6545",
+    ("sbm", 2, 1): "b08146288e483f19",
+    ("sbm", 2, 2): "ad4438373c277bbc",
+    ("sbm", 4, 0): "d9bc6c6c6be88f68",
+    ("sbm", 4, 1): "d991148a68906fd1",
+    ("sbm", 4, 2): "baf1764b04e23a26",
+    ("sbm", 7, 0): "fe0076c3e0c2be10",
+    ("sbm", 7, 1): "d42860b7aacba222",
+    ("sbm", 7, 2): "9022429f11eaeb72",
+    ("rmat", 2, 0): "b9a9a2c0971ad816",
+    ("rmat", 2, 1): "fa68155dcaa3af4b",
+    ("rmat", 2, 2): "e22b23943960becc",
+    ("rmat", 4, 0): "67ff6383142f0e4c",
+    ("rmat", 4, 1): "a24926f082a8df19",
+    ("rmat", 4, 2): "4bf03ce62ae63426",
+    ("rmat", 7, 0): "02aabd2ea7c571c1",
+    ("rmat", 7, 1): "1c70cd192712297d",
+    ("rmat", 7, 2): "c7c8af5726a447a6",
+    ("path", 2, 0): "c7f21dd2e4444c4d",
+    ("path", 2, 1): "726cbaed1123609b",
+    ("path", 2, 2): "27991cd54996d3f5",
+    ("path", 4, 0): "cd3b3b08f2f3db0b",
+    ("path", 4, 1): "151af171c6f8fe2e",
+    ("path", 4, 2): "9d848ca845d8106b",
+    ("path", 7, 0): "8bdd001e5405c93b",
+    ("path", 7, 1): "0a860111721b7ff4",
+    ("path", 7, 2): "e8818c4069316e57",
+}
+
+
+def _digest(assignment):
+    assert assignment.dtype == np.int64
+    return hashlib.sha256(assignment.tobytes()).hexdigest()[:16]
+
+
+class TestPinnedAssignments:
+    @pytest.mark.parametrize("graph", sorted(_PINNED_GRAPHS))
+    def test_assignment_digests(self, graph):
+        a = _PINNED_GRAPHS[graph]()
+        got = {
+            (graph, nparts, seed):
+                _digest(multilevel_partition(a, nparts, seed=seed))
+            for nparts in (2, 4, 7) for seed in (0, 1, 2)
+        }
+        want = {k: v for k, v in _PINNED_ASSIGNMENTS.items()
+                if k[0] == graph}
+        assert got == want
+
+    def test_more_parts_than_vertices(self):
+        assert _digest(multilevel_partition(_path_graph(5), 9, seed=0)) \
+            == "281b02b10f5f4997"

@@ -12,17 +12,20 @@ both exercised.
 
 from __future__ import annotations
 
+import dataclasses
+import multiprocessing
 import os
 import pickle
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
 
 from repro.comm.tracker import Category
-from repro.dist import make_algorithm, make_runtime_for
+from repro.dist import Distribution, make_algorithm, make_runtime_for
 from repro.graph import make_synthetic
 from repro.parallel import (
     ParallelRuntime,
@@ -437,6 +440,154 @@ class TestCleanShutdown:
                                   timeout=120)
             assert done.returncode == 0, done.stderr
             assert done.stderr == ""
+
+
+def _pool_leftovers(segments_before):
+    """What a closed pool must not leave in this process: live worker
+    children, ``psm_*`` segments, queue feeder threads."""
+    def feeders():
+        return [t for t in threading.enumerate()
+                if t.name == "QueueFeederThread"]
+
+    # A pool torn down on failure only *tells* its feeders to exit.
+    for t in feeders():
+        t.join(timeout=5)
+    return (
+        [p.name for p in multiprocessing.active_children()
+         if p.name.startswith("repro-rank-worker")],
+        _shm_segments() - segments_before,
+        [t.name for t in feeders()],
+    )
+
+
+class TestStartEarly:
+    """``make_algorithm(backend="process")`` starts the pool before it
+    partitions, so the workers boot while the driver's core is busy."""
+
+    @pytest.fixture
+    def runtimes(self, monkeypatch):
+        """Every runtime ``make_algorithm`` builds, in order."""
+        from repro.dist import registry
+
+        built = []
+        real = registry.make_runtime_for
+
+        def recording(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(registry, "make_runtime_for", recording)
+        return built
+
+    @pytest.fixture
+    def partitioner_calls(self, monkeypatch, runtimes):
+        """Spy on the partitioner: at each call, is the newest runtime's
+        pool started, and which of its workers are alive?"""
+        from repro.partition import multilevel
+
+        calls = []
+        real = multilevel.multilevel_partition
+
+        def spy(adj, nparts, seed=0):
+            rt = runtimes[-1]
+            if isinstance(rt, ParallelRuntime):
+                started = rt.backend_stats(workers=False) is not None
+                alive = [p.is_alive() for p in rt._backend.procs] \
+                    if started else []
+            else:
+                started = bool(multiprocessing.active_children())
+                alive = []
+            calls.append((started, alive))
+            return real(adj, nparts, seed=seed)
+
+        monkeypatch.setattr(multilevel, "multilevel_partition", spy)
+        return calls
+
+    def test_pool_is_up_when_the_partitioner_runs(self, ds,
+                                                  partitioner_calls):
+        kw = {"partition": "multilevel", "variant": "ghost"}
+        _, v_hist, _ = run_virtual(ds, "1d", 4, kw)
+        assert partitioner_calls == [(False, [])]   # virtual starts nothing
+        del partitioner_calls[:]
+        algo = make_algorithm("1d", 4, ds, hidden=HIDDEN, seed=0,
+                              backend="process", workers=2, **kw)
+        try:
+            built = algo.rt.backend_stats(workers=False)
+            hist = algo.fit(ds.features, ds.labels, epochs=EPOCHS)
+            fitted = algo.rt.backend_stats(workers=False)
+        finally:
+            algo.rt.close()
+        assert partitioner_calls == [(True, [True, True])]
+        # Starting early changes when the pool spawns, not what is
+        # dispatched: one make_algo, then one fit with one digest check.
+        assert built["dispatches"] == 1 and built["fit_dispatches"] == 0
+        assert fitted["dispatches"] == 2 and fitted["fit_dispatches"] == 1
+        assert fitted["digest_checks"] == 1
+        assert hist.losses == v_hist.losses
+
+    def test_bare_construction_stays_lazy(self):
+        rt = make_runtime_for("1d", 4, backend="process", workers=2)
+        assert rt.backend_stats() is None
+        rt.start()
+        try:
+            backend = rt.start()                      # idempotent
+            assert rt.backend_stats(workers=False)["dispatches"] == 0
+            assert len(backend.procs) == 2
+        finally:
+            rt.close()
+
+    @pytest.mark.parametrize("name,kw,exc,match", [
+        ("1d", {"partition": "metis"}, ValueError, "unknown partition"),
+        ("1d", {"partition": Distribution.block(60, 3)}, ValueError,
+         "3 parts for P=4"),
+        ("2d", {"grid": (3, 2)}, ValueError, "does not tile"),
+        ("1d", {"workers": 5}, ValueError, "workers"),
+    ])
+    def test_cheap_arguments_fail_before_any_spawn(self, ds, monkeypatch,
+                                                   name, kw, exc, match):
+        started = []
+        monkeypatch.setattr(ParallelRuntime, "start",
+                            lambda self: started.append(self))
+        with pytest.raises(exc, match=match):
+            make_algorithm(name, 4, ds, hidden=HIDDEN, seed=0,
+                           **{"backend": "process", "workers": 2, **kw})
+        assert not started
+
+    @pytest.mark.parametrize("transport", ["shm", "tcp"])
+    def test_driver_failure_after_start_closes_the_pool(
+            self, ds, monkeypatch, runtimes, transport):
+        from repro.partition import multilevel
+
+        before = _shm_segments()
+
+        def boom(adj, nparts, seed=0):
+            assert runtimes[-1].backend_stats(workers=False) is not None
+            raise RuntimeError("partitioner failed")
+
+        monkeypatch.setattr(multilevel, "multilevel_partition", boom)
+        with pytest.raises(RuntimeError, match="partitioner failed"):
+            make_algorithm("1d", 4, ds, hidden=HIDDEN, seed=0,
+                           backend="process", workers=2,
+                           transport=transport, partition="multilevel")
+        assert runtimes[-1].backend_stats() is None
+        assert _pool_leftovers(before) == ([], set(), [])
+
+    def test_worker_failure_in_make_algo_closes_the_pool(self, ds,
+                                                         runtimes):
+        """``variant="ghost"`` on a directed operand is only known once
+        the workers have checked symmetry."""
+        from repro.graph.generators import erdos_renyi
+        from repro.graph.normalize import add_self_loops, row_normalize
+
+        directed = dataclasses.replace(ds, adjacency=row_normalize(
+            add_self_loops(erdos_renyi(60, 4.0, seed=1, directed=True))))
+        before = _shm_segments()
+        with pytest.raises(WorkerError, match="symmetric operand"):
+            make_algorithm("1d", 4, directed, hidden=HIDDEN, seed=0,
+                           backend="process", workers=2, variant="ghost",
+                           partition="block")
+        assert runtimes[-1].backend_stats() is None
+        assert _pool_leftovers(before) == ([], set(), [])
 
 
 class TestDigestModes:

@@ -134,6 +134,30 @@ class TestKillRecovery:
         assert digest == ref_digest
         assert stats["restarts"] == 1
 
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_recovery_does_not_repartition(self, ds, references, tmp_path,
+                                           monkeypatch, transport):
+        """The recovery loop re-ships the ``Distribution`` the driver
+        already built: the respawned pool costs a boot, not a second
+        partitioner run."""
+        from repro.partition import multilevel
+
+        calls = []
+        real = multilevel.multilevel_partition
+
+        def counting(adj, nparts, seed=0):
+            calls.append(nparts)
+            return real(adj, nparts, seed=seed)
+
+        monkeypatch.setattr(multilevel, "multilevel_partition", counting)
+        losses, digest, stats = run_faulted(
+            ds, "1d", {"variant": "ghost", "partition": "multilevel"},
+            transport, faults="kill:worker=1,epoch=1,attempt=1",
+            max_restarts=3, tmp_path=tmp_path)
+        assert calls == [P]
+        assert stats["restarts"] == 1
+        assert (losses, digest) == references["1d-ghost", transport]
+
 
 class TestOtherFaults:
     def test_hang_mid_exchange_trips_heartbeat(self, ds, references,

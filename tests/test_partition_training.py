@@ -361,6 +361,34 @@ class TestGatherRowsPrimitive:
                         in zip(g.pairs, g.pair_slots) if dst == r)
             assert slots == g.ghost_rows[r]
             assert g.own_pos[r].size + g.ghost_rows[r] == g.width[r]
+            # The operand has a full diagonal (A + I), so every own row
+            # is referenced and the own slots are the block, in order.
+            a, b = g.own_slice[r]
+            np.testing.assert_array_equal(g.own_pos[r], np.arange(a, b))
+            np.testing.assert_array_equal(
+                g.own_idx[r], np.arange(d.row_ranges[r][1]
+                                        - d.row_ranges[r][0]))
+
+    def test_own_rows_without_a_full_diagonal(self):
+        """No self loops: a rank references only those of its own rows
+        that have a neighbour inside the block.  On a star only the
+        hub's block does; the others have no own slice and take the
+        gather/scatter placement -- same numerics."""
+        from repro.graph.generators import star_graph
+
+        a_t = star_graph(12)
+        g = ghost_structure(a_t, Distribution.block(12, 4).row_ranges)
+        assert g.own_slice == ((0, 3), None, None, None)
+        empty = ghost_structure(a_t, ((0, 12), (12, 12)))
+        assert empty.own_slice == ((0, 12), (0, 0))
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal((12, 6)), rng.integers(0, 3, 12)
+        losses = {
+            variant: DistGCN1D(VirtualRuntime.make_1d(4), a_t, (6, 5, 3),
+                               variant=variant).fit(x, y, epochs=3).losses
+            for variant in ("ghost", "symmetric")
+        }
+        assert losses["ghost"] == losses["symmetric"]
 
 
 class TestConstructionValidation:
