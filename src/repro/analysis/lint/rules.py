@@ -6,7 +6,6 @@ reproduction (see the module docstrings it polices):
 ==== =====================================================================
 R1   no unseeded randomness outside tests
 R2   no iteration over ``set()``/``dict.keys()`` in comm/dist/parallel
-R3   every ``*_charges`` call in ``dist/`` pairs with its data-plane move
 R4   instrumentation sites must use the ``is None`` zero-cost-off guard
 R5   no wall-clock (``time.time``) in ledger/digest-feeding code
 R6   lazy-export tables must match actual module contents
@@ -15,7 +14,10 @@ R8   no broad ``except Exception``/bare ``except`` in ``parallel/``
 ==== =====================================================================
 
 Rules are pure functions of one file's AST (plus, for R6, the export
-targets it names on disk); the engine handles suppressions.
+targets it names on disk); the engine handles suppressions.  IDs are
+stable: R3 (charge / data-plane pairing in ``dist/``) was retired when
+each collective became one definition in :mod:`repro.comm.collectives`
+and ``dist/`` stopped holding a charge list to pair.
 """
 
 from __future__ import annotations
@@ -132,64 +134,6 @@ class UnorderedIteration(Rule):
                 if why is not None:
                     yield self.hit(
                         ctx, it, f"iteration over {why} has salted order",
-                    )
-
-
-# --------------------------------------------------------------------- #
-# R3: the ledger and the data plane move together
-# --------------------------------------------------------------------- #
-class ChargeDataPairing(Rule):
-    """The charge plane (``*_charges``/``*_charges_sized`` replayed via
-    ``charge_many``) and the data plane (``*_data``) of one exchange are
-    two halves of a single collective; splitting them across functions is
-    how charged-but-never-moved (or moved-but-never-charged) bytes creep
-    into the ledger the paper's volume claims are checked against."""
-
-    id = "R3"
-    title = "charge calls pair with their data-plane move"
-    fixit = "call the matching *_data method in the same function"
-
-    PAIRS = {
-        # a staged broadcast is charged where it is collected
-        "broadcast_charges_sized": ("routed_broadcast_collect",),
-        "broadcast_charges": ("routed_broadcast_collect",),
-        "sendrecv_charges_sized": ("routed_sendrecv_data",),
-        "sendrecv_charges": ("routed_sendrecv_data",),
-        "allgather_charges": ("allgather_data",),
-        "allreduce_charges": ("allreduce_data",),
-        "reduce_scatter_charges": ("reduce_scatter_data",),
-        "gather_rows_charges_sized": ("gather_rows_data",),
-    }
-
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
-        if not ctx.pkgpath.startswith("repro/dist/"):
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            called: Dict[str, ast.AST] = {}
-            referenced: Set[str] = set()
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Attribute):
-                    referenced.add(sub.attr)
-                if isinstance(sub, ast.Call) and \
-                        isinstance(sub.func, ast.Attribute):
-                    called.setdefault(sub.func.attr, sub)
-            for name, site in called.items():
-                if not (name.endswith("_charges")
-                        or name.endswith("_charges_sized")):
-                    continue
-                want = self.PAIRS.get(name)
-                if want is None:
-                    stem = name[:-len("_charges_sized")] \
-                        if name.endswith("_charges_sized") \
-                        else name[:-len("_charges")]
-                    want = (f"{stem}_data", f"routed_{stem}_data")
-                if not any(w in referenced for w in want):
-                    yield self.hit(
-                        ctx, site,
-                        f"'{name}' has no data-plane counterpart "
-                        f"({' or '.join(want)}) in function '{node.name}'",
                     )
 
 
@@ -566,7 +510,6 @@ class BroadExcept(Rule):
 ALL_RULES = (
     UnseededRandomness,
     UnorderedIteration,
-    ChargeDataPairing,
     UnguardedInstrumentation,
     WallClockInLedgerCode,
     ExportTableDrift,

@@ -58,17 +58,16 @@ ENV_FLAG = "REPRO_SANITIZE"
 #: without holding the whole run's views alive.
 COW_WINDOW = 256
 
-#: Collectives whose receipts are *epoch-lived* (the reduction family:
-#: their outputs become weights, gradients, and activation rows that
-#: survive to the epoch-end digest) and are therefore sound to re-hash
-#: at epoch boundaries.  Stage-scoped receipts (SUMMA broadcasts,
-#: fiber-plane sendrecvs) alias workspace buffers their senders legally
-#: overwrite once the stage's consumers are done; those stay protected
-#: receiver-side by ``writeable=False`` only.
-DURABLE_COW = frozenset({
-    "allgather", "allgather_data", "allreduce", "allreduce_data",
-    "gather", "reduce_scatter",
-})
+#: Collective kinds whose receipts are *epoch-lived* (the reduction
+#: family: their outputs become weights, gradients, and activation rows
+#: that survive to the epoch-end digest) and are therefore sound to
+#: re-hash at epoch boundaries.  Stage-scoped receipts (SUMMA
+#: broadcasts, fiber-plane sendrecvs, ghost rows) alias workspace
+#: buffers their senders legally overwrite once the stage's consumers
+#: are done; those stay protected receiver-side by ``writeable=False``
+#: only.  A receipt's label is its kind on every backend, so workers
+#: register exactly what the virtual runtime does.
+DURABLE_COW = frozenset({"allgather", "allreduce", "reduce_scatter"})
 
 
 class SanitizerError(RuntimeError):
@@ -101,7 +100,7 @@ class Sanitizer:
     def register_cow(self, name: str, view: Any) -> None:
         """Remember a shared read-only receipt and its content hash.
 
-        Only :data:`DURABLE_COW` collectives register: epoch-end
+        Only :data:`DURABLE_COW` kinds register: epoch-end
         re-hashing is meaningless for stage-scoped workspace receipts.
         """
         if name not in DURABLE_COW or not isinstance(view, np.ndarray):

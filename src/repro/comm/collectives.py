@@ -1,20 +1,48 @@
 """Simulated collectives: real data movement + alpha-beta cost accounting.
 
-Each collective does two things:
+The paper builds its algorithms from five ``torch.distributed``
+primitives -- broadcast, all-gather, all-reduce, reduce-scatter and
+point-to-point -- to which Section IV-A.8's partitioned training adds a
+ghost-row gather.  Each of those six *kinds* is defined here exactly
+once, as two halves:
 
-1. **Really moves the data** between virtual ranks (numpy arrays or sparse
-   blocks), so the distributed algorithms are bit-exact executable programs
-   whose outputs can be compared against the serial reference -- exactly the
-   verification the paper performs ("outputs the same embeddings up to
-   floating point accumulation errors").
-2. **Charges the tracker** with modeled seconds (from
-   :mod:`repro.comm.cost_model`) and with the per-process critical-path
-   byte counts -- the quantity the paper's ``T_comm`` formulas bound.  Every
-   rank participating in a collective is charged the collective's
-   critical-path bytes and modeled seconds; this matches the paper's
-   convention of quoting *per-process* communication cost.
+1. **A cost rule** (:meth:`Collectives.charges`): the per-rank ledger
+   entries -- modeled seconds from :mod:`repro.comm.cost_model` plus the
+   per-process critical-path byte counts, the quantity the paper's
+   ``T_comm`` formulas bound.  Every rank participating in a collective
+   is charged the collective's critical-path bytes and modeled seconds;
+   this matches the paper's convention of quoting *per-process*
+   communication cost.  The point-to-point and ghost-row rules are
+   receive-side exact: the bytes on the ledger are the bytes that arrive.
+2. **A data movement** that really moves the payloads (numpy arrays or
+   sparse blocks), so the distributed algorithms are bit-exact
+   executable programs whose outputs can be compared against the serial
+   reference -- exactly the verification the paper performs ("outputs
+   the same embeddings up to floating point accumulation errors").
+   :meth:`Collectives.move` is the blocking form; the routed kinds
+   (broadcast, point-to-point, ghost rows) also come split-phase as
+   :meth:`Collectives.post` / :meth:`Collectives.collect`, and blocking
+   is literally ``collect(post(...))``.
 
-Data movement is **copy-on-write**: by default every receiving rank gets a
+The charged methods (:meth:`~Collectives.broadcast`,
+:meth:`~Collectives.allreduce`, ...) are the data movement plus the rule
+applied to the moved payload's size -- never a second body.  Callers
+whose payload sizes are fixed by structure (the epochs of
+:mod:`repro.dist`) build the charge list once with
+:meth:`~Collectives.charges`, replay it with
+:meth:`CommTracker.charge_many` and call the data movement alone.
+
+The data movements are written against four **transport hooks**:
+``_contributions(group, values)`` (every member's contribution, given the
+local ones), the split-phase ``_routed_post(kind, routes, payload_of)`` /
+``_routed_collect(handle)``, and ``_members(group)`` (whose results come
+back).  This class implements them for the virtual runtime, where every
+rank is local and nothing travels; the multiprocess backend
+(:mod:`repro.parallel.collectives`) overrides only those four, so every
+collective works on every backend by construction, with the same receipt
+labels, the same argument checks and the same sanitizer coverage.
+
+Data movement is **copy-on-write**: every receiving rank gets a
 *read-only view* of the transmitted payload (``ndarray.flags.writeable =
 False``) -- one buffer stands in for the P identical buffers a real
 cluster would hold, so the single-process simulation stops paying P deep
@@ -23,22 +51,22 @@ payload raises instead of silently corrupting the peers sharing it.
 That protection is one-directional: the sender still holds its original
 writable buffer, so a caller that mutates a payload *after* sending it
 would change what every receiver sees -- senders must treat transmitted
-buffers as frozen (every algorithm in :mod:`repro.dist` does), or pass
-``materialize=True`` to recover the historical private-writable-copy
-semantics.  Sparse blocks (:class:`CSRMatrix`) are structurally
-immutable throughout the codebase and are shared as-is, which also
-preserves their cached ``to_scipy()`` wrapper across epochs.  The
-charged bytes and modeled seconds are **identical** either way -- the
-ledger models the real machine, not the simulation shortcut.
+buffers as frozen (every algorithm in :mod:`repro.dist` does).  Sparse
+blocks (:class:`CSRMatrix`) are structurally immutable throughout the
+codebase and are shared as-is, which also preserves their cached
+``to_scipy()`` wrapper across epochs.  The ledger models the real
+machine, not the simulation shortcut.
 
 Payloads may be ``numpy.ndarray`` (dense blocks), objects exposing an
 ``nbytes_on_wire`` attribute (our CSR blocks), or ``None`` (empty
-contribution).  Reductions require dense arrays of identical shape.
+contribution).  Reductions require dense arrays of identical shape and
+fold by addition, in group order.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -50,6 +78,30 @@ from repro.config import INDEX_BYTES, MachineProfile
 from repro.obs import profile as _profile
 
 __all__ = ["Collectives", "payload_nbytes"]
+
+#: One ledger entry: ``(rank, seconds, nbytes, messages, flops)``, the
+#: shape :meth:`CommTracker.charge_many` replays.
+Charge = Tuple[int, float, int, int, int]
+
+#: The group kinds' half of the cost rule: kind -> cost function of
+#: ``(profile, nbytes, group size)``.  Sparse-wire reduce-scatter prices
+#: like the dense one; only the wire size it is handed differs.
+_GROUP_COST: Dict[str, Callable[..., cm.CollectiveCost]] = {
+    "broadcast": cm.broadcast_cost,
+    "allgather": cm.allgather_cost,
+    "allreduce": cm.allreduce_cost,
+    "reduce_scatter": cm.reduce_scatter_cost,
+    "sparse_reduce_scatter": cm.reduce_scatter_cost,
+}
+
+#: The kinds that travel along routes (``post`` / ``collect``) rather
+#: than within groups.
+ROUTED = ("broadcast", "sendrecv", "gather_rows")
+
+#: The kinds whose rule is receive-side exact: the charged bytes of a
+#: rank are precisely the payload bytes delivered to it (what the
+#: sanitizer's byte audit compares).
+EXACT = ("sendrecv", "gather_rows")
 
 
 def payload_nbytes(payload: Any) -> int:
@@ -68,22 +120,8 @@ def payload_nbytes(payload: Any) -> int:
     raise TypeError(f"cannot size payload of type {type(payload).__name__}")
 
 
-def _copy(payload: Any) -> Any:
-    """Materialised receipt: a rank gets its own private buffer."""
-    if payload is None:
-        return None
-    copy = getattr(payload, "copy", None)
-    if copy is None:
-        raise TypeError(f"payload of type {type(payload).__name__} is not copyable")
-    return copy()
-
-
 def _axis_shards(acc: np.ndarray, bounds, axis: int) -> list:
-    """Views of ``acc`` split at ``bounds`` (half-open) along ``axis``.
-
-    The one shard-slicing implementation every reduce-scatter path
-    (charged or data-plane, virtual or multiprocess) goes through.
-    """
+    """Views of ``acc`` split at ``bounds`` (half-open) along ``axis``."""
     if axis == 0:
         return [acc[lo:hi] for lo, hi in bounds]
     shards = []
@@ -94,7 +132,14 @@ def _axis_shards(acc: np.ndarray, bounds, axis: int) -> list:
     return shards
 
 
-def _readonly(payload: Any, name: str = "collective") -> Any:
+def _dense(payload: Any) -> np.ndarray:
+    if not isinstance(payload, np.ndarray):
+        raise TypeError("reduction requires dense ndarray payloads, "
+                        f"got {type(payload).__name__}")
+    return payload
+
+
+def _readonly(payload: Any, kind: str) -> Any:
     """Copy-on-write receipt: a shared read-only view of the payload.
 
     Dense arrays come back as views with the writeable flag cleared, so
@@ -103,18 +148,18 @@ def _readonly(payload: Any, name: str = "collective") -> Any:
     unchanged (CSR blocks are structurally immutable by convention --
     every operation returns a new matrix).
 
-    ``name`` labels the collective handing out the receipt: the
+    ``kind`` labels the collective handing out the receipt: the
     writeable flag cannot stop the *sender* from writing through the
     original buffer, so under ``REPRO_SANITIZE=1`` the view is also
     content-hashed and re-verified at epoch boundaries -- a drift raises
-    naming ``name``.
+    naming ``kind``.
     """
     if isinstance(payload, np.ndarray):
         view = payload.view()
         view.flags.writeable = False
         san = _sanitize.ACTIVE
         if san is not None:
-            san.register_cow(name, view)
+            san.register_cow(kind, view)
         return view
     return payload
 
@@ -130,9 +175,9 @@ class Collectives:
         received = coll.broadcast(row_group, root=r, value=block,
                                   category=Category.SCOMM)
 
-    Group validation and reduction scratch go through a
-    :class:`~repro.comm.plan.CommPlan`, so steady-state epochs hit caches
-    instead of re-deriving the same structure every call.
+    Group validation goes through a :class:`~repro.comm.plan.CommPlan`,
+    so steady-state epochs hit caches instead of re-deriving the same
+    structure every call.
     """
 
     def __init__(self, profile: MachineProfile, tracker: CommTracker,
@@ -148,50 +193,302 @@ class Collectives:
         # sizes, which is small and static per run.
         self._cost_cache: Dict[tuple, cm.CollectiveCost] = {}
 
-    # ------------------------------------------------------------------ #
-    # internals
-    # ------------------------------------------------------------------ #
-    def _group(self, group: Sequence[int]):
+    def _group(self, group: Sequence[int]) -> Tuple[int, ...]:
         return self.plan.group(group)
 
-    def _cost(self, kind: str, fn, nbytes: int, p: int,
-              *flags) -> cm.CollectiveCost:
-        key = (kind, nbytes, p) + flags
+    # ------------------------------------------------------------------ #
+    # the cost rule
+    # ------------------------------------------------------------------ #
+    def _cost(self, fn: Callable[..., cm.CollectiveCost],
+              *args: Any) -> cm.CollectiveCost:
+        key = (fn,) + args
         cost = self._cost_cache.get(key)
         if cost is None:
-            cost = fn(self.profile, nbytes, p, *flags,
-                      span=self.world_size)
+            cost = fn(self.profile, *args, span=self.world_size)
             self._cost_cache[key] = cost
         return cost
 
-    def _p2p_cost(self, nbytes: int) -> cm.CollectiveCost:
-        key = ("p2p", nbytes)
-        cost = self._cost_cache.get(key)
-        if cost is None:
-            cost = cm.p2p_cost(self.profile, nbytes, span=self.world_size)
-            self._cost_cache[key] = cost
-        return cost
+    def charges(self, kind: str, items: Sequence[tuple],
+                pipelined: bool = False) -> List[Charge]:
+        """The cost rule: one step's flattened per-rank ledger entries.
 
-    def _charge_group(
-        self, group: Sequence[int], category: str, cost: cm.CollectiveCost
-    ) -> None:
-        self.tracker.charge_group(
-            group,
-            category,
-            cost.seconds,
-            nbytes=cost.bytes_critical,
-            messages=cost.messages,
-        )
+        ``items`` describes the step's concurrent collectives of one
+        ``kind``, by wire size rather than payload -- a rank-local
+        process knows every payload's *shape* (block structure is global
+        knowledge) but holds only its own ranks' buffers:
 
-    @staticmethod
-    def _require_dense(payload: Any, what: str) -> np.ndarray:
-        if not isinstance(payload, np.ndarray):
-            raise TypeError(f"{what} requires dense ndarray payloads, "
-                            f"got {type(payload).__name__}")
-        return payload
+        * group kinds (``broadcast``, ``allgather``, ``allreduce``,
+          ``reduce_scatter``, ``sparse_reduce_scatter``) take
+          ``(group, nbytes)`` pairs -- the broadcast payload, the sum of
+          all gathered contributions, the reduced buffer (for the
+          sparse-wire reduce-scatter: the largest contribution's nonzero
+          rows plus their indices).  Every member is charged the
+          collective's critical-path cost.  ``pipelined=True`` models
+          SUMMA's pipelined broadcast, dropping the ``lg p`` latency
+          factor (Section IV-C);
+        * ``sendrecv`` takes ``(src, dst, nbytes)`` triples: both ends
+          pay the message's modeled seconds, only ``dst`` the bytes;
+          self-sends charge nothing;
+        * ``gather_rows`` takes ``(rank, recv_nbytes, nsources)``
+          triples: the exact bytes a rank *receives* (its distinct
+          remote-neighbour rows -- the paper's ``r_i`` ghost rows times
+          the dense row size) and the number of distinct source ranks it
+          fetches them from.  Modeled seconds are ``nsources * alpha +
+          beta * nbytes`` per rank (one message per source, concurrent
+          within the step) and only received bytes hit the ledger -- so
+          a ghost exchange's dcomm delta is exactly ``sum_i r_i * f *
+          itemsize``, the quantity ``edgecut_P(A)`` bounds per process.
+
+        The executed epochs walk the same payload shapes over the same
+        groups every time, so algorithms compute this list once and
+        replay it with :meth:`CommTracker.charge_many` -- identical
+        ledger, none of the per-epoch cost/validation work.
+        """
+        flat: List[Charge] = []
+        if kind == "sendrecv":
+            for src, dst, nbytes in items:
+                self._group((src, dst) if src != dst else (src,))
+                if src == dst:
+                    continue
+                cost = self._cost(cm.p2p_cost, int(nbytes))
+                seconds, messages = cost.seconds, cost.messages
+                flat.append((src, seconds, 0, messages, 0))
+                flat.append((dst, seconds, int(nbytes), messages, 0))
+        elif kind == "gather_rows":
+            alpha = self.profile.alpha_for_span(self.world_size)
+            beta = self.profile.beta_effective(self.world_size)
+            for rank, nbytes, nsources in items:
+                nbytes, nsources = int(nbytes), int(nsources)
+                flat.append((rank, nsources * alpha + beta * nbytes, nbytes,
+                             nsources, 0))
+        else:
+            fn = _GROUP_COST[kind]
+            flags = (pipelined,) if kind == "broadcast" else ()
+            for group, nbytes in items:
+                group = self._group(group)
+                cost = self._cost(fn, int(nbytes), len(group), *flags)
+                flat.extend(
+                    (r, cost.seconds, cost.bytes_critical, cost.messages, 0)
+                    for r in group
+                )
+        return flat
+
+    def _charge(self, kind: str, category: str, items: Sequence[tuple],
+                pipelined: bool = False) -> None:
+        self.tracker.charge_many(category,
+                                 self.charges(kind, items, pipelined))
 
     # ------------------------------------------------------------------ #
-    # collectives
+    # transport hooks -- the everything-is-local implementations.  A
+    # backend whose ranks live in several processes overrides these four
+    # and nothing else: callers pass contributions for the ranks they
+    # hold (all of them here) and receive results for those same ranks.
+    # ------------------------------------------------------------------ #
+    def _members(self, group: Tuple[int, ...]) -> Sequence[int]:
+        """The ranks of ``group`` whose results this process returns."""
+        return group
+
+    def _contributions(self, group: Tuple[int, ...],
+                       values: Mapping[int, Any]) -> Mapping[int, Any]:
+        """Every member's contribution, given the locally held ones."""
+        missing = [r for r in group if r not in values]
+        if missing:
+            raise KeyError(f"missing contributions from ranks {missing}")
+        return values
+
+    def _routed_post(self, kind: str,
+                     routes: Sequence[Tuple[int, Tuple[int, ...]]],
+                     payload_of: Callable[[int], Any]) -> Any:
+        """Start transfer ``i`` of ``payload_of(i)`` from rank
+        ``routes[i][0]`` to the ranks ``routes[i][1]``, for every ``i``;
+        :meth:`_routed_collect` turns the returned handle into the
+        received payload per transfer (one shared read-only receipt
+        each).  Nothing travels here, so the handle is the finished
+        list."""
+        return [_readonly(payload_of(i), kind) for i in range(len(routes))]
+
+    def _routed_collect(self, handle: Any) -> list:
+        return handle
+
+    # ------------------------------------------------------------------ #
+    # data movement (no charging): one definition per kind
+    # ------------------------------------------------------------------ #
+    def post(self, kind: str, routes: Sequence[tuple],
+             payloads: Mapping[int, Any]) -> Any:
+        """Start one step of a routed kind, charging nothing.
+
+        ``routes`` lists the step's transfers in one fixed global order
+        and ``payloads`` maps each locally-held source rank to what it
+        sends:
+
+        * ``broadcast``: ``(group, root)`` routes; ``payloads[root]``
+          goes to every rank of ``group``;
+        * ``sendrecv``: ``(src, dst)`` pairs; ``payloads[src]`` goes to
+          ``dst`` (a self-send passes the payload through as is);
+        * ``gather_rows``: ``(src, dst, src_local_rows)`` triples; the
+          selected rows of the dense block ``payloads[src]`` go to
+          ``dst``.  Selection happens at the source, so only the
+          requested rows travel.
+
+        Returns the handle :meth:`collect` finishes.  Split so a stage
+        loop can start the next stage's transfers before it waits for
+        this stage's: a backend whose payloads travel moves them in
+        between.
+        """
+        if kind == "broadcast":
+            for group, root in routes:
+                if root not in group:
+                    raise ValueError(f"root {root} not in group {group}")
+            hops = [(root, group) for group, root in routes]
+            pick = lambda i: payloads[routes[i][1]]
+        elif kind == "sendrecv":
+            hops = [(src, (dst,)) for src, dst in routes]
+            pick = lambda i: payloads[routes[i][0]]
+        else:
+            hops = [(src, (dst,)) for src, dst, _ in routes]
+            pick = lambda i: payloads[routes[i][0]][routes[i][2]]
+        return kind, routes, payloads, self._routed_post(kind, hops, pick)
+
+    def collect(self, posted: Any) -> list:
+        """Finish a :meth:`post`: the received payload per route, in
+        route order, as one shared read-only receipt each (``None`` for
+        routes with no local destination, on the multiprocess
+        backend)."""
+        kind, routes, payloads, handle = posted
+        out = self._routed_collect(handle)
+        if kind == "sendrecv":
+            for i, (src, dst) in enumerate(routes):
+                if src == dst and out[i] is not None:
+                    out[i] = payloads[src]
+        return out
+
+    def move(self, kind: str, where: Sequence[Any],
+             payloads: Mapping[int, Any], **kw: Any) -> Any:
+        """The data movement of one step of ``kind``, charging nothing.
+
+        For a routed kind ``where`` holds the routes and this is
+        ``collect(post(kind, where, payloads))``.  For a group kind
+        (``allgather``, ``allreduce``, ``reduce_scatter``) ``where``
+        holds the step's concurrent groups and ``payloads`` the
+        contributions of the locally-held ranks; every group this
+        process has a rank in is moved (``kw`` as in the charged method
+        of the same name) and the results come back merged into one
+        ``{rank: result}`` dict.
+        """
+        if kind in ROUTED:
+            return self.collect(self.post(kind, where, payloads))
+        out: Dict[int, Any] = {}
+        for group in where:
+            mine = {r: payloads[r] for r in group if r in payloads}
+            if mine:
+                out.update(self._run(kind, group, mine, **kw)[0])
+        return out
+
+    def _run(self, kind: str, group: Sequence[int],
+             values: Mapping[int, Any], **kw: Any) -> Tuple[dict, int]:
+        """One group collective: ``(results for the local members, the
+        wire size its cost rule prices)``."""
+        group = self._group(group)
+        return self._GROUP_MOVE[kind](
+            self, group, self._contributions(group, values), **kw)
+
+    def _charged(self, kind: str, group: Sequence[int],
+                 values: Mapping[int, Any], category: str,
+                 **kw: Any) -> dict:
+        out, nbytes = self._run(kind, group, values, **kw)
+        self._charge(kind, category, [(group, nbytes)])
+        return out
+
+    def _allgather(self, group: Tuple[int, ...],
+                   full: Mapping[int, Any]) -> Tuple[dict, int]:
+        shared = [_readonly(full[s], "allgather") for s in group]
+        return ({r: list(shared) for r in self._members(group)},
+                sum(payload_nbytes(full[s]) for s in group))
+
+    def _allreduce(self, group: Tuple[int, ...], full: Mapping[int, Any],
+                   donate_first: bool = False) -> Tuple[dict, int]:
+        acc = self._reduce_arrays(group, full, donate_first)
+        shared = _readonly(acc, "allreduce")
+        return {r: shared for r in self._members(group)}, int(acc.nbytes)
+
+    def _reduce_scatter(
+        self, group: Tuple[int, ...], full: Mapping[int, Any], axis: int = 0,
+        bounds: Optional[Sequence[Tuple[int, int]]] = None,
+    ) -> Tuple[dict, int]:
+        # ``bounds`` never touches the wire size -- shard placement is
+        # layout, not volume.
+        acc = self._reduce_arrays(group, full)
+        if bounds is None:
+            bounds = self.plan.split(acc.shape[axis], len(group))
+        elif len(bounds) != len(group):
+            raise ValueError(
+                f"got {len(bounds)} shard bounds for a group of "
+                f"{len(group)}"
+            )
+        shard_of = dict(zip(group, _axis_shards(acc, bounds, axis)))
+        return ({r: _readonly(shard_of[r], "reduce_scatter")
+                 for r in self._members(group)}, int(acc.nbytes))
+
+    def _sparse_reduce_scatter(
+        self, group: Tuple[int, ...], full: Mapping[int, Any], axis: int = 0,
+        bounds: Optional[Sequence[Tuple[int, int]]] = None,
+    ) -> Tuple[dict, int]:
+        out, _ = self._reduce_scatter(group, full, axis, bounds)
+        # Critical-path buffer size: the largest sparse contribution
+        # (nonzero rows + one index per row) plays the role the uniform
+        # dense buffer plays in reduce_scatter_cost.  The contributions
+        # are bit-identical on every backend, so the wire size is too.
+        wire = 0
+        for r in group:
+            arr = full[r]
+            nz_rows = int(np.count_nonzero(arr.any(axis=1 - axis)))
+            row_bytes = arr.nbytes // max(arr.shape[axis], 1)
+            wire = max(wire, nz_rows * (row_bytes + INDEX_BYTES))
+        return out, wire
+
+    _GROUP_MOVE = {
+        "allgather": _allgather,
+        "allreduce": _allreduce,
+        "reduce_scatter": _reduce_scatter,
+        "sparse_reduce_scatter": _sparse_reduce_scatter,
+    }
+
+    def _reduce_arrays(self, group: Tuple[int, ...],
+                       values: Mapping[int, Any],
+                       donate_first: bool = False) -> np.ndarray:
+        """Sum the group's arrays, in group order, into one
+        freshly-owned accumulator.
+
+        The accumulator is allocated once and the fold accumulates into
+        it in place.  The result buffer is fresh (never a shared
+        workspace) because reduction results escape the call: gradients
+        from consecutive layers may share a shape, and handing both the
+        same scratch buffer would corrupt the earlier one.
+        ``donate_first`` callers assert exclusive ownership of the
+        leading contribution, letting it serve as the accumulator
+        directly.
+        """
+        prof = _profile.ACTIVE
+        t0 = prof.clock() if prof is not None else 0.0
+        first = _dense(values[group[0]])
+        acc = first if donate_first and first.flags.writeable \
+            else first.copy()
+        for r in group[1:]:
+            arr = _dense(values[r])
+            if arr.shape != acc.shape:
+                raise ValueError(
+                    f"reduction shape mismatch: {arr.shape} vs {acc.shape}"
+                )
+            np.add(acc, arr, out=acc)
+        if prof is not None:
+            folds = max(0, len(group) - 1)
+            prof.add("reduce.fold", prof.clock() - t0,
+                     folds * acc.size,
+                     (folds + 1) * acc.nbytes + acc.nbytes)
+        return acc
+
+    # ------------------------------------------------------------------ #
+    # charged collectives: the data movement plus the rule
     # ------------------------------------------------------------------ #
     def broadcast(
         self,
@@ -200,290 +497,24 @@ class Collectives:
         value: Any,
         category: str = Category.DCOMM,
         pipelined: bool = False,
-        materialize: bool = False,
     ) -> Dict[int, Any]:
         """Broadcast ``value`` from ``root`` to every rank in ``group``.
 
         Returns ``{rank: payload}`` where every payload is one shared
-        read-only view of ``value`` (``materialize=True``: the root keeps
-        the original object and every other rank gets a private writable
-        copy).  ``pipelined=True`` models SUMMA's pipelined broadcast,
-        dropping the ``lg p`` latency factor (Section IV-C).
+        read-only view of ``value``.  ``pipelined=True`` models SUMMA's
+        pipelined broadcast, dropping the ``lg p`` latency factor
+        (Section IV-C).  Only the process holding ``root`` needs the
+        real ``value``; one with no rank in ``group`` sizes the charge
+        from the ``value`` it is handed.
         """
         group = self._group(group)
-        if root not in group:
-            raise ValueError(f"root {root} not in group {group}")
-        nbytes = payload_nbytes(value)
-        cost = self._cost("bc", cm.broadcast_cost, nbytes, len(group),
-                          pipelined)
-        self._charge_group(group, category, cost)
-        if materialize:
-            return {r: (value if r == root else _copy(value)) for r in group}
-        shared = _readonly(value, "broadcast")
-        return {r: shared for r in group}
-
-    def broadcast_many(
-        self,
-        items: Sequence[Tuple[Sequence[int], int, Any]],
-        category: str = Category.DCOMM,
-        pipelined: bool = False,
-    ) -> list:
-        """Concurrent broadcasts over disjoint groups, charged as one step.
-
-        ``items`` holds ``(group, root, value)`` triples -- the shape of a
-        SUMMA stage, where every process row (or column) broadcasts its
-        piece at once.  Returns the received payload per item (one shared
-        read-only view each; every rank of the item's group receives that
-        same buffer).  Exactly equivalent to calling :meth:`broadcast`
-        per item inside one ``step_scope``, minus the per-call and
-        per-rank dictionary overhead.
-        """
-        tracker = self.tracker
-        out = []
-        with tracker.step_scope():
-            for group, root, value in items:
-                group = self._group(group)
-                if root not in group:
-                    raise ValueError(f"root {root} not in group {group}")
-                nbytes = payload_nbytes(value)
-                cost = self._cost("bc", cm.broadcast_cost, nbytes,
-                                  len(group), pipelined)
-                tracker.charge_group(
-                    group, category, cost.seconds,
-                    nbytes=cost.bytes_critical, messages=cost.messages,
-                )
-                out.append(_readonly(value, "broadcast_many"))
-        return out
-
-    def sendrecv(
-        self,
-        src: int,
-        dst: int,
-        value: Any,
-        category: str = Category.DCOMM,
-        materialize: bool = False,
-    ) -> Any:
-        """Point-to-point send; returns what ``dst`` receives (a shared
-        read-only view by default, a private copy with ``materialize``)."""
-        self._group((src, dst) if src != dst else (src,))
-        if src == dst:
-            return value
-        nbytes = payload_nbytes(value)
-        cost = self._p2p_cost(nbytes)
-        with self.tracker.step_scope():
-            self.tracker.charge(src, category, cost.seconds, nbytes=0,
-                                messages=cost.messages)
-            self.tracker.charge(dst, category, cost.seconds, nbytes=nbytes,
-                                messages=cost.messages)
-        return _copy(value) if materialize else _readonly(value, "sendrecv")
-
-    def broadcast_charges(
-        self,
-        items: Sequence[Tuple[Sequence[int], int, Any]],
-        pipelined: bool = False,
-    ) -> list:
-        """Flattened per-rank charge tuples for a broadcast set.
-
-        The executed epochs broadcast the same payload shapes over the
-        same groups every time, so algorithms precompute this list once
-        and replay it with :meth:`CommTracker.charge_many` -- identical
-        ledger, none of the per-epoch cost/validation work.  Tuples are
-        ``(rank, seconds, nbytes, messages, flops)``.
-        """
-        return self.broadcast_charges_sized(
-            [(group, root, payload_nbytes(value))
-             for group, root, value in items],
+        (got,) = self.move("broadcast", [(group, root)], {root: value})
+        self._charge(
+            "broadcast", category,
+            [(group, payload_nbytes(value if got is None else got))],
             pipelined,
         )
-
-    def broadcast_charges_sized(
-        self,
-        items: Sequence[Tuple[Sequence[int], int, int]],
-        pipelined: bool = False,
-    ) -> list:
-        """:meth:`broadcast_charges` from wire sizes instead of payloads.
-
-        ``items`` holds ``(group, root, nbytes)`` triples.  The size-based
-        form is what multiprocess workers use: a rank-local process knows
-        every payload's *shape* (block structure is global knowledge) but
-        holds only its own ranks' buffers.
-        """
-        flat = []
-        for group, root, nbytes in items:
-            group = self._group(group)
-            if root not in group:
-                raise ValueError(f"root {root} not in group {group}")
-            cost = self._cost("bc", cm.broadcast_cost,
-                              int(nbytes), len(group), pipelined)
-            flat.extend(
-                (r, cost.seconds, cost.bytes_critical, cost.messages, 0)
-                for r in group
-            )
-        return flat
-
-    def allgather_charges(
-        self, items: Sequence[Tuple[Sequence[int], int]]
-    ) -> list:
-        """Flattened charge tuples for an all-gather set.
-
-        ``items`` holds ``(group, total_nbytes)`` pairs (the sum of all
-        contributions, exactly what :meth:`allgather` charges); see
-        :meth:`broadcast_charges` for the replay-caching rationale.
-        """
-        flat = []
-        for group, nbytes in items:
-            group = self._group(group)
-            cost = self._cost("ag", cm.allgather_cost, int(nbytes),
-                              len(group))
-            flat.extend(
-                (r, cost.seconds, cost.bytes_critical, cost.messages, 0)
-                for r in group
-            )
-        return flat
-
-    def allreduce_charges(
-        self, items: Sequence[Tuple[Sequence[int], int]]
-    ) -> list:
-        """Flattened charge tuples for an all-reduce set.
-
-        ``items`` holds ``(group, reduced_nbytes)`` pairs; see
-        :meth:`broadcast_charges` for the replay-caching rationale.
-        """
-        flat = []
-        for group, nbytes in items:
-            group = self._group(group)
-            cost = self._cost("ar", cm.allreduce_cost, int(nbytes),
-                              len(group))
-            flat.extend(
-                (r, cost.seconds, cost.bytes_critical, cost.messages, 0)
-                for r in group
-            )
-        return flat
-
-    def reduce_scatter_charges(
-        self, items: Sequence[Tuple[Sequence[int], int]]
-    ) -> list:
-        """Flattened charge tuples for a reduce-scatter set.
-
-        ``items`` holds ``(group, reduced_nbytes)`` pairs (see
-        :meth:`broadcast_charges` for the replay-caching rationale).
-        """
-        flat = []
-        for group, nbytes in items:
-            group = self._group(group)
-            cost = self._cost("rs", cm.reduce_scatter_cost, int(nbytes),
-                              len(group))
-            flat.extend(
-                (r, cost.seconds, cost.bytes_critical, cost.messages, 0)
-                for r in group
-            )
-        return flat
-
-    def sendrecv_charges(
-        self, items: Sequence[Tuple[int, int, Any]]
-    ) -> list:
-        """Flattened charge tuples for a point-to-point exchange set
-        (see :meth:`broadcast_charges`); self-sends charge nothing."""
-        return self.sendrecv_charges_sized(
-            [(src, dst, payload_nbytes(value)) for src, dst, value in items]
-        )
-
-    def sendrecv_charges_sized(
-        self, items: Sequence[Tuple[int, int, int]]
-    ) -> list:
-        """:meth:`sendrecv_charges` from wire sizes instead of payloads
-        (``(src, dst, nbytes)`` triples; see
-        :meth:`broadcast_charges_sized` for why sizes)."""
-        flat = []
-        for src, dst, nbytes in items:
-            if src == dst:
-                self._group((src,))
-                continue
-            self._group((src, dst))
-            nbytes = int(nbytes)
-            cost = self._p2p_cost(nbytes)
-            flat.append((src, cost.seconds, 0, cost.messages, 0))
-            flat.append((dst, cost.seconds, nbytes, cost.messages, 0))
-        return flat
-
-    def sendrecv_many(
-        self,
-        items: Sequence[Tuple[int, int, Any]],
-        category: str = Category.DCOMM,
-    ) -> list:
-        """Concurrent point-to-point exchanges, charged as one step.
-
-        ``items`` holds ``(src, dst, value)`` triples (e.g. the Split-3D
-        fiber-plane exchange); returns what each ``dst`` receives, in
-        item order.  Equivalent to per-item :meth:`sendrecv` calls inside
-        one ``step_scope``; self-sends pass the value through uncharged,
-        exactly as :meth:`sendrecv` does.
-        """
-        tracker = self.tracker
-        out = []
-        with tracker.step_scope():
-            for src, dst, value in items:
-                if src == dst:
-                    self._group((src,))
-                    out.append(value)
-                    continue
-                self._group((src, dst))
-                nbytes = payload_nbytes(value)
-                cost = self._p2p_cost(nbytes)
-                tracker.charge(src, category, cost.seconds, nbytes=0,
-                               messages=cost.messages)
-                tracker.charge(dst, category, cost.seconds, nbytes=nbytes,
-                               messages=cost.messages)
-                out.append(_readonly(value, "sendrecv_many"))
-        return out
-
-    def gather_rows_charges_sized(
-        self, items: Sequence[Tuple[int, int, int]]
-    ) -> list:
-        """Flattened charge tuples for one ghost-row exchange.
-
-        ``items`` holds ``(rank, recv_nbytes, nsources)`` triples: the
-        exact bytes a rank *receives* (its distinct remote-neighbour
-        rows -- the paper's ``r_i`` ghost rows times the dense row size)
-        and the number of distinct source ranks it fetches them from.
-        Accounting is receive-side, like :meth:`sendrecv`'s destination
-        charge: modeled seconds are ``nsources * alpha + beta * nbytes``
-        per rank (one message per source, concurrent within the step)
-        and only received bytes hit the ledger -- so a ghost exchange's
-        dcomm delta is exactly ``sum_i r_i * f * itemsize``, the
-        quantity ``edgecut_P(A)`` bounds per process.
-        """
-        alpha = self.profile.alpha_for_span(self.world_size)
-        beta = self.profile.beta_effective(self.world_size)
-        flat = []
-        for rank, nbytes, nsources in items:
-            nbytes = int(nbytes)
-            nsources = int(nsources)
-            flat.append(
-                (rank, nsources * alpha + beta * nbytes, nbytes,
-                 nsources, 0)
-            )
-        return flat
-
-    def gather_rows_data(
-        self,
-        pairs: Sequence[Tuple[int, int, np.ndarray]],
-        blocks: Mapping[int, np.ndarray],
-    ) -> list:
-        """Data plane of a ghost-row exchange (no charge).
-
-        ``pairs`` holds ``(src, dst, src_local_rows)`` transfers in one
-        fixed global order; ``blocks`` maps each locally-held rank to
-        its dense block rows.  Returns, per pair, the selected rows of
-        ``src``'s block as a read-only array (``None`` for pairs whose
-        destination is not local, on the multiprocess backend).
-        """
-        out = []
-        for src, dst, idx in pairs:
-            rows = blocks[src][idx]
-            rows.flags.writeable = False
-            out.append(rows)
-        return out
+        return {r: got for r in self._members(group)}
 
     def gather_rows(
         self,
@@ -497,12 +528,17 @@ class Collectives:
         The variable-size primitive behind the 1D ``ghost`` variant
         (Section IV-A.8's partitioned training): each destination rank
         receives, from each source it names, exactly the rows listed --
-        no full all-gather.  ``row_nbytes`` is the wire size of one
-        dense row (``f * itemsize``).  Charges per destination are
-        derived from the pair list (see
-        :meth:`gather_rows_charges_sized`); callers with static
-        structure precompute those charges once and replay them with
-        ``charge_many`` + :meth:`gather_rows_data` instead.
+        no full all-gather.  ``pairs`` holds ``(src, dst,
+        src_local_rows)`` transfers in one fixed global order, ``blocks``
+        maps each locally-held rank to its dense block rows and
+        ``row_nbytes`` is the wire size of one dense row (``f *
+        itemsize``).  Returns, per pair, the selected rows of ``src``'s
+        block as a read-only array (``None`` for pairs whose destination
+        is not local, on the multiprocess backend).  Charges per
+        destination are derived from the pair list (see
+        :meth:`charges`); callers with static structure precompute those
+        charges once and replay them with ``charge_many`` +
+        :meth:`move` instead.
         """
         totals: Dict[int, Tuple[int, int]] = {}
         for src, dst, idx in pairs:
@@ -514,135 +550,37 @@ class Collectives:
             nbytes, nsources = totals.get(dst, (0, 0))
             totals[dst] = (nbytes + len(idx) * int(row_nbytes),
                            nsources + 1)
-        self.tracker.charge_many(
-            category,
-            self.gather_rows_charges_sized(
-                [(dst, nbytes, nsources)
-                 for dst, (nbytes, nsources) in sorted(totals.items())]
-            ),
-        )
-        return self.gather_rows_data(pairs, blocks)
+        self._charge("gather_rows", category,
+                     [(dst,) + totals[dst] for dst in sorted(totals)])
+        return self.move("gather_rows", pairs, blocks)
 
     def allgather(
         self,
         group: Sequence[int],
         values: Mapping[int, Any],
         category: str = Category.DCOMM,
-        materialize: bool = False,
     ) -> Dict[int, list]:
         """Every rank receives the list of all group contributions (in
-        group order).  Payloads are shared read-only views by default;
-        with ``materialize`` each rank gets private copies (except its
-        own contribution)."""
-        group = self._group(group)
-        self._check_contributions(group, values)
-        total = sum(payload_nbytes(values[r]) for r in group)
-        cost = self._cost("ag", cm.allgather_cost, total, len(group))
-        self._charge_group(group, category, cost)
-        if materialize:
-            return {
-                r: [values[s] if s == r else _copy(values[s]) for s in group]
-                for r in group
-            }
-        shared = [_readonly(values[s], "allgather") for s in group]
-        return {r: list(shared) for r in group}
-
-    def gather(
-        self,
-        group: Sequence[int],
-        values: Mapping[int, Any],
-        root: int,
-        category: str = Category.DCOMM,
-        materialize: bool = False,
-    ) -> list:
-        """Root receives the list of all contributions, in group order."""
-        group = self._group(group)
-        if root not in group:
-            raise ValueError(f"root {root} not in group {group}")
-        self._check_contributions(group, values)
-        total = sum(payload_nbytes(values[r]) for r in group)
-        cost = self._cost("ga", cm.gather_cost, total, len(group))
-        self._charge_group(group, category, cost)
-        if materialize:
-            return [values[s] if s == root else _copy(values[s]) for s in group]
-        return [_readonly(values[s], "gather") for s in group]
-
-    def scatter(
-        self,
-        group: Sequence[int],
-        shards: Sequence[Any],
-        root: int,
-        category: str = Category.DCOMM,
-        materialize: bool = False,
-    ) -> Dict[int, Any]:
-        """Root distributes ``shards[i]`` to the i-th rank of ``group``."""
-        group = self._group(group)
-        if root not in group:
-            raise ValueError(f"root {root} not in group {group}")
-        if len(shards) != len(group):
-            raise ValueError(
-                f"got {len(shards)} shards for a group of {len(group)}"
-            )
-        total = sum(payload_nbytes(s) for s in shards)
-        cost = self._cost("sc", cm.scatter_cost, total, len(group))
-        self._charge_group(group, category, cost)
-        if materialize:
-            return {
-                r: (shards[i] if r == root else _copy(shards[i]))
-                for i, r in enumerate(group)
-            }
-        return {r: _readonly(shards[i], "scatter") for i, r in enumerate(group)}
+        group order), as shared read-only views."""
+        return self._charged("allgather", group, values, category)
 
     def allreduce(
         self,
         group: Sequence[int],
         values: Mapping[int, np.ndarray],
         category: str = Category.DCOMM,
-        op: Callable[[np.ndarray, np.ndarray], np.ndarray] = np.add,
-        materialize: bool = False,
         donate_first: bool = False,
     ) -> Dict[int, np.ndarray]:
-        """Elementwise reduction of same-shape arrays; all ranks get it.
+        """Elementwise sum of same-shape arrays; all ranks get it.
 
-        The default op is addition -- the semiring-overloadable aggregation
-        the paper mentions (Combinatorial BLAS / CTF semiring interface).
         Every rank receives the *same* read-only reduced array (one
-        buffer, not P copies); ``materialize=True`` hands each rank a
-        private writable copy.  ``donate_first=True`` lets the reduction
+        buffer, not P copies).  ``donate_first=True`` lets the reduction
         accumulate directly into the leading rank's contribution buffer
         (NCCL-style in-place all-reduce) -- only for callers that own
         that buffer exclusively and discard it afterwards.
         """
-        group = self._group(group)
-        self._check_contributions(group, values)
-        acc = self._reduce_arrays(group, values, op,
-                                  donate_first=donate_first)
-        nbytes = int(acc.nbytes)
-        cost = self._cost("ar", cm.allreduce_cost, nbytes, len(group))
-        self._charge_group(group, category, cost)
-        if materialize:
-            return {r: acc.copy() for r in group}
-        shared = _readonly(acc, "allreduce")
-        return {r: shared for r in group}
-
-    def reduce(
-        self,
-        group: Sequence[int],
-        values: Mapping[int, np.ndarray],
-        root: int,
-        category: str = Category.DCOMM,
-        op: Callable[[np.ndarray, np.ndarray], np.ndarray] = np.add,
-    ) -> np.ndarray:
-        """Reduction to a single root rank (root owns the fresh buffer)."""
-        group = self._group(group)
-        if root not in group:
-            raise ValueError(f"root {root} not in group {group}")
-        self._check_contributions(group, values)
-        acc = self._reduce_arrays(group, values, op)
-        cost = self._cost("re", cm.reduce_cost, int(acc.nbytes),
-                          len(group))
-        self._charge_group(group, category, cost)
-        return acc
+        return self._charged("allreduce", group, values, category,
+                             donate_first=donate_first)
 
     def reduce_scatter(
         self,
@@ -650,63 +588,25 @@ class Collectives:
         values: Mapping[int, np.ndarray],
         category: str = Category.DCOMM,
         axis: int = 0,
-        op: Callable[[np.ndarray, np.ndarray], np.ndarray] = np.add,
-        materialize: bool = False,
         bounds: Optional[Sequence[Tuple[int, int]]] = None,
     ) -> Dict[int, np.ndarray]:
-        """Reduce same-shape arrays, then scatter shards along ``axis``.
+        """Sum same-shape arrays, then scatter shards along ``axis``.
 
         The i-th rank of the group receives the i-th block of the reduced
         array split into ``len(group)`` near-equal blocks along ``axis``
-        (``bounds`` overrides the split with explicit half-open ranges --
-        partition-aware 1D layouts shard at their distribution's row
-        ranges).  This is the operation the 1D backward pass uses to turn
-        per-rank ``n x f`` outer-product partials into a
-        block-row-distributed ``G^{l-1}`` (Section IV-A.3).
+        (``bounds`` overrides the split with explicit half-open ranges,
+        one per member -- partition-aware 1D layouts shard at their
+        distribution's row ranges).  This is the operation the 1D
+        backward pass uses to turn per-rank ``n x f`` outer-product
+        partials into a block-row-distributed ``G^{l-1}`` (Section
+        IV-A.3).
 
         The reduction runs in place over one freshly-owned contiguous
         accumulator and the returned shards are read-only views into it
-        (zero shard copies); ``materialize=True`` returns private
-        contiguous copies instead.
+        (zero shard copies).
         """
-        group = self._group(group)
-        self._check_contributions(group, values)
-        acc = self._reduce_arrays(group, values, op)
-        return self._reduce_scatter_impl(
-            group, acc, int(acc.nbytes), category, axis, materialize,
-            bounds=bounds,
-        )
-
-    def _reduce_scatter_impl(
-        self,
-        group: Sequence[int],
-        acc: np.ndarray,
-        wire_nbytes: int,
-        category: str,
-        axis: int,
-        materialize: bool,
-        bounds: Optional[Sequence[Tuple[int, int]]] = None,
-    ) -> Dict[int, np.ndarray]:
-        """Charge and shard a reduced array (dense/sparse charging paths
-        share everything except the wire size).  ``bounds`` never touches
-        the charges -- shard placement is layout, not volume."""
-        cost = self._cost("rs", cm.reduce_scatter_cost, wire_nbytes,
-                          len(group))
-        self._charge_group(group, category, cost)
-        if bounds is None:
-            bounds = self.plan.split(acc.shape[axis], len(group))
-        elif len(bounds) != len(group):
-            raise ValueError(
-                f"got {len(bounds)} shard bounds for a group of "
-                f"{len(group)}"
-            )
-        shards = _axis_shards(acc, bounds, axis)
-        if materialize:
-            return {
-                r: np.ascontiguousarray(shards[i])
-                for i, r in enumerate(group)
-            }
-        return {r: _readonly(shards[i], "reduce_scatter") for i, r in enumerate(group)}
+        return self._charged("reduce_scatter", group, values, category,
+                             axis=axis, bounds=bounds)
 
     def sparse_reduce_scatter(
         self,
@@ -714,8 +614,6 @@ class Collectives:
         values: Mapping[int, np.ndarray],
         category: str = Category.DCOMM,
         axis: int = 0,
-        op: Callable[[np.ndarray, np.ndarray], np.ndarray] = np.add,
-        materialize: bool = False,
         bounds: Optional[Sequence[Tuple[int, int]]] = None,
     ) -> Dict[int, np.ndarray]:
         """Reduce-scatter that ships only the nonzero rows of each input.
@@ -729,201 +627,5 @@ class Collectives:
         charged wire size changes -- "sparse routing changes bytes, never
         numerics".
         """
-        group = self._group(group)
-        self._check_contributions(group, values)
-        acc = self._reduce_arrays(group, values, op)
-        # Critical-path buffer size: the largest sparse contribution
-        # (nonzero rows + one index per row) plays the role the uniform
-        # dense buffer plays in reduce_scatter_cost.
-        wire = 0
-        for r in group:
-            arr = self._require_dense(values[r], "sparse reduce-scatter")
-            nz_rows = int(np.count_nonzero(arr.any(axis=1 - axis)))
-            row_bytes = arr.nbytes // max(arr.shape[axis], 1)
-            wire = max(wire, nz_rows * (row_bytes + INDEX_BYTES))
-        return self._reduce_scatter_impl(
-            group, acc, int(wire), category, axis, materialize,
-            bounds=bounds,
-        )
-
-    def alltoall(
-        self,
-        group: Sequence[int],
-        buckets: Mapping[int, Sequence[Any]],
-        category: str = Category.DCOMM,
-        materialize: bool = False,
-    ) -> Dict[int, list]:
-        """Personalised exchange: rank ``group[i]`` sends ``buckets[gi][j]``
-        to ``group[j]``; each receiver gets contributions in sender order."""
-        group = self._group(group)
-        p = len(group)
-        for r in group:
-            if r not in buckets:
-                raise KeyError(f"rank {r} missing from alltoall buckets")
-            if len(buckets[r]) != p:
-                raise ValueError(
-                    f"rank {r} supplied {len(buckets[r])} buckets, expected {p}"
-                )
-        total = max(
-            sum(payload_nbytes(b) for b in buckets[r]) for r in group
-        )
-        cost = self._cost("aa", cm.alltoall_cost, total, p)
-        self._charge_group(group, category, cost)
-        out: Dict[int, list] = {}
-        for j, dst in enumerate(group):
-            if materialize:
-                out[dst] = [
-                    buckets[src][j] if src == dst else _copy(buckets[src][j])
-                    for src in group
-                ]
-            else:
-                out[dst] = [_readonly(buckets[src][j], "alltoall") for src in group]
-        return out
-
-    # ------------------------------------------------------------------ #
-    # data plane (no charging)
-    #
-    # The executed epochs split static collectives into a *charge replay*
-    # (cached ``*_charges`` lists, identical on every backend) and a
-    # *data movement* step.  The methods below are the data step: they
-    # move payloads but never touch the ledger.  This base class is the
-    # everything-is-local implementation; the multiprocess backend
-    # (:mod:`repro.parallel.collectives`) overrides them to really cross
-    # process boundaries through shared memory.  Contract: callers pass
-    # contributions for the ranks they hold (all of them here) and
-    # receive results for those same ranks.
-    # ------------------------------------------------------------------ #
-    def routed_broadcast_post(
-        self, routes: Sequence[Tuple[Sequence[int], int]],
-        blocks: Mapping[int, Any],
-    ) -> Any:
-        """Start the broadcasts along ``(group, root)`` routes, charging
-        nothing; :meth:`routed_broadcast_collect` turns the returned
-        handle into the received payload per route (one shared
-        read-only view each).  Split so a stage loop can start the next
-        stage's broadcasts before it waits for this stage's: a backend
-        whose payloads travel moves them in between.  Nothing travels
-        here, so the handle is the finished list."""
-        return [_readonly(blocks[root], "routed_broadcast") for _, root in routes]
-
-    def routed_broadcast_collect(self, posted: Any) -> list:
-        """The receipts of a :meth:`routed_broadcast_post`."""
-        return posted
-
-    def routed_sendrecv_data(
-        self, pairs: Sequence[Tuple[int, int]], payloads: Mapping[int, Any]
-    ) -> list:
-        """What each ``dst`` receives per ``(src, dst)`` pair (self-sends
-        pass through), charging nothing."""
-        return [
-            payloads[src] if src == dst else _readonly(payloads[src], "routed_sendrecv")
-            for src, dst in pairs
-        ]
-
-    def allgather_data(
-        self, group: Sequence[int], values: Mapping[int, Any]
-    ) -> Dict[int, list]:
-        """:meth:`allgather`'s data movement only (no charge)."""
-        group = self._group(group)
-        self._check_contributions(group, values)
-        shared = [_readonly(values[s], "allgather_data") for s in group]
-        return {r: list(shared) for r in group}
-
-    def allreduce_data(
-        self,
-        group: Sequence[int],
-        values: Mapping[int, np.ndarray],
-        op: Callable[[np.ndarray, np.ndarray], np.ndarray] = np.add,
-        donate_first: bool = False,
-    ) -> Dict[int, np.ndarray]:
-        """:meth:`allreduce`'s data movement only (no charge)."""
-        group = self._group(group)
-        self._check_contributions(group, values)
-        acc = self._reduce_arrays(group, values, op,
-                                  donate_first=donate_first)
-        shared = _readonly(acc, "allreduce_data")
-        return {r: shared for r in group}
-
-    def reduce_scatter_data(
-        self,
-        group: Sequence[int],
-        values: Mapping[int, np.ndarray],
-        axis: int = 0,
-        op: Callable[[np.ndarray, np.ndarray], np.ndarray] = np.add,
-        bounds: Optional[Sequence[Tuple[int, int]]] = None,
-    ) -> Dict[int, np.ndarray]:
-        """:meth:`reduce_scatter`'s data movement only (no charge).
-
-        The fold runs in group order into one freshly-owned accumulator
-        and the returned shards are read-only views into it.
-        """
-        group = self._group(group)
-        self._check_contributions(group, values)
-        acc = self._reduce_arrays(group, values, op)
-        acc.flags.writeable = False
-        if bounds is None:
-            bounds = self.plan.split(acc.shape[axis], len(group))
-        shards = _axis_shards(acc, bounds, axis)
-        return {r: shards[i] for i, r in enumerate(group)}
-
-    def barrier(self, group: Sequence[int]) -> None:
-        """Synchronise a group; charged as a zero-byte allreduce latency."""
-        group = self._group(group)
-        if len(group) <= 1:
-            return
-        alpha = self.profile.alpha_for_span(len(group))
-        lat = 2 * alpha * max(1.0, np.log2(len(group)))
-        self.tracker.charge_group(group, Category.MISC, lat, messages=1)
-
-    # ------------------------------------------------------------------ #
-    # helpers
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _check_contributions(group: Sequence[int], values: Mapping[int, Any]) -> None:
-        missing = [r for r in group if r not in values]
-        if missing:
-            raise KeyError(f"missing contributions from ranks {missing}")
-
-    def _reduce_arrays(
-        self,
-        group: Sequence[int],
-        values: Mapping[int, np.ndarray],
-        op: Callable[[np.ndarray, np.ndarray], np.ndarray],
-        donate_first: bool = False,
-    ) -> np.ndarray:
-        """Reduce the group's arrays into one freshly-owned accumulator.
-
-        The accumulator is allocated once and ufunc ops accumulate into
-        it in place (``op(acc, arr, out=acc)``) -- the historical
-        ``acc = op(acc, arr)`` chain allocated a fresh array per rank.
-        The result buffer is fresh (never a shared workspace) because
-        reduction results escape the call: gradients from consecutive
-        layers may share a shape, and handing both the same scratch
-        buffer would corrupt the earlier one.  ``donate_first`` callers
-        assert exclusive ownership of the leading contribution, letting
-        it serve as the accumulator directly.
-        """
-        prof = _profile.ACTIVE
-        t0 = prof.clock() if prof is not None else 0.0
-        first = self._require_dense(values[group[0]], "reduction")
-        if donate_first and first.flags.writeable:
-            acc = first
-        else:
-            acc = first.copy()
-        in_place = isinstance(op, np.ufunc)
-        for r in group[1:]:
-            arr = self._require_dense(values[r], "reduction")
-            if arr.shape != acc.shape:
-                raise ValueError(
-                    f"reduction shape mismatch: {arr.shape} vs {acc.shape}"
-                )
-            if in_place:
-                op(acc, arr, out=acc)
-            else:
-                acc = op(acc, arr)
-        if prof is not None:
-            folds = max(0, len(group) - 1)
-            prof.add("reduce.fold", prof.clock() - t0,
-                     folds * acc.size,
-                     (folds + 1) * acc.nbytes + acc.nbytes)
-        return acc
+        return self._charged("sparse_reduce_scatter", group, values,
+                             category, axis=axis, bounds=bounds)

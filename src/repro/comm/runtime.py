@@ -16,10 +16,10 @@ Both bundle:
 * a :class:`~repro.comm.mesh.ProcessMesh` (1D / 2D / 3D logical topology);
 * a :class:`~repro.comm.collectives.Collectives` instance that really
   moves per-rank numpy blocks while charging alpha-beta costs;
-* a :class:`~repro.comm.tracker.CommTracker` ledger;
-* helpers for charging **local compute** (SpMM / GEMM / elementwise) using
-  the machine profile's rates, so the Fig. 2 / Fig. 3 reproductions can
-  report a full modeled epoch time.
+* a :class:`~repro.comm.tracker.CommTracker` ledger, which the
+  algorithms also charge their **local compute** (SpMM / GEMM /
+  elementwise) to at the machine profile's rates, so the Fig. 2 / Fig. 3
+  reproductions can report a full modeled epoch time.
 
 The contract that keeps the two backends interchangeable: the *ledger* is
 global and deterministic (every backend charges every rank of every
@@ -31,17 +31,15 @@ local.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Any, Dict, Optional, Tuple
 
 from repro.comm.collectives import Collectives
 from repro.comm.mesh import Mesh1D, Mesh2D, Mesh3D, ProcessMesh
 from repro.comm.plan import CommPlan
-from repro.comm.tracker import Category, CommTracker
+from repro.comm.tracker import CommTracker
 from repro.config import MachineProfile, SUMMIT
 
-__all__ = ["Runtime", "RuntimeBase", "VirtualRuntime", "as_runtime"]
+__all__ = ["Runtime", "RuntimeBase", "VirtualRuntime"]
 
 
 class Runtime:
@@ -60,13 +58,12 @@ class Runtime:
     ``is_local``      membership test for ``local_ranks``;
     ``gather_blocks`` uncharged assembly of a ``{rank: block}`` dict
                       across processes (identity when everything is
-                      local) -- the verification read-out path;
-    ``charge_*``      local-kernel charging helpers.
+                      local) -- the verification read-out path.
     """
 
 
 class RuntimeBase(Runtime):
-    """Shared implementation: ledger helpers + the local-rank contract.
+    """Shared implementation: ledger views + the local-rank contract.
 
     Subclasses populate ``mesh``/``profile``/``tracker``/``plan``/``coll``
     (see :meth:`_init_core`) and override the locality hooks when ranks
@@ -128,38 +125,6 @@ class RuntimeBase(Runtime):
     def reset_stats(self) -> None:
         """Clear the ledger (e.g. between warm-up and measured epochs)."""
         self.tracker.reset()
-
-    # ------------------------------------------------------------------ #
-    # local-compute charging
-    # ------------------------------------------------------------------ #
-    def charge_spmm(self, rank: int, flops: int, seconds: float) -> None:
-        """Charge a local SpMM kernel (time from the SpMM perf model)."""
-        self.tracker.charge(rank, Category.SPMM, seconds, flops=int(flops))
-
-    def charge_gemm(self, rank: int, flops: int) -> None:
-        """Charge a local dense matmul at the profile's GEMM rate.
-
-        The paper reports local GEMM under "misc" ("Local dense matrix
-        multiply (GEMM) calls are inexpensive and thus reported under
-        misc", Fig. 3 caption), and we follow that attribution.
-        """
-        seconds = flops / self.profile.gemm_flops + self.profile.kernel_launch_overhead
-        self.tracker.charge(rank, Category.MISC, seconds, flops=int(flops))
-
-    def charge_elementwise(self, rank: int, nbytes_touched: int) -> None:
-        """Charge a memory-bound elementwise kernel (activation, mask...)."""
-        seconds = (
-            nbytes_touched / self.profile.memory_bandwidth
-            + self.profile.kernel_launch_overhead
-        )
-        self.tracker.charge(rank, Category.MISC, seconds)
-
-    def charge_transpose(self, rank: int, nbytes: int, messages: int = 1) -> None:
-        """Charge transpose work/traffic under the 'trpose' category."""
-        seconds = self.profile.alpha + self.profile.beta * nbytes
-        self.tracker.charge(
-            rank, Category.TRPOSE, seconds, nbytes=nbytes, messages=messages
-        )
 
     # ------------------------------------------------------------------ #
     # convenience
@@ -225,22 +190,3 @@ class VirtualRuntime(RuntimeBase):
     def make_3d(cls, p: int, profile: Optional[MachineProfile] = None
                 ) -> "VirtualRuntime":
         return cls(Mesh3D.cubic(p), profile)
-
-
-def as_runtime(rt_or_p: Union[VirtualRuntime, int],
-               topology: str = "1d",
-               profile: Optional[MachineProfile] = None) -> VirtualRuntime:
-    """Coerce an int (rank count) or runtime into a runtime.
-
-    Convenience for APIs that accept either ``P`` or a pre-built runtime.
-    """
-    if isinstance(rt_or_p, VirtualRuntime):
-        return rt_or_p
-    p = int(rt_or_p)
-    if topology == "1d":
-        return VirtualRuntime.make_1d(p, profile)
-    if topology == "2d":
-        return VirtualRuntime.make_2d(p, profile)
-    if topology == "3d":
-        return VirtualRuntime.make_3d(p, profile)
-    raise ValueError(f"unknown topology {topology!r}")

@@ -18,18 +18,14 @@ from repro.dist.algo_1d import DistGCN1D
 from repro.dist.algo_15d import DistGCN15D
 from repro.dist.algo_2d import DistGCN2D, summa_stage_ranges
 from repro.dist.algo_3d import DistGCN3D
-from repro.dist.base import (
-    DistAlgorithm,
-    DistTrainHistory,
-    EpochStats,
-    clone_optimizer,
-)
+from repro.dist.base import DistAlgorithm, clone_optimizer
 from repro.dist.distribution import (
     PARTITION_KINDS,
     Distribution,
     GhostStructure,
     ghost_structure,
 )
+from repro.dist.history import DistTrainHistory, EpochStats
 from repro.dist.registry import (
     ALGORITHMS,
     make_algorithm,

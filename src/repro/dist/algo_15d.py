@@ -18,7 +18,7 @@ degenerates to the 1D symmetric algorithm exactly, including bitwise
 numerics: the slab is the whole gathered operand and the fiber
 all-reduce is a no-op.
 
-The epoch structure is :class:`repro.dist.base.BlockRowAlgorithm`'s,
+The epoch structure is :class:`repro.dist.blockrow.BlockRowAlgorithm`'s,
 shared with the 1D algorithm; this module only supplies the replicated
 data movement.
 """
@@ -31,9 +31,9 @@ import numpy as np
 
 from repro.comm.runtime import VirtualRuntime
 from repro.comm.tracker import Category
-from repro.dist.base import BlockRowAlgorithm, RoutedBroadcast
+from repro.dist.base import RoutedBroadcast
+from repro.dist.blockrow import BlockRowAlgorithm
 from repro.nn.optim import Optimizer
-from repro.obs import spans as _spans
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.distribute import block_ranges
 from repro.sparse.spmm import spmm
@@ -181,8 +181,7 @@ class DistGCN15D(BlockRowAlgorithm):
             ]))
         received = self._broadcast_routed(
             (RoutedBroadcast(("brch", f, t), routes, blocks,
-                             Category.DCOMM, pipelined=False,
-                             nbytes=nbytes),)
+                             Category.DCOMM, nbytes, pipelined=False),)
             for t, (_, routes) in enumerate(rounds)
         )
         for (active, _), (got,) in zip(rounds, received):
@@ -217,40 +216,23 @@ class DistGCN15D(BlockRowAlgorithm):
                 g0, g1 = self.group_ranges[g]
                 buf = self._ws(("part", r, f), (g1 - g0, f))
                 partials[r] = spmm(self.a_slabs[r], slabs[j], out=buf)
-        self._charge_spmm_cached(
-            ("rsch", f),
+        self._charge_kernel(
+            "spmm", ("rsch", f),
             lambda: (
                 (r, self.a_slabs[r].nnz, self.a_slabs[r].nrows, f)
                 for r in range(self.p)
             ),
         )
-        # Fiber all-reduces: global cached charges, local data movement.
-        # The partials are freshly-owned per-rank SpMM outputs used
-        # nowhere else, so the leading one is donated as the in-place
-        # accumulator (NCCL-style).
-        charges = self._cache.get(("farch", f))
-        if charges is None:
-            charges = self.rt.coll.allreduce_charges([
-                (self._fiber_groups[g],
-                 (self.group_ranges[g][1] - self.group_ranges[g][0])
-                 * f * self.WB)
-                for g in range(self.q)
-            ])
-            self._cache[("farch", f)] = charges
-        self.rt.tracker.charge_many(Category.DCOMM, charges)
-        rec = _spans.ACTIVE
-        t0 = rec.clock() if rec is not None else 0.0
-        out: Dict[int, np.ndarray] = {}
-        for g in range(self.q):
-            fiber = self._fiber_groups[g]
-            contribs = {r: partials[r] for r in fiber if r in partials}
-            if contribs:
-                out.update(self.rt.coll.allreduce_data(
-                    fiber, contribs, donate_first=True,
-                ))
-        if rec is not None:
-            rec.record("allreduce", Category.DCOMM, t0, rec.clock())
-        return out
+        # Fiber all-reduces.  The partials are freshly-owned per-rank
+        # SpMM outputs used nowhere else, so the leading one is donated
+        # as the in-place accumulator (NCCL-style).
+        return self._collective(
+            "allreduce", ("farch", f), Category.DCOMM, self._fiber_groups,
+            partials,
+            lambda: [(self._fiber_groups[g], (g1 - g0) * f * self.WB)
+                     for g, (g0, g1) in enumerate(self.group_ranges)],
+            donate_first=True,
+        )
 
     def _replicated_allreduce(
         self, values: Dict[int, np.ndarray]
@@ -258,28 +240,14 @@ class DistGCN15D(BlockRowAlgorithm):
         """Sum one contribution per group: concurrent per-column
         all-reduces, each column covering every group exactly once.
         Charges are global (sized from the local contribution's shape,
-        identical on every rank) and replayed from a cached list; the
-        data plane reduces only the columns this process has ranks in."""
+        identical on every rank); the data plane reduces only the
+        columns this process has ranks in."""
         nbytes = int(next(iter(values.values())).nbytes)
-        key = ("carch", nbytes)
-        charges = self._cache.get(key)
-        if charges is None:
-            charges = self.rt.coll.allreduce_charges([
-                (self._column_groups[j], nbytes) for j in range(self.c)
-            ])
-            self._cache[key] = charges
-        self.rt.tracker.charge_many(Category.DCOMM, charges)
-        rec = _spans.ACTIVE
-        t0 = rec.clock() if rec is not None else 0.0
-        out: Dict[int, np.ndarray] = {}
-        for j in range(self.c):
-            group = self._column_groups[j]
-            contribs = {r: values[r] for r in group if r in values}
-            if contribs:
-                out.update(self.rt.coll.allreduce_data(group, contribs))
-        if rec is not None:
-            rec.record("allreduce", Category.DCOMM, t0, rec.clock())
-        return out
+        return self._collective(
+            "allreduce", ("carch", nbytes), Category.DCOMM,
+            self._column_groups, values,
+            lambda: [(group, nbytes) for group in self._column_groups],
+        )
 
     def _stored_dense_rows(self) -> int:
         return max(hi - lo for lo, hi in self.group_ranges)

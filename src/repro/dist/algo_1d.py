@@ -35,7 +35,7 @@ uneven) row range -- numerics are unchanged up to the relabelling, only
 the ghost structure (and hence the ``ghost`` variant's traffic) moves.
 
 The epoch structure itself (forward sweep, loss reduction, backward
-recursion) lives in :class:`repro.dist.base.BlockRowAlgorithm`, shared
+recursion) lives in :class:`repro.dist.blockrow.BlockRowAlgorithm`, shared
 with the 1.5D algorithm.
 """
 
@@ -45,10 +45,9 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis import sanitize as _sanitize
 from repro.comm.runtime import VirtualRuntime
 from repro.comm.tracker import Category
-from repro.dist.base import BlockRowAlgorithm
+from repro.dist.blockrow import BlockRowAlgorithm
 from repro.dist.distribution import Distribution, ghost_structure
 from repro.nn.optim import Optimizer
 from repro.sparse.csr import CSRMatrix
@@ -230,35 +229,18 @@ class DistGCN1D(BlockRowAlgorithm):
         the fetched ghosts, in referenced-column order.
 
         The charge is the receive-side exact volume (``r_i * f *
-        itemsize`` per rank), replayed from a cached list; the data
-        plane moves only the requested rows (really crossing process
-        boundaries on the multiprocess backend).  Values are exact
-        copies of the full operand's rows, so the compact SpMM is
-        bitwise the all-gather path's.
+        itemsize`` per rank, which the sanitizer audits against the
+        rows that arrive); the data plane moves only the requested rows
+        (really crossing process boundaries on the multiprocess
+        backend).  Values are exact copies of the full operand's rows,
+        so the compact SpMM is bitwise the all-gather path's.
         """
         g = self._ghost
-        charges = self._cache.get(("gch", f))
-        if charges is None:
-            charges = self.rt.coll.gather_rows_charges_sized(
-                [(r, g.ghost_rows[r] * f * self.WB, g.nsources[r])
-                 for r in self.world]
-            )
-            self._cache[("gch", f)] = charges
-        self.rt.tracker.charge_many(Category.DCOMM, charges)
-        received = self._obs_call(
-            "gather_rows", Category.DCOMM, self.rt.coll.gather_rows_data,
-            g.pairs, blocks,
+        received = self._collective(
+            "gather_rows", ("gch", f), Category.DCOMM, g.pairs, blocks,
+            lambda: [(r, g.ghost_rows[r] * f * self.WB, g.nsources[r])
+                     for r in self.world],
         )
-        san = _sanitize.ACTIVE
-        if san is not None:
-            # The ghost exchange is receive-side exact (`r_i * f * WB`
-            # per rank): the charged bytes for local ranks must equal
-            # the bytes of the rows that actually arrived.
-            san.check_exchange(
-                f"gather_rows:f={f}",
-                sum(c[2] for c in charges if self._is_local(c[0])),
-                sum(rows.nbytes for rows in received if rows is not None),
-            )
         out: Dict[int, np.ndarray] = {}
         for r in self._local(self.world):
             buf = self._ws(("ghost", r, f), (g.width[r], f))
@@ -284,8 +266,8 @@ class DistGCN1D(BlockRowAlgorithm):
         out: Dict[int, np.ndarray] = {}
         for r in self._local(self.world):
             out[r] = spmm(self.a_t_compact[r], operand[r])
-        self._charge_spmm_cached(
-            key,
+        self._charge_kernel(
+            "spmm", key,
             lambda: (
                 (r, self.a_t_rows[r].nnz, self.a_t_rows[r].nrows, f)
                 for r in self.world
@@ -303,8 +285,8 @@ class DistGCN1D(BlockRowAlgorithm):
         out: Dict[int, np.ndarray] = {}
         for r in self._local(self.world):
             out[r] = spmm(self.a_t_rows[r], full[r])
-        self._charge_spmm_cached(
-            ("fsp", f),
+        self._charge_kernel(
+            "spmm", ("fsp", f),
             lambda: (
                 (r, self.a_t_rows[r].nnz, self.a_t_rows[r].nrows, f)
                 for r in self.world
@@ -315,9 +297,10 @@ class DistGCN1D(BlockRowAlgorithm):
     def _pre_backward(self) -> None:
         if self.variant == "transpose":
             # Per-epoch exchange materialising the block rows of A.
-            self._charge_transpose_step(
-                ((r, self.a_rows[r].nbytes_on_wire) for r in self.world),
-                key=("trp",),
+            self._charge_kernel(
+                "transpose", ("trp",),
+                lambda: ((r, self.a_rows[r].nbytes_on_wire)
+                         for r in self.world),
             )
 
     def _backward_spmm(
@@ -331,8 +314,8 @@ class DistGCN1D(BlockRowAlgorithm):
             ag_blocks: Dict[int, np.ndarray] = {}
             for r in self._local(self.world):
                 ag_blocks[r] = spmm(self.a_rows[r], g_full[r])
-            self._charge_spmm_cached(
-                ("bsp", f_out),
+            self._charge_kernel(
+                "spmm", ("bsp", f_out),
                 lambda: (
                     (r, self.a_rows[r].nnz, self.a_rows[r].nrows, f_out)
                     for r in self.world
@@ -345,22 +328,18 @@ class DistGCN1D(BlockRowAlgorithm):
         partials: Dict[int, np.ndarray] = {}
         for r in self._local(self.world):
             partials[r] = spmm(self.a_cols[r], g_blocks[r])
-        self._charge_spmm_cached(
-            ("osp", f_out),
+        self._charge_kernel(
+            "spmm", ("osp", f_out),
             lambda: (
                 (r, self.a_cols[r].nnz, self.a_cols[r].nrows, f_out)
                 for r in self.world
             ),
         )
-        if self.variant == "outer_sparse":
-            return self._obs_call(
-                "reduce_scatter", Category.DCOMM,
-                self.rt.coll.sparse_reduce_scatter,
-                self.world, partials, category=Category.DCOMM, axis=0,
-                bounds=self.row_ranges,
-            )
+        coll = self.rt.coll
         return self._obs_call(
-            "reduce_scatter", Category.DCOMM, self.rt.coll.reduce_scatter,
+            "reduce_scatter", Category.DCOMM,
+            (coll.sparse_reduce_scatter if self.variant == "outer_sparse"
+             else coll.reduce_scatter),
             self.world, partials, category=Category.DCOMM, axis=0,
             bounds=self.row_ranges,
         )

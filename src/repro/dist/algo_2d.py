@@ -20,7 +20,7 @@ The backward pass needs the block rows of ``A`` (Equation 2); the
 distributed blocks of ``A`` are materialised at setup and the pairwise
 grid transpose that a real implementation performs every epoch is charged
 to ``trpose`` per epoch, exactly as Fig. 3 accounts it.  The epoch
-structure itself lives in :class:`repro.dist.base.GridAlgorithm`, shared
+structure itself lives in :class:`repro.dist.grid.GridAlgorithm`, shared
 with the Split-3D algorithm.
 """
 
@@ -33,7 +33,8 @@ import numpy as np
 from repro.comm.mesh import Mesh2D
 from repro.comm.runtime import VirtualRuntime
 from repro.comm.tracker import Category
-from repro.dist.base import GridAlgorithm, RoutedBroadcast
+from repro.dist.base import RoutedBroadcast
+from repro.dist.grid import GridAlgorithm
 from repro.nn.optim import Optimizer
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.distribute import (
@@ -175,10 +176,10 @@ class DistGCN2D(GridAlgorithm):
         implementation exchanges every epoch regardless -- exactly how
         Fig. 3 accounts it.
         """
-        self._charge_transpose_step(
-            ((rank, self.a_blocks[rank].nbytes_on_wire)
-             for rank in self.a_blocks),
-            key=("trp",),
+        self._charge_kernel(
+            "transpose", ("trp",),
+            lambda: ((rank, self.a_blocks[rank].nbytes_on_wire)
+                     for rank in self.a_blocks),
         )
 
     def _stage_pieces(self, sparse_blocks: Dict[int, CSRMatrix]):
@@ -257,6 +258,9 @@ class DistGCN2D(GridAlgorithm):
                     if root in dense_blocks
                 }
 
+                def sparse_nbytes(root: int, pieces=pieces) -> int:
+                    return pieces[root].nbytes_on_wire
+
                 def dense_nbytes(root: int, lo=lo, hi=hi) -> int:
                     b0, b1 = fcols[self._out_col(root)]
                     return (hi - lo) * (b1 - b0) * self.WB
@@ -266,12 +270,12 @@ class DistGCN2D(GridAlgorithm):
                         ("bsch", op_key, st),
                         [(groups[i], mesh.rank_of(i, co))
                          for i in range(self.pr)],
-                        pieces, Category.SCOMM),
+                        pieces, Category.SCOMM, sparse_nbytes),
                     RoutedBroadcast(
                         ("bdch", f, st),
                         [(col_groups[j], mesh.rank_of(ro, j))
                          for j in range(self.pc)],
-                        dense_pieces, Category.DCOMM, nbytes=dense_nbytes),
+                        dense_pieces, Category.DCOMM, dense_nbytes),
                 )
 
         received = self._broadcast_routed(stage_broadcasts())
@@ -302,7 +306,7 @@ class DistGCN2D(GridAlgorithm):
                         c0, c1 = fcols[self._out_col(r)]
                         yield r, sp.nnz, sp.nrows, c1 - c0
 
-            self._charge_spmm_cached(("gsch", op_key, f, st), stage_charges)
+            self._charge_kernel("spmm", ("gsch", op_key, f, st), stage_charges)
         out: Dict[int, np.ndarray] = {}
         for idx, (gi, group, members, span) in enumerate(groups_info):
             acc, o_lo, o_hi = accs[idx]

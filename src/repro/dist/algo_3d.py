@@ -21,7 +21,7 @@ Per-rank dense words scale as ``~ 1/P^(2/3)`` -- better than 2D's
 equals the ``A^T`` grid block for block, so -- unlike 2D, whose transpose
 pairs live on different ranks -- no transpose exchange is needed and none
 is charged; directed graphs pay the per-epoch ``trpose`` exchange.  The
-epoch structure itself lives in :class:`repro.dist.base.GridAlgorithm`,
+epoch structure itself lives in :class:`repro.dist.grid.GridAlgorithm`,
 shared with the 2D algorithm.
 """
 
@@ -34,9 +34,9 @@ import numpy as np
 from repro.comm.mesh import Mesh3D
 from repro.comm.runtime import VirtualRuntime
 from repro.comm.tracker import Category
-from repro.dist.base import GridAlgorithm, RoutedBroadcast
+from repro.dist.base import RoutedBroadcast
+from repro.dist.grid import GridAlgorithm
 from repro.nn.optim import Optimizer
-from repro.obs import spans as _spans
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.distribute import (
     block_ranges,
@@ -158,10 +158,10 @@ class DistGCN3D(GridAlgorithm):
         ``A == A^T`` the Split-3D A grid equals the A^T grid block for
         block, so nothing moves and nothing is charged."""
         if not self.symmetric:
-            self._charge_transpose_step(
-                ((rank, self.a_blocks[rank].nbytes_on_wire)
-                 for rank in self.a_blocks),
-                key=("trp",),
+            self._charge_kernel(
+                "transpose", ("trp",),
+                lambda: ((rank, self.a_blocks[rank].nbytes_on_wire)
+                         for rank in self.a_blocks),
             )
 
     def _grid_spmm(
@@ -215,10 +215,10 @@ class DistGCN3D(GridAlgorithm):
         received = self._broadcast_routed(
             (RoutedBroadcast(("bsch", op_key, t),
                              self._stage_sparse_routes[t],
-                             sparse_blocks, Category.SCOMM),
+                             sparse_blocks, Category.SCOMM,
+                             lambda root: sparse_blocks[root].nbytes_on_wire),
              RoutedBroadcast(("bdch", f, t), self._stage_dense_routes[t],
-                             dense_blocks, Category.DCOMM,
-                             nbytes=dense_nbytes))
+                             dense_blocks, Category.DCOMM, dense_nbytes))
             for t in range(s)
         )
         for t in range(s):
@@ -249,50 +249,28 @@ class DistGCN3D(GridAlgorithm):
                             yield (mesh.rank_of(i, j, k), sp.nnz,
                                    sp.nrows, c1 - c0)
 
-            self._charge_spmm_cached(("gsch", op_key, f, t), stage_charges)
+            self._charge_kernel("spmm", ("gsch", op_key, f, t), stage_charges)
         # 2. Fiber reduce-scatter: sum the s layer partials, shard rows.
         # Per fiber (i, j): fold the band ``[:, c0:c1]`` of the layer
         # partials in fiber (layer) order and take the row shards -- a
         # column band of the full-width sum equals the per-band sum
         # elementwise, so the per-fiber folds reproduce the historical
-        # full-width accumulation bitwise.  The charges (one
-        # reduce-scatter per fiber, at the band's byte size) replay from
-        # a cached list, byte-identical to per-fiber
-        # :meth:`Collectives.reduce_scatter` calls; the data plane moves
+        # full-width accumulation bitwise.  One reduce-scatter per
+        # fiber, charged at the band's byte size; the data plane moves
         # only the fibers this process has ranks in.
-        charges = self._cache.get(("rsc3", f))
-        if charges is None:
-            charges = self.rt.coll.reduce_scatter_charges([
-                (self._fiber_groups_3d[i, j],
-                 rows_of[i] * (fcols[j][1] - fcols[j][0]) * 8)
-                for i in range(s) for j in range(s)
-            ])
-            self._cache[("rsc3", f)] = charges
-        self.rt.tracker.charge_many(Category.DCOMM, charges)
-        rec = _spans.ACTIVE
-        t0 = rec.clock() if rec is not None else 0.0
-        shards: Dict[int, np.ndarray] = {}
-        for i in range(s):
-            for j in range(s):
-                fiber = self._fiber_groups_3d[i, j]
-                contribs = {}
-                for k in range(s):
-                    got = accs.get((i, k))
-                    if got is None:
-                        continue
-                    acc, o_lo, o_hi = got
-                    c_lo, c_hi = spans[i, k]
-                    if not c_lo <= j < c_hi:
-                        continue
-                    c0, c1 = fcols[j]
-                    contribs[mesh.rank_of(i, j, k)] = \
-                        acc[:, c0 - o_lo : c1 - o_lo]
-                if contribs:
-                    shards.update(self.rt.coll.reduce_scatter_data(
-                        fiber, contribs, axis=0,
-                    ))
-        if rec is not None:
-            rec.record("reduce_scatter", Category.DCOMM, t0, rec.clock())
+        partials: Dict[int, np.ndarray] = {}
+        for (i, k), (acc, o_lo, o_hi) in accs.items():
+            c_lo, c_hi = spans[i, k]
+            for j in range(c_lo, c_hi):
+                c0, c1 = fcols[j]
+                partials[mesh.rank_of(i, j, k)] = \
+                    acc[:, c0 - o_lo : c1 - o_lo]
+        fibers = list(self._fiber_groups_3d.values())  # (i, j) row-major
+        shards = self._collective(
+            "reduce_scatter", ("rsc3", f), Category.DCOMM, fibers, partials,
+            lambda: [(fibers[i * s + j], rows_of[i] * (c1 - c0) * self.WB)
+                     for i in range(s) for j, (c0, c1) in enumerate(fcols)],
+        )
         # 3. Fiber-plane exchange: shard (i, j, k) is the input-layout
         # block of rank (k, j, i).
         row_splits = [self._plan().split(rows_of[i], s) for i in range(s)]
@@ -303,9 +281,11 @@ class DistGCN3D(GridAlgorithm):
             c0, c1 = fcols[sj]
             return (r1 - r0) * (c1 - c0) * self.WB
 
-        received = self._sendrecv_routed(
-            ("srch", f), self._exchange_pairs, shards, Category.DCOMM,
-            nbytes=shard_nbytes,
+        received = self._collective(
+            "sendrecv", ("srch", f), Category.DCOMM, self._exchange_pairs,
+            shards,
+            lambda: [(src, dst, shard_nbytes(src, dst))
+                     for src, dst in self._exchange_pairs],
         )
         return {
             dst: got

@@ -10,8 +10,10 @@ identical.  :class:`DistAlgorithm` owns that shared machinery so each
 
 * ``_setup_data``   -- distribute features/labels onto the mesh;
 * ``_run_epoch``    -- one full forward/loss/backward/update sweep,
-  charging every data movement through :mod:`repro.comm.collectives` and
-  every local kernel through the runtime's charge helpers;
+  naming every collective once (:meth:`DistAlgorithm._collective`, or a
+  charged :mod:`repro.comm.collectives` call where the payload sizes the
+  charge) and every local kernel sweep once
+  (:meth:`DistAlgorithm._charge_kernel`);
 * ``_forward_pass`` -- a forward-only sweep returning the assembled
   ``n x n_classes`` log-probabilities (inference, Section I's "all of our
   algorithms are applicable to GNN inference").
@@ -23,13 +25,16 @@ Section III-D), which the simulation represents with a single canonical
 for.  The local block math reuses the exact serial kernels from
 :mod:`repro.nn.layers`, which is what makes the paper's bit-close
 verification (`verify_against_serial`) possible.
+
+The two families' shared epochs live beside this module
+(:mod:`repro.dist.blockrow`, :mod:`repro.dist.grid`), the per-epoch
+records in :mod:`repro.dist.history`.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
                     List, Mapping, NamedTuple, Optional, Sequence, Tuple,
                     Union)
@@ -37,14 +42,14 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
 import numpy as np
 
 from repro.analysis import sanitize as _sanitize
-from repro.comm.collectives import _readonly, payload_nbytes
+from repro.comm.collectives import EXACT, payload_nbytes
 from repro.comm.plan import CommPlan
-from repro.comm.runtime import Runtime, VirtualRuntime
-from repro.dist.distribution import Distribution
-from repro.comm.tracker import Category, CommTracker
+from repro.comm.runtime import Runtime
+from repro.comm.tracker import Category
 from repro.config import FP64_BYTES
+from repro.dist.distribution import Distribution
+from repro.dist.history import DistTrainHistory, EpochStats
 from repro.nn.activations import LogSoftmax, ReLU
-from repro.nn.layers import forward_gemm, hidden_gradient, weight_gradient
 from repro.nn.loss import accuracy, nll_loss
 from repro.nn.model import GCN, SerialTrainer
 from repro.nn.optim import SGD, Adam, Optimizer
@@ -57,15 +62,7 @@ from repro.sparse.perfmodel import SpmmPerfModel
 if TYPE_CHECKING:  # import would cycle: simulate -> dist -> simulate
     from repro.simulate.schedule import CommSchedule
 
-__all__ = [
-    "EpochStats",
-    "DistTrainHistory",
-    "RoutedBroadcast",
-    "DistAlgorithm",
-    "BlockRowAlgorithm",
-    "GridAlgorithm",
-    "clone_optimizer",
-]
+__all__ = ["RoutedBroadcast", "DistAlgorithm", "clone_optimizer"]
 
 
 def _emit_epoch_event(stats, replayed: bool = False) -> None:
@@ -93,10 +90,22 @@ class RoutedBroadcast(NamedTuple):
     #: ``{root: payload}`` for the roots this process holds
     blocks: Mapping[int, Any]
     category: str
+    #: ``nbytes(root)``: a route's wire size, from structure alone (a
+    #: worker holds only its own roots' payloads)
+    nbytes: Callable[[int], int]
     #: SUMMA's pipelined broadcast (no ``lg p`` latency factor)
     pipelined: bool = True
-    #: ``nbytes(root)``: a route's wire size from structure alone
-    nbytes: Optional[Callable[[int], int]] = None
+
+
+#: local-kernel kind -> the ledger category it is reported under ("Local
+#: dense matrix multiply (GEMM) calls are inexpensive and thus reported
+#: under misc", Fig. 3 caption).
+_KERNEL_CATEGORY = {
+    "spmm": Category.SPMM,
+    "gemm": Category.MISC,
+    "elementwise": Category.MISC,
+    "transpose": Category.TRPOSE,
+}
 
 
 def clone_optimizer(opt: Optimizer) -> Optimizer:
@@ -111,80 +120,6 @@ def clone_optimizer(opt: Optimizer) -> Optimizer:
     if isinstance(opt, Adam):
         return Adam(lr=opt.lr, beta1=opt.beta1, beta2=opt.beta2, eps=opt.eps)
     raise TypeError(f"cannot clone optimiser of type {type(opt).__name__}")
-
-
-@dataclass(frozen=True)
-class EpochStats:
-    """One training epoch's result plus its exact ledger delta.
-
-    ``seconds_by_category`` is the bulk-synchronous **wall clock** the
-    epoch added (slowest rank per step, per Fig. 3's convention);
-    ``bytes_by_category`` sums exact bytes over all ranks;
-    ``max_rank_comm_bytes`` is the paper's per-process metric.
-    """
-
-    epoch: int
-    loss: float
-    train_accuracy: float
-    seconds_by_category: Dict[str, float]
-    bytes_by_category: Dict[str, int]
-    max_rank_comm_bytes: int
-
-    @property
-    def modeled_seconds(self) -> float:
-        return sum(self.seconds_by_category.values())
-
-    @property
-    def dcomm_bytes(self) -> int:
-        return self.bytes_by_category[Category.DCOMM]
-
-    @property
-    def scomm_bytes(self) -> int:
-        return self.bytes_by_category[Category.SCOMM]
-
-    @property
-    def comm_bytes(self) -> int:
-        """Total network traffic over all ranks (scomm + dcomm + trpose)."""
-        return sum(self.bytes_by_category[c] for c in Category.COMM)
-
-
-@dataclass
-class DistTrainHistory:
-    """Per-epoch records of one distributed training run."""
-
-    epochs: List[EpochStats] = field(default_factory=list)
-
-    @property
-    def losses(self) -> List[float]:
-        return [e.loss for e in self.epochs]
-
-    @property
-    def final_loss(self) -> float:
-        if not self.epochs:
-            raise ValueError("no epochs recorded")
-        return self.epochs[-1].loss
-
-    def _selected(self, skip_first: bool) -> List[EpochStats]:
-        picked = self.epochs[1:] if skip_first and len(self.epochs) > 1 else self.epochs
-        if not picked:
-            raise ValueError("no epochs recorded")
-        return picked
-
-    def mean_breakdown(self, skip_first: bool = False) -> Dict[str, float]:
-        """Mean per-epoch wall seconds per category (a Fig. 3 bar).
-
-        ``skip_first=True`` drops epoch 0, which includes one-time
-        distribution warm-up in real systems.
-        """
-        picked = self._selected(skip_first)
-        return {
-            c: sum(e.seconds_by_category[c] for e in picked) / len(picked)
-            for c in Category.ALL
-        }
-
-    def mean_epoch_seconds(self, skip_first: bool = False) -> float:
-        picked = self._selected(skip_first)
-        return sum(e.modeled_seconds for e in picked) / len(picked)
 
 
 class DistAlgorithm:
@@ -394,6 +329,63 @@ class DistAlgorithm:
         rec.record(_obs_name, _obs_cat, t0, rec.clock())
         return out
 
+    def _collective(
+        self,
+        kind: str,
+        key: Tuple,
+        category: str,
+        where: Sequence[Any],
+        payloads: Mapping[int, Any],
+        sizes: Callable[[], Sequence[tuple]],
+        span: Optional[str] = None,
+        pipelined: bool = False,
+        posted: Any = None,
+        **kw: Any,
+    ) -> Any:
+        """One bulk-synchronous step of concurrent ``kind`` collectives:
+        charge every rank of the world, move this process's data.
+
+        ``where`` names the step's groups (group kinds) or routes
+        (routed kinds) and ``payloads`` the locally-held contributions,
+        as :meth:`Collectives.move` takes them (with ``kw``); returns
+        what it returns.  The step's shapes are fixed at setup, so its
+        per-rank charge list is built once -- ``sizes()`` yields the
+        ``(group-or-route..., nbytes)`` items
+        :meth:`Collectives.charges` prices, from structure alone, since
+        a multiprocess worker holds only its own ranks' buffers -- and
+        replayed from the cache under ``key`` on later epochs.  The
+        data plane runs under one wall-clock span (``span``, default
+        the kind); for the exact-accounting kinds the sanitizer audits
+        that the bytes charged to local ranks are the bytes that
+        arrived.  ``posted`` finishes a :meth:`Collectives.post` made
+        earlier instead of moving now (the staged broadcast): the
+        charge lands here, where the step is collected.
+        """
+        coll = self.rt.coll
+        charges = self._cache.get(key)
+        if charges is None:
+            charges = coll.charges(kind, sizes(), pipelined)
+            self._cache[key] = charges
+        self.rt.tracker.charge_many(category, charges)
+        if posted is None:
+            out = self._obs_call(span or kind, category, coll.move,
+                                 kind, where, payloads, **kw)
+        else:
+            out = self._obs_call(span or kind, category, coll.collect,
+                                 posted)
+        if kind in EXACT:
+            san = _sanitize.ACTIVE
+            if san is not None:
+                # Self-sends are uncharged and pass the payload through.
+                san.check_exchange(
+                    f"{kind}:{key!r}",
+                    sum(c[2] for c in charges if self._is_local(c[0])),
+                    sum(payload_nbytes(got)
+                        for route, got in zip(where, out)
+                        if got is not None and route[0] != route[1]),
+                )
+        return out
+
     def _broadcast_routed(
         self, stages: Iterable[Sequence[RoutedBroadcast]],
     ) -> Iterator[List[list]]:
@@ -415,45 +407,29 @@ class DistAlgorithm:
         depend on an earlier stage's multiply -- every operand a stage
         loop broadcasts is complete before the loop starts.
 
-        The (static) charges are replayed when a stage is *collected*,
-        i.e. at the program point the unstaged loop charged them, so the
-        ledger is the same entry for entry.  Payload shapes along a
-        route are fixed at setup: the per-rank charge list is computed
-        once via :meth:`Collectives.broadcast_charges_sized` and
-        replayed with ``charge_many`` on later epochs.
-        ``RoutedBroadcast.nbytes(root)`` supplies the wire size of a
-        route's payload from structure alone; without it the payload
-        itself is sized (only valid when every root's payload is
-        present, i.e. static operand dicts).
+        The (static) charges are replayed when a stage is *collected*
+        (:meth:`_collective`), i.e. at the program point the unstaged
+        loop charged them, so the ledger is the same entry for entry.
         """
         coll = self.rt.coll
 
         def collect(stage: Sequence[RoutedBroadcast],
                     posted: list) -> List[list]:
-            got = []
-            for b, handle in zip(stage, posted):
-                charges = self._cache.get(b.key)
-                if charges is None:
-                    charges = coll.broadcast_charges_sized(
-                        [(group, root,
-                          b.nbytes(root) if b.nbytes is not None
-                          else payload_nbytes(b.blocks[root]))
-                         for group, root in b.routes],
-                        b.pipelined,
-                    )
-                    self._cache[b.key] = charges
-                self.rt.tracker.charge_many(b.category, charges)
-                got.append(self._obs_call(
-                    "bcast", b.category, coll.routed_broadcast_collect,
-                    handle,
-                ))
-            return got
+            return [
+                self._collective(
+                    "broadcast", b.key, b.category, b.routes, b.blocks,
+                    lambda b=b: [(group, b.nbytes(root))
+                                 for group, root in b.routes],
+                    span="bcast", pipelined=b.pipelined, posted=handle,
+                )
+                for b, handle in zip(stage, posted)
+            ]
 
         ahead: Optional[Tuple[Sequence[RoutedBroadcast], list]] = None
         for stage in stages:
             posted = [
-                self._obs_call("bcast", b.category,
-                               coll.routed_broadcast_post, b.routes, b.blocks)
+                self._obs_call("bcast", b.category, coll.post,
+                               "broadcast", b.routes, b.blocks)
                 for b in stage
             ]
             if ahead is not None:
@@ -461,42 +437,6 @@ class DistAlgorithm:
             ahead = (stage, posted)
         if ahead is not None:
             yield collect(*ahead)
-
-    def _sendrecv_routed(self, key, pairs, payloads, category: str,
-                         nbytes=None) -> list:
-        """Point-to-point exchange along precomputed ``(src, dst)`` pairs
-        with cached charge replay; returns what each ``dst`` receives
-        (``None`` for non-local destinations on the multiprocess
-        backend).  ``nbytes(src, dst)`` supplies structural wire sizes,
-        as in :class:`RoutedBroadcast`."""
-        charges = self._cache.get(key)
-        if charges is None:
-            charges = self.rt.coll.sendrecv_charges_sized(
-                [(src, dst,
-                  nbytes(src, dst) if nbytes is not None
-                  else payload_nbytes(payloads[src]))
-                 for src, dst in pairs]
-            )
-            self._cache[key] = charges
-        self.rt.tracker.charge_many(category, charges)
-        out = self._obs_call(
-            "sendrecv", category, self.rt.coll.routed_sendrecv_data,
-            pairs, payloads,
-        )
-        san = _sanitize.ACTIVE
-        if san is not None:
-            # Point-to-point routes are exact-accounting: the nbytes on
-            # the dst charge entries must equal the payload bytes the
-            # data plane actually delivered to local ranks (self-sends
-            # are uncharged and pass the payload through).
-            san.check_exchange(
-                f"sendrecv:{key!r}",
-                sum(c[2] for c in charges if self._is_local(c[0])),
-                sum(payload_nbytes(got)
-                    for (src, dst), got in zip(pairs, out)
-                    if src != dst and got is not None),
-            )
-        return out
 
     @staticmethod
     def _map_blocks(blocks: Dict[int, np.ndarray],
@@ -700,23 +640,6 @@ class DistAlgorithm:
         t0c = rec.clock() if rec is not None else None
         t_start = time.monotonic()
         stats = history.epochs
-        ncat = len(Category.ALL)
-        hist = {
-            "loss": np.asarray([s.loss for s in stats], dtype=np.float64),
-            "acc": np.asarray([s.train_accuracy for s in stats],
-                              dtype=np.float64),
-            "seconds": np.asarray(
-                [[s.seconds_by_category[c] for c in Category.ALL]
-                 for s in stats], dtype=np.float64
-            ).reshape(len(stats), ncat),
-            "bytes": np.asarray(
-                [[s.bytes_by_category[c] for c in Category.ALL]
-                 for s in stats], dtype=np.int64
-            ).reshape(len(stats), ncat),
-            "maxrank": np.asarray([s.max_rank_comm_bytes for s in stats],
-                                  dtype=np.int64),
-            "epoch": np.asarray([s.epoch for s in stats], dtype=np.int64),
-        }
         _serialize.save_checkpoint(
             path,
             weights=self.model.weights,
@@ -724,7 +647,7 @@ class DistAlgorithm:
             epoch=len(stats),
             tracker_state=self.rt.tracker.state_bytes(),
             categories=Category.ALL,
-            history=hist,
+            history=history.to_arrays(),
         )
         self.checkpoints_written += 1
         self.checkpoint_seconds += time.monotonic() - t_start
@@ -754,20 +677,7 @@ class DistAlgorithm:
             self.optimizer, state["optimizer"], state["opt_arrays"])
         if state["tracker_state"] is not None:
             self.rt.tracker.restore_state_bytes(state["tracker_state"])
-        hist = state["history"]
-        for i in range(state["epoch"]):
-            seconds = {c: float(hist["seconds"][i, j])
-                       for j, c in enumerate(Category.ALL)}
-            nbytes = {c: int(hist["bytes"][i, j])
-                      for j, c in enumerate(Category.ALL)}
-            history.epochs.append(EpochStats(
-                epoch=int(hist["epoch"][i]),
-                loss=float(hist["loss"][i]),
-                train_accuracy=float(hist["acc"][i]),
-                seconds_by_category=seconds,
-                bytes_by_category=nbytes,
-                max_rank_comm_bytes=int(hist["maxrank"][i]),
-            ))
+        history.extend_from_arrays(state["history"], state["epoch"])
         return int(state["epoch"])
 
     def predict(self, features: Optional[np.ndarray] = None) -> np.ndarray:
@@ -909,82 +819,48 @@ class DistAlgorithm:
     # shared charging helpers (every charge sits in a step scope so the
     # bulk-synchronous wall clock and the step tracer see it)
     # ------------------------------------------------------------------ #
-    def _charge_spmm_step(self, charges: Sequence[Tuple[int, int, int, int]]) -> None:
-        """Charge concurrent local SpMM kernels: (rank, nnz, nrows, f)."""
-        self.rt.tracker.charge_many(Category.SPMM, [
-            (rank, self.perf.seconds(int(nnz), int(nrows), int(f)), 0, 0,
-             2 * int(nnz) * int(f))
-            for rank, nnz, nrows, f in charges
-        ])
+    def _charge_kernel(self, kind: str, key: Tuple,
+                       builder: Callable[[], Iterable[tuple]]) -> None:
+        """Charge one sweep of concurrent local kernels.
 
-    def _charge_spmm_cached(self, key, builder) -> None:
-        """Charge a static SpMM sweep from a precomputed charge list.
-
-        ``builder()`` yields the same ``(rank, nnz, nrows, f)`` tuples
-        every epoch (block structure is fixed at setup), so the modeled
-        seconds and flop counts are computed once and replayed from the
-        cache -- identical charges, none of the per-epoch list building.
+        ``builder()`` yields the sweep's per-rank work, from block
+        structure alone: ``(rank, nnz, nrows, f)`` for ``"spmm"``
+        (priced by the SpMM perf model), ``(rank, flops)`` for
+        ``"gemm"``, ``(rank, bytes touched)`` for ``"elementwise"`` (the
+        paper reports both under misc) and ``(rank, bytes)`` for the
+        pairwise ``"transpose"`` exchange.  Structure is fixed at setup,
+        so the modeled seconds and flop counts are computed once and
+        replayed from the cache under ``key`` -- identical charges, none
+        of the per-epoch list building.
         """
         items = self._cache.get(key)
-        if items is None:
-            items = [
-                (rank, self.perf.seconds(int(nnz), int(nrows), int(f)),
-                 0, 0, 2 * int(nnz) * int(f))
-                for rank, nnz, nrows, f in builder()
-            ]
-            self._cache[key] = items
-        self.rt.tracker.charge_many(Category.SPMM, items)
-
-    def _gemm_seconds(self, flops: float) -> float:
-        profile = self.rt.profile
-        return flops / profile.gemm_flops + profile.kernel_launch_overhead
-
-    def _charge_gemm_step(self, charges: Sequence[Tuple[int, float]]) -> None:
-        """Charge concurrent local GEMMs: (rank, flops)."""
-        self.rt.tracker.charge_many(Category.MISC, [
-            (rank, self._gemm_seconds(flops), 0, 0, int(flops))
-            for rank, flops in charges
-        ])
-
-    def _charge_gemm_cached(self, key, builder) -> None:
-        """Charge a static GEMM sweep from a precomputed charge list."""
-        items = self._cache.get(key)
-        if items is None:
-            items = [
-                (rank, self._gemm_seconds(flops), 0, 0, int(flops))
-                for rank, flops in builder()
-            ]
-            self._cache[key] = items
-        self.rt.tracker.charge_many(Category.MISC, items)
-
-    def _charge_elementwise_step(self, charges: Sequence[Tuple[int, float]]) -> None:
-        """Charge concurrent elementwise kernels: (rank, bytes touched)."""
-        profile = self.rt.profile
-        bw = profile.memory_bandwidth
-        overhead = profile.kernel_launch_overhead
-        self.rt.tracker.charge_many(Category.MISC, [
-            (rank, int(nbytes) / bw + overhead, 0, 0, 0)
-            for rank, nbytes in charges
-        ])
-
-    def _charge_transpose_step(self, charges: Sequence[Tuple[int, int]],
-                               key=None) -> None:
-        """Charge a concurrent pairwise transpose exchange: (rank, bytes).
-
-        The exchange bytes are fixed at setup, so call sites pass a
-        ``key`` and the charge list replays from the cache each epoch.
-        """
-        items = self._cache.get(key) if key is not None else None
         if items is None:
             profile = self.rt.profile
-            alpha, beta = profile.alpha, profile.beta
-            items = [
-                (rank, alpha + beta * int(nbytes), int(nbytes), 1, 0)
-                for rank, nbytes in charges
-            ]
-            if key is not None:
-                self._cache[key] = items
-        self.rt.tracker.charge_many(Category.TRPOSE, items)
+            launch = profile.kernel_launch_overhead
+            if kind == "spmm":
+                items = [
+                    (rank, self.perf.seconds(int(nnz), int(nrows), int(f)),
+                     0, 0, 2 * int(nnz) * int(f))
+                    for rank, nnz, nrows, f in builder()
+                ]
+            elif kind == "gemm":
+                items = [
+                    (rank, flops / profile.gemm_flops + launch, 0, 0,
+                     int(flops))
+                    for rank, flops in builder()
+                ]
+            elif kind == "elementwise":
+                bw = profile.memory_bandwidth
+                items = [(rank, int(nbytes) / bw + launch, 0, 0, 0)
+                         for rank, nbytes in builder()]
+            else:
+                alpha, beta = profile.alpha, profile.beta
+                items = [
+                    (rank, alpha + beta * int(nbytes), int(nbytes), 1, 0)
+                    for rank, nbytes in builder()
+                ]
+            self._cache[key] = items
+        self.rt.tracker.charge_many(_KERNEL_CATEGORY[kind], items)
 
     def _loss_rows(self, rows_lo: int, rows_hi: int) -> Tuple[np.ndarray, np.ndarray]:
         """(masked local row indices, their labels) for a row range, cached.
@@ -1039,20 +915,6 @@ class DistAlgorithm:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _charge_elementwise_cached(self, key, builder) -> None:
-        """Charge a static elementwise sweep from a precomputed list."""
-        items = self._cache.get(key)
-        if items is None:
-            profile = self.rt.profile
-            bw = profile.memory_bandwidth
-            overhead = profile.kernel_launch_overhead
-            items = [
-                (rank, int(nbytes) / bw + overhead, 0, 0, 0)
-                for rank, nbytes in builder()
-            ]
-            self._cache[key] = items
-        self.rt.tracker.charge_many(Category.MISC, items)
-
     def _stats_since_marks(
         self,
         before_wall: Dict[str, float],
@@ -1087,594 +949,3 @@ class DistAlgorithm:
             bytes_by_category=nbytes,
             max_rank_comm_bytes=int(max_rank),
         )
-
-
-class BlockRowAlgorithm(DistAlgorithm):
-    """The block-row family's shared epoch (1D and 1.5D).
-
-    Both algorithms keep complete dense rows on every rank, so their
-    forward sweep, loss reduction, and backward recursion are the same
-    program; they differ only in *which collective* realises the SpMM
-    and which group replicates scalars/gradients.  Subclasses provide:
-
-    * ``_block_ranks``           -- the ranks holding dense row blocks;
-    * ``_row_range(rank)``       -- the global rows a rank owns;
-    * ``_forward_spmm(blocks, f)``  / ``_backward_spmm(blocks, f)``
-      -- charged distributed ``A^T X`` / ``A X`` sweeps;
-    * ``_replicated_allreduce(values)`` -- the sum that leaves every
-      rank with an identical copy (loss terms, weight gradients);
-    * ``_assemble(blocks)``      -- uncharged full-matrix read-out;
-    * ``_pre_backward()``        -- optional per-epoch charge hook
-      (the 1D transpose variant's exchange).
-    """
-
-    def _row_range(self, rank: int) -> Tuple[int, int]:
-        raise NotImplementedError
-
-    def _rows_of(self, rank: int) -> int:
-        """Dense rows ``rank`` holds -- structure, hence backend-global."""
-        lo, hi = self._row_range(rank)
-        return hi - lo
-
-    @property
-    def _local_block_ranks(self) -> Tuple[int, ...]:
-        """The locally-held block ranks (all of them on the virtual
-        backend) -- the data loops iterate these; charges stay global."""
-        return self._local(self._block_ranks)
-
-    def _forward_spmm(self, blocks, f: int):
-        raise NotImplementedError
-
-    def _backward_spmm(self, blocks, f: int):
-        raise NotImplementedError
-
-    def _replicated_allreduce(self, values):
-        raise NotImplementedError
-
-    def _assemble(self, blocks) -> np.ndarray:
-        raise NotImplementedError
-
-    def _pre_backward(self) -> None:
-        """Per-epoch charges before the backward recursion (default none)."""
-
-    # ------------------------------------------------------------------ #
-    def _charge_rows_gemm(self, key, flops_per_row: float) -> None:
-        """Charge a GEMM over every block rank at ``rows x flops/row``.
-
-        Built from block structure (``_rows_of``), not from the data
-        dicts -- a multiprocess worker holds only its own ranks' blocks
-        but must still replay the full world's charges.
-        """
-        self._charge_gemm_cached(
-            key,
-            lambda: ((r, self._rows_of(r) * flops_per_row)
-                     for r in self._block_ranks),
-        )
-
-    def _charge_rows_elementwise(self, key, bytes_per_row: float) -> None:
-        """Structural elementwise charge over every block rank."""
-        self._charge_elementwise_cached(
-            key,
-            lambda: ((r, self._rows_of(r) * bytes_per_row)
-                     for r in self._block_ranks),
-        )
-
-    def _forward_layers(self, h_blocks):
-        """Shared forward sweep; returns output blocks + per-layer caches.
-
-        Local kernels run through :meth:`_map_blocks`: replicated layouts
-        (1.5D) hand every fiber replica the same buffer, so the identical
-        replica compute executes once while every rank is still charged.
-        """
-        caches = []
-        for l, layer in enumerate(self.model.layers):
-            f_in, f_out = layer.f_in, layer.f_out
-            weight = layer.weight
-            t_blocks = self._obs_call(
-                "spmm.fwd", "spmm", self._forward_spmm, h_blocks, f_in
-            )
-            z_blocks = self._map_blocks(
-                t_blocks, lambda t: forward_gemm(t, weight)
-            )
-            self._charge_rows_gemm(("cbg", l), 2.0 * f_in * f_out)
-            # Rows are complete locally, so even log_softmax is local.
-            h_blocks = self._map_blocks(z_blocks, layer.activation.forward)
-            self._charge_rows_elementwise(("cbf", l), 2.0 * f_out * self.WB)
-            caches.append({"t": t_blocks, "z": z_blocks})
-        return h_blocks, caches
-
-    def _forward_pass(self) -> np.ndarray:
-        out_blocks, _ = self._forward_layers(self._h0)
-        return self._assemble(out_blocks)
-
-    def _run_epoch(self) -> Tuple[float, float]:
-        out_blocks, caches = self._forward_layers(self._h0)
-        self._set_epoch_output(out_blocks)
-        f_last = self.widths[-1]
-        ranks = self._local_block_ranks
-
-        # ---- loss: one scalar-sized replicated all-reduce ----
-        terms = self._dedup(
-            ranks,
-            lambda r: id(out_blocks[r]),
-            lambda r: self._masked_loss_terms(*self._row_range(r),
-                                              out_blocks[r]),
-        )
-        totals = self._replicated_allreduce(terms)
-        loss, acc = self._finish_loss(next(iter(totals.values())))
-
-        # ---- backward ----
-        z_last = caches[-1]["z"]
-
-        def grad_out(r: int) -> np.ndarray:
-            lo, hi = self._row_range(r)
-            return self.logsm.backward(
-                z_last[r], self._grad_out_rows(lo, hi, f_last)
-            )
-
-        g_blocks = self._dedup(ranks, lambda r: id(z_last[r]), grad_out)
-        self._charge_rows_elementwise(("cbe-out",), 3.0 * f_last * self.WB)
-        self._pre_backward()
-
-        grads: List[Optional[np.ndarray]] = [None] * self.model.num_layers
-        for l in range(self.model.num_layers - 1, -1, -1):
-            layer = self.model.layers[l]
-            f_in, f_out = layer.f_in, layer.f_out
-            # A G^l is computed (and charged) at every layer, including
-            # l = 0 where grad_h is unused -- mirroring the serial layer
-            # kernel and the Model1D/Model2D charge patterns, which
-            # follow the paper's AG^l-reuse implementation.
-            ag_blocks = self._obs_call(
-                "spmm.bwd", "spmm", self._backward_spmm, g_blocks, f_out
-            )
-            # Y^l = sum_i T_i^T G_i, all-reduced so W's update is replicated.
-            t_l = caches[l]["t"]
-            partials = self._dedup(
-                ranks,
-                lambda r: (id(t_l[r]), id(g_blocks[r])),
-                lambda r: weight_gradient(t_l[r], g_blocks[r]),
-            )
-            self._charge_rows_gemm(("cbw", l), 2.0 * f_in * f_out)
-            y = self._replicated_allreduce(partials)
-            grads[l] = next(iter(y.values()))
-            if l > 0:
-                weight = layer.weight
-                gh_blocks = self._map_blocks(
-                    ag_blocks, lambda ag: hidden_gradient(ag, weight)
-                )
-                self._charge_rows_gemm(("cbh", l), 2.0 * f_out * f_in)
-                z_prev = caches[l - 1]["z"]
-                backward = self.model.layers[l - 1].activation.backward
-                g_blocks = self._dedup(
-                    ranks,
-                    lambda r: (id(z_prev[r]), id(gh_blocks[r])),
-                    lambda r: backward(z_prev[r], gh_blocks[r]),
-                )
-                self._charge_rows_elementwise(("cbb", l), 3.0 * f_in * self.WB)
-        self.optimizer.step(self.model.weights, grads)
-        return loss, acc
-
-
-class GridAlgorithm(DistAlgorithm):
-    """The 2D-layout family's shared epoch (2D SUMMA and Split-3D).
-
-    Both algorithms split the feature columns of every dense matrix
-    across "row groups" of ranks that jointly hold complete rows, so
-    the replicated-weight GEMMs, the Equation-3 weight gradient, the
-    last-layer row all-gather for log_softmax, the column-0 loss terms,
-    and the backward recursion are the same program; they differ only
-    in the distributed SpMM itself and in the mesh's group enumeration.
-    Subclasses provide:
-
-    * ``_grid_spmm(sparse_blocks, dense_blocks, f)`` -- the charged
-      distributed SpMM sweep (SUMMA / Split-3D);
-    * ``_row_groups()`` -- rank tuples sharing the same global rows,
-      each ordered by feature-column index (so ``group[t]`` owns the
-      ``t``-th feature-column block);
-    * ``_out_col(rank)`` / ``_rank_rows(rank)`` -- a rank's feature
-      -column index and its global row range;
-    * ``_fsplit(f)`` -- the feature-column split;
-    * ``_charge_epoch_transpose()`` -- the per-epoch ``trpose`` charge
-      policy (2D: always; 3D: directed operands only);
-    * ``_assemble(out_full)`` -- uncharged full-output read-out;
-    * ``a_t_blocks`` / ``a_blocks`` -- the distributed sparse operands.
-    """
-
-    def _grid_spmm(self, sparse_blocks, dense_blocks, f: int,
-                   ws_key=None):
-        raise NotImplementedError
-
-    def _row_groups(self):
-        raise NotImplementedError
-
-    @property
-    def _row_group_list(self):
-        """The row groups, enumerated once and interned in the plan.
-
-        ``_row_groups()`` builds fresh tuples on every call; the grid
-        epoch consults the groups once per SUMMA stage, so the list is
-        derived once per algorithm instead.
-        """
-        groups = getattr(self, "_row_group_cache", None)
-        if groups is None:
-            plan = self._plan()
-            groups = tuple(plan.group(g) for g in self._row_groups())
-            self._row_group_cache = groups
-        return groups
-
-    def _out_col(self, rank: int) -> int:
-        raise NotImplementedError
-
-    def _rank_rows(self, rank: int) -> Tuple[int, int]:
-        raise NotImplementedError
-
-    def _rows_of(self, rank: int) -> int:
-        lo, hi = self._rank_rows(rank)
-        return hi - lo
-
-    def _fsplit(self, f: int):
-        raise NotImplementedError
-
-    def _charge_epoch_transpose(self) -> None:
-        raise NotImplementedError
-
-    def _assemble(self, out_full) -> np.ndarray:
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------ #
-    # shared building blocks
-    # ------------------------------------------------------------------ #
-    @property
-    def _local_group_info(self):
-        """Per *local* row group: ``(gi, group, members, (c_lo, c_hi))``.
-
-        ``gi`` indexes :attr:`_row_group_list`; ``members`` are the
-        locally-held ranks of the group (all of them on the virtual
-        backend) and ``(c_lo, c_hi)`` the half-open range of their
-        feature-column indices.  Block rank-to-process ownership keeps a
-        group's local members contiguous in column order, so one
-        contiguous *span* of every group-wide dense matrix covers exactly
-        the local blocks -- the group-level kernels below compute once
-        per span (the whole width when everything is local, which is
-        bitwise the pre-refactor fast path).
-        """
-        info = getattr(self, "_local_group_info_cache", None)
-        if info is None:
-            info = []
-            for gi, group in enumerate(self._row_group_list):
-                members = [r for r in group if self._is_local(r)]
-                if not members:
-                    continue
-                cols = [self._out_col(r) for r in members]
-                if cols != list(range(cols[0], cols[-1] + 1)):
-                    raise AssertionError(
-                        f"non-contiguous local columns {cols} in row group "
-                        f"{group}: rank ownership must be block-contiguous"
-                    )
-                info.append((gi, group, tuple(members),
-                             (cols[0], cols[-1] + 1)))
-            self._local_group_info_cache = info
-        return info
-
-    def _grows(self, group) -> int:
-        """Dense rows a row group holds (shared by all its members)."""
-        return self._rows_of(group[0])
-
-    @staticmethod
-    def _pick_span_key(full: bool, base: Tuple, c_lo: int,
-                       c_hi: int) -> Tuple:
-        """Workspace key for a span join: the historical full-width key
-        when the span covers everything (bitwise the pre-refactor fast
-        path), a span-suffixed key otherwise."""
-        return base if full else base + (c_lo, c_hi)
-
-    def _join_span(self, parts, rows: int, width: int, key) -> np.ndarray:
-        """One dense stage operand from received feature-column pieces:
-        the piece itself for a single-column span (no copy), else a
-        concatenation into the ``key`` workspace."""
-        if len(parts) == 1:
-            return parts[0]
-        buf = self._ws(key, (rows, width))
-        np.concatenate(parts, axis=1, out=buf)
-        return buf
-
-    def _span(self, fsplit, c_lo: int, c_hi: int) -> Tuple[int, int]:
-        """Feature-column span covered by column indices [c_lo, c_hi)."""
-        return fsplit[c_lo][0], fsplit[c_hi - 1][1]
-
-    def _stage_broadcast(self, blocks, f: int):
-        """The stage loop of a replicated-W product over ``blocks``:
-        in stage ``t`` every row group's ``t``-th member broadcasts its
-        feature-column block row-wise.  Yields ``(t, lo, hi, recv)`` per
-        non-empty stage of the ``f``-split -- ``recv`` the received
-        payloads indexed like :attr:`_row_group_list` (shared by the
-        whole group under copy-on-write; ``None`` for non-local groups
-        on the multiprocess backend) -- staged through
-        :meth:`_broadcast_routed`.  ``f`` also sizes the charges from
-        structure (the broadcast block is ``group rows x stage width``).
-        """
-        fcols = self._fsplit(f)
-
-        def nbytes(root: int) -> int:
-            lo, hi = fcols[self._out_col(root)]
-            return self._rows_of(root) * (hi - lo) * self.WB
-
-        stages = [(t, lo, hi) for t, (lo, hi) in enumerate(fcols) if hi > lo]
-        received = self._broadcast_routed(
-            (RoutedBroadcast(
-                ("sbch", f, t),
-                [(group, group[t]) for group in self._row_group_list],
-                blocks, Category.DCOMM, nbytes=nbytes),)
-            for t, _, _ in stages
-        )
-        for (t, lo, hi), (recv,) in zip(stages, received):
-            yield t, lo, hi, recv
-
-    def _matmul_w(self, t_blocks, w: np.ndarray, f_in: int, f_out: int,
-                  ws_key=None):
-        """``T W`` for grid-distributed ``T`` and replicated ``W``.
-
-        Each stage computes one GEMM per *local* row group over the
-        group's local feature-column span (the received stage block times
-        the matching ``W`` column span) and every local rank's block is a
-        view of its group's accumulator -- column blocks of a product are
-        independent, so per-rank results are unchanged while the GEMM
-        count drops from ``stages x P`` to ``stages x Pr``.  With every
-        rank local the span is the whole width, which is bitwise the
-        historical full-width fast path; a multiprocess worker computes
-        just its own ranks' columns.  Per-rank GEMM charges are global
-        and untouched.  ``ws_key`` names a workspace for the group
-        accumulators (callers whose result is cached across the epoch
-        pass a per-layer key).
-        """
-        groups_info = self._local_group_info
-        fouts = self._fsplit(f_out)
-        accs = []
-        for gi, group, members, (c_lo, c_hi) in groups_info:
-            rows = self._grows(group)
-            o_lo, o_hi = self._span(fouts, c_lo, c_hi)
-            if ws_key is not None:
-                acc = self._ws(("mw", ws_key, gi), (rows, o_hi - o_lo))
-                acc.fill(0.0)
-            else:
-                acc = np.zeros((rows, o_hi - o_lo))
-            accs.append((acc, o_lo, o_hi))
-
-        def stage_charges(lo: int, hi: int):
-            for group in self._row_group_list:
-                rows = self._grows(group)
-                for r in group:
-                    o0, o1 = fouts[self._out_col(r)]
-                    yield r, 2.0 * rows * (hi - lo) * (o1 - o0)
-
-        for t, lo, hi, recv in self._stage_broadcast(t_blocks, f_in):
-            w_stage = w[lo:hi, :]
-            for idx, (gi, group, members, span) in enumerate(groups_info):
-                acc, o_lo, o_hi = accs[idx]
-                w_span = (w_stage if o_hi - o_lo == f_out
-                          else w_stage[:, o_lo:o_hi])
-                acc += forward_gemm(recv[gi], w_span)
-            self._charge_gemm_cached(
-                ("mwch", f_in, f_out, t),
-                lambda lo=lo, hi=hi: stage_charges(lo, hi),
-            )
-        out = {}
-        for idx, (gi, group, members, span) in enumerate(groups_info):
-            acc, o_lo, o_hi = accs[idx]
-            for r in members:
-                o0, o1 = fouts[self._out_col(r)]
-                out[r] = acc[:, o0 - o_lo : o1 - o_lo]
-        return out
-
-    def _weight_grad(self, t_blocks, g_blocks, f_in: int, f_out: int):
-        """``Y^l = T^T G`` (Equation 3): stage broadcasts of T's column
-        blocks, partial outer GEMMs, one world all-reduce.
-
-        Like :meth:`_matmul_w`, the outer GEMM runs once per row group
-        against the group's full-width ``G`` rows (re-assembled once per
-        call) and each rank's zero-padded partial takes its column band
-        from the shared product; bands of ``T^T [G_0 | ... ]`` equal the
-        per-band GEMMs, and the world all-reduce of the padded partials
-        is exactly the historical reduction -- same charges, same result.
-        """
-        groups_info = self._local_group_info
-        fouts = self._fsplit(f_out)
-        g_rows = []
-        for gi, group, members, (c_lo, c_hi) in groups_info:
-            parts = [g_blocks[r] for r in members]
-            o_lo, o_hi = self._span(fouts, c_lo, c_hi)
-            buf = self._ws(("grows", gi, f_out),
-                           (parts[0].shape[0], o_hi - o_lo))
-            np.concatenate(parts, axis=1, out=buf)
-            g_rows.append((buf, o_lo))
-        partials = {}
-        for r in t_blocks:
-            buf = self._ws(("wgp", r, f_in, f_out), (f_in, f_out))
-            buf.fill(0.0)
-            partials[r] = buf
-
-        def stage_charges(lo: int, hi: int):
-            for group in self._row_group_list:
-                rows = self._grows(group)
-                for r in group:
-                    o0, o1 = fouts[self._out_col(r)]
-                    yield r, 2.0 * (hi - lo) * rows * (o1 - o0)
-
-        for t, lo, hi, recv in self._stage_broadcast(t_blocks, f_in):
-            for idx, (gi, group, members, span) in enumerate(groups_info):
-                buf, o_lo = g_rows[idx]
-                band = weight_gradient(recv[gi], buf)  # (hi-lo, local span)
-                for r in members:
-                    o0, o1 = fouts[self._out_col(r)]
-                    partials[r][lo:hi, o0:o1] += band[:, o0 - o_lo : o1 - o_lo]
-            self._charge_gemm_cached(
-                ("wgch", f_in, f_out, t),
-                lambda lo=lo, hi=hi: stage_charges(lo, hi),
-            )
-        y = self._obs_call(
-            "allreduce", Category.DCOMM, self.rt.coll.allreduce,
-            self.world_group, partials, category=Category.DCOMM,
-        )
-        return next(iter(y.values()))
-
-    def _row_allgather(self, blocks, f: int):
-        """Full rows on every local rank (concurrent per-row-group
-        gathers) -- what the row-wise log_softmax needs.  Every member of
-        a row group receives the same contributions, so the concatenation
-        happens once per (local) group and the joined rows are shared
-        read-only.  Charges are global and replayed from a cached list
-        sized from structure (``group rows x f``); the data plane moves
-        only the groups this process participates in."""
-        key = ("ragch", f)
-        charges = self._cache.get(key)
-        if charges is None:
-            charges = self.rt.coll.allgather_charges([
-                (group, self._grows(group) * f * self.WB)
-                for group in self._row_group_list
-            ])
-            self._cache[key] = charges
-        self.rt.tracker.charge_many(Category.DCOMM, charges)
-        rec = _spans.ACTIVE
-        t0 = rec.clock() if rec is not None else 0.0
-        full = {}
-        for gi, group, members, span in self._local_group_info:
-            got = self.rt.coll.allgather_data(
-                group, {r: blocks[r] for r in group if r in blocks}
-            )
-            joined = np.concatenate(next(iter(got.values())), axis=1)
-            joined.flags.writeable = False
-            for r in got:
-                full[r] = joined
-        if rec is not None:
-            rec.record("row_allgather", Category.DCOMM, t0, rec.clock())
-        return full
-
-    # ------------------------------------------------------------------ #
-    # the shared epoch
-    # ------------------------------------------------------------------ #
-    def _charge_band_elementwise(self, key, f: int,
-                                 bytes_per_elem: float) -> None:
-        """Structural elementwise charge over every rank's ``f``-split
-        feature-column block (``rows x band`` elements each)."""
-        def builder():
-            fcols = self._fsplit(f)
-            for group in self._row_group_list:
-                rows = self._grows(group)
-                for r in group:
-                    b0, b1 = fcols[self._out_col(r)]
-                    yield r, rows * (b1 - b0) * bytes_per_elem
-        self._charge_elementwise_cached(key, builder)
-
-    def _charge_full_elementwise(self, key, f: int,
-                                 bytes_per_elem: float) -> None:
-        """Structural elementwise charge over every rank's *full-width*
-        gathered rows (``rows x f`` elements each)."""
-        def builder():
-            for group in self._row_group_list:
-                rows = self._grows(group)
-                for r in group:
-                    yield r, rows * f * bytes_per_elem
-        self._charge_elementwise_cached(key, builder)
-
-    def _forward_layers(self, h_blocks):
-        caches = []
-        last = self.model.num_layers - 1
-        for l, layer in enumerate(self.model.layers):
-            f_in, f_out = layer.f_in, layer.f_out
-            t_blocks = self._obs_call(
-                "spmm.fwd", "spmm", self._grid_spmm,
-                self.a_t_blocks, h_blocks, f_in, ws_key=("t", l),
-            )
-            z_blocks = self._matmul_w(t_blocks, layer.weight, f_in, f_out,
-                                      ws_key=("z", l))
-            cache = {"t": t_blocks, "z": z_blocks}
-            if l < last:
-                h_blocks = {r: layer.activation.forward(z_blocks[r])
-                            for r in z_blocks}
-                self._charge_band_elementwise(("gef", l), f_out,
-                                              2.0 * self.WB)
-            else:
-                # log_softmax is row-wise: gather full rows first.  The
-                # gathered rows are shared per row group, so the forward
-                # runs once per group; the per-rank column re-extraction
-                # of the final H was dead work (both callers read
-                # ``out_full``) and is skipped.
-                z_full = self._row_allgather(z_blocks, f_out)
-                h_full = self._map_blocks(z_full, layer.activation.forward)
-                self._charge_full_elementwise(("gel",), f_out, 2.0 * self.WB)
-                h_blocks = {}
-                cache["z_full"] = z_full
-                cache["out_full"] = h_full
-            caches.append(cache)
-        return h_blocks, caches
-
-    def _forward_pass(self) -> np.ndarray:
-        _, caches = self._forward_layers(self._h0)
-        return self._assemble(caches[-1]["out_full"])
-
-    def _run_epoch(self) -> Tuple[float, float]:
-        _, caches = self._forward_layers(self._h0)
-        self._set_epoch_output(caches[-1]["out_full"])
-        f_last = self.widths[-1]
-        out_full = caches[-1]["out_full"]
-
-        # ---- loss: feature-column 0 contributes, everyone receives ----
-        zeros2 = np.zeros(2)
-        terms = self._dedup(
-            out_full,
-            lambda r: (id(out_full[r])
-                       if self._out_col(r) == 0 else "zero"),
-            lambda r: (self._masked_loss_terms(*self._rank_rows(r),
-                                               out_full[r])
-                       if self._out_col(r) == 0 else zeros2),
-        )
-        totals = self._obs_call(
-            "allreduce", Category.DCOMM, self.rt.coll.allreduce,
-            self.world_group, terms, category=Category.DCOMM,
-        )
-        loss, acc = self._finish_loss(next(iter(totals.values())))
-
-        # ---- backward ----
-        fcols = self._fsplit(f_last)
-        z_full_last = caches[-1]["z_full"]
-
-        def grad_full(r: int) -> np.ndarray:
-            lo, hi = self._rank_rows(r)
-            return self.logsm.backward(
-                z_full_last[r], self._grad_out_rows(lo, hi, f_last)
-            )
-
-        g_full = self._dedup(out_full, lambda r: id(z_full_last[r]),
-                             grad_full)
-        g_blocks = {}
-        for r in out_full:
-            c0, c1 = fcols[self._out_col(r)]
-            g_blocks[r] = g_full[r][:, c0:c1]
-        self._charge_full_elementwise(("geg",), f_last, 3.0 * self.WB)
-        self._charge_epoch_transpose()
-
-        grads: List[Optional[np.ndarray]] = [None] * self.model.num_layers
-        for l in range(self.model.num_layers - 1, -1, -1):
-            layer = self.model.layers[l]
-            f_in, f_out = layer.f_in, layer.f_out
-            # A G^l is charged at every layer (incl. l = 0), mirroring
-            # the serial kernel and the analytic models.
-            ag_blocks = self._obs_call(
-                "spmm.bwd", "spmm", self._grid_spmm,
-                self.a_blocks, g_blocks, f_out, ws_key=("ag",),
-            )
-            grads[l] = self._weight_grad(caches[l]["t"], g_blocks, f_in, f_out)
-            if l > 0:
-                gh_blocks = self._matmul_w(
-                    ag_blocks, layer.weight.T, f_out, f_in
-                )
-                z_prev = caches[l - 1]["z"]
-                g_blocks = {
-                    r: self.model.layers[l - 1].activation.backward(
-                        z_prev[r], gh_blocks[r]
-                    )
-                    for r in gh_blocks
-                }
-                self._charge_band_elementwise(("geb", l), f_in, 3.0 * self.WB)
-        self.optimizer.step(self.model.weights, grads)
-        return loss, acc

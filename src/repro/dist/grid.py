@@ -1,0 +1,435 @@
+"""The 2D-layout family's shared epoch (2D SUMMA and Split-3D).
+
+:class:`GridAlgorithm` is the program both algorithms run on top of
+:class:`repro.dist.base.DistAlgorithm`; the ``algo_2d`` / ``algo_3d``
+modules supply only the distributed SpMM and the mesh's group
+enumeration.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional, Tuple
+
+import numpy as np
+
+from repro.comm.tracker import Category
+from repro.dist.base import DistAlgorithm, RoutedBroadcast
+from repro.nn.layers import forward_gemm, weight_gradient
+
+__all__ = ["GridAlgorithm"]
+
+
+class GridAlgorithm(DistAlgorithm):
+    """The 2D-layout family's shared epoch (2D SUMMA and Split-3D).
+
+    Both algorithms split the feature columns of every dense matrix
+    across "row groups" of ranks that jointly hold complete rows, so
+    the replicated-weight GEMMs, the Equation-3 weight gradient, the
+    last-layer row all-gather for log_softmax, the column-0 loss terms,
+    and the backward recursion are the same program; they differ only
+    in the distributed SpMM itself and in the mesh's group enumeration.
+    Subclasses provide:
+
+    * ``_grid_spmm(sparse_blocks, dense_blocks, f)`` -- the charged
+      distributed SpMM sweep (SUMMA / Split-3D);
+    * ``_row_groups()`` -- rank tuples sharing the same global rows,
+      each ordered by feature-column index (so ``group[t]`` owns the
+      ``t``-th feature-column block);
+    * ``_out_col(rank)`` / ``_rank_rows(rank)`` -- a rank's feature
+      -column index and its global row range;
+    * ``_fsplit(f)`` -- the feature-column split;
+    * ``_charge_epoch_transpose()`` -- the per-epoch ``trpose`` charge
+      policy (2D: always; 3D: directed operands only);
+    * ``_assemble(out_full)`` -- uncharged full-output read-out;
+    * ``a_t_blocks`` / ``a_blocks`` -- the distributed sparse operands.
+    """
+
+    def _grid_spmm(self, sparse_blocks, dense_blocks, f: int,
+                   ws_key=None):
+        raise NotImplementedError
+
+    def _row_groups(self):
+        raise NotImplementedError
+
+    @property
+    def _row_group_list(self):
+        """The row groups, enumerated once and interned in the plan.
+
+        ``_row_groups()`` builds fresh tuples on every call; the grid
+        epoch consults the groups once per SUMMA stage, so the list is
+        derived once per algorithm instead.
+        """
+        groups = getattr(self, "_row_group_cache", None)
+        if groups is None:
+            plan = self._plan()
+            groups = tuple(plan.group(g) for g in self._row_groups())
+            self._row_group_cache = groups
+        return groups
+
+    def _out_col(self, rank: int) -> int:
+        raise NotImplementedError
+
+    def _rank_rows(self, rank: int) -> Tuple[int, int]:
+        raise NotImplementedError
+
+    def _rows_of(self, rank: int) -> int:
+        lo, hi = self._rank_rows(rank)
+        return hi - lo
+
+    def _fsplit(self, f: int):
+        raise NotImplementedError
+
+    def _charge_epoch_transpose(self) -> None:
+        raise NotImplementedError
+
+    def _assemble(self, out_full) -> np.ndarray:
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------ #
+    # shared building blocks
+    # ------------------------------------------------------------------ #
+    @property
+    def _local_group_info(self):
+        """Per *local* row group: ``(gi, group, members, (c_lo, c_hi))``.
+
+        ``gi`` indexes :attr:`_row_group_list`; ``members`` are the
+        locally-held ranks of the group (all of them on the virtual
+        backend) and ``(c_lo, c_hi)`` the half-open range of their
+        feature-column indices.  Block rank-to-process ownership keeps a
+        group's local members contiguous in column order, so one
+        contiguous *span* of every group-wide dense matrix covers exactly
+        the local blocks -- the group-level kernels below compute once
+        per span (the whole width when everything is local, which is
+        bitwise the pre-refactor fast path).
+        """
+        info = getattr(self, "_local_group_info_cache", None)
+        if info is None:
+            info = []
+            for gi, group in enumerate(self._row_group_list):
+                members = [r for r in group if self._is_local(r)]
+                if not members:
+                    continue
+                cols = [self._out_col(r) for r in members]
+                if cols != list(range(cols[0], cols[-1] + 1)):
+                    raise AssertionError(
+                        f"non-contiguous local columns {cols} in row group "
+                        f"{group}: rank ownership must be block-contiguous"
+                    )
+                info.append((gi, group, tuple(members),
+                             (cols[0], cols[-1] + 1)))
+            self._local_group_info_cache = info
+        return info
+
+    def _grows(self, group) -> int:
+        """Dense rows a row group holds (shared by all its members)."""
+        return self._rows_of(group[0])
+
+    @staticmethod
+    def _pick_span_key(full: bool, base: Tuple, c_lo: int,
+                       c_hi: int) -> Tuple:
+        """Workspace key for a span join: the historical full-width key
+        when the span covers everything (bitwise the pre-refactor fast
+        path), a span-suffixed key otherwise."""
+        return base if full else base + (c_lo, c_hi)
+
+    def _join_span(self, parts, rows: int, width: int, key) -> np.ndarray:
+        """One dense stage operand from received feature-column pieces:
+        the piece itself for a single-column span (no copy), else a
+        concatenation into the ``key`` workspace."""
+        if len(parts) == 1:
+            return parts[0]
+        buf = self._ws(key, (rows, width))
+        np.concatenate(parts, axis=1, out=buf)
+        return buf
+
+    def _span(self, fsplit, c_lo: int, c_hi: int) -> Tuple[int, int]:
+        """Feature-column span covered by column indices [c_lo, c_hi)."""
+        return fsplit[c_lo][0], fsplit[c_hi - 1][1]
+
+    def _stage_broadcast(self, blocks, f: int):
+        """The stage loop of a replicated-W product over ``blocks``:
+        in stage ``t`` every row group's ``t``-th member broadcasts its
+        feature-column block row-wise.  Yields ``(t, lo, hi, recv)`` per
+        non-empty stage of the ``f``-split -- ``recv`` the received
+        payloads indexed like :attr:`_row_group_list` (shared by the
+        whole group under copy-on-write; ``None`` for non-local groups
+        on the multiprocess backend) -- staged through
+        :meth:`_broadcast_routed`.  ``f`` also sizes the charges from
+        structure (the broadcast block is ``group rows x stage width``).
+        """
+        fcols = self._fsplit(f)
+
+        def nbytes(root: int) -> int:
+            lo, hi = fcols[self._out_col(root)]
+            return self._rows_of(root) * (hi - lo) * self.WB
+
+        stages = [(t, lo, hi) for t, (lo, hi) in enumerate(fcols) if hi > lo]
+        received = self._broadcast_routed(
+            (RoutedBroadcast(
+                ("sbch", f, t),
+                [(group, group[t]) for group in self._row_group_list],
+                blocks, Category.DCOMM, nbytes),)
+            for t, _, _ in stages
+        )
+        for (t, lo, hi), (recv,) in zip(stages, received):
+            yield t, lo, hi, recv
+
+    def _matmul_w(self, t_blocks, w: np.ndarray, f_in: int, f_out: int,
+                  ws_key=None):
+        """``T W`` for grid-distributed ``T`` and replicated ``W``.
+
+        Each stage computes one GEMM per *local* row group over the
+        group's local feature-column span (the received stage block times
+        the matching ``W`` column span) and every local rank's block is a
+        view of its group's accumulator -- column blocks of a product are
+        independent, so per-rank results are unchanged while the GEMM
+        count drops from ``stages x P`` to ``stages x Pr``.  With every
+        rank local the span is the whole width, which is bitwise the
+        historical full-width fast path; a multiprocess worker computes
+        just its own ranks' columns.  Per-rank GEMM charges are global
+        and untouched.  ``ws_key`` names a workspace for the group
+        accumulators (callers whose result is cached across the epoch
+        pass a per-layer key).
+        """
+        groups_info = self._local_group_info
+        fouts = self._fsplit(f_out)
+        accs = []
+        for gi, group, members, (c_lo, c_hi) in groups_info:
+            rows = self._grows(group)
+            o_lo, o_hi = self._span(fouts, c_lo, c_hi)
+            if ws_key is not None:
+                acc = self._ws(("mw", ws_key, gi), (rows, o_hi - o_lo))
+                acc.fill(0.0)
+            else:
+                acc = np.zeros((rows, o_hi - o_lo))
+            accs.append((acc, o_lo, o_hi))
+
+        def stage_charges(lo: int, hi: int):
+            for group in self._row_group_list:
+                rows = self._grows(group)
+                for r in group:
+                    o0, o1 = fouts[self._out_col(r)]
+                    yield r, 2.0 * rows * (hi - lo) * (o1 - o0)
+
+        for t, lo, hi, recv in self._stage_broadcast(t_blocks, f_in):
+            w_stage = w[lo:hi, :]
+            for idx, (gi, group, members, span) in enumerate(groups_info):
+                acc, o_lo, o_hi = accs[idx]
+                w_span = (w_stage if o_hi - o_lo == f_out
+                          else w_stage[:, o_lo:o_hi])
+                acc += forward_gemm(recv[gi], w_span)
+            self._charge_kernel(
+                "gemm", ("mwch", f_in, f_out, t),
+                lambda lo=lo, hi=hi: stage_charges(lo, hi),
+            )
+        out = {}
+        for idx, (gi, group, members, span) in enumerate(groups_info):
+            acc, o_lo, o_hi = accs[idx]
+            for r in members:
+                o0, o1 = fouts[self._out_col(r)]
+                out[r] = acc[:, o0 - o_lo : o1 - o_lo]
+        return out
+
+    def _weight_grad(self, t_blocks, g_blocks, f_in: int, f_out: int):
+        """``Y^l = T^T G`` (Equation 3): stage broadcasts of T's column
+        blocks, partial outer GEMMs, one world all-reduce.
+
+        Like :meth:`_matmul_w`, the outer GEMM runs once per row group
+        against the group's full-width ``G`` rows (re-assembled once per
+        call) and each rank's zero-padded partial takes its column band
+        from the shared product; bands of ``T^T [G_0 | ... ]`` equal the
+        per-band GEMMs, and the world all-reduce of the padded partials
+        is exactly the historical reduction -- same charges, same result.
+        """
+        groups_info = self._local_group_info
+        fouts = self._fsplit(f_out)
+        g_rows = []
+        for gi, group, members, (c_lo, c_hi) in groups_info:
+            parts = [g_blocks[r] for r in members]
+            o_lo, o_hi = self._span(fouts, c_lo, c_hi)
+            buf = self._ws(("grows", gi, f_out),
+                           (parts[0].shape[0], o_hi - o_lo))
+            np.concatenate(parts, axis=1, out=buf)
+            g_rows.append((buf, o_lo))
+        partials = {}
+        for r in t_blocks:
+            buf = self._ws(("wgp", r, f_in, f_out), (f_in, f_out))
+            buf.fill(0.0)
+            partials[r] = buf
+
+        def stage_charges(lo: int, hi: int):
+            for group in self._row_group_list:
+                rows = self._grows(group)
+                for r in group:
+                    o0, o1 = fouts[self._out_col(r)]
+                    yield r, 2.0 * (hi - lo) * rows * (o1 - o0)
+
+        for t, lo, hi, recv in self._stage_broadcast(t_blocks, f_in):
+            for idx, (gi, group, members, span) in enumerate(groups_info):
+                buf, o_lo = g_rows[idx]
+                band = weight_gradient(recv[gi], buf)  # (hi-lo, local span)
+                for r in members:
+                    o0, o1 = fouts[self._out_col(r)]
+                    partials[r][lo:hi, o0:o1] += band[:, o0 - o_lo : o1 - o_lo]
+            self._charge_kernel(
+                "gemm", ("wgch", f_in, f_out, t),
+                lambda lo=lo, hi=hi: stage_charges(lo, hi),
+            )
+        y = self._obs_call(
+            "allreduce", Category.DCOMM, self.rt.coll.allreduce,
+            self.world_group, partials, category=Category.DCOMM,
+        )
+        return next(iter(y.values()))
+
+    def _row_allgather(self, blocks, f: int):
+        """Full rows on every local rank (concurrent per-row-group
+        gathers) -- what the row-wise log_softmax needs.  Every member of
+        a row group receives the same contributions, so the concatenation
+        happens once per (local) group and the joined rows are shared
+        read-only.  Charges are global and sized from structure (``group
+        rows x f``); the data plane moves only the groups this process
+        participates in."""
+        got = self._collective(
+            "allgather", ("ragch", f), Category.DCOMM, self._row_group_list,
+            blocks,
+            lambda: [(group, self._grows(group) * f * self.WB)
+                     for group in self._row_group_list],
+            span="row_allgather",
+        )
+        full = {}
+        for gi, group, members, span in self._local_group_info:
+            joined = np.concatenate(got[members[0]], axis=1)
+            joined.flags.writeable = False
+            for r in members:
+                full[r] = joined
+        return full
+
+    # ------------------------------------------------------------------ #
+    # the shared epoch
+    # ------------------------------------------------------------------ #
+    def _charge_band_elementwise(self, key, f: int,
+                                 bytes_per_elem: float) -> None:
+        """Structural elementwise charge over every rank's ``f``-split
+        feature-column block (``rows x band`` elements each)."""
+        def builder():
+            fcols = self._fsplit(f)
+            for group in self._row_group_list:
+                rows = self._grows(group)
+                for r in group:
+                    b0, b1 = fcols[self._out_col(r)]
+                    yield r, rows * (b1 - b0) * bytes_per_elem
+        self._charge_kernel("elementwise", key, builder)
+
+    def _charge_full_elementwise(self, key, f: int,
+                                 bytes_per_elem: float) -> None:
+        """Structural elementwise charge over every rank's *full-width*
+        gathered rows (``rows x f`` elements each)."""
+        def builder():
+            for group in self._row_group_list:
+                rows = self._grows(group)
+                for r in group:
+                    yield r, rows * f * bytes_per_elem
+        self._charge_kernel("elementwise", key, builder)
+
+    def _forward_layers(self, h_blocks):
+        caches = []
+        last = self.model.num_layers - 1
+        for l, layer in enumerate(self.model.layers):
+            f_in, f_out = layer.f_in, layer.f_out
+            t_blocks = self._obs_call(
+                "spmm.fwd", "spmm", self._grid_spmm,
+                self.a_t_blocks, h_blocks, f_in, ws_key=("t", l),
+            )
+            z_blocks = self._matmul_w(t_blocks, layer.weight, f_in, f_out,
+                                      ws_key=("z", l))
+            cache = {"t": t_blocks, "z": z_blocks}
+            if l < last:
+                h_blocks = {r: layer.activation.forward(z_blocks[r])
+                            for r in z_blocks}
+                self._charge_band_elementwise(("gef", l), f_out,
+                                              2.0 * self.WB)
+            else:
+                # log_softmax is row-wise: gather full rows first.  The
+                # gathered rows are shared per row group, so the forward
+                # runs once per group; the per-rank column re-extraction
+                # of the final H was dead work (both callers read
+                # ``out_full``) and is skipped.
+                z_full = self._row_allgather(z_blocks, f_out)
+                h_full = self._map_blocks(z_full, layer.activation.forward)
+                self._charge_full_elementwise(("gel",), f_out, 2.0 * self.WB)
+                h_blocks = {}
+                cache["z_full"] = z_full
+                cache["out_full"] = h_full
+            caches.append(cache)
+        return h_blocks, caches
+
+    def _forward_pass(self) -> np.ndarray:
+        _, caches = self._forward_layers(self._h0)
+        return self._assemble(caches[-1]["out_full"])
+
+    def _run_epoch(self) -> Tuple[float, float]:
+        _, caches = self._forward_layers(self._h0)
+        self._set_epoch_output(caches[-1]["out_full"])
+        f_last = self.widths[-1]
+        out_full = caches[-1]["out_full"]
+
+        # ---- loss: feature-column 0 contributes, everyone receives ----
+        zeros2 = np.zeros(2)
+        terms = self._dedup(
+            out_full,
+            lambda r: (id(out_full[r])
+                       if self._out_col(r) == 0 else "zero"),
+            lambda r: (self._masked_loss_terms(*self._rank_rows(r),
+                                               out_full[r])
+                       if self._out_col(r) == 0 else zeros2),
+        )
+        totals = self._obs_call(
+            "allreduce", Category.DCOMM, self.rt.coll.allreduce,
+            self.world_group, terms, category=Category.DCOMM,
+        )
+        loss, acc = self._finish_loss(next(iter(totals.values())))
+
+        # ---- backward ----
+        fcols = self._fsplit(f_last)
+        z_full_last = caches[-1]["z_full"]
+
+        def grad_full(r: int) -> np.ndarray:
+            lo, hi = self._rank_rows(r)
+            return self.logsm.backward(
+                z_full_last[r], self._grad_out_rows(lo, hi, f_last)
+            )
+
+        g_full = self._dedup(out_full, lambda r: id(z_full_last[r]),
+                             grad_full)
+        g_blocks = {}
+        for r in out_full:
+            c0, c1 = fcols[self._out_col(r)]
+            g_blocks[r] = g_full[r][:, c0:c1]
+        self._charge_full_elementwise(("geg",), f_last, 3.0 * self.WB)
+        self._charge_epoch_transpose()
+
+        grads: List[Optional[np.ndarray]] = [None] * self.model.num_layers
+        for l in range(self.model.num_layers - 1, -1, -1):
+            layer = self.model.layers[l]
+            f_in, f_out = layer.f_in, layer.f_out
+            # A G^l is charged at every layer (incl. l = 0), mirroring
+            # the serial kernel and the analytic models.
+            ag_blocks = self._obs_call(
+                "spmm.bwd", "spmm", self._grid_spmm,
+                self.a_blocks, g_blocks, f_out, ws_key=("ag",),
+            )
+            grads[l] = self._weight_grad(caches[l]["t"], g_blocks, f_in, f_out)
+            if l > 0:
+                gh_blocks = self._matmul_w(
+                    ag_blocks, layer.weight.T, f_out, f_in
+                )
+                z_prev = caches[l - 1]["z"]
+                g_blocks = {
+                    r: self.model.layers[l - 1].activation.backward(
+                        z_prev[r], gh_blocks[r]
+                    )
+                    for r in gh_blocks
+                }
+                self._charge_band_elementwise(("geb", l), f_in, 3.0 * self.WB)
+        self.optimizer.step(self.model.weights, grads)
+        return loss, acc

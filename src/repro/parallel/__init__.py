@@ -23,10 +23,10 @@ Architecture map (driver process on the left, P-rank workers right)::
           │ heartbeat (shared counters)          batches, stats()
           │                    WorkerRuntime     runtime.py -- Runtime
           │                        │             protocol, local_ranks
-          │                 ProcessCollectives   collectives.py -- SPMD
-          │                        │             data plane + full-world
-          │                        │             alpha-beta charging; one
-          │                        │             rendezvous per collective
+          │                 ProcessCollectives   collectives.py -- the
+          │                        │             collectives' transport
+          │                        │             hooks over the channel;
+          │                        │             one rendezvous per call
           │              PeerChannel | TcpChannel
           │               channel.py | tcp.py -- ChannelBase.post /
           │                        │             collect: per-peer outbox,
@@ -86,11 +86,15 @@ Layer responsibilities:
   on non-blocking sockets, a sender thread per connection for what a
   post could not write at once, loopback or ``REPRO_PARALLEL_HOSTS``
   rendezvous -- ranks can span machines;
-* ``collectives.py``-- the :class:`~repro.comm.collectives.Collectives`
-  API for a rank-local worker: reductions fold in group-rank order (a
-  fixed tree) so results match the virtual runtime bit for bit on
-  either transport; the three routed collectives share one
-  ``_routed_post`` / ``_routed_collect`` pair;
+* ``collectives.py``-- the four transport hooks
+  :class:`~repro.comm.collectives.Collectives` writes every collective
+  against, for a rank-local worker: ``_contributions`` (one ``("cg",
+  group)`` rendezvous gathers a group's contributions; the inherited
+  reductions fold them in group-rank order, a fixed tree, so results
+  match the virtual runtime bit for bit on either transport), the
+  ``_routed_post`` / ``_routed_collect`` pair all three routed kinds
+  share, and ``_members``.  Cost rules, argument checks, receipt labels
+  and sanitizer hooks are inherited, not mirrored;
 * ``runtime.py``    -- :class:`WorkerRuntime` (the rank-local
   :class:`~repro.comm.runtime.Runtime`), :class:`ParallelRuntime` and
   :class:`ParallelAlgorithm` (driver-side, VirtualRuntime-shaped);

@@ -44,7 +44,7 @@ from repro.parallel.collectives import ProcessCollectives
 from repro.sparse.csr import CSRMatrix
 
 if TYPE_CHECKING:  # runtime imports dist lazily; annotate without the cycle
-    from repro.dist.base import DistTrainHistory, EpochStats
+    from repro.dist.history import DistTrainHistory, EpochStats
     from repro.parallel.backend import ProcessBackend
 
 __all__ = [
@@ -216,7 +216,7 @@ class ParallelAlgorithm:
         :meth:`ParallelRuntime.backend_stats`), preserving the
         O(1)-dispatches-per-fit invariant.
         """
-        from repro.dist.base import DistTrainHistory
+        from repro.dist.history import DistTrainHistory
         from repro.obs import events as _events
         from repro.obs import spans as _spans
         from repro.parallel.backend import RECOVERABLE_ERRORS

@@ -399,8 +399,8 @@ class SendRecvPhase:
 class GatherRowsPhase:
     """One ghost-row exchange: per-rank received bytes + source counts.
 
-    Mirrors :meth:`repro.comm.collectives.Collectives.
-    gather_rows_charges_sized`'s receive-side accounting: rank ``i``
+    Mirrors the ``gather_rows`` rule of :meth:`repro.comm.collectives.
+    Collectives.charges` -- receive-side accounting: rank ``i``
     spends ``nsources[i] * alpha + beta * nbytes[i]`` seconds and books
     exactly ``nbytes[i]`` received bytes -- the partition-aware term
     whose total is ``sum_i r_i * f * itemsize``.
@@ -772,7 +772,7 @@ def evaluate_schedule(
 
 
 # ---------------------------------------------------------------------- #
-# shared epoch skeletons (mirroring repro.dist.base)
+# shared epoch skeletons (mirroring repro.dist.blockrow / repro.dist.grid)
 # ---------------------------------------------------------------------- #
 def emit_blockrow_epoch(
     b: ScheduleBuilder,
@@ -783,7 +783,7 @@ def emit_blockrow_epoch(
     replicated_allreduce: Callable[[int], None],
     pre_backward: Optional[Callable[[], None]] = None,
 ) -> None:
-    """The :class:`~repro.dist.base.BlockRowAlgorithm` epoch, symbolically.
+    """The :class:`~repro.dist.blockrow.BlockRowAlgorithm` epoch, symbolically.
 
     Phase-for-phase mirror of ``BlockRowAlgorithm._run_epoch`` (forward
     sweep, loss reduction, backward recursion); the callables plug in the
@@ -847,7 +847,7 @@ def emit_grid_epoch(
     row_allgather: Callable[[int], None],
     epoch_transpose: Callable[[], None],
 ) -> None:
-    """The :class:`~repro.dist.base.GridAlgorithm` epoch, symbolically.
+    """The :class:`~repro.dist.grid.GridAlgorithm` epoch, symbolically.
 
     Phase-for-phase mirror of ``GridAlgorithm._run_epoch`` shared by the
     2D SUMMA and Split-3D emitters; ``grid_spmm(f, backward)`` selects the

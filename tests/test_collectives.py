@@ -46,14 +46,6 @@ class TestBroadcast:
             assert out[r].base is value
             assert not out[r].flags.writeable
 
-    def test_materialized_copies_are_independent(self):
-        rt, coll = make_coll()
-        value = np.ones((2, 2))
-        out = coll.broadcast([0, 1], root=0, value=value, materialize=True)
-        assert out[0] is value          # root keeps its buffer
-        out[1][0, 0] = 99.0             # private writable copy
-        assert value[0, 0] == 1.0
-
     def test_root_must_be_member(self):
         rt, coll = make_coll()
         with pytest.raises(ValueError, match="root"):
@@ -149,58 +141,8 @@ class TestAllreduceAndReduce:
         for r in range(4):
             np.testing.assert_allclose(out[r], 6.0)
 
-    def test_allreduce_custom_op(self):
-        rt, coll = make_coll(2)
-        values = {0: np.array([1.0, 5.0]), 1: np.array([3.0, 2.0])}
-        out = coll.allreduce([0, 1], values, op=np.maximum)
-        np.testing.assert_array_equal(out[0], [3.0, 5.0])
-
-    def test_reduce_to_root(self):
-        rt, coll = make_coll()
-        values = {r: np.ones(4) for r in range(4)}
-        acc = coll.reduce(range(4), values, root=2)
-        np.testing.assert_allclose(acc, 4.0)
-
-
-class TestScatterGatherAlltoall:
-    def test_scatter(self):
-        rt, coll = make_coll(3)
-        shards = [np.full(2, float(i)) for i in range(3)]
-        out = coll.scatter([0, 1, 2], shards, root=0)
-        for r in range(3):
-            np.testing.assert_array_equal(out[r], [float(r)] * 2)
-
-    def test_scatter_shard_count_mismatch(self):
-        rt, coll = make_coll(3)
-        with pytest.raises(ValueError, match="shards"):
-            coll.scatter([0, 1, 2], [np.ones(1)], root=0)
-
-    def test_gather(self):
-        rt, coll = make_coll(3)
-        values = {r: np.full(1, float(r)) for r in range(3)}
-        out = coll.gather([0, 1, 2], values, root=1)
-        np.testing.assert_array_equal(np.concatenate(out), [0.0, 1.0, 2.0])
-
-    def test_alltoall_transposes_buckets(self):
-        rt, coll = make_coll(3)
-        buckets = {
-            r: [np.array([float(10 * r + j)]) for j in range(3)]
-            for r in range(3)
-        }
-        out = coll.alltoall(range(3), buckets)
-        # Receiver j gets [bucket[0][j], bucket[1][j], bucket[2][j]].
-        for j in range(3):
-            got = np.concatenate(out[j])
-            np.testing.assert_array_equal(got, [j, 10 + j, 20 + j])
-
-    def test_alltoall_wrong_bucket_count(self):
-        rt, coll = make_coll(2)
-        with pytest.raises(ValueError, match="buckets"):
-            coll.alltoall([0, 1], {0: [np.ones(1)], 1: [np.ones(1)] * 2})
-
-
 class TestCopyOnWrite:
-    """Default collectives share read-only buffers; mutation raises."""
+    """Collectives share read-only buffers; mutation raises."""
 
     def test_allreduce_returns_one_shared_readonly_array(self):
         # Regression: the historical {r: acc.copy()} handed every rank a
@@ -236,14 +178,6 @@ class TestCopyOnWrite:
             with pytest.raises(ValueError):
                 out[r][0, 0] = 0.0
 
-    def test_materialize_restores_private_writable_buffers(self):
-        rt, coll = make_coll()
-        values = {r: np.full((2, 2), float(r)) for r in range(4)}
-        out = coll.allreduce(range(4), values, materialize=True)
-        assert out[0] is not out[1]
-        out[0][0, 0] = -1.0  # writable, private
-        np.testing.assert_allclose(out[1], 6.0)
-
     def test_sparse_blocks_are_shared_not_copied(self):
         # CSR blocks are structurally immutable; sharing them preserves
         # the cached scipy wrapper across epochs (the SpMM fast path).
@@ -252,56 +186,29 @@ class TestCopyOnWrite:
         out = coll.broadcast([0, 1], root=0, value=block)
         assert out[0] is block and out[1] is block
 
-    def test_cow_and_materialized_charges_identical(self):
-        rt1, coll1 = make_coll()
-        rt2, coll2 = make_coll()
-        values = {r: np.full((4, 4), float(r)) for r in range(4)}
-        coll1.allreduce(range(4), values)
-        coll2.allreduce(range(4), values, materialize=True)
-        for r in range(4):
-            a = rt1.tracker.per_rank[r][Category.DCOMM]
-            b = rt2.tracker.per_rank[r][Category.DCOMM]
-            assert (a.seconds, a.bytes, a.messages) == (
-                b.seconds, b.bytes, b.messages)
-
-    def test_custom_non_ufunc_op_still_works(self):
-        rt, coll = make_coll(2)
-        values = {0: np.array([1.0, 5.0]), 1: np.array([3.0, 2.0])}
-        out = coll.allreduce(
-            [0, 1], values, op=lambda a, b: np.minimum(a, b))
-        np.testing.assert_array_equal(out[0], [1.0, 2.0])
-
-
 class TestSendrecvAndBarrier:
+    """Point-to-point is the pairs form: ``move`` is the data movement,
+    ``charges`` the receive-side rule."""
+
     def test_sendrecv_returns_readonly_view(self):
         rt, coll = make_coll(2)
         v = np.ones(4)
-        got = coll.sendrecv(0, 1, v)
+        (got,) = coll.move("sendrecv", [(0, 1)], {0: v})
         np.testing.assert_array_equal(got, v)
         assert got is not v
         assert not got.flags.writeable
-        got_own = coll.sendrecv(0, 1, v, materialize=True)
-        assert got_own.base is None and got_own.flags.writeable
 
     def test_sendrecv_same_rank_noop(self):
         rt, coll = make_coll(2)
         v = np.ones(4)
-        assert coll.sendrecv(0, 0, v) is v
+        assert coll.move("sendrecv", [(0, 0)], {0: v})[0] is v
+        rt.tracker.charge_many(
+            Category.DCOMM, coll.charges("sendrecv", [(0, 0, v.nbytes)]))
         assert rt.tracker.total_bytes() == 0
 
     def test_sendrecv_charges_receiver_only(self):
         rt, coll = make_coll(2)
-        coll.sendrecv(0, 1, np.ones(4))
+        rt.tracker.charge_many(
+            Category.DCOMM, coll.charges("sendrecv", [(0, 1, 32)]))
         assert rt.tracker.per_rank[0][Category.DCOMM].bytes == 0
         assert rt.tracker.per_rank[1][Category.DCOMM].bytes == 32
-
-    def test_barrier_charges_latency_only(self):
-        rt, coll = make_coll(4)
-        coll.barrier(range(4))
-        assert rt.tracker.total_bytes() == 0
-        assert rt.tracker.wall_seconds() > 0
-
-    def test_barrier_single_rank_free(self):
-        rt, coll = make_coll(2)
-        coll.barrier([0])
-        assert rt.tracker.wall_seconds() == 0.0

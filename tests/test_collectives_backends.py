@@ -1,0 +1,331 @@
+"""Every collective on every backend: the oracle behind "one definition".
+
+``repro.comm.collectives.Collectives`` defines each kind once against
+four transport hooks and ``ProcessCollectives`` overrides only the hooks,
+so nothing but these tests has to check that the backends agree:
+
+* each kind -- its charged form and its step form (cost rule replayed +
+  data movement) -- run on a ``VirtualRuntime`` and on 2 and 3
+  ``WorkerRuntime``s over shm and tcp hands every local rank the same
+  read-only receipt and leaves every process the same ledger, also when
+  a worker has no rank in a step's groups or routes;
+* the reduce-scatter ``bounds`` check fires from every form on both;
+* under the sanitizer a worker registers and re-hashes exactly the
+  receipts the virtual runtime does, and audits the same exchanges.
+
+Worker runtimes run as threads of this process over a real channel
+fabric (the ``fabric`` fixture of ``test_parallel_tickets.py``).
+"""
+
+from __future__ import annotations
+
+import threading
+
+import numpy as np
+import pytest
+
+from test_parallel_tickets import fabric, run_threads  # noqa: F401
+
+from repro.analysis import sanitize
+from repro.analysis.sanitize import Sanitizer
+from repro.comm import VirtualRuntime
+from repro.comm.mesh import Mesh1D
+from repro.comm.tracker import Category
+from repro.dist.registry import (ALGORITHMS, make_distribution,
+                                 make_runtime_for)
+from repro.graph import make_synthetic
+from repro.parallel import WorkerRuntime, ledger_digest, owner_map
+
+P = 4
+WORLD = (0, 1, 2, 3)
+#: ranks 0-2 only: at W = 3 (owners 0, 0, 1, 2) worker 2 sits these out
+PART = (0, 1, 2)
+BACKENDS = [("shm", 2), ("shm", 3), ("tcp", 2), ("tcp", 3)]
+
+
+def dense(rank, rows=6, cols=3):
+    return np.random.default_rng(100 + rank).standard_normal((rows, cols))
+
+
+def mostly_empty(rank):
+    out = np.zeros((6, 3))
+    out[rank] = dense(rank)[rank]
+    return out
+
+
+def local(rt, make, ranks=WORLD):
+    return {r: make(r) for r in ranks if rt.is_local(r)}
+
+
+def step(rt, kind, where, payloads, sizes, **kw):
+    """The step form: the cost rule from sizes alone, charged on every
+    process, then the data movement of the local part."""
+    rt.tracker.charge_many(Category.DCOMM, rt.coll.charges(kind, sizes))
+    return rt.coll.move(kind, where, payloads, **kw)
+
+
+# One program per kind: what every process of the SPMD run executes.
+def run_broadcast(rt):
+    value = dense(1) if rt.is_local(1) else None
+    charged = rt.coll.broadcast(WORLD, 1, value, pipelined=True)
+    # split-phase, two concurrent routes, one of them inside PART
+    routes = [(PART, 2), (WORLD, 0)]
+    rt.tracker.charge_many(Category.SCOMM, rt.coll.charges(
+        "broadcast", [(PART, dense(2).nbytes), (WORLD, dense(0).nbytes)]))
+    posted = rt.coll.post("broadcast", routes, local(rt, dense, (0, 2)))
+    return charged, rt.coll.collect(posted)
+
+
+def run_allgather(rt):
+    charged = rt.coll.allgather(WORLD, local(rt, dense))
+    stepped = step(rt, "allgather", [PART], local(rt, dense, PART),
+                   [(PART, 3 * dense(0).nbytes)])
+    return charged, stepped
+
+
+def run_allreduce(rt):
+    charged = rt.coll.allreduce(WORLD, local(rt, dense))
+    stepped = step(rt, "allreduce", [PART, (3,)], local(rt, dense),
+                   [(PART, dense(0).nbytes), ((3,), dense(0).nbytes)],
+                   donate_first=True)
+    return charged, stepped
+
+
+def run_reduce_scatter(rt):
+    bounds = [(0, 1), (1, 1), (1, 4), (4, 6)]
+    charged = rt.coll.reduce_scatter(WORLD, local(rt, dense), bounds=bounds)
+    stepped = step(rt, "reduce_scatter", [PART], local(rt, dense, PART),
+                   [(PART, dense(0).nbytes)], axis=1)
+    return charged, stepped
+
+
+def run_sparse_reduce_scatter(rt):
+    return rt.coll.sparse_reduce_scatter(WORLD, local(rt, mostly_empty)), {}
+
+
+def run_sendrecv(rt):
+    pairs = [(0, 2), (1, 1), (2, 0), (1, 0)]
+    sizes = [(src, dst, dense(src).nbytes) for src, dst in pairs]
+    payloads = local(rt, dense, PART)
+    out = step(rt, "sendrecv", pairs, payloads, sizes)
+    if rt.is_local(1):
+        # a self-send passes the payload through as is: no receipt
+        assert out[1] is payloads[1]
+    out[1] = None
+    return {}, out
+
+
+def run_gather_rows(rt):
+    pairs = [(0, 1, np.array([1, 3])), (2, 1, np.array([0])),
+             (1, 2, np.array([5, 2])), (3, 0, np.array([4])),
+             (0, 3, np.array([2]))]
+    row = dense(0).nbytes // 6
+    charged = rt.coll.gather_rows(pairs, local(rt, dense), row)
+    inner = pairs[:3]
+    stepped = step(rt, "gather_rows", inner, local(rt, dense, PART),
+                   [(1, 3 * row, 2), (2, 2 * row, 1)])
+    return charged, stepped
+
+
+PROGRAMS = {
+    "broadcast": run_broadcast,
+    "allgather": run_allgather,
+    "allreduce": run_allreduce,
+    "reduce_scatter": run_reduce_scatter,
+    "sparse_reduce_scatter": run_sparse_reduce_scatter,
+    "sendrecv": run_sendrecv,
+    "gather_rows": run_gather_rows,
+}
+
+
+def same_receipt(got, want):
+    """``got`` is ``want`` where this process is a destination; a
+    routed list carries ``None`` for the routes it is none of."""
+    if isinstance(want, list):
+        assert len(got) == len(want)
+        return sum(same_receipt(g, w) for g, w in zip(got, want)
+                   if g is not None)
+    np.testing.assert_array_equal(got, want)
+    assert not got.flags.writeable
+    return 1
+
+
+def spmd(fabric, transport, workers, mesh, program):
+    """Run ``program(rt)`` on ``workers`` worker runtimes in threads."""
+    chans = fabric(transport, workers).chans
+    owners = owner_map(mesh.size, workers)
+
+    def worker(ch):
+        rt = WorkerRuntime(mesh, None, ch, owners)
+        return rt, program(rt)
+
+    return run_threads(
+        {w: (lambda w=w: worker(chans[w])) for w in range(workers)})
+
+
+def same_receipts(rt, got, want):
+    """``rt``'s results are the virtual runtime's for its local ranks;
+    returns how many receipts were compared."""
+    if isinstance(want, dict):
+        # group kinds and the charged broadcast: {rank: receipt}, for
+        # exactly the local ranks of the groups moved
+        assert sorted(got) == [r for r in sorted(want) if rt.is_local(r)]
+        return sum(same_receipt(got[r], want[r]) for r in got)
+    return same_receipt(got, want)
+
+
+@pytest.mark.parametrize("transport,workers", BACKENDS)
+@pytest.mark.parametrize("kind", sorted(PROGRAMS))
+def test_every_kind_agrees_with_the_virtual_runtime(fabric, kind, transport,
+                                                    workers):
+    program = PROGRAMS[kind]
+    virt = VirtualRuntime.make_1d(P)
+    wants = program(virt)
+    seen = []
+    for rt, gots in [(virt, wants)] + list(spmd(
+            fabric, transport, workers, Mesh1D(size=P), program).values()):
+        assert ledger_digest(rt.tracker) == ledger_digest(virt.tracker)
+        seen.append(sum(same_receipts(rt, got, want)
+                        for got, want in zip(gots, wants)))
+    # between them the workers received everything the virtual ranks did
+    # (a broadcast's one receipt goes to every member worker)
+    assert sum(seen[1:]) >= seen[0] > 0
+
+
+def test_routed_receipts_go_to_the_destinations_only(fabric):
+    """At W = 3 worker 2 owns rank 3 alone: it gets the one route that
+    names rank 3 and ``None`` for the rest -- and still charges them
+    all, also the step whose routes it has no part in."""
+    res = spmd(fabric, "shm", 3, Mesh1D(size=P), run_gather_rows)
+    rt2, (charged2, stepped2) = res[2]
+    assert rt2.local_ranks == (3,)
+    assert [c is not None for c in charged2] == [
+        False, False, False, False, True]
+    assert stepped2 == [None] * 3
+    rt0, (charged0, _) = res[0]
+    assert rt0.local_ranks == (0, 1)
+    assert [c is not None for c in charged0] == [
+        True, True, False, True, False]
+    assert ledger_digest(rt2.tracker) == ledger_digest(rt0.tracker)
+
+
+# --------------------------------------------------------------------- #
+# one bounds check, in the one reduce-scatter definition
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("backend", ["virtual", "worker"])
+@pytest.mark.parametrize("form", ["reduce_scatter", "sparse_reduce_scatter",
+                                  "step"])
+def test_bounds_must_name_one_range_per_member(fabric, backend, form):
+    if backend == "virtual":
+        rt = VirtualRuntime.make_1d(P)
+    else:  # one worker owning every rank: the worker hooks, no peer
+        rt = WorkerRuntime(Mesh1D(size=P), None,
+                           fabric("shm", 1).chans[0], owner_map(P, 1))
+    values = {r: dense(r) for r in WORLD}
+    short = [(0, 3), (3, 6)]
+    with pytest.raises(ValueError, match="2 shard bounds for a group of 4"):
+        if form == "step":
+            rt.coll.move("reduce_scatter", [WORLD], values, bounds=short)
+        else:
+            getattr(rt.coll, form)(WORLD, values, bounds=short)
+
+
+# --------------------------------------------------------------------- #
+# sanitizer coverage is the same on workers
+# --------------------------------------------------------------------- #
+class PerThreadSanitizer:
+    """Stands in for ``sanitize.ACTIVE``: every hook goes to the calling
+    thread's own :class:`Sanitizer`, so worker runtimes run as threads
+    keep the separate counters worker processes would."""
+
+    def __init__(self):
+        self._local = threading.local()
+
+    def mine(self) -> Sanitizer:
+        san = getattr(self._local, "san", None)
+        if san is None:
+            san = self._local.san = Sanitizer()
+        return san
+
+    def __getattr__(self, name):
+        return getattr(self.mine(), name)
+
+
+@pytest.fixture
+def per_thread_sanitizer(monkeypatch):
+    proxy = PerThreadSanitizer()
+    monkeypatch.setattr(sanitize, "ACTIVE", proxy)
+    return proxy
+
+
+@pytest.fixture(scope="module")
+def ds():
+    return make_synthetic(n=60, avg_degree=4, f=8, n_classes=3, seed=11)
+
+
+def fit_on(rt, ds, name, kw, epochs=2):
+    algo = ALGORITHMS[name](rt, ds.adjacency,
+                            ds.layer_widths(hidden=8, layers=3), seed=0, **kw)
+    hist = algo.fit(ds.features, ds.labels, epochs=epochs)
+    return [e.loss for e in hist.epochs]
+
+
+CASES = [
+    ("1d", 4, lambda ds: {}),
+    ("1d", 4, lambda ds: {
+        "variant": "ghost",
+        "distribution": make_distribution("multilevel", ds.adjacency, 4,
+                                          seed=0)}),
+    ("1.5d", 4, lambda ds: {"replication": 2}),
+    ("3d", 8, lambda ds: {}),
+]
+CASE_IDS = ["1d", "1d-ghost", "1.5d", "3d"]
+
+
+@pytest.mark.parametrize("name,p,make_kw", CASES, ids=CASE_IDS)
+def test_one_worker_owning_every_rank_checks_what_virtual_checks(
+        fabric, ds, name, p, make_kw):
+    """Same program, same receipt labels, same step helper: the counters
+    match exactly (at the parent the worker registered nothing)."""
+    counts = []
+    mesh = make_runtime_for(name, p).mesh
+    for backend in ("virtual", "worker"):
+        san = sanitize.enable()
+        try:
+            if backend == "virtual":
+                rt = VirtualRuntime(mesh)
+            else:
+                rt = WorkerRuntime(mesh, None, fabric("shm", 1).chans[0],
+                                   owner_map(p, 1))
+            losses = fit_on(rt, ds, name, make_kw(ds))
+            counts.append((dict(san.stats), losses,
+                           ledger_digest(rt.tracker)))
+        finally:
+            sanitize.disable()
+    (v_stats, v_losses, v_digest), (w_stats, w_losses, w_digest) = counts
+    assert w_stats == v_stats
+    assert v_stats["cow_registered"] > 0 and v_stats["cow_verified"] > 0
+    assert (w_losses, w_digest) == (v_losses, v_digest)
+
+
+@pytest.mark.parametrize("name,p,make_kw", CASES, ids=CASE_IDS)
+def test_every_worker_rehashes_receipts_and_audits_exchanges(
+        fabric, ds, per_thread_sanitizer, name, p, make_kw):
+    mesh = make_runtime_for(name, p).mesh
+    kw = make_kw(ds)
+    res = spmd(fabric, "shm", 2, mesh,
+               lambda rt: (fit_on(rt, ds, name, kw),
+                           dict(per_thread_sanitizer.mine().stats)))
+    virtual = VirtualRuntime(mesh)
+    v_losses = fit_on(virtual, ds, name, kw)
+    for rt, (losses, stats) in res.values():
+        assert losses == v_losses
+        assert ledger_digest(rt.tracker) == ledger_digest(virtual.tracker)
+        assert stats["cow_registered"] > 0
+        assert stats["cow_verified"] > 0
+        if name == "3d" or kw.get("variant") == "ghost":
+            # the exact-accounting kinds: 3D's point-to-point
+            # fiber-plane routes, the ghost-row fetch
+            assert stats["exchanges_checked"] > 0
+        else:
+            assert stats["exchanges_checked"] == 0

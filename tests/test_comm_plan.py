@@ -255,7 +255,7 @@ class TestSerialEquality:
 
 
 # ---------------------------------------------------------------------- #
-# Batched collective fast paths == their per-call equivalents
+# One step (cost rule replayed + data movement) == its per-call equivalents
 # ---------------------------------------------------------------------- #
 class TestBatchedCollectiveEquivalence:
     def test_broadcast_many_matches_individual_broadcasts(self):
@@ -265,8 +265,11 @@ class TestBatchedCollectiveEquivalence:
             ((0, 1, 2), 1, np.ones((4, 3))),
             ((3, 4, 5), 3, np.ones((2, 7))),
         ]
-        out = rt1.coll.broadcast_many(items, category=Category.DCOMM,
-                                      pipelined=True)
+        rt1.tracker.charge_many(Category.DCOMM, rt1.coll.charges(
+            "broadcast", [(g, v.nbytes) for g, _, v in items],
+            pipelined=True))
+        out = rt1.coll.move("broadcast", [(g, root) for g, root, _ in items],
+                            {root: v for _, root, v in items})
         with rt2.tracker.step_scope():
             for group, root, value in items:
                 rt2.coll.broadcast(group, root, value,
@@ -283,9 +286,12 @@ class TestBatchedCollectiveEquivalence:
         rt1 = VirtualRuntime.make_1d(4)
         rt2 = VirtualRuntime.make_1d(4)
         items = [((0, 1), 0, np.ones(8)), ((2, 3), 2, np.ones(16))]
-        charges = rt1.coll.broadcast_charges(items, pipelined=False)
+        charges = rt1.coll.charges(
+            "broadcast", [(g, v.nbytes) for g, _, v in items],
+            pipelined=False)
         rt1.tracker.charge_many(Category.DCOMM, charges)
-        rt2.coll.broadcast_many(items, category=Category.DCOMM)
+        for group, root, value in items:
+            rt2.coll.broadcast(group, root, value, category=Category.DCOMM)
         for r in range(4):
             a = rt1.tracker.per_rank[r][Category.DCOMM]
             b = rt2.tracker.per_rank[r][Category.DCOMM]
@@ -296,10 +302,15 @@ class TestBatchedCollectiveEquivalence:
         rt1 = VirtualRuntime.make_1d(4)
         rt2 = VirtualRuntime.make_1d(4)
         items = [(0, 1, np.ones(4)), (2, 2, np.ones(3)), (3, 0, np.ones(8))]
-        out = rt1.coll.sendrecv_many(items)
+        rt1.tracker.charge_many(Category.DCOMM, rt1.coll.charges(
+            "sendrecv", [(src, dst, v.nbytes) for src, dst, v in items]))
+        out = rt1.coll.move("sendrecv", [(s, d) for s, d, _ in items],
+                            {s: v for s, _, v in items})
         with rt2.tracker.step_scope():
             for src, dst, v in items:
-                rt2.coll.sendrecv(src, dst, v)
+                rt2.tracker.charge_many(Category.DCOMM, rt2.coll.charges(
+                    "sendrecv", [(src, dst, v.nbytes)]))
+                rt2.coll.move("sendrecv", [(src, dst)], {src: v})
         assert out[1] is items[1][2]  # self-send passes through
         for r in range(4):
             a = rt1.tracker.per_rank[r][Category.DCOMM]

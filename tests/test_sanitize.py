@@ -57,7 +57,7 @@ class TestCowSanitizer:
     def test_clean_receipts_verify_and_drain(self):
         s = Sanitizer()
         s.register_cow("allgather", np.ones(4))
-        s.register_cow("gather", np.ones(2))
+        s.register_cow("reduce_scatter", np.ones(2))
         s.verify_cow()
         assert s.stats["cow_verified"] == 2
         # receipts are epoch-scoped: the registry drains after verify,

@@ -4,8 +4,8 @@ Two layers so the guarantee does not silently vanish with the tool:
 
 * an ``ast``-based coverage check (always runs) -- every public
   function/method in the typed-core modules (``sparse/``, ``comm/``,
-  ``dist/base.py``, ``parallel/runtime.py``) must annotate all of its
-  parameters and its return type;
+  ``dist/base.py`` and the modules split out of it, ``parallel/runtime.py``)
+  must annotate all of its parameters and its return type;
 * a real ``mypy`` pass over the same modules using the
   ``[tool.mypy]`` block in ``pyproject.toml``, skipped when mypy is not
   installed (it is not a runtime dependency; CI installs it for the
@@ -31,6 +31,9 @@ TYPED_TARGETS = [
     os.path.join(SRC_REPRO, "sparse"),
     os.path.join(SRC_REPRO, "comm"),
     os.path.join(SRC_REPRO, "dist", "base.py"),
+    os.path.join(SRC_REPRO, "dist", "history.py"),
+    os.path.join(SRC_REPRO, "dist", "blockrow.py"),
+    os.path.join(SRC_REPRO, "dist", "grid.py"),
     os.path.join(SRC_REPRO, "parallel", "runtime.py"),
 ]
 
