@@ -25,9 +25,13 @@ global read once per hook, one ``is None`` test when disabled):
   the transports pull frames and fails on a replayed or reordered tag,
   naming the worker pair.
 
-Enable with ``REPRO_SANITIZE=1`` (worker processes inherit the variable
-through spawn) or ``repro train --sanitize``.  Sanitized runs are
-bit-equal to unsanitized runs: every check only *reads* training state.
+Enable with ``REPRO_SANITIZE=1`` or ``repro train --sanitize``.  Either
+arms the driver; the process backend tells every worker it launches to
+arm its own (the variable itself never reaches a worker, which is forked
+from a template older than the setting), and
+``backend_stats()["per_worker"]`` carries each worker's check counters.
+Sanitized runs are bit-equal to unsanitized runs: every check only
+*reads* training state.
 """
 
 from __future__ import annotations
@@ -49,8 +53,8 @@ __all__ = [
     "maybe_enable_from_env",
 ]
 
-#: Environment switch; inherited by spawned workers so one setting
-#: covers the whole pool.
+#: Environment switch, read by the driver (``repro train`` and
+#: ``ProcessBackend.start``, which forwards it to the pool's workers).
 ENV_FLAG = "REPRO_SANITIZE"
 
 #: Bound on remembered COW registrations: old receipts are superseded
@@ -201,8 +205,9 @@ def is_enabled() -> bool:
 
 
 def maybe_enable_from_env() -> Optional[Sanitizer]:
-    """Honour ``REPRO_SANITIZE=1``; spawned workers call this on boot so
-    the driver's setting covers the whole pool."""
+    """Honour ``REPRO_SANITIZE=1`` in this process; returns the active
+    sanitizer either way.  Driver-side only: a pool's workers are armed
+    through their ``spec``, not through the environment."""
     if os.environ.get(ENV_FLAG, "") not in ("", "0"):
         return enable()
     return ACTIVE

@@ -130,19 +130,18 @@ def cmd_crossover(_args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from repro.analysis import sanitize as _sanitize
     from repro.dist import make_algorithm
     from repro.graph import make_standin, make_synthetic
     from repro.nn import SGD
 
+    # The in-process sanitizer covers the virtual backend and the
+    # driver; the process backend arms every worker it launches whenever
+    # the driver's is armed (--sanitize and REPRO_SANITIZE=1 alike).
     if args.sanitize:
-        import os
-
-        from repro.analysis import sanitize as _sanitize
-
-        # Env + in-process enable: the variable reaches spawned workers,
-        # the in-process sanitizer covers the virtual backend / driver.
-        os.environ[_sanitize.ENV_FLAG] = "1"
         _sanitize.enable()
+    else:
+        _sanitize.maybe_enable_from_env()
     if args.dataset:
         ds = make_standin(args.dataset, scale_divisor=args.scale, seed=args.seed)
     else:
@@ -301,17 +300,19 @@ def cmd_train(args: argparse.Namespace) -> int:
         ))
         print(f"wall clock: {elapsed:.2f}s for {args.epochs} epochs "
               f"({args.backend} backend)")
-        if args.sanitize:
-            from repro.analysis import sanitize as _sanitize
-
-            san = _sanitize.ACTIVE
-            if san is not None:
-                note = (" (driver-side; workers check their own shares "
-                        "in-process)" if args.backend == "process" else "")
-                print("sanitizers: "
-                      f"{san.stats['cow_verified']} COW receipts verified, "
-                      f"{san.stats['exchanges_checked']} exchange ledgers "
-                      f"checked{note}")
+        san = _sanitize.ACTIVE
+        if san is not None:
+            checks, note = san.stats, ""
+            if backend_stats is not None:
+                # The driver moves no collective payload: the counts
+                # that mean something are the workers', summed.
+                per = [w["sanitizer"] for w in backend_stats["per_worker"]]
+                checks = {k: sum(s[k] for s in per) for k in san.stats}
+                note = " (workers check their own shares)"
+            print("sanitizers: "
+                  f"{checks['cow_verified']} COW receipts verified, "
+                  f"{checks['exchanges_checked']} exchange ledgers "
+                  f"checked{note}")
         if backend_stats is not None:
             st = backend_stats
             print(f"process backend [{st['transport']}]: "

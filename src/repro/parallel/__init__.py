@@ -18,7 +18,7 @@ Architecture map (driver process on the left, P-rank workers right)::
 
     ParallelRuntime ── ParallelAlgorithm        driver-side proxies
           │ programs / results (mp.Queue)       fit = ONE dispatch
-    ProcessBackend ──spawns──> _worker_main x W  backend.py -- resident
+    ProcessBackend ──forks───> _worker_main x W  backend.py -- resident
           │ dispatch arena (bulk fields, shm)    command loop, fused
           │ heartbeat (shared counters)          batches, stats()
           │                    WorkerRuntime     runtime.py -- Runtime
@@ -64,13 +64,25 @@ the arena is full.  On tcp the posting thread writes the frame itself
 when the connection has no backlog and leaves only the unsent tail to
 the connection's sender thread.
 
-Cold start.  ``ParallelRuntime.start()`` launches the pool and returns
-without waiting for it (bare construction stays lazy: the first command
-starts the pool otherwise).  :func:`repro.dist.make_algorithm` calls it
-as soon as its cheap arguments check out and only then partitions the
-graph, so the workers' boot -- interpreter, imports, arena attach,
-rendezvous -- runs under the driver's partitioner instead of after it;
-any failure past that point closes the pool before it propagates.
+Cold start.  Workers are forked from a **worker template**: one clean,
+single-threaded interpreter per driver (``multiprocessing``'s
+forkserver, launched with the BLAS thread pins and the driver's
+``sys.path``) that has imported numpy, ``scipy.sparse`` and every
+``repro`` module a worker uses.  The driver's first pool launches it;
+that pool, every later one and every recovery respawn then pay a
+``fork`` per worker, not an interpreter start plus the imports.  A
+worker inherits the template's state -- never the driver's environment
+-- so every setting it honours (timeout, fault plan, paranoid digests,
+sanitizers) is read by the driver and shipped in the worker's ``spec``.
+``ParallelRuntime.start()`` hands the fork requests to a launcher
+thread and returns without waiting for it (bare construction stays
+lazy: the first command starts the pool otherwise).
+:func:`repro.dist.make_algorithm` calls it as soon as its cheap
+arguments check out and only then partitions the graph, so the
+template's boot (first pool) and the workers' arena attach and
+rendezvous (every pool) run under the driver's partitioner instead of
+after it; the first dispatch joins the launcher, and any failure past
+that point closes the pool before it propagates.
 
 Layer responsibilities:
 
@@ -98,10 +110,10 @@ Layer responsibilities:
 * ``runtime.py``    -- :class:`WorkerRuntime` (the rank-local
   :class:`~repro.comm.runtime.Runtime`), :class:`ParallelRuntime` and
   :class:`ParallelAlgorithm` (driver-side, VirtualRuntime-shaped);
-* ``backend.py``    -- process lifecycle: spawn-context workers, the
-  resident command loop (``fit`` / ``batch`` / ``stats``), bulk
-  dispatch through the driver arena, heartbeat liveness, error
-  propagation, shutdown.
+* ``backend.py``    -- process lifecycle: the worker template and the
+  pools forked from it, the resident command loop (``fit`` / ``batch``
+  / ``stats``), bulk dispatch through the driver arena, heartbeat
+  liveness, error propagation, shutdown.
 
 Entry points::
 

@@ -1,14 +1,27 @@
-"""The process backend: spawn P-rank SPMD worker pools and drive them.
+"""The process backend: fork P-rank SPMD worker pools and drive them.
 
 :class:`ProcessBackend` owns the operating-system resources: worker
-processes (a ``multiprocessing`` **spawn** context -- no inherited
-interpreter state, the same start method ``torch.distributed`` defaults
-to on CUDA), one command queue per worker, one shared result queue, one
+processes, one command queue per worker, one shared result queue, one
 inbox queue per worker for peer traffic, a driver-owned **dispatch
 arena**, and -- for the default ``shm`` transport -- one shared-memory
 arena per worker.  The ``tcp`` transport replaces the worker arenas with
 a full mesh of sockets (:mod:`repro.parallel.tcp`) so the ranks can span
 machines.
+
+Workers are forked from a **worker template**: one clean,
+single-threaded interpreter per driver (``multiprocessing``'s
+forkserver) that has already imported numpy, ``scipy.sparse`` and every
+``repro`` module a worker touches (:data:`_PRELOAD`).  The first pool of
+a driver launches it; that pool, every later pool and every recovery
+respawn then get each worker for the price of a ``fork`` instead of an
+interpreter start plus the imports.  The driver itself is never forked:
+it holds queue-feeder and live-metrics threads and the whole dataset.
+A worker therefore inherits the *template's* state, not the driver's --
+it still imports the driver's ``__main__`` (so script drivers keep their
+``if __name__ == "__main__":`` guard), but it never sees the driver's
+environment: every setting a worker honours travels in the ``spec`` the
+driver builds in :meth:`ProcessBackend.start`, and nothing on the worker
+side reads ``os.environ``.
 
 Commands travel as small pickles: the bulk fields of a payload (the
 feature matrix of ``fit`` / ``setup`` / ``predict``, the ``make_algo``
@@ -34,10 +47,11 @@ a hang -- and a crashed worker fails the command within a fraction of a
 second with an error naming the dead worker and the mesh ranks it owned.
 
 Worker processes pin their BLAS pools to one thread
-(``OMP_NUM_THREADS=1`` etc. at spawn): the backend's parallelism comes
-from running ranks on separate cores, and oversubscribing P workers x N
-BLAS threads on an N-core host destroys exactly the scaling this backend
-exists to demonstrate.
+(``OMP_NUM_THREADS=1`` etc. in the template's environment, before it
+imports numpy): the backend's parallelism comes from running ranks on
+separate cores, and oversubscribing P workers x N BLAS threads on an
+N-core host destroys exactly the scaling this backend exists to
+demonstrate.
 """
 
 from __future__ import annotations
@@ -45,10 +59,12 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import queue
+import sys
 import time
 import traceback
 import weakref
-from multiprocessing import shared_memory
+from concurrent.futures import ThreadPoolExecutor
+from multiprocessing import forkserver, shared_memory
 from typing import Optional
 
 import numpy as np
@@ -89,6 +105,23 @@ TRANSPORTS = ("shm", "tcp")
 _THREAD_PIN_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
+#: What the worker template imports before it serves its first fork:
+#: every module a worker touches up to the end of its first ``make_algo``
+#: + ``fit`` (traced or checkpointed) + ``predict``, so that a forked
+#: worker imports nothing (``tests/test_parallel_boot.py`` holds the list
+#: to that).  numpy, ``scipy.sparse`` and the obs / serialize modules are
+#: in the import closure of the two ``repro`` roots.
+_PRELOAD = (
+    "repro.parallel.backend",
+    "repro.dist",
+    "encodings.idna",   # what a tcp dial encodes its host name with
+    # what unpickling a worker's queues, locks and shared arrays imports
+    "multiprocessing.queues",
+    "multiprocessing.synchronize",
+    "multiprocessing.sharedctypes",
+    "multiprocessing.popen_forkserver",
+)
+
 #: Commands whose results carry a ledger digest when issued standalone.
 _LEDGERED_OPS = frozenset({"train_epoch", "predict", "evaluate"})
 
@@ -103,7 +136,11 @@ LIVE_NSLOTS = 5 + len(SPAN_CATEGORIES)
 
 
 def paranoid_mode() -> bool:
-    """Full per-command/per-epoch digest checking (default: batched)."""
+    """Full per-command/per-epoch digest checking (default: batched).
+
+    A driver-side read: :meth:`ProcessBackend.start` ships the answer to
+    the workers in ``spec``.
+    """
     return os.environ.get("REPRO_PARALLEL_PARANOID", "") not in ("", "0")
 
 
@@ -146,8 +183,46 @@ _TRANSPORT_MARKERS = ("ChannelTimeout", "UnpicklingError",
                       "ConnectionResetError", "BrokenPipeError")
 
 
-def _cleanup(procs, arenas, queues):
+def _worker_template():
+    """The ``multiprocessing`` context every pool forks its workers
+    from, with its server -- the worker template -- running.
+
+    The template is launched once per driver (a later call finds it
+    alive and returns at once) with two things in its environment that
+    it cannot get any other way: the BLAS thread pins, which must be set
+    before numpy is imported, and the driver's ``sys.path`` as
+    ``PYTHONPATH`` -- ``multiprocessing`` before Python 3.12 hands the
+    forkserver a ``sys_path`` it never applies and swallows the preload's
+    ``ImportError``, so a driver that reaches ``repro`` through
+    ``sys.path.insert`` would otherwise get a template that had imported
+    nothing.  Launching is a ``fork`` + ``exec``; the template's own boot
+    (the imports) runs on its own and is waited for by whoever asks it
+    for the first fork -- the pool's launcher thread, not the caller.
+    """
+    ctx = mp.get_context("forkserver")
+    ctx.set_forkserver_preload(list(_PRELOAD))
+    env = dict.fromkeys(_THREAD_PIN_VARS, "1")
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    saved = {v: os.environ.get(v) for v in env}
+    try:
+        os.environ.update(env)
+        forkserver.ensure_running()
+    finally:
+        for v, old in saved.items():
+            if old is None:
+                os.environ.pop(v, None)
+            else:
+                os.environ[v] = old
+    return ctx
+
+
+def _cleanup(launched, procs, arenas, queues):
     """Finalizer: make sure no OS resources outlive the backend."""
+    # Wait for the launcher (its error, if any, is reported by whoever
+    # joined it first); what a failed launch never started has nothing
+    # to reap.
+    launched.exception()
+    procs = [p for p in procs if p.pid is not None]
     for p in procs:
         if p.is_alive():
             p.terminate()
@@ -168,7 +243,7 @@ def _cleanup(procs, arenas, queues):
 
 
 class ProcessBackend:
-    """Spawn and command a pool of SPMD workers for one mesh."""
+    """Launch and command a pool of SPMD workers for one mesh."""
 
     def __init__(self, mesh: ProcessMesh, profile: MachineProfile,
                  nworkers: int, arena_bytes: Optional[int] = None,
@@ -220,16 +295,23 @@ class ProcessBackend:
 
     # ------------------------------------------------------------------ #
     def start(self) -> None:
-        """Spawn the pool (idempotent while live; restartable after
-        :meth:`terminate`, which the elastic recovery loop relies on)."""
+        """Launch the pool (idempotent while live; restartable after
+        :meth:`terminate`, which the elastic recovery loop relies on).
+
+        Returns once the forks have been *asked for*, not once the
+        workers exist: the requests run on a short-lived launcher thread
+        that the first dispatch, :meth:`close` and :meth:`terminate`
+        join.  A driver's first pool thereby overlaps the template's own
+        boot with whatever the caller does next, exactly as every pool
+        overlaps its workers' attach and rendezvous.
+        """
         if self._started:
             return
-        # A restart leaves the dead pool's handles behind; drop them so
-        # the fresh pool gets fresh queues and heartbeat slots (stale
-        # result-queue entries from a killed run must never be read).
-        self.procs = []
-        self.arenas = []
-        ctx = mp.get_context("spawn")
+        # A restart leaves the dead pool's handles behind; everything
+        # below is built afresh, so the new pool gets new queues and
+        # heartbeat slots (stale result-queue entries from a killed run
+        # must never be read).
+        ctx = _worker_template()
         w = self.nworkers
         #: where :meth:`_dispatch` parks a command's bulk fields
         self.dispatch = Arena(shared_memory.SharedMemory(
@@ -256,6 +338,9 @@ class ProcessBackend:
                 for _ in range(w)
             ]
             arena_names = [shm.name for shm in self.arenas]
+        # Everything a worker is told.  A forked worker sees the
+        # template's environment, never the driver's, so the settings
+        # that come from variables are read here, now, and shipped.
         spec = {
             "mesh": self.mesh,
             "profile": self.profile,
@@ -263,38 +348,51 @@ class ProcessBackend:
             "arena_names": arena_names,
             "dispatch_arena": self.dispatch.shm.name,
             "timeout": self.timeout,
+            "backoff": self.backoff,
             "transport": self.transport,
             "hosts": hosts,
             "heartbeat": self.heartbeat,
             "livestats": self.livestats,
             "faults": self.faults,
+            "paranoid": paranoid_mode(),
+            "sanitize": _sanitize.maybe_enable_from_env() is not None,
         }
-        saved = {v: os.environ.get(v) for v in _THREAD_PIN_VARS}
-        try:
-            for v in _THREAD_PIN_VARS:
-                os.environ[v] = "1"
-            for wid in range(w):
-                p = ctx.Process(
-                    target=_worker_main,
-                    args=(wid, spec, self.inboxes, self.cmd_queues[wid],
-                          self.result_queue),
-                    daemon=True,
-                    name=f"repro-rank-worker-{wid}",
-                )
-                p.start()
-                self.procs.append(p)
-        finally:
-            for v, old in saved.items():
-                if old is None:
-                    os.environ.pop(v, None)
-                else:
-                    os.environ[v] = old
+        self.procs = [
+            ctx.Process(
+                target=_worker_main,
+                args=(wid, spec, self.inboxes, self.cmd_queues[wid],
+                      self.result_queue),
+                daemon=True,
+                name=f"repro-rank-worker-{wid}",
+            )
+            for wid in range(w)
+        ]
+        launcher = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-pool-launcher")
+        self._launched = launcher.submit(self._launch, self.procs)
+        launcher.shutdown(wait=False)
         self._finalizer = weakref.finalize(
-            self, _cleanup, list(self.procs),
+            self, _cleanup, self._launched, list(self.procs),
             self.arenas + [self.dispatch.shm],
             self.inboxes + self.cmd_queues + [self.result_queue],
         )
         self._started = True
+
+    def _launch(self, procs) -> None:
+        """Launcher-thread body: one fork request per worker.  Each
+        blocks until the template has answered with the child's pid --
+        on a driver's first pool, until the template is up."""
+        for p in procs:
+            p.start()
+
+    def _join_launch(self) -> None:
+        """Wait until every worker has been forked.  A launch that
+        failed tears the pool down and raises here, on the caller's
+        thread."""
+        err = self._launched.exception()
+        if err is not None:
+            self.terminate()
+            raise err
 
     # ------------------------------------------------------------------ #
     def _owned_ranks(self, wid: int) -> list:
@@ -346,6 +444,7 @@ class ProcessBackend:
         arena is reclaimed as soon as :meth:`_collect` returns -- or
         fails, in which case the pool is already torn down.
         """
+        self._join_launch()
         ephemerals: list = []
         try:
             msg = (op, park_fields(self.dispatch, payload, ephemerals))
@@ -368,7 +467,7 @@ class ProcessBackend:
                 wid, status, value = self.result_queue.get(timeout=0.25)
             except queue.Empty:
                 # Workers only exit on 'close', so an earlier exit is a
-                # crash (e.g. spawn re-importing a broken __main__)
+                # crash (e.g. a worker importing a broken __main__)
                 # whose peers would otherwise block until their channel
                 # timeouts -- fail the command immediately, naming the
                 # dead workers and the mesh ranks they owned.
@@ -384,10 +483,11 @@ class ProcessBackend:
                     self.terminate()
                     raise WorkerDead(
                         f"worker process(es) died during {op!r}: {names}. "
-                        "Note the spawn start method re-imports the "
-                        "driver's __main__: interactive/stdin sessions "
-                        "must guard driver code with "
-                        "`if __name__ == '__main__':` (scripts, pytest, "
+                        "Note every worker, once forked from the worker "
+                        "template, imports the driver's __main__ from "
+                        "its file: a script must guard its driver code "
+                        "with `if __name__ == '__main__':` and a driver "
+                        "read from stdin has no file to import (pytest "
                         "and the CLI are unaffected)"
                     ) from None
                 # Progress-based deadline: a long-running *healthy*
@@ -438,6 +538,10 @@ class ProcessBackend:
         and the pool is live -- worker-side channel totals (payload
         bytes posted, exchanges, digests computed), gathered with one
         extra dispatch that is *not* included in the snapshot.
+        ``per_worker`` keeps the workers' own replies: besides the
+        summed fields, each one's ``pid``, its ``ppid`` (the worker
+        template), the modules it has imported since it was forked, and
+        its sanitizer's check counters (``None`` when unarmed).
         """
         out = dict(self.counters)
         out["transport"] = self.transport
@@ -516,6 +620,7 @@ class ProcessBackend:
         """Orderly shutdown: ask workers to exit, then reap resources."""
         if not self._started:
             return
+        self._join_launch()
         for q in self.cmd_queues:
             try:
                 q.put(("close", None))
@@ -547,41 +652,53 @@ class ProcessBackend:
 class _WorkerState:
     """Mutable per-worker slots the command loop threads through."""
 
-    __slots__ = ("algo", "ndigests")
+    __slots__ = ("algo", "ndigests", "boot_modules")
 
     def __init__(self):
         self.algo = None
         self.ndigests = 0
+        #: what was imported when the worker took over from the
+        #: template; ``stats`` reports what has been imported since.
+        self.boot_modules = frozenset(sys.modules)
 
 
 def _worker_main(worker_id: int, spec: dict, inboxes, cmd_queue,
                  result_queue) -> None:
     """One SPMD worker: build a rank-local runtime, execute commands.
 
-    Spawn target (top-level so it pickles).  Every command ends with an
-    ``('ok', value)`` or ``('err', traceback)`` report; collectives
-    failures on one worker surface as timeouts on its peers, which the
-    driver converts into pool termination.
+    Process target (top-level so it pickles), running in a fork of the
+    worker template: ``spec`` is the only source of settings -- the
+    environment here is the template's, not the driver's, and nothing
+    below reads it.  Every command ends with an ``('ok', value)`` or
+    ``('err', traceback)`` report; collectives failures on one worker
+    surface as timeouts on its peers, which the driver converts into
+    pool termination.
+
+    A worker leaves through the template's ``os._exit`` -- no
+    interpreter shutdown, no ``atexit`` -- so everything it must release
+    is released before this function returns: the ``finally`` below
+    closes the channel (sockets, arena mappings) and the dispatch arena,
+    ephemeral segments are unlinked when their ticket settles, and the
+    checkpoint writer closes its file inside ``fit``.
     """
-    # Workers inherit REPRO_SANITIZE through spawn: one driver-side
-    # setting arms the sanitizers in every process of the pool.
-    _sanitize.maybe_enable_from_env()
+    state = _WorkerState()
+    if spec["sanitize"]:
+        _sanitize.enable()
     heartbeat = spec["heartbeat"]
     if spec["transport"] == "tcp":
         channel = TcpChannel(worker_id, len(inboxes), inboxes=inboxes,
                              hosts=spec["hosts"], timeout=spec["timeout"],
-                             heartbeat=heartbeat)
+                             heartbeat=heartbeat, backoff=spec["backoff"])
     else:
         channel = PeerChannel(worker_id, inboxes, spec["arena_names"],
                               timeout=spec["timeout"], heartbeat=heartbeat)
     # Arm this worker's share of the fault plan (None when no spec
     # targets it); a fresh process starts with every spec re-armed.
-    channel.faults = FaultPlan.for_worker(worker_id, spec.get("faults"))
+    channel.faults = FaultPlan.for_worker(worker_id, spec["faults"])
     rt = WorkerRuntime(spec["mesh"], spec["profile"], channel,
                        spec["owners"])
     dispatch = shared_memory.SharedMemory(name=spec["dispatch_arena"])
-    state = _WorkerState()
-    paranoid = paranoid_mode()
+    paranoid = spec["paranoid"]
     try:
         while True:
             op, payload = cmd_queue.get()
@@ -734,7 +851,16 @@ def _handle(rt, worker_id: int, op: str, payload, state: _WorkerState,
                               state)
     if op == "stats":
         algo = state.algo
+        san = _sanitize.ACTIVE
         return {
+            "pid": os.getpid(),
+            # the worker template, shared by every pool of one driver
+            "ppid": os.getppid(),
+            # modules first imported after the fork: a non-empty list of
+            # numpy / scipy / repro names is boot cost paid per worker
+            "imported_after_boot": sorted(
+                set(sys.modules) - state.boot_modules),
+            "sanitizer": None if san is None else dict(san.stats),
             "channel_bytes": channel.bytes_sent,
             "exchanges": channel.nexchanges,
             "digests_computed": state.ndigests,

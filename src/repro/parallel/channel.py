@@ -81,13 +81,20 @@ class ChannelTimeout(RuntimeError):
 
 
 def default_timeout() -> float:
+    """The no-progress window, via ``REPRO_PARALLEL_TIMEOUT``.  Like
+    :func:`default_backoff` a driver-side read: the backend hands both
+    values to the channels its workers build."""
     return float(os.environ.get("REPRO_PARALLEL_TIMEOUT", "120"))
+
+
+#: Base seconds for exponential backoff when nothing else is configured.
+DEFAULT_BACKOFF = 0.05
 
 
 def default_backoff() -> float:
     """Base seconds for exponential backoff (TCP dial retries and the
     driver's restart delays), via ``REPRO_PARALLEL_BACKOFF``."""
-    return float(os.environ.get("REPRO_PARALLEL_BACKOFF", "0.05"))
+    return float(os.environ.get("REPRO_PARALLEL_BACKOFF", DEFAULT_BACKOFF))
 
 
 #: Granularity of blocking waits: receives poll in slices this long so
@@ -124,10 +131,9 @@ class ChannelBase:
     what makes the transports bit-interchangeable.
     """
 
-    def __init__(self, worker_id: int, timeout: Optional[float] = None,
-                 heartbeat=None):
+    def __init__(self, worker_id: int, timeout: float, heartbeat=None):
         self.wid = worker_id
-        self.timeout = default_timeout() if timeout is None else timeout
+        self.timeout = timeout
         self.heartbeat = heartbeat
         self._stash: Dict[Tuple, Any] = {}
         self._seq: Dict[Any, int] = {}
@@ -292,7 +298,7 @@ class PeerChannel(ChannelBase):
         worker_id: int,
         inboxes: Sequence,
         arena_names: Sequence[str],
-        timeout: Optional[float] = None,
+        timeout: float,
         inline_max: int = INLINE_MAX,
         heartbeat=None,
     ):

@@ -47,7 +47,10 @@ budget and exercises that error path too.
 
 Faults activate via ``REPRO_PARALLEL_FAULTS`` or ``repro train
 --faults``; parsing is strict so a typo fails fast at the driver, not
-silently in a worker.
+silently in a worker.  The variable is read driver-side only
+(:class:`~repro.parallel.backend.ProcessBackend`), which ships the plan
+text to each worker: a worker is forked from a long-lived template and
+must not consult an environment that may predate the plan.
 """
 
 from __future__ import annotations
@@ -167,10 +170,8 @@ class FaultPlan:
 
     @classmethod
     def for_worker(cls, worker_id: int,
-                   text: Optional[str] = None) -> Optional["FaultPlan"]:
+                   text: Optional[str]) -> Optional["FaultPlan"]:
         """Build the plan for one worker; None when nothing applies."""
-        if text is None:
-            text = os.environ.get("REPRO_PARALLEL_FAULTS") or None
         if not text:
             return None
         mine = [s for s in parse_plan(text) if s.worker == worker_id]

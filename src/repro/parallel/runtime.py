@@ -1,6 +1,6 @@
 """Runtimes for the process backend: the worker view and the driver view.
 
-:class:`WorkerRuntime` lives inside each spawned worker: a full
+:class:`WorkerRuntime` lives inside each worker process: a full
 :class:`~repro.comm.runtime.Runtime` whose ``local_ranks`` are the block
 of mesh ranks this worker owns, with :class:`ProcessCollectives` moving
 payloads through shared memory.  Each worker constructs the *same*
@@ -14,7 +14,7 @@ per-command digests under ``REPRO_PARALLEL_PARANOID=1``).
 
 :class:`ParallelRuntime` is the driver-side handle: it exposes the
 :class:`VirtualRuntime` surface (mesh, tracker, profile, describe,
-breakdowns) so CLI/benchmark code is backend-agnostic, spawns a
+breakdowns) so CLI/benchmark code is backend-agnostic, starts a
 :class:`~repro.parallel.backend.ProcessBackend` on first use, and mirrors
 worker 0's tracker after every digest-checked dispatch.
 :class:`ParallelAlgorithm` is the matching driver-side proxy for one
@@ -388,8 +388,8 @@ class ParallelRuntime(RuntimeBase):
     """Driver-side runtime for the multiprocess execution backend.
 
     Mirrors the :class:`VirtualRuntime` constructor surface plus a
-    ``workers`` count; the worker processes spawn on :meth:`start`, or
-    lazily with the first command.  After every command the driver
+    ``workers`` count; the worker processes are launched by :meth:`start`,
+    or lazily with the first command.  After every command the driver
     adopts worker 0's tracker, so ``tracker`` / ``epoch_breakdown`` /
     ``modeled_seconds`` read exactly like the virtual runtime's.
     """
@@ -460,14 +460,18 @@ class ParallelRuntime(RuntimeBase):
     # backend plumbing
     # ------------------------------------------------------------------ #
     def start(self) -> "ProcessBackend":
-        """Spawn the worker pool now (idempotent) and return its backend.
+        """Launch the worker pool now (idempotent) and return its backend.
 
-        Bare construction stays lazy -- the pool otherwise spawns on the
-        first command.  ``start()`` returns once the processes are
-        launched, not once they are up: the workers import, attach and
-        rendezvous on their own while the caller carries on with
-        driver-side work (:func:`repro.dist.make_algorithm` partitions
-        the graph in that window).
+        Bare construction stays lazy -- the pool otherwise starts with
+        the first command.  ``start()`` returns once the launch is under
+        way, not once the workers are up: a launcher thread asks the
+        driver's worker template for one fork per worker (on the first
+        pool of a driver, waiting for the template's own boot), and the
+        workers attach and rendezvous on their own, while the caller
+        carries on with driver-side work
+        (:func:`repro.dist.make_algorithm` partitions the graph in that
+        window).  The first dispatch -- or ``close()`` -- joins the
+        launcher.
         """
         if self._backend is None:
             from repro.parallel.backend import ProcessBackend

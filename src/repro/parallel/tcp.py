@@ -58,10 +58,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import spans as _spans
 from repro.parallel.channel import (
+    DEFAULT_BACKOFF,
     WAIT_SLICE,
     ChannelBase,
     ChannelTimeout,
-    default_backoff,
 )
 
 __all__ = ["TcpChannel", "parse_hosts"]
@@ -184,11 +184,15 @@ class TcpChannel(ChannelBase):
         nworkers: int,
         inboxes: Optional[Sequence] = None,
         hosts: Optional[Sequence[Tuple[str, int]]] = None,
-        timeout: Optional[float] = None,
+        *,
+        timeout: float,
         heartbeat=None,
+        backoff: float = DEFAULT_BACKOFF,
     ):
         super().__init__(worker_id, timeout=timeout, heartbeat=heartbeat)
         self.nworkers = nworkers
+        #: first delay of the dial retries (doubling, capped)
+        self.backoff = backoff
         self._conns: Dict[int, _Conn] = {}
         self._senders: List[threading.Thread] = []
         self._listener: Optional[socket.socket] = None
@@ -255,10 +259,9 @@ class TcpChannel(ChannelBase):
         """Connect with retries -- across hosts the peer's listener may
         come up later than ours."""
         deadline = time.monotonic() + max(self.timeout or 0.0, 5.0)
-        # Deterministic exponential backoff from REPRO_PARALLEL_BACKOFF:
-        # reconnects after a worker respawn retry on the same schedule
-        # every run.
-        delay = default_backoff()
+        # Deterministic exponential backoff: reconnects after a worker
+        # respawn retry on the same schedule every run.
+        delay = self.backoff
         while True:
             try:
                 sock = socket.create_connection(addr, timeout=self.timeout

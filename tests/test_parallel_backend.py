@@ -492,6 +492,10 @@ class TestStartEarly:
             rt = runtimes[-1]
             if isinstance(rt, ParallelRuntime):
                 started = rt.backend_stats(workers=False) is not None
+                if started:
+                    # start() only asks for the forks; whether they
+                    # happened is readable once the launcher is done.
+                    rt._backend._join_launch()
                 alive = [p.is_alive() for p in rt._backend.procs] \
                     if started else []
             else:

@@ -300,10 +300,18 @@ class TestFaultGrammar:
         assert plan.frame_fault(4) is None  # consumed
 
     def test_env_fallback(self, monkeypatch):
+        """The variable is the driver's to read: the backend picks it up
+        and ships the text; a worker's plan comes from that text only."""
+        from repro.comm.mesh import Mesh1D
+        from repro.parallel import ProcessBackend
+
         monkeypatch.setenv("REPRO_PARALLEL_FAULTS",
                            "hang:worker=0,exchange=9")
-        plan = FaultPlan.for_worker(0)
+        backend = ProcessBackend(Mesh1D(size=2), None, 2, faults=None)
+        assert backend.faults == "hang:worker=0,exchange=9"
+        plan = FaultPlan.for_worker(0, backend.faults)
         assert plan is not None and plan.specs[0].action == "hang"
+        assert FaultPlan.for_worker(0, None) is None
 
 
 # --------------------------------------------------------------------- #

@@ -7,12 +7,14 @@ worker pair -- each via :class:`repro.analysis.sanitize.SanitizerError`.
 
 Integration layer: a sanitized fit is **bit-equal** (per-epoch losses
 and the ledger digest) to an unsanitized one -- on the virtual backend
-and on the process backend over both transports (``REPRO_SANITIZE=1``
-rides into spawned workers through the inherited environment), with the
-check counters proving the sanitizers actually ran.
+and on the process backend over both transports (the driver reads
+``REPRO_SANITIZE=1`` and tells every worker it launches), with the check
+counters -- each worker's own -- proving the sanitizers actually ran.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
@@ -185,6 +187,8 @@ def run_virtual(ds, name, kw, p=4):
 
 
 def run_process(ds, transport, kw, workers=2, p=4, name="1d"):
+    """``(losses, digest)`` and each worker's sanitizer counters (``None``
+    for a worker that ran unsanitized)."""
     algo = make_algorithm(name, p, ds, hidden=HIDDEN, seed=0,
                           backend="process", workers=workers,
                           transport=transport, **kw)
@@ -192,9 +196,11 @@ def run_process(ds, transport, kw, workers=2, p=4, name="1d"):
         hist = algo.fit(ds.features, ds.labels, epochs=EPOCHS)
         losses = [e.loss for e in hist.epochs]
         digest = ledger_digest(algo.rt.tracker, *losses)
+        checks = [w["sanitizer"]
+                  for w in algo.rt.backend_stats()["per_worker"]]
     finally:
         algo.rt.close()
-    return losses, digest
+    return (losses, digest), checks
 
 
 class TestBitEquality:
@@ -221,12 +227,16 @@ class TestBitEquality:
     def test_process_backend_both_transports(self, ds, transport,
                                              monkeypatch):
         kw = {"variant": "ghost", "partition": "multilevel"}
-        plain = run_process(ds, transport, kw)
-        # spawned workers inherit the environment and self-enable
+        plain, off = run_process(ds, transport, kw)
+        # the driver reads the variable and arms every worker it launches
         monkeypatch.setenv(sanitize.ENV_FLAG, "1")
-        sanitized = run_process(ds, transport, kw)
+        sanitized, checks = run_process(ds, transport, kw)
         assert sanitized == plain
         assert plain[0] == run_virtual(ds, "1d", kw)[0]
+        assert off == [None, None]
+        for worker in checks:
+            assert worker["cow_verified"] > 0
+            assert worker["exchanges_checked"] > 0
 
     @pytest.mark.parametrize("name,p", [("2d", 4), ("3d", 8)])
     def test_staged_broadcasts_over_tcp(self, ds, name, p, monkeypatch):
@@ -234,8 +244,37 @@ class TestBitEquality:
         multiply: frames arrive before their collect and receipts are
         handed out late.  The order check and the receipt hashing see
         them all the same, and change nothing."""
-        plain = run_process(ds, "tcp", {}, p=p, name=name)
+        plain, off = run_process(ds, "tcp", {}, p=p, name=name)
         monkeypatch.setenv(sanitize.ENV_FLAG, "1")
-        sanitized = run_process(ds, "tcp", {}, p=p, name=name)
+        sanitized, checks = run_process(ds, "tcp", {}, p=p, name=name)
         assert sanitized == plain
         assert plain == run_virtual(ds, name, {}, p=p)
+        assert off == [None, None]
+        for worker in checks:
+            assert worker["cow_verified"] > 0
+
+
+class TestTrainSummary:
+    """``repro train`` on the process backend prints the workers' check
+    counts, summed -- the driver's own are zero by construction -- for
+    the flag and for the variable alike."""
+
+    ARGS = ["train", "--algorithm", "1d", "--gpus", "4", "--vertices", "64",
+            "--features", "8", "--hidden", "8", "--epochs", "3",
+            "--backend", "process", "--workers", "2"]
+
+    @pytest.mark.parametrize("how", ["flag", "variable"])
+    def test_worker_summed_counts(self, how, capsys, monkeypatch):
+        from repro.cli import main
+
+        args = list(self.ARGS)
+        if how == "flag":
+            args.append("--sanitize")
+        else:
+            monkeypatch.setenv(sanitize.ENV_FLAG, "1")
+        assert main(args) == 0
+        line = re.search(r"sanitizers: (\d+) COW receipts verified.*",
+                         capsys.readouterr().out)
+        assert line is not None
+        assert int(line.group(1)) > 0
+        assert "(workers check their own shares)" in line.group(0)
