@@ -10,8 +10,8 @@ size:
    ("our 2D algorithm ... consumes optimal memory").  At Amazon/Protein
    scale that is the difference between fitting a 16 GB V100 and not (the
    paper: Amazon does not fit at p = 4).
-2. **Words** -- 2D moves ``O(sqrt(P))`` fewer words (both models' dcomm
-   byte ledgers show it).
+2. **Words** -- 2D moves ``O(sqrt(P))`` fewer words (both predictions'
+   dcomm byte ledgers show it).
 3. **Relative costs** -- "more optimized SpMM implementations are
    equivalent from a relative cost perspective to running on clusters
    with slower networks; both increase the relative cost of
@@ -22,36 +22,37 @@ size:
    advantage emerges exactly as the paper predicts.
 """
 
-from repro.analysis.model1d import Model1DEpoch
-from repro.analysis.model2d import Model2DEpoch
-from repro.config import COMMODITY, SUMMIT
+from repro.config import COMMODITY, FP32_BYTES, SUMMIT
 from repro.graph import published_spec
+from repro.simulate import predict_epoch
 
 from benchmarks.helpers import attach, print_table
+
+
+def modeled(algorithm, p, profile=None):
+    """One epoch of the published protein graph, in the paper's fp32:
+    the simulator on a uniform graph of the published shape."""
+    return predict_epoch(algorithm, "protein", p, machine=profile,
+                         word_bytes=FP32_BYTES)
 
 
 def bench_modeled_1d_vs_2d(benchmark):
     spec = published_spec("protein")
     n, f_in = spec.vertices, spec.features
-    fp32 = 4
     rows = []
     ratios = {}
     for profile in (SUMMIT, COMMODITY):
         for p in (16, 64, 256):
-            m1 = Model1DEpoch.for_published_dataset(
-                "protein", p, profile=profile
-            ).run()
-            m2 = Model2DEpoch.for_published_dataset(
-                "protein", p, profile=profile
-            ).run()
-            mem1 = n * f_in * fp32 / 2**30          # full H per rank
-            mem2 = n * f_in * fp32 / p / 2**30      # 2D block per rank
-            ratios[(profile.name, p)] = m2.total_seconds / m1.total_seconds
+            m1 = modeled("1d", p, profile)
+            m2 = modeled("2d", p, profile)
+            mem1 = n * f_in * FP32_BYTES / 2**30      # full H per rank
+            mem2 = n * f_in * FP32_BYTES / p / 2**30  # 2D block per rank
+            ratios[(profile.name, p)] = m2.seconds / m1.seconds
             rows.append(
                 (
                     profile.name, p,
-                    round(m1.total_seconds, 2), round(m2.total_seconds, 2),
-                    round(m2.total_seconds / m1.total_seconds, 2),
+                    round(m1.seconds, 2), round(m2.seconds, 2),
+                    round(m2.seconds / m1.seconds, 2),
                     f"{mem1:.1f}", f"{mem2:.2f}",
                 )
             )
@@ -72,17 +73,14 @@ def bench_modeled_1d_vs_2d(benchmark):
 
     # Memory: 1D per-rank dense footprint is P x the 2D one, by layout.
     # Words: 2D moves fewer dense bytes per rank at P >= 64.
-    m1 = Model1DEpoch.for_published_dataset("protein", 64).run()
-    m2 = Model2DEpoch.for_published_dataset("protein", 64).run()
+    m1, m2 = modeled("1d", 64), modeled("2d", 64)
     assert m2.bytes_by_category["dcomm"] < m1.bytes_by_category["dcomm"]
     # Relative-cost claim: the 2D/1D seconds ratio improves (drops) on the
     # slower network at every P.
     for p in (16, 64, 256):
         assert ratios[("commodity", p)] < ratios[("summit", p)]
 
-    benchmark(
-        lambda: Model2DEpoch.for_published_dataset("protein", 64).run()
-    )
+    benchmark(lambda: modeled("2d", 64))
     attach(
         benchmark,
         ratio_summit_p64=round(ratios[("summit", 64)], 3),

@@ -2,24 +2,31 @@
 """Capacity-planning study for the billion-edge protein network.
 
 The paper's largest experiment trains on a protein-similarity graph with
-1.06B edges on up to 100 Summit GPUs.  This example uses the analytic
-layer at the FULL published size to answer the questions a practitioner
-would ask before buying node hours:
+1.06B edges on up to 100 Summit GPUs.  This example uses the scaling
+simulator and the analytic layer at the FULL published size to answer the
+questions a practitioner would ask before buying node hours:
 
 1. How does 2D epoch time decompose across GPU counts (Fig. 2/3)?
 2. Where is the 1D-vs-2D words crossover for this dataset (Section VI-d)?
 3. What would 3D buy at large P (Section IV-D)?
 
-No graph is instantiated -- the analytic model needs only
-(n, nnz, f, L, P), which is exactly why it can run at 9M vertices.
+No graph is instantiated -- the simulator prices the 2D algorithm's own
+schedule on a uniform graph of the published shape, and the formulas need
+only (n, nnz, f, L, P), which is exactly why both can run at 9M vertices.
 
 Run:  python examples/protein_scaling_study.py
 """
 
-from repro import Model2DEpoch, published_spec, words_1d, words_2d, words_3d
+from repro import predict_epoch, published_spec, words_1d, words_2d, words_3d
 from repro.analysis.formulas import crossover_p_2d_vs_1d
+from repro.config import FP32_BYTES
 
 L = 3
+
+
+def epoch_2d(p: int):
+    """One 2D epoch of the published protein graph, in the paper's fp32."""
+    return predict_epoch("2d", "protein", p, word_bytes=FP32_BYTES)
 
 
 def main() -> None:
@@ -33,13 +40,12 @@ def main() -> None:
     print(f"  {'GPUs':>5s} {'sec/epoch':>10s} {'epochs/s':>9s} "
           f"{'spmm':>7s} {'dcomm':>7s} {'scomm':>7s}")
     for p in (36, 64, 100, 256, 1024):
-        r = Model2DEpoch.for_published_dataset("protein", p).run()
+        r = epoch_2d(p)
         bd = r.seconds_by_category
-        print(f"  {p:5d} {r.total_seconds:10.3f} {r.epochs_per_second:9.3f} "
+        print(f"  {p:5d} {r.seconds:10.3f} {r.epochs_per_second:9.3f} "
               f"{bd['spmm']:7.3f} {bd['dcomm']:7.3f} {bd['scomm']:7.3f}")
 
-    r36 = Model2DEpoch.for_published_dataset("protein", 36).run()
-    r100 = Model2DEpoch.for_published_dataset("protein", 100).run()
+    r36, r100 = epoch_2d(36), epoch_2d(100)
     comm_ratio = (
         sum(r36.seconds_by_category[c] for c in ("scomm", "dcomm", "trpose"))
         / sum(r100.seconds_by_category[c] for c in ("scomm", "dcomm", "trpose"))

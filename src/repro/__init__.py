@@ -95,7 +95,6 @@ _EXPORTS = {
     "metrics_from_trace": "repro.obs",
     "drift_report": "repro.obs",
     "format_drift_report": "repro.obs",
-    "Model2DEpoch": "repro.analysis",
     "figure2_throughput": "repro.analysis",
     "figure3_breakdown": "repro.analysis",
     "words_1d": "repro.analysis",

@@ -1,5 +1,8 @@
-"""Analysis layer: the paper's cost formulas, figure reproductions, and
-the invariant tooling (static lint rules + runtime sanitizers).
+"""Analysis layer: the paper's flat closed forms (``formulas``), memory
+estimates, figure reproductions and scaling tables -- the latter two are
+views of :mod:`repro.simulate`, which prices every epoch with the one
+price list of :mod:`repro.comm.cost_model` -- and the invariant tooling
+(static lint rules + runtime sanitizers).
 
 Names resolve lazily (PEP 562, same mechanism as :mod:`repro`): the
 correctness-critical reason is that :mod:`repro.comm.collectives` hooks
@@ -34,9 +37,6 @@ _EXPORTS = {
     "memory_1d": "repro.analysis.memory",
     "memory_2d": "repro.analysis.memory",
     "memory_3d": "repro.analysis.memory",
-    "Model1DEpoch": "repro.analysis.model1d",
-    "EpochModelResult": "repro.analysis.model2d",
-    "Model2DEpoch": "repro.analysis.model2d",
     "CrossoverPoint": "repro.analysis.scaling",
     "crossover_points": "repro.analysis.scaling",
     "format_crossovers": "repro.analysis.scaling",
@@ -53,8 +53,7 @@ _EXPORTS = {
 
 #: Modules reachable as attributes (``repro.analysis.sanitize``).
 _SUBPACKAGES = (
-    "figures", "formulas", "lint", "memory", "model1d", "model2d",
-    "sanitize", "scaling",
+    "figures", "formulas", "lint", "memory", "sanitize", "scaling",
 )
 
 __all__ = sorted(_EXPORTS)

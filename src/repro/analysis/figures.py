@@ -12,11 +12,16 @@ The GPU counts per panel follow the paper:
 (Amazon at 4 and Protein at 4/16 are omitted because "the data does not
 fit in memory for those configurations" -- we honour the same omissions.)
 
-Data comes from :class:`repro.analysis.model2d.Model2DEpoch` evaluated at
-the full published Table VI sizes under the Summit-like machine profile.
-Each row also records which mechanism dominates, so the benchmark output
-can be checked against the paper's narrative (dense communication dominant
-on Amazon, SpMM dominant on Reddit, both significant on Protein).
+Data comes from the scaling simulator: :func:`repro.simulate.predict_epoch`
+runs the 2D algorithm's emitted schedule on a uniform
+:meth:`~repro.simulate.schedule.GraphModel.from_published` graph at the
+full published Table VI sizes, priced with the paper's fp32 elements on
+the Summit-like machine profile -- the same schedule and the same price
+list (:mod:`repro.comm.cost_model`) the executed runs are charged by, so
+no laptop has to hold 1.06B edges.  Each row also records which mechanism
+dominates, so the benchmark output can be checked against the paper's
+narrative (dense communication dominant on Amazon, SpMM dominant on
+Reddit, both significant on Protein).
 """
 
 from __future__ import annotations
@@ -24,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.model2d import Model2DEpoch
 from repro.comm.tracker import Category
-from repro.config import MachineProfile
+from repro.config import FP32_BYTES, MachineProfile
+from repro.simulate.engine import predict_epoch
 
 __all__ = [
     "FIG2_GPU_COUNTS",
@@ -65,15 +70,15 @@ class FigurePoint:
 def _point(
     dataset: str, gpus: int, profile: Optional[MachineProfile]
 ) -> FigurePoint:
-    result = Model2DEpoch.for_published_dataset(
-        dataset, gpus, profile=profile
-    ).run()
+    point = predict_epoch(
+        "2d", dataset, gpus, machine=profile, word_bytes=FP32_BYTES
+    )
     return FigurePoint(
         dataset=dataset,
         gpus=gpus,
-        epoch_seconds=result.total_seconds,
-        epochs_per_second=result.epochs_per_second,
-        breakdown=result.breakdown(),
+        epoch_seconds=point.seconds,
+        epochs_per_second=point.epochs_per_second,
+        breakdown=dict(point.seconds_by_category),
     )
 
 

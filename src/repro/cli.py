@@ -543,37 +543,39 @@ def _usage_error(exc: Exception) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.simulate import predict_epoch
 
-    graph = _simulate_graph(args)
     kwargs = {}
     if args.algorithm == "1.5d":
         kwargs["replication"] = args.replication
     if args.algorithm == "1d":
         kwargs["variant"] = args.variant
-    if args.partition:
-        if args.algorithm != "1d":
-            print("--partition currently drives the 1D schedule only",
-                  file=sys.stderr)
-            return 2
-        if graph.exact:
-            from repro.dist import Distribution
-
-            kwargs["distribution"] = Distribution.build(
-                args.partition, graph.csr, args.gpus, seed=args.seed
-            )
-        elif args.partition != "block":
-            # Uniform shape-only graphs have nothing to partition; block
-            # is the identity layout the emitter already assumes.
-            print(f"--partition {args.partition} needs an executable "
-                  "stand-in (pass --scale); shape-only graphs model the "
-                  "block layout", file=sys.stderr)
-            return 2
     try:
+        graph = _simulate_graph(args)
+        if args.partition:
+            if args.algorithm != "1d":
+                print("--partition currently drives the 1D schedule only",
+                      file=sys.stderr)
+                return 2
+            if graph.exact:
+                from repro.dist import Distribution
+
+                kwargs["distribution"] = Distribution.build(
+                    args.partition, graph.csr, args.gpus, seed=args.seed
+                )
+            elif args.partition != "block":
+                # Uniform shape-only graphs have nothing to partition;
+                # block is the identity layout the emitter already
+                # assumes.
+                print(f"--partition {args.partition} needs an executable "
+                      "stand-in (pass --scale); shape-only graphs model "
+                      "the block layout", file=sys.stderr)
+                return 2
         point = predict_epoch(
             args.algorithm, graph, args.gpus, machine=args.machine,
             hidden=args.hidden, **kwargs,
         )
     except (KeyError, ValueError) as exc:
-        # Unknown machine, infeasible mesh/replication for --gpus, ...
+        # A graph shape no graph has, an unknown machine, an infeasible
+        # mesh/replication for --gpus, ...
         return _usage_error(exc)
     mode = "exact" if graph.exact else "uniform"
     print(f"graph   : {graph.name}  n={graph.n} nnz={graph.nnz} ({mode})")
@@ -603,7 +605,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     from repro.simulate import DEFAULT_P_GRID, sweep
 
-    graph = _simulate_graph(args)
     if args.p_grid:
         try:
             ps = tuple(int(tok) for tok in args.p_grid.split(","))
@@ -625,10 +626,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     machines = tuple(args.machines.split(","))
     algorithms = tuple(args.algorithms.split(","))
     try:
+        graph = _simulate_graph(args)
         result = sweep(graph, algorithms=algorithms, ps=ps,
                        machines=machines, hidden=args.hidden)
     except (KeyError, ValueError) as exc:
-        # Unknown machine or algorithm names surface argparse-style.
+        # A graph shape no graph has, unknown machine or algorithm names.
         return _usage_error(exc)
     print(
         f"swept {len(result.points)} points "

@@ -8,13 +8,13 @@ from repro.comm.cost_model import (
     CollectiveCost,
     allgather_cost,
     allreduce_cost,
-    alltoall_cost,
     broadcast_cost,
-    gather_cost,
+    elementwise_seconds,
+    gather_rows_cost,
+    gemm_seconds,
     p2p_cost,
-    reduce_cost,
     reduce_scatter_cost,
-    scatter_cost,
+    transpose_cost,
 )
 from repro.comm.collectives import Collectives, payload_nbytes
 from repro.comm.mesh import Mesh1D, Mesh2D, Mesh3D, ProcessMesh
@@ -36,13 +36,13 @@ __all__ = [
     "StepTracer",
     "StepEvent",
     "payload_nbytes",
+    "p2p_cost",
     "broadcast_cost",
-    "reduce_cost",
     "allgather_cost",
     "reduce_scatter_cost",
     "allreduce_cost",
-    "alltoall_cost",
-    "gather_cost",
-    "scatter_cost",
-    "p2p_cost",
+    "gather_rows_cost",
+    "transpose_cost",
+    "gemm_seconds",
+    "elementwise_seconds",
 ]

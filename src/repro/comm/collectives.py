@@ -83,17 +83,6 @@ __all__ = ["Collectives", "payload_nbytes"]
 #: shape :meth:`CommTracker.charge_many` replays.
 Charge = Tuple[int, float, int, int, int]
 
-#: The group kinds' half of the cost rule: kind -> cost function of
-#: ``(profile, nbytes, group size)``.  Sparse-wire reduce-scatter prices
-#: like the dense one; only the wire size it is handed differs.
-_GROUP_COST: Dict[str, Callable[..., cm.CollectiveCost]] = {
-    "broadcast": cm.broadcast_cost,
-    "allgather": cm.allgather_cost,
-    "allreduce": cm.allreduce_cost,
-    "reduce_scatter": cm.reduce_scatter_cost,
-    "sparse_reduce_scatter": cm.reduce_scatter_cost,
-}
-
 #: The kinds that travel along routes (``post`` / ``collect``) rather
 #: than within groups.
 ROUTED = ("broadcast", "sendrecv", "gather_rows")
@@ -233,11 +222,12 @@ class Collectives:
           triples: the exact bytes a rank *receives* (its distinct
           remote-neighbour rows -- the paper's ``r_i`` ghost rows times
           the dense row size) and the number of distinct source ranks it
-          fetches them from.  Modeled seconds are ``nsources * alpha +
-          beta * nbytes`` per rank (one message per source, concurrent
-          within the step) and only received bytes hit the ledger -- so
-          a ghost exchange's dcomm delta is exactly ``sum_i r_i * f *
-          itemsize``, the quantity ``edgecut_P(A)`` bounds per process.
+          fetches them from.  Priced by
+          :func:`~repro.comm.cost_model.gather_rows_cost` (one message
+          per source, concurrent within the step); only received bytes
+          hit the ledger -- so a ghost exchange's dcomm delta is exactly
+          ``sum_i r_i * f * itemsize``, the quantity ``edgecut_P(A)``
+          bounds per process.
 
         The executed epochs walk the same payload shapes over the same
         groups every time, so algorithms compute this list once and
@@ -255,14 +245,13 @@ class Collectives:
                 flat.append((src, seconds, 0, messages, 0))
                 flat.append((dst, seconds, int(nbytes), messages, 0))
         elif kind == "gather_rows":
-            alpha = self.profile.alpha_for_span(self.world_size)
-            beta = self.profile.beta_effective(self.world_size)
             for rank, nbytes, nsources in items:
-                nbytes, nsources = int(nbytes), int(nsources)
-                flat.append((rank, nsources * alpha + beta * nbytes, nbytes,
-                             nsources, 0))
+                cost = self._cost(cm.gather_rows_cost, int(nbytes),
+                                  int(nsources))
+                flat.append((rank, cost.seconds, cost.bytes_critical,
+                             cost.messages, 0))
         else:
-            fn = _GROUP_COST[kind]
+            fn = cm.GROUP_COST[kind]
             flags = (pipelined,) if kind == "broadcast" else ()
             for group, nbytes in items:
                 group = self._group(group)

@@ -1,26 +1,57 @@
-"""Alpha-beta cost formulas for point-to-point and collective operations.
+"""The price list: every modeled second comes from one rule per kind.
 
 The paper analyses every algorithm in the alpha-beta model (Section III-A):
 sending a message of ``n`` words costs ``alpha + beta * n``.  Collectives
 follow the classical costs from Chan et al. [11] and Thakur et al. [28],
-which the paper cites for its ``alpha lg P + beta n f (P-1)/P`` bounds:
+which the paper cites for its ``alpha lg P + beta n f (P-1)/P`` bounds.
+Each rule below is written exactly once and prices a **scalar size or an
+ndarray of sizes** with the same arithmetic: the executed ledger
+(:meth:`repro.comm.collectives.Collectives.charges`,
+``DistAlgorithm._charge_kernel``), the schedule evaluator
+(:func:`repro.simulate.schedule.evaluate_schedule`) and the drift report
+(:mod:`repro.obs.report`) all call this list, so "simulator seconds ==
+ledger seconds" holds by construction rather than by a tolerance.
 
-===================  =============================================
-collective            cost charged (p ranks, m bytes per rank)
-===================  =============================================
-broadcast             ``lg p * alpha + beta * m``            (pipelined tree;
-                      SUMMA-style broadcasts drop the ``lg p`` latency factor
-                      via pipelining, which we expose as ``pipelined=True``)
-reduce                ``lg p * alpha + beta * m`` (+ gamma compute, ignored)
-all-gather            ``lg p * alpha + beta * m * (p-1)/p``  (ring/recursive
-                      doubling; ``m`` = total result bytes)
-reduce-scatter        ``lg p * alpha + beta * m * (p-1)/p``  (recursive halving)
-all-reduce            ``2 lg p * alpha + 2 beta * m * (p-1)/p``
-                      (reduce-scatter + all-gather)
-all-to-all            ``(p-1) * alpha + beta * m * (p-1)/p`` (pairwise)
-===================  =============================================
+===================  ==========================  ==============================
+kind                  rule                        seconds (p ranks, m bytes)
+===================  ==========================  ==============================
+point-to-point        :func:`p2p_cost`            ``alpha + beta * m``
+broadcast             :func:`broadcast_cost`      ``lg p * alpha + beta * m``
+                                                  (``pipelined=True``, the
+                                                  SUMMA-style broadcast of
+                                                  Section IV-C: ``1 * alpha``)
+all-gather            :func:`allgather_cost`      ``lg p * alpha + beta * m
+                                                  (p-1)/p`` (ring / recursive
+                                                  doubling; ``m`` = total
+                                                  result bytes)
+reduce-scatter        :func:`reduce_scatter_cost` ``lg p * alpha + beta * m
+                                                  (p-1)/p`` (recursive halving)
+all-reduce            :func:`allreduce_cost`      reduce-scatter + all-gather:
+                                                  ``2 lg p * alpha + 2 beta *
+                                                  m (p-1)/p``
+ghost-row gather      :func:`gather_rows_cost`    ``sources * alpha + beta *
+                                                  m`` (receive side; ``m`` =
+                                                  bytes delivered)
+transpose exchange    :func:`transpose_cost`      ``alpha + beta * m`` at the
+                                                  uncongested inter-node tier
+dense matmul          :func:`gemm_seconds`        ``flops / gemm_flops +
+                                                  launch``
+elementwise kernel    :func:`elementwise_seconds` ``bytes / memory_bandwidth +
+                                                  launch``
+local SpMM            :meth:`repro.sparse.perfmodel.SpmmPerfModel.seconds`
+                                                  ``2 nnz f / rate(d, f) +
+                                                  launch``
+===================  ==========================  ==============================
 
-These functions return **modeled seconds**; the actual data movement is
+``alpha`` and ``beta`` are the profile's latency and (congestion-adjusted)
+bandwidth tier for the job's ``span``; ``lg = ceil(log2)``.  Sizes are
+whole counts: a fractional size (the uniform graph oracle's expected
+value) truncates exactly like the executed path's ``int()``, a negative
+one is an error, and a collective over one rank or zero bytes is free.
+A scalar size returns Python scalars, an ndarray returns one entry per
+size.
+
+These rules return **modeled seconds**; the actual data movement is
 performed (and byte counts recorded exactly) by
 :mod:`repro.comm.collectives`.  Keeping the two separate means the measured
 byte counts validate the analysis even if one disagrees with the time model.
@@ -30,22 +61,36 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, Dict, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.config import MachineProfile
 
 __all__ = [
     "CollectiveCost",
+    "Sizes",
+    "Values",
+    "whole",
+    "plain",
     "p2p_cost",
     "broadcast_cost",
-    "reduce_cost",
     "allgather_cost",
     "reduce_scatter_cost",
     "allreduce_cost",
-    "alltoall_cost",
-    "gather_cost",
-    "scatter_cost",
+    "GROUP_COST",
+    "gather_rows_cost",
+    "transpose_cost",
+    "gemm_seconds",
+    "elementwise_seconds",
 ]
+
+#: What a rule prices: one size or an ndarray of sizes.
+Sizes = Union[int, float, np.ndarray]
+#: What it returns: a Python ``float`` / ``int`` for a scalar size, else
+#: an ndarray with one entry per size.  ``Any`` to the type checker -- a
+#: caller knows which form it asked for.
+Values = Any
 
 
 @dataclass(frozen=True)
@@ -56,13 +101,17 @@ class CollectiveCost:
     network (summed over ranks); ``bytes_critical`` is the volume on the
     critical path of a single rank -- this is the quantity the paper's
     per-process ``T_comm`` formulas bound.  ``messages`` counts messages on
-    the critical path (the latency multiplier).
+    the critical path (the latency multiplier) and ``latency_seconds`` is
+    the alpha share of ``seconds``.  Seconds are ``float``, volumes and
+    messages ``int`` -- or, priced from an ndarray of sizes, float64 and
+    int64 arrays with one entry per size.
     """
 
-    seconds: float
-    bytes_on_wire: int
-    bytes_critical: int
-    messages: int
+    seconds: Values
+    bytes_on_wire: Values
+    bytes_critical: Values
+    messages: Values
+    latency_seconds: Values = 0.0
 
     def __add__(self, other: "CollectiveCost") -> "CollectiveCost":
         return CollectiveCost(
@@ -70,6 +119,7 @@ class CollectiveCost:
             self.bytes_on_wire + other.bytes_on_wire,
             self.bytes_critical + other.bytes_critical,
             self.messages + other.messages,
+            self.latency_seconds + other.latency_seconds,
         )
 
 
@@ -80,25 +130,79 @@ def _lg(p: int) -> float:
     return float(math.ceil(math.log2(p)))
 
 
-def p2p_cost(profile: MachineProfile, nbytes: int,
+def whole(sizes: Sizes) -> np.ndarray:
+    """``sizes`` as whole, non-negative float64 counts -- what every rule
+    (here and :meth:`SpmmPerfModel.seconds
+    <repro.sparse.perfmodel.SpmmPerfModel.seconds>`) prices."""
+    counts = np.asarray(sizes, dtype=np.float64)
+    if counts.size and counts.min() < 0:
+        raise ValueError(f"negative size: {sizes}")
+    return np.trunc(counts)
+
+
+def _moved(sizes: Sizes, nranks: int) -> Tuple[np.ndarray, np.ndarray]:
+    """What collectives over ``nranks`` ranks have to move, and which of
+    them are busy at all: one rank or zero bytes is free."""
+    m = whole(sizes)
+    if nranks <= 1:
+        m = np.zeros_like(m)
+    return m, m > 0
+
+
+def _rates(profile: MachineProfile, span: int) -> Tuple[float, float]:
+    """``(alpha, beta)`` of the tier a job spanning ``span`` ranks uses."""
+    return profile.alpha_for_span(span), profile.beta_effective(span)
+
+
+def _group_span(nranks: int, span: Optional[int]) -> int:
+    return nranks if span is None else max(span, nranks)
+
+
+def plain(value: np.ndarray) -> Values:
+    """A rule's result in its caller's form: a Python number for a
+    scalar size, the array as is otherwise."""
+    return value.item() if value.ndim == 0 else value
+
+
+def _cost(sizes: np.ndarray, seconds: Values, latency: Values,
+          wire: Values, critical: Values, messages: Values
+          ) -> CollectiveCost:
+    """One rule's result per entry of ``sizes``, volumes and message
+    counts whole: Python numbers for a scalar size (the executed
+    ledger's form), arrays otherwise."""
+    if sizes.ndim == 0:
+        return CollectiveCost(float(seconds), int(wire), int(critical),
+                              int(messages), float(latency))
+
+    def per_size(x: Values, dtype: type) -> np.ndarray:
+        x = np.asarray(x).astype(dtype, copy=False)
+        return x if x.shape == sizes.shape else np.broadcast_to(
+            x, sizes.shape)
+
+    return CollectiveCost(
+        per_size(seconds, np.float64), per_size(wire, np.int64),
+        per_size(critical, np.int64), per_size(messages, np.int64),
+        per_size(latency, np.float64),
+    )
+
+
+def p2p_cost(profile: MachineProfile, nbytes: Sizes,
              span: Optional[int] = None) -> CollectiveCost:
     """One point-to-point message of ``nbytes``.
 
     ``span`` is the physical spread of the communicating job (usually the
     world size); it selects the bandwidth tier.  Two ranks of a 64-rank
-    job talk over the inter-node network, not NVLink.
+    job talk over the inter-node network, not NVLink.  An empty message
+    still pays its latency.
     """
-    if nbytes < 0:
-        raise ValueError(f"negative message size: {nbytes}")
-    span = 2 if span is None else span
-    alpha = profile.alpha_for_span(span)
-    beta = profile.beta_effective(span)
-    return CollectiveCost(alpha + beta * nbytes, nbytes, nbytes, 1)
+    m = whole(nbytes)
+    alpha, beta = _rates(profile, 2 if span is None else span)
+    return _cost(m, alpha + beta * m, alpha, m, m, 1)
 
 
 def broadcast_cost(
-    profile: MachineProfile, nbytes: int, nranks: int, pipelined: bool = False,
-    span: Optional[int] = None,
+    profile: MachineProfile, nbytes: Sizes, nranks: int,
+    pipelined: bool = False, span: Optional[int] = None,
 ) -> CollectiveCost:
     """Broadcast ``nbytes`` from one root to ``nranks`` ranks.
 
@@ -107,32 +211,16 @@ def broadcast_cost(
     factor in the latency term through pipelining"): latency is charged as a
     single alpha and bandwidth once.
     """
-    if nranks <= 1 or nbytes == 0:
-        return CollectiveCost(0.0, 0, 0, 0)
-    span = nranks if span is None else max(span, nranks)
-    alpha = profile.alpha_for_span(span)
-    beta = profile.beta_effective(span)
+    m, busy = _moved(nbytes, nranks)
+    alpha, beta = _rates(profile, _group_span(nranks, span))
     lat_factor = 1.0 if pipelined else _lg(nranks)
-    seconds = lat_factor * alpha + beta * nbytes
-    wire = nbytes * (nranks - 1)
-    return CollectiveCost(seconds, wire, nbytes, max(1, int(lat_factor)))
-
-
-def reduce_cost(profile: MachineProfile, nbytes: int, nranks: int,
-                span: Optional[int] = None) -> CollectiveCost:
-    """Tree reduction of per-rank buffers of ``nbytes`` down to one root."""
-    if nranks <= 1 or nbytes == 0:
-        return CollectiveCost(0.0, 0, 0, 0)
-    span = nranks if span is None else max(span, nranks)
-    alpha = profile.alpha_for_span(span)
-    beta = profile.beta_effective(span)
-    seconds = _lg(nranks) * alpha + beta * nbytes
-    wire = nbytes * (nranks - 1)
-    return CollectiveCost(seconds, wire, nbytes, int(_lg(nranks)))
+    latency = busy * (lat_factor * alpha)
+    return _cost(m, latency + beta * m, latency, m * (nranks - 1), m,
+                 busy * max(1, int(lat_factor)))
 
 
 def allgather_cost(
-    profile: MachineProfile, total_bytes: int, nranks: int,
+    profile: MachineProfile, total_bytes: Sizes, nranks: int,
     span: Optional[int] = None,
 ) -> CollectiveCost:
     """All-gather where the concatenated result has ``total_bytes``.
@@ -140,19 +228,17 @@ def allgather_cost(
     Ring/recursive-doubling bandwidth term ``beta * m * (p-1)/p`` from
     Chan et al., which the paper rounds up to ``beta * m``.
     """
-    if nranks <= 1 or total_bytes == 0:
-        return CollectiveCost(0.0, 0, 0, 0)
-    span = nranks if span is None else max(span, nranks)
-    alpha = profile.alpha_for_span(span)
-    beta = profile.beta_effective(span)
-    moved = total_bytes * (nranks - 1) / nranks
-    seconds = _lg(nranks) * alpha + beta * moved
-    wire = int(moved * nranks)
-    return CollectiveCost(seconds, wire, int(moved), int(_lg(nranks)))
+    m, busy = _moved(total_bytes, nranks)
+    alpha, beta = _rates(profile, _group_span(nranks, span))
+    lg = _lg(nranks)
+    moved = m * (nranks - 1) / max(nranks, 1)
+    latency = busy * (lg * alpha)
+    return _cost(m, latency + beta * moved, latency, moved * nranks, moved,
+                 busy * int(lg))
 
 
 def reduce_scatter_cost(
-    profile: MachineProfile, total_bytes: int, nranks: int,
+    profile: MachineProfile, total_bytes: Sizes, nranks: int,
     span: Optional[int] = None,
 ) -> CollectiveCost:
     """Reduce-scatter of per-rank buffers of ``total_bytes`` each.
@@ -160,62 +246,67 @@ def reduce_scatter_cost(
     Each rank ends with a reduced ``total_bytes / nranks`` shard; recursive
     halving moves ``beta * m * (p-1)/p`` per rank -- exactly the
     ``beta n f (P-1)/P`` term in the paper's 1D backpropagation analysis
-    (Section IV-A.3).
+    (Section IV-A.3), and the all-gather's price run backwards.
     """
-    if nranks <= 1 or total_bytes == 0:
-        return CollectiveCost(0.0, 0, 0, 0)
-    span = nranks if span is None else max(span, nranks)
-    alpha = profile.alpha_for_span(span)
-    beta = profile.beta_effective(span)
-    moved = total_bytes * (nranks - 1) / nranks
-    seconds = _lg(nranks) * alpha + beta * moved
-    wire = int(moved * nranks)
-    return CollectiveCost(seconds, wire, int(moved), int(_lg(nranks)))
+    return allgather_cost(profile, total_bytes, nranks, span)
 
 
 def allreduce_cost(
-    profile: MachineProfile, nbytes: int, nranks: int,
+    profile: MachineProfile, nbytes: Sizes, nranks: int,
     span: Optional[int] = None,
 ) -> CollectiveCost:
-    """All-reduce = reduce-scatter + all-gather (Thakur et al.)."""
-    if nranks <= 1 or nbytes == 0:
-        return CollectiveCost(0.0, 0, 0, 0)
-    rs = reduce_scatter_cost(profile, nbytes, nranks, span)
-    ag = allgather_cost(profile, nbytes, nranks, span)
-    return rs + ag
+    """All-reduce = reduce-scatter + all-gather (Thakur et al.), two
+    halves at one price."""
+    half = reduce_scatter_cost(profile, nbytes, nranks, span)
+    return half + half
 
 
-def alltoall_cost(
-    profile: MachineProfile, total_bytes: int, nranks: int,
+#: The group kinds' rules, by the collective kind the executed epochs
+#: and the emitted schedules name.  Sparse-wire reduce-scatter prices
+#: like the dense one; only the wire size it is handed differs.
+GROUP_COST: Dict[str, Callable[..., CollectiveCost]] = {
+    "broadcast": broadcast_cost,
+    "allgather": allgather_cost,
+    "allreduce": allreduce_cost,
+    "reduce_scatter": reduce_scatter_cost,
+    "sparse_reduce_scatter": reduce_scatter_cost,
+}
+
+
+def gather_rows_cost(
+    profile: MachineProfile, recv_bytes: Sizes, nsources: Sizes,
     span: Optional[int] = None,
 ) -> CollectiveCost:
-    """Pairwise all-to-all: each rank holds ``total_bytes`` split p ways."""
-    if nranks <= 1 or total_bytes == 0:
-        return CollectiveCost(0.0, 0, 0, 0)
-    span = nranks if span is None else max(span, nranks)
-    alpha = profile.alpha_for_span(span)
-    beta = profile.beta_effective(span)
-    moved = total_bytes * (nranks - 1) / nranks
-    seconds = (nranks - 1) * alpha + beta * moved
-    wire = int(moved * nranks)
-    return CollectiveCost(seconds, wire, int(moved), nranks - 1)
+    """One rank's side of a ghost-row exchange (Section IV-A.8).
+
+    Receive-side exact: the rank fetches ``recv_bytes`` (its distinct
+    remote-neighbour rows times the dense row size) from ``nsources``
+    distinct ranks, one message per source, concurrent within the step.
+    """
+    m, sources = np.broadcast_arrays(whole(recv_bytes), whole(nsources))
+    alpha, beta = _rates(profile, 2 if span is None else span)
+    latency = sources * alpha
+    return _cost(m, latency + beta * m, latency, m, m, sources)
 
 
-def gather_cost(profile: MachineProfile, total_bytes: int, nranks: int,
-                span: Optional[int] = None) -> CollectiveCost:
-    """Gather shards into one root (binomial tree, bandwidth ``~m``)."""
-    if nranks <= 1 or total_bytes == 0:
-        return CollectiveCost(0.0, 0, 0, 0)
-    span = nranks if span is None else max(span, nranks)
-    alpha = profile.alpha_for_span(span)
-    beta = profile.beta_effective(span)
-    moved = total_bytes * (nranks - 1) / nranks
-    seconds = _lg(nranks) * alpha + beta * moved
-    wire = int(moved)
-    return CollectiveCost(seconds, wire, int(moved), int(_lg(nranks)))
+def transpose_cost(profile: MachineProfile, nbytes: Sizes) -> CollectiveCost:
+    """One rank's pairwise exchange of ``nbytes`` in a grid transpose.
+
+    Partners sit across the machine, so the message rides the inter-node
+    tier whatever the job's size, without the congestion term.
+    """
+    m = whole(nbytes)
+    return _cost(m, profile.alpha + profile.beta * m, profile.alpha, m, m,
+                 1)
 
 
-def scatter_cost(profile: MachineProfile, total_bytes: int, nranks: int,
-                 span: Optional[int] = None) -> CollectiveCost:
-    """Scatter from one root; mirror image of :func:`gather_cost`."""
-    return gather_cost(profile, total_bytes, nranks, span)
+def gemm_seconds(profile: MachineProfile, flops: Sizes) -> Values:
+    """One local dense matmul of ``flops`` floating-point operations."""
+    return plain(whole(flops) / profile.gemm_flops
+                  + profile.kernel_launch_overhead)
+
+
+def elementwise_seconds(profile: MachineProfile, nbytes: Sizes) -> Values:
+    """One memory-bound elementwise kernel touching ``nbytes``."""
+    return plain(whole(nbytes) / profile.memory_bandwidth
+                  + profile.kernel_launch_overhead)

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.comm.runtime import VirtualRuntime
 from repro.comm.tracker import Category
+from repro.config import FP64_BYTES
 from repro.dist.base import RoutedBroadcast
 from repro.dist.blockrow import BlockRowAlgorithm
 from repro.nn.optim import Optimizer
@@ -258,7 +259,7 @@ class DistGCN15D(BlockRowAlgorithm):
     @classmethod
     def emit_comm_schedule(
         cls, graph, widths: Sequence[int], p: int, replication: int = 1,
-        **_ignored,
+        word_bytes: int = FP64_BYTES, **_ignored,
     ):
         """Emit the replicated block-row epoch without building ranks.
 
@@ -268,7 +269,6 @@ class DistGCN15D(BlockRowAlgorithm):
         """
         from repro.comm.tracker import Category
         from repro.simulate.schedule import (
-            WB,
             GraphModel,
             ScheduleBuilder,
             emit_blockrow_epoch,
@@ -302,7 +302,7 @@ class DistGCN15D(BlockRowAlgorithm):
         cells = graph.cell_nnz(q, np.asarray(col_bounds))  # (q, c)
         slab_nnz = cells.reshape(-1)  # rank order r = g * c + j
         rows_per_rank = np.repeat(grows, c)
-        b = ScheduleBuilder(p)
+        b = ScheduleBuilder(p, word_bytes)
 
         def replicated_spmm(f: int) -> None:
             max_rounds = max(s1 - s0 for s0, s1 in subsets)
@@ -312,10 +312,10 @@ class DistGCN15D(BlockRowAlgorithm):
                 ]
                 b.broadcast(
                     Category.DCOMM, q,
-                    grows[sources] * (f * WB),
+                    grows[sources] * (f * b.wb),
                 )
             b.spmm(slab_nnz, rows_per_rank, f)
-            b.allreduce(Category.DCOMM, c, grows * (f * WB))
+            b.allreduce(Category.DCOMM, c, grows * (f * b.wb))
 
         def replicated_allreduce(nbytes: int) -> None:
             b.allreduce(Category.DCOMM, q, np.full(c, float(nbytes)))

@@ -47,6 +47,7 @@ import numpy as np
 
 from repro.comm.runtime import VirtualRuntime
 from repro.comm.tracker import Category
+from repro.config import FP64_BYTES
 from repro.dist.blockrow import BlockRowAlgorithm
 from repro.dist.distribution import Distribution, ghost_structure
 from repro.nn.optim import Optimizer
@@ -353,7 +354,8 @@ class DistGCN1D(BlockRowAlgorithm):
     @classmethod
     def emit_comm_schedule(
         cls, graph, widths: Sequence[int], p: int, variant: str = "auto",
-        distribution: Optional[Distribution] = None, **_ignored,
+        distribution: Optional[Distribution] = None,
+        word_bytes: int = FP64_BYTES, **_ignored,
     ):
         """Emit this family's per-epoch schedule without building ranks.
 
@@ -364,12 +366,13 @@ class DistGCN1D(BlockRowAlgorithm):
         ``distribution`` reproduces a partition-aware run: rank ranges
         come from the partition and exact-mode graphs are relabelled the
         same way the executed algorithm relabels its operand.  Exact-mode
-        graphs reproduce the executed ledger byte for byte.
+        graphs reproduce the executed ledger byte for byte at the default
+        ``word_bytes`` (fp64, what the executed reproduction moves); fp32
+        prices the paper's training precision.
         """
         from repro.comm.tracker import Category
         from repro.config import INDEX_BYTES
         from repro.simulate.schedule import (
-            WB,
             GraphModel,
             ScheduleBuilder,
             emit_blockrow_epoch,
@@ -405,19 +408,19 @@ class DistGCN1D(BlockRowAlgorithm):
                           dtype=np.int64)
         rows = np.diff(bounds).astype(np.float64)
         nnz_at_rows = graph.row_block_nnz(p, bounds=bounds)
-        b = ScheduleBuilder(p)
+        b = ScheduleBuilder(p, word_bytes)
 
         if variant == "ghost":
             ghosts, nsrc = graph.ghost_row_counts(bounds)
 
             def forward_spmm(f: int) -> None:
-                b.gather_rows(Category.DCOMM, ghosts * (f * WB), nsrc)
+                b.gather_rows(Category.DCOMM, ghosts * (f * b.wb), nsrc)
                 b.spmm(nnz_at_rows, rows, f)
 
             backward_spmm = forward_spmm  # A == A^T: same exchange
         else:
             def forward_spmm(f: int) -> None:
-                b.allgather(Category.DCOMM, p, n * f * WB)
+                b.allgather(Category.DCOMM, p, n * f * b.wb)
                 b.spmm(nnz_at_rows, rows, f)
 
         if variant in ("symmetric", "transpose"):
@@ -429,7 +432,7 @@ class DistGCN1D(BlockRowAlgorithm):
             )
 
             def backward_spmm(f: int) -> None:
-                b.allgather(Category.DCOMM, p, n * f * WB)
+                b.allgather(Category.DCOMM, p, n * f * b.wb)
                 b.spmm(nnz_a_rows, rows, f)
 
         elif variant != "ghost":
@@ -448,17 +451,17 @@ class DistGCN1D(BlockRowAlgorithm):
             def backward_spmm(f: int) -> None:
                 b.spmm(nnz_a_cols, n, f)
                 if variant == "outer_sparse":
-                    wire = float(np.max(nz_rows * (f * WB + INDEX_BYTES)))
+                    wire = float(np.max(nz_rows * (f * b.wb + INDEX_BYTES)))
                     b.reduce_scatter(Category.DCOMM, p, wire)
                 else:
-                    b.reduce_scatter(Category.DCOMM, p, n * f * WB)
+                    b.reduce_scatter(Category.DCOMM, p, n * f * b.wb)
 
         def replicated_allreduce(nbytes: int) -> None:
             b.allreduce(Category.DCOMM, p, nbytes)
 
         pre_backward = None
         if variant == "transpose":
-            trpose_bytes = sparse_wire_bytes(nnz_a_rows, rows)
+            trpose_bytes = sparse_wire_bytes(nnz_a_rows, rows, b.wb)
 
             def pre_backward() -> None:
                 b.transpose(trpose_bytes)

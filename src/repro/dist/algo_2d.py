@@ -33,6 +33,7 @@ import numpy as np
 from repro.comm.mesh import Mesh2D
 from repro.comm.runtime import VirtualRuntime
 from repro.comm.tracker import Category
+from repro.config import FP64_BYTES
 from repro.dist.base import RoutedBroadcast
 from repro.dist.grid import GridAlgorithm
 from repro.nn.optim import Optimizer
@@ -332,6 +333,7 @@ class DistGCN2D(GridAlgorithm):
         p: int,
         grid: Optional[Tuple[int, int]] = None,
         summa_block: Optional[int] = None,
+        word_bytes: int = FP64_BYTES,
         **_ignored,
     ):
         """Emit the SUMMA epoch's schedule without building ranks.
@@ -344,7 +346,6 @@ class DistGCN2D(GridAlgorithm):
         from repro.comm.mesh import square_side
         from repro.comm.tracker import Category
         from repro.simulate.schedule import (
-            WB,
             GraphModel,
             ScheduleBuilder,
             boundaries,
@@ -386,22 +387,23 @@ class DistGCN2D(GridAlgorithm):
         def outw_of_rank(f: int) -> np.ndarray:
             return np.tile(fsplit_widths(f), pr)
 
-        b = ScheduleBuilder(p)
+        b = ScheduleBuilder(p, word_bytes)
 
         def grid_spmm(f: int, backward: bool) -> None:
             cells = cells_a if backward else cells_at
             fw = fsplit_widths(f)
-            fw_rank = np.tile(fw, pr)
             for st, (lo, hi, _ro, _co) in enumerate(stages):
                 b.broadcast(
                     Category.SCOMM, pc,
-                    sparse_wire_bytes(cells[:, st], rows),
+                    sparse_wire_bytes(cells[:, st], rows, b.wb),
                     pipelined=True,
                 )
                 b.broadcast(
-                    Category.DCOMM, pr, (hi - lo) * fw * WB, pipelined=True
+                    Category.DCOMM, pr, (hi - lo) * fw * b.wb, pipelined=True
                 )
-                b.spmm(np.repeat(cells[:, st], pc), rows_of_rank, fw_rank)
+                # Rank (i, j) multiplies row i's stage slice into j's
+                # feature columns.
+                b.spmm(cells[:, st, None], rows[:, None], fw)
 
         def matmul_w(f_in: int, f_out: int) -> None:
             emit_replicated_matmul(
@@ -411,10 +413,10 @@ class DistGCN2D(GridAlgorithm):
 
         def weight_grad(f_in: int, f_out: int) -> None:
             matmul_w(f_in, f_out)
-            b.allreduce(Category.DCOMM, p, f_in * f_out * WB)
+            b.allreduce(Category.DCOMM, p, f_in * f_out * b.wb)
 
         def row_allgather(f: int) -> None:
-            b.allgather(Category.DCOMM, pc, rows * (f * WB))
+            b.allgather(Category.DCOMM, pc, rows * (f * b.wb))
 
         col_bounds_pc = boundaries(n, pc)
         blocks_a = graph.cell_nnz(
@@ -425,7 +427,8 @@ class DistGCN2D(GridAlgorithm):
             # Charged for every rank regardless of symmetry, exactly as
             # the executed `_charge_epoch_transpose` does.
             b.transpose(
-                sparse_wire_bytes(blocks_a, rows[:, None]).reshape(-1)
+                sparse_wire_bytes(
+                    blocks_a, rows[:, None], b.wb).reshape(-1)
             )
 
         emit_grid_epoch(

@@ -34,6 +34,7 @@ import numpy as np
 from repro.comm.mesh import Mesh3D
 from repro.comm.runtime import VirtualRuntime
 from repro.comm.tracker import Category
+from repro.config import FP64_BYTES
 from repro.dist.base import RoutedBroadcast
 from repro.dist.grid import GridAlgorithm
 from repro.nn.optim import Optimizer
@@ -306,7 +307,8 @@ class DistGCN3D(GridAlgorithm):
     # ------------------------------------------------------------------ #
     @classmethod
     def emit_comm_schedule(
-        cls, graph, widths: Sequence[int], p: int, **_ignored,
+        cls, graph, widths: Sequence[int], p: int,
+        word_bytes: int = FP64_BYTES, **_ignored,
     ):
         """Emit the Split-3D epoch's schedule without building ranks.
 
@@ -317,7 +319,6 @@ class DistGCN3D(GridAlgorithm):
         from repro.comm.mesh import cube_side
         from repro.comm.tracker import Category
         from repro.simulate.schedule import (
-            WB,
             GraphModel,
             ScheduleBuilder,
             emit_grid_epoch,
@@ -375,7 +376,7 @@ class DistGCN3D(GridAlgorithm):
                 fsplit_widths(f)[None, :, None], (s, s, s)
             ).reshape(-1)
 
-        b = ScheduleBuilder(p)
+        b = ScheduleBuilder(p, word_bytes)
 
         # Fiber-plane exchange operands: transfer (i, j, k) [i != k] moves
         # shard[i, k] x fw[j]; its source rank concurrently receives the
@@ -393,37 +394,30 @@ class DistGCN3D(GridAlgorithm):
                 b.broadcast(
                     Category.SCOMM, s,
                     sparse_wire_bytes(
-                        nz[:, :, t], rows[:, None]
+                        nz[:, :, t], rows[:, None], b.wb
                     ).reshape(-1),
                     pipelined=True,
                 )
                 # Dense: column groups (j, k) get block (t, j, k).
                 b.broadcast(
                     Category.DCOMM, s,
-                    (np.outer(fw, subrows[:, t]) * WB).reshape(-1),
+                    (np.outer(fw, subrows[:, t]) * b.wb).reshape(-1),
                     pipelined=True,
                 )
                 # Local SpMM on every rank (i, j, k).
-                b.spmm(
-                    np.broadcast_to(
-                        nz[:, None, :, t], (s, s, s)
-                    ).reshape(-1),
-                    np.broadcast_to(
-                        rows[:, None, None], (s, s, s)
-                    ).reshape(-1),
-                    outw_of_rank(f),
-                )
+                b.spmm(nz[:, None, :, t], rows[:, None, None],
+                       fw[None, :, None])
             # Fiber reduce-scatter over (i, j).
             b.reduce_scatter(
                 Category.DCOMM, s,
-                (np.outer(rows, fw) * WB).reshape(-1),
+                (np.outer(rows, fw) * b.wb).reshape(-1),
             )
             # Fiber-plane exchange (i, j, k) -> (k, j, i), i != k.
             if off_diag.any():
                 b.sendrecv(
                     Category.DCOMM,
-                    (shard_fwd[:, None] * fw[None, :] * WB).reshape(-1),
-                    (shard_rev[:, None] * fw[None, :] * WB).reshape(-1),
+                    (shard_fwd[:, None] * fw[None, :] * b.wb).reshape(-1),
+                    (shard_rev[:, None] * fw[None, :] * b.wb).reshape(-1),
                 )
 
         def matmul_w(f_in: int, f_out: int) -> None:
@@ -434,10 +428,10 @@ class DistGCN3D(GridAlgorithm):
 
         def weight_grad(f_in: int, f_out: int) -> None:
             matmul_w(f_in, f_out)
-            b.allreduce(Category.DCOMM, p, f_in * f_out * WB)
+            b.allreduce(Category.DCOMM, p, f_in * f_out * b.wb)
 
         def row_allgather(f: int) -> None:
-            b.allgather(Category.DCOMM, s, group_rows * (f * WB))
+            b.allgather(Category.DCOMM, s, group_rows * (f * b.wb))
 
         def epoch_transpose() -> None:
             # Symmetric operands share the A^T grid block for block: no
@@ -445,7 +439,8 @@ class DistGCN3D(GridAlgorithm):
             if not graph.symmetric:
                 b.transpose(
                     sparse_wire_bytes(
-                        cells_a.transpose(0, 2, 1), rows[:, None, None]
+                        cells_a.transpose(0, 2, 1), rows[:, None, None],
+                        b.wb,
                     ).reshape(-1)
                 )
 

@@ -42,6 +42,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
 import numpy as np
 
 from repro.analysis import sanitize as _sanitize
+from repro.comm import cost_model as cm
 from repro.comm.collectives import EXACT, payload_nbytes
 from repro.comm.plan import CommPlan
 from repro.comm.runtime import Runtime
@@ -828,37 +829,35 @@ class DistAlgorithm:
         (priced by the SpMM perf model), ``(rank, flops)`` for
         ``"gemm"``, ``(rank, bytes touched)`` for ``"elementwise"`` (the
         paper reports both under misc) and ``(rank, bytes)`` for the
-        pairwise ``"transpose"`` exchange.  Structure is fixed at setup,
-        so the modeled seconds and flop counts are computed once and
-        replayed from the cache under ``key`` -- identical charges, none
-        of the per-epoch list building.
+        pairwise ``"transpose"`` exchange.  The whole sweep is priced in
+        one call of the kind's :mod:`repro.comm.cost_model` rule.
+        Structure is fixed at setup, so the modeled seconds and flop
+        counts are computed once and replayed from the cache under
+        ``key`` -- identical charges, none of the per-epoch list
+        building.
         """
         items = self._cache.get(key)
         if items is None:
             profile = self.rt.profile
-            launch = profile.kernel_launch_overhead
+            ranks, *columns = zip(*builder())
+            work = [np.array(c) for c in columns]
+            nbytes = messages = flops = (0,) * len(ranks)
             if kind == "spmm":
-                items = [
-                    (rank, self.perf.seconds(int(nnz), int(nrows), int(f)),
-                     0, 0, 2 * int(nnz) * int(f))
-                    for rank, nnz, nrows, f in builder()
-                ]
+                nnz, _, f = work
+                seconds = self.perf.seconds(*work)
+                flops = (2 * nnz * f).tolist()
             elif kind == "gemm":
-                items = [
-                    (rank, flops / profile.gemm_flops + launch, 0, 0,
-                     int(flops))
-                    for rank, flops in builder()
-                ]
+                seconds = cm.gemm_seconds(profile, *work)
+                flops = work[0].astype(np.int64).tolist()
             elif kind == "elementwise":
-                bw = profile.memory_bandwidth
-                items = [(rank, int(nbytes) / bw + launch, 0, 0, 0)
-                         for rank, nbytes in builder()]
+                seconds = cm.elementwise_seconds(profile, *work)
             else:
-                alpha, beta = profile.alpha, profile.beta
-                items = [
-                    (rank, alpha + beta * int(nbytes), int(nbytes), 1, 0)
-                    for rank, nbytes in builder()
-                ]
+                cost = cm.transpose_cost(profile, *work)
+                seconds = cost.seconds
+                nbytes = cost.bytes_critical.tolist()
+                messages = cost.messages.tolist()
+            items = list(zip(ranks, seconds.tolist(), nbytes, messages,
+                             flops))
             self._cache[key] = items
         self.rt.tracker.charge_many(_KERNEL_CATEGORY[kind], items)
 

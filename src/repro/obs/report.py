@@ -129,16 +129,18 @@ def _compute_section(trace: MergedTrace, config: dict
     """Per-kernel measured-vs-modeled compute table.
 
     ``None`` when the trace carries no kernel profile (run without
-    ``--profile``).  Modeled seconds price each kernel with the same
-    machine rates the ledger charges: SpMM via
+    ``--profile``).  Modeled seconds price each kernel's average call
+    with the rules the ledger charges through
+    (:mod:`repro.comm.cost_model`): SpMM via
     :class:`~repro.sparse.perfmodel.SpmmPerfModel` on the average
-    operand shape, GEMMs at ``gemm_flops``, reduction folds at
-    ``memory_bandwidth`` -- plus the per-call launch overhead.
+    operand shape, GEMMs by their flops, reduction folds by the bytes
+    they touch.
     """
     prof = trace.profile_summary()
     if prof is None:
         return None, ""
     try:
+        from repro.comm import cost_model as cm
         from repro.simulate.machines import get_machine
         from repro.sparse.perfmodel import SpmmPerfModel
 
@@ -153,16 +155,16 @@ def _compute_section(trace: MergedTrace, config: dict
         calls = int(k["calls"])
         modeled = None
         if calls:
-            launch = calls * machine.kernel_launch_overhead
             extras = k.get("extras") or ()
             if name == "spmm" and len(extras) >= 3:
                 nnz, nrows, ncols = (e / calls for e in extras[:3])
                 modeled = calls * spmm_model.seconds(nnz, nrows, ncols)
             elif name.startswith("gemm."):
-                modeled = float(k["flops"]) / machine.gemm_flops + launch
+                modeled = calls * cm.gemm_seconds(
+                    machine, float(k["flops"]) / calls)
             elif name == "reduce.fold":
-                modeled = (float(k["bytes"]) / machine.memory_bandwidth
-                           + launch)
+                modeled = calls * cm.elementwise_seconds(
+                    machine, float(k["bytes"]) / calls)
         measured = float(k["seconds"])
         rows.append({
             "kernel": name,

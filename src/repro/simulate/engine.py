@@ -190,7 +190,10 @@ def predict_epoch(
     Dataset, a CSRMatrix, or a published dataset name; ``machine`` a
     preset name or profile.  Remaining keyword arguments mirror the
     algorithm constructors (``variant``, ``replication``, ``grid``,
-    ``summa_block``).
+    ``summa_block``), plus the emitters' ``word_bytes``: the element
+    size dense words and sparse values are counted in (default fp64,
+    what the executed reproduction moves; ``FP32_BYTES`` prices the
+    paper's training runs).
     """
     graph = GraphModel.coerce(graph)
     profile = get_machine(machine)

@@ -9,16 +9,18 @@ The :mod:`repro.dist` algorithm classes emit schedules through their
 single numpy block or virtual rank, which is what makes P = 16384
 tractable.
 
-Pricing a schedule (:func:`evaluate_schedule`) applies the exact
-alpha-beta formulas of :mod:`repro.comm.cost_model` (including the
-``int`` truncations the executed collectives perform) and the
-:class:`repro.sparse.perfmodel.SpmmPerfModel` compute rates, vectorised
-over each phase.  Because emission mirrors the executed charge pattern
-one-for-one, a schedule built from the actual adjacency predicts the
-executed ledger's per-category byte counts **exactly**; with a
+Pricing a schedule (:func:`evaluate_schedule`) calls the price list of
+:mod:`repro.comm.cost_model` -- the very rules the executed ledger is
+charged through, each evaluated once over a phase's array of sizes -- and
+keeps only the step reductions here: the per-phase maximum over
+participants, the latency / bandwidth split, and the byte and message
+sums.  Because emission mirrors the executed charge pattern one-for-one,
+a schedule built from the actual adjacency predicts the executed ledger's
+per-category seconds, bytes, messages and step count **exactly**; with a
 :class:`GraphModel` built from just ``(n, nnz)`` the nonzeros are assumed
 uniform and the prediction becomes the paper's load-balanced analytic
-model.
+model (what ``repro figure2`` / ``figure3`` print, at the paper's fp32
+element size -- the emitters' ``word_bytes``).
 
 :class:`GraphModel` is the shape oracle emission runs against: it answers
 "how many nonzeros land in this block?" either exactly (CSR-backed) or
@@ -28,12 +30,12 @@ dense/sparse-agnostic backend idiom, applied to graph statistics.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.comm import cost_model as cm
 from repro.comm.tracker import Category
 from repro.config import FP64_BYTES, INDEX_BYTES, MachineProfile
 from repro.sparse.csr import CSRMatrix
@@ -41,7 +43,6 @@ from repro.sparse.distribute import block_ranges
 from repro.sparse.perfmodel import SpmmPerfModel
 
 __all__ = [
-    "WB",
     "LOSS_TERM_BYTES",
     "boundaries",
     "GraphModel",
@@ -56,10 +57,8 @@ __all__ = [
     "sparse_wire_bytes",
 ]
 
-#: Bytes per dense element; the executed reproduction runs fp64.
-WB = FP64_BYTES
-
-#: The replicated ``[sum_picked, correct]`` loss pair every epoch reduces.
+#: The replicated ``[sum_picked, correct]`` loss pair every epoch
+#: reduces: two fp64 whatever the training precision.
 LOSS_TERM_BYTES = 2 * FP64_BYTES
 
 
@@ -74,15 +73,16 @@ def boundaries(n: int, parts: int) -> np.ndarray:
     )
 
 
-def sparse_wire_bytes(nnz, nrows) -> np.ndarray:
+def sparse_wire_bytes(nnz, nrows, word_bytes: int) -> np.ndarray:
     """Serialised CSR block size: data + indices + indptr.
 
     Mirrors :attr:`repro.sparse.csr.CSRMatrix.nbytes_on_wire` for blocks
-    of ``nnz`` nonzeros and ``nrows`` rows (arrays broadcast).
+    of ``nnz`` nonzeros of ``word_bytes`` each and ``nrows`` rows (arrays
+    broadcast).
     """
     nnz = np.asarray(nnz, dtype=np.float64)
     nrows = np.asarray(nrows, dtype=np.float64)
-    return nnz * (FP64_BYTES + INDEX_BYTES) + (nrows + 1.0) * INDEX_BYTES
+    return nnz * (word_bytes + INDEX_BYTES) + (nrows + 1.0) * INDEX_BYTES
 
 
 # ---------------------------------------------------------------------- #
@@ -184,8 +184,8 @@ class GraphModel:
     def from_published(cls, name: str) -> "GraphModel":
         """Uniform oracle at a Table VI dataset's full published size.
 
-        The normalised adjacency adds one self loop per vertex, matching
-        :meth:`repro.analysis.model2d.Model2DEpoch.for_published_dataset`.
+        The normalised adjacency adds one self loop per vertex.  This is
+        the graph Figures 2 and 3 are predicted on.
         """
         from repro.graph.datasets import published_spec
 
@@ -399,11 +399,12 @@ class SendRecvPhase:
 class GatherRowsPhase:
     """One ghost-row exchange: per-rank received bytes + source counts.
 
-    Mirrors the ``gather_rows`` rule of :meth:`repro.comm.collectives.
-    Collectives.charges` -- receive-side accounting: rank ``i``
-    spends ``nsources[i] * alpha + beta * nbytes[i]`` seconds and books
-    exactly ``nbytes[i]`` received bytes -- the partition-aware term
-    whose total is ``sum_i r_i * f * itemsize``.
+    Priced by :func:`repro.comm.cost_model.gather_rows_cost`, like the
+    ``gather_rows`` kind of :meth:`repro.comm.collectives.Collectives.
+    charges` -- receive-side accounting: rank ``i`` fetches from
+    ``nsources[i]`` ranks and books exactly ``nbytes[i]`` received
+    bytes -- the partition-aware term whose total is ``sum_i r_i * f *
+    itemsize``.
     """
 
     category: str
@@ -420,7 +421,9 @@ class TransposePhase:
 
 @dataclass
 class SpmmPhase:
-    """Concurrent local SpMM kernels: per-rank (nnz, nrows, f)."""
+    """Concurrent local SpMM kernels: per-rank (nnz, nrows, f), as
+    arrays that broadcast against each other (a grid family's ranks are
+    the product of its axes, and need not be spelled out)."""
 
     nnz: np.ndarray
     nrows: np.ndarray
@@ -479,12 +482,20 @@ class ScheduleBuilder:
     hold one entry per concurrent collective/kernel in the step, matching
     how the executed algorithms group charges under one
     :meth:`~repro.comm.tracker.CommTracker.step_scope`.
+
+    ``word_bytes`` is the element size the emitters scale dense words
+    and sparse values by: fp64 (the default) mirrors the executed
+    reproduction, fp32 prices the paper's training runs.  Indices and
+    the loss pair do not scale with it.
     """
 
-    def __init__(self, p: int):
+    def __init__(self, p: int, word_bytes: int = FP64_BYTES):
         if p < 1:
             raise ValueError(f"world size must be >= 1, got {p}")
+        if word_bytes < 1:
+            raise ValueError(f"element size must be >= 1, got {word_bytes}")
         self.p = int(p)
+        self.wb = int(word_bytes)
         self.phases: List[Phase] = []
 
     # -- communication -------------------------------------------------- #
@@ -534,14 +545,8 @@ class ScheduleBuilder:
 
     # -- local compute -------------------------------------------------- #
     def spmm(self, nnz, nrows, ncols_dense) -> None:
-        nnz, nrows, f = np.broadcast_arrays(
-            _arr(nnz), _arr(nrows), _arr(ncols_dense)
-        )
         self.phases.append(
-            SpmmPhase(np.ascontiguousarray(nnz, dtype=np.float64),
-                      np.ascontiguousarray(nrows, dtype=np.float64),
-                      np.ascontiguousarray(f, dtype=np.float64))
-        )
+            SpmmPhase(_arr(nnz), _arr(nrows), _arr(ncols_dense)))
 
     def gemm(self, flops) -> None:
         self.phases.append(GemmPhase(_arr(flops)))
@@ -598,137 +603,37 @@ class SimResult:
         return dict(self.seconds_by_category)
 
 
-def _lg(p: int) -> float:
-    return 0.0 if p <= 1 else float(math.ceil(math.log2(p)))
-
-
 class _Accumulator:
+    """The step reductions: each phase's slowest participant paces it,
+    every participant's bytes and messages are booked."""
+
     def __init__(self):
         self.sec = {c: 0.0 for c in Category.ALL}
-        self.nbytes = {c: 0.0 for c in Category.ALL}
+        self.nbytes = {c: 0 for c in Category.ALL}
         self.lat = 0.0
         self.bw = 0.0
         self.compute = 0.0
         self.messages = 0
 
-    def comm(self, category: str, wall: float, wall_lat: float,
-             total_bytes: float, messages: int) -> None:
+    def comm(self, category: str, cost: cm.CollectiveCost,
+             fanout: int = 1) -> None:
+        """One step of concurrent transfers, each booked by ``fanout``
+        ranks (the members of a group collective)."""
+        if not cost.seconds.size:
+            return
+        slowest = int(np.argmax(cost.seconds))
+        wall = float(cost.seconds[slowest])
+        wall_lat = float(cost.latency_seconds[slowest])
         self.sec[category] += wall
-        self.nbytes[category] += total_bytes
+        self.nbytes[category] += int(cost.bytes_critical.sum()) * fanout
         self.lat += wall_lat
         self.bw += wall - wall_lat
-        self.messages += messages
+        self.messages += int(cost.messages.sum()) * fanout
 
-    def local(self, category: str, wall: float) -> None:
+    def local(self, category: str, seconds: np.ndarray) -> None:
+        wall = float(seconds.max())
         self.sec[category] += wall
         self.compute += wall
-
-
-def _eval_collective(acc: _Accumulator, ph: CollectivePhase,
-                     profile: MachineProfile, p: int) -> None:
-    g = ph.group_size
-    m = ph.nbytes
-    if g <= 1 or not m.size:
-        return
-    alpha = profile.alpha_for_span(p)
-    beta = profile.beta_effective(p)
-    lg = _lg(g)
-    active = m > 0
-    if ph.kind == "broadcast":
-        lat_msgs = 1.0 if ph.pipelined else lg
-        sec = np.where(active, lat_msgs * alpha + beta * m, 0.0)
-        crit = np.where(active, np.trunc(m), 0.0)
-        msgs = max(1, int(lat_msgs))
-        lat_one = lat_msgs * alpha
-    elif ph.kind in ("allgather", "reduce_scatter"):
-        moved = m * (g - 1) / g
-        sec = np.where(active, lg * alpha + beta * moved, 0.0)
-        crit = np.where(active, np.trunc(moved), 0.0)
-        msgs = int(lg)
-        lat_one = lg * alpha
-    elif ph.kind == "allreduce":
-        moved = m * (g - 1) / g
-        sec = np.where(active, 2.0 * lg * alpha + 2.0 * beta * moved, 0.0)
-        crit = np.where(active, 2.0 * np.trunc(moved), 0.0)
-        msgs = 2 * int(lg)
-        lat_one = 2.0 * lg * alpha
-    else:  # pragma: no cover - builder restricts kinds
-        raise ValueError(f"unknown collective kind {ph.kind!r}")
-    wall = float(sec.max())
-    wall_lat = lat_one if wall > 0 else 0.0
-    total = float(crit.sum()) * g
-    nactive = int(np.count_nonzero(active))
-    acc.comm(ph.category, wall, wall_lat, total, msgs * g * nactive)
-
-
-def _eval_sendrecv(acc: _Accumulator, ph: SendRecvPhase,
-                   profile: MachineProfile, p: int) -> None:
-    alpha = profile.alpha_for_span(p)
-    beta = profile.beta_effective(p)
-    sec = alpha + beta * ph.nbytes
-    pair_sec = alpha + beta * ph.pair_nbytes
-    rank_total = sec + pair_sec
-    i = int(np.argmax(rank_total))
-    wall = float(rank_total[i])
-    acc.comm(ph.category, wall, 2.0 * alpha, float(np.trunc(ph.nbytes).sum()),
-             2 * ph.nbytes.size)
-
-
-def _eval_gather_rows(acc: _Accumulator, ph: GatherRowsPhase,
-                      profile: MachineProfile, p: int) -> None:
-    alpha = profile.alpha_for_span(p)
-    beta = profile.beta_effective(p)
-    sec = ph.nsources * alpha + beta * ph.nbytes
-    i = int(np.argmax(sec)) if sec.size else 0
-    wall = float(sec[i]) if sec.size else 0.0
-    wall_lat = float(ph.nsources[i]) * alpha if wall > 0 else 0.0
-    acc.comm(ph.category, wall, wall_lat,
-             float(np.trunc(ph.nbytes).sum()), int(ph.nsources.sum()))
-
-
-def _eval_transpose(acc: _Accumulator, ph: TransposePhase,
-                    profile: MachineProfile) -> None:
-    sec = profile.alpha + profile.beta * ph.nbytes
-    wall = float(sec.max()) if sec.size else 0.0
-    acc.comm(Category.TRPOSE, wall, profile.alpha if wall > 0 else 0.0,
-             float(np.trunc(ph.nbytes).sum()), ph.nbytes.size)
-
-
-def _eval_spmm(acc: _Accumulator, ph: SpmmPhase,
-               perf: SpmmPerfModel) -> None:
-    nnz, nrows, f = ph.nnz, ph.nrows, ph.ncols_dense
-    trivial = (nnz <= 0) | (f <= 0)
-    d = nnz / np.maximum(nrows, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rate = (
-            perf.base_flops
-            * d / (d + perf.d_half)
-            * f / (f + perf.w_half)
-        )
-        sec = np.where(
-            trivial,
-            perf.launch_overhead,
-            2.0 * nnz * f / rate + perf.launch_overhead,
-        )
-    acc.local(Category.SPMM, float(sec.max()))
-
-
-def _eval_gemm(acc: _Accumulator, ph: GemmPhase,
-               profile: MachineProfile) -> None:
-    sec = (
-        np.trunc(ph.flops) / profile.gemm_flops
-        + profile.kernel_launch_overhead
-    )
-    acc.local(Category.MISC, float(sec.max()))
-
-
-def _eval_elementwise(acc: _Accumulator, ph: ElementwisePhase,
-                      profile: MachineProfile) -> None:
-    sec = (
-        np.trunc(ph.nbytes) / profile.memory_bandwidth
-        + profile.kernel_launch_overhead
-    )
-    acc.local(Category.MISC, float(sec.max()))
 
 
 def evaluate_schedule(
@@ -736,33 +641,49 @@ def evaluate_schedule(
 ) -> SimResult:
     """Price a schedule on a machine profile.
 
-    Applies the exact :mod:`repro.comm.cost_model` arithmetic (span = the
-    world size ``schedule.p``, same truncations, same zero shortcuts) so
-    exact-mode schedules reproduce the executed ledger byte for byte.
+    Every phase is one vectorised call of its :mod:`repro.comm.cost_model`
+    rule (span = the world size ``schedule.p``) -- the same function the
+    executed ledger charges through -- followed by the step reduction, so
+    exact-mode schedules reproduce the executed ledger's seconds, bytes,
+    messages and step count exactly.
     """
     acc = _Accumulator()
     perf = SpmmPerfModel.from_profile(profile)
     p = schedule.p
     for ph in schedule.phases:
         if isinstance(ph, CollectivePhase):
-            _eval_collective(acc, ph, profile, p)
+            flags = (ph.pipelined,) if ph.kind == "broadcast" else ()
+            acc.comm(
+                ph.category,
+                cm.GROUP_COST[ph.kind](
+                    profile, ph.nbytes, ph.group_size, *flags, span=p),
+                fanout=ph.group_size,
+            )
         elif isinstance(ph, SendRecvPhase):
-            _eval_sendrecv(acc, ph, profile, p)
+            # A rank's step is its send plus the transfer it receives:
+            # both ends book the message, only the destination the bytes.
+            send = cm.p2p_cost(profile, ph.nbytes, span=p)
+            recv = cm.p2p_cost(profile, ph.pair_nbytes, span=p)
+            acc.comm(ph.category, replace(
+                send + recv, bytes_critical=send.bytes_critical))
         elif isinstance(ph, GatherRowsPhase):
-            _eval_gather_rows(acc, ph, profile, p)
+            acc.comm(ph.category, cm.gather_rows_cost(
+                profile, ph.nbytes, ph.nsources, span=p))
         elif isinstance(ph, TransposePhase):
-            _eval_transpose(acc, ph, profile)
+            acc.comm(Category.TRPOSE, cm.transpose_cost(profile, ph.nbytes))
         elif isinstance(ph, SpmmPhase):
-            _eval_spmm(acc, ph, perf)
+            acc.local(Category.SPMM,
+                      perf.seconds(ph.nnz, ph.nrows, ph.ncols_dense))
         elif isinstance(ph, GemmPhase):
-            _eval_gemm(acc, ph, profile)
+            acc.local(Category.MISC, cm.gemm_seconds(profile, ph.flops))
         elif isinstance(ph, ElementwisePhase):
-            _eval_elementwise(acc, ph, profile)
+            acc.local(Category.MISC,
+                      cm.elementwise_seconds(profile, ph.nbytes))
         else:  # pragma: no cover - phase set is closed
             raise TypeError(f"unknown phase type {type(ph).__name__}")
     return SimResult(
         seconds_by_category=dict(acc.sec),
-        bytes_by_category={c: int(v) for c, v in acc.nbytes.items()},
+        bytes_by_category=dict(acc.nbytes),
         latency_seconds=acc.lat,
         bandwidth_seconds=acc.bw,
         compute_seconds=acc.compute,
@@ -795,19 +716,19 @@ def emit_blockrow_epoch(
         f_in, f_out = widths[l], widths[l + 1]
         forward_spmm(f_in)
         b.gemm(rows * (2.0 * f_in * f_out))
-        b.elementwise(rows * (2.0 * f_out * WB))
+        b.elementwise(rows * (2.0 * f_out * b.wb))
     replicated_allreduce(LOSS_TERM_BYTES)
-    b.elementwise(rows * (3.0 * widths[-1] * WB))
+    b.elementwise(rows * (3.0 * widths[-1] * b.wb))
     if pre_backward is not None:
         pre_backward()
     for l in range(n_layers - 1, -1, -1):
         f_in, f_out = widths[l], widths[l + 1]
         backward_spmm(f_out)
         b.gemm(rows * (2.0 * f_in * f_out))
-        replicated_allreduce(f_in * f_out * WB)
+        replicated_allreduce(f_in * f_out * b.wb)
         if l > 0:
             b.gemm(rows * (2.0 * f_out * f_in))
-            b.elementwise(rows * (3.0 * f_in * WB))
+            b.elementwise(rows * (3.0 * f_in * b.wb))
 
 
 def emit_replicated_matmul(
@@ -830,7 +751,7 @@ def emit_replicated_matmul(
         if w_t == 0:
             continue
         b.broadcast(
-            Category.DCOMM, group_size, group_rows * (w_t * WB),
+            Category.DCOMM, group_size, group_rows * (w_t * b.wb),
             pipelined=True,
         )
         b.gemm(2.0 * rows_of_rank * w_t * outw_of_rank)
@@ -860,12 +781,12 @@ def emit_grid_epoch(
         grid_spmm(f_in, False)
         matmul_w(f_in, f_out)
         if l < n_layers - 1:
-            b.elementwise(rows * outw_of_rank(f_out) * (2.0 * WB))
+            b.elementwise(rows * outw_of_rank(f_out) * (2.0 * b.wb))
         else:
             row_allgather(f_out)
-            b.elementwise(rows * (2.0 * f_out * WB))
+            b.elementwise(rows * (2.0 * f_out * b.wb))
     b.allreduce(Category.DCOMM, b.p, LOSS_TERM_BYTES)
-    b.elementwise(rows * (3.0 * widths[-1] * WB))
+    b.elementwise(rows * (3.0 * widths[-1] * b.wb))
     epoch_transpose()
     for l in range(n_layers - 1, -1, -1):
         f_in, f_out = widths[l], widths[l + 1]
@@ -873,4 +794,4 @@ def emit_grid_epoch(
         weight_grad(f_in, f_out)
         if l > 0:
             matmul_w(f_out, f_in)
-            b.elementwise(rows * outw_of_rank(f_in) * (3.0 * WB))
+            b.elementwise(rows * outw_of_rank(f_in) * (3.0 * b.wb))

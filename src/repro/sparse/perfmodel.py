@@ -31,6 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro.comm.cost_model import Sizes, Values, plain, whole
 from repro.config import MachineProfile
 
 __all__ = [
@@ -49,18 +52,20 @@ D_HALF = 992.0 / 38.0
 W_HALF = 8.0
 
 
-def density_factor(avg_degree: float, d_half: float = D_HALF) -> float:
+def _saturating(x: Sizes, half: float) -> Values:
+    """``x / (x + half)``, zero for ``x <= 0``."""
+    positive = np.maximum(x, 0.0)
+    return positive / (positive + half)
+
+
+def density_factor(avg_degree: Sizes, d_half: float = D_HALF) -> Values:
     """Throughput multiplier from row density (0 < factor < 1)."""
-    if avg_degree <= 0:
-        return 0.0
-    return avg_degree / (avg_degree + d_half)
+    return _saturating(avg_degree, d_half)
 
 
-def width_factor(ncols_dense: float, w_half: float = W_HALF) -> float:
+def width_factor(ncols_dense: Sizes, w_half: float = W_HALF) -> Values:
     """Throughput multiplier from dense-operand width (0 < factor < 1)."""
-    if ncols_dense <= 0:
-        return 0.0
-    return ncols_dense / (ncols_dense + w_half)
+    return _saturating(ncols_dense, w_half)
 
 
 @dataclass(frozen=True)
@@ -71,7 +76,9 @@ class SpmmPerfModel:
     sustained rate plus a fixed kernel-launch overhead -- the overhead is
     what makes tiny hypersparse kernels latency-bound, mirroring the
     paper's observation that sub-millisecond broadcasts/kernels stop
-    scaling.
+    scaling.  It is the SpMM rule of the price list
+    (:mod:`repro.comm.cost_model`): like every rule there it prices one
+    kernel or an ndarray of kernels with the same arithmetic.
     """
 
     base_flops: float
@@ -86,7 +93,8 @@ class SpmmPerfModel:
             launch_overhead=profile.kernel_launch_overhead,
         )
 
-    def sustained_flops(self, avg_degree: float, ncols_dense: float) -> float:
+    def sustained_flops(self, avg_degree: Sizes,
+                        ncols_dense: Sizes) -> Values:
         """Sustained FLOP/s for a block with the given shape statistics."""
         return (
             self.base_flops
@@ -94,16 +102,21 @@ class SpmmPerfModel:
             * width_factor(ncols_dense, self.w_half)
         )
 
-    def seconds(self, nnz: int, nrows: int, ncols_dense: int) -> float:
-        """Modeled time of ``A_block @ B_block`` (CSR x dense)."""
-        if nnz < 0 or nrows < 0 or ncols_dense < 0:
-            raise ValueError("negative kernel dimensions")
-        if nnz == 0 or ncols_dense == 0:
-            return self.launch_overhead
-        avg_degree = nnz / max(nrows, 1)
-        rate = self.sustained_flops(avg_degree, ncols_dense)
-        flops = 2.0 * nnz * ncols_dense
-        return flops / rate + self.launch_overhead
+    def seconds(self, nnz: Sizes, nrows: Sizes,
+                ncols_dense: Sizes) -> Values:
+        """Modeled time of ``A_block @ B_block`` (CSR x dense).
+
+        Dimensions are whole counts (fractional expected values truncate
+        like the executed path's ``int()``); an empty kernel costs its
+        launch.  Scalars in, a Python float out; ndarrays in, one entry
+        per kernel.
+        """
+        z, rows, f = whole(nnz), whole(nrows), whole(ncols_dense)
+        flops = 2.0 * z * f
+        with np.errstate(divide="ignore", invalid="ignore"):
+            busy = flops / self.sustained_flops(
+                z / np.maximum(rows, 1.0), f)
+        return plain(np.where(flops == 0, 0.0, busy) + self.launch_overhead)
 
     def speedup_vs(self, other_degree: float, my_degree: float,
                    ncols: float) -> float:

@@ -184,3 +184,14 @@ class TestSimulateCommands:
                    "--vertices", "4096"])
         assert rc == 2
         assert "mesh" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("shape", [
+        ["--vertices", "0"],
+        ["--vertices", "1024", "--degree", "-5"],
+    ])
+    def test_simulate_and_sweep_reject_impossible_graph_shape(
+            self, command, shape, capsys):
+        rc = main([command] + shape)
+        assert rc == 2
+        assert "invalid graph shape" in capsys.readouterr().err

@@ -1,13 +1,35 @@
-"""Analytic 1D epoch model vs measured execution, and 1D-vs-2D stories."""
+"""The uniform-graph 1D epoch model vs measured execution, and 1D-vs-2D
+stories.
+
+The model is the scaling simulator run on a uniform graph:
+:func:`repro.simulate.predict_epoch` emits the executed algorithm's own
+schedule from the problem shape alone and prices it with the one price
+list the ledger is charged by.  Its byte counts are all-rank sums, so
+comparisons against a per-rank figure divide by ``P``.
+"""
 
 import pytest
 
-from repro.analysis.model1d import Model1DEpoch
-from repro.analysis.model2d import Model2DEpoch
 from repro.comm import VirtualRuntime
 from repro.comm.tracker import Category
-from repro.config import COMMODITY, SUMMIT
+from repro.config import COMMODITY, FP32_BYTES, SUMMIT
 from repro.dist.algo_1d import DistGCN1D
+from repro.simulate import GraphModel, predict_epoch
+
+
+def published(algorithm, name, p, machine=None):
+    """One epoch at a Table VI dataset's full published size, in the
+    paper's fp32."""
+    return predict_epoch(algorithm, name, p, machine=machine,
+                         word_bytes=FP32_BYTES)
+
+
+def uniform_1d(ds, widths, p):
+    """The shape-only model of an executed (fp64) 1D run on ``ds``."""
+    return predict_epoch(
+        "1d", GraphModel.uniform(ds.num_vertices, ds.adjacency.nnz), p,
+        widths=widths, variant="symmetric",
+    )
 
 
 class TestModelVsExecution:
@@ -19,9 +41,7 @@ class TestModelVsExecution:
         algo = DistGCN1D(rt, ds.adjacency, widths, seed=0, variant="symmetric")
         algo.setup(ds.features, ds.labels)
         measured = algo.train_epoch(0)
-        modeled = Model1DEpoch(
-            ds.num_vertices, ds.adjacency.nnz, widths, p, dtype_bytes=8
-        ).run()
+        modeled = uniform_1d(ds, widths, p)
         for cat in (Category.DCOMM, Category.SPMM, Category.MISC):
             m = modeled.seconds_by_category[cat]
             e = measured.seconds_by_category[cat]
@@ -34,13 +54,10 @@ class TestModelVsExecution:
         algo = DistGCN1D(rt, ds.adjacency, widths, seed=0, variant="symmetric")
         algo.setup(ds.features, ds.labels)
         measured = algo.train_epoch(0)
-        modeled = Model1DEpoch(
-            ds.num_vertices, ds.adjacency.nnz, widths, 8, dtype_bytes=8
-        ).run()
-        # Per-rank critical bytes: modeled tracks a single rank, measured
-        # sums all ranks -> divide by P.
+        modeled = uniform_1d(ds, widths, 8)
+        # Both ledgers sum the per-rank critical bytes over all ranks.
         assert modeled.bytes_by_category[Category.DCOMM] == pytest.approx(
-            measured.bytes_by_category[Category.DCOMM] / 8, rel=0.02
+            measured.bytes_by_category[Category.DCOMM], rel=0.02
         )
 
 
@@ -48,8 +65,8 @@ class TestPaperStories:
     """The memory/words/relative-cost triangle of the 1D-vs-2D choice."""
 
     def test_2d_moves_fewer_dense_bytes(self):
-        m1 = Model1DEpoch.for_published_dataset("protein", 64).run()
-        m2 = Model2DEpoch.for_published_dataset("protein", 64).run()
+        m1 = published("1d", "protein", 64)
+        m2 = published("2d", "protein", 64)
         assert (
             m2.bytes_by_category[Category.DCOMM]
             < m1.bytes_by_category[Category.DCOMM]
@@ -57,20 +74,20 @@ class TestPaperStories:
 
     def test_1d_dense_bytes_do_not_scale_with_p(self):
         """The all-gather's per-rank volume is ~n f regardless of P."""
-        b16 = Model1DEpoch.for_published_dataset("protein", 16).run()
-        b256 = Model1DEpoch.for_published_dataset("protein", 256).run()
+        b16 = published("1d", "protein", 16)
+        b256 = published("1d", "protein", 256)
         ratio = (
-            b16.bytes_by_category[Category.DCOMM]
-            / b256.bytes_by_category[Category.DCOMM]
+            (b16.bytes_by_category[Category.DCOMM] / 16)
+            / (b256.bytes_by_category[Category.DCOMM] / 256)
         )
         assert ratio == pytest.approx(1.0, rel=0.1)
 
     def test_2d_dense_bytes_scale_with_sqrt_p(self):
-        b16 = Model2DEpoch.for_published_dataset("protein", 16).run()
-        b256 = Model2DEpoch.for_published_dataset("protein", 256).run()
+        b16 = published("2d", "protein", 16)
+        b256 = published("2d", "protein", 256)
         ratio = (
-            b16.bytes_by_category[Category.DCOMM]
-            / b256.bytes_by_category[Category.DCOMM]
+            (b16.bytes_by_category[Category.DCOMM] / 16)
+            / (b256.bytes_by_category[Category.DCOMM] / 256)
         )
         assert ratio == pytest.approx(4.0, rel=0.15)  # sqrt(256/16)
 
@@ -80,28 +97,20 @@ class TestPaperStories:
         beneficial'."""
         for p in (64, 256):
             fast = (
-                Model2DEpoch.for_published_dataset("protein", p, profile=SUMMIT)
-                .run().total_seconds
-                / Model1DEpoch.for_published_dataset("protein", p, profile=SUMMIT)
-                .run().total_seconds
+                published("2d", "protein", p, SUMMIT).seconds
+                / published("1d", "protein", p, SUMMIT).seconds
             )
             slow = (
-                Model2DEpoch.for_published_dataset("protein", p, profile=COMMODITY)
-                .run().total_seconds
-                / Model1DEpoch.for_published_dataset("protein", p, profile=COMMODITY)
-                .run().total_seconds
+                published("2d", "protein", p, COMMODITY).seconds
+                / published("1d", "protein", p, COMMODITY).seconds
             )
             assert slow < fast
 
     def test_2d_wins_seconds_on_slow_network_at_scale(self):
-        m1 = Model1DEpoch.for_published_dataset(
-            "protein", 256, profile=COMMODITY
-        ).run()
-        m2 = Model2DEpoch.for_published_dataset(
-            "protein", 256, profile=COMMODITY
-        ).run()
-        assert m2.total_seconds < m1.total_seconds
+        m1 = published("1d", "protein", 256, COMMODITY)
+        m2 = published("2d", "protein", 256, COMMODITY)
+        assert m2.seconds < m1.seconds
 
     def test_invalid_p(self):
         with pytest.raises(ValueError):
-            Model1DEpoch(10, 100, (4, 2), 0)
+            predict_epoch("1d", GraphModel.uniform(10, 100), 0, widths=(4, 2))

@@ -1,12 +1,34 @@
-"""Analytic 2D epoch model vs measured execution, and full-scale shapes."""
+"""The uniform-graph 2D epoch model vs measured execution, and full-scale
+shapes.
+
+The model is the scaling simulator run on a uniform graph
+(:func:`repro.simulate.predict_epoch` on a shape-only
+:class:`~repro.simulate.GraphModel`): the executed algorithm's own
+emitted schedule, priced with the price list the ledger is charged by.
+"""
 
 import pytest
 
-from repro.analysis.model2d import Model2DEpoch
 from repro.comm import VirtualRuntime
 from repro.comm.tracker import Category
+from repro.config import FP32_BYTES
 from repro.dist.algo_2d import DistGCN2D
-from repro.graph import make_synthetic, published_spec
+from repro.graph import published_spec
+from repro.simulate import GraphModel, predict_epoch
+
+
+def published(name, p):
+    """One 2D epoch at a Table VI dataset's full published size, in the
+    paper's fp32 -- what Figures 2 and 3 plot."""
+    return predict_epoch("2d", name, p, word_bytes=FP32_BYTES)
+
+
+def uniform_2d(ds, widths, p):
+    """The shape-only model of an executed (fp64) 2D run on ``ds``."""
+    return predict_epoch(
+        "2d", GraphModel.uniform(ds.num_vertices, ds.adjacency.nnz), p,
+        widths=widths,
+    )
 
 
 class TestModelVsExecution:
@@ -21,9 +43,7 @@ class TestModelVsExecution:
         algo = DistGCN2D(rt, ds.adjacency, widths, seed=0)
         algo.setup(ds.features, ds.labels)
         measured = algo.train_epoch(0)
-        modeled = Model2DEpoch(
-            ds.num_vertices, ds.adjacency.nnz, widths, p, dtype_bytes=8
-        ).run()
+        modeled = uniform_2d(ds, widths, p)
         for cat in Category.ALL:
             m = modeled.seconds_by_category[cat]
             e = measured.seconds_by_category[cat]
@@ -36,10 +56,8 @@ class TestModelVsExecution:
         algo = DistGCN2D(rt, ds.adjacency, widths, seed=0)
         algo.setup(ds.features, ds.labels)
         measured = algo.train_epoch(0)
-        modeled = Model2DEpoch(
-            ds.num_vertices, ds.adjacency.nnz, widths, 9, dtype_bytes=8
-        ).run()
-        assert modeled.total_seconds == pytest.approx(
+        modeled = uniform_2d(ds, widths, 9)
+        assert modeled.seconds == pytest.approx(
             measured.modeled_seconds, rel=0.1
         )
 
@@ -48,15 +66,17 @@ class TestFullScaleShapes:
     """Shape checks at the published Table VI sizes (Section VI)."""
 
     def test_square_p_required(self):
-        with pytest.raises(ValueError, match="square"):
-            Model2DEpoch(100, 1000, (8, 4), 10)
+        with pytest.raises(ValueError, match="mesh constraint"):
+            predict_epoch(
+                "2d", GraphModel.uniform(100, 1000), 10, widths=(8, 4)
+            )
 
     def test_amazon_dense_comm_dominates_sparse(self):
         """Section VI-a: 'the most costly operation in training on the
         Amazon dataset is the communication of dense matrices' -- dcomm
         words exceed scomm by more than 2x."""
         for p in (16, 36, 64):
-            r = Model2DEpoch.for_published_dataset("amazon", p).run()
+            r = published("amazon", p)
             assert r.bytes_by_category[Category.DCOMM] > (
                 2 * r.bytes_by_category[Category.SCOMM]
             )
@@ -64,8 +84,8 @@ class TestFullScaleShapes:
     def test_amazon_dcomm_halves_with_4x_devices(self):
         """'time spent communicating dense matrices goes down by 2x given
         4x more devices' (16 -> 64)."""
-        r16 = Model2DEpoch.for_published_dataset("amazon", 16).run()
-        r64 = Model2DEpoch.for_published_dataset("amazon", 64).run()
+        r16 = published("amazon", 16)
+        r64 = published("amazon", 64)
         ratio = (
             r16.seconds_by_category[Category.DCOMM]
             / r64.seconds_by_category[Category.DCOMM]
@@ -75,16 +95,16 @@ class TestFullScaleShapes:
     def test_amazon_overall_speedup_16_to_64(self):
         """'we still see an overall speedup 1.8x when going from 16 to 64
         processes in epoch throughput.'"""
-        r16 = Model2DEpoch.for_published_dataset("amazon", 16).run()
-        r64 = Model2DEpoch.for_published_dataset("amazon", 64).run()
-        speedup = r16.total_seconds / r64.total_seconds
+        r16 = published("amazon", 16)
+        r64 = published("amazon", 64)
+        speedup = r16.seconds / r64.seconds
         assert speedup == pytest.approx(1.8, rel=0.25)
 
     def test_protein_comm_scales_1p65x_36_to_100(self):
         """'from 36 to 100 processes, the total communication goes down by
         roughly 1.65x ... consistent with sqrt(P) = 10/6.'"""
-        r36 = Model2DEpoch.for_published_dataset("protein", 36).run()
-        r100 = Model2DEpoch.for_published_dataset("protein", 100).run()
+        r36 = published("protein", 36)
+        r100 = published("protein", 100)
         comm36 = sum(r36.seconds_by_category[c] for c in Category.COMM)
         comm100 = sum(r100.seconds_by_category[c] for c in Category.COMM)
         assert comm36 / comm100 == pytest.approx(10 / 6, rel=0.15)
@@ -94,8 +114,8 @@ class TestFullScaleShapes:
         sublinear because hypersparsity degrades the local rate.  We allow
         a window around the paper's figure but require it to be far below
         the ideal 100/36 = 2.78x."""
-        r36 = Model2DEpoch.for_published_dataset("protein", 36).run()
-        r100 = Model2DEpoch.for_published_dataset("protein", 100).run()
+        r36 = published("protein", 36)
+        r100 = published("protein", 100)
         speedup = (
             r36.seconds_by_category[Category.SPMM]
             / r100.seconds_by_category[Category.SPMM]
@@ -105,12 +125,12 @@ class TestFullScaleShapes:
     def test_reddit_spmm_dominates(self):
         """Reddit is dense (d ~ 493): local SpMM dominates its epochs and
         scales well (5.23x from 4 to 64 in the paper)."""
-        r4 = Model2DEpoch.for_published_dataset("reddit", 4).run()
+        r4 = published("reddit", 4)
         assert (
             r4.seconds_by_category[Category.SPMM]
             > r4.seconds_by_category[Category.DCOMM]
         )
-        r64 = Model2DEpoch.for_published_dataset("reddit", 64).run()
+        r64 = published("reddit", 64)
         spmm_speedup = (
             r4.seconds_by_category[Category.SPMM]
             / r64.seconds_by_category[Category.SPMM]
@@ -125,15 +145,12 @@ class TestFullScaleShapes:
             ("amazon", (16, 36, 64)),
             ("protein", (36, 64, 100)),
         ):
-            eps = [
-                Model2DEpoch.for_published_dataset(name, p).run().epochs_per_second
-                for p in counts
-            ]
+            eps = [published(name, p).epochs_per_second for p in counts]
             assert eps == sorted(eps), name
 
     def test_published_spec_wiring(self):
         spec = published_spec("protein")
-        model = Model2DEpoch.for_published_dataset("protein", 36)
+        model = GraphModel.from_published("protein")
         assert model.n == spec.vertices
         assert model.nnz == spec.edges + spec.vertices  # self loops
-        assert model.widths == (128, 16, 16, 256)
+        assert published("protein", 36).params["widths"] == (128, 16, 16, 256)

@@ -60,6 +60,22 @@ def _executed_epoch(name, p, dataset, **kwargs):
     return algo.train_epoch(0)
 
 
+# Exactness by construction: the simulator prices its phases with the
+# rules the ledger charges through, on every machine preset (tiered,
+# congested and free) and every kind of phase the four families emit.
+EXACT_MACHINES = ["summit", "cori-gpu", "ethernet", "commodity", "zero-cost"]
+EXACT_CONFIGS = [
+    pytest.param("1d", 8, {"variant": "symmetric"}, id="1d-symmetric"),
+    pytest.param("1d", 8, {"variant": "outer_sparse"}, id="1d-outer_sparse"),
+    pytest.param("1d", 8, {"variant": "transpose"}, id="1d-transpose"),
+    pytest.param("1d", 8, {"variant": "ghost"}, id="1d-ghost"),
+    pytest.param("1.5d", 8, {"replication": 2}, id="1.5d-c2"),
+    pytest.param("2d", 16, {}, id="2d-16"),
+    pytest.param("2d", 8, {"grid": (2, 4)}, id="2d-2x4"),
+    pytest.param("3d", 27, {}, id="3d-27"),
+]
+
+
 # The acceptance grid: every registered algorithm at each P in {4, 8, 16}
 # its process mesh realises.
 ACCEPTANCE = [
@@ -83,16 +99,38 @@ class TestLedgerExactness:
     def test_modeled_seconds_match(self, name, p, dataset, graph):
         stats = _executed_epoch(name, p, dataset)
         point = predict_epoch(name, graph, p, hidden=8)
-        assert point.seconds == pytest.approx(
-            stats.modeled_seconds, rel=1e-9
+        assert point.seconds == stats.modeled_seconds
+        for cat in Category.ALL:
+            assert point.seconds_by_category[cat] == \
+                stats.seconds_by_category[cat], (name, p, cat)
+
+    @pytest.mark.parametrize("machine", EXACT_MACHINES)
+    @pytest.mark.parametrize("name,p,kwargs", EXACT_CONFIGS)
+    def test_seconds_messages_steps_exact(self, name, p, kwargs, machine,
+                                          dataset, graph):
+        profile = get_machine(machine)
+        algo = make_algorithm(name, p, dataset, hidden=8, seed=0,
+                              profile=profile, **kwargs)
+        algo.setup(dataset.features, dataset.labels)
+        tracker = algo.rt.tracker
+        messages, steps = tracker.total_messages(), tracker.nsteps
+        stats = algo.train_epoch(0)
+        result = evaluate_schedule(
+            ALGORITHMS[name].emit_comm_schedule(
+                graph, algo.widths, p, **kwargs),
+            profile,
         )
         for cat in Category.ALL:
-            assert point.seconds_by_category[cat] == pytest.approx(
-                stats.seconds_by_category[cat], rel=1e-9, abs=1e-18
-            )
+            assert result.seconds_by_category[cat] == \
+                stats.seconds_by_category[cat], cat
+            assert result.bytes_by_category[cat] == \
+                stats.bytes_by_category[cat], cat
+        assert result.messages == tracker.total_messages() - messages
+        assert result.nphases == tracker.nsteps - steps
 
     @pytest.mark.parametrize(
-        "variant", ["symmetric", "outer", "outer_sparse", "transpose"]
+        "variant",
+        ["symmetric", "outer", "outer_sparse", "transpose", "ghost"],
     )
     @pytest.mark.parametrize("p", [4, 8, 16])
     def test_1d_variants_exact(self, variant, p, dataset, graph):
@@ -101,9 +139,7 @@ class TestLedgerExactness:
         for cat in Category.COMM:
             assert point.bytes_by_category[cat] == \
                 stats.bytes_by_category[cat], (variant, cat)
-        assert point.seconds == pytest.approx(
-            stats.modeled_seconds, rel=1e-9
-        )
+        assert point.seconds == stats.modeled_seconds
 
     @pytest.mark.parametrize("p,c", [(4, 2), (8, 4), (16, 2), (16, 4)])
     def test_15d_replication_exact(self, p, c, dataset, graph):
@@ -112,9 +148,7 @@ class TestLedgerExactness:
         for cat in Category.COMM:
             assert point.bytes_by_category[cat] == \
                 stats.bytes_by_category[cat]
-        assert point.seconds == pytest.approx(
-            stats.modeled_seconds, rel=1e-9
-        )
+        assert point.seconds == stats.modeled_seconds
 
     @pytest.mark.parametrize("grid", [(2, 4), (4, 2)])
     def test_2d_rectangular_exact(self, grid, dataset, graph):
