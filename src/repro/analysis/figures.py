@@ -18,7 +18,10 @@ runs the 2D algorithm's emitted schedule on a uniform
 full published Table VI sizes, priced with the paper's fp32 elements on
 the Summit-like machine profile -- the same schedule and the same price
 list (:mod:`repro.comm.cost_model`) the executed runs are charged by, so
-no laptop has to hold 1.06B edges.  Each row also records which mechanism
+no laptop has to hold 1.06B edges.  What is priced is therefore this
+trainer's **steady-state** epoch (``L - 1`` SpMM sweeps each way; the
+one-time ``A^T H^0`` aggregation is the point's ``setup`` section and
+not part of a bar), where the paper's implementation runs ``L``.  Each row also records which mechanism
 dominates, so the benchmark output can be checked against the paper's
 narrative (dense communication dominant on Amazon, SpMM dominant on
 Reddit, both significant on Protein).

@@ -33,6 +33,15 @@ element; ``f`` is the average feature-vector width over layers.  The
 ``beta`` passed in is **seconds per word** -- convert from a byte-based
 profile with ``profile.beta * word_bytes``.
 
+These are the **paper's** closed forms: ``L`` SpMM sweeps each way per
+epoch, the average width ``f``.  They are kept as the paper states them
+and nothing that prices an *executed* epoch reads them -- the executed
+epoch (and the simulator, hence Figures 2 / 3) runs ``L - 1`` sweeps each
+way at steady state plus one ``A^T H^0`` aggregation per feature matrix
+(:meth:`repro.dist.base.DistAlgorithm._install_features`), so its dense
+terms are smaller than ``L *`` the per-layer term by the two layer-1
+sweeps.
+
 These formulas drive the analytic full-scale reproduction (the real
 Reddit/Amazon/Protein sizes from Table VI), the 1D-vs-2D-vs-3D scaling
 bench, and the crossover bench behind the paper's "competitive when

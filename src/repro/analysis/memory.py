@@ -18,7 +18,9 @@ epoch: sparse storage (values + indices + row pointers, with the backward
 needing a second orientation of ``A``), the forward activation/cache stack
 (``H^l``, ``Z^l``, and the reused SpMM product ``T^l`` per layer), backward
 temporaries (``G^l`` and ``A G^l``), replicated weights, and the largest
-communication receive buffer.  ``allocator_overhead`` folds in the
+communication receive buffer.  The executed trainer keeps ``T^0 = A^T
+H^0`` across epochs instead of recomputing it; that is the layer-1 ``T^l``
+already counted here, so the estimates are unchanged.  ``allocator_overhead`` folds in the
 framework's slack (CUDA context, allocator fragmentation, cuSPARSE
 workspaces); the default is calibrated so the Table VI feasibility pattern
 on 16 GB V100s matches the paper's report exactly.

@@ -19,6 +19,7 @@ __all__ = [
     "scaling_table",
     "crossover_points",
     "format_scaling_table",
+    "format_setup_line",
     "format_crossovers",
 ]
 
@@ -95,6 +96,20 @@ def format_scaling_table(
     for row in str_rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
+
+
+def format_setup_line(result: SweepResult, graph: str, machine: str) -> str:
+    """The one-time ``A^T H^0`` aggregation (paid per feature matrix,
+    outside the per-epoch seconds of the table above) per algorithm: its
+    range over the swept P."""
+    cells = []
+    for a in result.algorithms:
+        secs = [pt.setup.total_seconds for pt in result.points
+                if (pt.graph, pt.machine, pt.algorithm) == (graph, machine, a)]
+        if secs:
+            cells.append(f"{a} {min(secs):.4g}..{max(secs):.4g} s")
+    return "one-time aggregation (A^T H^0, per feature matrix): " + \
+        ", ".join(cells)
 
 
 def format_crossovers(result: SweepResult) -> str:

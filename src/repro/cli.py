@@ -290,7 +290,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         step = max(1, args.epochs // 10)
         for e in history.epochs[::step] + history.epochs[-1:]:
             print(f"{e.epoch:5d} {e.loss:9.4f} {e.train_accuracy:6.3f}")
-        print(f"\nper-epoch communication: dcomm {last.dcomm_bytes} B, "
+        print(f"\none-time aggregation (A^T H^0): "
+              f"dcomm {history.setup.dcomm_bytes} B, "
+              f"scomm {history.setup.scomm_bytes} B, "
+              f"max/rank {history.setup.max_rank_comm_bytes} B")
+        print(f"per-epoch communication: dcomm {last.dcomm_bytes} B, "
               f"scomm {last.scomm_bytes} B, "
               f"max/rank {last.max_rank_comm_bytes} B")
         total = sum(bd.values()) or 1.0
@@ -371,6 +375,16 @@ def cmd_train(args: argparse.Namespace) -> int:
                 "dcomm": last.dcomm_bytes,
                 "scomm": last.scomm_bytes,
                 "max_rank": last.max_rank_comm_bytes,
+            },
+            # the one-time A^T H^0 aggregation, charged outside every epoch
+            "setup": {
+                "modeled_seconds": history.setup.modeled_seconds,
+                "seconds_by_category": history.setup.seconds_by_category,
+                "comm_bytes": {
+                    "dcomm": history.setup.dcomm_bytes,
+                    "scomm": history.setup.scomm_bytes,
+                    "max_rank": history.setup.max_rank_comm_bytes,
+                },
             },
             "backend_stats": backend_stats,
             "trace": None if trace is None else trace.summary(),
@@ -581,7 +595,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(f"graph   : {graph.name}  n={graph.n} nnz={graph.nnz} ({mode})")
     print(f"machine : {point.machine}  P={point.p}  "
           f"algorithm={point.algorithm} {point.params.get('variant', '')}")
-    print(f"\npredicted epoch: {point.seconds:.6f} s "
+    once = point.setup
+    print(f"\none-time aggregation (A^T H^0, per feature matrix): "
+          f"{once.total_seconds:.6f} s, dcomm "
+          f"{once.bytes_by_category['dcomm']:,} B, scomm "
+          f"{once.bytes_by_category['scomm']:,} B")
+    print(f"predicted epoch: {point.seconds:.6f} s "
           f"({point.epochs_per_second:.2f} epochs/s)")
     print(f"  compute   {point.compute_seconds:.6f} s")
     print(f"  latency   {point.latency_seconds:.6f} s")
@@ -602,6 +621,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.analysis.scaling import (
         format_crossovers,
         format_scaling_table,
+        format_setup_line,
     )
     from repro.simulate import DEFAULT_P_GRID, sweep
 
@@ -639,6 +659,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     for machine in result.machines:
         print(format_scaling_table(result, graph.name, machine))
+        print(format_setup_line(result, graph.name, machine))
         print()
     print(format_crossovers(result))
     _write_json(result.to_dict(), args.json)

@@ -25,7 +25,7 @@ from repro.dist.distribution import (
     GhostStructure,
     ghost_structure,
 )
-from repro.dist.history import DistTrainHistory, EpochStats
+from repro.dist.history import DistTrainHistory, EpochStats, LedgerDelta
 from repro.dist.registry import (
     ALGORITHMS,
     make_algorithm,
@@ -37,6 +37,7 @@ __all__ = [
     "DistAlgorithm",
     "DistTrainHistory",
     "EpochStats",
+    "LedgerDelta",
     "DistGCN1D",
     "DistGCN15D",
     "DistGCN2D",

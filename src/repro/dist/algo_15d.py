@@ -126,7 +126,7 @@ class DistGCN15D(BlockRowAlgorithm):
     def _row_range(self, rank: int) -> Tuple[int, int]:
         return self.group_ranges[self._coords(rank)[0]]
 
-    def _setup_data(self, features: np.ndarray) -> None:
+    def _setup_data(self, features: np.ndarray) -> Dict[int, np.ndarray]:
         # Dense block rows, replicated across each group's c ranks.  The
         # replicas share one buffer (they are bit-identical by
         # construction), which lets the epoch's replica-dedup compute
@@ -135,7 +135,7 @@ class DistGCN15D(BlockRowAlgorithm):
             np.ascontiguousarray(features[g0:g1])
             for g0, g1 in self.group_ranges
         ]
-        self._h0 = {
+        return {
             r: group_blocks[self._coords(r)[0]]
             for r in self._local(range(self.p))
         }

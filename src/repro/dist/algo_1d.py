@@ -183,8 +183,8 @@ class DistGCN1D(BlockRowAlgorithm):
     def _row_range(self, rank: int):
         return self.row_ranges[rank]
 
-    def _setup_data(self, features: np.ndarray) -> None:
-        self._h0 = {
+    def _setup_data(self, features: np.ndarray) -> Dict[int, np.ndarray]:
+        return {
             r: np.ascontiguousarray(features[lo:hi])
             for r, (lo, hi) in enumerate(self.row_ranges)
             if self._is_local(r)

@@ -143,10 +143,9 @@ class DistGCN2D(GridAlgorithm):
     # ------------------------------------------------------------------ #
     # GridAlgorithm hooks
     # ------------------------------------------------------------------ #
-    def _setup_data(self, features: np.ndarray) -> None:
+    def _setup_data(self, features: np.ndarray) -> Dict[int, np.ndarray]:
         blocks = distribute_dense_2d(features, self.mesh)
-        self._h0 = {r: blocks[r]
-                    for r in self._local(range(self.rt.size))}
+        return {r: blocks[r] for r in self._local(range(self.rt.size))}
 
     def _fsplit(self, f: int) -> List[Tuple[int, int]]:
         """Feature-column split (``Pc`` ways, like every dense matrix)."""

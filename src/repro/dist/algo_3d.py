@@ -123,10 +123,9 @@ class DistGCN3D(GridAlgorithm):
     # ------------------------------------------------------------------ #
     # GridAlgorithm hooks
     # ------------------------------------------------------------------ #
-    def _setup_data(self, features: np.ndarray) -> None:
+    def _setup_data(self, features: np.ndarray) -> Dict[int, np.ndarray]:
         blocks = distribute_dense_3d(features, self.mesh)
-        self._h0 = {r: blocks[r]
-                    for r in self._local(range(self.rt.size))}
+        return {r: blocks[r] for r in self._local(range(self.rt.size))}
 
     def _fsplit(self, f: int) -> List[Tuple[int, int]]:
         return self._plan().split(f, self.s)

@@ -6,9 +6,11 @@ collectives move them; everything else -- the training loop, the weight
 replicas and their redundant optimiser step, per-epoch ledger deltas, the
 serial-equivalence verification, inference, and held-out evaluation -- is
 identical.  :class:`DistAlgorithm` owns that shared machinery so each
-``algo_*`` module only implements three hooks:
+``algo_*`` module only implements four hooks:
 
-* ``_setup_data``   -- distribute features/labels onto the mesh;
+* ``_setup_data``   -- distribute the features onto the mesh;
+* ``_aggregate``    -- the charged ``A^T H^0`` sweep over those blocks,
+  run once per feature matrix (:meth:`DistAlgorithm._install_features`);
 * ``_run_epoch``    -- one full forward/loss/backward/update sweep,
   naming every collective once (:meth:`DistAlgorithm._collective`, or a
   charged :mod:`repro.comm.collectives` call where the payload sizes the
@@ -49,7 +51,7 @@ from repro.comm.runtime import Runtime
 from repro.comm.tracker import Category
 from repro.config import FP64_BYTES
 from repro.dist.distribution import Distribution
-from repro.dist.history import DistTrainHistory, EpochStats
+from repro.dist.history import DistTrainHistory, EpochStats, LedgerDelta
 from repro.nn.activations import LogSoftmax, ReLU
 from repro.nn.loss import accuracy, nll_loss
 from repro.nn.model import GCN, SerialTrainer
@@ -64,6 +66,9 @@ if TYPE_CHECKING:  # import would cycle: simulate -> dist -> simulate
     from repro.simulate.schedule import CommSchedule
 
 __all__ = ["RoutedBroadcast", "DistAlgorithm", "clone_optimizer"]
+
+#: (wall seconds per category, bytes per category per rank) at a mark
+_LedgerMarks = Tuple[Dict[str, float], List[Dict[str, int]]]
 
 
 def _emit_epoch_event(stats, replayed: bool = False) -> None:
@@ -173,7 +178,11 @@ class DistAlgorithm:
         self.perf = SpmmPerfModel.from_profile(rt.profile)
         self._ready = False
         self._labels_provisional = False
+        #: the installed feature matrix (caller's order, a private copy)
+        #: and the product aggregated from it, ``T^0 = A^T H^0`` -- every
+        #: forward sweep starts from ``_t0``; see :meth:`_install_features`.
         self._features: Optional[np.ndarray] = None
+        self._t0: Dict[int, np.ndarray] = {}
         self._labels: Optional[np.ndarray] = None
         self._mask: Optional[np.ndarray] = None
         self._mask_count = 0
@@ -215,8 +224,14 @@ class DistAlgorithm:
     # ------------------------------------------------------------------ #
     # hooks for subclasses
     # ------------------------------------------------------------------ #
-    def _setup_data(self, features: np.ndarray) -> None:
-        """Distribute the dense inputs onto the mesh."""
+    def _setup_data(self, features: np.ndarray) -> Dict[int, np.ndarray]:
+        """The locally-held blocks of ``H^0`` in the family's layout."""
+        raise NotImplementedError
+
+    def _aggregate(self, h_blocks: Dict[int, np.ndarray]
+                   ) -> Dict[int, np.ndarray]:
+        """``A^T H^0`` over ``h_blocks``: the family's forward sweep --
+        same collective, same kernel, same charges as any other layer's."""
         raise NotImplementedError
 
     def _run_epoch(self) -> Tuple[float, float]:
@@ -254,7 +269,9 @@ class DistAlgorithm:
         ``grid``, ``summa_block``).
 
         Contract (tested): a schedule emitted from the actual adjacency
-        predicts one executed ``train_epoch`` ledger delta byte for byte.
+        predicts one executed ``train_epoch`` ledger delta byte for byte,
+        and its one-time section (``schedule.setup``) the delta across a
+        ``setup()`` that installs new features.
         """
         raise NotImplementedError(
             f"{cls.__name__} does not emit communication schedules"
@@ -515,13 +532,13 @@ class DistAlgorithm:
         labels: np.ndarray,
         mask: Optional[np.ndarray] = None,
     ) -> None:
-        """Validate and distribute the training inputs."""
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 2 or features.shape != (self.n, self.widths[0]):
-            raise ValueError(
-                f"features shape {features.shape} does not match "
-                f"(n={self.n}, f^0={self.widths[0]})"
-            )
+        """Validate and distribute the training inputs.
+
+        A feature matrix this algorithm has not seen is aggregated once
+        here (:meth:`_install_features`) and charged to the ledger, so
+        no epoch's delta carries it; the matrix of the last call costs
+        nothing again.
+        """
         labels = np.asarray(labels, dtype=np.int64)
         if labels.shape != (self.n,):
             raise ValueError(f"labels shape {labels.shape} != ({self.n},)")
@@ -533,35 +550,71 @@ class DistAlgorithm:
         count = int(mask.sum())
         if count == 0:
             raise ValueError("empty training mask")
+        self._install_features(features)
         # Internal state lives in the distribution's part-major order.
-        features = self._to_internal(features)
-        labels = self._to_internal(labels)
-        mask = self._to_internal(mask)
-        self._features = features
-        self._labels = labels
-        self._mask = mask
+        self._labels = self._to_internal(labels)
+        self._mask = self._to_internal(mask)
         self._mask_count = count
         # New labels/mask invalidate the hoisted per-epoch invariants.
         self._loss_cache.clear()
         self._grad_cache.clear()
-        self._setup_data(features)
         self._ready = True
         self._labels_provisional = False
+
+    def _install_features(self, features: np.ndarray) -> None:
+        """The one door features come in by: ``setup`` and
+        ``predict(features)`` both install them here.
+
+        ``H^0`` does not change between epochs, so neither does ``T^0 =
+        A^T H^0``: it is computed when a matrix is installed, through
+        the family's ordinary forward sweep (:meth:`_aggregate`: the same
+        bits an epoch would compute), charged like any sweep, and kept
+        for as long as the matrix is.  Whether a matrix is new is decided
+        by **content** -- bit for bit against a private copy of the last
+        one, over the whole matrix, which every process of a pool
+        receives: ``fit`` comes through here every time and
+        the process backend hands it a fresh array per call, so an
+        unchanged matrix must cost nothing; and every process must
+        reach the same verdict, or one would enter a collective the
+        others skip.  The copy also means a caller editing its array in
+        place changes nothing until it installs the array again.
+        """
+        given = np.asarray(features, dtype=np.float64)
+        if given.ndim != 2 or given.shape != (self.n, self.widths[0]):
+            raise ValueError(
+                f"features shape {given.shape} does not match "
+                f"(n={self.n}, f^0={self.widths[0]})"
+            )
+        held = self._features
+        if held is not None and np.array_equal(
+                held.view(np.int64), given.view(np.int64)):
+            return
+        if np.may_share_memory(given, features):
+            given = given.copy()
+        self._features = None  # nothing is installed until T^0 is whole
+        before = set(self.workspace)
+        # Internal state lives in the distribution's part-major order.
+        t0 = self._obs_call(
+            "setup", Category.MISC,
+            lambda: self._aggregate(
+                self._setup_data(self._to_internal(given))))
+        san = _sanitize.ACTIVE
+        if san is not None:
+            san.verify_cow("end of set-up")
+        # Ours alone: the sweep may hand back copy-on-write receipts or
+        # views of a workspace the next sweep refills.
+        self._t0 = self._map_blocks(t0, np.array)
+        # Nothing reads an f^0-wide operand again: drop the gather /
+        # ghost / SUMMA buffers the sweep allocated.
+        for key in [k for k in self.workspace if k not in before]:
+            del self.workspace[key]
+        self._features = given
 
     def train_epoch(self, epoch: int = 0) -> EpochStats:
         """Run one charged training epoch; returns stats + ledger delta."""
         if not self._ready or self._labels_provisional:
             raise RuntimeError("call setup(features, labels) before training")
-        tracker = self.rt.tracker
-        # Compact ledger mark: only wall seconds and per-rank byte
-        # counters are needed for the epoch delta -- a full
-        # ``tracker.snapshot()`` deep copy per epoch was measurable
-        # overhead at higher rank counts.
-        before_wall = dict(tracker.wall)
-        before_bytes = [
-            {c: t.bytes for c, t in rank.items()}
-            for rank in tracker.per_rank
-        ]
+        marks = self._ledger_marks()
         loss, acc = self._run_epoch()
         san = _sanitize.ACTIVE
         if san is not None:
@@ -569,9 +622,8 @@ class DistAlgorithm:
             # the writeable flag stops receivers, this catches senders
             # writing through a buffer their peers still alias.
             san.verify_cow(f"end of epoch {epoch}")
-        return self._stats_since_marks(
-            before_wall, before_bytes, epoch, loss, acc
-        )
+        return EpochStats(epoch=epoch, loss=loss, train_accuracy=acc,
+                          **self._ledger_since(marks))
 
     def fit(
         self,
@@ -604,8 +656,10 @@ class DistAlgorithm:
         continues from the next epoch with a ledger that proceeds
         byte-for-byte as if the run had never stopped.
         """
+        marks = self._ledger_marks()
         self.setup(features, labels, mask)
-        history = DistTrainHistory()
+        history = DistTrainHistory(
+            setup=LedgerDelta(**self._ledger_since(marks)))
         start = 0
         if (resume and checkpoint_path is not None
                 and os.path.exists(checkpoint_path)):
@@ -661,8 +715,9 @@ class DistAlgorithm:
                             history: DistTrainHistory) -> int:
         """Install a checkpoint's state; returns the epochs completed.
 
-        Runs after :meth:`setup` (which re-charges the distribution
-        cost), so the ledger is *overwritten* with the saved state: the
+        Runs after :meth:`setup` (which, on an algorithm that holds no
+        ``T^0`` yet, charges the aggregation again), so the ledger is
+        *overwritten* with the saved state: the
         resumed run's ledger continues from the checkpoint and the
         final digest matches a never-interrupted run's byte for byte.
         """
@@ -684,23 +739,16 @@ class DistAlgorithm:
     def predict(self, features: Optional[np.ndarray] = None) -> np.ndarray:
         """Distributed inference: log-probabilities for every vertex.
 
-        Pays only the forward pass's communication.  With ``features``
-        given, the inputs are (re)distributed first; otherwise the last
-        ``setup``/``fit`` inputs are reused.
+        Pays only the forward pass's communication (``L - 1`` sweeps:
+        ``A^T H^0`` is kept from set-up).  With ``features`` given they
+        are installed first (and aggregated, if new); otherwise the last
+        ``setup``/``fit``/``predict`` inputs are reused.
         """
         if features is not None:
             if self._ready:
-                # Redistribute the inputs but keep the training labels
-                # and mask intact (inference must not corrupt training).
-                features = np.asarray(features, dtype=np.float64)
-                if features.shape != (self.n, self.widths[0]):
-                    raise ValueError(
-                        f"features shape {features.shape} does not match "
-                        f"(n={self.n}, f^0={self.widths[0]})"
-                    )
-                features = self._to_internal(features)
-                self._features = features
-                self._setup_data(features)
+                # New inputs, same training labels and mask (inference
+                # must not corrupt training).
+                self._install_features(features)
             else:
                 # Inference-only setup: placeholder labels, flagged so a
                 # later train_epoch() insists on real ones.
@@ -802,7 +850,8 @@ class DistAlgorithm:
 
         Counts the per-layer activation stack (``H``, the cached SpMM
         result ``T``/``Z``, and the gradient working set) at the rank's
-        stored row count, plus the replicated weights.
+        stored row count, plus the replicated weights.  The ``T^0`` kept
+        across epochs is layer 1's ``T`` of that count, not an addition.
         """
         rows = self._stored_dense_rows()
         acts = sum(
@@ -914,14 +963,20 @@ class DistAlgorithm:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _stats_since_marks(
-        self,
-        before_wall: Dict[str, float],
-        before_bytes: List[Dict[str, int]],
-        epoch: int,
-        loss: float,
-        acc: float,
-    ) -> EpochStats:
+    def _ledger_marks(self) -> "_LedgerMarks":
+        """Compact ledger mark: only wall seconds and per-rank byte
+        counters are needed for a delta -- a full ``tracker.snapshot()``
+        deep copy per epoch was measurable overhead at higher rank
+        counts."""
+        tracker = self.rt.tracker
+        return dict(tracker.wall), [
+            {c: t.bytes for c, t in rank.items()}
+            for rank in tracker.per_rank
+        ]
+
+    def _ledger_since(self, marks: "_LedgerMarks") -> Dict[str, Any]:
+        """The :class:`LedgerDelta` fields accumulated since ``marks``."""
+        before_wall, before_bytes = marks
         tracker = self.rt.tracker
         seconds = {
             c: tracker.wall.get(c, 0.0) - before_wall.get(c, 0.0)
@@ -940,10 +995,7 @@ class DistAlgorithm:
                     comm += delta
             if comm > max_rank:
                 max_rank = comm
-        return EpochStats(
-            epoch=epoch,
-            loss=loss,
-            train_accuracy=acc,
+        return dict(
             seconds_by_category=seconds,
             bytes_by_category=nbytes,
             max_rank_comm_bytes=int(max_rank),

@@ -23,7 +23,15 @@ class BlockRowAlgorithm(DistAlgorithm):
     Both algorithms keep complete dense rows on every rank, so their
     forward sweep, loss reduction, and backward recursion are the same
     program; they differ only in *which collective* realises the SpMM
-    and which group replicates scalars/gradients.  Subclasses provide:
+    and which group replicates scalars/gradients.
+
+    An epoch runs ``L - 1`` SpMM sweeps each way.  Forward, layer 1
+    starts from ``T^0 = A^T H^0``, aggregated once per feature matrix at
+    set-up (:meth:`DistAlgorithm._install_features`).  Backward, the
+    weight gradient is Equation 3's first form, ``Y^l = (T^{l-1})^T G^l``
+    from the cached forward product, so ``A G^l`` is formed only for
+    Equation 2's ``G^{l-1}`` -- which layer 1 has no use for.
+    Subclasses provide:
 
     * ``_block_ranks``           -- the ranks holding dense row blocks;
     * ``_row_range(rank)``       -- the global rows a rank owns;
@@ -65,6 +73,10 @@ class BlockRowAlgorithm(DistAlgorithm):
     def _pre_backward(self) -> None:
         """Per-epoch charges before the backward recursion (default none)."""
 
+    def _aggregate(self, h_blocks):
+        return self._obs_call("spmm.fwd", "spmm", self._forward_spmm,
+                              h_blocks, self.widths[0])
+
     # ------------------------------------------------------------------ #
     def _charge_rows_gemm(self, key, flops_per_row: float) -> None:
         """Charge a GEMM over every block rank at ``rows x flops/row``.
@@ -87,20 +99,23 @@ class BlockRowAlgorithm(DistAlgorithm):
                      for r in self._block_ranks),
         )
 
-    def _forward_layers(self, h_blocks):
-        """Shared forward sweep; returns output blocks + per-layer caches.
+    def _forward_layers(self):
+        """Shared forward sweep from the kept ``T^0``; returns output
+        blocks + per-layer caches.
 
         Local kernels run through :meth:`_map_blocks`: replicated layouts
         (1.5D) hand every fiber replica the same buffer, so the identical
         replica compute executes once while every rank is still charged.
         """
         caches = []
+        t_blocks = self._t0
         for l, layer in enumerate(self.model.layers):
             f_in, f_out = layer.f_in, layer.f_out
             weight = layer.weight
-            t_blocks = self._obs_call(
-                "spmm.fwd", "spmm", self._forward_spmm, h_blocks, f_in
-            )
+            if l > 0:
+                t_blocks = self._obs_call(
+                    "spmm.fwd", "spmm", self._forward_spmm, h_blocks, f_in
+                )
             z_blocks = self._map_blocks(
                 t_blocks, lambda t: forward_gemm(t, weight)
             )
@@ -112,11 +127,11 @@ class BlockRowAlgorithm(DistAlgorithm):
         return h_blocks, caches
 
     def _forward_pass(self) -> np.ndarray:
-        out_blocks, _ = self._forward_layers(self._h0)
+        out_blocks, _ = self._forward_layers()
         return self._assemble(out_blocks)
 
     def _run_epoch(self) -> Tuple[float, float]:
-        out_blocks, caches = self._forward_layers(self._h0)
+        out_blocks, caches = self._forward_layers()
         self._set_epoch_output(out_blocks)
         f_last = self.widths[-1]
         ranks = self._local_block_ranks
@@ -148,13 +163,11 @@ class BlockRowAlgorithm(DistAlgorithm):
         for l in range(self.model.num_layers - 1, -1, -1):
             layer = self.model.layers[l]
             f_in, f_out = layer.f_in, layer.f_out
-            # A G^l is computed (and charged) at every layer, including
-            # l = 0 where grad_h is unused -- mirroring the serial layer
-            # kernel and the Model1D/Model2D charge patterns, which
-            # follow the paper's AG^l-reuse implementation.
-            ag_blocks = self._obs_call(
-                "spmm.bwd", "spmm", self._backward_spmm, g_blocks, f_out
-            )
+            if l > 0:
+                # A G^l, for Equation 2 below; layer 1 has no G^0 to form.
+                ag_blocks = self._obs_call(
+                    "spmm.bwd", "spmm", self._backward_spmm, g_blocks, f_out
+                )
             # Y^l = sum_i T_i^T G_i, all-reduced so W's update is replicated.
             t_l = caches[l]["t"]
             partials = self._dedup(

@@ -28,6 +28,12 @@ class GridAlgorithm(DistAlgorithm):
     last-layer row all-gather for log_softmax, the column-0 loss terms,
     and the backward recursion are the same program; they differ only
     in the distributed SpMM itself and in the mesh's group enumeration.
+
+    As in the block-row family, an epoch runs ``L - 1`` SpMM sweeps each
+    way: forward, layer 1 starts from the ``T^0 = A^T H^0`` kept from
+    set-up (:meth:`DistAlgorithm._install_features`); backward, ``Y^l =
+    (T^{l-1})^T G^l`` comes from the cached forward product, so ``A G^l``
+    is formed only where Equation 2 needs it, above layer 1.
     Subclasses provide:
 
     * ``_grid_spmm(sparse_blocks, dense_blocks, f)`` -- the charged
@@ -331,15 +337,23 @@ class GridAlgorithm(DistAlgorithm):
                     yield r, rows * f * bytes_per_elem
         self._charge_kernel("elementwise", key, builder)
 
-    def _forward_layers(self, h_blocks):
+    def _aggregate(self, h_blocks):
+        return self._obs_call(
+            "spmm.fwd", "spmm", self._grid_spmm,
+            self.a_t_blocks, h_blocks, self.widths[0],
+        )
+
+    def _forward_layers(self):
         caches = []
         last = self.model.num_layers - 1
+        t_blocks = self._t0
         for l, layer in enumerate(self.model.layers):
             f_in, f_out = layer.f_in, layer.f_out
-            t_blocks = self._obs_call(
-                "spmm.fwd", "spmm", self._grid_spmm,
-                self.a_t_blocks, h_blocks, f_in, ws_key=("t", l),
-            )
+            if l > 0:
+                t_blocks = self._obs_call(
+                    "spmm.fwd", "spmm", self._grid_spmm,
+                    self.a_t_blocks, h_blocks, f_in, ws_key=("t", l),
+                )
             z_blocks = self._matmul_w(t_blocks, layer.weight, f_in, f_out,
                                       ws_key=("z", l))
             cache = {"t": t_blocks, "z": z_blocks}
@@ -364,11 +378,11 @@ class GridAlgorithm(DistAlgorithm):
         return h_blocks, caches
 
     def _forward_pass(self) -> np.ndarray:
-        _, caches = self._forward_layers(self._h0)
+        _, caches = self._forward_layers()
         return self._assemble(caches[-1]["out_full"])
 
     def _run_epoch(self) -> Tuple[float, float]:
-        _, caches = self._forward_layers(self._h0)
+        _, caches = self._forward_layers()
         self._set_epoch_output(caches[-1]["out_full"])
         f_last = self.widths[-1]
         out_full = caches[-1]["out_full"]
@@ -412,12 +426,12 @@ class GridAlgorithm(DistAlgorithm):
         for l in range(self.model.num_layers - 1, -1, -1):
             layer = self.model.layers[l]
             f_in, f_out = layer.f_in, layer.f_out
-            # A G^l is charged at every layer (incl. l = 0), mirroring
-            # the serial kernel and the analytic models.
-            ag_blocks = self._obs_call(
-                "spmm.bwd", "spmm", self._grid_spmm,
-                self.a_blocks, g_blocks, f_out, ws_key=("ag",),
-            )
+            if l > 0:
+                # A G^l, for Equation 2 below; layer 1 has no G^0 to form.
+                ag_blocks = self._obs_call(
+                    "spmm.bwd", "spmm", self._grid_spmm,
+                    self.a_blocks, g_blocks, f_out, ws_key=("ag",),
+                )
             grads[l] = self._weight_grad(caches[l]["t"], g_blocks, f_in, f_out)
             if l > 0:
                 gh_blocks = self._matmul_w(

@@ -1,36 +1,36 @@
 """Per-epoch records of a distributed training run.
 
-:class:`EpochStats` is one epoch's result plus its exact ledger delta,
-:class:`DistTrainHistory` the run's list of them -- including the array
-form a checkpoint stores it in (:meth:`DistTrainHistory.to_arrays` /
+:class:`LedgerDelta` is what one stretch of the program added to the
+ledger, :class:`EpochStats` one epoch's result plus its delta,
+:class:`DistTrainHistory` the run's list of them beside the delta of the
+fit's set-up -- including the array form a checkpoint stores the epochs
+in (:meth:`DistTrainHistory.to_arrays` /
 :meth:`DistTrainHistory.extend_from_arrays`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
 from repro.comm.tracker import Category
 
-__all__ = ["EpochStats", "DistTrainHistory"]
+__all__ = ["LedgerDelta", "EpochStats", "DistTrainHistory"]
 
 
 @dataclass(frozen=True)
-class EpochStats:
-    """One training epoch's result plus its exact ledger delta.
+class LedgerDelta:
+    """What one stretch of the program (an epoch, a set-up) added to the
+    ledger, exactly.
 
-    ``seconds_by_category`` is the bulk-synchronous **wall clock** the
-    epoch added (slowest rank per step, per Fig. 3's convention);
+    ``seconds_by_category`` is the bulk-synchronous **wall clock** added
+    (slowest rank per step, per Fig. 3's convention);
     ``bytes_by_category`` sums exact bytes over all ranks;
     ``max_rank_comm_bytes`` is the paper's per-process metric.
     """
 
-    epoch: int
-    loss: float
-    train_accuracy: float
     seconds_by_category: Dict[str, float]
     bytes_by_category: Dict[str, int]
     max_rank_comm_bytes: int
@@ -53,11 +53,27 @@ class EpochStats:
         return sum(self.bytes_by_category[c] for c in Category.COMM)
 
 
+@dataclass(frozen=True)
+class EpochStats(LedgerDelta):
+    """One training epoch's result plus its exact ledger delta."""
+
+    epoch: int
+    loss: float
+    train_accuracy: float
+
+
 @dataclass
 class DistTrainHistory:
-    """Per-epoch records of one distributed training run."""
+    """Per-epoch records of one distributed training run.
+
+    ``setup`` is the ledger delta of the fit's ``setup()``: the one-time
+    ``A^T H^0`` aggregation when the fit brought a new feature matrix,
+    all zeros when it reused the last one.  It is charged outside every
+    epoch's delta.
+    """
 
     epochs: List[EpochStats] = field(default_factory=list)
+    setup: Optional[LedgerDelta] = None
 
     @property
     def losses(self) -> List[float]:

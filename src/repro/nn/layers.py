@@ -11,11 +11,16 @@ Backward (Section III-D)::
     G^{l-1} = A G^l (W^l)^T  (.)  sigma'(Z^{l-1})           (Equation 2)
     Y^l     = (A^T H^{l-1})^T G^l = (H^{l-1})^T (A G^l)     (Equation 3)
 
-The layer caches ``Z`` and the SpMM result ``A^T H^{l-1}`` during forward,
-and reuses the ``A G^l`` intermediate between Equations 2 and 3 exactly as
-the paper's algorithms do ("we can reuse the intermediate product AG^l
-that we computed in the previous equation at the expense of increasing the
-memory footprint slightly").
+Equation 3 has two forms.  The paper's algorithms use the second: they
+"reuse the intermediate product AG^l that we computed in the previous
+equation", which needs ``A G^l`` at every layer.  This code uses the
+first: the layer caches ``Z^l`` and the SpMM result ``T^{l-1} = A^T
+H^{l-1}`` during forward and forms ``Y^l = (T^{l-1})^T G^l`` from the
+cache.  ``A G^l`` is then needed only by Equation 2, i.e. only where
+there is a ``G^{l-1}`` to compute -- not at layer 1, whose input is the
+data (:meth:`GCNLayer.backward`'s ``need_input_grad``).  The serial
+model and all four distributed families share this form, which is what
+keeps them bit-close.
 """
 
 from __future__ import annotations
@@ -135,17 +140,22 @@ class GCNLayer:
         return h_out, LayerCache(h_in=h_in, z=z, t=t)
 
     def backward(
-        self, a: CSRMatrix, cache: LayerCache, grad_h: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        self, a: CSRMatrix, cache: LayerCache, grad_h: np.ndarray,
+        need_input_grad: bool = True,
+    ) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
         """Equations 1-3 for this layer.
 
         Given ``dL/dH^l``, returns ``(grad_h_in, grad_w, g)`` where
         ``grad_h_in = dL/dH^{l-1}`` (the upstream gradient for the next
         layer down), ``grad_w = Y^l = dL/dW^l``, and ``g = G^l = dL/dZ^l``.
+        ``need_input_grad=False`` skips the ``A G^l`` SpMM and its GEMM
+        and returns ``None`` for ``grad_h_in`` -- the first layer's case.
         """
         g = self.activation.backward(cache.z, grad_h)      # G^l (Eq. 1 shape)
-        ag = spmm(a, g)                                    # A G^l (reused)
         grad_w = weight_gradient(cache.t, g)               # Y^l (Eq. 3)
+        if not need_input_grad:
+            return None, grad_w, g
+        ag = spmm(a, g)                                    # A G^l
         grad_h_in = hidden_gradient(ag, self.weight)       # A G^l (W^l)^T (Eq. 2,
         #                                 before the sigma'(Z^{l-1}) Hadamard,
         #                                 which the *previous* layer applies)

@@ -88,7 +88,9 @@ class GCN:
         grads: List[Optional[np.ndarray]] = [None] * len(self.layers)
         grad_h = grad_out
         for l in range(len(self.layers) - 1, -1, -1):
-            grad_h, grad_w, _ = self.layers[l].backward(a, caches[l], grad_h)
+            # The first layer's input is the data: no gradient to form.
+            grad_h, grad_w, _ = self.layers[l].backward(
+                a, caches[l], grad_h, need_input_grad=l > 0)
             grads[l] = grad_w
         return grads  # type: ignore[return-value]
 

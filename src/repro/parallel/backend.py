@@ -833,7 +833,7 @@ def _handle(rt, worker_id: int, op: str, payload, state: _WorkerState,
                 # enter the digest (wall clocks differ per worker).
                 obs["profile"] = prof.snapshot(
                     arena=getattr(channel, "arena", None))
-        return _digest_result(rt, worker_id, history.epochs, extras,
+        return _digest_result(rt, worker_id, history, extras,
                               epoch_digests, state, obs=obs)
     if op == "batch":
         values, extras = [], []

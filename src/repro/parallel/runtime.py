@@ -191,8 +191,8 @@ class ParallelAlgorithm:
 
         The whole program (setup + epoch loop) ships to the resident
         workers and runs with zero driver round-trips; the driver
-        collects the final per-epoch history and ledger, checks the
-        batched digest, and -- for API parity with
+        collects worker 0's history (set-up delta + per-epoch stats) and
+        ledger, checks the batched digest, and -- for API parity with
         :meth:`DistAlgorithm.fit` -- replays ``on_epoch`` over the
         returned stats.
 
@@ -216,7 +216,6 @@ class ParallelAlgorithm:
         :meth:`ParallelRuntime.backend_stats`), preserving the
         O(1)-dispatches-per-fit invariant.
         """
-        from repro.dist.history import DistTrainHistory
         from repro.obs import events as _events
         from repro.obs import spans as _spans
         from repro.parallel.backend import RECOVERABLE_ERRORS
@@ -284,7 +283,8 @@ class ParallelAlgorithm:
                 _events.emit("resume", attempt=attempt,
                              checkpoint=ckpt.get("path"))
                 backend.recovering = False
-        epoch_stats = self.rt._adopt_and_check(results)
+        history = self.rt._adopt_and_check(results)
+        epoch_stats = history.epochs
         if _events.ACTIVE is not None:
             # The driver owns the event log (workers never have one);
             # replay the adopted history into it so the process backend
@@ -305,8 +305,6 @@ class ParallelAlgorithm:
             self.last_trace = merge_worker_obs(
                 self.rt.last_obs or [], t_dispatch
             )
-        history = DistTrainHistory()
-        history.epochs.extend(epoch_stats)
         if on_epoch is not None:
             for stats in epoch_stats:
                 on_epoch(stats)

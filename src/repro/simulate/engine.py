@@ -91,6 +91,10 @@ class SimPoint:
     seconds_by_category: Dict[str, float]
     bytes_by_category: Dict[str, int]
     comm_bytes: int
+    #: the schedule's one-time section, priced: the ``A^T H^0``
+    #: aggregation paid per feature matrix, outside every epoch (every
+    #: field above is the steady-state epoch)
+    setup: SimResult
     params: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -98,6 +102,7 @@ class SimPoint:
         return 1.0 / self.seconds if self.seconds > 0 else float("inf")
 
     def to_dict(self) -> Dict[str, object]:
+        setup = self.setup
         return {
             "algorithm": self.algorithm,
             "graph": self.graph,
@@ -112,17 +117,24 @@ class SimPoint:
             "bytes_by_category": dict(self.bytes_by_category),
             "comm_bytes": self.comm_bytes,
             "params": dict(self.params),
+            "setup": {
+                "seconds": setup.total_seconds,
+                "seconds_by_category": dict(setup.seconds_by_category),
+                "bytes_by_category": dict(setup.bytes_by_category),
+                "comm_bytes": setup.comm_bytes,
+            },
         }
 
 
-def _point_from_result(
+def _price(
     algorithm: str,
     graph: GraphModel,
     p: int,
     machine: MachineProfile,
-    result: SimResult,
-    params: Mapping[str, object],
+    schedule: CommSchedule,
 ) -> SimPoint:
+    """Price a schedule's epoch and its one-time section on ``machine``."""
+    result = evaluate_schedule(schedule, machine)
     return SimPoint(
         algorithm=algorithm,
         graph=graph.name,
@@ -135,7 +147,8 @@ def _point_from_result(
         seconds_by_category=result.seconds_by_category,
         bytes_by_category=result.bytes_by_category,
         comm_bytes=result.comm_bytes,
-        params=dict(params),
+        setup=evaluate_schedule(schedule.setup, machine),
+        params=dict(schedule.meta),
     )
 
 
@@ -184,7 +197,9 @@ def predict_epoch(
     layers: int = 3,
     **algo_kwargs,
 ) -> SimPoint:
-    """Predict one training epoch's time and communication ledger.
+    """Predict one steady-state training epoch's time and communication
+    ledger, and beside it (``.setup``) the one-time ``A^T H^0``
+    aggregation the trainer pays per feature matrix.
 
     ``graph`` is a :class:`~repro.simulate.schedule.GraphModel`, a
     Dataset, a CSRMatrix, or a published dataset name; ``machine`` a
@@ -206,10 +221,7 @@ def predict_epoch(
             "(mesh constraint)"
         )
     schedule = _emit(algorithm, graph, widths, p, algo_kwargs)
-    result = evaluate_schedule(schedule, profile)
-    return _point_from_result(
-        algorithm.lower(), graph, p, profile, result, schedule.meta
-    )
+    return _price(algorithm.lower(), graph, p, profile, schedule)
 
 
 @dataclass
@@ -330,12 +342,7 @@ def sweep(
                     continue  # fixed c cannot tile this grid point
                 schedule = _emit(name, graph, w, p, kwargs)
                 for profile in profiles:
-                    result = evaluate_schedule(schedule, profile)
-                    points.append(
-                        _point_from_result(
-                            name, graph, p, profile, result, schedule.meta
-                        )
-                    )
+                    points.append(_price(name, graph, p, profile, schedule))
     elapsed = time.perf_counter() - t0
     return SweepResult(
         points=points,

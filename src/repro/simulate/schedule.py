@@ -3,6 +3,10 @@
 A :class:`CommSchedule` is the *trace* of one training epoch with the data
 left out: a sequence of bulk-synchronous phases, each holding the payload
 sizes of the concurrent collectives (or local kernels) the phase performs.
+What the trainer does once per feature matrix instead of once per epoch
+-- the ``A^T H^0`` aggregation of ``DistAlgorithm._install_features`` --
+is the schedule's **one-time section** (:attr:`CommSchedule.setup`), a
+schedule of its own priced by the same :func:`evaluate_schedule`.
 The :mod:`repro.dist` algorithm classes emit schedules through their
 ``emit_comm_schedule`` hooks by replaying their epoch loops symbolically
 -- same collectives, same groups, same byte counts -- without building a
@@ -452,11 +456,17 @@ Phase = Union[
 
 @dataclass
 class CommSchedule:
-    """An epoch's phases plus the world size that prices them."""
+    """An epoch's phases plus the world size that prices them.
+
+    ``setup`` is the one-time section: the phases the executed algorithm
+    runs (and charges) when a feature matrix is installed, outside every
+    epoch.  ``None`` on a one-time section itself.
+    """
 
     p: int
     phases: List[Phase]
     meta: Dict[str, object] = field(default_factory=dict)
+    setup: Optional["CommSchedule"] = None
 
     @property
     def nphases(self) -> int:
@@ -497,6 +507,7 @@ class ScheduleBuilder:
         self.p = int(p)
         self.wb = int(word_bytes)
         self.phases: List[Phase] = []
+        self.setup_phases: List[Phase] = []
 
     # -- communication -------------------------------------------------- #
     def broadcast(self, category: str, group_size: int, nbytes,
@@ -554,8 +565,16 @@ class ScheduleBuilder:
     def elementwise(self, nbytes) -> None:
         self.phases.append(ElementwisePhase(_arr(nbytes)))
 
+    def end_setup(self) -> None:
+        """Everything emitted so far is the one-time section; the epoch
+        starts here."""
+        self.setup_phases, self.phases = self.phases, []
+
     def build(self, **meta) -> CommSchedule:
-        return CommSchedule(self.p, self.phases, dict(meta))
+        return CommSchedule(
+            self.p, self.phases, dict(meta),
+            setup=CommSchedule(self.p, self.setup_phases, dict(meta)),
+        )
 
 
 # ---------------------------------------------------------------------- #
@@ -706,15 +725,20 @@ def emit_blockrow_epoch(
 ) -> None:
     """The :class:`~repro.dist.blockrow.BlockRowAlgorithm` epoch, symbolically.
 
-    Phase-for-phase mirror of ``BlockRowAlgorithm._run_epoch`` (forward
-    sweep, loss reduction, backward recursion); the callables plug in the
-    1D/1.5D-specific data movement exactly like the executed hooks do.
+    Phase-for-phase mirror of the set-up aggregation (the one-time
+    section) and of ``BlockRowAlgorithm._run_epoch`` (forward sweep from
+    the kept ``T^0``, loss reduction, backward recursion down to layer
+    2); the callables plug in the 1D/1.5D-specific data movement exactly
+    like the executed hooks do.
     """
     rows = np.asarray(rows_per_rank, dtype=np.float64)
     n_layers = len(widths) - 1
+    forward_spmm(widths[0])
+    b.end_setup()
     for l in range(n_layers):
         f_in, f_out = widths[l], widths[l + 1]
-        forward_spmm(f_in)
+        if l > 0:
+            forward_spmm(f_in)
         b.gemm(rows * (2.0 * f_in * f_out))
         b.elementwise(rows * (2.0 * f_out * b.wb))
     replicated_allreduce(LOSS_TERM_BYTES)
@@ -723,7 +747,8 @@ def emit_blockrow_epoch(
         pre_backward()
     for l in range(n_layers - 1, -1, -1):
         f_in, f_out = widths[l], widths[l + 1]
-        backward_spmm(f_out)
+        if l > 0:
+            backward_spmm(f_out)
         b.gemm(rows * (2.0 * f_in * f_out))
         replicated_allreduce(f_in * f_out * b.wb)
         if l > 0:
@@ -770,15 +795,19 @@ def emit_grid_epoch(
 ) -> None:
     """The :class:`~repro.dist.grid.GridAlgorithm` epoch, symbolically.
 
-    Phase-for-phase mirror of ``GridAlgorithm._run_epoch`` shared by the
-    2D SUMMA and Split-3D emitters; ``grid_spmm(f, backward)`` selects the
-    forward (``A^T``) or backward (``A``) sparse operand.
+    Phase-for-phase mirror of the set-up aggregation (the one-time
+    section) and of ``GridAlgorithm._run_epoch``, shared by the 2D SUMMA
+    and Split-3D emitters; ``grid_spmm(f, backward)`` selects the forward
+    (``A^T``) or backward (``A``) sparse operand.
     """
     rows = np.asarray(rows_of_rank, dtype=np.float64)
     n_layers = len(widths) - 1
+    grid_spmm(widths[0], False)
+    b.end_setup()
     for l in range(n_layers):
         f_in, f_out = widths[l], widths[l + 1]
-        grid_spmm(f_in, False)
+        if l > 0:
+            grid_spmm(f_in, False)
         matmul_w(f_in, f_out)
         if l < n_layers - 1:
             b.elementwise(rows * outw_of_rank(f_out) * (2.0 * b.wb))
@@ -790,7 +819,8 @@ def emit_grid_epoch(
     epoch_transpose()
     for l in range(n_layers - 1, -1, -1):
         f_in, f_out = widths[l], widths[l + 1]
-        grid_spmm(f_out, True)
+        if l > 0:
+            grid_spmm(f_out, True)
         weight_grad(f_in, f_out)
         if l > 0:
             matmul_w(f_out, f_in)

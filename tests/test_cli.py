@@ -120,7 +120,13 @@ class TestSimulateCommands:
             "--dataset", "reddit", "--scale", "2048",
         ])
         assert rc == 0
-        assert "exact" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "exact" in out
+        # the A^T H^0 aggregation: its own line, before the epoch's
+        once, epoch = out.index("one-time aggregation"), \
+            out.index("predicted epoch")
+        assert once < epoch
+        assert "dcomm" in out[once:epoch] and " s," in out[once:epoch]
 
     def test_simulate_json_output(self, tmp_path, capsys):
         out_file = tmp_path / "point.json"
@@ -134,6 +140,11 @@ class TestSimulateCommands:
         doc = json.loads(out_file.read_text())
         assert doc["algorithm"] == "3d" and doc["p"] == 512
         assert doc["seconds"] > 0
+        once = doc["setup"]
+        assert 0 < once["seconds"] < doc["seconds"]
+        assert once["comm_bytes"] == sum(
+            once["bytes_by_category"][c]
+            for c in ("dcomm", "scomm", "trpose")) > 0
 
     def test_sweep_smoke_with_json(self, tmp_path, capsys):
         out_file = tmp_path / "sweep.json"
@@ -144,11 +155,15 @@ class TestSimulateCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "winner" in out and "strong scaling" in out
+        # one line per table: the aggregation's range over the swept P
+        assert out.count("one-time aggregation") == out.count(
+            "strong scaling") == 2
         import json
 
         doc = json.loads(out_file.read_text())
         assert doc["schema"] == "repro-sweep/1"
         assert doc["winners"]
+        assert all(pt["setup"]["seconds"] > 0 for pt in doc["points"])
 
     def test_sweep_explicit_p_grid(self, capsys):
         rc = main([

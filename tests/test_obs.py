@@ -453,6 +453,12 @@ class TestCli:
         assert doc["schema"] == "repro-train/1"
         assert len(doc["losses"]) == 2
         assert doc["trace_path"] == trace_path
+        # the set-up's ledger delta, beside the per-epoch numbers: one
+        # all-gather at f^0 = 32 against the epoch's four at 8, 8, 8 and
+        # 4 words plus its all-reduces
+        once, epoch = doc["setup"]["comm_bytes"], doc["per_epoch_comm_bytes"]
+        assert 0 < once["dcomm"] < epoch["dcomm"]
+        assert doc["setup"]["modeled_seconds"] > 0
         with open(trace_path) as fh:
             payload = json.load(fh)
         assert validate_chrome_trace(payload) == []

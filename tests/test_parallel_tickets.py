@@ -353,9 +353,10 @@ def ds():
 
 
 def run_recorded(fabric, ds, name, mesh, kw, epochs=3):
-    """Train ``epochs`` epochs on two worker runtimes (threads) over
-    recording shm channels; returns per worker ``(epoch logs, losses,
-    digest)``."""
+    """Set up and train ``epochs`` epochs on two worker runtimes
+    (threads) over recording shm channels; returns per worker ``(logs,
+    losses, digest)`` -- ``logs[0]`` is the set-up's (the one-time
+    ``A^T H^0`` aggregation), ``logs[1 + e]`` epoch ``e``'s."""
     chans = fabric("shm", 2, cls=RecordingChannel).chans
     owners = owner_map(mesh.size, 2)
     widths = ds.layer_widths(hidden=8, layers=3)
@@ -363,8 +364,8 @@ def run_recorded(fabric, ds, name, mesh, kw, epochs=3):
     def worker(ch):
         rt = WorkerRuntime(mesh, None, ch, owners)
         algo = ALGORITHMS[name](rt, ds.adjacency, widths, seed=0, **kw)
+        marks, losses = [len(ch.log)], []
         algo.setup(ds.features, ds.labels, None)
-        marks, losses = [], []
         for e in range(epochs):
             marks.append(len(ch.log))
             losses.append(algo.train_epoch(e).loss)
@@ -383,15 +384,18 @@ class TestLookAheadOfOne:
         virtual.setup(ds.features, ds.labels)
         v_losses = [virtual.train_epoch(e).loss for e in range(3)]
         for w in (0, 1):
-            logs, losses, digest = res[w]
+            (setup, *logs), losses, digest = res[w]
             assert losses == v_losses
             assert digest == ledger_digest(virtual.rt.tracker)
+            # the set-up aggregation is one forward sweep: two stages
+            assert [what for what, _ in setup] == [
+                "post", "post", "collect", "collect"]
             for log in logs:
                 posts = [tag for what, tag in log if what == "post"]
-                # pinned by PR 12: 12 SUMMA stage broadcasts that cross
-                # workers + 4 reductions, per worker per epoch
-                assert len(posts) == 16
-                assert sum(tag[0] == ("rb",) for tag in posts) == 12
+                # L - 1 = 2 sweeps each way x 2 SUMMA stage broadcasts
+                # that cross workers + 4 reductions, per worker per epoch
+                assert len(posts) == 12
+                assert sum(tag[0] == ("rb",) for tag in posts) == 8
                 open_rb, sweeps, high = [], [], 0
                 for what, tag in log:
                     if tag[0] != ("rb",):
@@ -411,13 +415,14 @@ class TestLookAheadOfOne:
                 # Every sweep is two stages: both posted, then both
                 # collected -- stage 1 is on the wire before stage 0 is
                 # waited for.
-                assert len(sweeps) == 6
+                assert len(sweeps) == 4
                 for sweep in sweeps:
                     assert [what for what, _ in sweep] == [
                         "post", "post", "collect", "collect"]
             # the fault tests pin their look-ahead index on this: with
-            # 16 exchanges per epoch, exchange 17 is the second post of
-            # epoch 1, issued while exchange 16 is still uncollected
+            # 2 exchanges at set-up and 12 per epoch, exchange 15 is the
+            # second post of epoch 1, issued while exchange 14 is still
+            # uncollected
             assert [what for what, _ in logs[1][:3]] == [
                 "post", "post", "collect"]
 
@@ -427,7 +432,9 @@ class TestLookAheadOfOne:
                   "multilevel", ds.adjacency, 4, seed=0)}
         res = run_recorded(fabric, ds, "1d", Mesh1D(size=4), kw)
         for w in (0, 1):
+            setup, *logs = res[w][0]
+            assert len(setup) == 2               # one ghost fetch
+            assert all(len(log) == 16 for log in logs)   # 8 per epoch
             for log in res[w][0]:
-                assert len(log) == 20            # 10 exchanges per epoch
                 for (a, ta), (b, tb) in zip(log[0::2], log[1::2]):
                     assert (a, b) == ("post", "collect") and ta == tb

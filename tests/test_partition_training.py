@@ -53,11 +53,17 @@ WIDTHS = (10, 8, 4)
 
 
 def expansion_bytes(ghosts_total: int, widths) -> int:
-    """Per-epoch ghost-exchange bytes: one exchange per forward layer
-    (operand widths ``f^0..f^{L-1}``) and one per backward layer
-    (``f^1..f^L``)."""
+    """Per-epoch ghost-exchange bytes: ``L - 1`` exchanges each way --
+    forward at operand widths ``f^1..f^{L-1}`` (``A^T H^0`` is
+    aggregated once, at set-up: :func:`setup_expansion_bytes`), backward
+    at ``f^2..f^L`` (layer 1 forms no ``A G``)."""
     return sum(ghosts_total * f * WB
-               for f in list(widths[:-1]) + list(widths[1:]))
+               for f in list(widths[1:-1]) + list(widths[2:]))
+
+
+def setup_expansion_bytes(ghosts_total: int, widths) -> int:
+    """The one-time aggregation's ghost exchange, at width ``f^0``."""
+    return ghosts_total * widths[0] * WB
 
 
 class TestDistribution:
@@ -258,6 +264,8 @@ class TestGhostLedgerOracle:
         algo = DistGCN1D(rt, rmat_ds.adjacency, (12, 8, 4), seed=0,
                          variant="ghost", distribution=dist)
         algo.setup(rmat_ds.features, rmat_ds.labels)
+        self.setup_dcomm = algo.rt.tracker.total_bytes("dcomm")
+        algo.rt.reset_stats()    # epoch seconds exact, not a subtraction
         return algo, algo.train_epoch(0)
 
     @pytest.mark.parametrize("kind", ["block", "multilevel"])
@@ -279,6 +287,10 @@ class TestGhostLedgerOracle:
             if isinstance(ph, GatherRowsPhase)
         )
         assert gather_bytes == expansion_bytes(int(ghosts.sum()), (12, 8, 4))
+        (once,) = sched.setup.phases[:1]
+        assert isinstance(once, GatherRowsPhase)
+        assert int(once.nbytes.sum()) == self.setup_dcomm \
+            == setup_expansion_bytes(int(ghosts.sum()), (12, 8, 4))
         # ... and the priced schedule reproduces the executed epoch's
         # dcomm ledger byte for byte (seconds to the float).
         res = evaluate_schedule(sched, algo.rt.profile)
@@ -312,8 +324,10 @@ class TestGhostLedgerOracle:
                                              variant="ghost")
         gather = [ph for ph in sched.phases
                   if isinstance(ph, GatherRowsPhase)]
-        assert len(gather) == 4  # 2 forward + 2 backward layers
+        assert len(gather) == 2  # L - 1 = 1 forward + 1 backward sweep
         assert all(ph.nbytes.sum() > 0 for ph in gather)
+        (once, _spmm) = sched.setup.phases  # ... and one at set-up
+        assert isinstance(once, GatherRowsPhase) and once.nbytes.sum() > 0
 
 
 class TestGatherRowsPrimitive:

@@ -54,16 +54,17 @@ class TestEventCapture:
             st = algo.train_epoch(0)
             if tracer:
                 tracer.uninstall()
-            return st, tracer
+            return st, tracer, algo.rt.tracker.wall_seconds()
 
-        plain, _ = run(False)
-        traced, tracer = run(True)
+        plain, _, plain_wall = run(False)
+        traced, tracer, wall = run(True)
         assert traced.dcomm_bytes == plain.dcomm_bytes
         assert traced.modeled_seconds == pytest.approx(plain.modeled_seconds)
-        # The trace's step total equals the epoch's wall clock.
-        assert tracer.total_seconds() == pytest.approx(
-            traced.modeled_seconds, rel=1e-9
-        )
+        assert wall == plain_wall
+        # The trace's step total equals the ledger's wall clock: the
+        # set-up aggregation plus the epoch.
+        assert wall > traced.modeled_seconds
+        assert tracer.total_seconds() == pytest.approx(wall, rel=1e-9)
 
     def test_uninstall_restores_scope(self):
         t = CommTracker(1)
