@@ -20,10 +20,14 @@ needing a second orientation of ``A``), the forward activation/cache stack
 temporaries (``G^l`` and ``A G^l``), replicated weights, and the largest
 communication receive buffer.  The executed trainer keeps ``T^0 = A^T
 H^0`` across epochs instead of recomputing it; that is the layer-1 ``T^l``
-already counted here, so the estimates are unchanged.  ``allocator_overhead`` folds in the
-framework's slack (CUDA context, allocator fragmentation, cuSPARSE
-workspaces); the default is calibrated so the Table VI feasibility pattern
-on 16 GB V100s matches the paper's report exactly.
+already counted here, so the estimates are unchanged.  Nor does the order
+of a layer's products (:func:`repro.nn.layers.sweep_order`) move them: a
+shrinking layer keeps ``H^{l-1}`` in place of ``T^l``, the same
+``f^{l-1}`` words, and the ``H W`` / ``G W^T`` it aggregates are transient
+and narrow.  ``allocator_overhead`` folds in the framework's slack (CUDA
+context, allocator fragmentation, cuSPARSE workspaces); the default is
+calibrated so the Table VI feasibility pattern on 16 GB V100s matches the
+paper's report exactly.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.nn.layers import sweep_widths
 from repro.simulate.engine import SweepResult
 
 __all__ = [
@@ -20,6 +21,7 @@ __all__ = [
     "crossover_points",
     "format_scaling_table",
     "format_setup_line",
+    "format_sweep_widths",
     "format_crossovers",
 ]
 
@@ -110,6 +112,18 @@ def format_setup_line(result: SweepResult, graph: str, machine: str) -> str:
             cells.append(f"{a} {min(secs):.4g}..{max(secs):.4g} s")
     return "one-time aggregation (A^T H^0, per feature matrix): " + \
         ", ".join(cells)
+
+
+def format_sweep_widths(widths: Sequence[int]) -> str:
+    """The width each of an epoch's SpMM sweeps (and the exchange that
+    feeds it) runs at, per layer above the first -- the narrow side of
+    every layer (:func:`repro.nn.layers.sweep_order`), where the
+    paper's per-layer closed forms have ``f^{l-1}`` forward and ``f^l``
+    backward."""
+    fwd, bwd = sweep_widths(widths)
+    return (f"sweeps: fwd {','.join(map(str, fwd))}  "
+            f"bwd {','.join(map(str, bwd))} "
+            f"(narrow side of {'-'.join(map(str, widths))})")
 
 
 def format_crossovers(result: SweepResult) -> str:

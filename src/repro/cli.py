@@ -46,6 +46,16 @@ import sys
 from typing import List, Optional, Sequence
 
 
+def _width(text: str):
+    """``--hidden``: an int where the text spells one, else the float it
+    spells -- which ``repro.nn.layers.check_widths`` refuses with the
+    message every other bad width gets."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def _print_table(header: Sequence[str], rows: Sequence[Sequence]) -> None:
     rows = [[str(c) for c in row] for row in rows]
     widths = [
@@ -555,6 +565,7 @@ def _usage_error(exc: Exception) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.analysis.scaling import format_sweep_widths
     from repro.simulate import predict_epoch
 
     kwargs = {}
@@ -595,6 +606,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(f"graph   : {graph.name}  n={graph.n} nnz={graph.nnz} ({mode})")
     print(f"machine : {point.machine}  P={point.p}  "
           f"algorithm={point.algorithm} {point.params.get('variant', '')}")
+    print(format_sweep_widths(point.params["widths"]))
     once = point.setup
     print(f"\none-time aggregation (A^T H^0, per feature matrix): "
           f"{once.total_seconds:.6f} s, dcomm "
@@ -622,6 +634,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         format_crossovers,
         format_scaling_table,
         format_setup_line,
+        format_sweep_widths,
     )
     from repro.simulate import DEFAULT_P_GRID, sweep
 
@@ -655,8 +668,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     print(
         f"swept {len(result.points)} points "
         f"({len(algorithms)} algorithms x {len(machines)} machines x "
-        f"P up to {max(ps)}) in {result.elapsed_seconds:.2f}s\n"
+        f"P up to {max(ps)}) in {result.elapsed_seconds:.2f}s"
     )
+    if result.points:
+        print(format_sweep_widths(result.points[0].params["widths"]))
+    print()
     for machine in result.machines:
         print(format_scaling_table(result, graph.name, machine))
         print(format_setup_line(result, graph.name, machine))
@@ -794,7 +810,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=float, default=8.0)
     p.add_argument("--features", type=int, default=32)
     p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--hidden", type=int, default=16)
+    p.add_argument("--hidden", type=_width, default=16)
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
@@ -887,7 +903,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--degree", type=float, default=16.0)
         p.add_argument("--features", type=int, default=128)
         p.add_argument("--classes", type=int, default=16)
-        p.add_argument("--hidden", type=int, default=16)
+        p.add_argument("--hidden", type=_width, default=16)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", help="write the result as JSON here")
 

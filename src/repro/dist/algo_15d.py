@@ -34,6 +34,7 @@ from repro.comm.tracker import Category
 from repro.config import FP64_BYTES
 from repro.dist.base import RoutedBroadcast
 from repro.dist.blockrow import BlockRowAlgorithm
+from repro.nn.layers import check_widths
 from repro.nn.optim import Optimizer
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.distribute import block_ranges
@@ -274,6 +275,7 @@ class DistGCN15D(BlockRowAlgorithm):
             emit_blockrow_epoch,
         )
 
+        widths = check_widths(widths)
         graph = GraphModel.coerce(graph)
         c = int(replication)
         if c < 1 or p % c != 0:
@@ -326,5 +328,5 @@ class DistGCN15D(BlockRowAlgorithm):
         )
         return b.build(
             algorithm="1.5d", p=p, replication=c, graph=graph.name,
-            widths=tuple(int(w) for w in widths),
+            widths=widths,
         )

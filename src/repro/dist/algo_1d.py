@@ -50,6 +50,7 @@ from repro.comm.tracker import Category
 from repro.config import FP64_BYTES
 from repro.dist.blockrow import BlockRowAlgorithm
 from repro.dist.distribution import Distribution, ghost_structure
+from repro.nn.layers import check_widths
 from repro.nn.optim import Optimizer
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.distribute import block_ranges, gather_dense_1d_rows
@@ -379,6 +380,7 @@ class DistGCN1D(BlockRowAlgorithm):
             sparse_wire_bytes,
         )
 
+        widths = check_widths(widths)
         graph = GraphModel.coerce(graph)
         variant = resolve_1d_variant(variant, graph.symmetric)
         n = graph.n
@@ -472,5 +474,5 @@ class DistGCN1D(BlockRowAlgorithm):
         )
         return b.build(
             algorithm="1d", p=p, variant=variant, graph=graph.name,
-            widths=tuple(int(w) for w in widths), **meta_extra,
+            widths=widths, **meta_extra,
         )

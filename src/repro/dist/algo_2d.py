@@ -36,6 +36,7 @@ from repro.comm.tracker import Category
 from repro.config import FP64_BYTES
 from repro.dist.base import RoutedBroadcast
 from repro.dist.grid import GridAlgorithm
+from repro.nn.layers import check_widths
 from repro.nn.optim import Optimizer
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.distribute import (
@@ -353,6 +354,7 @@ class DistGCN2D(GridAlgorithm):
             sparse_wire_bytes,
         )
 
+        widths = check_widths(widths)
         graph = GraphModel.coerce(graph)
         if grid is None:
             pr = pc = square_side(p)
@@ -436,5 +438,5 @@ class DistGCN2D(GridAlgorithm):
         )
         return b.build(
             algorithm="2d", p=p, grid=(pr, pc), summa_block=summa_block,
-            graph=graph.name, widths=tuple(int(w) for w in widths),
+            graph=graph.name, widths=widths,
         )

@@ -37,6 +37,7 @@ from repro.comm.tracker import Category
 from repro.config import FP64_BYTES
 from repro.dist.base import RoutedBroadcast
 from repro.dist.grid import GridAlgorithm
+from repro.nn.layers import check_widths
 from repro.nn.optim import Optimizer
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.distribute import (
@@ -325,6 +326,7 @@ class DistGCN3D(GridAlgorithm):
             sparse_wire_bytes,
         )
 
+        widths = check_widths(widths)
         graph = GraphModel.coerce(graph)
         s = cube_side(p)
         n = graph.n
@@ -449,5 +451,5 @@ class DistGCN3D(GridAlgorithm):
         )
         return b.build(
             algorithm="3d", p=p, mesh=(s, s, s), graph=graph.name,
-            widths=tuple(int(w) for w in widths),
+            widths=widths,
         )

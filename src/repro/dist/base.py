@@ -53,6 +53,7 @@ from repro.config import FP64_BYTES
 from repro.dist.distribution import Distribution
 from repro.dist.history import DistTrainHistory, EpochStats, LedgerDelta
 from repro.nn.activations import LogSoftmax, ReLU
+from repro.nn.layers import check_widths
 from repro.nn.loss import accuracy, nll_loss
 from repro.nn.model import GCN, SerialTrainer
 from repro.nn.optim import SGD, Adam, Optimizer
@@ -150,6 +151,7 @@ class DistAlgorithm:
         optimizer: Optional[Optimizer] = None,
         distribution: Optional[Distribution] = None,
     ):
+        widths = check_widths(widths)
         if a_t.nrows != a_t.ncols:
             raise ValueError(f"adjacency must be square, got {a_t.shape}")
         if distribution is not None and distribution.n != a_t.nrows:
@@ -169,7 +171,7 @@ class DistAlgorithm:
         self.rt = rt
         self.a_t = a_t
         self.n = a_t.nrows
-        self.widths = tuple(int(w) for w in widths)
+        self.widths = widths
         self.seed = seed
         self.optimizer = optimizer if optimizer is not None else SGD(lr=0.1)
         self.model = GCN(self.widths, seed=seed)
@@ -851,7 +853,9 @@ class DistAlgorithm:
         Counts the per-layer activation stack (``H``, the cached SpMM
         result ``T``/``Z``, and the gradient working set) at the rank's
         stored row count, plus the replicated weights.  The ``T^0`` kept
-        across epochs is layer 1's ``T`` of that count, not an addition.
+        across epochs is layer 1's ``T`` of that count, not an addition;
+        a shrinking layer's cached ``H^{l-1}`` stands where its ``T``
+        stood, at the same width.
         """
         rows = self._stored_dense_rows()
         acts = sum(

@@ -12,7 +12,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.dist.base import DistAlgorithm
-from repro.nn.layers import forward_gemm, hidden_gradient, weight_gradient
+from repro.nn.layers import (forward_gemm, hidden_gradient, sweep_order,
+                             weight_gradient)
 
 __all__ = ["BlockRowAlgorithm"]
 
@@ -25,12 +26,18 @@ class BlockRowAlgorithm(DistAlgorithm):
     program; they differ only in *which collective* realises the SpMM
     and which group replicates scalars/gradients.
 
-    An epoch runs ``L - 1`` SpMM sweeps each way.  Forward, layer 1
-    starts from ``T^0 = A^T H^0``, aggregated once per feature matrix at
-    set-up (:meth:`DistAlgorithm._install_features`).  Backward, the
-    weight gradient is Equation 3's first form, ``Y^l = (T^{l-1})^T G^l``
-    from the cached forward product, so ``A G^l`` is formed only for
-    Equation 2's ``G^{l-1}`` -- which layer 1 has no use for.
+    An epoch runs ``L - 1`` SpMM sweeps each way, each at the narrow
+    side of its layer's weight (:func:`repro.nn.layers.sweep_order`, the
+    rule the serial layer follows too).  Forward, layer 1 starts from
+    ``T^0 = A^T H^0``, aggregated once per feature matrix at set-up
+    (:meth:`DistAlgorithm._install_features`); a layer above it that
+    shrinks runs ``A^T (H W)`` and caches ``H^{l-1}`` in place of ``T``.
+    Backward, such a layer takes Equation 3's second form, ``Y^l =
+    (H^{l-1})^T (A G^l)``, from the ``A G^l`` Equation 2 needs anyway;
+    every other layer takes the first, ``Y^l = (T^{l-1})^T G^l``, and
+    one that grows forms ``A (G^l W^T)`` for Equation 2 -- which layer
+    1 has no use for.  Only the widths handed to the two hooks change
+    with the order; the sweeps, exchanges and messages do not.
     Subclasses provide:
 
     * ``_block_ranks``           -- the ranks holding dense row blocks;
@@ -108,22 +115,30 @@ class BlockRowAlgorithm(DistAlgorithm):
         replica compute executes once while every rank is still charged.
         """
         caches = []
-        t_blocks = self._t0
+        h_blocks = self._t0
         for l, layer in enumerate(self.model.layers):
             f_in, f_out = layer.f_in, layer.f_out
             weight = layer.weight
-            if l > 0:
-                t_blocks = self._obs_call(
+            project_first = sweep_order(f_in, f_out, l == 0).project_fwd
+            # "x" is Equation 3's left operand: T = A^T H^{l-1}, or
+            # H^{l-1} itself where W goes first (layer 1: the kept T^0).
+            x_blocks = h_blocks
+            if l > 0 and not project_first:
+                x_blocks = self._obs_call(
                     "spmm.fwd", "spmm", self._forward_spmm, h_blocks, f_in
                 )
             z_blocks = self._map_blocks(
-                t_blocks, lambda t: forward_gemm(t, weight)
+                x_blocks, lambda x: forward_gemm(x, weight)
             )
             self._charge_rows_gemm(("cbg", l), 2.0 * f_in * f_out)
+            if project_first:
+                z_blocks = self._obs_call(
+                    "spmm.fwd", "spmm", self._forward_spmm, z_blocks, f_out
+                )
             # Rows are complete locally, so even log_softmax is local.
             h_blocks = self._map_blocks(z_blocks, layer.activation.forward)
             self._charge_rows_elementwise(("cbf", l), 2.0 * f_out * self.WB)
-            caches.append({"t": t_blocks, "z": z_blocks})
+            caches.append({"x": x_blocks, "z": z_blocks})
         return h_blocks, caches
 
     def _forward_pass(self) -> np.ndarray:
@@ -163,17 +178,20 @@ class BlockRowAlgorithm(DistAlgorithm):
         for l in range(self.model.num_layers - 1, -1, -1):
             layer = self.model.layers[l]
             f_in, f_out = layer.f_in, layer.f_out
-            if l > 0:
+            order = sweep_order(f_in, f_out, l == 0)
+            if l > 0 and not order.project_bwd:
                 # A G^l, for Equation 2 below; layer 1 has no G^0 to form.
                 ag_blocks = self._obs_call(
                     "spmm.bwd", "spmm", self._backward_spmm, g_blocks, f_out
                 )
-            # Y^l = sum_i T_i^T G_i, all-reduced so W's update is replicated.
-            t_l = caches[l]["t"]
+            # Y^l = sum_i X_i^T G_i (X = H^{l-1}, G = A G^l where W went
+            # first), all-reduced so W's update is replicated.
+            x_l = caches[l]["x"]
+            y_blocks = ag_blocks if order.project_fwd else g_blocks
             partials = self._dedup(
                 ranks,
-                lambda r: (id(t_l[r]), id(g_blocks[r])),
-                lambda r: weight_gradient(t_l[r], g_blocks[r]),
+                lambda r: (id(x_l[r]), id(y_blocks[r])),
+                lambda r: weight_gradient(x_l[r], y_blocks[r]),
             )
             self._charge_rows_gemm(("cbw", l), 2.0 * f_in * f_out)
             y = self._replicated_allreduce(partials)
@@ -181,9 +199,15 @@ class BlockRowAlgorithm(DistAlgorithm):
             if l > 0:
                 weight = layer.weight
                 gh_blocks = self._map_blocks(
-                    ag_blocks, lambda ag: hidden_gradient(ag, weight)
+                    g_blocks if order.project_bwd else ag_blocks,
+                    lambda g: hidden_gradient(g, weight),
                 )
                 self._charge_rows_gemm(("cbh", l), 2.0 * f_out * f_in)
+                if order.project_bwd:
+                    gh_blocks = self._obs_call(
+                        "spmm.bwd", "spmm", self._backward_spmm, gh_blocks,
+                        f_in,
+                    )
                 z_prev = caches[l - 1]["z"]
                 backward = self.model.layers[l - 1].activation.backward
                 g_blocks = self._dedup(

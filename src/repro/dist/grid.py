@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.comm.tracker import Category
 from repro.dist.base import DistAlgorithm, RoutedBroadcast
-from repro.nn.layers import forward_gemm, weight_gradient
+from repro.nn.layers import forward_gemm, sweep_order, weight_gradient
 
 __all__ = ["GridAlgorithm"]
 
@@ -30,10 +30,16 @@ class GridAlgorithm(DistAlgorithm):
     in the distributed SpMM itself and in the mesh's group enumeration.
 
     As in the block-row family, an epoch runs ``L - 1`` SpMM sweeps each
-    way: forward, layer 1 starts from the ``T^0 = A^T H^0`` kept from
-    set-up (:meth:`DistAlgorithm._install_features`); backward, ``Y^l =
-    (T^{l-1})^T G^l`` comes from the cached forward product, so ``A G^l``
-    is formed only where Equation 2 needs it, above layer 1.
+    way, each at the narrow side of its layer's weight
+    (:func:`repro.nn.layers.sweep_order`): forward, layer 1 starts from
+    the ``T^0 = A^T H^0`` kept from set-up
+    (:meth:`DistAlgorithm._install_features`) and a layer above it that
+    shrinks runs its :meth:`_matmul_w` stage loop on ``H^{l-1}`` *before*
+    the sweep, caching ``H^{l-1}`` in place of ``T``; backward, such a
+    layer takes ``Y^l = (H^{l-1})^T (A G^l)``, every other ``Y^l =
+    (T^{l-1})^T G^l``, and one that grows multiplies ``G^l`` by ``W^T``
+    before the sweep.  The replicated-``W`` funnels (:meth:`_matmul_w`,
+    :meth:`_weight_grad`) keep their widths either way.
     Subclasses provide:
 
     * ``_grid_spmm(sparse_blocks, dense_blocks, f)`` -- the charged
@@ -182,7 +188,8 @@ class GridAlgorithm(DistAlgorithm):
 
     def _matmul_w(self, t_blocks, w: np.ndarray, f_in: int, f_out: int,
                   ws_key=None):
-        """``T W`` for grid-distributed ``T`` and replicated ``W``.
+        """``T W`` for grid-distributed ``T`` (``f_in`` wide; any dense
+        operand of the epoch) and replicated ``W`` (``f_in x f_out``).
 
         Each stage computes one GEMM per *local* row group over the
         group's local feature-column span (the received stage block times
@@ -346,17 +353,28 @@ class GridAlgorithm(DistAlgorithm):
     def _forward_layers(self):
         caches = []
         last = self.model.num_layers - 1
-        t_blocks = self._t0
+        h_blocks = self._t0
         for l, layer in enumerate(self.model.layers):
             f_in, f_out = layer.f_in, layer.f_out
-            if l > 0:
-                t_blocks = self._obs_call(
+            # "x" is Equation 3's left operand: T = A^T H^{l-1}, or
+            # H^{l-1} itself where W goes first (layer 1: the kept T^0).
+            x_blocks = h_blocks
+            if sweep_order(f_in, f_out, l == 0).project_fwd:
+                hw_blocks = self._matmul_w(x_blocks, layer.weight, f_in,
+                                           f_out)
+                z_blocks = self._obs_call(
                     "spmm.fwd", "spmm", self._grid_spmm,
-                    self.a_t_blocks, h_blocks, f_in, ws_key=("t", l),
+                    self.a_t_blocks, hw_blocks, f_out, ws_key=("z", l),
                 )
-            z_blocks = self._matmul_w(t_blocks, layer.weight, f_in, f_out,
-                                      ws_key=("z", l))
-            cache = {"t": t_blocks, "z": z_blocks}
+            else:
+                if l > 0:
+                    x_blocks = self._obs_call(
+                        "spmm.fwd", "spmm", self._grid_spmm,
+                        self.a_t_blocks, h_blocks, f_in, ws_key=("t", l),
+                    )
+                z_blocks = self._matmul_w(x_blocks, layer.weight, f_in,
+                                          f_out, ws_key=("z", l))
+            cache = {"x": x_blocks, "z": z_blocks}
             if l < last:
                 h_blocks = {r: layer.activation.forward(z_blocks[r])
                             for r in z_blocks}
@@ -426,17 +444,28 @@ class GridAlgorithm(DistAlgorithm):
         for l in range(self.model.num_layers - 1, -1, -1):
             layer = self.model.layers[l]
             f_in, f_out = layer.f_in, layer.f_out
-            if l > 0:
+            order = sweep_order(f_in, f_out, l == 0)
+            if l > 0 and not order.project_bwd:
                 # A G^l, for Equation 2 below; layer 1 has no G^0 to form.
                 ag_blocks = self._obs_call(
                     "spmm.bwd", "spmm", self._grid_spmm,
                     self.a_blocks, g_blocks, f_out, ws_key=("ag",),
                 )
-            grads[l] = self._weight_grad(caches[l]["t"], g_blocks, f_in, f_out)
+            # Y^l = X^T G, with (X, G) = (H^{l-1}, A G^l) where W went
+            # first forward.
+            grads[l] = self._weight_grad(
+                caches[l]["x"], ag_blocks if order.project_fwd else g_blocks,
+                f_in, f_out)
             if l > 0:
                 gh_blocks = self._matmul_w(
-                    ag_blocks, layer.weight.T, f_out, f_in
+                    g_blocks if order.project_bwd else ag_blocks,
+                    layer.weight.T, f_out, f_in,
                 )
+                if order.project_bwd:
+                    gh_blocks = self._obs_call(
+                        "spmm.bwd", "spmm", self._grid_spmm,
+                        self.a_blocks, gh_blocks, f_in, ws_key=("ag",),
+                    )
                 z_prev = caches[l - 1]["z"]
                 g_blocks = {
                     r: self.model.layers[l - 1].activation.backward(

@@ -22,6 +22,7 @@ from repro.dist.algo_2d import DistGCN2D
 from repro.dist.algo_3d import DistGCN3D
 from repro.dist.base import DistAlgorithm
 from repro.dist.distribution import PARTITION_KINDS, Distribution
+from repro.nn.layers import check_widths
 
 __all__ = ["ALGORITHMS", "make_distribution", "make_runtime_for",
            "make_algorithm"]
@@ -194,11 +195,11 @@ def make_algorithm(
     name = name.lower()
     if name not in ALGORITHMS:
         raise _unknown(name)
+    widths = check_widths(dataset.layer_widths(hidden=hidden, layers=layers))
     rt = make_runtime_for(name, p, grid=grid, profile=profile,
                           backend=backend, workers=workers,
                           transport=transport, faults=faults,
                           max_restarts=max_restarts)
-    widths = dataset.layer_widths(hidden=hidden, layers=layers)
     process = backend == "process"
     if process:
         _check_partition(partition, name, p)

@@ -11,22 +11,40 @@ Backward (Section III-D)::
     G^{l-1} = A G^l (W^l)^T  (.)  sigma'(Z^{l-1})           (Equation 2)
     Y^l     = (A^T H^{l-1})^T G^l = (H^{l-1})^T (A G^l)     (Equation 3)
 
-Equation 3 has two forms.  The paper's algorithms use the second: they
-"reuse the intermediate product AG^l that we computed in the previous
-equation", which needs ``A G^l`` at every layer.  This code uses the
-first: the layer caches ``Z^l`` and the SpMM result ``T^{l-1} = A^T
-H^{l-1}`` during forward and forms ``Y^l = (T^{l-1})^T G^l`` from the
-cache.  ``A G^l`` is then needed only by Equation 2, i.e. only where
-there is a ``G^{l-1}`` to compute -- not at layer 1, whose input is the
-data (:meth:`GCNLayer.backward`'s ``need_input_grad``).  The serial
-model and all four distributed families share this form, which is what
-keeps them bit-close.
+Matrix products associate: ``A^T (H W) = (A^T H) W`` and ``A (G W^T) =
+(A G) W^T``.  So the width a layer's two aggregations (SpMM sweeps, and
+in the distributed algorithms the exchanges that feed them) run at is a
+choice, and :func:`sweep_order` makes it once for everyone -- this
+module's serial layer, both shared distributed epochs
+(:mod:`repro.dist.blockrow`, :mod:`repro.dist.grid`) and both shared
+schedule emitters (:mod:`repro.simulate.schedule`): **the narrow side,
+``min(f^{l-1}, f^l)``**, each way.
+
+* A *shrinking* layer (``f^l < f^{l-1}``) multiplies by ``W`` before
+  aggregating, ``Z = A^T (H W)``, and caches ``H^{l-1}`` instead of the
+  aggregate.  Backward it forms ``A G^l`` at ``f^l`` and takes Equation
+  3's **second** form from it, ``Y = (H^{l-1})^T (A G^l)`` -- the paper's
+  own "reuse the intermediate product AG^l that we computed in the
+  previous equation" -- which needs no ``A^T H`` at the wide width.
+* A *growing* layer (``f^{l-1} < f^l``) aggregates first, caches ``T =
+  A^T H^{l-1}`` and takes Equation 3's **first** form, ``Y = T^T G^l``;
+  backward it multiplies by ``W^T`` before aggregating, ``G^{l-1} = A
+  (G^l W^T)``, so ``A G^l`` at the wide width is never formed.
+* *Equal* widths: first form, aggregate first both ways.
+
+The first layer is outside the rule.  Its input is the data, so ``T^0 =
+A^T H^0`` is the same every epoch (the distributed trainers aggregate it
+once per feature matrix, at set-up) and there is no ``G^0`` to
+aggregate: it always takes the first form, whatever its shape.  Serial
+and distributed share the per-layer form, which is what keeps them
+bit-close.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from numbers import Integral
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,17 +56,74 @@ from repro.sparse.spmm import spmm
 __all__ = [
     "GCNLayer",
     "LayerCache",
+    "SweepOrder",
+    "check_widths",
+    "sweep_order",
+    "sweep_widths",
     "forward_gemm",
     "weight_gradient",
     "hidden_gradient",
 ]
 
 
+def check_widths(widths: Sequence[int]) -> Tuple[int, ...]:
+    """The layer widths ``(f^0, ..., f^L)`` as a tuple of ints, or
+    ``ValueError``: at least two of them, every one an integer >= 1.
+
+    The one validation every entry point shares -- the serial model, the
+    distributed trainers, the simulator and the CLI's ``--hidden`` --
+    so a zero, negative or fractional width is refused with one message,
+    before any rank or schedule is built.
+    """
+    widths = tuple(widths)
+    if len(widths) < 2 or not all(
+            isinstance(w, Integral) and w >= 1 for w in widths):
+        raise ValueError(
+            "layer widths must be two or more integers >= 1 "
+            f"(f^0, ..., f^L), got {widths}")
+    return tuple(int(w) for w in widths)
+
+
+class SweepOrder(NamedTuple):
+    """Which product each direction of a layer forms first."""
+
+    #: forward ``Z = A^T (H W)``: the GEMM, then the sweep at ``f_out``
+    #: (else ``Z = (A^T H) W``: the sweep at ``f_in``, then the GEMM)
+    project_fwd: bool
+    #: backward ``A (G W^T)``: the GEMM, then the sweep at ``f_in``
+    #: (else ``(A G) W^T``: the sweep at ``f_out``, then the GEMM)
+    project_bwd: bool
+
+
+def sweep_order(f_in: int, f_out: int,
+                input_layer: bool = False) -> SweepOrder:
+    """The rule (module docstring): each sweep of a layer runs at the
+    narrow side of its ``f_in x f_out`` weight; the input layer and
+    equal widths aggregate first."""
+    if input_layer:
+        return SweepOrder(False, False)
+    return SweepOrder(f_out < f_in, f_in < f_out)
+
+
+def sweep_widths(widths: Sequence[int]) -> Tuple[Tuple[int, ...],
+                                                 Tuple[int, ...]]:
+    """``(forward, backward)`` sweep widths of an epoch, one entry per
+    layer above the first (which has no sweep in the epoch) -- what
+    :func:`sweep_order` makes of ``widths``."""
+    fwd, bwd = [], []
+    for f_in, f_out in zip(widths[1:-1], widths[2:]):
+        order = sweep_order(f_in, f_out)
+        fwd.append(f_out if order.project_fwd else f_in)
+        bwd.append(f_in if order.project_bwd else f_out)
+    return tuple(fwd), tuple(bwd)
+
+
 def forward_gemm(t: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """``Z = T W`` where ``T = A^T H^{l-1}`` -- the forward GEMM.
+    """``T W`` -- the forward GEMM, on ``T = A^T H^{l-1}`` (giving
+    ``Z``) or, where the layer shrinks, on ``H^{l-1}`` itself.
 
     Shared by the serial layer and the distributed algorithms (which call
-    it on local blocks of ``T`` against the replicated ``W``), so both
+    it on local row blocks against the replicated ``W``), so both
     paths run the identical kernel -- the precondition for the paper's
     bit-close serial-vs-parallel verification.
     """
@@ -65,7 +140,8 @@ def forward_gemm(t: np.ndarray, weight: np.ndarray) -> np.ndarray:
 
 
 def weight_gradient(t: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``Y^l = (A^T H^{l-1})^T G^l`` (Equation 3) -- the weight gradient.
+    """``Y^l = T^T G`` (Equation 3) -- the weight gradient, from
+    ``(A^T H^{l-1}, G^l)`` or ``(H^{l-1}, A G^l)``.
 
     Distributed algorithms apply it to row blocks and sum the partial
     products with an all-reduce.
@@ -82,7 +158,8 @@ def weight_gradient(t: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def hidden_gradient(ag: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """``A G^l (W^l)^T`` (Equation 2, before the sigma' Hadamard)."""
+    """``X (W^l)^T`` for ``X = A G^l`` or, where the layer grows,
+    ``G^l`` itself (Equation 2, before the sigma' Hadamard)."""
     prof = _profile.ACTIVE
     if prof is None:
         return ag @ weight.T
@@ -98,9 +175,10 @@ def hidden_gradient(ag: np.ndarray, weight: np.ndarray) -> np.ndarray:
 class LayerCache:
     """Intermediates one layer keeps from forward for use in backward."""
 
-    h_in: np.ndarray       # H^{l-1}
-    z: np.ndarray          # Z^l = A^T H^{l-1} W^l
-    t: np.ndarray          # T = A^T H^{l-1} (reused in Equation 3)
+    h_in: np.ndarray            # H^{l-1}
+    z: np.ndarray               # Z^l = A^T H^{l-1} W^l
+    t: Optional[np.ndarray]     # T = A^T H^{l-1} (Equation 3's first
+    #                             form); None where W was applied first
 
 
 class GCNLayer:
@@ -109,14 +187,19 @@ class GCNLayer:
     Holds the trainable ``W`` (``f_in x f_out``) and the activation.  The
     adjacency operands are passed per call so the same layer object works
     for directed (distinct ``A``, ``A^T``) and undirected graphs.
+    ``input_layer`` marks the layer fed by the data, which
+    :func:`sweep_order` never reorders.
     """
 
-    def __init__(self, weight: np.ndarray, activation: Optional[Activation] = None):
+    def __init__(self, weight: np.ndarray,
+                 activation: Optional[Activation] = None,
+                 input_layer: bool = False):
         weight = np.asarray(weight, dtype=np.float64)
         if weight.ndim != 2:
             raise ValueError(f"weight must be 2D, got shape {weight.shape}")
         self.weight = weight
         self.activation = activation if activation is not None else ReLU()
+        self.input_layer = input_layer
 
     @property
     def f_in(self) -> int:
@@ -126,6 +209,10 @@ class GCNLayer:
     def f_out(self) -> int:
         return self.weight.shape[1]
 
+    @property
+    def order(self) -> SweepOrder:
+        return sweep_order(self.f_in, self.f_out, self.input_layer)
+
     def forward(
         self, a_t: CSRMatrix, h_in: np.ndarray
     ) -> Tuple[np.ndarray, LayerCache]:
@@ -134,8 +221,12 @@ class GCNLayer:
             raise ValueError(
                 f"input width {h_in.shape[1]} != layer f_in {self.f_in}"
             )
-        t = spmm(a_t, h_in)               # A^T H^{l-1}  (the SpMM)
-        z = forward_gemm(t, self.weight)  # (A^T H^{l-1}) W^l  (the GEMM)
+        if self.order.project_fwd:
+            t = None
+            z = spmm(a_t, forward_gemm(h_in, self.weight))  # A^T (H W)
+        else:
+            t = spmm(a_t, h_in)               # A^T H^{l-1}  (the SpMM)
+            z = forward_gemm(t, self.weight)  # (A^T H^{l-1}) W^l  (the GEMM)
         h_out = self.activation.forward(z)
         return h_out, LayerCache(h_in=h_in, z=z, t=t)
 
@@ -148,15 +239,23 @@ class GCNLayer:
         Given ``dL/dH^l``, returns ``(grad_h_in, grad_w, g)`` where
         ``grad_h_in = dL/dH^{l-1}`` (the upstream gradient for the next
         layer down), ``grad_w = Y^l = dL/dW^l``, and ``g = G^l = dL/dZ^l``.
-        ``need_input_grad=False`` skips the ``A G^l`` SpMM and its GEMM
-        and returns ``None`` for ``grad_h_in`` -- the first layer's case.
+        ``need_input_grad=False`` skips Equation 2 and returns ``None``
+        for ``grad_h_in`` -- the first layer's case.  ``grad_h_in`` is
+        Equation 2 before the ``sigma'(Z^{l-1})`` Hadamard, which the
+        *previous* layer applies.
         """
         g = self.activation.backward(cache.z, grad_h)      # G^l (Eq. 1 shape)
-        grad_w = weight_gradient(cache.t, g)               # Y^l (Eq. 3)
+        if cache.t is None:
+            ag = spmm(a, g)                                # A G^l, narrow
+            grad_w = weight_gradient(cache.h_in, ag)       # Y^l (Eq. 3, 2nd)
+            if not need_input_grad:
+                return None, grad_w, g
+            return hidden_gradient(ag, self.weight), grad_w, g
+        grad_w = weight_gradient(cache.t, g)               # Y^l (Eq. 3, 1st)
         if not need_input_grad:
             return None, grad_w, g
-        ag = spmm(a, g)                                    # A G^l
-        grad_h_in = hidden_gradient(ag, self.weight)       # A G^l (W^l)^T (Eq. 2,
-        #                                 before the sigma'(Z^{l-1}) Hadamard,
-        #                                 which the *previous* layer applies)
+        if self.order.project_bwd:
+            grad_h_in = spmm(a, hidden_gradient(g, self.weight))  # A (G W^T)
+        else:
+            grad_h_in = hidden_gradient(spmm(a, g), self.weight)  # (A G) W^T
         return grad_h_in, grad_w, g

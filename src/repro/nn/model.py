@@ -22,7 +22,7 @@ import numpy as np
 from repro.graph.datasets import Dataset
 from repro.nn.activations import LogSoftmax, ReLU
 from repro.nn.init import init_gcn_weights
-from repro.nn.layers import GCNLayer, LayerCache
+from repro.nn.layers import GCNLayer, LayerCache, check_widths
 from repro.nn.loss import accuracy, nll_loss
 from repro.nn.optim import SGD, Optimizer
 from repro.sparse.csr import CSRMatrix
@@ -34,13 +34,12 @@ class GCN:
     """An L-layer graph convolutional network with explicit gradients."""
 
     def __init__(self, widths: Sequence[int], seed: int = 0):
-        if len(widths) < 2:
-            raise ValueError("need at least (f_in, f_out) widths")
-        self.widths = tuple(int(w) for w in widths)
+        self.widths = check_widths(widths)
         weights = init_gcn_weights(self.widths, seed)
         relu, logsm = ReLU(), LogSoftmax()
         self.layers: List[GCNLayer] = [
-            GCNLayer(w, logsm if i == len(weights) - 1 else relu)
+            GCNLayer(w, logsm if i == len(weights) - 1 else relu,
+                     input_layer=i == 0)
             for i, w in enumerate(weights)
         ]
 

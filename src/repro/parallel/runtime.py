@@ -38,6 +38,7 @@ from repro.comm.mesh import Mesh1D, Mesh2D, Mesh3D, ProcessMesh
 from repro.comm.runtime import RuntimeBase
 from repro.comm.tracker import CommTracker
 from repro.config import MachineProfile
+from repro.nn.layers import check_widths
 from repro.nn.optim import Optimizer
 from repro.parallel.channel import PeerChannel
 from repro.parallel.collectives import ProcessCollectives
@@ -160,7 +161,7 @@ class ParallelAlgorithm:
         self.rt = rt
         self.name = name
         self.n = a_t.nrows
-        self.widths = tuple(int(w) for w in widths)
+        self.widths = check_widths(widths)
         #: the :class:`~repro.obs.tracing.MergedTrace` of the last traced
         #: ``fit`` (``None`` until ``fit(trace=...)`` runs)
         self.last_trace = None

@@ -23,6 +23,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.comm.mesh import is_perfect_cube, is_perfect_square
 from repro.config import MachineProfile
+from repro.nn.layers import check_widths, sweep_widths
 from repro.sparse.csr import CSRMatrix
 from repro.simulate.machines import get_machine
 from repro.simulate.schedule import (
@@ -103,6 +104,7 @@ class SimPoint:
 
     def to_dict(self) -> Dict[str, object]:
         setup = self.setup
+        forward, backward = sweep_widths(self.params["widths"])
         return {
             "algorithm": self.algorithm,
             "graph": self.graph,
@@ -117,6 +119,7 @@ class SimPoint:
             "bytes_by_category": dict(self.bytes_by_category),
             "comm_bytes": self.comm_bytes,
             "params": dict(self.params),
+            "sweep_widths": {"forward": forward, "backward": backward},
             "setup": {
                 "seconds": setup.total_seconds,
                 "seconds_by_category": dict(setup.seconds_by_category),
@@ -158,16 +161,17 @@ def _widths_for(
     hidden: int,
     layers: int,
 ) -> Tuple[int, ...]:
-    if widths is not None:
-        return tuple(int(w) for w in widths)
-    if graph.features is None or graph.n_classes is None:
-        raise ValueError(
-            f"graph {graph.name!r} carries no feature/class widths; pass "
-            "widths=(f0, ..., fL) explicitly"
-        )
-    from repro.graph.datasets import layer_widths
+    if widths is None:
+        if graph.features is None or graph.n_classes is None:
+            raise ValueError(
+                f"graph {graph.name!r} carries no feature/class widths; "
+                "pass widths=(f0, ..., fL) explicitly"
+            )
+        from repro.graph.datasets import layer_widths
 
-    return layer_widths(graph.features, graph.n_classes, hidden, layers)
+        widths = layer_widths(graph.features, graph.n_classes, hidden,
+                              layers)
+    return check_widths(widths)
 
 
 def _emit(

@@ -42,6 +42,7 @@ import numpy as np
 from repro.comm import cost_model as cm
 from repro.comm.tracker import Category
 from repro.config import FP64_BYTES, INDEX_BYTES, MachineProfile
+from repro.nn.layers import sweep_order
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.distribute import block_ranges
 from repro.sparse.perfmodel import SpmmPerfModel
@@ -728,8 +729,10 @@ def emit_blockrow_epoch(
     Phase-for-phase mirror of the set-up aggregation (the one-time
     section) and of ``BlockRowAlgorithm._run_epoch`` (forward sweep from
     the kept ``T^0``, loss reduction, backward recursion down to layer
-    2); the callables plug in the 1D/1.5D-specific data movement exactly
-    like the executed hooks do.
+    2), each sweep on the side of its GEMM and at the width
+    :func:`~repro.nn.layers.sweep_order` gives it; the callables plug in
+    the 1D/1.5D-specific data movement exactly like the executed hooks
+    do.
     """
     rows = np.asarray(rows_per_rank, dtype=np.float64)
     n_layers = len(widths) - 1
@@ -737,9 +740,12 @@ def emit_blockrow_epoch(
     b.end_setup()
     for l in range(n_layers):
         f_in, f_out = widths[l], widths[l + 1]
-        if l > 0:
+        project_first = sweep_order(f_in, f_out, l == 0).project_fwd
+        if l > 0 and not project_first:
             forward_spmm(f_in)
         b.gemm(rows * (2.0 * f_in * f_out))
+        if project_first:
+            forward_spmm(f_out)
         b.elementwise(rows * (2.0 * f_out * b.wb))
     replicated_allreduce(LOSS_TERM_BYTES)
     b.elementwise(rows * (3.0 * widths[-1] * b.wb))
@@ -747,12 +753,15 @@ def emit_blockrow_epoch(
         pre_backward()
     for l in range(n_layers - 1, -1, -1):
         f_in, f_out = widths[l], widths[l + 1]
-        if l > 0:
+        project_first = sweep_order(f_in, f_out, l == 0).project_bwd
+        if l > 0 and not project_first:
             backward_spmm(f_out)
         b.gemm(rows * (2.0 * f_in * f_out))
         replicated_allreduce(f_in * f_out * b.wb)
         if l > 0:
             b.gemm(rows * (2.0 * f_out * f_in))
+            if project_first:
+                backward_spmm(f_in)
             b.elementwise(rows * (3.0 * f_in * b.wb))
 
 
@@ -798,7 +807,9 @@ def emit_grid_epoch(
     Phase-for-phase mirror of the set-up aggregation (the one-time
     section) and of ``GridAlgorithm._run_epoch``, shared by the 2D SUMMA
     and Split-3D emitters; ``grid_spmm(f, backward)`` selects the forward
-    (``A^T``) or backward (``A``) sparse operand.
+    (``A^T``) or backward (``A``) sparse operand, and
+    :func:`~repro.nn.layers.sweep_order` which side of its ``matmul_w``
+    each sweep runs on.
     """
     rows = np.asarray(rows_of_rank, dtype=np.float64)
     n_layers = len(widths) - 1
@@ -806,9 +817,12 @@ def emit_grid_epoch(
     b.end_setup()
     for l in range(n_layers):
         f_in, f_out = widths[l], widths[l + 1]
-        if l > 0:
+        project_first = sweep_order(f_in, f_out, l == 0).project_fwd
+        if l > 0 and not project_first:
             grid_spmm(f_in, False)
         matmul_w(f_in, f_out)
+        if project_first:
+            grid_spmm(f_out, False)
         if l < n_layers - 1:
             b.elementwise(rows * outw_of_rank(f_out) * (2.0 * b.wb))
         else:
@@ -819,9 +833,12 @@ def emit_grid_epoch(
     epoch_transpose()
     for l in range(n_layers - 1, -1, -1):
         f_in, f_out = widths[l], widths[l + 1]
-        if l > 0:
+        project_first = sweep_order(f_in, f_out, l == 0).project_bwd
+        if l > 0 and not project_first:
             grid_spmm(f_out, True)
         weight_grad(f_in, f_out)
         if l > 0:
             matmul_w(f_out, f_in)
+            if project_first:
+                grid_spmm(f_in, True)
             b.elementwise(rows * outw_of_rank(f_in) * (3.0 * b.wb))

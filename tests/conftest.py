@@ -4,10 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.comm import VirtualRuntime
 from repro.config import SUMMIT, ZERO_COST
 from repro.graph import make_synthetic
+
+
+# Property tests: tier-1 draws a few derandomised examples (the same ones
+# every run); `pytest --hypothesis-profile long` draws many random ones.
+settings.register_profile("tier1", max_examples=4, derandomize=True,
+                          deadline=None)
+settings.register_profile("long", max_examples=200, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

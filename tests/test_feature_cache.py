@@ -30,6 +30,7 @@ from repro.comm import cost_model as cm
 from repro.comm.tracker import Category
 from repro.dist import make_algorithm
 from repro.graph import make_synthetic
+from repro.nn.layers import sweep_widths
 from repro.parallel import ledger_digest
 
 HIDDEN = 8
@@ -182,13 +183,17 @@ class TestSweepCounts:
     def test_spmm_flops_are_l_minus_one_sweeps_each_way(self, ds, name, p,
                                                         kw):
         """Every family's blocks tile the operand, so one sweep at width
-        ``f`` is ``2 nnz f`` flops whatever the layout."""
+        ``f`` is ``2 nnz f`` flops whatever the layout; the widths are
+        the narrow side of each layer above the first."""
         algo = make(ds, name, p, kw)
         widths, nnz = algo.widths, ds.adjacency.nnz
         tracker = algo.rt.tracker
         algo.setup(ds.features, ds.labels)
         assert tracker.total_flops(Category.SPMM) == 2 * nnz * widths[0]
-        sweeps = list(widths[1:-1]) + list(widths[2:])   # forward, backward
+        forward, backward = sweep_widths(widths)
+        assert forward == backward == tuple(
+            min(a, b) for a, b in zip(widths[1:-1], widths[2:]))
+        sweeps = forward + backward
         for epoch in range(2):
             before = tracker.total_flops(Category.SPMM)
             algo.train_epoch(epoch)
@@ -197,7 +202,7 @@ class TestSweepCounts:
         before = tracker.total_flops(Category.SPMM)
         algo.predict()
         assert tracker.total_flops(Category.SPMM) - before == \
-            2 * nnz * sum(widths[1:-1])
+            2 * nnz * sum(forward)
 
     @pytest.mark.parametrize("p", [4, 8])
     def test_1d_symmetric_dcomm_from_the_widths(self, ds, p):
@@ -214,7 +219,8 @@ class TestSweepCounts:
 
         hist = algo.fit(ds.features, ds.labels, epochs=2)
         assert hist.setup.dcomm_bytes == gathered(w[0])
-        expected = (sum(gathered(f) for f in w[1:-1] + w[2:]) + reduced(16)
+        forward, backward = sweep_widths(w)
+        expected = (sum(gathered(f) for f in forward + backward) + reduced(16)
                     + sum(reduced(a * b * 8) for a, b in zip(w, w[1:])))
         assert [e.dcomm_bytes for e in hist.epochs] == [expected] * 2
 

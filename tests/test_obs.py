@@ -454,10 +454,15 @@ class TestCli:
         assert len(doc["losses"]) == 2
         assert doc["trace_path"] == trace_path
         # the set-up's ledger delta, beside the per-epoch numbers: one
-        # all-gather at f^0 = 32 against the epoch's four at 8, 8, 8 and
-        # 4 words plus its all-reduces
+        # all-gather at f^0 = 32 against the epoch's four at the narrow
+        # side of 8-8 and 8-4 (8, 4 forward; 4, 8 backward) plus its
+        # all-reduces (three weight gradients and the loss pair, each
+        # rank moving 2 (P - 1) / P of the buffer)
         once, epoch = doc["setup"]["comm_bytes"], doc["per_epoch_comm_bytes"]
-        assert 0 < once["dcomm"] < epoch["dcomm"]
+        gathered = 3 * 96 * 8                     # (P - 1) n bytes per column
+        assert once["dcomm"] == gathered * 32
+        reduced = 2 * 3 * ((32 * 8 + 8 * 8 + 8 * 4) * 8 + 16)
+        assert epoch["dcomm"] == gathered * 24 + reduced
         assert doc["setup"]["modeled_seconds"] > 0
         with open(trace_path) as fh:
             payload = json.load(fh)

@@ -166,7 +166,10 @@ class TestOtherFaults:
     # 3), fetch + all-reduce (layer 2), all-reduce (layer 1) -- 8 an
     # epoch, epoch 0 being exchanges 1..8.  A 2D worker: the set-up
     # sweep's two stage broadcasts (0, 1); then 12 an epoch, two forward
-    # sweeps (2..5) and the loss all-reduce (6) first.
+    # sweeps (2..5) and the loss all-reduce (6) first.  Layer 3 (8 -> 3)
+    # shrinks, so its sweeps run at 3 columns and its forward GEMM comes
+    # before its fetch / sweep -- which moves no exchange: the order of
+    # kinds is pinned in ``test_parallel_tickets.py::TestLookAheadOfOne``.
 
     def test_hang_mid_exchange_trips_heartbeat(self, ds, references,
                                                tmp_path):

@@ -395,7 +395,16 @@ class TestLookAheadOfOne:
                 # L - 1 = 2 sweeps each way x 2 SUMMA stage broadcasts
                 # that cross workers + 4 reductions, per worker per epoch
                 assert len(posts) == 12
-                assert sum(tag[0] == ("rb",) for tag in posts) == 8
+                # In program order -- what an ``exchange=N`` fault spec
+                # indexes.  Widths 8-8-8-3: layer 3 shrinks, so its
+                # ``_matmul_w`` stage loop runs before its forward sweep
+                # and ``Y^3`` comes from ``A G^3``; on this mesh those
+                # funnels stay inside a worker, and the sequence of
+                # exchanges is the one before the rule: two forward
+                # sweeps, the loss, then sweep + weight gradient per
+                # layer above the first, then layer 1's gradient.
+                assert [tag[0][0] for tag in posts] == (
+                    ["rb"] * 4 + ["cg"] + ["rb", "rb", "cg"] * 2 + ["cg"])
                 open_rb, sweeps, high = [], [], 0
                 for what, tag in log:
                     if tag[0] != ("rb",):
@@ -435,6 +444,12 @@ class TestLookAheadOfOne:
             setup, *logs = res[w][0]
             assert len(setup) == 2               # one ghost fetch
             assert all(len(log) == 16 for log in logs)   # 8 per epoch
+            # two forward fetches (the second at 3 columns, after layer
+            # 3's GEMM), the loss, fetch + weight gradient for layers 3
+            # and 2, layer 1's gradient: the order the fault specs index
+            for log in logs:
+                assert [tag[0][0] for what, tag in log if what == "post"] \
+                    == ["gr", "gr", "cg", "gr", "cg", "gr", "cg", "cg"]
             for log in res[w][0]:
                 for (a, ta), (b, tb) in zip(log[0::2], log[1::2]):
                     assert (a, b) == ("post", "collect") and ta == tb

@@ -33,6 +33,7 @@ from repro.dist import (
 )
 from repro.dist.algo_1d import DistGCN1D, resolve_1d_variant
 from repro.graph import make_synthetic
+from repro.nn.layers import sweep_widths
 from repro.graph.permutation import apply_random_permutation
 from repro.partition import ghost_rows_per_part
 from repro.simulate.schedule import (
@@ -53,12 +54,12 @@ WIDTHS = (10, 8, 4)
 
 
 def expansion_bytes(ghosts_total: int, widths) -> int:
-    """Per-epoch ghost-exchange bytes: ``L - 1`` exchanges each way --
-    forward at operand widths ``f^1..f^{L-1}`` (``A^T H^0`` is
-    aggregated once, at set-up: :func:`setup_expansion_bytes`), backward
-    at ``f^2..f^L`` (layer 1 forms no ``A G``)."""
-    return sum(ghosts_total * f * WB
-               for f in list(widths[1:-1]) + list(widths[2:]))
+    """Per-epoch ghost-exchange bytes: ``L - 1`` exchanges each way,
+    each at the narrow side of its layer (``A^T H^0`` is aggregated
+    once, at set-up: :func:`setup_expansion_bytes`; layer 1 forms no
+    ``A G``)."""
+    forward, backward = sweep_widths(widths)
+    return sum(ghosts_total * f * WB for f in forward + backward)
 
 
 def setup_expansion_bytes(ghosts_total: int, widths) -> int:

@@ -3,7 +3,13 @@
 Hypothesis draws random problem shapes (graph size, degree, widths, rank
 counts, variants) and asserts the invariant the whole reproduction rests
 on: every parallel algorithm computes exactly the serial full-batch
-gradient-descent trajectory.
+gradient-descent trajectory.  The generated-shapes half adds the
+simulator: on width tuples whose every step shrinks, holds or grows, the
+ledger of the set-up and of each epoch equals the emitted schedule's.
+
+Two hypothesis profiles (``tests/conftest.py``): tier-1 runs ``tier1``
+(few derandomised examples); ``pytest --hypothesis-profile long`` draws
+many random ones.
 """
 
 import numpy as np
@@ -12,9 +18,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm import VirtualRuntime
-from repro.dist import DistGCN1D, DistGCN2D, DistGCN15D, DistGCN3D
+from repro.dist import (
+    ALGORITHMS,
+    DistGCN1D,
+    DistGCN2D,
+    DistGCN15D,
+    DistGCN3D,
+    make_distribution,
+    make_runtime_for,
+)
 from repro.graph import make_synthetic
 from repro.nn import GCN, SGD, SerialTrainer
+from repro.simulate.schedule import GraphModel
+from repro.sparse.csr import CSRMatrix
+from test_simulate import assert_sections_exact
 
 
 def serial_losses(ds, widths, seed, epochs=2, lr=0.2):
@@ -118,3 +135,139 @@ class TestRandomizedAccounting:
             assert st_.max_rank_comm_bytes <= st_.comm_bytes
             # ... and must be at least the per-rank average.
             assert st_.max_rank_comm_bytes * p >= st_.comm_bytes
+
+
+# ---------------------------------------------------------------------- #
+# generated shapes: every sweep at the narrow side of its layer
+# ---------------------------------------------------------------------- #
+#: (family, P, constructor / emitter kwargs, takes a directed operand)
+SHAPE_CONFIGS = [
+    pytest.param("1d", 4, {"variant": "symmetric"}, False, id="1d-symmetric"),
+    pytest.param("1d", 4, {"variant": "outer"}, True, id="1d-outer"),
+    pytest.param("1d", 3, {"variant": "outer_sparse"}, True,
+                 id="1d-outer_sparse"),
+    pytest.param("1d", 4, {"variant": "transpose"}, True, id="1d-transpose"),
+    pytest.param("1d", 4, {"variant": "ghost", "partition": "multilevel"},
+                 False, id="1d-ghost-multilevel"),
+    pytest.param("1.5d", 4, {"replication": 2}, False, id="1.5d-c2"),
+    pytest.param("2d", 4, {}, False, id="2d-square"),
+    pytest.param("2d", 8, {"grid": (2, 4)}, False, id="2d-2x4"),
+    pytest.param("3d", 8, {}, False, id="3d-8"),
+]
+
+
+@st.composite
+def width_tuples(draw):
+    """``(f^0, ..., f^L)``, ``L`` in 2..4, every step drawn shrinking /
+    equal / growing, so mixed tuples (12-4-9-9-3) occur."""
+    widths = [draw(st.integers(min_value=2, max_value=12))]
+    for _ in range(draw(st.integers(min_value=2, max_value=4))):
+        cur = widths[-1]
+        step = draw(st.sampled_from(["shrink", "equal", "grow"]))
+        if step == "shrink" and cur > 1:
+            widths.append(draw(st.integers(min_value=1, max_value=cur - 1)))
+        elif step == "grow":
+            widths.append(draw(st.integers(min_value=cur + 1,
+                                           max_value=cur + 6)))
+        else:
+            widths.append(cur)
+    return tuple(widths)
+
+
+@st.composite
+def shaped_problems(draw, directed_ok):
+    """A small graph (directed where the variant takes one), features,
+    labels and a width tuple over them."""
+    widths = draw(width_tuples())
+    n = draw(st.integers(min_value=17, max_value=64))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    rng = np.random.default_rng(seed)
+    if directed_ok and draw(st.booleans()):
+        nnz = 5 * n
+        a_t = CSRMatrix.from_coo(rng.integers(0, n, nnz),
+                                 rng.integers(0, n, nnz), rng.random(nnz),
+                                 (n, n))
+    else:
+        a_t = make_synthetic(n=n, avg_degree=4, f=2, n_classes=2,
+                             seed=seed).adjacency
+    features = rng.standard_normal((n, widths[0]))
+    labels = rng.integers(0, widths[-1], n)
+    return a_t, features, labels, widths, seed
+
+
+def build_shaped(name, p, kw, a_t, widths, seed, profile=None):
+    """``(algorithm, emitter kwargs)`` for explicit widths (``make_
+    algorithm`` only takes ``hidden=``)."""
+    kw = dict(kw)
+    partition = kw.pop("partition", None)
+    if partition is not None:
+        kw["distribution"] = make_distribution(partition, a_t, p, seed=seed)
+    rt = make_runtime_for(name, p, grid=kw.pop("grid", None),
+                          profile=profile)
+    algo = ALGORITHMS[name](rt, a_t, widths, seed=seed, **kw)
+    if name == "2d":
+        kw["grid"] = (algo.pr, algo.pc)
+    return algo, kw
+
+
+class TestGeneratedShapes:
+    """Shrinking, equal, growing and mixed width tuples on every family
+    and variant: the trainer follows the serial reference, and the
+    simulator the trainer, phase for phase."""
+
+    @pytest.mark.parametrize("name,p,kw,directed_ok", SHAPE_CONFIGS)
+    @given(data=st.data())
+    def test_serial_and_schedule_agree(self, name, p, kw, directed_ok, data):
+        a_t, features, labels, widths, seed = data.draw(
+            shaped_problems(directed_ok))
+        algo, emit_kw = build_shaped(name, p, kw, a_t, widths, seed)
+        schedule = ALGORITHMS[name].emit_comm_schedule(
+            GraphModel.from_csr(a_t), widths, p, **emit_kw)
+        # (ii) set-up, epoch 0, epoch 1: bytes, messages, steps, seconds
+        assert_sections_exact(
+            algo, features, labels, schedule, algo.rt.profile,
+            value_sized_dcomm=kw.get("variant") == "outer_sparse")
+        # (i) the paper's correctness claim, to reassociation
+        assert algo.verify_against_serial(features, labels, epochs=2) <= 1e-12
+
+    @pytest.mark.parametrize("p", [2, 4, 8])
+    @given(data=st.data())
+    def test_1d_symmetric_dcomm_is_the_narrow_sides(self, p, data):
+        """(iii) All-gathers at ``min(f^{l-1}, f^l)`` twice per layer
+        above the first, all-reduces of the loss pair and of each weight
+        gradient -- nothing else, and nothing at a wide side."""
+        a_t, features, labels, widths, seed = data.draw(
+            shaped_problems(False))
+        algo, _ = build_shaped("1d", p, {"variant": "symmetric"}, a_t,
+                               widths, seed)
+        n = a_t.nrows
+        units = sum(2 * min(a, b) for a, b in zip(widths[1:-1], widths[2:]))
+        reduced = 16 + sum(8 * a * b for a, b in zip(widths, widths[1:]))
+        hist = algo.fit(features, labels, epochs=2)
+        assert hist.setup.dcomm_bytes == (p - 1) * n * 8 * widths[0]
+        assert [e.dcomm_bytes for e in hist.epochs] == \
+            [(p - 1) * n * 8 * units + 2 * (p - 1) * reduced] * 2
+
+
+#: (iv) Losses of a 3-epoch fit with widths (10, 6, 6, 6) -- every layer
+#: above the first has equal widths, so no sweep is reordered -- recorded
+#: on the commit before the rule existed (5efa059): bit-identical after.
+EQUAL_WIDTH_LOSSES = {
+    ('1d', 4, 'symmetric'): [1.826012853433352, 1.8234909164189956, 1.8210591931073037],
+    ('1d', 4, 'outer'): [1.826012853433352, 1.8234909164189956, 1.8210591931073037],
+    ('1d', 3, 'outer_sparse'): [1.8260128534333517, 1.8234909164189954, 1.8210591931073037],
+    ('1d', 4, 'transpose'): [1.826012853433352, 1.8234909164189956, 1.8210591931073037],
+    ('1d', 4, 'ghost'): [1.8260128534333517, 1.8234909164189956, 1.8210591931073037],
+    ('1.5d', 4, None): [1.8260128534333517, 1.8234909164189954, 1.8210591931073037],
+    ('2d', 4, None): [1.8260128534333517, 1.8234909164189954, 1.8210591931073037],
+    ('2d', 8, None): [1.8260128534333517, 1.8234909164189954, 1.8210591931073037],
+    ('3d', 8, None): [1.826012853433352, 1.8234909164189956, 1.8210591931073037],
+}
+
+
+@pytest.mark.parametrize("name,p,kw,directed_ok", SHAPE_CONFIGS)
+def test_equal_widths_keep_the_parents_bits(name, p, kw, directed_ok):
+    ds = make_synthetic(n=61, avg_degree=4, f=10, n_classes=6, seed=11)
+    algo, _ = build_shaped(name, p, kw, ds.adjacency, (10, 6, 6, 6), 3)
+    hist = algo.fit(ds.features, ds.labels, epochs=3)
+    assert hist.losses == EQUAL_WIDTH_LOSSES[name, p, kw.get("variant")]

@@ -32,12 +32,61 @@ class TestGCNLayer:
         np.testing.assert_allclose(out, np.maximum(expected_z, 0), atol=1e-10)
 
     def test_cache_reuses_spmm_product(self, ds):
+        """The input layer, a growing and an equal-width layer aggregate
+        first and keep ``T = A^T H`` for Equation 3's first form."""
         rng = np.random.default_rng(1)
-        layer = GCNLayer(rng.standard_normal((10, 4)), Identity())
+        for layer in (
+            GCNLayer(rng.standard_normal((10, 4)), Identity(),
+                     input_layer=True),
+            GCNLayer(rng.standard_normal((10, 12)), Identity()),
+            GCNLayer(rng.standard_normal((10, 10)), Identity()),
+        ):
+            _, cache = layer.forward(ds.adjacency, ds.features)
+            np.testing.assert_array_equal(
+                cache.t, spmm(ds.adjacency, ds.features))
+
+    def test_shrinking_layer_projects_first(self, ds):
+        """``Z = A^T (H W)``: no ``A^T H`` at the wide width is formed or
+        kept, and the weight gradient is Equation 3's second form."""
+        rng = np.random.default_rng(1)
+        w = rng.standard_normal((10, 4))
+        layer = GCNLayer(w, Identity())
         _, cache = layer.forward(ds.adjacency, ds.features)
-        np.testing.assert_allclose(
-            cache.t, spmm(ds.adjacency, ds.features), atol=1e-12
-        )
+        assert cache.t is None
+        np.testing.assert_array_equal(
+            cache.z, spmm(ds.adjacency, ds.features @ w))
+        g_out = rng.standard_normal((48, 4))
+        grad_h, grad_w, _ = layer.backward(ds.adjacency, cache, g_out)
+        ag = spmm(ds.adjacency, g_out)
+        np.testing.assert_array_equal(grad_w, ds.features.T @ ag)
+        np.testing.assert_array_equal(grad_h, ag @ w.T)
+
+    def test_growing_layer_projects_first_backward(self, ds):
+        """``A (G W^T)``: the backward aggregation runs at ``f_in``."""
+        rng = np.random.default_rng(1)
+        w = rng.standard_normal((10, 12))
+        layer = GCNLayer(w, Identity())
+        _, cache = layer.forward(ds.adjacency, ds.features)
+        g_out = rng.standard_normal((48, 12))
+        grad_h, _, _ = layer.backward(ds.adjacency, cache, g_out)
+        np.testing.assert_array_equal(
+            grad_h, spmm(ds.adjacency, g_out @ w.T))
+
+    @pytest.mark.parametrize("shape", [(10, 4), (10, 12), (10, 10)])
+    def test_both_orders_agree(self, ds, shape):
+        """The rule picks between equal products: a reordered layer and
+        the input-layer (never reordered) form of the same weight agree
+        to reassociation."""
+        rng = np.random.default_rng(3)
+        w = rng.standard_normal(shape)
+        g_out = rng.standard_normal((48, shape[1]))
+        outs = []
+        for input_layer in (False, True):
+            layer = GCNLayer(w, ReLU(), input_layer=input_layer)
+            h, cache = layer.forward(ds.adjacency, ds.features)
+            outs.append((h,) + layer.backward(ds.adjacency, cache, g_out))
+        for a, b in zip(*outs):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
     def test_width_mismatch_rejected(self, ds):
         layer = GCNLayer(np.zeros((7, 4)))

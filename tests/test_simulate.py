@@ -65,7 +65,8 @@ def _executed_epoch(name, p, dataset, **kwargs):
     return algo.train_epoch(0)
 
 
-def _assert_sections_exact(algo, features, labels, schedule, profile):
+def assert_sections_exact(algo, features, labels, schedule, profile,
+                           value_sized_dcomm=False):
     """The ledger across ``setup()`` == the schedule's one-time section,
     and across epoch 0 and epoch 1 each == its per-epoch section.
 
@@ -73,6 +74,14 @@ def _assert_sections_exact(algo, features, labels, schedule, profile):
     Seconds compare as running totals: the tracker and the simulator add
     the same per-step seconds in the same order, so the ledger's wall
     clock after each section equals the schedule priced up to there.
+
+    ``value_sized_dcomm``: the 1D ``outer_sparse`` reduce-scatter sizes
+    its wire from the partial products' *values* (a numerically zero row
+    is not shipped) where the emitter counts structural rows -- equal
+    unless ReLU or a single class zeroes a whole row of ``G``, which
+    narrow widths make common.  Then the schedule bounds ``dcomm`` (and
+    the messages: an all-zero partial ships none) from above and
+    everything else stays exact.
     """
     tracker = algo.rt.tracker
     sections = [
@@ -88,13 +97,20 @@ def _assert_sections_exact(algo, features, labels, schedule, profile):
         priced = evaluate_schedule(section, profile)
         delta = tracker.delta_since(before)
         for cat in Category.ALL:
+            if value_sized_dcomm and cat == Category.DCOMM:
+                assert priced.bytes_by_category[cat] >= delta[cat].bytes
+                continue
             assert priced.bytes_by_category[cat] == delta[cat].bytes, cat
-        assert priced.messages == tracker.total_messages() - messages
+        moved = tracker.total_messages() - messages
+        assert priced.messages == moved or (
+            value_sized_dcomm and priced.messages > moved)
         assert priced.nphases == tracker.nsteps - steps
         done.extend(section.phases)
         so_far = evaluate_schedule(
             CommSchedule(schedule.p, list(done)), profile)
         for cat in Category.ALL:
+            if value_sized_dcomm and cat == Category.DCOMM:
+                continue
             assert so_far.seconds_by_category[cat] == \
                 tracker.wall_seconds(cat), cat
     assert schedule.setup.nphases > 0
@@ -153,7 +169,7 @@ class TestLedgerExactness:
                               profile=profile, **kwargs)
         schedule = ALGORITHMS[name].emit_comm_schedule(
             graph, algo.widths, p, **kwargs)
-        _assert_sections_exact(algo, dataset.features, dataset.labels,
+        assert_sections_exact(algo, dataset.features, dataset.labels,
                                schedule, profile)
 
     @pytest.mark.parametrize("machine", EXACT_MACHINES)
@@ -168,7 +184,7 @@ class TestLedgerExactness:
         schedule = ALGORITHMS["1d"].emit_comm_schedule(
             GraphModel.from_csr(a_t, name="directed"), widths, 8,
             variant=variant)
-        _assert_sections_exact(algo, feats, labels, schedule, profile)
+        assert_sections_exact(algo, feats, labels, schedule, profile)
 
     @pytest.mark.parametrize(
         "variant",
