@@ -18,14 +18,19 @@ epoch: sparse storage (values + indices + row pointers, with the backward
 needing a second orientation of ``A``), the forward activation/cache stack
 (``H^l``, ``Z^l``, and the reused SpMM product ``T^l`` per layer), backward
 temporaries (``G^l`` and ``A G^l``), replicated weights, and the largest
-communication receive buffer.  The executed trainer keeps ``T^0 = A^T
-H^0`` across epochs instead of recomputing it; that is the layer-1 ``T^l``
-already counted here, so the estimates are unchanged.  Nor does the order
-of a layer's products (:func:`repro.nn.layers.sweep_order`) move them: a
-shrinking layer keeps ``H^{l-1}`` in place of ``T^l``, the same
-``f^{l-1}`` words, and the ``H W`` / ``G W^T`` it aggregates are transient
-and narrow.  ``allocator_overhead`` folds in the framework's slack (CUDA
-context, allocator fragmentation, cuSPARSE workspaces); the default is
+communication receive buffer.  The counts follow what the executed
+trainer holds after set-up: the ``T^0 = A^T H^0`` it keeps across epochs
+(layer 1's ``T``) and no ``H^0``.  In 2D and 3D that ``T^0`` is kept at
+the row group's full width -- ``n / P_r`` rows by ``f^0`` instead of the
+rank's ``f^0 / P_c`` block -- because each row group gathers it once at
+set-up rather than re-broadcasting it in every epoch's layer-1
+replicated-``W`` products; that is the memory the saved words cost.  The
+order of a layer's products (:func:`repro.nn.layers.sweep_order`) moves
+nothing: a shrinking layer keeps ``H^{l-1}`` in place of ``T^l``, the
+same ``f^{l-1}`` words, and the ``H W`` / ``G W^T`` it aggregates are
+transient and narrow.  ``allocator_overhead`` folds in the framework's
+slack (CUDA context, allocator fragmentation, cuSPARSE workspaces); the
+default is
 calibrated so the Table VI feasibility pattern on 16 GB V100s matches the
 paper's report exactly.
 """
@@ -33,7 +38,7 @@ paper's report exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.config import FP32_BYTES, INDEX_BYTES
 
@@ -91,18 +96,24 @@ def _sparse_bytes(nnz_local: float, nrows_local: float, copies: int = 2) -> floa
     return copies * per_copy
 
 
-def _dense_stack_words(n_local_rows: float, widths: Sequence[int]) -> float:
+def _dense_stack_words(n_local_rows: float, widths: Sequence[float],
+                       t0_width: Optional[float] = None) -> float:
     """Forward caches + backward temporaries, in words per rank.
 
-    Per layer ``l``: ``H^{l-1}`` (input, counted once via the l=0 term),
-    ``T^l = A^T H^{l-1}`` (reused by Equation 3), ``Z^l``, ``H^l``; the
-    backward keeps ``G^l`` and the reused ``A G^l``.  This is the
-    ``O(n f L)`` activation footprint of Section VII.
+    Per layer ``l``: Equation 3's left operand ``T^l = A^T H^{l-1}``
+    (reused by Equation 3; ``H^{l-1}`` at the same width where a
+    shrinking layer multiplies by ``W`` first), ``Z^l``, ``H^l``; the
+    backward keeps ``G^l`` and the reused ``A G^l``.  Layer 1's left
+    operand is the ``T^0`` kept from set-up, ``t0_width`` columns wide
+    (default: the rank's own ``widths[0]`` block); ``H^0`` is not held
+    past set-up.  This is the ``O(n f L)`` activation footprint of
+    Section VII.
     """
-    words = n_local_rows * widths[0]                   # H^0
+    words = n_local_rows * (widths[0] if t0_width is None else t0_width)
     for l in range(1, len(widths)):
         f_in, f_out = widths[l - 1], widths[l]
-        words += n_local_rows * f_in                   # T^l cache
+        if l > 1:
+            words += n_local_rows * f_in               # T^l cache
         words += 2 * n_local_rows * f_out              # Z^l + H^l
         words += 2 * n_local_rows * f_out              # G^l + A G^l
     return words
@@ -119,7 +130,10 @@ def memory_2d(
     n: int, nnz: int, widths: Sequence[int], p: int,
     overhead: float = DEFAULT_OVERHEAD,
 ) -> MemoryEstimate:
-    """The 2D algorithm: 'consumes optimal memory' -- everything / P."""
+    """The 2D algorithm: 'consumes optimal memory' -- everything / P,
+    except the ``T^0`` each process row keeps whole (``n / sqrt(P)`` rows
+    at the full ``f^0``), so layer 1's replicated-``W`` products need no
+    per-epoch broadcast."""
     import math
 
     s = math.isqrt(p)
@@ -127,7 +141,8 @@ def memory_2d(
         raise ValueError(f"P={p} is not a perfect square")
     sparse = _sparse_bytes(nnz / p, n / s)
     dense = FP32_BYTES * (
-        _dense_stack_words(n / s, [w / s for w in widths])
+        _dense_stack_words(n / s, [w / s for w in widths],
+                           t0_width=widths[0])
         + _weights_words(widths)
     )
     # Receive buffers: one sparse stage block + one dense stage piece.
@@ -174,13 +189,16 @@ def memory_3d(
     n: int, nnz: int, widths: Sequence[int], p: int,
     overhead: float = DEFAULT_OVERHEAD,
 ) -> MemoryEstimate:
-    """3D: inputs / P, but SUMMA partials replicate ``P^{1/3}``-fold."""
+    """3D: inputs / P, but SUMMA partials replicate ``P^{1/3}``-fold, and
+    each row group keeps its ``T^0`` rows whole (``n / P^{2/3}`` rows at
+    the full ``f^0``)."""
     s = round(p ** (1.0 / 3.0))
     if s**3 != p:
         raise ValueError(f"P={p} is not a perfect cube")
     sparse = _sparse_bytes(nnz / p, n / s)
     dense = FP32_BYTES * (
-        _dense_stack_words(n / (s * s), [w / s for w in widths])
+        _dense_stack_words(n / (s * s), [w / s for w in widths],
+                           t0_width=widths[0])
         + _weights_words(widths)
     )
     # The pre-reduce-scatter partial is n/s x f/s per rank: s times the

@@ -210,11 +210,11 @@ class Collectives:
           ``reduce_scatter``, ``sparse_reduce_scatter``) take
           ``(group, nbytes)`` pairs -- the broadcast payload, the sum of
           all gathered contributions, the reduced buffer (for the
-          sparse-wire reduce-scatter: the largest contribution's nonzero
-          rows plus their indices).  Every member is charged the
-          collective's critical-path cost.  ``pipelined=True`` models
-          SUMMA's pipelined broadcast, dropping the ``lg p`` latency
-          factor (Section IV-C);
+          sparse-wire reduce-scatter: the largest contribution's
+          structurally nonzero rows plus their indices).  Every member
+          is charged the collective's critical-path cost.
+          ``pipelined=True`` models SUMMA's pipelined broadcast,
+          dropping the ``lg p`` latency factor (Section IV-C);
         * ``sendrecv`` takes ``(src, dst, nbytes)`` triples: both ends
           pay the message's modeled seconds, only ``dst`` the bytes;
           self-sends charge nothing;
@@ -419,21 +419,24 @@ class Collectives:
                  for r in self._members(group)}, int(acc.nbytes))
 
     def _sparse_reduce_scatter(
-        self, group: Tuple[int, ...], full: Mapping[int, Any], axis: int = 0,
+        self, group: Tuple[int, ...], full: Mapping[int, Any],
+        nz_rows: Sequence[int], axis: int = 0,
         bounds: Optional[Sequence[Tuple[int, int]]] = None,
     ) -> Tuple[dict, int]:
-        out, _ = self._reduce_scatter(group, full, axis, bounds)
+        if len(nz_rows) != len(group):
+            raise ValueError(
+                f"got {len(nz_rows)} nonzero-row counts for a group of "
+                f"{len(group)}"
+            )
+        out, dense_bytes = self._reduce_scatter(group, full, axis, bounds)
         # Critical-path buffer size: the largest sparse contribution
-        # (nonzero rows + one index per row) plays the role the uniform
-        # dense buffer plays in reduce_scatter_cost.  The contributions
-        # are bit-identical on every backend, so the wire size is too.
-        wire = 0
-        for r in group:
-            arr = full[r]
-            nz_rows = int(np.count_nonzero(arr.any(axis=1 - axis)))
-            row_bytes = arr.nbytes // max(arr.shape[axis], 1)
-            wire = max(wire, nz_rows * (row_bytes + INDEX_BYTES))
-        return out, wire
+        # (its structurally nonzero rows + one index per row) plays the
+        # role the uniform dense buffer plays in reduce_scatter_cost.
+        # Sized from structure, never from values: a row the sparsity
+        # pattern can fill ships even where it happens to be all zeros.
+        rows = full[group[0]].shape[axis]
+        row_bytes = dense_bytes // max(rows, 1)
+        return out, max(nz_rows) * (row_bytes + INDEX_BYTES)
 
     _GROUP_MOVE = {
         "allgather": _allgather,
@@ -601,6 +604,7 @@ class Collectives:
         self,
         group: Sequence[int],
         values: Mapping[int, np.ndarray],
+        nz_rows: Sequence[int],
         category: str = Category.DCOMM,
         axis: int = 0,
         bounds: Optional[Sequence[Tuple[int, int]]] = None,
@@ -611,10 +615,15 @@ class Collectives:
         the average degree, the per-rank outer-product partials
         ``A[:, rows_i] G_i`` are mostly empty rows, so each contribution
         travels as (nonzero rows + row indices) instead of the dense
-        ``n x f`` buffer.  Numerics are **identical** to
-        :meth:`reduce_scatter` (same accumulation, same shards); only the
-        charged wire size changes -- "sparse routing changes bytes, never
-        numerics".
+        ``n x f`` buffer.  ``nz_rows`` gives, per group member, how many
+        rows of its contribution the sparsity *structure* can fill (for
+        ``A[:, rows_i] G_i``: the rows of ``A[:, rows_i]`` holding a
+        nonzero), which sizes the wire -- like a real sparse wire, it
+        knows its structure, not its values.  Numerics are **identical**
+        to :meth:`reduce_scatter` (same accumulation, same shards); only
+        the charged wire size changes -- "sparse routing changes bytes,
+        never numerics".
         """
         return self._charged("sparse_reduce_scatter", group, values,
-                             category, axis=axis, bounds=bounds)
+                             category, nz_rows=nz_rows, axis=axis,
+                             bounds=bounds)

@@ -132,6 +132,12 @@ class DistGCN1D(BlockRowAlgorithm):
                 r: self.a.block(0, self.n, c0, c1)
                 for r, (c0, c1) in enumerate(self.row_ranges)
             }
+            # The rows of each partial A[:, rows_r] G_r the structure can
+            # fill: what the sparse wire ships, whatever G holds.
+            self.a_cols_nz_rows = tuple(
+                int(np.count_nonzero(np.diff(self.a_cols[r].indptr)))
+                for r in self.world
+            )
         elif self.variant == "ghost":
             self.a_rows = self.a_t_rows  # A == A^T guaranteed
             self._setup_ghost()
@@ -338,12 +344,15 @@ class DistGCN1D(BlockRowAlgorithm):
             ),
         )
         coll = self.rt.coll
+        if self.variant == "outer_sparse":
+            reduce, kw = coll.sparse_reduce_scatter, dict(
+                nz_rows=self.a_cols_nz_rows)
+        else:
+            reduce, kw = coll.reduce_scatter, {}
         return self._obs_call(
-            "reduce_scatter", Category.DCOMM,
-            (coll.sparse_reduce_scatter if self.variant == "outer_sparse"
-             else coll.reduce_scatter),
+            "reduce_scatter", Category.DCOMM, reduce,
             self.world, partials, category=Category.DCOMM, axis=0,
-            bounds=self.row_ranges,
+            bounds=self.row_ranges, **kw,
         )
 
     def _stored_dense_rows(self) -> int:

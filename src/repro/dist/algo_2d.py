@@ -339,9 +339,9 @@ class DistGCN2D(GridAlgorithm):
         """Emit the SUMMA epoch's schedule without building ranks.
 
         Mirrors ``_grid_spmm`` (per-stage sparse/dense pipelined
-        broadcasts + local SpMM), ``_matmul_w`` / ``_weight_grad`` stage
-        broadcasts, the last-layer row all-gather, and the per-epoch grid
-        transpose, phase for phase.
+        broadcasts + local SpMM) and the per-epoch grid transpose; the
+        shared grid epoch (:func:`~repro.simulate.schedule.
+        emit_grid_epoch`) the rest, phase for phase.
         """
         from repro.comm.mesh import square_side
         from repro.comm.tracker import Category
@@ -350,7 +350,6 @@ class DistGCN2D(GridAlgorithm):
             ScheduleBuilder,
             boundaries,
             emit_grid_epoch,
-            emit_replicated_matmul,
             sparse_wire_bytes,
         )
 
@@ -406,19 +405,6 @@ class DistGCN2D(GridAlgorithm):
                 # feature columns.
                 b.spmm(cells[:, st, None], rows[:, None], fw)
 
-        def matmul_w(f_in: int, f_out: int) -> None:
-            emit_replicated_matmul(
-                b, rows, pc, rows_of_rank, outw_of_rank(f_out),
-                fsplit_widths(f_in),
-            )
-
-        def weight_grad(f_in: int, f_out: int) -> None:
-            matmul_w(f_in, f_out)
-            b.allreduce(Category.DCOMM, p, f_in * f_out * b.wb)
-
-        def row_allgather(f: int) -> None:
-            b.allgather(Category.DCOMM, pc, rows * (f * b.wb))
-
         col_bounds_pc = boundaries(n, pc)
         blocks_a = graph.cell_nnz(
             pr, col_bounds_pc, transpose=not graph.symmetric
@@ -432,9 +418,10 @@ class DistGCN2D(GridAlgorithm):
                     blocks_a, rows[:, None], b.wb).reshape(-1)
             )
 
+        # Row groups: the process rows (Pc members each).
         emit_grid_epoch(
-            b, widths, rows_of_rank, outw_of_rank, grid_spmm, matmul_w,
-            weight_grad, row_allgather, epoch_transpose,
+            b, widths, rows, pc, rows_of_rank, fsplit_widths, outw_of_rank,
+            grid_spmm, epoch_transpose,
         )
         return b.build(
             algorithm="2d", p=p, grid=(pr, pc), summa_block=summa_block,

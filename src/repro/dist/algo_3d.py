@@ -322,7 +322,6 @@ class DistGCN3D(GridAlgorithm):
             GraphModel,
             ScheduleBuilder,
             emit_grid_epoch,
-            emit_replicated_matmul,
             sparse_wire_bytes,
         )
 
@@ -421,19 +420,6 @@ class DistGCN3D(GridAlgorithm):
                     (shard_rev[:, None] * fw[None, :] * b.wb).reshape(-1),
                 )
 
-        def matmul_w(f_in: int, f_out: int) -> None:
-            emit_replicated_matmul(
-                b, group_rows, s, rows_of_rank, outw_of_rank(f_out),
-                fsplit_widths(f_in),
-            )
-
-        def weight_grad(f_in: int, f_out: int) -> None:
-            matmul_w(f_in, f_out)
-            b.allreduce(Category.DCOMM, p, f_in * f_out * b.wb)
-
-        def row_allgather(f: int) -> None:
-            b.allgather(Category.DCOMM, s, group_rows * (f * b.wb))
-
         def epoch_transpose() -> None:
             # Symmetric operands share the A^T grid block for block: no
             # exchange, no charge (mirrors `_charge_epoch_transpose`).
@@ -446,8 +432,8 @@ class DistGCN3D(GridAlgorithm):
                 )
 
         emit_grid_epoch(
-            b, widths, rows_of_rank, outw_of_rank, grid_spmm, matmul_w,
-            weight_grad, row_allgather, epoch_transpose,
+            b, widths, group_rows, s, rows_of_rank, fsplit_widths,
+            outw_of_rank, grid_spmm, epoch_transpose,
         )
         return b.build(
             algorithm="3d", p=p, mesh=(s, s, s), graph=graph.name,

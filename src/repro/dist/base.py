@@ -244,6 +244,14 @@ class DistAlgorithm:
         """Charged forward-only sweep; returns full ``n x f^L`` log-probs."""
         raise NotImplementedError
 
+    def _keep_t0(self, t0: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
+        """What :meth:`_install_features` keeps of a freshly aggregated
+        ``T^0``: the local blocks, ours alone (the sweep may hand back
+        copy-on-write receipts or views of a workspace the next sweep
+        refills).  Runs inside the set-up section, so whatever a family
+        moves here is charged there, once per feature matrix."""
+        return self._map_blocks(t0, np.array)
+
     def _stored_dense_rows(self) -> int:
         """Max dense rows any rank keeps resident (memory accounting)."""
         raise NotImplementedError
@@ -596,16 +604,13 @@ class DistAlgorithm:
         self._features = None  # nothing is installed until T^0 is whole
         before = set(self.workspace)
         # Internal state lives in the distribution's part-major order.
-        t0 = self._obs_call(
+        self._t0 = self._obs_call(
             "setup", Category.MISC,
-            lambda: self._aggregate(
-                self._setup_data(self._to_internal(given))))
+            lambda: self._keep_t0(self._aggregate(
+                self._setup_data(self._to_internal(given)))))
         san = _sanitize.ACTIVE
         if san is not None:
             san.verify_cow("end of set-up")
-        # Ours alone: the sweep may hand back copy-on-write receipts or
-        # views of a workspace the next sweep refills.
-        self._t0 = self._map_blocks(t0, np.array)
         # Nothing reads an f^0-wide operand again: drop the gather /
         # ghost / SUMMA buffers the sweep allocated.
         for key in [k for k in self.workspace if k not in before]:
@@ -847,19 +852,25 @@ class DistAlgorithm:
         diff = max(diff, float(np.max(np.abs(d_lp - s_lp))))
         return diff
 
+    def _kept_t0_width(self) -> int:
+        """Resident columns of the ``T^0`` kept across epochs per rank:
+        the rank's own block (:meth:`_keep_t0`)."""
+        return self._stored_dense_width(self.widths[0])
+
     def dense_memory_words_per_rank(self) -> int:
         """Resident dense words on the most loaded rank (Section V-C).
 
-        Counts the per-layer activation stack (``H``, the cached SpMM
-        result ``T``/``Z``, and the gradient working set) at the rank's
-        stored row count, plus the replicated weights.  The ``T^0`` kept
-        across epochs is layer 1's ``T`` of that count, not an addition;
-        a shrinking layer's cached ``H^{l-1}`` stands where its ``T``
-        stood, at the same width.
+        Counts the per-layer activation stack (Equation 3's left operand
+        ``T`` -- or ``H^{l-1}`` where a shrinking layer multiplies by
+        ``W`` first, at the same width -- ``Z`` / ``H``, and the gradient
+        working set) at the rank's stored row count, plus the replicated
+        weights.  Layer 1's left operand is the ``T^0`` kept from set-up,
+        at :meth:`_kept_t0_width` columns; ``H^0`` itself is not held past
+        set-up.
         """
         rows = self._stored_dense_rows()
-        acts = sum(
-            self._stored_dense_width(self.widths[l])
+        acts = self._kept_t0_width() + sum(
+            (self._stored_dense_width(self.widths[l]) if l > 0 else 0)
             + 2 * self._stored_dense_width(self.widths[l + 1])
             for l in range(len(self.widths) - 1)
         )

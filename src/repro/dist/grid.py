@@ -39,7 +39,10 @@ class GridAlgorithm(DistAlgorithm):
     layer takes ``Y^l = (H^{l-1})^T (A G^l)``, every other ``Y^l =
     (T^{l-1})^T G^l``, and one that grows multiplies ``G^l`` by ``W^T``
     before the sweep.  The replicated-``W`` funnels (:meth:`_matmul_w`,
-    :meth:`_weight_grad`) keep their widths either way.
+    :meth:`_weight_grad`) stage-broadcast their left operand along the
+    row groups -- except layer 1's, whose operand ``T^0`` is the same
+    every epoch: it is gathered once, at set-up (:meth:`_keep_t0`), and
+    both its funnels run only their GEMMs from the kept stages.
     Subclasses provide:
 
     * ``_grid_spmm(sparse_blocks, dense_blocks, f)`` -- the charged
@@ -158,6 +161,9 @@ class GridAlgorithm(DistAlgorithm):
         """Feature-column span covered by column indices [c_lo, c_hi)."""
         return fsplit[c_lo][0], fsplit[c_hi - 1][1]
 
+    #: layer 1's stage loop, run once at set-up (:meth:`_keep_t0`)
+    _t0_stages: Tuple = ()
+
     def _stage_broadcast(self, blocks, f: int):
         """The stage loop of a replicated-W product over ``blocks``:
         in stage ``t`` every row group's ``t``-th member broadcasts its
@@ -168,7 +174,12 @@ class GridAlgorithm(DistAlgorithm):
         on the multiprocess backend) -- staged through
         :meth:`_broadcast_routed`.  ``f`` also sizes the charges from
         structure (the broadcast block is ``group rows x stage width``).
+        Handed the kept ``T^0`` it yields the stages gathered at set-up
+        and moves (and charges) nothing.
         """
+        if blocks is self._t0:
+            yield from self._t0_stages
+            return
         fcols = self._fsplit(f)
 
         def nbytes(root: int) -> int:
@@ -186,36 +197,61 @@ class GridAlgorithm(DistAlgorithm):
         for (t, lo, hi), (recv,) in zip(stages, received):
             yield t, lo, hi, recv
 
+    def _keep_t0(self, t0):
+        """Aggregate once, gather once: the row-group stage loop layer
+        1's :meth:`_matmul_w` and :meth:`_weight_grad` would run over
+        ``T^0`` every epoch runs here instead, once per feature matrix,
+        and each local row group keeps the stage blocks it received
+        (private copies) -- the group's full rows, ``f^0`` wide.  A local
+        rank's block of ``T^0`` is its own stage's block, so nothing is
+        held twice."""
+        self._t0_stages = tuple(
+            (t, lo, hi, [None if got is None else np.array(got)
+                         for got in recv])
+            for t, lo, hi, recv in self._stage_broadcast(t0, self.widths[0])
+        )
+        own = {t: recv for t, _, _, recv in self._t0_stages}
+        kept = {}
+        for gi, group, members, span in self._local_group_info:
+            for r in members:
+                t = self._out_col(r)
+                # (a rank with no columns of T^0 has no stage)
+                kept[r] = own[t][gi] if t in own else np.array(t0[r])
+        return kept
+
+    def _kept_t0_width(self) -> int:
+        return self.widths[0]
+
     def _matmul_w(self, t_blocks, w: np.ndarray, f_in: int, f_out: int,
                   ws_key=None):
         """``T W`` for grid-distributed ``T`` (``f_in`` wide; any dense
         operand of the epoch) and replicated ``W`` (``f_in x f_out``).
 
-        Each stage computes one GEMM per *local* row group over the
-        group's local feature-column span (the received stage block times
-        the matching ``W`` column span) and every local rank's block is a
-        view of its group's accumulator -- column blocks of a product are
-        independent, so per-rank results are unchanged while the GEMM
-        count drops from ``stages x P`` to ``stages x Pr``.  With every
-        rank local the span is the whole width, which is bitwise the
-        historical full-width fast path; a multiprocess worker computes
-        just its own ranks' columns.  Per-rank GEMM charges are global
-        and untouched.  ``ws_key`` names a workspace for the group
-        accumulators (callers whose result is cached across the epoch
-        pass a per-layer key).
+        Each stage computes one GEMM per *local* row group (the received
+        stage block times the matching rows of ``W``) and every local
+        rank's block is a view of its group's accumulator -- column
+        blocks of a product are independent, so per-rank results are
+        unchanged while the GEMM count drops from ``stages x P`` to
+        ``stages x Pr``.  The GEMM always spans the full ``f_out``, also
+        on a multiprocess worker that holds only some of a group's
+        ranks: a narrower product can take another BLAS path (a
+        one-column one is a matrix-vector product) and round
+        differently, and ``W`` is replicated, so the whole width costs
+        no data.  Per-rank GEMM charges are global and untouched.
+        ``ws_key`` names a workspace for the group accumulators (callers
+        whose result is cached across the epoch pass a per-layer key).
         """
         groups_info = self._local_group_info
         fouts = self._fsplit(f_out)
         accs = []
-        for gi, group, members, (c_lo, c_hi) in groups_info:
+        for gi, group, members, span in groups_info:
             rows = self._grows(group)
-            o_lo, o_hi = self._span(fouts, c_lo, c_hi)
             if ws_key is not None:
-                acc = self._ws(("mw", ws_key, gi), (rows, o_hi - o_lo))
+                acc = self._ws(("mw", ws_key, gi), (rows, f_out))
                 acc.fill(0.0)
             else:
-                acc = np.zeros((rows, o_hi - o_lo))
-            accs.append((acc, o_lo, o_hi))
+                acc = np.zeros((rows, f_out))
+            accs.append(acc)
 
         def stage_charges(lo: int, hi: int):
             for group in self._row_group_list:
@@ -226,21 +262,17 @@ class GridAlgorithm(DistAlgorithm):
 
         for t, lo, hi, recv in self._stage_broadcast(t_blocks, f_in):
             w_stage = w[lo:hi, :]
-            for idx, (gi, group, members, span) in enumerate(groups_info):
-                acc, o_lo, o_hi = accs[idx]
-                w_span = (w_stage if o_hi - o_lo == f_out
-                          else w_stage[:, o_lo:o_hi])
-                acc += forward_gemm(recv[gi], w_span)
+            for acc, (gi, group, members, span) in zip(accs, groups_info):
+                acc += forward_gemm(recv[gi], w_stage)
             self._charge_kernel(
                 "gemm", ("mwch", f_in, f_out, t),
                 lambda lo=lo, hi=hi: stage_charges(lo, hi),
             )
         out = {}
-        for idx, (gi, group, members, span) in enumerate(groups_info):
-            acc, o_lo, o_hi = accs[idx]
+        for acc, (gi, group, members, span) in zip(accs, groups_info):
             for r in members:
                 o0, o1 = fouts[self._out_col(r)]
-                out[r] = acc[:, o0 - o_lo : o1 - o_lo]
+                out[r] = acc[:, o0:o1]
         return out
 
     def _weight_grad(self, t_blocks, g_blocks, f_in: int, f_out: int):
@@ -249,21 +281,24 @@ class GridAlgorithm(DistAlgorithm):
 
         Like :meth:`_matmul_w`, the outer GEMM runs once per row group
         against the group's full-width ``G`` rows (re-assembled once per
-        call) and each rank's zero-padded partial takes its column band
-        from the shared product; bands of ``T^T [G_0 | ... ]`` equal the
-        per-band GEMMs, and the world all-reduce of the padded partials
-        is exactly the historical reduction -- same charges, same result.
+        call; on a worker holding only some of the group's ranks the
+        other columns are zeros, which touch no column it keeps) and
+        each rank's zero-padded partial takes its column band from the
+        shared product; bands of ``T^T [G_0 | ... ]`` equal the per-band
+        GEMMs, and the world all-reduce of the padded partials is
+        exactly the historical reduction -- same charges, same result.
         """
         groups_info = self._local_group_info
         fouts = self._fsplit(f_out)
         g_rows = []
         for gi, group, members, (c_lo, c_hi) in groups_info:
-            parts = [g_blocks[r] for r in members]
             o_lo, o_hi = self._span(fouts, c_lo, c_hi)
-            buf = self._ws(("grows", gi, f_out),
-                           (parts[0].shape[0], o_hi - o_lo))
-            np.concatenate(parts, axis=1, out=buf)
-            g_rows.append((buf, o_lo))
+            buf = self._ws(("grows", gi, f_out), (self._grows(group), f_out))
+            if o_hi - o_lo < f_out:
+                buf.fill(0.0)
+            np.concatenate([g_blocks[r] for r in members], axis=1,
+                           out=buf[:, o_lo:o_hi])
+            g_rows.append(buf)
         partials = {}
         for r in t_blocks:
             buf = self._ws(("wgp", r, f_in, f_out), (f_in, f_out))
@@ -278,12 +313,11 @@ class GridAlgorithm(DistAlgorithm):
                     yield r, 2.0 * (hi - lo) * rows * (o1 - o0)
 
         for t, lo, hi, recv in self._stage_broadcast(t_blocks, f_in):
-            for idx, (gi, group, members, span) in enumerate(groups_info):
-                buf, o_lo = g_rows[idx]
-                band = weight_gradient(recv[gi], buf)  # (hi-lo, local span)
+            for buf, (gi, group, members, span) in zip(g_rows, groups_info):
+                band = weight_gradient(recv[gi], buf)  # (hi - lo, f_out)
                 for r in members:
                     o0, o1 = fouts[self._out_col(r)]
-                    partials[r][lo:hi, o0:o1] += band[:, o0 - o_lo : o1 - o_lo]
+                    partials[r][lo:hi, o0:o1] += band[:, o0:o1]
             self._charge_kernel(
                 "gemm", ("wgch", f_in, f_out, t),
                 lambda lo=lo, hi=hi: stage_charges(lo, hi),

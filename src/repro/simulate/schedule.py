@@ -4,8 +4,9 @@ A :class:`CommSchedule` is the *trace* of one training epoch with the data
 left out: a sequence of bulk-synchronous phases, each holding the payload
 sizes of the concurrent collectives (or local kernels) the phase performs.
 What the trainer does once per feature matrix instead of once per epoch
--- the ``A^T H^0`` aggregation of ``DistAlgorithm._install_features`` --
-is the schedule's **one-time section** (:attr:`CommSchedule.setup`), a
+-- the ``A^T H^0`` aggregation of ``DistAlgorithm._install_features``,
+and in the grid families the row-group gather of that ``T^0`` -- is the
+schedule's **one-time section** (:attr:`CommSchedule.setup`), a
 schedule of its own priced by the same :func:`evaluate_schedule`.
 The :mod:`repro.dist` algorithm classes emit schedules through their
 ``emit_comm_schedule`` hooks by replaying their epoch loops symbolically
@@ -58,7 +59,6 @@ __all__ = [
     "evaluate_schedule",
     "emit_blockrow_epoch",
     "emit_grid_epoch",
-    "emit_replicated_matmul",
     "sparse_wire_bytes",
 ]
 
@@ -765,68 +765,66 @@ def emit_blockrow_epoch(
             b.elementwise(rows * (3.0 * f_in * b.wb))
 
 
-def emit_replicated_matmul(
-    b: ScheduleBuilder,
-    group_rows: np.ndarray,
-    group_size: int,
-    rows_of_rank: np.ndarray,
-    outw_of_rank: np.ndarray,
-    fin_widths: np.ndarray,
-) -> None:
-    """``T W`` / ``T^T G`` stage broadcasts + partial GEMMs.
-
-    Mirrors ``GridAlgorithm._matmul_w`` / ``_weight_grad``'s loop: for
-    every nonempty feature-column stage ``t``, each row group's ``t``-th
-    member broadcasts its block row-wise (one step) and every rank runs a
-    partial GEMM (one step).
-    """
-    group_rows = np.asarray(group_rows, dtype=np.float64)
-    for w_t in fin_widths:
-        if w_t == 0:
-            continue
-        b.broadcast(
-            Category.DCOMM, group_size, group_rows * (w_t * b.wb),
-            pipelined=True,
-        )
-        b.gemm(2.0 * rows_of_rank * w_t * outw_of_rank)
-
-
 def emit_grid_epoch(
     b: ScheduleBuilder,
     widths: Sequence[int],
+    group_rows: np.ndarray,
+    group_size: int,
     rows_of_rank: np.ndarray,
+    fsplit_widths: Callable[[int], np.ndarray],
     outw_of_rank: Callable[[int], np.ndarray],
     grid_spmm: Callable[[int, bool], None],
-    matmul_w: Callable[[int, int], None],
-    weight_grad: Callable[[int, int], None],
-    row_allgather: Callable[[int], None],
     epoch_transpose: Callable[[], None],
 ) -> None:
     """The :class:`~repro.dist.grid.GridAlgorithm` epoch, symbolically.
 
-    Phase-for-phase mirror of the set-up aggregation (the one-time
-    section) and of ``GridAlgorithm._run_epoch``, shared by the 2D SUMMA
-    and Split-3D emitters; ``grid_spmm(f, backward)`` selects the forward
-    (``A^T``) or backward (``A``) sparse operand, and
-    :func:`~repro.nn.layers.sweep_order` which side of its ``matmul_w``
-    each sweep runs on.
+    Phase-for-phase mirror of the set-up (the one-time section: the
+    aggregation and the row-group gather of ``T^0``) and of
+    ``GridAlgorithm._run_epoch``, shared by the 2D SUMMA and Split-3D
+    emitters.  They supply the row groups (``group_rows`` dense rows
+    each, ``group_size`` members, one per block of the
+    ``fsplit_widths(f)`` feature-column split), every rank's rows and
+    columns, and the family's sweep: ``grid_spmm(f, backward)`` selects
+    the forward (``A^T``) or backward (``A``) sparse operand, and
+    :func:`~repro.nn.layers.sweep_order` which side of its replicated-
+    ``W`` product each sweep runs on.
     """
     rows = np.asarray(rows_of_rank, dtype=np.float64)
+    group_rows = np.asarray(group_rows, dtype=np.float64)
     n_layers = len(widths) - 1
+
+    def stage_loop(f_in: int, f_out: Optional[int] = None,
+                   kept: bool = False) -> None:
+        # `_stage_broadcast`'s loop: per nonempty stage t, each row
+        # group's t-th member broadcasts its block row-wise (one step;
+        # none where the stages are `kept`: layer 1's T^0, gathered at
+        # set-up), then every rank runs a partial GEMM into `f_out`'s
+        # columns (one step; none for the set-up gather itself).
+        for w_t in fsplit_widths(f_in):
+            if w_t == 0:
+                continue
+            if not kept:
+                b.broadcast(Category.DCOMM, group_size,
+                            group_rows * (w_t * b.wb), pipelined=True)
+            if f_out is not None:
+                b.gemm(2.0 * rows * w_t * outw_of_rank(f_out))
+
     grid_spmm(widths[0], False)
+    stage_loop(widths[0])
     b.end_setup()
     for l in range(n_layers):
         f_in, f_out = widths[l], widths[l + 1]
         project_first = sweep_order(f_in, f_out, l == 0).project_fwd
         if l > 0 and not project_first:
             grid_spmm(f_in, False)
-        matmul_w(f_in, f_out)
+        stage_loop(f_in, f_out, kept=l == 0)
         if project_first:
             grid_spmm(f_out, False)
         if l < n_layers - 1:
             b.elementwise(rows * outw_of_rank(f_out) * (2.0 * b.wb))
         else:
-            row_allgather(f_out)
+            b.allgather(Category.DCOMM, group_size,
+                        group_rows * (f_out * b.wb))
             b.elementwise(rows * (2.0 * f_out * b.wb))
     b.allreduce(Category.DCOMM, b.p, LOSS_TERM_BYTES)
     b.elementwise(rows * (3.0 * widths[-1] * b.wb))
@@ -836,9 +834,10 @@ def emit_grid_epoch(
         project_first = sweep_order(f_in, f_out, l == 0).project_bwd
         if l > 0 and not project_first:
             grid_spmm(f_out, True)
-        weight_grad(f_in, f_out)
+        stage_loop(f_in, f_out, kept=l == 0)       # Y^l = X^T G
+        b.allreduce(Category.DCOMM, b.p, f_in * f_out * b.wb)
         if l > 0:
-            matmul_w(f_out, f_in)
+            stage_loop(f_out, f_in)                # G W^T
             if project_first:
                 grid_spmm(f_in, True)
             b.elementwise(rows * outw_of_rank(f_in) * (3.0 * b.wb))

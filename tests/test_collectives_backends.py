@@ -100,7 +100,8 @@ def run_reduce_scatter(rt):
 
 
 def run_sparse_reduce_scatter(rt):
-    return rt.coll.sparse_reduce_scatter(WORLD, local(rt, mostly_empty)), {}
+    return rt.coll.sparse_reduce_scatter(WORLD, local(rt, mostly_empty),
+                                         nz_rows=(1, 2, 1, 3)), {}
 
 
 def run_sendrecv(rt):
@@ -226,8 +227,11 @@ def test_bounds_must_name_one_range_per_member(fabric, backend, form):
     with pytest.raises(ValueError, match="2 shard bounds for a group of 4"):
         if form == "step":
             rt.coll.move("reduce_scatter", [WORLD], values, bounds=short)
+        elif form == "sparse_reduce_scatter":
+            rt.coll.sparse_reduce_scatter(WORLD, values, nz_rows=(6,) * 4,
+                                          bounds=short)
         else:
-            getattr(rt.coll, form)(WORLD, values, bounds=short)
+            rt.coll.reduce_scatter(WORLD, values, bounds=short)
 
 
 # --------------------------------------------------------------------- #

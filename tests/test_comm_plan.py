@@ -65,7 +65,14 @@ CONFIGS = [
 #: of 8, so 28 -> 24 units, 1D P = 4 ``dcomm`` 138336 -> 119904; the
 #: equal-width middle layer keeps its order, and the eleven ``loss1``
 #: values came out bit-identical (the reassociated last layer differs
-#: from the old order below the last digit here).
+#: from the old order below the last digit here).  And once more for the
+#: five grid rows only, when layer 1's two replicated-``W`` stage loops
+#: stopped re-broadcasting the epoch-invariant ``T^0`` (it is gathered
+#: along the row groups once, at set-up): two loops left the epoch, each
+#: charging every group member its group's rows x f^0 x 8 bytes -- 2D
+#: P = 4 ``dcomm`` 298080 -> 224352 (2 x Pc x n x 12 x 8 less), 3D P = 27
+#: 615111 -> 504519 (2 x 3 x n x 12 x 8 less); ``scomm`` / ``trpose`` and
+#: the eleven ``loss1`` values did not move.
 PRE_OPT_ORACLE = {
     ("1d", 4): dict(dcomm=119904, scomm=0, trpose=0, max_rank=29976,
                     seconds=0.00019552624206766914,
@@ -85,20 +92,20 @@ PRE_OPT_ORACLE = {
     ("1.5d", 16): dict(dcomm=405888, scomm=0, trpose=0, max_rank=25368,
                        seconds=0.00026369362358940826,
                        loss1=1.4010554851746766),
-    ("2d", 4): dict(dcomm=298080, scomm=136256, trpose=17032,
-                    max_rank=130356, seconds=0.0003362977886678655,
+    ("2d", 4): dict(dcomm=224352, scomm=136256, trpose=17032,
+                    max_rank=111924, seconds=0.0003340097886678655,
                     loss1=1.4010554851746768),
-    ("2d", 8): dict(dcomm=384224, scomm=148928, trpose=17048,
-                    max_rank=86904, seconds=0.0005388960480156914,
+    ("2d", 8): dict(dcomm=310496, scomm=148928, trpose=17048,
+                    max_rank=77688, seconds=0.0005304953523635176,
                     loss1=1.4010554851746766),
-    ("2d", 16): dict(dcomm=630240, scomm=297856, trpose=18616,
-                     max_rank=76658, seconds=0.0007474731165217388,
+    ("2d", 16): dict(dcomm=482784, scomm=297856, trpose=18616,
+                     max_rank=67442, seconds=0.0007310724208695648,
                      loss1=1.4010554851746766),
-    ("3d", 8): dict(dcomm=365792, scomm=148672, trpose=0,
-                    max_rank=80220, seconds=0.00044910419211507035,
+    ("3d", 8): dict(dcomm=292064, scomm=148672, trpose=0,
+                    max_rank=71004, seconds=0.00044070349646289637,
                     loss1=1.4010554851746768),
-    ("3d", 27): dict(dcomm=615111, scomm=270000, trpose=0,
-                     max_rank=47331, seconds=0.0006407408736373299,
+    ("3d", 27): dict(dcomm=504519, scomm=270000, trpose=0,
+                     max_rank=43107, seconds=0.0006285572214634169,
                      loss1=1.4010554851746768),
 }
 

@@ -13,25 +13,34 @@ every ``predict()`` starts from it.  These tests pin what that promises:
 * on the process backend every worker reaches the same verdict, also
   when only one worker's rows changed, and also across a kill-and-recover
   fit, with losses and the ledger digest (set-up charge included) equal
-  to the virtual run's.
+  to the virtual run's;
+* in 2D / 3D the set-up also gathers ``T^0`` along the row groups, once:
+  each local row group keeps the stage blocks, every epoch's layer-1
+  replicated-``W`` products run from them, and only a new matrix pays
+  the gather again -- also where a row group spans workers.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import time
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from test_simulate import assert_sections_exact
+
 from repro.analysis import sanitize
 from repro.comm import cost_model as cm
 from repro.comm.tracker import Category
-from repro.dist import make_algorithm
+from repro.dist import ALGORITHMS, make_algorithm, make_runtime_for
 from repro.graph import make_synthetic
 from repro.nn.layers import sweep_widths
 from repro.parallel import ledger_digest
+from repro.simulate.schedule import GraphModel
 
 HIDDEN = 8
 K = 3
@@ -340,3 +349,189 @@ def want_messages(ds, name, p, kw, features):
     before = algo.rt.tracker.total_messages()
     algo.fit(features, ds.labels, epochs=K)
     return algo.rt.tracker.total_messages() - before
+
+
+# --------------------------------------------------------------------- #
+# 2D / 3D: T^0 gathered along the row groups once, at set-up
+# --------------------------------------------------------------------- #
+GRIDS = [
+    pytest.param("2d", 4, {}, id="2d-square"),
+    pytest.param("2d", 8, {"grid": (2, 4)}, id="2d-2x4"),
+    pytest.param("2d", 4, {"summa_block": 5}, id="2d-summa_block"),
+    pytest.param("3d", 8, {}, id="3d-8"),
+    pytest.param("3d", 27, {}, id="3d-27"),
+]
+
+
+def gather_dcomm(algo) -> int:
+    """One stage loop of ``T^0`` along the row groups: in stage ``t``
+    every member of a row group is charged the group's rows times the
+    ``t``-th column block, so the world pays ``|group| n f^0`` words."""
+    return len(algo._row_group_list[0]) * algo.n * algo.widths[0] * algo.WB
+
+
+def dcomm_of(algo, fn) -> int:
+    tracker = algo.rt.tracker
+    before = tracker.total_bytes(Category.DCOMM)
+    fn()
+    return tracker.total_bytes(Category.DCOMM) - before
+
+
+class TestGatheredOnce:
+    @pytest.mark.parametrize("name,p,kw", GRIDS)
+    def test_setup_and_epochs_match_the_schedule(self, ds, name, p, kw):
+        """The gather is the schedule's one-time section's, layer 1's
+        funnels are GEMMs only: ledger == simulator on every section."""
+        algo = make(ds, name, p, kw)
+        schedule = ALGORITHMS[name].emit_comm_schedule(
+            GraphModel.from_dataset(ds), algo.widths, p, **kw)
+        assert_sections_exact(algo, ds.features, ds.labels, schedule,
+                              algo.rt.profile)
+
+    @pytest.mark.parametrize("name,p,kw", GRIDS)
+    def test_only_a_new_matrix_is_gathered_again(self, ds, name, p, kw):
+        algo = make(ds, name, p, kw)
+        algo.fit(ds.features, ds.labels, epochs=1)
+        forward = dcomm_of(algo, algo.predict)
+        # the same matrix (a fresh array) moves nothing beyond the pass
+        assert dcomm_of(algo, lambda: algo.predict(ds.features.copy())) \
+            == forward
+        x = edited(ds.features)
+        installed = dcomm_of(algo, lambda: algo.predict(x)) - forward
+        # a new one: the aggregation sweep and exactly one stage loop
+        sweep = dcomm_of(algo, lambda: algo._grid_spmm(
+            algo.a_t_blocks, algo._t0, algo.widths[0]))
+        assert installed == sweep + gather_dcomm(algo)
+        out = algo.predict()
+        x[:] = edited(x)               # the caller edits its array in place
+        assert dcomm_of(algo, algo.predict) == forward
+        np.testing.assert_array_equal(algo.predict(), out)
+        assert dcomm_of(algo, lambda: algo.predict(x)) == forward + installed
+
+    @pytest.mark.parametrize("name,p,kw", GRIDS)
+    def test_each_ranks_block_is_its_own_stage(self, ds, name, p, kw):
+        """A row group keeps ``f^0`` columns of its rows, once: every
+        local rank's ``T^0`` block is a view of its stage block, and the
+        memory count is what is held."""
+        algo = make(ds, name, p, kw)
+        algo.setup(ds.features, ds.labels)
+        held = []
+        for gi, group, members, span in algo._local_group_info:
+            kept = {t: recv[gi] for t, _, _, recv in algo._t0_stages}
+            assert sum(b.shape[1] for b in kept.values()) == algo.widths[0]
+            held.append(sum(b.size for b in kept.values()))
+            for r in members:
+                assert np.shares_memory(algo._t0[r], kept[algo._out_col(r)])
+        assert max(held) == algo._stored_dense_rows() * algo.widths[0]
+        assert algo._kept_t0_width() == algo.widths[0]
+
+
+#: tracemalloc bytes held by the trained virtual 2D algorithm below on
+#: the commit before the gather was kept (Python 3.11 / NumPy 2)
+PARENT_2D_HELD_BYTES = 12_721_612
+
+
+def test_trained_2d_holds_no_more_than_before_the_gather():
+    widths = (128, 64, 64, 16)
+    data = make_synthetic(n=2048, avg_degree=8, f=widths[0],
+                          n_classes=widths[-1], seed=0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        algo = ALGORITHMS["2d"](make_runtime_for("2d", 4), data.adjacency,
+                                widths, seed=0)
+        algo.fit(data.features, data.labels, epochs=2)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= PARENT_2D_HELD_BYTES * 1.01
+    blocks = [recv for *_, recv in algo._t0_stages]
+    for r, block in algo._t0.items():
+        gi = next(i for i, g in enumerate(algo._row_group_list) if r in g)
+        assert np.shares_memory(block, blocks[algo._out_col(r)][gi])
+
+
+#: At W = 4 a 2D P = 4 rank, and a pair of 3D P = 8 ranks, have a worker
+#: each, so every row group spans workers and the set-up gather crosses
+#: the wire (at W = 2 the groups stay inside one worker).
+SPANNING = [
+    pytest.param("2d", 4, "tcp", id="2d-w4-tcp"),
+    pytest.param("3d", 8, "shm", id="3d-w4-shm"),
+]
+SPANNING_WORKERS = 4
+
+
+@pytest.fixture
+def sanitizer_off_afterwards():
+    """The driver arms its own sanitizer when it reads the variable."""
+    yield
+    sanitize.disable()
+
+
+class TestRowGroupsAcrossWorkers:
+    @pytest.mark.parametrize("name,p,transport", SPANNING)
+    def test_bit_equal_to_virtual_sanitizer_on_and_off(
+            self, ds, watchdog, monkeypatch, sanitizer_off_afterwards, name,
+            p, transport):
+        second = edited(ds.features)
+        want = two_fits(make(ds, name, p, {}), ds, second)
+        for armed in (False, True):
+            if armed:
+                monkeypatch.setenv(sanitize.ENV_FLAG, "1")
+            algo = make(ds, name, p, {}, backend="process",
+                        workers=SPANNING_WORKERS, transport=transport)
+            try:
+                got = two_fits(algo, ds, second)
+                workers = algo.rt.backend_stats()["per_worker"]
+            finally:
+                algo.rt.close()
+            assert got[:4] == want[:4]   # losses, both set-ups, digest
+            assert got.second_setup.comm_bytes > 0      # gathered again
+            if armed:
+                assert all(w["sanitizer"]["cow_verified"] > 0
+                           for w in workers)
+            else:
+                assert [w["sanitizer"] for w in workers] == \
+                    [None] * SPANNING_WORKERS
+
+    @pytest.mark.parametrize("name,p,transport", SPANNING)
+    def test_kill_and_recover_ends_on_the_fault_free_digest(
+            self, ds, watchdog, tmp_path, name, p, transport):
+        """The respawned pool holds no kept stages: it aggregates and
+        gathers again, and the checkpoint's ledger overwrites that."""
+        second = edited(ds.features)
+        want = two_fits(make(ds, name, p, {}), ds, second)
+        algo = make(ds, name, p, {}, backend="process",
+                    workers=SPANNING_WORKERS, transport=transport,
+                    max_restarts=3, faults="kill:worker=1,epoch=1,attempt=1")
+        try:
+            got = two_fits(algo, ds, second,
+                           checkpoint_path=str(tmp_path / "ck.npz"),
+                           checkpoint_every=1)
+            stats = algo.rt.backend_stats(workers=False)
+        finally:
+            algo.rt.close()
+        assert got.losses == want.losses and got.digest == want.digest
+        assert stats["restarts"] == 1
+
+    def test_exchanges_per_worker_epoch_tcp(self, ds, watchdog):
+        """33 exchanges per worker-epoch at W = 4 (37 while layer 1's two
+        stage loops, two stages each, re-broadcast ``T^0``); the set-up
+        gains the gather's two beside the aggregation's four."""
+        algo = make(ds, "2d", 4, {}, backend="process",
+                    workers=SPANNING_WORKERS, transport="tcp")
+        try:
+            marks = [algo.rt.backend_stats()]
+            for epochs in (1, K):
+                algo.fit(ds.features, ds.labels, epochs=epochs)
+                marks.append(algo.rt.backend_stats())
+        finally:
+            algo.rt.close()
+        first, again = [
+            [b["exchanges"] - a["exchanges"]
+             for a, b in zip(s0["per_worker"], s1["per_worker"])]
+            for s0, s1 in zip(marks, marks[1:])]
+        assert again == [K * 33] * SPANNING_WORKERS
+        assert first == [4 + 2 + 33] * SPANNING_WORKERS

@@ -68,10 +68,12 @@ class TestPaperStories:
     The executed epoch sweeps at the narrow side of every layer
     (``repro.nn.layers.sweep_order``), which on Protein (128-16-16-256)
     takes the 256-wide last-layer backward sweep down to 16 and 1D's
-    dense volume down 4.75x; 2D's replicated-``W`` funnels and its
-    256-wide row all-gather do not shrink.  The paper's stories still
-    hold, further out: 2D moves fewer dense bytes from P = 256 (was
-    16) and wins commodity-network seconds at P = 4096 (was 256).
+    dense volume down 4.75x; 2D's 256-wide row all-gather and its
+    replicated-``W`` funnels above layer 1 do not shrink (layer 1's left
+    the epoch: ``T^0`` is gathered along the process rows at set-up).
+    The paper's stories still hold, further out: 2D moves fewer dense
+    bytes from P = 100 (between 64 and 256 here) and wins
+    commodity-network seconds from P = 1936 (4096 here).
     """
 
     def test_2d_moves_fewer_dense_bytes(self):

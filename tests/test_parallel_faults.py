@@ -165,8 +165,11 @@ class TestOtherFaults:
     # going down the layers fetch + weight-gradient all-reduce (layer
     # 3), fetch + all-reduce (layer 2), all-reduce (layer 1) -- 8 an
     # epoch, epoch 0 being exchanges 1..8.  A 2D worker: the set-up
-    # sweep's two stage broadcasts (0, 1); then 12 an epoch, two forward
-    # sweeps (2..5) and the loss all-reduce (6) first.  Layer 3 (8 -> 3)
+    # sweep's two stage broadcasts (0, 1) -- the set-up's gather of T^0
+    # along the process rows stays inside a worker on this mesh, and
+    # layer 1's funnels no longer broadcast at all, so no index moved --
+    # then 12 an epoch, two forward sweeps (2..5) and the loss all-reduce
+    # (6) first.  Layer 3 (8 -> 3)
     # shrinks, so its sweeps run at 3 columns and its forward GEMM comes
     # before its fetch / sweep -- which moves no exchange: the order of
     # kinds is pinned in ``test_parallel_tickets.py::TestLookAheadOfOne``.

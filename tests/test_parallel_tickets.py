@@ -388,6 +388,8 @@ class TestLookAheadOfOne:
             assert losses == v_losses
             assert digest == ledger_digest(virtual.rt.tracker)
             # the set-up aggregation is one forward sweep: two stages
+            # (its gather of T^0 along the process rows stays inside a
+            # worker here, like every replicated-W funnel)
             assert [what for what, _ in setup] == [
                 "post", "post", "collect", "collect"]
             for log in logs:

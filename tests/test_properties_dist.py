@@ -225,8 +225,7 @@ class TestGeneratedShapes:
             GraphModel.from_csr(a_t), widths, p, **emit_kw)
         # (ii) set-up, epoch 0, epoch 1: bytes, messages, steps, seconds
         assert_sections_exact(
-            algo, features, labels, schedule, algo.rt.profile,
-            value_sized_dcomm=kw.get("variant") == "outer_sparse")
+            algo, features, labels, schedule, algo.rt.profile)
         # (i) the paper's correctness claim, to reassociation
         assert algo.verify_against_serial(features, labels, epochs=2) <= 1e-12
 

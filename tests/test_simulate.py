@@ -65,8 +65,7 @@ def _executed_epoch(name, p, dataset, **kwargs):
     return algo.train_epoch(0)
 
 
-def assert_sections_exact(algo, features, labels, schedule, profile,
-                           value_sized_dcomm=False):
+def assert_sections_exact(algo, features, labels, schedule, profile):
     """The ledger across ``setup()`` == the schedule's one-time section,
     and across epoch 0 and epoch 1 each == its per-epoch section.
 
@@ -74,14 +73,6 @@ def assert_sections_exact(algo, features, labels, schedule, profile,
     Seconds compare as running totals: the tracker and the simulator add
     the same per-step seconds in the same order, so the ledger's wall
     clock after each section equals the schedule priced up to there.
-
-    ``value_sized_dcomm``: the 1D ``outer_sparse`` reduce-scatter sizes
-    its wire from the partial products' *values* (a numerically zero row
-    is not shipped) where the emitter counts structural rows -- equal
-    unless ReLU or a single class zeroes a whole row of ``G``, which
-    narrow widths make common.  Then the schedule bounds ``dcomm`` (and
-    the messages: an all-zero partial ships none) from above and
-    everything else stays exact.
     """
     tracker = algo.rt.tracker
     sections = [
@@ -97,20 +88,13 @@ def assert_sections_exact(algo, features, labels, schedule, profile,
         priced = evaluate_schedule(section, profile)
         delta = tracker.delta_since(before)
         for cat in Category.ALL:
-            if value_sized_dcomm and cat == Category.DCOMM:
-                assert priced.bytes_by_category[cat] >= delta[cat].bytes
-                continue
             assert priced.bytes_by_category[cat] == delta[cat].bytes, cat
-        moved = tracker.total_messages() - messages
-        assert priced.messages == moved or (
-            value_sized_dcomm and priced.messages > moved)
+        assert priced.messages == tracker.total_messages() - messages
         assert priced.nphases == tracker.nsteps - steps
         done.extend(section.phases)
         so_far = evaluate_schedule(
             CommSchedule(schedule.p, list(done)), profile)
         for cat in Category.ALL:
-            if value_sized_dcomm and cat == Category.DCOMM:
-                continue
             assert so_far.seconds_by_category[cat] == \
                 tracker.wall_seconds(cat), cat
     assert schedule.setup.nphases > 0

@@ -91,3 +91,50 @@ class TestBandwidth:
             sparse = self._dcomm(sparse_ds, "outer_sparse", p)
             saving[p] = 1 - sparse / dense
         assert saving[16] > saving[4]
+
+
+class TestWireFromStructure:
+    """The sparse wire is sized by which rows the structure can fill,
+    never by the values: ledger == simulator whatever ``G`` holds."""
+
+    def test_an_all_zero_row_ships_like_a_dense_one(self):
+        world = (0, 1, 2, 3)
+        rng = np.random.default_rng(0)
+        dense = {r: rng.standard_normal((6, 3)) for r in world}
+        holed = {r: v.copy() for r, v in dense.items()}
+        for v in holed.values():
+            v[2] = 0.0                       # ReLU zeroed a whole row
+        holed[3][:] = 0.0                    # ... or all of them
+        charged = []
+        for values in (dense, holed):
+            rt = VirtualRuntime.make_1d(4)
+            rt.coll.sparse_reduce_scatter(world, values, nz_rows=(6, 4, 5, 6))
+            charged.append((rt.tracker.total_bytes(),
+                            rt.tracker.total_messages()))
+        assert charged[0] == charged[1]
+        assert charged[0][0] > 0
+
+    def test_nz_rows_names_every_member(self):
+        rt = VirtualRuntime.make_1d(2)
+        with pytest.raises(ValueError, match="1 nonzero-row counts"):
+            rt.coll.sparse_reduce_scatter(
+                (0, 1), {0: np.ones((2, 2)), 1: np.ones((2, 2))}, nz_rows=(2,))
+
+    def test_single_class_epoch_matches_the_schedule(self, sparse_ds):
+        """With one class ``G^L`` is identically zero, so every partial
+        ``A[:, rows_i] G_i`` is too -- the wire still carries the
+        structural rows the simulator counts."""
+        from test_simulate import assert_sections_exact
+
+        from repro.simulate.schedule import GraphModel
+
+        widths = (12, 8, 1)
+        rt = VirtualRuntime.make_1d(8)
+        algo = DistGCN1D(rt, sparse_ds.adjacency, widths, seed=0,
+                         variant="outer_sparse")
+        schedule = DistGCN1D.emit_comm_schedule(
+            GraphModel.from_dataset(sparse_ds), widths, 8,
+            variant="outer_sparse")
+        labels = np.zeros(sparse_ds.num_vertices, dtype=np.int64)
+        assert_sections_exact(algo, sparse_ds.features, labels, schedule,
+                              rt.profile)
