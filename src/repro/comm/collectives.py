@@ -33,14 +33,16 @@ whose payload sizes are fixed by structure (the epochs of
 :meth:`CommTracker.charge_many` and call the data movement alone.
 
 The data movements are written against four **transport hooks**:
-``_contributions(group, values)`` (every member's contribution, given the
-local ones), the split-phase ``_routed_post(kind, routes, payload_of)`` /
-``_routed_collect(handle)``, and ``_members(group)`` (whose results come
-back).  This class implements them for the virtual runtime, where every
-rank is local and nothing travels; the multiprocess backend
-(:mod:`repro.parallel.collectives`) overrides only those four, so every
-collective works on every backend by construction, with the same receipt
-labels, the same argument checks and the same sanitizer coverage.
+``_contributions(group, values, keep)`` (every member's contribution,
+given the local ones -- or, for a reduce-scatter, the part of it this
+process's members keep), the split-phase ``_routed_post(kind, routes,
+payload_of)`` / ``_routed_collect(handle)``, and ``_members(group)``
+(whose results come back).  This class implements them for the virtual
+runtime, where every rank is local and nothing travels; the multiprocess
+backend (:mod:`repro.parallel.collectives`) overrides only those four, so
+every collective works on every backend by construction, with the same
+receipt labels, the same argument checks and the same sanitizer
+coverage.
 
 Data movement is **copy-on-write**: every receiving rank gets a
 *read-only view* of the transmitted payload (``ndarray.flags.writeable =
@@ -60,7 +62,8 @@ machine, not the simulation shortcut.
 Payloads may be ``numpy.ndarray`` (dense blocks), objects exposing an
 ``nbytes_on_wire`` attribute (our CSR blocks), or ``None`` (empty
 contribution).  Reductions require dense arrays of identical shape and
-fold by addition, in group order.
+fold by addition, in group order; a reduce-scatter folds only the shards
+its local members keep.
 """
 
 from __future__ import annotations
@@ -278,12 +281,23 @@ class Collectives:
         return group
 
     def _contributions(self, group: Tuple[int, ...],
-                       values: Mapping[int, Any]) -> Mapping[int, Any]:
-        """Every member's contribution, given the locally held ones."""
+                       values: Mapping[int, Any],
+                       keep: Optional[Callable[[Any, Sequence[int]], Any]]
+                       = None) -> Mapping[int, Any]:
+        """Every member's contribution, given the locally held ones.
+
+        ``keep(payload, ranks)``, when given, is the part of a
+        contribution that ``ranks`` keep (a reduce-scatter's shards):
+        every contribution then comes back cut to what this process's
+        members keep, and a backend whose members live elsewhere ships
+        each peer only what that peer's members keep.
+        """
         missing = [r for r in group if r not in values]
         if missing:
             raise KeyError(f"missing contributions from ranks {missing}")
-        return values
+        if keep is None:
+            return values
+        return {r: keep(values[r], group) for r in group}
 
     def _routed_post(self, kind: str,
                      routes: Sequence[Tuple[int, Tuple[int, ...]]],
@@ -377,9 +391,7 @@ class Collectives:
              values: Mapping[int, Any], **kw: Any) -> Tuple[dict, int]:
         """One group collective: ``(results for the local members, the
         wire size its cost rule prices)``."""
-        group = self._group(group)
-        return self._GROUP_MOVE[kind](
-            self, group, self._contributions(group, values), **kw)
+        return self._GROUP_MOVE[kind](self, self._group(group), values, **kw)
 
     def _charged(self, kind: str, group: Sequence[int],
                  values: Mapping[int, Any], category: str,
@@ -389,37 +401,66 @@ class Collectives:
         return out
 
     def _allgather(self, group: Tuple[int, ...],
-                   full: Mapping[int, Any]) -> Tuple[dict, int]:
+                   values: Mapping[int, Any]) -> Tuple[dict, int]:
+        full = self._contributions(group, values)
         shared = [_readonly(full[s], "allgather") for s in group]
         return ({r: list(shared) for r in self._members(group)},
                 sum(payload_nbytes(full[s]) for s in group))
 
-    def _allreduce(self, group: Tuple[int, ...], full: Mapping[int, Any],
+    def _allreduce(self, group: Tuple[int, ...], values: Mapping[int, Any],
                    donate_first: bool = False) -> Tuple[dict, int]:
-        acc = self._reduce_arrays(group, full, donate_first)
+        acc = self._reduce_arrays(group, self._contributions(group, values),
+                                  donate_first)
         shared = _readonly(acc, "allreduce")
         return {r: shared for r in self._members(group)}, int(acc.nbytes)
 
     def _reduce_scatter(
-        self, group: Tuple[int, ...], full: Mapping[int, Any], axis: int = 0,
-        bounds: Optional[Sequence[Tuple[int, int]]] = None,
+        self, group: Tuple[int, ...], values: Mapping[int, Any],
+        axis: int = 0, bounds: Optional[Sequence[Tuple[int, int]]] = None,
     ) -> Tuple[dict, int]:
-        # ``bounds`` never touches the wire size -- shard placement is
-        # layout, not volume.
-        acc = self._reduce_arrays(group, full)
+        """Fold, in group order, only the span of the shards this
+        process's members keep -- which is all a peer sends it -- and
+        hand each member its shard.  Elementwise, that is the whole
+        fold's shard bit for bit."""
+        mine = self._members(group)
+        ref = next((values[r] for r in mine if r in values), None)
+        if ref is None:
+            # nothing of ours to fold: the hook names what is missing
+            self._contributions(group, values)
+        shape = _dense(ref).shape
         if bounds is None:
-            bounds = self.plan.split(acc.shape[axis], len(group))
+            bounds = self.plan.split(shape[axis], len(group))
         elif len(bounds) != len(group):
             raise ValueError(
                 f"got {len(bounds)} shard bounds for a group of "
                 f"{len(group)}"
             )
-        shard_of = dict(zip(group, _axis_shards(acc, bounds, axis)))
-        return ({r: _readonly(shard_of[r], "reduce_scatter")
-                 for r in self._members(group)}, int(acc.nbytes))
+        where = dict(zip(group, bounds))
+
+        def span(ranks: Sequence[int]) -> Tuple[int, int]:
+            return (min(where[r][0] for r in ranks),
+                    max(where[r][1] for r in ranks))
+
+        def keep(payload: Any, ranks: Sequence[int]) -> np.ndarray:
+            arr = _dense(payload)
+            if arr.shape != shape:
+                raise ValueError(
+                    f"reduction shape mismatch: {arr.shape} vs {shape}")
+            return _axis_shards(arr, [span(ranks)], axis)[0]
+
+        acc = self._reduce_arrays(group,
+                                  self._contributions(group, values, keep))
+        base = span(mine)[0]
+        shards = _axis_shards(
+            acc, [(where[r][0] - base, where[r][1] - base) for r in mine],
+            axis)
+        # ``bounds`` never touches the wire size -- shard placement is
+        # layout, not volume.
+        return ({r: _readonly(shard, "reduce_scatter")
+                 for r, shard in zip(mine, shards)}, int(ref.nbytes))
 
     def _sparse_reduce_scatter(
-        self, group: Tuple[int, ...], full: Mapping[int, Any],
+        self, group: Tuple[int, ...], values: Mapping[int, Any],
         nz_rows: Sequence[int], axis: int = 0,
         bounds: Optional[Sequence[Tuple[int, int]]] = None,
     ) -> Tuple[dict, int]:
@@ -428,13 +469,13 @@ class Collectives:
                 f"got {len(nz_rows)} nonzero-row counts for a group of "
                 f"{len(group)}"
             )
-        out, dense_bytes = self._reduce_scatter(group, full, axis, bounds)
+        out, dense_bytes = self._reduce_scatter(group, values, axis, bounds)
         # Critical-path buffer size: the largest sparse contribution
         # (its structurally nonzero rows + one index per row) plays the
         # role the uniform dense buffer plays in reduce_scatter_cost.
         # Sized from structure, never from values: a row the sparsity
         # pattern can fill ships even where it happens to be all zeros.
-        rows = full[group[0]].shape[axis]
+        rows = next(iter(values.values())).shape[axis]
         row_bytes = dense_bytes // max(rows, 1)
         return out, max(nz_rows) * (row_bytes + INDEX_BYTES)
 

@@ -14,7 +14,8 @@ import numpy as np
 
 from repro.comm.tracker import Category
 from repro.dist.base import DistAlgorithm, RoutedBroadcast
-from repro.nn.layers import forward_gemm, sweep_order, weight_gradient
+from repro.nn.layers import (forward_gemm, funnel_reduces, sweep_order,
+                             weight_gradient)
 
 __all__ = ["GridAlgorithm"]
 
@@ -39,11 +40,17 @@ class GridAlgorithm(DistAlgorithm):
     layer takes ``Y^l = (H^{l-1})^T (A G^l)``, every other ``Y^l =
     (T^{l-1})^T G^l``, and one that grows multiplies ``G^l`` by ``W^T``
     before the sweep.  The replicated-``W`` funnels (:meth:`_matmul_w`,
-    :meth:`_weight_grad`) stage-broadcast their left operand along the
-    row groups -- except layer 1's, whose operand ``T^0`` is the same
-    every epoch: it is gathered once, at set-up (:meth:`_keep_t0`), and
-    both its funnels run only their GEMMs from the kept stages.
-    Subclasses provide:
+    :meth:`_weight_grad`) move ``min(f_in, f_out)`` columns along each
+    row group (:func:`repro.nn.layers.funnel_reduces`): a product whose
+    output is narrower reduce-scatters its partials
+    (:meth:`_reduce_product`: forward ``H W`` where a layer shrinks,
+    backward ``G W^T`` where it grows), any other stage-broadcasts its
+    left operand (:meth:`_stage_broadcast`), and the backward of a
+    shrinking layer all-gathers ``A G^l`` once (:meth:`_gather_stages`)
+    and runs both its funnels from those pieces.  Layer 1's operand
+    ``T^0`` is the same every epoch: it is gathered once, at set-up
+    (:meth:`_keep_t0`), and both its funnels run only their GEMMs from
+    the kept stages.  Subclasses provide:
 
     * ``_grid_spmm(sparse_blocks, dense_blocks, f)`` -- the charged
       distributed SpMM sweep (SUMMA / Split-3D);
@@ -223,9 +230,15 @@ class GridAlgorithm(DistAlgorithm):
         return self.widths[0]
 
     def _matmul_w(self, t_blocks, w: np.ndarray, f_in: int, f_out: int,
-                  ws_key=None):
+                  ws_key=None, stages=None):
         """``T W`` for grid-distributed ``T`` (``f_in`` wide; any dense
-        operand of the epoch) and replicated ``W`` (``f_in x f_out``).
+        operand of the epoch) and replicated ``W`` (``f_in x f_out``),
+        moving ``min(f_in, f_out)`` columns along each row group
+        (:func:`~repro.nn.layers.funnel_reduces`): where the output is
+        narrower, :meth:`_reduce_product`; otherwise a stage loop over
+        ``T``'s column blocks, broadcast (:meth:`_stage_broadcast`) or
+        handed in as ``stages``, already gathered
+        (:meth:`_gather_stages`).
 
         Each stage computes one GEMM per *local* row group (the received
         stage block times the matching rows of ``W``) and every local
@@ -241,6 +254,10 @@ class GridAlgorithm(DistAlgorithm):
         ``ws_key`` names a workspace for the group accumulators (callers
         whose result is cached across the epoch pass a per-layer key).
         """
+        if funnel_reduces(f_in, f_out, t_blocks is self._t0):
+            return self._reduce_product(t_blocks, w, f_out)
+        if stages is None:
+            stages = self._stage_broadcast(t_blocks, f_in)
         groups_info = self._local_group_info
         fouts = self._fsplit(f_out)
         accs = []
@@ -260,7 +277,7 @@ class GridAlgorithm(DistAlgorithm):
                     o0, o1 = fouts[self._out_col(r)]
                     yield r, 2.0 * rows * (hi - lo) * (o1 - o0)
 
-        for t, lo, hi, recv in self._stage_broadcast(t_blocks, f_in):
+        for t, lo, hi, recv in stages:
             w_stage = w[lo:hi, :]
             for acc, (gi, group, members, span) in zip(accs, groups_info):
                 acc += forward_gemm(recv[gi], w_stage)
@@ -275,19 +292,100 @@ class GridAlgorithm(DistAlgorithm):
                 out[r] = acc[:, o0:o1]
         return out
 
-    def _weight_grad(self, t_blocks, g_blocks, f_in: int, f_out: int):
-        """``Y^l = T^T G`` (Equation 3): stage broadcasts of T's column
-        blocks, partial outer GEMMs, one world all-reduce.
+    def _reduce_product(self, x_blocks, w: np.ndarray, f_out: int):
+        """``X W`` where the output is narrower than ``X``: every local
+        rank multiplies its own column block of ``X`` by its rows of
+        ``W`` at the full ``f_out`` -- stage ``t``'s GEMM operands -- and
+        each row group reduce-scatters the partials along the columns, so
+        ``f_out`` columns travel instead of ``X``'s.  The fold runs in
+        group order, which is stage order: bitwise the stage loop's ``0 +
+        g_0 + g_1 + ...`` but for the sign of a zero."""
+        groups = self._row_group_list
+        f_in = w.shape[0]
+        fins = self._fsplit(f_in)
+        partials = {}
+        for r, x in x_blocks.items():
+            lo, hi = fins[self._out_col(r)]
+            partials[r] = forward_gemm(x, w[lo:hi, :])
 
-        Like :meth:`_matmul_w`, the outer GEMM runs once per row group
-        against the group's full-width ``G`` rows (re-assembled once per
-        call; on a worker holding only some of the group's ranks the
-        other columns are zeros, which touch no column it keeps) and
-        each rank's zero-padded partial takes its column band from the
-        shared product; bands of ``T^T [G_0 | ... ]`` equal the per-band
-        GEMMs, and the world all-reduce of the padded partials is
-        exactly the historical reduction -- same charges, same result.
+        def gemm_charges():
+            for group in groups:
+                rows = self._grows(group)
+                for r in group:
+                    lo, hi = fins[self._out_col(r)]
+                    yield r, 2.0 * rows * (hi - lo) * f_out
+
+        self._charge_kernel("gemm", ("rpch", f_in, f_out), gemm_charges)
+        return self._collective(
+            "reduce_scatter", ("rprs", f_out), Category.DCOMM, groups,
+            partials,
+            lambda: [(group, self._grows(group) * f_out * self.WB)
+                     for group in groups],
+            axis=1, bounds=self._fsplit(f_out),
+        )
+
+    def _weight_grad(self, t_blocks, g_blocks, f_in: int, f_out: int,
+                     g_stages=None):
+        """``Y^l = T^T G`` (Equation 3): partial outer GEMMs, one world
+        all-reduce, with the narrower operand moving along the row
+        groups.
+
+        Given ``g_stages`` -- ``G`` gathered along the row groups
+        (:meth:`_gather_stages`, the backward of a shrinking layer) --
+        each local rank takes its own row band ``T_r^T G`` from its
+        column block of ``T`` and its group's full ``G``.  Otherwise
+        ``T``'s column blocks are stage-broadcast and, like
+        :meth:`_matmul_w`, the outer GEMM runs once per row group against
+        the group's full-width ``G`` rows (re-assembled once per call; on
+        a worker holding only some of the group's ranks the other
+        columns are zeros, which touch no column it keeps), each rank's
+        partial taking its column band of the shared product.  Either
+        way a partial is zero outside its band, and each entry of ``Y``
+        has one contributor per row group, at the same column index in
+        every group: the world all-reduce folds the same terms in the
+        same order.
         """
+        if g_stages is not None:
+            partials = self._row_band_partials(t_blocks, g_stages, f_in,
+                                               f_out)
+        else:
+            partials = self._column_band_partials(t_blocks, g_blocks, f_in,
+                                                  f_out)
+        y = self._obs_call(
+            "allreduce", Category.DCOMM, self.rt.coll.allreduce,
+            self.world_group, partials, category=Category.DCOMM,
+        )
+        return next(iter(y.values()))
+
+    def _partial_buffer(self, r: int, f_in: int, f_out: int) -> np.ndarray:
+        buf = self._ws(("wgp", r, f_in, f_out), (f_in, f_out))
+        buf.fill(0.0)
+        return buf
+
+    def _row_band_partials(self, t_blocks, g_stages, f_in: int, f_out: int):
+        fins = self._fsplit(f_in)
+        partials = {}
+        for gi, group, members, span in self._local_group_info:
+            g_full = self._join_span([recv[gi] for *_, recv in g_stages],
+                                     self._grows(group), f_out,
+                                     ("grows", gi, f_out))
+            for r in members:
+                lo, hi = fins[self._out_col(r)]
+                partials[r] = self._partial_buffer(r, f_in, f_out)
+                partials[r][lo:hi] = weight_gradient(t_blocks[r], g_full)
+
+        def gemm_charges():
+            for group in self._row_group_list:
+                rows = self._grows(group)
+                for r in group:
+                    lo, hi = fins[self._out_col(r)]
+                    yield r, 2.0 * (hi - lo) * rows * f_out
+
+        self._charge_kernel("gemm", ("wgrch", f_in, f_out), gemm_charges)
+        return partials
+
+    def _column_band_partials(self, t_blocks, g_blocks, f_in: int,
+                              f_out: int):
         groups_info = self._local_group_info
         fouts = self._fsplit(f_out)
         g_rows = []
@@ -299,11 +397,8 @@ class GridAlgorithm(DistAlgorithm):
             np.concatenate([g_blocks[r] for r in members], axis=1,
                            out=buf[:, o_lo:o_hi])
             g_rows.append(buf)
-        partials = {}
-        for r in t_blocks:
-            buf = self._ws(("wgp", r, f_in, f_out), (f_in, f_out))
-            buf.fill(0.0)
-            partials[r] = buf
+        partials = {r: self._partial_buffer(r, f_in, f_out)
+                    for r in t_blocks}
 
         def stage_charges(lo: int, hi: int):
             for group in self._row_group_list:
@@ -322,20 +417,14 @@ class GridAlgorithm(DistAlgorithm):
                 "gemm", ("wgch", f_in, f_out, t),
                 lambda lo=lo, hi=hi: stage_charges(lo, hi),
             )
-        y = self._obs_call(
-            "allreduce", Category.DCOMM, self.rt.coll.allreduce,
-            self.world_group, partials, category=Category.DCOMM,
-        )
-        return next(iter(y.values()))
+        return partials
 
-    def _row_allgather(self, blocks, f: int):
-        """Full rows on every local rank (concurrent per-row-group
-        gathers) -- what the row-wise log_softmax needs.  Every member of
-        a row group receives the same contributions, so the concatenation
-        happens once per (local) group and the joined rows are shared
-        read-only.  Charges are global and sized from structure (``group
-        rows x f``); the data plane moves only the groups this process
-        participates in."""
+    def _row_pieces(self, blocks, f: int):
+        """Concurrent per-row-group all-gathers of ``blocks`` (``f``
+        wide): per local row group index, its members' pieces in column
+        order, one shared read-only list per group.  Charges are global
+        and sized from structure (``group rows x f``); the data plane
+        moves only the groups this process participates in."""
         got = self._collective(
             "allgather", ("ragch", f), Category.DCOMM, self._row_group_list,
             blocks,
@@ -343,9 +432,30 @@ class GridAlgorithm(DistAlgorithm):
                      for group in self._row_group_list],
             span="row_allgather",
         )
+        return {gi: got[members[0]]
+                for gi, group, members, span in self._local_group_info}
+
+    def _gather_stages(self, blocks, f: int):
+        """``blocks`` (``f`` wide) gathered along every row group once,
+        as the stage list :meth:`_stage_broadcast` would yield: the
+        backward of a shrinking layer gathers ``A G^l`` so, and both its
+        funnels run from the pieces (:meth:`_weight_grad`,
+        :meth:`_matmul_w`)."""
+        got = self._row_pieces(blocks, f)
+        groups = range(len(self._row_group_list))
+        return [(t, lo, hi, [got[gi][t] if gi in got else None
+                             for gi in groups])
+                for t, (lo, hi) in enumerate(self._fsplit(f)) if hi > lo]
+
+    def _row_allgather(self, blocks, f: int):
+        """Full rows on every local rank -- what the row-wise log_softmax
+        needs.  Every member of a row group receives the same pieces
+        (:meth:`_row_pieces`), so the concatenation happens once per
+        (local) group and the joined rows are shared read-only."""
+        pieces = self._row_pieces(blocks, f)
         full = {}
         for gi, group, members, span in self._local_group_info:
-            joined = np.concatenate(got[members[0]], axis=1)
+            joined = np.concatenate(pieces[gi], axis=1)
             joined.flags.writeable = False
             for r in members:
                 full[r] = joined
@@ -479,21 +589,29 @@ class GridAlgorithm(DistAlgorithm):
             layer = self.model.layers[l]
             f_in, f_out = layer.f_in, layer.f_out
             order = sweep_order(f_in, f_out, l == 0)
+            # Where A G^l is narrower than H^{l-1}, it is gathered along
+            # the row groups once and both funnels run from the pieces.
+            gather = funnel_reduces(f_in, f_out, l == 0)
             if l > 0 and not order.project_bwd:
                 # A G^l, for Equation 2 below; layer 1 has no G^0 to form.
+                # A gathered one is read to the epoch's end (its receipts
+                # are re-hashed there), so no later sweep may refill it.
                 ag_blocks = self._obs_call(
                     "spmm.bwd", "spmm", self._grid_spmm,
-                    self.a_blocks, g_blocks, f_out, ws_key=("ag",),
+                    self.a_blocks, g_blocks, f_out,
+                    ws_key=("ag", l) if gather else ("ag",),
                 )
+            g_stages = (self._gather_stages(ag_blocks, f_out) if gather
+                        else None)
             # Y^l = X^T G, with (X, G) = (H^{l-1}, A G^l) where W went
             # first forward.
             grads[l] = self._weight_grad(
                 caches[l]["x"], ag_blocks if order.project_fwd else g_blocks,
-                f_in, f_out)
+                f_in, f_out, g_stages)
             if l > 0:
                 gh_blocks = self._matmul_w(
                     g_blocks if order.project_bwd else ag_blocks,
-                    layer.weight.T, f_out, f_in,
+                    layer.weight.T, f_out, f_in, stages=g_stages,
                 )
                 if order.project_bwd:
                     gh_blocks = self._obs_call(

@@ -38,6 +38,11 @@ once per feature matrix, at set-up) and there is no ``G^0`` to
 aggregate: it always takes the first form, whatever its shape.  Serial
 and distributed share the per-layer form, which is what keeps them
 bit-close.
+
+One level down, :func:`funnel_reduces` applies the same rule to the 2D /
+3D replicated-``W`` products (:mod:`repro.dist.grid`, and its emitter
+:func:`repro.simulate.schedule.emit_grid_epoch`): each moves
+``min(f_in, f_out)`` columns along its row group.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ __all__ = [
     "LayerCache",
     "SweepOrder",
     "check_widths",
+    "funnel_reduces",
     "sweep_order",
     "sweep_widths",
     "forward_gemm",
@@ -103,6 +109,20 @@ def sweep_order(f_in: int, f_out: int,
     if input_layer:
         return SweepOrder(False, False)
     return SweepOrder(f_out < f_in, f_in < f_out)
+
+
+def funnel_reduces(f_in: int, f_out: int, input_layer: bool = False) -> bool:
+    """The rule one level down, for a replicated-``W`` product ``X W``
+    whose ``X`` (``f_in`` wide) has its columns split across a row group.
+
+    Where the output is narrower, each rank multiplies its own column
+    block by its rows of ``W`` and the row group reduce-scatters the
+    ``f_out``-wide partials; otherwise ``X``'s column blocks are broadcast
+    along the row group.  Either way ``min(f_in, f_out)`` columns travel.
+    The input layer's products run from stages gathered once at set-up,
+    so it is outside the rule, like in :func:`sweep_order`.
+    """
+    return not input_layer and f_out < f_in
 
 
 def sweep_widths(widths: Sequence[int]) -> Tuple[Tuple[int, ...],

@@ -101,7 +101,8 @@ Layer responsibilities:
 * ``collectives.py``-- the four transport hooks
   :class:`~repro.comm.collectives.Collectives` writes every collective
   against, for a rank-local worker: ``_contributions`` (one ``("cg",
-  group)`` rendezvous gathers a group's contributions; the inherited
+  group)`` rendezvous gathers a group's contributions -- for a
+  reduce-scatter only the shards each peer keeps; the inherited
   reductions fold them in group-rank order, a fixed tree, so results
   match the virtual runtime bit for bit on either transport), the
   ``_routed_post`` / ``_routed_collect`` pair all three routed kinds

@@ -6,7 +6,8 @@ hooks.  :class:`ProcessCollectives` is those hooks for a rank-local
 worker process: contributions cover only the ranks this worker owns,
 payloads really cross process boundaries (through
 :mod:`repro.parallel.channel`), and results come back for the owned ranks
-only.  Nothing here computes a cost or touches the tracker: the
+only -- a reduce-scatter ships each peer only the shards its ranks keep.
+Nothing here computes a cost or touches the tracker: the
 **charging** side is inherited -- the same alpha-beta rules hit the same
 full-world tracker, so every worker keeps a complete, bit-identical copy
 of the virtual runtime's ledger (the cross-backend oracle).
@@ -20,7 +21,7 @@ frozen seeds.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, Sequence, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.comm.collectives import Collectives, _readonly
 from repro.comm.plan import CommPlan
@@ -52,6 +53,8 @@ class ProcessCollectives(Collectives):
         self.wid = channel.wid
         self.local_set = frozenset(local_ranks)
         self._wset_cache: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        self._ranks_on_cache: Dict[Tuple[Tuple[int, ...], int],
+                                   Tuple[int, ...]] = {}
 
     def _workers_of(self, group: Tuple[int, ...]) -> Tuple[int, ...]:
         wset = self._wset_cache.get(group)
@@ -63,11 +66,26 @@ class ProcessCollectives(Collectives):
     def _members(self, group: Tuple[int, ...]) -> Sequence[int]:
         return [r for r in group if r in self.local_set]
 
+    def _ranks_on(self, group: Tuple[int, ...], w: int) -> Tuple[int, ...]:
+        """The members of ``group`` worker ``w`` owns."""
+        key = (group, w)
+        ranks = self._ranks_on_cache.get(key)
+        if ranks is None:
+            ranks = tuple(r for r in group if self.owner_of[r] == w)
+            self._ranks_on_cache[key] = ranks
+        return ranks
+
     def _contributions(self, group: Tuple[int, ...],
-                       values: Mapping[int, Any]) -> Mapping[int, Any]:
+                       values: Mapping[int, Any],
+                       keep: Optional[Callable[[Any, Sequence[int]], Any]]
+                       = None) -> Mapping[int, Any]:
         """All group contributions, gathered across the member workers
-        in one rendezvous (none when one worker owns the whole group)."""
-        missing = [r for r in self._members(group) if r not in values]
+        in one rendezvous (none when one worker owns the whole group).
+        With ``keep``, each peer is sent of every local contribution only
+        what its own members keep, and what comes back is cut to what
+        ours keep."""
+        mine = self._members(group)
+        missing = [r for r in mine if r not in values]
         if missing:
             raise KeyError(f"missing local contributions from ranks {missing}")
         wset = self._workers_of(group)
@@ -76,13 +94,19 @@ class ProcessCollectives(Collectives):
                 f"worker {self.wid} called a collective on group {group} "
                 "it has no ranks in"
             )
-        if len(wset) == 1:
-            return values
-        mine = [(r, values[r]) for r in self._members(group)]
         others = [w for w in wset if w != self.wid]
-        got = self.channel.exchange(("cg", group),
-                                    dict.fromkeys(others, mine), others)
-        full = dict(values)
+        if keep is None:
+            if not others:
+                return values
+            full = dict(values)
+            outbox = dict.fromkeys(others, [(r, values[r]) for r in mine])
+        else:
+            full = {r: keep(values[r], mine) for r in mine}
+            outbox = {w: [(r, keep(values[r], self._ranks_on(group, w)))
+                          for r in mine] for w in others}
+        if not others:
+            return full
+        got = self.channel.exchange(("cg", group), outbox, others)
         for pairs in got.values():
             full.update(pairs)
         return full

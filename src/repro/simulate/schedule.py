@@ -12,7 +12,12 @@ The :mod:`repro.dist` algorithm classes emit schedules through their
 ``emit_comm_schedule`` hooks by replaying their epoch loops symbolically
 -- same collectives, same groups, same byte counts -- without building a
 single numpy block or virtual rank, which is what makes P = 16384
-tractable.
+tractable.  The emitters import the trainer's own rules from
+:mod:`repro.nn.layers` rather than restating them: which side of its
+layer each sweep runs on (:func:`~repro.nn.layers.sweep_order`) and, in
+2D / 3D, whether a replicated-``W`` product reduce-scatters its narrow
+output or stage-broadcasts its narrow input along the row groups
+(:func:`~repro.nn.layers.funnel_reduces`).
 
 Pricing a schedule (:func:`evaluate_schedule`) calls the price list of
 :mod:`repro.comm.cost_model` -- the very rules the executed ledger is
@@ -43,7 +48,7 @@ import numpy as np
 from repro.comm import cost_model as cm
 from repro.comm.tracker import Category
 from repro.config import FP64_BYTES, INDEX_BYTES, MachineProfile
-from repro.nn.layers import sweep_order
+from repro.nn.layers import funnel_reduces, sweep_order
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.distribute import block_ranges
 from repro.sparse.perfmodel import SpmmPerfModel
@@ -785,9 +790,14 @@ def emit_grid_epoch(
     each, ``group_size`` members, one per block of the
     ``fsplit_widths(f)`` feature-column split), every rank's rows and
     columns, and the family's sweep: ``grid_spmm(f, backward)`` selects
-    the forward (``A^T``) or backward (``A``) sparse operand, and
-    :func:`~repro.nn.layers.sweep_order` which side of its replicated-
-    ``W`` product each sweep runs on.
+    the forward (``A^T``) or backward (``A``) sparse operand.
+    :func:`~repro.nn.layers.sweep_order` decides which side of its
+    replicated-``W`` product each sweep runs on, and
+    :func:`~repro.nn.layers.funnel_reduces` how each product moves its
+    ``min(f_in, f_out)`` columns along the row groups: a reduce-scatter
+    where the output is narrower, else a stage loop -- broadcast, or
+    from pieces gathered already (layer 1's ``T^0`` at set-up, a
+    shrinking layer's ``A G^l`` once per backward).
     """
     rows = np.asarray(rows_of_rank, dtype=np.float64)
     group_rows = np.asarray(group_rows, dtype=np.float64)
@@ -797,9 +807,9 @@ def emit_grid_epoch(
                    kept: bool = False) -> None:
         # `_stage_broadcast`'s loop: per nonempty stage t, each row
         # group's t-th member broadcasts its block row-wise (one step;
-        # none where the stages are `kept`: layer 1's T^0, gathered at
-        # set-up), then every rank runs a partial GEMM into `f_out`'s
-        # columns (one step; none for the set-up gather itself).
+        # none where the stages are `kept`: gathered already), then
+        # every rank runs a partial GEMM into `f_out`'s columns (one
+        # step; none for the set-up gather itself).
         for w_t in fsplit_widths(f_in):
             if w_t == 0:
                 continue
@@ -809,6 +819,18 @@ def emit_grid_epoch(
             if f_out is not None:
                 b.gemm(2.0 * rows * w_t * outw_of_rank(f_out))
 
+    def product(f_in: int, f_out: int, input_layer: bool = False,
+                gathered: bool = False) -> None:
+        # `_matmul_w`: `_reduce_product`'s one GEMM per rank (its own
+        # column block into all of `f_out`) and the row groups'
+        # reduce-scatter, or the stage loop.
+        if funnel_reduces(f_in, f_out, input_layer):
+            b.gemm(2.0 * rows * outw_of_rank(f_in) * f_out)
+            b.reduce_scatter(Category.DCOMM, group_size,
+                             group_rows * (f_out * b.wb))
+        else:
+            stage_loop(f_in, f_out, kept=input_layer or gathered)
+
     grid_spmm(widths[0], False)
     stage_loop(widths[0])
     b.end_setup()
@@ -817,7 +839,7 @@ def emit_grid_epoch(
         project_first = sweep_order(f_in, f_out, l == 0).project_fwd
         if l > 0 and not project_first:
             grid_spmm(f_in, False)
-        stage_loop(f_in, f_out, kept=l == 0)
+        product(f_in, f_out, input_layer=l == 0)
         if project_first:
             grid_spmm(f_out, False)
         if l < n_layers - 1:
@@ -832,12 +854,18 @@ def emit_grid_epoch(
     for l in range(n_layers - 1, -1, -1):
         f_in, f_out = widths[l], widths[l + 1]
         project_first = sweep_order(f_in, f_out, l == 0).project_bwd
+        gather = funnel_reduces(f_in, f_out, l == 0)
         if l > 0 and not project_first:
             grid_spmm(f_out, True)
-        stage_loop(f_in, f_out, kept=l == 0)       # Y^l = X^T G
+        if gather:                                 # A G^l, once
+            b.allgather(Category.DCOMM, group_size,
+                        group_rows * (f_out * b.wb))
+            b.gemm(2.0 * rows * outw_of_rank(f_in) * f_out)
+        else:
+            stage_loop(f_in, f_out, kept=l == 0)   # Y^l = X^T G
         b.allreduce(Category.DCOMM, b.p, f_in * f_out * b.wb)
         if l > 0:
-            stage_loop(f_out, f_in)                # G W^T
+            product(f_out, f_in, gathered=gather)  # G W^T
             if project_first:
                 grid_spmm(f_in, True)
             b.elementwise(rows * outw_of_rank(f_in) * (3.0 * b.wb))

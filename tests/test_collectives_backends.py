@@ -29,7 +29,7 @@ from test_parallel_tickets import fabric, run_threads  # noqa: F401
 from repro.analysis import sanitize
 from repro.analysis.sanitize import Sanitizer
 from repro.comm import VirtualRuntime
-from repro.comm.mesh import Mesh1D
+from repro.comm.mesh import Mesh1D, Mesh2D
 from repro.comm.tracker import Category
 from repro.dist.registry import (ALGORITHMS, make_distribution,
                                  make_runtime_for)
@@ -232,6 +232,46 @@ def test_bounds_must_name_one_range_per_member(fabric, backend, form):
                                           bounds=short)
         else:
             rt.coll.reduce_scatter(WORLD, values, bounds=short)
+
+
+# --------------------------------------------------------------------- #
+# a reduce-scatter ships shards, not whole partials
+# --------------------------------------------------------------------- #
+def channel_bytes(rt) -> int:
+    channel = getattr(rt.coll, "channel", None)
+    return 0 if channel is None else channel.bytes_sent
+
+
+def test_funnel_reduce_scatter_ships_its_ledger_bytes(fabric, ds):
+    """At W = 4 every rank of a 2D P = 4 row group has a worker of its
+    own.  The replicated-``W`` funnel's reduce-scatter (a 6 -> 3 product)
+    sends each peer only the shard it keeps, so the shm channel carries
+    exactly the bytes the ledger charges -- whole partials put ``Pc``
+    times that on the wire -- and every rank gets the virtual runtime's
+    shard."""
+    mesh = Mesh2D.square(4)
+    weight = np.random.default_rng(0).standard_normal((6, 3))
+
+    def funnel(rt):
+        algo = ALGORITHMS["2d"](rt, ds.adjacency, (8, 6, 3), seed=0)
+        x = {}
+        for r in range(P):
+            if rt.is_local(r):
+                lo, hi = algo._fsplit(6)[algo._out_col(r)]
+                x[r] = dense(r, algo._rows_of(r), hi - lo)
+        before = (rt.tracker.total_bytes(Category.DCOMM), channel_bytes(rt))
+        out = algo._matmul_w(x, weight, 6, 3)
+        return out, (rt.tracker.total_bytes(Category.DCOMM) - before[0],
+                     channel_bytes(rt) - before[1])
+
+    virtual = VirtualRuntime(mesh)
+    want, (charged, _) = funnel(virtual)
+    res = spmd(fabric, "shm", 4, mesh, funnel)
+    for rt, (got, (worker_charged, _)) in res.values():
+        assert same_receipts(rt, got, want) == 1
+        assert worker_charged == charged
+        assert ledger_digest(rt.tracker) == ledger_digest(virtual.tracker)
+    assert sum(sent for _, (_, (_, sent)) in res.values()) == charged > 0
 
 
 # --------------------------------------------------------------------- #

@@ -72,7 +72,14 @@ CONFIGS = [
 #: charging every group member its group's rows x f^0 x 8 bytes -- 2D
 #: P = 4 ``dcomm`` 298080 -> 224352 (2 x Pc x n x 12 x 8 less), 3D P = 27
 #: 615111 -> 504519 (2 x 3 x n x 12 x 8 less); ``scomm`` / ``trpose`` and
-#: the eleven ``loss1`` values did not move.
+#: the eleven ``loss1`` values did not move.  And once more for the five
+#: grid rows, when the replicated-``W`` funnels above layer 1 went to the
+#: narrow width: the last layer (8 -> 4) reduce-scatters its forward
+#: product and all-gathers ``A G`` once for both backward funnels, each
+#: charging the world (Pc - 1) x n x 4 x 8 bytes, where its three stage
+#: loops had charged Pc x n x (8 + 8 + 4) x 8 -- 2D P = 4 ``dcomm`` 224352
+#: -> 175200; ``scomm`` / ``trpose`` and the eleven ``loss1`` values did
+#: not move.
 PRE_OPT_ORACLE = {
     ("1d", 4): dict(dcomm=119904, scomm=0, trpose=0, max_rank=29976,
                     seconds=0.00019552624206766914,
@@ -92,20 +99,20 @@ PRE_OPT_ORACLE = {
     ("1.5d", 16): dict(dcomm=405888, scomm=0, trpose=0, max_rank=25368,
                        seconds=0.00026369362358940826,
                        loss1=1.4010554851746766),
-    ("2d", 4): dict(dcomm=224352, scomm=136256, trpose=17032,
-                    max_rank=111924, seconds=0.0003340097886678655,
+    ("2d", 4): dict(dcomm=175200, scomm=136256, trpose=17032,
+                    max_rank=99636, seconds=0.00031181778866786554,
                     loss1=1.4010554851746768),
-    ("2d", 8): dict(dcomm=310496, scomm=148928, trpose=17048,
-                    max_rank=77688, seconds=0.0005304953523635176,
+    ("2d", 8): dict(dcomm=261344, scomm=148928, trpose=17048,
+                    max_rank=71544, seconds=0.000502228221928735,
                     loss1=1.4010554851746766),
-    ("2d", 16): dict(dcomm=482784, scomm=297856, trpose=18616,
-                     max_rank=67442, seconds=0.0007310724208695648,
+    ("2d", 16): dict(dcomm=396768, scomm=297856, trpose=18616,
+                     max_rank=62066, seconds=0.0006548386817391306,
                      loss1=1.4010554851746766),
-    ("3d", 8): dict(dcomm=292064, scomm=148672, trpose=0,
-                    max_rank=71004, seconds=0.00044070349646289637,
+    ("3d", 8): dict(dcomm=242912, scomm=148672, trpose=0,
+                    max_rank=64860, seconds=0.0004124363660281138,
                     loss1=1.4010554851746768),
-    ("3d", 27): dict(dcomm=504519, scomm=270000, trpose=0,
-                     max_rank=43107, seconds=0.0006285572214634169,
+    ("3d", 27): dict(dcomm=436929, scomm=270000, trpose=0,
+                     max_rank=40525, seconds=0.0005784449392936446,
                      loss1=1.4010554851746768),
 }
 

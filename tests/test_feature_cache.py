@@ -454,13 +454,29 @@ def test_trained_2d_holds_no_more_than_before_the_gather():
 
 
 #: At W = 4 a 2D P = 4 rank, and a pair of 3D P = 8 ranks, have a worker
-#: each, so every row group spans workers and the set-up gather crosses
-#: the wire (at W = 2 the groups stay inside one worker).
+#: each, so every row group spans workers and the set-up gather, like the
+#: replicated-``W`` funnels' collectives, crosses the wire (at W = 2 the
+#: groups stay inside one worker).
 SPANNING = [
     pytest.param("2d", 4, "tcp", id="2d-w4-tcp"),
     pytest.param("3d", 8, "shm", id="3d-w4-shm"),
 ]
 SPANNING_WORKERS = 4
+#: (hidden, classes): widths 10-6-6-3, whose last layer shrinks (its
+#: forward product reduce-scatters, its backward gathers ``A G`` once for
+#: both funnels), and 10-4-4-7, whose last layer grows (its backward
+#: ``G W^T`` reduce-scatters) -- across workers, every funnel's
+#: collective crosses the wire.
+SPANNING_SHAPES = [pytest.param(6, 3, id="shrinking"),
+                   pytest.param(4, 7, id="growing")]
+
+
+def shaped(name, p, hidden, classes, **extra):
+    """``(dataset, algorithm)`` with widths ``10-hidden-hidden-classes``."""
+    data = make_synthetic(n=61, avg_degree=4, f=10, n_classes=classes,
+                          seed=11)
+    return data, make_algorithm(name, p, data, hidden=hidden, seed=0,
+                                **extra)
 
 
 @pytest.fixture
@@ -471,19 +487,21 @@ def sanitizer_off_afterwards():
 
 
 class TestRowGroupsAcrossWorkers:
+    @pytest.mark.parametrize("hidden,classes", SPANNING_SHAPES)
     @pytest.mark.parametrize("name,p,transport", SPANNING)
     def test_bit_equal_to_virtual_sanitizer_on_and_off(
-            self, ds, watchdog, monkeypatch, sanitizer_off_afterwards, name,
-            p, transport):
-        second = edited(ds.features)
-        want = two_fits(make(ds, name, p, {}), ds, second)
+            self, watchdog, monkeypatch, sanitizer_off_afterwards, name,
+            p, transport, hidden, classes):
+        data, virtual = shaped(name, p, hidden, classes)
+        second = edited(data.features)
+        want = two_fits(virtual, data, second)
         for armed in (False, True):
             if armed:
                 monkeypatch.setenv(sanitize.ENV_FLAG, "1")
-            algo = make(ds, name, p, {}, backend="process",
-                        workers=SPANNING_WORKERS, transport=transport)
+            _, algo = shaped(name, p, hidden, classes, backend="process",
+                             workers=SPANNING_WORKERS, transport=transport)
             try:
-                got = two_fits(algo, ds, second)
+                got = two_fits(algo, data, second)
                 workers = algo.rt.backend_stats()["per_worker"]
             finally:
                 algo.rt.close()
@@ -496,18 +514,21 @@ class TestRowGroupsAcrossWorkers:
                 assert [w["sanitizer"] for w in workers] == \
                     [None] * SPANNING_WORKERS
 
+    @pytest.mark.parametrize("hidden,classes", SPANNING_SHAPES)
     @pytest.mark.parametrize("name,p,transport", SPANNING)
     def test_kill_and_recover_ends_on_the_fault_free_digest(
-            self, ds, watchdog, tmp_path, name, p, transport):
+            self, watchdog, tmp_path, name, p, transport, hidden, classes):
         """The respawned pool holds no kept stages: it aggregates and
         gathers again, and the checkpoint's ledger overwrites that."""
-        second = edited(ds.features)
-        want = two_fits(make(ds, name, p, {}), ds, second)
-        algo = make(ds, name, p, {}, backend="process",
-                    workers=SPANNING_WORKERS, transport=transport,
-                    max_restarts=3, faults="kill:worker=1,epoch=1,attempt=1")
+        data, virtual = shaped(name, p, hidden, classes)
+        second = edited(data.features)
+        want = two_fits(virtual, data, second)
+        _, algo = shaped(name, p, hidden, classes, backend="process",
+                         workers=SPANNING_WORKERS, transport=transport,
+                         max_restarts=3,
+                         faults="kill:worker=1,epoch=1,attempt=1")
         try:
-            got = two_fits(algo, ds, second,
+            got = two_fits(algo, data, second,
                            checkpoint_path=str(tmp_path / "ck.npz"),
                            checkpoint_every=1)
             stats = algo.rt.backend_stats(workers=False)
@@ -517,9 +538,12 @@ class TestRowGroupsAcrossWorkers:
         assert stats["restarts"] == 1
 
     def test_exchanges_per_worker_epoch_tcp(self, ds, watchdog):
-        """33 exchanges per worker-epoch at W = 4 (37 while layer 1's two
-        stage loops, two stages each, re-broadcast ``T^0``); the set-up
-        gains the gather's two beside the aggregation's four."""
+        """29 exchanges per worker-epoch at W = 4.  The shrinking last
+        layer (8 -> 3) reduce-scatters its forward product and gathers
+        ``A G`` once for both backward funnels: one exchange each where
+        its three stage loops, two stages each, took six (33); 37 while
+        layer 1's two stage loops re-broadcast ``T^0``.  The set-up gains
+        the gather's two beside the aggregation's four."""
         algo = make(ds, "2d", 4, {}, backend="process",
                     workers=SPANNING_WORKERS, transport="tcp")
         try:
@@ -533,5 +557,5 @@ class TestRowGroupsAcrossWorkers:
             [b["exchanges"] - a["exchanges"]
              for a, b in zip(s0["per_worker"], s1["per_worker"])]
             for s0, s1 in zip(marks, marks[1:])]
-        assert again == [K * 33] * SPANNING_WORKERS
-        assert first == [4 + 2 + 33] * SPANNING_WORKERS
+        assert again == [K * 29] * SPANNING_WORKERS
+        assert first == [4 + 2 + 29] * SPANNING_WORKERS

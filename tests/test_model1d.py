@@ -68,12 +68,15 @@ class TestPaperStories:
     The executed epoch sweeps at the narrow side of every layer
     (``repro.nn.layers.sweep_order``), which on Protein (128-16-16-256)
     takes the 256-wide last-layer backward sweep down to 16 and 1D's
-    dense volume down 4.75x; 2D's 256-wide row all-gather and its
-    replicated-``W`` funnels above layer 1 do not shrink (layer 1's left
-    the epoch: ``T^0`` is gathered along the process rows at set-up).
-    The paper's stories still hold, further out: 2D moves fewer dense
-    bytes from P = 100 (between 64 and 256 here) and wins
-    commodity-network seconds from P = 1936 (4096 here).
+    dense volume down 4.75x.  2D's replicated-``W`` funnels follow the
+    same rule one level down (``repro.nn.layers.funnel_reduces``): the
+    growing last layer reduce-scatters ``G W^T`` at 16 columns instead
+    of broadcasting ``G`` at 256, and layer 1's funnels left the epoch
+    (``T^0`` is gathered along the process rows at set-up); only the
+    256-wide row all-gather before ``log_softmax`` stays wide.  The
+    paper's stories hold from P = 36: 2D moves fewer dense bytes there
+    (not at P = 25), and wins commodity-network seconds from P = 1600
+    (4096 here).
     """
 
     def test_2d_moves_fewer_dense_bytes(self):
@@ -85,15 +88,17 @@ class TestPaperStories:
         )
 
     def test_narrow_sweeps_move_the_protein_crossover(self):
-        """The finding above, pinned: at P = 64, where the wide-sweep
-        epoch had 2D at under half of 1D's dense bytes, 1D now moves
-        fewer -- its sweeps are 64 column-units against 304."""
-        m1 = published("1d", "protein", 64)
-        m2 = published("2d", "protein", 64)
-        assert (
-            m1.bytes_by_category[Category.DCOMM]
-            < m2.bytes_by_category[Category.DCOMM]
-        )
+        """The finding above, pinned: narrow sweeps took 1D's dense
+        bytes down to 64 column-units of sweeps against 304, and narrow
+        funnels take 2D's back below them from P = 36 (the crossover was
+        P = 100 while 2D's funnels broadcast the wide operand)."""
+        for p, two_d_fewer in ((25, False), (36, True), (64, True)):
+            m1 = published("1d", "protein", p)
+            m2 = published("2d", "protein", p)
+            assert (
+                m2.bytes_by_category[Category.DCOMM]
+                < m1.bytes_by_category[Category.DCOMM]
+            ) == two_d_fewer, p
         assert sum(map(sum, sweep_widths((128, 16, 16, 256)))) == 64
 
     def test_1d_dense_bytes_do_not_scale_with_p(self):

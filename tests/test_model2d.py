@@ -93,14 +93,17 @@ class TestFullScaleShapes:
         """Recorded finding: the epoch this trainer executes does not
         share that story.  It aggregates ``A^T H^0`` and gathers it along
         the row groups once per feature matrix, so no 300-wide operand
-        moves in an epoch, and the dense bytes fall to 0.80-0.84x the
-        sparse bytes at P = 16 / 36 / 64 (3.3-3.6x while layer 1's
-        replicated-``W`` products re-broadcast ``T^0`` every epoch)."""
+        moves in an epoch, and its replicated-``W`` funnels move the
+        narrow side (the growing last layer reduce-scatters ``G W^T`` at
+        16 columns, not 24): the dense bytes fall to 0.76-0.79x the
+        sparse bytes at P = 16 / 36 / 64 (0.80-0.84x while that funnel
+        broadcast ``G``, 3.3-3.6x while layer 1's replicated-``W``
+        products re-broadcast ``T^0`` every epoch)."""
         for p in (16, 36, 64):
             r = published("amazon", p)
             ratio = (r.bytes_by_category[Category.DCOMM]
                      / r.bytes_by_category[Category.SCOMM])
-            assert 0.78 < ratio < 0.86, (p, ratio)
+            assert 0.74 < ratio < 0.80, (p, ratio)
 
     def test_amazon_dcomm_halves_with_4x_devices(self):
         """'time spent communicating dense matrices goes down by 2x given

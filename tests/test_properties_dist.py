@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm import VirtualRuntime
+from repro.comm.tracker import Category
 from repro.dist import (
     ALGORITHMS,
     DistGCN1D,
@@ -29,7 +30,8 @@ from repro.dist import (
 )
 from repro.graph import make_synthetic
 from repro.nn import GCN, SGD, SerialTrainer
-from repro.simulate.schedule import GraphModel
+from repro.nn.layers import sweep_widths
+from repro.simulate.schedule import GraphModel, evaluate_schedule
 from repro.sparse.csr import CSRMatrix
 from test_simulate import assert_sections_exact
 
@@ -154,6 +156,8 @@ SHAPE_CONFIGS = [
     pytest.param("2d", 8, {"grid": (2, 4)}, False, id="2d-2x4"),
     pytest.param("3d", 8, {}, False, id="3d-8"),
 ]
+#: the grid families among them
+GRID_CONFIGS = [c for c in SHAPE_CONFIGS if c.values[0] in ("2d", "3d")]
 
 
 @st.composite
@@ -246,6 +250,60 @@ class TestGeneratedShapes:
         assert hist.setup.dcomm_bytes == (p - 1) * n * 8 * widths[0]
         assert [e.dcomm_bytes for e in hist.epochs] == \
             [(p - 1) * n * 8 * units + 2 * (p - 1) * reduced] * 2
+
+    @pytest.mark.parametrize("name,p,kw,directed_ok", GRID_CONFIGS)
+    @given(data=st.data())
+    def test_grid_funnels_move_the_narrow_sides(self, name, p, kw,
+                                                directed_ok, data):
+        """(v) Above layer 1 the replicated-``W`` funnels move each
+        layer's narrow side along the row groups (``Pc`` members, ``n``
+        rows between them).  One that shrinks reduce-scatters its
+        forward product and gathers ``A G`` once backward: ``(Pc - 1) n
+        f^l`` words each.  Any other broadcasts ``f^{l-1}`` stages
+        forward and for ``Y``, ``Pc n f^{l-1}`` each, then ``G W^T``
+        again (equal widths) or, growing, reduce-scatters it at
+        ``f^{l-1}``.  Beyond the sweeps, the ``log_softmax`` row gather
+        and the all-reduces, the ledger and the emitted schedule charge
+        exactly that."""
+        a_t, features, labels, widths, seed = data.draw(
+            shaped_problems(directed_ok))
+        algo, emit_kw = build_shaped(name, p, kw, a_t, widths, seed)
+        schedule = ALGORITHMS[name].emit_comm_schedule(
+            GraphModel.from_csr(a_t), widths, p, **emit_kw)
+        n, pc = a_t.nrows, len(algo._row_group_list[0])
+        units = 0
+        for a, b in zip(widths[1:-1], widths[2:]):
+            if b < a:        # reduce-scatter, gather: f^l
+                units += 2 * (pc - 1) * b
+            elif a < b:      # two stage loops, reduce-scatter: f^{l-1}
+                units += (3 * pc - 1) * a
+            else:            # three stage loops
+                units += 3 * pc * a
+        funnels = n * 8 * units
+        epoch = algo.fit(features, labels, epochs=1).epochs[0].dcomm_bytes
+        reduced = 16 + sum(8 * a * b for a, b in zip(widths, widths[1:]))
+        others = ((pc - 1) * n * 8 * widths[-1] + 2 * (p - 1) * reduced
+                  + sweeps_dcomm(algo, widths))
+        assert epoch - others == funnels
+        priced = evaluate_schedule(schedule, algo.rt.profile)
+        assert priced.bytes_by_category[Category.DCOMM] - others == funnels
+
+
+def sweeps_dcomm(algo, widths) -> int:
+    """Dense bytes of an epoch's SpMM sweeps, measured by running each
+    (on zero blocks of its width) through the trainer."""
+    tracker = algo.rt.tracker
+    before = tracker.total_bytes(Category.DCOMM)
+    forward, backward = sweep_widths(widths)
+    for operand, f in ([(algo.a_t_blocks, f) for f in forward]
+                       + [(algo.a_blocks, f) for f in backward]):
+        split = algo._fsplit(f)
+        blocks = {}
+        for r in algo.rt.local_ranks:
+            lo, hi = split[algo._out_col(r)]
+            blocks[r] = np.zeros((algo._rows_of(r), hi - lo))
+        algo._grid_spmm(operand, blocks, f)
+    return tracker.total_bytes(Category.DCOMM) - before
 
 
 #: (iv) Losses of a 3-epoch fit with widths (10, 6, 6, 6) -- every layer
