@@ -595,11 +595,12 @@ class GridAlgorithm(DistAlgorithm):
             if l > 0 and not order.project_bwd:
                 # A G^l, for Equation 2 below; layer 1 has no G^0 to form.
                 # A gathered one is read to the epoch's end (its receipts
-                # are re-hashed there), so no later sweep may refill it.
+                # are re-hashed there), so no later sweep may refill it:
+                # it gets a fresh buffer, dropped with the epoch.
                 ag_blocks = self._obs_call(
                     "spmm.bwd", "spmm", self._grid_spmm,
                     self.a_blocks, g_blocks, f_out,
-                    ws_key=("ag", l) if gather else ("ag",),
+                    ws_key=None if gather else ("ag",),
                 )
             g_stages = (self._gather_stages(ag_blocks, f_out) if gather
                         else None)

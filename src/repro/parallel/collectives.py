@@ -53,8 +53,6 @@ class ProcessCollectives(Collectives):
         self.wid = channel.wid
         self.local_set = frozenset(local_ranks)
         self._wset_cache: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-        self._ranks_on_cache: Dict[Tuple[Tuple[int, ...], int],
-                                   Tuple[int, ...]] = {}
 
     def _workers_of(self, group: Tuple[int, ...]) -> Tuple[int, ...]:
         wset = self._wset_cache.get(group)
@@ -65,15 +63,6 @@ class ProcessCollectives(Collectives):
 
     def _members(self, group: Tuple[int, ...]) -> Sequence[int]:
         return [r for r in group if r in self.local_set]
-
-    def _ranks_on(self, group: Tuple[int, ...], w: int) -> Tuple[int, ...]:
-        """The members of ``group`` worker ``w`` owns."""
-        key = (group, w)
-        ranks = self._ranks_on_cache.get(key)
-        if ranks is None:
-            ranks = tuple(r for r in group if self.owner_of[r] == w)
-            self._ranks_on_cache[key] = ranks
-        return ranks
 
     def _contributions(self, group: Tuple[int, ...],
                        values: Mapping[int, Any],
@@ -102,8 +91,10 @@ class ProcessCollectives(Collectives):
             outbox = dict.fromkeys(others, [(r, values[r]) for r in mine])
         else:
             full = {r: keep(values[r], mine) for r in mine}
-            outbox = {w: [(r, keep(values[r], self._ranks_on(group, w)))
-                          for r in mine] for w in others}
+            outbox = {}
+            for w in others:
+                theirs = [r for r in group if self.owner_of[r] == w]
+                outbox[w] = [(r, keep(values[r], theirs)) for r in mine]
         if not others:
             return full
         got = self.channel.exchange(("cg", group), outbox, others)
