@@ -24,11 +24,14 @@ trainer holds after set-up: the ``T^0 = A^T H^0`` it keeps across epochs
 the row group's full width -- ``n / P_r`` rows by ``f^0`` instead of the
 rank's ``f^0 / P_c`` block -- because each row group gathers it once at
 set-up rather than re-broadcasting it in every epoch's layer-1
-replicated-``W`` products; that is the memory the saved words cost.  The
-order of a layer's products (:func:`repro.nn.layers.sweep_order`) moves
-nothing: a shrinking layer keeps ``H^{l-1}`` in place of ``T^l``, the
-same ``f^{l-1}`` words, and the ``H W`` / ``G W^T`` it aggregates are
-transient and narrow.  ``allocator_overhead`` folds in the framework's
+replicated-``W`` products; and so is the ``T^l`` of every layer above
+that does not shrink, whose forward product keeps the stages it received
+for the weight gradient instead of broadcasting ``T^l`` again.  That is
+the memory the saved words cost.  The order of a layer's products
+(:func:`repro.nn.layers.sweep_order`) moves nothing else: a shrinking
+layer keeps ``H^{l-1}`` in place of ``T^l``, its own ``f^{l-1}`` block,
+and the ``H W`` / ``G W^T`` it aggregates are transient and narrow.
+``allocator_overhead`` folds in the framework's
 slack (CUDA context, allocator fragmentation, cuSPARSE workspaces); the
 default is
 calibrated so the Table VI feasibility pattern on 16 GB V100s matches the
@@ -41,6 +44,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from repro.config import FP32_BYTES, INDEX_BYTES
+from repro.nn.layers import funnel_reduces
 
 __all__ = [
     "MemoryEstimate",
@@ -97,23 +101,30 @@ def _sparse_bytes(nnz_local: float, nrows_local: float, copies: int = 2) -> floa
 
 
 def _dense_stack_words(n_local_rows: float, widths: Sequence[float],
-                       t0_width: Optional[float] = None) -> float:
+                       full_widths: Optional[Sequence[int]] = None
+                       ) -> float:
     """Forward caches + backward temporaries, in words per rank.
 
     Per layer ``l``: Equation 3's left operand ``T^l = A^T H^{l-1}``
     (reused by Equation 3; ``H^{l-1}`` at the same width where a
     shrinking layer multiplies by ``W`` first), ``Z^l``, ``H^l``; the
     backward keeps ``G^l`` and the reused ``A G^l``.  Layer 1's left
-    operand is the ``T^0`` kept from set-up, ``t0_width`` columns wide
-    (default: the rank's own ``widths[0]`` block); ``H^0`` is not held
-    past set-up.  This is the ``O(n f L)`` activation footprint of
-    Section VII.
+    operand is the ``T^0`` kept from set-up; ``H^0`` is not held past
+    set-up.  ``widths`` are the rank's own column blocks; given the
+    layer's ``full_widths`` (2D / 3D), a left operand whose replicated-
+    ``W`` product stage-loops (:func:`repro.nn.layers.funnel_reduces`)
+    is held at the row group's full width instead -- ``T^0`` gathered at
+    set-up, ``T^l`` as the stages its forward product received, kept for
+    the weight gradient.  This is the ``O(n f L)`` activation footprint
+    of Section VII.
     """
-    words = n_local_rows * (widths[0] if t0_width is None else t0_width)
+    words = 0.0
     for l in range(1, len(widths)):
         f_in, f_out = widths[l - 1], widths[l]
-        if l > 1:
-            words += n_local_rows * f_in               # T^l cache
+        if full_widths is not None and not funnel_reduces(
+                full_widths[l - 1], full_widths[l], l == 1):
+            f_in = full_widths[l - 1]
+        words += n_local_rows * f_in                   # T^l cache
         words += 2 * n_local_rows * f_out              # Z^l + H^l
         words += 2 * n_local_rows * f_out              # G^l + A G^l
     return words
@@ -131,9 +142,9 @@ def memory_2d(
     overhead: float = DEFAULT_OVERHEAD,
 ) -> MemoryEstimate:
     """The 2D algorithm: 'consumes optimal memory' -- everything / P,
-    except the ``T^0`` each process row keeps whole (``n / sqrt(P)`` rows
-    at the full ``f^0``), so layer 1's replicated-``W`` products need no
-    per-epoch broadcast."""
+    except the left operands each process row keeps whole (``n /
+    sqrt(P)`` rows at the full width): ``T^0`` and every ``T^l`` whose
+    layer does not shrink, each gathered along the row once."""
     import math
 
     s = math.isqrt(p)
@@ -141,8 +152,7 @@ def memory_2d(
         raise ValueError(f"P={p} is not a perfect square")
     sparse = _sparse_bytes(nnz / p, n / s)
     dense = FP32_BYTES * (
-        _dense_stack_words(n / s, [w / s for w in widths],
-                           t0_width=widths[0])
+        _dense_stack_words(n / s, [w / s for w in widths], widths)
         + _weights_words(widths)
     )
     # Receive buffers: one sparse stage block + one dense stage piece.
@@ -190,15 +200,14 @@ def memory_3d(
     overhead: float = DEFAULT_OVERHEAD,
 ) -> MemoryEstimate:
     """3D: inputs / P, but SUMMA partials replicate ``P^{1/3}``-fold, and
-    each row group keeps its ``T^0`` rows whole (``n / P^{2/3}`` rows at
-    the full ``f^0``)."""
+    each row group keeps its stage-looped left operands whole (``n /
+    P^{2/3}`` rows at the full width), as in :func:`memory_2d`."""
     s = round(p ** (1.0 / 3.0))
     if s**3 != p:
         raise ValueError(f"P={p} is not a perfect cube")
     sparse = _sparse_bytes(nnz / p, n / s)
     dense = FP32_BYTES * (
-        _dense_stack_words(n / (s * s), [w / s for w in widths],
-                           t0_width=widths[0])
+        _dense_stack_words(n / (s * s), [w / s for w in widths], widths)
         + _weights_words(widths)
     )
     # The pre-reduce-scatter partial is n/s x f/s per rank: s times the

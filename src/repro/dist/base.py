@@ -852,10 +852,11 @@ class DistAlgorithm:
         diff = max(diff, float(np.max(np.abs(d_lp - s_lp))))
         return diff
 
-    def _kept_t0_width(self) -> int:
-        """Resident columns of the ``T^0`` kept across epochs per rank:
-        the rank's own block (:meth:`_keep_t0`)."""
-        return self._stored_dense_width(self.widths[0])
+    def _kept_x_width(self, l: int) -> int:
+        """Resident columns per rank of layer ``l``'s left operand
+        (Equation 3's ``T``, or ``H^{l-1}``; layer 1's is the ``T^0``
+        kept from set-up): the rank's own block."""
+        return self._stored_dense_width(self.widths[l])
 
     def dense_memory_words_per_rank(self) -> int:
         """Resident dense words on the most loaded rank (Section V-C).
@@ -864,13 +865,13 @@ class DistAlgorithm:
         ``T`` -- or ``H^{l-1}`` where a shrinking layer multiplies by
         ``W`` first, at the same width -- ``Z`` / ``H``, and the gradient
         working set) at the rank's stored row count, plus the replicated
-        weights.  Layer 1's left operand is the ``T^0`` kept from set-up,
-        at :meth:`_kept_t0_width` columns; ``H^0`` itself is not held past
-        set-up.
+        weights.  Each left operand is :meth:`_kept_x_width` columns
+        wide; layer 1's is the ``T^0`` kept from set-up, and ``H^0``
+        itself is not held past set-up.
         """
         rows = self._stored_dense_rows()
-        acts = self._kept_t0_width() + sum(
-            (self._stored_dense_width(self.widths[l]) if l > 0 else 0)
+        acts = sum(
+            self._kept_x_width(l)
             + 2 * self._stored_dense_width(self.widths[l + 1])
             for l in range(len(self.widths) - 1)
         )

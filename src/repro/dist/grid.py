@@ -8,7 +8,7 @@ enumeration.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,10 +47,13 @@ class GridAlgorithm(DistAlgorithm):
     backward ``G W^T`` where it grows), any other stage-broadcasts its
     left operand (:meth:`_stage_broadcast`), and the backward of a
     shrinking layer all-gathers ``A G^l`` once (:meth:`_gather_stages`)
-    and runs both its funnels from those pieces.  Layer 1's operand
-    ``T^0`` is the same every epoch: it is gathered once, at set-up
-    (:meth:`_keep_t0`), and both its funnels run only their GEMMs from
-    the kept stages.  Subclasses provide:
+    and runs both its funnels from those pieces.  Every left operand is
+    gathered along its row group once and read twice: the stages a
+    stage-looped forward product receives are kept in the layer's cache,
+    and the weight gradient ``Y^l = T^T G`` runs only its GEMMs from
+    them.  Layer 1's ``T^0`` is the same every epoch, so its stages are
+    drawn once per feature matrix, at set-up (:meth:`_keep_t0`), and
+    both its funnels are GEMMs only.  Subclasses provide:
 
     * ``_grid_spmm(sparse_blocks, dense_blocks, f)`` -- the charged
       distributed SpMM sweep (SUMMA / Split-3D);
@@ -169,9 +172,9 @@ class GridAlgorithm(DistAlgorithm):
         return fsplit[c_lo][0], fsplit[c_hi - 1][1]
 
     #: layer 1's stage loop, run once at set-up (:meth:`_keep_t0`)
-    _t0_stages: Tuple = ()
+    _t0_stages: Sequence = ()
 
-    def _stage_broadcast(self, blocks, f: int):
+    def _stage_broadcast(self, blocks, f: int, keep: Optional[list] = None):
         """The stage loop of a replicated-W product over ``blocks``:
         in stage ``t`` every row group's ``t``-th member broadcasts its
         feature-column block row-wise.  Yields ``(t, lo, hi, recv)`` per
@@ -181,12 +184,13 @@ class GridAlgorithm(DistAlgorithm):
         on the multiprocess backend) -- staged through
         :meth:`_broadcast_routed`.  ``f`` also sizes the charges from
         structure (the broadcast block is ``group rows x stage width``).
-        Handed the kept ``T^0`` it yields the stages gathered at set-up
-        and moves (and charges) nothing.
+
+        With a ``keep`` list, each stage is yielded as private copies and
+        appended to it, for a second reader after the loop (the weight
+        gradient of the layer whose forward product runs the loop): a
+        receipt may alias a transport buffer that a later collective of
+        the epoch reuses.
         """
-        if blocks is self._t0:
-            yield from self._t0_stages
-            return
         fcols = self._fsplit(f)
 
         def nbytes(root: int) -> int:
@@ -202,22 +206,24 @@ class GridAlgorithm(DistAlgorithm):
             for t, _, _ in stages
         )
         for (t, lo, hi), (recv,) in zip(stages, received):
+            if keep is not None:
+                recv = [None if got is None else np.array(got)
+                        for got in recv]
+                keep.append((t, lo, hi, recv))
             yield t, lo, hi, recv
 
     def _keep_t0(self, t0):
         """Aggregate once, gather once: the row-group stage loop layer
         1's :meth:`_matmul_w` and :meth:`_weight_grad` would run over
         ``T^0`` every epoch runs here instead, once per feature matrix,
-        and each local row group keeps the stage blocks it received
-        (private copies) -- the group's full rows, ``f^0`` wide.  A local
-        rank's block of ``T^0`` is its own stage's block, so nothing is
-        held twice."""
-        self._t0_stages = tuple(
-            (t, lo, hi, [None if got is None else np.array(got)
-                         for got in recv])
-            for t, lo, hi, recv in self._stage_broadcast(t0, self.widths[0])
-        )
-        own = {t: recv for t, _, _, recv in self._t0_stages}
+        and each local row group keeps the stage blocks it received --
+        the group's full rows, ``f^0`` wide.  A local rank's block of
+        ``T^0`` is its own stage's block, so nothing is held twice."""
+        stages: list = []
+        for _ in self._stage_broadcast(t0, self.widths[0], keep=stages):
+            pass                                # (no product at set-up)
+        self._t0_stages = stages
+        own = {t: recv for t, _, _, recv in stages}
         kept = {}
         for gi, group, members, span in self._local_group_info:
             for r in members:
@@ -226,8 +232,14 @@ class GridAlgorithm(DistAlgorithm):
                 kept[r] = own[t][gi] if t in own else np.array(t0[r])
         return kept
 
-    def _kept_t0_width(self) -> int:
-        return self.widths[0]
+    def _kept_x_width(self, l: int) -> int:
+        """A left operand whose product stage-loops is held at the row
+        group's full width: ``T^0`` from set-up, ``T^l`` as the stages
+        its forward product received, kept for its weight gradient."""
+        f_in, f_out = self.widths[l], self.widths[l + 1]
+        if funnel_reduces(f_in, f_out, l == 0):
+            return super()._kept_x_width(l)
+        return f_in
 
     def _matmul_w(self, t_blocks, w: np.ndarray, f_in: int, f_out: int,
                   ws_key=None, stages=None):
@@ -236,9 +248,9 @@ class GridAlgorithm(DistAlgorithm):
         moving ``min(f_in, f_out)`` columns along each row group
         (:func:`~repro.nn.layers.funnel_reduces`): where the output is
         narrower, :meth:`_reduce_product`; otherwise a stage loop over
-        ``T``'s column blocks, broadcast (:meth:`_stage_broadcast`) or
-        handed in as ``stages``, already gathered
-        (:meth:`_gather_stages`).
+        ``T``'s column blocks, broadcast (:meth:`_stage_broadcast`).
+        Stages handed in (the kept ``T^0``, a broadcast whose stages are
+        being kept, a gathered ``A G^l``) are looped over as they are.
 
         Each stage computes one GEMM per *local* row group (the received
         stage block times the matching rows of ``W``) and every local
@@ -254,9 +266,9 @@ class GridAlgorithm(DistAlgorithm):
         ``ws_key`` names a workspace for the group accumulators (callers
         whose result is cached across the epoch pass a per-layer key).
         """
-        if funnel_reduces(f_in, f_out, t_blocks is self._t0):
-            return self._reduce_product(t_blocks, w, f_out)
         if stages is None:
+            if funnel_reduces(f_in, f_out):
+                return self._reduce_product(t_blocks, w, f_out)
             stages = self._stage_broadcast(t_blocks, f_in)
         groups_info = self._local_group_info
         fouts = self._fsplit(f_out)
@@ -325,31 +337,33 @@ class GridAlgorithm(DistAlgorithm):
         )
 
     def _weight_grad(self, t_blocks, g_blocks, f_in: int, f_out: int,
-                     g_stages=None):
+                     t_stages=None, g_stages=None):
         """``Y^l = T^T G`` (Equation 3): partial outer GEMMs, one world
-        all-reduce, with the narrower operand moving along the row
-        groups.
+        all-reduce, with the narrower operand gathered along the row
+        groups -- already, by the time this runs, so it moves nothing
+        but the all-reduce.
 
         Given ``g_stages`` -- ``G`` gathered along the row groups
         (:meth:`_gather_stages`, the backward of a shrinking layer) --
         each local rank takes its own row band ``T_r^T G`` from its
         column block of ``T`` and its group's full ``G``.  Otherwise
-        ``T``'s column blocks are stage-broadcast and, like
-        :meth:`_matmul_w`, the outer GEMM runs once per row group against
-        the group's full-width ``G`` rows (re-assembled once per call; on
-        a worker holding only some of the group's ranks the other
-        columns are zeros, which touch no column it keeps), each rank's
-        partial taking its column band of the shared product.  Either
-        way a partial is zero outside its band, and each entry of ``Y``
-        has one contributor per row group, at the same column index in
-        every group: the world all-reduce folds the same terms in the
-        same order.
+        ``t_stages`` are the stages of ``T`` the layer's forward product
+        received and kept (:meth:`_forward_layers`; layer 1's from
+        set-up) and, like :meth:`_matmul_w`, the outer GEMM runs once
+        per row group against the group's full-width ``G`` rows
+        (re-assembled once per call; on a worker holding only some of
+        the group's ranks the other columns are zeros, which touch no
+        column it keeps), each rank's partial taking its column band of
+        the shared product.  Either way a partial is zero outside its
+        band, and each entry of ``Y`` has one contributor per row group,
+        at the same column index in every group: the world all-reduce
+        folds the same terms in the same order.
         """
         if g_stages is not None:
             partials = self._row_band_partials(t_blocks, g_stages, f_in,
                                                f_out)
         else:
-            partials = self._column_band_partials(t_blocks, g_blocks, f_in,
+            partials = self._column_band_partials(t_stages, g_blocks, f_in,
                                                   f_out)
         y = self._obs_call(
             "allreduce", Category.DCOMM, self.rt.coll.allreduce,
@@ -384,11 +398,12 @@ class GridAlgorithm(DistAlgorithm):
         self._charge_kernel("gemm", ("wgrch", f_in, f_out), gemm_charges)
         return partials
 
-    def _column_band_partials(self, t_blocks, g_blocks, f_in: int,
+    def _column_band_partials(self, t_stages, g_blocks, f_in: int,
                               f_out: int):
         groups_info = self._local_group_info
         fouts = self._fsplit(f_out)
         g_rows = []
+        partials = {}
         for gi, group, members, (c_lo, c_hi) in groups_info:
             o_lo, o_hi = self._span(fouts, c_lo, c_hi)
             buf = self._ws(("grows", gi, f_out), (self._grows(group), f_out))
@@ -397,8 +412,8 @@ class GridAlgorithm(DistAlgorithm):
             np.concatenate([g_blocks[r] for r in members], axis=1,
                            out=buf[:, o_lo:o_hi])
             g_rows.append(buf)
-        partials = {r: self._partial_buffer(r, f_in, f_out)
-                    for r in t_blocks}
+            for r in members:
+                partials[r] = self._partial_buffer(r, f_in, f_out)
 
         def stage_charges(lo: int, hi: int):
             for group in self._row_group_list:
@@ -407,7 +422,7 @@ class GridAlgorithm(DistAlgorithm):
                     o0, o1 = fouts[self._out_col(r)]
                     yield r, 2.0 * (hi - lo) * rows * (o1 - o0)
 
-        for t, lo, hi, recv in self._stage_broadcast(t_blocks, f_in):
+        for t, lo, hi, recv in t_stages:
             for buf, (gi, group, members, span) in zip(g_rows, groups_info):
                 band = weight_gradient(recv[gi], buf)  # (hi - lo, f_out)
                 for r in members:
@@ -494,7 +509,11 @@ class GridAlgorithm(DistAlgorithm):
             self.a_t_blocks, h_blocks, self.widths[0],
         )
 
-    def _forward_layers(self):
+    def _forward_layers(self, backward: bool = True):
+        """The forward pass; per layer a cache for the backward.  With
+        ``backward`` (training), a layer whose product stage-loops keeps
+        the stages it received as ``"x_stages"``, for its weight
+        gradient; ``predict`` keeps none."""
         caches = []
         last = self.model.num_layers - 1
         h_blocks = self._t0
@@ -503,6 +522,7 @@ class GridAlgorithm(DistAlgorithm):
             # "x" is Equation 3's left operand: T = A^T H^{l-1}, or
             # H^{l-1} itself where W goes first (layer 1: the kept T^0).
             x_blocks = h_blocks
+            x_stages = None
             if sweep_order(f_in, f_out, l == 0).project_fwd:
                 hw_blocks = self._matmul_w(x_blocks, layer.weight, f_in,
                                            f_out)
@@ -511,14 +531,23 @@ class GridAlgorithm(DistAlgorithm):
                     self.a_t_blocks, hw_blocks, f_out, ws_key=("z", l),
                 )
             else:
-                if l > 0:
+                # T W stage-loops over T's column blocks: layer 1 from
+                # the stages gathered at set-up, any other from a
+                # broadcast whose stages the weight gradient reads again.
+                if l == 0:
+                    stages = x_stages = self._t0_stages
+                else:
                     x_blocks = self._obs_call(
                         "spmm.fwd", "spmm", self._grid_spmm,
                         self.a_t_blocks, h_blocks, f_in, ws_key=("t", l),
                     )
+                    x_stages = [] if backward else None
+                    stages = self._stage_broadcast(x_blocks, f_in,
+                                                   keep=x_stages)
                 z_blocks = self._matmul_w(x_blocks, layer.weight, f_in,
-                                          f_out, ws_key=("z", l))
-            cache = {"x": x_blocks, "z": z_blocks}
+                                          f_out, ws_key=("z", l),
+                                          stages=stages)
+            cache = {"x": x_blocks, "x_stages": x_stages, "z": z_blocks}
             if l < last:
                 h_blocks = {r: layer.activation.forward(z_blocks[r])
                             for r in z_blocks}
@@ -540,7 +569,7 @@ class GridAlgorithm(DistAlgorithm):
         return h_blocks, caches
 
     def _forward_pass(self) -> np.ndarray:
-        _, caches = self._forward_layers()
+        _, caches = self._forward_layers(backward=False)
         return self._assemble(caches[-1]["out_full"])
 
     def _run_epoch(self) -> Tuple[float, float]:
@@ -605,10 +634,10 @@ class GridAlgorithm(DistAlgorithm):
             g_stages = (self._gather_stages(ag_blocks, f_out) if gather
                         else None)
             # Y^l = X^T G, with (X, G) = (H^{l-1}, A G^l) where W went
-            # first forward.
+            # first forward; otherwise X's stages were kept forward.
             grads[l] = self._weight_grad(
                 caches[l]["x"], ag_blocks if order.project_fwd else g_blocks,
-                f_in, f_out, g_stages)
+                f_in, f_out, caches[l]["x_stages"], g_stages)
             if l > 0:
                 gh_blocks = self._matmul_w(
                     g_blocks if order.project_bwd else ag_blocks,

@@ -17,7 +17,11 @@ tractable.  The emitters import the trainer's own rules from
 layer each sweep runs on (:func:`~repro.nn.layers.sweep_order`) and, in
 2D / 3D, whether a replicated-``W`` product reduce-scatters its narrow
 output or stage-broadcasts its narrow input along the row groups
-(:func:`~repro.nn.layers.funnel_reduces`).
+(:func:`~repro.nn.layers.funnel_reduces`).  Whatever a 2D / 3D epoch
+gathers along the row groups it gathers once: a weight gradient runs
+its GEMMs from the stages its layer's forward product received (or from
+the ``A G^l`` a shrinking layer's backward gathered), so its stage loop
+emits no broadcast.
 
 Pricing a schedule (:func:`evaluate_schedule`) calls the price list of
 :mod:`repro.comm.cost_model` -- the very rules the executed ledger is
@@ -797,7 +801,9 @@ def emit_grid_epoch(
     ``min(f_in, f_out)`` columns along the row groups: a reduce-scatter
     where the output is narrower, else a stage loop -- broadcast, or
     from pieces gathered already (layer 1's ``T^0`` at set-up, a
-    shrinking layer's ``A G^l`` once per backward).
+    shrinking layer's ``A G^l`` once per backward).  The weight
+    gradient ``Y^l = T^T G`` of a layer that does not shrink reads the
+    stages its forward product received, so its loop is GEMMs only.
     """
     rows = np.asarray(rows_of_rank, dtype=np.float64)
     group_rows = np.asarray(group_rows, dtype=np.float64)
@@ -862,7 +868,7 @@ def emit_grid_epoch(
                         group_rows * (f_out * b.wb))
             b.gemm(2.0 * rows * outw_of_rank(f_in) * f_out)
         else:
-            stage_loop(f_in, f_out, kept=l == 0)   # Y^l = X^T G
+            stage_loop(f_in, f_out, kept=True)     # Y^l = X^T G
         b.allreduce(Category.DCOMM, b.p, f_in * f_out * b.wb)
         if l > 0:
             product(f_out, f_in, gathered=gather)  # G W^T

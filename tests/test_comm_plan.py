@@ -79,7 +79,12 @@ CONFIGS = [
 #: charging the world (Pc - 1) x n x 4 x 8 bytes, where its three stage
 #: loops had charged Pc x n x (8 + 8 + 4) x 8 -- 2D P = 4 ``dcomm`` 224352
 #: -> 175200; ``scomm`` / ``trpose`` and the eleven ``loss1`` values did
-#: not move.
+#: not move.  And once more for the five grid rows, when the equal-width
+#: middle layer's weight gradient began to read the ``T^2`` stages its
+#: forward product received instead of broadcasting them again: one stage
+#: loop left the epoch, Pc x n x 8 x 8 bytes -- 2D P = 4 ``dcomm`` 175200
+#: -> 150624, 3D P = 27 436929 -> 400065; ``scomm`` / ``trpose`` and the
+#: eleven ``loss1`` values did not move.
 PRE_OPT_ORACLE = {
     ("1d", 4): dict(dcomm=119904, scomm=0, trpose=0, max_rank=29976,
                     seconds=0.00019552624206766914,
@@ -99,20 +104,20 @@ PRE_OPT_ORACLE = {
     ("1.5d", 16): dict(dcomm=405888, scomm=0, trpose=0, max_rank=25368,
                        seconds=0.00026369362358940826,
                        loss1=1.4010554851746766),
-    ("2d", 4): dict(dcomm=175200, scomm=136256, trpose=17032,
-                    max_rank=99636, seconds=0.00031181778866786554,
+    ("2d", 4): dict(dcomm=150624, scomm=136256, trpose=17032,
+                    max_rank=93492, seconds=0.0003107217886678655,
                     loss1=1.4010554851746768),
-    ("2d", 8): dict(dcomm=261344, scomm=148928, trpose=17048,
-                    max_rank=71544, seconds=0.000502228221928735,
+    ("2d", 8): dict(dcomm=236768, scomm=148928, trpose=17048,
+                    max_rank=68472, seconds=0.0004980946567113438,
                     loss1=1.4010554851746766),
-    ("2d", 16): dict(dcomm=396768, scomm=297856, trpose=18616,
-                     max_rank=62066, seconds=0.0006548386817391306,
+    ("2d", 16): dict(dcomm=347616, scomm=297856, trpose=18616,
+                     max_rank=58994, seconds=0.0006467051165217392,
                      loss1=1.4010554851746766),
-    ("3d", 8): dict(dcomm=242912, scomm=148672, trpose=0,
-                    max_rank=64860, seconds=0.0004124363660281138,
+    ("3d", 8): dict(dcomm=218336, scomm=148672, trpose=0,
+                    max_rank=61788, seconds=0.00040830280081072257,
                     loss1=1.4010554851746768),
-    ("3d", 27): dict(dcomm=436929, scomm=270000, trpose=0,
-                     max_rank=40525, seconds=0.0005784449392936446,
+    ("3d", 27): dict(dcomm=400065, scomm=270000, trpose=0,
+                     max_rank=39117, seconds=0.0005723837219023403,
                      loss1=1.4010554851746768),
 }
 

@@ -38,7 +38,7 @@ from repro.comm import cost_model as cm
 from repro.comm.tracker import Category
 from repro.dist import ALGORITHMS, make_algorithm, make_runtime_for
 from repro.graph import make_synthetic
-from repro.nn.layers import sweep_widths
+from repro.nn.layers import funnel_reduces, sweep_widths
 from repro.parallel import ledger_digest
 from repro.simulate.schedule import GraphModel
 
@@ -423,7 +423,37 @@ class TestGatheredOnce:
             for r in members:
                 assert np.shares_memory(algo._t0[r], kept[algo._out_col(r)])
         assert max(held) == algo._stored_dense_rows() * algo.widths[0]
-        assert algo._kept_t0_width() == algo.widths[0]
+        assert algo._kept_x_width(0) == algo.widths[0]
+
+    @pytest.mark.parametrize("name,p,kw", GRIDS)
+    def test_weight_gradient_reads_the_forward_stages(self, ds, name, p,
+                                                      kw):
+        """A training forward keeps, per layer whose product stage-loops,
+        the stages it received -- the row group's full ``f^{l-1}``
+        columns, private copies of ``T^l`` -- and the memory count says
+        so; a shrinking layer keeps none, nor does ``predict``'s pass."""
+        algo = make(ds, name, p, kw)
+        algo.setup(ds.features, ds.labels)
+        _, caches = algo._forward_layers()
+        _, predicted = algo._forward_layers(backward=False)
+        for l, (cache, pred) in enumerate(zip(caches, predicted)):
+            f_in = algo.widths[l]
+            if funnel_reduces(f_in, algo.widths[l + 1], l == 0):
+                assert cache["x_stages"] is pred["x_stages"] is None
+                assert algo._kept_x_width(l) == \
+                    algo._stored_dense_width(f_in)
+                continue
+            assert algo._kept_x_width(l) == f_in
+            assert pred["x_stages"] is (algo._t0_stages if l == 0 else None)
+            for gi, group, members, span in algo._local_group_info:
+                kept = [recv[gi] for *_, recv in cache["x_stages"]]
+                assert sum(b.shape[1] for b in kept) == f_in
+                for r in members:
+                    block = kept[algo._out_col(r)]
+                    np.testing.assert_array_equal(cache["x"][r], block)
+                    assert block.flags.owndata      # a private copy
+        assert [c["x_stages"] is not None for c in caches] == [True, True,
+                                                               False]
 
 
 #: tracemalloc bytes held by the trained virtual 2D algorithm below on
@@ -538,24 +568,41 @@ class TestRowGroupsAcrossWorkers:
         assert stats["restarts"] == 1
 
     def test_exchanges_per_worker_epoch_tcp(self, ds, watchdog):
-        """29 exchanges per worker-epoch at W = 4.  The shrinking last
-        layer (8 -> 3) reduce-scatters its forward product and gathers
-        ``A G`` once for both backward funnels: one exchange each where
-        its three stage loops, two stages each, took six (33); 37 while
-        layer 1's two stage loops re-broadcast ``T^0``.  The set-up gains
-        the gather's two beside the aggregation's four."""
-        algo = make(ds, "2d", 4, {}, backend="process",
-                    workers=SPANNING_WORKERS, transport="tcp")
-        try:
-            marks = [algo.rt.backend_stats()]
-            for epochs in (1, K):
-                algo.fit(ds.features, ds.labels, epochs=epochs)
-                marks.append(algo.rt.backend_stats())
-        finally:
-            algo.rt.close()
-        first, again = [
-            [b["exchanges"] - a["exchanges"]
+        """27 exchanges per worker-epoch at W = 4.  The equal-width
+        middle layer (8 -> 8) broadcasts ``T^2``'s two stages once, for
+        its forward product, and its weight gradient reads the kept
+        stages: two exchanges fewer than while it broadcast them again
+        (29).  The shrinking last layer (8 -> 3) reduce-scatters its
+        forward product and gathers ``A G`` once for both backward
+        funnels: one exchange each where its three stage loops, two
+        stages each, took six (33); 37 while layer 1's two stage loops
+        re-broadcast ``T^0``.  The set-up gains the gather's two beside
+        the aggregation's four."""
+        first, again = exchanges_per_worker(ds, "2d", 4, "tcp")
+        assert again == [K * 27] * SPANNING_WORKERS
+        assert first == [4 + 2 + 27] * SPANNING_WORKERS
+
+    def test_exchanges_per_worker_epoch_3d_shm(self, ds, watchdog):
+        """34 exchanges per worker-epoch on 3D P = 8 at W = 4, 36 while
+        the middle layer's weight gradient broadcast ``T^2``'s two
+        stages again; the set-up's seven include the gather's two."""
+        first, again = exchanges_per_worker(ds, "3d", 8, "shm")
+        assert again == [K * 34] * SPANNING_WORKERS
+        assert first == [7 + 34] * SPANNING_WORKERS
+
+
+def exchanges_per_worker(ds, name, p, transport):
+    """Channel exchanges per worker over a 1-epoch fit (set-up included)
+    and over a second, ``K``-epoch fit on the same features."""
+    algo = make(ds, name, p, {}, backend="process",
+                workers=SPANNING_WORKERS, transport=transport)
+    try:
+        marks = [algo.rt.backend_stats()]
+        for epochs in (1, K):
+            algo.fit(ds.features, ds.labels, epochs=epochs)
+            marks.append(algo.rt.backend_stats())
+    finally:
+        algo.rt.close()
+    return [[b["exchanges"] - a["exchanges"]
              for a, b in zip(s0["per_worker"], s1["per_worker"])]
             for s0, s1 in zip(marks, marks[1:])]
-        assert again == [K * 29] * SPANNING_WORKERS
-        assert first == [4 + 2 + 29] * SPANNING_WORKERS

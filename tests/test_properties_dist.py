@@ -257,14 +257,22 @@ class TestGeneratedShapes:
                                                 directed_ok, data):
         """(v) Above layer 1 the replicated-``W`` funnels move each
         layer's narrow side along the row groups (``Pc`` members, ``n``
-        rows between them).  One that shrinks reduce-scatters its
-        forward product and gathers ``A G`` once backward: ``(Pc - 1) n
-        f^l`` words each.  Any other broadcasts ``f^{l-1}`` stages
-        forward and for ``Y``, ``Pc n f^{l-1}`` each, then ``G W^T``
-        again (equal widths) or, growing, reduce-scatters it at
+        rows between them), and each operand once.  One that shrinks
+        pays ``f^l`` twice: it reduce-scatters its forward product and
+        gathers ``A G`` once for both backward funnels, ``(Pc - 1) n
+        f^l`` words each.  Any other pays ``f^{l-1}`` once, forward
+        only: its product broadcasts ``T^l``'s stages, ``Pc n f^{l-1}``,
+        and ``Y = T^T G`` reads them again; then ``G W^T`` broadcasts
+        ``G`` (equal widths) or, growing, reduce-scatters at
         ``f^{l-1}``.  Beyond the sweeps, the ``log_softmax`` row gather
         and the all-reduces, the ledger and the emitted schedule charge
-        exactly that."""
+        exactly that.
+
+        Mutation check (run once, in a scratch copy): with the emitter
+        alone re-broadcasting ``T^l`` for ``Y`` (``emit_grid_epoch``'s
+        backward ``stage_loop(..., kept=l == 0)``), this property fails
+        on the schedule side and (ii) on ledger != schedule, on all three
+        configurations."""
         a_t, features, labels, widths, seed = data.draw(
             shaped_problems(directed_ok))
         algo, emit_kw = build_shaped(name, p, kw, a_t, widths, seed)
@@ -273,12 +281,10 @@ class TestGeneratedShapes:
         n, pc = a_t.nrows, len(algo._row_group_list[0])
         units = 0
         for a, b in zip(widths[1:-1], widths[2:]):
-            if b < a:        # reduce-scatter, gather: f^l
+            if b < a:        # reduce-scatter, gather: f^l twice
                 units += 2 * (pc - 1) * b
-            elif a < b:      # two stage loops, reduce-scatter: f^{l-1}
-                units += (3 * pc - 1) * a
-            else:            # three stage loops
-                units += 3 * pc * a
+            else:            # T^l's stages once; G W^T by its own rule
+                units += pc * a + ((pc - 1) * a if a < b else pc * b)
         funnels = n * 8 * units
         epoch = algo.fit(features, labels, epochs=1).epochs[0].dcomm_bytes
         reduced = 16 + sum(8 * a * b for a, b in zip(widths, widths[1:]))
