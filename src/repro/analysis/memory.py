@@ -23,11 +23,12 @@ trainer holds after set-up: the ``T^0 = A^T H^0`` it keeps across epochs
 (layer 1's ``T``) and no ``H^0``.  In 2D and 3D that ``T^0`` is kept at
 the row group's full width -- ``n / P_r`` rows by ``f^0`` instead of the
 rank's ``f^0 / P_c`` block -- because each row group gathers it once at
-set-up rather than re-broadcasting it in every epoch's layer-1
-replicated-``W`` products; and so is the ``T^l`` of every layer above
-that does not shrink, whose forward product keeps the stages it received
-for the weight gradient instead of broadcasting ``T^l`` again.  That is
-the memory the saved words cost.  The order of a layer's products
+set-up rather than again in every epoch's layer-1 replicated-``W``
+products; and so is the ``T^l`` of every layer above that does not
+shrink, whose forward product keeps the stages it gathered for the
+weight gradient instead of gathering ``T^l`` again.  That is the memory
+the saved words cost.  The backward's gathered ``A G^l`` is full-width
+too, but transient.  The order of a layer's products
 (:func:`repro.nn.layers.sweep_order`) moves nothing else: a shrinking
 layer keeps ``H^{l-1}`` in place of ``T^l``, its own ``f^{l-1}`` block,
 and the ``H W`` / ``G W^T`` it aggregates are transient and narrow.
@@ -108,17 +109,22 @@ def _dense_stack_words(n_local_rows: float, widths: Sequence[float],
     Per layer ``l``: Equation 3's left operand ``T^l = A^T H^{l-1}``
     (reused by Equation 3; ``H^{l-1}`` at the same width where a
     shrinking layer multiplies by ``W`` first), ``Z^l``, ``H^l``; the
-    backward keeps ``G^l`` and the reused ``A G^l``.  Layer 1's left
-    operand is the ``T^0`` kept from set-up; ``H^0`` is not held past
-    set-up.  ``widths`` are the rank's own column blocks; given the
-    layer's ``full_widths`` (2D / 3D), a left operand whose replicated-
-    ``W`` product stage-loops (:func:`repro.nn.layers.funnel_reduces`)
-    is held at the row group's full width instead -- ``T^0`` gathered at
-    set-up, ``T^l`` as the stages its forward product received, kept for
-    the weight gradient.  This is the ``O(n f L)`` activation footprint
-    of Section VII.
+    backward keeps ``G^l`` and the reused ``A G^l``, every layer's
+    counted as if all were live at once.  Layer 1's left operand is the
+    ``T^0`` kept from set-up; ``H^0`` is not held past set-up.
+    ``widths`` are the rank's own column blocks; given the layer's
+    ``full_widths`` (2D / 3D), a left operand whose replicated-``W``
+    product loops over gathered stages
+    (:func:`repro.nn.layers.funnel_reduces`) is held at the row group's
+    full width instead -- ``T^0`` gathered at set-up, ``T^l`` as the
+    stages its forward product gathered, kept for the weight gradient.
+    So is the ``A G^l`` of a layer above the first that does not grow,
+    gathered for its backward funnels: one layer at a time, so it
+    raises the count only where ``G^l`` plus it outgrows every layer's
+    backward pair together.  This is the ``O(n f L)`` activation
+    footprint of Section VII.
     """
-    words = 0.0
+    words = backward = gathered = 0.0
     for l in range(1, len(widths)):
         f_in, f_out = widths[l - 1], widths[l]
         if full_widths is not None and not funnel_reduces(
@@ -126,8 +132,12 @@ def _dense_stack_words(n_local_rows: float, widths: Sequence[float],
             f_in = full_widths[l - 1]
         words += n_local_rows * f_in                   # T^l cache
         words += 2 * n_local_rows * f_out              # Z^l + H^l
-        words += 2 * n_local_rows * f_out              # G^l + A G^l
-    return words
+        backward += 2 * n_local_rows * f_out           # G^l + A G^l
+        if (full_widths is not None and l > 1
+                and full_widths[l] <= full_widths[l - 1]):
+            gathered = max(gathered,
+                           n_local_rows * (f_out + full_widths[l]))
+    return words + max(backward, gathered)
 
 
 def _weights_words(widths: Sequence[int]) -> float:
@@ -200,7 +210,7 @@ def memory_3d(
     overhead: float = DEFAULT_OVERHEAD,
 ) -> MemoryEstimate:
     """3D: inputs / P, but SUMMA partials replicate ``P^{1/3}``-fold, and
-    each row group keeps its stage-looped left operands whole (``n /
+    each row group keeps its gathered left operands whole (``n /
     P^{2/3}`` rows at the full width), as in :func:`memory_2d`."""
     s = round(p ** (1.0 / 3.0))
     if s**3 != p:

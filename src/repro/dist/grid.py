@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.comm.tracker import Category
-from repro.dist.base import DistAlgorithm, RoutedBroadcast
+from repro.dist.base import DistAlgorithm
 from repro.nn.layers import (forward_gemm, funnel_reduces, sweep_order,
                              weight_gradient)
 
@@ -41,19 +41,21 @@ class GridAlgorithm(DistAlgorithm):
     (T^{l-1})^T G^l``, and one that grows multiplies ``G^l`` by ``W^T``
     before the sweep.  The replicated-``W`` funnels (:meth:`_matmul_w`,
     :meth:`_weight_grad`) move ``min(f_in, f_out)`` columns along each
-    row group (:func:`repro.nn.layers.funnel_reduces`): a product whose
+    row group (:func:`repro.nn.layers.funnel_reduces`), and every
+    row-group operand moves by one of two collectives: a product whose
     output is narrower reduce-scatters its partials
     (:meth:`_reduce_product`: forward ``H W`` where a layer shrinks,
-    backward ``G W^T`` where it grows), any other stage-broadcasts its
-    left operand (:meth:`_stage_broadcast`), and the backward of a
-    shrinking layer all-gathers ``A G^l`` once (:meth:`_gather_stages`)
-    and runs both its funnels from those pieces.  Every left operand is
-    gathered along its row group once and read twice: the stages a
-    stage-looped forward product receives are kept in the layer's cache,
-    and the weight gradient ``Y^l = T^T G`` runs only its GEMMs from
-    them.  Layer 1's ``T^0`` is the same every epoch, so its stages are
-    drawn once per feature matrix, at set-up (:meth:`_keep_t0`), and
-    both its funnels are GEMMs only.  Subclasses provide:
+    backward ``G W^T`` where it grows); any other left operand is
+    all-gathered along its row group once (:meth:`_gather_stages`) and
+    the product loops over the gathered stages.  A non-shrinking layer's
+    forward ``T^l`` is gathered so and its stages kept in the layer's
+    cache, where the weight gradient ``Y^l = T^T G`` runs only its GEMMs
+    from them; the backward ``A G^l`` of a layer that does not grow is
+    gathered so for ``G W^T`` (and, where the layer shrinks, for ``Y^l =
+    (H^{l-1})^T (A G^l)`` too).  Layer 1's ``T^0`` is the same every
+    epoch, so it is gathered once per feature matrix, at set-up
+    (:meth:`_keep_t0`), and both its funnels are GEMMs only.  Subclasses
+    provide:
 
     * ``_grid_spmm(sparse_blocks, dense_blocks, f)`` -- the charged
       distributed SpMM sweep (SUMMA / Split-3D);
@@ -171,71 +173,25 @@ class GridAlgorithm(DistAlgorithm):
         """Feature-column span covered by column indices [c_lo, c_hi)."""
         return fsplit[c_lo][0], fsplit[c_hi - 1][1]
 
-    #: layer 1's stage loop, run once at set-up (:meth:`_keep_t0`)
+    #: layer 1's ``T^0``, gathered once at set-up (:meth:`_keep_t0`)
     _t0_stages: Sequence = ()
 
-    def _stage_broadcast(self, blocks, f: int, keep: Optional[list] = None):
-        """The stage loop of a replicated-W product over ``blocks``:
-        in stage ``t`` every row group's ``t``-th member broadcasts its
-        feature-column block row-wise.  Yields ``(t, lo, hi, recv)`` per
-        non-empty stage of the ``f``-split -- ``recv`` the received
-        payloads indexed like :attr:`_row_group_list` (shared by the
-        whole group under copy-on-write; ``None`` for non-local groups
-        on the multiprocess backend) -- staged through
-        :meth:`_broadcast_routed`.  ``f`` also sizes the charges from
-        structure (the broadcast block is ``group rows x stage width``).
-
-        With a ``keep`` list, each stage is yielded as private copies and
-        appended to it, for a second reader after the loop (the weight
-        gradient of the layer whose forward product runs the loop): a
-        receipt may alias a transport buffer that a later collective of
-        the epoch reuses.
-        """
-        fcols = self._fsplit(f)
-
-        def nbytes(root: int) -> int:
-            lo, hi = fcols[self._out_col(root)]
-            return self._rows_of(root) * (hi - lo) * self.WB
-
-        stages = [(t, lo, hi) for t, (lo, hi) in enumerate(fcols) if hi > lo]
-        received = self._broadcast_routed(
-            (RoutedBroadcast(
-                ("sbch", f, t),
-                [(group, group[t]) for group in self._row_group_list],
-                blocks, Category.DCOMM, nbytes),)
-            for t, _, _ in stages
-        )
-        for (t, lo, hi), (recv,) in zip(stages, received):
-            if keep is not None:
-                recv = [None if got is None else np.array(got)
-                        for got in recv]
-                keep.append((t, lo, hi, recv))
-            yield t, lo, hi, recv
-
     def _keep_t0(self, t0):
-        """Aggregate once, gather once: the row-group stage loop layer
-        1's :meth:`_matmul_w` and :meth:`_weight_grad` would run over
-        ``T^0`` every epoch runs here instead, once per feature matrix,
-        and each local row group keeps the stage blocks it received --
-        the group's full rows, ``f^0`` wide.  A local rank's block of
-        ``T^0`` is its own stage's block, so nothing is held twice."""
-        stages: list = []
-        for _ in self._stage_broadcast(t0, self.widths[0], keep=stages):
-            pass                                # (no product at set-up)
-        self._t0_stages = stages
-        own = {t: recv for t, _, _, recv in stages}
-        kept = {}
-        for gi, group, members, span in self._local_group_info:
-            for r in members:
-                t = self._out_col(r)
-                # (a rank with no columns of T^0 has no stage)
-                kept[r] = own[t][gi] if t in own else np.array(t0[r])
+        """Aggregate once, gather once: the row-group gather layer 1's
+        :meth:`_matmul_w` and :meth:`_weight_grad` would need every
+        epoch runs here instead, once per feature matrix, and each local
+        row group keeps the gathered pieces -- the group's full rows,
+        ``f^0`` wide.  A local rank's piece is a read-only view of its
+        own kept block, so nothing is held twice."""
+        kept = super()._keep_t0(t0)
+        self._t0_stages = self._gather_stages(kept, self.widths[0])
         return kept
 
     def _kept_x_width(self, l: int) -> int:
-        """A left operand whose product stage-loops is held at the row
-        group's full width: ``T^0`` from set-up, ``T^l`` as the stages
-        its forward product received, kept for its weight gradient."""
+        """A left operand whose product loops over gathered stages is
+        held at the row group's full width: ``T^0`` from set-up, ``T^l``
+        as the stages its forward product gathered, kept for its weight
+        gradient."""
         f_in, f_out = self.widths[l], self.widths[l + 1]
         if funnel_reduces(f_in, f_out, l == 0):
             return super()._kept_x_width(l)
@@ -246,13 +202,14 @@ class GridAlgorithm(DistAlgorithm):
         """``T W`` for grid-distributed ``T`` (``f_in`` wide; any dense
         operand of the epoch) and replicated ``W`` (``f_in x f_out``),
         moving ``min(f_in, f_out)`` columns along each row group
-        (:func:`~repro.nn.layers.funnel_reduces`): where the output is
-        narrower, :meth:`_reduce_product`; otherwise a stage loop over
-        ``T``'s column blocks, broadcast (:meth:`_stage_broadcast`).
-        Stages handed in (the kept ``T^0``, a broadcast whose stages are
-        being kept, a gathered ``A G^l``) are looped over as they are.
+        (:func:`~repro.nn.layers.funnel_reduces`).  Two cases: without
+        ``stages`` the output is the narrower side and
+        :meth:`_reduce_product` reduce-scatters it; otherwise ``stages``
+        is ``T`` gathered along the row groups already
+        (:meth:`_gather_stages`: the kept ``T^0``, a forward ``T^l``, a
+        backward ``A G^l``) and the loop below moves nothing.
 
-        Each stage computes one GEMM per *local* row group (the received
+        Each stage computes one GEMM per *local* row group (the gathered
         stage block times the matching rows of ``W``) and every local
         rank's block is a view of its group's accumulator -- column
         blocks of a product are independent, so per-rank results are
@@ -267,9 +224,7 @@ class GridAlgorithm(DistAlgorithm):
         whose result is cached across the epoch pass a per-layer key).
         """
         if stages is None:
-            if funnel_reduces(f_in, f_out):
-                return self._reduce_product(t_blocks, w, f_out)
-            stages = self._stage_broadcast(t_blocks, f_in)
+            return self._reduce_product(t_blocks, w, f_out)
         groups_info = self._local_group_info
         fouts = self._fsplit(f_out)
         accs = []
@@ -340,31 +295,31 @@ class GridAlgorithm(DistAlgorithm):
                      t_stages=None, g_stages=None):
         """``Y^l = T^T G`` (Equation 3): partial outer GEMMs, one world
         all-reduce, with the narrower operand gathered along the row
-        groups -- already, by the time this runs, so it moves nothing
-        but the all-reduce.
+        groups (:meth:`_gather_stages`) -- already, by the time this
+        runs, so it moves nothing but the all-reduce.
 
-        Given ``g_stages`` -- ``G`` gathered along the row groups
-        (:meth:`_gather_stages`, the backward of a shrinking layer) --
-        each local rank takes its own row band ``T_r^T G`` from its
-        column block of ``T`` and its group's full ``G``.  Otherwise
-        ``t_stages`` are the stages of ``T`` the layer's forward product
-        received and kept (:meth:`_forward_layers`; layer 1's from
-        set-up) and, like :meth:`_matmul_w`, the outer GEMM runs once
+        Given ``t_stages`` -- the stages of ``T`` the layer's forward
+        product gathered and kept (:meth:`_forward_layers`; layer 1's
+        from set-up) -- the outer GEMM runs, like :meth:`_matmul_w`, once
         per row group against the group's full-width ``G`` rows
         (re-assembled once per call; on a worker holding only some of
         the group's ranks the other columns are zeros, which touch no
         column it keeps), each rank's partial taking its column band of
-        the shared product.  Either way a partial is zero outside its
-        band, and each entry of ``Y`` has one contributor per row group,
-        at the same column index in every group: the world all-reduce
-        folds the same terms in the same order.
+        the shared product.  Otherwise (the layer shrinks, so ``T`` is
+        ``H^{l-1}`` and ``G`` is ``A G^l``) ``g_stages`` is ``G``
+        gathered by the backward, and each local rank takes its own row
+        band ``T_r^T G`` from its column block of ``T`` and its group's
+        full ``G``.  Either way a partial is zero outside its band, and
+        each entry of ``Y`` has one contributor per row group, at the
+        same column index in every group: the world all-reduce folds the
+        same terms in the same order.
         """
-        if g_stages is not None:
-            partials = self._row_band_partials(t_blocks, g_stages, f_in,
-                                               f_out)
-        else:
+        if t_stages is not None:
             partials = self._column_band_partials(t_stages, g_blocks, f_in,
                                                   f_out)
+        else:
+            partials = self._row_band_partials(t_blocks, g_stages, f_in,
+                                               f_out)
         y = self._obs_call(
             "allreduce", Category.DCOMM, self.rt.coll.allreduce,
             self.world_group, partials, category=Category.DCOMM,
@@ -451,11 +406,19 @@ class GridAlgorithm(DistAlgorithm):
                 for gi, group, members, span in self._local_group_info}
 
     def _gather_stages(self, blocks, f: int):
-        """``blocks`` (``f`` wide) gathered along every row group once,
-        as the stage list :meth:`_stage_broadcast` would yield: the
-        backward of a shrinking layer gathers ``A G^l`` so, and both its
-        funnels run from the pieces (:meth:`_weight_grad`,
-        :meth:`_matmul_w`)."""
+        """``blocks`` (``f`` wide) all-gathered along every row group
+        once (:meth:`_row_pieces`), as the stage list the funnels loop
+        over: ``(t, lo, hi, recv)`` per non-empty block ``[lo, hi)`` of
+        the ``f``-split, ``recv`` the ``t``-th member's piece indexed
+        like :attr:`_row_group_list` (``None`` for a group this process
+        has no rank in).  Every row-group operand of the epoch that is
+        not reduce-scattered moves so: ``T^0`` at set-up, a forward
+        ``T^l``, a backward ``A G^l``.
+
+        A local member's piece is a read-only view of its own block, and
+        the sanitizer re-hashes the pieces at the epoch's end, so
+        ``blocks`` must sit in a buffer nothing else of the epoch
+        writes."""
         got = self._row_pieces(blocks, f)
         groups = range(len(self._row_group_list))
         return [(t, lo, hi, [got[gi][t] if gi in got else None
@@ -509,11 +472,10 @@ class GridAlgorithm(DistAlgorithm):
             self.a_t_blocks, h_blocks, self.widths[0],
         )
 
-    def _forward_layers(self, backward: bool = True):
-        """The forward pass; per layer a cache for the backward.  With
-        ``backward`` (training), a layer whose product stage-loops keeps
-        the stages it received as ``"x_stages"``, for its weight
-        gradient; ``predict`` keeps none."""
+    def _forward_layers(self):
+        """The forward pass; per layer a cache for the backward.  A
+        layer whose product loops over gathered stages keeps them as
+        ``"x_stages"``, for its weight gradient."""
         caches = []
         last = self.model.num_layers - 1
         h_blocks = self._t0
@@ -531,22 +493,21 @@ class GridAlgorithm(DistAlgorithm):
                     self.a_t_blocks, hw_blocks, f_out, ws_key=("z", l),
                 )
             else:
-                # T W stage-loops over T's column blocks: layer 1 from
-                # the stages gathered at set-up, any other from a
-                # broadcast whose stages the weight gradient reads again.
+                # T W loops over T gathered along the row groups (layer
+                # 1's at set-up), and the weight gradient reads the same
+                # stages.  Nothing refills the ("t", l) workspace the
+                # local pieces view before the backward is done.
                 if l == 0:
-                    stages = x_stages = self._t0_stages
+                    x_stages = self._t0_stages
                 else:
                     x_blocks = self._obs_call(
                         "spmm.fwd", "spmm", self._grid_spmm,
                         self.a_t_blocks, h_blocks, f_in, ws_key=("t", l),
                     )
-                    x_stages = [] if backward else None
-                    stages = self._stage_broadcast(x_blocks, f_in,
-                                                   keep=x_stages)
+                    x_stages = self._gather_stages(x_blocks, f_in)
                 z_blocks = self._matmul_w(x_blocks, layer.weight, f_in,
                                           f_out, ws_key=("z", l),
-                                          stages=stages)
+                                          stages=x_stages)
             cache = {"x": x_blocks, "x_stages": x_stages, "z": z_blocks}
             if l < last:
                 h_blocks = {r: layer.activation.forward(z_blocks[r])
@@ -569,7 +530,7 @@ class GridAlgorithm(DistAlgorithm):
         return h_blocks, caches
 
     def _forward_pass(self) -> np.ndarray:
-        _, caches = self._forward_layers(backward=False)
+        _, caches = self._forward_layers()
         return self._assemble(caches[-1]["out_full"])
 
     def _run_epoch(self) -> Tuple[float, float]:
@@ -618,31 +579,25 @@ class GridAlgorithm(DistAlgorithm):
             layer = self.model.layers[l]
             f_in, f_out = layer.f_in, layer.f_out
             order = sweep_order(f_in, f_out, l == 0)
-            # Where A G^l is narrower than H^{l-1}, it is gathered along
-            # the row groups once and both funnels run from the pieces.
-            gather = funnel_reduces(f_in, f_out, l == 0)
+            ag_stages = None
             if l > 0 and not order.project_bwd:
-                # A G^l, for Equation 2 below; layer 1 has no G^0 to form.
-                # A gathered one is read to the epoch's end (its receipts
-                # are re-hashed there), so no later sweep may refill it:
-                # it gets a fresh buffer, dropped with the epoch.
+                # A G^l, for Equation 2 below (layer 1 has no G^0 to
+                # form), gathered along the row groups once.  Its pieces
+                # are re-hashed at the epoch's end, so no later sweep may
+                # refill it: a fresh buffer, dropped with the epoch.
                 ag_blocks = self._obs_call(
                     "spmm.bwd", "spmm", self._grid_spmm,
                     self.a_blocks, g_blocks, f_out,
-                    ws_key=None if gather else ("ag",),
                 )
-            g_stages = (self._gather_stages(ag_blocks, f_out) if gather
-                        else None)
-            # Y^l = X^T G, with (X, G) = (H^{l-1}, A G^l) where W went
-            # first forward; otherwise X's stages were kept forward.
+                ag_stages = self._gather_stages(ag_blocks, f_out)
+            # Y^l = X^T G from X's stages kept forward, or, where W went
+            # first forward, (H^{l-1})^T (A G^l) from the gathered A G^l.
             grads[l] = self._weight_grad(
-                caches[l]["x"], ag_blocks if order.project_fwd else g_blocks,
-                f_in, f_out, caches[l]["x_stages"], g_stages)
+                caches[l]["x"], g_blocks, f_in, f_out,
+                caches[l]["x_stages"], ag_stages)
             if l > 0:
-                gh_blocks = self._matmul_w(
-                    g_blocks if order.project_bwd else ag_blocks,
-                    layer.weight.T, f_out, f_in, stages=g_stages,
-                )
+                gh_blocks = self._matmul_w(g_blocks, layer.weight.T, f_out,
+                                           f_in, stages=ag_stages)
                 if order.project_bwd:
                     gh_blocks = self._obs_call(
                         "spmm.bwd", "spmm", self._grid_spmm,

@@ -117,8 +117,9 @@ def funnel_reduces(f_in: int, f_out: int, input_layer: bool = False) -> bool:
 
     Where the output is narrower, each rank multiplies its own column
     block by its rows of ``W`` and the row group reduce-scatters the
-    ``f_out``-wide partials; otherwise ``X``'s column blocks are broadcast
-    along the row group.  Either way ``min(f_in, f_out)`` columns travel.
+    ``f_out``-wide partials; otherwise ``X``'s column blocks are
+    all-gathered along the row group.  Either way ``min(f_in, f_out)``
+    columns travel.
     The input layer's products run from stages gathered once at set-up,
     so it is outside the rule, like in :func:`sweep_order`.
     """

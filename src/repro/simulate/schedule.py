@@ -16,12 +16,11 @@ tractable.  The emitters import the trainer's own rules from
 :mod:`repro.nn.layers` rather than restating them: which side of its
 layer each sweep runs on (:func:`~repro.nn.layers.sweep_order`) and, in
 2D / 3D, whether a replicated-``W`` product reduce-scatters its narrow
-output or stage-broadcasts its narrow input along the row groups
+output or all-gathers its narrow input along the row groups
 (:func:`~repro.nn.layers.funnel_reduces`).  Whatever a 2D / 3D epoch
-gathers along the row groups it gathers once: a weight gradient runs
-its GEMMs from the stages its layer's forward product received (or from
-the ``A G^l`` a shrinking layer's backward gathered), so its stage loop
-emits no broadcast.
+gathers along the row groups it gathers once, with one all-gather: a
+product and the weight gradient beside it run only their GEMMs from the
+gathered stages.
 
 Pricing a schedule (:func:`evaluate_schedule`) calls the price list of
 :mod:`repro.comm.cost_model` -- the very rules the executed ledger is
@@ -788,7 +787,7 @@ def emit_grid_epoch(
     """The :class:`~repro.dist.grid.GridAlgorithm` epoch, symbolically.
 
     Phase-for-phase mirror of the set-up (the one-time section: the
-    aggregation and the row-group gather of ``T^0``) and of
+    aggregation and the row-group all-gather of ``T^0``) and of
     ``GridAlgorithm._run_epoch``, shared by the 2D SUMMA and Split-3D
     emitters.  They supply the row groups (``group_rows`` dense rows
     each, ``group_size`` members, one per block of the
@@ -799,60 +798,54 @@ def emit_grid_epoch(
     replicated-``W`` product each sweep runs on, and
     :func:`~repro.nn.layers.funnel_reduces` how each product moves its
     ``min(f_in, f_out)`` columns along the row groups: a reduce-scatter
-    where the output is narrower, else a stage loop -- broadcast, or
-    from pieces gathered already (layer 1's ``T^0`` at set-up, a
-    shrinking layer's ``A G^l`` once per backward).  The weight
-    gradient ``Y^l = T^T G`` of a layer that does not shrink reads the
-    stages its forward product received, so its loop is GEMMs only.
+    where the output is narrower, else GEMMs over stages all-gathered
+    once (layer 1's ``T^0`` at set-up, a forward ``T^l``, a backward
+    ``A G^l``).  The weight gradient reads the same stages, so it moves
+    nothing but its all-reduce.
     """
     rows = np.asarray(rows_of_rank, dtype=np.float64)
     group_rows = np.asarray(group_rows, dtype=np.float64)
     n_layers = len(widths) - 1
 
-    def stage_loop(f_in: int, f_out: Optional[int] = None,
-                   kept: bool = False) -> None:
-        # `_stage_broadcast`'s loop: per nonempty stage t, each row
-        # group's t-th member broadcasts its block row-wise (one step;
-        # none where the stages are `kept`: gathered already), then
-        # every rank runs a partial GEMM into `f_out`'s columns (one
-        # step; none for the set-up gather itself).
+    def gather(f: int) -> None:
+        # `_row_pieces`: one all-gather of an f-wide operand along every
+        # row group.
+        b.allgather(Category.DCOMM, group_size, group_rows * (f * b.wb))
+
+    def stage_loop(f_in: int, f_out: int) -> None:
+        # The loop over gathered stages: per nonempty stage t, every
+        # rank runs a partial GEMM into `f_out`'s columns (one step).
         for w_t in fsplit_widths(f_in):
-            if w_t == 0:
-                continue
-            if not kept:
-                b.broadcast(Category.DCOMM, group_size,
-                            group_rows * (w_t * b.wb), pipelined=True)
-            if f_out is not None:
+            if w_t:
                 b.gemm(2.0 * rows * w_t * outw_of_rank(f_out))
 
-    def product(f_in: int, f_out: int, input_layer: bool = False,
-                gathered: bool = False) -> None:
+    def product(f_in: int, f_out: int, input_layer: bool = False) -> None:
         # `_matmul_w`: `_reduce_product`'s one GEMM per rank (its own
         # column block into all of `f_out`) and the row groups'
-        # reduce-scatter, or the stage loop.
+        # reduce-scatter, or the loop over stages gathered already.
         if funnel_reduces(f_in, f_out, input_layer):
             b.gemm(2.0 * rows * outw_of_rank(f_in) * f_out)
             b.reduce_scatter(Category.DCOMM, group_size,
                              group_rows * (f_out * b.wb))
         else:
-            stage_loop(f_in, f_out, kept=input_layer or gathered)
+            stage_loop(f_in, f_out)
 
     grid_spmm(widths[0], False)
-    stage_loop(widths[0])
+    gather(widths[0])                              # T^0, once
     b.end_setup()
     for l in range(n_layers):
         f_in, f_out = widths[l], widths[l + 1]
         project_first = sweep_order(f_in, f_out, l == 0).project_fwd
         if l > 0 and not project_first:
             grid_spmm(f_in, False)
+            gather(f_in)                           # T^l, once
         product(f_in, f_out, input_layer=l == 0)
         if project_first:
             grid_spmm(f_out, False)
         if l < n_layers - 1:
             b.elementwise(rows * outw_of_rank(f_out) * (2.0 * b.wb))
         else:
-            b.allgather(Category.DCOMM, group_size,
-                        group_rows * (f_out * b.wb))
+            gather(f_out)                          # the log_softmax rows
             b.elementwise(rows * (2.0 * f_out * b.wb))
     b.allreduce(Category.DCOMM, b.p, LOSS_TERM_BYTES)
     b.elementwise(rows * (3.0 * widths[-1] * b.wb))
@@ -860,18 +853,16 @@ def emit_grid_epoch(
     for l in range(n_layers - 1, -1, -1):
         f_in, f_out = widths[l], widths[l + 1]
         project_first = sweep_order(f_in, f_out, l == 0).project_bwd
-        gather = funnel_reduces(f_in, f_out, l == 0)
         if l > 0 and not project_first:
             grid_spmm(f_out, True)
-        if gather:                                 # A G^l, once
-            b.allgather(Category.DCOMM, group_size,
-                        group_rows * (f_out * b.wb))
+            gather(f_out)                          # A G^l, once
+        if funnel_reduces(f_in, f_out, l == 0):    # Y^l = X^T (A G^l)
             b.gemm(2.0 * rows * outw_of_rank(f_in) * f_out)
         else:
-            stage_loop(f_in, f_out, kept=True)     # Y^l = X^T G
+            stage_loop(f_in, f_out)                # Y^l = T^T G
         b.allreduce(Category.DCOMM, b.p, f_in * f_out * b.wb)
         if l > 0:
-            product(f_out, f_in, gathered=gather)  # G W^T
+            product(f_out, f_in)                   # G W^T
             if project_first:
                 grid_spmm(f_in, True)
             b.elementwise(rows * outw_of_rank(f_in) * (3.0 * b.wb))

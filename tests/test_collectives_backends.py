@@ -274,6 +274,56 @@ def test_funnel_reduce_scatter_ships_its_ledger_bytes(fabric, ds):
     assert sum(sent for _, (_, (_, sent)) in res.values()) == charged > 0
 
 
+@pytest.mark.parametrize("transport", ["shm", "tcp"])
+def test_funnel_allgather_ships_its_ledger_bytes(fabric, ds, transport):
+    """At W = 4 the two ranks of a 2D P = 4 row group sit on two workers.
+    The funnels' all-gather (``_gather_stages``: ``T^0``, ``T^l``, ``A
+    G^l``) sends each peer the block it lacks, once, and the ledger
+    charges each member the ``(Pc - 1) / Pc`` of the group's rows it
+    receives -- a stage broadcast also charged the root its own block.
+    The shm channel carries exactly the ledger's bytes; tcp adds only its
+    frames' headers, which do not grow with the payload (the same at 6
+    and 12 columns).  Every rank gets the virtual runtime's pieces."""
+    mesh = Mesh2D.square(4)
+    widths = (6, 12)
+
+    def gathers(rt):
+        algo = ALGORITHMS["2d"](rt, ds.adjacency, (8, 6, 3), seed=0)
+        out = []
+        for f in widths:
+            x = {}
+            for r in range(P):
+                if rt.is_local(r):
+                    lo, hi = algo._fsplit(f)[algo._out_col(r)]
+                    x[r] = dense(r, algo._rows_of(r), hi - lo)
+            before = (rt.tracker.total_bytes(Category.DCOMM),
+                      channel_bytes(rt))
+            stages = algo._gather_stages(x, f)
+            out.append(([recv for *_, recv in stages],
+                        rt.tracker.total_bytes(Category.DCOMM) - before[0],
+                        channel_bytes(rt) - before[1]))
+        return out
+
+    virtual = VirtualRuntime(mesh)
+    wants = gathers(virtual)
+    res = spmd(fabric, transport, 4, mesh, gathers)
+    framing = []
+    for i, (want, charged, _) in enumerate(wants):
+        sent = 0
+        for rt, gots in res.values():
+            got, worker_charged, worker_sent = gots[i]
+            assert same_receipt(got, want) == 2   # its group's two pieces
+            assert worker_charged == charged
+            assert ledger_digest(rt.tracker) == ledger_digest(virtual.tracker)
+            sent += worker_sent
+        assert charged > 0
+        framing.append(sent - charged)
+    if transport == "shm":
+        assert framing == [0, 0]
+    else:
+        assert framing[0] == framing[1] > 0
+
+
 # --------------------------------------------------------------------- #
 # sanitizer coverage is the same on workers
 # --------------------------------------------------------------------- #

@@ -84,7 +84,17 @@ CONFIGS = [
 #: forward product received instead of broadcasting them again: one stage
 #: loop left the epoch, Pc x n x 8 x 8 bytes -- 2D P = 4 ``dcomm`` 175200
 #: -> 150624, 3D P = 27 436929 -> 400065; ``scomm`` / ``trpose`` and the
-#: eleven ``loss1`` values did not move.
+#: eleven ``loss1`` values did not move.  And once more for the five grid
+#: rows, when the two row-group operands the epoch still moved by ``Pc``
+#: stage broadcasts -- the middle layer's forward ``T^2`` and its backward
+#: ``A G^2`` -- became one all-gather each: a broadcast charges every
+#: member the root's block, an all-gather only the ``Pc - 1`` blocks it
+#: receives, so each operand charges n x 8 x 8 bytes less -- 2D P = 4
+#: ``dcomm`` 150624 -> 126048 (and ``max_rank`` 93492 -> 87348, modeled
+#: seconds and messages down with it: ``ceil(lg Pc)`` latencies per
+#: member, not ``Pc``), 3D P = 27 400065 -> 375477 (its ``(Pc - 1) /
+#: Pc`` share of a group's bytes rounds down per member); ``scomm`` /
+#: ``trpose`` and the eleven ``loss1`` values did not move.
 PRE_OPT_ORACLE = {
     ("1d", 4): dict(dcomm=119904, scomm=0, trpose=0, max_rank=29976,
                     seconds=0.00019552624206766914,
@@ -104,20 +114,20 @@ PRE_OPT_ORACLE = {
     ("1.5d", 16): dict(dcomm=405888, scomm=0, trpose=0, max_rank=25368,
                        seconds=0.00026369362358940826,
                        loss1=1.4010554851746766),
-    ("2d", 4): dict(dcomm=150624, scomm=136256, trpose=17032,
-                    max_rank=93492, seconds=0.0003107217886678655,
+    ("2d", 4): dict(dcomm=126048, scomm=136256, trpose=17032,
+                    max_rank=87348, seconds=0.0003096257886678655,
                     loss1=1.4010554851746768),
-    ("2d", 8): dict(dcomm=236768, scomm=148928, trpose=17048,
-                    max_rank=68472, seconds=0.0004980946567113438,
+    ("2d", 8): dict(dcomm=212192, scomm=148928, trpose=17048,
+                    max_rank=65400, seconds=0.0004939610914939524,
                     loss1=1.4010554851746766),
-    ("2d", 16): dict(dcomm=347616, scomm=297856, trpose=18616,
-                     max_rank=58994, seconds=0.0006467051165217392,
+    ("2d", 16): dict(dcomm=323040, scomm=297856, trpose=18616,
+                     max_rank=57458, seconds=0.0006386383339130436,
                      loss1=1.4010554851746766),
-    ("3d", 8): dict(dcomm=218336, scomm=148672, trpose=0,
-                    max_rank=61788, seconds=0.00040830280081072257,
+    ("3d", 8): dict(dcomm=193760, scomm=148672, trpose=0,
+                    max_rank=58716, seconds=0.0004041692355933312,
                     loss1=1.4010554851746768),
-    ("3d", 27): dict(dcomm=400065, scomm=270000, trpose=0,
-                     max_rank=39117, seconds=0.0005723837219023403,
+    ("3d", 27): dict(dcomm=375477, scomm=270000, trpose=0,
+                     max_rank=38177, seconds=0.0005683429103081374,
                      loss1=1.4010554851746768),
 }
 

@@ -14,8 +14,8 @@ every ``predict()`` starts from it.  These tests pin what that promises:
   when only one worker's rows changed, and also across a kill-and-recover
   fit, with losses and the ledger digest (set-up charge included) equal
   to the virtual run's;
-* in 2D / 3D the set-up also gathers ``T^0`` along the row groups, once:
-  each local row group keeps the stage blocks, every epoch's layer-1
+* in 2D / 3D the set-up also all-gathers ``T^0`` along the row groups,
+  once: each local row group keeps the pieces, every epoch's layer-1
   replicated-``W`` products run from them, and only a new matrix pays
   the gather again -- also where a row group spans workers.
 """
@@ -364,10 +364,15 @@ GRIDS = [
 
 
 def gather_dcomm(algo) -> int:
-    """One stage loop of ``T^0`` along the row groups: in stage ``t``
-    every member of a row group is charged the group's rows times the
-    ``t``-th column block, so the world pays ``|group| n f^0`` words."""
-    return len(algo._row_group_list[0]) * algo.n * algo.widths[0] * algo.WB
+    """One all-gather of ``T^0`` along the row groups: every member of a
+    group is charged the ``(|group| - 1) / |group|`` of the group's rows
+    x ``f^0`` it receives (rounded down), so the world pays ``(|group| -
+    1) n f^0`` words, less the rounding."""
+    return sum(
+        len(group) * cm.allgather_cost(
+            algo.rt.profile, algo._grows(group) * algo.widths[0] * algo.WB,
+            len(group)).bytes_critical
+        for group in algo._row_group_list)
 
 
 def dcomm_of(algo, fn) -> int:
@@ -398,7 +403,7 @@ class TestGatheredOnce:
             == forward
         x = edited(ds.features)
         installed = dcomm_of(algo, lambda: algo.predict(x)) - forward
-        # a new one: the aggregation sweep and exactly one stage loop
+        # a new one: the aggregation sweep and exactly one gather
         sweep = dcomm_of(algo, lambda: algo._grid_spmm(
             algo.a_t_blocks, algo._t0, algo.widths[0]))
         assert installed == sweep + gather_dcomm(algo)
@@ -428,30 +433,32 @@ class TestGatheredOnce:
     @pytest.mark.parametrize("name,p,kw", GRIDS)
     def test_weight_gradient_reads_the_forward_stages(self, ds, name, p,
                                                       kw):
-        """A training forward keeps, per layer whose product stage-loops,
-        the stages it received -- the row group's full ``f^{l-1}``
-        columns, private copies of ``T^l`` -- and the memory count says
-        so; a shrinking layer keeps none, nor does ``predict``'s pass."""
+        """A forward keeps, per layer whose product loops over gathered
+        stages, those stages -- the row group's full ``f^{l-1}`` columns,
+        each local rank's piece a read-only view of its own block of
+        ``T^l``, not a copy -- and the memory count says so; a shrinking
+        layer keeps none."""
         algo = make(ds, name, p, kw)
         algo.setup(ds.features, ds.labels)
         _, caches = algo._forward_layers()
-        _, predicted = algo._forward_layers(backward=False)
-        for l, (cache, pred) in enumerate(zip(caches, predicted)):
+        for l, cache in enumerate(caches):
             f_in = algo.widths[l]
             if funnel_reduces(f_in, algo.widths[l + 1], l == 0):
-                assert cache["x_stages"] is pred["x_stages"] is None
+                assert cache["x_stages"] is None
                 assert algo._kept_x_width(l) == \
                     algo._stored_dense_width(f_in)
                 continue
             assert algo._kept_x_width(l) == f_in
-            assert pred["x_stages"] is (algo._t0_stages if l == 0 else None)
+            if l == 0:
+                assert cache["x_stages"] is algo._t0_stages
             for gi, group, members, span in algo._local_group_info:
                 kept = [recv[gi] for *_, recv in cache["x_stages"]]
                 assert sum(b.shape[1] for b in kept) == f_in
                 for r in members:
                     block = kept[algo._out_col(r)]
                     np.testing.assert_array_equal(cache["x"][r], block)
-                    assert block.flags.owndata      # a private copy
+                    assert np.shares_memory(cache["x"][r], block)
+                    assert not block.flags.writeable
         assert [c["x_stages"] is not None for c in caches] == [True, True,
                                                                False]
 
@@ -485,8 +492,8 @@ def test_trained_2d_holds_no_more_than_before_the_gather():
 
 #: At W = 4 a 2D P = 4 rank, and a pair of 3D P = 8 ranks, have a worker
 #: each, so every row group spans workers and the set-up gather, like the
-#: replicated-``W`` funnels' collectives, crosses the wire (at W = 2 the
-#: groups stay inside one worker).
+#: replicated-``W`` funnels' gathers and reduce-scatters, crosses the wire
+#: (at W = 2 the groups stay inside one worker).
 SPANNING = [
     pytest.param("2d", 4, "tcp", id="2d-w4-tcp"),
     pytest.param("3d", 8, "shm", id="3d-w4-shm"),
@@ -568,24 +575,44 @@ class TestRowGroupsAcrossWorkers:
         assert stats["restarts"] == 1
 
     def test_exchanges_per_worker_epoch_tcp(self, ds, watchdog):
-        """27 exchanges per worker-epoch at W = 4.  The equal-width
-        middle layer (8 -> 8) broadcasts ``T^2``'s two stages once, for
-        its forward product, and its weight gradient reads the kept
-        stages: two exchanges fewer than while it broadcast them again
-        (29).  The shrinking last layer (8 -> 3) reduce-scatters its
-        forward product and gathers ``A G`` once for both backward
-        funnels: one exchange each where its three stage loops, two
-        stages each, took six (33); 37 while layer 1's two stage loops
-        re-broadcast ``T^0``.  The set-up gains the gather's two beside
-        the aggregation's four."""
+        """25 exchanges per worker-epoch at W = 4 (widths 10-8-8-3; each
+        worker holds one rank, so each row group collective costs one):
+        - the two SpMM sweeps each way, 2 SUMMA stages of a sparse and a
+          dense broadcast each: 16;
+        - the equal-width middle layer (8 -> 8): one all-gather of
+          ``T^2`` for its forward product, which its weight gradient
+          reads again, and one of ``A G^2`` for ``G W^T``: 2;
+        - the shrinking last layer (8 -> 3): its forward product's
+          reduce-scatter and one all-gather of ``A G`` for both backward
+          funnels: 2;
+        - the ``log_softmax`` row all-gather: 1;
+        - the loss and three weight-gradient all-reduces: 4.
+        That is 27 while ``T^2`` and ``A G^2`` moved by 2 stage
+        broadcasts each (one exchange a stage), 29 while the weight
+        gradient broadcast ``T^2`` again, 33 while the last layer's
+        three funnels stage-broadcast, 37 while layer 1's two funnels
+        re-broadcast ``T^0``.  The set-up is the aggregation sweep's 4
+        and one all-gather of ``T^0`` (2 stage broadcasts before)."""
         first, again = exchanges_per_worker(ds, "2d", 4, "tcp")
-        assert again == [K * 27] * SPANNING_WORKERS
-        assert first == [4 + 2 + 27] * SPANNING_WORKERS
+        assert again == [K * 25] * SPANNING_WORKERS
+        assert first == [4 + 1 + 25] * SPANNING_WORKERS
 
     def test_exchanges_per_worker_epoch_3d_shm(self, ds, watchdog):
-        """34 exchanges per worker-epoch on 3D P = 8 at W = 4, 36 while
-        the middle layer's weight gradient broadcast ``T^2``'s two
-        stages again; the set-up's seven include the gather's two."""
+        """34 exchanges per worker-epoch on 3D P = 8 at W = 4.  Each
+        worker holds one rank of each of two row groups, and a group
+        collective meets its peers once per group, so every row-group
+        collective costs 2:
+        - the four Split-3D sweeps, 5 each: 20;
+        - the all-gathers of ``T^2`` and ``A G^2``, the last layer's
+          reduce-scatter and ``A G`` gather, the ``log_softmax`` rows:
+          5 x 2;
+        - the loss and three weight-gradient all-reduces: 4.
+        A routed stage broadcast met the peers once per stage for all
+        groups, so the middle layer's two 2-stage operands cost 2 each
+        as broadcasts too: the all-gathers leave this count where it
+        was (36 while the weight gradient broadcast ``T^2`` again).
+        The set-up's 7 are the aggregation sweep's 5 and the ``T^0``
+        all-gather's 2."""
         first, again = exchanges_per_worker(ds, "3d", 8, "shm")
         assert again == [K * 34] * SPANNING_WORKERS
         assert first == [7 + 34] * SPANNING_WORKERS

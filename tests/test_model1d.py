@@ -14,8 +14,13 @@ from repro.comm import VirtualRuntime
 from repro.comm.tracker import Category
 from repro.config import COMMODITY, FP32_BYTES, SUMMIT
 from repro.dist.algo_1d import DistGCN1D
+from repro.dist.algo_2d import DistGCN2D
 from repro.nn.layers import sweep_widths
-from repro.simulate import GraphModel, predict_epoch
+from repro.simulate import GraphModel, evaluate_schedule, predict_epoch
+from repro.simulate.schedule import CommSchedule
+
+#: Protein's published shape: 128 features, 16 hidden, 256 classes
+PROTEIN_WIDTHS = (128, 16, 16, 256)
 
 
 def published(algorithm, name, p, machine=None):
@@ -112,13 +117,29 @@ class TestPaperStories:
         assert ratio == pytest.approx(1.0, rel=0.1)
 
     def test_2d_dense_bytes_scale_with_sqrt_p(self):
-        b16 = published("2d", "protein", 16)
-        b256 = published("2d", "protein", 256)
-        ratio = (
-            (b16.bytes_by_category[Category.DCOMM] / 16)
-            / (b256.bytes_by_category[Category.DCOMM] / 256)
-        )
-        assert ratio == pytest.approx(4.0, rel=0.15)  # sqrt(256/16)
+        """Per rank, 2D's dense words fall by ``sqrt(256 / 16) = 4`` from
+        P = 16 to 256, in two exact parts.  The SUMMA sweeps' broadcasts
+        move the whole ``n / sqrt(P)``-row block to every member: 4.000.
+        The row-group all-gathers and reduce-scatters (the funnels and
+        the ``log_softmax`` rows) charge each member the ``(Pc - 1) /
+        Pc`` of its group's ``n / Pr`` rows it does not hold, ``(Pc - 1)
+        / P`` of ``n f``: ``(3 / 16) / (15 / 256) = 3.200``.  (The weight gradients' world
+        all-reduces are ``f x f``, the same at every P.)"""
+        def per_rank(p, kinds):
+            schedule = DistGCN2D.emit_comm_schedule(
+                GraphModel.from_published("protein"), PROTEIN_WIDTHS, p,
+                word_bytes=FP32_BYTES)
+            part = CommSchedule(p, [
+                ph for ph in schedule.phases
+                if getattr(ph, "kind", None) in kinds
+                and ph.category == Category.DCOMM])
+            return evaluate_schedule(part, SUMMIT).bytes_by_category[
+                Category.DCOMM] / p
+
+        for kinds, ratio in ((("broadcast",), 4.0),
+                             (("allgather", "reduce_scatter"), 3.2)):
+            assert per_rank(16, kinds) / per_rank(256, kinds) == \
+                pytest.approx(ratio, rel=1e-3), kinds
 
     def test_slow_network_favours_2d(self):
         """Section I: slower networks 'increase the relative cost of

@@ -97,16 +97,18 @@ class TestFullScaleShapes:
         narrow side (the growing last layer reduce-scatters ``G W^T`` at
         16 columns, not 24), and the weight gradients of the two layers
         above the first read the ``T^l`` stages their forward products
-        received: the dense bytes fall to 0.62-0.64x the sparse bytes at
-        P = 16 / 36 / 64 (0.76-0.79x while those weight gradients
-        re-broadcast ``T^l``, 0.80-0.84x while the last funnel broadcast
-        ``G``, 3.3-3.6x while layer 1's replicated-``W`` products
-        re-broadcast ``T^0`` every epoch)."""
+        gathered, each with one all-gather: the dense bytes fall to
+        0.59-0.60x the sparse bytes at P = 16 / 36 / 64 (0.62-0.64x while
+        those stages and the middle layer's ``A G`` were stage-broadcast,
+        0.76-0.79x while the weight gradients re-broadcast ``T^l``,
+        0.80-0.84x while the last funnel broadcast ``G``, 3.3-3.6x while
+        layer 1's replicated-``W`` products re-broadcast ``T^0`` every
+        epoch)."""
         for p in (16, 36, 64):
             r = published("amazon", p)
             ratio = (r.bytes_by_category[Category.DCOMM]
                      / r.bytes_by_category[Category.SCOMM])
-            assert 0.60 < ratio < 0.66, (p, ratio)
+            assert 0.58 < ratio < 0.61, (p, ratio)
 
     def test_amazon_dcomm_halves_with_4x_devices(self):
         """'time spent communicating dense matrices goes down by 2x given

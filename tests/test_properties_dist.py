@@ -257,50 +257,52 @@ class TestGeneratedShapes:
                                                 directed_ok, data):
         """(v) Above layer 1 the replicated-``W`` funnels move each
         layer's narrow side along the row groups (``Pc`` members, ``n``
-        rows between them), and each operand once.  One that shrinks
-        pays ``f^l`` twice: it reduce-scatters its forward product and
-        gathers ``A G`` once for both backward funnels, ``(Pc - 1) n
-        f^l`` words each.  Any other pays ``f^{l-1}`` once, forward
-        only: its product broadcasts ``T^l``'s stages, ``Pc n f^{l-1}``,
-        and ``Y = T^T G`` reads them again; then ``G W^T`` broadcasts
-        ``G`` (equal widths) or, growing, reduce-scatters at
-        ``f^{l-1}``.  Beyond the sweeps, the ``log_softmax`` row gather
-        and the all-reduces, the ledger and the emitted schedule charge
-        exactly that.
+        rows between them), each operand once and by one all-gather or
+        reduce-scatter, so every layer pays ``2 (Pc - 1) n min(f^{l-1},
+        f^l)`` words -- the 1D property's form with ``Pc`` in place of
+        ``P``.  One that shrinks reduce-scatters its forward product and
+        gathers ``A G`` once for both backward funnels; one that does not
+        gathers ``T^l`` once for its product and ``Y = T^T G``, then
+        gathers ``A G`` for ``G W^T`` (equal widths) or, growing,
+        reduce-scatters ``G W^T`` at ``f^{l-1}``.  Beyond the sweeps, the
+        ``log_softmax`` row gather and the all-reduces, the ledger and
+        the emitted schedule charge exactly that, and the set-up exactly
+        its sweep plus one gather of ``T^0``, ``(Pc - 1) n f^0`` words.
 
         Mutation check (run once, in a scratch copy): with the emitter
-        alone re-broadcasting ``T^l`` for ``Y`` (``emit_grid_epoch``'s
-        backward ``stage_loop(..., kept=l == 0)``), this property fails
-        on the schedule side and (ii) on ledger != schedule, on all three
-        configurations."""
+        alone moving a gathered operand by ``Pc`` pipelined stage
+        broadcasts again (``emit_grid_epoch``'s ``gather``), this
+        property fails on the schedule side and (ii) on ledger !=
+        schedule, on all three configurations."""
         a_t, features, labels, widths, seed = data.draw(
             shaped_problems(directed_ok))
         algo, emit_kw = build_shaped(name, p, kw, a_t, widths, seed)
         schedule = ALGORITHMS[name].emit_comm_schedule(
             GraphModel.from_csr(a_t), widths, p, **emit_kw)
         n, pc = a_t.nrows, len(algo._row_group_list[0])
-        units = 0
-        for a, b in zip(widths[1:-1], widths[2:]):
-            if b < a:        # reduce-scatter, gather: f^l twice
-                units += 2 * (pc - 1) * b
-            else:            # T^l's stages once; G W^T by its own rule
-                units += pc * a + ((pc - 1) * a if a < b else pc * b)
+        units = sum(2 * (pc - 1) * min(a, b)
+                    for a, b in zip(widths[1:-1], widths[2:]))
         funnels = n * 8 * units
-        epoch = algo.fit(features, labels, epochs=1).epochs[0].dcomm_bytes
+        hist = algo.fit(features, labels, epochs=1)
         reduced = 16 + sum(8 * a * b for a, b in zip(widths, widths[1:]))
         others = ((pc - 1) * n * 8 * widths[-1] + 2 * (p - 1) * reduced
-                  + sweeps_dcomm(algo, widths))
-        assert epoch - others == funnels
+                  + sweeps_dcomm(algo, *sweep_widths(widths)))
+        assert hist.epochs[0].dcomm_bytes - others == funnels
         priced = evaluate_schedule(schedule, algo.rt.profile)
         assert priced.bytes_by_category[Category.DCOMM] - others == funnels
+        setup = (sweeps_dcomm(algo, (widths[0],))
+                 + (pc - 1) * n * 8 * widths[0])
+        assert hist.setup.dcomm_bytes == setup
+        assert evaluate_schedule(schedule.setup, algo.rt.profile) \
+            .bytes_by_category[Category.DCOMM] == setup
 
 
-def sweeps_dcomm(algo, widths) -> int:
-    """Dense bytes of an epoch's SpMM sweeps, measured by running each
-    (on zero blocks of its width) through the trainer."""
+def sweeps_dcomm(algo, forward, backward=()) -> int:
+    """Dense bytes of SpMM sweeps at the ``forward`` / ``backward``
+    widths, measured by running each (on zero blocks of its width)
+    through the trainer."""
     tracker = algo.rt.tracker
     before = tracker.total_bytes(Category.DCOMM)
-    forward, backward = sweep_widths(widths)
     for operand, f in ([(algo.a_t_blocks, f) for f in forward]
                        + [(algo.a_blocks, f) for f in backward]):
         split = algo._fsplit(f)
