@@ -1,37 +1,32 @@
-"""Serial SpMM kernel before/after: the hottest local path, measured.
+"""Serial SpMM kernel: the hottest local path, measured.
 
 The distributed algorithms spend their local compute in CSR-times-dense
-kernels over many small reused blocks.  This bench times the three
-backends on GNN-shaped operands:
+kernels over many small reused blocks.  This bench times
+:func:`repro.sparse.spmm.spmm` -- scipy's compiled kernel through the
+per-matrix cached zero-copy wrapper, the only kernel any training path
+runs -- on GNN-shaped operands, allocating its result and writing into a
+kept buffer (``out=``, what the epochs' workspaces do).  The reference
+kernel :func:`~repro.sparse.spmm.spmm_numpy` only checks the product.
 
-* ``cumsum``   -- the original segment-sum formulation (kept as the
-  baseline): materialises the full running sum of the expanded products
-  plus two fancy-index gathers;
-* ``reduceat`` -- the current pure-numpy kernel: one in-place segment
-  fold, no cumsum materialisation;
-* ``scipy``    -- the compiled kernel through the per-matrix cached
-  zero-copy wrapper (re-wrapping per call was measurable overhead at
-  distributed block sizes).
-
-The measured before/after ratios land in ``BENCH_dist.json`` via the
-``extra_info`` attachment.
+The measured times land in ``BENCH_dist.json`` via the ``extra_info``
+attachment.
 """
+
+import time
 
 import numpy as np
 
 from repro.graph import make_synthetic
-from repro.sparse.spmm import spmm_numpy, spmm_numpy_cumsum, spmm_scipy
+from repro.sparse.spmm import spmm, spmm_numpy
 
 from benchmarks.helpers import attach, print_table
 
-import time
 
-
-def _time(fn, a, b, repeats):
-    fn(a, b)  # warm (builds the scipy wrapper cache on first touch)
+def _time(fn, repeats):
+    fn()  # warm (builds the scipy wrapper cache on first touch)
     t0 = time.perf_counter()
     for _ in range(repeats):
-        fn(a, b)
+        fn()
     return (time.perf_counter() - t0) / repeats
 
 
@@ -51,28 +46,18 @@ def bench_spmm_kernel_comparison(benchmark):
     rows = []
     info = {}
     for label, (blk, dense, repeats) in cases.items():
-        ref = spmm_numpy_cumsum(blk, dense)
-        assert np.allclose(spmm_numpy(blk, dense), ref)
-        assert np.allclose(spmm_scipy(blk, dense), ref)
-        before = _time(spmm_numpy_cumsum, blk, dense, repeats)
-        after = _time(spmm_numpy, blk, dense, repeats)
-        compiled = _time(spmm_scipy, blk, dense, repeats)
-        rows.append(
-            (label, round(before * 1e6, 1), round(after * 1e6, 1),
-             round(compiled * 1e6, 1), round(before / after, 2))
-        )
-        info[label] = {
-            "cumsum_us": before * 1e6,
-            "reduceat_us": after * 1e6,
-            "scipy_cached_us": compiled * 1e6,
-            "numpy_speedup": before / after,
-        }
+        buf = np.empty((blk.nrows, dense.shape[1]))
+        assert np.allclose(spmm(blk, dense), spmm_numpy(blk, dense))
+        fresh = _time(lambda: spmm(blk, dense), repeats)
+        kept = _time(lambda: spmm(blk, dense, out=buf), repeats)
+        rows.append((label, round(fresh * 1e6, 1), round(kept * 1e6, 1)))
+        info[label] = {"fresh_us": fresh * 1e6, "out_us": kept * 1e6}
     print_table(
-        "serial CSR SpMM kernels (before = cumsum, after = reduceat)",
-        ("operand", "cumsum us", "reduceat us", "scipy us", "speedup"),
+        "serial CSR SpMM (compiled kernel)",
+        ("operand", "fresh us", "out= us"),
         rows,
     )
     ds_small = make_synthetic(n=400, avg_degree=8, f=32, n_classes=4, seed=1)
     dense = rng.random((400, 32))
-    benchmark(spmm_numpy, ds_small.adjacency, dense)
+    benchmark(spmm, ds_small.adjacency, dense)
     attach(benchmark, kernels=info)

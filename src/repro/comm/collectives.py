@@ -417,6 +417,7 @@ class Collectives:
     def _reduce_scatter(
         self, group: Tuple[int, ...], values: Mapping[int, Any],
         axis: int = 0, bounds: Optional[Sequence[Tuple[int, int]]] = None,
+        donate_first: bool = False,
     ) -> Tuple[dict, int]:
         """Fold, in group order, only the span of the shards this
         process's members keep -- which is all a peer sends it -- and
@@ -449,7 +450,8 @@ class Collectives:
             return _axis_shards(arr, [span(ranks)], axis)[0]
 
         acc = self._reduce_arrays(group,
-                                  self._contributions(group, values, keep))
+                                  self._contributions(group, values, keep),
+                                  donate_first)
         base = span(mine)[0]
         shards = _axis_shards(
             acc, [(where[r][0] - base, where[r][1] - base) for r in mine],
@@ -463,13 +465,15 @@ class Collectives:
         self, group: Tuple[int, ...], values: Mapping[int, Any],
         nz_rows: Sequence[int], axis: int = 0,
         bounds: Optional[Sequence[Tuple[int, int]]] = None,
+        donate_first: bool = False,
     ) -> Tuple[dict, int]:
         if len(nz_rows) != len(group):
             raise ValueError(
                 f"got {len(nz_rows)} nonzero-row counts for a group of "
                 f"{len(group)}"
             )
-        out, dense_bytes = self._reduce_scatter(group, values, axis, bounds)
+        out, dense_bytes = self._reduce_scatter(group, values, axis, bounds,
+                                                donate_first)
         # Critical-path buffer size: the largest sparse contribution
         # (its structurally nonzero rows + one index per row) plays the
         # role the uniform dense buffer plays in reduce_scatter_cost.
@@ -499,7 +503,8 @@ class Collectives:
         same scratch buffer would corrupt the earlier one.
         ``donate_first`` callers assert exclusive ownership of the
         leading contribution, letting it serve as the accumulator
-        directly.
+        directly (the block-row epochs donate a per-layer workspace
+        nothing else writes that epoch).
         """
         prof = _profile.ACTIVE
         t0 = prof.clock() if prof is not None else 0.0
@@ -622,6 +627,7 @@ class Collectives:
         category: str = Category.DCOMM,
         axis: int = 0,
         bounds: Optional[Sequence[Tuple[int, int]]] = None,
+        donate_first: bool = False,
     ) -> Dict[int, np.ndarray]:
         """Sum same-shape arrays, then scatter shards along ``axis``.
 
@@ -636,10 +642,11 @@ class Collectives:
 
         The reduction runs in place over one freshly-owned contiguous
         accumulator and the returned shards are read-only views into it
-        (zero shard copies).
+        (zero shard copies); ``donate_first`` as in :meth:`allreduce`.
         """
         return self._charged("reduce_scatter", group, values, category,
-                             axis=axis, bounds=bounds)
+                             axis=axis, bounds=bounds,
+                             donate_first=donate_first)
 
     def sparse_reduce_scatter(
         self,
@@ -649,6 +656,7 @@ class Collectives:
         category: str = Category.DCOMM,
         axis: int = 0,
         bounds: Optional[Sequence[Tuple[int, int]]] = None,
+        donate_first: bool = False,
     ) -> Dict[int, np.ndarray]:
         """Reduce-scatter that ships only the nonzero rows of each input.
 
@@ -667,4 +675,4 @@ class Collectives:
         """
         return self._charged("sparse_reduce_scatter", group, values,
                              category, nz_rows=nz_rows, axis=axis,
-                             bounds=bounds)
+                             bounds=bounds, donate_first=donate_first)

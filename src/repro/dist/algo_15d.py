@@ -147,15 +147,15 @@ class DistGCN15D(BlockRowAlgorithm):
             [blocks[self._rank_of(g, 0)] for g in range(self.q)], axis=0
         )
 
-    def _forward_spmm(self, blocks, f):
-        return self._replicated_spmm(blocks, f)
+    def _forward_spmm(self, blocks, f, key):
+        return self._replicated_spmm(blocks, f, key)
 
-    def _backward_spmm(self, blocks, f):
+    def _backward_spmm(self, blocks, f, key):
         # Symmetric trade only (enforced at construction): A == A^T.
-        return self._replicated_spmm(blocks, f)
+        return self._replicated_spmm(blocks, f, key)
 
     def _replicated_spmm(
-        self, blocks: Dict[int, np.ndarray], f: int
+        self, blocks: Dict[int, np.ndarray], f: int, key
     ) -> Dict[int, np.ndarray]:
         """``A^T X`` for block-row-replicated ``X``: slab broadcasts,
         partial SpMM, fiber all-reduce.
@@ -164,7 +164,9 @@ class DistGCN15D(BlockRowAlgorithm):
         blocks, so the slab is assembled once per column (into a reused
         workspace) instead of once per rank; the per-rank partial SpMMs
         against distinct ``A^T`` slabs -- the genuinely per-rank work --
-        are unchanged, as is every charge.
+        are unchanged, as is every charge.  The fiber leader's partial is
+        written into its per-layer workspace ``key`` and donated as the
+        all-reduce's accumulator, so the sweep's result is a view of it.
         """
         # Broadcast rounds: round t moves each column's t-th source block,
         # concurrently across the c replica columns -- staged, so round
@@ -207,17 +209,13 @@ class DistGCN15D(BlockRowAlgorithm):
                 slabs[j] = slab
         partials: Dict[int, np.ndarray] = {}
         for r in local_ranks:
-            g, j = self._coords(r)
-            if j == 0:
-                # The fiber leader's partial is donated to the all-reduce
-                # below and escapes as the shared result: fresh buffer.
-                partials[r] = spmm(self.a_slabs[r], slabs[j])
-            else:
-                # Non-leading partials are only read during the reduction
-                # -- their output buffers are reused across epochs.
-                g0, g1 = self.group_ranges[g]
-                buf = self._ws(("part", r, f), (g1 - g0, f))
-                partials[r] = spmm(self.a_slabs[r], slabs[j], out=buf)
+            j = self._coords(r)[1]
+            # The fiber leader's (j = 0) partial escapes as the shared
+            # result, so it takes the sweep's per-layer buffer; the
+            # others are only read during the reduction.
+            partials[r] = spmm(
+                self.a_slabs[r], slabs[j],
+                out=self._rows_ws(("part", f) if j else key, r, f))
         self._charge_kernel(
             "spmm", ("rsch", f),
             lambda: (
@@ -225,9 +223,9 @@ class DistGCN15D(BlockRowAlgorithm):
                 for r in range(self.p)
             ),
         )
-        # Fiber all-reduces.  The partials are freshly-owned per-rank
-        # SpMM outputs used nowhere else, so the leading one is donated
-        # as the in-place accumulator (NCCL-style).
+        # Fiber all-reduces.  The partials are per-rank SpMM outputs
+        # used nowhere else, so the leading one is donated as the
+        # in-place accumulator (NCCL-style).
         return self._collective(
             "allreduce", ("farch", f), Category.DCOMM, self._fiber_groups,
             partials,

@@ -267,15 +267,16 @@ class DistGCN1D(BlockRowAlgorithm):
         return out
 
     def _ghost_spmm(
-        self, blocks: Dict[int, np.ndarray], f: int, key
+        self, blocks: Dict[int, np.ndarray], f: int, charge_key, key
     ) -> Dict[int, np.ndarray]:
         """Ghost-row exchange + compact block-row SpMM (``A^T == A``)."""
         operand = self._ghost_operand(blocks, f)
         out: Dict[int, np.ndarray] = {}
         for r in self._local(self.world):
-            out[r] = spmm(self.a_t_compact[r], operand[r])
+            out[r] = spmm(self.a_t_compact[r], operand[r],
+                          out=self._rows_ws(key, r, f))
         self._charge_kernel(
-            "spmm", key,
+            "spmm", charge_key,
             lambda: (
                 (r, self.a_t_rows[r].nnz, self.a_t_rows[r].nrows, f)
                 for r in self.world
@@ -284,15 +285,16 @@ class DistGCN1D(BlockRowAlgorithm):
         return out
 
     def _forward_spmm(
-        self, blocks: Dict[int, np.ndarray], f: int
+        self, blocks: Dict[int, np.ndarray], f: int, key
     ) -> Dict[int, np.ndarray]:
         """``A^T X``: gather the (needed) operand, multiply the block row."""
         if self.variant == "ghost":
-            return self._ghost_spmm(blocks, f, ("fsp", f))
+            return self._ghost_spmm(blocks, f, ("fsp", f), key)
         full = self._allgather_rows(blocks)
         out: Dict[int, np.ndarray] = {}
         for r in self._local(self.world):
-            out[r] = spmm(self.a_t_rows[r], full[r])
+            out[r] = spmm(self.a_t_rows[r], full[r],
+                          out=self._rows_ws(key, r, f))
         self._charge_kernel(
             "spmm", ("fsp", f),
             lambda: (
@@ -312,16 +314,17 @@ class DistGCN1D(BlockRowAlgorithm):
             )
 
     def _backward_spmm(
-        self, g_blocks: Dict[int, np.ndarray], f_out: int
+        self, g_blocks: Dict[int, np.ndarray], f_out: int, key
     ) -> Dict[int, np.ndarray]:
         """Block rows of ``A G^l`` under the selected variant."""
         if self.variant == "ghost":
-            return self._ghost_spmm(g_blocks, f_out, ("bsp", f_out))
+            return self._ghost_spmm(g_blocks, f_out, ("bsp", f_out), key)
         if self.variant in ("symmetric", "transpose"):
             g_full = self._allgather_rows(g_blocks)
             ag_blocks: Dict[int, np.ndarray] = {}
             for r in self._local(self.world):
-                ag_blocks[r] = spmm(self.a_rows[r], g_full[r])
+                ag_blocks[r] = spmm(self.a_rows[r], g_full[r],
+                                    out=self._rows_ws(key, r, f_out))
             self._charge_kernel(
                 "spmm", ("bsp", f_out),
                 lambda: (
@@ -332,10 +335,12 @@ class DistGCN1D(BlockRowAlgorithm):
             return ag_blocks
         # Outer-product path: full-height partials, then reduce-scatter
         # sharded at the rank row ranges (== the near-equal split for
-        # the default distribution).
+        # the default distribution).  The leading partial is donated as
+        # the accumulator, so the shards are views of its workspace.
         partials: Dict[int, np.ndarray] = {}
         for r in self._local(self.world):
-            partials[r] = spmm(self.a_cols[r], g_blocks[r])
+            partials[r] = spmm(self.a_cols[r], g_blocks[r],
+                               out=self._ws((key, r), (self.n, f_out)))
         self._charge_kernel(
             "spmm", ("osp", f_out),
             lambda: (
@@ -352,7 +357,7 @@ class DistGCN1D(BlockRowAlgorithm):
         return self._obs_call(
             "reduce_scatter", Category.DCOMM, reduce,
             self.world, partials, category=Category.DCOMM, axis=0,
-            bounds=self.row_ranges, **kw,
+            bounds=self.row_ranges, donate_first=True, **kw,
         )
 
     def _stored_dense_rows(self) -> int:

@@ -322,9 +322,20 @@ class DistAlgorithm:
 
         Steady-state epochs reuse the same buffers (zero fresh
         allocations for gather targets, SUMMA accumulators, slab
-        concatenations).  Keys must encode enough context (role, layer,
-        group) that no two *live* uses share a buffer; contents are
-        whatever the previous epoch left, so callers fully overwrite.
+        concatenations, the block-row family's kernel outputs).  Keys
+        must encode enough context (role, layer, group) that no two
+        *live* uses share a buffer; contents are whatever the previous
+        epoch left, so callers fully overwrite.  Two aliasing rules:
+
+        * a buffer handed to a collective -- as a contribution whose
+          receipts alias it, or donated as an accumulator -- must not be
+          rewritten later in the same epoch: the sanitizer re-hashes the
+          receipts at the epoch's end.  A per-layer key written once per
+          epoch satisfies this by construction;
+        * the output layer's log-probabilities stay private arrays:
+          :meth:`_set_epoch_output` keeps them for a lazy read-out that
+          may come after later ``predict()`` calls have rerun the forward
+          pass.
 
         Deliberately **per-algorithm**, not the runtime-level
         :meth:`CommPlan.workspace`: two algorithm instances sharing one

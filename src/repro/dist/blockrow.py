@@ -38,12 +38,23 @@ class BlockRowAlgorithm(DistAlgorithm):
     one that grows forms ``A (G^l W^T)`` for Equation 2 -- which layer
     1 has no use for.  Only the widths handed to the two hooks change
     with the order; the sweeps, exchanges and messages do not.
-    Subclasses provide:
+
+    Every ``f``-wide kernel output of the epoch -- both sweeps' SpMMs,
+    the forward and hidden-gradient GEMMs, ReLU both ways -- is written
+    into a per-layer workspace (:meth:`_rows_ws`), named by its role and
+    layer, so a steady-state epoch allocates no ``f``-wide array and
+    the heap the previous epoch faulted in is the heap this one uses.
+    Each such buffer is written once per epoch, which is what lets one
+    be handed to a collective (:meth:`DistAlgorithm._ws`); ReLU's
+    backward runs in place in the hidden-gradient buffer where no sweep
+    follows it.  The output layer's log-probabilities and their gradient
+    stay fresh arrays (``f^L`` wide).  Subclasses provide:
 
     * ``_block_ranks``           -- the ranks holding dense row blocks;
     * ``_row_range(rank)``       -- the global rows a rank owns;
-    * ``_forward_spmm(blocks, f)``  / ``_backward_spmm(blocks, f)``
-      -- charged distributed ``A^T X`` / ``A X`` sweeps;
+    * ``_forward_spmm(blocks, f, key)`` / ``_backward_spmm(blocks, f,
+      key)`` -- charged distributed ``A^T X`` / ``A X`` sweeps whose
+      results live in workspaces named by ``key``;
     * ``_replicated_allreduce(values)`` -- the sum that leaves every
       rank with an identical copy (loss terms, weight gradients);
     * ``_assemble(blocks)``      -- uncharged full-matrix read-out;
@@ -65,10 +76,10 @@ class BlockRowAlgorithm(DistAlgorithm):
         backend) -- the data loops iterate these; charges stay global."""
         return self._local(self._block_ranks)
 
-    def _forward_spmm(self, blocks, f: int):
+    def _forward_spmm(self, blocks, f: int, key):
         raise NotImplementedError
 
-    def _backward_spmm(self, blocks, f: int):
+    def _backward_spmm(self, blocks, f: int, key):
         raise NotImplementedError
 
     def _replicated_allreduce(self, values):
@@ -82,7 +93,20 @@ class BlockRowAlgorithm(DistAlgorithm):
 
     def _aggregate(self, h_blocks):
         return self._obs_call("spmm.fwd", "spmm", self._forward_spmm,
-                              h_blocks, self.widths[0])
+                              h_blocks, self.widths[0], ("t", 0))
+
+    def _rows_ws(self, key, r: int, f: int) -> np.ndarray:
+        """Rank ``r``'s rows of the ``f``-wide per-layer workspace
+        ``key`` (role, layer)."""
+        return self._ws((key, r), (self._rows_of(r), f))
+
+    def _into(self, key, blocks, f: int, kernel):
+        """``kernel(block, out)`` once per distinct block of ``blocks``
+        (1.5D replicas share one), ``out`` the :meth:`_rows_ws` buffer
+        ``key`` of the first rank holding it."""
+        return self._dedup(
+            blocks, lambda r: id(blocks[r]),
+            lambda r: kernel(blocks[r], self._rows_ws(key, r, f)))
 
     # ------------------------------------------------------------------ #
     def _charge_rows_gemm(self, key, flops_per_row: float) -> None:
@@ -110,11 +134,12 @@ class BlockRowAlgorithm(DistAlgorithm):
         """Shared forward sweep from the kept ``T^0``; returns output
         blocks + per-layer caches.
 
-        Local kernels run through :meth:`_map_blocks`: replicated layouts
+        Local kernels run through :meth:`_into`: replicated layouts
         (1.5D) hand every fiber replica the same buffer, so the identical
         replica compute executes once while every rank is still charged.
         """
         caches = []
+        last = self.model.num_layers - 1
         h_blocks = self._t0
         for l, layer in enumerate(self.model.layers):
             f_in, f_out = layer.f_in, layer.f_out
@@ -125,18 +150,25 @@ class BlockRowAlgorithm(DistAlgorithm):
             x_blocks = h_blocks
             if l > 0 and not project_first:
                 x_blocks = self._obs_call(
-                    "spmm.fwd", "spmm", self._forward_spmm, h_blocks, f_in
+                    "spmm.fwd", "spmm", self._forward_spmm, h_blocks, f_in,
+                    ("t", l),
                 )
-            z_blocks = self._map_blocks(
-                x_blocks, lambda x: forward_gemm(x, weight)
+            z_blocks = self._into(
+                ("hw" if project_first else "z", l), x_blocks, f_out,
+                lambda x, out: forward_gemm(x, weight, out=out),
             )
             self._charge_rows_gemm(("cbg", l), 2.0 * f_in * f_out)
             if project_first:
                 z_blocks = self._obs_call(
-                    "spmm.fwd", "spmm", self._forward_spmm, z_blocks, f_out
+                    "spmm.fwd", "spmm", self._forward_spmm, z_blocks, f_out,
+                    ("z", l),
                 )
             # Rows are complete locally, so even log_softmax is local.
-            h_blocks = self._map_blocks(z_blocks, layer.activation.forward)
+            if l < last:
+                h_blocks = self._into(("h", l), z_blocks, f_out,
+                                      layer.activation.forward)
+            else:
+                h_blocks = self._map_blocks(z_blocks, layer.activation.forward)
             self._charge_rows_elementwise(("cbf", l), 2.0 * f_out * self.WB)
             caches.append({"x": x_blocks, "z": z_blocks})
         return h_blocks, caches
@@ -182,7 +214,8 @@ class BlockRowAlgorithm(DistAlgorithm):
             if l > 0 and not order.project_bwd:
                 # A G^l, for Equation 2 below; layer 1 has no G^0 to form.
                 ag_blocks = self._obs_call(
-                    "spmm.bwd", "spmm", self._backward_spmm, g_blocks, f_out
+                    "spmm.bwd", "spmm", self._backward_spmm, g_blocks, f_out,
+                    ("ag", l),
                 )
             # Y^l = sum_i X_i^T G_i (X = H^{l-1}, G = A G^l where W went
             # first), all-reduced so W's update is replicated.
@@ -198,22 +231,28 @@ class BlockRowAlgorithm(DistAlgorithm):
             grads[l] = next(iter(y.values()))
             if l > 0:
                 weight = layer.weight
-                gh_blocks = self._map_blocks(
-                    g_blocks if order.project_bwd else ag_blocks,
-                    lambda g: hidden_gradient(g, weight),
+                gh_blocks = self._into(
+                    ("gh", l), g_blocks if order.project_bwd else ag_blocks,
+                    f_in, lambda g, out: hidden_gradient(g, weight, out=out),
                 )
                 self._charge_rows_gemm(("cbh", l), 2.0 * f_out * f_in)
                 if order.project_bwd:
                     gh_blocks = self._obs_call(
                         "spmm.bwd", "spmm", self._backward_spmm, gh_blocks,
-                        f_in,
+                        f_in, ("agh", l),
                     )
                 z_prev = caches[l - 1]["z"]
                 backward = self.model.layers[l - 1].activation.backward
+                # sigma' runs in place in the hidden-gradient buffer, or,
+                # after a sweep (which may hand back collective receipts),
+                # into a buffer of its own.
                 g_blocks = self._dedup(
                     ranks,
                     lambda r: (id(z_prev[r]), id(gh_blocks[r])),
-                    lambda r: backward(z_prev[r], gh_blocks[r]),
+                    lambda r: backward(
+                        z_prev[r], gh_blocks[r],
+                        out=(self._rows_ws(("g", l), r, f_in)
+                             if order.project_bwd else gh_blocks[r])),
                 )
                 self._charge_rows_elementwise(("cbb", l), 3.0 * f_in * self.WB)
         self.optimizer.step(self.model.weights, grads)

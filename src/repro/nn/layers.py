@@ -139,20 +139,23 @@ def sweep_widths(widths: Sequence[int]) -> Tuple[Tuple[int, ...],
     return tuple(fwd), tuple(bwd)
 
 
-def forward_gemm(t: np.ndarray, weight: np.ndarray) -> np.ndarray:
+def forward_gemm(t: np.ndarray, weight: np.ndarray,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
     """``T W`` -- the forward GEMM, on ``T = A^T H^{l-1}`` (giving
     ``Z``) or, where the layer shrinks, on ``H^{l-1}`` itself.
 
     Shared by the serial layer and the distributed algorithms (which call
     it on local row blocks against the replicated ``W``), so both
     paths run the identical kernel -- the precondition for the paper's
-    bit-close serial-vs-parallel verification.
+    bit-close serial-vs-parallel verification.  ``out`` receives the
+    product (a distributed epoch's per-layer workspace); the BLAS call is
+    the one ``@`` makes, so the bits are too.
     """
     prof = _profile.ACTIVE
     if prof is None:
-        return t @ weight
+        return np.matmul(t, weight, out=out)
     t0 = prof.clock()
-    z = t @ weight
+    z = np.matmul(t, weight, out=out)
     m, k = t.shape
     prof.add("gemm.forward", prof.clock() - t0,
              2 * m * k * weight.shape[1],
@@ -178,14 +181,16 @@ def weight_gradient(t: np.ndarray, g: np.ndarray) -> np.ndarray:
     return y
 
 
-def hidden_gradient(ag: np.ndarray, weight: np.ndarray) -> np.ndarray:
+def hidden_gradient(ag: np.ndarray, weight: np.ndarray,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
     """``X (W^l)^T`` for ``X = A G^l`` or, where the layer grows,
-    ``G^l`` itself (Equation 2, before the sigma' Hadamard)."""
+    ``G^l`` itself (Equation 2, before the sigma' Hadamard); ``out`` as
+    in :func:`forward_gemm`."""
     prof = _profile.ACTIVE
     if prof is None:
-        return ag @ weight.T
+        return np.matmul(ag, weight.T, out=out)
     t0 = prof.clock()
-    h = ag @ weight.T
+    h = np.matmul(ag, weight.T, out=out)
     m, n = ag.shape
     prof.add("gemm.hgrad", prof.clock() - t0, 2 * m * n * weight.shape[0],
              ag.nbytes + weight.nbytes + h.nbytes)

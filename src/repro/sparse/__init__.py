@@ -36,15 +36,13 @@ from repro.sparse.semiring import (
     spmm_semiring,
 )
 from repro.sparse.perfmodel import SpmmPerfModel, density_factor, width_factor
-from repro.sparse.spmm import spmm, spmm_flops, spmm_numpy, spmm_scipy
+from repro.sparse.spmm import spmm, spmm_flops
 
 __all__ = [
     "CSRMatrix",
     "coo_to_csr_arrays",
     "spmm",
     "spmm_flops",
-    "spmm_numpy",
-    "spmm_scipy",
     "Semiring",
     "spmm_semiring",
     "PLUS_TIMES",

@@ -2,32 +2,26 @@
 
 The paper's single most expensive local kernel is SpMM ("sparse matrix
 times multiple dense vectors"); the authors call cuSPARSE's ``csrmm2``.
-We provide two interchangeable backends:
+:func:`spmm` plays that role: it always runs scipy's compiled
+``csr_matvecs`` kernel on the matrix's cached zero-copy wrapper, an
+off-the-shelf optimised library kernel.  One kernel for every call is
+what makes the bits independent of placement: which ranks a worker
+holds, how wide a received piece is, or whether a block has been
+multiplied before never changes which kernel -- hence which summation
+order -- produces a product.  ``out=`` writes the product into a buffer
+the caller keeps (the distributed epochs' per-layer workspaces), so a
+steady-state epoch allocates no ``f``-wide array.
 
-* ``"numpy"`` -- a pure, from-scratch segment-sum kernel
-  (:func:`numpy.add.reduceat` over the expanded products) that defines
-  the reference semantics;
-* ``"scipy"`` -- wraps the same CSR arrays in ``scipy.sparse`` (zero
-  copy, cached on the :class:`~repro.sparse.csr.CSRMatrix` so the hot
-  per-stage calls of the distributed algorithms skip re-wrapping) and
-  uses its compiled kernel; this plays the role cuSPARSE plays in the
-  paper: an off-the-shelf optimised library kernel.
-
-``spmm_numpy_cumsum`` keeps the original cumulative-sum formulation.  It
-materialised a second ``(nnz, f)`` array (the cumsum) and two fancy-index
-gathers; ``reduceat`` folds the segments in one pass, which profiles
-~2-4x faster across GNN-shaped operands (see
-``benchmarks/bench_spmm_kernels.py`` and ``BENCH_dist.json`` for the
-measured before/after).
+:func:`spmm_numpy` is a pure-numpy segment-sum kernel
+(:func:`numpy.add.reduceat` over the expanded products) that defines the
+reference semantics; nothing on a training path calls it -- the tests
+hold :func:`spmm` to it, to fp round-off.
 
 ``spmm_flops`` gives the standard ``2 * nnz * f`` flop count used when
-charging compute time.  Tests assert all backends agree to fp round-off
-on random inputs.
+charging compute time.
 """
 
 from __future__ import annotations
-
-from typing import Literal
 
 import numpy as np
 
@@ -39,11 +33,7 @@ __all__ = [
     "spmm_bytes",
     "spmm_flops",
     "spmm_numpy",
-    "spmm_numpy_cumsum",
-    "spmm_scipy",
 ]
-
-Backend = Literal["auto", "numpy", "scipy"]
 
 
 def spmm_flops(a: CSRMatrix, ncols_dense: int) -> int:
@@ -93,28 +83,6 @@ def spmm_numpy(a: CSRMatrix, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def spmm_numpy_cumsum(a: CSRMatrix, b: np.ndarray) -> np.ndarray:
-    """The original cumulative-sum segment kernel (kept as the baseline
-    the bench harness measures :func:`spmm_numpy` against):
-    ``cum[end-1] - cum[start-1]`` per row."""
-    m, _ = a.shape
-    b = _check_operand(a, b)
-    f = b.shape[1]
-    out = np.zeros((m, f), dtype=np.float64)
-    if a.nnz == 0:
-        return out
-    prod = a.data[:, None] * b[a.indices]
-    cum = np.cumsum(prod, axis=0)
-    starts = a.indptr[:-1]
-    ends = a.indptr[1:]
-    nonempty = ends > starts
-    hi = cum[ends[nonempty] - 1]
-    s = starts[nonempty]
-    lo = np.where((s > 0)[:, None], cum[np.maximum(s, 1) - 1], 0.0)
-    out[nonempty] = hi - lo
-    return out
-
-
 try:  # the compiled kernel scipy's own __matmul__ dispatches to
     from scipy.sparse import _sparsetools as _st
 
@@ -123,23 +91,37 @@ except (ImportError, AttributeError):  # pragma: no cover - older/newer scipy la
     _csr_matvecs = None
 
 
-def spmm_scipy(a: CSRMatrix, b: np.ndarray,
-               out: "np.ndarray | None" = None) -> np.ndarray:
-    """Optimised SpMM via scipy's compiled CSR kernel.
+def spmm(a: CSRMatrix, b: np.ndarray,
+         out: "np.ndarray | None" = None) -> np.ndarray:
+    """``A @ B`` for CSR ``A`` and dense ``B``, by the compiled kernel.
 
     The zero-copy ``scipy.sparse`` wrapper is built once per matrix and
-    cached (:meth:`CSRMatrix.to_scipy`): the distributed algorithms call
-    into the same immutable blocks every stage of every epoch, so
-    re-wrapping was pure per-call overhead on the hottest serial path.
+    cached (:meth:`CSRMatrix.to_scipy`); ``csr_matvecs`` is then called
+    directly on its arrays, skipping the format checks scipy's ``@``
+    repeats on every call.  It is the kernel ``@`` dispatches to, so a
+    non-contiguous operand, which takes ``@``, gets the same bits.
 
-    When available, the compiled ``csr_matvecs`` kernel is invoked
-    directly on the cached wrapper's arrays: scipy's ``@`` operator
-    re-validates formats and re-derives index dtypes on every call,
-    which dominated the many small per-stage block products of the
-    distributed algorithms.  The kernel invoked is the same one ``@``
-    dispatches to, so results are bit-identical.
+    ``out`` (``A.nrows x B.ncols``) receives the product and is returned;
+    whatever it held is overwritten.
     """
+    prof = _profile.ACTIVE
+    if prof is None:
+        return _compiled(a, b, out)
+    t0 = prof.clock()
+    result = _compiled(a, b, out)
+    dt = prof.clock() - t0
+    f = result.shape[1]
+    prof.add("spmm", dt, spmm_flops(a, f), spmm_bytes(a, f),
+             a.nnz, a.shape[0], f)
+    return result
+
+
+def _compiled(a: CSRMatrix, b: np.ndarray,
+              out: "np.ndarray | None") -> np.ndarray:
     b = _check_operand(a, b)
+    m, f = a.shape[0], b.shape[1]
+    if out is not None and out.shape != (m, f):
+        raise ValueError(f"out shape {out.shape} != result shape {(m, f)}")
     sp = a.to_scipy()
     if _csr_matvecs is None or not b.flags.c_contiguous or (
         out is not None and not out.flags.c_contiguous
@@ -151,58 +133,10 @@ def spmm_scipy(a: CSRMatrix, b: np.ndarray,
             return result
         out[:] = result
         return out
-    m, f = a.shape[0], b.shape[1]
     if out is None:
         out = np.zeros((m, f), dtype=np.float64)
     else:
-        if out.shape != (m, f):
-            raise ValueError(
-                f"out shape {out.shape} != result shape {(m, f)}"
-            )
         out.fill(0.0)  # csr_matvecs accumulates into the output
     _csr_matvecs(m, a.shape[1], f, sp.indptr, sp.indices, sp.data,
                  b.ravel(), out.ravel())
     return out
-
-
-def spmm(a: CSRMatrix, b: np.ndarray, backend: Backend = "auto",
-         out: "np.ndarray | None" = None) -> np.ndarray:
-    """Compute ``A @ B`` for CSR ``A`` and dense ``B``.
-
-    ``backend="auto"`` uses the compiled scipy kernel whenever the
-    matrix's wrapper is already cached (the warm kernel beats the pure
-    kernel at every size) or the operand is big enough to amortise the
-    one-time wrap; tiny first-touch operands use the pure-numpy kernel.
-    All backends produce identical results up to fp round-off.
-    ``out`` supplies a preallocated result buffer (fully overwritten) so
-    steady-state callers can reuse workspaces instead of allocating.
-    """
-    prof = _profile.ACTIVE
-    if prof is None:
-        return _spmm_dispatch(a, b, backend, out)
-    t0 = prof.clock()
-    result = _spmm_dispatch(a, b, backend, out)
-    dt = prof.clock() - t0
-    f = result.shape[1]
-    prof.add("spmm", dt, spmm_flops(a, f), spmm_bytes(a, f),
-             a.nnz, a.shape[0], f)
-    return result
-
-
-def _spmm_dispatch(a: CSRMatrix, b: np.ndarray, backend: Backend,
-                   out: "np.ndarray | None") -> np.ndarray:
-    if backend == "numpy":
-        result = spmm_numpy(a, b)
-        if out is None:
-            return result
-        out[:] = result
-        return out
-    if backend == "scipy":
-        return spmm_scipy(a, b, out=out)
-    if backend == "auto":
-        if out is None and a._scipy_cache is None and (
-            a.nnz * max(1, b.shape[1] if b.ndim == 2 else 1) < 2048
-        ):
-            return spmm_numpy(a, b)
-        return spmm_scipy(a, b, out=out)
-    raise ValueError(f"unknown SpMM backend {backend!r}")

@@ -57,6 +57,19 @@ class TestReLU:
         assert (got.sum(axis=0) == ref.sum(axis=0)).all()
         assert (z.T @ got == z.T @ ref).all()
 
+    def test_out_takes_the_fresh_bits_even_in_place(self):
+        act = ReLU()
+        rng = np.random.default_rng(0)
+        z, g = rng.standard_normal((2, 5, 4))
+        fwd, bwd = act.forward(z), act.backward(z, g)
+        buf = np.full_like(z, np.nan)
+        assert act.forward(z, out=buf) is buf
+        np.testing.assert_array_equal(buf, fwd)
+        in_place = g.copy()
+        assert act.backward(z, in_place, out=in_place) is in_place
+        np.testing.assert_array_equal(in_place, bwd)
+        assert (np.signbit(in_place) == np.signbit(bwd)).all()
+
     def test_elementwise_flag(self):
         assert ReLU().elementwise
 

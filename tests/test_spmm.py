@@ -1,4 +1,4 @@
-"""SpMM kernels: both backends vs dense reference."""
+"""SpMM: the compiled kernel vs the reference kernel and dense products."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.spmm import spmm, spmm_flops, spmm_numpy, spmm_scipy
+from repro.sparse.spmm import spmm, spmm_flops, spmm_numpy
 
 
 def random_csr(m, n, density, seed):
@@ -16,26 +16,41 @@ def random_csr(m, n, density, seed):
     return CSRMatrix.from_dense(d), d
 
 
+def product(kernel, a, b):
+    """``a @ b`` by one of the former backend names: ``numpy`` is the
+    reference kernel, ``scipy`` is ``spmm`` on a block whose compiled
+    wrapper is already cached, ``auto`` is ``spmm`` on a cold block (the
+    case the old size heuristic sent to numpy)."""
+    if kernel == "numpy":
+        return spmm_numpy(a, b)
+    if kernel == "scipy":
+        a.to_scipy()
+    else:
+        assert a._scipy_cache is None
+    return spmm(a, b)
+
+
 class TestCorrectness:
-    @pytest.mark.parametrize("backend", ["numpy", "scipy", "auto"])
-    def test_matches_dense(self, backend):
+    @pytest.mark.parametrize("kernel", ["numpy", "scipy", "auto"])
+    def test_matches_dense(self, kernel):
         a, d = random_csr(12, 9, 0.4, 0)
         b = np.random.default_rng(1).standard_normal((9, 5))
         np.testing.assert_allclose(
-            spmm(a, b, backend=backend), d @ b, rtol=1e-12, atol=1e-12
+            product(kernel, a, b), d @ b, rtol=1e-12, atol=1e-12
         )
 
     def test_backends_agree(self):
         a, _ = random_csr(40, 30, 0.2, 2)
         b = np.random.default_rng(3).standard_normal((30, 7))
         np.testing.assert_allclose(
-            spmm_numpy(a, b), spmm_scipy(a, b), rtol=1e-12, atol=1e-12
+            spmm_numpy(a, b), spmm(a, b), rtol=1e-12, atol=1e-12
         )
 
     def test_empty_matrix(self):
         a = CSRMatrix.zeros((4, 6))
         b = np.ones((6, 3))
         np.testing.assert_array_equal(spmm_numpy(a, b), np.zeros((4, 3)))
+        np.testing.assert_array_equal(spmm(a, b), np.zeros((4, 3)))
 
     def test_empty_rows_handled(self):
         # Rows 0 and 3 empty; also a trailing empty row (the reduceat trap).
@@ -45,6 +60,7 @@ class TestCorrectness:
         a = CSRMatrix.from_dense(d)
         b = np.eye(4)
         np.testing.assert_array_equal(spmm_numpy(a, b), d)
+        np.testing.assert_array_equal(spmm(a, b), d)
 
     def test_single_column_dense(self):
         a, d = random_csr(10, 10, 0.3, 4)
@@ -56,12 +72,38 @@ class TestCorrectness:
         with pytest.raises(ValueError, match="incompatible"):
             spmm_numpy(a, np.ones((4, 2)))
         with pytest.raises(ValueError, match="incompatible"):
-            spmm_scipy(a, np.ones((6, 2)))
+            spmm(a, np.ones((6, 2)))
+        with pytest.raises(ValueError, match="out shape"):
+            spmm(a, np.ones((5, 2)), out=np.empty((4, 3)))
 
-    def test_unknown_backend_rejected(self):
-        a, _ = random_csr(3, 3, 0.5, 7)
-        with pytest.raises(ValueError, match="backend"):
-            spmm(a, np.ones((3, 1)), backend="cuda")
+
+class TestOut:
+    """``out=`` overwrites a kept buffer with the bits a fresh call
+    returns, whatever the buffer held and however the operand is laid
+    out."""
+
+    @pytest.mark.parametrize("contiguous", [True, False], ids=["c", "strided"])
+    def test_out_is_the_fresh_product(self, contiguous):
+        a, _ = random_csr(30, 20, 0.3, 10)
+        b = np.random.default_rng(11).standard_normal((20, 12))
+        if not contiguous:
+            b = b[:, ::2]
+        buf = np.full((30, b.shape[1]), np.nan)
+        got = spmm(a, b, out=buf)
+        assert got is buf
+        np.testing.assert_array_equal(got, spmm(a, b))
+
+    def test_the_first_multiply_of_a_block_takes_the_same_kernel(self):
+        """A block whose wrapper is not cached yet -- a fresh receipt, a
+        narrow piece -- gets the warm block's bits: the kernel never
+        depends on cache state."""
+        a, _ = random_csr(16, 16, 0.2, 12)
+        b = np.random.default_rng(13).standard_normal((16, 2))
+        cold = CSRMatrix(a.indptr, a.indices, a.data, a.shape)
+        assert cold._scipy_cache is None and a.nnz * 2 < 2048
+        first = spmm(cold, b)
+        a.to_scipy()
+        np.testing.assert_array_equal(first, spmm(a, b))
 
 
 class TestFlops:
@@ -86,8 +128,9 @@ class TestProperties:
     def test_spmm_matches_dense_reference(self, seed, m, n, f, density):
         a, d = random_csr(m, n, density, seed)
         b = np.random.default_rng(seed + 1).standard_normal((n, f))
-        got = spmm_numpy(a, b)
-        np.testing.assert_allclose(got, d @ b, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(spmm_numpy(a, b), d @ b, rtol=1e-9,
+                                   atol=1e-9)
+        np.testing.assert_allclose(spmm(a, b), d @ b, rtol=1e-9, atol=1e-9)
 
     @given(seed=st.integers(0, 500))
     @settings(max_examples=25, deadline=None)
@@ -106,3 +149,4 @@ class TestProperties:
         b = np.random.default_rng(seed).standard_normal((10, 4))
         eye = CSRMatrix.eye(10)
         np.testing.assert_allclose(spmm_numpy(eye, b), b, atol=1e-12)
+        np.testing.assert_array_equal(spmm(eye, b), b)

@@ -14,16 +14,23 @@ file pins
   growing width tuple, 1D ghost and 2D -- losses and ledger digest equal
   the virtual run's bit for bit, sanitizer on and off, and across a
   kill-and-recover fit;
-* memory: a trained ``DistGCN1D`` holds, and an epoch peaks at, no more
-  than before the rule (``H^{l-1}`` *replaces* ``T`` where a layer
-  shrinks), and keeps nothing ``f^0`` wide but ``T^0`` and the private
-  feature copy.
+* memory: a trained ``DistGCN1D`` holds its per-layer workspaces by
+  design, so what it holds plus what an epoch adds stays within 10 % of
+  the total before the rule (``H^{l-1}`` *replaces* ``T`` where a layer
+  shrinks), an epoch adds under 1 MiB, and nothing ``f^0`` wide is kept
+  but ``T^0`` and the private feature copy;
+* an allocation-free block-row epoch: steady-state epochs page-fault
+  (almost) never, on the virtual runtime and in each shm worker.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import os
+import resource
+import threading
+import time
 import tracemalloc
 import types
 
@@ -233,14 +240,23 @@ class TestProcessBackends:
 
 
 # --------------------------------------------------------------------- #
-# memory: H^{l-1} replaces T, nothing f^0 wide is kept
+# memory: workspaces held by design, nothing f^0 wide is kept
 # --------------------------------------------------------------------- #
-#: tracemalloc bytes of the workload below on the commit before the rule
-#: (5efa059, Python 3.11 / NumPy 2): held by the trained algorithm, and
-#: the high-water mark of one more epoch above that.
-PARENT_HELD_BYTES = 13_000_392
-PARENT_EPOCH_PEAK_BYTES = 17_624_643
+#: tracemalloc bytes of the workload below, measured by this test's own
+#: procedure on the commit before the block-row workspaces (c0e7749,
+#: Python 3.11 / NumPy 2.4): held by the trained algorithm (13 001 470)
+#: plus the high-water mark of one more epoch above that (17 624 479).
+#: The workspaces move the second into the first: 31 368 304 held, an
+#: epoch adds 796 415.
+PARENT_TOTAL_BYTES = 30_625_949
+EPOCH_PEAK_BYTES = 1 << 20
 WIDTHS = (128, 64, 64, 16)
+
+
+@pytest.fixture(scope="module")
+def dense4096():
+    return make_synthetic(n=4096, avg_degree=8, f=WIDTHS[0],
+                          n_classes=WIDTHS[-1], seed=0)
 
 
 def reachable_arrays(root):
@@ -264,9 +280,8 @@ def reachable_arrays(root):
     return arrays
 
 
-def test_trained_1d_holds_no_more_than_before_the_rule():
-    ds = make_synthetic(n=4096, avg_degree=8, f=WIDTHS[0],
-                        n_classes=WIDTHS[-1], seed=0)
+def test_trained_1d_holds_no_more_than_before_the_rule(dense4096):
+    ds = dense4096
     gc.collect()
     tracemalloc.start()
     try:
@@ -281,9 +296,97 @@ def test_trained_1d_holds_no_more_than_before_the_rule():
         peak = tracemalloc.get_traced_memory()[1] - base - held
     finally:
         tracemalloc.stop()
-    assert held <= PARENT_HELD_BYTES * 1.01
-    assert peak <= PARENT_EPOCH_PEAK_BYTES * 1.01
+    assert held + peak <= PARENT_TOTAL_BYTES * 1.10
+    assert peak <= EPOCH_PEAK_BYTES
     kept = [a for a in reachable_arrays(algo)
             if a.ndim == 2 and a.shape[1] == WIDTHS[0]]
     allowed = {id(algo._features), *map(id, algo._t0.values())}
     assert kept and all(id(a) in allowed for a in kept)
+
+
+# --------------------------------------------------------------------- #
+# an epoch that allocates nothing: minor page faults per epoch
+# --------------------------------------------------------------------- #
+#: Ceiling on minor page faults per steady-state epoch.  Measured on the
+#: workload above: virtual 1D P = 4 0, virtual 1.5D P = 8 0, each of two
+#: shm workers (1D P = 4) 0-2.  Mutation check (run once, in a separate
+#: copy of the tree): with the block-row workspaces reverted alone --
+#: kernels allocating their outputs again, SpMM still compiled-only -- the
+#: two virtual gates fail, at about 3 400 and 2 600 faults per epoch: glibc
+#: trims the heap top the freed ``f``-wide arrays leave and the next
+#: epoch faults it back in.  The shm workers' gate does not fire then
+#: (0-3 per epoch; 1-4 on the commit before): a worker's heap is not
+#: trimmed mid-fit.  What a worker does fault is each fit's shipped
+#: feature matrix, about 1 000 faults per fit here, outside the window.
+FAULTS_PER_EPOCH = 16
+MEASURED_EPOCHS = 8
+
+
+def minflt(pid=None) -> int:
+    """Minor page faults so far of this process, or of process ``pid``
+    (``/proc/<pid>/stat`` field 10)."""
+    if pid is None:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with open(f"/proc/{pid}/stat") as fh:
+        return int(fh.read().rsplit(")", 1)[1].split()[7])
+
+
+@pytest.mark.parametrize("name,p,kw", [
+    ("1d", 4, {}),
+    ("1.5d", 8, {"replication": 2}),
+], ids=["1d", "1.5d-c2"])
+def test_steady_state_epochs_do_not_fault(dense4096, name, p, kw):
+    ds = dense4096
+    algo = ALGORITHMS[name](make_runtime_for(name, p), ds.adjacency,
+                            WIDTHS, seed=0, **kw)
+    algo.fit(ds.features, ds.labels, epochs=2)
+    before = minflt()
+    for epoch in range(2, 2 + MEASURED_EPOCHS):
+        algo.train_epoch(epoch)
+    assert (minflt() - before) / MEASURED_EPOCHS <= FAULTS_PER_EPOCH
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                    reason="reads worker fault counts from /proc")
+def test_steady_state_epochs_do_not_fault_in_shm_workers(dense4096):
+    """Each worker's faults between two epoch boundaries of one fit: a
+    watcher thread reads the workers' live epoch counters while ``fit``
+    blocks, and each worker's fault count the first time a counter shows
+    a new epoch.  (A fit's own set-up -- the shipped features -- stays
+    outside the window.)"""
+    ds = dense4096
+    epochs = 2 + MEASURED_EPOCHS + 2
+    algo = make_algorithm("1d", 4, ds, hidden=WIDTHS[1], seed=0,
+                          backend="process", workers=WORKERS,
+                          transport="shm")
+    try:
+        algo.fit(ds.features, ds.labels, epochs=2)
+        pids = [w["pid"] for w in algo.rt.backend_stats()["per_worker"]]
+        seen = {}
+        done = threading.Event()
+
+        def watch():
+            while not done.is_set():
+                counts = algo.rt.live_sample()["worker_epoch"]
+                for wid, count in counts.items():
+                    seen.setdefault((wid, int(count)), minflt(pids[wid]))
+                time.sleep(0.0005)
+
+        watcher = threading.Thread(target=watch)
+        watcher.start()
+        try:
+            algo.fit(ds.features, ds.labels, epochs=epochs)
+        finally:
+            done.set()
+            watcher.join(timeout=10)
+        assert not watcher.is_alive()
+    finally:
+        algo.rt.close()
+    for wid in range(WORKERS):
+        # past the first two epochs (the counter still shows the last
+        # fit's 2 until this one's first epoch ends), before the last
+        counts = sorted(c for w, c in seen if w == wid and 3 <= c < epochs)
+        assert len(counts) >= 2, seen
+        lo, hi = counts[0], counts[-1]
+        faults = seen[wid, hi] - seen[wid, lo]
+        assert faults / (hi - lo) <= FAULTS_PER_EPOCH, (wid, faults, lo, hi)
