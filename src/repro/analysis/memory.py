@@ -141,7 +141,10 @@ def _dense_stack_words(n_local_rows: float, widths: Sequence[float],
 
 
 def _weights_words(widths: Sequence[int]) -> float:
-    """Replicated weights + gradients (+ optimiser state ~ 1x)."""
+    """Replicated weights + gradients (+ optimiser state ~ 1x).  The
+    gradient copy is each rank's gradient bucket
+    (:func:`repro.dist.base.bucket_bounds`): these words plus the two of
+    the loss pair, which no capacity here resolves."""
     return 3.0 * sum(
         widths[l] * widths[l + 1] for l in range(len(widths) - 1)
     )

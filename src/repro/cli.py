@@ -617,6 +617,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(f"  compute   {point.compute_seconds:.6f} s")
     print(f"  latency   {point.latency_seconds:.6f} s")
     print(f"  bandwidth {point.bandwidth_seconds:.6f} s")
+    print(f"  messages  {point.messages:,} (all ranks)")
     _print_table(
         ("category", "seconds", "bytes (all ranks)"),
         [

@@ -238,10 +238,11 @@ class DistGCN15D(BlockRowAlgorithm):
         self, values: Dict[int, np.ndarray]
     ) -> Dict[int, np.ndarray]:
         """Sum one contribution per group: concurrent per-column
-        all-reduces, each column covering every group exactly once.
-        Charges are global (sized from the local contribution's shape,
-        identical on every rank); the data plane reduces only the
-        columns this process has ranks in."""
+        all-reduces, each column covering every group exactly once --
+        once an epoch, of the ranks' gradient buckets (a fiber's
+        replicas share one).  Charges are global (sized from the local
+        contribution's shape, identical on every rank); the data plane
+        reduces only the columns this process has ranks in."""
         nbytes = int(next(iter(values.values())).nbytes)
         return self._collective(
             "allreduce", ("carch", nbytes), Category.DCOMM,
@@ -264,7 +265,8 @@ class DistGCN15D(BlockRowAlgorithm):
 
         Mirrors ``_replicated_spmm`` (per-round slab broadcasts, partial
         SpMM, fiber all-reduce) and ``_replicated_allreduce`` (concurrent
-        per-column reductions) phase for phase.
+        per-column reductions of the gradient bucket, once an epoch)
+        phase for phase.
         """
         from repro.comm.tracker import Category
         from repro.simulate.schedule import (

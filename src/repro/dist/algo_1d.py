@@ -34,9 +34,10 @@ the vertices part-major and hands each rank its part's (possibly
 uneven) row range -- numerics are unchanged up to the relabelling, only
 the ghost structure (and hence the ``ghost`` variant's traffic) moves.
 
-The epoch structure itself (forward sweep, loss reduction, backward
-recursion) lives in :class:`repro.dist.blockrow.BlockRowAlgorithm`, shared
-with the 1.5D algorithm.
+The epoch structure itself (forward sweep, loss terms, backward
+recursion, the one gradient-bucket all-reduce) lives in
+:class:`repro.dist.blockrow.BlockRowAlgorithm`, shared with the 1.5D
+algorithm.
 """
 
 from __future__ import annotations
@@ -203,6 +204,8 @@ class DistGCN1D(BlockRowAlgorithm):
     def _replicated_allreduce(
         self, values: Dict[int, np.ndarray]
     ) -> Dict[int, np.ndarray]:
+        """The epoch's one world all-reduce, of the ranks' gradient
+        buckets."""
         return self._obs_call(
             "allreduce", Category.DCOMM, self.rt.coll.allreduce,
             self.world, values, category=Category.DCOMM,
@@ -376,8 +379,9 @@ class DistGCN1D(BlockRowAlgorithm):
 
         Phase-for-phase mirror of the executed epoch: forward all-gathers
         (or, for the ``ghost`` variant, the partition-aware ghost-row
-        exchanges), variant-specific backward SpMM data movement, loss
-        and weight all-reduces, and every charged local kernel.
+        exchanges), variant-specific backward SpMM data movement, the
+        world all-reduce of the gradient bucket (the loss pair and every
+        weight gradient, once an epoch), and every charged local kernel.
         ``distribution`` reproduces a partition-aware run: rank ranges
         come from the partition and exact-mode graphs are relabelled the
         same way the executed algorithm relabels its operand.  Exact-mode

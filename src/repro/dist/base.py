@@ -66,10 +66,40 @@ from repro.sparse.perfmodel import SpmmPerfModel
 if TYPE_CHECKING:  # import would cycle: simulate -> dist -> simulate
     from repro.simulate.schedule import CommSchedule
 
-__all__ = ["RoutedBroadcast", "DistAlgorithm", "clone_optimizer"]
+__all__ = ["RoutedBroadcast", "DistAlgorithm", "clone_optimizer",
+           "bucket_bounds", "bucket_nbytes"]
 
 #: (wall seconds per category, bytes per category per rank) at a mark
 _LedgerMarks = Tuple[Dict[str, float], List[Dict[str, int]]]
+
+#: words of the ``[sum_picked, correct]`` loss pair that heads every
+#: rank's gradient bucket -- fp64 whatever the dense element size
+LOSS_TERMS = 2
+
+
+def bucket_bounds(widths: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
+    """The gradient bucket's layout, the one place it is written down:
+    ``(start, stop)`` in words of the loss pair, then of each layer's
+    ``f^{l-1} x f^l`` weight gradient, in layer order.
+
+    Every epoch of every family all-reduces one such bucket per rank
+    over its replicated group, once, at the end of the backward
+    (:meth:`DistAlgorithm._step_from_bucket`; PyTorch DDP's gradient
+    bucketing, Li et al., VLDB 2020): one all-reduce's ``lg P`` latency
+    an epoch, not one per piece (``L + 1``).  Elementwise, the fold is
+    the one each piece would have on its own, so the bits are too."""
+    stops = np.cumsum([LOSS_TERMS] + [a * b for a, b in
+                                      zip(widths, widths[1:])]).tolist()
+    return tuple(zip([0] + stops[:-1], stops))
+
+
+def bucket_nbytes(widths: Sequence[int],
+                  word_bytes: int = FP64_BYTES) -> int:
+    """Wire size of one rank's gradient bucket (:func:`bucket_bounds`)
+    with the gradients at ``word_bytes`` an element -- what the schedule
+    emitters price (:mod:`repro.simulate.schedule`)."""
+    words = bucket_bounds(widths)[-1][1]
+    return LOSS_TERMS * FP64_BYTES + word_bytes * (words - LOSS_TERMS)
 
 
 def _emit_epoch_event(stats, replayed: bool = False) -> None:
@@ -175,6 +205,7 @@ class DistAlgorithm:
         self.seed = seed
         self.optimizer = optimizer if optimizer is not None else SGD(lr=0.1)
         self.model = GCN(self.widths, seed=seed)
+        self._bucket_bounds = bucket_bounds(widths)
         self.symmetric = self._is_symmetric(a_t)
         self.a = a_t if self.symmetric else a_t.transpose()
         self.perf = SpmmPerfModel.from_profile(rt.profile)
@@ -243,6 +274,12 @@ class DistAlgorithm:
     def _forward_pass(self) -> np.ndarray:
         """Charged forward-only sweep; returns full ``n x f^L`` log-probs."""
         raise NotImplementedError
+
+    @property
+    def installed_features(self) -> Optional[np.ndarray]:
+        """The feature matrix installed last (the caller's order, a
+        private copy; :meth:`_install_features`), or ``None``."""
+        return self._features
 
     def _keep_t0(self, t0: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
         """What :meth:`_install_features` keeps of a freshly aggregated
@@ -607,8 +644,8 @@ class DistAlgorithm:
                 f"(n={self.n}, f^0={self.widths[0]})"
             )
         held = self._features
-        if held is not None and np.array_equal(
-                held.view(np.int64), given.view(np.int64)):
+        if held is not None and (held is given or np.array_equal(
+                held.view(np.int64), given.view(np.int64))):
             return
         if np.may_share_memory(given, features):
             given = given.copy()
@@ -986,6 +1023,39 @@ class DistAlgorithm:
         loss = -float(totals[0]) / self._mask_count
         acc = float(totals[1]) / self._mask_count
         return loss, acc
+
+    # ------------------------------------------------------------------ #
+    # the gradient bucket: one replicated all-reduce per epoch
+    # ------------------------------------------------------------------ #
+    def _bucket(self, r: int) -> np.ndarray:
+        """Rank ``r``'s gradient bucket (:func:`bucket_bounds`): a flat
+        workspace the epoch writes once -- the loss pair after the
+        forward, each layer's weight-gradient partial in the backward --
+        and hands to the epoch's one replicated all-reduce.  It is the
+        one gradient copy the memory model's ``_weights_words``
+        (:mod:`repro.analysis.memory`) counts, two loss words aside."""
+        return self._ws(("bucket", r), (self._bucket_bounds[-1][1],))
+
+    def _bucket_slot(self, bucket: np.ndarray,
+                     l: Optional[int] = None) -> np.ndarray:
+        """A view of ``bucket``'s loss pair (``l`` None) or of layer
+        ``l``'s weight gradient, ``f^{l-1} x f^l`` and C-contiguous, so
+        a GEMM writes into it as into an array of its own."""
+        lo, hi = self._bucket_bounds[0 if l is None else l + 1]
+        if l is None:
+            return bucket[lo:hi]
+        return bucket[lo:hi].reshape(self.widths[l], self.widths[l + 1])
+
+    def _step_from_bucket(self, total: np.ndarray) -> Tuple[float, float]:
+        """The epoch's end: split the all-reduced bucket into the loss
+        and accuracy and each layer's gradient, and take the replicated
+        optimiser step.  Nothing in the epoch reads them before this
+        point, which is what lets the reduction wait until here."""
+        self.optimizer.step(
+            self.model.weights,
+            [self._bucket_slot(total, l)
+             for l in range(self.model.num_layers)])
+        return self._finish_loss(self._bucket_slot(total))
 
     # ------------------------------------------------------------------ #
     # internals

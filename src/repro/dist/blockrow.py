@@ -7,7 +7,7 @@ modules supply only the data movement that realises the SpMM.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -22,7 +22,7 @@ class BlockRowAlgorithm(DistAlgorithm):
     """The block-row family's shared epoch (1D and 1.5D).
 
     Both algorithms keep complete dense rows on every rank, so their
-    forward sweep, loss reduction, and backward recursion are the same
+    forward sweep, loss terms, and backward recursion are the same
     program; they differ only in *which collective* realises the SpMM
     and which group replicates scalars/gradients.
 
@@ -56,7 +56,9 @@ class BlockRowAlgorithm(DistAlgorithm):
       key)`` -- charged distributed ``A^T X`` / ``A X`` sweeps whose
       results live in workspaces named by ``key``;
     * ``_replicated_allreduce(values)`` -- the sum that leaves every
-      rank with an identical copy (loss terms, weight gradients);
+      rank with an identical copy, run once per epoch, on the ranks'
+      gradient buckets (:func:`repro.dist.base.bucket_bounds`: the loss
+      pair and every layer's weight-gradient partial);
     * ``_assemble(blocks)``      -- uncharged full-matrix read-out;
     * ``_pre_backward()``        -- optional per-epoch charge hook
       (the 1D transpose variant's exchange).
@@ -183,15 +185,14 @@ class BlockRowAlgorithm(DistAlgorithm):
         f_last = self.widths[-1]
         ranks = self._local_block_ranks
 
-        # ---- loss: one scalar-sized replicated all-reduce ----
-        terms = self._dedup(
-            ranks,
-            lambda r: id(out_blocks[r]),
-            lambda r: self._masked_loss_terms(*self._row_range(r),
-                                              out_blocks[r]),
-        )
-        totals = self._replicated_allreduce(terms)
-        loss, acc = self._finish_loss(next(iter(totals.values())))
+        # ---- loss terms: the head of each rank's gradient bucket ----
+        # 1.5D's fiber replicas hold one buffer per block all epoch, so
+        # they share one bucket, the first replica's.
+        owner = self._dedup(ranks, lambda r: id(out_blocks[r]), lambda r: r)
+        heads = tuple(dict.fromkeys(owner.values()))
+        for r in heads:
+            self._bucket_slot(self._bucket(r))[:] = self._masked_loss_terms(
+                *self._row_range(r), out_blocks[r])
 
         # ---- backward ----
         z_last = caches[-1]["z"]
@@ -206,7 +207,6 @@ class BlockRowAlgorithm(DistAlgorithm):
         self._charge_rows_elementwise(("cbe-out",), 3.0 * f_last * self.WB)
         self._pre_backward()
 
-        grads: List[Optional[np.ndarray]] = [None] * self.model.num_layers
         for l in range(self.model.num_layers - 1, -1, -1):
             layer = self.model.layers[l]
             f_in, f_out = layer.f_in, layer.f_out
@@ -217,18 +217,14 @@ class BlockRowAlgorithm(DistAlgorithm):
                     "spmm.bwd", "spmm", self._backward_spmm, g_blocks, f_out,
                     ("ag", l),
                 )
-            # Y^l = sum_i X_i^T G_i (X = H^{l-1}, G = A G^l where W went
-            # first), all-reduced so W's update is replicated.
+            # Y^l's partial X_i^T G_i (X = H^{l-1}, G = A G^l where W
+            # went first), into its slot of the rank's bucket.
             x_l = caches[l]["x"]
             y_blocks = ag_blocks if order.project_fwd else g_blocks
-            partials = self._dedup(
-                ranks,
-                lambda r: (id(x_l[r]), id(y_blocks[r])),
-                lambda r: weight_gradient(x_l[r], y_blocks[r]),
-            )
+            for r in heads:
+                weight_gradient(x_l[r], y_blocks[r],
+                                out=self._bucket_slot(self._bucket(r), l))
             self._charge_rows_gemm(("cbw", l), 2.0 * f_in * f_out)
-            y = self._replicated_allreduce(partials)
-            grads[l] = next(iter(y.values()))
             if l > 0:
                 weight = layer.weight
                 gh_blocks = self._into(
@@ -255,5 +251,7 @@ class BlockRowAlgorithm(DistAlgorithm):
                              if order.project_bwd else gh_blocks[r])),
                 )
                 self._charge_rows_elementwise(("cbb", l), 3.0 * f_in * self.WB)
-        self.optimizer.step(self.model.weights, grads)
-        return loss, acc
+        # ---- one replicated all-reduce: the loss pair and every Y^l ----
+        total = self._replicated_allreduce(
+            {r: self._bucket(owner[r]) for r in ranks})
+        return self._step_from_bucket(next(iter(total.values())))

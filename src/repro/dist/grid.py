@@ -8,7 +8,7 @@ enumeration.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -54,8 +54,11 @@ class GridAlgorithm(DistAlgorithm):
     gathered so for ``G W^T`` (and, where the layer shrinks, for ``Y^l =
     (H^{l-1})^T (A G^l)`` too).  Layer 1's ``T^0`` is the same every
     epoch, so it is gathered once per feature matrix, at set-up
-    (:meth:`_keep_t0`), and both its funnels are GEMMs only.  Subclasses
-    provide:
+    (:meth:`_keep_t0`), and both its funnels are GEMMs only.  The loss
+    pair (feature-column 0's terms, zeros elsewhere) and every layer's
+    weight-gradient partial go into each rank's gradient bucket
+    (:func:`repro.dist.base.bucket_bounds`), all-reduced over the world
+    once, at the end of the backward.  Subclasses provide:
 
     * ``_grid_spmm(sparse_blocks, dense_blocks, f)`` -- the charged
       distributed SpMM sweep (SUMMA / Split-3D);
@@ -291,12 +294,14 @@ class GridAlgorithm(DistAlgorithm):
             axis=1, bounds=self._fsplit(f_out),
         )
 
-    def _weight_grad(self, t_blocks, g_blocks, f_in: int, f_out: int,
-                     t_stages=None, g_stages=None):
-        """``Y^l = T^T G`` (Equation 3): partial outer GEMMs, one world
-        all-reduce, with the narrower operand gathered along the row
-        groups (:meth:`_gather_stages`) -- already, by the time this
-        runs, so it moves nothing but the all-reduce.
+    def _weight_grad(self, l: int, t_blocks, g_blocks, t_stages=None,
+                     g_stages=None) -> None:
+        """Layer ``l``'s ``Y^l = T^T G`` (Equation 3) partials, each
+        local rank's written into its slot of the rank's gradient bucket
+        (:meth:`_bucket_slot`), reduced with the rest of the bucket at
+        the epoch's end.  The narrower operand is gathered along the row
+        groups (:meth:`_gather_stages`) already, by the time this runs,
+        so it moves nothing.
 
         Given ``t_stages`` -- the stages of ``T`` the layer's forward
         product gathered and kept (:meth:`_forward_layers`; layer 1's
@@ -312,36 +317,32 @@ class GridAlgorithm(DistAlgorithm):
         full ``G``.  Either way a partial is zero outside its band, and
         each entry of ``Y`` has one contributor per row group, at the
         same column index in every group: the world all-reduce folds the
-        same terms in the same order.
+        same terms in the same order.  A layer's slot is its own, so two
+        layers of one shape never share a partial.
         """
-        if t_stages is not None:
-            partials = self._column_band_partials(t_stages, g_blocks, f_in,
-                                                  f_out)
-        else:
-            partials = self._row_band_partials(t_blocks, g_stages, f_in,
-                                               f_out)
-        y = self._obs_call(
-            "allreduce", Category.DCOMM, self.rt.coll.allreduce,
-            self.world_group, partials, category=Category.DCOMM,
-        )
-        return next(iter(y.values()))
-
-    def _partial_buffer(self, r: int, f_in: int, f_out: int) -> np.ndarray:
-        buf = self._ws(("wgp", r, f_in, f_out), (f_in, f_out))
-        buf.fill(0.0)
-        return buf
-
-    def _row_band_partials(self, t_blocks, g_stages, f_in: int, f_out: int):
-        fins = self._fsplit(f_in)
+        f_in, f_out = self.widths[l], self.widths[l + 1]
         partials = {}
+        for gi, group, members, span in self._local_group_info:
+            for r in members:
+                partials[r] = self._bucket_slot(self._bucket(r), l)
+                partials[r].fill(0.0)
+        if t_stages is not None:
+            self._column_band_partials(partials, t_stages, g_blocks, f_in,
+                                       f_out)
+        else:
+            self._row_band_partials(partials, t_blocks, g_stages, f_in,
+                                    f_out)
+
+    def _row_band_partials(self, partials, t_blocks, g_stages, f_in: int,
+                           f_out: int) -> None:
+        fins = self._fsplit(f_in)
         for gi, group, members, span in self._local_group_info:
             g_full = self._join_span([recv[gi] for *_, recv in g_stages],
                                      self._grows(group), f_out,
                                      ("grows", gi, f_out))
             for r in members:
                 lo, hi = fins[self._out_col(r)]
-                partials[r] = self._partial_buffer(r, f_in, f_out)
-                partials[r][lo:hi] = weight_gradient(t_blocks[r], g_full)
+                weight_gradient(t_blocks[r], g_full, out=partials[r][lo:hi])
 
         def gemm_charges():
             for group in self._row_group_list:
@@ -351,14 +352,12 @@ class GridAlgorithm(DistAlgorithm):
                     yield r, 2.0 * (hi - lo) * rows * f_out
 
         self._charge_kernel("gemm", ("wgrch", f_in, f_out), gemm_charges)
-        return partials
 
-    def _column_band_partials(self, t_stages, g_blocks, f_in: int,
-                              f_out: int):
+    def _column_band_partials(self, partials, t_stages, g_blocks, f_in: int,
+                              f_out: int) -> None:
         groups_info = self._local_group_info
         fouts = self._fsplit(f_out)
         g_rows = []
-        partials = {}
         for gi, group, members, (c_lo, c_hi) in groups_info:
             o_lo, o_hi = self._span(fouts, c_lo, c_hi)
             buf = self._ws(("grows", gi, f_out), (self._grows(group), f_out))
@@ -367,8 +366,6 @@ class GridAlgorithm(DistAlgorithm):
             np.concatenate([g_blocks[r] for r in members], axis=1,
                            out=buf[:, o_lo:o_hi])
             g_rows.append(buf)
-            for r in members:
-                partials[r] = self._partial_buffer(r, f_in, f_out)
 
         def stage_charges(lo: int, hi: int):
             for group in self._row_group_list:
@@ -387,7 +384,6 @@ class GridAlgorithm(DistAlgorithm):
                 "gemm", ("wgch", f_in, f_out, t),
                 lambda lo=lo, hi=hi: stage_charges(lo, hi),
             )
-        return partials
 
     def _row_pieces(self, blocks, f: int):
         """Concurrent per-row-group all-gathers of ``blocks`` (``f``
@@ -539,21 +535,12 @@ class GridAlgorithm(DistAlgorithm):
         f_last = self.widths[-1]
         out_full = caches[-1]["out_full"]
 
-        # ---- loss: feature-column 0 contributes, everyone receives ----
-        zeros2 = np.zeros(2)
-        terms = self._dedup(
-            out_full,
-            lambda r: (id(out_full[r])
-                       if self._out_col(r) == 0 else "zero"),
-            lambda r: (self._masked_loss_terms(*self._rank_rows(r),
-                                               out_full[r])
-                       if self._out_col(r) == 0 else zeros2),
-        )
-        totals = self._obs_call(
-            "allreduce", Category.DCOMM, self.rt.coll.allreduce,
-            self.world_group, terms, category=Category.DCOMM,
-        )
-        loss, acc = self._finish_loss(next(iter(totals.values())))
+        # ---- loss terms, at the head of each rank's gradient bucket:
+        # feature-column 0 contributes, the other columns add zeros ----
+        for r in out_full:
+            self._bucket_slot(self._bucket(r))[:] = (
+                self._masked_loss_terms(*self._rank_rows(r), out_full[r])
+                if self._out_col(r) == 0 else 0.0)
 
         # ---- backward ----
         fcols = self._fsplit(f_last)
@@ -574,7 +561,6 @@ class GridAlgorithm(DistAlgorithm):
         self._charge_full_elementwise(("geg",), f_last, 3.0 * self.WB)
         self._charge_epoch_transpose()
 
-        grads: List[Optional[np.ndarray]] = [None] * self.model.num_layers
         for l in range(self.model.num_layers - 1, -1, -1):
             layer = self.model.layers[l]
             f_in, f_out = layer.f_in, layer.f_out
@@ -592,9 +578,8 @@ class GridAlgorithm(DistAlgorithm):
                 ag_stages = self._gather_stages(ag_blocks, f_out)
             # Y^l = X^T G from X's stages kept forward, or, where W went
             # first forward, (H^{l-1})^T (A G^l) from the gathered A G^l.
-            grads[l] = self._weight_grad(
-                caches[l]["x"], g_blocks, f_in, f_out,
-                caches[l]["x_stages"], ag_stages)
+            self._weight_grad(l, caches[l]["x"], g_blocks,
+                              caches[l]["x_stages"], ag_stages)
             if l > 0:
                 gh_blocks = self._matmul_w(g_blocks, layer.weight.T, f_out,
                                            f_in, stages=ag_stages)
@@ -611,5 +596,10 @@ class GridAlgorithm(DistAlgorithm):
                     for r in gh_blocks
                 }
                 self._charge_band_elementwise(("geb", l), f_in, 3.0 * self.WB)
-        self.optimizer.step(self.model.weights, grads)
-        return loss, acc
+        # ---- one world all-reduce: the loss pair and every Y^l ----
+        total = self._obs_call(
+            "allreduce", Category.DCOMM, self.rt.coll.allreduce,
+            self.world_group, {r: self._bucket(r) for r in out_full},
+            category=Category.DCOMM,
+        )
+        return self._step_from_bucket(next(iter(total.values())))

@@ -163,18 +163,20 @@ def forward_gemm(t: np.ndarray, weight: np.ndarray,
     return z
 
 
-def weight_gradient(t: np.ndarray, g: np.ndarray) -> np.ndarray:
+def weight_gradient(t: np.ndarray, g: np.ndarray,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
     """``Y^l = T^T G`` (Equation 3) -- the weight gradient, from
     ``(A^T H^{l-1}, G^l)`` or ``(H^{l-1}, A G^l)``.
 
     Distributed algorithms apply it to row blocks and sum the partial
-    products with an all-reduce.
+    products with an all-reduce; ``out`` receives a partial (its slot of
+    the rank's gradient bucket), as in :func:`forward_gemm`.
     """
     prof = _profile.ACTIVE
     if prof is None:
-        return t.T @ g
+        return np.matmul(t.T, g, out=out)
     t0 = prof.clock()
-    y = t.T @ g
+    y = np.matmul(t.T, g, out=out)
     m, k = t.shape
     prof.add("gemm.wgrad", prof.clock() - t0, 2 * m * k * g.shape[1],
              t.nbytes + g.nbytes + y.nbytes)

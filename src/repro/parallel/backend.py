@@ -56,6 +56,7 @@ demonstrate.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing as mp
 import os
 import queue
@@ -81,7 +82,8 @@ from repro.parallel.channel import (
     default_timeout,
 )
 from repro.parallel.faults import FaultPlan, parse_plan
-from repro.parallel.runtime import WorkerRuntime, ledger_digest, owner_map
+from repro.parallel.runtime import (WorkerRuntime, held_or, ledger_digest,
+                                    owner_map)
 from repro.parallel.shm import Arena, fetch_fields, park_fields
 from repro.parallel.tcp import TcpChannel, parse_hosts
 
@@ -133,6 +135,9 @@ _LEDGERED_OPS = frozenset({"train_epoch", "predict", "evaluate"})
 #: slightly stale value at worst.
 LIVE_EPOCH, LIVE_LOSS, LIVE_BYTES, LIVE_XCHG, LIVE_CKPTS = range(5)
 LIVE_NSLOTS = 5 + len(SPAN_CATEGORIES)
+
+#: a fresh identity for every pool a driver launches
+_POOL_IDS = itertools.count(1)
 
 
 def paranoid_mode() -> bool:
@@ -273,6 +278,10 @@ class ProcessBackend:
                              else int(max_restarts))
         self.backoff = default_backoff() if backoff is None else float(backoff)
         self._started = False
+        #: the running pool's identity: fresh on every :meth:`start`,
+        #: ``None`` once terminated -- what driver-side knowledge of the
+        #: workers' state (the feature matrix they hold) is tied to
+        self.pool: Optional[int] = None
         self._finalizer = None
         self.procs = []
         self.arenas = []
@@ -377,6 +386,7 @@ class ProcessBackend:
             self.inboxes + self.cmd_queues + [self.result_queue],
         )
         self._started = True
+        self.pool = next(_POOL_IDS)
 
     def _launch(self, procs) -> None:
         """Launcher-thread body: one fork request per worker.  Each
@@ -644,6 +654,7 @@ class ProcessBackend:
         if self._finalizer is not None:
             self._finalizer()
         self._started = False
+        self.pool = None
 
 
 # ---------------------------------------------------------------------- #
@@ -748,6 +759,7 @@ def _handle(rt, worker_id: int, op: str, payload, state: _WorkerState,
         # with zero driver round-trips between epochs.
         features, labels, mask, epochs, trace_opts, ckpt = payload
         algo = _require_algo(state, op)
+        features = held_or(algo, features)
         extras = []
         epoch_digests = [] if paranoid else None
         ckpt = ckpt or {}
@@ -897,14 +909,14 @@ def _dispatch(rt, worker_id: int, op: str, payload, state: _WorkerState):
     algo = _require_algo(state, op)
     if op == "setup":
         features, labels, mask = payload
-        algo.setup(features, labels, mask)
+        algo.setup(held_or(algo, features), labels, mask)
         return None, ()
     if op == "train_epoch":
         stats = algo.train_epoch(payload)
         return (stats if worker_id == 0 else None,
                 (stats.loss, stats.train_accuracy))
     if op == "predict":
-        log_probs = algo.predict(payload)
+        log_probs = algo.predict(held_or(algo, payload))
         return (log_probs if worker_id == 0 else None,
                 (float(np.sum(log_probs)),))
     if op == "evaluate":

@@ -45,6 +45,7 @@ from repro.parallel.collectives import ProcessCollectives
 from repro.sparse.csr import CSRMatrix
 
 if TYPE_CHECKING:  # runtime imports dist lazily; annotate without the cycle
+    from repro.dist.base import DistAlgorithm
     from repro.dist.history import DistTrainHistory, EpochStats
     from repro.parallel.backend import ProcessBackend
 
@@ -52,9 +53,29 @@ __all__ = [
     "WorkerRuntime",
     "ParallelRuntime",
     "ParallelAlgorithm",
+    "HELD_FEATURES",
+    "held_or",
     "ledger_digest",
     "owner_map",
 ]
+
+#: What :class:`ParallelAlgorithm` ships in place of a feature matrix
+#: bit-equal to the one its pool installed last: every worker holds a
+#: private copy of that matrix and installs it again (:func:`held_or`),
+#: so all of them reach the "unchanged" verdict by construction.
+HELD_FEATURES = "held-features"
+
+
+def held_or(algo: "DistAlgorithm", features: Any) -> Any:
+    """Worker side of :data:`HELD_FEATURES`: the matrix ``algo``
+    installed last in place of the marker, anything else as shipped."""
+    if not (isinstance(features, str) and features == HELD_FEATURES):
+        return features
+    if algo.installed_features is None:
+        raise RuntimeError(
+            "the driver shipped the held-features marker to a worker "
+            "that holds no feature matrix")
+    return algo.installed_features
 
 
 def owner_map(nranks: int, nworkers: int) -> Tuple[int, ...]:
@@ -169,13 +190,42 @@ class ParallelAlgorithm:
         #: rebuild the same algorithm on a respawned pool.
         self._ctor_payload = (name, a_t, self.widths, seed, optimizer,
                               kwargs)
+        #: ``(pool, copy)``: a private copy of the feature matrix the
+        #: running pool (:attr:`ProcessBackend.pool`) installed last, by
+        #: ``setup`` / ``fit`` / ``predict(features)``.  Another pool --
+        #: a respawn, one after ``close()`` -- holds nothing of it, and a
+        #: failed dispatch clears it.
+        self._held: Optional[Tuple[int, np.ndarray]] = None
         rt._command("make_algo", self._ctor_payload)
 
     # ------------------------------------------------------------------ #
+    def _ship(self, features: np.ndarray) -> Tuple[Any, np.ndarray]:
+        """``(what a command that installs features ships, the copy to
+        hold once it succeeds)``: :data:`HELD_FEATURES` and the held copy
+        when ``features`` is bit for bit the matrix the running pool
+        installed last, else the matrix and a fresh copy of it.  Whether
+        a matrix is new is decided as the workers decide it
+        (:meth:`DistAlgorithm._install_features`), on its fp64 bits."""
+        given = np.asarray(features)
+        bits = np.asarray(given, dtype=np.float64)
+        held, backend = self._held, self.rt._backend
+        self._held = None        # until the command has succeeded
+        if (held is not None and backend is not None
+                and backend.pool == held[0] and held[1].shape == bits.shape
+                and np.array_equal(held[1].view(np.int64),
+                                   bits.view(np.int64))):
+            return HELD_FEATURES, held[1]
+        return given, np.array(bits)
+
+    def _installed(self, copy: np.ndarray) -> None:
+        self._held = (self.rt._backend.pool, copy)
+
     def setup(self, features: np.ndarray, labels: np.ndarray,
               mask: Optional[np.ndarray] = None) -> None:
-        self.rt._command("setup", (np.asarray(features), np.asarray(labels),
+        shipped, copy = self._ship(features)
+        self.rt._command("setup", (shipped, np.asarray(labels),
                                    None if mask is None else np.asarray(mask)))
+        self._installed(copy)
 
     def train_epoch(self, epoch: int = 0) -> "EpochStats":
         results = self.rt._command("train_epoch", epoch)
@@ -235,10 +285,10 @@ class ParallelAlgorithm:
             "resume": False,
             "attempt": 1,
         }
-        base = (
-            np.asarray(features), np.asarray(labels),
-            None if mask is None else np.asarray(mask), int(epochs),
-            trace_opts,
+        shipped, copy = self._ship(features)
+        rest = (
+            np.asarray(labels), None if mask is None else np.asarray(mask),
+            int(epochs), trace_opts,
         )
         t_dispatch = time.monotonic()
         backend = self.rt.start()
@@ -246,11 +296,13 @@ class ParallelAlgorithm:
         while True:
             try:
                 if attempt == 1:
-                    results = self.rt._command("fit", base + (ckpt,))
+                    results = self.rt._command(
+                        "fit", (shipped,) + rest + (ckpt,))
                 else:
+                    # a respawned pool holds no features: ship the matrix
                     results = backend.command(
-                        "fit", base + (dict(ckpt, resume=True,
-                                            attempt=attempt),),
+                        "fit", (np.asarray(features),) + rest
+                        + (dict(ckpt, resume=True, attempt=attempt),),
                         recovery=True)
                 break
             except RECOVERABLE_ERRORS as exc:
@@ -285,6 +337,7 @@ class ParallelAlgorithm:
                              checkpoint=ckpt.get("path"))
                 backend.recovering = False
         history = self.rt._adopt_and_check(results)
+        self._installed(copy)
         epoch_stats = history.epochs
         if _events.ACTIVE is not None:
             # The driver owns the event log (workers never have one);
@@ -312,10 +365,14 @@ class ParallelAlgorithm:
         return history
 
     def predict(self, features: Optional[np.ndarray] = None) -> np.ndarray:
-        results = self.rt._command(
-            "predict", None if features is None else np.asarray(features)
-        )
-        return self.rt._adopt_and_check(results)
+        if features is None:
+            return self.rt._adopt_and_check(
+                self.rt._command("predict", None))
+        shipped, copy = self._ship(features)
+        log_probs = self.rt._adopt_and_check(
+            self.rt._command("predict", shipped))
+        self._installed(copy)
+        return log_probs
 
     def evaluate(self, labels: np.ndarray,
                  mask: Optional[np.ndarray] = None) -> Tuple[float, float]:

@@ -92,6 +92,9 @@ class SimPoint:
     seconds_by_category: Dict[str, float]
     bytes_by_category: Dict[str, int]
     comm_bytes: int
+    #: messages of the epoch, summed over every rank (``SimResult.
+    #: messages``: what the executed ledger's ``total_messages`` counts)
+    messages: int
     #: the schedule's one-time section, priced: the ``A^T H^0``
     #: aggregation paid per feature matrix, outside every epoch (every
     #: field above is the steady-state epoch)
@@ -118,6 +121,7 @@ class SimPoint:
             "seconds_by_category": dict(self.seconds_by_category),
             "bytes_by_category": dict(self.bytes_by_category),
             "comm_bytes": self.comm_bytes,
+            "messages": self.messages,
             "params": dict(self.params),
             "sweep_widths": {"forward": forward, "backward": backward},
             "setup": {
@@ -150,6 +154,7 @@ def _price(
         seconds_by_category=result.seconds_by_category,
         bytes_by_category=result.bytes_by_category,
         comm_bytes=result.comm_bytes,
+        messages=result.messages,
         setup=evaluate_schedule(schedule.setup, machine),
         params=dict(schedule.meta),
     )

@@ -51,13 +51,13 @@ import numpy as np
 from repro.comm import cost_model as cm
 from repro.comm.tracker import Category
 from repro.config import FP64_BYTES, INDEX_BYTES, MachineProfile
+from repro.dist.base import bucket_nbytes
 from repro.nn.layers import funnel_reduces, sweep_order
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.distribute import block_ranges
 from repro.sparse.perfmodel import SpmmPerfModel
 
 __all__ = [
-    "LOSS_TERM_BYTES",
     "boundaries",
     "GraphModel",
     "CommSchedule",
@@ -69,11 +69,6 @@ __all__ = [
     "emit_grid_epoch",
     "sparse_wire_bytes",
 ]
-
-#: The replicated ``[sum_picked, correct]`` loss pair every epoch
-#: reduces: two fp64 whatever the training precision.
-LOSS_TERM_BYTES = 2 * FP64_BYTES
-
 
 def boundaries(n: int, parts: int) -> np.ndarray:
     """Block boundaries ``[0, ..., n]`` of :func:`block_ranges`.
@@ -736,8 +731,10 @@ def emit_blockrow_epoch(
 
     Phase-for-phase mirror of the set-up aggregation (the one-time
     section) and of ``BlockRowAlgorithm._run_epoch`` (forward sweep from
-    the kept ``T^0``, loss reduction, backward recursion down to layer
-    2), each sweep on the side of its GEMM and at the width
+    the kept ``T^0``, backward recursion down to layer 2, then one
+    ``replicated_allreduce`` of the gradient bucket: the loss pair and
+    every weight gradient, :func:`~repro.dist.base.bucket_nbytes`), each
+    sweep on the side of its GEMM and at the width
     :func:`~repro.nn.layers.sweep_order` gives it; the callables plug in
     the 1D/1.5D-specific data movement exactly like the executed hooks
     do.
@@ -755,7 +752,6 @@ def emit_blockrow_epoch(
         if project_first:
             forward_spmm(f_out)
         b.elementwise(rows * (2.0 * f_out * b.wb))
-    replicated_allreduce(LOSS_TERM_BYTES)
     b.elementwise(rows * (3.0 * widths[-1] * b.wb))
     if pre_backward is not None:
         pre_backward()
@@ -765,12 +761,12 @@ def emit_blockrow_epoch(
         if l > 0 and not project_first:
             backward_spmm(f_out)
         b.gemm(rows * (2.0 * f_in * f_out))
-        replicated_allreduce(f_in * f_out * b.wb)
         if l > 0:
             b.gemm(rows * (2.0 * f_out * f_in))
             if project_first:
                 backward_spmm(f_in)
             b.elementwise(rows * (3.0 * f_in * b.wb))
+    replicated_allreduce(bucket_nbytes(widths, b.wb))
 
 
 def emit_grid_epoch(
@@ -801,7 +797,9 @@ def emit_grid_epoch(
     where the output is narrower, else GEMMs over stages all-gathered
     once (layer 1's ``T^0`` at set-up, a forward ``T^l``, a backward
     ``A G^l``).  The weight gradient reads the same stages, so it moves
-    nothing but its all-reduce.
+    nothing; the epoch ends with one world all-reduce of the gradient
+    bucket (the loss pair and every weight gradient,
+    :func:`~repro.dist.base.bucket_nbytes`).
     """
     rows = np.asarray(rows_of_rank, dtype=np.float64)
     group_rows = np.asarray(group_rows, dtype=np.float64)
@@ -847,7 +845,6 @@ def emit_grid_epoch(
         else:
             gather(f_out)                          # the log_softmax rows
             b.elementwise(rows * (2.0 * f_out * b.wb))
-    b.allreduce(Category.DCOMM, b.p, LOSS_TERM_BYTES)
     b.elementwise(rows * (3.0 * widths[-1] * b.wb))
     epoch_transpose()
     for l in range(n_layers - 1, -1, -1):
@@ -860,9 +857,9 @@ def emit_grid_epoch(
             b.gemm(2.0 * rows * outw_of_rank(f_in) * f_out)
         else:
             stage_loop(f_in, f_out)                # Y^l = T^T G
-        b.allreduce(Category.DCOMM, b.p, f_in * f_out * b.wb)
         if l > 0:
             product(f_out, f_in)                   # G W^T
             if project_first:
                 grid_spmm(f_in, True)
             b.elementwise(rows * outw_of_rank(f_in) * (3.0 * b.wb))
+    b.allreduce(Category.DCOMM, b.p, bucket_nbytes(widths, b.wb))

@@ -127,6 +127,9 @@ class TestSimulateCommands:
             out.index("predicted epoch")
         assert once < epoch
         assert "dcomm" in out[once:epoch] and " s," in out[once:epoch]
+        # an epoch's messages over all 8 ranks: 4 sweeps' all-gathers at
+        # lg 8 = 3 each, and the one gradient-bucket all-reduce at 2 x 3
+        assert f"messages  {8 * (4 * 3 + 2 * 3)} (all ranks)" in out
 
     def test_simulate_json_output(self, tmp_path, capsys):
         out_file = tmp_path / "point.json"
@@ -139,7 +142,7 @@ class TestSimulateCommands:
 
         doc = json.loads(out_file.read_text())
         assert doc["algorithm"] == "3d" and doc["p"] == 512
-        assert doc["seconds"] > 0
+        assert doc["seconds"] > 0 and doc["messages"] > 0
         once = doc["setup"]
         assert 0 < once["seconds"] < doc["seconds"]
         assert once["comm_bytes"] == sum(

@@ -94,40 +94,50 @@ CONFIGS = [
 #: seconds and messages down with it: ``ceil(lg Pc)`` latencies per
 #: member, not ``Pc``), 3D P = 27 400065 -> 375477 (its ``(Pc - 1) /
 #: Pc`` share of a group's bytes rounds down per member); ``scomm`` /
-#: ``trpose`` and the eleven ``loss1`` values did not move.
+#: ``trpose`` and the eleven ``loss1`` values did not move.  And once
+#: more, for the modeled seconds of all eleven rows, when the loss pair
+#: and the three weight gradients began to reduce in one bucket, one
+#: replicated all-reduce an epoch instead of four: three all-reduces'
+#: latency terms left every epoch (1D P = 4 0.00019552624206766914 ->
+#: 0.00018952624206766913, 3D P = 27 0.0005683429103081374 ->
+#: 0.0005083429103081374).  Bytes moved only at 3D P = 27, by the
+#: all-reduce's ``(P - 1) / P = 26 / 27`` share rounding down once per
+#: half instead of once per half and piece: ``dcomm`` 375477 -> 375531,
+#: ``max_rank`` 38177 -> 38179; ``scomm`` / ``trpose`` and the eleven
+#: ``loss1`` values did not move.
 PRE_OPT_ORACLE = {
     ("1d", 4): dict(dcomm=119904, scomm=0, trpose=0, max_rank=29976,
-                    seconds=0.00019552624206766914,
+                    seconds=0.00018952624206766913,
                     loss1=1.4010554851746766),
     ("1d", 8): dict(dcomm=279776, scomm=0, trpose=0, max_rank=34972,
-                    seconds=0.00025524465527296497,
+                    seconds=0.00021924465527296496,
                     loss1=1.4010554851746768),
     ("1d", 16): dict(dcomm=599520, scomm=0, trpose=0, max_rank=37470,
-                     seconds=0.00027863039720169995,
+                     seconds=0.00023063039720169995,
                      loss1=1.4010554851746768),
     ("1.5d", 4): dict(dcomm=153664, scomm=0, trpose=0, max_rank=38416,
-                      seconds=0.0001958423841353384,
+                      seconds=0.00019284238413533837,
                       loss1=1.4010554851746768),
     ("1.5d", 8): dict(dcomm=307328, scomm=0, trpose=0, max_rank=47632,
-                      seconds=0.00024331309065707751,
+                      seconds=0.00023131309065707752,
                       loss1=1.4010554851746768),
     ("1.5d", 16): dict(dcomm=405888, scomm=0, trpose=0, max_rank=25368,
-                       seconds=0.00026369362358940826,
+                       seconds=0.00023969362358940824,
                        loss1=1.4010554851746766),
     ("2d", 4): dict(dcomm=126048, scomm=136256, trpose=17032,
-                    max_rank=87348, seconds=0.0003096257886678655,
+                    max_rank=87348, seconds=0.0003036257886678656,
                     loss1=1.4010554851746768),
     ("2d", 8): dict(dcomm=212192, scomm=148928, trpose=17048,
-                    max_rank=65400, seconds=0.0004939610914939524,
+                    max_rank=65400, seconds=0.0004579610914939523,
                     loss1=1.4010554851746766),
     ("2d", 16): dict(dcomm=323040, scomm=297856, trpose=18616,
-                     max_rank=57458, seconds=0.0006386383339130436,
+                     max_rank=57458, seconds=0.0005906383339130434,
                      loss1=1.4010554851746766),
     ("3d", 8): dict(dcomm=193760, scomm=148672, trpose=0,
-                    max_rank=58716, seconds=0.0004041692355933312,
+                    max_rank=58716, seconds=0.0003681692355933311,
                     loss1=1.4010554851746768),
-    ("3d", 27): dict(dcomm=375477, scomm=270000, trpose=0,
-                     max_rank=38177, seconds=0.0005683429103081374,
+    ("3d", 27): dict(dcomm=375531, scomm=270000, trpose=0,
+                     max_rank=38179, seconds=0.0005083429103081374,
                      loss1=1.4010554851746768),
 }
 

@@ -138,7 +138,8 @@ class TestCommunicationAccounting:
         layer's replicated-W funnels (reduce-scatter of ``H W``,
         all-gathers of ``Z`` and ``A G``; a ring moves (sqrt(P) - 1) / P
         of a row group's words per rank, 1/4 -> 3/16, a 4/3 cut) and the
-        world all-reduces (2 (P - 1) / P of their words, which grow).
+        world all-reduce of the gradient bucket (2 (P - 1) / P of its
+        words, which grow).
         Together they put the whole per-rank ratio near 1.49."""
         big = make_synthetic(n=600, avg_degree=6, f=32, n_classes=4, seed=6)
         n, w = big.num_vertices, (32, 16, 4)
@@ -148,9 +149,8 @@ class TestCommunicationAccounting:
             q = math.isqrt(p)
             sweeps = 2 * n * (f // q) * 8
             funnels = 3 * (q - 1) * (n // q) * f * 8 // q
-            allreduces = sum(2 * (m * (p - 1) // p)
-                             for m in (2 * 8, w[1] * w[2] * 8,
-                                       w[0] * w[1] * 8))
+            bucket = 2 * 8 + (w[0] * w[1] + w[1] * w[2]) * 8
+            allreduces = 2 * (bucket * (p - 1) // p)
             return sweeps, funnels + allreduces
 
         max_rank, sweep_max = {}, {}

@@ -13,7 +13,9 @@ every ``predict()`` starts from it.  These tests pin what that promises:
 * on the process backend every worker reaches the same verdict, also
   when only one worker's rows changed, and also across a kill-and-recover
   fit, with losses and the ledger digest (set-up charge included) equal
-  to the virtual run's;
+  to the virtual run's; a matrix bit-equal to the one the pool installed
+  last is not shipped again (the driver sends a marker, each worker
+  reinstalls its own copy), but one a respawned pool needs is;
 * in 2D / 3D the set-up also all-gathers ``T^0`` along the row groups,
   once: each local row group keeps the pieces, every epoch's layer-1
   replicated-``W`` products run from them, and only a new matrix pays
@@ -40,6 +42,7 @@ from repro.dist import ALGORITHMS, make_algorithm, make_runtime_for
 from repro.graph import make_synthetic
 from repro.nn.layers import funnel_reduces, sweep_widths
 from repro.parallel import ledger_digest
+from repro.parallel.runtime import HELD_FEATURES
 from repro.simulate.schedule import GraphModel
 
 HIDDEN = 8
@@ -215,8 +218,9 @@ class TestSweepCounts:
 
     @pytest.mark.parametrize("p", [4, 8])
     def test_1d_symmetric_dcomm_from_the_widths(self, ds, p):
-        """All-gathers at the sweep widths, all-reduces of the loss pair
-        and of each ``f^{l-1} x f^l`` weight gradient -- nothing else."""
+        """All-gathers at the sweep widths, one all-reduce of the
+        gradient bucket -- the loss pair and each ``f^{l-1} x f^l`` weight
+        gradient -- nothing else."""
         algo = make(ds, "1d", p, {"variant": "symmetric"})
         profile, n, w = algo.rt.profile, ds.num_vertices, algo.widths
 
@@ -229,8 +233,8 @@ class TestSweepCounts:
         hist = algo.fit(ds.features, ds.labels, epochs=2)
         assert hist.setup.dcomm_bytes == gathered(w[0])
         forward, backward = sweep_widths(w)
-        expected = (sum(gathered(f) for f in forward + backward) + reduced(16)
-                    + sum(reduced(a * b * 8) for a, b in zip(w, w[1:])))
+        expected = (sum(gathered(f) for f in forward + backward)
+                    + reduced(16 + sum(a * b * 8 for a, b in zip(w, w[1:]))))
         assert [e.dcomm_bytes for e in hist.epochs] == [expected] * 2
 
 
@@ -340,6 +344,73 @@ class TestWorkersDecideAlike:
             want.second_setup.bytes_by_category
         assert got.second_setup.comm_bytes > 0
         assert stats["restarts"] == 1
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_only_a_changed_matrix_is_shipped(self, ds, watchdog,
+                                              transport):
+        """The driver decides on its own copy of the matrix the pool
+        installed last: the same matrix again, as a fresh array, ships
+        as the held marker; the caller's array edited in place ships
+        whole.  The losses are the virtual run's either way."""
+        x = ds.features.copy()
+        virtual = make(ds, "1d", 4, {})
+        algo = make(ds, "1d", 4, {}, backend="process", workers=WORKERS,
+                    transport=transport)
+        fits, want, held = [], [], []
+        try:
+            backend = algo.rt._backend
+            backend.cmd_queues = [_FitTap(q, held)
+                                  for q in backend.cmd_queues]
+            for features in (x, x.copy(), None):
+                if features is None:
+                    x[:] = edited(x)          # same array, new content
+                    features = x
+                fits.append(algo.fit(features, ds.labels, epochs=1))
+                want.append(virtual.fit(features.copy(), ds.labels,
+                                        epochs=1))
+        finally:
+            algo.rt.close()
+        assert held == [False] * WORKERS + [True] * WORKERS + [False] * WORKERS
+        assert [f.losses for f in fits] == [w.losses for w in want]
+        assert [f.setup.comm_bytes > 0 for f in fits] == [True, False, True]
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_kill_and_recover_on_held_features(self, ds, watchdog,
+                                               tmp_path, transport):
+        """The second fit ships only the held marker; the kill respawns
+        the pool, which holds no matrix, so the recovery re-dispatch
+        ships the matrix itself -- and trains on it."""
+        name, p, kw = "1d", 4, {}
+        want = two_fits(make(ds, name, p, kw), ds, ds.features)
+        algo = make(ds, name, p, kw, backend="process", workers=WORKERS,
+                    transport=transport, max_restarts=3,
+                    faults="kill:worker=1,epoch=1,attempt=1")
+        try:
+            got = two_fits(algo, ds, ds.features.copy(),
+                           checkpoint_path=str(tmp_path / "ck.npz"),
+                           checkpoint_every=1)
+            stats = algo.rt.backend_stats(workers=False)
+        finally:
+            algo.rt.close()
+        assert got.losses == want.losses and got.digest == want.digest
+        assert stats["restarts"] == 1
+
+
+class _FitTap:
+    """Stands in for a worker's command queue: records whether each
+    ``fit`` shipped the held-features marker, then forwards."""
+
+    def __init__(self, q, held):
+        self._q, self._held = q, held
+
+    def put(self, msg):
+        if msg[0] == "fit":
+            self._held.append(isinstance(msg[1][0], str)
+                              and msg[1][0] == HELD_FEATURES)
+        self._q.put(msg)
+
+    def __getattr__(self, name):
+        return getattr(self._q, name)
 
 
 def want_messages(ds, name, p, kw, features):
@@ -575,7 +646,7 @@ class TestRowGroupsAcrossWorkers:
         assert stats["restarts"] == 1
 
     def test_exchanges_per_worker_epoch_tcp(self, ds, watchdog):
-        """25 exchanges per worker-epoch at W = 4 (widths 10-8-8-3; each
+        """22 exchanges per worker-epoch at W = 4 (widths 10-8-8-3; each
         worker holds one rank, so each row group collective costs one):
         - the two SpMM sweeps each way, 2 SUMMA stages of a sparse and a
           dense broadcast each: 16;
@@ -586,19 +657,21 @@ class TestRowGroupsAcrossWorkers:
           reduce-scatter and one all-gather of ``A G`` for both backward
           funnels: 2;
         - the ``log_softmax`` row all-gather: 1;
-        - the loss and three weight-gradient all-reduces: 4.
-        That is 27 while ``T^2`` and ``A G^2`` moved by 2 stage
+        - the gradient bucket's one all-reduce: 1.
+        That is 25 while the loss and the three weight gradients
+        reduced apart (4 all-reduces), 27 while ``T^2`` and ``A G^2``
+        moved by 2 stage
         broadcasts each (one exchange a stage), 29 while the weight
         gradient broadcast ``T^2`` again, 33 while the last layer's
         three funnels stage-broadcast, 37 while layer 1's two funnels
         re-broadcast ``T^0``.  The set-up is the aggregation sweep's 4
         and one all-gather of ``T^0`` (2 stage broadcasts before)."""
         first, again = exchanges_per_worker(ds, "2d", 4, "tcp")
-        assert again == [K * 25] * SPANNING_WORKERS
-        assert first == [4 + 1 + 25] * SPANNING_WORKERS
+        assert again == [K * 22] * SPANNING_WORKERS
+        assert first == [4 + 1 + 22] * SPANNING_WORKERS
 
     def test_exchanges_per_worker_epoch_3d_shm(self, ds, watchdog):
-        """34 exchanges per worker-epoch on 3D P = 8 at W = 4.  Each
+        """31 exchanges per worker-epoch on 3D P = 8 at W = 4.  Each
         worker holds one rank of each of two row groups, and a group
         collective meets its peers once per group, so every row-group
         collective costs 2:
@@ -606,16 +679,17 @@ class TestRowGroupsAcrossWorkers:
         - the all-gathers of ``T^2`` and ``A G^2``, the last layer's
           reduce-scatter and ``A G`` gather, the ``log_softmax`` rows:
           5 x 2;
-        - the loss and three weight-gradient all-reduces: 4.
+        - the gradient bucket's one all-reduce: 1 (34 while the loss
+          and the three weight gradients reduced apart).
         A routed stage broadcast met the peers once per stage for all
         groups, so the middle layer's two 2-stage operands cost 2 each
-        as broadcasts too: the all-gathers leave this count where it
+        as broadcasts too: the all-gathers left this count where it
         was (36 while the weight gradient broadcast ``T^2`` again).
         The set-up's 7 are the aggregation sweep's 5 and the ``T^0``
         all-gather's 2."""
         first, again = exchanges_per_worker(ds, "3d", 8, "shm")
-        assert again == [K * 34] * SPANNING_WORKERS
-        assert first == [7 + 34] * SPANNING_WORKERS
+        assert again == [K * 31] * SPANNING_WORKERS
+        assert first == [7 + 31] * SPANNING_WORKERS
 
 
 def exchanges_per_worker(ds, name, p, transport):

@@ -293,10 +293,12 @@ class TestExchangeCounts:
     @pytest.mark.parametrize("name,kw,per_worker_epoch", [
         # L - 1 = 2 sweeps each way (A^T H^0 is aggregated at set-up, the
         # layer-1 A G is never formed): 4 ghost fetches (one exchange
-        # each) + 4 reductions
-        pytest.param("1d", GHOST, 8, id="1d-ghost"),
-        # 4 sweeps x 2 routed SUMMA stage broadcasts + 4 reductions
-        pytest.param("2d", {}, 12, id="2d"),
+        # each) + the gradient bucket's one reduction (8 while the loss
+        # and the three weight gradients reduced apart)
+        pytest.param("1d", GHOST, 5, id="1d-ghost"),
+        # 4 sweeps x 2 routed SUMMA stage broadcasts + 1 reduction (12
+        # before the bucket)
+        pytest.param("2d", {}, 9, id="2d"),
     ])
     def test_exchanges_per_epoch(self, ds, name, kw, per_worker_epoch,
                                  transport):

@@ -161,25 +161,29 @@ class TestKillRecovery:
 
 class TestOtherFaults:
     # A 1D ghost worker's exchanges, in order: the set-up's ghost fetch
-    # (0); then per epoch two forward fetches, the loss all-reduce, and
-    # going down the layers fetch + weight-gradient all-reduce (layer
-    # 3), fetch + all-reduce (layer 2), all-reduce (layer 1) -- 8 an
-    # epoch, epoch 0 being exchanges 1..8.  A 2D worker: the set-up
-    # sweep's two stage broadcasts (0, 1) -- the set-up's gather of T^0
-    # along the process rows stays inside a worker on this mesh, and
-    # layer 1's funnels no longer broadcast at all, so no index moved --
-    # then 12 an epoch, two forward sweeps (2..5) and the loss all-reduce
-    # (6) first.  Layer 3 (8 -> 3)
+    # (0); then per epoch two forward fetches, the backward fetches of
+    # layers 3 and 2, and the gradient bucket's one all-reduce (the loss
+    # pair and every weight gradient) -- 5 an epoch, epoch 0 being
+    # exchanges 1..5.  A 2D worker: the set-up sweep's two stage
+    # broadcasts (0, 1) -- the set-up's gather of T^0 along the process
+    # rows stays inside a worker on this mesh, and layer 1's funnels no
+    # longer broadcast at all -- then 9 an epoch, two forward sweeps
+    # (2..5), two backward sweeps (6..9) and the bucket's all-reduce
+    # (10).  Before the bucket the loss and each weight gradient reduced
+    # apart, 8 / 12 an epoch: the pins below moved with it (the hang
+    # 6 -> 4, the corrupt frame 6 -> 10, the look-ahead 15 -> 12); the
+    # delay and the drop still hit exchange 5, now the bucket's
+    # all-reduce, once the first weight gradient's.  Layer 3 (8 -> 3)
     # shrinks, so its sweeps run at 3 columns and its forward GEMM comes
     # before its fetch / sweep -- which moves no exchange: the order of
     # kinds is pinned in ``test_parallel_tickets.py::TestLookAheadOfOne``.
 
     def test_hang_mid_exchange_trips_heartbeat(self, ds, references,
                                                tmp_path):
-        # exchange 6: epoch 0's last ghost fetch (backward, layer 2)
+        # exchange 4: epoch 0's last ghost fetch (backward, layer 2)
         losses, digest, stats = run_faulted(
             ds, "1d", {"variant": "ghost", "partition": "multilevel"}, "shm",
-            faults="hang:worker=1,exchange=6,attempt=1", max_restarts=3,
+            faults="hang:worker=1,exchange=4,attempt=1", max_restarts=3,
             tmp_path=tmp_path, timeout=1.5)
         ref_losses, ref_digest = references["1d-ghost", "shm"]
         assert losses == ref_losses
@@ -188,7 +192,7 @@ class TestOtherFaults:
 
     def test_tcp_frame_delay_is_transient(self, ds, references, tmp_path):
         # A delayed frame slows the exchange but needs no recovery.
-        # exchange 5: epoch 0's first weight-gradient all-reduce
+        # exchange 5: epoch 0's gradient-bucket all-reduce
         losses, digest, stats = run_faulted(
             ds, "1d", {"variant": "ghost", "partition": "multilevel"}, "tcp",
             faults="delay:worker=1,exchange=5,seconds=0.4",
@@ -209,10 +213,10 @@ class TestOtherFaults:
         assert stats["restarts"] >= 1
 
     def test_tcp_frame_corrupt_recovers(self, ds, references, tmp_path):
-        # exchange 6: epoch 0's loss all-reduce
+        # exchange 10: epoch 0's gradient-bucket all-reduce
         losses, digest, stats = run_faulted(
             ds, "2d", {}, "tcp",
-            faults="corrupt:worker=1,exchange=6,attempt=1",
+            faults="corrupt:worker=1,exchange=10,attempt=1",
             max_restarts=3, tmp_path=tmp_path, timeout=5)
         ref_losses, ref_digest = references["2d", "tcp"]
         assert losses == ref_losses
@@ -223,9 +227,9 @@ class TestOtherFaults:
 class TestFaultsWithATicketInFlight:
     """The SUMMA stage loops post stage k + 1 before they collect stage
     k, so an exchange-pinned fault can now land *between* the two: a 2D
-    P=4/W=2 worker makes 2 exchanges at set-up and 12 per epoch, so
-    exchange 15 is the look-ahead post of epoch 1's first sweep, issued
-    while exchange 14's ticket is still open
+    P=4/W=2 worker makes 2 exchanges at set-up and 9 per epoch, so
+    exchange 12 is the look-ahead post of epoch 1's first sweep, issued
+    while exchange 11's ticket is still open
     (``test_parallel_tickets.py`` pins that sequence).  The peer is left holding an uncollected ticket whose
     sender is gone; recovery must still be bit-equal."""
 
@@ -236,7 +240,7 @@ class TestFaultsWithATicketInFlight:
                                 action, timeout):
         losses, digest, stats = run_faulted(
             ds, "2d", {}, transport,
-            faults=f"{action}:worker=1,exchange=15,attempt=1",
+            faults=f"{action}:worker=1,exchange=12,attempt=1",
             max_restarts=3, tmp_path=tmp_path, timeout=timeout)
         ref_losses, ref_digest = references["2d", transport]
         assert losses == ref_losses

@@ -395,18 +395,19 @@ class TestLookAheadOfOne:
             for log in logs:
                 posts = [tag for what, tag in log if what == "post"]
                 # L - 1 = 2 sweeps each way x 2 SUMMA stage broadcasts
-                # that cross workers + 4 reductions, per worker per epoch
-                assert len(posts) == 12
+                # that cross workers + the gradient bucket's one
+                # reduction, per worker per epoch (12 while the loss and
+                # each weight gradient reduced apart)
+                assert len(posts) == 9
                 # In program order -- what an ``exchange=N`` fault spec
                 # indexes.  Widths 8-8-8-3: layer 3 shrinks, so its
                 # ``_matmul_w`` stage loop runs before its forward sweep
                 # and ``Y^3`` comes from ``A G^3``; on this mesh those
                 # funnels stay inside a worker, and the sequence of
                 # exchanges is the one before the rule: two forward
-                # sweeps, the loss, then sweep + weight gradient per
-                # layer above the first, then layer 1's gradient.
-                assert [tag[0][0] for tag in posts] == (
-                    ["rb"] * 4 + ["cg"] + ["rb", "rb", "cg"] * 2 + ["cg"])
+                # sweeps, two backward sweeps, then the one all-reduce
+                # of the loss pair and every weight gradient.
+                assert [tag[0][0] for tag in posts] == ["rb"] * 8 + ["cg"]
                 open_rb, sweeps, high = [], [], 0
                 for what, tag in log:
                     if tag[0] != ("rb",):
@@ -431,8 +432,8 @@ class TestLookAheadOfOne:
                     assert [what for what, _ in sweep] == [
                         "post", "post", "collect", "collect"]
             # the fault tests pin their look-ahead index on this: with
-            # 2 exchanges at set-up and 12 per epoch, exchange 15 is the
-            # second post of epoch 1, issued while exchange 14 is still
+            # 2 exchanges at set-up and 9 per epoch, exchange 12 is the
+            # second post of epoch 1, issued while exchange 11 is still
             # uncollected
             assert [what for what, _ in logs[1][:3]] == [
                 "post", "post", "collect"]
@@ -445,13 +446,15 @@ class TestLookAheadOfOne:
         for w in (0, 1):
             setup, *logs = res[w][0]
             assert len(setup) == 2               # one ghost fetch
-            assert all(len(log) == 16 for log in logs)   # 8 per epoch
+            assert all(len(log) == 10 for log in logs)   # 5 per epoch
             # two forward fetches (the second at 3 columns, after layer
-            # 3's GEMM), the loss, fetch + weight gradient for layers 3
-            # and 2, layer 1's gradient: the order the fault specs index
+            # 3's GEMM), the backward fetches of layers 3 and 2, then the
+            # gradient bucket's one all-reduce: the order the fault specs
+            # index (8 an epoch while the loss and each weight gradient
+            # reduced apart)
             for log in logs:
                 assert [tag[0][0] for what, tag in log if what == "post"] \
-                    == ["gr", "gr", "cg", "gr", "cg", "gr", "cg", "cg"]
+                    == ["gr", "gr", "gr", "gr", "cg"]
             for log in res[w][0]:
                 for (a, ta), (b, tb) in zip(log[0::2], log[1::2]):
                     assert (a, b) == ("post", "collect") and ta == tb

@@ -36,10 +36,12 @@ from repro.dist import (
     make_distribution,
     make_runtime_for,
 )
+from repro.dist.base import bucket_nbytes
 from repro.graph import make_synthetic
 from repro.nn import GCN, SGD, SerialTrainer
 from repro.nn.layers import sweep_widths
-from repro.simulate.schedule import GraphModel, evaluate_schedule
+from repro.simulate.schedule import (CollectivePhase, GraphModel,
+                                     evaluate_schedule)
 from repro.sparse.csr import CSRMatrix
 from test_simulate import assert_sections_exact
 
@@ -171,11 +173,17 @@ GRID_CONFIGS = [c for c in SHAPE_CONFIGS if c.values[0] in ("2d", "3d")]
 @st.composite
 def width_tuples(draw):
     """``(f^0, ..., f^L)``, ``L`` in 2..4, every step drawn shrinking /
-    equal / growing, so mixed tuples (12-4-9-9-3) occur."""
+    equal / growing, so mixed tuples (12-4-9-9-3) occur.  "equal" comes
+    first, so the simplest draw -- one the tier-1 profile always makes --
+    has layers of one shape: a buffer two such layers shared would fail
+    (i).  Mutation check (run once, in a scratch copy): with the grid
+    weight gradients written to a workspace keyed by shape and copied
+    into the bucket at the epoch's end, (i) fails on all three grid
+    configurations; with "shrink" first it failed on none."""
     widths = [draw(st.integers(min_value=2, max_value=12))]
     for _ in range(draw(st.integers(min_value=2, max_value=4))):
         cur = widths[-1]
-        step = draw(st.sampled_from(["shrink", "equal", "grow"]))
+        step = draw(st.sampled_from(["equal", "shrink", "grow"]))
         if step == "shrink" and cur > 1:
             widths.append(draw(st.integers(min_value=1, max_value=cur - 1)))
         elif step == "grow":
@@ -235,7 +243,23 @@ class TestGeneratedShapes:
         algo, emit_kw = build_shaped(name, p, kw, a_t, widths, seed)
         schedule = ALGORITHMS[name].emit_comm_schedule(
             GraphModel.from_csr(a_t), widths, p, **emit_kw)
+        # (vi) one replicated all-reduce an epoch, its last step: the
+        # gradient bucket (the loss pair and every Y^l) over the group
+        # that replicates W; the only other all-reduces are 1.5D's fiber
+        # reductions, one per sweep.  A layer's partial has a slot of its
+        # own, so equal-width tuples -- two layers of one shape -- cannot
+        # share one: (i) would catch it.
+        *rest, last = schedule.phases
+        c = kw.get("replication", 1)
+        assert isinstance(last, CollectivePhase) and last.kind == "allreduce"
+        assert last.group_size == p // c
+        assert last.nbytes.tolist() == [bucket_nbytes(widths)] * c
+        fibers = [ph for ph in rest if isinstance(ph, CollectivePhase)
+                  and ph.kind == "allreduce"]
+        assert len(fibers) == (2 * (len(widths) - 2) if c > 1 else 0)
+        assert all(ph.group_size == c for ph in fibers)
         # (ii) set-up, epoch 0, epoch 1: bytes, messages, steps, seconds
+        # -- the ledger runs that one all-reduce too
         assert_sections_exact(
             algo, features, labels, schedule, algo.rt.profile)
         # (i) the paper's correctness claim, to reassociation
@@ -245,8 +269,9 @@ class TestGeneratedShapes:
     @given(data=st.data())
     def test_1d_symmetric_dcomm_is_the_narrow_sides(self, p, data):
         """(iii) All-gathers at ``min(f^{l-1}, f^l)`` twice per layer
-        above the first, all-reduces of the loss pair and of each weight
-        gradient -- nothing else, and nothing at a wide side."""
+        above the first, one all-reduce of the gradient bucket (the loss
+        pair and each weight gradient) -- nothing else, and nothing at a
+        wide side."""
         a_t, features, labels, widths, seed = data.draw(
             shaped_problems(False))
         algo, _ = build_shaped("1d", p, {"variant": "symmetric"}, a_t,
@@ -273,9 +298,10 @@ class TestGeneratedShapes:
         gathers ``T^l`` once for its product and ``Y = T^T G``, then
         gathers ``A G`` for ``G W^T`` (equal widths) or, growing,
         reduce-scatters ``G W^T`` at ``f^{l-1}``.  Beyond the sweeps, the
-        ``log_softmax`` row gather and the all-reduces, the ledger and
-        the emitted schedule charge exactly that, and the set-up exactly
-        its sweep plus one gather of ``T^0``, ``(Pc - 1) n f^0`` words.
+        ``log_softmax`` row gather and the gradient bucket's all-reduce,
+        the ledger and the emitted schedule charge exactly that, and the
+        set-up exactly its sweep plus one gather of ``T^0``, ``(Pc - 1) n
+        f^0`` words.
 
         Mutation check (run once, in a scratch copy): with the emitter
         alone moving a gathered operand by ``Pc`` pipelined stage
