@@ -11,9 +11,9 @@ global read once per hook, one ``is None`` test when disabled):
   alias.  The ``writeable=False`` flag already stops receivers; this
   closes the sender-side hole the flag cannot.
 
-* **Ledger sanitizer** -- the exact-accounting exchanges (point-to-point
-  sendrecv routes and the ghost ``gather_rows`` path) charge precisely
-  the bytes that cross the wire.  :meth:`check_exchange` recomputes the
+* **Ledger sanitizer** -- the exact-accounting exchange (the ghost
+  ``gather_rows`` path) charges precisely the bytes that cross the
+  wire.  :meth:`check_exchange` recomputes the
   received payload bytes on the data plane and fails, naming the
   exchange, when they drift from the charged bytes.  (Alpha-beta
   collectives charge modeled critical-path volume by design and are out
@@ -66,7 +66,7 @@ COW_WINDOW = 256
 #: family: their outputs become weights, gradients, and activation rows
 #: that survive to the epoch-end digest) and are therefore sound to
 #: re-hash at epoch boundaries.  Stage-scoped receipts (SUMMA
-#: broadcasts, fiber-plane sendrecvs, ghost rows) alias workspace
+#: broadcasts, ghost rows) alias workspace
 #: buffers their senders legally overwrite once the stage's consumers
 #: are done; those stay protected receiver-side by ``writeable=False``
 #: only.  A receipt's label is its kind on every backend, so workers

@@ -12,7 +12,6 @@ from repro.comm.cost_model import (
     elementwise_seconds,
     gather_rows_cost,
     gemm_seconds,
-    p2p_cost,
     reduce_scatter_cost,
     transpose_cost,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "StepTracer",
     "StepEvent",
     "payload_nbytes",
-    "p2p_cost",
     "broadcast_cost",
     "allgather_cost",
     "reduce_scatter_cost",

@@ -1,10 +1,9 @@
 """Simulated collectives: real data movement + alpha-beta cost accounting.
 
-The paper builds its algorithms from five ``torch.distributed``
-primitives -- broadcast, all-gather, all-reduce, reduce-scatter and
-point-to-point -- to which Section IV-A.8's partitioned training adds a
-ghost-row gather.  Each of those six *kinds* is defined here exactly
-once, as two halves:
+The paper builds its algorithms from ``torch.distributed`` primitives --
+broadcast, all-gather, all-reduce and reduce-scatter -- to which Section
+IV-A.8's partitioned training adds a ghost-row gather.  Each of those
+*kinds* is defined here exactly once, as two halves:
 
 1. **A cost rule** (:meth:`Collectives.charges`): the per-rank ledger
    entries -- modeled seconds from :mod:`repro.comm.cost_model` plus the
@@ -12,15 +11,15 @@ once, as two halves:
    ``T_comm`` formulas bound.  Every rank participating in a collective
    is charged the collective's critical-path bytes and modeled seconds;
    this matches the paper's convention of quoting *per-process*
-   communication cost.  The point-to-point and ghost-row rules are
-   receive-side exact: the bytes on the ledger are the bytes that arrive.
+   communication cost.  The ghost-row rule is receive-side exact: the
+   bytes on the ledger are the bytes that arrive.
 2. **A data movement** that really moves the payloads (numpy arrays or
    sparse blocks), so the distributed algorithms are bit-exact
    executable programs whose outputs can be compared against the serial
    reference -- exactly the verification the paper performs ("outputs
    the same embeddings up to floating point accumulation errors").
    :meth:`Collectives.move` is the blocking form; the routed kinds
-   (broadcast, point-to-point, ghost rows) also come split-phase as
+   (broadcast, ghost rows) also come split-phase as
    :meth:`Collectives.post` / :meth:`Collectives.collect`, and blocking
    is literally ``collect(post(...))``.
 
@@ -88,12 +87,12 @@ Charge = Tuple[int, float, int, int, int]
 
 #: The kinds that travel along routes (``post`` / ``collect``) rather
 #: than within groups.
-ROUTED = ("broadcast", "sendrecv", "gather_rows")
+ROUTED = ("broadcast", "gather_rows")
 
 #: The kinds whose rule is receive-side exact: the charged bytes of a
 #: rank are precisely the payload bytes delivered to it (what the
 #: sanitizer's byte audit compares).
-EXACT = ("sendrecv", "gather_rows")
+EXACT = ("gather_rows",)
 
 
 def payload_nbytes(payload: Any) -> int:
@@ -218,9 +217,6 @@ class Collectives:
           is charged the collective's critical-path cost.
           ``pipelined=True`` models SUMMA's pipelined broadcast,
           dropping the ``lg p`` latency factor (Section IV-C);
-        * ``sendrecv`` takes ``(src, dst, nbytes)`` triples: both ends
-          pay the message's modeled seconds, only ``dst`` the bytes;
-          self-sends charge nothing;
         * ``gather_rows`` takes ``(rank, recv_nbytes, nsources)``
           triples: the exact bytes a rank *receives* (its distinct
           remote-neighbour rows -- the paper's ``r_i`` ghost rows times
@@ -238,16 +234,7 @@ class Collectives:
         ledger, none of the per-epoch cost/validation work.
         """
         flat: List[Charge] = []
-        if kind == "sendrecv":
-            for src, dst, nbytes in items:
-                self._group((src, dst) if src != dst else (src,))
-                if src == dst:
-                    continue
-                cost = self._cost(cm.p2p_cost, int(nbytes))
-                seconds, messages = cost.seconds, cost.messages
-                flat.append((src, seconds, 0, messages, 0))
-                flat.append((dst, seconds, int(nbytes), messages, 0))
-        elif kind == "gather_rows":
+        if kind == "gather_rows":
             for rank, nbytes, nsources in items:
                 cost = self._cost(cm.gather_rows_cost, int(nbytes),
                                   int(nsources))
@@ -326,8 +313,6 @@ class Collectives:
 
         * ``broadcast``: ``(group, root)`` routes; ``payloads[root]``
           goes to every rank of ``group``;
-        * ``sendrecv``: ``(src, dst)`` pairs; ``payloads[src]`` goes to
-          ``dst`` (a self-send passes the payload through as is);
         * ``gather_rows``: ``(src, dst, src_local_rows)`` triples; the
           selected rows of the dense block ``payloads[src]`` go to
           ``dst``.  Selection happens at the source, so only the
@@ -344,26 +329,17 @@ class Collectives:
                     raise ValueError(f"root {root} not in group {group}")
             hops = [(root, group) for group, root in routes]
             pick = lambda i: payloads[routes[i][1]]
-        elif kind == "sendrecv":
-            hops = [(src, (dst,)) for src, dst in routes]
-            pick = lambda i: payloads[routes[i][0]]
         else:
             hops = [(src, (dst,)) for src, dst, _ in routes]
             pick = lambda i: payloads[routes[i][0]][routes[i][2]]
-        return kind, routes, payloads, self._routed_post(kind, hops, pick)
+        return self._routed_post(kind, hops, pick)
 
     def collect(self, posted: Any) -> list:
         """Finish a :meth:`post`: the received payload per route, in
         route order, as one shared read-only receipt each (``None`` for
         routes with no local destination, on the multiprocess
         backend)."""
-        kind, routes, payloads, handle = posted
-        out = self._routed_collect(handle)
-        if kind == "sendrecv":
-            for i, (src, dst) in enumerate(routes):
-                if src == dst and out[i] is not None:
-                    out[i] = payloads[src]
-        return out
+        return self._routed_collect(posted)
 
     def move(self, kind: str, where: Sequence[Any],
              payloads: Mapping[int, Any], **kw: Any) -> Any:

@@ -15,7 +15,6 @@ ledger seconds" holds by construction rather than by a tolerance.
 ===================  ==========================  ==============================
 kind                  rule                        seconds (p ranks, m bytes)
 ===================  ==========================  ==============================
-point-to-point        :func:`p2p_cost`            ``alpha + beta * m``
 broadcast             :func:`broadcast_cost`      ``lg p * alpha + beta * m``
                                                   (``pipelined=True``, the
                                                   SUMMA-style broadcast of
@@ -73,7 +72,6 @@ __all__ = [
     "Values",
     "whole",
     "plain",
-    "p2p_cost",
     "broadcast_cost",
     "allgather_cost",
     "reduce_scatter_cost",
@@ -184,20 +182,6 @@ def _cost(sizes: np.ndarray, seconds: Values, latency: Values,
         per_size(critical, np.int64), per_size(messages, np.int64),
         per_size(latency, np.float64),
     )
-
-
-def p2p_cost(profile: MachineProfile, nbytes: Sizes,
-             span: Optional[int] = None) -> CollectiveCost:
-    """One point-to-point message of ``nbytes``.
-
-    ``span`` is the physical spread of the communicating job (usually the
-    world size); it selects the bandwidth tier.  Two ranks of a 64-rank
-    job talk over the inter-node network, not NVLink.  An empty message
-    still pays its latency.
-    """
-    m = whole(nbytes)
-    alpha, beta = _rates(profile, 2 if span is None else span)
-    return _cost(m, alpha + beta * m, alpha, m, m, 1)
 
 
 def broadcast_cost(

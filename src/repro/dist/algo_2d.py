@@ -17,9 +17,10 @@ blocking parameter ``b`` further subdivides stages without changing any
 numerics.
 
 The backward pass needs the block rows of ``A`` (Equation 2); the
-distributed blocks of ``A`` are materialised at setup and the pairwise
-grid transpose that a real implementation performs every epoch is charged
-to ``trpose`` per epoch, exactly as Fig. 3 accounts it.  The epoch
+distributed blocks of ``A`` are materialised at setup (shared with the
+``A^T`` grid for symmetric operands) and the pairwise grid transpose is
+charged to ``trpose`` per epoch, also for symmetric operands, exactly as
+Fig. 3 accounts it.  The epoch
 structure itself lives in :class:`repro.dist.grid.GridAlgorithm`, shared
 with the Split-3D algorithm.
 """
@@ -172,10 +173,10 @@ class DistGCN2D(GridAlgorithm):
     def _charge_epoch_transpose(self) -> None:
         """The per-epoch pairwise grid transpose of the sparse blocks.
 
-        Charged even for symmetric operands: block ``(i, j)`` of ``A``
-        lives at ``(j, i)`` in the ``A^T`` grid, so the real
-        implementation exchanges every epoch regardless -- exactly how
-        Fig. 3 accounts it.
+        Charged even for symmetric operands, whose ``A`` grid is the
+        ``A^T`` grid block for block (the blocks are shared, nothing
+        needs to move): the charge follows Fig. 3's accounting, which
+        counts the transpose every epoch.
         """
         self._charge_kernel(
             "transpose", ("trp",),

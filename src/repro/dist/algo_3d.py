@@ -2,25 +2,28 @@
 
 Processes form a cubic ``s x s x s`` mesh (``s = cbrt(P)``).  Following
 Split-3D-SpGEMM (Azad et al., the paper's [3]), the SpMM's **inner
-dimension** is split across the ``s`` layers: layer ``k`` owns the
-``k``-th column slice of ``A^T`` and the matching row slice of the dense
-operand, both 2D-partitioned within the layer (Table V's
-``n/s x n/s^2`` sparse and ``n/s^2 x f/s`` dense local blocks).  One SpMM
-is then
+dimension** is split across the ``s`` layers.  Write ``R_i`` for the
+``i``-th of ``s`` row blocks and ``S_{i,k}`` for the ``k``-th ``s``-way
+sub-split of ``R_i``: layer ``k`` owns ``S_{i,k}`` of every row block,
+rank ``(i, j, k)`` holding the sparse block ``A^T(R_i, S_{j,k})`` and the
+dense rows ``S_{i,k}`` of feature band ``j`` (Table V's ``n/s x n/s^2``
+sparse and ``n/s^2 x f/s`` dense local blocks).  One SpMM is then
 
 1. an independent SUMMA sweep inside every layer (sparse pieces broadcast
    along process rows, dense pieces along process columns) producing
-   layer-local partial products;
+   layer-local partial products ``A^T(R_i, L_k) H(L_k, j)`` over layer
+   ``k``'s rows ``L_k``;
 2. a reduce-scatter along each fiber ``P(i, j, :)`` summing the ``s``
-   layer partials and leaving each fiber rank one row shard;
-3. a pairwise fiber-plane exchange ``(i, j, k) <-> (k, j, i)`` that
-   returns the result to the input distribution for the next layer.
+   layer partials and leaving rank ``(i, j, k)`` the shard ``S_{i,k}`` --
+   the rows it holds of the input, so the output is already in the
+   input distribution for the next layer.
 
 Per-rank dense words scale as ``~ 1/P^(2/3)`` -- better than 2D's
 ``1/sqrt(P)`` at equal ``P``.  For symmetric operands the ``A`` grid
-equals the ``A^T`` grid block for block, so -- unlike 2D, whose transpose
-pairs live on different ranks -- no transpose exchange is needed and none
-is charged; directed graphs pay the per-epoch ``trpose`` exchange.  The
+equals the ``A^T`` grid block for block, so no transpose exchange is
+needed and none is charged; directed graphs pay the per-epoch ``trpose``
+exchange.  (2D shares its grids for symmetric operands too, but charges
+the per-epoch transpose regardless, to follow Fig. 3's accounting.)  The
 epoch structure itself lives in :class:`repro.dist.grid.GridAlgorithm`,
 shared with the 2D algorithm.
 """
@@ -69,8 +72,8 @@ class DistGCN3D(GridAlgorithm):
         super().__init__(rt, a_t, widths, seed=seed, optimizer=optimizer,
                          distribution=distribution)
         self.s = self.mesh.p1  # cubic: p1 == p2 == p3
-        # Row blocks (p1 split == the layer split, since p1 == p3) and
-        # their s-way sub-splits -- shared by the sparse and dense layouts.
+        # Row blocks R_i and their s-way sub-splits S_{i,k} -- shared by
+        # the sparse and dense layouts.
         self.row_ranges = block_ranges(self.n, self.s)
         self.sub_ranges = [
             [(lo + a, lo + b) for a, b in block_ranges(hi - lo, self.s)]
@@ -87,7 +90,7 @@ class DistGCN3D(GridAlgorithm):
         s, mesh, plan = self.s, self.mesh, self._plan()
         self._out_cols = [mesh.coords(r)[1] for r in range(rt.size)]
         self._rank_row_cache = [
-            self.sub_ranges[k][i]
+            self.sub_ranges[i][k]
             for r in range(rt.size)
             for i, _, k in [mesh.coords(r)]
         ]
@@ -103,11 +106,6 @@ class DistGCN3D(GridAlgorithm):
             (i, j): plan.group(mesh.fiber_group(i, j))
             for i in range(s) for j in range(s)
         }
-        # Fiber-plane exchange routing (i, j, k) -> (k, j, i), fixed.
-        self._exchange_pairs = [
-            (mesh.rank_of(i, j, k), mesh.rank_of(k, j, i))
-            for i in range(s) for j in range(s) for k in range(s)
-        ]
         # Per-stage broadcast routes (group, root), fixed at setup: stage
         # t's sparse roots are (i, t, k), its dense roots (t, j, k).
         self._stage_sparse_routes = [
@@ -141,18 +139,19 @@ class DistGCN3D(GridAlgorithm):
         return self._out_cols[rank]
 
     def _rank_rows(self, rank: int) -> Tuple[int, int]:
-        """Global rows of a rank's dense block: the ``i``-th sub-range of
-        layer ``k``'s row slice."""
+        """Global rows of rank ``(i, j, k)``'s dense block: ``S_{i,k}``,
+        the ``k``-th sub-range of row block ``i``."""
         return self._rank_row_cache[rank]
 
     def _assemble(self, out_full: Dict[int, np.ndarray]) -> np.ndarray:
-        """Global row order is (layer k, sub-range i): column-0 copies."""
+        """Global row order is (row block i, sub-range k): column-0
+        copies."""
         out_full = self.rt.gather_blocks(out_full)
-        pieces = []
-        for k in range(self.s):
-            for i in range(self.s):
-                pieces.append(out_full[self.mesh.rank_of(i, 0, k)])
-        return np.concatenate(pieces, axis=0)
+        return np.concatenate(
+            [out_full[self.mesh.rank_of(i, 0, k)]
+             for i in range(self.s) for k in range(self.s)],
+            axis=0,
+        )
 
     def _charge_epoch_transpose(self) -> None:
         """Directed operands pay the A-grid exchange each epoch; for
@@ -172,19 +171,19 @@ class DistGCN3D(GridAlgorithm):
         f: int,
         ws_key=None,
     ) -> Dict[int, np.ndarray]:
-        """One Split-3D SpMM: per-layer SUMMA, fiber reduce-scatter,
-        fiber-plane exchange back to the input distribution.
+        """One Split-3D SpMM: per-layer SUMMA, then a fiber
+        reduce-scatter whose shards are the input distribution.
 
         Executed fast path (mirroring :class:`DistGCN2D`): per stage and
         layer, the ``s`` dense feature-column blocks are joined once and
         each in-layer process row runs a single full-width SpMM into a
         per-(row, layer) accumulator; rank partials are column views of
-        it.  Broadcast payloads, the fiber reduce-scatter, and the
-        fiber-plane exchange -- everything the ledger sees -- are
-        exactly the historical per-rank ones, and SpMM columns are
-        independent so numerics are unchanged.  The accumulators live in
-        the workspace (they are consumed by the reduce-scatter within
-        this call, so one set per (i, k) serves every layer and epoch).
+        it.  Broadcast payloads and the fiber reduce-scatter --
+        everything the ledger sees -- are exactly the per-rank ones, and
+        SpMM columns are independent so numerics are unchanged.  The
+        accumulators live in the workspace (they are consumed by the
+        reduce-scatter within this call, so one set per (i, k) serves
+        every layer and epoch).
         """
         mesh, s = self.mesh, self.s
         fcols = self._fsplit(f)
@@ -209,7 +208,7 @@ class DistGCN3D(GridAlgorithm):
         def dense_nbytes(root: int) -> int:
             ri, rj, rk = mesh.coords(root)
             b0, b1 = fcols[rj]
-            return sub_rows[rk][ri] * (b1 - b0) * self.WB
+            return sub_rows[ri][rk] * (b1 - b0) * self.WB
 
         # 1. SUMMA stages, concurrently in every layer; the broadcasts
         # run one stage ahead of the multiplies (see _broadcast_routed).
@@ -255,10 +254,11 @@ class DistGCN3D(GridAlgorithm):
         # Per fiber (i, j): fold the band ``[:, c0:c1]`` of the layer
         # partials in fiber (layer) order and take the row shards -- a
         # column band of the full-width sum equals the per-band sum
-        # elementwise, so the per-fiber folds reproduce the historical
-        # full-width accumulation bitwise.  One reduce-scatter per
-        # fiber, charged at the band's byte size; the data plane moves
-        # only the fibers this process has ranks in.
+        # elementwise, so the per-fiber folds reproduce the full-width
+        # accumulation bitwise.  One reduce-scatter per fiber, charged
+        # at the band's byte size; the data plane moves only the fibers
+        # this process has ranks in.  Shard k of fiber (i, j) is rows
+        # S_{i,k} of band j: rank (i, j, k)'s input block, in place.
         partials: Dict[int, np.ndarray] = {}
         for (i, k), (acc, o_lo, o_hi) in accs.items():
             c_lo, c_hi = spans[i, k]
@@ -267,32 +267,11 @@ class DistGCN3D(GridAlgorithm):
                 partials[mesh.rank_of(i, j, k)] = \
                     acc[:, c0 - o_lo : c1 - o_lo]
         fibers = list(self._fiber_groups_3d.values())  # (i, j) row-major
-        shards = self._collective(
+        return self._collective(
             "reduce_scatter", ("rsc3", f), Category.DCOMM, fibers, partials,
             lambda: [(fibers[i * s + j], rows_of[i] * (c1 - c0) * self.WB)
                      for i in range(s) for j, (c0, c1) in enumerate(fcols)],
         )
-        # 3. Fiber-plane exchange: shard (i, j, k) is the input-layout
-        # block of rank (k, j, i).
-        row_splits = [self._plan().split(rows_of[i], s) for i in range(s)]
-
-        def shard_nbytes(src: int, dst: int) -> int:
-            si, sj, sk = mesh.coords(src)
-            r0, r1 = row_splits[si][sk]
-            c0, c1 = fcols[sj]
-            return (r1 - r0) * (c1 - c0) * self.WB
-
-        received = self._collective(
-            "sendrecv", ("srch", f), Category.DCOMM, self._exchange_pairs,
-            shards,
-            lambda: [(src, dst, shard_nbytes(src, dst))
-                     for src, dst in self._exchange_pairs],
-        )
-        return {
-            dst: got
-            for (_, dst), got in zip(self._exchange_pairs, received)
-            if got is not None
-        }
 
     def _stored_dense_rows(self) -> int:
         return max(
@@ -312,9 +291,9 @@ class DistGCN3D(GridAlgorithm):
     ):
         """Emit the Split-3D epoch's schedule without building ranks.
 
-        Mirrors ``_grid_spmm`` (per-layer SUMMA broadcasts, fiber
-        reduce-scatter, fiber-plane point-to-point exchange) and the
-        shared grid epoch, phase for phase.
+        Mirrors ``_grid_spmm`` (per-layer SUMMA broadcasts, then the
+        fiber reduce-scatter that leaves every rank its input rows) and
+        the shared grid epoch, phase for phase.
         """
         from repro.comm.mesh import cube_side
         from repro.comm.tracker import Category
@@ -333,9 +312,9 @@ class DistGCN3D(GridAlgorithm):
         rows = np.array(
             [hi - lo for lo, hi in row_ranges], dtype=np.float64
         )
-        # subrows[k, i]: dense rows of rank (i, j, k) -- the i-th s-way
-        # sub-split of layer k's row slice.  shard[i, k]: the k-th s-way
-        # shard of row block i (the fiber reduce-scatter / exchange unit).
+        # subrows[i, k]: |S_{i,k}|, the dense rows of rank (i, j, k) --
+        # the k-th s-way sub-split of row block i, and the shard the
+        # fiber (i, j) reduce-scatter leaves on layer k.
         subrows = np.array(
             [
                 [b - a for a, b in block_ranges(hi - lo, s)]
@@ -343,17 +322,15 @@ class DistGCN3D(GridAlgorithm):
             ],
             dtype=np.float64,
         )
-        shard = subrows  # shard[i, k]: same s-way sub-split, viewed per row
-        # Sparse block (i, j, k): rows_i x (layer k's j-th column sub-split).
-        col_bounds = [0]
-        for k0, k1 in row_ranges:  # layer split == p1 split (cubic mesh)
-            col_bounds.extend(
-                k0 + hi for _, hi in block_ranges(k1 - k0, s)
-            )
-        cells = graph.cell_nnz(s, np.asarray(col_bounds))  # (i, k*s + j)
-        nnz_ikj = cells.reshape(s, s, s)  # [i, k, j]
+        # Sparse block (i, j, k): R_i x S_{j,k}, so the column cells in
+        # ascending order are (j, k) row-major.
+        col_bounds = [0] + [
+            lo + b for lo, hi in row_ranges
+            for _, b in block_ranges(hi - lo, s)
+        ]
+        nnz_ijk = graph.cell_nnz(s, np.asarray(col_bounds)).reshape(s, s, s)
         cells_a = (
-            nnz_ikj
+            nnz_ijk
             if graph.symmetric
             else graph.cell_nnz(
                 s, np.asarray(col_bounds), transpose=True
@@ -361,9 +338,9 @@ class DistGCN3D(GridAlgorithm):
         )
         # Per-rank dense row counts, flattened over (i, j, k).
         rows_of_rank = np.broadcast_to(
-            subrows.T[:, None, :], (s, s, s)
+            subrows[:, None, :], (s, s, s)
         ).reshape(-1)
-        group_rows = subrows.T.reshape(-1)  # row groups (i, k)
+        group_rows = subrows.reshape(-1)  # row groups (i, k)
 
         def fsplit_widths(f: int) -> np.ndarray:
             return np.array(
@@ -378,47 +355,32 @@ class DistGCN3D(GridAlgorithm):
 
         b = ScheduleBuilder(p, word_bytes)
 
-        # Fiber-plane exchange operands: transfer (i, j, k) [i != k] moves
-        # shard[i, k] x fw[j]; its source rank concurrently receives the
-        # partner transfer (k, j, i) of shard[k, i] x fw[j].
-        ii, kk = np.meshgrid(np.arange(s), np.arange(s), indexing="ij")
-        off_diag = (ii != kk).reshape(-1)
-        shard_fwd = shard.reshape(-1)[off_diag]
-        shard_rev = shard.T.reshape(-1)[off_diag]
-
         def grid_spmm(f: int, backward: bool) -> None:
-            nz = cells_a if backward else nnz_ikj
+            nz = cells_a if backward else nnz_ijk
             fw = fsplit_widths(f)
             for t in range(s):
                 # Sparse: row groups (i, k) get block (i, t, k).
                 b.broadcast(
                     Category.SCOMM, s,
                     sparse_wire_bytes(
-                        nz[:, :, t], rows[:, None], b.wb
+                        nz[:, t, :], rows[:, None], b.wb
                     ).reshape(-1),
                     pipelined=True,
                 )
                 # Dense: column groups (j, k) get block (t, j, k).
                 b.broadcast(
                     Category.DCOMM, s,
-                    (np.outer(fw, subrows[:, t]) * b.wb).reshape(-1),
+                    (np.outer(fw, subrows[t]) * b.wb).reshape(-1),
                     pipelined=True,
                 )
                 # Local SpMM on every rank (i, j, k).
-                b.spmm(nz[:, None, :, t], rows[:, None, None],
+                b.spmm(nz[:, None, t, :], rows[:, None, None],
                        fw[None, :, None])
-            # Fiber reduce-scatter over (i, j).
+            # Fiber reduce-scatter over (i, j): the output's layout.
             b.reduce_scatter(
                 Category.DCOMM, s,
                 (np.outer(rows, fw) * b.wb).reshape(-1),
             )
-            # Fiber-plane exchange (i, j, k) -> (k, j, i), i != k.
-            if off_diag.any():
-                b.sendrecv(
-                    Category.DCOMM,
-                    (shard_fwd[:, None] * fw[None, :] * b.wb).reshape(-1),
-                    (shard_rev[:, None] * fw[None, :] * b.wb).reshape(-1),
-                )
 
         def epoch_transpose() -> None:
             # Symmetric operands share the A^T grid block for block: no
@@ -426,8 +388,7 @@ class DistGCN3D(GridAlgorithm):
             if not graph.symmetric:
                 b.transpose(
                     sparse_wire_bytes(
-                        cells_a.transpose(0, 2, 1), rows[:, None, None],
-                        b.wb,
+                        cells_a, rows[:, None, None], b.wb
                     ).reshape(-1)
                 )
 

@@ -452,13 +452,11 @@ class DistAlgorithm:
         if kind in EXACT:
             san = _sanitize.ACTIVE
             if san is not None:
-                # Self-sends are uncharged and pass the payload through.
                 san.check_exchange(
                     f"{kind}:{key!r}",
                     sum(c[2] for c in charges if self._is_local(c[0])),
-                    sum(payload_nbytes(got)
-                        for route, got in zip(where, out)
-                        if got is not None and route[0] != route[1]),
+                    sum(payload_nbytes(got) for got in out
+                        if got is not None),
                 )
         return out
 

@@ -44,10 +44,10 @@ only place a worker waits for a peer.  ``exchange`` is
 ``collect(post(...))``.  One ticket is one message (and, on shm, one
 acknowledgement) per peer however many payloads it carries, and a
 payload object shared by several lists is encoded once.  The routed
-collectives -- ghost-row fetch, point-to-point routes, SUMMA stage
-broadcasts -- walk their global transfer list once, bucket every
-cross-worker transfer by peer worker and meet **once per call**, not
-once per ``(src rank, dst rank)`` pair.  The tag sequence of a ``gkey``
+collectives -- ghost-row fetch, SUMMA stage broadcasts -- walk their
+global transfer list once, bucket every cross-worker transfer by peer
+worker and meet **once per call**, not once per ``(src rank, dst
+rank)`` pair.  The tag sequence of a ``gkey``
 advances on every post of the SPMD sequence, also on a worker with no
 traffic in it (its ticket is empty and free), so workers that sit a
 call out stay aligned with the ones that do not (W >= 3).

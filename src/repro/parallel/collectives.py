@@ -32,7 +32,7 @@ from repro.parallel.channel import PeerChannel
 __all__ = ["ProcessCollectives"]
 
 #: routed kind -> the channel tag sequence its rendezvous ride on
-_TAGS = {"broadcast": ("rb",), "sendrecv": ("sr",), "gather_rows": ("gr",)}
+_TAGS = {"broadcast": ("rb",), "gather_rows": ("gr",)}
 
 
 class ProcessCollectives(Collectives):

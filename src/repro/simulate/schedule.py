@@ -43,7 +43,7 @@ dense/sparse-agnostic backend idiom, applied to graph statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -390,20 +390,6 @@ class CollectivePhase:
 
 
 @dataclass
-class SendRecvPhase:
-    """Concurrent point-to-point transfers (the 3D fiber-plane exchange).
-
-    ``pair_nbytes[i]`` is the transfer arriving at transfer ``i``'s source
-    rank within the same step -- needed because a rank's step time is the
-    sum of its send and its receive.
-    """
-
-    category: str
-    nbytes: np.ndarray
-    pair_nbytes: np.ndarray
-
-
-@dataclass
 class GatherRowsPhase:
     """One ghost-row exchange: per-rank received bytes + source counts.
 
@@ -453,8 +439,8 @@ class ElementwisePhase:
 
 
 Phase = Union[
-    CollectivePhase, SendRecvPhase, GatherRowsPhase, TransposePhase,
-    SpmmPhase, GemmPhase, ElementwisePhase,
+    CollectivePhase, GatherRowsPhase, TransposePhase, SpmmPhase, GemmPhase,
+    ElementwisePhase,
 ]
 
 
@@ -539,13 +525,6 @@ class ScheduleBuilder:
             CollectivePhase("allreduce", category, int(group_size),
                             _arr(nbytes))
         )
-
-    def sendrecv(self, category: str, nbytes, pair_nbytes) -> None:
-        nbytes, pair = _arr(nbytes), _arr(pair_nbytes)
-        if nbytes.shape != pair.shape:
-            raise ValueError("sendrecv needs matching nbytes/pair arrays")
-        if nbytes.size:
-            self.phases.append(SendRecvPhase(category, nbytes, pair))
 
     def gather_rows(self, category: str, nbytes, nsources) -> None:
         nbytes, nsources = np.broadcast_arrays(_arr(nbytes), _arr(nsources))
@@ -682,13 +661,6 @@ def evaluate_schedule(
                     profile, ph.nbytes, ph.group_size, *flags, span=p),
                 fanout=ph.group_size,
             )
-        elif isinstance(ph, SendRecvPhase):
-            # A rank's step is its send plus the transfer it receives:
-            # both ends book the message, only the destination the bytes.
-            send = cm.p2p_cost(profile, ph.nbytes, span=p)
-            recv = cm.p2p_cost(profile, ph.pair_nbytes, span=p)
-            acc.comm(ph.category, replace(
-                send + recv, bytes_critical=send.bytes_critical))
         elif isinstance(ph, GatherRowsPhase):
             acc.comm(ph.category, cm.gather_rows_cost(
                 profile, ph.nbytes, ph.nsources, span=p))

@@ -7,9 +7,10 @@ The paper's three algorithm families use three data distributions
   block rows, ``W`` replicated;
 * **2D** -- everything block-partitioned on a ``Pr x Pc`` grid, ``W``
   replicated;
-* **3D (Block Split 3D)** -- the inner dimension is split across layers;
-  each local ``A_ijk`` is ``n/p x n/p^2`` (cubic mesh of side ``p``) and
-  each local ``H_ijk`` is ``n/p^2 x f/p``.
+* **3D (Block Split 3D)** -- the inner dimension is split across layers,
+  layer ``k`` taking the ``k``-th sub-slice of every block; each local
+  ``A_ijk`` is ``n/p x n/p^2`` (cubic mesh of side ``p``) and each local
+  ``H_ijk`` is ``n/p^2 x f/p``.
 
 All splits use near-equal contiguous ranges (``block_ranges``), exactly the
 "each process receives n/p consecutive rows" scheme of Section IV-A; load
@@ -152,23 +153,23 @@ def gather_dense_2d(blocks: Dict[int, np.ndarray], mesh: Mesh2D) -> np.ndarray:
 def distribute_sparse_3d(a: CSRMatrix, mesh: Mesh3D) -> Dict[int, CSRMatrix]:
     """Split-3D distribution of a square sparse matrix.
 
-    The inner (column) dimension is first split across the ``p3`` layers;
-    within layer ``k`` the slice is 2D-distributed: rank (i, j, k) owns
-    rows ``range_of(n, p1, i)`` and the ``j``-th sub-split of column slice
-    ``k``.  For a cubic mesh each block is ``n/p x n/p^2`` -- the shape
-    quoted in Section IV-D.
+    The inner (column) dimension is split across the ``p3`` layers by
+    interleaving: every column block (``p2``-way) is sub-split ``p3``
+    ways and layer ``k`` owns the ``k``-th sub-split of each.  Rank
+    (i, j, k) owns rows ``range_of(n, p1, i)`` and the ``k``-th sub-split
+    of column block ``j``.  For a cubic mesh each block is ``n/p x
+    n/p^2`` -- the shape quoted in Section IV-D.
     """
     n_rows, n_cols = a.shape
     row_ranges = block_ranges(n_rows, mesh.p1)
-    layer_ranges = block_ranges(n_cols, mesh.p3)
+    col_ranges = block_ranges(n_cols, mesh.p2)
     out: Dict[int, CSRMatrix] = {}
     for i, (r0, r1) in enumerate(row_ranges):
         row_band = a.row_slice(r0, r1)
-        for k, (k0, k1) in enumerate(layer_ranges):
-            sub_ranges = block_ranges(k1 - k0, mesh.p2)
-            for j, (s0, s1) in enumerate(sub_ranges):
+        for j, (c0, c1) in enumerate(col_ranges):
+            for k, (s0, s1) in enumerate(block_ranges(c1 - c0, mesh.p3)):
                 out[mesh.rank_of(i, j, k)] = row_band.block(
-                    0, r1 - r0, k0 + s0, k0 + s1
+                    0, r1 - r0, c0 + s0, c0 + s1
                 )
     return out
 
@@ -176,36 +177,36 @@ def distribute_sparse_3d(a: CSRMatrix, mesh: Mesh3D) -> Dict[int, CSRMatrix]:
 def distribute_dense_3d(h: np.ndarray, mesh: Mesh3D) -> Dict[int, np.ndarray]:
     """Split-3D distribution of a dense ``n x f`` matrix.
 
-    Rows are split across layers then across the ``p1`` grid rows; columns
-    across the ``p2`` grid columns.  Rank (i, j, k) owns an
-    ``n/(p3*p1) x f/p2`` block -- ``n/p^2 x f/p`` on a cubic mesh, again
-    the Section IV-D shape.
+    Rows are split across the ``p1`` grid rows, then each row block
+    ``p3`` ways across the layers; columns across the ``p2`` grid
+    columns.  Rank (i, j, k) owns the ``k``-th sub-split of row block
+    ``i`` -- the rows its fiber's reduce-scatter leaves it -- in column
+    band ``j``: an ``n/(p1*p3) x f/p2`` block, ``n/p^2 x f/p`` on a
+    cubic mesh, again the Section IV-D shape.
     """
     h = np.asarray(h)
-    layer_ranges = block_ranges(h.shape[0], mesh.p3)
+    row_ranges = block_ranges(h.shape[0], mesh.p1)
     col_ranges = block_ranges(h.shape[1], mesh.p2)
     out: Dict[int, np.ndarray] = {}
-    for k, (k0, k1) in enumerate(layer_ranges):
-        sub_ranges = block_ranges(k1 - k0, mesh.p1)
-        for i, (s0, s1) in enumerate(sub_ranges):
+    for i, (r0, r1) in enumerate(row_ranges):
+        for k, (s0, s1) in enumerate(block_ranges(r1 - r0, mesh.p3)):
             for j, (c0, c1) in enumerate(col_ranges):
                 out[mesh.rank_of(i, j, k)] = np.ascontiguousarray(
-                    h[k0 + s0 : k0 + s1, c0:c1]
+                    h[r0 + s0 : r0 + s1, c0:c1]
                 )
     return out
 
 
 def gather_dense_3d(blocks: Dict[int, np.ndarray], mesh: Mesh3D) -> np.ndarray:
     """Reassemble a Split-3D distributed dense matrix."""
-    layers = []
-    for k in range(mesh.p3):
-        rows = []
-        for i in range(mesh.p1):
-            rows.append(
-                np.concatenate(
-                    [blocks[mesh.rank_of(i, j, k)] for j in range(mesh.p2)],
-                    axis=1,
-                )
+    return np.concatenate(
+        [
+            np.concatenate(
+                [blocks[mesh.rank_of(i, j, k)] for j in range(mesh.p2)],
+                axis=1,
             )
-        layers.append(np.concatenate(rows, axis=0))
-    return np.concatenate(layers, axis=0)
+            for i in range(mesh.p1)
+            for k in range(mesh.p3)
+        ],
+        axis=0,
+    )

@@ -185,30 +185,3 @@ class TestCopyOnWrite:
         block = CSRMatrix.eye(8)
         out = coll.broadcast([0, 1], root=0, value=block)
         assert out[0] is block and out[1] is block
-
-class TestSendrecvAndBarrier:
-    """Point-to-point is the pairs form: ``move`` is the data movement,
-    ``charges`` the receive-side rule."""
-
-    def test_sendrecv_returns_readonly_view(self):
-        rt, coll = make_coll(2)
-        v = np.ones(4)
-        (got,) = coll.move("sendrecv", [(0, 1)], {0: v})
-        np.testing.assert_array_equal(got, v)
-        assert got is not v
-        assert not got.flags.writeable
-
-    def test_sendrecv_same_rank_noop(self):
-        rt, coll = make_coll(2)
-        v = np.ones(4)
-        assert coll.move("sendrecv", [(0, 0)], {0: v})[0] is v
-        rt.tracker.charge_many(
-            Category.DCOMM, coll.charges("sendrecv", [(0, 0, v.nbytes)]))
-        assert rt.tracker.total_bytes() == 0
-
-    def test_sendrecv_charges_receiver_only(self):
-        rt, coll = make_coll(2)
-        rt.tracker.charge_many(
-            Category.DCOMM, coll.charges("sendrecv", [(0, 1, 32)]))
-        assert rt.tracker.per_rank[0][Category.DCOMM].bytes == 0
-        assert rt.tracker.per_rank[1][Category.DCOMM].bytes == 32

@@ -104,18 +104,6 @@ def run_sparse_reduce_scatter(rt):
                                          nz_rows=(1, 2, 1, 3)), {}
 
 
-def run_sendrecv(rt):
-    pairs = [(0, 2), (1, 1), (2, 0), (1, 0)]
-    sizes = [(src, dst, dense(src).nbytes) for src, dst in pairs]
-    payloads = local(rt, dense, PART)
-    out = step(rt, "sendrecv", pairs, payloads, sizes)
-    if rt.is_local(1):
-        # a self-send passes the payload through as is: no receipt
-        assert out[1] is payloads[1]
-    out[1] = None
-    return {}, out
-
-
 def run_gather_rows(rt):
     pairs = [(0, 1, np.array([1, 3])), (2, 1, np.array([0])),
              (1, 2, np.array([5, 2])), (3, 0, np.array([4])),
@@ -134,7 +122,6 @@ PROGRAMS = {
     "allreduce": run_allreduce,
     "reduce_scatter": run_reduce_scatter,
     "sparse_reduce_scatter": run_sparse_reduce_scatter,
-    "sendrecv": run_sendrecv,
     "gather_rows": run_gather_rows,
 }
 
@@ -417,9 +404,8 @@ def test_every_worker_rehashes_receipts_and_audits_exchanges(
         assert ledger_digest(rt.tracker) == ledger_digest(virtual.tracker)
         assert stats["cow_registered"] > 0
         assert stats["cow_verified"] > 0
-        if name == "3d" or kw.get("variant") == "ghost":
-            # the exact-accounting kinds: 3D's point-to-point
-            # fiber-plane routes, the ghost-row fetch
+        if kw.get("variant") == "ghost":
+            # the exact-accounting kind: the ghost-row fetch
             assert stats["exchanges_checked"] > 0
         else:
             assert stats["exchanges_checked"] == 0

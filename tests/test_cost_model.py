@@ -23,18 +23,6 @@ FLAT = MachineProfile(
 )
 
 
-class TestP2P:
-    def test_alpha_beta_formula(self):
-        cost = cm.p2p_cost(FLAT, 1000, span=64)
-        assert cost.seconds == pytest.approx(1e-6 + 1e-9 * 1000)
-        assert cost.bytes_critical == 1000
-        assert cost.messages == 1
-
-    def test_negative_size_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            cm.p2p_cost(FLAT, -1)
-
-
 class TestBroadcast:
     def test_tree_latency_factor(self):
         cost = cm.broadcast_cost(FLAT, 1 << 20, 8)
@@ -276,8 +264,6 @@ class TestOneRuleServesBothCallers:
            data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_routed_rules(self, sizes, span, profile, data):
-        self._same(cm.p2p_cost(profile, np.array(sizes), span=span),
-                   [cm.p2p_cost(profile, m, span=span) for m in sizes])
         self._same(cm.transpose_cost(profile, np.array(sizes)),
                    [cm.transpose_cost(profile, m) for m in sizes])
         sources = data.draw(st.lists(st.integers(0, 64),
@@ -311,7 +297,6 @@ class TestOneRuleServesBothCallers:
     def test_negative_size_rejected_in_both_forms(self, bad):
         perf = SpmmPerfModel.from_profile(FLAT)
         for call in (
-            lambda: cm.p2p_cost(FLAT, bad),
             lambda: cm.broadcast_cost(FLAT, bad, 8),
             lambda: cm.allgather_cost(FLAT, bad, 8),
             lambda: cm.reduce_scatter_cost(FLAT, bad, 8),

@@ -182,16 +182,18 @@ class Test3D:
         a, d = random_csr(12, 12, 11, density=0.5)
         mesh = Mesh3D.cubic(8)
         blocks = distribute_sparse_3d(a, mesh)
-        # Reassemble: rows by i, then columns by (layer k, subsplit j).
+        # Reassemble: rows by i, then columns by (block j, layer k's
+        # sub-split of it) -- layer k holds the k-th sub-slice of every
+        # column block.
         from repro.sparse.distribute import block_ranges as br
 
         out = np.zeros((12, 12))
         row_ranges = br(12, 2)
-        layer_ranges = br(12, 2)
+        col_ranges = br(12, 2)
         for i, (r0, r1) in enumerate(row_ranges):
-            for k, (k0, k1) in enumerate(layer_ranges):
-                subs = br(k1 - k0, 2)
-                for j, (s0, s1) in enumerate(subs):
+            for j, (c0, c1) in enumerate(col_ranges):
+                subs = br(c1 - c0, 2)
+                for k, (s0, s1) in enumerate(subs):
                     rank = mesh.rank_of(i, j, k)
-                    out[r0:r1, k0 + s0 : k0 + s1] = blocks[rank].to_dense()
+                    out[r0:r1, c0 + s0 : c0 + s1] = blocks[rank].to_dense()
         np.testing.assert_array_equal(out, d)

@@ -5,7 +5,8 @@ counts, variants) and asserts the invariant the whole reproduction rests
 on: every parallel algorithm computes exactly the serial full-batch
 gradient-descent trajectory.  The generated-shapes half adds the
 simulator: on width tuples whose every step shrinks, holds or grows, the
-ledger of the set-up and of each epoch equals the emitted schedule's.
+ledger of the set-up and of each epoch equals the emitted schedule's --
+and, for Split-3D, every sweep leaves its output in its input's layout.
 
 The placement half holds the process backend to the virtual runtime:
 a 2D / 3D run on 3 or 4 shm or tcp workers has its virtual run's losses
@@ -40,8 +41,9 @@ from repro.dist.base import bucket_nbytes
 from repro.graph import make_synthetic
 from repro.nn import GCN, SGD, SerialTrainer
 from repro.nn.layers import sweep_widths
-from repro.simulate.schedule import (CollectivePhase, GraphModel,
-                                     evaluate_schedule)
+from repro.simulate.schedule import (CollectivePhase, ElementwisePhase,
+                                     GemmPhase, GraphModel, SpmmPhase,
+                                     TransposePhase, evaluate_schedule)
 from repro.sparse.csr import CSRMatrix
 from test_simulate import assert_sections_exact
 
@@ -195,11 +197,12 @@ def width_tuples(draw):
 
 
 @st.composite
-def shaped_problems(draw, directed_ok):
+def shaped_problems(draw, directed_ok, n=None):
     """A small graph (directed where the variant takes one), features,
-    labels and a width tuple over them."""
+    labels and a width tuple over them; ``n`` vertices when given."""
     widths = draw(width_tuples())
-    n = draw(st.integers(min_value=17, max_value=64))
+    if n is None:
+        n = draw(st.integers(min_value=17, max_value=64))
     seed = draw(st.integers(min_value=0, max_value=10_000))
     rng = np.random.default_rng(seed)
     if directed_ok and draw(st.booleans()):
@@ -263,6 +266,54 @@ class TestGeneratedShapes:
         assert_sections_exact(
             algo, features, labels, schedule, algo.rt.profile)
         # (i) the paper's correctness claim, to reassociation
+        assert algo.verify_against_serial(features, labels, epochs=2) <= 1e-12
+
+    @pytest.mark.parametrize("p,n", [(8, 5), (8, 30), (27, 20), (27, 61)])
+    @given(data=st.data())
+    def test_3d_sweeps_leave_their_input_layout(self, p, n, data):
+        """Split-3D's layout is a fixed point of its SpMM: the fiber
+        reduce-scatter leaves rank ``r`` the rows ``_rank_rows(r)`` of
+        ``A^T X`` (and, backward, of ``A X``) in the feature band it
+        held of ``X``, so nothing moves after it.  n = 30 and 61 are no
+        multiples of ``s^2`` (4, 9), so sub-splits differ in size; at
+        n = 5 and 20, ``P > n`` leaves ranks with no rows.
+
+        Mutation check (run once, in a scratch copy): with
+        ``distribute_sparse_3d`` / ``distribute_dense_3d`` alone giving
+        layer ``k`` one contiguous slice again, all four shapes fail,
+        each two ways: the ledger leaves the schedule (``scomm`` seconds:
+        the emitter prices the interleaved sparse blocks), and rank
+        ``r``'s input block is not rows ``_rank_rows(r)`` of ``X``.  One
+        sweep from that layout still lands on ``_rank_rows`` -- it is
+        the next sweep that reads the wrong rows (``verify_against_
+        serial`` fails too, once the two checks before it are cut)."""
+        a_t, features, labels, widths, seed = data.draw(
+            shaped_problems(True, n=n))
+        algo, _ = build_shaped("3d", p, {}, a_t, widths, seed)
+        schedule = DistGCN3D.emit_comm_schedule(
+            GraphModel.from_csr(a_t), widths, p)
+        # no point-to-point phase: group collectives, the directed
+        # operand's transpose charge and local kernels only
+        assert {type(ph) for ph in schedule.phases} <= {
+            CollectivePhase, TransposePhase, SpmmPhase, GemmPhase,
+            ElementwisePhase}
+        assert_sections_exact(
+            algo, features, labels, schedule, algo.rt.profile)
+        f = widths[0]
+        split = algo._fsplit(f)
+        blocks = algo._setup_data(features)
+        for operand, dense in ((algo.a_t_blocks, algo.a_t.to_dense()),
+                               (algo.a_blocks, algo.a.to_dense())):
+            want = dense @ features
+            out = algo._grid_spmm(operand, blocks, f)
+            assert sorted(out) == list(range(p))
+            for r, block in out.items():
+                lo, hi = algo._rank_rows(r)
+                c0, c1 = split[algo._out_col(r)]
+                np.testing.assert_array_equal(blocks[r],
+                                              features[lo:hi, c0:c1])
+                np.testing.assert_allclose(block, want[lo:hi, c0:c1],
+                                           rtol=1e-12, atol=1e-12)
         assert algo.verify_against_serial(features, labels, epochs=2) <= 1e-12
 
     @pytest.mark.parametrize("p", [2, 4, 8])

@@ -77,13 +77,13 @@ class TestCowSanitizer:
         s.verify_cow()  # nothing left to re-raise on
 
     def test_stage_scoped_receipts_are_not_registered(self):
-        # SUMMA broadcasts alias workspaces their senders legally
-        # overwrite per stage; only the durable reduction family
-        # registers for epoch-end re-hashing.
+        # SUMMA broadcasts and ghost rows alias workspaces their
+        # senders legally overwrite per stage; only the durable
+        # reduction family registers for epoch-end re-hashing.
         s = Sanitizer()
         arr = np.zeros(4)
         s.register_cow("broadcast", arr)
-        s.register_cow("sendrecv", arr)
+        s.register_cow("gather_rows", arr)
         assert s.stats["cow_registered"] == 0
         arr[0] = 5.0
         s.verify_cow()  # nothing to check
@@ -108,9 +108,9 @@ class TestLedgerSanitizer:
     def test_mismatch_names_the_exchange(self):
         s = Sanitizer()
         with pytest.raises(SanitizerError) as exc:
-            s.check_exchange("sendrecv:('fiber', 2)", 4096, 4032)
+            s.check_exchange("gather_rows:('gch', 2)", 4096, 4032)
         msg = str(exc.value)
-        assert "sendrecv:('fiber', 2)" in msg
+        assert "gather_rows:('gch', 2)" in msg
         assert "4096" in msg and "4032" in msg
 
 
