@@ -7,9 +7,9 @@ runtime:
 * :mod:`repro.comm` -- the torch.distributed/NCCL stand-in: process
   meshes, collectives that really move numpy blocks, alpha-beta cost
   accounting under a Summit-like machine profile;
-* :mod:`repro.sparse` -- from-scratch CSR storage, SpMM kernels, block
-  distributions, the hypersparsity analysis, and the SpMM performance
-  model;
+* :mod:`repro.sparse` -- from-scratch CSR storage, the SpMM kernel,
+  block distributions, the hypersparsity analysis, and the SpMM
+  performance model;
 * :mod:`repro.graph` -- graph generators (R-MAT, Erdos-Renyi, SBM), GCN
   normalisation, random vertex permutation, and synthetic stand-ins for
   the Reddit / Amazon / Protein datasets of Table VI;
@@ -17,6 +17,8 @@ runtime:
   multilevel (Metis-like) k-way partitioner;
 * :mod:`repro.nn` -- the serial GCN reference with the paper's explicit
   forward/backward equations, loss, and optimisers;
+* :mod:`repro.sampling` -- k-hop receptive fields: Section I's
+  neighbourhood-explosion measurement;
 * :mod:`repro.dist` -- the paper's contribution: the 1D (five backward
   variants, including the partition-aware ghost-row exchange), 1.5D, 2D
   (SUMMA) and 3D (Split-SpMM) distributed training algorithms, all
@@ -25,8 +27,11 @@ runtime:
 * :mod:`repro.parallel` -- the true multiprocess execution backend:
   ranks as OS processes, collectives over shared memory, the virtual
   runtime's ledger and losses as the correctness oracle;
+* :mod:`repro.simulate` -- the scaling simulator: the algorithms' own
+  communication schedules priced at any rank count and machine;
 * :mod:`repro.analysis` -- the Section IV closed-form communication
-  costs and the Fig. 2 / Fig. 3 reproductions at published dataset sizes;
+  costs, the Fig. 2 / Fig. 3 reproductions at published dataset sizes,
+  the memory model, and the repro-lint checker;
 * :mod:`repro.obs` -- wall-clock observability: span tracing across
   driver and workers, Chrome/Perfetto trace export, Prometheus metrics,
   and the model-vs-measured drift report.

@@ -1,7 +1,8 @@
 """repro-lint: AST rules that make the repo's invariants unmergeable.
 
 See :mod:`repro.analysis.lint.engine` for the engine and suppression
-syntax, :mod:`repro.analysis.lint.rules` for the rule set (R1-R8).
+syntax, :mod:`repro.analysis.lint.rules` for the rule set (R1, R2, R4,
+R5, R7, R8).
 """
 
 from repro.analysis.lint.engine import (

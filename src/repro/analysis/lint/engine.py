@@ -89,14 +89,9 @@ class LintContext:
         self.lines = source.splitlines()
         norm = path.replace(os.sep, "/")
         self.pkgpath = norm
-        self.pkgroot: Optional[str] = None
-        marker = "/repro/"
-        idx = norm.rfind(marker)
+        idx = norm.rfind("/repro/")
         if idx >= 0:
             self.pkgpath = norm[idx + 1:]
-            self.pkgroot = norm[:idx] or "."
-        elif norm.startswith("repro/"):
-            self.pkgroot = "."
         base = os.path.basename(norm)
         self.is_test = base.startswith("test_") or base == "conftest.py"
         self._parents: Optional[Dict[ast.AST, ast.AST]] = None

@@ -8,23 +8,23 @@ R1   no unseeded randomness outside tests
 R2   no iteration over ``set()``/``dict.keys()`` in comm/dist/parallel
 R4   instrumentation sites must use the ``is None`` zero-cost-off guard
 R5   no wall-clock (``time.time``) in ledger/digest-feeding code
-R6   lazy-export tables must match actual module contents
 R7   no ``pickle.loads`` outside the framed TCP receive path
 R8   no broad ``except Exception``/bare ``except`` in ``parallel/``
 ==== =====================================================================
 
-Rules are pure functions of one file's AST (plus, for R6, the export
-targets it names on disk); the engine handles suppressions.  IDs are
-stable: R3 (charge / data-plane pairing in ``dist/``) was retired when
-each collective became one definition in :mod:`repro.comm.collectives`
-and ``dist/`` stopped holding a charge list to pair.
+Rules are pure functions of one file's AST; the engine handles
+suppressions.  IDs are stable: R3 (charge / data-plane pairing in
+``dist/``) was retired when each collective became one definition in
+:mod:`repro.comm.collectives` and ``dist/`` stopped holding a charge
+list to pair, and R6 (lazy-export tables match module contents) when
+``tests/test_lazy_exports.py`` started resolving every ``_EXPORTS``
+entry and every ``__all__`` name at test time.
 """
 
 from __future__ import annotations
 
 import ast
-import os
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.lint.engine import LintContext, Rule, Violation
 
@@ -309,147 +309,6 @@ class WallClockInLedgerCode(Rule):
 
 
 # --------------------------------------------------------------------- #
-# R6: the lazy-export tables tell the truth
-# --------------------------------------------------------------------- #
-class ExportTableDrift(Rule):
-    """``repro/__init__.py`` routes PEP 562 lazy exports through an
-    ``_EXPORTS`` name->module table and eager subpackage ``__init__``
-    files re-export via ``__all__``.  A stale entry means an
-    ``AttributeError`` at first touch in production instead of at lint
-    time; this rule resolves every table entry against the module files
-    on disk."""
-
-    id = "R6"
-    title = "lazy-export tables match module contents"
-    fixit = "update _EXPORTS/__all__ to name only things that exist"
-
-    @staticmethod
-    def _toplevel_names(tree: ast.Module) -> Set[str]:
-        names: Set[str] = set()
-        for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                names.add(stmt.name)
-            elif isinstance(stmt, ast.Assign):
-                for tgt in stmt.targets:
-                    if isinstance(tgt, ast.Name):
-                        names.add(tgt.id)
-                        # A lazy re-exporter (PEP 562) provides every
-                        # key of its own _EXPORTS table at runtime.
-                        if tgt.id == "_EXPORTS" and \
-                                isinstance(stmt.value, ast.Dict):
-                            names.update(
-                                k.value for k in stmt.value.keys
-                                if isinstance(k, ast.Constant)
-                                and isinstance(k.value, str))
-                    elif isinstance(tgt, (ast.Tuple, ast.List)):
-                        names.update(e.id for e in tgt.elts
-                                     if isinstance(e, ast.Name))
-            elif isinstance(stmt, ast.AnnAssign) and \
-                    isinstance(stmt.target, ast.Name):
-                names.add(stmt.target.id)
-            elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
-                for alias in stmt.names:
-                    if alias.name == "*":
-                        continue
-                    names.add(alias.asname or alias.name.split(".")[0])
-            elif isinstance(stmt, ast.If):
-                # TYPE_CHECKING / feature-gate blocks still bind names.
-                for sub in ast.walk(stmt):
-                    if isinstance(sub, (ast.Import, ast.ImportFrom)):
-                        for alias in sub.names:
-                            if alias.name != "*":
-                                names.add(alias.asname
-                                          or alias.name.split(".")[0])
-                    elif isinstance(sub, (ast.FunctionDef, ast.ClassDef)):
-                        names.add(sub.name)
-                    elif isinstance(sub, ast.Assign):
-                        for tgt in sub.targets:
-                            if isinstance(tgt, ast.Name):
-                                names.add(tgt.id)
-        return names
-
-    def _module_file(self, ctx: LintContext, module: str) -> Optional[str]:
-        if ctx.pkgroot is None:
-            return None
-        base = os.path.join(ctx.pkgroot, *module.split("."))
-        for cand in (base + ".py", os.path.join(base, "__init__.py")):
-            if os.path.isfile(cand):
-                return cand
-        return None
-
-    def _names_of(self, path: str) -> Optional[Set[str]]:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                tree = ast.parse(fh.read(), filename=path)
-        except (OSError, SyntaxError):
-            return None
-        return self._toplevel_names(tree)
-
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
-        if os.path.basename(ctx.path) != "__init__.py":
-            return
-        local = self._toplevel_names(ctx.tree)
-        cache: Dict[str, Optional[Set[str]]] = {}
-        for stmt in ctx.tree.body:
-            if not (isinstance(stmt, ast.Assign)
-                    and len(stmt.targets) == 1
-                    and isinstance(stmt.targets[0], ast.Name)):
-                continue
-            target = stmt.targets[0].id
-            if target == "_EXPORTS" and isinstance(stmt.value, ast.Dict):
-                for k, v in zip(stmt.value.keys, stmt.value.values):
-                    if not (isinstance(k, ast.Constant)
-                            and isinstance(k.value, str)
-                            and isinstance(v, ast.Constant)
-                            and isinstance(v.value, str)):
-                        continue
-                    name, module = k.value, v.value
-                    if module not in cache:
-                        f = self._module_file(ctx, module)
-                        cache[module] = None if f is None \
-                            else self._names_of(f)
-                        if f is None and ctx.pkgroot is not None:
-                            yield self.hit(
-                                ctx, k,
-                                f"export '{name}' points at missing "
-                                f"module '{module}'",
-                            )
-                    defined = cache[module]
-                    if defined is not None and name not in defined:
-                        yield self.hit(
-                            ctx, k,
-                            f"export '{name}' is not defined in "
-                            f"'{module}'",
-                        )
-            elif target == "_SUBPACKAGES" and \
-                    isinstance(stmt.value, (ast.Set, ast.Tuple, ast.List)):
-                for elt in stmt.value.elts:
-                    if not (isinstance(elt, ast.Constant)
-                            and isinstance(elt.value, str)):
-                        continue
-                    here = os.path.dirname(ctx.path)
-                    sub = os.path.join(here, elt.value)
-                    if not (os.path.isfile(os.path.join(sub, "__init__.py"))
-                            or os.path.isfile(sub + ".py")):
-                        yield self.hit(
-                            ctx, elt,
-                            f"subpackage '{elt.value}' does not exist",
-                        )
-            elif target == "__all__" and \
-                    isinstance(stmt.value, (ast.List, ast.Tuple)):
-                for elt in stmt.value.elts:
-                    if isinstance(elt, ast.Constant) and \
-                            isinstance(elt.value, str) and \
-                            elt.value not in local:
-                        yield self.hit(
-                            ctx, elt,
-                            f"__all__ names '{elt.value}' which is not "
-                            "bound at module top level",
-                        )
-
-
-# --------------------------------------------------------------------- #
 # R7: unpickling is an RCE primitive
 # --------------------------------------------------------------------- #
 class UnscopedPickleLoads(Rule):
@@ -512,7 +371,6 @@ ALL_RULES = (
     UnorderedIteration,
     UnguardedInstrumentation,
     WallClockInLedgerCode,
-    ExportTableDrift,
     UnscopedPickleLoads,
     BroadExcept,
 )

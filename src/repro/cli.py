@@ -14,9 +14,6 @@ code:
   rank count (no execution, Section IV's analysis made concrete);
 * ``sweep``       -- evaluate (algorithm x P x machine) grids up to
   P >= 16384 and report the per-point winner, with JSON output;
-* ``bench``       -- run the benchmark harness (executed epochs, SpMM
-  kernels, figures) and optionally the perf guard against a committed
-  baseline (``--against BENCH_dist.json``);
 * ``explosion``   -- measure the neighbourhood explosion on a stand-in;
 * ``report``      -- the model-vs-measured drift tables from a trace
   file written by ``train --trace`` (per-category seconds: modeled
@@ -25,8 +22,8 @@ code:
 * ``obs``         -- observability utilities: ``obs diff a.json b.json``
   flags per-category/per-phase regressions between two traces;
   ``obs validate-events log.jsonl`` checks an event log's hash chain;
-* ``lint``        -- the repro-lint invariant checker: AST rules R1-R8
-  over a source tree (exit 1 on violations).
+* ``lint``        -- the repro-lint invariant checker: AST rules R1, R2,
+  R4, R5, R7 and R8 over a source tree (exit 1 on violations).
 
 Examples::
 
@@ -683,79 +680,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _find_benchmarks_dir():
-    """Locate the repo's ``benchmarks/`` directory (source checkouts)."""
-    from pathlib import Path
-
-    for root in (
-        Path(__file__).resolve().parents[2],  # src/repro/cli.py -> repo
-        Path.cwd(),
-    ):
-        cand = root / "benchmarks" / "run_benchmarks.py"
-        if cand.is_file():
-            return cand
-    return None
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the dependency-free bench harness (``benchmarks/run_benchmarks.py``).
-
-    ``--against BASELINE.json`` additionally runs the perf guard,
-    comparing the fresh report's ``mean_s`` against the baseline and
-    failing on a > ``--threshold`` regression (the same check CI runs).
-    """
-    import importlib.util
-
-    script = _find_benchmarks_dir()
-    if script is None:
-        print("benchmarks/run_benchmarks.py not found; `repro bench` "
-              "needs a source checkout (git clone), not just an "
-              "installed package", file=sys.stderr)
-        return 2
-
-    def load(path, name):
-        spec = importlib.util.spec_from_file_location(name, path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    harness = load(script, "repro_bench_harness")
-    output = args.output
-    if output is None and args.against:
-        # Guard mode must never clobber the baseline it compares against
-        # (the harness's default output path IS the committed baseline,
-        # which would turn the comparison into fresh-vs-itself).
-        output = str(script.parent.parent / "BENCH_fresh.json")
-    from pathlib import Path
-
-    if args.against and output and (
-        Path(output).resolve() == Path(args.against).resolve()
-    ):
-        print("--output and --against point at the same file; the perf "
-              "guard would compare the fresh report against itself",
-              file=sys.stderr)
-        return 2
-    argv = []
-    if args.smoke:
-        argv.append("--smoke")
-    if args.select:
-        argv.extend(["--select", args.select])
-    if args.rounds is not None:
-        argv.extend(["--rounds", str(args.rounds)])
-    if output:
-        argv.extend(["--output", output])
-    if args.verbose:
-        argv.append("--verbose")
-    rc = harness.main(argv)
-    if rc != 0 or not args.against:
-        return rc
-    checker = load(script.parent / "check_regression.py",
-                   "repro_bench_checker")
-    return checker.main(
-        [output, args.against, "--threshold", str(args.threshold)]
-    )
-
-
 def cmd_explosion(args: argparse.Namespace) -> int:
     from repro.graph import make_standin
     from repro.sampling import neighborhood_explosion_stats
@@ -940,25 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "--max-p)")
     _sim_graph_args(p)
 
-    p = sub.add_parser(
-        "bench",
-        help="run the executed/bench harness and write BENCH JSON",
-    )
-    p.add_argument("--smoke", action="store_true",
-                   help="single round per benchmark")
-    p.add_argument("--select", help="substring filter on module.name")
-    p.add_argument("--rounds", type=int, default=None,
-                   help="timing rounds per benchmark")
-    p.add_argument("--output", help="JSON report path "
-                                    "(default: BENCH_dist.json)")
-    p.add_argument("--against",
-                   help="baseline BENCH JSON to run the perf guard "
-                        "against after benching")
-    p.add_argument("--threshold", type=float, default=2.0,
-                   help="perf-guard regression factor (default 2.0)")
-    p.add_argument("--verbose", action="store_true",
-                   help="stream benchmark tables to stdout")
-
     p = sub.add_parser("explosion", help="neighbourhood explosion stats")
     p.add_argument("--dataset", choices=("reddit", "amazon", "protein"))
     p.add_argument("--scale", type=int, default=512)
@@ -998,8 +903,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="repro-lint invariant checker (AST rules R1-R8; exit 1 on "
-             "violations)",
+        help="repro-lint invariant checker (AST rules R1, R2, R4, R5, R7, "
+             "R8; exit 1 on violations)",
     )
     p.add_argument("paths", nargs="*",
                    help="files or directories to check (default: the "
@@ -1019,7 +924,6 @@ COMMANDS = {
     "train": cmd_train,
     "simulate": cmd_simulate,
     "sweep": cmd_sweep,
-    "bench": cmd_bench,
     "explosion": cmd_explosion,
     "report": cmd_report,
     "obs": cmd_obs,

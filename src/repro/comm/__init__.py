@@ -1,7 +1,10 @@
-"""Communication substrate: meshes, collectives, cost model, accounting.
+"""Communication substrate: meshes, collectives, cost model, ledger.
 
 This package is the stand-in for ``torch.distributed`` + NCCL on the Summit
-supercomputer.  See :mod:`repro.comm.runtime` for the entry point.
+supercomputer: collectives that move numpy blocks, priced by the one
+alpha-beta price list (:mod:`repro.comm.cost_model`) and charged to the
+per-rank ledger (:mod:`repro.comm.tracker`).  See
+:mod:`repro.comm.runtime` for the entry point.
 """
 
 from repro.comm.cost_model import (
@@ -18,7 +21,6 @@ from repro.comm.cost_model import (
 from repro.comm.collectives import Collectives, payload_nbytes
 from repro.comm.mesh import Mesh1D, Mesh2D, Mesh3D, ProcessMesh
 from repro.comm.runtime import VirtualRuntime
-from repro.comm.trace import StepEvent, StepTracer
 from repro.comm.tracker import Category, CategoryTotals, CommTracker
 
 __all__ = [
@@ -32,8 +34,6 @@ __all__ = [
     "Mesh3D",
     "ProcessMesh",
     "VirtualRuntime",
-    "StepTracer",
-    "StepEvent",
     "payload_nbytes",
     "broadcast_cost",
     "allgather_cost",

@@ -179,10 +179,8 @@ class CommTracker:
         Outside a :meth:`step_scope` the whole group charge forms one
         bulk-synchronous step (every rank worked the same ``seconds``, so
         the step's max is ``seconds`` -- exactly what wrapping the
-        per-rank loop in a scope used to record; the scope is entered via
-        ``self.step_scope`` so a :class:`~repro.comm.trace.StepTracer`
-        still itemises it).  The resulting per-rank ledger is
-        byte-for-byte identical to the per-rank loop.
+        per-rank loop in a scope used to record).  The resulting per-rank
+        ledger is byte-for-byte identical to the per-rank loop.
         """
         if category not in Category.ALL:
             raise ValueError(f"unknown category {category!r}; use Category.*")

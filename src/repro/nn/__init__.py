@@ -1,4 +1,9 @@
-"""Neural-network substrate: GCN layers, loss, optimisers, serial model."""
+"""Neural-network substrate: the serial GCN reference.
+
+GCN layers with the paper's explicit forward / backward equations, the
+loss, the optimisers and checkpoint serialisation -- the ground truth
+every distributed algorithm is verified against.
+"""
 
 from repro.nn.activations import (
     Activation,
@@ -13,7 +18,6 @@ from repro.nn.loss import accuracy, nll_loss, one_hot
 from repro.nn.model import GCN, EpochResult, SerialTrainer, TrainHistory
 from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.serialize import load_csr, load_weights, save_csr, save_weights
-from repro.nn.variants import GINLayer, SAGELayer
 
 __all__ = [
     "Activation",
@@ -39,6 +43,4 @@ __all__ = [
     "load_weights",
     "save_csr",
     "load_csr",
-    "SAGELayer",
-    "GINLayer",
 ]

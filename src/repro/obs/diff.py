@@ -4,10 +4,9 @@
 written by ``repro train --trace``) and produces a machine-readable
 verdict: for every span category and every phase, the per-epoch seconds
 of run B over run A, flagged as a regression when the ratio exceeds a
-threshold *and* the absolute growth clears a noise floor.  CI wires
-this through ``check_regression.py`` to hold a fresh traced run against
-a committed reference shape -- and a run diffed against itself must
-report zero drift (the self-check the observability-smoke job runs).
+threshold *and* the absolute growth clears a noise floor.  A run
+diffed against itself must report zero drift (the self-check the
+observability-smoke job runs).
 
 The comparison is shape-aware, not wall-clock-naive: categories are
 compared on ``measured_epoch_breakdown`` (max-over-workers self seconds

@@ -196,7 +196,7 @@ class MergedTrace:
         The pacesetter is the worker whose epoch span *ended last* on
         the aligned clock; with a single recorder (virtual backend, one
         worker) there is no one to straggle against and the sentinel
-        ``-1`` is reported, mirroring ``StepTracer``.
+        ``-1`` is reported.
         """
         per: Dict[int, Dict[int, Tuple[float, float]]] = {}
         for s in self.spans:

@@ -1,8 +1,8 @@
-"""Sampling substrate: k-hop analysis, layer sampling, mini-batch training.
+"""k-hop receptive fields and the neighbourhood-explosion analysis.
 
-The paper's Section VII future work ("our distributed training algorithms
-... carefully combined with sophisticated sampling based methods") and the
-Section I neighbourhood-explosion motivation, implemented.
+Section I motivates full-batch distributed training with the
+neighbourhood explosion: a few layers make a mini-batch depend on most
+of the graph.  ``repro explosion`` prints the measurement.
 """
 
 from repro.sampling.khop import (
@@ -11,17 +11,10 @@ from repro.sampling.khop import (
     neighborhood_explosion_stats,
     receptive_field,
 )
-from repro.sampling.minibatch import MiniBatchEpoch, MiniBatchGCN, MiniBatchTrainer
-from repro.sampling.sampler import LayerSampler, SampledSubgraph
 
 __all__ = [
     "khop_frontiers",
     "receptive_field",
     "ExplosionStats",
     "neighborhood_explosion_stats",
-    "LayerSampler",
-    "SampledSubgraph",
-    "MiniBatchGCN",
-    "MiniBatchEpoch",
-    "MiniBatchTrainer",
 ]

@@ -110,6 +110,8 @@ def neighborhood_explosion_stats(
     n = adj.nrows
     if not 1 <= batch_size <= n:
         raise ValueError(f"batch size {batch_size} outside [1, {n}]")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     sums = np.zeros(hops + 1, dtype=np.float64)
     for _ in range(trials):

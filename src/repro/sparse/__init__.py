@@ -1,6 +1,8 @@
-"""Sparse-matrix substrate: CSR storage, SpMM kernels, distributions.
+"""Sparse-matrix substrate: CSR storage, the SpMM kernel, distributions.
 
-Stand-in for cuSPARSE + the paper's block data distributions.
+Stand-in for cuSPARSE + the paper's block data distributions, plus the
+Section IV-A.3 hypersparsity expectations and the Section VI-a SpMM
+performance model.
 """
 
 from repro.sparse.csr import CSRMatrix, coo_to_csr_arrays
@@ -26,15 +28,6 @@ from repro.sparse.hypersparse import (
     expected_nonempty_rows_asymptotic,
     sparse_vs_dense_intermediate_words,
 )
-from repro.sparse.semiring import (
-    MAX_PLUS,
-    MAX_TIMES,
-    MIN_PLUS,
-    OR_AND,
-    PLUS_TIMES,
-    Semiring,
-    spmm_semiring,
-)
 from repro.sparse.perfmodel import SpmmPerfModel, density_factor, width_factor
 from repro.sparse.spmm import spmm, spmm_flops
 
@@ -43,13 +36,6 @@ __all__ = [
     "coo_to_csr_arrays",
     "spmm",
     "spmm_flops",
-    "Semiring",
-    "spmm_semiring",
-    "PLUS_TIMES",
-    "MAX_PLUS",
-    "MIN_PLUS",
-    "MAX_TIMES",
-    "OR_AND",
     "SpmmPerfModel",
     "density_factor",
     "width_factor",

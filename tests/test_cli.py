@@ -1,5 +1,7 @@
 """Command-line interface smoke and behaviour tests."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -14,8 +16,10 @@ class TestParser:
             if hasattr(a, "choices") and a.choices
         )
         assert set(sub.choices) >= {
-            "table6", "figure2", "figure3", "crossover", "train", "explosion",
+            "table6", "figure2", "figure3", "crossover", "memory", "train",
+            "explosion", "simulate", "sweep", "report", "obs", "lint",
         }
+        assert "bench" not in sub.choices
 
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
@@ -48,6 +52,13 @@ class TestCommands:
         assert main(["figure3", "--dataset", "amazon"]) == 0
         out = capsys.readouterr().out
         assert "dcomm" in out
+
+    def test_memory(self, capsys):
+        """Section V-C's OOM pattern: Amazon does not fit at 4 GPUs."""
+        assert main(["memory"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"amazon\s+4\s+\S+\s+OOM", out)
+        assert re.search(r"protein\s+36\s+\S+\s+fits", out)
 
     def test_train_synthetic(self, capsys):
         rc = main([

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.comm import VirtualRuntime
+from repro.comm import VirtualRuntime, broadcast_cost, reduce_scatter_cost
 from repro.comm.collectives import payload_nbytes
 from repro.comm.tracker import Category
-from repro.config import ZERO_COST
+from repro.config import SUMMIT, ZERO_COST
 from repro.sparse.csr import CSRMatrix
 
 
@@ -67,6 +67,16 @@ class TestBroadcast:
         assert rt.tracker.total_bytes(Category.DCOMM) == 0
 
 
+    def test_charge_is_the_cost_rule(self):
+        """The executed broadcast charges exactly its alpha-beta price."""
+        rt, coll = make_coll(36)
+        payload = np.ones((256, 64))
+        coll.broadcast(tuple(range(36)), root=0, value=payload)
+        assert rt.tracker.wall_seconds(Category.DCOMM) == pytest.approx(
+            broadcast_cost(SUMMIT, payload.nbytes, 36, span=36).seconds,
+            rel=0, abs=1e-12)
+
+
 class TestAllgather:
     def test_all_ranks_get_all_values(self):
         rt, coll = make_coll()
@@ -95,6 +105,16 @@ class TestReduceScatter:
         for r in range(4):
             assert out[r].shape == (2, 2)
             np.testing.assert_allclose(out[r], expected_total)
+
+    def test_charge_is_the_cost_rule(self):
+        """The 1D backward's reduce-scatter charges its closed form."""
+        rt, coll = make_coll(16)
+        values = {r: np.full((320, 32), float(r)) for r in range(16)}
+        coll.reduce_scatter(tuple(range(16)), values)
+        assert rt.tracker.wall_seconds(Category.DCOMM) == pytest.approx(
+            reduce_scatter_cost(SUMMIT, values[0].nbytes, 16,
+                                span=16).seconds,
+            rel=0, abs=1e-12)
 
     def test_uneven_shards_follow_array_split(self):
         rt, coll = make_coll(3)

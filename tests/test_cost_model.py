@@ -52,6 +52,14 @@ class TestBroadcast:
         big_span = cm.broadcast_cost(SUMMIT, 1 << 20, 4, span=64)
         assert big_span.seconds > small_span.seconds
 
+    def test_summit_broadcasts_at_36_turn_bandwidth_bound_with_size(self):
+        """Section VI: sub-millisecond broadcasts at p = 36 are
+        latency-bound on Summit; large ones are bandwidth-bound."""
+        for nbytes, latency_bound in ((1 << 10, True), (32 << 20, False)):
+            cost = cm.broadcast_cost(SUMMIT, nbytes, 36, span=36)
+            latency = cost.messages * SUMMIT.alpha
+            assert (latency > cost.seconds - latency) == latency_bound
+
 
 class TestReductions:
     def test_allgather_bandwidth_term(self):

@@ -59,11 +59,12 @@ class TestReplicationTrade:
     def test_higher_c_cuts_per_rank_volume_up_to_optimum(self):
         """The c-fold bandwidth reduction: per-rank words follow
         ``2nf/c + 4nfc/P``, optimal at ``c* = sqrt(P/2)``.  At P = 32 the
-        curve is strictly decreasing through c = 1, 2, 4."""
+        curve is strictly decreasing through c = 1, 2, 4 and c* = 4 is the
+        executed minimum."""
         big = make_synthetic(n=320, avg_degree=5, f=16, n_classes=4, seed=4)
         w = (16, 8, 4)
         per_rank = {}
-        for c in (1, 2, 4):
+        for c in (1, 2, 4, 8, 16):
             rt = VirtualRuntime.make_1d(32)
             algo = DistGCN15D(rt, big.adjacency, w, replication=c, seed=0)
             algo.setup(big.features, big.labels)
@@ -71,6 +72,7 @@ class TestReplicationTrade:
             per_rank[c] = st.max_rank_comm_bytes
         assert per_rank[2] < per_rank[1]
         assert per_rank[4] < per_rank[2]
+        assert min(per_rank, key=per_rank.get) == 4
 
     def test_past_optimum_c_hurts(self):
         """Beyond c* = sqrt(P/2) the fiber all-reduce term dominates and

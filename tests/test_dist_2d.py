@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.comm import Category, VirtualRuntime
+from repro.dist import make_algorithm
 from repro.dist.algo_2d import DistGCN2D, summa_stage_ranges
 from repro.graph import make_synthetic
 
@@ -175,6 +176,37 @@ class TestCommunicationAccounting:
         st16 = self._epoch(big, 16, w)
         # Per-rank scomm should be roughly flat-to-halving; totals grow.
         assert st16.scomm_bytes > st4.scomm_bytes
+
+    def test_tall_grid_cuts_sparse_bytes_square_minimises_dense(self):
+        """Section IV-C.6: where the degree far exceeds the feature width
+        a tall grid moves fewer sparse bytes than a wide one, while the
+        square grid minimises the dense total (the smallest perimeter).
+        The dense side is checked on the set-up plus one epoch, the pass
+        that still pairs every SpMM sweep with a replicated-``W``
+        product."""
+        big = make_synthetic(n=512, avg_degree=24, f=8, n_classes=4, seed=0)
+        sparse, dense = {}, {}
+        for grid in ((2, 8), (4, 4), (8, 2)):
+            algo = make_algorithm("2d", 16, big, hidden=8, seed=0, grid=grid)
+            hist = algo.fit(big.features, big.labels, epochs=1)
+            sparse[grid] = hist.epochs[0].scomm_bytes
+            dense[grid] = hist.setup.dcomm_bytes + hist.epochs[0].dcomm_bytes
+        assert sparse[(8, 2)] < sparse[(2, 8)]
+        assert min(dense, key=dense.get) == (4, 4)
+
+    def test_summa_block_keeps_dense_bytes_and_adds_messages(self):
+        """Algorithm 2's blocking parameter ``b``: smaller blocks move the
+        same dense bytes in more, smaller broadcasts."""
+        big = make_synthetic(n=384, avg_degree=6, f=24, n_classes=4, seed=0)
+        dense, msgs = {}, {}
+        for b in (None, 64, 4):
+            algo = make_algorithm("2d", 16, big, hidden=16, seed=0,
+                                  summa_block=b)
+            algo.setup(big.features, big.labels)
+            dense[b] = algo.train_epoch(0).dcomm_bytes
+            msgs[b] = algo.rt.tracker.total_messages()
+        assert dense[None] == dense[64] == dense[4]
+        assert msgs[4] > msgs[64] > msgs[None]
 
     def test_epoch_deterministic(self, ds):
         s1 = self._epoch(ds, 9)

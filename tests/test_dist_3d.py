@@ -116,6 +116,19 @@ class TestCommunicationAccounting:
             st3.max_rank_comm_bytes < st2.max_rank_comm_bytes
         )
 
+    def test_executed_order_at_p64_is_3d_2d_1d(self):
+        """Section IV's headline ordering on executed runs at P = 64:
+        3D moves fewer per-rank bytes than 2D, and 2D fewer than 1D."""
+        from repro.dist import make_algorithm
+
+        big = make_synthetic(n=640, avg_degree=8, f=32, n_classes=4, seed=0)
+        per_rank = {}
+        for name in ("1d", "2d", "3d"):
+            algo = make_algorithm(name, 64, big, hidden=16, seed=0)
+            algo.setup(big.features, big.labels)
+            per_rank[name] = algo.train_epoch(0).max_rank_comm_bytes
+        assert per_rank["3d"] < per_rank["2d"] < per_rank["1d"]
+
 
 class TestTrainingBehaviour:
     def test_loss_decreases(self, ds):

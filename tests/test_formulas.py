@@ -17,6 +17,7 @@ from repro.analysis.formulas import (
     words_3d,
 )
 from repro.config import SUMMIT
+from repro.graph import PUBLISHED
 
 # A representative problem: the paper's simplifying regime d ~ f.
 N, F, L = 1_000_000, 128, 3
@@ -86,6 +87,17 @@ class TestPaperClaims:
         cross = crossover_p_2d_vs_1d(N, NNZ, F, L)
         assert cross is not None
         assert 25 <= cross <= 49
+
+    @pytest.mark.parametrize("name", sorted(PUBLISHED))
+    def test_2d_does_not_dominate_at_16_gpus(self, name):
+        """Section VI-d: NeuGraph (<= 8 GPUs) and ROC (<= 16) ran below
+        the crossover, so at P = 16 2D moves no clear saving over 1D on
+        any Table VI dataset."""
+        spec = PUBLISHED[name]
+        n, nnz, f = spec.vertices, spec.edges, float(spec.features)
+        ratio = words_1d(n, nnz, f, 3, 16).words / words_2d(n, nnz, f, 3,
+                                                            16).words
+        assert ratio < 1.4
 
     def test_3d_beats_2d_by_p_to_the_sixth(self):
         """Section I: 3D reduces words by another O(P^(1/6))."""

@@ -6,7 +6,8 @@ matches, or that ``dir()`` advertises them -- a stale table would only
 surface when a user touches the dead name.  These tests make the
 contract executable: every advertised export resolves, every table entry
 really is exported by its providing module, every subpackage imports,
-and unknown names still raise ``AttributeError``.
+every name a ``repro.*`` package lists in ``__all__`` resolves, and
+unknown names still raise ``AttributeError``.
 """
 
 from __future__ import annotations
@@ -14,10 +15,17 @@ from __future__ import annotations
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import repro
+
+ROOT = Path(repro.__file__).parent
+PACKAGES = sorted(
+    ".".join(("repro",) + init.parent.relative_to(ROOT).parts)
+    for init in ROOT.rglob("__init__.py")
+)
 
 
 class TestLazyExportTable:
@@ -67,3 +75,11 @@ class TestLazyExportTable:
             "assert not heavy, heavy"
         )
         subprocess.run([sys.executable, "-c", code], check=True)
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_every_all_name_resolves(package):
+    module = importlib.import_module(package)
+    missing = [name for name in module.__all__
+               if not hasattr(module, name)]
+    assert not missing, f"{package}.__all__ names unbound {missing}"

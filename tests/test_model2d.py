@@ -9,6 +9,7 @@ emitted schedule, priced with the price list the ledger is charged by.
 
 import pytest
 
+from repro.analysis.figures import figure3_breakdown
 from repro.analysis.formulas import words_2d
 from repro.comm import VirtualRuntime
 from repro.comm.tracker import Category
@@ -183,3 +184,25 @@ class TestFullScaleShapes:
         assert model.n == spec.vertices
         assert model.nnz == spec.edges + spec.vertices  # self loops
         assert published("protein", 36).params["widths"] == (128, 16, 16, 256)
+
+
+class TestFigure3Narrative:
+    """Section VI's three readings of Fig. 3, on the bars
+    :func:`repro.analysis.figures.figure3_breakdown` draws."""
+
+    @pytest.fixture(scope="class")
+    def bars(self):
+        return {(pt.dataset, pt.gpus): pt for pt in figure3_breakdown()}
+
+    def test_amazon_dcomm_halves_16_to_64(self, bars):
+        ratio = (bars["amazon", 16].breakdown["dcomm"]
+                 / bars["amazon", 64].breakdown["dcomm"])
+        assert 1.6 < ratio < 2.4
+
+    def test_protein_comm_drops_1p65x_36_to_100(self, bars):
+        ratio = (bars["protein", 36].comm_seconds
+                 / bars["protein", 100].comm_seconds)
+        assert 1.4 < ratio < 1.95
+
+    def test_reddit_at_4_is_spmm_bound(self, bars):
+        assert bars["reddit", 4].dominant_category == Category.SPMM

@@ -160,7 +160,7 @@ class TestSelfTimeTree:
 
     def test_single_recorder_pacesetter_sentinel(self):
         # One recorder has no one to race: pacesetter is the -1
-        # sentinel, mirroring StepTracer's single-rank convention.
+        # sentinel.
         stats = self._trace().epoch_stats()
         assert [e["pacesetter"] for e in stats] == [-1]
         assert self._trace().straggler_counts() == {-1: 1}

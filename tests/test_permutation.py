@@ -5,6 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.comm import Category
+from repro.comm.mesh import Mesh2D
+from repro.dist import make_algorithm
+from repro.graph import make_synthetic
+from repro.graph.datasets import Dataset
 from repro.graph.generators import rmat, star_graph
 from repro.graph.normalize import gcn_normalize
 from repro.graph.permutation import (
@@ -14,7 +19,10 @@ from repro.graph.permutation import (
     invert_permutation,
     random_permutation,
 )
-from repro.sparse.distribute import distribute_sparse_1d_rows
+from repro.sparse.distribute import (
+    distribute_sparse_1d_rows,
+    distribute_sparse_2d,
+)
 
 
 class TestPermutations:
@@ -100,6 +108,30 @@ class TestLoadBalance:
             distribute_sparse_1d_rows(a.permute(perm), 8)
         )
         assert after < before
+
+    def test_permutation_balances_rmat_2d_blocks(self):
+        """Section I: random vertex permutation balances the 2D blocks of
+        a scale-free graph whose hubs sit at low ids, and the epoch's
+        modeled SpMM time (paced by the heaviest block) does not grow by
+        more than 5 %."""
+        ds = make_synthetic(n=1024, avg_degree=16, f=16, n_classes=4, seed=0)
+        permuted = apply_random_permutation(
+            ds.adjacency, ds.features, ds.labels, seed=1)[:3]
+        mesh = Mesh2D.square(16)
+        imbalance, spmm = [], []
+        for adj, feats, labels in ((ds.adjacency, ds.features, ds.labels),
+                                   permuted):
+            imbalance.append(
+                block_nnz_imbalance(distribute_sparse_2d(adj, mesh)))
+            algo = make_algorithm("2d", 16, Dataset(
+                name="x", adjacency=adj, features=feats, labels=labels,
+                num_classes=ds.num_classes, train_mask=ds.train_mask,
+            ), hidden=16, seed=0)
+            algo.setup(feats, labels)
+            spmm.append(algo.train_epoch(0).seconds_by_category[
+                Category.SPMM])
+        assert imbalance[1] < imbalance[0]
+        assert spmm[1] <= spmm[0] * 1.05
 
     def test_imbalance_of_uniform_is_one(self):
         from repro.graph.generators import ring_graph

@@ -1,18 +1,12 @@
-"""Sampling substrate: k-hop explosion, layer sampler, mini-batch training."""
+"""k-hop receptive fields and the neighbourhood explosion (Section I)."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.graph import make_synthetic
+from repro.graph import make_standin, make_synthetic
 from repro.graph.generators import ring_graph, star_graph
 from repro.graph.normalize import gcn_normalize
-from repro.nn import GCN, SGD, SerialTrainer
 from repro.sampling import (
-    LayerSampler,
-    MiniBatchGCN,
-    MiniBatchTrainer,
     khop_frontiers,
     neighborhood_explosion_stats,
     receptive_field,
@@ -69,170 +63,22 @@ class TestKhop:
         assert stats.final_fraction > 0.3   # explosion happened
         assert stats.blowup > 5
 
+    def test_three_hops_reach_most_of_the_reddit_standin(self):
+        """Section I: 'after only a few layers, the chosen mini-batch ends
+        up being dependent on the whole graph'."""
+        adj = make_standin("reddit", scale_divisor=256, seed=0).adjacency
+        fraction = {
+            batch: neighborhood_explosion_stats(
+                adj, batch_size=batch, hops=3, trials=3, seed=1
+            ).final_fraction
+            for batch in (8, 128)
+        }
+        assert fraction[8] > 0.5
+        assert fraction[128] > 0.9
+
     def test_explosion_invalid_batch(self, ds):
         with pytest.raises(ValueError):
             neighborhood_explosion_stats(ds.adjacency, batch_size=0, hops=2)
-
-
-class TestLayerSampler:
-    def test_full_neighborhood_blocks_are_exact_submatrices(self, ds):
-        sampler = LayerSampler(ds.adjacency, 2, fanouts=None, seed=0)
-        sub = sampler.sample([1, 4, 7])
-        # Top block: rows = batch, cols = 1-hop frontier; values must
-        # equal the adjacency entries exactly (no rescaling).
-        top = sub.blocks[-1]
-        dense = ds.adjacency.to_dense()
-        batch, frontier = sub.frontiers[-1], sub.frontiers[-2]
-        np.testing.assert_allclose(
-            top.to_dense(), dense[np.ix_(batch, frontier)], atol=1e-12
-        )
-
-    def test_fanout_limits_row_nnz(self, ds):
-        sampler = LayerSampler(ds.adjacency, 2, fanouts=[3, 3], seed=0)
-        sub = sampler.sample(np.arange(20))
-        for block in sub.blocks:
-            assert block.row_degrees().max() <= 3
-
-    def test_sampling_is_unbiased(self):
-        """Horvitz-Thompson rescale: the expected sampled row sum equals
-        the full row sum."""
-        a = gcn_normalize(star_graph(40))
-        full_sum = a.to_dense()[0].sum()  # hub row
-        estimates = []
-        for seed in range(200):
-            sampler = LayerSampler(a, 1, fanouts=[5], seed=seed)
-            sub = sampler.sample([0])
-            estimates.append(sub.blocks[0].data.sum())
-        assert np.mean(estimates) == pytest.approx(full_sum, rel=0.05)
-
-    def test_frontier_contains_batch(self, ds):
-        sampler = LayerSampler(ds.adjacency, 3, fanouts=[2, 2, 2], seed=1)
-        sub = sampler.sample([0, 50, 100])
-        for frontier in sub.frontiers:
-            assert np.all(np.isin(sub.batch, frontier))
-
-    def test_invalid_construction(self, ds):
-        with pytest.raises(ValueError, match="fanouts"):
-            LayerSampler(ds.adjacency, 2, fanouts=[3])
-        with pytest.raises(ValueError, match="fanout"):
-            LayerSampler(ds.adjacency, 1, fanouts=[0])
-        with pytest.raises(ValueError, match="layer"):
-            LayerSampler(ds.adjacency, 0)
-
-    def test_invalid_batch(self, ds):
-        sampler = LayerSampler(ds.adjacency, 1)
-        with pytest.raises(ValueError, match="empty"):
-            sampler.sample([])
-        with pytest.raises(ValueError, match="range"):
-            sampler.sample([10**6])
-
-
-class TestMiniBatchExactness:
-    def test_full_neighborhood_forward_matches_full_graph(self, ds):
-        """fanouts=None: mini-batch predictions == full-graph predictions
-        restricted to the batch."""
-        widths = ds.layer_widths(hidden=8)
-        full = GCN(widths, seed=2)
-        lp_full = full.predict(ds.adjacency, ds.features)
-        mb = MiniBatchGCN(widths, seed=2)
-        sampler = LayerSampler(ds.adjacency, mb.num_layers, fanouts=None)
-        batch = np.array([0, 17, 63, 179])
-        sub = sampler.sample(batch)
-        lp_batch, _ = mb.forward(sub, ds.features)
-        np.testing.assert_allclose(lp_batch, lp_full[batch], atol=1e-10)
-
-    def test_whole_graph_batch_equals_serial_epoch(self, ds):
-        """batch = V with full neighbourhoods reproduces full-batch GD."""
-        widths = ds.layer_widths(hidden=8)
-        serial = SerialTrainer(
-            GCN(widths, seed=3), ds.adjacency, optimizer=SGD(lr=0.1)
-        )
-        e = serial.train_epoch(ds.features, ds.labels)
-        mb = MiniBatchGCN(widths, seed=3)
-        trainer = MiniBatchTrainer(
-            mb, ds.adjacency, fanouts=None,
-            batch_size=ds.num_vertices, optimizer=SGD(lr=0.1),
-        )
-        rec = trainer.train_epoch(ds.features, ds.labels, shuffle=False)
-        assert rec.mean_loss == pytest.approx(e.loss, rel=1e-12)
-        for w_serial, w_mb in zip(serial.model.weights, mb.weights):
-            np.testing.assert_allclose(w_serial, w_mb, atol=1e-12)
-
-    def test_gradient_check_through_pyramid(self, ds):
-        """Finite differences through sampled blocks (fixed pyramid)."""
-        from repro.nn.loss import nll_loss
-
-        widths = (10, 6, 3)
-        mb = MiniBatchGCN(widths, seed=4)
-        sampler = LayerSampler(ds.adjacency, 2, fanouts=[4, 4], seed=5)
-        sub = sampler.sample(np.arange(12))
-        lp, caches = mb.forward(sub, ds.features)
-        labels = ds.labels[sub.batch]
-        loss, grad = nll_loss(lp, labels)
-        grads = mb.backward(caches, grad)
-        eps = 1e-6
-        rng = np.random.default_rng(0)
-        for li, w in enumerate(mb.weights):
-            i = int(rng.integers(w.shape[0]))
-            j = int(rng.integers(w.shape[1]))
-            w[i, j] += eps
-            lp2, _ = mb.forward(sub, ds.features)
-            l2, _ = nll_loss(lp2, labels)
-            w[i, j] -= 2 * eps
-            lp3, _ = mb.forward(sub, ds.features)
-            l3, _ = nll_loss(lp3, labels)
-            w[i, j] += eps
-            fd = (l2 - l3) / (2 * eps)
-            assert grads[li][i, j] == pytest.approx(fd, abs=1e-6)
-
-
-class TestMiniBatchTraining:
-    def test_sampled_training_decreases_loss(self, ds):
-        mb = MiniBatchGCN(ds.layer_widths(hidden=8), seed=5)
-        trainer = MiniBatchTrainer(
-            mb, ds.adjacency, fanouts=[4, 4, 4], batch_size=32,
-            optimizer=SGD(lr=0.2), seed=6,
-        )
-        history = trainer.train(ds.features, ds.labels, epochs=10)
-        assert history[-1].mean_loss < history[0].mean_loss
-
-    def test_masked_training_pool(self, ds):
-        mask = np.zeros(ds.num_vertices, dtype=bool)
-        mask[:40] = True
-        mb = MiniBatchGCN(ds.layer_widths(hidden=8), seed=7)
-        trainer = MiniBatchTrainer(
-            mb, ds.adjacency, fanouts=[3, 3, 3], batch_size=16, seed=8
-        )
-        rec = trainer.train_epoch(ds.features, ds.labels, mask=mask)
-        # 40 supervised vertices / batch 16 -> 3 batches.
-        assert len(rec.batch_losses) == 3
-
-    def test_empty_mask_rejected(self, ds):
-        mb = MiniBatchGCN(ds.layer_widths(hidden=8), seed=9)
-        trainer = MiniBatchTrainer(mb, ds.adjacency, batch_size=8)
-        with pytest.raises(ValueError, match="no supervised"):
-            trainer.train_epoch(
-                ds.features, ds.labels,
-                mask=np.zeros(ds.num_vertices, dtype=bool),
-            )
-
-    def test_memory_bound_vs_explosion(self, ds):
-        """The whole point of sampling: the sampled pyramid touches far
-        fewer edges than the full receptive field would."""
-        sampler_full = LayerSampler(ds.adjacency, 3, fanouts=None, seed=0)
-        sampler_s = LayerSampler(ds.adjacency, 3, fanouts=[2, 2, 2], seed=0)
-        batch = np.arange(16)
-        full = sampler_full.sample(batch)
-        samp = sampler_s.sample(batch)
-        assert samp.total_edges() < 0.5 * full.total_edges()
-        assert samp.input_vertices.size < full.input_vertices.size
-
-    @given(seed=st.integers(0, 50))
-    @settings(max_examples=10, deadline=None)
-    def test_pyramid_shapes_consistent(self, ds, seed):
-        sampler = LayerSampler(ds.adjacency, 2, fanouts=[3, 5], seed=seed)
-        sub = sampler.sample(np.arange(10))
-        for l, block in enumerate(sub.blocks):
-            assert block.shape == (
-                sub.frontiers[l + 1].size, sub.frontiers[l].size
-            )
+        with pytest.raises(ValueError, match="trials"):
+            neighborhood_explosion_stats(ds.adjacency, batch_size=4, hops=2,
+                                         trials=0)
