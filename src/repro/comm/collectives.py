@@ -2,7 +2,8 @@
 
 The paper builds its algorithms from ``torch.distributed`` primitives --
 broadcast, all-gather, all-reduce and reduce-scatter -- to which Section
-IV-A.8's partitioned training adds a ghost-row gather.  Each of those
+IV-A.8's partitioned training adds a row gather (ghost rows, and the
+dense rows a sparsity-aware SUMMA stage reads).  Each of those
 *kinds* is defined here exactly once, as two halves:
 
 1. **A cost rule** (:meth:`Collectives.charges`): the per-rank ledger
@@ -11,7 +12,7 @@ IV-A.8's partitioned training adds a ghost-row gather.  Each of those
    ``T_comm`` formulas bound.  Every rank participating in a collective
    is charged the collective's critical-path bytes and modeled seconds;
    this matches the paper's convention of quoting *per-process*
-   communication cost.  The ghost-row rule is receive-side exact: the
+   communication cost.  The row-gather rule is receive-side exact: the
    bytes on the ledger are the bytes that arrive.
 2. **A data movement** that really moves the payloads (numpy arrays or
    sparse blocks), so the distributed algorithms are bit-exact
@@ -19,7 +20,7 @@ IV-A.8's partitioned training adds a ghost-row gather.  Each of those
    reference -- exactly the verification the paper performs ("outputs
    the same embeddings up to floating point accumulation errors").
    :meth:`Collectives.move` is the blocking form; the routed kinds
-   (broadcast, ghost rows) also come split-phase as
+   (broadcast, row gather) also come split-phase as
    :meth:`Collectives.post` / :meth:`Collectives.collect`, and blocking
    is literally ``collect(post(...))``.
 
@@ -218,10 +219,11 @@ class Collectives:
           ``pipelined=True`` models SUMMA's pipelined broadcast,
           dropping the ``lg p`` latency factor (Section IV-C);
         * ``gather_rows`` takes ``(rank, recv_nbytes, nsources)``
-          triples: the exact bytes a rank *receives* (its distinct
-          remote-neighbour rows -- the paper's ``r_i`` ghost rows times
-          the dense row size) and the number of distinct source ranks it
-          fetches them from.  Priced by
+          triples: the exact bytes a rank *receives* (the distinct rows
+          it reads -- the paper's ``r_i`` ghost rows, or a SUMMA stage's
+          rows at its sparse piece's nonempty columns -- times the dense
+          row size) and the number of distinct source ranks it fetches
+          them from.  Priced by
           :func:`~repro.comm.cost_model.gather_rows_cost` (one message
           per source, concurrent within the step); only received bytes
           hit the ledger -- so a ghost exchange's dcomm delta is exactly
@@ -235,11 +237,17 @@ class Collectives:
         """
         flat: List[Charge] = []
         if kind == "gather_rows":
-            for rank, nbytes, nsources in items:
-                cost = self._cost(cm.gather_rows_cost, int(nbytes),
-                                  int(nsources))
-                flat.append((rank, cost.seconds, cost.bytes_critical,
-                             cost.messages, 0))
+            # One rule call over the step's receivers: their sizes vary,
+            # and an array prices exactly like each size alone.
+            if items:
+                ranks, nbytes, nsources = zip(*items)
+                cost = cm.gather_rows_cost(
+                    self.profile, np.array(nbytes, dtype=np.int64),
+                    np.array(nsources, dtype=np.int64),
+                    span=self.world_size)
+                flat.extend(zip(ranks, cost.seconds.tolist(),
+                                cost.bytes_critical.tolist(),
+                                cost.messages.tolist(), [0] * len(ranks)))
         else:
             fn = cm.GROUP_COST[kind]
             flags = (pipelined,) if kind == "broadcast" else ()
@@ -537,13 +545,16 @@ class Collectives:
         row_nbytes: int,
         category: str = Category.DCOMM,
     ) -> list:
-        """Charged ghost-row exchange: fetch selected remote rows.
+        """Charged row gather: fetch selected remote rows.
 
         The variable-size primitive behind the 1D ``ghost`` variant
-        (Section IV-A.8's partitioned training): each destination rank
-        receives, from each source it names, exactly the rows listed --
-        no full all-gather.  ``pairs`` holds ``(src, dst,
-        src_local_rows)`` transfers in one fixed global order, ``blocks``
+        (Section IV-A.8's partitioned training) and the 2D / Split-3D
+        SUMMA stages that gather: each destination rank receives, from
+        each source it names, exactly the rows listed -- no full
+        all-gather or broadcast.  ``pairs`` holds ``(src, dst,
+        src_local_rows)`` transfers in one fixed global order, each
+        naming at least one row and a ``src`` other than ``dst``;
+        ``blocks``
         maps each locally-held rank to its dense block rows and
         ``row_nbytes`` is the wire size of one dense row (``f *
         itemsize``).  Returns, per pair, the selected rows of ``src``'s
@@ -560,6 +571,11 @@ class Collectives:
                 raise ValueError(
                     f"gather_rows pair ({src}, {dst}) is a self-send; own "
                     "rows are already local"
+                )
+            if not len(idx):
+                raise ValueError(
+                    f"gather_rows pair ({src}, {dst}) names no row; leave "
+                    "it out"
                 )
             nbytes, nsources = totals.get(dst, (0, 0))
             totals[dst] = (nbytes + len(idx) * int(row_nbytes),

@@ -28,9 +28,12 @@ reduce-scatter        :func:`reduce_scatter_cost` ``lg p * alpha + beta * m
 all-reduce            :func:`allreduce_cost`      reduce-scatter + all-gather:
                                                   ``2 lg p * alpha + 2 beta *
                                                   m (p-1)/p``
-ghost-row gather      :func:`gather_rows_cost`    ``sources * alpha + beta *
+row gather            :func:`gather_rows_cost`    ``sources * alpha + beta *
                                                   m`` (receive side; ``m`` =
-                                                  bytes delivered)
+                                                  bytes delivered): the 1D
+                                                  ghost exchange and the
+                                                  2D / 3D SUMMA stages that
+                                                  gather their dense rows
 transpose exchange    :func:`transpose_cost`      ``alpha + beta * m`` at the
                                                   uncongested inter-node tier
 dense matmul          :func:`gemm_seconds`        ``flops / gemm_flops +
@@ -261,13 +264,17 @@ def gather_rows_cost(
     profile: MachineProfile, recv_bytes: Sizes, nsources: Sizes,
     span: Optional[int] = None,
 ) -> CollectiveCost:
-    """One rank's side of a ghost-row exchange (Section IV-A.8).
+    """One rank's side of a row gather (Section IV-A.8's ghost rows, and
+    the rows a sparsity-aware SUMMA stage reads).
 
-    Receive-side exact: the rank fetches ``recv_bytes`` (its distinct
-    remote-neighbour rows times the dense row size) from ``nsources``
-    distinct ranks, one message per source, concurrent within the step.
+    Receive-side exact: the rank fetches ``recv_bytes`` (the distinct
+    rows it reads times the dense row size) from ``nsources`` distinct
+    ranks, one message per source, concurrent within the step.  Like
+    every rule, zero bytes is free: a rank that receives nothing sends
+    no message, whatever ``nsources`` says.
     """
     m, sources = np.broadcast_arrays(whole(recv_bytes), whole(nsources))
+    sources = np.where(m > 0, sources, 0.0)
     alpha, beta = _rates(profile, 2 if span is None else span)
     latency = sources * alpha
     return _cost(m, latency + beta * m, latency, m, m, sources)

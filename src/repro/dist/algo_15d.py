@@ -32,7 +32,7 @@ import numpy as np
 from repro.comm.runtime import VirtualRuntime
 from repro.comm.tracker import Category
 from repro.config import FP64_BYTES
-from repro.dist.base import RoutedBroadcast
+from repro.dist.base import RoutedStep
 from repro.dist.blockrow import BlockRowAlgorithm
 from repro.nn.layers import check_widths
 from repro.nn.optim import Optimizer
@@ -173,7 +173,6 @@ class DistGCN15D(BlockRowAlgorithm):
         # t + 1 is on the wire before round t is waited for.
         col_parts: List[List[np.ndarray]] = [[] for _ in range(self.c)]
         max_rounds = max(s1 - s0 for s0, s1 in self.subsets)
-        nbytes = lambda root: (self._rows_of(root) * f * self.WB)
         rounds = []
         for t in range(max_rounds):
             active = [j for j in range(self.c)
@@ -183,9 +182,13 @@ class DistGCN15D(BlockRowAlgorithm):
                  self._rank_of(self.subsets[j][0] + t, j))
                 for j in active
             ]))
-        received = self._broadcast_routed(
-            (RoutedBroadcast(("brch", f, t), routes, blocks,
-                             Category.DCOMM, nbytes, pipelined=False),)
+        received = self._routed_stages(
+            (RoutedStep("broadcast", ("brch", f, t), routes, blocks,
+                        Category.DCOMM,
+                        lambda routes=routes: [
+                            (group, self._rows_of(root) * f * self.WB)
+                            for group, root in routes],
+                        pipelined=False),)
             for t, (_, routes) in enumerate(rounds)
         )
         for (active, _), (got,) in zip(rounds, received):

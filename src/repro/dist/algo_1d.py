@@ -172,14 +172,8 @@ class DistGCN1D(BlockRowAlgorithm):
         g = self._ghost
         self.a_t_compact = {}
         for r in self._local(self.world):
-            blk = self.a_t_rows[r]
-            self.a_t_compact[r] = CSRMatrix(
-                blk.indptr,
-                np.searchsorted(g.ref_cols[r], blk.indices),
-                blk.data,
-                (blk.nrows, g.width[r]),
-                validate=False,
-            )
+            self.a_t_compact[r] = self.a_t_rows[r].compact_columns(
+                g.ref_cols[r])
 
     # ------------------------------------------------------------------ #
     # BlockRowAlgorithm hooks

@@ -5,9 +5,21 @@ IV): ``A^T`` and ``A`` in ``n/Pr x n/Pc`` sparse blocks, the dense
 ``H``/``G`` in matching blocks (feature columns split ``Pc`` ways), ``W``
 replicated.  Each SpMM is a SUMMA sweep: per stage, the owning process
 column broadcasts its sparse pieces along process rows (``scomm``), the
-owning process row broadcasts its dense pieces along process columns
+owning process row sends its dense pieces down the process columns
 (``dcomm``), and every rank accumulates a local block product.  Per-rank
 dense words scale as ``~ 1/sqrt(P)`` -- the headline claim.
+
+The dense pieces move sparsity-aware (Section IV-A.8's observation,
+taken to SUMMA by Mukhopadhyay et al., ICPP 2024): rank ``(i, j)``
+multiplies the stage block by ``S(i, t)``, which reads only the rows at
+its nonempty columns.  Where :func:`repro.dist.grid.stage_gathers` says
+so -- fewer rows than the broadcast would move -- a stage gathers
+exactly those rows to each receiver (the ``gather_rows`` kind) and the
+receiver multiplies them by a column-compacted copy of ``S(i, t)``;
+else it broadcasts the whole block.  The row sets, compacted pieces and
+routes are structure, built once at set-up; compaction keeps every
+piece's ``nnz`` and rows (hence ``scomm``) and every output row's
+summation order (hence the bits).
 
 :func:`summa_stage_ranges` computes the stage decomposition of the inner
 dimension: for rectangular grids (Section IV-C.6) the ``Pr`` and ``Pc``
@@ -33,10 +45,8 @@ import numpy as np
 
 from repro.comm.mesh import Mesh2D
 from repro.comm.runtime import VirtualRuntime
-from repro.comm.tracker import Category
 from repro.config import FP64_BYTES
-from repro.dist.base import RoutedBroadcast
-from repro.dist.grid import GridAlgorithm
+from repro.dist.grid import GridAlgorithm, SummaStage, stage_gathers
 from repro.nn.layers import check_widths
 from repro.nn.optim import Optimizer
 from repro.sparse.csr import CSRMatrix
@@ -45,7 +55,6 @@ from repro.sparse.distribute import (
     distribute_dense_2d,
     distribute_sparse_2d,
 )
-from repro.sparse.spmm import spmm
 
 __all__ = ["DistGCN2D", "summa_stage_ranges"]
 
@@ -127,20 +136,36 @@ class DistGCN2D(GridAlgorithm):
             if self.symmetric
             else distribute_sparse_2d(self.a, self.mesh)
         )
-        # Stage slices of the (immutable) sparse operands, extracted once:
-        # every epoch re-broadcast the same pieces, so re-slicing per SUMMA
-        # stage was pure overhead on the serial hot path.
-        self._stage_piece_cache: Dict[str, List[Dict[int, CSRMatrix]]] = {}
         # Rank -> grid coordinate maps, precomputed: the epoch loops ask
         # for these thousands of times per epoch.
         self._out_cols = [self.mesh.coords(r)[1] for r in range(rt.size)]
         self._rank_row_ranges = [
             self.row_ranges[self.mesh.coords(r)[0]] for r in range(rt.size)
         ]
-        plan = self._plan()
-        self._col_group_list = [
-            plan.group(self.mesh.col_group(j)) for j in range(self.pc)
-        ]
+        # The sparse operands' stage structure, per operand role: the
+        # one `_grid_spmm` receives is `a_t_blocks` or `a_blocks` (one
+        # and the same dict for symmetric inputs).
+        self._summa = {"a_t": self._summa_stages(self.a_t_blocks)}
+        if not self.symmetric:
+            self._summa["a"] = self._summa_stages(self.a_blocks)
+
+    def _summa_stages(self, sparse_blocks: Dict[int, CSRMatrix]
+                      ) -> List[SummaStage]:
+        """Each stage's pieces -- the column slices ``S(i, t)`` of the
+        blocks ``(i, co)`` -- over the window of the dense row block
+        ``ro`` it covers (:meth:`GridAlgorithm._summa_stage`)."""
+        rank_of = self.mesh.rank_of
+        out = []
+        for lo, hi, ro, co in self.stages:
+            c0, r0 = self.col_ranges[co][0], self.row_ranges[ro][0]
+            pieces = {}
+            for i in range(self.pr):
+                blk = sparse_blocks[rank_of(i, co)]
+                pieces[rank_of(i, co)] = blk.block(0, blk.nrows, lo - c0,
+                                                   hi - c0)
+            out.append(self._summa_stage([pieces], ro, (lo - r0, hi - r0),
+                                         lambda i, j, k: rank_of(i, j)))
+        return out
 
     # ------------------------------------------------------------------ #
     # GridAlgorithm hooks
@@ -184,29 +209,6 @@ class DistGCN2D(GridAlgorithm):
                      for rank in self.a_blocks),
         )
 
-    def _stage_pieces(self, sparse_blocks: Dict[int, CSRMatrix]):
-        """Per-stage column slices of a static sparse operand, cached.
-
-        Keyed by operand role: ``_grid_spmm`` only ever receives
-        ``a_t_blocks`` or ``a_blocks`` (one and the same dict for
-        symmetric inputs), both built once in ``__init__``.
-        """
-        key = "a_t" if sparse_blocks is self.a_t_blocks else "a"
-        cached = self._stage_piece_cache.get(key)
-        if cached is None:
-            mesh = self.mesh
-            cached = []
-            for lo, hi, _ro, co in self.stages:
-                c0 = self.col_ranges[co][0]
-                pieces: Dict[int, CSRMatrix] = {}
-                for i in range(self.pr):
-                    root = mesh.rank_of(i, co)
-                    blk = sparse_blocks[root]
-                    pieces[root] = blk.block(0, blk.nrows, lo - c0, hi - c0)
-                cached.append(pieces)
-            self._stage_piece_cache[key] = cached
-        return cached
-
     def _grid_spmm(
         self,
         sparse_blocks: Dict[int, CSRMatrix],
@@ -214,26 +216,16 @@ class DistGCN2D(GridAlgorithm):
         f: int,
         ws_key=None,
     ) -> Dict[int, np.ndarray]:
-        """One SUMMA SpMM sweep: ``C(i,j) += S(i,t) D(t,j)`` per stage.
-
-        Executed fast path: per stage the received dense feature-column
-        pieces are joined once per local column *span* and each local
-        process row runs a single SpMM against it, accumulating into one
-        span-wide buffer per row group; rank results are column views.
-        With every rank local the span is the full width (one join, one
-        SpMM per process row -- bitwise the historical fast path); a
-        multiprocess worker joins and multiplies only its own columns.
-        SpMM columns are independent, so per-rank numerics are identical
-        to the per-rank products, and the broadcasts (hence the ledger)
-        are exactly the historical ones.  ``ws_key`` keys the group
-        accumulators into the workspace (per layer for cached results).
-        """
-        mesh = self.mesh
+        """One SUMMA SpMM sweep: ``C(i,j) += S(i,t) D(t,j)`` per stage
+        (:meth:`GridAlgorithm._summa_sweep`), accumulated into one
+        span-wide buffer per local row group; rank results are column
+        views of it.  With every rank local the span is the full width;
+        a multiprocess worker multiplies only its own columns.
+        ``ws_key`` keys the group accumulators into the workspace (per
+        layer for cached results)."""
         fcols = self._fsplit(f)
-        groups = self._row_group_list
-        groups_info = self._local_group_info
-        accs = []
-        for gi, group, members, (c_lo, c_hi) in groups_info:
+        accs = {}
+        for gi, group, members, (c_lo, c_hi) in self._local_group_info:
             lo, hi = self.row_ranges[gi]
             o_lo, o_hi = self._span(fcols, c_lo, c_hi)
             if ws_key is not None:
@@ -241,77 +233,12 @@ class DistGCN2D(GridAlgorithm):
                 acc.fill(0.0)
             else:
                 acc = np.zeros((hi - lo, o_hi - o_lo))
-            accs.append((acc, o_lo, o_hi))
+            accs[gi] = (acc, o_lo, o_hi)
         op_key = "a_t" if sparse_blocks is self.a_t_blocks else "a"
-        stage_pieces = self._stage_pieces(sparse_blocks)
-        col_groups = self._col_group_list
-
-        def stage_broadcasts():
-            # Drawn one stage ahead of the multiplies below (see
-            # _broadcast_routed): both operands are complete already.
-            for st, ((lo, hi, ro, co), pieces) in enumerate(
-                zip(self.stages, stage_pieces)
-            ):
-                r0 = self.row_ranges[ro][0]
-                dense_pieces = {
-                    root: dense_blocks[root][lo - r0 : hi - r0, :]
-                    for j in range(self.pc)
-                    for root in (mesh.rank_of(ro, j),)
-                    if root in dense_blocks
-                }
-
-                def sparse_nbytes(root: int, pieces=pieces) -> int:
-                    return pieces[root].nbytes_on_wire
-
-                def dense_nbytes(root: int, lo=lo, hi=hi) -> int:
-                    b0, b1 = fcols[self._out_col(root)]
-                    return (hi - lo) * (b1 - b0) * self.WB
-
-                yield (
-                    RoutedBroadcast(
-                        ("bsch", op_key, st),
-                        [(groups[i], mesh.rank_of(i, co))
-                         for i in range(self.pr)],
-                        pieces, Category.SCOMM, sparse_nbytes),
-                    RoutedBroadcast(
-                        ("bdch", f, st),
-                        [(col_groups[j], mesh.rank_of(ro, j))
-                         for j in range(self.pc)],
-                        dense_pieces, Category.DCOMM, dense_nbytes),
-                )
-
-        received = self._broadcast_routed(stage_broadcasts())
-        for st, ((lo, hi, ro, co), pieces) in enumerate(
-            zip(self.stages, stage_pieces)
-        ):
-            sparse_recv, stage_parts = next(received)
-            # One dense join + SpMM per local column span (usually one).
-            span_joins = {}
-            for idx, (gi, group, members, (c_lo, c_hi)) in enumerate(
-                groups_info
-            ):
-                acc, o_lo, o_hi = accs[idx]
-                d_span = span_joins.get((c_lo, c_hi))
-                if d_span is None:
-                    d_span = self._join_span(
-                        stage_parts[c_lo:c_hi], hi - lo, o_hi - o_lo,
-                        self._pick_span_key(o_hi - o_lo == f,
-                                            ("gsd", hi - lo), c_lo, c_hi),
-                    )
-                    span_joins[(c_lo, c_hi)] = d_span
-                acc += spmm(sparse_recv[gi], d_span)
-
-            def stage_charges(pieces=pieces, co=co):
-                for i in range(self.pr):
-                    sp = pieces[mesh.rank_of(i, co)]
-                    for r in groups[i]:
-                        c0, c1 = fcols[self._out_col(r)]
-                        yield r, sp.nnz, sp.nrows, c1 - c0
-
-            self._charge_kernel("spmm", ("gsch", op_key, f, st), stage_charges)
+        self._summa_sweep(self._summa[op_key], op_key, dense_blocks, f, accs)
         out: Dict[int, np.ndarray] = {}
-        for idx, (gi, group, members, span) in enumerate(groups_info):
-            acc, o_lo, o_hi = accs[idx]
+        for gi, group, members, span in self._local_group_info:
+            acc, o_lo, o_hi = accs[gi]
             for r in members:
                 c0, c1 = fcols[self._out_col(r)]
                 out[r] = acc[:, c0 - o_lo : c1 - o_lo]
@@ -339,8 +266,11 @@ class DistGCN2D(GridAlgorithm):
     ):
         """Emit the SUMMA epoch's schedule without building ranks.
 
-        Mirrors ``_grid_spmm`` (per-stage sparse/dense pipelined
-        broadcasts + local SpMM) and the per-epoch grid transpose; the
+        Mirrors ``_grid_spmm`` (per stage: the pipelined sparse
+        broadcasts, the dense broadcasts or -- where
+        :func:`~repro.dist.grid.stage_gathers` says so on the model's
+        nonempty-column counts -- row gathers, and the local SpMM) and
+        the per-epoch grid transpose; the
         shared grid epoch (:func:`~repro.simulate.schedule.
         emit_grid_epoch`) the rest, phase for phase.
         """
@@ -377,6 +307,13 @@ class DistGCN2D(GridAlgorithm):
             if graph.symmetric
             else graph.cell_nnz(pr, stage_bounds, transpose=True)
         )
+        # ... and the dense stage rows each of those slices reads.
+        reads_at = graph.cell_nonzero_cols(pr, stage_bounds)
+        reads_a = (
+            reads_at
+            if graph.symmetric
+            else graph.cell_nonzero_cols(pr, stage_bounds, transpose=True)
+        )
         rows_of_rank = np.repeat(rows, pc)
 
         def fsplit_widths(f: int) -> np.ndarray:
@@ -392,16 +329,25 @@ class DistGCN2D(GridAlgorithm):
 
         def grid_spmm(f: int, backward: bool) -> None:
             cells = cells_a if backward else cells_at
+            reads = reads_a if backward else reads_at
             fw = fsplit_widths(f)
-            for st, (lo, hi, _ro, _co) in enumerate(stages):
+            for st, (lo, hi, ro, _co) in enumerate(stages):
                 b.broadcast(
                     Category.SCOMM, pc,
                     sparse_wire_bytes(cells[:, st], rows, b.wb),
                     pipelined=True,
                 )
-                b.broadcast(
-                    Category.DCOMM, pr, (hi - lo) * fw * b.wb, pipelined=True
-                )
+                if stage_gathers(reads[:, st], ro, hi - lo):
+                    # Receiver (i, j), i != ro: the rows S(i, t) reads,
+                    # in j's feature columns, from one source.
+                    recv = np.delete(reads[:, st], ro)[:, None]
+                    b.gather_rows(
+                        Category.DCOMM, (recv * fw * b.wb).reshape(-1),
+                        np.repeat(recv > 0, pc, axis=1).reshape(-1),
+                    )
+                else:
+                    b.broadcast(Category.DCOMM, pr, (hi - lo) * fw * b.wb,
+                                pipelined=True)
                 # Rank (i, j) multiplies row i's stage slice into j's
                 # feature columns.
                 b.spmm(cells[:, st, None], rows[:, None], fw)

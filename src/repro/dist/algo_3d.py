@@ -10,9 +10,11 @@ dense rows ``S_{i,k}`` of feature band ``j`` (Table V's ``n/s x n/s^2``
 sparse and ``n/s^2 x f/s`` dense local blocks).  One SpMM is then
 
 1. an independent SUMMA sweep inside every layer (sparse pieces broadcast
-   along process rows, dense pieces along process columns) producing
-   layer-local partial products ``A^T(R_i, L_k) H(L_k, j)`` over layer
-   ``k``'s rows ``L_k``;
+   along process rows, dense pieces sent down process columns -- per
+   stage and layer, the rows each receiver's piece reads gathered or the
+   whole block broadcast, as :func:`repro.dist.grid.stage_gathers`
+   decides, exactly as in 2D) producing layer-local partial products
+   ``A^T(R_i, L_k) H(L_k, j)`` over layer ``k``'s rows ``L_k``;
 2. a reduce-scatter along each fiber ``P(i, j, :)`` summing the ``s``
    layer partials and leaving rank ``(i, j, k)`` the shard ``S_{i,k}`` --
    the rows it holds of the input, so the output is already in the
@@ -38,8 +40,7 @@ from repro.comm.mesh import Mesh3D
 from repro.comm.runtime import VirtualRuntime
 from repro.comm.tracker import Category
 from repro.config import FP64_BYTES
-from repro.dist.base import RoutedBroadcast
-from repro.dist.grid import GridAlgorithm
+from repro.dist.grid import GridAlgorithm, SummaStage, stage_gathers
 from repro.nn.layers import check_widths
 from repro.nn.optim import Optimizer
 from repro.sparse.csr import CSRMatrix
@@ -48,7 +49,6 @@ from repro.sparse.distribute import (
     distribute_dense_3d,
     distribute_sparse_3d,
 )
-from repro.sparse.spmm import spmm
 
 __all__ = ["DistGCN3D"]
 
@@ -94,28 +94,27 @@ class DistGCN3D(GridAlgorithm):
             for r in range(rt.size)
             for i, _, k in [mesh.coords(r)]
         ]
-        self._row_groups_3d = {
-            (i, k): plan.group(mesh.row_group(i, k))
-            for i in range(s) for k in range(s)
-        }
-        self._col_groups_3d = {
-            (j, k): plan.group(mesh.col_group(j, k))
-            for j in range(s) for k in range(s)
-        }
-        self._fiber_groups_3d = {
-            (i, j): plan.group(mesh.fiber_group(i, j))
+        self._fiber_groups = [
+            plan.group(mesh.fiber_group(i, j))
             for i in range(s) for j in range(s)
-        }
-        # Per-stage broadcast routes (group, root), fixed at setup: stage
-        # t's sparse roots are (i, t, k), its dense roots (t, j, k).
-        self._stage_sparse_routes = [
-            [(self._row_groups_3d[i, k], mesh.rank_of(i, t, k))
-             for k in range(s) for i in range(s)]
-            for t in range(s)
         ]
-        self._stage_dense_routes = [
-            [(self._col_groups_3d[j, k], mesh.rank_of(t, j, k))
-             for k in range(s) for j in range(s)]
+        # The sparse operands' stage structure, per operand role (one
+        # and the same for symmetric inputs, as the blocks are).
+        self._split = {"a_t": self._split_stages(self.a_t_blocks)}
+        if not self.symmetric:
+            self._split["a"] = self._split_stages(self.a_blocks)
+
+    def _split_stages(self, sparse_blocks: Dict[int, CSRMatrix]
+                      ) -> List[SummaStage]:
+        """Stage ``t``'s layer ``k`` multiplies the blocks ``(i, t, k)``
+        by the whole dense blocks ``(t, j, k)``
+        (:meth:`GridAlgorithm._summa_stage`)."""
+        rank_of, s = self.mesh.rank_of, self.s
+        return [
+            self._summa_stage(
+                [{rank_of(i, t, k): sparse_blocks[rank_of(i, t, k)]
+                  for i in range(s)} for k in range(s)],
+                t, None, rank_of)
             for t in range(s)
         ]
 
@@ -174,82 +173,28 @@ class DistGCN3D(GridAlgorithm):
         """One Split-3D SpMM: per-layer SUMMA, then a fiber
         reduce-scatter whose shards are the input distribution.
 
-        Executed fast path (mirroring :class:`DistGCN2D`): per stage and
-        layer, the ``s`` dense feature-column blocks are joined once and
-        each in-layer process row runs a single full-width SpMM into a
-        per-(row, layer) accumulator; rank partials are column views of
-        it.  Broadcast payloads and the fiber reduce-scatter --
-        everything the ledger sees -- are exactly the per-rank ones, and
-        SpMM columns are independent so numerics are unchanged.  The
-        accumulators live in the workspace (they are consumed by the
-        reduce-scatter within this call, so one set per (i, k) serves
-        every layer and epoch).
+        The SUMMA stages run concurrently in every layer
+        (:meth:`GridAlgorithm._summa_sweep`), each in-layer process row
+        accumulating into a per-(row, layer) buffer whose column views
+        are the rank partials.  The accumulators live in the workspace
+        (they are consumed by the reduce-scatter within this call, so
+        one set per (i, k) serves every layer and epoch).
         """
-        mesh, s = self.mesh, self.s
+        s = self.s
         fcols = self._fsplit(f)
         rows_of = [hi - lo for lo, hi in self.row_ranges]
-        groups_info = self._local_group_info  # gi = k * s + i
-        accs: Dict[Tuple[int, int], Tuple[np.ndarray, int, int]] = {}
-        spans: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        for gi, group, members, (c_lo, c_hi) in groups_info:
-            i, k = gi % s, gi // s
+        accs = {}
+        for gi, group, members, (c_lo, c_hi) in self._local_group_info:
+            k, i = divmod(gi, s)
             o_lo, o_hi = self._span(fcols, c_lo, c_hi)
             wkey = (("gs3", i, k) if o_hi - o_lo == f
                     else ("gs3", i, k, c_lo, c_hi))
             acc = self._ws(wkey, (rows_of[i], o_hi - o_lo))
             acc.fill(0.0)
-            accs[i, k] = (acc, o_lo, o_hi)
-            spans[i, k] = (c_lo, c_hi)
+            accs[gi] = (acc, o_lo, o_hi)
         op_key = "a_t" if sparse_blocks is self.a_t_blocks else "a"
-        sub_rows = [
-            [hi - lo for lo, hi in subs] for subs in self.sub_ranges
-        ]
-
-        def dense_nbytes(root: int) -> int:
-            ri, rj, rk = mesh.coords(root)
-            b0, b1 = fcols[rj]
-            return sub_rows[ri][rk] * (b1 - b0) * self.WB
-
-        # 1. SUMMA stages, concurrently in every layer; the broadcasts
-        # run one stage ahead of the multiplies (see _broadcast_routed).
-        received = self._broadcast_routed(
-            (RoutedBroadcast(("bsch", op_key, t),
-                             self._stage_sparse_routes[t],
-                             sparse_blocks, Category.SCOMM,
-                             lambda root: sparse_blocks[root].nbytes_on_wire),
-             RoutedBroadcast(("bdch", f, t), self._stage_dense_routes[t],
-                             dense_blocks, Category.DCOMM, dense_nbytes))
-            for t in range(s)
-        )
-        for t in range(s):
-            sparse_got, dense_got = next(received)
-            # One dense join + SpMM per local (layer, column span).
-            span_joins: Dict[Tuple[int, int, int], np.ndarray] = {}
-            for gi, group, members, (c_lo, c_hi) in groups_info:
-                i, k = gi % s, gi // s
-                acc, o_lo, o_hi = accs[i, k]
-                d_span = span_joins.get((k, c_lo, c_hi))
-                if d_span is None:
-                    parts = dense_got[k * s + c_lo : k * s + c_hi]
-                    inner = parts[0].shape[0]
-                    d_span = self._join_span(
-                        parts, inner, o_hi - o_lo,
-                        self._pick_span_key(o_hi - o_lo == f,
-                                            ("gsd3", inner), c_lo, c_hi),
-                    )
-                    span_joins[(k, c_lo, c_hi)] = d_span
-                acc += spmm(sparse_got[gi], d_span)
-
-            def stage_charges(t=t):
-                for k in range(s):
-                    for i in range(s):
-                        sp = sparse_blocks[mesh.rank_of(i, t, k)]
-                        for j in range(s):
-                            c0, c1 = fcols[j]
-                            yield (mesh.rank_of(i, j, k), sp.nnz,
-                                   sp.nrows, c1 - c0)
-
-            self._charge_kernel("spmm", ("gsch", op_key, f, t), stage_charges)
+        # 1. SUMMA stages, concurrently in every layer.
+        self._summa_sweep(self._split[op_key], op_key, dense_blocks, f, accs)
         # 2. Fiber reduce-scatter: sum the s layer partials, shard rows.
         # Per fiber (i, j): fold the band ``[:, c0:c1]`` of the layer
         # partials in fiber (layer) order and take the row shards -- a
@@ -260,13 +205,12 @@ class DistGCN3D(GridAlgorithm):
         # this process has ranks in.  Shard k of fiber (i, j) is rows
         # S_{i,k} of band j: rank (i, j, k)'s input block, in place.
         partials: Dict[int, np.ndarray] = {}
-        for (i, k), (acc, o_lo, o_hi) in accs.items():
-            c_lo, c_hi = spans[i, k]
-            for j in range(c_lo, c_hi):
-                c0, c1 = fcols[j]
-                partials[mesh.rank_of(i, j, k)] = \
-                    acc[:, c0 - o_lo : c1 - o_lo]
-        fibers = list(self._fiber_groups_3d.values())  # (i, j) row-major
+        for gi, group, members, span in self._local_group_info:
+            acc, o_lo, o_hi = accs[gi]
+            for r in members:
+                c0, c1 = fcols[self._out_cols[r]]
+                partials[r] = acc[:, c0 - o_lo : c1 - o_lo]
+        fibers = self._fiber_groups  # (i, j) row-major
         return self._collective(
             "reduce_scatter", ("rsc3", f), Category.DCOMM, fibers, partials,
             lambda: [(fibers[i * s + j], rows_of[i] * (c1 - c0) * self.WB)
@@ -291,9 +235,12 @@ class DistGCN3D(GridAlgorithm):
     ):
         """Emit the Split-3D epoch's schedule without building ranks.
 
-        Mirrors ``_grid_spmm`` (per-layer SUMMA broadcasts, then the
-        fiber reduce-scatter that leaves every rank its input rows) and
-        the shared grid epoch, phase for phase.
+        Mirrors ``_grid_spmm`` (per-layer SUMMA stages -- sparse
+        broadcasts, then the layers' dense broadcasts and row gathers as
+        :func:`~repro.dist.grid.stage_gathers` picks them on the model's
+        nonempty-column counts -- then the fiber reduce-scatter that
+        leaves every rank its input rows) and the shared grid epoch,
+        phase for phase.
         """
         from repro.comm.mesh import cube_side
         from repro.comm.tracker import Category
@@ -336,6 +283,16 @@ class DistGCN3D(GridAlgorithm):
                 s, np.asarray(col_bounds), transpose=True
             ).reshape(s, s, s)
         )
+        # ... and the dense block rows each of those blocks reads.
+        reads_ijk = graph.cell_nonzero_cols(
+            s, np.asarray(col_bounds)).reshape(s, s, s)
+        reads_a = (
+            reads_ijk
+            if graph.symmetric
+            else graph.cell_nonzero_cols(
+                s, np.asarray(col_bounds), transpose=True
+            ).reshape(s, s, s)
+        )
         # Per-rank dense row counts, flattened over (i, j, k).
         rows_of_rank = np.broadcast_to(
             subrows[:, None, :], (s, s, s)
@@ -357,6 +314,7 @@ class DistGCN3D(GridAlgorithm):
 
         def grid_spmm(f: int, backward: bool) -> None:
             nz = cells_a if backward else nnz_ijk
+            reads = reads_a if backward else reads_ijk
             fw = fsplit_widths(f)
             for t in range(s):
                 # Sparse: row groups (i, k) get block (i, t, k).
@@ -367,12 +325,29 @@ class DistGCN3D(GridAlgorithm):
                     ).reshape(-1),
                     pipelined=True,
                 )
-                # Dense: column groups (j, k) get block (t, j, k).
-                b.broadcast(
-                    Category.DCOMM, s,
-                    (np.outer(fw, subrows[t]) * b.wb).reshape(-1),
-                    pipelined=True,
-                )
+                # Dense: column groups (j, k) get block (t, j, k), by
+                # broadcast or, layer by layer, by row gather.
+                gathers = [stage_gathers(reads[:, t, k], t, subrows[t, k])
+                           for k in range(s)]
+                bcast = [k for k in range(s) if not gathers[k]]
+                gather = [k for k in range(s) if gathers[k]]
+                if bcast:
+                    b.broadcast(
+                        Category.DCOMM, s,
+                        (np.outer(fw, subrows[t, bcast]) * b.wb).reshape(-1),
+                        pipelined=True,
+                    )
+                if gather:
+                    # Receiver (i, j, k), i != t: the rows (i, t, k)
+                    # reads, in j's feature columns, from one source.
+                    recv = np.delete(reads[:, t, gather], t, axis=0)
+                    b.gather_rows(
+                        Category.DCOMM,
+                        (recv[:, None, :] * fw[None, :, None]
+                         * b.wb).reshape(-1),
+                        np.repeat(recv[:, None, :] > 0, s,
+                                  axis=1).reshape(-1),
+                    )
                 # Local SpMM on every rank (i, j, k).
                 b.spmm(nz[:, None, t, :], rows[:, None, None],
                        fw[None, :, None])

@@ -66,7 +66,7 @@ from repro.sparse.perfmodel import SpmmPerfModel
 if TYPE_CHECKING:  # import would cycle: simulate -> dist -> simulate
     from repro.simulate.schedule import CommSchedule
 
-__all__ = ["RoutedBroadcast", "DistAlgorithm", "clone_optimizer",
+__all__ = ["RoutedStep", "DistAlgorithm", "clone_optimizer",
            "bucket_bounds", "bucket_nbytes"]
 
 #: (wall seconds per category, bytes per category per rank) at a mark
@@ -115,21 +115,27 @@ def _emit_epoch_event(stats, replayed: bool = False) -> None:
     _events.emit("epoch", **data)
 
 
-class RoutedBroadcast(NamedTuple):
-    """One set of concurrent broadcasts of a stage
-    (:meth:`DistAlgorithm._broadcast_routed`)."""
+class RoutedStep(NamedTuple):
+    """One step of concurrent routed transfers of a stage
+    (:meth:`DistAlgorithm._routed_stages`): broadcasts, or a gather of
+    selected dense rows."""
 
+    #: ``"broadcast"`` or ``"gather_rows"``
+    kind: str
     #: charge-cache key (the routes and payload shapes behind it are
     #: fixed at setup)
     key: Tuple
-    #: ``(group, root)`` per broadcast
-    routes: Sequence[Tuple[Sequence[int], int]]
-    #: ``{root: payload}`` for the roots this process holds
+    #: the routes :meth:`Collectives.post` takes for ``kind``:
+    #: ``(group, root)`` per broadcast, ``(src, dst, src_rows)`` per
+    #: gathered block of rows
+    routes: Sequence[tuple]
+    #: ``{source: payload}`` for the sources this process holds
     blocks: Mapping[int, Any]
     category: str
-    #: ``nbytes(root)``: a route's wire size, from structure alone (a
-    #: worker holds only its own roots' payloads)
-    nbytes: Callable[[int], int]
+    #: the charge items :meth:`Collectives.charges` prices for ``kind``,
+    #: from structure alone (a worker holds only its own sources'
+    #: payloads); called once, on the charge cache's miss
+    sizes: Callable[[], Sequence[tuple]]
     #: SUMMA's pipelined broadcast (no ``lg p`` latency factor)
     pipelined: bool = True
 
@@ -434,7 +440,7 @@ class DistAlgorithm:
         the kind); for the exact-accounting kinds the sanitizer audits
         that the bytes charged to local ranks are the bytes that
         arrived.  ``posted`` finishes a :meth:`Collectives.post` made
-        earlier instead of moving now (the staged broadcast): the
+        earlier instead of moving now (a staged routed step): the
         charge lands here, where the step is collected.
         """
         coll = self.rt.coll
@@ -460,26 +466,26 @@ class DistAlgorithm:
                 )
         return out
 
-    def _broadcast_routed(
-        self, stages: Iterable[Sequence[RoutedBroadcast]],
+    def _routed_stages(
+        self, stages: Iterable[Sequence[RoutedStep]],
     ) -> Iterator[List[list]]:
-        """The staged routed broadcast every stage loop runs over.
+        """The staged routed loop every stage loop runs over.
 
-        ``stages`` yields, per stage, the concurrent broadcasts that
-        stage needs (:class:`RoutedBroadcast`: ``(group, root)`` routes
-        and the operand dict the roots' payloads come from); this yields,
-        per stage, the received payload list of each of them (shared
-        read-only views, one per route; routes with no local member
-        yield ``None`` on the multiprocess backend).
+        ``stages`` yields, per stage, the routed steps that stage needs
+        (:class:`RoutedStep`: SUMMA's sparse and dense broadcasts, the
+        sparsity-aware stages' row gathers, 1.5D's broadcast rounds);
+        this yields, per stage, the received payload list of each of
+        them (shared read-only receipts, one per route; routes with no
+        local destination yield ``None`` on the multiprocess backend).
 
         Look-ahead is one stage: stage ``k + 1`` is drawn from ``stages``
-        and its broadcasts are put on the wire *before* stage ``k`` is
+        and its transfers are put on the wire *before* stage ``k`` is
         collected and handed to the caller's multiply, so on a backend
         whose payloads travel they do so under that multiply.  Two
         stages are in flight at most, which bounds the extra memory at
         one stage's pieces.  A stage's payloads must therefore not
         depend on an earlier stage's multiply -- every operand a stage
-        loop broadcasts is complete before the loop starts.
+        loop moves is complete before the loop starts.
 
         The (static) charges are replayed when a stage is *collected*
         (:meth:`_collective`), i.e. at the program point the unstaged
@@ -487,23 +493,24 @@ class DistAlgorithm:
         """
         coll = self.rt.coll
 
-        def collect(stage: Sequence[RoutedBroadcast],
+        def span(step: RoutedStep) -> str:
+            return "bcast" if step.kind == "broadcast" else step.kind
+
+        def collect(stage: Sequence[RoutedStep],
                     posted: list) -> List[list]:
             return [
                 self._collective(
-                    "broadcast", b.key, b.category, b.routes, b.blocks,
-                    lambda b=b: [(group, b.nbytes(root))
-                                 for group, root in b.routes],
-                    span="bcast", pipelined=b.pipelined, posted=handle,
+                    b.kind, b.key, b.category, b.routes, b.blocks, b.sizes,
+                    span=span(b), pipelined=b.pipelined, posted=handle,
                 )
                 for b, handle in zip(stage, posted)
             ]
 
-        ahead: Optional[Tuple[Sequence[RoutedBroadcast], list]] = None
+        ahead: Optional[Tuple[Sequence[RoutedStep], list]] = None
         for stage in stages:
             posted = [
-                self._obs_call("bcast", b.category, coll.post,
-                               "broadcast", b.routes, b.blocks)
+                self._obs_call(span(b), b.category, coll.post,
+                               b.kind, b.routes, b.blocks)
                 for b in stage
             ]
             if ahead is not None:

@@ -1,23 +1,87 @@
 """The 2D-layout family's shared epoch (2D SUMMA and Split-3D).
 
 :class:`GridAlgorithm` is the program both algorithms run on top of
-:class:`repro.dist.base.DistAlgorithm`; the ``algo_2d`` / ``algo_3d``
-modules supply only the distributed SpMM and the mesh's group
-enumeration.
+:class:`repro.dist.base.DistAlgorithm`, SUMMA's stage loop included
+(:meth:`GridAlgorithm._summa_sweep`, with the rule
+:func:`stage_gathers` that picks each stage's dense movement); the
+``algo_2d`` / ``algo_3d`` modules supply the layout -- the mesh's
+groups, each stage's sparse pieces, and the SpMM around the stage loop.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.comm.tracker import Category
-from repro.dist.base import DistAlgorithm
+from repro.dist.base import DistAlgorithm, RoutedStep
 from repro.nn.layers import (forward_gemm, funnel_reduces, sweep_order,
                              weight_gradient)
+from repro.sparse.csr import CSRMatrix
+from repro.sparse.spmm import spmm
 
-__all__ = ["GridAlgorithm"]
+__all__ = ["GridAlgorithm", "SummaStage", "stage_gathers"]
+
+
+def stage_gathers(reads: Sequence[float], root: int,
+                  stage_rows: float) -> bool:
+    """Does a SUMMA stage gather its dense rows instead of broadcasting?
+
+    At a stage, member ``i`` of a dense column group multiplies the
+    stage block by its sparse piece, which reads only ``reads[i]`` of
+    the block's ``stage_rows`` rows: its nonempty columns.  A gather
+    (the ``gather_rows`` kind) ships each member but the ``root`` just
+    those rows; the broadcast ships every member all of them.  Gather
+    exactly when that moves fewer rows than the root-to-each-member
+    broadcast, ``sum_{i != root} reads[i] < (g - 1) stage_rows``.
+
+    One structural rule, like :func:`repro.nn.layers.funnel_reduces`:
+    the executed 2D / Split-3D sweeps decide by it from their blocks,
+    and their ``emit_comm_schedule`` hooks from the
+    :class:`~repro.simulate.schedule.GraphModel`'s nonempty-column
+    counts (expected ones, on a uniform model).
+    """
+    others = sum(r for i, r in enumerate(reads) if i != root)
+    return others < (len(reads) - 1) * stage_rows
+
+
+class SummaStage(NamedTuple):
+    """One SUMMA stage's set-up structure for one sparse operand
+    (:meth:`GridAlgorithm._summa_stage`), over its layers: 2D has one,
+    Split-3D ``s``.  Member ``i`` of layer ``k`` is row group ``k g +
+    i`` (``g`` members a column group)."""
+
+    #: the member whose column ranks hold the dense blocks
+    root: int
+    #: the rows of the roots' dense blocks the stage covers (``None``:
+    #: all of them)
+    window: Optional[Tuple[int, int]]
+    #: per layer: :func:`stage_gathers`' verdict
+    gathers_in: Tuple[bool, ...]
+    #: per layer and member: the ascending stage-block rows its piece
+    #: reads (its nonempty columns)
+    rows: Tuple[Tuple[np.ndarray, ...], ...]
+    #: ``(row group, sparse root)`` per member, layer-major
+    sparse_routes: List[Tuple[Tuple[int, ...], int]]
+    #: ``{sparse root: the piece its row group multiplies}`` --
+    #: compacted onto its ``rows`` (:meth:`CSRMatrix.compact_columns`)
+    #: in a gathering layer, except at the root, which holds the block
+    sparse: Dict[int, CSRMatrix]
+    #: ``(column group, root)`` of the layers that broadcast, layer-major
+    bcast: List[Tuple[Tuple[int, ...], int]]
+    #: broadcasting layer -> the index of its first route
+    bcast_at: Dict[int, int]
+    #: ``(root, receiver, root-block rows)`` per gathered block of rows,
+    #: for the layers that gather
+    pairs: Tuple[Tuple[int, int, np.ndarray], ...]
+    #: receiver -> its pair's index
+    slot: Dict[int, int]
+
+    @property
+    def gathers(self) -> bool:
+        """Does any layer gather (one ``gather_rows`` step)?"""
+        return any(self.gathers_in)
 
 
 class GridAlgorithm(DistAlgorithm):
@@ -61,7 +125,9 @@ class GridAlgorithm(DistAlgorithm):
     once, at the end of the backward.  Subclasses provide:
 
     * ``_grid_spmm(sparse_blocks, dense_blocks, f)`` -- the charged
-      distributed SpMM sweep (SUMMA / Split-3D);
+      distributed SpMM sweep (SUMMA / Split-3D), around the shared
+      stage loop :meth:`_summa_sweep` over stages built once by
+      :meth:`_summa_stage`;
     * ``_row_groups()`` -- rank tuples sharing the same global rows,
       each ordered by feature-column index (so ``group[t]`` owns the
       ``t``-th feature-column block);
@@ -175,6 +241,156 @@ class GridAlgorithm(DistAlgorithm):
     def _span(self, fsplit, c_lo: int, c_hi: int) -> Tuple[int, int]:
         """Feature-column span covered by column indices [c_lo, c_hi)."""
         return fsplit[c_lo][0], fsplit[c_hi - 1][1]
+
+    # ------------------------------------------------------------------ #
+    # the SUMMA stage loop (2D, and every Split-3D layer)
+    # ------------------------------------------------------------------ #
+    def _summa_stage(self, layers: Sequence[Dict[int, CSRMatrix]],
+                     root: int, window: Optional[Tuple[int, int]],
+                     rank: Callable[[int, int, int], int]) -> SummaStage:
+        """One stage's structure, built once: the sparsity pattern is
+        fixed.  ``layers[k]`` maps member ``i``'s sparse root to the
+        piece it multiplies (members in order), ``rank(i, j, k)`` is
+        member ``i`` of process column ``j`` in layer ``k``, and the
+        dense blocks the stage reads are the ``window`` rows of the
+        ``root`` member's.  Per layer, where :func:`stage_gathers` says
+        so the root of column ``j`` sends receiver ``(i, j)`` the rows
+        its piece reads (every ``i != root`` whose piece reads any),
+        else it broadcasts the block down the column."""
+        plan, ncols = self._plan(), len(self._row_group_list[0])
+        verdicts, reads, routes, sparse = [], [], [], {}
+        bcast, bcast_at, pairs = [], {}, []
+        for k, pieces in enumerate(layers):
+            g = len(pieces)
+            a, b = window or (0, self._rows_of(rank(root, 0, k)))
+            rows = tuple(np.flatnonzero(np.bincount(p.indices,
+                                                    minlength=p.ncols))
+                         for p in pieces.values())
+            gathers = stage_gathers([r.size for r in rows], root, b - a)
+            verdicts.append(gathers)
+            reads.append(rows)
+            for i, (src, piece) in enumerate(pieces.items()):
+                routes.append((self._row_group_list[k * g + i], src))
+                sparse[src] = (piece.compact_columns(rows[i])
+                               if gathers and i != root else piece)
+            if gathers:
+                pairs.extend((rank(root, j, k), rank(i, j, k), r + a)
+                             for j in range(ncols)
+                             for i, r in enumerate(rows)
+                             if i != root and r.size)
+            else:
+                bcast_at[k] = len(bcast)
+                bcast.extend(
+                    (plan.group([rank(i, j, k) for i in range(g)]),
+                     rank(root, j, k))
+                    for j in range(ncols))
+        return SummaStage(root, window, tuple(verdicts), tuple(reads),
+                          routes, sparse, bcast, bcast_at, tuple(pairs),
+                          {dst: n for n, (_, dst, _) in enumerate(pairs)})
+
+    def _summa_sweep(self, stages: Sequence[SummaStage], op_key: str,
+                     dense_blocks, f: int, accs) -> None:
+        """The stage loop of one SpMM sweep: ``accs[gi] += S D`` per
+        stage for every local row group ``gi`` (``accs[gi] = (acc, o_lo,
+        o_hi)``, its feature-column span).
+
+        Per stage, the sparse roots broadcast their pieces along the
+        process rows, then the dense stage rows go down the process
+        columns: broadcast, or -- layer by layer, where
+        :func:`stage_gathers` says so -- gathered, receiver ``(i, j)``
+        getting only the rows its piece reads and multiplying them by
+        the column-compacted piece its row broadcast carries (same
+        ``nnz`` and rows, hence the same ``scomm``; each output row sums
+        in the same order, hence the same bits).  A piece that reads no
+        row multiplies nothing.  The steps run one stage ahead of the
+        multiplies (:meth:`_routed_stages`).  Per stage the dense
+        feature-column pieces are joined once per local column *span*
+        and each local row group runs one SpMM against them; SpMM
+        columns are independent, so per-rank numerics are identical to
+        the per-rank products.
+        """
+        fcols = self._fsplit(f)
+        wb = self.WB
+
+        def width(rank: int) -> int:
+            b0, b1 = fcols[self._out_col(rank)]
+            return b1 - b0
+
+        def steps():
+            # The size callables run a stage later, so they bind it.
+            for t, st in enumerate(stages):
+                out = [RoutedStep(
+                    "broadcast", ("bsch", op_key, t), st.sparse_routes,
+                    st.sparse, Category.SCOMM,
+                    lambda st=st: [(group, st.sparse[root].nbytes_on_wire)
+                                   for group, root in st.sparse_routes])]
+                if st.bcast:
+                    if st.window is None:
+                        blocks, rows = dense_blocks, self._rows_of
+                    else:
+                        a, b = st.window
+                        blocks = {root: dense_blocks[root][a:b]
+                                  for _, root in st.bcast
+                                  if root in dense_blocks}
+                        rows = lambda root, n=b - a: n
+                    out.append(RoutedStep(
+                        "broadcast", ("bdch", op_key, f, t), st.bcast, blocks,
+                        Category.DCOMM,
+                        lambda st=st, rows=rows: [
+                            (group, rows(root) * width(root) * wb)
+                            for group, root in st.bcast]))
+                if st.gathers:
+                    out.append(RoutedStep(
+                        "gather_rows", ("gdch", op_key, f, t), st.pairs,
+                        dense_blocks, Category.DCOMM,
+                        lambda st=st: [(dst, rows.size * width(dst) * wb, 1)
+                                       for _, dst, rows in st.pairs]))
+                yield out
+
+        received = self._routed_stages(steps())
+        for t, st in enumerate(stages):
+            sparse_got, *dense_got = next(received)
+            bcast_got = dense_got[0] if st.bcast else ()
+            gather_got = dense_got[-1] if st.gathers else ()
+            g = len(st.rows[0])
+            joins: Dict[Tuple[int, int, int], np.ndarray] = {}
+            for gi, group, members, (c_lo, c_hi) in self._local_group_info:
+                acc, o_lo, o_hi = accs[gi]
+                k, i = divmod(gi, g)
+                gathers = st.gathers_in[k]
+                if gathers and i != st.root:
+                    nrows = st.rows[k][i].size
+                    if not nrows:
+                        continue
+                    d_span = self._join_span(
+                        [gather_got[st.slot[r]] for r in members], nrows,
+                        o_hi - o_lo, ("gsr", c_lo, c_hi))
+                else:
+                    d_span = joins.get((k, c_lo, c_hi))
+                    if d_span is None:
+                        if not gathers:
+                            at = st.bcast_at[k]
+                            parts = bcast_got[at + c_lo : at + c_hi]
+                        elif st.window is None:
+                            parts = [dense_blocks[r] for r in members]
+                        else:
+                            parts = [dense_blocks[r][slice(*st.window)]
+                                     for r in members]
+                        inner = parts[0].shape[0]
+                        d_span = self._join_span(
+                            parts, inner, o_hi - o_lo,
+                            self._pick_span_key(o_hi - o_lo == f,
+                                                ("gsd", inner), c_lo, c_hi))
+                        joins[(k, c_lo, c_hi)] = d_span
+                acc += spmm(sparse_got[gi], d_span)
+
+            def charges(st=st):
+                for group, root in st.sparse_routes:
+                    piece = st.sparse[root]
+                    for r in group:
+                        yield r, piece.nnz, piece.nrows, width(r)
+
+            self._charge_kernel("spmm", ("gsch", op_key, f, t), charges)
 
     #: layer 1's ``T^0``, gathered once at set-up (:meth:`_keep_t0`)
     _t0_stages: Sequence = ()

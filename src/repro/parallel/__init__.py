@@ -44,19 +44,20 @@ only place a worker waits for a peer.  ``exchange`` is
 ``collect(post(...))``.  One ticket is one message (and, on shm, one
 acknowledgement) per peer however many payloads it carries, and a
 payload object shared by several lists is encoded once.  The routed
-collectives -- ghost-row fetch, SUMMA stage broadcasts -- walk their
-global transfer list once, bucket every cross-worker transfer by peer
-worker and meet **once per call**, not once per ``(src rank, dst
-rank)`` pair.  The tag sequence of a ``gkey``
-advances on every post of the SPMD sequence, also on a worker with no
+collectives -- ghost-row fetch, SUMMA stage broadcasts and row gathers
+-- walk their global transfer list once, bucket every cross-worker
+transfer by peer worker and meet **once per call**, not once per
+``(src rank, dst rank)`` pair.  The tag sequence of a ``gkey`` advances
+on every post of the SPMD sequence, also on a worker with no
 traffic in it (its ticket is empty and free), so workers that sit a
 call out stay aligned with the ones that do not (W >= 3).
 
 Tickets and overlap.  Several tickets may be outstanding, each
 collected once and in the same order on every worker.  The stage loops
 of the 1.5D / 2D / 3D algorithms use that with a fixed look-ahead of
-one: stage ``k + 1``'s broadcasts are posted before stage ``k`` is
-collected and multiplied (``DistAlgorithm._broadcast_routed``), so they
+one: stage ``k + 1``'s broadcasts and gathers are posted before stage
+``k`` is collected and multiplied (``DistAlgorithm._routed_stages``), so
+they
 travel under the multiply.  A ticket owns what its post borrowed; on
 shm the arena pointer is rewound only when the last outstanding ticket
 is collected, and posts made meanwhile spill to ephemeral segments once
@@ -105,7 +106,7 @@ Layer responsibilities:
   reduce-scatter only the shards each peer keeps; the inherited
   reductions fold them in group-rank order, a fixed tree, so results
   match the virtual runtime bit for bit on either transport), the
-  ``_routed_post`` / ``_routed_collect`` pair all three routed kinds
+  ``_routed_post`` / ``_routed_collect`` pair both routed kinds
   share, and ``_members``.  Cost rules, argument checks, receipt labels
   and sanitizer hooks are inherited, not mirrored;
 * ``runtime.py``    -- :class:`WorkerRuntime` (the rank-local

@@ -292,6 +292,39 @@ class GraphModel:
         counts = np.bincount(flat, minlength=row_parts * ncells)
         return counts.reshape(row_parts, ncells).astype(np.float64)
 
+    def cell_nonzero_cols(
+        self,
+        row_parts: int,
+        col_bounds: np.ndarray,
+        transpose: bool = False,
+    ) -> np.ndarray:
+        """Columns with at least one nonzero, per (row block, column
+        range) cell -- the dense rows a SUMMA stage's sparse piece reads
+        (:func:`repro.dist.grid.stage_gathers`).
+
+        Same cells and shape as :meth:`cell_nnz`.  The uniform backend
+        uses the expected occupancy of a cell ``w`` columns wide holding
+        ``z`` nonzeros, ``w (1 - e^{-z / w})``.
+        """
+        col_bounds = np.asarray(col_bounds, dtype=np.int64)
+        ncells = len(col_bounds) - 1
+        if not self.exact:
+            widths = np.diff(col_bounds).astype(np.float64)
+            nnz = self.cell_nnz(row_parts, col_bounds)
+            safe = np.where(widths > 0, widths, 1.0)
+            return widths * (1.0 - np.exp(-nnz / safe))
+        csr = self._matrix(transpose)
+        row_of = np.searchsorted(
+            boundaries(self.n, row_parts), np.arange(self.n), side="right"
+        ) - 1
+        blocks = np.repeat(row_of, np.diff(csr.indptr))
+        unique = np.unique(blocks * self.n + csr.indices)
+        cells = np.searchsorted(col_bounds, unique % self.n,
+                                side="right") - 1
+        counts = np.bincount((unique // self.n) * ncells + cells,
+                             minlength=row_parts * ncells)
+        return counts.reshape(row_parts, ncells).astype(np.float64)
+
     def row_block_nnz(self, parts: int, transpose: bool = False,
                       bounds=None) -> np.ndarray:
         """Nonzeros per block row (``block_ranges(n, parts)`` or the

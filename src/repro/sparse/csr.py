@@ -374,6 +374,18 @@ class CSRMatrix:
             indptr = _indptr_from_ids(rows.row_ids()[keep], rows.nrows)
         return CSRMatrix(indptr, indices, data, (r1 - r0, c1 - c0), validate=False)
 
+    def compact_columns(self, cols: np.ndarray) -> "CSRMatrix":
+        """The block over the ascending columns ``cols`` only (every
+        referenced column among them), renumbered ``0 .. len(cols)``.
+
+        The remap is monotone, so every row keeps its nonzero order: a
+        product with the rows ``cols`` of a dense operand is bitwise the
+        full block's product with all of it.  ``nnz`` and ``nrows`` --
+        hence :attr:`nbytes_on_wire` -- are the block's own.
+        """
+        return CSRMatrix(self.indptr, np.searchsorted(cols, self.indices),
+                         self.data, (self.nrows, len(cols)), validate=False)
+
     def scale_rows(self, scale: np.ndarray) -> "CSRMatrix":
         """Return ``diag(scale) @ self`` (row scaling)."""
         scale = np.asarray(scale, dtype=np.float64)

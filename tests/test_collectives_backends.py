@@ -351,6 +351,8 @@ def fit_on(rt, ds, name, kw, epochs=2):
     return [e.loss for e in hist.epochs]
 
 
+#: the 2D case runs on a rectangular grid
+GRIDS = {"2d": (2, 3)}
 CASES = [
     ("1d", 4, lambda ds: {}),
     ("1d", 4, lambda ds: {
@@ -358,9 +360,14 @@ CASES = [
         "distribution": make_distribution("multilevel", ds.adjacency, 4,
                                           seed=0)}),
     ("1.5d", 4, lambda ds: {"replication": 2}),
+    ("2d", 6, lambda ds: {}),
     ("3d", 8, lambda ds: {}),
 ]
-CASE_IDS = ["1d", "1d-ghost", "1.5d", "3d"]
+CASE_IDS = ["1d", "1d-ghost", "1.5d", "2d", "3d"]
+
+
+def mesh_of(name, p):
+    return make_runtime_for(name, p, grid=GRIDS.get(name)).mesh
 
 
 @pytest.mark.parametrize("name,p,make_kw", CASES, ids=CASE_IDS)
@@ -369,7 +376,7 @@ def test_one_worker_owning_every_rank_checks_what_virtual_checks(
     """Same program, same receipt labels, same step helper: the counters
     match exactly (at the parent the worker registered nothing)."""
     counts = []
-    mesh = make_runtime_for(name, p).mesh
+    mesh = mesh_of(name, p)
     for backend in ("virtual", "worker"):
         san = sanitize.enable()
         try:
@@ -392,7 +399,7 @@ def test_one_worker_owning_every_rank_checks_what_virtual_checks(
 @pytest.mark.parametrize("name,p,make_kw", CASES, ids=CASE_IDS)
 def test_every_worker_rehashes_receipts_and_audits_exchanges(
         fabric, ds, per_thread_sanitizer, name, p, make_kw):
-    mesh = make_runtime_for(name, p).mesh
+    mesh = mesh_of(name, p)
     kw = make_kw(ds)
     res = spmd(fabric, "shm", 2, mesh,
                lambda rt: (fit_on(rt, ds, name, kw),
@@ -404,8 +411,30 @@ def test_every_worker_rehashes_receipts_and_audits_exchanges(
         assert ledger_digest(rt.tracker) == ledger_digest(virtual.tracker)
         assert stats["cow_registered"] > 0
         assert stats["cow_verified"] > 0
-        if kw.get("variant") == "ghost":
-            # the exact-accounting kind: the ghost-row fetch
+        if kw.get("variant") == "ghost" or name in ("2d", "3d"):
+            # the exact-accounting kind: the ghost-row fetch, and the
+            # SUMMA stages' dense row gathers (every stage of this graph
+            # gathers)
             assert stats["exchanges_checked"] > 0
         else:
             assert stats["exchanges_checked"] == 0
+
+
+@pytest.mark.parametrize("transport,workers", BACKENDS)
+@pytest.mark.parametrize("name,p", [("2d", 6), ("3d", 8)])
+def test_gathering_summa_stages_agree_with_the_virtual_runtime(
+        fabric, ds, per_thread_sanitizer, name, p, transport, workers):
+    """The sparsity-aware SUMMA stages on 2 and 3 workers over shm and
+    tcp: the virtual run's losses and ledger on every worker, and the
+    rows each worker receives are the bytes its ranks are charged
+    (the sanitizer's exact audit of every gather)."""
+    mesh = mesh_of(name, p)
+    res = spmd(fabric, transport, workers, mesh,
+               lambda rt: (fit_on(rt, ds, name, {}),
+                           dict(per_thread_sanitizer.mine().stats)))
+    virtual = VirtualRuntime(mesh)
+    v_losses = fit_on(virtual, ds, name, {})
+    for rt, (losses, stats) in res.values():
+        assert losses == v_losses
+        assert ledger_digest(rt.tracker) == ledger_digest(virtual.tracker)
+        assert stats["exchanges_checked"] > 0

@@ -394,8 +394,8 @@ class TestLookAheadOfOne:
                 "post", "post", "collect", "collect"]
             for log in logs:
                 posts = [tag for what, tag in log if what == "post"]
-                # L - 1 = 2 sweeps each way x 2 SUMMA stage broadcasts
-                # that cross workers + the gradient bucket's one
+                # L - 1 = 2 sweeps each way x 2 SUMMA stages whose dense
+                # rows cross workers + the gradient bucket's one
                 # reduction, per worker per epoch (12 while the loss and
                 # each weight gradient reduced apart)
                 assert len(posts) == 9
@@ -406,23 +406,25 @@ class TestLookAheadOfOne:
                 # funnels stay inside a worker, and the sequence of
                 # exchanges is the one before the rule: two forward
                 # sweeps, two backward sweeps, then the one all-reduce
-                # of the loss pair and every weight gradient.
-                assert [tag[0][0] for tag in posts] == ["rb"] * 8 + ["cg"]
-                open_rb, sweeps, high = [], [], 0
+                # of the loss pair and every weight gradient.  Every
+                # stage of this graph gathers the rows its sparse pieces
+                # read ("gr"; "rb" while stages broadcast the block).
+                assert [tag[0][0] for tag in posts] == ["gr"] * 8 + ["cg"]
+                open_stages, sweeps, high = [], [], 0
                 for what, tag in log:
-                    if tag[0] != ("rb",):
-                        # reductions meet with no broadcast in flight
-                        assert not open_rb
+                    if tag[0] != ("gr",):
+                        # reductions meet with no stage exchange in flight
+                        assert not open_stages
                         continue
                     if what == "post":
-                        if not open_rb:
+                        if not open_stages:
                             sweeps.append([])
-                        open_rb.append(tag)
-                        high = max(high, len(open_rb))
+                        open_stages.append(tag)
+                        high = max(high, len(open_stages))
                     else:
-                        assert tag == open_rb.pop(0)   # in post order
+                        assert tag == open_stages.pop(0)   # in post order
                     sweeps[-1].append((what, tag))
-                assert not open_rb
+                assert not open_stages
                 assert high == 2
                 # Every sweep is two stages: both posted, then both
                 # collected -- stage 1 is on the wire before stage 0 is

@@ -22,8 +22,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.comm.cost_model import gather_rows_cost
 from repro.comm.runtime import VirtualRuntime
 from repro.comm.tracker import Category
+from repro.config import SUMMIT
 from repro.dist import (
     ALGORITHMS,
     Distribution,
@@ -362,6 +364,21 @@ class TestGatherRowsPrimitive:
                 [(0, 0, np.array([0]))], {0: np.zeros((1, 1))},
                 row_nbytes=8,
             )
+
+    def test_pair_that_names_no_row_rejected(self):
+        """Like a self-send: a receiver that reads no row is left out of
+        the pair list, so it is charged no message.  The rule agrees --
+        zero bytes is free, whatever the source count says."""
+        rt = VirtualRuntime.make_1d(2)
+        with pytest.raises(ValueError, match="names no row"):
+            rt.coll.gather_rows(
+                [(0, 1, np.array([], dtype=np.int64))],
+                {0: np.zeros((1, 1))}, row_nbytes=8,
+            )
+        for sources in (0, 1, 3):
+            cost = gather_rows_cost(SUMMIT, 0, sources, span=4)
+            assert (cost.seconds, cost.bytes_critical, cost.messages) == \
+                (0.0, 0, 0)
 
     def test_ghost_structure_matches_edgecut(self, ds):
         d = Distribution.build("multilevel", ds.adjacency, 4, seed=1)

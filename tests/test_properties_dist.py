@@ -9,8 +9,8 @@ ledger of the set-up and of each epoch equals the emitted schedule's --
 and, for Split-3D, every sweep leaves its output in its input's layout.
 
 The placement half holds the process backend to the virtual runtime:
-a 2D / 3D run on 3 or 4 shm or tcp workers has its virtual run's losses
-and ``predict()`` output, bit for bit.
+a 2D / 3D run on 2, 3 or 4 shm or tcp workers has its virtual run's
+losses and ``predict()`` output, bit for bit.
 
 Two hypothesis profiles (``tests/conftest.py``): tier-1 runs ``tier1``
 (few derandomised examples); ``pytest --hypothesis-profile long`` draws
@@ -38,12 +38,14 @@ from repro.dist import (
     make_runtime_for,
 )
 from repro.dist.base import bucket_nbytes
+from repro.dist.grid import stage_gathers
 from repro.graph import make_synthetic
 from repro.nn import GCN, SGD, SerialTrainer
 from repro.nn.layers import sweep_widths
 from repro.simulate.schedule import (CollectivePhase, ElementwisePhase,
-                                     GemmPhase, GraphModel, SpmmPhase,
-                                     TransposePhase, evaluate_schedule)
+                                     GatherRowsPhase, GemmPhase, GraphModel,
+                                     SpmmPhase, TransposePhase,
+                                     evaluate_schedule)
 from repro.sparse.csr import CSRMatrix
 from test_simulate import assert_sections_exact
 
@@ -170,6 +172,48 @@ SHAPE_CONFIGS = [
 ]
 #: the grid families among them
 GRID_CONFIGS = [c for c in SHAPE_CONFIGS if c.values[0] in ("2d", "3d")]
+#: the SUMMA sweeps' shapes: square, rectangular and blocked 2D grids,
+#: both cubes of Split-3D
+STAGE_CONFIGS = [
+    pytest.param("2d", 4, {}, id="2d-square"),
+    pytest.param("2d", 8, {"grid": (2, 4)}, id="2d-2x4"),
+    pytest.param("2d", 4, {"summa_block": 5}, id="2d-block5"),
+    pytest.param("3d", 8, {}, id="3d-8"),
+    pytest.param("3d", 27, {}, id="3d-27"),
+]
+
+
+def stage_groups(algo):
+    """Every SUMMA stage's dense column groups, from the mesh alone:
+    ``(the stage's inner rows, its root member, rank(i, j) of member i
+    in process column j)``.  Member ``i`` multiplies the stage by its
+    sparse block's rows ``row_ranges[i]``."""
+    mesh = algo.mesh
+    if isinstance(algo, DistGCN2D):
+        return [((lo, hi), ro, mesh.rank_of) for lo, hi, ro, _ in algo.stages]
+    return [(algo.sub_ranges[t][k], t,
+             lambda i, j, k=k: mesh.rank_of(i, j, k))
+            for t in range(algo.s) for k in range(algo.s)]
+
+
+def expected_gathers(algo, operand):
+    """``(src, dst, global rows)`` of every gathered block of rows a
+    sweep over ``operand`` must move, worked out from the dense matrix:
+    member ``i``'s rows are the nonempty columns of ``operand[row block
+    i, stage]``, and a stage gathers where :func:`stage_gathers` says so
+    on their counts."""
+    dense = operand.to_dense() != 0
+    out = []
+    for (lo, hi), root, rank in stage_groups(algo):
+        reads = [lo + np.flatnonzero(dense[r0:r1, lo:hi].any(axis=0))
+                 for r0, r1 in algo.row_ranges]
+        if not stage_gathers([r.size for r in reads], root, hi - lo):
+            continue
+        for j in range(len(algo._fsplit(1))):  # the process columns
+            out.extend((rank(root, j), rank(i, j), tuple(rows.tolist()))
+                       for i, rows in enumerate(reads)
+                       if i != root and rows.size)
+    return sorted(out)
 
 
 @st.composite
@@ -268,6 +312,103 @@ class TestGeneratedShapes:
         # (i) the paper's correctness claim, to reassociation
         assert algo.verify_against_serial(features, labels, epochs=2) <= 1e-12
 
+    @pytest.mark.parametrize("name,p,kw", STAGE_CONFIGS)
+    @given(data=st.data())
+    def test_summa_stages_gather_exactly_the_rows_they_read(self, name, p,
+                                                            kw, data):
+        """Each receiver of a gathering stage gets, from its column's
+        root, exactly the rows at the nonempty columns of its sparse
+        block -- checked on the data plane, by value, for both sweeps
+        of a directed or undirected operand (the backward sweep reads
+        ``A``'s row sets) -- and no other stage moves dense rows by
+        gather.  The ledger equals the emitted schedule (bytes,
+        messages, steps, seconds) and training the serial reference.
+
+        Mutation check (run once, in a scratch copy): with the pair
+        builder (``GridAlgorithm._summa_stage``) leaving the last row out
+        of each receiver's set, this property fails on all five shapes
+        -- the ledger leaves the schedule, and with that check cut the
+        sweep itself fails joining the short rows -- and so does the
+        next one on its four non-diagonal shapes."""
+        a_t, features, labels, widths, seed = data.draw(
+            shaped_problems(True))
+        algo, emit_kw = build_shaped(name, p, kw, a_t, widths, seed)
+        schedule = ALGORITHMS[name].emit_comm_schedule(
+            GraphModel.from_csr(a_t), widths, p, **emit_kw)
+        assert_sections_exact(
+            algo, features, labels, schedule, algo.rt.profile)
+        # A 12-wide operand whose every entry is its global row + 1.
+        n = a_t.nrows
+        x = np.repeat(np.arange(1.0, n + 1.0)[:, None], 12, axis=1)
+        coll = algo.rt.coll
+        post, collect = coll.post, coll.collect
+        posted, moved = {}, []
+
+        def recording_post(kind, routes, payloads):
+            handle = post(kind, routes, payloads)
+            posted[id(handle)] = (kind, routes)
+            return handle
+
+        def recording_collect(handle):
+            kind, routes = posted.pop(id(handle))
+            got = collect(handle)
+            if kind == "gather_rows":
+                moved.extend(zip(routes, got))
+            return got
+
+        coll.post, coll.collect = recording_post, recording_collect
+        try:
+            for operand, matrix in ((algo.a_t_blocks, algo.a_t),
+                                    (algo.a_blocks, algo.a)):
+                moved.clear()
+                algo._grid_spmm(operand, algo._setup_data(x), 12)
+                received = []
+                for (src, dst, _), rows in moved:
+                    ids = rows[:, 0].astype(np.int64) - 1
+                    assert (rows == ids[:, None] + 1.0).all()
+                    received.append((src, dst, tuple(ids.tolist())))
+                assert sorted(received) == expected_gathers(algo, matrix)
+        finally:
+            coll.post, coll.collect = post, collect
+        assert algo.verify_against_serial(features, labels, epochs=2) <= 1e-12
+
+    @pytest.mark.parametrize("name,p,n", [("2d", 16, 3), ("2d", 4, 12),
+                                          ("3d", 27, 5), ("3d", 8, 12)])
+    @pytest.mark.parametrize("diagonal", [True, False],
+                             ids=["diagonal", "rmat"])
+    def test_receivers_that_read_no_row_get_no_pair(self, name, p, n,
+                                                    diagonal):
+        """``P > n`` leaves ranks with no rows, and a diagonal operand
+        leaves every block off the diagonal empty: a stage whose pieces
+        read no row outside the root gathers nothing, and no pair names
+        an empty row set -- on both operands, with the ledger still the
+        schedule and training still the serial reference."""
+        if diagonal:
+            a_t = CSRMatrix.eye(n)
+        else:
+            a_t = make_synthetic(n=n, avg_degree=3, f=2, n_classes=2,
+                                 seed=n).adjacency
+        rng = np.random.default_rng(n)
+        widths = (4, 3, 2)
+        features = rng.standard_normal((n, widths[0]))
+        labels = rng.integers(0, widths[-1], n)
+        algo, emit_kw = build_shaped(name, p, {}, a_t, widths, 0)
+        stages = getattr(algo, "_summa", None) or algo._split
+        for key, matrix in (("a_t", algo.a_t), ("a", algo.a)):
+            pairs = [(src, dst, tuple((rows + algo._rank_rows(src)[0])
+                                      .tolist()))
+                     for st in stages.get(key, stages["a_t"])
+                     for src, dst, rows in st.pairs]
+            assert all(rows for _, _, rows in pairs)
+            assert sorted(pairs) == expected_gathers(algo, matrix)
+            if diagonal:
+                assert pairs == []
+        schedule = ALGORITHMS[name].emit_comm_schedule(
+            GraphModel.from_csr(a_t), widths, p, **emit_kw)
+        assert_sections_exact(
+            algo, features, labels, schedule, algo.rt.profile)
+        assert algo.verify_against_serial(features, labels, epochs=2) <= 1e-12
+
     @pytest.mark.parametrize("p,n", [(8, 5), (8, 30), (27, 20), (27, 61)])
     @given(data=st.data())
     def test_3d_sweeps_leave_their_input_layout(self, p, n, data):
@@ -292,11 +433,14 @@ class TestGeneratedShapes:
         algo, _ = build_shaped("3d", p, {}, a_t, widths, seed)
         schedule = DistGCN3D.emit_comm_schedule(
             GraphModel.from_csr(a_t), widths, p)
-        # no point-to-point phase: group collectives, the directed
-        # operand's transpose charge and local kernels only
+        # no point-to-point phase after a multiply: the only one is a
+        # SUMMA stage's row gather, right before the stage's SpMM
         assert {type(ph) for ph in schedule.phases} <= {
-            CollectivePhase, TransposePhase, SpmmPhase, GemmPhase,
-            ElementwisePhase}
+            CollectivePhase, GatherRowsPhase, TransposePhase, SpmmPhase,
+            GemmPhase, ElementwisePhase}
+        for ph, after in zip(schedule.phases, schedule.phases[1:]):
+            if isinstance(ph, GatherRowsPhase):
+                assert isinstance(after, SpmmPhase)
         assert_sections_exact(
             algo, features, labels, schedule, algo.rt.profile)
         f = widths[0]
@@ -429,12 +573,14 @@ def test_equal_widths_keep_the_parents_bits(name, p, kw, directed_ok):
 # ---------------------------------------------------------------------- #
 # placement-independent bits: a process run is its virtual run
 # ---------------------------------------------------------------------- #
-#: 2D P = 4, 2D P = 16 and 3D P = 8 at hidden 6 / 4 / 8, on 3 or 4
-#: workers: 36 process runs with the two transports.  Before every SpMM
-#: ran the compiled kernel, 24 of them differed from their virtual run
-#: (a narrower column span on a worker, or a freshly received piece, took
-#: the numpy kernel); measured since: 0.
-PLACEMENT_CONFIGS = [("2d", 4), ("2d", 16), ("3d", 8)]
+#: 2D P = 4, 2D P = 16, 2D on a 2 x 3 grid and 3D P = 8 at hidden 6 / 4
+#: / 8, on 2, 3 or 4 workers: 72 process runs with the two transports.
+#: Before every SpMM ran the compiled kernel, 24 of the 36 runs then
+#: drawn differed from their virtual run (a narrower column span on a
+#: worker, or a freshly received piece, took the numpy kernel); measured
+#: since: 0.  Every SUMMA stage of this graph gathers its dense rows.
+PLACEMENT_CONFIGS = [("2d", 4, None), ("2d", 16, None), ("2d", 6, (2, 3)),
+                     ("3d", 8, None)]
 
 
 @functools.lru_cache(maxsize=1)
@@ -442,10 +588,11 @@ def placement_dataset():
     return make_synthetic(n=97, avg_degree=5, seed=7)
 
 
-def placement_run(name, p, hidden, **backend):
+def placement_run(name, p, grid, hidden, **backend):
     """4-epoch losses (``float.hex``) and the ``predict()`` sha1."""
     ds = placement_dataset()
-    algo = make_algorithm(name, p, ds, hidden=hidden, seed=0, **backend)
+    algo = make_algorithm(name, p, ds, hidden=hidden, seed=0, grid=grid,
+                          **backend)
     try:
         hist = algo.fit(ds.features, ds.labels, epochs=4)
         return ([float(x).hex() for x in hist.losses],
@@ -460,12 +607,16 @@ virtual_placement_run = functools.lru_cache(maxsize=None)(placement_run)
 
 @pytest.mark.parametrize("transport", ["shm", "tcp"])
 @given(config=st.sampled_from(PLACEMENT_CONFIGS),
-       hidden=st.sampled_from([6, 4, 8]), workers=st.sampled_from([3, 4]))
-@example(config=("2d", 4), hidden=6, workers=4)
-@example(config=("3d", 8), hidden=8, workers=3)
+       hidden=st.sampled_from([6, 4, 8]),
+       workers=st.sampled_from([2, 3, 4]))
+@example(config=("2d", 4, None), hidden=6, workers=4)
+@example(config=("2d", 6, (2, 3)), hidden=8, workers=2)
+@example(config=("2d", 6, (2, 3)), hidden=4, workers=3)
+@example(config=("3d", 8, None), hidden=8, workers=3)
+@example(config=("3d", 8, None), hidden=6, workers=2)
 def test_process_runs_keep_the_virtual_runs_bits(transport, config, hidden,
                                                  workers):
-    name, p = config
-    assert placement_run(name, p, hidden, backend="process",
+    name, p, grid = config
+    assert placement_run(name, p, grid, hidden, backend="process",
                          workers=workers, transport=transport) == \
-        virtual_placement_run(name, p, hidden)
+        virtual_placement_run(name, p, grid, hidden)
