@@ -12,8 +12,9 @@ dense rows a sparsity-aware SUMMA stage reads).  Each of those
    ``T_comm`` formulas bound.  Every rank participating in a collective
    is charged the collective's critical-path bytes and modeled seconds;
    this matches the paper's convention of quoting *per-process*
-   communication cost.  The row-gather rule is receive-side exact: the
-   bytes on the ledger are the bytes that arrive.
+   communication cost.  The row-gather rule is exact: a receiver's
+   bytes on the ledger are the bytes that arrive, and a SUMMA stage's
+   root, which only sends, books the bytes it sends.
 2. **A data movement** that really moves the payloads (numpy arrays or
    sparse blocks), so the distributed algorithms are bit-exact
    executable programs whose outputs can be compared against the serial
@@ -90,9 +91,9 @@ Charge = Tuple[int, float, int, int, int]
 #: than within groups.
 ROUTED = ("broadcast", "gather_rows")
 
-#: The kinds whose rule is receive-side exact: the charged bytes of a
-#: rank are precisely the payload bytes delivered to it (what the
-#: sanitizer's byte audit compares).
+#: The kinds whose rule is exact: the charged bytes of a receiving rank
+#: are precisely the payload bytes delivered to it (what the sanitizer's
+#: byte audit compares).
 EXACT = ("gather_rows",)
 
 
@@ -218,17 +219,19 @@ class Collectives:
           is charged the collective's critical-path cost.
           ``pipelined=True`` models SUMMA's pipelined broadcast,
           dropping the ``lg p`` latency factor (Section IV-C);
-        * ``gather_rows`` takes ``(rank, recv_nbytes, nsources)``
-          triples: the exact bytes a rank *receives* (the distinct rows
-          it reads -- the paper's ``r_i`` ghost rows, or a SUMMA stage's
-          rows at its sparse piece's nonempty columns -- times the dense
-          row size) and the number of distinct source ranks it fetches
-          them from.  Priced by
+        * ``gather_rows`` takes ``(rank, nbytes, npeers)`` triples: the
+          exact bytes a rank moves (the distinct rows read -- the
+          paper's ``r_i`` ghost rows, or a SUMMA stage's rows at a
+          sparse piece's nonempty columns -- times the dense row size)
+          and the number of distinct ranks at the other end.  Priced by
           :func:`~repro.comm.cost_model.gather_rows_cost` (one message
-          per source, concurrent within the step); only received bytes
-          hit the ledger -- so a ghost exchange's dcomm delta is exactly
-          ``sum_i r_i * f * itemsize``, the quantity ``edgecut_P(A)``
-          bounds per process.
+          per peer, concurrent within the step).  A ghost exchange
+          lists its receivers -- every rank both sends and receives
+          there, and the received bytes are the paper's term, so its
+          dcomm delta is exactly ``sum_i r_i * f * itemsize``, the
+          quantity ``edgecut_P(A)`` bounds per process; a SUMMA stage
+          that gathers lists its receivers (one source each) and its
+          roots, which receive nothing and send every receiver's rows.
 
         The executed epochs walk the same payload shapes over the same
         groups every time, so algorithms compute this list once and
@@ -237,13 +240,13 @@ class Collectives:
         """
         flat: List[Charge] = []
         if kind == "gather_rows":
-            # One rule call over the step's receivers: their sizes vary,
-            # and an array prices exactly like each size alone.
+            # One rule call over the step's ranks: their sizes vary, and
+            # an array prices exactly like each size alone.
             if items:
-                ranks, nbytes, nsources = zip(*items)
+                ranks, nbytes, npeers = zip(*items)
                 cost = cm.gather_rows_cost(
                     self.profile, np.array(nbytes, dtype=np.int64),
-                    np.array(nsources, dtype=np.int64),
+                    np.array(npeers, dtype=np.int64),
                     span=self.world_size)
                 flat.extend(zip(ranks, cost.seconds.tolist(),
                                 cost.bytes_critical.tolist(),
@@ -321,10 +324,12 @@ class Collectives:
 
         * ``broadcast``: ``(group, root)`` routes; ``payloads[root]``
           goes to every rank of ``group``;
-        * ``gather_rows``: ``(src, dst, src_local_rows)`` triples; the
-          selected rows of the dense block ``payloads[src]`` go to
-          ``dst``.  Selection happens at the source, so only the
-          requested rows travel.
+        * ``gather_rows``: ``(src, dst, src_local_rows)`` triples, each
+          naming at least one row and a ``src`` other than ``dst`` (own
+          rows are already local; a pair with no row would cost a
+          message for nothing); the selected rows of the dense block
+          ``payloads[src]`` go to ``dst``.  Selection happens at the
+          source, so only the requested rows travel.
 
         Returns the handle :meth:`collect` finishes.  Split so a stage
         loop can start the next stage's transfers before it waits for
@@ -338,6 +343,15 @@ class Collectives:
             hops = [(root, group) for group, root in routes]
             pick = lambda i: payloads[routes[i][1]]
         else:
+            for src, dst, rows in routes:
+                if src == dst:
+                    raise ValueError(
+                        f"gather_rows pair ({src}, {dst}) is a self-send; "
+                        "own rows are already local")
+                if not len(rows):
+                    raise ValueError(
+                        f"gather_rows pair ({src}, {dst}) names no row; "
+                        "leave it out")
             hops = [(src, (dst,)) for src, dst, _ in routes]
             pick = lambda i: payloads[routes[i][0]][routes[i][2]]
         return self._routed_post(kind, hops, pick)
@@ -552,9 +566,8 @@ class Collectives:
         SUMMA stages that gather: each destination rank receives, from
         each source it names, exactly the rows listed -- no full
         all-gather or broadcast.  ``pairs`` holds ``(src, dst,
-        src_local_rows)`` transfers in one fixed global order, each
-        naming at least one row and a ``src`` other than ``dst``;
-        ``blocks``
+        src_local_rows)`` transfers in one fixed global order, as
+        :meth:`post` takes them; ``blocks``
         maps each locally-held rank to its dense block rows and
         ``row_nbytes`` is the wire size of one dense row (``f *
         itemsize``).  Returns, per pair, the selected rows of ``src``'s
@@ -565,24 +578,15 @@ class Collectives:
         charges once and replay them with ``charge_many`` +
         :meth:`move` instead.
         """
+        got = self.move("gather_rows", pairs, blocks)
         totals: Dict[int, Tuple[int, int]] = {}
         for src, dst, idx in pairs:
-            if src == dst:
-                raise ValueError(
-                    f"gather_rows pair ({src}, {dst}) is a self-send; own "
-                    "rows are already local"
-                )
-            if not len(idx):
-                raise ValueError(
-                    f"gather_rows pair ({src}, {dst}) names no row; leave "
-                    "it out"
-                )
             nbytes, nsources = totals.get(dst, (0, 0))
             totals[dst] = (nbytes + len(idx) * int(row_nbytes),
                            nsources + 1)
         self._charge("gather_rows", category,
                      [(dst,) + totals[dst] for dst in sorted(totals)])
-        return self.move("gather_rows", pairs, blocks)
+        return got
 
     def allgather(
         self,

@@ -28,12 +28,14 @@ reduce-scatter        :func:`reduce_scatter_cost` ``lg p * alpha + beta * m
 all-reduce            :func:`allreduce_cost`      reduce-scatter + all-gather:
                                                   ``2 lg p * alpha + 2 beta *
                                                   m (p-1)/p``
-row gather            :func:`gather_rows_cost`    ``sources * alpha + beta *
-                                                  m`` (receive side; ``m`` =
-                                                  bytes delivered): the 1D
-                                                  ghost exchange and the
-                                                  2D / 3D SUMMA stages that
-                                                  gather their dense rows
+row gather            :func:`gather_rows_cost`    ``peers * alpha + beta *
+                                                  m`` (``m`` = the rank's
+                                                  rows moved): the 1D ghost
+                                                  exchange (receivers) and
+                                                  the 2D / 3D SUMMA stages
+                                                  that gather their dense
+                                                  rows (receivers and the
+                                                  sending root)
 transpose exchange    :func:`transpose_cost`      ``alpha + beta * m`` at the
                                                   uncongested inter-node tier
 dense matmul          :func:`gemm_seconds`        ``flops / gemm_flops +
@@ -261,23 +263,25 @@ GROUP_COST: Dict[str, Callable[..., CollectiveCost]] = {
 
 
 def gather_rows_cost(
-    profile: MachineProfile, recv_bytes: Sizes, nsources: Sizes,
+    profile: MachineProfile, nbytes: Sizes, npeers: Sizes,
     span: Optional[int] = None,
 ) -> CollectiveCost:
     """One rank's side of a row gather (Section IV-A.8's ghost rows, and
     the rows a sparsity-aware SUMMA stage reads).
 
-    Receive-side exact: the rank fetches ``recv_bytes`` (the distinct
-    rows it reads times the dense row size) from ``nsources`` distinct
-    ranks, one message per source, concurrent within the step.  Like
-    every rule, zero bytes is free: a rank that receives nothing sends
-    no message, whatever ``nsources`` says.
+    Exact: the rank moves ``nbytes`` (the distinct rows read, times the
+    dense row size) to or from ``npeers`` distinct ranks, one message
+    per peer, concurrent within the step.  A receiver fetches its rows
+    from its sources; a SUMMA stage's root, which receives nothing,
+    sends every receiver's rows down its one link.  Like every rule,
+    zero bytes is free: a rank that moves nothing sends no message,
+    whatever ``npeers`` says.
     """
-    m, sources = np.broadcast_arrays(whole(recv_bytes), whole(nsources))
-    sources = np.where(m > 0, sources, 0.0)
+    m, peers = np.broadcast_arrays(whole(nbytes), whole(npeers))
+    peers = np.where(m > 0, peers, 0.0)
     alpha, beta = _rates(profile, 2 if span is None else span)
-    latency = sources * alpha
-    return _cost(m, latency + beta * m, latency, m, m, sources)
+    latency = peers * alpha
+    return _cost(m, latency + beta * m, latency, m, m, peers)
 
 
 def transpose_cost(profile: MachineProfile, nbytes: Sizes) -> CollectiveCost:

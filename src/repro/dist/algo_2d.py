@@ -13,10 +13,12 @@ The dense pieces move sparsity-aware (Section IV-A.8's observation,
 taken to SUMMA by Mukhopadhyay et al., ICPP 2024): rank ``(i, j)``
 multiplies the stage block by ``S(i, t)``, which reads only the rows at
 its nonempty columns.  Where :func:`repro.dist.grid.stage_gathers` says
-so -- fewer rows than the broadcast would move -- a stage gathers
-exactly those rows to each receiver (the ``gather_rows`` kind) and the
-receiver multiplies them by a column-compacted copy of ``S(i, t)``;
-else it broadcasts the whole block.  The row sets, compacted pieces and
+so -- the root sends fewer rows than the block, in no more messages: a
+column with one receiver -- a stage gathers exactly those rows to it
+(the ``gather_rows`` kind, the receiver charged the rows it gets and
+the root the rows it sends) and the receiver multiplies them by a
+column-compacted copy of ``S(i, t)``; else it broadcasts the whole
+block.  The row sets, compacted pieces and
 routes are structure, built once at set-up; compaction keeps every
 piece's ``nnz`` and rows (hence ``scomm``) and every output row's
 summation order (hence the bits).
@@ -339,11 +341,14 @@ class DistGCN2D(GridAlgorithm):
                 )
                 if stage_gathers(reads[:, st], ro, hi - lo):
                     # Receiver (i, j), i != ro: the rows S(i, t) reads,
-                    # in j's feature columns, from one source.
+                    # in j's feature columns, from one source; root
+                    # (ro, j): all of them, to each receiver.
                     recv = np.delete(reads[:, st], ro)[:, None]
                     b.gather_rows(
-                        Category.DCOMM, (recv * fw * b.wb).reshape(-1),
-                        np.repeat(recv > 0, pc, axis=1).reshape(-1),
+                        Category.DCOMM,
+                        np.append(recv * fw, recv.sum() * fw) * b.wb,
+                        np.append(np.repeat(recv > 0, pc, axis=1),
+                                  np.full(pc, np.count_nonzero(recv))),
                     )
                 else:
                     b.broadcast(Category.DCOMM, pr, (hi - lo) * fw * b.wb,

@@ -339,14 +339,16 @@ class DistGCN3D(GridAlgorithm):
                     )
                 if gather:
                     # Receiver (i, j, k), i != t: the rows (i, t, k)
-                    # reads, in j's feature columns, from one source.
+                    # reads, in j's feature columns, from one source;
+                    # root (t, j, k): all of them, to each receiver.
                     recv = np.delete(reads[:, t, gather], t, axis=0)
                     b.gather_rows(
                         Category.DCOMM,
-                        (recv[:, None, :] * fw[None, :, None]
-                         * b.wb).reshape(-1),
-                        np.repeat(recv[:, None, :] > 0, s,
-                                  axis=1).reshape(-1),
+                        np.append(recv[:, None, :] * fw[None, :, None],
+                                  np.outer(fw, recv.sum(axis=0))) * b.wb,
+                        np.append(
+                            np.repeat(recv[:, None, :] > 0, s, axis=1),
+                            np.tile(np.count_nonzero(recv, axis=0), s)),
                     )
                 # Local SpMM on every rank (i, j, k).
                 b.spmm(nz[:, None, t, :], rows[:, None, None],

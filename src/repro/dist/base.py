@@ -438,8 +438,9 @@ class DistAlgorithm:
         replayed from the cache under ``key`` on later epochs.  The
         data plane runs under one wall-clock span (``span``, default
         the kind); for the exact-accounting kinds the sanitizer audits
-        that the bytes charged to local ranks are the bytes that
-        arrived.  ``posted`` finishes a :meth:`Collectives.post` made
+        that the bytes charged to local receivers are the bytes that
+        arrived (a gathering SUMMA stage's roots, which only send, book
+        what they send).  ``posted`` finishes a :meth:`Collectives.post` made
         earlier instead of moving now (a staged routed step): the
         charge lands here, where the step is collected.
         """
@@ -458,9 +459,11 @@ class DistAlgorithm:
         if kind in EXACT:
             san = _sanitize.ACTIVE
             if san is not None:
+                dsts = {dst for _, dst, _ in where}
                 san.check_exchange(
                     f"{kind}:{key!r}",
-                    sum(c[2] for c in charges if self._is_local(c[0])),
+                    sum(c[2] for c in charges
+                        if c[0] in dsts and self._is_local(c[0])),
                     sum(payload_nbytes(got) for got in out
                         if got is not None),
                 )

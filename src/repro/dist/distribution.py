@@ -262,7 +262,7 @@ def ghost_structure(
     pairs: List[Tuple[int, int, np.ndarray]] = []
     pair_slots: List[Tuple[int, int]] = []
     for r, (lo, hi) in enumerate(row_ranges):
-        cols = np.unique(a_t.indices[a_t.indptr[lo]:a_t.indptr[hi]])
+        cols = a_t.nonempty_columns(lo, hi)
         ref_cols.append(cols)
         width.append(int(cols.size))
         own = (cols >= lo) & (cols < hi)

@@ -30,20 +30,28 @@ def stage_gathers(reads: Sequence[float], root: int,
 
     At a stage, member ``i`` of a dense column group multiplies the
     stage block by its sparse piece, which reads only ``reads[i]`` of
-    the block's ``stage_rows`` rows: its nonempty columns.  A gather
-    (the ``gather_rows`` kind) ships each member but the ``root`` just
-    those rows; the broadcast ships every member all of them.  Gather
-    exactly when that moves fewer rows than the root-to-each-member
-    broadcast, ``sum_{i != root} reads[i] < (g - 1) stage_rows``.
+    the block's ``stage_rows`` rows: its nonempty columns.  The
+    pipelined broadcast has the ``root`` send the whole block once, in
+    one message.  A gather (the ``gather_rows`` kind) has it send each
+    other member that reads any row just those rows: the sum of them,
+    one message per receiver, all down the root's own link.  Gather
+    exactly when that step is the cheaper one on every machine -- the
+    root sends fewer rows, ``sum_{i != root} reads[i] < stage_rows``, in
+    no more messages, so to at most one receiver.  Then every member's
+    link carries fewer bytes than under the broadcast, the root's
+    included, and no more messages.  With two receivers or more the
+    gather pays a message each, and which step is faster would depend
+    on the machine's latency and bandwidth; the rule is structural, so
+    such a stage broadcasts.
 
-    One structural rule, like :func:`repro.nn.layers.funnel_reduces`:
-    the executed 2D / Split-3D sweeps decide by it from their blocks,
-    and their ``emit_comm_schedule`` hooks from the
+    One rule, like :func:`repro.nn.layers.funnel_reduces`: the executed
+    2D / Split-3D sweeps decide by it from their blocks, and their
+    ``emit_comm_schedule`` hooks from the
     :class:`~repro.simulate.schedule.GraphModel`'s nonempty-column
     counts (expected ones, on a uniform model).
     """
-    others = sum(r for i, r in enumerate(reads) if i != root)
-    return others < (len(reads) - 1) * stage_rows
+    others = [r for i, r in enumerate(reads) if i != root and r > 0]
+    return len(others) <= 1 and sum(others) < stage_rows
 
 
 class SummaStage(NamedTuple):
@@ -77,6 +85,9 @@ class SummaStage(NamedTuple):
     pairs: Tuple[Tuple[int, int, np.ndarray], ...]
     #: receiver -> its pair's index
     slot: Dict[int, int]
+    #: ``(root, rows it sends, receivers)`` per column of the layers
+    #: that gather -- the root's side of the step's charge
+    sends: Tuple[Tuple[int, int, int], ...]
 
     @property
     def gathers(self) -> bool:
@@ -228,15 +239,28 @@ class GridAlgorithm(DistAlgorithm):
         path), a span-suffixed key otherwise."""
         return base if full else base + (c_lo, c_hi)
 
-    def _join_span(self, parts, rows: int, width: int, key) -> np.ndarray:
+    def _join_span(self, parts, rows: int, width: int, key,
+                   cap: Optional[int] = None) -> np.ndarray:
         """One dense stage operand from received feature-column pieces:
         the piece itself for a single-column span (no copy), else a
-        concatenation into the ``key`` workspace."""
+        concatenation into the ``key`` workspace -- ``cap`` rows of it,
+        when given, of which the first ``rows`` are used, so joins of
+        varying row counts share one buffer."""
         if len(parts) == 1:
             return parts[0]
-        buf = self._ws(key, (rows, width))
+        buf = self._ws(key, (rows if cap is None else cap, width))[:rows]
         np.concatenate(parts, axis=1, out=buf)
         return buf
+
+    @property
+    def _max_rows(self) -> int:
+        """The most dense rows any rank holds: a bound on every SUMMA
+        stage's rows."""
+        cap = getattr(self, "_max_rows_cache", None)
+        if cap is None:
+            cap = max(self._grows(group) for group in self._row_group_list)
+            self._max_rows_cache = cap
+        return cap
 
     def _span(self, fsplit, c_lo: int, c_hi: int) -> Tuple[int, int]:
         """Feature-column span covered by column indices [c_lo, c_hi)."""
@@ -259,13 +283,11 @@ class GridAlgorithm(DistAlgorithm):
         else it broadcasts the block down the column."""
         plan, ncols = self._plan(), len(self._row_group_list[0])
         verdicts, reads, routes, sparse = [], [], [], {}
-        bcast, bcast_at, pairs = [], {}, []
+        bcast, bcast_at, pairs, sends = [], {}, [], []
         for k, pieces in enumerate(layers):
             g = len(pieces)
             a, b = window or (0, self._rows_of(rank(root, 0, k)))
-            rows = tuple(np.flatnonzero(np.bincount(p.indices,
-                                                    minlength=p.ncols))
-                         for p in pieces.values())
+            rows = tuple(p.nonempty_columns() for p in pieces.values())
             gathers = stage_gathers([r.size for r in rows], root, b - a)
             verdicts.append(gathers)
             reads.append(rows)
@@ -274,10 +296,13 @@ class GridAlgorithm(DistAlgorithm):
                 sparse[src] = (piece.compact_columns(rows[i])
                                if gathers and i != root else piece)
             if gathers:
-                pairs.extend((rank(root, j, k), rank(i, j, k), r + a)
-                             for j in range(ncols)
-                             for i, r in enumerate(rows)
-                             if i != root and r.size)
+                got = [(i, r) for i, r in enumerate(rows)
+                       if i != root and r.size]
+                for j in range(ncols):
+                    pairs.extend((rank(root, j, k), rank(i, j, k), r + a)
+                                 for i, r in got)
+                    sends.append((rank(root, j, k),
+                                  sum(r.size for _, r in got), len(got)))
             else:
                 bcast_at[k] = len(bcast)
                 bcast.extend(
@@ -286,7 +311,8 @@ class GridAlgorithm(DistAlgorithm):
                     for j in range(ncols))
         return SummaStage(root, window, tuple(verdicts), tuple(reads),
                           routes, sparse, bcast, bcast_at, tuple(pairs),
-                          {dst: n for n, (_, dst, _) in enumerate(pairs)})
+                          {dst: n for n, (_, dst, _) in enumerate(pairs)},
+                          tuple(sends))
 
     def _summa_sweep(self, stages: Sequence[SummaStage], op_key: str,
                      dense_blocks, f: int, accs) -> None:
@@ -340,11 +366,17 @@ class GridAlgorithm(DistAlgorithm):
                             (group, rows(root) * width(root) * wb)
                             for group, root in st.bcast]))
                 if st.gathers:
+                    # Each receiver books the rows it gets from one
+                    # source, each root the rows it sends, one message
+                    # per receiver.
                     out.append(RoutedStep(
                         "gather_rows", ("gdch", op_key, f, t), st.pairs,
                         dense_blocks, Category.DCOMM,
-                        lambda st=st: [(dst, rows.size * width(dst) * wb, 1)
-                                       for _, dst, rows in st.pairs]))
+                        lambda st=st: [
+                            (dst, rows.size * width(dst) * wb, 1)
+                            for _, dst, rows in st.pairs] + [
+                            (src, n * width(src) * wb, peers)
+                            for src, n, peers in st.sends]))
                 yield out
 
         received = self._routed_stages(steps())
@@ -364,7 +396,7 @@ class GridAlgorithm(DistAlgorithm):
                         continue
                     d_span = self._join_span(
                         [gather_got[st.slot[r]] for r in members], nrows,
-                        o_hi - o_lo, ("gsr", c_lo, c_hi))
+                        o_hi - o_lo, ("gsr", c_lo, c_hi), self._max_rows)
                 else:
                     d_span = joins.get((k, c_lo, c_hi))
                     if d_span is None:

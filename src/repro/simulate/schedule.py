@@ -272,7 +272,6 @@ class GraphModel:
         counts are integral floats).
         """
         col_bounds = np.asarray(col_bounds, dtype=np.int64)
-        ncells = len(col_bounds) - 1
         if not self.exact:
             row_lens = np.diff(boundaries(self.n, row_parts))
             col_lens = np.diff(col_bounds)
@@ -280,17 +279,7 @@ class GraphModel:
                 self.nnz
                 * np.outer(row_lens / self.n, col_lens / self.n)
             )
-        csr = self._matrix(transpose)
-        row_bounds = boundaries(self.n, row_parts)
-        deg = np.diff(csr.indptr)
-        row_of = (
-            np.searchsorted(row_bounds, np.arange(self.n), side="right") - 1
-        )
-        nnz_rows = np.repeat(row_of, deg)
-        nnz_cols = np.searchsorted(col_bounds, csr.indices, side="right") - 1
-        flat = nnz_rows * ncells + nnz_cols
-        counts = np.bincount(flat, minlength=row_parts * ncells)
-        return counts.reshape(row_parts, ncells).astype(np.float64)
+        return self._cell_counts(row_parts, col_bounds, transpose, False)
 
     def cell_nonzero_cols(
         self,
@@ -307,21 +296,29 @@ class GraphModel:
         ``z`` nonzeros, ``w (1 - e^{-z / w})``.
         """
         col_bounds = np.asarray(col_bounds, dtype=np.int64)
-        ncells = len(col_bounds) - 1
         if not self.exact:
             widths = np.diff(col_bounds).astype(np.float64)
             nnz = self.cell_nnz(row_parts, col_bounds)
             safe = np.where(widths > 0, widths, 1.0)
             return widths * (1.0 - np.exp(-nnz / safe))
+        return self._cell_counts(row_parts, col_bounds, transpose, True)
+
+    def _cell_counts(self, row_parts: int, col_bounds: np.ndarray,
+                     transpose: bool, distinct: bool) -> np.ndarray:
+        """The exact per-cell count of nonzeros, or (``distinct``) of
+        nonempty columns."""
         csr = self._matrix(transpose)
         row_of = np.searchsorted(
             boundaries(self.n, row_parts), np.arange(self.n), side="right"
         ) - 1
         blocks = np.repeat(row_of, np.diff(csr.indptr))
-        unique = np.unique(blocks * self.n + csr.indices)
-        cells = np.searchsorted(col_bounds, unique % self.n,
-                                side="right") - 1
-        counts = np.bincount((unique // self.n) * ncells + cells,
+        cols = csr.indices
+        if distinct:
+            blocks, cols = np.divmod(np.unique(blocks * self.n + cols),
+                                     self.n)
+        ncells = len(col_bounds) - 1
+        cells = np.searchsorted(col_bounds, cols, side="right") - 1
+        counts = np.bincount(blocks * ncells + cells,
                              minlength=row_parts * ncells)
         return counts.reshape(row_parts, ncells).astype(np.float64)
 
@@ -424,19 +421,20 @@ class CollectivePhase:
 
 @dataclass
 class GatherRowsPhase:
-    """One ghost-row exchange: per-rank received bytes + source counts.
+    """One row-gather step: per-rank moved bytes and peer counts.
 
     Priced by :func:`repro.comm.cost_model.gather_rows_cost`, like the
     ``gather_rows`` kind of :meth:`repro.comm.collectives.Collectives.
-    charges` -- receive-side accounting: rank ``i`` fetches from
-    ``nsources[i]`` ranks and books exactly ``nbytes[i]`` received
-    bytes -- the partition-aware term whose total is ``sum_i r_i * f *
-    itemsize``.
+    charges`: entry ``i`` moves exactly ``nbytes[i]`` to or from
+    ``npeers[i]`` ranks.  A ghost-row exchange books its receivers --
+    the partition-aware term whose total is ``sum_i r_i * f *
+    itemsize``; a gathering SUMMA stage books its receivers and the
+    roots that send them their rows.
     """
 
     category: str
     nbytes: np.ndarray
-    nsources: np.ndarray
+    npeers: np.ndarray
 
 
 @dataclass
@@ -559,12 +557,12 @@ class ScheduleBuilder:
                             _arr(nbytes))
         )
 
-    def gather_rows(self, category: str, nbytes, nsources) -> None:
-        nbytes, nsources = np.broadcast_arrays(_arr(nbytes), _arr(nsources))
+    def gather_rows(self, category: str, nbytes, npeers) -> None:
+        nbytes, npeers = np.broadcast_arrays(_arr(nbytes), _arr(npeers))
         self.phases.append(GatherRowsPhase(
             category,
             np.ascontiguousarray(nbytes, dtype=np.float64),
-            np.ascontiguousarray(nsources, dtype=np.float64),
+            np.ascontiguousarray(npeers, dtype=np.float64),
         ))
 
     def transpose(self, nbytes) -> None:
@@ -696,7 +694,7 @@ def evaluate_schedule(
             )
         elif isinstance(ph, GatherRowsPhase):
             acc.comm(ph.category, cm.gather_rows_cost(
-                profile, ph.nbytes, ph.nsources, span=p))
+                profile, ph.nbytes, ph.npeers, span=p))
         elif isinstance(ph, TransposePhase):
             acc.comm(Category.TRPOSE, cm.transpose_cost(profile, ph.nbytes))
         elif isinstance(ph, SpmmPhase):

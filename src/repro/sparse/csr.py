@@ -374,6 +374,13 @@ class CSRMatrix:
             indptr = _indptr_from_ids(rows.row_ids()[keep], rows.nrows)
         return CSRMatrix(indptr, indices, data, (r1 - r0, c1 - c0), validate=False)
 
+    def nonempty_columns(self, r0: int = 0,
+                         r1: Optional[int] = None) -> np.ndarray:
+        """The ascending columns holding a nonzero in rows ``[r0, r1)``
+        (every row by default): the dense rows a product reads."""
+        r1 = self.nrows if r1 is None else r1
+        return np.unique(self.indices[self.indptr[r0]:self.indptr[r1]])
+
     def compact_columns(self, cols: np.ndarray) -> "CSRMatrix":
         """The block over the ascending columns ``cols`` only (every
         referenced column among them), renumbered ``0 .. len(cols)``.

@@ -117,20 +117,16 @@ CONFIGS = [
 #: -> 0.0004922167363950941.  Each output element's inner sum is
 #: regrouped by layer, so both 3D ``loss1`` values moved in the last bit
 #: (...768 -> ...766); ``scomm`` / ``trpose`` and the nine other rows did
-#: not move.  And once more for the five 2D / 3D rows, when a SUMMA stage
-#: began to gather the dense rows its sparse pieces read instead of
-#: broadcasting the whole stage block (every stage of this graph
-#: gathers): receivers are charged the rows they get, the root nothing --
-#: 2D P = 4 ``dcomm`` 126048 -> 74208, ``max_rank`` 87348 -> 73908,
-#: seconds 0.0003036257886678656 -> 0.0003035087886678656; P = 8 212192
-#: -> 111776, 65400 -> 54936, 0.0004579610914939523 ->
-#: 0.000457643874102648; P = 16 323040 -> 222624, 57458 -> 52226,
-#: 0.0005906383339130434 -> 0.0005904797252173912; 3D P = 8 175328 ->
-#: 123488, 54108 -> 47580, 0.00035144750640078454 ->
-#: 0.0003513139411833933; P = 27 350955 -> 279147, 38579 -> 36099,
-#: 0.0004922167363950941 -> 0.0004921715190037897.  The compacted pieces
-#: keep their ``nnz`` and rows, so ``scomm`` did not move, and each
-#: output row sums in the same order, so no ``loss1`` did either.
+#: not move.  And once more for the two rows whose SUMMA stages have one
+#: receiver per column (2D P = 4 on 2 x 2, 3D P = 8), when such a stage
+#: began to send that receiver only the dense rows its sparse piece
+#: reads instead of broadcasting the whole stage block: the receiver
+#: and the root are each charged those rows -- 2D P = 4 ``dcomm`` 126048
+#: -> 96096, ``max_rank`` 87348 -> 79860, seconds 0.0003036257886678656
+#: -> 0.0003035087886678656; 3D P = 8 175328 -> 145376, 54108 -> 51036,
+#: 0.00035144750640078454 -> 0.0003513139411833933.  The compacted
+#: pieces keep their ``nnz`` and rows, so ``scomm`` did not move, and
+#: each output row sums in the same order, so no ``loss1`` did either.
 PRE_OPT_ORACLE = {
     ("1d", 4): dict(dcomm=119904, scomm=0, trpose=0, max_rank=29976,
                     seconds=0.00018952624206766913,
@@ -150,20 +146,20 @@ PRE_OPT_ORACLE = {
     ("1.5d", 16): dict(dcomm=405888, scomm=0, trpose=0, max_rank=25368,
                        seconds=0.00023969362358940824,
                        loss1=1.4010554851746766),
-    ("2d", 4): dict(dcomm=74208, scomm=136256, trpose=17032,
-                    max_rank=73908, seconds=0.0003035087886678656,
+    ("2d", 4): dict(dcomm=96096, scomm=136256, trpose=17032,
+                    max_rank=79860, seconds=0.0003035087886678656,
                     loss1=1.4010554851746768),
-    ("2d", 8): dict(dcomm=111776, scomm=148928, trpose=17048,
-                    max_rank=54936, seconds=0.000457643874102648,
+    ("2d", 8): dict(dcomm=212192, scomm=148928, trpose=17048,
+                    max_rank=65400, seconds=0.0004579610914939523,
                     loss1=1.4010554851746766),
-    ("2d", 16): dict(dcomm=222624, scomm=297856, trpose=18616,
-                     max_rank=52226, seconds=0.0005904797252173912,
+    ("2d", 16): dict(dcomm=323040, scomm=297856, trpose=18616,
+                     max_rank=57458, seconds=0.0005906383339130434,
                      loss1=1.4010554851746766),
-    ("3d", 8): dict(dcomm=123488, scomm=148672, trpose=0,
-                    max_rank=47580, seconds=0.0003513139411833933,
+    ("3d", 8): dict(dcomm=145376, scomm=148672, trpose=0,
+                    max_rank=51036, seconds=0.0003513139411833933,
                     loss1=1.4010554851746766),
-    ("3d", 27): dict(dcomm=279147, scomm=270000, trpose=0,
-                     max_rank=36099, seconds=0.0004921715190037897,
+    ("3d", 27): dict(dcomm=350955, scomm=270000, trpose=0,
+                     max_rank=38579, seconds=0.0004922167363950941,
                      loss1=1.4010554851746766),
 }
 

@@ -132,20 +132,22 @@ class TestCommunicationAccounting:
         """The headline claim: per-process words scale as 1/sqrt(P).
 
         Doubling sqrt(P) (P: 4 -> 16) must cut the SpMM sweeps' per-rank
-        bytes -- sparse stage broadcasts, dense stage rows and the
-        transpose -- by roughly half (generous slack for the sparse
-        blocks' index overhead on a small graph).  Each stage's dense
-        rows are pinned exactly to the sparse blocks: where a stage
-        gathers (:func:`~repro.dist.grid.stage_gathers`) rank ``(i, j)``
-        receives the rows ``S(i, t)`` reads unless it is the root, else
-        it gets the whole stage block; worked out here from the
-        adjacency.  The rest of the epoch is dense and pinned exactly to
-        closed forms from the widths: the 16 -> 4 layer's replicated-W
-        funnels (reduce-scatter of ``H W``, all-gathers of ``Z`` and ``A
-        G``; a ring moves (sqrt(P) - 1) / P of a row group's words per
-        rank, 1/4 -> 3/16, a 4/3 cut) and the world all-reduce of the
-        gradient bucket (2 (P - 1) / P of its words, which grow).
-        Together they put the whole per-rank ratio near 1.42."""
+        bytes -- sparse and dense stage broadcasts plus the transpose --
+        by roughly half (generous slack for the sparse blocks' index
+        overhead on a small graph).  Each stage's dense rows are pinned
+        exactly to the adjacency: a stage with one receiver per column
+        that reads fewer than all its rows (every stage at P = 4, none
+        at P = 16 here) gathers (:func:`~repro.dist.grid.stage_gathers`),
+        and the receiver gets and the root sends the rows it reads; any
+        other stage broadcasts the whole block to every member.  The
+        rest of the epoch is dense and
+        pinned exactly to closed forms from the widths: the 16 -> 4
+        layer's replicated-W funnels (reduce-scatter of ``H W``,
+        all-gathers of ``Z`` and ``A G``; a ring moves (sqrt(P) - 1) / P
+        of a row group's words per rank, 1/4 -> 3/16, a 4/3 cut) and the
+        world all-reduce of the gradient bucket (2 (P - 1) / P of its
+        words, which grow).
+        Together they put the whole per-rank ratio near 1.39."""
         big = make_synthetic(n=600, avg_degree=6, f=32, n_classes=4, seed=6)
         n, w = big.num_vertices, (32, 16, 4)
         f = w[-1]  # both sweeps and every funnel run at the narrow side
@@ -153,18 +155,18 @@ class TestCommunicationAccounting:
 
         def dense_closed_form(p):
             q = math.isqrt(p)
-            rows = [hi - lo for lo, hi in
-                    [(k * n // q, (k + 1) * n // q) for k in range(q)]]
-            bounds = np.cumsum([0] + rows)
+            bounds = [k * n // q for k in range(q + 1)]
             sweeps = np.zeros(q, dtype=np.int64)  # per process row
             for t in range(q):
                 stage = slice(bounds[t], bounds[t + 1])
-                reads = [int(nonzero[bounds[i]:bounds[i + 1], stage]
+                moved = [int(nonzero[bounds[i]:bounds[i + 1], stage]
                              .any(axis=0).sum()) for i in range(q)]
-                gathers = sum(reads) - reads[t] < (q - 1) * rows[t]
-                for i in range(q):
-                    sweeps[i] += ((i != t) * reads[i] if gathers
-                                  else rows[t])
+                others = [r for i, r in enumerate(moved) if i != t and r]
+                if len(others) <= 1 and sum(others) < stage.stop - stage.start:
+                    moved[t] = sum(others)  # the root sends them
+                else:
+                    moved = [stage.stop - stage.start] * q
+                sweeps += moved
             sweeps = 2 * sweeps * (f // q) * 8
             funnels = 3 * (q - 1) * (n // q) * f * 8 // q
             bucket = 2 * 8 + (w[0] * w[1] + w[1] * w[2]) * 8
@@ -178,15 +180,13 @@ class TestCommunicationAccounting:
             assert [d[Category.DCOMM] - rest for d in ranks] == sweeps
             max_rank[p] = st.max_rank_comm_bytes
             sweep_max[p] = max(sum(d.values()) for d in ranks) - rest
-        # ideal 2.0 for broadcast stages (1.59 here while every stage
-        # broadcast its whole block); 1.51 with the stages gathering: a
-        # root is charged no dense rows, which spares half the ranks of
-        # a P = 4 stage and a quarter of a P = 16 one
-        assert 1.5 < sweep_max[4] / sweep_max[16] < 3.0
-        # 1.420 here (1.487 while every stage broadcast its whole
-        # block, 1.669 while the funnels broadcast the 16-wide operand,
-        # 1/sqrt(P) of a row group's words per rank)
-        assert 1.40 < max_rank[4] / max_rank[16] < 1.45
+        # ideal 2.0; 1.59 here while the P = 4 stages broadcast, 1.47
+        # with them gathering: P = 4 moves fewer rows, P = 16 the same
+        assert 1.4 < sweep_max[4] / sweep_max[16] < 3.0
+        # 1.390 here (1.487 while the P = 4 stages broadcast, 1.669
+        # while the funnels broadcast the 16-wide operand, 1/sqrt(P) of
+        # a row group's words per rank)
+        assert 1.35 < max_rank[4] / max_rank[16] < 1.45
 
     def test_total_sparse_bytes_grow_with_sqrt_p(self):
         """Aggregate sparse traffic is nnz * sqrt(P) words: each stage
@@ -198,50 +198,73 @@ class TestCommunicationAccounting:
         # Per-rank scomm should be roughly flat-to-halving; totals grow.
         assert st16.scomm_bytes > st4.scomm_bytes
 
-    def test_tall_grid_cuts_sparse_and_gathered_dense_bytes(self):
+    def test_tall_grid_cuts_sparse_bytes_square_minimises_dense(self):
         """Section IV-C.6: where the degree far exceeds the feature width
-        a tall grid moves fewer sparse bytes than a wide one.  The paper
-        adds that the square grid minimises the dense total (the
-        smallest perimeter), which held here while every SUMMA stage
-        broadcast its whole block (set-up plus one epoch: 1 005 536 B on
-        4 x 4 against 1 333 216 on 2 x 8 and 1 234 912 on 8 x 2).  Every
-        stage of this graph gathers now, and a gather charges the ``Pr -
-        1`` receivers of a column the rows they read and its root
-        nothing, so the tall grid, whose stages are spread over the most
-        process rows, moves the fewest dense bytes too (597 472 B against
-        717 792 and 1 170 400)."""
+        a tall grid moves fewer sparse bytes than a wide one, while the
+        square grid minimises the dense total (the smallest perimeter).
+        The dense side is checked on the set-up plus one epoch, the pass
+        that still pairs every SpMM sweep with a replicated-``W``
+        product.
+
+        The square and the tall grid broadcast every SUMMA stage.  The
+        wide grid's stages have one receiver per column, which misses
+        some rows of each stage, so they gather
+        (:func:`~repro.dist.grid.stage_gathers`): its dense total falls
+        from 1 333 216 bytes to 1 269 728, still above the square's
+        1 005 536 -- a gather never moves more than the broadcast it
+        replaces, so the square grid minimises the broadcast totals
+        too."""
         big = make_synthetic(n=512, avg_degree=24, f=8, n_classes=4, seed=0)
-        sparse, dense = {}, {}
+        sparse, dense, gathers = {}, {}, {}
         for grid in ((2, 8), (4, 4), (8, 2)):
             algo = make_algorithm("2d", 16, big, hidden=8, seed=0, grid=grid)
-            assert all(st.gathers for st in algo._summa["a_t"])
             hist = algo.fit(big.features, big.labels, epochs=1)
             sparse[grid] = hist.epochs[0].scomm_bytes
             dense[grid] = hist.setup.dcomm_bytes + hist.epochs[0].dcomm_bytes
+            gathers[grid] = {st.gathers for st in algo._summa["a_t"]}
         assert sparse[(8, 2)] < sparse[(2, 8)]
-        assert dense[(8, 2)] < dense[(4, 4)] < dense[(2, 8)]
+        assert min(dense, key=dense.get) == (4, 4)
+        assert gathers == {(2, 8): {True}, (4, 4): {False}, (8, 2): {False}}
+        assert dense[(2, 8)] == 1269728
 
-    def test_summa_block_keeps_gathered_rows_adds_messages(self):
-        """Algorithm 2's blocking parameter ``b``: smaller blocks move
-        their dense stage rows in more, smaller steps.  A receiver reads
-        the same rows however the stages are cut, so where every stage
-        gathers (unblocked and ``b = 64`` here) the dense bytes are
-        equal; at ``b = 4`` two of the 96 four-row stages read all their
-        rows and broadcast them, which costs a little more (dense bytes
-        were equal at every ``b`` while every stage broadcast)."""
-        big = make_synthetic(n=384, avg_degree=6, f=24, n_classes=4, seed=0)
-        dense, msgs, gathering = {}, {}, {}
-        for b in (None, 64, 4):
+    def test_summa_block_keeps_dense_bytes_and_adds_messages(self):
+        """Algorithm 2's blocking parameter ``b``: smaller blocks move the
+        same dense bytes in more, smaller broadcasts.  (On this graph two
+        receivers or more read every stage's rows down to ``b = 16``, so
+        every stage broadcasts; at ``b = 4`` on an average degree of 6 a
+        third of them gather instead, and move fewer bytes.)"""
+        big = make_synthetic(n=384, avg_degree=12, f=24, n_classes=4, seed=0)
+        dense, msgs = {}, {}
+        for b in (None, 64, 16):
             algo = make_algorithm("2d", 16, big, hidden=16, seed=0,
                                   summa_block=b)
+            assert not any(st.gathers for st in algo._summa["a_t"])
             algo.setup(big.features, big.labels)
             dense[b] = algo.train_epoch(0).dcomm_bytes
             msgs[b] = algo.rt.tracker.total_messages()
-            gathering[b] = [st.gathers for st in algo._summa["a_t"]]
-        assert all(gathering[None]) and all(gathering[64])
-        assert gathering[4].count(False) == 2
-        assert dense[None] == dense[64] < dense[4]
-        assert msgs[4] > msgs[64] > msgs[None]
+        assert dense[None] == dense[64] == dense[16]
+        assert msgs[16] > msgs[64] > msgs[None]
+
+    def test_gathering_stages_move_the_same_rows_at_every_block(self):
+        """The gathered form of the claim above: with one receiver per
+        column (a 2-row grid) a stage gathers the rows its receiver
+        reads, which do not depend on how the stages are cut, and a
+        stage whose receiver reads all its rows broadcasts them, which
+        costs the same -- so the dense bytes agree at every ``b`` here
+        too, while the steps multiply."""
+        big = make_synthetic(n=384, avg_degree=6, f=24, n_classes=4, seed=0)
+        dense, msgs, gathered = {}, {}, {}
+        for b in (None, 16, 4):
+            algo = make_algorithm("2d", 4, big, hidden=16, seed=0,
+                                  summa_block=b)
+            gathered[b] = [st.gathers for st in algo._summa["a_t"]]
+            algo.setup(big.features, big.labels)
+            dense[b] = algo.train_epoch(0).dcomm_bytes
+            msgs[b] = algo.rt.tracker.total_messages()
+        assert all(gathered[None]) and all(gathered[16])
+        assert 0 < gathered[4].count(False) < len(gathered[4])
+        assert dense[None] == dense[16] == dense[4]
+        assert msgs[4] > msgs[16] > msgs[None]
 
     def test_epoch_deterministic(self, ds):
         s1 = self._epoch(ds, 9)

@@ -380,6 +380,19 @@ class TestGatherRowsPrimitive:
             assert (cost.seconds, cost.bytes_critical, cost.messages) == \
                 (0.0, 0, 0)
 
+    def test_routed_post_checks_its_pairs(self):
+        """The split-phase post the stage loops move their rows through
+        refuses the same pairs as the charged form, before anything
+        moves."""
+        rt = VirtualRuntime.make_1d(2)
+        blocks = {0: np.zeros((2, 1)), 1: np.zeros((2, 1))}
+        for pair, match in (((1, 1, np.array([0])), "self-send"),
+                            ((0, 1, np.array([], dtype=np.int64)),
+                             "names no row")):
+            with pytest.raises(ValueError, match=match):
+                rt.coll.post("gather_rows", [(0, 1, np.array([1])), pair],
+                             blocks)
+
     def test_ghost_structure_matches_edgecut(self, ds):
         d = Distribution.build("multilevel", ds.adjacency, 4, seed=1)
         g = ghost_structure(d.permute_matrix(ds.adjacency), d.row_ranges)

@@ -326,10 +326,10 @@ class TestGeneratedShapes:
 
         Mutation check (run once, in a scratch copy): with the pair
         builder (``GridAlgorithm._summa_stage``) leaving the last row out
-        of each receiver's set, this property fails on all five shapes
-        -- the ledger leaves the schedule, and with that check cut the
-        sweep itself fails joining the short rows -- and so does the
-        next one on its four non-diagonal shapes."""
+        of each receiver's set, this property fails on the four shapes
+        whose stages have one receiver per column (a 3D P = 27 stage has
+        two, so it gathers only where one of them reads no row), and
+        the next one fails on its two ``rmat`` shapes of that kind."""
         a_t, features, labels, widths, seed = data.draw(
             shaped_problems(True))
         algo, emit_kw = build_shaped(name, p, kw, a_t, widths, seed)

@@ -258,6 +258,27 @@ class TestGraphModel:
             for j in range(2):
                 assert cells[i, j] == blocks[mesh.rank_of(i, j)].nnz
 
+    def test_nonzero_cols_match_distributed_blocks(self, dataset, graph):
+        """Per cell, the columns holding a nonzero: the dense rows a
+        SUMMA stage's piece reads (each at most the cell's nonzeros and
+        its width); a uniform cell expects ``w (1 - e^{-z / w})``."""
+        mesh = make_runtime_for("2d", 4).mesh2d
+        blocks = distribute_sparse_2d(dataset.adjacency, mesh)
+        bounds = np.array(
+            [0] + [hi for _, hi in block_ranges(graph.n, 2)]
+        )
+        cols = graph.cell_nonzero_cols(2, bounds)
+        for i in range(2):
+            for j in range(2):
+                block = blocks[mesh.rank_of(i, j)]
+                assert cols[i, j] == block.nonempty_columns().size
+        assert (cols <= graph.cell_nnz(2, bounds)).all()
+        gm = GraphModel.uniform(1000, 12345)
+        cells = np.array([0, 300, 1000])
+        expected = np.diff(cells) * (1 - np.exp(
+            -gm.cell_nnz(5, cells) / np.diff(cells)))
+        assert gm.cell_nonzero_cols(5, cells) == pytest.approx(expected)
+
     def test_uniform_mode_partitions_nnz(self):
         gm = GraphModel.uniform(1000, 12345)
         assert not gm.exact
