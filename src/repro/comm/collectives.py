@@ -3,7 +3,7 @@
 The paper builds its algorithms from ``torch.distributed`` primitives --
 broadcast, all-gather, all-reduce and reduce-scatter -- to which Section
 IV-A.8's partitioned training adds a row gather (ghost rows, and the
-dense rows a sparsity-aware SUMMA stage reads).  Each of those
+hops of a sparsity-aware SUMMA stage's relay).  Each of those
 *kinds* is defined here exactly once, as two halves:
 
 1. **A cost rule** (:meth:`Collectives.charges`): the per-rank ledger
@@ -13,8 +13,11 @@ dense rows a sparsity-aware SUMMA stage reads).  Each of those
    is charged the collective's critical-path bytes and modeled seconds;
    this matches the paper's convention of quoting *per-process*
    communication cost.  The row-gather rule is exact: a receiver's
-   bytes on the ledger are the bytes that arrive, and a SUMMA stage's
-   root, which only sends, books the bytes it sends.
+   bytes on the ledger are the bytes that arrive.  A SUMMA stage's
+   relay books every column member the rows of its hop (the root the
+   first hop's); its data plane sends each process's most-upstream
+   member those rows straight from the root, so the bytes that arrive
+   there are the bytes that member books.
 2. **A data movement** that really moves the payloads (numpy arrays or
    sparse blocks), so the distributed algorithms are bit-exact
    executable programs whose outputs can be compared against the serial
@@ -229,9 +232,9 @@ class Collectives:
           lists its receivers -- every rank both sends and receives
           there, and the received bytes are the paper's term, so its
           dcomm delta is exactly ``sum_i r_i * f * itemsize``, the
-          quantity ``edgecut_P(A)`` bounds per process; a SUMMA stage
-          that gathers lists its receivers (one source each) and its
-          roots, which receive nothing and send every receiver's rows.
+          quantity ``edgecut_P(A)`` bounds per process; a SUMMA stage's
+          relay lists every column member, one peer each, with the rows
+          its hop carries (the root: the first hop's).
 
         The executed epochs walk the same payload shapes over the same
         groups every time, so algorithms compute this list once and
@@ -562,10 +565,10 @@ class Collectives:
         """Charged row gather: fetch selected remote rows.
 
         The variable-size primitive behind the 1D ``ghost`` variant
-        (Section IV-A.8's partitioned training) and the 2D / Split-3D
-        SUMMA stages that gather: each destination rank receives, from
-        each source it names, exactly the rows listed -- no full
-        all-gather or broadcast.  ``pairs`` holds ``(src, dst,
+        (Section IV-A.8's partitioned training) and the data plane of
+        the 2D / Split-3D SUMMA stages' relays: each destination rank
+        receives, from each source it names, exactly the rows listed --
+        no full all-gather or broadcast.  ``pairs`` holds ``(src, dst,
         src_local_rows)`` transfers in one fixed global order, as
         :meth:`post` takes them; ``blocks``
         maps each locally-held rank to its dense block rows and

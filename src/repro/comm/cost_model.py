@@ -31,11 +31,16 @@ all-reduce            :func:`allreduce_cost`      reduce-scatter + all-gather:
 row gather            :func:`gather_rows_cost`    ``peers * alpha + beta *
                                                   m`` (``m`` = the rank's
                                                   rows moved): the 1D ghost
-                                                  exchange (receivers) and
-                                                  the 2D / 3D SUMMA stages
-                                                  that gather their dense
-                                                  rows (receivers and the
-                                                  sending root)
+                                                  exchange (receivers)
+SUMMA stage relay     :func:`gather_rows_cost`,   ``alpha + beta * m`` per
+                      one peer a rank             column member (``m`` =
+                                                  the rows its hop carries;
+                                                  the root: the first
+                                                  hop's): the 2D / 3D dense
+                                                  stages, the pipelined
+                                                  broadcast's price where
+                                                  every member reads every
+                                                  row
 transpose exchange    :func:`transpose_cost`      ``alpha + beta * m`` at the
                                                   uncongested inter-node tier
 dense matmul          :func:`gemm_seconds`        ``flops / gemm_flops +
@@ -267,15 +272,15 @@ def gather_rows_cost(
     span: Optional[int] = None,
 ) -> CollectiveCost:
     """One rank's side of a row gather (Section IV-A.8's ghost rows, and
-    the rows a sparsity-aware SUMMA stage reads).
+    a hop of a sparsity-aware SUMMA stage's relay).
 
     Exact: the rank moves ``nbytes`` (the distinct rows read, times the
     dense row size) to or from ``npeers`` distinct ranks, one message
     per peer, concurrent within the step.  A receiver fetches its rows
-    from its sources; a SUMMA stage's root, which receives nothing,
-    sends every receiver's rows down its one link.  Like every rule,
-    zero bytes is free: a rank that moves nothing sends no message,
-    whatever ``npeers`` says.
+    from its sources; a SUMMA stage's column member gets the rows of its
+    hop from one peer, and the root sends the first hop's.  Like every
+    rule, zero bytes is free: a rank that moves nothing sends no
+    message, whatever ``npeers`` says.
     """
     m, peers = np.broadcast_arrays(whole(nbytes), whole(npeers))
     peers = np.where(m > 0, peers, 0.0)

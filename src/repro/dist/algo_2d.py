@@ -12,16 +12,16 @@ dense words scale as ``~ 1/sqrt(P)`` -- the headline claim.
 The dense pieces move sparsity-aware (Section IV-A.8's observation,
 taken to SUMMA by Mukhopadhyay et al., ICPP 2024): rank ``(i, j)``
 multiplies the stage block by ``S(i, t)``, which reads only the rows at
-its nonempty columns.  Where :func:`repro.dist.grid.stage_gathers` says
-so -- the root sends fewer rows than the block, in no more messages: a
-column with one receiver -- a stage gathers exactly those rows to it
-(the ``gather_rows`` kind, the receiver charged the rows it gets and
-the root the rows it sends) and the receiver multiplies them by a
-column-compacted copy of ``S(i, t)``; else it broadcasts the whole
-block.  The row sets, compacted pieces and
-routes are structure, built once at set-up; compaction keeps every
-piece's ``nnz`` and rows (hence ``scomm``) and every output row's
-summation order (hence the bits).
+its nonempty columns.  So a stage relays the block down process column
+``j`` -- the chain form of SUMMA's pipelined broadcast (van de Geijn &
+Watts, 1997) -- each hop carrying only the rows the members after it
+read (:meth:`repro.dist.grid.GridAlgorithm._summa_stage`).  Where every
+member reads every row this is the pipelined broadcast, byte for byte.
+A member fed by a relay receipt multiplies its rows by a
+column-compacted copy of ``S(i, t)``, one whose root rows are local
+multiplies them in place.  The row sets, compacted pieces and routes
+are structure, built once at set-up; compaction keeps every output
+row's summation order (hence the bits).
 
 :func:`summa_stage_ranges` computes the stage decomposition of the inner
 dimension: for rectangular grids (Section IV-C.6) the ``Pr`` and ``Pc``
@@ -48,7 +48,7 @@ import numpy as np
 from repro.comm.mesh import Mesh2D
 from repro.comm.runtime import VirtualRuntime
 from repro.config import FP64_BYTES
-from repro.dist.grid import GridAlgorithm, SummaStage, stage_gathers
+from repro.dist.grid import GridAlgorithm, SummaStage
 from repro.nn.layers import check_widths
 from repro.nn.optim import Optimizer
 from repro.sparse.csr import CSRMatrix
@@ -269,12 +269,12 @@ class DistGCN2D(GridAlgorithm):
         """Emit the SUMMA epoch's schedule without building ranks.
 
         Mirrors ``_grid_spmm`` (per stage: the pipelined sparse
-        broadcasts, the dense broadcasts or -- where
-        :func:`~repro.dist.grid.stage_gathers` says so on the model's
-        nonempty-column counts -- row gathers, and the local SpMM) and
-        the per-epoch grid transpose; the
-        shared grid epoch (:func:`~repro.simulate.schedule.
-        emit_grid_epoch`) the rest, phase for phase.
+        broadcasts, the dense relay -- each member booked the rows its
+        hop carries, from the model's counts of the rows a run of process
+        rows reads (:meth:`~repro.simulate.schedule.GraphModel.
+        run_nonzero_cols`) -- and the local SpMM) and the per-epoch grid
+        transpose; the shared grid epoch (:func:`~repro.simulate.
+        schedule.emit_grid_epoch`) the rest, phase for phase.
         """
         from repro.comm.mesh import square_side
         from repro.comm.tracker import Category
@@ -309,12 +309,15 @@ class DistGCN2D(GridAlgorithm):
             if graph.symmetric
             else graph.cell_nnz(pr, stage_bounds, transpose=True)
         )
-        # ... and the dense stage rows each of those slices reads.
-        reads_at = graph.cell_nonzero_cols(pr, stage_bounds)
-        reads_a = (
-            reads_at
+        # ... and the dense stage rows each hop of a stage's relay
+        # carries: [p, st], the rows process rows ro + p .. pr - 1 read.
+        roots = [ro for _, _, ro, _ in stages]
+        runs_at = graph.run_nonzero_cols(pr, stage_bounds, roots)
+        runs_a = (
+            runs_at
             if graph.symmetric
-            else graph.cell_nonzero_cols(pr, stage_bounds, transpose=True)
+            else graph.run_nonzero_cols(pr, stage_bounds, roots,
+                                        transpose=True)
         )
         rows_of_rank = np.repeat(rows, pc)
 
@@ -331,7 +334,7 @@ class DistGCN2D(GridAlgorithm):
 
         def grid_spmm(f: int, backward: bool) -> None:
             cells = cells_a if backward else cells_at
-            reads = reads_a if backward else reads_at
+            runs = runs_a if backward else runs_at
             fw = fsplit_widths(f)
             for st, (lo, hi, ro, _co) in enumerate(stages):
                 b.broadcast(
@@ -339,20 +342,12 @@ class DistGCN2D(GridAlgorithm):
                     sparse_wire_bytes(cells[:, st], rows, b.wb),
                     pipelined=True,
                 )
-                if stage_gathers(reads[:, st], ro, hi - lo):
-                    # Receiver (i, j), i != ro: the rows S(i, t) reads,
-                    # in j's feature columns, from one source; root
-                    # (ro, j): all of them, to each receiver.
-                    recv = np.delete(reads[:, st], ro)[:, None]
-                    b.gather_rows(
-                        Category.DCOMM,
-                        np.append(recv * fw, recv.sum() * fw) * b.wb,
-                        np.append(np.repeat(recv > 0, pc, axis=1),
-                                  np.full(pc, np.count_nonzero(recv))),
-                    )
-                else:
-                    b.broadcast(Category.DCOMM, pr, (hi - lo) * fw * b.wb,
-                                pipelined=True)
+                # Member (i, j), p = i - ro hops down: |U_p| rows in j's
+                # feature columns; the root |U_1|; one message each.
+                hop = runs[(np.arange(pr) - ro) % pr, st]
+                hop[ro] = runs[1, st] if pr > 1 else 0.0
+                b.gather_rows(Category.DCOMM,
+                              np.outer(hop, fw).reshape(-1) * b.wb, 1)
                 # Rank (i, j) multiplies row i's stage slice into j's
                 # feature columns.
                 b.spmm(cells[:, st, None], rows[:, None], fw)

@@ -10,10 +10,10 @@ dense rows ``S_{i,k}`` of feature band ``j`` (Table V's ``n/s x n/s^2``
 sparse and ``n/s^2 x f/s`` dense local blocks).  One SpMM is then
 
 1. an independent SUMMA sweep inside every layer (sparse pieces broadcast
-   along process rows, dense pieces sent down process columns -- per
-   stage and layer, the rows each receiver's piece reads gathered or the
-   whole block broadcast, as :func:`repro.dist.grid.stage_gathers`
-   decides, exactly as in 2D) producing layer-local partial products
+   along process rows, dense pieces relayed down process columns, each
+   hop carrying only the rows the members after it read, exactly as in
+   2D: :meth:`repro.dist.grid.GridAlgorithm._summa_stage`) producing
+   layer-local partial products
    ``A^T(R_i, L_k) H(L_k, j)`` over layer ``k``'s rows ``L_k``;
 2. a reduce-scatter along each fiber ``P(i, j, :)`` summing the ``s``
    layer partials and leaving rank ``(i, j, k)`` the shard ``S_{i,k}`` --
@@ -40,7 +40,7 @@ from repro.comm.mesh import Mesh3D
 from repro.comm.runtime import VirtualRuntime
 from repro.comm.tracker import Category
 from repro.config import FP64_BYTES
-from repro.dist.grid import GridAlgorithm, SummaStage, stage_gathers
+from repro.dist.grid import GridAlgorithm, SummaStage
 from repro.nn.layers import check_widths
 from repro.nn.optim import Optimizer
 from repro.sparse.csr import CSRMatrix
@@ -236,11 +236,10 @@ class DistGCN3D(GridAlgorithm):
         """Emit the Split-3D epoch's schedule without building ranks.
 
         Mirrors ``_grid_spmm`` (per-layer SUMMA stages -- sparse
-        broadcasts, then the layers' dense broadcasts and row gathers as
-        :func:`~repro.dist.grid.stage_gathers` picks them on the model's
-        nonempty-column counts -- then the fiber reduce-scatter that
-        leaves every rank its input rows) and the shared grid epoch,
-        phase for phase.
+        broadcasts, then every layer's dense relay, each member booked
+        the rows its hop carries by the model's run counts -- then the
+        fiber reduce-scatter that leaves every rank its input rows) and
+        the shared grid epoch, phase for phase.
         """
         from repro.comm.mesh import cube_side
         from repro.comm.tracker import Category
@@ -283,14 +282,16 @@ class DistGCN3D(GridAlgorithm):
                 s, np.asarray(col_bounds), transpose=True
             ).reshape(s, s, s)
         )
-        # ... and the dense block rows each of those blocks reads.
-        reads_ijk = graph.cell_nonzero_cols(
-            s, np.asarray(col_bounds)).reshape(s, s, s)
-        reads_a = (
-            reads_ijk
+        # ... and the dense rows hop p of stage t's relay carries in
+        # layer k: [p, t, k], the rows blocks (t + p .. s - 1, t, k) read.
+        roots = np.repeat(np.arange(s), s)  # cell (t, k): root t
+        runs_ijk = graph.run_nonzero_cols(
+            s, np.asarray(col_bounds), roots).reshape(s, s, s)
+        runs_a = (
+            runs_ijk
             if graph.symmetric
-            else graph.cell_nonzero_cols(
-                s, np.asarray(col_bounds), transpose=True
+            else graph.run_nonzero_cols(
+                s, np.asarray(col_bounds), roots, transpose=True
             ).reshape(s, s, s)
         )
         # Per-rank dense row counts, flattened over (i, j, k).
@@ -314,7 +315,7 @@ class DistGCN3D(GridAlgorithm):
 
         def grid_spmm(f: int, backward: bool) -> None:
             nz = cells_a if backward else nnz_ijk
-            reads = reads_a if backward else reads_ijk
+            runs = runs_a if backward else runs_ijk
             fw = fsplit_widths(f)
             for t in range(s):
                 # Sparse: row groups (i, k) get block (i, t, k).
@@ -325,31 +326,16 @@ class DistGCN3D(GridAlgorithm):
                     ).reshape(-1),
                     pipelined=True,
                 )
-                # Dense: column groups (j, k) get block (t, j, k), by
-                # broadcast or, layer by layer, by row gather.
-                gathers = [stage_gathers(reads[:, t, k], t, subrows[t, k])
-                           for k in range(s)]
-                bcast = [k for k in range(s) if not gathers[k]]
-                gather = [k for k in range(s) if gathers[k]]
-                if bcast:
-                    b.broadcast(
-                        Category.DCOMM, s,
-                        (np.outer(fw, subrows[t, bcast]) * b.wb).reshape(-1),
-                        pipelined=True,
-                    )
-                if gather:
-                    # Receiver (i, j, k), i != t: the rows (i, t, k)
-                    # reads, in j's feature columns, from one source;
-                    # root (t, j, k): all of them, to each receiver.
-                    recv = np.delete(reads[:, t, gather], t, axis=0)
-                    b.gather_rows(
-                        Category.DCOMM,
-                        np.append(recv[:, None, :] * fw[None, :, None],
-                                  np.outer(fw, recv.sum(axis=0))) * b.wb,
-                        np.append(
-                            np.repeat(recv[:, None, :] > 0, s, axis=1),
-                            np.tile(np.count_nonzero(recv, axis=0), s)),
-                    )
+                # Dense: relayed down column groups (j, k) from (t, j, k);
+                # member (i, j, k), p = i - t hops down, books |U_p| rows
+                # of j's feature columns, the root |U_1|.
+                hop = runs[(np.arange(s) - t) % s, t, :]
+                hop[t] = runs[1, t, :] if s > 1 else 0.0
+                b.gather_rows(
+                    Category.DCOMM,
+                    (hop[:, None, :] * fw[None, :, None] * b.wb).reshape(-1),
+                    1,
+                )
                 # Local SpMM on every rank (i, j, k).
                 b.spmm(nz[:, None, t, :], rows[:, None, None],
                        fw[None, :, None])

@@ -118,7 +118,7 @@ def _emit_epoch_event(stats, replayed: bool = False) -> None:
 class RoutedStep(NamedTuple):
     """One step of concurrent routed transfers of a stage
     (:meth:`DistAlgorithm._routed_stages`): broadcasts, or a gather of
-    selected dense rows."""
+    selected dense rows (a ghost exchange, a SUMMA stage's relay)."""
 
     #: ``"broadcast"`` or ``"gather_rows"``
     kind: str
@@ -439,8 +439,8 @@ class DistAlgorithm:
         data plane runs under one wall-clock span (``span``, default
         the kind); for the exact-accounting kinds the sanitizer audits
         that the bytes charged to local receivers are the bytes that
-        arrived (a gathering SUMMA stage's roots, which only send, book
-        what they send).  ``posted`` finishes a :meth:`Collectives.post` made
+        arrived (a SUMMA stage's relay books members no route reaches
+        too: they select their rows from a local member's).  ``posted`` finishes a :meth:`Collectives.post` made
         earlier instead of moving now (a staged routed step): the
         charge lands here, where the step is collected.
         """
@@ -475,8 +475,8 @@ class DistAlgorithm:
         """The staged routed loop every stage loop runs over.
 
         ``stages`` yields, per stage, the routed steps that stage needs
-        (:class:`RoutedStep`: SUMMA's sparse and dense broadcasts, the
-        sparsity-aware stages' row gathers, 1.5D's broadcast rounds);
+        (:class:`RoutedStep`: SUMMA's sparse broadcasts and dense
+        relays, 1.5D's broadcast rounds);
         this yields, per stage, the received payload list of each of
         them (shared read-only receipts, one per route; routes with no
         local destination yield ``None`` on the multiprocess backend).

@@ -2,10 +2,10 @@
 
 :class:`GridAlgorithm` is the program both algorithms run on top of
 :class:`repro.dist.base.DistAlgorithm`, SUMMA's stage loop included
-(:meth:`GridAlgorithm._summa_sweep`, with the rule
-:func:`stage_gathers` that picks each stage's dense movement); the
-``algo_2d`` / ``algo_3d`` modules supply the layout -- the mesh's
-groups, each stage's sparse pieces, and the SpMM around the stage loop.
+(:meth:`GridAlgorithm._summa_sweep`, each stage's dense rows relayed down
+the process columns sparsity-aware); the ``algo_2d`` / ``algo_3d``
+modules supply the layout -- the mesh's groups, each stage's sparse
+pieces, and the SpMM around the stage loop.
 """
 
 from __future__ import annotations
@@ -21,78 +21,47 @@ from repro.nn.layers import (forward_gemm, funnel_reduces, sweep_order,
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.spmm import spmm
 
-__all__ = ["GridAlgorithm", "SummaStage", "stage_gathers"]
-
-
-def stage_gathers(reads: Sequence[float], root: int,
-                  stage_rows: float) -> bool:
-    """Does a SUMMA stage gather its dense rows instead of broadcasting?
-
-    At a stage, member ``i`` of a dense column group multiplies the
-    stage block by its sparse piece, which reads only ``reads[i]`` of
-    the block's ``stage_rows`` rows: its nonempty columns.  The
-    pipelined broadcast has the ``root`` send the whole block once, in
-    one message.  A gather (the ``gather_rows`` kind) has it send each
-    other member that reads any row just those rows: the sum of them,
-    one message per receiver, all down the root's own link.  Gather
-    exactly when that step is the cheaper one on every machine -- the
-    root sends fewer rows, ``sum_{i != root} reads[i] < stage_rows``, in
-    no more messages, so to at most one receiver.  Then every member's
-    link carries fewer bytes than under the broadcast, the root's
-    included, and no more messages.  With two receivers or more the
-    gather pays a message each, and which step is faster would depend
-    on the machine's latency and bandwidth; the rule is structural, so
-    such a stage broadcasts.
-
-    One rule, like :func:`repro.nn.layers.funnel_reduces`: the executed
-    2D / Split-3D sweeps decide by it from their blocks, and their
-    ``emit_comm_schedule`` hooks from the
-    :class:`~repro.simulate.schedule.GraphModel`'s nonempty-column
-    counts (expected ones, on a uniform model).
-    """
-    others = [r for i, r in enumerate(reads) if i != root and r > 0]
-    return len(others) <= 1 and sum(others) < stage_rows
+__all__ = ["GridAlgorithm", "SummaStage"]
 
 
 class SummaStage(NamedTuple):
     """One SUMMA stage's set-up structure for one sparse operand
     (:meth:`GridAlgorithm._summa_stage`), over its layers: 2D has one,
     Split-3D ``s``.  Member ``i`` of layer ``k`` is row group ``k g +
-    i`` (``g`` members a column group)."""
+    i`` (``g`` members a column group); member ``root + p`` (mod ``g``)
+    receives the ``p``-th hop of the stage's relay, ``root`` the member
+    whose column ranks hold the dense blocks."""
 
-    #: the member whose column ranks hold the dense blocks
-    root: int
     #: the rows of the roots' dense blocks the stage covers (``None``:
     #: all of them)
     window: Optional[Tuple[int, int]]
-    #: per layer: :func:`stage_gathers`' verdict
-    gathers_in: Tuple[bool, ...]
-    #: per layer and member: the ascending stage-block rows its piece
-    #: reads (its nonempty columns)
-    rows: Tuple[Tuple[np.ndarray, ...], ...]
+    #: per layer: the root rank of each process column, the ranks whose
+    #: dense blocks the stage reads
+    roots: Tuple[Tuple[int, ...], ...]
+    #: per layer and member: ``U_p``, the ascending stage-block rows the
+    #: members ``p .. g - 1`` hops after the root read -- what hop ``p``
+    #: carries -- or ``None`` for the whole block (and at the root)
+    rows: Tuple[Tuple[Optional[np.ndarray], ...], ...]
     #: ``(row group, sparse root)`` per member, layer-major
     sparse_routes: List[Tuple[Tuple[int, ...], int]]
-    #: ``{sparse root: the piece its row group multiplies}`` --
-    #: compacted onto its ``rows`` (:meth:`CSRMatrix.compact_columns`)
-    #: in a gathering layer, except at the root, which holds the block
+    #: ``{sparse root: the piece its row group multiplies}``
     sparse: Dict[int, CSRMatrix]
-    #: ``(column group, root)`` of the layers that broadcast, layer-major
-    bcast: List[Tuple[Tuple[int, ...], int]]
-    #: broadcasting layer -> the index of its first route
-    bcast_at: Dict[int, int]
-    #: ``(root, receiver, root-block rows)`` per gathered block of rows,
-    #: for the layers that gather
-    pairs: Tuple[Tuple[int, int, np.ndarray], ...]
-    #: receiver -> its pair's index
-    slot: Dict[int, int]
-    #: ``(root, rows it sends, receivers)`` per column of the layers
-    #: that gather -- the root's side of the step's charge
-    sends: Tuple[Tuple[int, int, int], ...]
-
-    @property
-    def gathers(self) -> bool:
-        """Does any layer gather (one ``gather_rows`` step)?"""
-        return any(self.gathers_in)
+    #: local row group fed by a relay receipt -> its piece compacted onto
+    #: its ``rows`` (:meth:`CSRMatrix.compact_columns`); a row group not
+    #: here reads the root's rows in place (all of them, on the virtual
+    #: runtime)
+    compact: Dict[int, CSRMatrix]
+    #: ``(rank, stage rows it books)`` per column member: the root
+    #: ``|U_1|``, the member ``p`` hops down ``|U_p|``
+    hops: Tuple[Tuple[int, int], ...]
+    #: ``(root, rank, root-block rows)`` per transfer that crosses
+    #: processes: a process's most-upstream member of a column gets
+    #: its ``U_p`` from the root (none on the virtual runtime)
+    relay: Tuple[Tuple[int, int, np.ndarray], ...]
+    #: local non-root rank -> ``(transfer, root, positions)``: its rows
+    #: are ``positions`` (``None``: all) of ``relay[transfer]``'s
+    #: receipt, or of the root's window where ``transfer`` is ``None``
+    feed: Dict[int, Tuple[Optional[int], int, Optional[np.ndarray]]]
 
 
 class GridAlgorithm(DistAlgorithm):
@@ -277,42 +246,74 @@ class GridAlgorithm(DistAlgorithm):
         piece it multiplies (members in order), ``rank(i, j, k)`` is
         member ``i`` of process column ``j`` in layer ``k``, and the
         dense blocks the stage reads are the ``window`` rows of the
-        ``root`` member's.  Per layer, where :func:`stage_gathers` says
-        so the root of column ``j`` sends receiver ``(i, j)`` the rows
-        its piece reads (every ``i != root`` whose piece reads any),
-        else it broadcasts the block down the column."""
-        plan, ncols = self._plan(), len(self._row_group_list[0])
-        verdicts, reads, routes, sparse = [], [], [], {}
-        bcast, bcast_at, pairs, sends = [], {}, [], []
+        ``root`` member's.
+
+        The stage relays its dense rows down each process column in
+        cyclic order from the root (SUMMA's pipelined broadcast as a
+        chain), each hop carrying only what the members after it read:
+        hop ``p`` moves ``U_p``, the rows read by the members ``p .. g -
+        1`` hops down.  The data plane sends every process its
+        most-upstream member's ``U_p`` straight from the root, and the
+        process's other members select theirs from it; a row group fed
+        so multiplies its piece compacted onto its ``U_p``.  Where the
+        root's rows are local nothing is selected: the piece reads them
+        in place, which is bitwise the compacted product."""
+        ncols = len(self._row_group_list[0])
+        owner = self.rt.owners if self._spmd else None
+        roots, rows, routes, sparse = [], [], [], {}
+        hops, relay, feed, compact = [], [], {}, {}
         for k, pieces in enumerate(layers):
             g = len(pieces)
             a, b = window or (0, self._rows_of(rank(root, 0, k)))
-            rows = tuple(p.nonempty_columns() for p in pieces.values())
-            gathers = stage_gathers([r.size for r in rows], root, b - a)
-            verdicts.append(gathers)
-            reads.append(rows)
+            members = list(pieces.values())
+            reads = [piece.nonempty_columns() for piece in members]
+            runs: List[Optional[np.ndarray]] = [None] * g
+            moved = [0] * g
+            read = np.zeros(b - a, dtype=bool)
+            for p in range(g - 1, 0, -1):
+                i = (root + p) % g
+                read[reads[i]] = True
+                seen = np.flatnonzero(read)
+                moved[i] = seen.size
+                runs[i] = None if seen.size == b - a else seen
+            moved[root] = moved[(root + 1) % g] if g > 1 else 0
+            rows.append(tuple(runs))
+            roots.append(tuple(rank(root, j, k) for j in range(ncols)))
             for i, (src, piece) in enumerate(pieces.items()):
                 routes.append((self._row_group_list[k * g + i], src))
-                sparse[src] = (piece.compact_columns(rows[i])
-                               if gathers and i != root else piece)
-            if gathers:
-                got = [(i, r) for i, r in enumerate(rows)
-                       if i != root and r.size]
-                for j in range(ncols):
-                    pairs.extend((rank(root, j, k), rank(i, j, k), r + a)
-                                 for i, r in got)
-                    sends.append((rank(root, j, k),
-                                  sum(r.size for _, r in got), len(got)))
-            else:
-                bcast_at[k] = len(bcast)
-                bcast.extend(
-                    (plan.group([rank(i, j, k) for i in range(g)]),
-                     rank(root, j, k))
-                    for j in range(ncols))
-        return SummaStage(root, window, tuple(verdicts), tuple(reads),
-                          routes, sparse, bcast, bcast_at, tuple(pairs),
-                          {dst: n for n, (_, dst, _) in enumerate(pairs)},
-                          tuple(sends))
+                sparse[src] = piece
+            fed = set()  # members a relay receipt feeds here
+            for j, src in enumerate(roots[-1]):
+                hops.extend((rank(i, j, k), moved[i]) for i in range(g)
+                            if moved[i])
+                first = {}  # process -> (transfer, rows) of its first hop
+                for p in range(1, g):
+                    i = (root + p) % g
+                    dst, mine = rank(i, j, k), runs[i]
+                    if owner is None or owner[dst] == owner[src]:
+                        if self._is_local(dst):
+                            feed[dst] = (None, src, mine)
+                        continue
+                    w = owner[dst]
+                    if w not in first:
+                        if not moved[i]:
+                            continue  # nor does any member after it
+                        first[w] = (len(relay), mine)
+                        relay.append((src, dst, a + (np.arange(b - a)
+                                                     if mine is None
+                                                     else mine)))
+                    at, got = first[w]
+                    if self._is_local(dst):
+                        feed[dst] = (at, src, None if mine is got else
+                                     mine if got is None else
+                                     np.searchsorted(got, mine))
+                        fed.add(i)
+            for i in fed:
+                piece = members[i]
+                compact[k * g + i] = (piece if runs[i] is None
+                                      else piece.compact_columns(runs[i]))
+        return SummaStage(window, tuple(roots), tuple(rows), routes,
+                          sparse, compact, tuple(hops), tuple(relay), feed)
 
     def _summa_sweep(self, stages: Sequence[SummaStage], op_key: str,
                      dense_blocks, f: int, accs) -> None:
@@ -321,19 +322,23 @@ class GridAlgorithm(DistAlgorithm):
         o_hi)``, its feature-column span).
 
         Per stage, the sparse roots broadcast their pieces along the
-        process rows, then the dense stage rows go down the process
-        columns: broadcast, or -- layer by layer, where
-        :func:`stage_gathers` says so -- gathered, receiver ``(i, j)``
-        getting only the rows its piece reads and multiplying them by
-        the column-compacted piece its row broadcast carries (same
-        ``nnz`` and rows, hence the same ``scomm``; each output row sums
-        in the same order, hence the same bits).  A piece that reads no
-        row multiplies nothing.  The steps run one stage ahead of the
-        multiplies (:meth:`_routed_stages`).  Per stage the dense
-        feature-column pieces are joined once per local column *span*
-        and each local row group runs one SpMM against them; SpMM
-        columns are independent, so per-rank numerics are identical to
-        the per-rank products.
+        process rows, then the dense stage rows are relayed down the
+        process columns (:meth:`_summa_stage`): the root is booked
+        ``|U_1|`` rows and the member ``p`` hops down ``|U_p|``, one
+        message each, at the pipelined broadcast's price -- which is
+        the broadcast itself where every member reads every row.  A row
+        group whose root rows are local (every one, on the virtual
+        runtime) multiplies its piece by them in place: per stage the
+        root's dense feature-column pieces are joined once per local
+        column *span*, and nothing is selected or copied for a
+        receiver.  A row group fed by a relay receipt joins its ``U_p``
+        rows and multiplies them by its piece compacted onto them (same
+        ``nnz``; each output row sums in the same order, hence the same
+        bits).  A piece with no nonzero adds nothing and is skipped.
+        The steps run one stage ahead of the multiplies
+        (:meth:`_routed_stages`).  Each local row group runs one SpMM a
+        stage; SpMM columns are independent, so per-rank numerics are
+        identical to the per-rank products.
         """
         fcols = self._fsplit(f)
         wb = self.WB
@@ -345,76 +350,55 @@ class GridAlgorithm(DistAlgorithm):
         def steps():
             # The size callables run a stage later, so they bind it.
             for t, st in enumerate(stages):
-                out = [RoutedStep(
-                    "broadcast", ("bsch", op_key, t), st.sparse_routes,
-                    st.sparse, Category.SCOMM,
-                    lambda st=st: [(group, st.sparse[root].nbytes_on_wire)
-                                   for group, root in st.sparse_routes])]
-                if st.bcast:
-                    if st.window is None:
-                        blocks, rows = dense_blocks, self._rows_of
-                    else:
-                        a, b = st.window
-                        blocks = {root: dense_blocks[root][a:b]
-                                  for _, root in st.bcast
-                                  if root in dense_blocks}
-                        rows = lambda root, n=b - a: n
-                    out.append(RoutedStep(
-                        "broadcast", ("bdch", op_key, f, t), st.bcast, blocks,
-                        Category.DCOMM,
-                        lambda st=st, rows=rows: [
-                            (group, rows(root) * width(root) * wb)
-                            for group, root in st.bcast]))
-                if st.gathers:
-                    # Each receiver books the rows it gets from one
-                    # source, each root the rows it sends, one message
-                    # per receiver.
-                    out.append(RoutedStep(
-                        "gather_rows", ("gdch", op_key, f, t), st.pairs,
+                yield [
+                    RoutedStep(
+                        "broadcast", ("bsch", op_key, t), st.sparse_routes,
+                        st.sparse, Category.SCOMM,
+                        lambda st=st: [(group, st.sparse[root].nbytes_on_wire)
+                                       for group, root in st.sparse_routes]),
+                    RoutedStep(
+                        "gather_rows", ("rdch", op_key, f, t), st.relay,
                         dense_blocks, Category.DCOMM,
-                        lambda st=st: [
-                            (dst, rows.size * width(dst) * wb, 1)
-                            for _, dst, rows in st.pairs] + [
-                            (src, n * width(src) * wb, peers)
-                            for src, n, peers in st.sends]))
-                yield out
+                        lambda st=st: [(r, n * width(r) * wb, 1)
+                                       for r, n in st.hops])]
+
+        def rows_of(st: SummaStage, root: int) -> np.ndarray:
+            block = dense_blocks[root]
+            return block if st.window is None else block[slice(*st.window)]
 
         received = self._routed_stages(steps())
         for t, st in enumerate(stages):
-            sparse_got, *dense_got = next(received)
-            bcast_got = dense_got[0] if st.bcast else ()
-            gather_got = dense_got[-1] if st.gathers else ()
+            sparse_got, relayed = next(received)
             g = len(st.rows[0])
             joins: Dict[Tuple[int, int, int], np.ndarray] = {}
             for gi, group, members, (c_lo, c_hi) in self._local_group_info:
+                piece = sparse_got[gi]
+                if not piece.nnz:
+                    continue
                 acc, o_lo, o_hi = accs[gi]
-                k, i = divmod(gi, g)
-                gathers = st.gathers_in[k]
-                if gathers and i != st.root:
-                    nrows = st.rows[k][i].size
-                    if not nrows:
-                        continue
+                k = gi // g
+                if gi in st.compact:
+                    parts = []
+                    for r in members:
+                        at, root, pos = st.feed[r]
+                        got = rows_of(st, root) if at is None else relayed[at]
+                        parts.append(got if pos is None else got[pos])
                     d_span = self._join_span(
-                        [gather_got[st.slot[r]] for r in members], nrows,
-                        o_hi - o_lo, ("gsr", c_lo, c_hi), self._max_rows)
+                        parts, parts[0].shape[0], o_hi - o_lo,
+                        ("rsr", c_lo, c_hi), self._max_rows)
+                    piece = st.compact[gi]
                 else:
                     d_span = joins.get((k, c_lo, c_hi))
                     if d_span is None:
-                        if not gathers:
-                            at = st.bcast_at[k]
-                            parts = bcast_got[at + c_lo : at + c_hi]
-                        elif st.window is None:
-                            parts = [dense_blocks[r] for r in members]
-                        else:
-                            parts = [dense_blocks[r][slice(*st.window)]
-                                     for r in members]
+                        parts = [rows_of(st, r)
+                                 for r in st.roots[k][c_lo:c_hi]]
                         inner = parts[0].shape[0]
                         d_span = self._join_span(
                             parts, inner, o_hi - o_lo,
                             self._pick_span_key(o_hi - o_lo == f,
                                                 ("gsd", inner), c_lo, c_hi))
                         joins[(k, c_lo, c_hi)] = d_span
-                acc += spmm(sparse_got[gi], d_span)
+                acc += spmm(piece, d_span)
 
             def charges(st=st):
                 for group, root in st.sparse_routes:

@@ -44,8 +44,8 @@ only place a worker waits for a peer.  ``exchange`` is
 ``collect(post(...))``.  One ticket is one message (and, on shm, one
 acknowledgement) per peer however many payloads it carries, and a
 payload object shared by several lists is encoded once.  The routed
-collectives -- ghost-row fetch, SUMMA stage broadcasts and row gathers
--- walk their global transfer list once, bucket every cross-worker
+collectives -- ghost-row fetch, SUMMA stage broadcasts and relays --
+walk their global transfer list once, bucket every cross-worker
 transfer by peer worker and meet **once per call**, not once per
 ``(src rank, dst rank)`` pair.  The tag sequence of a ``gkey`` advances
 on every post of the SPMD sequence, also on a worker with no
@@ -55,10 +55,9 @@ call out stay aligned with the ones that do not (W >= 3).
 Tickets and overlap.  Several tickets may be outstanding, each
 collected once and in the same order on every worker.  The stage loops
 of the 1.5D / 2D / 3D algorithms use that with a fixed look-ahead of
-one: stage ``k + 1``'s broadcasts and gathers are posted before stage
+one: stage ``k + 1``'s broadcasts and relays are posted before stage
 ``k`` is collected and multiplied (``DistAlgorithm._routed_stages``), so
-they
-travel under the multiply.  A ticket owns what its post borrowed; on
+they travel under the multiply.  A ticket owns what its post borrowed; on
 shm the arena pointer is rewound only when the last outstanding ticket
 is collected, and posts made meanwhile spill to ephemeral segments once
 the arena is full.  On tcp the posting thread writes the frame itself

@@ -279,45 +279,68 @@ class GraphModel:
                 self.nnz
                 * np.outer(row_lens / self.n, col_lens / self.n)
             )
-        return self._cell_counts(row_parts, col_bounds, transpose, False)
+        return self._cell_counts(row_parts, col_bounds, transpose)
 
-    def cell_nonzero_cols(
+    def run_nonzero_cols(
         self,
         row_parts: int,
         col_bounds: np.ndarray,
+        roots,
         transpose: bool = False,
     ) -> np.ndarray:
-        """Columns with at least one nonzero, per (row block, column
-        range) cell -- the dense rows a SUMMA stage's sparse piece reads
-        (:func:`repro.dist.grid.stage_gathers`).
+        """Columns with a nonzero in a cyclic run of row blocks, per
+        cell: entry ``[p, c]`` counts the columns of cell ``c`` that any
+        of the row blocks ``roots[c] + p, ..., roots[c] + row_parts - 1``
+        (mod ``row_parts``) reads -- the dense rows hop ``p`` of a SUMMA
+        stage's relay carries (:meth:`repro.dist.grid.GridAlgorithm.
+        _summa_stage`); ``p = 0`` is the whole column.
 
-        Same cells and shape as :meth:`cell_nnz`.  The uniform backend
-        uses the expected occupancy of a cell ``w`` columns wide holding
-        ``z`` nonzeros, ``w (1 - e^{-z / w})``.
+        Cells as in :meth:`cell_nnz`, one root per cell.  The uniform
+        backend uses the expected occupancy of a cell ``w`` columns wide
+        holding the run's ``z`` nonzeros, ``w (1 - e^{-z / w})``, rounded
+        to the nearest whole row: a run expected to miss less than half
+        a row reads the whole block.
         """
         col_bounds = np.asarray(col_bounds, dtype=np.int64)
+        roots = np.asarray(roots, dtype=np.int64)
+        ncells = len(col_bounds) - 1
+        # offset[b, c]: how many hops after cell c's root block b sits
+        offset = (np.arange(row_parts)[:, None] - roots[None, :]) % row_parts
         if not self.exact:
+            by_offset = np.zeros((row_parts, ncells))
+            by_offset[offset, np.arange(ncells)] = self.cell_nnz(
+                row_parts, col_bounds)
+            z = np.cumsum(by_offset[::-1], axis=0)[::-1]
             widths = np.diff(col_bounds).astype(np.float64)
-            nnz = self.cell_nnz(row_parts, col_bounds)
             safe = np.where(widths > 0, widths, 1.0)
-            return widths * (1.0 - np.exp(-nnz / safe))
-        return self._cell_counts(row_parts, col_bounds, transpose, True)
-
-    def _cell_counts(self, row_parts: int, col_bounds: np.ndarray,
-                     transpose: bool, distinct: bool) -> np.ndarray:
-        """The exact per-cell count of nonzeros, or (``distinct``) of
-        nonempty columns."""
+            return np.floor(widths * (1.0 - np.exp(-z / safe)) + 0.5)
         csr = self._matrix(transpose)
-        row_of = np.searchsorted(
+        blocks = np.repeat(self._block_of(row_parts), np.diff(csr.indptr))
+        blocks, cols = np.divmod(np.unique(blocks * self.n + csr.indices),
+                                 self.n)
+        cell_of = np.searchsorted(col_bounds, np.arange(self.n),
+                                  side="right") - 1
+        # per column: the farthest hop that reads it
+        last = np.full(self.n, -1)
+        np.maximum.at(last, cols, offset[blocks, cell_of[cols]])
+        read = last >= 0
+        counts = np.zeros((row_parts, ncells))
+        np.add.at(counts, (last[read], cell_of[read]), 1.0)
+        return np.cumsum(counts[::-1], axis=0)[::-1]
+
+    def _block_of(self, row_parts: int) -> np.ndarray:
+        """Each row's block of the equal ``row_parts`` split."""
+        return np.searchsorted(
             boundaries(self.n, row_parts), np.arange(self.n), side="right"
         ) - 1
-        blocks = np.repeat(row_of, np.diff(csr.indptr))
-        cols = csr.indices
-        if distinct:
-            blocks, cols = np.divmod(np.unique(blocks * self.n + cols),
-                                     self.n)
+
+    def _cell_counts(self, row_parts: int, col_bounds: np.ndarray,
+                     transpose: bool) -> np.ndarray:
+        """The exact per-cell count of nonzeros."""
+        csr = self._matrix(transpose)
+        blocks = np.repeat(self._block_of(row_parts), np.diff(csr.indptr))
         ncells = len(col_bounds) - 1
-        cells = np.searchsorted(col_bounds, cols, side="right") - 1
+        cells = np.searchsorted(col_bounds, csr.indices, side="right") - 1
         counts = np.bincount(blocks * ncells + cells,
                              minlength=row_parts * ncells)
         return counts.reshape(row_parts, ncells).astype(np.float64)
@@ -428,8 +451,10 @@ class GatherRowsPhase:
     charges`: entry ``i`` moves exactly ``nbytes[i]`` to or from
     ``npeers[i]`` ranks.  A ghost-row exchange books its receivers --
     the partition-aware term whose total is ``sum_i r_i * f *
-    itemsize``; a gathering SUMMA stage books its receivers and the
-    roots that send them their rows.
+    itemsize``; a SUMMA stage's relay books every member of a process
+    column the rows its hop carries (the root the first hop's), one
+    message each -- the pipelined broadcast's price where every member
+    reads every row.
     """
 
     category: str

@@ -390,8 +390,10 @@ class CSRMatrix:
         full block's product with all of it.  ``nnz`` and ``nrows`` --
         hence :attr:`nbytes_on_wire` -- are the block's own.
         """
-        return CSRMatrix(self.indptr, np.searchsorted(cols, self.indices),
-                         self.data, (self.nrows, len(cols)), validate=False)
+        renumber = np.empty(self.ncols, dtype=np.intp)
+        renumber[cols] = np.arange(len(cols))
+        return CSRMatrix(self.indptr, renumber[self.indices], self.data,
+                         (self.nrows, len(cols)), validate=False)
 
     def scale_rows(self, scale: np.ndarray) -> "CSRMatrix":
         """Return ``diag(scale) @ self`` (row scaling)."""

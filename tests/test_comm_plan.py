@@ -127,6 +127,17 @@ CONFIGS = [
 #: 0.00035144750640078454 -> 0.0003513139411833933.  The compacted
 #: pieces keep their ``nnz`` and rows, so ``scomm`` did not move, and
 #: each output row sums in the same order, so no ``loss1`` did either.
+#: And once more for the three rows whose stages have two receivers per
+#: column or more (2D P = 8 on 4 x 2, 2D P = 16, 3D P = 27), when every
+#: stage began to relay its rows down the column, each hop carrying only
+#: the rows the members after it read, instead of broadcasting the
+#: block: 2D P = 8 ``dcomm`` 212192 -> 152288, ``max_rank`` 65400 ->
+#: 59160, seconds 0.0004579610914939523 -> 0.00045770648279830014; 2D
+#: P = 16 323040 -> 263136, 57458 -> 54338, 0.0005906383339130434 ->
+#: 0.0005905110295652173; 3D P = 27 350955 -> 308139, 38579 -> 37779,
+#: 0.0004922167363950941 -> 0.000492185432047268.  ``scomm`` and every
+#: ``loss1`` did not move, and the one-receiver rows (2D P = 4, 3D P = 8)
+#: did not move at all: there the relay is the gather.
 PRE_OPT_ORACLE = {
     ("1d", 4): dict(dcomm=119904, scomm=0, trpose=0, max_rank=29976,
                     seconds=0.00018952624206766913,
@@ -149,17 +160,17 @@ PRE_OPT_ORACLE = {
     ("2d", 4): dict(dcomm=96096, scomm=136256, trpose=17032,
                     max_rank=79860, seconds=0.0003035087886678656,
                     loss1=1.4010554851746768),
-    ("2d", 8): dict(dcomm=212192, scomm=148928, trpose=17048,
-                    max_rank=65400, seconds=0.0004579610914939523,
+    ("2d", 8): dict(dcomm=152288, scomm=148928, trpose=17048,
+                    max_rank=59160, seconds=0.00045770648279830014,
                     loss1=1.4010554851746766),
-    ("2d", 16): dict(dcomm=323040, scomm=297856, trpose=18616,
-                     max_rank=57458, seconds=0.0005906383339130434,
+    ("2d", 16): dict(dcomm=263136, scomm=297856, trpose=18616,
+                     max_rank=54338, seconds=0.0005905110295652173,
                      loss1=1.4010554851746766),
     ("3d", 8): dict(dcomm=145376, scomm=148672, trpose=0,
                     max_rank=51036, seconds=0.0003513139411833933,
                     loss1=1.4010554851746766),
-    ("3d", 27): dict(dcomm=350955, scomm=270000, trpose=0,
-                     max_rank=38579, seconds=0.0004922167363950941,
+    ("3d", 27): dict(dcomm=308139, scomm=270000, trpose=0,
+                     max_rank=37779, seconds=0.000492185432047268,
                      loss1=1.4010554851746766),
 }
 

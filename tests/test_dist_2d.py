@@ -135,19 +135,18 @@ class TestCommunicationAccounting:
         bytes -- sparse and dense stage broadcasts plus the transpose --
         by roughly half (generous slack for the sparse blocks' index
         overhead on a small graph).  Each stage's dense rows are pinned
-        exactly to the adjacency: a stage with one receiver per column
-        that reads fewer than all its rows (every stage at P = 4, none
-        at P = 16 here) gathers (:func:`~repro.dist.grid.stage_gathers`),
-        and the receiver gets and the root sends the rows it reads; any
-        other stage broadcasts the whole block to every member.  The
-        rest of the epoch is dense and
+        exactly to the adjacency: a stage relays its block down the
+        process columns, the member ``p`` hops after the root booking
+        ``U_p``, the rows the members ``p .. q - 1`` hops down read, and
+        the root ``U_1`` (:meth:`~repro.dist.grid.GridAlgorithm.
+        _summa_stage`).  The rest of the epoch is dense and
         pinned exactly to closed forms from the widths: the 16 -> 4
         layer's replicated-W funnels (reduce-scatter of ``H W``,
         all-gathers of ``Z`` and ``A G``; a ring moves (sqrt(P) - 1) / P
         of a row group's words per rank, 1/4 -> 3/16, a 4/3 cut) and the
         world all-reduce of the gradient bucket (2 (P - 1) / P of its
         words, which grow).
-        Together they put the whole per-rank ratio near 1.39."""
+        Together they put the whole per-rank ratio near 1.45."""
         big = make_synthetic(n=600, avg_degree=6, f=32, n_classes=4, seed=6)
         n, w = big.num_vertices, (32, 16, 4)
         f = w[-1]  # both sweeps and every funnel run at the narrow side
@@ -159,13 +158,12 @@ class TestCommunicationAccounting:
             sweeps = np.zeros(q, dtype=np.int64)  # per process row
             for t in range(q):
                 stage = slice(bounds[t], bounds[t + 1])
-                moved = [int(nonzero[bounds[i]:bounds[i + 1], stage]
-                             .any(axis=0).sum()) for i in range(q)]
-                others = [r for i, r in enumerate(moved) if i != t and r]
-                if len(others) <= 1 and sum(others) < stage.stop - stage.start:
-                    moved[t] = sum(others)  # the root sends them
-                else:
-                    moved = [stage.stop - stage.start] * q
+                reads = [nonzero[bounds[i]:bounds[i + 1], stage].any(axis=0)
+                         for i in range(q)]
+                hop = [int(np.any([reads[(t + h) % q] for h in range(d, q)],
+                                  axis=0).sum()) for d in range(q)]
+                moved = [hop[(i - t) % q] for i in range(q)]
+                moved[t] = hop[1] if q > 1 else 0  # the root sends U_1
                 sweeps += moved
             sweeps = 2 * sweeps * (f // q) * 8
             funnels = 3 * (q - 1) * (n // q) * f * 8 // q
@@ -180,13 +178,16 @@ class TestCommunicationAccounting:
             assert [d[Category.DCOMM] - rest for d in ranks] == sweeps
             max_rank[p] = st.max_rank_comm_bytes
             sweep_max[p] = max(sum(d.values()) for d in ranks) - rest
-        # ideal 2.0; 1.59 here while the P = 4 stages broadcast, 1.47
-        # with them gathering: P = 4 moves fewer rows, P = 16 the same
+        # ideal 2.0; 1.54 here (1.47 while only the P = 4 stages sent
+        # just the rows they read, 1.59 while every stage broadcast): the
+        # P = 16 relay moves fewer rows too, the P = 4 stages the same
         assert 1.4 < sweep_max[4] / sweep_max[16] < 3.0
-        # 1.390 here (1.487 while the P = 4 stages broadcast, 1.669
+        # 1.445 here: P = 16's busiest rank 91 722 -> 88 250 bytes with
+        # its stages relayed (1.390 while only the P = 4 stages sent just
+        # the rows they read, 1.487 while every stage broadcast, 1.669
         # while the funnels broadcast the 16-wide operand, 1/sqrt(P) of
         # a row group's words per rank)
-        assert 1.35 < max_rank[4] / max_rank[16] < 1.45
+        assert 1.40 < max_rank[4] / max_rank[16] < 1.49
 
     def test_total_sparse_bytes_grow_with_sqrt_p(self):
         """Aggregate sparse traffic is nnz * sqrt(P) words: each stage
@@ -198,73 +199,121 @@ class TestCommunicationAccounting:
         # Per-rank scomm should be roughly flat-to-halving; totals grow.
         assert st16.scomm_bytes > st4.scomm_bytes
 
+    @staticmethod
+    def _reads_every_row(algo) -> bool:
+        """Does every member of every stage read every row of the stage
+        block, so that each relay hop carries the whole block -- the
+        pipelined broadcast the paper prices?"""
+        return all(rows is None for st in algo._summa["a_t"]
+                   for layer in st.rows for rows in layer)
+
     def test_tall_grid_cuts_sparse_bytes_square_minimises_dense(self):
         """Section IV-C.6: where the degree far exceeds the feature width
         a tall grid moves fewer sparse bytes than a wide one, while the
         square grid minimises the dense total (the smallest perimeter).
         The dense side is checked on the set-up plus one epoch, the pass
         that still pairs every SpMM sweep with a replicated-``W``
-        product.
-
-        The square and the tall grid broadcast every SUMMA stage.  The
-        wide grid's stages have one receiver per column, which misses
-        some rows of each stage, so they gather
-        (:func:`~repro.dist.grid.stage_gathers`): its dense total falls
-        from 1 333 216 bytes to 1 269 728, still above the square's
-        1 005 536 -- a gather never moves more than the broadcast it
-        replaces, so the square grid minimises the broadcast totals
-        too."""
-        big = make_synthetic(n=512, avg_degree=24, f=8, n_classes=4, seed=0)
-        sparse, dense, gathers = {}, {}, {}
+        product.  On a graph where every stage member reads every row,
+        so each stage relays its whole block: the paper's pipelined
+        broadcast."""
+        big = make_synthetic(n=512, avg_degree=160, f=8, n_classes=4,
+                             seed=0, generator="erdos_renyi")
+        sparse, dense = {}, {}
         for grid in ((2, 8), (4, 4), (8, 2)):
             algo = make_algorithm("2d", 16, big, hidden=8, seed=0, grid=grid)
+            assert self._reads_every_row(algo)
             hist = algo.fit(big.features, big.labels, epochs=1)
             sparse[grid] = hist.epochs[0].scomm_bytes
             dense[grid] = hist.setup.dcomm_bytes + hist.epochs[0].dcomm_bytes
-            gathers[grid] = {st.gathers for st in algo._summa["a_t"]}
         assert sparse[(8, 2)] < sparse[(2, 8)]
         assert min(dense, key=dense.get) == (4, 4)
-        assert gathers == {(2, 8): {True}, (4, 4): {False}, (8, 2): {False}}
-        assert dense[(2, 8)] == 1269728
+        assert dense == {(2, 8): 1333216, (4, 4): 1005536, (8, 2): 1234912}
+
+    def test_relayed_stages_move_less_than_the_broadcast(self):
+        """The same three grids on an R-MAT graph whose members read a
+        part of each stage: every relay hop carries at most the block,
+        so each grid's dense total falls below the full-read one above
+        (its rows do not depend on the graph), and the square grid
+        still moves the least."""
+        big = make_synthetic(n=512, avg_degree=24, f=8, n_classes=4, seed=0)
+        dense = {}
+        for grid in ((2, 8), (4, 4), (8, 2)):
+            algo = make_algorithm("2d", 16, big, hidden=8, seed=0, grid=grid)
+            assert not self._reads_every_row(algo)
+            hist = algo.fit(big.features, big.labels, epochs=1)
+            dense[grid] = hist.setup.dcomm_bytes + hist.epochs[0].dcomm_bytes
+        assert dense == {(2, 8): 1269728, (4, 4): 881376, (8, 2): 955872}
 
     def test_summa_block_keeps_dense_bytes_and_adds_messages(self):
         """Algorithm 2's blocking parameter ``b``: smaller blocks move the
-        same dense bytes in more, smaller broadcasts.  (On this graph two
-        receivers or more read every stage's rows down to ``b = 16``, so
-        every stage broadcasts; at ``b = 4`` on an average degree of 6 a
-        third of them gather instead, and move fewer bytes.)"""
-        big = make_synthetic(n=384, avg_degree=12, f=24, n_classes=4, seed=0)
+        same dense bytes in more, smaller broadcasts -- on a graph where
+        every stage member reads every row, so each stage relays its
+        whole block."""
+        big = make_synthetic(n=384, avg_degree=160, f=24, n_classes=4,
+                             seed=0, generator="erdos_renyi")
         dense, msgs = {}, {}
         for b in (None, 64, 16):
             algo = make_algorithm("2d", 16, big, hidden=16, seed=0,
                                   summa_block=b)
-            assert not any(st.gathers for st in algo._summa["a_t"])
+            assert self._reads_every_row(algo)
             algo.setup(big.features, big.labels)
             dense[b] = algo.train_epoch(0).dcomm_bytes
             msgs[b] = algo.rt.tracker.total_messages()
         assert dense[None] == dense[64] == dense[16]
         assert msgs[16] > msgs[64] > msgs[None]
 
-    def test_gathering_stages_move_the_same_rows_at_every_block(self):
-        """The gathered form of the claim above: with one receiver per
-        column (a 2-row grid) a stage gathers the rows its receiver
-        reads, which do not depend on how the stages are cut, and a
-        stage whose receiver reads all its rows broadcasts them, which
-        costs the same -- so the dense bytes agree at every ``b`` here
-        too, while the steps multiply."""
-        big = make_synthetic(n=384, avg_degree=6, f=24, n_classes=4, seed=0)
-        dense, msgs, gathered = {}, {}, {}
+    @pytest.mark.parametrize("p", [4, 16])
+    def test_relayed_stages_move_the_same_rows_at_every_block(self, p):
+        """The relayed form of the claim above: a hop carries the rows
+        of its stage that the members after it read, and cutting a
+        stage into blocks splits those rows between them -- so the dense
+        bytes agree at every ``b`` on a graph whose members read a part
+        of each stage too, while the steps multiply."""
+        big = make_synthetic(n=384, avg_degree=12, f=24, n_classes=4, seed=0)
+        dense, msgs = {}, {}
         for b in (None, 16, 4):
-            algo = make_algorithm("2d", 4, big, hidden=16, seed=0,
+            algo = make_algorithm("2d", p, big, hidden=16, seed=0,
                                   summa_block=b)
-            gathered[b] = [st.gathers for st in algo._summa["a_t"]]
+            assert not self._reads_every_row(algo)
             algo.setup(big.features, big.labels)
             dense[b] = algo.train_epoch(0).dcomm_bytes
             msgs[b] = algo.rt.tracker.total_messages()
-        assert all(gathered[None]) and all(gathered[16])
-        assert 0 < gathered[4].count(False) < len(gathered[4])
         assert dense[None] == dense[16] == dense[4]
         assert msgs[4] > msgs[16] > msgs[None]
+
+    @pytest.mark.parametrize("name,p", [("2d", 16), ("2d", 8), ("3d", 27)])
+    def test_full_reads_relay_is_the_pipelined_broadcast(self, name, p):
+        """Where every member reads every row, each stage's relay books
+        every member of each column the whole block in one message at
+        the pipelined broadcast's price: its per-rank charges -- bytes,
+        messages and modeled seconds -- are the broadcast's entry for
+        entry."""
+        big = make_synthetic(n=512, avg_degree=160, f=8, n_classes=4,
+                             seed=0, generator="erdos_renyi")
+        kw = {"grid": (4, 2)} if p == 8 else {}
+        algo = make_algorithm(name, p, big, hidden=8, seed=0, **kw)
+        stages = getattr(algo, "_summa", None) or algo._split
+        assert all(rows is None for st in stages["a_t"]
+                   for layer in st.rows for rows in layer)
+        algo.setup(big.features, big.labels)
+        algo.train_epoch(0)
+        coll, mesh = algo.rt.coll, algo.mesh
+        relays = [key for key in algo._cache if key[0] == "rdch"]
+        assert relays
+        for key in relays:
+            _, op, f, t = key
+            st = stages[op][t]
+            fcols = algo._fsplit(f)
+            items = []
+            for k, roots in enumerate(st.roots):
+                rows = (st.window[1] - st.window[0] if st.window
+                        else algo._rows_of(roots[0]))
+                for j, (lo, hi) in enumerate(fcols):
+                    group = (mesh.col_group(j) if name == "2d"
+                             else mesh.col_group(j, k))
+                    items.append((group, rows * (hi - lo) * algo.WB))
+            assert sorted(algo._cache[key]) == sorted(
+                coll.charges("broadcast", items, pipelined=True))
 
     def test_epoch_deterministic(self, ds):
         s1 = self._epoch(ds, 9)

@@ -118,8 +118,10 @@ class TestPaperStories:
 
     def test_2d_dense_bytes_scale_with_sqrt_p(self):
         """Per rank, 2D's dense words fall by ``sqrt(256 / 16) = 4`` from
-        P = 16 to 256, in two exact parts.  The SUMMA sweeps' broadcasts
-        move the whole ``n / sqrt(P)``-row block to every member: 4.000.
+        P = 16 to 256, in two exact parts.  The SUMMA sweeps' relays move
+        the whole ``n / sqrt(P)``-row block to every member (Protein's
+        members read every row of a stage, but for a few at P = 256):
+        4.000.
         The row-group all-gathers and reduce-scatters (the funnels and
         the ``log_softmax`` rows) charge each member the ``(Pc - 1) /
         Pc`` of its group's ``n / Pr`` rows it does not hold, ``(Pc - 1)
@@ -131,12 +133,12 @@ class TestPaperStories:
                 word_bytes=FP32_BYTES)
             part = CommSchedule(p, [
                 ph for ph in schedule.phases
-                if getattr(ph, "kind", None) in kinds
-                and ph.category == Category.DCOMM])
+                if getattr(ph, "category", None) == Category.DCOMM
+                and getattr(ph, "kind", "relay") in kinds])
             return evaluate_schedule(part, SUMMIT).bytes_by_category[
                 Category.DCOMM] / p
 
-        for kinds, ratio in ((("broadcast",), 4.0),
+        for kinds, ratio in ((("relay",), 4.0),
                              (("allgather", "reduce_scatter"), 3.2)):
             assert per_rank(16, kinds) / per_rank(256, kinds) == \
                 pytest.approx(ratio, rel=1e-3), kinds

@@ -19,6 +19,8 @@ many random ones -- for the placement property, every configuration.
 
 import functools
 import hashlib
+import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -38,10 +40,10 @@ from repro.dist import (
     make_runtime_for,
 )
 from repro.dist.base import bucket_nbytes
-from repro.dist.grid import stage_gathers
 from repro.graph import make_synthetic
 from repro.nn import GCN, SGD, SerialTrainer
 from repro.nn.layers import sweep_widths
+from repro.parallel import WorkerRuntime, ledger_digest, owner_map
 from repro.simulate.schedule import (CollectivePhase, ElementwisePhase,
                                      GatherRowsPhase, GemmPhase, GraphModel,
                                      SpmmPhase, TransposePhase,
@@ -177,6 +179,8 @@ GRID_CONFIGS = [c for c in SHAPE_CONFIGS if c.values[0] in ("2d", "3d")]
 STAGE_CONFIGS = [
     pytest.param("2d", 4, {}, id="2d-square"),
     pytest.param("2d", 8, {"grid": (2, 4)}, id="2d-2x4"),
+    pytest.param("2d", 8, {"grid": (4, 2)}, id="2d-4x2"),
+    pytest.param("2d", 16, {}, id="2d-16"),
     pytest.param("2d", 4, {"summa_block": 5}, id="2d-block5"),
     pytest.param("3d", 8, {}, id="3d-8"),
     pytest.param("3d", 27, {}, id="3d-27"),
@@ -196,24 +200,38 @@ def stage_groups(algo):
             for t in range(algo.s) for k in range(algo.s)]
 
 
-def expected_gathers(algo, operand):
-    """``(src, dst, global rows)`` of every gathered block of rows a
-    sweep over ``operand`` must move, worked out from the dense matrix:
-    member ``i``'s rows are the nonempty columns of ``operand[row block
-    i, stage]``, and a stage gathers where :func:`stage_gathers` says so
-    on their counts."""
+def expected_runs(algo, operand):
+    """Per stage and layer (:func:`stage_groups`' order): ``(root, rank,
+    runs)``, ``runs[i]`` the global rows ``U_p`` the members ``p = i -
+    root .. g - 1`` hops down the column read -- the union of the
+    nonempty columns of ``operand[row block, stage]`` -- worked out from
+    the dense matrix; the root's entry is every row of the stage."""
     dense = operand.to_dense() != 0
     out = []
     for (lo, hi), root, rank in stage_groups(algo):
         reads = [lo + np.flatnonzero(dense[r0:r1, lo:hi].any(axis=0))
                  for r0, r1 in algo.row_ranges]
-        if not stage_gathers([r.size for r in reads], root, hi - lo):
-            continue
-        for j in range(len(algo._fsplit(1))):  # the process columns
-            out.extend((rank(root, j), rank(i, j), tuple(rows.tolist()))
-                       for i, rows in enumerate(reads)
-                       if i != root and rows.size)
-    return sorted(out)
+        g = len(reads)
+        runs = {root: np.arange(lo, hi)}
+        for p in range(1, g):
+            runs[(root + p) % g] = np.unique(np.concatenate(
+                [reads[(root + q) % g] for q in range(p, g)]))
+        out.append((root, rank, runs))
+    return out
+
+
+def expected_hops(algo, operand):
+    """``(rank, rows it books)`` of every relay step: the root ``|U_1|``,
+    the member ``p`` hops down ``|U_p|``; nothing where no row moves."""
+    hops = []
+    for root, rank, runs in expected_runs(algo, operand):
+        g = len(runs)
+        moved = {i: rows.size for i, rows in runs.items()}
+        moved[root] = moved[(root + 1) % g] if g > 1 else 0
+        hops.extend((rank(i, j), moved[i])
+                    for j in range(len(algo._fsplit(1)))
+                    for i in range(g) if moved[i])
+    return sorted(hops)
 
 
 @st.composite
@@ -312,77 +330,78 @@ class TestGeneratedShapes:
         # (i) the paper's correctness claim, to reassociation
         assert algo.verify_against_serial(features, labels, epochs=2) <= 1e-12
 
+    @pytest.mark.parametrize("backend", ["virtual", "shm", "tcp"])
     @pytest.mark.parametrize("name,p,kw", STAGE_CONFIGS)
     @given(data=st.data())
-    def test_summa_stages_gather_exactly_the_rows_they_read(self, name, p,
-                                                            kw, data):
-        """Each receiver of a gathering stage gets, from its column's
-        root, exactly the rows at the nonempty columns of its sparse
-        block -- checked on the data plane, by value, for both sweeps
-        of a directed or undirected operand (the backward sweep reads
-        ``A``'s row sets) -- and no other stage moves dense rows by
-        gather.  The ledger equals the emitted schedule (bytes,
-        messages, steps, seconds) and training the serial reference.
+    def test_summa_stages_relay_exactly_the_rows_read_after_each_hop(
+            self, name, p, kw, backend, data):
+        """Each stage relays its dense rows down the process columns,
+        hop ``p`` carrying ``U_p``, the rows the members ``p .. g - 1``
+        hops after the root read: a process's most-upstream member of a
+        column gets its ``U_p`` straight from the root, every member fed
+        so multiplies exactly its ``U_p`` rows of the root's block, and
+        a member whose root rows are local multiplies all of them in
+        place (every member, on one process) -- checked by value, for
+        both sweeps of
+        a directed or undirected operand (the backward sweep reads
+        ``A``'s row sets), on the virtual runtime and on worker
+        runtimes over shm and tcp (W = 2, or 3 where a process row then
+        straddles two workers).  The stages book exactly those rows; the
+        workers' ledgers equal the virtual one, the virtual ledger the
+        emitted schedule (bytes, messages, steps, seconds), and training
+        the serial reference.
 
-        Mutation check (run once, in a scratch copy): with the pair
-        builder (``GridAlgorithm._summa_stage``) leaving the last row out
-        of each receiver's set, this property fails on the four shapes
-        whose stages have one receiver per column (a 3D P = 27 stage has
-        two, so it gathers only where one of them reads no row), and
-        the next one fails on its two ``rmat`` shapes of that kind."""
+        Mutation check (run once, in a scratch copy): with every hop's
+        row set dropping its last row (booked and carried alike), this
+        property fails on all seven shapes on all three runtimes, and so
+        do the next one (its ``rmat`` shapes), the ledger-exactness and
+        serial-equivalence tests of every grid shape and the pinned
+        ledgers of ``test_comm_plan.py``."""
         a_t, features, labels, widths, seed = data.draw(
             shaped_problems(True))
         algo, emit_kw = build_shaped(name, p, kw, a_t, widths, seed)
-        schedule = ALGORITHMS[name].emit_comm_schedule(
-            GraphModel.from_csr(a_t), widths, p, **emit_kw)
-        assert_sections_exact(
-            algo, features, labels, schedule, algo.rt.profile)
+        stages = getattr(algo, "_summa", None) or algo._split
+        for key, matrix in (("a_t", algo.a_t), ("a", algo.a)):
+            hops = [hop for st_ in stages.get(key, stages["a_t"])
+                    for hop in st_.hops]
+            assert sorted(hops) == expected_hops(algo, matrix)
+        if backend == "virtual":
+            schedule = ALGORITHMS[name].emit_comm_schedule(
+                GraphModel.from_csr(a_t), widths, p, **emit_kw)
+            assert_sections_exact(
+                algo, features, labels, schedule, algo.rt.profile)
+            assert algo.verify_against_serial(
+                features, labels, epochs=2) <= 1e-12
         # A 12-wide operand whose every entry is its global row + 1.
         n = a_t.nrows
         x = np.repeat(np.arange(1.0, n + 1.0)[:, None], 12, axis=1)
-        coll = algo.rt.coll
-        post, collect = coll.post, coll.collect
-        posted, moved = {}, []
-
-        def recording_post(kind, routes, payloads):
-            handle = post(kind, routes, payloads)
-            posted[id(handle)] = (kind, routes)
-            return handle
-
-        def recording_collect(handle):
-            kind, routes = posted.pop(id(handle))
-            got = collect(handle)
-            if kind == "gather_rows":
-                moved.extend(zip(routes, got))
-            return got
-
-        coll.post, coll.collect = recording_post, recording_collect
-        try:
-            for operand, matrix in ((algo.a_t_blocks, algo.a_t),
-                                    (algo.a_blocks, algo.a)):
-                moved.clear()
-                algo._grid_spmm(operand, algo._setup_data(x), 12)
-                received = []
-                for (src, dst, _), rows in moved:
-                    ids = rows[:, 0].astype(np.int64) - 1
-                    assert (rows == ids[:, None] + 1.0).all()
-                    received.append((src, dst, tuple(ids.tolist())))
-                assert sorted(received) == expected_gathers(algo, matrix)
-        finally:
-            coll.post, coll.collect = post, collect
-        assert algo.verify_against_serial(features, labels, epochs=2) <= 1e-12
+        with RecordedSpmm() as spmms:
+            if backend == "virtual":
+                runs = [relay_sweeps(algo, x, spmms)]
+                assert runs[0][1] == []  # one process: nothing crosses
+            else:
+                runs = relay_sweeps_on_workers(
+                    name, algo, kw, backend, 2 if p == 4 else 3, x, spmms)
+                assert any(receipts for _, receipts, _ in runs) == any(
+                    rows for _, rows in expected_hops(algo, algo.a_t))
+        digest = ledger_digest(algo.rt.tracker)
+        for calls, receipts, worker_digest in runs:
+            assert worker_digest == digest
+            for rows, ids in calls + receipts:
+                assert rows.shape == (ids.size, rows.shape[1])
+                assert (rows == ids[:, None] + 1.0).all()
 
     @pytest.mark.parametrize("name,p,n", [("2d", 16, 3), ("2d", 4, 12),
                                           ("3d", 27, 5), ("3d", 8, 12)])
     @pytest.mark.parametrize("diagonal", [True, False],
                              ids=["diagonal", "rmat"])
-    def test_receivers_that_read_no_row_get_no_pair(self, name, p, n,
-                                                    diagonal):
+    def test_members_that_read_no_row_book_no_hop(self, name, p, n,
+                                                  diagonal):
         """``P > n`` leaves ranks with no rows, and a diagonal operand
-        leaves every block off the diagonal empty: a stage whose pieces
-        read no row outside the root gathers nothing, and no pair names
-        an empty row set -- on both operands, with the ledger still the
-        schedule and training still the serial reference."""
+        leaves every block off the diagonal empty: a relay books no row
+        to a member whose run reads none (a diagonal operand's stages
+        book nothing at all) -- on both operands, with the ledger still
+        the schedule and training still the serial reference."""
         if diagonal:
             a_t = CSRMatrix.eye(n)
         else:
@@ -395,14 +414,12 @@ class TestGeneratedShapes:
         algo, emit_kw = build_shaped(name, p, {}, a_t, widths, 0)
         stages = getattr(algo, "_summa", None) or algo._split
         for key, matrix in (("a_t", algo.a_t), ("a", algo.a)):
-            pairs = [(src, dst, tuple((rows + algo._rank_rows(src)[0])
-                                      .tolist()))
-                     for st in stages.get(key, stages["a_t"])
-                     for src, dst, rows in st.pairs]
-            assert all(rows for _, _, rows in pairs)
-            assert sorted(pairs) == expected_gathers(algo, matrix)
+            hops = [hop for st_ in stages.get(key, stages["a_t"])
+                    for hop in st_.hops]
+            assert all(rows for _, rows in hops)
+            assert sorted(hops) == expected_hops(algo, matrix)
             if diagonal:
-                assert pairs == []
+                assert hops == []
         schedule = ALGORITHMS[name].emit_comm_schedule(
             GraphModel.from_csr(a_t), widths, p, **emit_kw)
         assert_sections_exact(
@@ -541,6 +558,113 @@ def sweeps_dcomm(algo, forward, backward=()) -> int:
             blocks[r] = np.zeros((algo._rows_of(r), hi - lo))
         algo._grid_spmm(operand, blocks, f)
     return tracker.total_bytes(Category.DCOMM) - before
+
+
+class RecordedSpmm:
+    """While active, every SpMM of a SUMMA stage
+    (``repro.dist.grid.spmm``) records a copy of its dense operand, per
+    calling thread -- a worker runtime of a pool runs in a thread."""
+
+    def __enter__(self):
+        import repro.dist.grid as grid
+
+        self.grid, self.spmm, self.made = grid, grid.spmm, {}
+
+        def recording(piece, rows):
+            self.made.setdefault(threading.get_ident(), []).append(
+                np.array(rows))
+            return self.spmm(piece, rows)
+
+        grid.spmm = recording
+        return self
+
+    def __exit__(self, *exc):
+        self.grid.spmm = self.spmm
+
+    def take(self) -> list:
+        return self.made.pop(threading.get_ident(), [])
+
+
+def relay_sweeps(algo, x, spmms):
+    """Both sweeps of ``algo`` over ``x`` (every entry its global row +
+    1), recorded: ``(calls, receipts, ledger digest)``.  ``calls`` holds,
+    per SpMM of a stage (``spmms``, a :class:`RecordedSpmm`), the dense
+    rows it multiplied and the global rows it should have -- a row
+    group fed by a relay receipt its ``U_p``, any other the root's whole
+    stage, read in place (:func:`expected_runs`) -- and ``receipts`` the
+    same per relay receipt, against its destination's ``U_p``.  Runs on
+    whatever runtime ``algo`` has, so on one worker of a pool too."""
+    coll = algo.rt.coll
+    post, collect = coll.post, coll.collect
+    posted, calls, receipts, relayed = {}, [], [], []
+
+    def recording_post(kind, routes, payloads):
+        handle = post(kind, routes, payloads)
+        posted[id(handle)] = (kind, routes, next(steps))
+        return handle
+
+    def recording_collect(handle):
+        kind, routes, t = posted.pop(id(handle))
+        got = collect(handle)
+        if kind == "gather_rows":  # one relay step a stage
+            relayed.extend((t // 2, dst, rows)
+                           for (_, dst, _), rows in zip(routes, got))
+        return got
+
+    coll.post, coll.collect = recording_post, recording_collect
+    try:
+        for operand, matrix in ((algo.a_t_blocks, algo.a_t),
+                                (algo.a_blocks, algo.a)):
+            steps = itertools.count()
+            relayed.clear()
+            algo._grid_spmm(operand, algo._setup_data(x), 12)
+            key = "a_t" if operand is algo.a_t_blocks else "a"
+            stages = getattr(algo, "_summa", None) or algo._split
+            stages = stages.get(key, stages["a_t"])
+            runs = expected_runs(algo, matrix)
+            s = len(runs) // len(stages)  # layers per stage
+            want = []
+            for t, st_ in enumerate(stages):
+                g = len(st_.rows[0])
+                for gi, *_ in algo._local_group_info:
+                    k, i = divmod(gi, g)
+                    root, _, runs_ = runs[t * s + k]
+                    if st_.sparse[st_.sparse_routes[gi][1]].nnz:
+                        want.append(runs_[i if gi in st_.compact else root])
+            made = spmms.take()
+            assert len(made) == len(want)
+            calls.extend(zip(made, want))
+            member = {(at // s, rank(i, j)): ids
+                      for at, (_, rank, runs_) in enumerate(runs)
+                      for j in range(len(algo._fsplit(1)))
+                      for i, ids in runs_.items()}
+            receipts.extend((got, member[t, dst])
+                            for t, dst, got in relayed if got is not None)
+    finally:
+        coll.post, coll.collect = post, collect
+    return calls, receipts, ledger_digest(algo.rt.tracker)
+
+
+def relay_sweeps_on_workers(name, algo, kw, transport, workers, x, spmms):
+    """:func:`relay_sweeps` on ``workers`` worker runtimes (threads)
+    over a ``transport`` fabric, for the mesh and operand of ``algo``,
+    which then runs the same sweeps itself (so its ledger is the one
+    the workers' must equal)."""
+    from test_parallel_tickets import Fabric, run_threads
+
+    fabric = Fabric(transport, workers)
+    owners = owner_map(algo.rt.size, workers)
+    ctor = {k: v for k, v in kw.items() if k != "grid"}
+    try:
+        got = run_threads({w: (lambda w=w: relay_sweeps(
+            ALGORITHMS[name](
+                WorkerRuntime(algo.mesh, None, fabric.chans[w], owners),
+                algo.a_t, algo.widths, seed=0, **ctor), x, spmms))
+            for w in range(workers)})
+    finally:
+        fabric.close()
+    relay_sweeps(algo, x, spmms)
+    return [got[w] for w in range(workers)]
 
 
 #: (iv) Losses of a 3-epoch fit with widths (10, 6, 6, 6) -- every layer

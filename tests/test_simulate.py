@@ -258,26 +258,45 @@ class TestGraphModel:
             for j in range(2):
                 assert cells[i, j] == blocks[mesh.rank_of(i, j)].nnz
 
-    def test_nonzero_cols_match_distributed_blocks(self, dataset, graph):
-        """Per cell, the columns holding a nonzero: the dense rows a
-        SUMMA stage's piece reads (each at most the cell's nonzeros and
-        its width); a uniform cell expects ``w (1 - e^{-z / w})``."""
-        mesh = make_runtime_for("2d", 4).mesh2d
-        blocks = distribute_sparse_2d(dataset.adjacency, mesh)
-        bounds = np.array(
-            [0] + [hi for _, hi in block_ranges(graph.n, 2)]
-        )
-        cols = graph.cell_nonzero_cols(2, bounds)
-        for i in range(2):
-            for j in range(2):
-                block = blocks[mesh.rank_of(i, j)]
-                assert cols[i, j] == block.nonempty_columns().size
-        assert (cols <= graph.cell_nnz(2, bounds)).all()
+    @pytest.mark.parametrize("operand", ["undirected", "directed",
+                                         "directed-transpose"])
+    def test_nonzero_cols_match_distributed_blocks(self, dataset, directed,
+                                                   operand):
+        """Per cell and cyclic run of row blocks, the columns holding a
+        nonzero: the dense rows a hop of a SUMMA stage's relay carries
+        -- the union of the nonempty columns of the run's distributed
+        blocks, each run at most its nonzeros and its cell's width, and
+        never more than the run one block longer; a uniform run expects
+        ``w (1 - e^{-z / w})`` of its ``z`` nonzeros, rounded."""
+        a_t = dataset.adjacency if operand == "undirected" else directed[0]
+        transpose = operand == "directed-transpose"
+        graph = GraphModel.from_csr(a_t)
+        mesh = make_runtime_for("2d", 16).mesh2d
+        blocks = distribute_sparse_2d(
+            a_t.transpose() if transpose else a_t, mesh)
+        bounds = np.array([0] + [hi for _, hi in block_ranges(graph.n, 4)])
+        roots = [2, 0, 3, 1]
+        runs = graph.run_nonzero_cols(4, bounds, roots, transpose=transpose)
+        nnz = graph.cell_nnz(4, bounds, transpose=transpose)
+        assert runs.shape == (4, 4)
+        for c, root in enumerate(roots):
+            for p in range(4):
+                run = [(root + q) % 4 for q in range(p, 4)]
+                cols = [blocks[mesh.rank_of(i, c)].nonempty_columns()
+                        for i in run]
+                assert runs[p, c] == np.unique(np.concatenate(cols)).size
+                assert runs[p, c] <= nnz[run, c].sum()
+        assert (runs <= np.diff(bounds)).all()
+        assert (np.diff(runs, axis=0) <= 0).all()
         gm = GraphModel.uniform(1000, 12345)
         cells = np.array([0, 300, 1000])
-        expected = np.diff(cells) * (1 - np.exp(
-            -gm.cell_nnz(5, cells) / np.diff(cells)))
-        assert gm.cell_nonzero_cols(5, cells) == pytest.approx(expected)
+        z = gm.cell_nnz(5, cells)
+        for p in range(5):
+            run = [(3 + q) % 5 for q in range(p, 5)]
+            w = np.diff(cells)
+            expected = np.floor(w * (1 - np.exp(-z[run].sum(0) / w)) + 0.5)
+            assert (gm.run_nonzero_cols(5, cells, [3, 3])[p]
+                    == expected).all()
 
     def test_uniform_mode_partitions_nnz(self):
         gm = GraphModel.uniform(1000, 12345)
