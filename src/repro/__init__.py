@@ -33,8 +33,8 @@ runtime:
   costs, the Fig. 2 / Fig. 3 reproductions at published dataset sizes,
   the memory model, and the repro-lint checker;
 * :mod:`repro.obs` -- wall-clock observability: span tracing across
-  driver and workers, Chrome/Perfetto trace export, Prometheus metrics,
-  and the model-vs-measured drift report.
+  driver and workers, Chrome/Perfetto trace export carrying the run's
+  one record, and the model-vs-measured drift report.
 
 Quickstart::
 
@@ -97,7 +97,6 @@ _EXPORTS = {
     "traced_fit": "repro.obs",
     "export_chrome_trace": "repro.obs",
     "validate_chrome_trace": "repro.obs",
-    "metrics_from_trace": "repro.obs",
     "drift_report": "repro.obs",
     "format_drift_report": "repro.obs",
     "figure2_throughput": "repro.analysis",

@@ -9,7 +9,11 @@ code:
 * ``crossover``   -- the 1D-vs-2D words crossover per dataset;
 * ``train``       -- train a GCN on a synthetic graph or a Table VI
   stand-in with any of the four algorithms and report loss, accuracy, and
-  the communication ledger;
+  the communication ledger.  Its outputs: ``--json`` prints the run's
+  one record (schema ``repro-run/1``: config, losses, modeled ledger,
+  measured spans and kernel counters, backend counters), ``--trace``
+  writes a Chrome trace embedding that same record, and ``--events``
+  streams the hash-chained event log as the run goes;
 * ``simulate``    -- predict one epoch on a named machine profile at any
   rank count (no execution, Section IV's analysis made concrete);
 * ``sweep``       -- evaluate (algorithm x P x machine) grids up to
@@ -187,7 +191,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         print(str(exc).strip().splitlines()[-1], file=sys.stderr)
         return 2
     quiet = bool(args.json)
-    tracing = bool(args.trace or args.metrics or args.profile)
     if not quiet:
         print(f"dataset : {ds.name}  {ds.summary()}")
         print(f"machine : {algo.rt.describe()}")
@@ -213,9 +216,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         "transport": (args.transport
                       if args.backend == "process" else None),
         "workers": args.workers, "machine": machine,
+        "trace": args.trace, "events": args.events,
     }
-    live_server = None
-    live_state = {}
     events_on = bool(args.events)
     if events_on:
         from repro.obs import events as _events
@@ -233,37 +235,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         if args.checkpoint:
             fit_kwargs["checkpoint_path"] = args.checkpoint
             fit_kwargs["checkpoint_every"] = args.checkpoint_every
-        if args.metrics_port is not None:
-            from repro.obs import LiveServer
-
-            if args.backend == "process":
-                # Zero extra dispatches: the sampler reads only the
-                # backend's shared state while the driver blocks in
-                # the single fit dispatch.
-                sampler = algo.rt.live_sample
-            else:
-                def _live_on_epoch(stats):
-                    live_state["epoch"] = stats.epoch + 1
-                    live_state["loss"] = float(stats.loss)
-
-                def sampler():
-                    sample = dict(live_state)
-                    sample["workers"] = 1
-                    sample["checkpoints"] = getattr(
-                        algo, "checkpoints_written", 0)
-                    return sample
-
-                fit_kwargs["on_epoch"] = _live_on_epoch
-            live_server = LiveServer(sampler, port=args.metrics_port)
-            if not quiet:
-                print(f"live metrics: {live_server.url}")
-        if tracing:
+        if args.trace:
             from repro.obs import traced_fit
 
             history, trace = traced_fit(algo, ds.features, ds.labels,
-                                        args.epochs,
-                                        profile=bool(args.profile),
-                                        **fit_kwargs)
+                                        args.epochs, **fit_kwargs)
         else:
             history = algo.fit(ds.features, ds.labels, epochs=args.epochs,
                                **fit_kwargs)
@@ -272,8 +248,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         if args.backend == "process":
             backend_stats = algo.rt.backend_stats()
     finally:
-        if live_server is not None:
-            live_server.close()
         if args.backend == "process":
             algo.rt.close()
         if events_on:
@@ -290,9 +264,9 @@ def cmd_train(args: argparse.Namespace) -> int:
             _events.disable()
             if not quiet:
                 print(f"wrote event log {args.events}")
-    last = history.epochs[-1]
-    bd = history.mean_breakdown(skip_first=True)
     if not quiet:
+        last = history.epochs[-1]
+        bd = history.mean_breakdown(skip_first=True)
         print(f"\n{'epoch':>5s} {'loss':>9s} {'acc':>6s}")
         step = max(1, args.epochs // 10)
         for e in history.epochs[::step] + history.epochs[-1:]:
@@ -341,65 +315,20 @@ def cmd_train(args: argparse.Namespace) -> int:
             if st.get("checkpoints_written"):
                 print(f"checkpoints: {st['checkpoints_written']} written "
                       f"in {st['checkpoint_seconds']:.3f}s")
-    if trace is not None:
-        from repro.obs import (build_trace_meta, export_chrome_trace,
-                               metrics_from_trace, write_metrics)
+    from repro.obs import build_trace_meta, export_chrome_trace
 
-        if args.trace:
-            meta = build_trace_meta(config, history, trace, elapsed)
-            export_chrome_trace(trace, args.trace, extra=meta)
-            if not quiet:
-                print(f"wrote trace {args.trace} "
-                      f"({len(trace.spans)} spans; open in "
-                      "ui.perfetto.dev or chrome://tracing)")
-        if args.metrics:
-            write_metrics(
-                metrics_from_trace(trace, history,
-                                   backend_stats=backend_stats),
-                args.metrics)
-            if not quiet:
-                print(f"wrote metrics {args.metrics}")
+    record = build_trace_meta(config, history, trace, elapsed,
+                              backend_stats=backend_stats)
+    if trace is not None:
+        export_chrome_trace(trace, args.trace, extra=record)
+        if not quiet:
+            print(f"wrote trace {args.trace} "
+                  f"({len(trace.spans)} spans; open in "
+                  "ui.perfetto.dev or chrome://tracing)")
     if args.json:
         import json
 
-        doc = {
-            "schema": "repro-train/1",
-            "dataset": ds.name,
-            "algorithm": args.algorithm,
-            "gpus": args.gpus,
-            "backend": args.backend,
-            "transport": (args.transport
-                          if args.backend == "process" else None),
-            "workers": args.workers,
-            "machine": machine,
-            "epochs": args.epochs,
-            "final_loss": last.loss,
-            "final_accuracy": last.train_accuracy,
-            "losses": history.losses,
-            "wall_seconds": elapsed,
-            "modeled_epoch_breakdown": bd,
-            "per_epoch_comm_bytes": {
-                "dcomm": last.dcomm_bytes,
-                "scomm": last.scomm_bytes,
-                "max_rank": last.max_rank_comm_bytes,
-            },
-            # the one-time A^T H^0 aggregation, charged outside every epoch
-            "setup": {
-                "modeled_seconds": history.setup.modeled_seconds,
-                "seconds_by_category": history.setup.seconds_by_category,
-                "comm_bytes": {
-                    "dcomm": history.setup.dcomm_bytes,
-                    "scomm": history.setup.scomm_bytes,
-                    "max_rank": history.setup.max_rank_comm_bytes,
-                },
-            },
-            "backend_stats": backend_stats,
-            "trace": None if trace is None else trace.summary(),
-            "trace_path": args.trace or None,
-            "metrics_path": args.metrics or None,
-            "events_path": args.events or None,
-        }
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(record, indent=2))
     return 0
 
 
@@ -787,17 +716,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "repro.parallel.faults; also "
                         "REPRO_PARALLEL_FAULTS)")
     p.add_argument("--trace", default=None, metavar="PATH",
-                   help="record wall-clock spans and write a Chrome/"
-                        "Perfetto trace-event JSON here (losses and "
-                        "ledger stay bit-identical)")
-    p.add_argument("--metrics", default=None, metavar="PATH",
-                   help="write Prometheus text-format metrics of the "
-                        "traced run here")
-    p.add_argument("--metrics-port", type=int, default=None, metavar="N",
-                   help="serve live Prometheus metrics on "
-                        "127.0.0.1:N/metrics *while* fit runs (0 = "
-                        "ephemeral port); zero extra dispatches on the "
-                        "process backend")
+                   help="record wall-clock spans and per-kernel counters "
+                        "(SpMM, GEMMs, reduction folds) and write a "
+                        "Chrome/Perfetto trace-event JSON here, the run "
+                        "record embedded (losses and ledger stay "
+                        "bit-identical)")
     p.add_argument("--events", default=None, metavar="PATH",
                    help="append a hash-chained JSON-lines event log "
                         "(run lifecycle, epochs, checkpoints, recovery "
@@ -808,14 +731,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "exchange ledgers, tag ordering) in the driver "
                         "and every worker; bit-equal to an unsanitized "
                         "run (REPRO_SANITIZE=1 does the same)")
-    p.add_argument("--profile", action="store_true",
-                   help="per-kernel flop/byte/second counters (SpMM, "
-                        "GEMMs, reduction folds) plus memory gauges; "
-                        "rides the trace and feeds the drift report's "
-                        "compute table")
     p.add_argument("--json", action="store_true",
-                   help="print one machine-readable JSON document "
-                        "instead of the human tables")
+                   help="print the run record (schema repro-run/1; the "
+                        "one --trace embeds) instead of the human tables")
 
     def _sim_graph_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--dataset", choices=("reddit", "amazon", "protein"),

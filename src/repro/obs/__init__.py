@@ -1,6 +1,10 @@
 """repro.obs -- wall-clock observability for the training runtimes.
 
-Four layers, each usable alone:
+A run has one record (schema ``repro-run/1``, built by
+:func:`~repro.obs.report.build_trace_meta`): its config, the modeled
+ledger side, the measured span side and the backend's counters.
+``repro train --json`` prints it and ``--trace`` embeds it in the
+Chrome trace under ``"repro"``.  The modules, each usable alone:
 
 * :mod:`repro.obs.spans` -- the in-process span recorder instrumentation
   sites consult (~zero cost when disabled);
@@ -8,16 +12,12 @@ Four layers, each usable alone:
   driver's clock and analysing them (breakdowns, stragglers, exchanges);
 * :mod:`repro.obs.chrome` -- Chrome/Perfetto trace-event export,
   validation, and re-import;
-* :mod:`repro.obs.metrics` -- Prometheus text-format counters, gauges,
-  and quantile summaries;
-* :mod:`repro.obs.report` -- the model-vs-measured drift report behind
-  ``repro report``;
+* :mod:`repro.obs.report` -- the run record and the model-vs-measured
+  drift report behind ``repro report``;
 * :mod:`repro.obs.events` -- the hash-chained JSON-lines event log
   (run lifecycle, epochs, checkpoints, recovery taxonomy);
-* :mod:`repro.obs.live` -- the in-flight Prometheus endpoint served
-  while ``fit`` runs;
 * :mod:`repro.obs.profile` -- per-kernel flop/byte/second counters and
-  memory gauges;
+  memory gauges, on for every traced fit;
 * :mod:`repro.obs.diff` -- per-phase/per-category trace diffing with a
   machine-readable verdict (``repro obs diff``).
 
@@ -44,22 +44,10 @@ from repro.obs.events import (
     read_event_log,
     validate_event_log,
 )
-from repro.obs.live import (
-    LiveServer,
-    render_live_sample,
-)
 from repro.obs.profile import (
     KernelProfiler,
     merge_profiles,
     peak_rss_bytes,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    Summary,
-    metrics_from_trace,
-    write_metrics,
 )
 from repro.obs.report import (
     build_trace_meta,
@@ -82,20 +70,15 @@ from repro.obs.tracing import (
 )
 
 __all__ = [
-    "Counter",
     "DEFAULT_CAPACITY",
     "DIFF_SCHEMA",
     "EVENTS_SCHEMA",
     "EVENT_TYPES",
     "EventLog",
-    "Gauge",
     "KernelProfiler",
-    "LiveServer",
     "MergedTrace",
-    "MetricsRegistry",
     "SPAN_CATEGORIES",
     "SpanRecorder",
-    "Summary",
     "TraceSpan",
     "build_trace_meta",
     "chrome_events",
@@ -109,13 +92,10 @@ __all__ = [
     "is_enabled",
     "merge_profiles",
     "merge_worker_obs",
-    "metrics_from_trace",
     "peak_rss_bytes",
     "read_event_log",
-    "render_live_sample",
     "trace_from_chrome",
     "traced_fit",
     "validate_chrome_trace",
     "validate_event_log",
-    "write_metrics",
 ]

@@ -8,12 +8,13 @@ The repo has three answers to "how long is an epoch":
   comm schedule on the same machine profile, without running anything;
 * **measured** -- the wall clock, from merged spans.
 
-This module lines the three up per category (and per algorithm phase)
-and reports the drift ratio measured/modeled.  A trace file written by
-``repro train --trace`` embeds the run config and the modeled
-breakdown in its ``"repro"`` object, so a report needs nothing but the
-file: the simulated column is recomputed from the recorded config
-(dataset regenerated from the recorded seed).
+This module builds the run's one record (:func:`build_trace_meta`,
+schema ``repro-run/1``), lines the three up per category (and per
+algorithm phase) and reports the drift ratio measured/modeled.  A trace
+file written by ``repro train --trace`` embeds that record in its
+``"repro"`` object, so a report needs nothing but the file: the
+simulated column is recomputed from the recorded config (dataset
+regenerated from the recorded seed).
 
 Reading the drift honestly: modeled/simulated seconds price a *virtual*
 machine profile (GPU-rate GEMMs, network alpha-beta), while measured
@@ -40,13 +41,22 @@ __all__ = [
 _ALGO_KWARG_KEYS = ("variant", "replication")
 
 
-def build_trace_meta(config: dict, history, trace: MergedTrace,
-                     wall_seconds: float) -> dict:
-    """The ``"repro"`` object ``repro train --trace`` embeds.
+def _comm_bytes(delta) -> Dict[str, int]:
+    return {"dcomm": delta.dcomm_bytes, "scomm": delta.scomm_bytes,
+            "max_rank": delta.max_rank_comm_bytes}
 
-    ``config`` records how the run was invoked (enough to regenerate
-    the dataset and re-simulate); ``history`` supplies the modeled
-    ledger side; ``trace`` the measured side.
+
+def build_trace_meta(config: dict, history, trace: Optional[MergedTrace],
+                     wall_seconds: float,
+                     backend_stats: Optional[dict] = None) -> dict:
+    """The run's one record (schema ``repro-run/1``).
+
+    ``repro train --json`` prints it and ``--trace`` embeds it as the
+    trace's ``"repro"`` object.  ``config`` records how the run was
+    invoked (enough to regenerate the dataset and re-simulate);
+    ``history`` supplies the losses and the modeled ledger side, the
+    one-time set-up included; ``trace`` the measured side (``None`` for
+    an untraced run); ``backend_stats`` the process backend's counters.
     """
     modeled: Dict[str, object] = {"epochs": len(history.epochs)}
     if history.losses:
@@ -58,12 +68,24 @@ def build_trace_meta(config: dict, history, trace: MergedTrace,
         }
     except (ValueError, ZeroDivisionError):
         pass
+    last = history.epochs[-1] if history.epochs else None
+    setup = history.setup
     return {
-        "schema": "repro-trace/1",
+        "schema": "repro-run/1",
         "config": dict(config),
+        "losses": list(history.losses),
+        "final_accuracy": None if last is None else last.train_accuracy,
+        "per_epoch_comm_bytes": None if last is None else _comm_bytes(last),
+        # the one-time A^T H^0 aggregation, charged outside every epoch
+        "setup": None if setup is None else {
+            "modeled_seconds": setup.modeled_seconds,
+            "seconds_by_category": setup.seconds_by_category,
+            "comm_bytes": _comm_bytes(setup),
+        },
         "modeled": modeled,
-        "measured": trace.summary(),
+        "measured": None if trace is None else trace.summary(),
         "wall_seconds": float(wall_seconds),
+        "backend_stats": backend_stats,
     }
 
 
@@ -128,8 +150,8 @@ def _compute_section(trace: MergedTrace, config: dict
                      ) -> Tuple[Optional[dict], str]:
     """Per-kernel measured-vs-modeled compute table.
 
-    ``None`` when the trace carries no kernel profile (run without
-    ``--profile``).  Modeled seconds price each kernel's average call
+    ``None`` when the trace carries no kernel profile (one not written
+    by a traced fit).  Modeled seconds price each kernel's average call
     with the rules the ledger charges through
     (:mod:`repro.comm.cost_model`): SpMM via
     :class:`~repro.sparse.perfmodel.SpmmPerfModel` on the average

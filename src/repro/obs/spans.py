@@ -39,6 +39,7 @@ __all__ = [
     "DEFAULT_CAPACITY",
     "SPAN_CATEGORIES",
     "SpanRecorder",
+    "check_capacity",
     "disable",
     "enable",
     "is_enabled",
@@ -61,6 +62,13 @@ SPAN_CATEGORIES = ("scomm", "dcomm", "trpose", "spmm", "misc",
 RawSpan = Tuple[str, str, float, float, Optional[tuple]]
 
 
+def check_capacity(capacity: int) -> int:
+    """``capacity`` if it is a usable ring size, else ``ValueError``."""
+    if capacity < 1:
+        raise ValueError(f"span capacity must be >= 1, got {capacity}")
+    return capacity
+
+
 class SpanRecorder:
     """A preallocated ring buffer of wall-clock spans.
 
@@ -70,23 +78,15 @@ class SpanRecorder:
     stalling the hot path with a growing list.
     """
 
-    __slots__ = ("capacity", "dropped", "clock", "cat_seconds",
-                 "_ring", "_n")
+    __slots__ = ("capacity", "dropped", "clock", "_ring", "_n")
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
-        if capacity < 1:
-            raise ValueError(f"span capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
+        self.capacity = check_capacity(capacity)
         #: spans overwritten because the ring wrapped
         self.dropped = 0
         #: the clock spans are stamped with; monotonic so merging across
         #: processes reduces to a per-worker offset (same host: zero)
         self.clock = time.monotonic
-        #: running per-category span seconds since construction.  Unlike
-        #: the ring these survive both wrap-around and :meth:`drain`, so
-        #: a live sampler can publish totals mid-run without racing the
-        #: drain that ships spans back to the driver.
-        self.cat_seconds = {c: 0.0 for c in SPAN_CATEGORIES}
         self._ring: List[Optional[RawSpan]] = [None] * capacity
         self._n = 0
 
@@ -101,12 +101,6 @@ class SpanRecorder:
             self.dropped += 1
         self._ring[i % self.capacity] = (name, category, t0, t1, meta)
         self._n = i + 1
-        if category in self.cat_seconds:
-            self.cat_seconds[category] += t1 - t0
-
-    def category_seconds(self) -> dict:
-        """Copy of the running per-category totals (drain-proof)."""
-        return dict(self.cat_seconds)
 
     def drain(self) -> List[RawSpan]:
         """All recorded spans in record order; resets the ring.

@@ -322,8 +322,7 @@ def merge_worker_obs(blobs: Sequence[Optional[dict]],
 
 
 def traced_fit(algo, features, labels, epochs: int, mask=None,
-               capacity: int = _spans.DEFAULT_CAPACITY,
-               profile: bool = False, **fit_kwargs):
+               capacity: int = _spans.DEFAULT_CAPACITY, **fit_kwargs):
     """Run ``algo.fit`` under span tracing; returns ``(history, trace)``.
 
     Works on both backends: a :class:`~repro.parallel.ParallelAlgorithm`
@@ -332,9 +331,9 @@ def traced_fit(algo, features, labels, epochs: int, mask=None,
     the same instrumented epoch loop.  Tracing never touches the ledger,
     so the returned history is bit-identical to an untraced fit.
 
-    ``profile=True`` additionally enables per-kernel compute/memory
-    profiling (:mod:`repro.obs.profile`); the per-worker snapshots land
-    in the trace's worker table and ``MergedTrace.profile_summary()``.
+    A traced fit also profiles its kernels (:mod:`repro.obs.profile`);
+    the per-worker snapshots land in the trace's worker table and
+    ``MergedTrace.profile_summary()``.
 
     Extra keyword arguments (e.g. ``checkpoint_path`` /
     ``checkpoint_every``) pass straight through to ``algo.fit``.
@@ -345,21 +344,19 @@ def traced_fit(algo, features, labels, epochs: int, mask=None,
         ParallelAlgorithm = None
     if ParallelAlgorithm is not None and isinstance(algo, ParallelAlgorithm):
         history = algo.fit(features, labels, epochs, mask=mask,
-                           trace={"capacity": int(capacity),
-                                  "profile": bool(profile)},
+                           trace=int(capacity),
                            **fit_kwargs)
         return history, algo.last_trace
     from repro.obs import profile as _profile
     rec = _spans.enable(capacity)
-    prof = _profile.enable() if profile else None
+    prof = _profile.enable()
     align = rec.clock()
     try:
         history = algo.fit(features, labels, epochs, mask=mask,
                            **fit_kwargs)
     finally:
         _spans.disable()
-        if profile:
-            _profile.disable()
+        _profile.disable()
     rt = getattr(algo, "rt", None)
     ranks = list(range(rt.size)) if rt is not None else [0]
     blob = {
@@ -368,7 +365,6 @@ def traced_fit(algo, features, labels, epochs: int, mask=None,
         "align": align,
         "spans": rec.drain(),
         "dropped": rec.dropped,
+        "profile": prof.snapshot(),
     }
-    if prof is not None:
-        blob["profile"] = prof.snapshot()
     return history, merge_worker_obs([blob], align)

@@ -15,7 +15,7 @@ forkserver) that has already imported numpy, ``scipy.sparse`` and every
 a driver launches it; that pool, every later pool and every recovery
 respawn then get each worker for the price of a ``fork`` instead of an
 interpreter start plus the imports.  The driver itself is never forked:
-it holds queue-feeder and live-metrics threads and the whole dataset.
+it holds queue-feeder threads and the whole dataset.
 A worker therefore inherits the *template's* state, not the driver's --
 it still imports the driver's ``__main__`` (so script drivers keep their
 ``if __name__ == "__main__":`` guard), but it never sees the driver's
@@ -75,7 +75,6 @@ from repro.comm.mesh import ProcessMesh
 from repro.config import MachineProfile
 from repro.obs import profile as _profile
 from repro.obs import spans as _spans
-from repro.obs.spans import SPAN_CATEGORIES
 from repro.parallel.channel import (
     PeerChannel,
     default_backoff,
@@ -126,15 +125,6 @@ _PRELOAD = (
 
 #: Commands whose results carry a ledger digest when issued standalone.
 _LEDGERED_OPS = frozenset({"train_epoch", "predict", "evaluate"})
-
-#: Per-worker ``livestats`` slot layout (shared doubles the live metrics
-#: endpoint samples while the driver blocks inside the one fit
-#: dispatch).  Each worker writes only its own block, once per epoch
-#: from its ``on_epoch`` hook; aligned 8-byte stores are atomic on the
-#: platforms we target, so no lock is needed and a racing scrape sees a
-#: slightly stale value at worst.
-LIVE_EPOCH, LIVE_LOSS, LIVE_BYTES, LIVE_XCHG, LIVE_CKPTS = range(5)
-LIVE_NSLOTS = 5 + len(SPAN_CATEGORIES)
 
 #: a fresh identity for every pool a driver launches
 _POOL_IDS = itertools.count(1)
@@ -296,11 +286,6 @@ class ProcessBackend:
             "recovery_dispatches": 0,  # dispatches issued for recovery
             "detect_seconds": 0.0,     # failure-detection latency, summed
         }
-        #: True while the elastic recovery loop is between failure and
-        #: resumed fit; the live endpoint surfaces it as a gauge.
-        self.recovering = False
-        #: heartbeat-age bookkeeping for :meth:`live_sample`
-        self._hb_watch = {}
 
     # ------------------------------------------------------------------ #
     def start(self) -> None:
@@ -331,9 +316,6 @@ class ProcessBackend:
         #: per-worker progress counters; each worker writes only its own
         #: slot (no lock needed), the driver and peer channels read all.
         self.heartbeat = ctx.RawArray("Q", w)
-        #: per-worker live-metrics slots (see :data:`LIVE_NSLOTS`)
-        self.livestats = ctx.RawArray("d", w * LIVE_NSLOTS)
-        self._hb_watch = {}
         hosts = None
         if self.transport == "tcp":
             env_hosts = os.environ.get("REPRO_PARALLEL_HOSTS")
@@ -361,7 +343,6 @@ class ProcessBackend:
             "transport": self.transport,
             "hosts": hosts,
             "heartbeat": self.heartbeat,
-            "livestats": self.livestats,
             "faults": self.faults,
             "paranoid": paranoid_mode(),
             "sanitize": _sanitize.maybe_enable_from_env() is not None,
@@ -569,62 +550,6 @@ class ProcessBackend:
             out["per_worker"] = per
         return out
 
-    def live_sample(self) -> dict:
-        """Driver-visible snapshot for the in-flight metrics endpoint.
-
-        Called from the :class:`~repro.obs.live.LiveServer` scrape
-        thread while the driver blocks inside the single fit dispatch:
-        it reads only shared state (counters, heartbeat, ``livestats``)
-        and issues **zero** worker round-trips, so ``fit`` stays one
-        dispatch no matter how often the run is scraped.  Safe to call
-        mid-recovery (the pool may be torn down); the sample then
-        carries the counters plus ``recovering=True``.
-        """
-        sample = {
-            "workers": self.nworkers,
-            "restarts": self.counters["restarts"],
-            "fit_dispatches": self.counters["fit_dispatches"],
-            "recovery_dispatches": self.counters["recovery_dispatches"],
-            "recovering": bool(self.recovering),
-        }
-        if not self._started:
-            return sample
-        # Bind the arrays once: start() after a respawn replaces them,
-        # and a scrape racing the swap must read one coherent pair.
-        live, hb = self.livestats, self.heartbeat
-        now = time.monotonic()
-        ages = {}
-        for wid, count in enumerate(hb):
-            seen = self._hb_watch.get(wid)
-            if seen is None or seen[0] != count:
-                self._hb_watch[wid] = (count, now)
-                ages[wid] = 0.0
-            else:
-                ages[wid] = now - seen[1]
-        sample["heartbeat_age_s"] = ages
-        vals = list(live)
-        worker_epoch = {}
-        span_seconds = {c: 0.0 for c in SPAN_CATEGORIES}
-        bytes_sent = exchanges = checkpoints = 0.0
-        for wid in range(self.nworkers):
-            base = wid * LIVE_NSLOTS
-            worker_epoch[wid] = vals[base + LIVE_EPOCH]
-            bytes_sent += vals[base + LIVE_BYTES]
-            exchanges += vals[base + LIVE_XCHG]
-            checkpoints += vals[base + LIVE_CKPTS]
-            for i, cat in enumerate(SPAN_CATEGORIES):
-                span_seconds[cat] += vals[base + 5 + i]
-        sample["worker_epoch"] = worker_epoch
-        sample["epoch"] = max(worker_epoch.values(), default=0.0)
-        loss = vals[LIVE_LOSS]  # worker 0's block starts at offset 0
-        if worker_epoch.get(0, 0.0) > 0:
-            sample["loss"] = loss
-        sample["bytes_sent"] = bytes_sent
-        sample["exchanges"] = exchanges
-        sample["checkpoints"] = checkpoints
-        sample["span_seconds"] = span_seconds
-        return sample
-
     # ------------------------------------------------------------------ #
     def close(self) -> None:
         """Orderly shutdown: ask workers to exit, then reap resources."""
@@ -718,7 +643,7 @@ def _worker_main(worker_id: int, spec: dict, inboxes, cmd_queue,
             try:
                 payload = fetch_fields(payload, dispatch.buf)
                 value = _handle(rt, worker_id, op, payload, state, channel,
-                                paranoid, spec.get("livestats"))
+                                paranoid)
                 result_queue.put((worker_id, "ok", value))
             # The worker's one fault barrier: any command failure --
             # taxonomy or not -- must reach the driver as an 'err'
@@ -752,12 +677,12 @@ def _digest_result(rt, worker_id: int, value, extras, item_digests,
 
 
 def _handle(rt, worker_id: int, op: str, payload, state: _WorkerState,
-            channel, paranoid: bool, livestats=None):
+            channel, paranoid: bool):
     """Execute one top-level command, wrapping digests as appropriate."""
     if op == "fit":
         # The resident hot path: the whole training program runs here,
         # with zero driver round-trips between epochs.
-        features, labels, mask, epochs, trace_opts, ckpt = payload
+        features, labels, mask, epochs, capacity, ckpt = payload
         algo = _require_algo(state, op)
         features = held_or(algo, features)
         extras = []
@@ -777,8 +702,6 @@ def _handle(rt, worker_id: int, op: str, payload, state: _WorkerState,
 
             live_start = checkpoint_epochs(ckpt_path)
 
-        live_base = worker_id * LIVE_NSLOTS
-
         def on_epoch(stats):
             channel.touch()
             extras.extend((stats.loss, stats.train_accuracy))
@@ -787,20 +710,6 @@ def _handle(rt, worker_id: int, op: str, payload, state: _WorkerState,
                 epoch_digests.append(
                     ledger_digest(rt.tracker, stats.loss,
                                   stats.train_accuracy))
-            if livestats is not None:
-                # Live-metrics slots: one aligned double store per
-                # field, this worker's block only -- the driver's
-                # scrape thread reads them lock-free.
-                livestats[live_base + LIVE_EPOCH] = stats.epoch + 1
-                livestats[live_base + LIVE_LOSS] = stats.loss
-                livestats[live_base + LIVE_BYTES] = channel.bytes_sent
-                livestats[live_base + LIVE_XCHG] = channel.nexchanges
-                livestats[live_base + LIVE_CKPTS] = (
-                    algo.checkpoints_written)
-                rec = _spans.ACTIVE
-                if rec is not None:
-                    for i, cat in enumerate(SPAN_CATEGORIES):
-                        livestats[live_base + 5 + i] = rec.cat_seconds[cat]
             if plan is not None and stats.epoch >= live_start:
                 plan.on_epoch(stats.epoch)
 
@@ -815,36 +724,31 @@ def _handle(rt, worker_id: int, op: str, payload, state: _WorkerState,
             checkpoint_writer=(worker_id == 0),
         )
         obs = None
-        if trace_opts is None:
+        if capacity is None:
             history = algo.fit(features, labels, epochs, **fit_kwargs)
         else:
-            # Traced fit: record locally, ship the drained spans on this
-            # same reply (the O(1)-dispatches invariant holds).  "align"
-            # is this worker's clock at fit start, letting the driver
-            # offset-align streams from other hosts.
-            rec = _spans.enable(
-                int(trace_opts.get("capacity", _spans.DEFAULT_CAPACITY)))
-            prof = (_profile.enable() if trace_opts.get("profile")
-                    else None)
+            # Traced fit: record spans and kernel counters locally, ship
+            # them on this same reply (the O(1)-dispatches invariant
+            # holds); they never enter the digest (wall clocks differ
+            # per worker).  "align" is this worker's clock at fit start,
+            # letting the driver offset-align streams from other hosts.
+            rec = _spans.enable(capacity)
+            prof = _profile.enable()
             align = rec.clock()
             try:
                 history = algo.fit(features, labels, epochs, **fit_kwargs)
             finally:
                 _spans.disable()
-                if prof is not None:
-                    _profile.disable()
+                _profile.disable()
             obs = {
                 "worker": worker_id,
                 "ranks": list(rt._local_ranks),
                 "align": align,
                 "spans": rec.drain(),
                 "dropped": rec.dropped,
+                "profile": prof.snapshot(
+                    arena=getattr(channel, "arena", None)),
             }
-            if prof is not None:
-                # Kernel counters ride the same single reply; they never
-                # enter the digest (wall clocks differ per worker).
-                obs["profile"] = prof.snapshot(
-                    arena=getattr(channel, "arena", None))
         return _digest_result(rt, worker_id, history, extras,
                               epoch_digests, state, obs=obs)
     if op == "batch":

@@ -235,7 +235,7 @@ class ParallelAlgorithm:
     def fit(self, features: np.ndarray, labels: np.ndarray, epochs: int,
             mask: Optional[np.ndarray] = None,
             on_epoch: Optional[Callable[["EpochStats"], None]] = None,
-            trace: Union[bool, int, dict, None] = None,
+            trace: Union[bool, int, None] = None,
             checkpoint_path: Optional[str] = None,
             checkpoint_every: int = 0) -> "DistTrainHistory":
         """Train for ``epochs`` epochs in **one dispatch**.
@@ -247,11 +247,12 @@ class ParallelAlgorithm:
         :meth:`DistAlgorithm.fit` -- replays ``on_epoch`` over the
         returned stats.
 
-        ``trace`` turns on worker-side span recording for this fit:
-        ``True`` / a capacity int / an options dict (``{"capacity": n}``).
-        The drained spans ride back on the same single dispatch and the
-        merged result lands in :attr:`last_trace`; losses and ledger
-        stay bit-identical to an untraced fit.
+        ``trace`` turns on worker-side span recording and kernel
+        profiling for this fit: ``True``, or the span ring's capacity
+        (checked here, before anything is dispatched).  The drained
+        spans and kernel counters ride back on the same single dispatch
+        and the merged result lands in :attr:`last_trace`; losses and
+        ledger stay bit-identical to an untraced fit.
 
         ``checkpoint_path`` + ``checkpoint_every=k`` make worker 0 write
         the full training state atomically every ``k`` epochs.  When the
@@ -271,14 +272,11 @@ class ParallelAlgorithm:
         from repro.obs import spans as _spans
         from repro.parallel.backend import RECOVERABLE_ERRORS
 
-        trace_opts = None
-        if trace is not None and trace is not False:
-            if trace is True:
-                trace_opts = {}
-            elif isinstance(trace, int):
-                trace_opts = {"capacity": trace}
-            else:
-                trace_opts = dict(trace)
+        capacity = None
+        if trace is True:
+            capacity = _spans.DEFAULT_CAPACITY
+        elif trace is not None and trace is not False:
+            capacity = _spans.check_capacity(int(trace))
         ckpt = {
             "path": None if checkpoint_path is None else str(checkpoint_path),
             "every": int(checkpoint_every),
@@ -288,7 +286,7 @@ class ParallelAlgorithm:
         shipped, copy = self._ship(features)
         rest = (
             np.asarray(labels), None if mask is None else np.asarray(mask),
-            int(epochs), trace_opts,
+            int(epochs), capacity,
         )
         t_dispatch = time.monotonic()
         backend = self.rt.start()
@@ -309,11 +307,9 @@ class ParallelAlgorithm:
                 # attempt - 1 restarts are already behind us; reraise
                 # once the budget is spent (terminate() already ran in
                 # the failure path, so nothing leaks).
-                backend.recovering = True
                 _events.emit("failure", kind=type(exc).__name__,
                              attempt=attempt, error=str(exc)[:300])
                 if attempt > backend.max_restarts:
-                    backend.recovering = False
                     _events.emit("error", kind=type(exc).__name__,
                                  attempt=attempt,
                                  reason="restart budget exhausted")
@@ -335,7 +331,6 @@ class ParallelAlgorithm:
                 attempt += 1
                 _events.emit("resume", attempt=attempt,
                              checkpoint=ckpt.get("path"))
-                backend.recovering = False
         history = self.rt._adopt_and_check(results)
         self._installed(copy)
         epoch_stats = history.epochs
@@ -353,7 +348,7 @@ class ParallelAlgorithm:
                         and (stats.epoch + 1) % every == 0):
                     _events.emit("checkpoint", path=str(checkpoint_path),
                                  epochs=int(stats.epoch) + 1)
-        if trace_opts is not None:
+        if capacity is not None:
             from repro.obs.tracing import merge_worker_obs
 
             self.last_trace = merge_worker_obs(
@@ -617,15 +612,6 @@ class ParallelRuntime(RuntimeBase):
         if self._backend is None:
             return None
         return self._backend.stats(workers=workers)
-
-    def live_sample(self) -> dict:
-        """Zero-dispatch snapshot for the live metrics endpoint
-        (:meth:`ProcessBackend.live_sample`); a minimal sample before
-        the pool starts or after it closes."""
-        backend = self._backend
-        if backend is None:
-            return {"workers": self.workers, "recovering": False}
-        return backend.live_sample()
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent)."""

@@ -18,7 +18,6 @@ from repro.dist import make_algorithm
 from repro.graph import make_synthetic
 from repro.obs import (
     MergedTrace,
-    MetricsRegistry,
     SPAN_CATEGORIES,
     SpanRecorder,
     TraceSpan,
@@ -27,13 +26,11 @@ from repro.obs import (
     export_chrome_trace,
     format_drift_report,
     merge_worker_obs,
-    metrics_from_trace,
     trace_from_chrome,
     traced_fit,
     validate_chrome_trace,
 )
 from repro.obs import spans as spans_mod
-from repro.obs.metrics import Counter, Gauge, Summary
 from repro.parallel.runtime import ledger_digest
 
 EPOCHS = 3
@@ -211,7 +208,7 @@ class TestChromeTrace:
         with open(path) as fh:
             on_disk = json.load(fh)
         assert validate_chrome_trace(on_disk) == []
-        assert on_disk["repro"]["schema"] == "repro-trace/1"
+        assert on_disk["repro"]["schema"] == "repro-run/1"
         cats = {e["cat"] for e in on_disk["traceEvents"] if e["ph"] == "X"}
         assert cats <= set(SPAN_CATEGORIES)
         assert "epoch" in cats
@@ -252,51 +249,6 @@ class TestChromeTrace:
                 pytest.approx(sec, rel=1e-6)
         assert back.exchange_summary()["count"] == \
             tr.exchange_summary()["count"]
-
-
-# --------------------------------------------------------------------- #
-# metrics
-# --------------------------------------------------------------------- #
-class TestMetrics:
-    def test_counter_rejects_negative(self):
-        c = Counter()
-        c.inc(2)
-        with pytest.raises(ValueError):
-            c.inc(-1)
-        assert c.value == 2
-
-    def test_summary_nearest_rank(self):
-        s = Summary()
-        for v in [1.0, 2.0, 3.0, 4.0]:
-            s.observe(v)
-        assert s.quantile(0.5) == 3.0   # nearest-rank round(0.5 * 3) = 2
-        assert s.quantile(0.99) == 4.0
-        assert s.quantile(0.0) == 1.0
-
-    def test_render_prometheus_text(self):
-        reg = MetricsRegistry()
-        reg.counter("repro_widgets_total", "Widgets seen.",
-                    {"kind": "a"}).inc(3)
-        reg.gauge("repro_level", "Current level.").set(1.5)
-        sm = reg.summary("repro_lat_seconds", "Latency.")
-        sm.observe(0.5)
-        text = reg.render()
-        assert "# HELP repro_widgets_total Widgets seen." in text
-        assert "# TYPE repro_widgets_total counter" in text
-        assert 'repro_widgets_total{kind="a"} 3' in text
-        assert "repro_level 1.5" in text
-        assert 'repro_lat_seconds{quantile="0.5"} 0.5' in text
-        assert "repro_lat_seconds_sum 0.5" in text
-        assert "repro_lat_seconds_count 1" in text
-
-    def test_metrics_from_trace(self, ds):
-        algo = make_algorithm("1d", 4, ds, hidden=HIDDEN, seed=0)
-        hist, tr = traced_fit(algo, ds.features, ds.labels, EPOCHS)
-        text = metrics_from_trace(tr, hist).render()
-        assert "repro_epoch_seconds_count 3" in text
-        assert 'repro_span_seconds{category="spmm"' in text
-        assert "repro_final_loss" in text
-        assert "repro_dropped_spans_total 0" in text
 
 
 # --------------------------------------------------------------------- #
@@ -394,6 +346,25 @@ class TestProcessBackendNeutrality:
                 assert any(b.t0 < a.t1 for a, b in zip(xs_w, xs_w[1:]))
 
 
+class TestTraceCapacityCheckedOnDriver:
+    def test_bad_capacity_leaves_the_pool_up(self, ds):
+        # refused before the dispatch: no worker sees it, so the pool
+        # is neither torn down nor respawned
+        algo = make_algorithm("1d", 4, ds, hidden=HIDDEN, seed=0,
+                              backend="process", workers=2, transport="shm")
+        try:
+            algo.fit(ds.features, ds.labels, 1)
+            with pytest.raises(ValueError, match="span capacity"):
+                algo.fit(ds.features, ds.labels, 1, trace=0)
+            hist = algo.fit(ds.features, ds.labels, 1)
+            stats = algo.rt.backend_stats(workers=False)
+        finally:
+            algo.rt.close()
+        assert len(hist.losses) == 1
+        assert stats["restarts"] == 0
+        assert stats["fit_dispatches"] == 2
+
+
 # --------------------------------------------------------------------- #
 # drift report
 # --------------------------------------------------------------------- #
@@ -437,22 +408,21 @@ class TestDriftReport:
 
 
 # --------------------------------------------------------------------- #
-# CLI wiring: --trace/--metrics/--json and `repro report`
+# CLI wiring: --trace/--json and `repro report`
 # --------------------------------------------------------------------- #
 class TestCli:
-    def test_train_trace_metrics_json(self, tmp_path, capsys):
+    def test_train_json_is_the_trace_record(self, tmp_path, capsys):
         from repro.cli import main
         trace_path = str(tmp_path / "t.json")
-        prom_path = str(tmp_path / "m.prom")
         rc = main(["train", "--algorithm", "1d", "--gpus", "4",
                    "--epochs", "2", "--hidden", "8",
                    "--vertices", "96", "--degree", "5",
-                   "--trace", trace_path, "--metrics", prom_path, "--json"])
+                   "--trace", trace_path, "--json"])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["schema"] == "repro-train/1"
+        assert doc["schema"] == "repro-run/1"
         assert len(doc["losses"]) == 2
-        assert doc["trace_path"] == trace_path
+        assert doc["config"]["trace"] == trace_path
         # the set-up's ledger delta, beside the per-epoch numbers: one
         # all-gather at f^0 = 32 against the epoch's four at the narrow
         # side of 8-8 and 8-4 (8, 4 forward; 4, 8 backward) plus its
@@ -467,8 +437,22 @@ class TestCli:
         with open(trace_path) as fh:
             payload = json.load(fh)
         assert validate_chrome_trace(payload) == []
-        prom = open(prom_path).read()
-        assert "repro_epoch_seconds" in prom
+        # one record: the file embeds what --json printed, key for key,
+        # and adds only the per-worker span table
+        meta = payload["repro"]
+        assert set(meta) - set(doc) == {"workers"}
+        assert {k: meta[k] for k in doc} == doc
+        assert doc["measured"]["profile"]["kernels"]
+
+    def test_untraced_json_record(self, capsys):
+        from repro.cli import main
+        assert main(["train", "--algorithm", "1d", "--gpus", "4",
+                     "--epochs", "2", "--hidden", "8",
+                     "--vertices", "96", "--degree", "5", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["schema"] == "repro-run/1"
+        assert doc["measured"] is None and doc["backend_stats"] is None
+        assert doc["modeled"]["epochs"] == 2
 
     def test_report_command(self, tmp_path, capsys):
         from repro.cli import main
@@ -588,157 +572,6 @@ class TestEventLog:
 
 
 # --------------------------------------------------------------------- #
-# ISSUE 9: live metrics endpoint
-# --------------------------------------------------------------------- #
-def _scrape(url):
-    from urllib.request import urlopen
-    with urlopen(url, timeout=5) as resp:
-        return resp.status, resp.read().decode("utf-8")
-
-
-class TestLiveServer:
-    def test_render_live_sample_fields(self):
-        from repro.obs.live import render_live_sample
-        text = render_live_sample({
-            "epoch": 3, "loss": 0.25, "workers": 2, "restarts": 1,
-            "fit_dispatches": 1, "recovering": True,
-            "heartbeat_age_s": {0: 0.1, 1: 0.2},
-            "span_seconds": {"spmm": 1.5},
-        })
-        assert "repro_up 1" in text
-        assert "repro_live_epoch 3" in text
-        assert "repro_live_loss 0.25" in text
-        assert "repro_restarts_total 1" in text
-        assert "repro_recovering 1" in text
-        assert 'repro_heartbeat_age_seconds{worker="1"} 0.2' in text
-        assert 'repro_live_span_seconds_total{category="spmm"} 1.5' in text
-
-    def test_serves_sample_dict(self):
-        from repro.obs.live import LiveServer
-        with LiveServer(lambda: {"epoch": 2, "workers": 1}) as srv:
-            status, text = _scrape(srv.url)
-            assert status == 200
-            assert "repro_live_epoch 2" in text
-            # "/" is an alias for /metrics
-            status, _ = _scrape(f"http://{srv.host}:{srv.port}/")
-            assert status == 200
-
-    def test_string_sampler_passthrough(self):
-        from repro.obs.live import LiveServer
-        with LiveServer(lambda: "custom_metric 42\n") as srv:
-            _, text = _scrape(srv.url)
-            assert text == "custom_metric 42\n"
-
-    def test_unknown_path_404(self):
-        from urllib.error import HTTPError
-        from repro.obs.live import LiveServer
-        with LiveServer(lambda: {}) as srv:
-            with pytest.raises(HTTPError) as exc:
-                _scrape(f"http://{srv.host}:{srv.port}/nope")
-            assert exc.value.code == 404
-
-    def test_sampler_exception_is_500_not_fatal(self):
-        from urllib.error import HTTPError
-        from repro.obs.live import LiveServer
-        boom = {"on": True}
-
-        def sampler():
-            if boom["on"]:
-                raise RuntimeError("sampler died")
-            return {"epoch": 1}
-
-        with LiveServer(sampler) as srv:
-            with pytest.raises(HTTPError) as exc:
-                _scrape(srv.url)
-            assert exc.value.code == 500
-            boom["on"] = False  # server survives a failed scrape
-            status, text = _scrape(srv.url)
-            assert status == 200 and "repro_live_epoch 1" in text
-
-
-class TestLiveEndpointDuringFaultedFit:
-    """The headline invariant: scrape a *recovering* run mid-flight.
-
-    The driver blocks inside the single fit dispatch while a planned
-    worker kill, backoff, respawn, and resume play out; the endpoint
-    must keep serving coherent exposition text the whole time with zero
-    extra dispatches, and the recovered run must stay bit-equal to the
-    fault-free one.
-    """
-
-    @pytest.mark.parametrize("transport", ["shm", "tcp"])
-    def test_scrape_mid_recovery_bit_equal(self, ds, tmp_path, transport):
-        import threading
-        from repro.obs.live import LiveServer
-
-        kw = {"variant": "ghost", "partition": "multilevel"}
-        losses0, digest0, _, _ = _run_process(
-            ds, "1d", 4, 2, transport, False, kw)
-
-        algo = make_algorithm(
-            "1d", 4, ds, hidden=HIDDEN, seed=0, backend="process",
-            workers=2, transport=transport,
-            faults="kill:worker=1,epoch=1,attempt=1", max_restarts=3, **kw)
-        scrapes = []
-        stop = threading.Event()
-
-        def scrape_loop(url):
-            while not stop.is_set():
-                try:
-                    scrapes.append(_scrape(url)[1])
-                except OSError:
-                    pass
-                stop.wait(0.01)
-
-        try:
-            with LiveServer(algo.rt.live_sample) as srv:
-                t = threading.Thread(target=scrape_loop, args=(srv.url,),
-                                     daemon=True)
-                t.start()
-                try:
-                    hist = algo.fit(
-                        ds.features, ds.labels, EPOCHS,
-                        checkpoint_path=str(tmp_path / "ck.npz"),
-                        checkpoint_every=1)
-                finally:
-                    stop.set()
-                    t.join(timeout=5)
-                final = _scrape(srv.url)[1]
-            digest = ledger_digest(algo.rt.tracker)
-            stats = algo.rt.backend_stats(workers=False)
-        finally:
-            algo.rt.close()
-
-        assert list(hist.losses) == losses0
-        assert digest == digest0
-        assert stats["restarts"] >= 1
-        assert stats["fit_dispatches"] == 1  # scraping added no dispatch
-        # Every in-flight scrape rendered coherent exposition text.
-        assert scrapes
-        for text in scrapes:
-            assert "repro_up 1" in text
-            assert "repro_workers 2" in text
-            assert "repro_recovering" in text
-        # The post-fit scrape reflects the completed, recovered run.
-        assert "repro_restarts_total 1" in final
-        assert "repro_recovering 0" in final
-        assert "repro_live_epoch 3" in final
-
-    def test_virtual_runtime_live_sample(self, ds):
-        # Before start() / on the virtual path there is still a sample:
-        # worker count and a recovering=False flag, so the endpoint can
-        # come up before the first dispatch.
-        algo = make_algorithm("1d", 4, ds, hidden=HIDDEN, seed=0,
-                              backend="process", workers=2)
-        try:
-            sample = algo.rt.live_sample()
-            assert sample["workers"] == 2
-            assert sample["recovering"] is False
-        finally:
-            algo.rt.close()
-
-
-# --------------------------------------------------------------------- #
 # ISSUE 9: per-kernel compute/memory profiling
 # --------------------------------------------------------------------- #
 PROFILED_KERNELS = {"spmm", "gemm.forward", "gemm.wgrad", "gemm.hgrad",
@@ -750,8 +583,7 @@ def _run_profiled(ds, name, transport, kw):
                           backend="process", workers=2,
                           transport=transport, **kw)
     try:
-        hist = algo.fit(ds.features, ds.labels, EPOCHS,
-                        trace={"profile": True})
+        hist = algo.fit(ds.features, ds.labels, EPOCHS, trace=True)
         digest = ledger_digest(algo.rt.tracker)
         stats = algo.rt.backend_stats(workers=False)
         return list(hist.losses), digest, algo.last_trace, stats
@@ -781,8 +613,7 @@ class TestKernelProfiling:
         digest0 = ledger_digest(plain.rt.tracker)
 
         algo = make_algorithm("1d", 4, ds, hidden=HIDDEN, seed=0)
-        hist, tr = traced_fit(algo, ds.features, ds.labels, EPOCHS,
-                              profile=True)
+        hist, tr = traced_fit(algo, ds.features, ds.labels, EPOCHS)
         assert profile_mod.ACTIVE is None  # torn down
         assert list(hist.losses) == list(hist0.losses)
         assert ledger_digest(algo.rt.tracker) == digest0
@@ -792,11 +623,6 @@ class TestKernelProfiling:
         for k in prof["kernels"].values():
             assert k["calls"] > 0 and k["seconds"] >= 0.0
             assert k["flops"] >= 0.0 and k["bytes"] > 0.0
-
-    def test_unprofiled_trace_has_no_summary(self, ds):
-        algo = make_algorithm("1d", 4, ds, hidden=HIDDEN, seed=0)
-        _, tr = traced_fit(algo, ds.features, ds.labels, 1)
-        assert tr.profile_summary() is None
 
     @pytest.mark.parametrize("transport", ["shm", "tcp"])
     def test_process_profiled_bit_equal(self, ds, transport):
@@ -822,8 +648,7 @@ class TestKernelProfiling:
 
     def test_profile_survives_chrome_round_trip(self, ds, tmp_path):
         algo = make_algorithm("1d", 4, ds, hidden=HIDDEN, seed=0)
-        hist, tr = traced_fit(algo, ds.features, ds.labels, EPOCHS,
-                              profile=True)
+        hist, tr = traced_fit(algo, ds.features, ds.labels, EPOCHS)
         config = {"algorithm": "1d", "gpus": 4, "hidden": HIDDEN,
                   "epochs": EPOCHS, "seed": 7,
                   "vertices": ds.adjacency.nrows, "degree": 5.0,
@@ -840,29 +665,13 @@ class TestKernelProfiling:
         for name in a["kernels"]:
             assert b["kernels"][name]["calls"] == a["kernels"][name]["calls"]
 
-    def test_cat_seconds_running_totals(self):
-        rec = SpanRecorder(capacity=4)
-        rec.record("a", "spmm", 0.0, 1.5)
-        rec.record("b", "spmm", 2.0, 2.5)
-        rec.record("c", "dcomm", 0.0, 1.0)
-        rec.record("weird", "not-a-category", 0.0, 9.0)
-        totals = rec.category_seconds()
-        assert totals["spmm"] == pytest.approx(2.0)
-        assert totals["dcomm"] == pytest.approx(1.0)
-        assert "not-a-category" not in totals
-        # Running totals survive drain (livestats publishes mid-run).
-        rec.drain()
-        assert rec.category_seconds()["spmm"] == pytest.approx(2.0)
-
-
 # --------------------------------------------------------------------- #
 # ISSUE 9: drift report's compute column + dropped-span surfacing
 # --------------------------------------------------------------------- #
 class TestComputeReport:
     def _payload(self, ds, tmp_path):
         algo = make_algorithm("1d", 4, ds, hidden=HIDDEN, seed=0)
-        hist, tr = traced_fit(algo, ds.features, ds.labels, EPOCHS,
-                              profile=True)
+        hist, tr = traced_fit(algo, ds.features, ds.labels, EPOCHS)
         config = {"algorithm": "1d", "gpus": 4, "hidden": HIDDEN,
                   "epochs": EPOCHS, "seed": 7,
                   "vertices": ds.adjacency.nrows, "degree": 5.0,
@@ -874,6 +683,7 @@ class TestComputeReport:
 
     def test_compute_section_measured_vs_modeled(self, ds, tmp_path):
         rep = drift_report(self._payload(ds, tmp_path))
+        assert rep["dropped_spans"] == 0
         compute = rep["compute"]
         assert compute is not None
         kernels = {row["kernel"] for row in compute["kernels"]}
@@ -888,21 +698,6 @@ class TestComputeReport:
         text = format_drift_report(rep)
         assert "kernel compute" in text
         assert "peak RSS" in text
-
-    def test_unprofiled_report_has_no_compute(self, ds, tmp_path):
-        algo = make_algorithm("1d", 4, ds, hidden=HIDDEN, seed=0)
-        hist, tr = traced_fit(algo, ds.features, ds.labels, EPOCHS)
-        config = {"algorithm": "1d", "gpus": 4, "hidden": HIDDEN,
-                  "epochs": EPOCHS, "seed": 7,
-                  "vertices": ds.adjacency.nrows, "degree": 5.0,
-                  "features": 10, "classes": 3, "backend": "virtual",
-                  "machine": algo.rt.profile.name}
-        doc = export_chrome_trace(
-            tr, str(tmp_path / "t.json"),
-            extra=build_trace_meta(config, hist, tr, 0.25))
-        rep = drift_report(doc)
-        assert rep["compute"] is None
-        assert rep["dropped_spans"] == 0
 
     def test_dropped_spans_surfaced_with_warning(self, ds, tmp_path):
         payload = self._payload(ds, tmp_path)
@@ -1009,7 +804,7 @@ class TestObsEventsCli:
                    "--events", ev_path, "--json"])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["events_path"] == ev_path
+        assert doc["config"]["events"] == ev_path
         events = read_event_log(ev_path)
         types = [e["type"] for e in events]
         assert types[0] == "run_start"
@@ -1032,41 +827,32 @@ class TestObsEventsCli:
         ev_path.write_text("\n".join(lines[:1] + lines[2:]) + "\n")
         assert main(["obs", "validate-events", str(ev_path)]) == 1
 
-    def test_train_metrics_port_virtual(self, tmp_path, capsys):
-        # --metrics-port 0 binds an ephemeral port on the virtual path;
-        # the server must come up and tear down cleanly around fit.
+
+# --------------------------------------------------------------------- #
+# recovery counters in the run record of a faulted tcp run
+# --------------------------------------------------------------------- #
+class TestRecoveryRecordTcp:
+    def test_faulted_tcp_record_carries_recovery_counters(self, tmp_path,
+                                                          capsys):
         from repro.cli import main
+        trace_path = str(tmp_path / "t.json")
         rc = main(["train", "--algorithm", "1d", "--gpus", "4",
-                   "--epochs", "2", "--hidden", "8",
+                   "--epochs", "3", "--hidden", "8",
                    "--vertices", "96", "--degree", "5",
-                   "--metrics-port", "0", "--json"])
+                   "--backend", "process", "--workers", "2",
+                   "--transport", "tcp",
+                   "--faults", "kill:worker=1,epoch=1,attempt=1",
+                   "--max-restarts", "3",
+                   "--checkpoint", str(tmp_path / "ck.npz"),
+                   "--trace", trace_path, "--json"])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
-        assert len(doc["losses"]) == 2
-
-
-# --------------------------------------------------------------------- #
-# ISSUE 9 satellite: recovery counters through metrics_from_trace on tcp
-# --------------------------------------------------------------------- #
-class TestRecoveryMetricsTcp:
-    def test_faulted_tcp_run_exports_recovery_counters(self, ds, tmp_path):
-        kw = {"variant": "ghost", "partition": "multilevel"}
-        algo = make_algorithm(
-            "1d", 4, ds, hidden=HIDDEN, seed=0, backend="process",
-            workers=2, transport="tcp",
-            faults="kill:worker=1,epoch=1,attempt=1", max_restarts=3, **kw)
-        try:
-            hist = algo.fit(ds.features, ds.labels, EPOCHS,
-                            trace=True,
-                            checkpoint_path=str(tmp_path / "ck.npz"),
-                            checkpoint_every=1)
-            tr = algo.last_trace
-            stats = algo.rt.backend_stats(workers=False)
-        finally:
-            algo.rt.close()
-        assert stats["restarts"] >= 1
-        text = metrics_from_trace(tr, hist, backend_stats=stats).render()
-        assert "repro_restarts_total 1" in text
-        assert "repro_recovery_dispatches_total" in text
-        assert "repro_failure_detect_seconds_total" in text
-        assert "repro_checkpoints_written_total" in text
+        st = doc["backend_stats"]
+        assert st["restarts"] >= 1
+        assert st["fit_dispatches"] == 1
+        assert st["recovery_dispatches"] >= 2
+        assert st["detect_seconds"] > 0
+        assert st["checkpoints_written"] >= 1
+        assert len(doc["losses"]) == 3
+        with open(trace_path) as fh:
+            assert json.load(fh)["repro"]["backend_stats"] == st
