@@ -27,9 +27,10 @@ Memory gauges ride along: peak RSS from ``resource.getrusage`` and the
 shared-memory arena's high-water occupancy / ephemeral-spill counters
 (:mod:`repro.parallel.shm`).  Like spans, profiling is strictly
 observational -- it never touches the ledger, so profiled runs stay
-bit-identical in losses and ledger digests.  On the process backend
-each worker profiles locally and the snapshot rides back on the
-existing single fit dispatch next to its spans.
+bit-identical in losses and ledger digests.  Every traced fit
+profiles; on the process backend each worker profiles locally and the
+snapshot rides back on the existing single fit dispatch next to its
+spans.
 """
 
 from __future__ import annotations

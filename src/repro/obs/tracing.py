@@ -246,7 +246,7 @@ class MergedTrace:
                 "wait_s": wait, "copy_s": copy, "bytes_sent": nbytes}
 
     def profile_summary(self) -> Optional[dict]:
-        """Run-level kernel-profile summary (``None`` if unprofiled).
+        """Run-level kernel-profile summary (``None`` if no worker sent one).
 
         Folds the per-worker :mod:`repro.obs.profile` snapshots that
         rode back on the fit dispatch (kernel counters sum; memory
