@@ -66,6 +66,12 @@ class TestLazyExportTable:
         with pytest.raises(AttributeError, match="no attribute"):
             repro.does_not_exist
 
+    def test_deleted_obs_modules_stay_gone(self):
+        # the Prometheus surfaces were deleted; the run record replaced them
+        for modname in ("repro.obs.live", "repro.obs.metrics"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(modname)
+
     def test_bare_import_stays_lazy(self):
         """``import repro`` must not drag the heavy subsystems in."""
         code = (

@@ -347,15 +347,18 @@ class TestProcessBackendNeutrality:
 
 
 class TestTraceCapacityCheckedOnDriver:
-    def test_bad_capacity_leaves_the_pool_up(self, ds):
+    @pytest.mark.parametrize("transport,capacity", [("shm", 0),
+                                                    ("tcp", -1)])
+    def test_bad_capacity_leaves_the_pool_up(self, ds, transport, capacity):
         # refused before the dispatch: no worker sees it, so the pool
         # is neither torn down nor respawned
         algo = make_algorithm("1d", 4, ds, hidden=HIDDEN, seed=0,
-                              backend="process", workers=2, transport="shm")
+                              backend="process", workers=2,
+                              transport=transport)
         try:
             algo.fit(ds.features, ds.labels, 1)
             with pytest.raises(ValueError, match="span capacity"):
-                algo.fit(ds.features, ds.labels, 1, trace=0)
+                algo.fit(ds.features, ds.labels, 1, trace=capacity)
             hist = algo.fit(ds.features, ds.labels, 1)
             stats = algo.rt.backend_stats(workers=False)
         finally:
@@ -363,6 +366,47 @@ class TestTraceCapacityCheckedOnDriver:
         assert len(hist.losses) == 1
         assert stats["restarts"] == 0
         assert stats["fit_dispatches"] == 2
+
+    def test_option_dict_is_refused_on_the_driver(self, ds):
+        # ``trace`` is a bool or a ring capacity; the old option dict
+        # (``{"profile": True}``) is no capacity and never dispatches
+        algo = make_algorithm("1d", 4, ds, hidden=HIDDEN, seed=0,
+                              backend="process", workers=2, transport="shm")
+        try:
+            with pytest.raises(TypeError):
+                algo.fit(ds.features, ds.labels, 1, trace={"profile": True})
+            hist = algo.fit(ds.features, ds.labels, 1)
+            stats = algo.rt.backend_stats(workers=False)
+        finally:
+            algo.rt.close()
+        assert len(hist.losses) == 1
+        assert stats["restarts"] == 0
+        assert stats["fit_dispatches"] == 1
+
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_virtual_bad_capacity_enables_nothing(self, ds, capacity):
+        from repro.obs import profile as profile_mod
+        algo = make_algorithm("1d", 4, ds, hidden=HIDDEN, seed=0)
+        with pytest.raises(ValueError, match="span capacity"):
+            traced_fit(algo, ds.features, ds.labels, 1, capacity=capacity)
+        assert spans_mod.ACTIVE is None
+        assert profile_mod.ACTIVE is None
+        assert len(algo.fit(ds.features, ds.labels, 1).losses) == 1
+
+    def test_small_ring_counts_what_it_dropped(self, ds):
+        # a capacity the driver accepts reaches every worker's ring: a
+        # ring that wraps keeps its newest spans and reports the rest
+        algo = make_algorithm("1d", 4, ds, hidden=HIDDEN, seed=0,
+                              backend="process", workers=2, transport="shm")
+        try:
+            algo.fit(ds.features, ds.labels, EPOCHS, trace=4)
+            tr = algo.last_trace
+        finally:
+            algo.rt.close()
+        assert sorted(tr.workers) == [0, 1]
+        for info in tr.workers.values():
+            assert info["nspans"] == 4
+            assert info["dropped"] > 0
 
 
 # --------------------------------------------------------------------- #
@@ -405,6 +449,59 @@ class TestDriftReport:
         payload["repro"].pop("config")
         rep = drift_report(payload)
         assert any("config" in n or "model" in n for n in rep["notes"])
+
+
+# --------------------------------------------------------------------- #
+# the run record (schema repro-run/1)
+# --------------------------------------------------------------------- #
+class TestRunRecord:
+    def _fit(self, ds):
+        algo = make_algorithm("1d", 4, ds, hidden=HIDDEN, seed=0)
+        return traced_fit(algo, ds.features, ds.labels, EPOCHS)
+
+    def test_record_round_trips_through_json(self, ds):
+        hist, tr = self._fit(ds)
+        rec = build_trace_meta({"algorithm": "1d", "gpus": 4}, hist, tr,
+                               0.25)
+        assert rec["schema"] == "repro-run/1"
+        assert json.loads(json.dumps(rec)) == rec
+        assert rec["measured"]["profile"]["kernels"]
+
+    def test_untraced_record_passes_backend_stats_through(self, ds):
+        hist, _ = self._fit(ds)
+        stats = {"restarts": 0, "fit_dispatches": 1}
+        rec = build_trace_meta({}, hist, None, 0.5, backend_stats=stats)
+        assert rec["measured"] is None
+        assert rec["backend_stats"] == stats
+        assert rec["wall_seconds"] == 0.5
+        assert rec["losses"] == list(hist.losses)
+        assert rec["modeled"]["final_loss"] == hist.losses[-1]
+
+    def test_record_reads_bytes_and_accuracy_from_the_history(self, ds):
+        hist, tr = self._fit(ds)
+        rec = build_trace_meta({}, hist, tr, 0.25)
+        last, setup = hist.epochs[-1], hist.setup
+        assert rec["final_accuracy"] == last.train_accuracy
+        assert rec["per_epoch_comm_bytes"] == {
+            "dcomm": last.dcomm_bytes, "scomm": last.scomm_bytes,
+            "max_rank": last.max_rank_comm_bytes}
+        assert rec["setup"]["comm_bytes"]["dcomm"] == setup.dcomm_bytes
+        assert rec["setup"]["modeled_seconds"] == setup.modeled_seconds
+        assert rec["modeled"]["epochs"] == EPOCHS
+
+    def test_empty_config_still_reports(self, ds, tmp_path):
+        # the layer harness records no config: the simulated column
+        # goes, the modeled and measured ones stay
+        hist, tr = self._fit(ds)
+        doc = export_chrome_trace(
+            tr, str(tmp_path / "t.json"),
+            extra=build_trace_meta({}, hist, tr, 0.25))
+        rep = drift_report(doc)
+        assert any("lacks algorithm/gpus" in n for n in rep["notes"])
+        for row in rep["categories"]:
+            assert row["simulated_s"] is None
+        assert rep["totals"]["measured_s"] > 0
+        assert any(row["modeled_s"] for row in rep["categories"])
 
 
 # --------------------------------------------------------------------- #
@@ -469,6 +566,64 @@ class TestCli:
         assert "drift" in out
         rep = json.load(open(rep_json))
         assert rep["schema"] == "repro-report/1"
+
+    @pytest.mark.parametrize("transport", ["shm", "tcp"])
+    def test_process_record_is_the_trace_record(self, tmp_path, capsys,
+                                                transport):
+        from repro.cli import main
+        trace_path = str(tmp_path / "t.json")
+        assert main(["train", "--algorithm", "1d", "--gpus", "4",
+                     "--epochs", "2", "--hidden", "8",
+                     "--vertices", "96", "--degree", "5",
+                     "--backend", "process", "--workers", "2",
+                     "--transport", transport,
+                     "--trace", trace_path, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["backend_stats"]["fit_dispatches"] == 1
+        assert doc["backend_stats"]["restarts"] == 0
+        with open(trace_path) as fh:
+            meta = json.load(fh)["repro"]
+        assert set(meta) - set(doc) == {"workers"}
+        assert {k: meta[k] for k in doc} == doc
+        # every worker profiled its kernels, with no flag asked
+        assert sorted(meta["workers"]) == ["0", "1"]
+        for info in meta["workers"].values():
+            assert info["profile"]["kernels"]
+
+    def test_report_shows_compute_without_a_flag(self, tmp_path, capsys):
+        from repro.cli import main
+        trace_path = str(tmp_path / "t.json")
+        assert main(["train", "--algorithm", "1d", "--gpus", "4",
+                     "--epochs", "2", "--hidden", "8",
+                     "--vertices", "96", "--degree", "5",
+                     "--trace", trace_path]) == 0
+        capsys.readouterr()
+        assert main(["report", trace_path]) == 0
+        assert "kernel compute" in capsys.readouterr().out
+
+    @staticmethod
+    def _train_options(capsys):
+        import re
+        from repro.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--help"])
+        assert exc.value.code == 0
+        return set(re.findall(r"(?<![\w-])--[a-z][\w-]*",
+                              capsys.readouterr().out))
+
+    @pytest.mark.parametrize("flag", ["--metrics", "--profile"])
+    def test_train_has_no_removed_output(self, flag, capsys):
+        from repro.cli import main
+        assert flag not in self._train_options(capsys)
+        with pytest.raises(SystemExit) as exc:
+            main(["train", flag, "x"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+    def test_train_lists_three_outputs(self, capsys):
+        options = self._train_options(capsys)
+        assert {"--trace", "--events", "--json"} <= options
+        assert not {o for o in options if o.startswith("--metrics")}
 
     def test_report_rejects_invalid(self, tmp_path, capsys):
         from repro.cli import main
