@@ -21,7 +21,6 @@ _EXPORTS = {
     "figure2_throughput": "repro.analysis.figures",
     "figure3_breakdown": "repro.analysis.figures",
     "CommEstimate": "repro.analysis.formulas",
-    "comm_time": "repro.analysis.formulas",
     "crossover_p_2d_vs_1d": "repro.analysis.formulas",
     "ratio_1d_over_2d": "repro.analysis.formulas",
     "words_15d": "repro.analysis.formulas",

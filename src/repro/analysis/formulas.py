@@ -64,7 +64,6 @@ __all__ = [
     "words_15d",
     "words_2d",
     "words_3d",
-    "comm_time",
     "ratio_1d_over_2d",
     "crossover_p_2d_vs_1d",
 ]
@@ -165,14 +164,6 @@ def words_3d(n: int, nnz: int, f: float, layers: int, p: int) -> CommEstimate:
     words = layers * (2 * nnz / p23 + 12 * n * f / p23)
     messages = layers * 4 * p13
     return CommEstimate("3d", words, messages)
-
-
-def comm_time(
-    estimate: CommEstimate, profile: MachineProfile,
-    word_bytes: Optional[int] = None,
-) -> float:
-    """Alpha-beta seconds of an estimate under a machine profile."""
-    return estimate.seconds(profile, word_bytes)
 
 
 def ratio_1d_over_2d(n: int, nnz: int, f: float, layers: int, p: int) -> float:

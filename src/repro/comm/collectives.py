@@ -23,10 +23,9 @@ hops of a sparsity-aware SUMMA stage's relay).  Each of those
    executable programs whose outputs can be compared against the serial
    reference -- exactly the verification the paper performs ("outputs
    the same embeddings up to floating point accumulation errors").
-   :meth:`Collectives.move` is the blocking form; the routed kinds
-   (broadcast, row gather) also come split-phase as
-   :meth:`Collectives.post` / :meth:`Collectives.collect`, and blocking
-   is literally ``collect(post(...))``.
+   Every kind comes split-phase as :meth:`Collectives.post` /
+   :meth:`Collectives.collect`, and the blocking
+   :meth:`Collectives.move` is literally ``collect(post(...))``.
 
 The charged methods (:meth:`~Collectives.broadcast`,
 :meth:`~Collectives.allreduce`, ...) are the data movement plus the rule
@@ -36,17 +35,21 @@ whose payload sizes are fixed by structure (the epochs of
 :meth:`~Collectives.charges`, replay it with
 :meth:`CommTracker.charge_many` and call the data movement alone.
 
-The data movements are written against four **transport hooks**:
-``_contributions(group, values, keep)`` (every member's contribution,
-given the local ones -- or, for a reduce-scatter, the part of it this
-process's members keep), the split-phase ``_routed_post(kind, routes,
-payload_of)`` / ``_routed_collect(handle)``, and ``_members(group)``
-(whose results come back).  This class implements them for the virtual
-runtime, where every rank is local and nothing travels; the multiprocess
-backend (:mod:`repro.parallel.collectives`) overrides only those four, so
-every collective works on every backend by construction, with the same
-receipt labels, the same argument checks and the same sanitizer
-coverage.
+The data movements are written against three **transport hooks**:
+the split-phase ``_routed_post(kind, routes, payload_of)`` /
+``_routed_collect(handle)``, which start and finish one step's transfers
+(route ``(src, dst_ranks)``; ``payload_of(i, ranks)`` is what route
+``i`` sends the destination's ``ranks``), and ``_members(group)`` (whose
+results come back).  Every kind is routes: a broadcast's root sends to
+its group, a row gather's source to its destination, and each member of
+a group kind sends its contribution to its group -- for a reduce-scatter
+cut to the shards the destination's ranks keep -- and folds what its
+group sent it locally, in group order.  This class implements the hooks
+for the virtual runtime, where every rank is local and nothing travels;
+the multiprocess backend (:mod:`repro.parallel.collectives`) overrides
+only those three, so every collective works on every backend by
+construction, with the same receipt labels, the same argument checks and
+the same sanitizer coverage, and every step is one rendezvous.
 
 Data movement is **copy-on-write**: every receiving rank gets a
 *read-only view* of the transmitted payload (``ndarray.flags.writeable =
@@ -66,8 +69,8 @@ machine, not the simulation shortcut.
 Payloads may be ``numpy.ndarray`` (dense blocks), objects exposing an
 ``nbytes_on_wire`` attribute (our CSR blocks), or ``None`` (empty
 contribution).  Reductions require dense arrays of identical shape and
-fold by addition, in group order; a reduce-scatter folds only the shards
-its local members keep.
+fold by addition, in group order; a reduce-scatter folds only the span
+of the shards its local members keep.
 """
 
 from __future__ import annotations
@@ -89,10 +92,6 @@ __all__ = ["Collectives", "payload_nbytes"]
 #: One ledger entry: ``(rank, seconds, nbytes, messages, flops)``, the
 #: shape :meth:`CommTracker.charge_many` replays.
 Charge = Tuple[int, float, int, int, int]
-
-#: The kinds that travel along routes (``post`` / ``collect``) rather
-#: than within groups.
-ROUTED = ("broadcast", "gather_rows")
 
 #: The kinds whose rule is exact: the charged bytes of a receiving rank
 #: are precisely the payload bytes delivered to it (what the sanitizer's
@@ -273,43 +272,25 @@ class Collectives:
 
     # ------------------------------------------------------------------ #
     # transport hooks -- the everything-is-local implementations.  A
-    # backend whose ranks live in several processes overrides these four
-    # and nothing else: callers pass contributions for the ranks they
-    # hold (all of them here) and receive results for those same ranks.
+    # backend whose ranks live in several processes overrides these three
+    # and nothing else: callers pass payloads for the ranks they hold
+    # (all of them here) and receive results for those same ranks.
     # ------------------------------------------------------------------ #
     def _members(self, group: Tuple[int, ...]) -> Sequence[int]:
         """The ranks of ``group`` whose results this process returns."""
         return group
 
-    def _contributions(self, group: Tuple[int, ...],
-                       values: Mapping[int, Any],
-                       keep: Optional[Callable[[Any, Sequence[int]], Any]]
-                       = None) -> Mapping[int, Any]:
-        """Every member's contribution, given the locally held ones.
-
-        ``keep(payload, ranks)``, when given, is the part of a
-        contribution that ``ranks`` keep (a reduce-scatter's shards):
-        every contribution then comes back cut to what this process's
-        members keep, and a backend whose members live elsewhere ships
-        each peer only what that peer's members keep.
-        """
-        missing = [r for r in group if r not in values]
-        if missing:
-            raise KeyError(f"missing contributions from ranks {missing}")
-        if keep is None:
-            return values
-        return {r: keep(values[r], group) for r in group}
-
     def _routed_post(self, kind: str,
                      routes: Sequence[Tuple[int, Tuple[int, ...]]],
-                     payload_of: Callable[[int], Any]) -> Any:
-        """Start transfer ``i`` of ``payload_of(i)`` from rank
-        ``routes[i][0]`` to the ranks ``routes[i][1]``, for every ``i``;
+                     payload_of: Callable[[int, Sequence[int]], Any]) -> Any:
+        """Start transfer ``i`` from rank ``routes[i][0]`` to the ranks
+        ``routes[i][1]``, for every ``i``: a process holding some of
+        those ranks is sent ``payload_of(i, its ranks of them)``.
         :meth:`_routed_collect` turns the returned handle into the
-        received payload per transfer (one shared read-only receipt
-        each).  Nothing travels here, so the handle is the finished
-        list."""
-        return [_readonly(payload_of(i), kind) for i in range(len(routes))]
+        payload per transfer as it arrived here.  Nothing travels here
+        and every destination is this process, so the handle is the
+        finished list."""
+        return [payload_of(i, dsts) for i, (_, dsts) in enumerate(routes)]
 
     def _routed_collect(self, handle: Any) -> list:
         return handle
@@ -317,13 +298,13 @@ class Collectives:
     # ------------------------------------------------------------------ #
     # data movement (no charging): one definition per kind
     # ------------------------------------------------------------------ #
-    def post(self, kind: str, routes: Sequence[tuple],
-             payloads: Mapping[int, Any]) -> Any:
-        """Start one step of a routed kind, charging nothing.
+    def post(self, kind: str, where: Sequence[Any],
+             payloads: Mapping[int, Any], **kw: Any) -> Any:
+        """Start one step of ``kind``, charging nothing.
 
-        ``routes`` lists the step's transfers in one fixed global order
-        and ``payloads`` maps each locally-held source rank to what it
-        sends:
+        ``where`` lists the step's transfers or groups in one fixed
+        global order and ``payloads`` maps each locally-held source rank
+        to what it sends:
 
         * ``broadcast``: ``(group, root)`` routes; ``payloads[root]``
           goes to every rank of ``group``;
@@ -332,21 +313,28 @@ class Collectives:
           rows are already local; a pair with no row would cost a
           message for nothing); the selected rows of the dense block
           ``payloads[src]`` go to ``dst``.  Selection happens at the
-          source, so only the requested rows travel.
+          source, so only the requested rows travel;
+        * group kinds (``allgather``, ``allreduce``,
+          ``reduce_scatter``): concurrent groups, ``kw`` as in the
+          charged method of the same name.  Every member's contribution
+          is one route to its group -- for a reduce-scatter cut, per
+          destination, to the shards that destination's ranks keep.
 
-        Returns the handle :meth:`collect` finishes.  Split so a stage
-        loop can start the next stage's transfers before it waits for
-        this stage's: a backend whose payloads travel moves them in
-        between.
+        The whole step is one rendezvous, also for a process holding
+        ranks of several of its groups; a process with no rank in it
+        sits it out.  Returns the handle :meth:`collect` finishes.
+        Split so a stage loop can start the next stage's transfers
+        before it waits for this stage's: a backend whose payloads
+        travel moves them in between.
         """
         if kind == "broadcast":
-            for group, root in routes:
+            for group, root in where:
                 if root not in group:
                     raise ValueError(f"root {root} not in group {group}")
-            hops = [(root, group) for group, root in routes]
-            pick = lambda i: payloads[routes[i][1]]
-        else:
-            for src, dst, rows in routes:
+            hops = [(root, group) for group, root in where]
+            pick = lambda i, _: payloads[where[i][1]]
+        elif kind == "gather_rows":
+            for src, dst, rows in where:
                 if src == dst:
                     raise ValueError(
                         f"gather_rows pair ({src}, {dst}) is a self-send; "
@@ -355,81 +343,105 @@ class Collectives:
                     raise ValueError(
                         f"gather_rows pair ({src}, {dst}) names no row; "
                         "leave it out")
-            hops = [(src, (dst,)) for src, dst, _ in routes]
-            pick = lambda i: payloads[routes[i][0]][routes[i][2]]
-        return self._routed_post(kind, hops, pick)
+            hops = [(src, (dst,)) for src, dst, _ in where]
+            pick = lambda i, _: payloads[where[i][0]][where[i][2]]
+        else:
+            hops, pick, fold = self._group_step(kind, where, payloads, **kw)
+            return fold, self._routed_post(kind, hops, pick)
 
-    def collect(self, posted: Any) -> list:
-        """Finish a :meth:`post`: the received payload per route, in
-        route order, as one shared read-only receipt each (``None`` for
-        routes with no local destination, on the multiprocess
-        backend)."""
-        return self._routed_collect(posted)
+        def receipts(got: list) -> list:
+            return [_readonly(payload, kind) for payload in got]
+        return receipts, self._routed_post(kind, hops, pick)
+
+    def collect(self, posted: Any) -> Any:
+        """Finish a :meth:`post`.  A routed kind gives the received
+        payload per route, in route order, as one shared read-only
+        receipt each (``None`` for routes with no local destination, on
+        the multiprocess backend); a group kind gives every local member
+        of the step's groups its result, merged into one ``{rank:
+        result}`` dict."""
+        finish, handle = posted
+        return finish(self._routed_collect(handle))
 
     def move(self, kind: str, where: Sequence[Any],
              payloads: Mapping[int, Any], **kw: Any) -> Any:
-        """The data movement of one step of ``kind``, charging nothing.
+        """The blocking data movement of one step of ``kind``:
+        ``collect(post(kind, where, payloads, **kw))``."""
+        return self.collect(self.post(kind, where, payloads, **kw))
 
-        For a routed kind ``where`` holds the routes and this is
-        ``collect(post(kind, where, payloads))``.  For a group kind
-        (``allgather``, ``allreduce``, ``reduce_scatter``) ``where``
-        holds the step's concurrent groups and ``payloads`` the
-        contributions of the locally-held ranks; every group this
-        process has a rank in is moved (``kw`` as in the charged method
-        of the same name) and the results come back merged into one
-        ``{rank: result}`` dict.
+    def _group_step(self, kind: str, groups: Sequence[Sequence[int]],
+                    payloads: Mapping[int, Any], **kw: Any
+                    ) -> Tuple[list, Callable, Callable]:
+        """A group-kind step as routes: ``(routes, payload_of, fold)``.
+
+        Route ``(src, group)`` carries member ``src``'s contribution,
+        ``kind``'s cut of it for the destination's ranks.  ``fold``
+        turns the received list into every local member's result: per
+        group this process has a rank in, the contributions in group
+        order go through ``kind``'s fold -- locally, in group order,
+        whatever travelled.
         """
-        if kind in ROUTED:
-            return self.collect(self.post(kind, where, payloads))
-        out: Dict[int, Any] = {}
-        for group in where:
-            mine = {r: payloads[r] for r in group if r in payloads}
+        prepare = self._GROUP_MOVE[kind]
+        hops: list = []
+        cuts: list = []
+        folds: list = []
+        for group in groups:
+            group = self._group(group)
+            mine = self._members(group)
             if mine:
-                out.update(self._run(kind, group, mine, **kw)[0])
-        return out
+                missing = [r for r in mine if r not in payloads]
+                if missing:
+                    raise KeyError(
+                        f"missing contributions from ranks {missing}")
+                cut, fold = prepare(self, group, mine, payloads, **kw)
+                folds.append((len(hops), len(group), fold))
+            else:
+                cut = None
+            hops.extend((src, group) for src in group)
+            cuts.extend([cut] * len(group))
 
-    def _run(self, kind: str, group: Sequence[int],
-             values: Mapping[int, Any], **kw: Any) -> Tuple[dict, int]:
-        """One group collective: ``(results for the local members, the
-        wire size its cost rule prices)``."""
-        return self._GROUP_MOVE[kind](self, self._group(group), values, **kw)
+        def payload_of(i: int, ranks: Sequence[int]) -> Any:
+            payload = payloads[hops[i][0]]
+            return payload if cuts[i] is None else cuts[i](payload, ranks)
 
-    def _charged(self, kind: str, group: Sequence[int],
-                 values: Mapping[int, Any], category: str,
-                 **kw: Any) -> dict:
-        out, nbytes = self._run(kind, group, values, **kw)
-        self._charge(kind, category, [(group, nbytes)])
-        return out
+        def fold_all(got: list) -> Dict[int, Any]:
+            out: Dict[int, Any] = {}
+            for at, size, fold in folds:
+                out.update(fold(got[at:at + size]))
+            return out
+        return hops, payload_of, fold_all
 
-    def _allgather(self, group: Tuple[int, ...],
-                   values: Mapping[int, Any]) -> Tuple[dict, int]:
-        full = self._contributions(group, values)
-        shared = [_readonly(full[s], "allgather") for s in group]
-        return ({r: list(shared) for r in self._members(group)},
-                sum(payload_nbytes(full[s]) for s in group))
+    # Per group kind: ``(group, mine, payloads, **kw) -> (cut, fold)``.
+    # ``cut(payload, ranks)`` is the part of a contribution ``ranks``
+    # receive (``None``: all of it); ``fold(parts)`` maps the group's
+    # contributions, in group order, to ``{member in mine: result}``.
+    def _allgather(self, group: Tuple[int, ...], mine: Sequence[int],
+                   payloads: Mapping[int, Any]) -> Tuple[None, Callable]:
+        def fold(parts: list) -> dict:
+            shared = [_readonly(part, "allgather") for part in parts]
+            return {r: list(shared) for r in mine}
+        return None, fold
 
-    def _allreduce(self, group: Tuple[int, ...], values: Mapping[int, Any],
-                   donate_first: bool = False) -> Tuple[dict, int]:
-        acc = self._reduce_arrays(group, self._contributions(group, values),
-                                  donate_first)
-        shared = _readonly(acc, "allreduce")
-        return {r: shared for r in self._members(group)}, int(acc.nbytes)
+    def _allreduce(self, group: Tuple[int, ...], mine: Sequence[int],
+                   payloads: Mapping[int, Any], donate_first: bool = False
+                   ) -> Tuple[None, Callable]:
+        def fold(parts: list) -> dict:
+            shared = _readonly(self._reduce_arrays(parts, donate_first),
+                               "allreduce")
+            return dict.fromkeys(mine, shared)
+        return None, fold
 
     def _reduce_scatter(
-        self, group: Tuple[int, ...], values: Mapping[int, Any],
-        axis: int = 0, bounds: Optional[Sequence[Tuple[int, int]]] = None,
+        self, group: Tuple[int, ...], mine: Sequence[int],
+        payloads: Mapping[int, Any], axis: int = 0,
+        bounds: Optional[Sequence[Tuple[int, int]]] = None,
         donate_first: bool = False,
-    ) -> Tuple[dict, int]:
-        """Fold, in group order, only the span of the shards this
-        process's members keep -- which is all a peer sends it -- and
-        hand each member its shard.  Elementwise, that is the whole
-        fold's shard bit for bit."""
-        mine = self._members(group)
-        ref = next((values[r] for r in mine if r in values), None)
-        if ref is None:
-            # nothing of ours to fold: the hook names what is missing
-            self._contributions(group, values)
-        shape = _dense(ref).shape
+    ) -> Tuple[Callable, Callable]:
+        """Each destination is sent, and folds in group order, only the
+        span of the shards its members keep, then hands each member its
+        shard.  Elementwise, that is the whole fold's shard bit for
+        bit."""
+        shape = _dense(payloads[mine[0]]).shape
         if bounds is None:
             bounds = self.plan.split(shape[axis], len(group))
         elif len(bounds) != len(group):
@@ -443,58 +455,32 @@ class Collectives:
             return (min(where[r][0] for r in ranks),
                     max(where[r][1] for r in ranks))
 
-        def keep(payload: Any, ranks: Sequence[int]) -> np.ndarray:
+        def cut(payload: Any, ranks: Sequence[int]) -> np.ndarray:
             arr = _dense(payload)
             if arr.shape != shape:
                 raise ValueError(
                     f"reduction shape mismatch: {arr.shape} vs {shape}")
             return _axis_shards(arr, [span(ranks)], axis)[0]
 
-        acc = self._reduce_arrays(group,
-                                  self._contributions(group, values, keep),
-                                  donate_first)
-        base = span(mine)[0]
-        shards = _axis_shards(
-            acc, [(where[r][0] - base, where[r][1] - base) for r in mine],
-            axis)
-        # ``bounds`` never touches the wire size -- shard placement is
-        # layout, not volume.
-        return ({r: _readonly(shard, "reduce_scatter")
-                 for r, shard in zip(mine, shards)}, int(ref.nbytes))
-
-    def _sparse_reduce_scatter(
-        self, group: Tuple[int, ...], values: Mapping[int, Any],
-        nz_rows: Sequence[int], axis: int = 0,
-        bounds: Optional[Sequence[Tuple[int, int]]] = None,
-        donate_first: bool = False,
-    ) -> Tuple[dict, int]:
-        if len(nz_rows) != len(group):
-            raise ValueError(
-                f"got {len(nz_rows)} nonzero-row counts for a group of "
-                f"{len(group)}"
-            )
-        out, dense_bytes = self._reduce_scatter(group, values, axis, bounds,
-                                                donate_first)
-        # Critical-path buffer size: the largest sparse contribution
-        # (its structurally nonzero rows + one index per row) plays the
-        # role the uniform dense buffer plays in reduce_scatter_cost.
-        # Sized from structure, never from values: a row the sparsity
-        # pattern can fill ships even where it happens to be all zeros.
-        rows = next(iter(values.values())).shape[axis]
-        row_bytes = dense_bytes // max(rows, 1)
-        return out, max(nz_rows) * (row_bytes + INDEX_BYTES)
+        def fold(parts: list) -> dict:
+            acc = self._reduce_arrays(parts, donate_first)
+            base = span(mine)[0]
+            shards = _axis_shards(
+                acc, [(where[r][0] - base, where[r][1] - base) for r in mine],
+                axis)
+            return {r: _readonly(shard, "reduce_scatter")
+                    for r, shard in zip(mine, shards)}
+        return cut, fold
 
     _GROUP_MOVE = {
         "allgather": _allgather,
         "allreduce": _allreduce,
         "reduce_scatter": _reduce_scatter,
-        "sparse_reduce_scatter": _sparse_reduce_scatter,
     }
 
-    def _reduce_arrays(self, group: Tuple[int, ...],
-                       values: Mapping[int, Any],
+    def _reduce_arrays(self, parts: Sequence[Any],
                        donate_first: bool = False) -> np.ndarray:
-        """Sum the group's arrays, in group order, into one
+        """Sum a group's arrays, given in group order, into one
         freshly-owned accumulator.
 
         The accumulator is allocated once and the fold accumulates into
@@ -509,22 +495,35 @@ class Collectives:
         """
         prof = _profile.ACTIVE
         t0 = prof.clock() if prof is not None else 0.0
-        first = _dense(values[group[0]])
+        first = _dense(parts[0])
         acc = first if donate_first and first.flags.writeable \
             else first.copy()
-        for r in group[1:]:
-            arr = _dense(values[r])
+        for part in parts[1:]:
+            arr = _dense(part)
             if arr.shape != acc.shape:
                 raise ValueError(
                     f"reduction shape mismatch: {arr.shape} vs {acc.shape}"
                 )
             np.add(acc, arr, out=acc)
         if prof is not None:
-            folds = max(0, len(group) - 1)
+            folds = max(0, len(parts) - 1)
             prof.add("reduce.fold", prof.clock() - t0,
                      folds * acc.size,
                      (folds + 1) * acc.nbytes + acc.nbytes)
         return acc
+
+    def _one(self, kind: str, group: Sequence[int],
+             values: Mapping[int, Any], **kw: Any
+             ) -> Tuple[Tuple[int, ...], dict, int]:
+        """Move one group's ``kind`` collective: ``(the group, the
+        results, a local member)`` -- whose payloads size the charge."""
+        group = self._group(group)
+        out = self.move(kind, [group], values, **kw)
+        if not out:
+            raise RuntimeError(
+                f"no rank of group {group} is local: nothing sizes its "
+                "charge")
+        return group, out, next(iter(out))
 
     # ------------------------------------------------------------------ #
     # charged collectives: the data movement plus the rule
@@ -599,7 +598,10 @@ class Collectives:
     ) -> Dict[int, list]:
         """Every rank receives the list of all group contributions (in
         group order), as shared read-only views."""
-        return self._charged("allgather", group, values, category)
+        group, out, r = self._one("allgather", group, values)
+        self._charge("allgather", category,
+                     [(group, sum(map(payload_nbytes, out[r])))])
+        return out
 
     def allreduce(
         self,
@@ -616,8 +618,10 @@ class Collectives:
         (NCCL-style in-place all-reduce) -- only for callers that own
         that buffer exclusively and discard it afterwards.
         """
-        return self._charged("allreduce", group, values, category,
-                             donate_first=donate_first)
+        group, out, r = self._one("allreduce", group, values,
+                                  donate_first=donate_first)
+        self._charge("allreduce", category, [(group, int(out[r].nbytes))])
+        return out
 
     def reduce_scatter(
         self,
@@ -643,9 +647,14 @@ class Collectives:
         accumulator and the returned shards are read-only views into it
         (zero shard copies); ``donate_first`` as in :meth:`allreduce`.
         """
-        return self._charged("reduce_scatter", group, values, category,
-                             axis=axis, bounds=bounds,
-                             donate_first=donate_first)
+        group, out, r = self._one("reduce_scatter", group, values,
+                                  axis=axis, bounds=bounds,
+                                  donate_first=donate_first)
+        # ``bounds`` never touches the wire size -- shard placement is
+        # layout, not volume.
+        self._charge("reduce_scatter", category,
+                     [(group, int(values[r].nbytes))])
+        return out
 
     def sparse_reduce_scatter(
         self,
@@ -672,6 +681,21 @@ class Collectives:
         the charged wire size changes -- "sparse routing changes bytes,
         never numerics".
         """
-        return self._charged("sparse_reduce_scatter", group, values,
-                             category, nz_rows=nz_rows, axis=axis,
-                             bounds=bounds, donate_first=donate_first)
+        if len(nz_rows) != len(group):
+            raise ValueError(
+                f"got {len(nz_rows)} nonzero-row counts for a group of "
+                f"{len(group)}"
+            )
+        group, out, r = self._one("reduce_scatter", group, values,
+                                  axis=axis, bounds=bounds,
+                                  donate_first=donate_first)
+        # Critical-path buffer size: the largest sparse contribution
+        # (its structurally nonzero rows + one index per row) plays the
+        # role the uniform dense buffer plays in reduce_scatter_cost.
+        # Sized from structure, never from values: a row the sparsity
+        # pattern can fill ships even where it happens to be all zeros.
+        ref = values[r]
+        row_bytes = ref.nbytes // max(ref.shape[axis], 1)
+        self._charge("sparse_reduce_scatter", category,
+                     [(group, max(nz_rows) * (row_bytes + INDEX_BYTES))])
+        return out

@@ -162,40 +162,6 @@ class CommTracker:
             self.wall[category] += seconds
             self._nsteps += 1
 
-    def charge_group(
-        self,
-        ranks: Sequence[int],
-        category: str,
-        seconds: float,
-        nbytes: int = 0,
-        messages: int = 0,
-        flops: int = 0,
-    ) -> None:
-        """Charge every rank in ``ranks`` the *same* amounts, in one call.
-
-        The batched fast path for collectives: argument checks run once
-        per call instead of once per rank, and the per-phase counters are
-        accumulated in plain locals before touching the ledger dicts.
-        Outside a :meth:`step_scope` the whole group charge forms one
-        bulk-synchronous step (every rank worked the same ``seconds``, so
-        the step's max is ``seconds`` -- exactly what wrapping the
-        per-rank loop in a scope used to record).  The resulting per-rank
-        ledger is byte-for-byte identical to the per-rank loop.
-        """
-        if category not in Category.ALL:
-            raise ValueError(f"unknown category {category!r}; use Category.*")
-        if seconds < 0 or nbytes < 0:
-            raise ValueError("negative charge")
-        if self._step is None:
-            with self.step_scope():
-                self._charge_group_in_step(
-                    ranks, category, seconds, nbytes, messages, flops
-                )
-        else:
-            self._charge_group_in_step(
-                ranks, category, seconds, nbytes, messages, flops
-            )
-
     def charge_many(self, category: str, items: Sequence[tuple]) -> None:
         """Batched per-rank charges forming one bulk-synchronous step.
 
@@ -224,31 +190,6 @@ class CommTracker:
                 )
             if seconds < 0 or nbytes < 0:
                 raise ValueError("negative charge")
-            t = per_rank[rank][category]
-            t.seconds += seconds
-            t.bytes += nbytes
-            t.messages += messages
-            t.flops += flops
-            d = step[rank]
-            d[category] = d.get(category, 0.0) + seconds
-
-    def _charge_group_in_step(
-        self,
-        ranks: Sequence[int],
-        category: str,
-        seconds: float,
-        nbytes: int,
-        messages: int,
-        flops: int,
-    ) -> None:
-        nranks = self.nranks
-        per_rank = self.per_rank
-        step = self._step
-        for rank in ranks:
-            if not 0 <= rank < nranks:
-                raise IndexError(
-                    f"rank {rank} out of range (nranks={nranks})"
-                )
             t = per_rank[rank][category]
             t.seconds += seconds
             t.bytes += nbytes

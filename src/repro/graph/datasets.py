@@ -72,11 +72,6 @@ class DatasetSpec:
         """nnz/n -- the paper's ``d`` (edges here are directed nnz counts)."""
         return self.edges / self.vertices
 
-    @property
-    def feature_payload_words(self) -> int:
-        """Words per vertex moved in 1D broadcasts (the ``f`` payload)."""
-        return self.features
-
 
 PUBLISHED: Dict[str, DatasetSpec] = {
     "reddit": DatasetSpec("reddit", 232_965, 114_848_857, 602, 41),

@@ -98,16 +98,17 @@ Layer responsibilities:
   on non-blocking sockets, a sender thread per connection for what a
   post could not write at once, loopback or ``REPRO_PARALLEL_HOSTS``
   rendezvous -- ranks can span machines;
-* ``collectives.py``-- the four transport hooks
+* ``collectives.py``-- the three transport hooks
   :class:`~repro.comm.collectives.Collectives` writes every collective
-  against, for a rank-local worker: ``_contributions`` (one ``("cg",
-  group)`` rendezvous gathers a group's contributions -- for a
-  reduce-scatter only the shards each peer keeps; the inherited
-  reductions fold them in group-rank order, a fixed tree, so results
-  match the virtual runtime bit for bit on either transport), the
-  ``_routed_post`` / ``_routed_collect`` pair both routed kinds
-  share, and ``_members``.  Cost rules, argument checks, receipt labels
-  and sanitizer hooks are inherited, not mirrored;
+  against, for a rank-local worker: the ``_routed_post`` /
+  ``_routed_collect`` pair, which puts a whole step of any kind on the
+  wire as one rendezvous on the kind's tag sequence (a group member's
+  contribution is one route to its group -- for a reduce-scatter only
+  the shards each peer keeps; the inherited reductions fold them in
+  group-rank order, a fixed tree, so results match the virtual runtime
+  bit for bit on either transport), and ``_members``.  Cost rules,
+  argument checks, receipt labels and sanitizer hooks are inherited,
+  not mirrored;
 * ``runtime.py``    -- :class:`WorkerRuntime` (the rank-local
   :class:`~repro.comm.runtime.Runtime`), :class:`ParallelRuntime` and
   :class:`ParallelAlgorithm` (driver-side, VirtualRuntime-shaped);

@@ -20,8 +20,9 @@ the same order on every worker (on shm a collect waits for the peer's
 acknowledgement of that same ticket) -- so the peer's frames travel
 while this worker computes (the SUMMA stage loops in :mod:`repro.dist`
 keep one stage ahead).  One ticket is one rendezvous however many
-payloads it carries, so the collectives above bucket a whole routed call
-by peer instead of meeting once per ``(src rank, dst rank)`` pair.
+payloads it carries, so the collectives above bucket a whole step of a
+kind -- all its routes, or all its groups -- by peer instead of meeting
+once per ``(src rank, dst rank)`` pair or group.
 
 Ticket lifetime and the arena: a ticket holds what its post borrowed --
 arena space and, when the arena was full, ephemeral overflow segments.

@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import struct
 import time
-from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Optional,
                     Sequence, Tuple, Union)
 
 import numpy as np
@@ -128,9 +128,7 @@ class WorkerRuntime(RuntimeBase):
         self._local_set = frozenset(self._local_ranks)
         self.nworkers = max(self.owners) + 1
         self.coll = ProcessCollectives(
-            self.profile, self.tracker, self.plan, channel, self.owners,
-            self._local_ranks,
-        )
+            self.profile, self.tracker, self.plan, channel, self.owners)
 
     def is_local(self, rank: int) -> bool:
         return rank in self._local_set
@@ -379,11 +377,6 @@ class ParallelAlgorithm:
 
     def gather_log_probs(self) -> np.ndarray:
         return self.rt._command("log_probs", None)[0]
-
-    def model_weights(self) -> List[np.ndarray]:
-        """Worker 0's replicated model weights (all workers are
-        bit-identical -- the digest checks would have tripped otherwise)."""
-        return self.rt._command("weights", None)[0]
 
     def verify_against_serial(self, features: np.ndarray, labels: np.ndarray,
                               epochs: int, seed: Optional[int] = None,

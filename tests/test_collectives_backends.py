@@ -1,14 +1,18 @@
 """Every collective on every backend: the oracle behind "one definition".
 
 ``repro.comm.collectives.Collectives`` defines each kind once against
-four transport hooks and ``ProcessCollectives`` overrides only the hooks,
-so nothing but these tests has to check that the backends agree:
+three transport hooks -- the split-phase ``_routed_post`` /
+``_routed_collect`` pair and ``_members`` -- and ``ProcessCollectives``
+overrides only the hooks, so nothing but these tests has to check that
+the backends agree:
 
 * each kind -- its charged form and its step form (cost rule replayed +
   data movement) -- run on a ``VirtualRuntime`` and on 2 and 3
   ``WorkerRuntime``s over shm and tcp hands every local rank the same
   read-only receipt and leaves every process the same ledger, also when
   a worker has no rank in a step's groups or routes;
+* a group-kind step is one rendezvous per worker, also for a worker
+  holding ranks of two of its groups;
 * the reduce-scatter ``bounds`` check fires from every form on both;
 * under the sanitizer a worker registers and re-hashes exactly the
   receipts the virtual runtime does, and audits the same exchanges.
@@ -64,6 +68,24 @@ def step(rt, kind, where, payloads, sizes, **kw):
     return rt.coll.move(kind, where, payloads, **kw)
 
 
+#: two concurrent groups; at W = 2 (owners 0, 0, 1, 1) each worker holds
+#: a rank of both
+PAIRS = [(0, 2), (1, 3)]
+
+
+def step_once(rt, kind, nbytes, **kw):
+    """The step form over ``PAIRS``, ``nbytes`` a group: every worker
+    meets its peers once for the whole step.  Run last in a program, so
+    a failed count leaves no peer waiting."""
+    channel = getattr(rt.coll, "channel", None)
+    before = 0 if channel is None else channel.nexchanges
+    got = step(rt, kind, PAIRS, local(rt, dense),
+               [(group, nbytes) for group in PAIRS], **kw)
+    if channel is not None:
+        assert channel.nexchanges - before == 1
+    return got
+
+
 # One program per kind: what every process of the SPMD run executes.
 def run_broadcast(rt):
     value = dense(1) if rt.is_local(1) else None
@@ -80,7 +102,7 @@ def run_allgather(rt):
     charged = rt.coll.allgather(WORLD, local(rt, dense))
     stepped = step(rt, "allgather", [PART], local(rt, dense, PART),
                    [(PART, 3 * dense(0).nbytes)])
-    return charged, stepped
+    return charged, stepped, step_once(rt, "allgather", 2 * dense(0).nbytes)
 
 
 def run_allreduce(rt):
@@ -88,7 +110,7 @@ def run_allreduce(rt):
     stepped = step(rt, "allreduce", [PART, (3,)], local(rt, dense),
                    [(PART, dense(0).nbytes), ((3,), dense(0).nbytes)],
                    donate_first=True)
-    return charged, stepped
+    return charged, stepped, step_once(rt, "allreduce", dense(0).nbytes)
 
 
 def run_reduce_scatter(rt):
@@ -96,7 +118,8 @@ def run_reduce_scatter(rt):
     charged = rt.coll.reduce_scatter(WORLD, local(rt, dense), bounds=bounds)
     stepped = step(rt, "reduce_scatter", [PART], local(rt, dense, PART),
                    [(PART, dense(0).nbytes)], axis=1)
-    return charged, stepped
+    return charged, stepped, step_once(rt, "reduce_scatter",
+                                       dense(0).nbytes)
 
 
 def run_sparse_reduce_scatter(rt):

@@ -671,30 +671,32 @@ class TestRowGroupsAcrossWorkers:
         assert first == [4 + 1 + 22] * SPANNING_WORKERS
 
     def test_exchanges_per_worker_epoch_3d_shm(self, ds, watchdog):
-        """27 exchanges per worker-epoch on 3D P = 8 at W = 4.  Each
+        """22 exchanges per worker-epoch on 3D P = 8 at W = 4.  Each
         worker holds one fiber ``(i, j, :)`` -- one rank of each of two
-        row groups -- and a group collective meets its peers once per
-        group, so every row-group collective costs 2:
+        row groups -- and a step meets its peers once for all its
+        groups, so every row-group collective costs 1:
         - the four Split-3D sweeps, 4 each (2 SUMMA stages of a sparse
           and a dense broadcast; the fiber reduce-scatter stays inside
           the worker and leaves every rank its input rows): 16;
         - the all-gathers of ``T^2`` and ``A G^2``, the last layer's
           reduce-scatter and ``A G`` gather, the ``log_softmax`` rows:
-          5 x 2;
+          5;
         - the gradient bucket's one all-reduce: 1.
-        That is 31 while every sweep ended in a fiber-plane exchange
+        That is 27 while a group collective met its peers once per
+        group (every row-group collective cost 2), 31 while every
+        sweep ended in a fiber-plane exchange
         ``(i, j, k) -> (k, j, i)`` back to a contiguous-layer input
         layout (one more per sweep), 34 while the loss and the three
         weight gradients reduced apart.  A routed stage broadcast met
         the peers once per stage for all groups, so the middle layer's
         two 2-stage operands cost 2 each as broadcasts too: the
         all-gathers left this count where it was (36 while the weight
-        gradient broadcast ``T^2`` again).  The set-up's 6 are the
-        aggregation sweep's 4 and the ``T^0`` all-gather's 2 (7 with
-        the exchange)."""
+        gradient broadcast ``T^2`` again).  The set-up's 5 are the
+        aggregation sweep's 4 and the ``T^0`` all-gather's 1 (6 while
+        it met once per group, 7 with the exchange)."""
         first, again = exchanges_per_worker(ds, "3d", 8, "shm")
-        assert again == [K * 27] * SPANNING_WORKERS
-        assert first == [6 + 27] * SPANNING_WORKERS
+        assert again == [K * 22] * SPANNING_WORKERS
+        assert first == [5 + 22] * SPANNING_WORKERS
 
 
 def exchanges_per_worker(ds, name, p, transport):

@@ -409,7 +409,7 @@ class TestLookAheadOfOne:
                 # of the loss pair and every weight gradient.  Every
                 # stage of this graph gathers the rows its sparse pieces
                 # read ("gr"; "rb" while stages broadcast the block).
-                assert [tag[0][0] for tag in posts] == ["gr"] * 8 + ["cg"]
+                assert [tag[0][0] for tag in posts] == ["gr"] * 8 + ["ar"]
                 open_stages, sweeps, high = [], [], 0
                 for what, tag in log:
                     if tag[0] != ("gr",):
@@ -456,7 +456,7 @@ class TestLookAheadOfOne:
             # reduced apart)
             for log in logs:
                 assert [tag[0][0] for what, tag in log if what == "post"] \
-                    == ["gr", "gr", "gr", "gr", "cg"]
+                    == ["gr", "gr", "gr", "gr", "ar"]
             for log in res[w][0]:
                 for (a, ta), (b, tb) in zip(log[0::2], log[1::2]):
                     assert (a, b) == ("post", "collect") and ta == tb
