@@ -21,10 +21,14 @@ list (:mod:`repro.comm.cost_model`) the executed runs are charged by, so
 no laptop has to hold 1.06B edges.  What is priced is therefore this
 trainer's **steady-state** epoch (``L - 1`` SpMM sweeps each way; the
 one-time ``A^T H^0`` aggregation is the point's ``setup`` section and
-not part of a bar), where the paper's implementation runs ``L``.  Each row also records which mechanism
-dominates, so the benchmark output can be checked against the paper's
-narrative (dense communication dominant on Amazon, SpMM dominant on
-Reddit, both significant on Protein).
+not part of a bar), where the paper's implementation runs ``L``.  The
+published graphs are undirected, so ``A == A^T`` and the 2D trainer
+multiplies the backward ``A`` by its ``A^T`` grid's blocks: its bars
+carry no ``trpose``, where the paper's charge the grid transpose every
+epoch.  Each row also records which mechanism dominates, so the
+benchmark output can be checked against the paper's narrative (dense
+communication dominant on Amazon, SpMM dominant on Reddit, both
+significant on Protein).
 """
 
 from __future__ import annotations

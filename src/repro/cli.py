@@ -69,6 +69,15 @@ def _print_table(header: Sequence[str], rows: Sequence[Sequence]) -> None:
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
 
 
+def _comm_bytes_line(delta) -> str:
+    """A ledger delta's bytes by communication category over all ranks,
+    and its busiest rank's."""
+    by = delta.bytes_by_category
+    return (f"dcomm {by['dcomm']} B, scomm {by['scomm']} B, "
+            f"trpose {by['trpose']} B, "
+            f"max/rank {delta.max_rank_comm_bytes} B")
+
+
 def cmd_table6(_args: argparse.Namespace) -> int:
     from repro.graph import PUBLISHED
 
@@ -272,12 +281,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         for e in history.epochs[::step] + history.epochs[-1:]:
             print(f"{e.epoch:5d} {e.loss:9.4f} {e.train_accuracy:6.3f}")
         print(f"\none-time aggregation (A^T H^0): "
-              f"dcomm {history.setup.dcomm_bytes} B, "
-              f"scomm {history.setup.scomm_bytes} B, "
-              f"max/rank {history.setup.max_rank_comm_bytes} B")
-        print(f"per-epoch communication: dcomm {last.dcomm_bytes} B, "
-              f"scomm {last.scomm_bytes} B, "
-              f"max/rank {last.max_rank_comm_bytes} B")
+              f"{_comm_bytes_line(history.setup)}")
+        print(f"per-epoch communication: {_comm_bytes_line(last)}")
         total = sum(bd.values()) or 1.0
         print("modeled epoch breakdown: " + ", ".join(
             f"{k} {v / total:.0%}"

@@ -31,12 +31,13 @@ blocking parameter ``b`` further subdivides stages without changing any
 numerics.
 
 The backward pass needs the block rows of ``A`` (Equation 2); the
-distributed blocks of ``A`` are materialised at setup (shared with the
-``A^T`` grid for symmetric operands) and the pairwise grid transpose is
-charged to ``trpose`` per epoch, also for symmetric operands, exactly as
-Fig. 3 accounts it.  The epoch
-structure itself lives in :class:`repro.dist.grid.GridAlgorithm`, shared
-with the Split-3D algorithm.
+distributed blocks of ``A`` are materialised at setup.  A directed
+operand's pairwise grid transpose is charged to ``trpose`` per epoch; a
+symmetric operand's ``A`` grid is the ``A^T`` grid block for block, so
+the blocks are shared and no transpose is charged -- Fig. 3 charges one
+every epoch even on the undirected graphs, though no data moves.  The
+epoch structure itself lives in :class:`repro.dist.grid.GridAlgorithm`,
+shared with the Split-3D algorithm.
 """
 
 from __future__ import annotations
@@ -130,9 +131,10 @@ class DistGCN2D(GridAlgorithm):
         self.stages = summa_stage_ranges(self.n, self.pr, self.pc,
                                          block=summa_block)
         self.a_t_blocks = distribute_sparse_2d(self.a_t, self.mesh)
-        # Backward operand: the grid transpose, materialised once and
-        # charged per epoch.  For symmetric operands self.a IS self.a_t,
-        # so the distributed blocks are identical and simply shared.
+        # Backward operand: the grid transpose, materialised once and,
+        # for directed operands, charged per epoch.  For symmetric
+        # operands self.a IS self.a_t, so the distributed blocks are
+        # identical, simply shared, and never charged.
         self.a_blocks = (
             self.a_t_blocks
             if self.symmetric
@@ -197,20 +199,6 @@ class DistGCN2D(GridAlgorithm):
             axis=0,
         )
 
-    def _charge_epoch_transpose(self) -> None:
-        """The per-epoch pairwise grid transpose of the sparse blocks.
-
-        Charged even for symmetric operands, whose ``A`` grid is the
-        ``A^T`` grid block for block (the blocks are shared, nothing
-        needs to move): the charge follows Fig. 3's accounting, which
-        counts the transpose every epoch.
-        """
-        self._charge_kernel(
-            "transpose", ("trp",),
-            lambda: ((rank, self.a_blocks[rank].nbytes_on_wire)
-                     for rank in self.a_blocks),
-        )
-
     def _grid_spmm(
         self,
         sparse_blocks: Dict[int, CSRMatrix],
@@ -272,9 +260,10 @@ class DistGCN2D(GridAlgorithm):
         broadcasts, the dense relay -- each member booked the rows its
         hop carries, from the model's counts of the rows a run of process
         rows reads (:meth:`~repro.simulate.schedule.GraphModel.
-        run_nonzero_cols`) -- and the local SpMM) and the per-epoch grid
-        transpose; the shared grid epoch (:func:`~repro.simulate.
-        schedule.emit_grid_epoch`) the rest, phase for phase.
+        run_nonzero_cols`) -- and the local SpMM) and a directed
+        operand's per-epoch grid transpose; the shared grid epoch
+        (:func:`~repro.simulate.schedule.emit_grid_epoch`) the rest,
+        phase for phase.
         """
         from repro.comm.mesh import square_side
         from repro.comm.tracker import Category
@@ -352,23 +341,16 @@ class DistGCN2D(GridAlgorithm):
                 # feature columns.
                 b.spmm(cells[:, st, None], rows[:, None], fw)
 
-        col_bounds_pc = boundaries(n, pc)
-        blocks_a = graph.cell_nnz(
-            pr, col_bounds_pc, transpose=not graph.symmetric
-        )
-
-        def epoch_transpose() -> None:
-            # Charged for every rank regardless of symmetry, exactly as
-            # the executed `_charge_epoch_transpose` does.
-            b.transpose(
-                sparse_wire_bytes(
-                    blocks_a, rows[:, None], b.wb).reshape(-1)
-            )
+        # A directed operand's A-grid blocks, rank-major: the per-epoch
+        # transpose `GridAlgorithm._charge_epoch_transpose` charges.
+        a_block_bytes = None if graph.symmetric else sparse_wire_bytes(
+            graph.cell_nnz(pr, boundaries(n, pc), transpose=True),
+            rows[:, None], b.wb).reshape(-1)
 
         # Row groups: the process rows (Pc members each).
         emit_grid_epoch(
             b, widths, rows, pc, rows_of_rank, fsplit_widths, outw_of_rank,
-            grid_spmm, epoch_transpose,
+            grid_spmm, a_block_bytes,
         )
         return b.build(
             algorithm="2d", p=p, grid=(pr, pc), summa_block=summa_block,

@@ -24,8 +24,8 @@ Per-rank dense words scale as ``~ 1/P^(2/3)`` -- better than 2D's
 ``1/sqrt(P)`` at equal ``P``.  For symmetric operands the ``A`` grid
 equals the ``A^T`` grid block for block, so no transpose exchange is
 needed and none is charged; directed graphs pay the per-epoch ``trpose``
-exchange.  (2D shares its grids for symmetric operands too, but charges
-the per-epoch transpose regardless, to follow Fig. 3's accounting.)  The
+exchange -- one rule for both grid algorithms
+(:meth:`repro.dist.grid.GridAlgorithm._charge_epoch_transpose`).  The
 epoch structure itself lives in :class:`repro.dist.grid.GridAlgorithm`,
 shared with the 2D algorithm.
 """
@@ -151,17 +151,6 @@ class DistGCN3D(GridAlgorithm):
              for i in range(self.s) for k in range(self.s)],
             axis=0,
         )
-
-    def _charge_epoch_transpose(self) -> None:
-        """Directed operands pay the A-grid exchange each epoch; for
-        ``A == A^T`` the Split-3D A grid equals the A^T grid block for
-        block, so nothing moves and nothing is charged."""
-        if not self.symmetric:
-            self._charge_kernel(
-                "transpose", ("trp",),
-                lambda: ((rank, self.a_blocks[rank].nbytes_on_wire)
-                         for rank in self.a_blocks),
-            )
 
     def _grid_spmm(
         self,
@@ -345,19 +334,14 @@ class DistGCN3D(GridAlgorithm):
                 (np.outer(rows, fw) * b.wb).reshape(-1),
             )
 
-        def epoch_transpose() -> None:
-            # Symmetric operands share the A^T grid block for block: no
-            # exchange, no charge (mirrors `_charge_epoch_transpose`).
-            if not graph.symmetric:
-                b.transpose(
-                    sparse_wire_bytes(
-                        cells_a, rows[:, None, None], b.wb
-                    ).reshape(-1)
-                )
+        # A directed operand's A-grid blocks, rank-major: the per-epoch
+        # transpose `GridAlgorithm._charge_epoch_transpose` charges.
+        a_block_bytes = None if graph.symmetric else sparse_wire_bytes(
+            cells_a, rows[:, None, None], b.wb).reshape(-1)
 
         emit_grid_epoch(
             b, widths, group_rows, s, rows_of_rank, fsplit_widths,
-            outw_of_rank, grid_spmm, epoch_transpose,
+            outw_of_rank, grid_spmm, a_block_bytes,
         )
         return b.build(
             algorithm="3d", p=p, mesh=(s, s, s), graph=graph.name,

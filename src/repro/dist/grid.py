@@ -114,10 +114,10 @@ class GridAlgorithm(DistAlgorithm):
     * ``_out_col(rank)`` / ``_rank_rows(rank)`` -- a rank's feature
       -column index and its global row range;
     * ``_fsplit(f)`` -- the feature-column split;
-    * ``_charge_epoch_transpose()`` -- the per-epoch ``trpose`` charge
-      policy (2D: always; 3D: directed operands only);
     * ``_assemble(out_full)`` -- uncharged full-output read-out;
-    * ``a_t_blocks`` / ``a_blocks`` -- the distributed sparse operands.
+    * ``a_t_blocks`` / ``a_blocks`` -- the distributed sparse operands,
+      one and the same dict for a symmetric operand, whose epoch then
+      charges no transpose (:meth:`_charge_epoch_transpose`).
     """
 
     def _grid_spmm(self, sparse_blocks, dense_blocks, f: int,
@@ -156,7 +156,17 @@ class GridAlgorithm(DistAlgorithm):
         raise NotImplementedError
 
     def _charge_epoch_transpose(self) -> None:
-        raise NotImplementedError
+        """The backward operand's per-epoch ``trpose`` exchange: every
+        rank's block of the ``A`` grid, for directed operands only.  For
+        ``A == A^T`` the ``A`` grid is the ``A^T`` grid block for block
+        (the blocks are shared), so nothing moves and nothing is
+        charged."""
+        if not self.symmetric:
+            self._charge_kernel(
+                "transpose", ("trp",),
+                lambda: ((rank, self.a_blocks[rank].nbytes_on_wire)
+                         for rank in self.a_blocks),
+            )
 
     def _assemble(self, out_full) -> np.ndarray:
         raise NotImplementedError

@@ -13,7 +13,7 @@ the two halves of one rendezvous:
   shared-memory receipts and reclaims what the post borrowed.  This is
   the only half that blocks.
 
-:meth:`ChannelBase.exchange` is ``collect(post(...))``.  A caller whose
+A blocking exchange is ``collect(post(...))``.  A caller whose
 next payloads do not depend on this exchange's receipts posts ahead --
 several tickets may be outstanding, each collected exactly once and in
 the same order on every worker (on shm a collect waits for the peer's
@@ -273,15 +273,6 @@ class ChannelBase:
                  ticket.sent),
             )
         return out
-
-    def exchange(
-        self,
-        gkey,
-        outbox: Mapping[int, Sequence[Tuple[Any, Any]]],
-        recv_from: Sequence[int],
-    ) -> Dict[int, List[Tuple[Any, Any]]]:
-        """One blocking rendezvous: :meth:`post` then :meth:`collect`."""
-        return self.collect(self.post(gkey, outbox, recv_from))
 
     def _take(self, tag, src: int) -> List[Tuple[Any, Any]]:
         """The decoded item list ``src`` posted us under ``tag``."""

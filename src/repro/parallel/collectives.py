@@ -35,10 +35,12 @@ from repro.parallel.channel import PeerChannel
 
 __all__ = ["ProcessCollectives"]
 
-#: kind -> the channel tag sequence its rendezvous ride on
+#: kind -> the channel tag sequence its rendezvous ride on (the last:
+#: :meth:`repro.parallel.runtime.WorkerRuntime.gather_blocks`, the
+#: uncharged read-out)
 _TAGS = {"broadcast": ("rb",), "gather_rows": ("gr",),
          "allgather": ("ag",), "allreduce": ("ar",),
-         "reduce_scatter": ("rs",)}
+         "reduce_scatter": ("rs",), "gather_blocks": ("gb",)}
 
 
 class ProcessCollectives(Collectives):

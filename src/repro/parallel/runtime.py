@@ -122,41 +122,46 @@ class WorkerRuntime(RuntimeBase):
         self.channel = channel
         self.owners = tuple(owners)
         self.worker_id = channel.wid
-        self._local_ranks = tuple(
-            r for r in range(mesh.size) if self.owners[r] == channel.wid
-        )
-        self._local_set = frozenset(self._local_ranks)
         self.nworkers = max(self.owners) + 1
+        #: each worker's ranks, and the read-out's routes: one per
+        #: worker, from its first rank to every rank it does not own
+        self._ranks_of = [
+            tuple(r for r in range(mesh.size) if self.owners[r] == w)
+            for w in range(self.nworkers)
+        ]
+        self._local_ranks = self._ranks_of[channel.wid]
+        self._local_set = frozenset(self._local_ranks)
         self.coll = ProcessCollectives(
             self.profile, self.tracker, self.plan, channel, self.owners)
+        self._gather_routes = [
+            (ranks[0], tuple(r for r in range(mesh.size)
+                             if self.owners[r] != w))
+            for w, ranks in enumerate(self._ranks_of)
+        ]
 
     def is_local(self, rank: int) -> bool:
         return rank in self._local_set
 
     def gather_blocks(self, blocks: Dict[int, np.ndarray]
                       ) -> Dict[int, np.ndarray]:
-        """Uncharged world assembly of a per-rank dict (read-out path).
+        """Uncharged world assembly of the local ranks' blocks (read-out
+        path): one routed step, every worker sending the others the
+        list of its ranks' blocks in rank order.
 
         Replicated layouts hand several ranks one shared buffer (row
-        groups after an all-gather), so blocks ship once per *distinct*
-        object with their rank list, not once per rank -- and receivers
-        re-share the decoded copy the same way.
+        groups after an all-gather); both transports ship a list's
+        shared item once and decode it to one shared copy again.
         """
         if self.nworkers == 1:
             return blocks
-        distinct: Dict[int, Tuple[np.ndarray, list]] = {}
-        for r, block in blocks.items():
-            entry = distinct.setdefault(id(block), (block, []))
-            entry[1].append(r)
-        items = [(tuple(ranks), block) for block, ranks in distinct.values()]
-        others = [w for w in range(self.nworkers) if w != self.worker_id]
-        got = self.channel.exchange(("gb",), dict.fromkeys(others, items),
-                                    others)
+        mine = [blocks[r] for r in self._local_ranks]
+        coll = self.coll
+        got = coll._routed_collect(coll._routed_post(
+            "gather_blocks", self._gather_routes, lambda i, ranks: mine))
         full = dict(blocks)
-        for pairs in got.values():
-            for ranks, block in pairs:
-                for r in ranks:
-                    full[r] = block
+        for ranks, shipped in zip(self._ranks_of, got):
+            if shipped is not None:
+                full.update(zip(ranks, shipped))
         return full
 
     def describe(self) -> str:

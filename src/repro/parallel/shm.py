@@ -16,7 +16,11 @@ write-only to its owner) plus, for oversized payloads, per-payload
     a dense block at ``offset`` of the sender's arena (``seg is None``)
     or of the named ephemeral segment;
 ``('csr', shape, indptr_desc, indices_desc, data_desc)``
-    a :class:`~repro.sparse.csr.CSRMatrix` as its three arrays.
+    a :class:`~repro.sparse.csr.CSRMatrix` as its three arrays;
+``('seq', [desc, ...])``
+    a list of payloads, each encoded once: an item that is the same
+    object as an earlier one travels as ``('ref', index)`` and decodes
+    to the same object again.
 
 Receivers copy payloads out of the sender's segment immediately (the
 sender reclaims arena space once every receiver acknowledges), so decoded
@@ -32,7 +36,7 @@ workers :func:`fetch_fields` them back out.
 from __future__ import annotations
 
 from multiprocessing import shared_memory
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -128,9 +132,17 @@ def encode_payload(arena: Arena, obj: Any, ephemerals: List,
         )
     if isinstance(obj, np.ndarray):
         return _encode_array(arena, obj, ephemerals, inline_max)
+    if isinstance(obj, list):
+        first: Dict[int, int] = {}
+        descs = []
+        for k, item in enumerate(obj):
+            j = first.setdefault(id(item), k)
+            descs.append(("ref", j) if j < k else encode_payload(
+                arena, item, ephemerals, inline_max))
+        return ("seq", descs)
     raise TypeError(
         f"cannot ship payload of type {type(obj).__name__} through "
-        "shared memory (expected ndarray, CSRMatrix, or None)"
+        "shared memory (expected ndarray, CSRMatrix, a list, or None)"
     )
 
 
@@ -139,6 +151,8 @@ def payload_bytes(obj: Any) -> int:
     not take: the traffic counters and the inline limit both use it)."""
     if isinstance(obj, CSRMatrix):
         return obj.indptr.nbytes + obj.indices.nbytes + obj.data.nbytes
+    if isinstance(obj, list):
+        return sum(map(payload_bytes, {id(x): x for x in obj}.values()))
     return obj.nbytes if isinstance(obj, np.ndarray) else 0
 
 
@@ -149,6 +163,8 @@ def desc_needs_ack(desc: Tuple) -> bool:
         return True
     if kind == "csr":
         return any(sub[0] == "arr" for sub in desc[2:5])
+    if kind == "seq":
+        return any(map(desc_needs_ack, desc[1]))
     return False
 
 
@@ -178,6 +194,12 @@ def decode_payload(desc: Tuple, peer_buf) -> Any:
     kind = desc[0]
     if kind == "none":
         return None
+    if kind == "seq":
+        out: list = []
+        for sub in desc[1]:
+            out.append(out[sub[1]] if sub[0] == "ref"
+                       else decode_payload(sub, peer_buf))
+        return out
     if kind == "csr":
         _, shape, d_indptr, d_indices, d_data = desc
         return CSRMatrix(

@@ -806,7 +806,7 @@ def emit_grid_epoch(
     fsplit_widths: Callable[[int], np.ndarray],
     outw_of_rank: Callable[[int], np.ndarray],
     grid_spmm: Callable[[int, bool], None],
-    epoch_transpose: Callable[[], None],
+    a_block_bytes: Optional[np.ndarray],
 ) -> None:
     """The :class:`~repro.dist.grid.GridAlgorithm` epoch, symbolically.
 
@@ -817,7 +817,11 @@ def emit_grid_epoch(
     each, ``group_size`` members, one per block of the
     ``fsplit_widths(f)`` feature-column split), every rank's rows and
     columns, and the family's sweep: ``grid_spmm(f, backward)`` selects
-    the forward (``A^T``) or backward (``A``) sparse operand.
+    the forward (``A^T``) or backward (``A``) sparse operand.  A directed
+    operand's ``A``-grid blocks (``a_block_bytes``, per rank; ``None``
+    for a symmetric operand, whose ``A`` grid is its ``A^T`` grid) are
+    exchanged once an epoch, before the backward, as
+    ``GridAlgorithm._charge_epoch_transpose`` charges them.
     :func:`~repro.nn.layers.sweep_order` decides which side of its
     replicated-``W`` product each sweep runs on, and
     :func:`~repro.nn.layers.funnel_reduces` how each product moves its
@@ -874,7 +878,8 @@ def emit_grid_epoch(
             gather(f_out)                          # the log_softmax rows
             b.elementwise(rows * (2.0 * f_out * b.wb))
     b.elementwise(rows * (3.0 * widths[-1] * b.wb))
-    epoch_transpose()
+    if a_block_bytes is not None:
+        b.transpose(a_block_bytes)
     for l in range(n_layers - 1, -1, -1):
         f_in, f_out = widths[l], widths[l + 1]
         project_first = sweep_order(f_in, f_out, l == 0).project_bwd

@@ -69,7 +69,27 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "loss" in out
-        assert "communication" in out
+        # both ledger lines name every communication category: a
+        # symmetric operand's 2D grid transpose moves nothing
+        for line in ("one-time aggregation (A^T H^0): ",
+                     "per-epoch communication: "):
+            assert re.search(re.escape(line) + r"dcomm \d+ B, scomm \d+ B, "
+                             r"trpose 0 B, max/rank \d+ B", out), line
+
+    def test_train_prints_the_transpose_bytes(self, capsys):
+        """1D's transposing variant exchanges A's row blocks every
+        epoch, and the per-epoch line says how many bytes."""
+        rc = main([
+            "train", "--algorithm", "1d", "--variant", "transpose",
+            "--gpus", "4", "--vertices", "64", "--features", "8",
+            "--hidden", "8", "--epochs", "2",
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "one-time aggregation (A^T H^0): " in out
+        assert re.search(r"trpose 0 B, max/rank \d+ B\nper-epoch", out)
+        moved = re.search(r"per-epoch communication: .* trpose (\d+) B", out)
+        assert int(moved.group(1)) > 0
 
     def test_train_15d_replication(self, capsys):
         rc = main([

@@ -137,7 +137,16 @@ CONFIGS = [
 #: 0.0005905110295652173; 3D P = 27 350955 -> 308139, 38579 -> 37779,
 #: 0.0004922167363950941 -> 0.000492185432047268.  ``scomm`` and every
 #: ``loss1`` did not move, and the one-receiver rows (2D P = 4, 3D P = 8)
-#: did not move at all: there the relay is the gather.
+#: did not move at all: there the relay is the gather.  And once more for
+#: the three 2D rows, when 2D stopped charging a symmetric operand's
+#: per-epoch grid transpose (its ``A`` grid is the ``A^T`` grid, shared
+#: block for block, so no data moves; Split-3D never charged it): 2D P =
+#: 4 ``trpose`` 17032 -> 0, ``max_rank`` 79860 -> 71048, seconds
+#: 0.0003035087886678656 -> 0.0003011256582330829; 2D P = 8 17048 -> 0,
+#: 59160 -> 53372, 0.00045770648279830014 -> 0.0004554548306243871; 2D
+#: P = 16 18616 -> 0, 54338 -> 50158, 0.0005905110295652173 ->
+#: 0.0005883292904347825.  ``dcomm``, ``scomm`` and every ``loss1`` did
+#: not move.
 PRE_OPT_ORACLE = {
     ("1d", 4): dict(dcomm=119904, scomm=0, trpose=0, max_rank=29976,
                     seconds=0.00018952624206766913,
@@ -157,14 +166,14 @@ PRE_OPT_ORACLE = {
     ("1.5d", 16): dict(dcomm=405888, scomm=0, trpose=0, max_rank=25368,
                        seconds=0.00023969362358940824,
                        loss1=1.4010554851746766),
-    ("2d", 4): dict(dcomm=96096, scomm=136256, trpose=17032,
-                    max_rank=79860, seconds=0.0003035087886678656,
+    ("2d", 4): dict(dcomm=96096, scomm=136256, trpose=0,
+                    max_rank=71048, seconds=0.0003011256582330829,
                     loss1=1.4010554851746768),
-    ("2d", 8): dict(dcomm=152288, scomm=148928, trpose=17048,
-                    max_rank=59160, seconds=0.00045770648279830014,
+    ("2d", 8): dict(dcomm=152288, scomm=148928, trpose=0,
+                    max_rank=53372, seconds=0.0004554548306243871,
                     loss1=1.4010554851746766),
-    ("2d", 16): dict(dcomm=263136, scomm=297856, trpose=18616,
-                     max_rank=54338, seconds=0.0005905110295652173,
+    ("2d", 16): dict(dcomm=263136, scomm=297856, trpose=0,
+                     max_rank=50158, seconds=0.0005883292904347825,
                      loss1=1.4010554851746766),
     ("3d", 8): dict(dcomm=145376, scomm=148672, trpose=0,
                     max_rank=51036, seconds=0.0003513139411833933,

@@ -107,13 +107,61 @@ class TestCommunicationAccounting:
         algo.setup(ds.features, ds.labels)
         return algo.train_epoch(0)
 
-    def test_all_three_comm_categories_present(self, ds):
-        """2D moves sparse blocks (scomm), dense blocks (dcomm) and pays
-        the per-epoch transpose (trpose) -- Fig. 3's stack."""
-        st = self._epoch(ds, 4)
+    @staticmethod
+    def _directed(n=64):
+        """A directed operand (``A != A^T``) with features and labels."""
+        from repro.graph.generators import erdos_renyi
+        from repro.graph.normalize import add_self_loops, row_normalize
+
+        a_t = row_normalize(
+            add_self_loops(erdos_renyi(n, 4.0, seed=6, directed=True))
+        )
+        rng = np.random.default_rng(2)
+        return a_t, rng.standard_normal((n, 8)), rng.integers(0, 3, n)
+
+    def test_all_three_comm_categories_present(self):
+        """On a directed operand 2D moves sparse blocks (scomm), dense
+        blocks (dcomm) and pays the per-epoch transpose (trpose) --
+        Fig. 3's stack."""
+        a_t, feats, labels = self._directed()
+        algo = DistGCN2D(VirtualRuntime.make_2d(4), a_t, (8, 6, 3), seed=0)
+        algo.setup(feats, labels)
+        st = algo.train_epoch(0)
         assert st.scomm_bytes > 0
         assert st.dcomm_bytes > 0
         assert st.bytes_by_category[Category.TRPOSE] > 0
+
+    def test_symmetric_input_needs_no_transpose(self, ds):
+        """For A == A^T the A grid is the A^T grid, its blocks shared, so
+        no transpose exchange is charged."""
+        rt = VirtualRuntime.make_2d(4)
+        algo = DistGCN2D(rt, ds.adjacency, WIDTHS, seed=0)
+        assert algo.a_blocks is algo.a_t_blocks
+        algo.setup(ds.features, ds.labels)
+        for epoch in range(2):
+            st = algo.train_epoch(epoch)
+            assert st.bytes_by_category[Category.TRPOSE] == 0
+        assert all(rt.tracker.per_rank[r][Category.TRPOSE].bytes == 0
+                   for r in range(rt.size))
+
+    @pytest.mark.parametrize("grid", [(2, 2), (2, 3)])
+    def test_directed_input_charges_transpose(self, grid):
+        """A directed operand's A grid moves every epoch: each rank is
+        charged its own block of ``A`` on the wire, once an epoch."""
+        a_t, feats, labels = self._directed()
+        rt = VirtualRuntime.make_2d_rect(*grid)
+        p = rt.size
+        algo = DistGCN2D(rt, a_t, (8, 6, 3), seed=0)
+        assert algo.a_blocks is not algo.a_t_blocks
+        algo.setup(feats, labels)
+        per_rank = [algo.a_blocks[r].nbytes_on_wire for r in range(p)]
+        for epoch in range(2):
+            before = rt.tracker.snapshot()
+            st = algo.train_epoch(epoch)
+            assert st.bytes_by_category[Category.TRPOSE] == sum(per_rank)
+            assert [rt.tracker.per_rank[r][Category.TRPOSE].bytes
+                    - before.per_rank[r][Category.TRPOSE].bytes
+                    for r in range(p)] == per_rank
 
     def _epoch_rank_bytes(self, ds, p, widths):
         """One epoch's stats and, per rank, its comm bytes by category."""
@@ -131,26 +179,38 @@ class TestCommunicationAccounting:
     def test_per_rank_comm_shrinks_with_sqrt_p(self):
         """The headline claim: per-process words scale as 1/sqrt(P).
 
-        Doubling sqrt(P) (P: 4 -> 16) must cut the SpMM sweeps' per-rank
-        bytes -- sparse and dense stage broadcasts plus the transpose --
-        by roughly half (generous slack for the sparse blocks' index
-        overhead on a small graph).  Each stage's dense rows are pinned
-        exactly to the adjacency: a stage relays its block down the
-        process columns, the member ``p`` hops after the root booking
-        ``U_p``, the rows the members ``p .. q - 1`` hops down read, and
-        the root ``U_1`` (:meth:`~repro.dist.grid.GridAlgorithm.
-        _summa_stage`).  The rest of the epoch is dense and
+        Doubling sqrt(P) (P: 4 -> 16) cuts both parts of a rank's epoch
+        bytes, each pinned exactly here.  Sparse: every stage broadcasts
+        its piece along the process row, so rank ``(i, j)`` books its
+        process row's block of ``A^T`` once per sweep -- 12 bytes a
+        nonzero plus each stage piece's row pointers; a uniform graph's
+        process row holds ``nnz / sqrt(P)`` nonzeros.  Dense: each
+        stage's rows are pinned to the adjacency: a stage relays its
+        block down the process columns, the member ``p`` hops after the
+        root booking ``U_p``, the rows the members ``p .. q - 1`` hops
+        down read, and the root ``U_1`` (:meth:`~repro.dist.grid.
+        GridAlgorithm._summa_stage`).  The rest of the epoch is dense and
         pinned exactly to closed forms from the widths: the 16 -> 4
         layer's replicated-W funnels (reduce-scatter of ``H W``,
         all-gathers of ``Z`` and ``A G``; a ring moves (sqrt(P) - 1) / P
         of a row group's words per rank, 1/4 -> 3/16, a 4/3 cut) and the
         world all-reduce of the gradient bucket (2 (P - 1) / P of its
-        words, which grow).
-        Together they put the whole per-rank ratio near 1.45."""
+        words, which grow).  No transpose: the symmetric operand's ``A``
+        grid is its ``A^T`` grid.  Together they put the whole per-rank
+        ratio near 1.35."""
         big = make_synthetic(n=600, avg_degree=6, f=32, n_classes=4, seed=6)
         n, w = big.num_vertices, (32, 16, 4)
         f = w[-1]  # both sweeps and every funnel run at the narrow side
         nonzero = big.adjacency.to_dense() != 0  # symmetric: A == A^T
+        row_nnz = np.diff(big.adjacency.indptr)
+
+        def sparse_closed_form(p):
+            q = math.isqrt(p)
+            bounds = [k * n // q for k in range(q + 1)]
+            rows = [(bounds[i], bounds[i + 1]) for i in range(q)]
+            per_row = [2 * (12 * int(row_nnz[lo:hi].sum())
+                            + 4 * q * (hi - lo + 1)) for lo, hi in rows]
+            return np.repeat(per_row, q).tolist()
 
         def dense_closed_form(p):
             q = math.isqrt(p)
@@ -171,23 +231,43 @@ class TestCommunicationAccounting:
             allreduces = 2 * (bucket * (p - 1) // p)
             return np.repeat(sweeps, q).tolist(), funnels + allreduces
 
-        max_rank, sweep_max = {}, {}
+        max_rank, sweep_max, parts = {}, {}, {}
         for p in (4, 16):
             st, ranks = self._epoch_rank_bytes(big, p, w)
             sweeps, rest = dense_closed_form(p)
             assert [d[Category.DCOMM] - rest for d in ranks] == sweeps
+            assert [d[Category.SCOMM] for d in ranks] == sparse_closed_form(p)
+            assert all(d[Category.TRPOSE] == 0 for d in ranks)
             max_rank[p] = st.max_rank_comm_bytes
-            sweep_max[p] = max(sum(d.values()) for d in ranks) - rest
-        # ideal 2.0; 1.54 here (1.47 while only the P = 4 stages sent
-        # just the rows they read, 1.59 while every stage broadcast): the
-        # P = 16 relay moves fewer rows too, the P = 4 stages the same
+            busiest = max(ranks, key=lambda d: sum(d.values()))
+            assert sum(busiest.values()) == max_rank[p]
+            parts[p] = busiest
+            sweep_max[p] = max_rank[p] - rest
+        # ideal 2.0; 1.43 here (1.54 while a symmetric operand paid the
+        # transpose, 1.47 while only the P = 4 stages sent just the rows
+        # they read, 1.59 while every stage broadcast): the P = 16 relay
+        # moves fewer rows too, the P = 4 stages the same
         assert 1.4 < sweep_max[4] / sweep_max[16] < 3.0
-        # 1.445 here: P = 16's busiest rank 91 722 -> 88 250 bytes with
-        # its stages relayed (1.390 while only the P = 4 stages sent just
-        # the rows they read, 1.487 while every stage broadcast, 1.669
-        # while the funnels broadcast the 16-wide operand, 1/sqrt(P) of
-        # a row group's words per rank)
-        assert 1.40 < max_rank[4] / max_rank[16] < 1.49
+        # The busiest rank is process row 0's at both P, and the whole
+        # ratio is the bytes-weighted mean of its two parts' ratios.
+        # Sparse 69 400 -> 49 568 bytes, 1.40: this graph's low rows are
+        # the dense ones, so row block 0 keeps 2 691 -> 1 864 nonzeros,
+        # not half.  Dense 31 672 -> 25 598, 1.24: the stage rows halve,
+        # the funnels cut 4/3, the all-reduce grows.
+        sparse = parts[4][Category.SCOMM] / parts[16][Category.SCOMM]
+        dense = parts[4][Category.DCOMM] / parts[16][Category.DCOMM]
+        assert 1.35 < sparse < 1.45 and 1.2 < dense < 1.3
+        # 1.345 here, 101 072 -> 75 166 bytes.  It was 1.445 while 2D
+        # charged a symmetric operand's per-epoch transpose, 26 428 ->
+        # 13 084 bytes at that rank: a block's nonzeros, ~1/P on a
+        # uniform graph, so the part fell faster than the others and
+        # lifted the ratio.  (Before that: P = 16's busiest rank 91 722
+        # -> 88 250 bytes with its stages relayed; 1.390 while only the
+        # P = 4 stages sent just the rows they read, 1.487 while every
+        # stage broadcast, 1.669 while the funnels broadcast the 16-wide
+        # operand, 1/sqrt(P) of a row group's words per rank.)
+        assert dense < max_rank[4] / max_rank[16] < sparse
+        assert 1.30 < max_rank[4] / max_rank[16] < 1.39
 
     def test_total_sparse_bytes_grow_with_sqrt_p(self):
         """Aggregate sparse traffic is nnz * sqrt(P) words: each stage

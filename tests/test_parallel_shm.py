@@ -20,6 +20,7 @@ from repro.parallel.shm import (
     encode_payload,
     fetch_fields,
     park_fields,
+    payload_bytes,
 )
 from repro.sparse.csr import CSRMatrix
 
@@ -114,6 +115,20 @@ class TestCodec:
             shm.close()
             shm.unlink()
 
+    def test_list_ships_a_shared_item_once(self, arena):
+        """A list's items travel in order; one object listed twice is
+        encoded once and decodes to one shared copy again."""
+        rng = np.random.default_rng(2)
+        shared, other = rng.standard_normal((8, 4)), np.arange(3.0)
+        src = [shared, other, shared, None]
+        desc, out = roundtrip(arena, src, inline_max=64)
+        assert desc[0] == "seq" and desc_needs_ack(desc)
+        assert [d[0] for d in desc[1]] == ["arr", "inl", "ref", "none"]
+        assert payload_bytes(src) == shared.nbytes + other.nbytes
+        np.testing.assert_array_equal(out[0], shared)
+        np.testing.assert_array_equal(out[1], other)
+        assert out[2] is out[0] and out[3] is None
+
     def test_unsupported_payload_raises(self, arena):
         with pytest.raises(TypeError, match="cannot ship"):
             encode_payload(arena, {"a": 1}, [])
@@ -190,11 +205,11 @@ class TestPeerChannelOutbox:
         big = np.arange(4096.0)                  # 32 KiB, via the arena
         extra = np.arange(3.0)                   # inline
         got = self._run(chans, {
-            0: lambda ch: ch.exchange(
+            0: lambda ch: ch.collect(ch.post(
                 "g", {1: [("x", big), ("only1", extra)], 2: [("x", big)]},
-                []),
-            1: lambda ch: ch.exchange("g", {}, [0]),
-            2: lambda ch: ch.exchange("g", {}, [0]),
+                [])),
+            1: lambda ch: ch.collect(ch.post("g", {}, [0])),
+            2: lambda ch: ch.collect(ch.post("g", {}, [0])),
         })
         assert got[0] == {}
         assert [k for k, _ in got[1][0]] == ["x", "only1"]
@@ -214,16 +229,16 @@ class TestPeerChannelOutbox:
         sequence; its tag must advance anyway so the second call -- which
         it does take part in -- lines up on all three."""
         def w0(ch):
-            ch.exchange("s", {1: [(0, np.zeros(2))]}, [])
-            return ch.exchange("s", {}, [2])
+            ch.collect(ch.post("s", {1: [(0, np.zeros(2))]}, []))
+            return ch.collect(ch.post("s", {}, [2]))
 
         def w1(ch):
-            first = ch.exchange("s", {}, [0])
-            return first, ch.exchange("s", {}, [])
+            first = ch.collect(ch.post("s", {}, [0]))
+            return first, ch.collect(ch.post("s", {}, []))
 
         def w2(ch):
-            assert ch.exchange("s", {}, []) == {}
-            return ch.exchange("s", {0: [(1, np.ones(2))]}, [])
+            assert ch.collect(ch.post("s", {}, [])) == {}
+            return ch.collect(ch.post("s", {0: [(1, np.ones(2))]}, []))
 
         got = self._run(chans, {0: w0, 1: w1, 2: w2})
         np.testing.assert_array_equal(got[0][2][0][1], np.ones(2))

@@ -156,11 +156,11 @@ class TestTcpChannelPrimitive:
             HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL))
         results, errs = {}, []
         programs = {
-            0: lambda ch: ch.exchange(
+            0: lambda ch: ch.collect(ch.post(
                 "g", {1: [("x", big), ("only1", extra)], 2: [("x", big)]},
-                []),
-            1: lambda ch: ch.exchange("g", {}, [0]),
-            2: lambda ch: ch.exchange("g", {}, [0]),
+                [])),
+            1: lambda ch: ch.collect(ch.post("g", {}, [0])),
+            2: lambda ch: ch.collect(ch.post("g", {}, [0])),
         }
 
         def run(wid):
@@ -197,16 +197,17 @@ class TestTcpChannelPrimitive:
             try:
                 if wid == 0:
                     # Post g1 then g2 ...
-                    ch.exchange("g1", {1: [("a", np.arange(4.0))]}, [])
-                    ch.exchange("g2", {1: [("b", np.ones(3))]}, [])
-                    got = ch.exchange("g3", {1: [("c", None)]}, [1])
+                    ch.collect(ch.post("g1", {1: [("a", np.arange(4.0))]}, []))
+                    ch.collect(ch.post("g2", {1: [("b", np.ones(3))]}, []))
+                    got = ch.collect(ch.post("g3", {1: [("c", None)]}, [1]))
                     results[wid] = got
                 else:
                     # ... but consume g2 before g1: the stash must hold
                     # the early frame until its tag is wanted.
-                    g2 = ch.exchange("g2", {}, [0])
-                    g1 = ch.exchange("g1", {}, [0])
-                    got = ch.exchange("g3", {0: [("d", np.zeros(2))]}, [0])
+                    g2 = ch.collect(ch.post("g2", {}, [0]))
+                    g1 = ch.collect(ch.post("g1", {}, [0]))
+                    got = ch.collect(
+                        ch.post("g3", {0: [("d", np.zeros(2))]}, [0]))
                     results[wid] = (g1, g2, got)
             except Exception as exc:  # pragma: no cover
                 errs.append(exc)
@@ -233,7 +234,7 @@ class TestTcpChannelPrimitive:
         try:
             with pytest.raises(ChannelTimeout, match="no progress from "
                                                      "worker 1"):
-                chans[0].exchange("g", {}, [1])
+                chans[0].collect(chans[0].post("g", {}, [1]))
         finally:
             for ch in chans:
                 ch.close()
@@ -252,14 +253,15 @@ class TestTcpChannelPrimitive:
 
         def late_send():
             stop.wait(1.5)  # well past the 0.6s window
-            chans[1].exchange("g", {0: [("x", np.arange(2.0))]}, [])
+            chans[1].collect(
+                chans[1].post("g", {0: [("x", np.arange(2.0))]}, []))
 
         beater = threading.Thread(target=beat, daemon=True)
         sender = threading.Thread(target=late_send)
         beater.start()
         sender.start()
         try:
-            got = chans[0].exchange("g", {}, [1])
+            got = chans[0].collect(chans[0].post("g", {}, [1]))
             np.testing.assert_array_equal(got[1][0][1], np.arange(2.0))
         finally:
             stop.set()

@@ -120,7 +120,8 @@ def items_equal(got, want):
 class TestTickets:
     def test_two_outstanding_tickets_equal_two_exchanges(self, fabric,
                                                          transport):
-        """post, post, collect, collect == exchange, exchange."""
+        """post, post, collect, collect == two blocking exchanges,
+        each ``collect(post(...))``."""
         payloads = {w: (np.arange(2048.0) + w, np.full(3, float(w)))
                     for w in (0, 1)}
 
@@ -135,9 +136,9 @@ class TestTickets:
         def fused(ch):
             peer = 1 - ch.wid
             big, small = payloads[ch.wid]
-            return (ch.exchange("g", {peer: [("big", big)]}, [peer]),
-                    ch.exchange("g", {peer: [("small", small),
-                                             ("none", None)]}, [peer]))
+            first = ch.collect(ch.post("g", {peer: [("big", big)]}, [peer]))
+            return first, ch.collect(ch.post(
+                "g", {peer: [("small", small), ("none", None)]}, [peer]))
 
         runs = []
         for program in (split, fused):
@@ -236,8 +237,8 @@ class TestArenaReclaim:
                 np.testing.assert_array_equal(
                     got[i][1 - w][0][1], np.full(n, float(i + 1 - w)))
         # and the next exchange starts from the mark again
-        run_threads({w: (lambda w=w: chans[w].exchange(
-            "b", {1 - w: [(0, np.ones(1024))]}, [1 - w])) for w in (0, 1)})
+        run_threads({w: (lambda w=w: chans[w].collect(chans[w].post(
+            "b", {1 - w: [(0, np.ones(1024))]}, [1 - w]))) for w in (0, 1)})
         assert [ch.arena.ptr for ch in chans] == [0, 0]
 
     def test_spill_with_a_ticket_open_leaves_no_segment(self, fabric):
@@ -319,8 +320,8 @@ class TestTcpBacklog:
 
     def test_small_frames_skip_the_sender_thread(self, fabric):
         chans = fabric("tcp", 2).chans
-        run_threads({w: (lambda w=w: [chans[w].exchange(
-            "g", {1 - w: [(0, np.arange(64.0))]}, [1 - w])
+        run_threads({w: (lambda w=w: [chans[w].collect(chans[w].post(
+            "g", {1 - w: [(0, np.arange(64.0))]}, [1 - w]))
             for _ in range(20)]) for w in (0, 1)})
         assert [ch._conns[1 - ch.wid].queued for ch in chans] == [0, 0]
 

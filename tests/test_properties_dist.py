@@ -174,6 +174,14 @@ SHAPE_CONFIGS = [
 ]
 #: the grid families among them
 GRID_CONFIGS = [c for c in SHAPE_CONFIGS if c.values[0] in ("2d", "3d")]
+#: every shape on a symmetric operand, and on a directed one where it
+#: takes one: ``(family, P, kwargs, directed)``
+OPERAND_CONFIGS = [
+    pytest.param(*c.values[:3], directed,
+                 id=f"{c.id}-{'directed' if directed else 'symmetric'}")
+    for c in SHAPE_CONFIGS for directed in (False, True)
+    if not directed or c.values[3] or c in GRID_CONFIGS
+]
 #: the SUMMA sweeps' shapes: square, rectangular and blocked 2D grids,
 #: both cubes of Split-3D
 STAGE_CONFIGS = [
@@ -259,15 +267,18 @@ def width_tuples(draw):
 
 
 @st.composite
-def shaped_problems(draw, directed_ok, n=None):
-    """A small graph (directed where the variant takes one), features,
-    labels and a width tuple over them; ``n`` vertices when given."""
+def shaped_problems(draw, directed_ok, n=None, directed=None):
+    """A small graph (directed where the variant takes one, or as
+    ``directed`` says), features, labels and a width tuple over them;
+    ``n`` vertices when given."""
     widths = draw(width_tuples())
     if n is None:
         n = draw(st.integers(min_value=17, max_value=64))
     seed = draw(st.integers(min_value=0, max_value=10_000))
     rng = np.random.default_rng(seed)
-    if directed_ok and draw(st.booleans()):
+    if directed is None:
+        directed = directed_ok and draw(st.booleans())
+    if directed:
         nnz = 5 * n
         a_t = CSRMatrix.from_coo(rng.integers(0, n, nnz),
                                  rng.integers(0, n, nnz), rng.random(nnz),
@@ -329,6 +340,48 @@ class TestGeneratedShapes:
             algo, features, labels, schedule, algo.rt.profile)
         # (i) the paper's correctness claim, to reassociation
         assert algo.verify_against_serial(features, labels, epochs=2) <= 1e-12
+
+    @pytest.mark.parametrize("name,p,kw,directed", OPERAND_CONFIGS)
+    @given(data=st.data())
+    def test_only_a_moving_operand_charges_transpose(self, name, p, kw,
+                                                     directed, data):
+        """``trpose`` is charged where an ``A`` operand moves.  On a
+        symmetric operand only 1D's ``transpose`` variant charges it
+        (the variant is that exchange); every other family and variant
+        reads ``A^T`` again, and 2D and Split-3D share their ``A^T``
+        grid as the ``A`` grid.  On a directed operand 2D and Split-3D
+        charge every rank its ``A``-grid block each epoch, and never at
+        set-up.  Either way the emitted schedule -- its one transpose
+        phase, or none -- equals the ledger, set-up and epoch by epoch.
+
+        Mutation check (run once, in a scratch copy): with the 2D and
+        Split-3D emitters pricing a symmetric operand's ``A``-grid
+        blocks again, or with ``GridAlgorithm._charge_epoch_transpose``
+        charging them again, the three symmetric grid cases fail here."""
+        a_t, features, labels, widths, seed = data.draw(
+            shaped_problems(directed, directed=directed))
+        algo, emit_kw = build_shaped(name, p, kw, a_t, widths, seed)
+        assert algo.symmetric is not directed
+        schedule = ALGORITHMS[name].emit_comm_schedule(
+            GraphModel.from_csr(a_t), widths, p, **emit_kw)
+        assert_sections_exact(
+            algo, features, labels, schedule, algo.rt.profile)
+        tracker = algo.rt.tracker
+        charged = [tracker.per_rank[r][Category.TRPOSE].bytes
+                   for r in range(p)]
+        assert not any(isinstance(ph, TransposePhase)
+                       for ph in schedule.setup.phases)
+        moves = [ph.nbytes.tolist() for ph in schedule.phases
+                 if isinstance(ph, TransposePhase)]
+        if kw.get("variant") == "transpose" or (
+                directed and name in ("2d", "3d")):
+            assert len(moves) == 1 and sum(moves[0]) > 0
+            assert charged == [2 * b for b in moves[0]]  # two epochs
+            if name in ("2d", "3d"):
+                assert moves[0] == [algo.a_blocks[r].nbytes_on_wire
+                                    for r in range(p)]
+        else:
+            assert moves == [] and charged == [0] * p
 
     @pytest.mark.parametrize("backend", ["virtual", "shm", "tcp"])
     @pytest.mark.parametrize("name,p,kw", STAGE_CONFIGS)
