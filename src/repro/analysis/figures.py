@@ -25,10 +25,12 @@ not part of a bar), where the paper's implementation runs ``L``.  The
 published graphs are undirected, so ``A == A^T`` and the 2D trainer
 multiplies the backward ``A`` by its ``A^T`` grid's blocks: its bars
 carry no ``trpose``, where the paper's charge the grid transpose every
-epoch.  Each row also records which mechanism dominates, so the
-benchmark output can be checked against the paper's narrative (dense
-communication dominant on Amazon, SpMM dominant on Reddit, both
-significant on Protein).
+epoch.  Nor do its bars (or a 3D point's) carry ``scomm``, where the
+paper's broadcast every SUMMA stage's sparse pieces in every sweep: the
+trainer moves them once, in the set-up, and keeps them.  Each row also
+records which mechanism dominates, so the benchmark output can be
+checked against the paper's narrative (dense communication dominant on
+Amazon, SpMM dominant on Reddit, both significant on Protein).
 """
 
 from __future__ import annotations

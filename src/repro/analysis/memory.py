@@ -14,13 +14,18 @@ Memory is a first-class axis of the paper's design space:
   is prohibitive for deep networks".
 
 Each estimator counts the resident words of one rank during a training
-epoch: sparse storage (values + indices + row pointers, with the backward
-needing a second orientation of ``A``), the forward activation/cache stack
+epoch: sparse storage (values + indices + row pointers, one orientation:
+the published graphs are undirected, so ``A == A^T`` and the backward
+multiplies the forward's blocks), the forward activation/cache stack
 (``H^l``, ``Z^l``, and the reused SpMM product ``T^l`` per layer), backward
 temporaries (``G^l`` and ``A G^l``), replicated weights, and the largest
 communication receive buffer.  The counts follow what the executed
 trainer holds after set-up: the ``T^0 = A^T H^0`` it keeps across epochs
-(layer 1's ``T``) and no ``H^0``.  In 2D and 3D that ``T^0`` is kept at
+(layer 1's ``T``) and no ``H^0``.  In 2D and 3D a rank also keeps every
+SUMMA stage's sparse piece its row group received at set-up, so no epoch
+moves a sparse byte and no stage needs a sparse receive buffer: the
+pieces are the process row's whole block row, ``nnz / sqrt(P)`` nonzeros
+in 2D and ``nnz / P^{2/3}`` in 3D, and they hold the rank's own block.  In 2D and 3D that ``T^0`` is kept at
 the row group's full width -- ``n / P_r`` rows by ``f^0`` instead of the
 rank's ``f^0 / P_c`` block -- because each row group gathers it once at
 set-up rather than again in every epoch's layer-1 replicated-``W``
@@ -65,7 +70,8 @@ V100_BYTES = 16 * 2**30
 #: per-layer tensors).  Calibrated to reproduce the paper's
 #: fits/doesn't-fit pattern exactly: amazon needs > 4 GPUs, protein needs
 #: > 16, reddit fits everywhere reported.  The feasible window given those
-#: constraints is [3.22, 5.5]; 3.5 sits at its conservative end.
+#: constraints is about (2.60, 3.54] (``tests/test_memory.py`` derives
+#: it from the models); 3.5 sits near its upper end.
 DEFAULT_OVERHEAD = 3.5
 
 
@@ -92,13 +98,10 @@ class MemoryEstimate:
         return self.total_bytes / 2**30
 
 
-def _sparse_bytes(nnz_local: float, nrows_local: float, copies: int = 2) -> float:
-    """CSR bytes for ``copies`` orientations of the local adjacency."""
-    per_copy = (
-        nnz_local * (FP32_BYTES + INDEX_BYTES)
-        + (nrows_local + 1) * INDEX_BYTES
-    )
-    return copies * per_copy
+def _sparse_bytes(nnz_local: float, nrows_local: float) -> float:
+    """CSR bytes of the local adjacency (one orientation)."""
+    return (nnz_local * (FP32_BYTES + INDEX_BYTES)
+            + (nrows_local + 1) * INDEX_BYTES)
 
 
 def _dense_stack_words(n_local_rows: float, widths: Sequence[float],
@@ -154,25 +157,25 @@ def memory_2d(
     n: int, nnz: int, widths: Sequence[int], p: int,
     overhead: float = DEFAULT_OVERHEAD,
 ) -> MemoryEstimate:
-    """The 2D algorithm: 'consumes optimal memory' -- everything / P,
-    except the left operands each process row keeps whole (``n /
+    """The 2D algorithm: 'consumes optimal memory' -- the dense state /
+    P, except the left operands each process row keeps whole (``n /
     sqrt(P)`` rows at the full width): ``T^0`` and every ``T^l`` whose
-    layer does not shrink, each gathered along the row once."""
+    layer does not shrink, each gathered along the row once.  Sparse:
+    the SUMMA pieces kept from set-up, the process row's block row
+    (``nnz / sqrt(P)``), which is what stops them moving every epoch."""
     import math
 
     s = math.isqrt(p)
     if s * s != p:
         raise ValueError(f"P={p} is not a perfect square")
-    sparse = _sparse_bytes(nnz / p, n / s)
+    sparse = _sparse_bytes(nnz / s, n / s)
     dense = FP32_BYTES * (
         _dense_stack_words(n / s, [w / s for w in widths], widths)
         + _weights_words(widths)
     )
-    # Receive buffers: one sparse stage block + one dense stage piece.
+    # Receive buffer: one dense stage piece.
     fmax = max(widths)
-    buffers = _sparse_bytes(nnz / p, n / s, copies=1) + FP32_BYTES * (
-        (n / s) * (fmax / s)
-    )
+    buffers = FP32_BYTES * (n / s) * (fmax / s)
     return MemoryEstimate(sparse, dense, buffers, overhead)
 
 
@@ -182,7 +185,7 @@ def memory_1d(
 ) -> MemoryEstimate:
     """1D block row: local state / P, but the all-gathered dense matrix
     (the broadcast loop's union) peaks at the FULL ``n x f`` per rank."""
-    sparse = _sparse_bytes(nnz / p, n / p, copies=1)  # one orientation
+    sparse = _sparse_bytes(nnz / p, n / p)
     dense = FP32_BYTES * (
         _dense_stack_words(n / p, widths) + _weights_words(widths)
     )
@@ -199,7 +202,7 @@ def memory_15d(
     if c < 1 or p % c != 0:
         raise ValueError(f"replication {c} must divide P={p}")
     q = p // c
-    sparse = _sparse_bytes(nnz / p, n / q, copies=1)
+    sparse = _sparse_bytes(nnz / p, n / q)
     dense = FP32_BYTES * (
         _dense_stack_words(n / q, widths) + _weights_words(widths)
     )
@@ -212,13 +215,15 @@ def memory_3d(
     n: int, nnz: int, widths: Sequence[int], p: int,
     overhead: float = DEFAULT_OVERHEAD,
 ) -> MemoryEstimate:
-    """3D: inputs / P, but SUMMA partials replicate ``P^{1/3}``-fold, and
-    each row group keeps its gathered left operands whole (``n /
-    P^{2/3}`` rows at the full width), as in :func:`memory_2d`."""
+    """3D: dense inputs / P, but SUMMA partials replicate
+    ``P^{1/3}``-fold, and each row group keeps its gathered left operands
+    whole (``n / P^{2/3}`` rows at the full width), as in
+    :func:`memory_2d`.  Sparse: the pieces kept from set-up, the ``s``
+    blocks ``(i, t, k)`` of the rank's row group (``nnz / P^{2/3}``)."""
     s = round(p ** (1.0 / 3.0))
     if s**3 != p:
         raise ValueError(f"P={p} is not a perfect cube")
-    sparse = _sparse_bytes(nnz / p, n / s)
+    sparse = _sparse_bytes(nnz / (s * s), n / s)
     dense = FP32_BYTES * (
         _dense_stack_words(n / (s * s), [w / s for w in widths], widths)
         + _weights_words(widths)

@@ -539,7 +539,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
           f"algorithm={point.algorithm} {point.params.get('variant', '')}")
     print(format_sweep_widths(point.params["widths"]))
     once = point.setup
-    print(f"\none-time aggregation (A^T H^0, per feature matrix): "
+    print(f"\none-time aggregation (A^T H^0, per feature matrix; "
+          f"scomm at the first only): "
           f"{once.total_seconds:.6f} s, dcomm "
           f"{once.bytes_by_category['dcomm']:,} B, scomm "
           f"{once.bytes_by_category['scomm']:,} B")

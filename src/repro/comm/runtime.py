@@ -31,7 +31,7 @@ local.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.comm.collectives import Collectives
 from repro.comm.mesh import Mesh1D, Mesh2D, Mesh3D, ProcessMesh
@@ -92,8 +92,12 @@ class RuntimeBase(Runtime):
     def is_local(self, rank: int) -> bool:
         return True
 
-    def gather_blocks(self, blocks: Dict[int, Any]) -> Dict[int, Any]:
-        """Assemble a per-rank block dict across processes (uncharged).
+    def gather_blocks(self, blocks: Dict[int, Any],
+                      ranks: Optional[Iterable[int]] = None
+                      ) -> Dict[int, Any]:
+        """Assemble a per-rank block dict across processes (uncharged):
+        every rank's block, or at least those of ``ranks``, the ones the
+        caller reads.
 
         The verification/read-out path (``_assemble``,
         ``gather_log_probs``): a driver-side convenience a real system

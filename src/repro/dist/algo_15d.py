@@ -142,10 +142,9 @@ class DistGCN15D(BlockRowAlgorithm):
         }
 
     def _assemble(self, blocks: Dict[int, np.ndarray]) -> np.ndarray:
-        blocks = self.rt.gather_blocks(blocks)
-        return np.concatenate(
-            [blocks[self._rank_of(g, 0)] for g in range(self.q)], axis=0
-        )
+        ranks = [self._rank_of(g, 0) for g in range(self.q)]
+        blocks = self.rt.gather_blocks(blocks, ranks)
+        return np.concatenate([blocks[r] for r in ranks], axis=0)
 
     def _forward_spmm(self, blocks, f, key):
         return self._replicated_spmm(blocks, f, key)

@@ -7,7 +7,11 @@ replicated.  Each SpMM is a SUMMA sweep: per stage, the owning process
 column broadcasts its sparse pieces along process rows (``scomm``), the
 owning process row sends its dense pieces down the process columns
 (``dcomm``), and every rank accumulates a local block product.  Per-rank
-dense words scale as ``~ 1/sqrt(P)`` -- the headline claim.
+dense words scale as ``~ 1/sqrt(P)`` -- the headline claim.  ``A`` never
+changes, so its pieces move once, at set-up: the first sweep over an
+operand broadcasts them and every rank keeps the pieces its process row
+receives, its whole block row (:meth:`repro.dist.grid.GridAlgorithm.
+_summa_sweep`); every later sweep moves dense pieces only.
 
 The dense pieces move sparsity-aware (Section IV-A.8's observation,
 taken to SUMMA by Mukhopadhyay et al., ICPP 2024): rank ``(i, j)``
@@ -32,11 +36,12 @@ numerics.
 
 The backward pass needs the block rows of ``A`` (Equation 2); the
 distributed blocks of ``A`` are materialised at setup.  A directed
-operand's pairwise grid transpose is charged to ``trpose`` per epoch; a
-symmetric operand's ``A`` grid is the ``A^T`` grid block for block, so
-the blocks are shared and no transpose is charged -- Fig. 3 charges one
-every epoch even on the undirected graphs, though no data moves.  The
-epoch structure itself lives in :class:`repro.dist.grid.GridAlgorithm`,
+operand's pairwise grid transpose is charged to ``trpose`` once, at
+set-up, where its pieces move too; a symmetric operand's ``A`` grid is
+the ``A^T`` grid block for block, so the blocks and the kept pieces are
+shared and no transpose is charged -- Fig. 3 charges one every epoch
+even on the undirected graphs, though no data moves.  The epoch
+structure itself lives in :class:`repro.dist.grid.GridAlgorithm`,
 shared with the Split-3D algorithm.
 """
 
@@ -132,7 +137,7 @@ class DistGCN2D(GridAlgorithm):
                                          block=summa_block)
         self.a_t_blocks = distribute_sparse_2d(self.a_t, self.mesh)
         # Backward operand: the grid transpose, materialised once and,
-        # for directed operands, charged per epoch.  For symmetric
+        # for directed operands, charged once, at set-up.  For symmetric
         # operands self.a IS self.a_t, so the distributed blocks are
         # identical, simply shared, and never charged.
         self.a_blocks = (
@@ -146,12 +151,7 @@ class DistGCN2D(GridAlgorithm):
         self._rank_row_ranges = [
             self.row_ranges[self.mesh.coords(r)[0]] for r in range(rt.size)
         ]
-        # The sparse operands' stage structure, per operand role: the
-        # one `_grid_spmm` receives is `a_t_blocks` or `a_blocks` (one
-        # and the same dict for symmetric inputs).
-        self._summa = {"a_t": self._summa_stages(self.a_t_blocks)}
-        if not self.symmetric:
-            self._summa["a"] = self._summa_stages(self.a_blocks)
+        self._init_stages(self._summa_stages)
 
     def _summa_stages(self, sparse_blocks: Dict[int, CSRMatrix]
                       ) -> List[SummaStage]:
@@ -193,11 +193,9 @@ class DistGCN2D(GridAlgorithm):
 
     def _assemble(self, out_full: Dict[int, np.ndarray]) -> np.ndarray:
         """Full output from the row-gathered copies on process column 0."""
-        out_full = self.rt.gather_blocks(out_full)
-        return np.concatenate(
-            [out_full[self.mesh.rank_of(i, 0)] for i in range(self.pr)],
-            axis=0,
-        )
+        ranks = [self.mesh.rank_of(i, 0) for i in range(self.pr)]
+        out_full = self.rt.gather_blocks(out_full, ranks)
+        return np.concatenate([out_full[r] for r in ranks], axis=0)
 
     def _grid_spmm(
         self,
@@ -224,8 +222,7 @@ class DistGCN2D(GridAlgorithm):
             else:
                 acc = np.zeros((hi - lo, o_hi - o_lo))
             accs[gi] = (acc, o_lo, o_hi)
-        op_key = "a_t" if sparse_blocks is self.a_t_blocks else "a"
-        self._summa_sweep(self._summa[op_key], op_key, dense_blocks, f, accs)
+        self._summa_sweep(sparse_blocks, dense_blocks, f, accs)
         out: Dict[int, np.ndarray] = {}
         for gi, group, members, span in self._local_group_info:
             acc, o_lo, o_hi = accs[gi]
@@ -257,11 +254,12 @@ class DistGCN2D(GridAlgorithm):
         """Emit the SUMMA epoch's schedule without building ranks.
 
         Mirrors ``_grid_spmm`` (per stage: the pipelined sparse
-        broadcasts, the dense relay -- each member booked the rows its
+        broadcasts, in the set-up's first sweep over an operand only,
+        the dense relay -- each member booked the rows its
         hop carries, from the model's counts of the rows a run of process
         rows reads (:meth:`~repro.simulate.schedule.GraphModel.
         run_nonzero_cols`) -- and the local SpMM) and a directed
-        operand's per-epoch grid transpose; the shared grid epoch
+        operand's set-up grid transpose; the shared grid epoch
         (:func:`~repro.simulate.schedule.emit_grid_epoch`) the rest,
         phase for phase.
         """
@@ -321,16 +319,20 @@ class DistGCN2D(GridAlgorithm):
 
         b = ScheduleBuilder(p, word_bytes)
 
-        def grid_spmm(f: int, backward: bool) -> None:
+        def grid_spmm(f: Optional[int], backward: bool,
+                      pieces: bool = False) -> None:
             cells = cells_a if backward else cells_at
             runs = runs_a if backward else runs_at
-            fw = fsplit_widths(f)
+            fw = None if f is None else fsplit_widths(f)
             for st, (lo, hi, ro, _co) in enumerate(stages):
-                b.broadcast(
-                    Category.SCOMM, pc,
-                    sparse_wire_bytes(cells[:, st], rows, b.wb),
-                    pipelined=True,
-                )
+                if pieces:  # the first sweep over an operand: set-up's
+                    b.broadcast(
+                        Category.SCOMM, pc,
+                        sparse_wire_bytes(cells[:, st], rows, b.wb),
+                        pipelined=True,
+                    )
+                if f is None:  # the pieces alone
+                    continue
                 # Member (i, j), p = i - ro hops down: |U_p| rows in j's
                 # feature columns; the root |U_1|; one message each.
                 hop = runs[(np.arange(pr) - ro) % pr, st]
@@ -341,8 +343,8 @@ class DistGCN2D(GridAlgorithm):
                 # feature columns.
                 b.spmm(cells[:, st, None], rows[:, None], fw)
 
-        # A directed operand's A-grid blocks, rank-major: the per-epoch
-        # transpose `GridAlgorithm._charge_epoch_transpose` charges.
+        # A directed operand's A-grid blocks, rank-major: the set-up's
+        # transpose `GridAlgorithm._keep_a_pieces` charges.
         a_block_bytes = None if graph.symmetric else sparse_wire_bytes(
             graph.cell_nnz(pr, boundaries(n, pc), transpose=True),
             rows[:, None], b.wb).reshape(-1)

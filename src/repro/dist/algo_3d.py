@@ -10,10 +10,11 @@ dense rows ``S_{i,k}`` of feature band ``j`` (Table V's ``n/s x n/s^2``
 sparse and ``n/s^2 x f/s`` dense local blocks).  One SpMM is then
 
 1. an independent SUMMA sweep inside every layer (sparse pieces broadcast
-   along process rows, dense pieces relayed down process columns, each
-   hop carrying only the rows the members after it read, exactly as in
-   2D: :meth:`repro.dist.grid.GridAlgorithm._summa_stage`) producing
-   layer-local partial products
+   along process rows -- once, at set-up, every rank keeping its row
+   group's pieces, as in 2D -- and dense pieces relayed down process
+   columns, each hop carrying only the rows the members after it read,
+   exactly as in 2D: :meth:`repro.dist.grid.GridAlgorithm._summa_stage`)
+   producing layer-local partial products
    ``A^T(R_i, L_k) H(L_k, j)`` over layer ``k``'s rows ``L_k``;
 2. a reduce-scatter along each fiber ``P(i, j, :)`` summing the ``s``
    layer partials and leaving rank ``(i, j, k)`` the shard ``S_{i,k}`` --
@@ -21,11 +22,13 @@ sparse and ``n/s^2 x f/s`` dense local blocks).  One SpMM is then
    input distribution for the next layer.
 
 Per-rank dense words scale as ``~ 1/P^(2/3)`` -- better than 2D's
-``1/sqrt(P)`` at equal ``P``.  For symmetric operands the ``A`` grid
-equals the ``A^T`` grid block for block, so no transpose exchange is
-needed and none is charged; directed graphs pay the per-epoch ``trpose``
-exchange -- one rule for both grid algorithms
-(:meth:`repro.dist.grid.GridAlgorithm._charge_epoch_transpose`).  The
+``1/sqrt(P)`` at equal ``P``.  The sparse pieces move once, at set-up
+(:meth:`repro.dist.grid.GridAlgorithm._summa_sweep`), so an epoch moves
+dense words only.  For symmetric operands the ``A`` grid equals the
+``A^T`` grid block for block, so no transpose exchange is needed and
+none is charged; directed graphs pay the ``trpose`` exchange once, at
+set-up, before their ``A`` pieces move -- one rule for both grid
+algorithms (:meth:`repro.dist.grid.GridAlgorithm._keep_a_pieces`).  The
 epoch structure itself lives in :class:`repro.dist.grid.GridAlgorithm`,
 shared with the 2D algorithm.
 """
@@ -98,11 +101,7 @@ class DistGCN3D(GridAlgorithm):
             plan.group(mesh.fiber_group(i, j))
             for i in range(s) for j in range(s)
         ]
-        # The sparse operands' stage structure, per operand role (one
-        # and the same for symmetric inputs, as the blocks are).
-        self._split = {"a_t": self._split_stages(self.a_t_blocks)}
-        if not self.symmetric:
-            self._split["a"] = self._split_stages(self.a_blocks)
+        self._init_stages(self._split_stages)
 
     def _split_stages(self, sparse_blocks: Dict[int, CSRMatrix]
                       ) -> List[SummaStage]:
@@ -145,12 +144,10 @@ class DistGCN3D(GridAlgorithm):
     def _assemble(self, out_full: Dict[int, np.ndarray]) -> np.ndarray:
         """Global row order is (row block i, sub-range k): column-0
         copies."""
-        out_full = self.rt.gather_blocks(out_full)
-        return np.concatenate(
-            [out_full[self.mesh.rank_of(i, 0, k)]
-             for i in range(self.s) for k in range(self.s)],
-            axis=0,
-        )
+        ranks = [self.mesh.rank_of(i, 0, k)
+                 for i in range(self.s) for k in range(self.s)]
+        out_full = self.rt.gather_blocks(out_full, ranks)
+        return np.concatenate([out_full[r] for r in ranks], axis=0)
 
     def _grid_spmm(
         self,
@@ -181,9 +178,8 @@ class DistGCN3D(GridAlgorithm):
             acc = self._ws(wkey, (rows_of[i], o_hi - o_lo))
             acc.fill(0.0)
             accs[gi] = (acc, o_lo, o_hi)
-        op_key = "a_t" if sparse_blocks is self.a_t_blocks else "a"
         # 1. SUMMA stages, concurrently in every layer.
-        self._summa_sweep(self._split[op_key], op_key, dense_blocks, f, accs)
+        self._summa_sweep(sparse_blocks, dense_blocks, f, accs)
         # 2. Fiber reduce-scatter: sum the s layer partials, shard rows.
         # Per fiber (i, j): fold the band ``[:, c0:c1]`` of the layer
         # partials in fiber (layer) order and take the row shards -- a
@@ -225,7 +221,8 @@ class DistGCN3D(GridAlgorithm):
         """Emit the Split-3D epoch's schedule without building ranks.
 
         Mirrors ``_grid_spmm`` (per-layer SUMMA stages -- sparse
-        broadcasts, then every layer's dense relay, each member booked
+        broadcasts, in the set-up's first sweep over an operand only,
+        then every layer's dense relay, each member booked
         the rows its hop carries by the model's run counts -- then the
         fiber reduce-scatter that leaves every rank its input rows) and
         the shared grid epoch, phase for phase.
@@ -302,19 +299,23 @@ class DistGCN3D(GridAlgorithm):
 
         b = ScheduleBuilder(p, word_bytes)
 
-        def grid_spmm(f: int, backward: bool) -> None:
+        def grid_spmm(f: Optional[int], backward: bool,
+                      pieces: bool = False) -> None:
             nz = cells_a if backward else nnz_ijk
             runs = runs_a if backward else runs_ijk
-            fw = fsplit_widths(f)
+            fw = None if f is None else fsplit_widths(f)
             for t in range(s):
-                # Sparse: row groups (i, k) get block (i, t, k).
-                b.broadcast(
-                    Category.SCOMM, s,
-                    sparse_wire_bytes(
-                        nz[:, t, :], rows[:, None], b.wb
-                    ).reshape(-1),
-                    pipelined=True,
-                )
+                if pieces:  # the first sweep over an operand: set-up's
+                    # Sparse: row groups (i, k) get block (i, t, k).
+                    b.broadcast(
+                        Category.SCOMM, s,
+                        sparse_wire_bytes(
+                            nz[:, t, :], rows[:, None], b.wb
+                        ).reshape(-1),
+                        pipelined=True,
+                    )
+                if f is None:  # the pieces alone
+                    continue
                 # Dense: relayed down column groups (j, k) from (t, j, k);
                 # member (i, j, k), p = i - t hops down, books |U_p| rows
                 # of j's feature columns, the root |U_1|.
@@ -328,14 +329,16 @@ class DistGCN3D(GridAlgorithm):
                 # Local SpMM on every rank (i, j, k).
                 b.spmm(nz[:, None, t, :], rows[:, None, None],
                        fw[None, :, None])
+            if f is None:
+                return
             # Fiber reduce-scatter over (i, j): the output's layout.
             b.reduce_scatter(
                 Category.DCOMM, s,
                 (np.outer(rows, fw) * b.wb).reshape(-1),
             )
 
-        # A directed operand's A-grid blocks, rank-major: the per-epoch
-        # transpose `GridAlgorithm._charge_epoch_transpose` charges.
+        # A directed operand's A-grid blocks, rank-major: the set-up's
+        # transpose `GridAlgorithm._keep_a_pieces` charges.
         a_block_bytes = None if graph.symmetric else sparse_wire_bytes(
             cells_a, rows[:, None, None], b.wb).reshape(-1)
 

@@ -116,8 +116,14 @@ class GridAlgorithm(DistAlgorithm):
     * ``_fsplit(f)`` -- the feature-column split;
     * ``_assemble(out_full)`` -- uncharged full-output read-out;
     * ``a_t_blocks`` / ``a_blocks`` -- the distributed sparse operands,
-      one and the same dict for a symmetric operand, whose epoch then
-      charges no transpose (:meth:`_charge_epoch_transpose`).
+      one and the same dict for a symmetric operand, whose set-up then
+      charges no transpose (:meth:`_keep_a_pieces`);
+    * a call of :meth:`_init_stages` with the function that builds an
+      operand's stages (around :meth:`_summa_stage`).
+
+    ``A`` never changes, so its SUMMA pieces move once, at the first
+    install (:meth:`_summa_sweep`, :meth:`_keep_a_pieces`), and no
+    epoch moves a sparse byte.
     """
 
     def _grid_spmm(self, sparse_blocks, dense_blocks, f: int,
@@ -155,18 +161,46 @@ class GridAlgorithm(DistAlgorithm):
     def _fsplit(self, f: int):
         raise NotImplementedError
 
-    def _charge_epoch_transpose(self) -> None:
-        """The backward operand's per-epoch ``trpose`` exchange: every
-        rank's block of the ``A`` grid, for directed operands only.  For
-        ``A == A^T`` the ``A`` grid is the ``A^T`` grid block for block
-        (the blocks are shared), so nothing moves and nothing is
-        charged."""
+    def _init_stages(self, stages_of: Callable[[Dict[int, CSRMatrix]],
+                                               List[SummaStage]]) -> None:
+        """Each sparse operand's stage structure, per operand role: the
+        one a sweep receives is ``a_t_blocks`` or ``a_blocks`` (one and
+        the same dict for a symmetric operand, so one role).  No piece
+        is kept yet: the first install keeps them, per role."""
+        self._summa = {"a_t": stages_of(self.a_t_blocks)}
         if not self.symmetric:
-            self._charge_kernel(
-                "transpose", ("trp",),
-                lambda: ((rank, self.a_blocks[rank].nbytes_on_wire)
-                         for rank in self.a_blocks),
-            )
+            self._summa["a"] = stages_of(self.a_blocks)
+        self._pieces: Dict[str, List[list]] = {}
+
+    def _piece_step(self, op_key: str, t: int,
+                    st: SummaStage) -> RoutedStep:
+        """Stage ``t``'s sparse pieces, broadcast along the process rows
+        by the stage's sparse roots (``scomm``)."""
+        return RoutedStep(
+            "broadcast", ("bsch", op_key, t), st.sparse_routes, st.sparse,
+            Category.SCOMM,
+            lambda: [(group, st.sparse[root].nbytes_on_wire)
+                     for group, root in st.sparse_routes])
+
+    def _keep_a_pieces(self) -> None:
+        """A directed operand's ``A`` pieces, moved once, at its first
+        install: its ``A`` grid is the pairwise transpose of the ``A^T``
+        grid -- every rank's ``A`` block charged to ``trpose`` -- and
+        each stage's pieces are broadcast and kept, as the aggregation
+        keeps ``A^T``'s (:meth:`_summa_sweep`).  For ``A == A^T`` the
+        ``A`` grid is the ``A^T`` grid block for block (the blocks and
+        the kept pieces are shared), so nothing moves and nothing is
+        charged."""
+        if "a" not in self._summa or "a" in self._pieces:
+            return
+        self._charge_kernel(
+            "transpose", ("trp",),
+            lambda: ((rank, self.a_blocks[rank].nbytes_on_wire)
+                     for rank in self.a_blocks),
+        )
+        steps = ([self._piece_step("a", t, st)]
+                 for t, st in enumerate(self._summa["a"]))
+        self._pieces["a"] = [got for got, in self._routed_stages(steps)]
 
     def _assemble(self, out_full) -> np.ndarray:
         raise NotImplementedError
@@ -325,15 +359,22 @@ class GridAlgorithm(DistAlgorithm):
         return SummaStage(window, tuple(roots), tuple(rows), routes,
                           sparse, compact, tuple(hops), tuple(relay), feed)
 
-    def _summa_sweep(self, stages: Sequence[SummaStage], op_key: str,
-                     dense_blocks, f: int, accs) -> None:
-        """The stage loop of one SpMM sweep: ``accs[gi] += S D`` per
-        stage for every local row group ``gi`` (``accs[gi] = (acc, o_lo,
+    def _summa_sweep(self, sparse_blocks, dense_blocks, f: int,
+                     accs) -> None:
+        """The stage loop of one SpMM sweep over ``sparse_blocks``
+        (``a_t_blocks`` or ``a_blocks``): ``accs[gi] += S D`` per stage
+        for every local row group ``gi`` (``accs[gi] = (acc, o_lo,
         o_hi)``, its feature-column span).
 
-        Per stage, the sparse roots broadcast their pieces along the
-        process rows, then the dense stage rows are relayed down the
-        process columns (:meth:`_summa_stage`): the root is booked
+        The sparse pieces move once, at set-up: the first sweep over an
+        operand (the aggregation ``A^T H^0``; :meth:`_keep_a_pieces` for
+        a directed ``A``) has each stage's sparse roots broadcast their
+        pieces along the process rows and keeps every row group's
+        receipt, and every later sweep multiplies the kept pieces (the
+        stationary-operand trade of Koanantakool et al., IPDPS 2016:
+        hold ``A``'s pieces, stop moving them).  Per stage the dense
+        stage rows are relayed down the process columns
+        (:meth:`_summa_stage`): the root is booked
         ``|U_1|`` rows and the member ``p`` hops down ``|U_p|``, one
         message each, at the pipelined broadcast's price -- which is
         the broadcast itself where every member reads every row.  A row
@@ -350,6 +391,9 @@ class GridAlgorithm(DistAlgorithm):
         stage; SpMM columns are independent, so per-rank numerics are
         identical to the per-rank products.
         """
+        op_key = "a_t" if sparse_blocks is self.a_t_blocks else "a"
+        stages = self._summa[op_key]
+        kept = self._pieces.get(op_key)
         fcols = self._fsplit(f)
         wb = self.WB
 
@@ -360,25 +404,24 @@ class GridAlgorithm(DistAlgorithm):
         def steps():
             # The size callables run a stage later, so they bind it.
             for t, st in enumerate(stages):
-                yield [
-                    RoutedStep(
-                        "broadcast", ("bsch", op_key, t), st.sparse_routes,
-                        st.sparse, Category.SCOMM,
-                        lambda st=st: [(group, st.sparse[root].nbytes_on_wire)
-                                       for group, root in st.sparse_routes]),
-                    RoutedStep(
-                        "gather_rows", ("rdch", op_key, f, t), st.relay,
-                        dense_blocks, Category.DCOMM,
-                        lambda st=st: [(r, n * width(r) * wb, 1)
-                                       for r, n in st.hops])]
+                relay = RoutedStep(
+                    "gather_rows", ("rdch", op_key, f, t), st.relay,
+                    dense_blocks, Category.DCOMM,
+                    lambda st=st: [(r, n * width(r) * wb, 1)
+                                   for r, n in st.hops])
+                yield ([relay] if kept is not None
+                       else [self._piece_step(op_key, t, st), relay])
 
         def rows_of(st: SummaStage, root: int) -> np.ndarray:
             block = dense_blocks[root]
             return block if st.window is None else block[slice(*st.window)]
 
         received = self._routed_stages(steps())
+        got_pieces = []
         for t, st in enumerate(stages):
-            sparse_got, relayed = next(received)
+            *moved, relayed = next(received)
+            sparse_got = moved[0] if moved else kept[t]
+            got_pieces.append(sparse_got)
             g = len(st.rows[0])
             joins: Dict[Tuple[int, int, int], np.ndarray] = {}
             for gi, group, members, (c_lo, c_hi) in self._local_group_info:
@@ -417,6 +460,7 @@ class GridAlgorithm(DistAlgorithm):
                         yield r, piece.nnz, piece.nrows, width(r)
 
             self._charge_kernel("spmm", ("gsch", op_key, f, t), charges)
+        self._pieces[op_key] = got_pieces
 
     #: layer 1's ``T^0``, gathered once at set-up (:meth:`_keep_t0`)
     _t0_stages: Sequence = ()
@@ -430,6 +474,7 @@ class GridAlgorithm(DistAlgorithm):
         own kept block, so nothing is held twice."""
         kept = super()._keep_t0(t0)
         self._t0_stages = self._gather_stages(kept, self.widths[0])
+        self._keep_a_pieces()
         return kept
 
     def _kept_x_width(self, l: int) -> int:
@@ -801,7 +846,6 @@ class GridAlgorithm(DistAlgorithm):
             c0, c1 = fcols[self._out_col(r)]
             g_blocks[r] = g_full[r][:, c0:c1]
         self._charge_full_elementwise(("geg",), f_last, 3.0 * self.WB)
-        self._charge_epoch_transpose()
 
         for l in range(self.model.num_layers - 1, -1, -1):
             layer = self.model.layers[l]

@@ -29,8 +29,8 @@ from __future__ import annotations
 import hashlib
 import struct
 import time
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Optional,
-                    Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable,
+                    Optional, Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -142,11 +142,14 @@ class WorkerRuntime(RuntimeBase):
     def is_local(self, rank: int) -> bool:
         return rank in self._local_set
 
-    def gather_blocks(self, blocks: Dict[int, np.ndarray]
+    def gather_blocks(self, blocks: Dict[int, np.ndarray],
+                      ranks: Optional[Iterable[int]] = None
                       ) -> Dict[int, np.ndarray]:
         """Uncharged world assembly of the local ranks' blocks (read-out
         path): one routed step, every worker sending the others the
-        list of its ranks' blocks in rank order.
+        list of its ranks' blocks in rank order -- of those among
+        ``ranks`` (default: all), the ones the caller reads, so a worker
+        with none of them sends an empty list.
 
         Replicated layouts hand several ranks one shared buffer (row
         groups after an all-gather); both transports ship a list's
@@ -154,14 +157,18 @@ class WorkerRuntime(RuntimeBase):
         """
         if self.nworkers == 1:
             return blocks
-        mine = [blocks[r] for r in self._local_ranks]
+        wanted = None if ranks is None else frozenset(ranks)
+        sent = [mine if wanted is None
+                else tuple(r for r in mine if r in wanted)
+                for mine in self._ranks_of]
+        payload = [blocks[r] for r in sent[self.worker_id]]
         coll = self.coll
         got = coll._routed_collect(coll._routed_post(
-            "gather_blocks", self._gather_routes, lambda i, ranks: mine))
+            "gather_blocks", self._gather_routes, lambda i, _: payload))
         full = dict(blocks)
-        for ranks, shipped in zip(self._ranks_of, got):
+        for shipped_ranks, shipped in zip(sent, got):
             if shipped is not None:
-                full.update(zip(ranks, shipped))
+                full.update(zip(shipped_ranks, shipped))
         return full
 
     def describe(self) -> str:

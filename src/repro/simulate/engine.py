@@ -96,8 +96,9 @@ class SimPoint:
     #: messages``: what the executed ledger's ``total_messages`` counts)
     messages: int
     #: the schedule's one-time section, priced: the ``A^T H^0``
-    #: aggregation paid per feature matrix, outside every epoch (every
-    #: field above is the steady-state epoch)
+    #: aggregation paid per feature matrix, outside every epoch, and in
+    #: 2D / 3D the sparse pieces the first install moves (every field
+    #: above is the steady-state epoch)
     setup: SimResult
     params: Dict[str, object] = field(default_factory=dict)
 

@@ -5,8 +5,9 @@ left out: a sequence of bulk-synchronous phases, each holding the payload
 sizes of the concurrent collectives (or local kernels) the phase performs.
 What the trainer does once per feature matrix instead of once per epoch
 -- the ``A^T H^0`` aggregation of ``DistAlgorithm._install_features``,
-and in the grid families the row-group gather of that ``T^0`` -- is the
-schedule's **one-time section** (:attr:`CommSchedule.setup`), a
+and in the grid families the row-group gather of that ``T^0`` and the
+SUMMA stages' sparse pieces, which move at the first install only -- is
+the schedule's **one-time section** (:attr:`CommSchedule.setup`), a
 schedule of its own priced by the same :func:`evaluate_schedule`.
 The :mod:`repro.dist` algorithm classes emit schedules through their
 ``emit_comm_schedule`` hooks by replaying their epoch loops symbolically
@@ -805,23 +806,29 @@ def emit_grid_epoch(
     rows_of_rank: np.ndarray,
     fsplit_widths: Callable[[int], np.ndarray],
     outw_of_rank: Callable[[int], np.ndarray],
-    grid_spmm: Callable[[int, bool], None],
+    grid_spmm: Callable[..., None],
     a_block_bytes: Optional[np.ndarray],
 ) -> None:
     """The :class:`~repro.dist.grid.GridAlgorithm` epoch, symbolically.
 
     Phase-for-phase mirror of the set-up (the one-time section: the
-    aggregation and the row-group all-gather of ``T^0``) and of
+    aggregation, which moves the sparse pieces, and the row-group
+    all-gather of ``T^0``) and of
     ``GridAlgorithm._run_epoch``, shared by the 2D SUMMA and Split-3D
     emitters.  They supply the row groups (``group_rows`` dense rows
     each, ``group_size`` members, one per block of the
     ``fsplit_widths(f)`` feature-column split), every rank's rows and
-    columns, and the family's sweep: ``grid_spmm(f, backward)`` selects
-    the forward (``A^T``) or backward (``A``) sparse operand.  A directed
-    operand's ``A``-grid blocks (``a_block_bytes``, per rank; ``None``
-    for a symmetric operand, whose ``A`` grid is its ``A^T`` grid) are
-    exchanged once an epoch, before the backward, as
-    ``GridAlgorithm._charge_epoch_transpose`` charges them.
+    columns, and the family's sweep: ``grid_spmm(f, backward, pieces)``
+    selects the forward (``A^T``) or backward (``A``) sparse operand.  A
+    sweep moves only dense rows, for the sparse pieces move once, at
+    set-up, as ``GridAlgorithm._summa_sweep`` moves them: with
+    ``pieces`` every stage also broadcasts the operand's pieces -- the
+    aggregation's sweep over ``A^T`` -- and with ``f`` ``None`` it does
+    nothing else.  A directed operand's ``A``-grid blocks
+    (``a_block_bytes``, per rank; ``None`` for a symmetric operand,
+    whose ``A`` grid is its ``A^T`` grid, pieces included) are
+    transposed at set-up too, before its pieces move, so no epoch
+    charges ``scomm`` or ``trpose``.
     :func:`~repro.nn.layers.sweep_order` decides which side of its
     replicated-``W`` product each sweep runs on, and
     :func:`~repro.nn.layers.funnel_reduces` how each product moves its
@@ -860,8 +867,11 @@ def emit_grid_epoch(
         else:
             stage_loop(f_in, f_out)
 
-    grid_spmm(widths[0], False)
+    grid_spmm(widths[0], False, pieces=True)      # A^T's pieces, once
     gather(widths[0])                              # T^0, once
+    if a_block_bytes is not None:
+        b.transpose(a_block_bytes)                 # A's grid, once
+        grid_spmm(None, True, pieces=True)         # A's pieces, once
     b.end_setup()
     for l in range(n_layers):
         f_in, f_out = widths[l], widths[l + 1]
@@ -878,8 +888,6 @@ def emit_grid_epoch(
             gather(f_out)                          # the log_softmax rows
             b.elementwise(rows * (2.0 * f_out * b.wb))
     b.elementwise(rows * (3.0 * widths[-1] * b.wb))
-    if a_block_bytes is not None:
-        b.transpose(a_block_bytes)
     for l in range(n_layers - 1, -1, -1):
         f_in, f_out = widths[l], widths[l + 1]
         project_first = sweep_order(f_in, f_out, l == 0).project_bwd

@@ -75,6 +75,11 @@ class TestCommands:
                      "per-epoch communication: "):
             assert re.search(re.escape(line) + r"dcomm \d+ B, scomm \d+ B, "
                              r"trpose 0 B, max/rank \d+ B", out), line
+        # the SUMMA stages' sparse pieces move at set-up, and only there
+        assert re.search(r"one-time aggregation \(A\^T H\^0\): "
+                         r"dcomm \d+ B, scomm [1-9]\d* B", out)
+        assert re.search(r"per-epoch communication: dcomm \d+ B, scomm 0 B",
+                         out)
 
     def test_train_prints_the_transpose_bytes(self, capsys):
         """1D's transposing variant exchanges A's row blocks every

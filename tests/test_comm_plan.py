@@ -146,7 +146,18 @@ CONFIGS = [
 #: 59160 -> 53372, 0.00045770648279830014 -> 0.0004554548306243871; 2D
 #: P = 16 18616 -> 0, 54338 -> 50158, 0.0005905110295652173 ->
 #: 0.0005883292904347825.  ``dcomm``, ``scomm`` and every ``loss1`` did
-#: not move.
+#: not move.  And once more for the five 2D and 3D rows, when the SUMMA
+#: stages' sparse pieces began to move once, at set-up, each rank keeping
+#: its row group's pieces, instead of in every sweep of every epoch:
+#: ``scomm`` 2D P = 4 136256 -> 0, P = 8 148928 -> 0, P = 16 297856 -> 0,
+#: 3D P = 8 148672 -> 0, P = 27 270000 -> 0; ``max_rank`` 71048 -> 24024,
+#: 53372 -> 20284, 50158 -> 17070, 51036 -> 18844, 37779 -> 14163;
+#: seconds 0.0003011256582330829 -> 0.0002963909082330829,
+#: 0.0004554548306243871 -> 0.00042201622192873493,
+#: 0.0005883292904347825 -> 0.0005548906817391304,
+#: 0.0003513139411833933 -> 0.00033391428900948024,
+#: 0.000492185432047268 -> 0.0004671586494385723.  ``dcomm``, ``trpose``
+#: and every ``loss1`` did not move.
 PRE_OPT_ORACLE = {
     ("1d", 4): dict(dcomm=119904, scomm=0, trpose=0, max_rank=29976,
                     seconds=0.00018952624206766913,
@@ -166,20 +177,20 @@ PRE_OPT_ORACLE = {
     ("1.5d", 16): dict(dcomm=405888, scomm=0, trpose=0, max_rank=25368,
                        seconds=0.00023969362358940824,
                        loss1=1.4010554851746766),
-    ("2d", 4): dict(dcomm=96096, scomm=136256, trpose=0,
-                    max_rank=71048, seconds=0.0003011256582330829,
+    ("2d", 4): dict(dcomm=96096, scomm=0, trpose=0,
+                    max_rank=24024, seconds=0.0002963909082330829,
                     loss1=1.4010554851746768),
-    ("2d", 8): dict(dcomm=152288, scomm=148928, trpose=0,
-                    max_rank=53372, seconds=0.0004554548306243871,
+    ("2d", 8): dict(dcomm=152288, scomm=0, trpose=0,
+                    max_rank=20284, seconds=0.00042201622192873493,
                     loss1=1.4010554851746766),
-    ("2d", 16): dict(dcomm=263136, scomm=297856, trpose=0,
-                     max_rank=50158, seconds=0.0005883292904347825,
+    ("2d", 16): dict(dcomm=263136, scomm=0, trpose=0,
+                     max_rank=17070, seconds=0.0005548906817391304,
                      loss1=1.4010554851746766),
-    ("3d", 8): dict(dcomm=145376, scomm=148672, trpose=0,
-                    max_rank=51036, seconds=0.0003513139411833933,
+    ("3d", 8): dict(dcomm=145376, scomm=0, trpose=0,
+                    max_rank=18844, seconds=0.00033391428900948024,
                     loss1=1.4010554851746766),
-    ("3d", 27): dict(dcomm=308139, scomm=270000, trpose=0,
-                     max_rank=37779, seconds=0.000492185432047268,
+    ("3d", 27): dict(dcomm=308139, scomm=0, trpose=0,
+                     max_rank=14163, seconds=0.0004671586494385723,
                      loss1=1.4010554851746766),
 }
 

@@ -69,9 +69,15 @@ class TestCommunicationAccounting:
         return algo.train_epoch(0)
 
     def test_sparse_and_dense_traffic_present(self, ds):
-        st = self._epoch(ds, 8)
-        assert st.scomm_bytes > 0
-        assert st.dcomm_bytes > 0
+        """The set-up moves both; the sparse pieces move only there, so
+        an epoch moves dense blocks alone."""
+        algo = DistGCN3D(VirtualRuntime.make_3d(8), ds.adjacency, WIDTHS,
+                         seed=0)
+        hist = algo.fit(ds.features, ds.labels, epochs=1)
+        assert hist.setup.scomm_bytes > 0
+        assert hist.setup.dcomm_bytes > 0
+        assert hist.epochs[0].scomm_bytes == 0
+        assert hist.epochs[0].dcomm_bytes > 0
 
     def test_symmetric_input_needs_no_transpose(self, ds):
         """For A == A^T the Split-3D A-grid equals the A^T-grid block for
@@ -91,9 +97,12 @@ class TestCommunicationAccounting:
         labels = rng.integers(0, 3, 64)
         rt = VirtualRuntime.make_3d(8)
         algo = DistGCN3D(rt, directed, (8, 6, 3), seed=0)
-        algo.setup(feats, labels)
-        st = algo.train_epoch(0)
-        assert st.bytes_by_category[Category.TRPOSE] > 0
+        hist = algo.fit(feats, labels, epochs=2)
+        # once, at set-up: each rank's block of the A grid
+        assert hist.setup.bytes_by_category[Category.TRPOSE] == sum(
+            algo.a_blocks[r].nbytes_on_wire for r in range(rt.size)) > 0
+        assert [e.bytes_by_category[Category.TRPOSE]
+                for e in hist.epochs] == [0, 0]
 
     def test_per_rank_comm_shrinks_faster_than_2d(self):
         """Section IV-D: 3D reduces per-process words by P^(2/3) versus

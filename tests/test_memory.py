@@ -65,11 +65,13 @@ class TestKeptT0:
     way), above it the row's copy is the larger -- Amazon@16 10.15 ->
     14.77 GiB still fits, Protein@16 17.39 -> 19.21 GiB still does not.
     Pinned here apart from the kept ``T^l`` stages (:class:`TestKeptStages`),
-    which came later."""
+    which came later, and with the sparse pieces kept from set-up
+    (:class:`TestKeptPieces`), which came later still and re-pinned
+    every cell (3.87 / 40.43 / 14.77 / 19.21 / 9.37 before)."""
 
     @pytest.mark.parametrize("name,p,gib", [
-        ("reddit", 4, 3.87), ("amazon", 4, 40.43), ("amazon", 16, 14.77),
-        ("protein", 16, 19.21), ("protein", 36, 9.37),
+        ("reddit", 4, 3.12), ("amazon", 4, 38.74), ("amazon", 16, 15.10),
+        ("protein", 16, 20.90), ("protein", 36, 11.65),
     ])
     def test_published_cells(self, name, p, gib):
         total, kept_tl = published_2d_gib(name, p)
@@ -84,44 +86,103 @@ class TestKeptStages:
     moves, and ``DEFAULT_OVERHEAD`` stays."""
 
     @pytest.mark.parametrize("name,p,gib", [
-        ("reddit", 4, 3.90), ("amazon", 4, 41.42), ("amazon", 16, 15.50),
-        ("protein", 16, 19.90), ("protein", 36, 9.88),
+        ("reddit", 4, 3.14), ("amazon", 4, 39.72), ("amazon", 16, 15.83),
+        ("protein", 16, 21.58), ("protein", 36, 12.16),
     ])
     def test_published_cells(self, name, p, gib):
+        """Re-pinned with the kept sparse pieces (:class:`TestKeptPieces`;
+        3.90 / 41.42 / 15.50 / 19.90 / 9.88 before)."""
         total, kept_tl = published_2d_gib(name, p)
         assert round(total, 2) == gib and kept_tl > 0
 
     def test_feasibility_pattern_unmoved(self):
         assert DEFAULT_OVERHEAD == 3.5
-        assert feasibility_table() == {
-            "reddit": {4: True, 16: True, 36: True, 64: True},
-            "amazon": {4: False, 16: True, 36: True, 64: True},
-            "protein": {4: False, 16: False, 36: True, 64: True,
-                        100: True},
-        }
+        assert feasibility_table() == PAPER_FITS
+
+
+#: The Section V-C pattern: which (dataset, P) the paper reports as
+#: fitting one 16 GB V100 (``True``) and which as not.
+PAPER_FITS = {
+    "reddit": {4: True, 16: True, 36: True, 64: True},
+    "amazon": {4: False, 16: True, 36: True, 64: True},
+    "protein": {4: False, 16: False, 36: True, 64: True, 100: True},
+}
+
+
+def feasible_overheads():
+    """The ``(lo, hi]`` window of overhead factors under which
+    :func:`memory_2d` reproduces :data:`PAPER_FITS`: above every
+    reported misfit's ``capacity / base`` and at most every fit's."""
+    from repro.graph.datasets import layer_widths, published_spec
+
+    lo, hi = 0.0, math.inf
+    for name, cells in PAPER_FITS.items():
+        spec = published_spec(name)
+        widths = layer_widths(spec.features, spec.labels)
+        for p, fits in cells.items():
+            base = memory_2d(spec.vertices, spec.edges + spec.vertices,
+                             widths, p, overhead=1.0).total_bytes
+            if fits:
+                hi = min(hi, V100_BYTES / base)
+            else:
+                lo = max(lo, V100_BYTES / base)
+    return lo, hi
+
+
+class TestKeptPieces:
+    """2D and 3D keep every SUMMA stage's sparse piece from set-up, so
+    no epoch moves a sparse byte: a rank holds its process row's block
+    row (``nnz / sqrt(P)``; 3D: its row group's ``s`` blocks, ``nnz /
+    P^{2/3}``), one orientation (``A == A^T`` on the published graphs),
+    and no stage's sparse receive buffer.  Amazon@16 15.50 -> 15.83 GiB,
+    Protein@36 9.88 -> 12.16 GiB, and the Section V-C pattern stays."""
+
+    def test_sparse_is_the_kept_block_row(self):
+        for p, rows in ((16, 4), (64, 8)):
+            m = memory_2d(N, NNZ, WIDTHS, p)
+            assert m.sparse_bytes == pytest.approx(
+                NNZ / rows * 8 + (N / rows + 1) * 4)
+        m = memory_3d(N, NNZ, WIDTHS, 64)
+        assert m.sparse_bytes == pytest.approx(NNZ / 16 * 8 + (N / 4 + 1) * 4)
+
+    def test_no_sparse_receive_buffer(self):
+        m = memory_2d(N, NNZ, WIDTHS, 16)
+        assert m.buffer_bytes == FP32_BYTES * (N / 4) * (max(WIDTHS) / 4)
+
+    def test_default_overhead_inside_the_feasible_window(self):
+        """The window the models leave for the overhead factor (about
+        (2.60, 3.54]; (2.81, 3.61] before the pieces were kept) holds
+        the calibrated 3.5, so the pattern is the paper's."""
+        lo, hi = feasible_overheads()
+        assert lo < DEFAULT_OVERHEAD <= hi
+        assert (round(lo, 2), round(hi, 2)) == (2.60, 3.54)
+        assert feasibility_table() == PAPER_FITS
 
 
 class TestScalingBehaviour:
     def test_2d_memory_scales_inverse_p(self):
         """Near-perfect 1/P scaling ("consumes optimal memory") of all but
-        the left operands each process row keeps whole -- ``n / sqrt(P)``
-        rows at the full width: ``T^0`` (``f^0 = 128``) and, since the
-        16 -> 16 and 16 -> 32 layers do not shrink, their ``T^l`` stages
-        (16 each) -- which scale as ``1 / sqrt(P)``: the memory the
-        per-epoch gathers they save cost.  The total's 4 -> 64 ratio is
-        7.16: 7.23 before the 16 -> 16 layer's gathered ``A G`` was
-        counted at P = 64 (:meth:`test_gathered_a_g_counts_where_it_
-        outgrows_the_backward_pairs`), 7.94 with ``T^0`` alone kept, 15.6
-        with nothing."""
+        what each process row keeps whole -- ``n / sqrt(P)`` rows at the
+        full width: ``T^0`` (``f^0 = 128``) and, since the 16 -> 16 and
+        16 -> 32 layers do not shrink, their ``T^l`` stages (16 each);
+        and the sparse pieces of its block row -- which scale as ``1 /
+        sqrt(P)``: the memory the per-epoch gathers and broadcasts they
+        save cost.  The total's 4 -> 64 ratio is 6.34: 7.16 before the
+        sparse pieces were kept, 7.23 before the 16 -> 16 layer's
+        gathered ``A G`` was counted at P = 64 (:meth:`test_gathered_a_
+        g_counts_where_it_outgrows_the_backward_pairs`), 7.94 with
+        ``T^0`` alone kept, 15.6 with nothing."""
         def kept(p):
-            return (DEFAULT_OVERHEAD * FP32_BYTES * N / math.isqrt(p)
-                    * (WIDTHS[0] + WIDTHS[1] + WIDTHS[2]))
+            return DEFAULT_OVERHEAD * (
+                FP32_BYTES * N / math.isqrt(p)
+                * (WIDTHS[0] + WIDTHS[1] + WIDTHS[2])
+                + memory_2d(N, NNZ, WIDTHS, p).sparse_bytes)
 
         m4 = memory_2d(N, NNZ, WIDTHS, 4)
         m64 = memory_2d(N, NNZ, WIDTHS, 64)
         rest = (m4.total_bytes - kept(4)) / (m64.total_bytes - kept(64))
         assert rest == pytest.approx(16, rel=0.3)
-        assert m4.total_bytes / m64.total_bytes == pytest.approx(7.16,
+        assert m4.total_bytes / m64.total_bytes == pytest.approx(6.34,
                                                                  rel=0.01)
 
     @pytest.mark.parametrize("p,backward", [(4, 64), (64, 18)])

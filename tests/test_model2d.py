@@ -101,16 +101,20 @@ class TestFullScaleShapes:
         16 columns, not 24), and the weight gradients of the two layers
         above the first read the ``T^l`` stages their forward products
         gathered, each with one all-gather: the dense bytes fall to
-        0.59-0.60x the sparse bytes at P = 16 / 36 / 64 (0.62-0.64x while
-        those stages and the middle layer's ``A G`` were stage-broadcast,
-        0.76-0.79x while the weight gradients re-broadcast ``T^l``,
-        0.80-0.84x while the last funnel broadcast ``G``, 3.3-3.6x while
-        layer 1's replicated-``W`` products re-broadcast ``T^0`` every
-        epoch)."""
+        0.59-0.60x the sparse bytes its four sweeps would move, were the
+        SUMMA stages' pieces not kept: four times the set-up's, which is
+        where they move now, once (an epoch moves none), at P = 16 / 36 /
+        64 (0.62-0.64x while those stages and the middle layer's ``A G``
+        were stage-broadcast, 0.76-0.79x while the weight gradients
+        re-broadcast ``T^l``, 0.80-0.84x while the last funnel broadcast
+        ``G``, 3.3-3.6x while layer 1's replicated-``W`` products
+        re-broadcast ``T^0`` every epoch)."""
         for p in (16, 36, 64):
             r = published("amazon", p)
+            assert r.bytes_by_category[Category.SCOMM] == 0
+            sweeps = 2 * (len(r.params["widths"]) - 2)
             ratio = (r.bytes_by_category[Category.DCOMM]
-                     / r.bytes_by_category[Category.SCOMM])
+                     / (sweeps * r.setup.bytes_by_category[Category.SCOMM]))
             assert 0.58 < ratio < 0.61, (p, ratio)
 
     def test_amazon_dcomm_halves_with_4x_devices(self):
@@ -230,26 +234,30 @@ class TestFigure3Narrative:
 #: broadcast (fractional rows, truncated; 14 336 in whole rows).  The 2D
 #: messages were 816 / 5888 / 42240 at P = 16 / 64 / 256 while 2D charged
 #: these symmetric operands a per-epoch grid transpose, one message per
-#: rank, that moved no data.
+#: rank, that moved no data.  Every 2D and 3D message count fell when the
+#: stages' sparse pieces began to move once, at set-up, instead of in each
+#: of an epoch's four sweeps -- one message per rank and stage a sweep:
+#: 2D 800 / 5824 / 41984 -> 544 / 3776 / 25600, 3D 248 / 3968 / 55808 ->
+#: 184 / 2944 / 39424.
 PAPER_SCALE_STAGES = {
-    ("reddit", "2d", 16): (533357820, 0, 800),
-    ("reddit", "2d", 64): (1167345496, 0, 5824),
-    ("reddit", "2d", 256): (2443421904, 0, 41984),
-    ("reddit", "3d", 8): (277353108, 0, 248),
-    ("reddit", "3d", 64): (716325276, 0, 3968),
-    ("reddit", "3d", 512): (1622622296, 0, 55808),
-    ("amazon", "2d", 16): (19611177184, 4059136, 800),
-    ("amazon", "2d", 64): (42448167552, 103133184, 5824),
-    ("amazon", "2d", 256): (87814951424, 612658944, 41984),
-    ("amazon", "3d", 8): (10561989088, 14336, 248),
-    ("amazon", "3d", 64): (26855575168, 4059136, 3968),
-    ("amazon", "3d", 512): (59366408448, 103120896, 55808),
-    ("protein", "2d", 16): (42539084768, 0, 800),
-    ("protein", "2d", 64): (96274153856, 0, 5824),
-    ("protein", "2d", 256): (203748116480, 1093632, 41984),
-    ("protein", "3d", 8): (17911228640, 0, 248),
-    ("protein", "3d", 64): (49258120064, 0, 3968),
-    ("protein", "3d", 512): (111969116160, 0, 55808),
+    ("reddit", "2d", 16): (533357820, 0, 544),
+    ("reddit", "2d", 64): (1167345496, 0, 3776),
+    ("reddit", "2d", 256): (2443421904, 0, 25600),
+    ("reddit", "3d", 8): (277353108, 0, 184),
+    ("reddit", "3d", 64): (716325276, 0, 2944),
+    ("reddit", "3d", 512): (1622622296, 0, 39424),
+    ("amazon", "2d", 16): (19611177184, 4059136, 544),
+    ("amazon", "2d", 64): (42448167552, 103133184, 3776),
+    ("amazon", "2d", 256): (87814951424, 612658944, 25600),
+    ("amazon", "3d", 8): (10561989088, 14336, 184),
+    ("amazon", "3d", 64): (26855575168, 4059136, 2944),
+    ("amazon", "3d", 512): (59366408448, 103120896, 39424),
+    ("protein", "2d", 16): (42539084768, 0, 544),
+    ("protein", "2d", 64): (96274153856, 0, 3776),
+    ("protein", "2d", 256): (203748116480, 1093632, 25600),
+    ("protein", "3d", 8): (17911228640, 0, 184),
+    ("protein", "3d", 64): (49258120064, 0, 2944),
+    ("protein", "3d", 512): (111969116160, 0, 39424),
 }
 
 

@@ -326,6 +326,32 @@ class TestTcpBacklog:
         assert [ch._conns[1 - ch.wid].queued for ch in chans] == [0, 0]
 
 
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_read_out_ships_only_the_ranks_read(fabric, transport):
+    """``gather_blocks(blocks, ranks)``: every worker ends with the
+    blocks of ``ranks`` -- 2D's process column 0, what ``_assemble``
+    reads -- and a worker holding none of them sends its peers an empty
+    list, not its own block."""
+    chans = fabric(transport, 4).chans
+    owners = owner_map(4, 4)
+    blocks = {r: np.full((50, 3), float(r)) for r in range(4)}
+
+    def worker(ch):
+        rt = WorkerRuntime(Mesh2D.square(4), None, ch, owners)
+        before = ch.bytes_sent
+        got = rt.gather_blocks({r: blocks[r] for r in rt.local_ranks},
+                               ranks=(0, 2))
+        return got, ch.bytes_sent - before
+
+    res = run_threads({w: (lambda w=w: worker(chans[w])) for w in range(4)})
+    for got, _ in res.values():
+        for r in (0, 2):
+            np.testing.assert_array_equal(got[r], blocks[r])
+    sent = [res[w][1] for w in range(4)]
+    # three peers each: a 1200-byte block, or an empty list
+    assert sent[1] == sent[3] < 1200 < 3 * 1200 <= sent[0] == sent[2]
+
+
 # --------------------------------------------------------------------- #
 # program level: the look-ahead of one stage, recorded
 # --------------------------------------------------------------------- #

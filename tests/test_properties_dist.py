@@ -350,14 +350,16 @@ class TestGeneratedShapes:
         (the variant is that exchange); every other family and variant
         reads ``A^T`` again, and 2D and Split-3D share their ``A^T``
         grid as the ``A`` grid.  On a directed operand 2D and Split-3D
-        charge every rank its ``A``-grid block each epoch, and never at
-        set-up.  Either way the emitted schedule -- its one transpose
+        charge every rank its ``A``-grid block once, at set-up, and
+        never in an epoch: the set-up keeps the ``A`` grid's SUMMA
+        pieces.  Either way the emitted schedule -- its one transpose
         phase, or none -- equals the ledger, set-up and epoch by epoch.
 
         Mutation check (run once, in a scratch copy): with the 2D and
         Split-3D emitters pricing a symmetric operand's ``A``-grid
-        blocks again, or with ``GridAlgorithm._charge_epoch_transpose``
-        charging them again, the three symmetric grid cases fail here."""
+        blocks again, or with ``GridAlgorithm._keep_a_pieces`` charging
+        them on a symmetric operand, the three symmetric grid cases fail
+        here."""
         a_t, features, labels, widths, seed = data.draw(
             shaped_problems(directed, directed=directed))
         algo, emit_kw = build_shaped(name, p, kw, a_t, widths, seed)
@@ -369,19 +371,19 @@ class TestGeneratedShapes:
         tracker = algo.rt.tracker
         charged = [tracker.per_rank[r][Category.TRPOSE].bytes
                    for r in range(p)]
-        assert not any(isinstance(ph, TransposePhase)
-                       for ph in schedule.setup.phases)
+        once = [ph.nbytes.tolist() for ph in schedule.setup.phases
+                if isinstance(ph, TransposePhase)]
         moves = [ph.nbytes.tolist() for ph in schedule.phases
                  if isinstance(ph, TransposePhase)]
-        if kw.get("variant") == "transpose" or (
-                directed and name in ("2d", "3d")):
-            assert len(moves) == 1 and sum(moves[0]) > 0
+        if directed and name in ("2d", "3d"):
+            assert moves == [] and once == [[
+                algo.a_blocks[r].nbytes_on_wire for r in range(p)]]
+            assert charged == once[0]
+        elif kw.get("variant") == "transpose":
+            assert once == [] and len(moves) == 1 and sum(moves[0]) > 0
             assert charged == [2 * b for b in moves[0]]  # two epochs
-            if name in ("2d", "3d"):
-                assert moves[0] == [algo.a_blocks[r].nbytes_on_wire
-                                    for r in range(p)]
         else:
-            assert moves == [] and charged == [0] * p
+            assert once == moves == [] and charged == [0] * p
 
     @pytest.mark.parametrize("backend", ["virtual", "shm", "tcp"])
     @pytest.mark.parametrize("name,p,kw", STAGE_CONFIGS)
@@ -653,14 +655,17 @@ def relay_sweeps(algo, x, spmms):
 
     def recording_post(kind, routes, payloads):
         handle = post(kind, routes, payloads)
-        posted[id(handle)] = (kind, routes, next(steps))
+        # one relay step a stage (the first sweep over an operand also
+        # broadcasts its sparse pieces)
+        posted[id(handle)] = (kind, routes, next(steps)
+                              if kind == "gather_rows" else None)
         return handle
 
     def recording_collect(handle):
         kind, routes, t = posted.pop(id(handle))
         got = collect(handle)
-        if kind == "gather_rows":  # one relay step a stage
-            relayed.extend((t // 2, dst, rows)
+        if kind == "gather_rows":
+            relayed.extend((t, dst, rows)
                            for (_, dst, _), rows in zip(routes, got))
         return got
 
@@ -797,3 +802,104 @@ def test_process_runs_keep_the_virtual_runs_bits(transport, config, hidden,
     assert placement_run(name, p, grid, hidden, backend="process",
                          workers=workers, transport=transport) == \
         virtual_placement_run(name, p, grid, hidden)
+
+
+# ---------------------------------------------------------------------- #
+# the sparse operand moves once: at set-up, on every backend
+# ---------------------------------------------------------------------- #
+#: every family, on a symmetric operand and on a directed one where it
+#: takes one: 1D's ``transpose`` variant (the paper's per-epoch
+#: transpose), 1.5D (symmetric operands only), 2D and Split-3D
+PIECE_CONFIGS = [
+    pytest.param(name, p, kw, directed,
+                 id=f"{name}-{'directed' if directed else 'symmetric'}")
+    for name, p, kw, directed_ok in [
+        ("1d", 4, {"variant": "transpose"}, True),
+        ("1.5d", 4, {"replication": 2}, False),
+        ("2d", 4, {}, True),
+        ("3d", 8, {}, True),
+    ]
+    for directed in (False, True) if directed_ok or not directed
+]
+
+
+def kept_piece_bytes(algo):
+    """Per rank, the wire bytes of every SUMMA piece its row groups
+    receive, each once: every stage of every operand role the algorithm
+    multiplies (``a_t``; ``a`` too for a directed operand).  None for a
+    family without SUMMA stages."""
+    got = [0] * algo.rt.size
+    for stages in getattr(algo, "_summa", {}).values():
+        for st_ in stages:
+            for group, root in st_.sparse_routes:
+                if len(group) > 1:
+                    for r in group:
+                        got[r] += st_.sparse[root].nbytes_on_wire
+    return got
+
+
+@pytest.mark.parametrize("backend", ["virtual", "shm", "tcp"])
+@pytest.mark.parametrize("name,p,kw,directed", PIECE_CONFIGS)
+@given(data=st.data())
+def test_sparse_pieces_move_once_at_set_up(name, p, kw, directed, backend,
+                                           data):
+    """No epoch of any family charges ``scomm``, and no 2D / Split-3D
+    epoch charges ``trpose``: the first install moves every SUMMA
+    stage's sparse pieces -- each rank is charged each piece its row
+    groups receive exactly once -- and every rank keeps them, and a
+    directed operand's ``A`` grid is transposed there too, once.  A
+    later install (``setup``, ``predict(new_features)``) moves no
+    sparse byte.  The emitted set-up, epoch and re-install sections
+    equal the virtual ledger, and on 2 workers over shm and tcp the
+    same calls leave the same ledger and ``predict`` bits.
+
+    Mutation check (run once, in a scratch copy): with
+    ``GridAlgorithm._summa_sweep`` broadcasting a kept stage's pieces
+    again in every later sweep, every 2D and Split-3D case fails here,
+    on all three backends."""
+    a_t, features, labels, widths, seed = data.draw(
+        shaped_problems(directed, directed=directed))
+    virtual, emit_kw = build_shaped(name, p, kw, a_t, widths, seed)
+    assert virtual.symmetric is not directed
+    schedule = ALGORITHMS[name].emit_comm_schedule(
+        GraphModel.from_csr(a_t), widths, p, **emit_kw)
+    grid = name in ("2d", "3d")
+    assert not any(getattr(ph, "category", None) == Category.SCOMM
+                   for ph in schedule.phases)
+    assert not (grid and any(isinstance(ph, TransposePhase)
+                             for ph in schedule.phases))
+    # set-up, epochs 0 and 1, a second setup() with new features
+    assert_sections_exact(
+        virtual, features, labels, schedule, virtual.rt.profile)
+    tracker = virtual.rt.tracker
+    scomm = [tracker.per_rank[r][Category.SCOMM].bytes for r in range(p)]
+    trpose = [tracker.per_rank[r][Category.TRPOSE].bytes for r in range(p)]
+    assert scomm == kept_piece_bytes(virtual)
+    assert (sum(scomm) > 0) is grid
+    if grid:
+        assert trpose == ([virtual.a_blocks[r].nbytes_on_wire
+                           for r in range(p)] if directed else [0] * p)
+    new = np.asarray(features) + 2.0
+    want = virtual.predict(new)
+    assert [tracker.per_rank[r][Category.SCOMM].bytes
+            for r in range(p)] == scomm
+    assert [tracker.per_rank[r][Category.TRPOSE].bytes
+            for r in range(p)] == trpose
+    if backend == "virtual":
+        return
+    rt = make_runtime_for(name, p, grid=kw.get("grid"), backend="process",
+                          workers=2, transport=backend)
+    rt.start()
+    try:
+        algo = rt.make_algorithm(
+            name, a_t, widths, seed=seed,
+            **{k: v for k, v in kw.items() if k != "grid"})
+        algo.setup(features, labels)
+        for epoch in range(2):
+            algo.train_epoch(epoch)
+        algo.setup(np.asarray(features) + 1.0, labels)
+        got = algo.predict(new)
+        assert ledger_digest(rt.tracker) == ledger_digest(tracker)
+        np.testing.assert_array_equal(got, want)
+    finally:
+        rt.close()

@@ -28,7 +28,7 @@ from repro.simulate import (
     sweep,
 )
 from repro.simulate.engine import default_algo_kwargs, supports_p
-from repro.simulate.schedule import CommSchedule
+from repro.simulate.schedule import CommSchedule, TransposePhase
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.distribute import block_ranges, distribute_sparse_2d
 
@@ -65,9 +65,23 @@ def _executed_epoch(name, p, dataset, **kwargs):
     return algo.train_epoch(0)
 
 
+def reinstall_section(schedule: CommSchedule) -> CommSchedule:
+    """The one-time section of a later install: a new feature matrix is
+    aggregated (and, in 2D / 3D, gathered) again, but the 2D / 3D
+    stages' sparse pieces -- and a directed operand's ``A`` grid --
+    moved at the first install only, and stay kept."""
+    return CommSchedule(schedule.p, [
+        ph for ph in schedule.setup.phases
+        if not isinstance(ph, TransposePhase)
+        and getattr(ph, "category", None) != Category.SCOMM])
+
+
 def assert_sections_exact(algo, features, labels, schedule, profile):
     """The ledger across ``setup()`` == the schedule's one-time section,
-    and across epoch 0 and epoch 1 each == its per-epoch section.
+    across epoch 0 and epoch 1 each == its per-epoch section, and across
+    a second ``setup()`` with a new feature matrix == the one-time
+    section without what only the first install moves
+    (:func:`reinstall_section`).
 
     Bytes, messages and steps are integers and compare as deltas.
     Seconds compare as running totals: the tracker and the simulator add
@@ -79,6 +93,8 @@ def assert_sections_exact(algo, features, labels, schedule, profile):
         (schedule.setup, lambda: algo.setup(features, labels)),
         (schedule, lambda: algo.train_epoch(0)),
         (schedule, lambda: algo.train_epoch(1)),
+        (reinstall_section(schedule),
+         lambda: algo.setup(np.asarray(features) + 1.0, labels)),
     ]
     done = []
     for section, run in sections:
