@@ -1,4 +1,4 @@
-"""Communication plans: precomputed groups, splits, and reusable buffers.
+"""Communication plans: precomputed groups, splits and structure memos.
 
 The executed runtime is bulk-synchronous and *static*: every epoch of a
 distributed algorithm walks the same collectives over the same groups
@@ -12,9 +12,11 @@ those invariants once (typically at ``DistAlgorithm.setup``):
   dict hit instead of a per-rank range check;
 * **splits** -- near-equal contiguous ``(lo, hi)`` boundaries (the
   ``numpy.array_split`` convention shared by every distribution helper);
-* **workspaces** -- reusable scratch arrays keyed by ``(key, shape,
-  dtype)`` for buffers whose lifetime is provably call-local (gather
-  targets, SUMMA accumulators hoisted per layer).
+* **memos** -- derived route structures replayed every epoch.
+
+Scratch buffers are per algorithm (:meth:`repro.dist.base.DistAlgorithm.
+_ws`), not plan-held: two algorithms sharing one runtime would collide
+on buffers keyed only by role and shape.
 
 Plans only cache *structure*; they never touch the ledger, so the
 charged bytes and modeled seconds are byte-for-byte identical with and
@@ -25,8 +27,6 @@ pre-plan ledger constants and the PR 2 schedule oracle).
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
-
-import numpy as np
 
 from repro.comm.mesh import ProcessMesh, validate_group
 
@@ -42,8 +42,8 @@ class CommPlan:
     benchmarks.
     """
 
-    __slots__ = ("world_size", "mesh", "_groups", "_splits", "_workspaces",
-                 "_memos", "hits", "misses")
+    __slots__ = ("world_size", "mesh", "_groups", "_splits", "_memos",
+                 "hits", "misses")
 
     def __init__(self, world_size: int, mesh: Optional[ProcessMesh] = None):
         if world_size < 1:
@@ -52,7 +52,6 @@ class CommPlan:
         self.mesh = mesh
         self._groups: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         self._splits: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = {}
-        self._workspaces: Dict[tuple, np.ndarray] = {}
         self._memos: Dict[tuple, object] = {}
         self.hits = 0
         self.misses = 0
@@ -108,30 +107,6 @@ class CommPlan:
         return cached
 
     # ------------------------------------------------------------------ #
-    # workspaces
-    # ------------------------------------------------------------------ #
-    def workspace(self, key: Any, shape: Tuple[int, ...],
-                  dtype: Any = np.float64) -> np.ndarray:
-        """A reusable scratch array for a call-local buffer.
-
-        The same ``(key, shape, dtype)`` returns the same array on every
-        call -- contents are whatever the previous use left behind, so
-        callers must fully overwrite it.  Only use for buffers that are
-        consumed before the next request for the same key; buffers that
-        escape a call (collective results, cached layer state) must own
-        fresh storage instead.
-        """
-        wkey = (key, tuple(int(s) for s in shape), np.dtype(dtype))
-        buf = self._workspaces.get(wkey)
-        if buf is not None:
-            self.hits += 1
-            return buf
-        self.misses += 1
-        buf = np.empty(wkey[1], dtype=wkey[2])
-        self._workspaces[wkey] = buf
-        return buf
-
-    # ------------------------------------------------------------------ #
     # structure memos
     # ------------------------------------------------------------------ #
     #: Memo capacity: unlike groups/splits (tiny, bounded by mesh
@@ -169,8 +144,7 @@ class CommPlan:
     # ------------------------------------------------------------------ #
     @property
     def cached_entries(self) -> int:
-        return (len(self._groups) + len(self._splits)
-                + len(self._workspaces) + len(self._memos))
+        return len(self._groups) + len(self._splits) + len(self._memos)
 
     def stats(self) -> Dict[str, int]:
         """Cache effectiveness counters (for tests and benchmarks)."""
@@ -179,7 +153,6 @@ class CommPlan:
             "misses": self.misses,
             "groups": len(self._groups),
             "splits": len(self._splits),
-            "workspaces": len(self._workspaces),
             "memos": len(self._memos),
         }
 
@@ -187,7 +160,6 @@ class CommPlan:
         """Drop every cached entry (e.g. between unrelated runs)."""
         self._groups.clear()
         self._splits.clear()
-        self._workspaces.clear()
         self._memos.clear()
         self.hits = 0
         self.misses = 0

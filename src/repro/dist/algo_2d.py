@@ -21,9 +21,9 @@ its nonempty columns.  So a stage relays the block down process column
 Watts, 1997) -- each hop carrying only the rows the members after it
 read (:meth:`repro.dist.grid.GridAlgorithm._summa_stage`).  Where every
 member reads every row this is the pipelined broadcast, byte for byte.
-A member fed by a relay receipt multiplies its rows by a
-column-compacted copy of ``S(i, t)``, one whose root rows are local
-multiplies them in place.  The row sets, compacted pieces and routes
+A member fed by a relay receipt multiplies its rows by the ``S(i, t)``
+it received, column-compacted onto them when it was kept; one whose
+root rows are local multiplies them in place.  The row sets and routes
 are structure, built once at set-up; compaction keeps every output
 row's summation order (hence the bits).
 
@@ -41,28 +41,26 @@ set-up, where its pieces move too; a symmetric operand's ``A`` grid is
 the ``A^T`` grid block for block, so the blocks and the kept pieces are
 shared and no transpose is charged -- Fig. 3 charges one every epoch
 even on the undirected graphs, though no data moves.  The epoch
-structure itself lives in :class:`repro.dist.grid.GridAlgorithm`,
-shared with the Split-3D algorithm.
+structure itself, and the SpMM sweep, live in
+:class:`repro.dist.grid.GridAlgorithm`, shared with the Split-3D
+algorithm: 2D is its one-layer case (``Mesh3D(Pr, Pc, 1)`` numbers
+ranks as ``Mesh2D(Pr, Pc)`` does, so no fiber reduce-scatter follows
+the stages).  This module supplies only the layout's shape -- the grid's
+coordinates and row blocks, each rank's dense rows, the SUMMA stages
+(:func:`summa_stage_ranges`) and, for the emitter, their column bounds
+and roots and the ``A`` blocks' column bounds.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.comm.mesh import Mesh2D
+from repro.comm.mesh import Mesh2D, square_side
 from repro.comm.runtime import VirtualRuntime
-from repro.config import FP64_BYTES
 from repro.dist.grid import GridAlgorithm, SummaStage
-from repro.nn.layers import check_widths
 from repro.nn.optim import Optimizer
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.distribute import (
-    block_ranges,
-    distribute_dense_2d,
-    distribute_sparse_2d,
-)
+from repro.sparse.distribute import block_ranges, distribute_sparse_2d
 
 __all__ = ["DistGCN2D", "summa_stage_ranges"]
 
@@ -111,7 +109,9 @@ def summa_stage_ranges(
 
 
 class DistGCN2D(GridAlgorithm):
-    """2D SUMMA distributed GCN training (Algorithm 2)."""
+    """2D SUMMA distributed GCN training (Algorithm 2): the one-layer
+    Split-3D sweep of :class:`~repro.dist.grid.GridAlgorithm` on the
+    ``Pr x Pc`` grid, whose shape this class supplies."""
 
     def __init__(
         self,
@@ -135,23 +135,11 @@ class DistGCN2D(GridAlgorithm):
         self.col_ranges = block_ranges(self.n, self.pc)
         self.stages = summa_stage_ranges(self.n, self.pr, self.pc,
                                          block=summa_block)
-        self.a_t_blocks = distribute_sparse_2d(self.a_t, self.mesh)
-        # Backward operand: the grid transpose, materialised once and,
-        # for directed operands, charged once, at set-up.  For symmetric
-        # operands self.a IS self.a_t, so the distributed blocks are
-        # identical, simply shared, and never charged.
-        self.a_blocks = (
-            self.a_t_blocks
-            if self.symmetric
-            else distribute_sparse_2d(self.a, self.mesh)
-        )
-        # Rank -> grid coordinate maps, precomputed: the epoch loops ask
-        # for these thousands of times per epoch.
-        self._out_cols = [self.mesh.coords(r)[1] for r in range(rt.size)]
-        self._rank_row_ranges = [
-            self.row_ranges[self.mesh.coords(r)[0]] for r in range(rt.size)
-        ]
-        self._init_stages(self._summa_stages)
+        self._init_grid(
+            self.pc,
+            [self.row_ranges[self.mesh.coords(r)[0]]
+             for r in range(rt.size)],
+            distribute_sparse_2d, self._summa_stages)
 
     def _summa_stages(self, sparse_blocks: Dict[int, CSRMatrix]
                       ) -> List[SummaStage]:
@@ -171,190 +159,26 @@ class DistGCN2D(GridAlgorithm):
                                          lambda i, j, k: rank_of(i, j)))
         return out
 
-    # ------------------------------------------------------------------ #
-    # GridAlgorithm hooks
-    # ------------------------------------------------------------------ #
-    def _setup_data(self, features: np.ndarray) -> Dict[int, np.ndarray]:
-        blocks = distribute_dense_2d(features, self.mesh)
-        return {r: blocks[r] for r in self._local(range(self.rt.size))}
-
-    def _fsplit(self, f: int) -> List[Tuple[int, int]]:
-        """Feature-column split (``Pc`` ways, like every dense matrix)."""
-        return self._plan().split(f, self.pc)
-
     def _row_groups(self):
         return [self.mesh.row_group(i) for i in range(self.pr)]
 
-    def _out_col(self, rank: int) -> int:
-        return self._out_cols[rank]
-
-    def _rank_rows(self, rank: int) -> Tuple[int, int]:
-        return self._rank_row_ranges[rank]
-
-    def _assemble(self, out_full: Dict[int, np.ndarray]) -> np.ndarray:
-        """Full output from the row-gathered copies on process column 0."""
-        ranks = [self.mesh.rank_of(i, 0) for i in range(self.pr)]
-        out_full = self.rt.gather_blocks(out_full, ranks)
-        return np.concatenate([out_full[r] for r in ranks], axis=0)
-
-    def _grid_spmm(
-        self,
-        sparse_blocks: Dict[int, CSRMatrix],
-        dense_blocks: Dict[int, np.ndarray],
-        f: int,
-        ws_key=None,
-    ) -> Dict[int, np.ndarray]:
-        """One SUMMA SpMM sweep: ``C(i,j) += S(i,t) D(t,j)`` per stage
-        (:meth:`GridAlgorithm._summa_sweep`), accumulated into one
-        span-wide buffer per local row group; rank results are column
-        views of it.  With every rank local the span is the full width;
-        a multiprocess worker multiplies only its own columns.
-        ``ws_key`` keys the group accumulators into the workspace (per
-        layer for cached results)."""
-        fcols = self._fsplit(f)
-        accs = {}
-        for gi, group, members, (c_lo, c_hi) in self._local_group_info:
-            lo, hi = self.row_ranges[gi]
-            o_lo, o_hi = self._span(fcols, c_lo, c_hi)
-            if ws_key is not None:
-                acc = self._ws(("gs", ws_key, gi), (hi - lo, o_hi - o_lo))
-                acc.fill(0.0)
-            else:
-                acc = np.zeros((hi - lo, o_hi - o_lo))
-            accs[gi] = (acc, o_lo, o_hi)
-        self._summa_sweep(sparse_blocks, dense_blocks, f, accs)
-        out: Dict[int, np.ndarray] = {}
-        for gi, group, members, span in self._local_group_info:
-            acc, o_lo, o_hi = accs[gi]
-            for r in members:
-                c0, c1 = fcols[self._out_col(r)]
-                out[r] = acc[:, c0 - o_lo : c1 - o_lo]
-        return out
-
-    def _stored_dense_rows(self) -> int:
-        return max(hi - lo for lo, hi in self.row_ranges)
-
-    def _stored_dense_width(self, f: int) -> int:
-        return max(hi - lo for lo, hi in self._fsplit(f))
-
-    # ------------------------------------------------------------------ #
-    # symbolic schedule emission (repro.simulate)
-    # ------------------------------------------------------------------ #
     @classmethod
-    def emit_comm_schedule(
-        cls,
-        graph,
-        widths: Sequence[int],
-        p: int,
-        grid: Optional[Tuple[int, int]] = None,
-        summa_block: Optional[int] = None,
-        word_bytes: int = FP64_BYTES,
-        **_ignored,
-    ):
-        """Emit the SUMMA epoch's schedule without building ranks.
-
-        Mirrors ``_grid_spmm`` (per stage: the pipelined sparse
-        broadcasts, in the set-up's first sweep over an operand only,
-        the dense relay -- each member booked the rows its
-        hop carries, from the model's counts of the rows a run of process
-        rows reads (:meth:`~repro.simulate.schedule.GraphModel.
-        run_nonzero_cols`) -- and the local SpMM) and a directed
-        operand's set-up grid transpose; the shared grid epoch
-        (:func:`~repro.simulate.schedule.emit_grid_epoch`) the rest,
-        phase for phase.
-        """
-        from repro.comm.mesh import square_side
-        from repro.comm.tracker import Category
-        from repro.simulate.schedule import (
-            GraphModel,
-            ScheduleBuilder,
-            boundaries,
-            emit_grid_epoch,
-            sparse_wire_bytes,
-        )
-
-        widths = check_widths(widths)
-        graph = GraphModel.coerce(graph)
+    def _grid_shape(cls, n: int, p: int,
+                    grid: Optional[Tuple[int, int]] = None,
+                    summa_block: Optional[int] = None, **_ignored):
+        """One layer, no fibers: the stages of
+        :func:`summa_stage_ranges` with their dense row blocks as roots,
+        and ``A`` in ``Pc`` column blocks."""
         if grid is None:
             pr = pc = square_side(p)
         else:
             pr, pc = (int(g) for g in grid)
             if pr * pc != p:
                 raise ValueError(f"grid {pr}x{pc} does not tile P={p} ranks")
-        n = graph.n
-        rows = np.array(
-            [hi - lo for lo, hi in block_ranges(n, pr)], dtype=np.float64
-        )
         stages = summa_stage_ranges(n, pr, pc, block=summa_block)
-        stage_bounds = np.array(
-            [lo for lo, _, _, _ in stages] + [n], dtype=np.int64
-        )
-        # Nonzeros per (process row, stage) slice of each sparse operand.
-        cells_at = graph.cell_nnz(pr, stage_bounds)
-        cells_a = (
-            cells_at
-            if graph.symmetric
-            else graph.cell_nnz(pr, stage_bounds, transpose=True)
-        )
-        # ... and the dense stage rows each hop of a stage's relay
-        # carries: [p, st], the rows process rows ro + p .. pr - 1 read.
-        roots = [ro for _, _, ro, _ in stages]
-        runs_at = graph.run_nonzero_cols(pr, stage_bounds, roots)
-        runs_a = (
-            runs_at
-            if graph.symmetric
-            else graph.run_nonzero_cols(pr, stage_bounds, roots,
-                                        transpose=True)
-        )
-        rows_of_rank = np.repeat(rows, pc)
-
-        def fsplit_widths(f: int) -> np.ndarray:
-            return np.array(
-                [hi - lo for lo, hi in block_ranges(f, pc)],
-                dtype=np.float64,
-            )
-
-        def outw_of_rank(f: int) -> np.ndarray:
-            return np.tile(fsplit_widths(f), pr)
-
-        b = ScheduleBuilder(p, word_bytes)
-
-        def grid_spmm(f: Optional[int], backward: bool,
-                      pieces: bool = False) -> None:
-            cells = cells_a if backward else cells_at
-            runs = runs_a if backward else runs_at
-            fw = None if f is None else fsplit_widths(f)
-            for st, (lo, hi, ro, _co) in enumerate(stages):
-                if pieces:  # the first sweep over an operand: set-up's
-                    b.broadcast(
-                        Category.SCOMM, pc,
-                        sparse_wire_bytes(cells[:, st], rows, b.wb),
-                        pipelined=True,
-                    )
-                if f is None:  # the pieces alone
-                    continue
-                # Member (i, j), p = i - ro hops down: |U_p| rows in j's
-                # feature columns; the root |U_1|; one message each.
-                hop = runs[(np.arange(pr) - ro) % pr, st]
-                hop[ro] = runs[1, st] if pr > 1 else 0.0
-                b.gather_rows(Category.DCOMM,
-                              np.outer(hop, fw).reshape(-1) * b.wb, 1)
-                # Rank (i, j) multiplies row i's stage slice into j's
-                # feature columns.
-                b.spmm(cells[:, st, None], rows[:, None], fw)
-
-        # A directed operand's A-grid blocks, rank-major: the set-up's
-        # transpose `GridAlgorithm._keep_a_pieces` charges.
-        a_block_bytes = None if graph.symmetric else sparse_wire_bytes(
-            graph.cell_nnz(pr, boundaries(n, pc), transpose=True),
-            rows[:, None], b.wb).reshape(-1)
-
-        # Row groups: the process rows (Pc members each).
-        emit_grid_epoch(
-            b, widths, rows, pc, rows_of_rank, fsplit_widths, outw_of_rank,
-            grid_spmm, a_block_bytes,
-        )
-        return b.build(
-            algorithm="2d", p=p, grid=(pr, pc), summa_block=summa_block,
-            graph=graph.name, widths=widths,
-        )
+        return ((pr, pc, 1), False,
+                [lo for lo, _, _, _ in stages] + [n],
+                [ro for _, _, ro, _ in stages],
+                [lo for lo, _ in block_ranges(n, pc)] + [n],
+                dict(algorithm="2d", p=p, grid=(pr, pc),
+                     summa_block=summa_block))

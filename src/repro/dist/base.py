@@ -380,10 +380,10 @@ class DistAlgorithm:
           may come after later ``predict()`` calls have rerun the forward
           pass.
 
-        Deliberately **per-algorithm**, not the runtime-level
-        :meth:`CommPlan.workspace`: two algorithm instances sharing one
-        runtime would collide on plan-held scratch keyed only by
-        (role, shape), silently corrupting each other's live buffers.
+        Deliberately **per-algorithm**, not held by the runtime's
+        :class:`CommPlan`: two algorithm instances sharing one runtime
+        would collide on plan-held scratch keyed only by (role, shape),
+        silently corrupting each other's live buffers.
         """
         wkey = (key, shape)
         buf = self.workspace.get(wkey)

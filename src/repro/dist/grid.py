@@ -1,25 +1,37 @@
 """The 2D-layout family's shared epoch (2D SUMMA and Split-3D).
 
 :class:`GridAlgorithm` is the program both algorithms run on top of
-:class:`repro.dist.base.DistAlgorithm`, SUMMA's stage loop included
-(:meth:`GridAlgorithm._summa_sweep`, each stage's dense rows relayed down
-the process columns sparsity-aware); the ``algo_2d`` / ``algo_3d``
-modules supply the layout -- the mesh's groups, each stage's sparse
-pieces, and the SpMM around the stage loop.
+:class:`repro.dist.base.DistAlgorithm`: the epoch, and the distributed
+SpMM itself, written once as Split-3D over ``L`` layers -- every
+layer's SUMMA stage loop (:meth:`GridAlgorithm._summa_sweep`, each
+stage's dense rows relayed down the process columns sparsity-aware),
+then a reduce-scatter along the fibers where the mesh has a layer axis.
+2D SUMMA is its one-layer case (``L = 1``; Solomonik and Demmel's 2.5D
+family at ``c = 1``), Split-3D the ``L = s`` one.  The ``algo_2d`` /
+``algo_3d`` modules supply only the layout's shape: mesh coordinates,
+row blocks, each rank's dense rows (3D: and its fibers), and the stage
+builder; for the emitter, the stage cells' column bounds and roots and
+the ``A`` blocks' column bounds.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+import itertools
+from typing import (TYPE_CHECKING, Any, Callable, Dict, FrozenSet, List,
+                    NamedTuple, Optional, Sequence, Tuple)
 
 import numpy as np
 
 from repro.comm.tracker import Category
+from repro.config import FP64_BYTES
 from repro.dist.base import DistAlgorithm, RoutedStep
-from repro.nn.layers import (forward_gemm, funnel_reduces, sweep_order,
-                             weight_gradient)
+from repro.nn.layers import (check_widths, forward_gemm, funnel_reduces,
+                             sweep_order, weight_gradient)
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.spmm import spmm
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.simulate.schedule import CommSchedule
 
 __all__ = ["GridAlgorithm", "SummaStage"]
 
@@ -46,11 +58,11 @@ class SummaStage(NamedTuple):
     sparse_routes: List[Tuple[Tuple[int, ...], int]]
     #: ``{sparse root: the piece its row group multiplies}``
     sparse: Dict[int, CSRMatrix]
-    #: local row group fed by a relay receipt -> its piece compacted onto
-    #: its ``rows`` (:meth:`CSRMatrix.compact_columns`); a row group not
-    #: here reads the root's rows in place (all of them, on the virtual
-    #: runtime)
-    compact: Dict[int, CSRMatrix]
+    #: the local row groups a relay receipt feeds: each keeps its
+    #: received piece compacted onto its ``rows``
+    #: (:meth:`GridAlgorithm._kept`); any other reads the root's rows in
+    #: place (every one, on the virtual runtime)
+    fed: FrozenSet[int]
     #: ``(rank, stage rows it books)`` per column member: the root
     #: ``|U_1|``, the member ``p`` hops down ``|U_p|``
     hops: Tuple[Tuple[int, int], ...]
@@ -71,8 +83,8 @@ class GridAlgorithm(DistAlgorithm):
     across "row groups" of ranks that jointly hold complete rows, so
     the replicated-weight GEMMs, the Equation-3 weight gradient, the
     last-layer row all-gather for log_softmax, the column-0 loss terms,
-    and the backward recursion are the same program; they differ only
-    in the distributed SpMM itself and in the mesh's group enumeration.
+    the backward recursion and the distributed SpMM itself are the same
+    program; they differ only in the layout's shape.
 
     As in the block-row family, an epoch runs ``L - 1`` SpMM sweeps each
     way, each at the narrow side of its layer's weight
@@ -102,36 +114,81 @@ class GridAlgorithm(DistAlgorithm):
     pair (feature-column 0's terms, zeros elsewhere) and every layer's
     weight-gradient partial go into each rank's gradient bucket
     (:func:`repro.dist.base.bucket_bounds`), all-reduced over the world
-    once, at the end of the backward.  Subclasses provide:
+    once, at the end of the backward.
 
-    * ``_grid_spmm(sparse_blocks, dense_blocks, f)`` -- the charged
-      distributed SpMM sweep (SUMMA / Split-3D), around the shared
-      stage loop :meth:`_summa_sweep` over stages built once by
-      :meth:`_summa_stage`;
+    The distributed SpMM (:meth:`_grid_spmm`) is Split-3D over the
+    layout's ``L`` layers, 2D SUMMA its one-layer case: every layer's
+    stage loop (:meth:`_summa_sweep`, over stages built once by
+    :meth:`_summa_stage`) accumulates into one buffer per local row
+    group, and a mesh with a layer axis then reduce-scatters the layer
+    partials along its fibers.  A layout supplies only its shape:
+
+    * ``mesh`` -- its coordinates (column ``j`` is ``coords(r)[1]``),
+      the sparse distribution's argument;
+    * ``row_ranges`` -- the ``Pr`` row blocks ``R_i``, the rows a row
+      group's SpMM output spans (group ``k Pr + i`` in layer ``k``);
     * ``_row_groups()`` -- rank tuples sharing the same global rows,
-      each ordered by feature-column index (so ``group[t]`` owns the
-      ``t``-th feature-column block);
-    * ``_out_col(rank)`` / ``_rank_rows(rank)`` -- a rank's feature
-      -column index and its global row range;
-    * ``_fsplit(f)`` -- the feature-column split;
-    * ``_assemble(out_full)`` -- uncharged full-output read-out;
-    * ``a_t_blocks`` / ``a_blocks`` -- the distributed sparse operands,
-      one and the same dict for a symmetric operand, whose set-up then
-      charges no transpose (:meth:`_keep_a_pieces`);
-    * a call of :meth:`_init_stages` with the function that builds an
-      operand's stages (around :meth:`_summa_stage`).
+      layer-major, each ordered by feature-column index (so
+      ``group[t]`` owns the ``t``-th feature-column block);
+    * (3D) ``_fiber_groups`` -- the ``(i, j)`` fibers a sweep
+      reduce-scatters along;
+    * one call of :meth:`_init_grid` with the process columns, each
+      rank's global dense rows, the sparse distribution and the
+      function that builds an operand's stages (around
+      :meth:`_summa_stage`);
+    * for the emitter, :meth:`_grid_shape`.
 
     ``A`` never changes, so its SUMMA pieces move once, at the first
     install (:meth:`_summa_sweep`, :meth:`_keep_a_pieces`), and no
     epoch moves a sparse byte.
     """
 
-    def _grid_spmm(self, sparse_blocks, dense_blocks, f: int,
-                   ws_key=None):
-        raise NotImplementedError
+    #: Split-3D's fibers ``(i, j)``, row-major, along which every sweep
+    #: reduce-scatters its layer partials -- on a one-layer mesh too;
+    #: ``None`` for 2D, which has no layer axis
+    _fiber_groups: Optional[Sequence[Tuple[int, ...]]] = None
 
     def _row_groups(self):
         raise NotImplementedError
+
+    @classmethod
+    def _grid_shape(cls, n: int, p: int, **kwargs: Any):
+        """The layout's shape for the emitter, from the constructor's
+        keyword arguments: ``((Pr, Pc, L), fibers, bounds, roots,
+        a_bounds, meta)`` -- the mesh, whether it has fibers, the
+        ascending column bounds of the stage cells (stage ``t``'s cell
+        in layer ``k`` is cell ``t L + k``), each stage's root process
+        row, the column bounds of the ``A`` blocks, and the schedule's
+        metadata."""
+        raise NotImplementedError
+
+    def _init_grid(self, pc: int, rank_rows: Sequence[Tuple[int, int]],
+                   distribute: Callable[..., Dict[int, CSRMatrix]],
+                   stages_of: Callable[[Dict[int, CSRMatrix]],
+                                       List[SummaStage]]) -> None:
+        """The layout's shape: ``Pc`` process columns (the
+        feature-column split), every rank's global dense rows, the
+        sparse distribution onto ``self.mesh`` and the function that
+        builds an operand's stages.  The backward operand is the grid
+        transpose, materialised once and, for directed operands,
+        charged once, at set-up; for symmetric operands ``self.a`` IS
+        ``self.a_t``, so the blocks are shared and never charged.  Each
+        operand role's stages (``a_t``, and ``a`` when it differs) are
+        built here; no piece is kept yet: the first install keeps them,
+        per role."""
+        self._pc = pc
+        self._rank_row_ranges = list(rank_rows)
+        # Rank -> grid coordinate map, precomputed: the epoch loops ask
+        # for it thousands of times per epoch.
+        self._out_cols = [self.mesh.coords(r)[1]
+                          for r in range(self.rt.size)]
+        self.a_t_blocks = distribute(self.a_t, self.mesh)
+        self.a_blocks = (self.a_t_blocks if self.symmetric
+                         else distribute(self.a, self.mesh))
+        self._summa = {"a_t": stages_of(self.a_t_blocks)}
+        if not self.symmetric:
+            self._summa["a"] = stages_of(self.a_blocks)
+        self._pieces: Dict[str, List[list]] = {}
 
     @property
     def _row_group_list(self):
@@ -149,28 +206,46 @@ class GridAlgorithm(DistAlgorithm):
         return groups
 
     def _out_col(self, rank: int) -> int:
-        raise NotImplementedError
+        """A rank's feature-column index."""
+        return self._out_cols[rank]
 
     def _rank_rows(self, rank: int) -> Tuple[int, int]:
-        raise NotImplementedError
+        """A rank's global dense rows (3D: ``S_{i,k}``, the ``k``-th
+        sub-range of row block ``i``)."""
+        return self._rank_row_ranges[rank]
 
     def _rows_of(self, rank: int) -> int:
         lo, hi = self._rank_rows(rank)
         return hi - lo
 
-    def _fsplit(self, f: int):
-        raise NotImplementedError
+    def _fsplit(self, f: int) -> Tuple[Tuple[int, int], ...]:
+        """Feature-column split (``Pc`` ways, like every dense matrix)."""
+        return self._plan().split(f, self._pc)
 
-    def _init_stages(self, stages_of: Callable[[Dict[int, CSRMatrix]],
-                                               List[SummaStage]]) -> None:
-        """Each sparse operand's stage structure, per operand role: the
-        one a sweep receives is ``a_t_blocks`` or ``a_blocks`` (one and
-        the same dict for a symmetric operand, so one role).  No piece
-        is kept yet: the first install keeps them, per role."""
-        self._summa = {"a_t": stages_of(self.a_t_blocks)}
-        if not self.symmetric:
-            self._summa["a"] = stages_of(self.a_blocks)
-        self._pieces: Dict[str, List[list]] = {}
+    def _setup_data(self, features: np.ndarray) -> Dict[int, np.ndarray]:
+        """This process's blocks of ``H^0``: each local rank's dense
+        rows in its feature columns."""
+        fcols = self._fsplit(features.shape[1])
+        out = {}
+        for r in self._local(range(self.rt.size)):
+            lo, hi = self._rank_rows(r)
+            c0, c1 = fcols[self._out_col(r)]
+            out[r] = np.ascontiguousarray(features[lo:hi, c0:c1])
+        return out
+
+    def _stored_dense_rows(self) -> int:
+        return max(hi - lo for lo, hi in self._rank_row_ranges)
+
+    def _stored_dense_width(self, f: int) -> int:
+        return max(hi - lo for lo, hi in self._fsplit(f))
+
+    def _assemble(self, out_full) -> np.ndarray:
+        """Full output from the row-gathered copies of feature column 0,
+        one per row group, in global row order: the ranks ``(i, 0, k)``
+        ascend in it."""
+        ranks = sorted(group[0] for group in self._row_group_list)
+        out_full = self.rt.gather_blocks(out_full, ranks)
+        return np.concatenate([out_full[r] for r in ranks], axis=0)
 
     def _piece_step(self, op_key: str, t: int,
                     st: SummaStage) -> RoutedStep:
@@ -181,6 +256,21 @@ class GridAlgorithm(DistAlgorithm):
             Category.SCOMM,
             lambda: [(group, st.sparse[root].nbytes_on_wire)
                      for group, root in st.sparse_routes])
+
+    @staticmethod
+    def _kept(st: SummaStage, got) -> list:
+        """A stage's received pieces, as every later sweep multiplies
+        them: a row group a relay receipt feeds keeps its receipt
+        compacted onto its relayed rows (:meth:`CSRMatrix.
+        compact_columns`: the same ``data``, each row's nonzeros in the
+        same order, hence the same bits)."""
+        got = list(got)
+        g = len(st.rows[0])
+        for gi in st.fed:
+            rows = st.rows[gi // g][gi % g]
+            if rows is not None:
+                got[gi] = got[gi].compact_columns(rows)
+        return got
 
     def _keep_a_pieces(self) -> None:
         """A directed operand's ``A`` pieces, moved once, at its first
@@ -198,12 +288,11 @@ class GridAlgorithm(DistAlgorithm):
             lambda: ((rank, self.a_blocks[rank].nbytes_on_wire)
                      for rank in self.a_blocks),
         )
+        stages = self._summa["a"]
         steps = ([self._piece_step("a", t, st)]
-                 for t, st in enumerate(self._summa["a"]))
-        self._pieces["a"] = [got for got, in self._routed_stages(steps)]
-
-    def _assemble(self, out_full) -> np.ndarray:
-        raise NotImplementedError
+                 for t, st in enumerate(stages))
+        self._pieces["a"] = [self._kept(st, got) for st, (got,) in
+                             zip(stages, self._routed_stages(steps))]
 
     # ------------------------------------------------------------------ #
     # shared building blocks
@@ -299,18 +388,17 @@ class GridAlgorithm(DistAlgorithm):
         1`` hops down.  The data plane sends every process its
         most-upstream member's ``U_p`` straight from the root, and the
         process's other members select theirs from it; a row group fed
-        so multiplies its piece compacted onto its ``U_p``.  Where the
-        root's rows are local nothing is selected: the piece reads them
-        in place, which is bitwise the compacted product."""
-        ncols = len(self._row_group_list[0])
+        so multiplies its piece compacted onto its ``U_p``
+        (:meth:`_kept`).  Where the root's rows are local nothing is
+        selected: the piece reads them in place, which is bitwise the
+        compacted product."""
         owner = self.rt.owners if self._spmd else None
         roots, rows, routes, sparse = [], [], [], {}
-        hops, relay, feed, compact = [], [], {}, {}
+        hops, relay, feed, fed = [], [], {}, set()
         for k, pieces in enumerate(layers):
             g = len(pieces)
             a, b = window or (0, self._rows_of(rank(root, 0, k)))
-            members = list(pieces.values())
-            reads = [piece.nonempty_columns() for piece in members]
+            reads = [piece.nonempty_columns() for piece in pieces.values()]
             runs: List[Optional[np.ndarray]] = [None] * g
             moved = [0] * g
             read = np.zeros(b - a, dtype=bool)
@@ -322,11 +410,10 @@ class GridAlgorithm(DistAlgorithm):
                 runs[i] = None if seen.size == b - a else seen
             moved[root] = moved[(root + 1) % g] if g > 1 else 0
             rows.append(tuple(runs))
-            roots.append(tuple(rank(root, j, k) for j in range(ncols)))
+            roots.append(tuple(rank(root, j, k) for j in range(self._pc)))
             for i, (src, piece) in enumerate(pieces.items()):
                 routes.append((self._row_group_list[k * g + i], src))
                 sparse[src] = piece
-            fed = set()  # members a relay receipt feeds here
             for j, src in enumerate(roots[-1]):
                 hops.extend((rank(i, j, k), moved[i]) for i in range(g)
                             if moved[i])
@@ -351,13 +438,64 @@ class GridAlgorithm(DistAlgorithm):
                         feed[dst] = (at, src, None if mine is got else
                                      mine if got is None else
                                      np.searchsorted(got, mine))
-                        fed.add(i)
-            for i in fed:
-                piece = members[i]
-                compact[k * g + i] = (piece if runs[i] is None
-                                      else piece.compact_columns(runs[i]))
+                        fed.add(k * g + i)
         return SummaStage(window, tuple(roots), tuple(rows), routes,
-                          sparse, compact, tuple(hops), tuple(relay), feed)
+                          sparse, frozenset(fed), tuple(hops), tuple(relay),
+                          feed)
+
+    def _grid_spmm(self, sparse_blocks, dense_blocks, f: int,
+                   ws_key=None) -> Dict[int, np.ndarray]:
+        """One Split-3D SpMM sweep over the layout's layers, 2D SUMMA
+        its one-layer case: every layer's stages (:meth:`_summa_sweep`)
+        accumulate ``S(i, t) D(t, j)`` into one span-wide buffer per
+        local row group -- row block ``R_i`` of group ``k Pr + i``, the
+        span its local members' feature columns cover (the full width
+        when every rank is local) -- whose column views are the rank
+        results.  On a mesh with fibers they are the layer partials, and
+        one reduce-scatter per fiber ``(i, j)`` sums them in fiber
+        (layer) order and leaves rank ``(i, j, k)`` the shard
+        ``S_{i,k}``: its input block, so the output is already in the
+        input distribution.  A column band of the full-width sum equals
+        the per-band sum elementwise, so the per-fiber folds reproduce
+        the full-width accumulation bitwise; each is charged at its
+        band's byte size, and the data plane moves only the fibers this
+        process has ranks in.
+
+        Buffers: partials the reduce-scatter consumes within this call
+        take one workspace set per row group that every sweep reuses;
+        2D results escape, so ``ws_key`` keys them into the workspace
+        (per layer for cached results) and a sweep without one gets
+        fresh buffers."""
+        fcols = self._fsplit(f)
+        fibers = self._fiber_groups
+        if fibers is not None:
+            ws_key = "fiber"  # the reduce-scatter consumes the partials
+        blocks = self.row_ranges
+        accs = {}
+        for gi, group, members, (c_lo, c_hi) in self._local_group_info:
+            lo, hi = blocks[gi % len(blocks)]
+            o_lo, o_hi = self._span(fcols, c_lo, c_hi)
+            if ws_key is None:
+                acc = np.zeros((hi - lo, o_hi - o_lo))
+            else:
+                acc = self._ws(("gs", ws_key, gi), (hi - lo, o_hi - o_lo))
+                acc.fill(0.0)
+            accs[gi] = (acc, o_lo, o_hi)
+        self._summa_sweep(sparse_blocks, dense_blocks, f, accs)
+        out: Dict[int, np.ndarray] = {}
+        for gi, group, members, span in self._local_group_info:
+            acc, o_lo, o_hi = accs[gi]
+            for r in members:
+                c0, c1 = fcols[self._out_col(r)]
+                out[r] = acc[:, c0 - o_lo : c1 - o_lo]
+        if fibers is None:
+            return out
+        return self._collective(
+            "reduce_scatter", ("rsc3", f), Category.DCOMM, fibers, out,
+            lambda: [(fiber, (hi - lo) * (c1 - c0) * self.WB)
+                     for fiber, ((lo, hi), (c0, c1)) in zip(
+                         fibers, itertools.product(blocks, fcols))],
+        )
 
     def _summa_sweep(self, sparse_blocks, dense_blocks, f: int,
                      accs) -> None:
@@ -383,9 +521,9 @@ class GridAlgorithm(DistAlgorithm):
         root's dense feature-column pieces are joined once per local
         column *span*, and nothing is selected or copied for a
         receiver.  A row group fed by a relay receipt joins its ``U_p``
-        rows and multiplies them by its piece compacted onto them (same
-        ``nnz``; each output row sums in the same order, hence the same
-        bits).  A piece with no nonzero adds nothing and is skipped.
+        rows and multiplies them by the piece it received, compacted
+        onto them when it was kept (:meth:`_kept`).  A piece with no
+        nonzero adds nothing and is skipped.
         The steps run one stage ahead of the multiplies
         (:meth:`_routed_stages`).  Each local row group runs one SpMM a
         stage; SpMM columns are independent, so per-rank numerics are
@@ -420,7 +558,7 @@ class GridAlgorithm(DistAlgorithm):
         got_pieces = []
         for t, st in enumerate(stages):
             *moved, relayed = next(received)
-            sparse_got = moved[0] if moved else kept[t]
+            sparse_got = self._kept(st, moved[0]) if moved else kept[t]
             got_pieces.append(sparse_got)
             g = len(st.rows[0])
             joins: Dict[Tuple[int, int, int], np.ndarray] = {}
@@ -430,7 +568,7 @@ class GridAlgorithm(DistAlgorithm):
                     continue
                 acc, o_lo, o_hi = accs[gi]
                 k = gi // g
-                if gi in st.compact:
+                if gi in st.fed:
                     parts = []
                     for r in members:
                         at, root, pos = st.feed[r]
@@ -439,7 +577,6 @@ class GridAlgorithm(DistAlgorithm):
                     d_span = self._join_span(
                         parts, parts[0].shape[0], o_hi - o_lo,
                         ("rsr", c_lo, c_hi), self._max_rows)
-                    piece = st.compact[gi]
                 else:
                     d_span = joins.get((k, c_lo, c_hi))
                     if d_span is None:
@@ -889,3 +1026,46 @@ class GridAlgorithm(DistAlgorithm):
             category=Category.DCOMM,
         )
         return self._step_from_bucket(next(iter(total.values())))
+
+    # ------------------------------------------------------------------ #
+    # symbolic schedule emission (repro.simulate)
+    # ------------------------------------------------------------------ #
+    @classmethod
+    def emit_comm_schedule(cls, graph: Any, widths: Sequence[int], p: int,
+                           word_bytes: int = FP64_BYTES,
+                           **kwargs: Any) -> "CommSchedule":
+        """Emit the grid epoch's schedule without building ranks.
+
+        The layout's shape (:meth:`_grid_shape`) and the model's counts
+        per stage cell -- the nonzeros of every row block's slice, and
+        the rows each hop of the stage's relay carries
+        (:meth:`~repro.simulate.schedule.GraphModel.run_nonzero_cols`)
+        -- as ``[i, t, k]`` arrays drive the shared grid epoch
+        (:func:`~repro.simulate.schedule.emit_grid_epoch`), which
+        mirrors :meth:`_grid_spmm` and the epoch phase for phase.
+        """
+        from repro.simulate.schedule import (GraphModel, ScheduleBuilder,
+                                             emit_grid_epoch)
+
+        widths = check_widths(widths)
+        graph = GraphModel.coerce(graph)
+        (pr, pc, layers), fibers, bounds, roots, a_bounds, meta = \
+            cls._grid_shape(graph.n, p, **kwargs)
+        cells = (pr, len(roots), layers)
+        cell_roots = np.repeat(roots, layers)
+
+        def counts(transpose: bool):
+            return (graph.cell_nnz(pr, bounds, transpose=transpose)
+                    .reshape(cells),
+                    graph.run_nonzero_cols(pr, bounds, cell_roots,
+                                           transpose=transpose)
+                    .reshape(cells))
+
+        at = counts(False)
+        a = at if graph.symmetric else counts(True)
+        b = ScheduleBuilder(p, word_bytes)
+        emit_grid_epoch(
+            b, widths, graph.n, (pr, pc, layers), fibers, roots, (at, a),
+            None if graph.symmetric
+            else graph.cell_nnz(pr, a_bounds, transpose=True))
+        return b.build(**meta, graph=graph.name, widths=widths)

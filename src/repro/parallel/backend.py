@@ -124,7 +124,7 @@ _PRELOAD = (
 )
 
 #: Commands whose results carry a ledger digest when issued standalone.
-_LEDGERED_OPS = frozenset({"train_epoch", "predict", "evaluate"})
+_LEDGERED_OPS = frozenset({"setup", "train_epoch", "predict", "evaluate"})
 
 #: a fresh identity for every pool a driver launches
 _POOL_IDS = itertools.count(1)

@@ -233,8 +233,9 @@ class ParallelAlgorithm:
     def setup(self, features: np.ndarray, labels: np.ndarray,
               mask: Optional[np.ndarray] = None) -> None:
         shipped, copy = self._ship(features)
-        self.rt._command("setup", (shipped, np.asarray(labels),
-                                   None if mask is None else np.asarray(mask)))
+        self.rt._adopt_and_check(self.rt._command(
+            "setup", (shipped, np.asarray(labels),
+                      None if mask is None else np.asarray(mask))))
         self._installed(copy)
 
     def train_epoch(self, epoch: int = 0) -> "EpochStats":

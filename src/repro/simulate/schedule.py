@@ -801,34 +801,40 @@ def emit_blockrow_epoch(
 def emit_grid_epoch(
     b: ScheduleBuilder,
     widths: Sequence[int],
-    group_rows: np.ndarray,
-    group_size: int,
-    rows_of_rank: np.ndarray,
-    fsplit_widths: Callable[[int], np.ndarray],
-    outw_of_rank: Callable[[int], np.ndarray],
-    grid_spmm: Callable[..., None],
-    a_block_bytes: Optional[np.ndarray],
+    n: int,
+    grid: Tuple[int, int, int],
+    fibers: bool,
+    roots: Sequence[int],
+    operands: Sequence[Tuple[np.ndarray, np.ndarray]],
+    a_cells: Optional[np.ndarray],
 ) -> None:
     """The :class:`~repro.dist.grid.GridAlgorithm` epoch, symbolically.
 
     Phase-for-phase mirror of the set-up (the one-time section: the
     aggregation, which moves the sparse pieces, and the row-group
-    all-gather of ``T^0``) and of
-    ``GridAlgorithm._run_epoch``, shared by the 2D SUMMA and Split-3D
-    emitters.  They supply the row groups (``group_rows`` dense rows
-    each, ``group_size`` members, one per block of the
-    ``fsplit_widths(f)`` feature-column split), every rank's rows and
-    columns, and the family's sweep: ``grid_spmm(f, backward, pieces)``
-    selects the forward (``A^T``) or backward (``A``) sparse operand.  A
-    sweep moves only dense rows, for the sparse pieces move once, at
-    set-up, as ``GridAlgorithm._summa_sweep`` moves them: with
-    ``pieces`` every stage also broadcasts the operand's pieces -- the
-    aggregation's sweep over ``A^T`` -- and with ``f`` ``None`` it does
-    nothing else.  A directed operand's ``A``-grid blocks
-    (``a_block_bytes``, per rank; ``None`` for a symmetric operand,
-    whose ``A`` grid is its ``A^T`` grid, pieces included) are
-    transposed at set-up too, before its pieces move, so no epoch
-    charges ``scomm`` or ``trpose``.
+    all-gather of ``T^0``) and of ``GridAlgorithm._run_epoch``, for 2D
+    SUMMA and Split-3D alike: 2D is the one-layer case.  The layout
+    supplies only its shape and the model's counts: ``grid = (Pr, Pc,
+    L)`` (rank ``(i, j, k)``; row group ``(i, k)`` has ``Pc`` members,
+    one per block of the feature-column split, and holds the ``k``-th
+    ``L``-way sub-split of row block ``i``), whether a sweep ends in a
+    reduce-scatter along the fibers ``(i, j)`` (Split-3D's, at any
+    ``L``), each stage's root process row, and per sparse operand
+    (``operands[0]`` the forward ``A^T``, ``[1]`` the backward ``A``)
+    the ``[i, t, k]`` nonzeros of row block ``i``'s slice of stage
+    ``t`` in layer ``k`` and the ``[p, t, k]`` rows hop ``p`` of that
+    stage's relay carries.  A sweep runs, per stage, the
+    dense relay (each member booked the rows its hop carries, the root
+    the first hop's, one message each) and the local SpMMs, then the
+    fiber reduce-scatter, as ``GridAlgorithm._grid_spmm`` does.  The
+    sparse pieces move once, at set-up, as ``GridAlgorithm.
+    _summa_sweep`` moves them: the aggregation's sweep over ``A^T``
+    also broadcasts every stage's pieces along the process rows.  A
+    directed operand's ``A`` blocks (``a_cells``, their nonzeros per row
+    block and column cell; ``None`` for a symmetric operand, whose
+    ``A`` grid is its ``A^T`` grid, pieces included) are transposed at
+    set-up too, before its pieces move, so no epoch charges ``scomm``
+    or ``trpose``.
     :func:`~repro.nn.layers.sweep_order` decides which side of its
     replicated-``W`` product each sweep runs on, and
     :func:`~repro.nn.layers.funnel_reduces` how each product moves its
@@ -840,14 +846,62 @@ def emit_grid_epoch(
     bucket (the loss pair and every weight gradient,
     :func:`~repro.dist.base.bucket_nbytes`).
     """
-    rows = np.asarray(rows_of_rank, dtype=np.float64)
-    group_rows = np.asarray(group_rows, dtype=np.float64)
+    pr, pc, layers = grid
+    block_rows = np.array([hi - lo for lo, hi in block_ranges(n, pr)],
+                          dtype=np.float64)
+    # subrows[i, k]: the dense rows of rank (i, j, k) -- the k-th
+    # sub-split of row block i, and the shard a fiber (i, j)
+    # reduce-scatter leaves on layer k.
+    subrows = np.array(
+        [[hi - lo for lo, hi in block_ranges(int(m), layers)]
+         for m in block_rows], dtype=np.float64)
+    group_rows = subrows.reshape(-1)
+    rows = np.broadcast_to(subrows[:, None, :], grid).reshape(-1)
     n_layers = len(widths) - 1
+
+    def fsplit_widths(f: int) -> np.ndarray:
+        return np.array([hi - lo for lo, hi in block_ranges(f, pc)],
+                        dtype=np.float64)
+
+    def outw_of_rank(f: int) -> np.ndarray:
+        return np.broadcast_to(fsplit_widths(f)[None, :, None],
+                               grid).reshape(-1)
+
+    def grid_spmm(f: Optional[int], backward: bool,
+                  pieces: bool = False) -> None:
+        nz, run = operands[backward]
+        fw = None if f is None else fsplit_widths(f)
+        for t, root in enumerate(roots):
+            if pieces:  # the first sweep over an operand: set-up's
+                # row group (i, k) gets its slice of the stage
+                b.broadcast(
+                    Category.SCOMM, pc,
+                    sparse_wire_bytes(nz[:, t, :], block_rows[:, None],
+                                      b.wb).reshape(-1),
+                    pipelined=True,
+                )
+            if f is None:  # the pieces alone
+                continue
+            # Member (i, j, k), p = i - root hops down: |U_p| rows in
+            # j's feature columns; the root |U_1|; one message each.
+            hop = run[(np.arange(pr) - root) % pr, t, :]
+            hop[root] = run[1, t, :] if pr > 1 else 0.0
+            b.gather_rows(
+                Category.DCOMM,
+                (hop[:, None, :] * fw[None, :, None] * b.wb).reshape(-1), 1)
+            # Rank (i, j, k) multiplies its row block's stage slice into
+            # j's feature columns.
+            b.spmm(nz[:, None, t, :], block_rows[:, None, None],
+                   fw[None, :, None])
+        if f is not None and fibers:
+            # Fiber reduce-scatter over (i, j): the output's layout.
+            b.reduce_scatter(Category.DCOMM, layers,
+                             (np.outer(block_rows, fw) * b.wb).reshape(-1))
 
     def gather(f: int) -> None:
         # `_row_pieces`: one all-gather of an f-wide operand along every
         # row group.
-        b.allgather(Category.DCOMM, group_size, group_rows * (f * b.wb))
+        b.allgather(Category.DCOMM, pc, group_rows * (f * b.wb))
 
     def stage_loop(f_in: int, f_out: int) -> None:
         # The loop over gathered stages: per nonempty stage t, every
@@ -862,15 +916,16 @@ def emit_grid_epoch(
         # reduce-scatter, or the loop over stages gathered already.
         if funnel_reduces(f_in, f_out, input_layer):
             b.gemm(2.0 * rows * outw_of_rank(f_in) * f_out)
-            b.reduce_scatter(Category.DCOMM, group_size,
+            b.reduce_scatter(Category.DCOMM, pc,
                              group_rows * (f_out * b.wb))
         else:
             stage_loop(f_in, f_out)
 
     grid_spmm(widths[0], False, pieces=True)      # A^T's pieces, once
     gather(widths[0])                              # T^0, once
-    if a_block_bytes is not None:
-        b.transpose(a_block_bytes)                 # A's grid, once
+    if a_cells is not None:                        # A's grid, once
+        b.transpose(sparse_wire_bytes(a_cells, block_rows[:, None],
+                                      b.wb).reshape(-1))
         grid_spmm(None, True, pieces=True)         # A's pieces, once
     b.end_setup()
     for l in range(n_layers):

@@ -231,19 +231,9 @@ class TestCommPlan:
             np_sizes = [len(c) for c in np.array_split(np.arange(n), parts)]
             assert sizes == np_sizes
 
-    def test_workspace_reuses_buffer(self):
-        plan = CommPlan(2)
-        a = plan.workspace("x", (4, 3))
-        b = plan.workspace("x", (4, 3))
-        assert a is b
-        c = plan.workspace("x", (5, 3))  # different shape: new buffer
-        assert c is not a
-        assert plan.stats()["workspaces"] == 2
-
     def test_clear_resets(self):
         plan = CommPlan(2)
         plan.group((0, 1))
-        plan.workspace("x", (2,))
         plan.clear()
         assert plan.cached_entries == 0
         assert plan.hits == 0 and plan.misses == 0

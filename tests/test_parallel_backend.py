@@ -160,6 +160,44 @@ class TestProxySurface:
         finally:
             algo.rt.close()
 
+    @pytest.mark.parametrize("transport", ["shm", "tcp"])
+    @pytest.mark.parametrize("name,p", [("1d", 4), ("2d", 4), ("3d", 8)])
+    def test_setup_adopts_the_checked_ledger(self, ds, name, p, transport):
+        """``setup()`` is digest-checked like every ledgered command, and
+        the driver's ledger after it is the virtual run's."""
+        virtual = make_algorithm(name, p, ds, hidden=HIDDEN, seed=0)
+        virtual.setup(ds.features, ds.labels)
+        algo = make_algorithm(name, p, ds, hidden=HIDDEN, seed=0,
+                              backend="process", workers=2,
+                              transport=transport)
+        try:
+            before = algo.rt.backend_stats(workers=False)["digest_checks"]
+            algo.setup(ds.features, ds.labels)
+            after = algo.rt.backend_stats(workers=False)["digest_checks"]
+            assert algo.rt.tracker.state_bytes() == \
+                virtual.rt.tracker.state_bytes()
+        finally:
+            algo.rt.close()
+        assert after == before + 1
+
+    def test_sections_exact_on_a_process_proxy(self, ds):
+        """The ledger across a process ``setup()``, two epochs and a
+        re-install is the emitted schedule's, section by section."""
+        from repro.dist import ALGORITHMS
+        from repro.simulate import GraphModel, get_machine
+        from test_simulate import assert_sections_exact
+
+        profile = get_machine("summit")
+        algo = make_algorithm("2d", 4, ds, hidden=HIDDEN, seed=0,
+                              profile=profile, backend="process", workers=2)
+        try:
+            schedule = ALGORITHMS["2d"].emit_comm_schedule(
+                GraphModel.from_dataset(ds), algo.widths, 4)
+            assert_sections_exact(algo, ds.features, ds.labels, schedule,
+                                  profile)
+        finally:
+            algo.rt.close()
+
     def test_runtime_describe_and_close_idempotent(self, ds):
         rt = make_runtime_for("2d", 4, backend="process", workers=2)
         assert isinstance(rt, ParallelRuntime)

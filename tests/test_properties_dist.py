@@ -688,7 +688,7 @@ def relay_sweeps(algo, x, spmms):
                     k, i = divmod(gi, g)
                     root, _, runs_ = runs[t * s + k]
                     if st_.sparse[st_.sparse_routes[gi][1]].nnz:
-                        want.append(runs_[i if gi in st_.compact else root])
+                        want.append(runs_[i if gi in st_.fed else root])
             made = spmms.take()
             assert len(made) == len(want)
             calls.extend(zip(made, want))
@@ -723,6 +723,99 @@ def relay_sweeps_on_workers(name, algo, kw, transport, workers, x, spmms):
         fabric.close()
     relay_sweeps(algo, x, spmms)
     return [got[w] for w in range(workers)]
+
+
+class RecordedPieces(RecordedSpmm):
+    """:class:`RecordedSpmm`, recording each SpMM's sparse piece."""
+
+    def __enter__(self):
+        import repro.dist.grid as grid
+
+        self.grid, self.spmm, self.made = grid, grid.spmm, {}
+
+        def recording(piece, rows):
+            self.made.setdefault(threading.get_ident(), []).append(piece)
+            return self.spmm(piece, rows)
+
+        grid.spmm = recording
+        return self
+
+
+def fed_multiplies(algo, x, spmms):
+    """Two sweeps over ``A^T`` -- the first receives the stages' sparse
+    pieces, the second multiplies the kept ones -- recorded (``spmms``,
+    a :class:`RecordedPieces`): per SpMM of a row group a relay receipt
+    feeds, ``(the piece it multiplied, the piece the set-up broadcast
+    delivered to it)``."""
+    coll = algo.rt.coll
+    post, collect = coll.post, coll.collect
+    kinds, receipts = {}, []
+
+    def recording_post(kind, routes, payloads):
+        handle = post(kind, routes, payloads)
+        kinds[id(handle)] = kind
+        return handle
+
+    def recording_collect(handle):
+        got = collect(handle)
+        if kinds.pop(id(handle)) == "broadcast":
+            receipts.append(got)
+        return got
+
+    coll.post, coll.collect = recording_post, recording_collect
+    try:
+        for _ in range(2):
+            algo._grid_spmm(algo.a_t_blocks, algo._setup_data(x), 12)
+    finally:
+        coll.post, coll.collect = post, collect
+    stages = algo._summa["a_t"]
+    assert len(receipts) == len(stages)  # the first sweep's, only
+    made, out = iter(spmms.take()), []
+    for _ in range(2):
+        for st_, got in zip(stages, receipts):
+            fed = {gi for gi, group, members, span in algo._local_group_info
+                   if any(st_.feed[r][0] is not None for r in members
+                          if r in st_.feed)}
+            for gi, *_ in algo._local_group_info:
+                if got[gi].nnz:
+                    piece = next(made)
+                    if gi in fed:
+                        out.append((piece, got[gi]))
+            assert fed == st_.fed
+    assert next(made, None) is None
+    return out
+
+
+@pytest.mark.parametrize("name,p", [("2d", 4), ("3d", 8)])
+@pytest.mark.parametrize("workers", [2, 4])
+def test_fed_groups_multiply_the_pieces_they_received(name, p, workers):
+    """A row group a relay receipt feeds multiplies the sparse piece the
+    set-up broadcast delivered to it -- compacted onto its relayed rows,
+    which keeps the piece's ``data`` -- in the first sweep and in every
+    later one, not a copy built from the sender's block: on worker
+    runtimes (threads) over shm."""
+    from test_parallel_tickets import Fabric, run_threads
+
+    ds = make_synthetic(n=97, avg_degree=5, f=12, seed=7)
+    virtual = make_algorithm(name, p, ds, hidden=8, seed=0)
+    fabric = Fabric("shm", workers)
+    owners = owner_map(p, workers)
+    try:
+        with RecordedPieces() as spmms:
+            got = run_threads({w: (lambda w=w: fed_multiplies(
+                ALGORITHMS[name](
+                    WorkerRuntime(virtual.mesh, None, fabric.chans[w],
+                                  owners),
+                    virtual.a_t, virtual.widths, seed=0),
+                ds.features, spmms))
+                for w in range(workers)})
+    finally:
+        fabric.close()
+    pairs = [pair for w in range(workers) for pair in got[w]]
+    assert pairs  # some row group is fed across workers
+    for piece, received in pairs:
+        assert np.shares_memory(piece.data, received.data)
+        assert piece.nnz == received.nnz
 
 
 #: (iv) Losses of a 3-epoch fit with widths (10, 6, 6, 6) -- every layer

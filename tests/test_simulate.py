@@ -254,6 +254,63 @@ class TestLedgerExactness:
                 second.bytes_by_category[cat]
 
 
+#: A directed shape-only graph: the grid emitters' transpose and ``A``
+#: pieces under the uniform model.
+DIRECTED_UNIFORM = GraphModel.uniform(100_000, 2_000_000, name="directed",
+                                      symmetric=False, features=64,
+                                      n_classes=8)
+
+#: Uniform-model grid schedules no executed run reaches (the exact-model
+#: tests above guard the executed shapes): per section, one-time then
+#: per-epoch, ``(dcomm, scomm, trpose bytes, messages, phases)`` at the
+#: paper's fp32 element size.  Recorded before the 2D emitter became the
+#: one-layer case of the Split-3D one; unchanged by it.
+UNIFORM_GRID_PINS = {
+    ("amazon", "2d", 64, (("grid", (4, 16)),)): (
+        (214986979200, 42318114432, 0, 2688, 58),
+        (59445959296, 0, 0, 6912, 277)),
+    ("amazon", "2d", 64, (("grid", (16, 4)),)): (
+        (212134171200, 10579531808, 0, 2560, 58),
+        (47973898880, 0, 0, 6272, 193)),
+    ("reddit", "2d", 16, (("summa_block", 20000),)): (
+        (3926858040, 3727348272, 0, 416, 37),
+        (533357820, 0, 0, 1056, 137)),
+    ("protein", "3d", 512, ()): (
+        (98509785088, 86190283520, 0, 11264, 26),
+        (111969116160, 0, 0, 39424, 137)),
+    ("directed", "2d", 16, ()): (
+        (179026944, 140800512, 17600064, 240, 18),
+        (144039648, 0, 0, 544, 70)),
+    ("directed", "3d", 64, ()): (
+        (255827968, 179202048, 22400256, 1088, 19),
+        (202182528, 0, 0, 2944, 74)),
+}
+
+
+class TestUniformGridPins:
+    @pytest.mark.parametrize("case", sorted(UNIFORM_GRID_PINS),
+                             ids=lambda c: "-".join(map(str, c[:3])))
+    def test_paper_scale_grid_schedules(self, case):
+        from repro.config import FP32_BYTES
+        from repro.graph.datasets import layer_widths
+
+        dataset, family, p, kwargs = case
+        graph = (DIRECTED_UNIFORM if dataset == "directed"
+                 else GraphModel.from_published(dataset))
+        widths = layer_widths(graph.features, graph.n_classes)
+        schedule = ALGORITHMS[family].emit_comm_schedule(
+            graph, widths, p, word_bytes=FP32_BYTES, **dict(kwargs))
+        profile = get_machine(None)
+        for section, pin in zip((schedule.setup, schedule),
+                                UNIFORM_GRID_PINS[case]):
+            priced = evaluate_schedule(section, profile)
+            got = tuple(priced.bytes_by_category[c] for c in
+                        (Category.DCOMM, Category.SCOMM, Category.TRPOSE))
+            assert got + (priced.messages, priced.nphases) == pin
+            assert priced.bytes_by_category[Category.SPMM] == 0
+            assert priced.bytes_by_category[Category.MISC] == 0
+
+
 class TestGraphModel:
     def test_cell_counts_partition_nnz(self, dataset, graph):
         bounds = np.array(
