@@ -147,7 +147,9 @@ def _weights_words(widths: Sequence[int]) -> float:
     """Replicated weights + gradients (+ optimiser state ~ 1x).  The
     gradient copy is each rank's gradient bucket
     (:func:`repro.dist.base.bucket_bounds`): these words plus the two of
-    the loss pair, which no capacity here resolves."""
+    the loss pair, which no capacity here resolves.  (A 2D / 3D rank
+    holds one column band of it, :func:`repro.dist.base.bucket_bands`,
+    until the bands are gathered into the whole.)"""
     return 3.0 * sum(
         widths[l] * widths[l + 1] for l in range(len(widths) - 1)
     )

@@ -53,7 +53,7 @@ from repro.config import FP64_BYTES
 from repro.dist.distribution import Distribution
 from repro.dist.history import DistTrainHistory, EpochStats, LedgerDelta
 from repro.nn.activations import LogSoftmax, ReLU
-from repro.nn.layers import check_widths
+from repro.nn.layers import check_widths, funnel_reduces
 from repro.nn.loss import accuracy, nll_loss
 from repro.nn.model import GCN, SerialTrainer
 from repro.nn.optim import SGD, Adam, Optimizer
@@ -61,13 +61,14 @@ from repro.nn import serialize as _serialize
 from repro.obs import events as _events
 from repro.obs import spans as _spans
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.distribute import block_ranges
 from repro.sparse.perfmodel import SpmmPerfModel
 
 if TYPE_CHECKING:  # import would cycle: simulate -> dist -> simulate
     from repro.simulate.schedule import CommSchedule
 
 __all__ = ["RoutedStep", "DistAlgorithm", "clone_optimizer",
-           "bucket_bounds", "bucket_nbytes"]
+           "bucket_bounds", "bucket_nbytes", "bucket_bands", "band_nbytes"]
 
 #: (wall seconds per category, bytes per category per rank) at a mark
 _LedgerMarks = Tuple[Dict[str, float], List[Dict[str, int]]]
@@ -100,6 +101,39 @@ def bucket_nbytes(widths: Sequence[int],
     emitters price (:mod:`repro.simulate.schedule`)."""
     words = bucket_bounds(widths)[-1][1]
     return LOSS_TERMS * FP64_BYTES + word_bytes * (words - LOSS_TERMS)
+
+
+#: one band of a grid family's gradient bucket: per layer, the ``(rows,
+#: cols)`` block of ``Y^l`` it holds
+Band = Tuple[Tuple[Tuple[int, int], Tuple[int, int]], ...]
+
+
+def bucket_bands(widths: Sequence[int], parts: int) -> Tuple[Band, ...]:
+    """The gradient bucket cut into the ``parts`` column bands of a grid
+    family (:class:`repro.dist.grid.GridAlgorithm`): band ``j`` is the
+    loss pair and, per layer, the block of ``Y^l`` a rank of
+    feature-column index ``j`` contributes to -- rows ``j`` of the
+    ``f^{l-1}`` split where the layer's forward product reduces
+    (:func:`~repro.nn.layers.funnel_reduces`: its weight gradient is
+    ``T_r^T (A G^l)``, a row band), else columns ``j`` of the ``f^l``
+    split (``T^T G_r``).  The bands tile every ``Y^l``."""
+    out = []
+    for j in range(parts):
+        band = []
+        for l, (f_in, f_out) in enumerate(zip(widths, widths[1:])):
+            if funnel_reduces(f_in, f_out, l == 0):
+                band.append((block_ranges(f_in, parts)[j], (0, f_out)))
+            else:
+                band.append(((0, f_in), block_ranges(f_out, parts)[j]))
+        out.append(tuple(band))
+    return tuple(out)
+
+
+def band_nbytes(band: Band, word_bytes: int = FP64_BYTES) -> int:
+    """Wire size of one band of :func:`bucket_bands`: the fp64 loss pair
+    and its gradient blocks at ``word_bytes`` an element."""
+    return LOSS_TERMS * FP64_BYTES + word_bytes * sum(
+        (r1 - r0) * (c1 - c0) for (r0, r1), (c0, c1) in band)
 
 
 def _emit_epoch_event(stats, replayed: bool = False) -> None:

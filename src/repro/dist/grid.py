@@ -24,7 +24,8 @@ import numpy as np
 
 from repro.comm.tracker import Category
 from repro.config import FP64_BYTES
-from repro.dist.base import DistAlgorithm, RoutedStep
+from repro.dist.base import (LOSS_TERMS, DistAlgorithm, RoutedStep,
+                             band_nbytes, bucket_bands)
 from repro.nn.layers import (check_widths, forward_gemm, funnel_reduces,
                              sweep_order, weight_gradient)
 from repro.sparse.csr import CSRMatrix
@@ -112,9 +113,10 @@ class GridAlgorithm(DistAlgorithm):
     epoch, so it is gathered once per feature matrix, at set-up
     (:meth:`_keep_t0`), and both its funnels are GEMMs only.  The loss
     pair (feature-column 0's terms, zeros elsewhere) and every layer's
-    weight-gradient partial go into each rank's gradient bucket
-    (:func:`repro.dist.base.bucket_bounds`), all-reduced over the world
-    once, at the end of the backward.
+    weight-gradient partial go into each rank's band of the gradient
+    bucket (:func:`repro.dist.base.bucket_bands`), which its column
+    group all-reduces and its row group then all-gathers, once, at the
+    end of the backward (:meth:`_reduce_bucket`).
 
     The distributed SpMM (:meth:`_grid_spmm`) is Split-3D over the
     layout's ``L`` layers, 2D SUMMA its one-layer case: every layer's
@@ -182,6 +184,13 @@ class GridAlgorithm(DistAlgorithm):
         # for it thousands of times per epoch.
         self._out_cols = [self.mesh.coords(r)[1]
                           for r in range(self.rt.size)]
+        # The gradient bucket's column bands, and per band the ranks that
+        # share it, ascending (:meth:`_reduce_bucket`).
+        self._bands = bucket_bands(self.widths, pc)
+        self._col_groups = tuple(
+            self._plan().group(r for r in range(self.rt.size)
+                               if self._out_cols[r] == j)
+            for j in range(pc))
         self.a_t_blocks = distribute(self.a_t, self.mesh)
         self.a_blocks = (self.a_t_blocks if self.symmetric
                          else distribute(self.a, self.mesh))
@@ -718,14 +727,75 @@ class GridAlgorithm(DistAlgorithm):
             axis=1, bounds=self._fsplit(f_out),
         )
 
+    # ------------------------------------------------------------------ #
+    # the gradient bucket, one column band per rank
+    # ------------------------------------------------------------------ #
+    def _bucket(self, r: int) -> np.ndarray:
+        """Rank ``r``'s gradient bucket: its column's band
+        (:func:`~repro.dist.base.bucket_bands`), the loss pair and the
+        blocks of every ``Y^l`` it contributes to."""
+        band = self._bands[self._out_col(r)]
+        return self._ws(("bucket", r), (band_nbytes(band) // FP64_BYTES,))
+
+    def _band_slots(self, bucket: np.ndarray, j: int) -> List[np.ndarray]:
+        """Views of band ``j``'s ``bucket``: per layer its block of
+        ``Y^l``, C-contiguous, so a GEMM writes into it as into an array
+        of its own."""
+        slots, lo = [], LOSS_TERMS
+        for (r0, r1), (c0, c1) in self._bands[j]:
+            hi = lo + (r1 - r0) * (c1 - c0)
+            slots.append(bucket[lo:hi].reshape(r1 - r0, c1 - c0))
+            lo = hi
+        return slots
+
+    def _reduce_bucket(self, ranks) -> Tuple[float, float]:
+        """The epoch's end: every column group -- the ``Pr L`` ranks
+        sharing a feature-column index, ascending -- all-reduces its
+        band, every row group all-gathers the reduced bands, and each
+        process joins one gathered set into the whole bucket for the
+        replicated optimiser step (:meth:`_step_from_bucket`).
+
+        An entry of ``Y^l`` has nonzero terms on one column group only,
+        so it folds the terms a world all-reduce would fold, in the same
+        rank order, less the zeros; the loss pair sums the members'
+        reduced pairs in member order.  Per rank, for a bucket of ``B``
+        bytes, this moves about ``B (1 + 1 / Pc)`` in ``2 lg(Pr L) + lg
+        Pc`` messages, where the world all-reduce moved ``2 B`` in ``2
+        lg P``."""
+        reduced = self._collective(
+            "allreduce", ("bkar",), Category.DCOMM, self._col_groups,
+            {r: self._bucket(r) for r in ranks},
+            lambda: [(group, band_nbytes(band)) for group, band in
+                     zip(self._col_groups, self._bands)],
+        )
+        gathered = self._collective(
+            "allgather", ("bkag",), Category.DCOMM, self._row_group_list,
+            reduced,
+            lambda: [(group, sum(map(band_nbytes, self._bands)))
+                     for group in self._row_group_list],
+        )
+        bands = gathered[next(iter(gathered))]
+        total = np.empty(self._bucket_bounds[-1][1])
+        loss = self._bucket_slot(total)
+        loss[:] = bands[0][:LOSS_TERMS]
+        for part in bands[1:]:
+            loss += part[:LOSS_TERMS]
+        for j, part in enumerate(bands):
+            for l, (block, (rows, cols)) in enumerate(
+                    zip(self._band_slots(part, j), self._bands[j])):
+                self._bucket_slot(total, l)[slice(*rows), slice(*cols)] = \
+                    block
+        return self._step_from_bucket(total)
+
     def _weight_grad(self, l: int, t_blocks, g_blocks, t_stages=None,
                      g_stages=None) -> None:
         """Layer ``l``'s ``Y^l = T^T G`` (Equation 3) partials, each
-        local rank's written into its slot of the rank's gradient bucket
-        (:meth:`_bucket_slot`), reduced with the rest of the bucket at
-        the epoch's end.  The narrower operand is gathered along the row
-        groups (:meth:`_gather_stages`) already, by the time this runs,
-        so it moves nothing.
+        local rank's written into its block of ``Y^l`` in its band of
+        the gradient bucket (:meth:`_band_slots`), reduced with the rest
+        of the bucket at the epoch's end (:meth:`_reduce_bucket`).  The
+        narrower operand is gathered along the row groups
+        (:meth:`_gather_stages`) already, by the time this runs, so it
+        moves nothing.
 
         Given ``t_stages`` -- the stages of ``T`` the layer's forward
         product gathered and kept (:meth:`_forward_layers`; layer 1's
@@ -738,17 +808,18 @@ class GridAlgorithm(DistAlgorithm):
         ``H^{l-1}`` and ``G`` is ``A G^l``) ``g_stages`` is ``G``
         gathered by the backward, and each local rank takes its own row
         band ``T_r^T G`` from its column block of ``T`` and its group's
-        full ``G``.  Either way a partial is zero outside its band, and
-        each entry of ``Y`` has one contributor per row group, at the
-        same column index in every group: the world all-reduce folds the
-        same terms in the same order.  A layer's slot is its own, so two
-        layers of one shape never share a partial.
+        full ``G``.  Either way a rank contributes to its band alone
+        (:func:`~repro.dist.base.bucket_bands`), and each entry of ``Y``
+        has one contributor per row group, at the same column index in
+        every group.  A layer's slot is its own, so two layers of one
+        shape never share a partial.
         """
         f_in, f_out = self.widths[l], self.widths[l + 1]
         partials = {}
         for gi, group, members, span in self._local_group_info:
             for r in members:
-                partials[r] = self._bucket_slot(self._bucket(r), l)
+                partials[r] = self._band_slots(self._bucket(r),
+                                               self._out_col(r))[l]
                 partials[r].fill(0.0)
         if t_stages is not None:
             self._column_band_partials(partials, t_stages, g_blocks, f_in,
@@ -765,8 +836,7 @@ class GridAlgorithm(DistAlgorithm):
                                      self._grows(group), f_out,
                                      ("grows", gi, f_out))
             for r in members:
-                lo, hi = fins[self._out_col(r)]
-                weight_gradient(t_blocks[r], g_full, out=partials[r][lo:hi])
+                weight_gradient(t_blocks[r], g_full, out=partials[r])
 
         def gemm_charges():
             for group in self._row_group_list:
@@ -803,7 +873,7 @@ class GridAlgorithm(DistAlgorithm):
                 band = weight_gradient(recv[gi], buf)  # (hi - lo, f_out)
                 for r in members:
                     o0, o1 = fouts[self._out_col(r)]
-                    partials[r][lo:hi, o0:o1] += band[:, o0:o1]
+                    partials[r][lo:hi] += band[:, o0:o1]
             self._charge_kernel(
                 "gemm", ("wgch", f_in, f_out, t),
                 lambda lo=lo, hi=hi: stage_charges(lo, hi),
@@ -962,7 +1032,7 @@ class GridAlgorithm(DistAlgorithm):
         # ---- loss terms, at the head of each rank's gradient bucket:
         # feature-column 0 contributes, the other columns add zeros ----
         for r in out_full:
-            self._bucket_slot(self._bucket(r))[:] = (
+            self._bucket(r)[:LOSS_TERMS] = (
                 self._masked_loss_terms(*self._rank_rows(r), out_full[r])
                 if self._out_col(r) == 0 else 0.0)
 
@@ -1019,13 +1089,7 @@ class GridAlgorithm(DistAlgorithm):
                     for r in gh_blocks
                 }
                 self._charge_band_elementwise(("geb", l), f_in, 3.0 * self.WB)
-        # ---- one world all-reduce: the loss pair and every Y^l ----
-        total = self._obs_call(
-            "allreduce", Category.DCOMM, self.rt.coll.allreduce,
-            self.world_group, {r: self._bucket(r) for r in out_full},
-            category=Category.DCOMM,
-        )
-        return self._step_from_bucket(next(iter(total.values())))
+        return self._reduce_bucket(out_full)
 
     # ------------------------------------------------------------------ #
     # symbolic schedule emission (repro.simulate)

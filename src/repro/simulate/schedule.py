@@ -52,7 +52,7 @@ import numpy as np
 from repro.comm import cost_model as cm
 from repro.comm.tracker import Category
 from repro.config import FP64_BYTES, INDEX_BYTES, MachineProfile
-from repro.dist.base import bucket_nbytes
+from repro.dist.base import band_nbytes, bucket_bands, bucket_nbytes
 from repro.nn.layers import funnel_reduces, sweep_order
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.distribute import block_ranges
@@ -842,9 +842,10 @@ def emit_grid_epoch(
     where the output is narrower, else GEMMs over stages all-gathered
     once (layer 1's ``T^0`` at set-up, a forward ``T^l``, a backward
     ``A G^l``).  The weight gradient reads the same stages, so it moves
-    nothing; the epoch ends with one world all-reduce of the gradient
-    bucket (the loss pair and every weight gradient,
-    :func:`~repro.dist.base.bucket_nbytes`).
+    nothing; the epoch ends with the gradient bucket (the loss pair and
+    every weight gradient): every column group all-reduces its band
+    (:func:`~repro.dist.base.bucket_bands`), then every row group
+    all-gathers the bands.
     """
     pr, pc, layers = grid
     block_rows = np.array([hi - lo for lo, hi in block_ranges(n, pr)],
@@ -958,4 +959,8 @@ def emit_grid_epoch(
             if project_first:
                 grid_spmm(f_in, True)
             b.elementwise(rows * outw_of_rank(f_in) * (3.0 * b.wb))
-    b.allreduce(Category.DCOMM, b.p, bucket_nbytes(widths, b.wb))
+    # `_reduce_bucket`: every column group all-reduces its band of the
+    # gradient bucket, then every row group all-gathers the bands.
+    bands = [band_nbytes(band, b.wb) for band in bucket_bands(widths, pc)]
+    b.allreduce(Category.DCOMM, pr * layers, bands)
+    b.allgather(Category.DCOMM, pc, np.full(pr * layers, float(sum(bands))))

@@ -157,7 +157,19 @@ CONFIGS = [
 #: 0.0005883292904347825 -> 0.0005548906817391304,
 #: 0.0003513139411833933 -> 0.00033391428900948024,
 #: 0.000492185432047268 -> 0.0004671586494385723.  ``dcomm``, ``trpose``
-#: and every ``loss1`` did not move.
+#: and every ``loss1`` did not move.  And once more for the five 2D and
+#: 3D rows, when the gradient bucket stopped being all-reduced over the
+#: world: each column group all-reduces its band, each row group
+#: all-gathers the bands (``GridAlgorithm._reduce_bucket``): ``dcomm``
+#: 96096 -> 93056, 152288 -> 146240, 263136 -> 245376, 145376 -> 139328,
+#: 308139 -> 281301; ``max_rank`` 24024 -> 23264, 20284 -> 19528, 17070
+#: -> 15960, 18844 -> 18088, 14163 -> 13283; seconds
+#: 0.0002963909082330829 -> 0.00029587903323308293,
+#: 0.00042201622192873493 -> 0.0004199833523635175,
+#: 0.0005548906817391304 -> 0.0005508424208695651,
+#: 0.00033391428900948024 -> 0.00033188141944426287,
+#: 0.0004671586494385723 -> 0.0004671203628041118.  Every ``loss1`` did
+#: not move: each gradient entry folds the same terms in the same order.
 PRE_OPT_ORACLE = {
     ("1d", 4): dict(dcomm=119904, scomm=0, trpose=0, max_rank=29976,
                     seconds=0.00018952624206766913,
@@ -177,20 +189,20 @@ PRE_OPT_ORACLE = {
     ("1.5d", 16): dict(dcomm=405888, scomm=0, trpose=0, max_rank=25368,
                        seconds=0.00023969362358940824,
                        loss1=1.4010554851746766),
-    ("2d", 4): dict(dcomm=96096, scomm=0, trpose=0,
-                    max_rank=24024, seconds=0.0002963909082330829,
+    ("2d", 4): dict(dcomm=93056, scomm=0, trpose=0,
+                    max_rank=23264, seconds=0.00029587903323308293,
                     loss1=1.4010554851746768),
-    ("2d", 8): dict(dcomm=152288, scomm=0, trpose=0,
-                    max_rank=20284, seconds=0.00042201622192873493,
+    ("2d", 8): dict(dcomm=146240, scomm=0, trpose=0,
+                    max_rank=19528, seconds=0.0004199833523635175,
                     loss1=1.4010554851746766),
-    ("2d", 16): dict(dcomm=263136, scomm=0, trpose=0,
-                     max_rank=17070, seconds=0.0005548906817391304,
+    ("2d", 16): dict(dcomm=245376, scomm=0, trpose=0,
+                     max_rank=15960, seconds=0.0005508424208695651,
                      loss1=1.4010554851746766),
-    ("3d", 8): dict(dcomm=145376, scomm=0, trpose=0,
-                    max_rank=18844, seconds=0.00033391428900948024,
+    ("3d", 8): dict(dcomm=139328, scomm=0, trpose=0,
+                    max_rank=18088, seconds=0.00033188141944426287,
                     loss1=1.4010554851746766),
-    ("3d", 27): dict(dcomm=308139, scomm=0, trpose=0,
-                     max_rank=14163, seconds=0.0004671586494385723,
+    ("3d", 27): dict(dcomm=281301, scomm=0, trpose=0,
+                     max_rank=13283, seconds=0.0004671203628041118,
                      loss1=1.4010554851746766),
 }
 

@@ -649,7 +649,7 @@ class TestRowGroupsAcrossWorkers:
         assert stats["restarts"] == 1
 
     def test_exchanges_per_worker_epoch_tcp(self, ds, watchdog):
-        """14 exchanges per worker-epoch at W = 4 (widths 10-8-8-3; each
+        """15 exchanges per worker-epoch at W = 4 (widths 10-8-8-3; each
         worker holds one rank, so each row group collective costs one):
         - the two SpMM sweeps each way, 2 SUMMA stages of a dense relay
           each (the stages' sparse pieces were kept at set-up): 8;
@@ -660,8 +660,11 @@ class TestRowGroupsAcrossWorkers:
           reduce-scatter and one all-gather of ``A G`` for both backward
           funnels: 2;
         - the ``log_softmax`` row all-gather: 1;
-        - the gradient bucket's one all-reduce: 1.
-        That is 22 while every sweep broadcast its stages' sparse pieces
+        - the gradient bucket: its column bands' all-reduces and the row
+          groups' all-gather of the bands: 2.
+        That is 14 while the world all-reduced the whole bucket (one
+        exchange; at W = 2, where the row groups stay inside a worker,
+        the bucket still costs one), 22 while every sweep broadcast its stages' sparse pieces
         again (one more exchange a stage), 25 while the loss and the
         three weight gradients reduced apart (4 all-reduces), 27 while
         ``T^2`` and ``A G^2``
@@ -673,11 +676,11 @@ class TestRowGroupsAcrossWorkers:
         (each stage's piece broadcast, kept from then on, and its relay)
         and one all-gather of ``T^0`` (2 stage broadcasts before)."""
         first, again = exchanges_per_worker(ds, "2d", 4, "tcp")
-        assert again == [K * 14] * SPANNING_WORKERS
-        assert first == [4 + 1 + 14] * SPANNING_WORKERS
+        assert again == [K * 15] * SPANNING_WORKERS
+        assert first == [4 + 1 + 15] * SPANNING_WORKERS
 
     def test_exchanges_per_worker_epoch_3d_shm(self, ds, watchdog):
-        """14 exchanges per worker-epoch on 3D P = 8 at W = 4.  Each
+        """15 exchanges per worker-epoch on 3D P = 8 at W = 4.  Each
         worker holds one fiber ``(i, j, :)`` -- one rank of each of two
         row groups -- and a step meets its peers once for all its
         groups, so every row-group collective costs 1:
@@ -688,9 +691,10 @@ class TestRowGroupsAcrossWorkers:
         - the all-gathers of ``T^2`` and ``A G^2``, the last layer's
           reduce-scatter and ``A G`` gather, the ``log_softmax`` rows:
           5;
-        - the gradient bucket's one all-reduce: 1.
-        That is 22 while every sweep broadcast its stages' sparse pieces
-        again, 27 while a group collective met its peers once per
+        - the gradient bucket: its column bands' all-reduces (a column
+          group spans two workers) and the row groups' all-gather: 2.
+        That is 14 while the world all-reduced the whole bucket, 22
+        while every sweep broadcast its stages' sparse pieces again, 27 while a group collective met its peers once per
         group (every row-group collective cost 2), 31 while every
         sweep ended in a fiber-plane exchange
         ``(i, j, k) -> (k, j, i)`` back to a contiguous-layer input
@@ -703,8 +707,8 @@ class TestRowGroupsAcrossWorkers:
         aggregation sweep's 4 and the ``T^0`` all-gather's 1 (6 while
         it met once per group, 7 with the exchange)."""
         first, again = exchanges_per_worker(ds, "3d", 8, "shm")
-        assert again == [K * 14] * SPANNING_WORKERS
-        assert first == [5 + 14] * SPANNING_WORKERS
+        assert again == [K * 15] * SPANNING_WORKERS
+        assert first == [5 + 15] * SPANNING_WORKERS
 
 
 def exchanges_per_worker(ds, name, p, transport):

@@ -238,26 +238,31 @@ class TestFigure3Narrative:
 #: stages' sparse pieces began to move once, at set-up, instead of in each
 #: of an epoch's four sweeps -- one message per rank and stage a sweep:
 #: 2D 800 / 5824 / 41984 -> 544 / 3776 / 25600, 3D 248 / 3968 / 55808 ->
-#: 184 / 2944 / 39424.
+#: 184 / 2944 / 39424.  The gradient bucket's world all-reduce became a
+#: column-band all-reduce and a row-group all-gather: per rank ``2 lg
+#: P`` messages -> ``2 lg(P / Pc) + lg Pc``, so 2D 544 / 3776 / 25600 ->
+#: 512 / 3584 / 24576 and 3D 184 / 2944 / 39424 -> 176 / 2816 / 37888,
+#: and every ``dcomm`` fell by about ``B (Pc - 1) / Pc`` bytes a rank
+#: for a bucket of ``B`` (Reddit 2D P = 16: 533 357 820 -> 532 852 380).
 PAPER_SCALE_STAGES = {
-    ("reddit", "2d", 16): (533357820, 0, 544),
-    ("reddit", "2d", 64): (1167345496, 0, 3776),
-    ("reddit", "2d", 256): (2443421904, 0, 25600),
-    ("reddit", "3d", 8): (277353108, 0, 184),
-    ("reddit", "3d", 64): (716325276, 0, 2944),
-    ("reddit", "3d", 512): (1622622296, 0, 39424),
-    ("amazon", "2d", 16): (19611177184, 4059136, 544),
-    ("amazon", "2d", 64): (42448167552, 103133184, 3776),
-    ("amazon", "2d", 256): (87814951424, 612658944, 25600),
-    ("amazon", "3d", 8): (10561989088, 14336, 184),
-    ("amazon", "3d", 64): (26855575168, 4059136, 2944),
-    ("amazon", "3d", 512): (59366408448, 103120896, 39424),
-    ("protein", "2d", 16): (42539084768, 0, 544),
-    ("protein", "2d", 64): (96274153856, 0, 3776),
-    ("protein", "2d", 256): (203748116480, 1093632, 25600),
-    ("protein", "3d", 8): (17911228640, 0, 184),
-    ("protein", "3d", 64): (49258120064, 0, 2944),
-    ("protein", "3d", 512): (111969116160, 0, 39424),
+    ("reddit", "2d", 16): (532852380, 0, 512),
+    ("reddit", "2d", 64): (1164990680, 0, 3584),
+    ("reddit", "2d", 256): (2433360464, 0, 24576),
+    ("reddit", "3d", 8): (277184500, 0, 176),
+    ("reddit", "3d", 64): (714303900, 0, 2816),
+    ("reddit", "3d", 512): (1603784664, 0, 37888),
+    ("amazon", "2d", 16): (19610916736, 4059136, 512),
+    ("amazon", "2d", 64): (42446956032, 103133184, 3584),
+    ("amazon", "2d", 256): (87809790464, 612658944, 24576),
+    ("amazon", "3d", 8): (10561902144, 14336, 176),
+    ("amazon", "3d", 64): (26854533760, 4059136, 2816),
+    ("amazon", "3d", 512): (59356717312, 103120896, 37888),
+    ("protein", "2d", 16): (42538778240, 0, 512),
+    ("protein", "2d", 64): (96272727296, 0, 3584),
+    ("protein", "2d", 256): (203742033920, 1093632, 24576),
+    ("protein", "3d", 8): (17911126336, 0, 176),
+    ("protein", "3d", 64): (49256894336, 0, 2816),
+    ("protein", "3d", 512): (111957704704, 0, 37888),
 }
 
 

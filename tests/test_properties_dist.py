@@ -39,7 +39,7 @@ from repro.dist import (
     make_distribution,
     make_runtime_for,
 )
-from repro.dist.base import bucket_nbytes
+from repro.dist.base import band_nbytes, bucket_bands, bucket_nbytes
 from repro.graph import make_synthetic
 from repro.nn import GCN, SGD, SerialTrainer
 from repro.nn.layers import sweep_widths
@@ -319,17 +319,29 @@ class TestGeneratedShapes:
         algo, emit_kw = build_shaped(name, p, kw, a_t, widths, seed)
         schedule = ALGORITHMS[name].emit_comm_schedule(
             GraphModel.from_csr(a_t), widths, p, **emit_kw)
-        # (vi) one replicated all-reduce an epoch, its last step: the
-        # gradient bucket (the loss pair and every Y^l) over the group
-        # that replicates W; the only other all-reduces are 1.5D's fiber
+        # (vi) one reduction of the gradient bucket (the loss pair and
+        # every Y^l) an epoch, at its end: the block-row families
+        # all-reduce it over the group that replicates W; the grid
+        # families all-reduce each column band (``bucket_bands``) over
+        # the ranks that share it, then all-gather the bands along the
+        # row groups.  The only other all-reduces are 1.5D's fiber
         # reductions, one per sweep.  A layer's partial has a slot of its
         # own, so equal-width tuples -- two layers of one shape -- cannot
         # share one: (i) would catch it.
         *rest, last = schedule.phases
         c = kw.get("replication", 1)
+        if name in ("2d", "3d"):
+            pc = len(algo._row_group_list[0])
+            bands = [band_nbytes(band) for band in bucket_bands(widths, pc)]
+            *rest, last, gather = schedule.phases
+            assert gather.kind == "allgather" and gather.group_size == pc
+            assert gather.nbytes.tolist() == [sum(bands)] * (p // pc)
+            assert last.group_size == p // pc
+            assert last.nbytes.tolist() == bands
+        else:
+            assert last.group_size == p // c
+            assert last.nbytes.tolist() == [bucket_nbytes(widths)] * c
         assert isinstance(last, CollectivePhase) and last.kind == "allreduce"
-        assert last.group_size == p // c
-        assert last.nbytes.tolist() == [bucket_nbytes(widths)] * c
         fibers = [ph for ph in rest if isinstance(ph, CollectivePhase)
                   and ph.kind == "allreduce"]
         assert len(fibers) == (2 * (len(widths) - 2) if c > 1 else 0)
@@ -585,8 +597,7 @@ class TestGeneratedShapes:
                     for a, b in zip(widths[1:-1], widths[2:]))
         funnels = n * 8 * units
         hist = algo.fit(features, labels, epochs=1)
-        reduced = 16 + sum(8 * a * b for a, b in zip(widths, widths[1:]))
-        others = ((pc - 1) * n * 8 * widths[-1] + 2 * (p - 1) * reduced
+        others = ((pc - 1) * n * 8 * widths[-1] + bucket_dcomm(p, pc, widths)
                   + sweeps_dcomm(algo, *sweep_widths(widths)))
         assert hist.epochs[0].dcomm_bytes - others == funnels
         priced = evaluate_schedule(schedule, algo.rt.profile)
@@ -596,6 +607,17 @@ class TestGeneratedShapes:
         assert hist.setup.dcomm_bytes == setup
         assert evaluate_schedule(schedule.setup, algo.rt.profile) \
             .bytes_by_category[Category.DCOMM] == setup
+
+
+def bucket_dcomm(p: int, pc: int, widths) -> int:
+    """Dense bytes, over every rank, of a grid epoch's gradient bucket
+    (``GridAlgorithm._reduce_bucket``): each of the ``p / pc`` members
+    of a column group all-reduces its band, and every rank all-gathers
+    the ``pc`` bands of its row group."""
+    g = p // pc
+    bands = [band_nbytes(band) for band in bucket_bands(widths, pc)]
+    return (sum(2 * g * (band * (g - 1) // g) for band in bands)
+            + p * (sum(bands) * (pc - 1) // pc))
 
 
 def sweeps_dcomm(algo, forward, backward=()) -> int:

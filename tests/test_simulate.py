@@ -264,26 +264,32 @@ DIRECTED_UNIFORM = GraphModel.uniform(100_000, 2_000_000, name="directed",
 #: tests above guard the executed shapes): per section, one-time then
 #: per-epoch, ``(dcomm, scomm, trpose bytes, messages, phases)`` at the
 #: paper's fp32 element size.  Recorded before the 2D emitter became the
-#: one-layer case of the Split-3D one; unchanged by it.
+#: one-layer case of the Split-3D one; unchanged by it.  The per-epoch
+#: sections moved when the gradient bucket's world all-reduce became a
+#: column-band all-reduce and a row-group all-gather (one phase more):
+#: ``dcomm`` / messages / phases were Amazon 4x16 59445959296 / 6912 /
+#: 277, 16x4 47973898880 / 6272 / 193, Reddit 533357820 / 1056 / 137,
+#: Protein 3D 111969116160 / 39424 / 137, directed 2D 144039648 / 544 /
+#: 70 and 3D 202182528 / 2944 / 74.
 UNIFORM_GRID_PINS = {
     ("amazon", "2d", 64, (("grid", (4, 16)),)): (
         (214986979200, 42318114432, 0, 2688, 58),
-        (59445959296, 0, 0, 6912, 277)),
+        (59444668672, 0, 0, 6656, 278)),
     ("amazon", "2d", 64, (("grid", (16, 4)),)): (
         (212134171200, 10579531808, 0, 2560, 58),
-        (47973898880, 0, 0, 6272, 193)),
+        (47972857472, 0, 0, 6144, 194)),
     ("reddit", "2d", 16, (("summa_block", 20000),)): (
         (3926858040, 3727348272, 0, 416, 37),
-        (533357820, 0, 0, 1056, 137)),
+        (532852380, 0, 0, 1024, 138)),
     ("protein", "3d", 512, ()): (
         (98509785088, 86190283520, 0, 11264, 26),
-        (111969116160, 0, 0, 39424, 137)),
+        (111957704704, 0, 0, 37888, 138)),
     ("directed", "2d", 16, ()): (
         (179026944, 140800512, 17600064, 240, 18),
-        (144039648, 0, 0, 544, 70)),
+        (143972736, 0, 0, 512, 71)),
     ("directed", "3d", 64, ()): (
         (255827968, 179202048, 22400256, 1088, 19),
-        (202182528, 0, 0, 2944, 74)),
+        (201915264, 0, 0, 2816, 75)),
 }
 
 
