@@ -267,8 +267,6 @@ class DistAlgorithm:
         self._last_out_blocks = None
         self.relu = ReLU()
         self.logsm = LogSoftmax()
-        #: the world group, interned once (every epoch reuses the tuple).
-        self.world_group = self._plan().group(range(rt.size))
         # Backend locality: the data loops touch only `rt.local_ranks`
         # (every rank on the virtual backend; this process's ranks on the
         # multiprocess backend), while the charge paths stay global --

@@ -83,9 +83,9 @@ class GridAlgorithm(DistAlgorithm):
     Both algorithms split the feature columns of every dense matrix
     across "row groups" of ranks that jointly hold complete rows, so
     the replicated-weight GEMMs, the Equation-3 weight gradient, the
-    last-layer row all-gather for log_softmax, the column-0 loss terms,
-    the backward recursion and the distributed SpMM itself are the same
-    program; they differ only in the layout's shape.
+    column-split log_softmax and loss terms, the backward recursion and
+    the distributed SpMM itself are the same program; they differ only
+    in the layout's shape.
 
     As in the block-row family, an epoch runs ``L - 1`` SpMM sweeps each
     way, each at the narrow side of its layer's weight
@@ -111,8 +111,11 @@ class GridAlgorithm(DistAlgorithm):
     gathered so for ``G W^T`` (and, where the layer shrinks, for ``Y^l =
     (H^{l-1})^T (A G^l)`` too).  Layer 1's ``T^0`` is the same every
     epoch, so it is gathered once per feature matrix, at set-up
-    (:meth:`_keep_t0`), and both its funnels are GEMMs only.  The loss
-    pair (feature-column 0's terms, zeros elsewhere) and every layer's
+    (:meth:`_keep_t0`), and both its funnels are GEMMs only.  The output
+    layer's log_softmax moves one per-row statistic along the row groups
+    (:meth:`_log_softmax`), not the rows, and every rank keeps its own
+    columns of the log-probs and of ``dL/dZ``.  The loss pair (the terms
+    of the labels in the rank's columns) and every layer's
     weight-gradient partial go into each rank's band of the gradient
     bucket (:func:`repro.dist.base.bucket_bands`), which its column
     group all-reduces and its row group then all-gathers, once, at the
@@ -248,13 +251,14 @@ class GridAlgorithm(DistAlgorithm):
     def _stored_dense_width(self, f: int) -> int:
         return max(hi - lo for lo, hi in self._fsplit(f))
 
-    def _assemble(self, out_full) -> np.ndarray:
-        """Full output from the row-gathered copies of feature column 0,
-        one per row group, in global row order: the ranks ``(i, 0, k)``
-        ascend in it."""
-        ranks = sorted(group[0] for group in self._row_group_list)
-        out_full = self.rt.gather_blocks(out_full, ranks)
-        return np.concatenate([out_full[r] for r in ranks], axis=0)
+    def _assemble(self, blocks) -> np.ndarray:
+        """Full output from every rank's block: each row group's members'
+        columns joined, the groups in global row order (their first
+        ranks ``(i, 0, k)`` ascend in it)."""
+        blocks = self.rt.gather_blocks(blocks)
+        return np.concatenate(
+            [np.concatenate([blocks[r] for r in group], axis=1)
+             for group in sorted(self._row_group_list)], axis=0)
 
     def _piece_step(self, op_key: str, t: int,
                     st: SummaStage) -> RoutedStep:
@@ -915,19 +919,76 @@ class GridAlgorithm(DistAlgorithm):
                              for gi in groups])
                 for t, (lo, hi) in enumerate(self._fsplit(f)) if hi > lo]
 
-    def _row_allgather(self, blocks, f: int):
-        """Full rows on every local rank -- what the row-wise log_softmax
-        needs.  Every member of a row group receives the same pieces
-        (:meth:`_row_pieces`), so the concatenation happens once per
-        (local) group and the joined rows are shared read-only."""
-        pieces = self._row_pieces(blocks, f)
-        full = {}
+    @staticmethod
+    def _row_pair(z: np.ndarray) -> np.ndarray:
+        """A block's per-row ``log_softmax`` statistic: its max ``M`` and
+        ``sum exp(z - M)``; ``(-inf, 0)`` where it has no column."""
+        pair = np.empty((z.shape[0], 2))
+        if z.shape[1]:
+            pair[:, 0] = z.max(axis=1)
+            pair[:, 1] = np.exp(z - pair[:, :1]).sum(axis=1)
+        else:
+            pair[:, 0], pair[:, 1] = -np.inf, 0.0
+        return pair
+
+    def _log_softmax(self, z_blocks, f: int):
+        """``log_softmax`` of the output logits (``f`` wide), on each
+        rank's own feature columns, moving a per-row statistic in place
+        of the rows (the vocabulary-parallel cross-entropy of
+        Megatron-LM, Shoeybi et al., 2019).  Every member reduces its
+        columns to a pair a row (:meth:`_row_pair`) and the row groups
+        all-gather the pairs: two words a row per member where the rows
+        were ``f``.  A member with fewer than two columns ships them
+        instead, and every receiver reduces them as the member would
+        have.  Every member folds its group's pairs in member order,
+        ``lse = M + log sum_m S_m exp(M_m - M)`` with ``M = max_m M_m``,
+        once per local group, and its log-probs are ``z - lse``.
+        Returns those blocks and, per local row group index, the
+        gathered maxima (``rows x Pc``), from which the loss decides the
+        first-index argmax (:meth:`_run_epoch`)."""
+        widths = [hi - lo for lo, hi in self._fsplit(f)]
+        shipped = {r: z if z.shape[1] < 2 else self._row_pair(z)
+                   for r, z in z_blocks.items()}
+        words = sum(min(2, w) for w in widths)
+        got = self._collective(
+            "allgather", ("lsag", f), Category.DCOMM, self._row_group_list,
+            shipped,
+            lambda: [(group, self._grows(group) * words * self.WB)
+                     for group in self._row_group_list],
+            span="row_allgather",
+        )
+        out, maxima = {}, {}
         for gi, group, members, span in self._local_group_info:
-            joined = np.concatenate(pieces[gi], axis=1)
-            joined.flags.writeable = False
+            pairs = [self._row_pair(part) if w < 2 else part
+                     for part, w in zip(got[members[0]], widths)]
+            maxima[gi] = np.stack([pair[:, 0] for pair in pairs], axis=1)
+            top = maxima[gi].max(axis=1)
+            total = np.zeros_like(top)
+            for pair in pairs:
+                total += pair[:, 1] * np.exp(pair[:, 0] - top)
+            lse = (top + np.log(total))[:, None]
             for r in members:
-                full[r] = joined
-        return full
+                out[r] = z_blocks[r] - lse
+        return out, maxima
+
+    def _output_rows(self, r: int):
+        """Rank ``r``'s share of the loss, fixed between set-ups: the
+        masked local rows whose label is one of its feature columns, the
+        label's column in its block, and ``dL/d log_probs`` summed over
+        each whole row (``-1 / masked`` on a masked row, else 0), which
+        every member knows without the others' columns."""
+        lo, hi = self._rank_rows(r)
+        c0, c1 = self._fsplit(self.widths[-1])[self._out_col(r)]
+        key = (lo, hi, c0, c1)
+        cached = self._loss_cache.get(key)
+        if cached is None:
+            rows, labels = self._loss_rows(lo, hi)
+            mine = (labels >= c0) & (labels < c1)
+            row_sums = np.zeros((hi - lo, 1))
+            row_sums[rows] = -1.0 / self._mask_count
+            cached = (rows[mine], labels[mine] - c0, row_sums)
+            self._loss_cache[key] = cached
+        return cached
 
     # ------------------------------------------------------------------ #
     # the shared epoch
@@ -943,17 +1004,6 @@ class GridAlgorithm(DistAlgorithm):
                 for r in group:
                     b0, b1 = fcols[self._out_col(r)]
                     yield r, rows * (b1 - b0) * bytes_per_elem
-        self._charge_kernel("elementwise", key, builder)
-
-    def _charge_full_elementwise(self, key, f: int,
-                                 bytes_per_elem: float) -> None:
-        """Structural elementwise charge over every rank's *full-width*
-        gathered rows (``rows x f`` elements each)."""
-        def builder():
-            for group in self._row_group_list:
-                rows = self._grows(group)
-                for r in group:
-                    yield r, rows * f * bytes_per_elem
         self._charge_kernel("elementwise", key, builder)
 
     def _aggregate(self, h_blocks):
@@ -1002,57 +1052,48 @@ class GridAlgorithm(DistAlgorithm):
             if l < last:
                 h_blocks = {r: layer.activation.forward(z_blocks[r])
                             for r in z_blocks}
-                self._charge_band_elementwise(("gef", l), f_out,
-                                              2.0 * self.WB)
             else:
-                # log_softmax is row-wise: gather full rows first.  The
-                # gathered rows are shared per row group, so the forward
-                # runs once per group; the per-rank column re-extraction
-                # of the final H was dead work (both callers read
-                # ``out_full``) and is skipped.
-                z_full = self._row_allgather(z_blocks, f_out)
-                h_full = self._map_blocks(z_full, layer.activation.forward)
-                self._charge_full_elementwise(("gel",), f_out, 2.0 * self.WB)
-                h_blocks = {}
-                cache["z_full"] = z_full
-                cache["out_full"] = h_full
+                # log_softmax is row-wise, but only a per-row pair per
+                # member has to move.
+                h_blocks, cache["maxima"] = self._log_softmax(z_blocks,
+                                                              f_out)
+            self._charge_band_elementwise(("gef", l), f_out, 2.0 * self.WB)
             caches.append(cache)
         return h_blocks, caches
 
     def _forward_pass(self) -> np.ndarray:
-        _, caches = self._forward_layers()
-        return self._assemble(caches[-1]["out_full"])
+        out, _ = self._forward_layers()
+        return self._assemble(out)
 
     def _run_epoch(self) -> Tuple[float, float]:
-        _, caches = self._forward_layers()
-        self._set_epoch_output(caches[-1]["out_full"])
-        f_last = self.widths[-1]
-        out_full = caches[-1]["out_full"]
+        out, caches = self._forward_layers()
+        self._set_epoch_output(out)
+        z_last, maxima = caches[-1]["z"], caches[-1]["maxima"]
 
-        # ---- loss terms, at the head of each rank's gradient bucket:
-        # feature-column 0 contributes, the other columns add zeros ----
-        for r in out_full:
-            self._bucket(r)[:LOSS_TERMS] = (
-                self._masked_loss_terms(*self._rank_rows(r), out_full[r])
-                if self._out_col(r) == 0 else 0.0)
-
-        # ---- backward ----
-        fcols = self._fsplit(f_last)
-        z_full_last = caches[-1]["z_full"]
-
-        def grad_full(r: int) -> np.ndarray:
-            lo, hi = self._rank_rows(r)
-            return self.logsm.backward(
-                z_full_last[r], self._grad_out_rows(lo, hi, f_last)
-            )
-
-        g_full = self._dedup(out_full, lambda r: id(z_full_last[r]),
-                             grad_full)
+        # ---- loss terms, at the head of each rank's gradient bucket,
+        # and dL/dZ, each on the rank's own columns: the label's member
+        # picks its log-prob, and counts a row correct where it holds
+        # the row's first maximum (the first member whose M_m is the
+        # max) at the label's column ----
         g_blocks = {}
-        for r in out_full:
-            c0, c1 = fcols[self._out_col(r)]
-            g_blocks[r] = g_full[r][:, c0:c1]
-        self._charge_full_elementwise(("geg",), f_last, 3.0 * self.WB)
+        for gi, group, members, span in self._local_group_info:
+            first = np.argmax(
+                maxima[gi] == maxima[gi].max(axis=1, keepdims=True), axis=1)
+            for r in members:
+                rows, cols, row_sums = self._output_rows(r)
+                pair = self._bucket(r)[:LOSS_TERMS]
+                pair[:] = 0.0
+                if rows.size:  # then the rank holds a column
+                    pair[0] = out[r][rows, cols].sum()
+                    pair[1] = np.count_nonzero(
+                        (first[rows] == self._out_col(r))
+                        & (z_last[r][rows].argmax(axis=1) == cols))
+                lo, hi = self._rank_rows(r)
+                grad = self._grad_out_rows(lo, hi, self.widths[-1])
+                c0, c1 = self._fsplit(self.widths[-1])[self._out_col(r)]
+                g_blocks[r] = grad[:, c0:c1] - np.exp(out[r]) * row_sums
+        self._charge_band_elementwise(("geg",), self.widths[-1],
+                                      3.0 * self.WB)
 
         for l in range(self.model.num_layers - 1, -1, -1):
             layer = self.model.layers[l]
@@ -1089,7 +1130,7 @@ class GridAlgorithm(DistAlgorithm):
                     for r in gh_blocks
                 }
                 self._charge_band_elementwise(("geb", l), f_in, 3.0 * self.WB)
-        return self._reduce_bucket(out_full)
+        return self._reduce_bucket(out)
 
     # ------------------------------------------------------------------ #
     # symbolic schedule emission (repro.simulate)

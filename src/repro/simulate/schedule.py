@@ -938,12 +938,13 @@ def emit_grid_epoch(
         product(f_in, f_out, input_layer=l == 0)
         if project_first:
             grid_spmm(f_out, False)
-        if l < n_layers - 1:
-            b.elementwise(rows * outw_of_rank(f_out) * (2.0 * b.wb))
-        else:
-            gather(f_out)                          # the log_softmax rows
-            b.elementwise(rows * (2.0 * f_out * b.wb))
-    b.elementwise(rows * (3.0 * widths[-1] * b.wb))
+        if l == n_layers - 1:
+            # `_log_softmax`: a (max, sum exp) pair a row per member, or
+            # its columns where it has fewer than two
+            words = np.minimum(fsplit_widths(f_out), 2).sum()
+            b.allgather(Category.DCOMM, pc, group_rows * (words * b.wb))
+        b.elementwise(rows * outw_of_rank(f_out) * (2.0 * b.wb))
+    b.elementwise(rows * outw_of_rank(widths[-1]) * (3.0 * b.wb))
     for l in range(n_layers - 1, -1, -1):
         f_in, f_out = widths[l], widths[l + 1]
         project_first = sweep_order(f_in, f_out, l == 0).project_bwd

@@ -203,13 +203,16 @@ class TestCommunicationAccounting:
         GridAlgorithm._summa_stage`).  The rest of the epoch is dense and
         pinned exactly to closed forms from the widths: the 16 -> 4
         layer's replicated-W funnels (reduce-scatter of ``H W``,
-        all-gathers of ``Z`` and ``A G``; a ring moves (sqrt(P) - 1) / P
-        of a row group's words per rank, 1/4 -> 3/16, a 4/3 cut) and the
-        gradient bucket: each column group all-reduces its band (the
-        loss pair and 1 / sqrt(P) of the weight words), then each row
-        group all-gathers the bands.  No transpose: the symmetric operand's ``A``
-        grid is its ``A^T`` grid.  The epoch's per-rank ratio is its
-        dense part's, near 1.24."""
+        all-gather of ``A G``; a ring moves (sqrt(P) - 1) / P of a row
+        group's words per rank, 1/4 -> 3/16, a 4/3 cut), the
+        ``log_softmax`` statistic (each member's two words a row, or its
+        columns where it holds fewer: here the same 4 words a row at
+        both P, the same cut) and the gradient bucket: each column group
+        all-reduces its band (the loss pair and 1 / sqrt(P) of the
+        weight words), then each row group all-gathers the bands.  No
+        transpose: the symmetric operand's ``A`` grid is its ``A^T``
+        grid.  The epoch's per-rank ratio is its dense part's, near
+        1.32."""
         big = make_synthetic(n=600, avg_degree=6, f=32, n_classes=4, seed=6)
         n, w = big.num_vertices, (32, 16, 4)
         f = w[-1]  # both sweeps and every funnel run at the narrow side
@@ -238,11 +241,15 @@ class TestCommunicationAccounting:
                 moved[t] = hop[1] if q > 1 else 0  # the root sends U_1
                 sweeps += moved
             sweeps = 2 * sweeps * (f // q) * 8
-            funnels = 3 * (q - 1) * (n // q) * f * 8 // q
+            funnels = 2 * (q - 1) * (n // q) * f * 8 // q
+            # log_softmax's statistic: a member's two words a row, or its
+            # columns where it holds fewer (at P = 16 each holds one)
+            words = sum(min(2, len(c)) for c in np.array_split(range(f), q))
+            pairs = (q - 1) * (n // q) * words * 8 // q
             # every rank's band: the loss pair and 1/q of each Y^l
             band = 2 * 8 + (w[0] * w[1] + w[1] * w[2]) * 8 // q
             bucket = 2 * (band * (q - 1) // q) + band * (q - 1)
-            return np.repeat(sweeps, q).tolist(), funnels + bucket
+            return np.repeat(sweeps, q).tolist(), funnels + pairs + bucket
 
         max_rank, sweep_max, parts, kept = {}, {}, {}, {}
         for p in (4, 16):

@@ -8,6 +8,8 @@ list the ledger is charged by.  Its byte counts are all-rank sums, so
 comparisons against a per-rank figure divide by ``P``.
 """
 
+import math
+
 import pytest
 
 from repro.comm import VirtualRuntime
@@ -17,7 +19,8 @@ from repro.dist.algo_1d import DistGCN1D
 from repro.dist.algo_2d import DistGCN2D
 from repro.nn.layers import sweep_widths
 from repro.simulate import GraphModel, evaluate_schedule, predict_epoch
-from repro.simulate.schedule import CommSchedule
+from repro.simulate.schedule import CollectivePhase, CommSchedule
+from repro.sparse.distribute import block_ranges
 
 #: Protein's published shape: 128 features, 16 hidden, 256 classes
 PROTEIN_WIDTHS = (128, 16, 16, 256)
@@ -94,10 +97,13 @@ class TestPaperStories:
 
     def test_narrow_sweeps_move_the_protein_crossover(self):
         """The finding above, pinned: narrow sweeps took 1D's dense
-        bytes down to 64 column-units of sweeps against 304, and narrow
-        funnels take 2D's back below them from P = 36 (the crossover was
-        P = 100 while 2D's funnels broadcast the wide operand)."""
-        for p, two_d_fewer in ((25, False), (36, True), (64, True)):
+        bytes down to 64 column-units of sweeps against 304, and 2D's
+        narrow funnels and its per-row ``log_softmax`` statistic take
+        2D's back below them from P = 9 (the crossover was P = 36 while
+        2D all-gathered the 256-wide output rows before ``log_softmax``,
+        and P = 100 while 2D's funnels broadcast the wide operand)."""
+        for p, two_d_fewer in ((4, False), (9, True), (16, True),
+                               (36, True), (64, True)):
             m1 = published("1d", "protein", p)
             m2 = published("2d", "protein", p)
             assert (
@@ -118,30 +124,56 @@ class TestPaperStories:
 
     def test_2d_dense_bytes_scale_with_sqrt_p(self):
         """Per rank, 2D's dense words fall by ``sqrt(256 / 16) = 4`` from
-        P = 16 to 256, in two exact parts.  The SUMMA sweeps' relays move
-        the whole ``n / sqrt(P)``-row block to every member (Protein's
-        members read every row of a stage, but for a few at P = 256):
-        4.000.
-        The row-group all-gathers and reduce-scatters (the funnels and
-        the ``log_softmax`` rows) charge each member the ``(Pc - 1) /
-        Pc`` of its group's ``n / Pr`` rows it does not hold, ``(Pc - 1)
-        / P`` of ``n f``: ``(3 / 16) / (15 / 256) = 3.200``.  (The weight gradients' world
-        all-reduces are ``f x f``, the same at every P.)"""
-        def per_rank(p, kinds):
+        P = 16 to 256 where they move the layers' operands, in two exact
+        parts.  The SUMMA sweeps' relays move the whole ``n /
+        sqrt(P)``-row block to every member (Protein's members read
+        every row of a stage, but for a few at P = 256): 4.000.
+        The funnels' row-group all-gathers and reduce-scatters charge
+        each member the ``(Pc - 1) / Pc`` of its group's ``n / Pr`` rows
+        it does not hold, ``(Pc - 1) / P`` of ``n f``: ``(3 / 16) / (15
+        / 256) = 3.200``.
+        The ``log_softmax`` statistic is ``2 (Pc - 1)`` words a row: a
+        rank gets two from each other member of its row group for each
+        of its ``n / Pr`` rows.  It grows with P, ``(3 / 4) / (15 / 16)
+        = 0.8`` from P = 16 to 256, and stays small: it used to be the
+        256-wide rows, ``(Pc - 1) / Pc`` of ``n f^L / Pr``, 32x this at
+        P = 16.  (The gradient bucket's bands and their gather, the last
+        two phases, are ``f x f``, nearly the same at every P.)"""
+        n = GraphModel.from_published("protein").n
+
+        def statistic(ph, q):
+            rows = block_ranges(n, q)[0]
+            return (isinstance(ph, CollectivePhase)
+                    and ph.kind == "allgather"
+                    and ph.nbytes[0] == (rows[1] - rows[0]) * 2 * q * 4)
+
+        def per_rank(p, keep):
             schedule = DistGCN2D.emit_comm_schedule(
                 GraphModel.from_published("protein"), PROTEIN_WIDTHS, p,
                 word_bytes=FP32_BYTES)
+            q = math.isqrt(p)
             part = CommSchedule(p, [
-                ph for ph in schedule.phases
+                ph for ph in schedule.phases[:-2]
                 if getattr(ph, "category", None) == Category.DCOMM
-                and getattr(ph, "kind", "relay") in kinds])
+                and keep(ph, q)])
             return evaluate_schedule(part, SUMMIT).bytes_by_category[
                 Category.DCOMM] / p
 
-        for kinds, ratio in ((("relay",), 4.0),
-                             (("allgather", "reduce_scatter"), 3.2)):
-            assert per_rank(16, kinds) / per_rank(256, kinds) == \
-                pytest.approx(ratio, rel=1e-3), kinds
+        def relay(ph, q):
+            return not isinstance(ph, CollectivePhase)
+
+        def funnel(ph, q):
+            return (isinstance(ph, CollectivePhase)
+                    and ph.kind in ("allgather", "reduce_scatter")
+                    and not statistic(ph, q))
+
+        assert per_rank(16, relay) / per_rank(256, relay) == \
+            pytest.approx(4.0, rel=1e-3)
+        assert per_rank(16, funnel) / per_rank(256, funnel) == \
+            pytest.approx(3.2, rel=1e-3)
+        for p in (16, 256):
+            q = math.isqrt(p)
+            assert per_rank(p, statistic) == 2 * (q - 1) * 4 * n / q
 
     def test_slow_network_favours_2d(self):
         """Section I: slower networks 'increase the relative cost of

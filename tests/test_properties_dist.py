@@ -577,7 +577,7 @@ class TestGeneratedShapes:
         gathers ``T^l`` once for its product and ``Y = T^T G``, then
         gathers ``A G`` for ``G W^T`` (equal widths) or, growing,
         reduce-scatters ``G W^T`` at ``f^{l-1}``.  Beyond the sweeps, the
-        ``log_softmax`` row gather and the gradient bucket's all-reduce,
+        ``log_softmax`` pairs' gather and the gradient bucket's bands,
         the ledger and the emitted schedule charge exactly that, and the
         set-up exactly its sweep plus one gather of ``T^0``, ``(Pc - 1) n
         f^0`` words.
@@ -597,7 +597,11 @@ class TestGeneratedShapes:
                     for a, b in zip(widths[1:-1], widths[2:]))
         funnels = n * 8 * units
         hist = algo.fit(features, labels, epochs=1)
-        others = ((pc - 1) * n * 8 * widths[-1] + bucket_dcomm(p, pc, widths)
+        # log_softmax: each rank gets a row's statistic from each other
+        # member of its row group, two words or the member's columns
+        # where it holds fewer
+        words = sum(min(2, hi - lo) for lo, hi in algo._fsplit(widths[-1]))
+        others = ((pc - 1) * n * 8 * words + bucket_dcomm(p, pc, widths)
                   + sweeps_dcomm(algo, *sweep_widths(widths)))
         assert hist.epochs[0].dcomm_bytes - others == funnels
         priced = evaluate_schedule(schedule, algo.rt.profile)
@@ -845,7 +849,11 @@ def test_fed_groups_multiply_the_pieces_they_received(name, p, workers):
 #: on the commit before the rule existed (5efa059): bit-identical after.
 #: One re-pin since: 1.5D's second loss moved in the last bit (...954 ->
 #: ...956) when every SpMM became the compiled kernel (c0e7749's dispatch
-#: ran some first-touch blocks through the numpy kernel).
+#: ran some first-touch blocks through the numpy kernel).  And one for
+#: the grid rows, when ``log_softmax`` began to fold per-row (max, sum
+#: exp) pairs and each member to pick its own columns' loss terms: 2D P =
+#: 4 ...954 -> ...956 (second loss), 2D P = 8 ...517 -> ...520 (first),
+#: 3D P = 8 ...956 -> ...954 (second).
 EQUAL_WIDTH_LOSSES = {
     ('1d', 4, 'symmetric'): [1.826012853433352, 1.8234909164189956, 1.8210591931073037],
     ('1d', 4, 'outer'): [1.826012853433352, 1.8234909164189956, 1.8210591931073037],
@@ -853,9 +861,9 @@ EQUAL_WIDTH_LOSSES = {
     ('1d', 4, 'transpose'): [1.826012853433352, 1.8234909164189956, 1.8210591931073037],
     ('1d', 4, 'ghost'): [1.8260128534333517, 1.8234909164189956, 1.8210591931073037],
     ('1.5d', 4, None): [1.8260128534333517, 1.8234909164189956, 1.8210591931073037],
-    ('2d', 4, None): [1.8260128534333517, 1.8234909164189954, 1.8210591931073037],
-    ('2d', 8, None): [1.8260128534333517, 1.8234909164189954, 1.8210591931073037],
-    ('3d', 8, None): [1.826012853433352, 1.8234909164189956, 1.8210591931073037],
+    ('2d', 4, None): [1.8260128534333517, 1.8234909164189956, 1.8210591931073037],
+    ('2d', 8, None): [1.826012853433352, 1.8234909164189954, 1.8210591931073037],
+    ('3d', 8, None): [1.826012853433352, 1.8234909164189954, 1.8210591931073037],
 }
 
 
@@ -917,6 +925,68 @@ def test_process_runs_keep_the_virtual_runs_bits(transport, config, hidden,
     assert placement_run(name, p, grid, hidden, backend="process",
                          workers=workers, transport=transport) == \
         virtual_placement_run(name, p, grid, hidden)
+
+
+# ---------------------------------------------------------------------- #
+# output layers narrower than the row groups
+# ---------------------------------------------------------------------- #
+#: grid shapes whose output layer leaves some member of every row group
+#: without a class column (``f^L < Pc``), or is one column wide:
+#: ``(family, P, grid, classes)``
+NARROW_OUTPUTS = [
+    pytest.param("2d", 8, (2, 4), 3, id="2d-2x4-3classes"),
+    pytest.param("3d", 27, None, 2, id="3d-27-2classes"),
+    pytest.param("2d", 4, None, 1, id="2d-4-1class"),
+    pytest.param("3d", 8, None, 1, id="3d-8-1class"),
+]
+
+
+def narrow_run(name, p, grid, classes, **backend):
+    """A 3-epoch fit's losses (``float.hex``), its ``predict()`` and the
+    algorithm (closed, on the process backend)."""
+    ds = make_synthetic(n=61, avg_degree=4, f=8, n_classes=classes, seed=3)
+    algo = make_algorithm(name, p, ds, hidden=6, seed=0, grid=grid,
+                          **backend)
+    try:
+        hist = algo.fit(ds.features, ds.labels, epochs=3)
+        return [float(x).hex() for x in hist.losses], algo.predict(), algo
+    finally:
+        if backend:
+            algo.rt.close()
+
+
+@pytest.mark.parametrize("name,p,grid,classes", NARROW_OUTPUTS)
+def test_narrow_outputs_match_serial_and_schedule(name, p, grid, classes):
+    """``log_softmax`` folds a member with no class column as ``(-inf,
+    0)``: the log-probs stay finite, training follows the serial
+    reference, and the ledger the emitted schedule."""
+    ds = make_synthetic(n=61, avg_degree=4, f=8, n_classes=classes, seed=3)
+    _, log_probs, algo = narrow_run(name, p, grid, classes)
+    split = algo._fsplit(classes)
+    assert classes == 1 or any(hi == lo for lo, hi in split)
+    assert log_probs.shape == (61, classes)
+    assert np.isfinite(log_probs).all()
+    assert algo.verify_against_serial(ds.features, ds.labels,
+                                      epochs=2) <= 1e-12
+    algo = make_algorithm(name, p, ds, hidden=6, seed=0, grid=grid)
+    schedule = ALGORITHMS[name].emit_comm_schedule(
+        GraphModel.from_dataset(ds), algo.widths, p,
+        **({"grid": grid} if grid else {}))
+    assert_sections_exact(algo, ds.features, ds.labels, schedule,
+                          algo.rt.profile)
+
+
+@pytest.mark.parametrize("transport", ["shm", "tcp"])
+@pytest.mark.parametrize("workers", [2, 4])
+@pytest.mark.parametrize("name,p,grid,classes", NARROW_OUTPUTS)
+def test_narrow_outputs_keep_the_virtual_bits(name, p, grid, classes,
+                                              workers, transport):
+    losses, log_probs, _ = narrow_run(name, p, grid, classes)
+    got_losses, got, _ = narrow_run(name, p, grid, classes,
+                                    backend="process", workers=workers,
+                                    transport=transport)
+    assert got_losses == losses
+    assert got.tobytes() == log_probs.tobytes()
 
 
 # ---------------------------------------------------------------------- #
