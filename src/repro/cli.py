@@ -278,7 +278,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         bd = history.mean_breakdown(skip_first=True)
         print(f"\n{'epoch':>5s} {'loss':>9s} {'acc':>6s}")
         step = max(1, args.epochs // 10)
-        for e in history.epochs[::step] + history.epochs[-1:]:
+        rows = history.epochs[::step]
+        if rows[-1] is not history.epochs[-1]:
+            rows.append(history.epochs[-1])
+        for e in rows:
             print(f"{e.epoch:5d} {e.loss:9.4f} {e.train_accuracy:6.3f}")
         print(f"\none-time aggregation (A^T H^0): "
               f"{_comm_bytes_line(history.setup)}")

@@ -81,6 +81,25 @@ class TestCommands:
         assert re.search(r"per-epoch communication: dcomm \d+ B, scomm 0 B",
                          out)
 
+    @pytest.mark.parametrize("epochs,shown", [
+        (2, [0, 1]),
+        (21, [0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20]),
+        (26, [0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 25]),
+    ])
+    def test_train_prints_each_epoch_once(self, capsys, epochs, shown):
+        """Every ``epochs // 10``-th epoch's row, then the last epoch's
+        unless it was one of them."""
+        rc = main([
+            "train", "--algorithm", "1d", "--gpus", "2",
+            "--vertices", "32", "--features", "4", "--hidden", "4",
+            "--epochs", str(epochs),
+        ])
+        assert rc == 0
+        table = capsys.readouterr().out.split("epoch      loss    acc\n")[1]
+        rows = re.findall(r"^\s*(\d+) +-?\d+\.\d+ +\d\.\d+$",
+                          table.split("\n\n")[0], flags=re.M)
+        assert [int(r) for r in rows] == shown
+
     def test_train_prints_the_transpose_bytes(self, capsys):
         """1D's transposing variant exchanges A's row blocks every
         epoch, and the per-epoch line says how many bytes."""
