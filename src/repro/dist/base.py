@@ -284,7 +284,7 @@ class DistAlgorithm:
         # Per-epoch invariants hoisted out of the epoch loop: masked loss
         # row indices and output-layer one-hot gradients depend only on
         # (labels, mask, row ranges), fixed between setup() calls.
-        self._loss_cache: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
+        self._loss_cache: Dict[Tuple[int, ...], Tuple[np.ndarray, ...]] = {}
         self._grad_cache: Dict[Tuple[int, int, int], np.ndarray] = {}
         #: fault-tolerance accounting, read back through the process
         #: backend's ``stats`` op: checkpoints this instance has written

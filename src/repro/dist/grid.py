@@ -187,13 +187,28 @@ class GridAlgorithm(DistAlgorithm):
         # for it thousands of times per epoch.
         self._out_cols = [self.mesh.coords(r)[1]
                           for r in range(self.rt.size)]
-        # The gradient bucket's column bands, and per band the ranks that
-        # share it, ascending (:meth:`_reduce_bucket`).
-        self._bands = bucket_bands(self.widths, pc)
+        # The gradient bucket's column bands (:meth:`_reduce_bucket`):
+        # per band the ranks that share it, ascending, its wire size, its
+        # ``(start, stop, shape)`` slot per layer, and where its gradient
+        # words land in the whole bucket.
+        bands = bucket_bands(self.widths, pc)
         self._col_groups = tuple(
             self._plan().group(r for r in range(self.rt.size)
                                if self._out_cols[r] == j)
             for j in range(pc))
+        self._band_bytes = [band_nbytes(band) for band in bands]
+        self._band_slots, joined = [], []
+        for band in bands:
+            slots, lo = [], LOSS_TERMS
+            for l, ((r0, r1), (c0, c1)) in enumerate(band):
+                slots.append((lo, lo + (r1 - r0) * (c1 - c0),
+                              (r1 - r0, c1 - c0)))
+                lo = slots[-1][1]
+                start, f_out = self._bucket_bounds[l + 1][0], self.widths[l + 1]
+                joined.append((start + np.arange(r0, r1)[:, None] * f_out
+                               + np.arange(c0, c1)).ravel())
+            self._band_slots.append(slots)
+        self._band_index = np.concatenate(joined)
         self.a_t_blocks = distribute(self.a_t, self.mesh)
         self.a_blocks = (self.a_t_blocks if self.symmetric
                          else distribute(self.a, self.mesh))
@@ -738,19 +753,14 @@ class GridAlgorithm(DistAlgorithm):
         """Rank ``r``'s gradient bucket: its column's band
         (:func:`~repro.dist.base.bucket_bands`), the loss pair and the
         blocks of every ``Y^l`` it contributes to."""
-        band = self._bands[self._out_col(r)]
-        return self._ws(("bucket", r), (band_nbytes(band) // FP64_BYTES,))
+        return self._ws(("bucket", r),
+                        (self._band_bytes[self._out_col(r)] // FP64_BYTES,))
 
-    def _band_slots(self, bucket: np.ndarray, j: int) -> List[np.ndarray]:
-        """Views of band ``j``'s ``bucket``: per layer its block of
-        ``Y^l``, C-contiguous, so a GEMM writes into it as into an array
-        of its own."""
-        slots, lo = [], LOSS_TERMS
-        for (r0, r1), (c0, c1) in self._bands[j]:
-            hi = lo + (r1 - r0) * (c1 - c0)
-            slots.append(bucket[lo:hi].reshape(r1 - r0, c1 - c0))
-            lo = hi
-        return slots
+    def _band_slot(self, r: int, l: int) -> np.ndarray:
+        """Rank ``r``'s block of ``Y^l`` in its bucket, C-contiguous, so a
+        GEMM writes into it as into an array of its own."""
+        lo, hi, shape = self._band_slots[self._out_col(r)][l]
+        return self._bucket(r)[lo:hi].reshape(shape)
 
     def _reduce_bucket(self, ranks) -> Tuple[float, float]:
         """The epoch's end: every column group -- the ``Pr L`` ranks
@@ -769,13 +779,12 @@ class GridAlgorithm(DistAlgorithm):
         reduced = self._collective(
             "allreduce", ("bkar",), Category.DCOMM, self._col_groups,
             {r: self._bucket(r) for r in ranks},
-            lambda: [(group, band_nbytes(band)) for group, band in
-                     zip(self._col_groups, self._bands)],
+            lambda: list(zip(self._col_groups, self._band_bytes)),
         )
         gathered = self._collective(
             "allgather", ("bkag",), Category.DCOMM, self._row_group_list,
             reduced,
-            lambda: [(group, sum(map(band_nbytes, self._bands)))
+            lambda: [(group, sum(self._band_bytes))
                      for group in self._row_group_list],
         )
         bands = gathered[next(iter(gathered))]
@@ -784,18 +793,15 @@ class GridAlgorithm(DistAlgorithm):
         loss[:] = bands[0][:LOSS_TERMS]
         for part in bands[1:]:
             loss += part[:LOSS_TERMS]
-        for j, part in enumerate(bands):
-            for l, (block, (rows, cols)) in enumerate(
-                    zip(self._band_slots(part, j), self._bands[j])):
-                self._bucket_slot(total, l)[slice(*rows), slice(*cols)] = \
-                    block
+        total[self._band_index] = np.concatenate(
+            [part[LOSS_TERMS:] for part in bands])
         return self._step_from_bucket(total)
 
     def _weight_grad(self, l: int, t_blocks, g_blocks, t_stages=None,
                      g_stages=None) -> None:
         """Layer ``l``'s ``Y^l = T^T G`` (Equation 3) partials, each
         local rank's written into its block of ``Y^l`` in its band of
-        the gradient bucket (:meth:`_band_slots`), reduced with the rest
+        the gradient bucket (:meth:`_band_slot`), reduced with the rest
         of the bucket at the epoch's end (:meth:`_reduce_bucket`).  The
         narrower operand is gathered along the row groups
         (:meth:`_gather_stages`) already, by the time this runs, so it
@@ -822,8 +828,7 @@ class GridAlgorithm(DistAlgorithm):
         partials = {}
         for gi, group, members, span in self._local_group_info:
             for r in members:
-                partials[r] = self._band_slots(self._bucket(r),
-                                               self._out_col(r))[l]
+                partials[r] = self._band_slot(r, l)
                 partials[r].fill(0.0)
         if t_stages is not None:
             self._column_band_partials(partials, t_stages, g_blocks, f_in,
@@ -921,14 +926,19 @@ class GridAlgorithm(DistAlgorithm):
 
     @staticmethod
     def _row_pair(z: np.ndarray) -> np.ndarray:
-        """A block's per-row ``log_softmax`` statistic: its max ``M`` and
-        ``sum exp(z - M)``; ``(-inf, 0)`` where it has no column."""
-        pair = np.empty((z.shape[0], 2))
-        if z.shape[1]:
-            pair[:, 0] = z.max(axis=1)
-            pair[:, 1] = np.exp(z - pair[:, :1]).sum(axis=1)
-        else:
-            pair[:, 0], pair[:, 1] = -np.inf, 0.0
+        """A block's per-row ``log_softmax`` statistic, ``2 x rows``: its
+        max ``M`` and ``sum exp(z - M)``, summed in column order;
+        ``(-inf, 0)`` where it has no column.  The block is reduced
+        transposed: over a few columns a reduction along the rows runs
+        several times faster."""
+        pair = np.empty((2, z.shape[0]))
+        if not z.shape[1]:
+            pair[0], pair[1] = -np.inf, 0.0
+            return pair
+        zt = z.T.copy()
+        np.maximum.reduce(zt, axis=0, out=pair[0])
+        zt -= pair[0]
+        np.add.reduce(np.exp(zt, out=zt), axis=0, out=pair[1])
         return pair
 
     def _log_softmax(self, z_blocks, f: int):
@@ -944,7 +954,7 @@ class GridAlgorithm(DistAlgorithm):
         ``lse = M + log sum_m S_m exp(M_m - M)`` with ``M = max_m M_m``,
         once per local group, and its log-probs are ``z - lse``.
         Returns those blocks and, per local row group index, the
-        gathered maxima (``rows x Pc``), from which the loss decides the
+        gathered maxima (``Pc x rows``), from which the loss decides the
         first-index argmax (:meth:`_run_epoch`)."""
         widths = [hi - lo for lo, hi in self._fsplit(f)]
         shipped = {r: z if z.shape[1] < 2 else self._row_pair(z)
@@ -959,13 +969,12 @@ class GridAlgorithm(DistAlgorithm):
         )
         out, maxima = {}, {}
         for gi, group, members, span in self._local_group_info:
-            pairs = [self._row_pair(part) if w < 2 else part
-                     for part, w in zip(got[members[0]], widths)]
-            maxima[gi] = np.stack([pair[:, 0] for pair in pairs], axis=1)
-            top = maxima[gi].max(axis=1)
-            total = np.zeros_like(top)
-            for pair in pairs:
-                total += pair[:, 1] * np.exp(pair[:, 0] - top)
+            pairs = np.stack([self._row_pair(part) if w < 2 else part
+                              for part, w in zip(got[members[0]], widths)])
+            maxima[gi] = pairs[:, 0]
+            top = maxima[gi].max(axis=0)
+            # the sum over axis 0 adds the members' terms in member order
+            total = (pairs[:, 1] * np.exp(maxima[gi] - top)).sum(axis=0)
             lse = (top + np.log(total))[:, None]
             for r in members:
                 out[r] = z_blocks[r] - lse
@@ -1077,8 +1086,7 @@ class GridAlgorithm(DistAlgorithm):
         # max) at the label's column ----
         g_blocks = {}
         for gi, group, members, span in self._local_group_info:
-            first = np.argmax(
-                maxima[gi] == maxima[gi].max(axis=1, keepdims=True), axis=1)
+            first = np.argmax(maxima[gi] == maxima[gi].max(axis=0), axis=0)
             for r in members:
                 rows, cols, row_sums = self._output_rows(r)
                 pair = self._bucket(r)[:LOSS_TERMS]
