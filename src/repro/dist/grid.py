@@ -953,13 +953,14 @@ class GridAlgorithm(DistAlgorithm):
         have.  Every member folds its group's pairs in member order,
         ``lse = M + log sum_m S_m exp(M_m - M)`` with ``M = max_m M_m``,
         once per local group, and its log-probs are ``z - lse``.
-        Returns those blocks and, per local row group index, the
-        gathered maxima (``Pc x rows``), from which the loss decides the
-        first-index argmax (:meth:`_run_epoch`)."""
-        widths = [hi - lo for lo, hi in self._fsplit(f)]
+        Returns those blocks and, per local row group index, the member
+        that holds each row's first maximum -- the first whose ``M_m`` is
+        ``M`` -- from which the loss decides the first-index argmax
+        (:meth:`_run_epoch`)."""
+        ncols = [hi - lo for lo, hi in self._fsplit(f)]
         shipped = {r: z if z.shape[1] < 2 else self._row_pair(z)
                    for r, z in z_blocks.items()}
-        words = sum(min(2, w) for w in widths)
+        words = sum(min(2, w) for w in ncols)
         got = self._collective(
             "allgather", ("lsag", f), Category.DCOMM, self._row_group_list,
             shipped,
@@ -967,18 +968,18 @@ class GridAlgorithm(DistAlgorithm):
                      for group in self._row_group_list],
             span="row_allgather",
         )
-        out, maxima = {}, {}
+        out, first = {}, {}
         for gi, group, members, span in self._local_group_info:
             pairs = np.stack([self._row_pair(part) if w < 2 else part
-                              for part, w in zip(got[members[0]], widths)])
-            maxima[gi] = pairs[:, 0]
-            top = maxima[gi].max(axis=0)
+                              for part, w in zip(got[members[0]], ncols)])
+            top = pairs[:, 0].max(axis=0)
+            first[gi] = np.argmax(pairs[:, 0] == top, axis=0)
             # the sum over axis 0 adds the members' terms in member order
-            total = (pairs[:, 1] * np.exp(maxima[gi] - top)).sum(axis=0)
+            total = (pairs[:, 1] * np.exp(pairs[:, 0] - top)).sum(axis=0)
             lse = (top + np.log(total))[:, None]
             for r in members:
                 out[r] = z_blocks[r] - lse
-        return out, maxima
+        return out, first
 
     def _output_rows(self, r: int):
         """Rank ``r``'s share of the loss, fixed between set-ups: the
@@ -1064,8 +1065,8 @@ class GridAlgorithm(DistAlgorithm):
             else:
                 # log_softmax is row-wise, but only a per-row pair per
                 # member has to move.
-                h_blocks, cache["maxima"] = self._log_softmax(z_blocks,
-                                                              f_out)
+                h_blocks, cache["first"] = self._log_softmax(z_blocks,
+                                                             f_out)
             self._charge_band_elementwise(("gef", l), f_out, 2.0 * self.WB)
             caches.append(cache)
         return h_blocks, caches
@@ -1077,7 +1078,7 @@ class GridAlgorithm(DistAlgorithm):
     def _run_epoch(self) -> Tuple[float, float]:
         out, caches = self._forward_layers()
         self._set_epoch_output(out)
-        z_last, maxima = caches[-1]["z"], caches[-1]["maxima"]
+        z_last, first = caches[-1]["z"], caches[-1]["first"]
 
         # ---- loss terms, at the head of each rank's gradient bucket,
         # and dL/dZ, each on the rank's own columns: the label's member
@@ -1086,7 +1087,6 @@ class GridAlgorithm(DistAlgorithm):
         # max) at the label's column ----
         g_blocks = {}
         for gi, group, members, span in self._local_group_info:
-            first = np.argmax(maxima[gi] == maxima[gi].max(axis=0), axis=0)
             for r in members:
                 rows, cols, row_sums = self._output_rows(r)
                 pair = self._bucket(r)[:LOSS_TERMS]
@@ -1094,7 +1094,7 @@ class GridAlgorithm(DistAlgorithm):
                 if rows.size:  # then the rank holds a column
                     pair[0] = out[r][rows, cols].sum()
                     pair[1] = np.count_nonzero(
-                        (first[rows] == self._out_col(r))
+                        (first[gi][rows] == self._out_col(r))
                         & (z_last[r][rows].argmax(axis=1) == cols))
                 lo, hi = self._rank_rows(r)
                 grad = self._grad_out_rows(lo, hi, self.widths[-1])
