@@ -339,7 +339,9 @@ class Collectives:
                     raise ValueError(
                         f"gather_rows pair ({src}, {dst}) is a self-send; "
                         "own rows are already local")
-                if not len(rows):
+                # (None: a process that neither sends nor receives the
+                # rows of a transfer knows only its ends)
+                if rows is not None and not len(rows):
                     raise ValueError(
                         f"gather_rows pair ({src}, {dst}) names no row; "
                         "leave it out")

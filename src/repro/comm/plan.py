@@ -1,4 +1,4 @@
-"""Communication plans: precomputed groups, splits and structure memos.
+"""Communication plans: precomputed groups and splits.
 
 The executed runtime is bulk-synchronous and *static*: every epoch of a
 distributed algorithm walks the same collectives over the same groups
@@ -11,8 +11,7 @@ those invariants once (typically at ``DistAlgorithm.setup``):
 * **groups** -- validated rank tuples, interned so repeat calls are a
   dict hit instead of a per-rank range check;
 * **splits** -- near-equal contiguous ``(lo, hi)`` boundaries (the
-  ``numpy.array_split`` convention shared by every distribution helper);
-* **memos** -- derived route structures replayed every epoch.
+  ``numpy.array_split`` convention shared by every distribution helper).
 
 Scratch buffers are per algorithm (:meth:`repro.dist.base.DistAlgorithm.
 _ws`), not plan-held: two algorithms sharing one runtime would collide
@@ -26,7 +25,7 @@ pre-plan ledger constants and the PR 2 schedule oracle).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.comm.mesh import ProcessMesh, validate_group
 
@@ -42,8 +41,8 @@ class CommPlan:
     benchmarks.
     """
 
-    __slots__ = ("world_size", "mesh", "_groups", "_splits", "_memos",
-                 "hits", "misses")
+    __slots__ = ("world_size", "mesh", "_groups", "_splits", "hits",
+                 "misses")
 
     def __init__(self, world_size: int, mesh: Optional[ProcessMesh] = None):
         if world_size < 1:
@@ -52,7 +51,6 @@ class CommPlan:
         self.mesh = mesh
         self._groups: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         self._splits: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = {}
-        self._memos: Dict[tuple, object] = {}
         self.hits = 0
         self.misses = 0
 
@@ -107,44 +105,11 @@ class CommPlan:
         return cached
 
     # ------------------------------------------------------------------ #
-    # structure memos
-    # ------------------------------------------------------------------ #
-    #: Memo capacity: unlike groups/splits (tiny, bounded by mesh
-    #: structure), memo values can hold O(nnz) arrays and their keys may
-    #: reference whole operands -- a long-lived runtime cycling through
-    #: algorithm instances must not accumulate them without bound.
-    MEMO_CAP = 64
-
-    def memo(self, key: Any, builder: Callable[[], Any]) -> Any:
-        """An arbitrary derived *structure*, built once per key.
-
-        For communication structures that do not fit the group/split
-        molds -- e.g. the ghost-row exchange's (src, dst, rows) route
-        list, derived from sparse block structure at setup and replayed
-        every epoch.  ``builder()`` runs on the first request; the result
-        must be treated as immutable by every consumer (it is shared
-        across epochs and, on the multiprocess backend, re-derived
-        identically in every worker).  Never touches the ledger.
-        Entries are evicted FIFO beyond :data:`MEMO_CAP`, so keying on
-        operand objects cannot pin unbounded memory.
-        """
-        cached = self._memos.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        value = builder()
-        while len(self._memos) >= self.MEMO_CAP:
-            self._memos.pop(next(iter(self._memos)))
-        self._memos[key] = value
-        return value
-
-    # ------------------------------------------------------------------ #
     # introspection
     # ------------------------------------------------------------------ #
     @property
     def cached_entries(self) -> int:
-        return len(self._groups) + len(self._splits) + len(self._memos)
+        return len(self._groups) + len(self._splits)
 
     def stats(self) -> Dict[str, int]:
         """Cache effectiveness counters (for tests and benchmarks)."""
@@ -153,14 +118,12 @@ class CommPlan:
             "misses": self.misses,
             "groups": len(self._groups),
             "splits": len(self._splits),
-            "memos": len(self._memos),
         }
 
     def clear(self) -> None:
         """Drop every cached entry (e.g. between unrelated runs)."""
         self._groups.clear()
         self._splits.clear()
-        self._memos.clear()
         self.hits = 0
         self.misses = 0
 

@@ -73,6 +73,12 @@ class RuntimeBase(Runtime):
     #: human-readable backend name (``describe`` embeds it).
     backend = "virtual"
 
+    #: whether an algorithm on this runtime decides itself if a feature
+    #: matrix is new, on a private copy of the last one
+    #: (:meth:`~repro.dist.base.DistAlgorithm._install_features`); a
+    #: process-backend worker is told by its driver instead
+    compares_features = True
+
     def _init_core(self, mesh: ProcessMesh,
                    profile: Optional[MachineProfile]) -> None:
         self.mesh = mesh

@@ -25,7 +25,7 @@ data movement.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from repro.comm.tracker import Category
 from repro.config import FP64_BYTES
 from repro.dist.base import RoutedStep
 from repro.dist.blockrow import BlockRowAlgorithm
+from repro.dist.shard import Shard
 from repro.nn.layers import check_widths
 from repro.nn.optim import Optimizer
 from repro.sparse.csr import CSRMatrix
@@ -43,13 +44,21 @@ from repro.sparse.spmm import spmm
 __all__ = ["DistGCN15D"]
 
 
+def _layout(n: int, p: int, c: int
+            ) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
+    """``(group_ranges, subsets)``: the ``q = P/c`` groups' row ranges,
+    and per replica ``j`` the source groups ``subsets[j]`` it handles."""
+    q = p // c
+    return block_ranges(n, q), block_ranges(q, c)
+
+
 class DistGCN15D(BlockRowAlgorithm):
     """1.5D replicated block-row distributed GCN training."""
 
     def __init__(
         self,
         rt: VirtualRuntime,
-        a_t: CSRMatrix,
+        a_t: Union[CSRMatrix, Shard],
         widths: Sequence[int],
         replication: int = 1,
         seed: int = 0,
@@ -57,27 +66,14 @@ class DistGCN15D(BlockRowAlgorithm):
         distribution=None,
     ):
         # A distribution contributes its part-major relabelling (applied
-        # in the base class); the 1.5D layout keeps its own near-equal
-        # block split -- partition-aware row ranges are a 1D feature.
+        # by the cut); the 1.5D layout keeps its own near-equal block
+        # split -- partition-aware row ranges are a 1D feature.
         super().__init__(rt, a_t, widths, seed=seed, optimizer=optimizer,
-                         distribution=distribution)
-        p = rt.size
-        c = int(replication)
-        if c < 1 or p % c != 0:
-            raise ValueError(
-                f"replication c={c} must divide the rank count P={p}"
-            )
-        if not self.symmetric:
-            raise ValueError(
-                "the 1.5D algorithm requires a symmetric operand (A == A^T); "
-                "its backward pass reuses the replicated block rows of A^T"
-            )
-        self.p = p
-        self.c = c
+                         distribution=distribution, replication=replication)
+        self.p = p = rt.size
+        self.c = c = int(replication)
         self.q = p // c
-        self.group_ranges = block_ranges(self.n, self.q)
-        #: replica ``j`` of every group handles source groups ``subsets[j]``.
-        self.subsets = block_ranges(self.q, c)
+        self.group_ranges, self.subsets = _layout(self.n, p, c)
         # Communication groups, enumerated once and interned in the plan
         # (every epoch's broadcasts and all-reduces reuse the tuples).
         plan = self._plan()
@@ -87,17 +83,36 @@ class DistGCN15D(BlockRowAlgorithm):
         self._fiber_groups = [
             plan.group(self._fiber_group(g)) for g in range(self.q)
         ]
-        # Per-rank column slab of the group's A^T block row: contiguous
-        # source groups map to a contiguous column range.
-        self.a_slabs: Dict[int, CSRMatrix] = {}
+        self.a_slabs = self._roles["a_slabs"]
+
+    @classmethod
+    def _cut(cls, mesh, a_t, a, symmetric, replication=1,
+             distribution=None):
+        """Per rank, the column slab of its group's ``A^T`` block row
+        that its replica's source groups cover: contiguous source groups
+        map to a contiguous column range."""
+        p, c, n = mesh.size, int(replication), a_t.nrows
+        if c < 1 or p % c != 0:
+            raise ValueError(
+                f"replication c={c} must divide the rank count P={p}"
+            )
+        if not symmetric:
+            raise ValueError(
+                "the 1.5D algorithm requires a symmetric operand (A == A^T); "
+                "its backward pass reuses the replicated block rows of A^T"
+            )
+        q = p // c
+        group_ranges, subsets = _layout(n, p, c)
+        bands = [a_t.row_slice(g0, g1) for g0, g1 in group_ranges]
+        slabs = {}
         for r in range(p):
-            g, j = self._coords(r)
-            g0, g1 = self.group_ranges[g]
-            s0, s1 = self.subsets[j]
-            c0 = self.group_ranges[s0][0] if s0 < self.q else self.n
-            c1 = self.group_ranges[s1 - 1][1] if s1 > s0 else c0
-            band = self.a_t.row_slice(g0, g1)
-            self.a_slabs[r] = band.block(0, g1 - g0, c0, c1)
+            g, j = divmod(r, c)
+            g0, g1 = group_ranges[g]
+            s0, s1 = subsets[j]
+            c0 = group_ranges[s0][0] if s0 < q else n
+            c1 = group_ranges[s1 - 1][1] if s1 > s0 else c0
+            slabs[r] = bands[g].block(0, g1 - g0, c0, c1)
+        return {"a_slabs": slabs}, {}
 
     # ------------------------------------------------------------------ #
     # grid helpers

@@ -42,7 +42,7 @@ algorithm.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -51,9 +51,10 @@ from repro.comm.tracker import Category
 from repro.config import FP64_BYTES
 from repro.dist.blockrow import BlockRowAlgorithm
 from repro.dist.distribution import Distribution, ghost_structure
+from repro.dist.shard import Shard
 from repro.nn.layers import check_widths
 from repro.nn.optim import Optimizer
-from repro.sparse.csr import CSRMatrix
+from repro.sparse.csr import CSRMatrix, SparseShape
 from repro.sparse.distribute import block_ranges, gather_dense_1d_rows
 from repro.sparse.spmm import spmm
 
@@ -88,13 +89,27 @@ def resolve_1d_variant(variant: str, symmetric: bool) -> str:
     return variant
 
 
+def _row_ranges(n: int, p: int, distribution: Optional[Distribution]
+                ) -> Tuple[Tuple[int, int], ...]:
+    """Rank row ranges: the distribution's (possibly uneven) parts, or
+    the paper's near-equal contiguous split."""
+    if distribution is None:
+        return tuple(block_ranges(n, p))
+    if distribution.nparts != p:
+        raise ValueError(
+            f"distribution has {distribution.nparts} parts for "
+            f"P={p} ranks"
+        )
+    return tuple(distribution.row_ranges)
+
+
 class DistGCN1D(BlockRowAlgorithm):
     """1D block-row distributed GCN training (Algorithm 1)."""
 
     def __init__(
         self,
         rt: VirtualRuntime,
-        a_t: CSRMatrix,
+        a_t: Union[CSRMatrix, Shard],
         widths: Sequence[int],
         seed: int = 0,
         optimizer: Optional[Optimizer] = None,
@@ -102,78 +117,72 @@ class DistGCN1D(BlockRowAlgorithm):
         distribution: Optional[Distribution] = None,
     ):
         super().__init__(rt, a_t, widths, seed=seed, optimizer=optimizer,
-                         distribution=distribution)
-        self.variant = variant = resolve_1d_variant(variant, self.symmetric)
+                         distribution=distribution, variant=variant)
+        self.variant = resolve_1d_variant(variant, self.symmetric)
         self.p = rt.size
-        if distribution is not None and distribution.nparts != self.p:
-            raise ValueError(
-                f"distribution has {distribution.nparts} parts for "
-                f"P={self.p} ranks"
-            )
         self.world = tuple(range(self.p))
-        # Rank row ranges: the distribution's (possibly uneven) parts,
-        # or the paper's near-equal contiguous split.
-        self.row_ranges = tuple(
-            distribution.row_ranges if distribution is not None
-            else block_ranges(self.n, self.p)
-        )
-        self.a_t_rows = {
-            r: self.a_t.row_slice(lo, hi)
-            for r, (lo, hi) in enumerate(self.row_ranges)
-        }
-        # Backward operands per variant.  The outer variants' column
-        # blocks and the transpose variant's A block rows are derived
-        # locally at setup; only the transpose variant *communicates*
-        # them, which it charges per epoch (Section IV-A.7's
-        # ``2 alpha P^2 + 2 beta nnz/P`` term).  The ghost variant
-        # derives its exchange structure + compact (referenced-columns
-        # -only) blocks instead.
+        self.row_ranges = _row_ranges(self.n, self.p, distribution)
+        # The blocks of every role the variant reads (:meth:`_cut`).  The
+        # outer variants' column blocks and the transpose variant's A
+        # block rows come with the cut; only the transpose variant
+        # *communicates* them, which it charges per epoch (Section
+        # IV-A.7's ``2 alpha P^2 + 2 beta nnz/P`` term).  The ghost
+        # variant multiplies compact (referenced-columns-only) blocks
+        # along its exchange structure instead.
+        roles = self._roles
+        self.a_t_rows = roles["a_t_rows"]
         if self.variant in ("outer", "outer_sparse"):
-            self.a_cols = {
-                r: self.a.block(0, self.n, c0, c1)
-                for r, (c0, c1) in enumerate(self.row_ranges)
-            }
-            # The rows of each partial A[:, rows_r] G_r the structure can
-            # fill: what the sparse wire ships, whatever G holds.
-            self.a_cols_nz_rows = tuple(
-                int(np.count_nonzero(np.diff(self.a_cols[r].indptr)))
-                for r in self.world
-            )
+            self.a_cols = roles["a_cols"]
+            self.a_cols_nz_rows = self._shard_extra["a_cols_nz_rows"]
         elif self.variant == "ghost":
             self.a_rows = self.a_t_rows  # A == A^T guaranteed
-            self._setup_ghost()
+            self._ghost = self._shard_extra["ghost"]
+            self.a_t_compact = roles["a_t_compact"]
         else:
-            self.a_rows = (
-                self.a_t_rows
-                if self.symmetric
-                else {
-                    r: self.a.row_slice(lo, hi)
-                    for r, (lo, hi) in enumerate(self.row_ranges)
-                }
-            )
+            self.a_rows = roles["a_rows"]
 
-    def _setup_ghost(self) -> None:
-        """Derive the ghost exchange structure and compact blocks.
+    @classmethod
+    def _cut(cls, mesh, a_t, a, symmetric, variant="auto",
+             distribution=None):
+        """Block rows of ``A^T``; per variant, also the rows a product of
+        the partials can fill (outer: column blocks of ``A``), the ghost
+        exchange and its compact blocks (ghost: each rank's block with
+        its column indices remapped onto its referenced-column space --
+        the remap is monotone, so every row's nonzero order, hence every
+        SpMM row sum, is bitwise the full-width block's; its full-width
+        block is then only a shape), or block rows of ``A``."""
+        variant = resolve_1d_variant(variant, symmetric)
+        n = a_t.nrows
+        row_ranges = _row_ranges(n, mesh.size, distribution)
+        a_t_rows = {r: a_t.row_slice(lo, hi)
+                    for r, (lo, hi) in enumerate(row_ranges)}
+        roles, extra = {"a_t_rows": a_t_rows}, {}
+        if variant in ("outer", "outer_sparse"):
+            roles["a_cols"] = {r: a.block(0, n, c0, c1)
+                               for r, (c0, c1) in enumerate(row_ranges)}
+            # The rows of each partial A[:, rows_r] G_r the structure can
+            # fill: what the sparse wire ships, whatever G holds.
+            extra["a_cols_nz_rows"] = tuple(
+                int(np.count_nonzero(np.diff(block.indptr)))
+                for block in roles["a_cols"].values())
+        elif variant == "ghost":
+            g = extra["ghost"] = ghost_structure(a_t, row_ranges)
+            roles["a_t_compact"] = {
+                r: block.compact_columns(g.ref_cols[r])
+                for r, block in a_t_rows.items()}
+            roles["a_t_rows"] = {r: SparseShape.of(block)
+                                 for r, block in a_t_rows.items()}
+        else:
+            roles["a_rows"] = a_t_rows if symmetric else {
+                r: a.row_slice(lo, hi)
+                for r, (lo, hi) in enumerate(row_ranges)}
+        return roles, extra
 
-        The structure (who fetches which rows from whom) is pure graph
-        structure, interned in the runtime's plan; each *local* rank
-        gets a compact copy of its block whose column indices are
-        remapped onto its referenced-column space -- the remap is
-        monotone, so every row's nonzero order (hence every SpMM row
-        sum) is bitwise the full-width block's.
-        """
-        # Keyed by the operand object itself (identity hash): plans
-        # outlive algorithms, and two algorithms sharing a runtime must
-        # not share structure derived from different matrices.
-        self._ghost = self._plan().memo(
-            ("ghost", self.a_t, self.row_ranges),
-            lambda: ghost_structure(self.a_t, self.row_ranges),
-        )
-        g = self._ghost
-        self.a_t_compact = {}
-        for r in self._local(self.world):
-            self.a_t_compact[r] = self.a_t_rows[r].compact_columns(
-                g.ref_cols[r])
+    @classmethod
+    def _localize(cls, extra, ranks):
+        if "ghost" not in extra:
+            return extra
+        return dict(extra, ghost=extra["ghost"].local(ranks))
 
     # ------------------------------------------------------------------ #
     # BlockRowAlgorithm hooks
@@ -403,12 +412,6 @@ class DistGCN1D(BlockRowAlgorithm):
                     f"distribution covers {distribution.n} vertices, "
                     f"graph has {n}"
                 )
-            if distribution.nparts != p:
-                raise ValueError(
-                    f"distribution has {distribution.nparts} parts for "
-                    f"P={p} ranks"
-                )
-            row_ranges = distribution.row_ranges
             if graph.exact and not distribution.is_identity:
                 graph = GraphModel.from_csr(
                     distribution.permute_matrix(graph.csr),
@@ -416,8 +419,7 @@ class DistGCN1D(BlockRowAlgorithm):
                     n_classes=graph.n_classes,
                 )
             meta_extra["partition"] = distribution.kind
-        else:
-            row_ranges = block_ranges(n, p)
+        row_ranges = _row_ranges(n, p, distribution)
         bounds = np.array([0] + [hi for _, hi in row_ranges],
                           dtype=np.int64)
         rows = np.diff(bounds).astype(np.float64)

@@ -53,11 +53,12 @@ and roots and the ``A`` blocks' column bounds.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.comm.mesh import Mesh2D, square_side
 from repro.comm.runtime import VirtualRuntime
 from repro.dist.grid import GridAlgorithm, SummaStage
+from repro.dist.shard import Shard
 from repro.nn.optim import Optimizer
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.distribute import block_ranges, distribute_sparse_2d
@@ -116,7 +117,7 @@ class DistGCN2D(GridAlgorithm):
     def __init__(
         self,
         rt: VirtualRuntime,
-        a_t: CSRMatrix,
+        a_t: Union[CSRMatrix, Shard],
         widths: Sequence[int],
         seed: int = 0,
         optimizer: Optional[Optimizer] = None,
@@ -139,7 +140,9 @@ class DistGCN2D(GridAlgorithm):
             self.pc,
             [self.row_ranges[self.mesh.coords(r)[0]]
              for r in range(rt.size)],
-            distribute_sparse_2d, self._summa_stages)
+            self._summa_stages)
+
+    _distribute = staticmethod(distribute_sparse_2d)
 
     def _summa_stages(self, sparse_blocks: Dict[int, CSRMatrix]
                       ) -> List[SummaStage]:
@@ -153,8 +156,9 @@ class DistGCN2D(GridAlgorithm):
             pieces = {}
             for i in range(self.pr):
                 blk = sparse_blocks[rank_of(i, co)]
-                pieces[rank_of(i, co)] = blk.block(0, blk.nrows, lo - c0,
-                                                   hi - c0)
+                whole = (lo - c0, hi - c0) == (0, blk.ncols)
+                pieces[rank_of(i, co)] = (blk if whole else blk.block(
+                    0, blk.nrows, lo - c0, hi - c0))
             out.append(self._summa_stage([pieces], ro, (lo - r0, hi - r0),
                                          lambda i, j, k: rank_of(i, j)))
         return out

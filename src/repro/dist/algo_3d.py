@@ -40,11 +40,12 @@ and, for the emitter, the stage cells' column bounds and roots (the
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.comm.mesh import Mesh3D, cube_side
 from repro.comm.runtime import VirtualRuntime
 from repro.dist.grid import GridAlgorithm, SummaStage
+from repro.dist.shard import Shard
 from repro.nn.optim import Optimizer
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.distribute import block_ranges, distribute_sparse_3d
@@ -60,7 +61,7 @@ class DistGCN3D(GridAlgorithm):
     def __init__(
         self,
         rt: VirtualRuntime,
-        a_t: CSRMatrix,
+        a_t: Union[CSRMatrix, Shard],
         widths: Sequence[int],
         seed: int = 0,
         optimizer: Optional[Optimizer] = None,
@@ -90,7 +91,9 @@ class DistGCN3D(GridAlgorithm):
             s,
             [self.sub_ranges[i][k]
              for i, _, k in map(self.mesh.coords, range(rt.size))],
-            distribute_sparse_3d, self._split_stages)
+            self._split_stages)
+
+    _distribute = staticmethod(distribute_sparse_3d)
 
     def _split_stages(self, sparse_blocks: Dict[int, CSRMatrix]
                       ) -> List[SummaStage]:

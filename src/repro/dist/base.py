@@ -37,22 +37,24 @@ from __future__ import annotations
 
 import os
 import time
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
-                    List, Mapping, NamedTuple, Optional, Sequence, Tuple,
-                    Union)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Iterable,
+                    Iterator, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
 from repro.analysis import sanitize as _sanitize
 from repro.comm import cost_model as cm
 from repro.comm.collectives import EXACT, payload_nbytes
+from repro.comm.mesh import ProcessMesh
 from repro.comm.plan import CommPlan
 from repro.comm.runtime import Runtime
 from repro.comm.tracker import Category
 from repro.config import FP64_BYTES
 from repro.dist.distribution import Distribution
 from repro.dist.history import DistTrainHistory, EpochStats, LedgerDelta
-from repro.nn.activations import LogSoftmax, ReLU
+from repro.dist.shard import Shard
+from repro.nn.activations import LogSoftmax
 from repro.nn.layers import check_widths, funnel_reduces
 from repro.nn.loss import accuracy, nll_loss
 from repro.nn.model import GCN, SerialTrainer
@@ -60,18 +62,24 @@ from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn import serialize as _serialize
 from repro.obs import events as _events
 from repro.obs import spans as _spans
-from repro.sparse.csr import CSRMatrix
+from repro.sparse.csr import CSRMatrix, SparseShape
 from repro.sparse.distribute import block_ranges
 from repro.sparse.perfmodel import SpmmPerfModel
 
 if TYPE_CHECKING:  # import would cycle: simulate -> dist -> simulate
     from repro.simulate.schedule import CommSchedule
 
-__all__ = ["RoutedStep", "DistAlgorithm", "clone_optimizer",
-           "bucket_bounds", "bucket_nbytes", "bucket_bands", "band_nbytes"]
+__all__ = ["RoutedStep", "DistAlgorithm", "HELD_FEATURES", "clone_optimizer",
+           "bucket_bounds", "bucket_nbytes", "bucket_bands",
+           "band_nbytes"]
 
 #: (wall seconds per category, bytes per category per rank) at a mark
 _LedgerMarks = Tuple[Dict[str, float], List[Dict[str, int]]]
+
+#: What the process backend's driver ships in place of a feature matrix
+#: bit-equal to the one its pool installed last: "install nothing, keep
+#: the matrix installed last" (:meth:`DistAlgorithm._install_features`).
+HELD_FEATURES = "held-features"
 
 #: words of the ``[sum_picked, correct]`` loss pair that heads every
 #: rank's gradient bucket -- fp64 whatever the dense element size
@@ -204,57 +212,68 @@ class DistAlgorithm:
 
     Subclasses receive the forward-pass SpMM operand ``a_t`` (the paper's
     ``A^T``, equal to ``A`` for GCN-normalised undirected graphs) and the
-    layer ``widths`` ``(f^0, ..., f^L)``.  The backward operand ``A`` is
-    derived once here (transpose for directed inputs), mirroring
+    layer ``widths`` ``(f^0, ..., f^L)`` -- or, on a process-backend
+    worker, the :class:`~repro.dist.shard.Shard` the driver cut of it
+    for the worker's ranks (:meth:`cut_shards`, the one cut every runtime
+    builds its ranks from).  The backward operand ``A`` is derived once
+    by the cut (transpose for directed inputs), mirroring
     :class:`repro.nn.model.SerialTrainer`'s ``a_t``/``a`` pair.
     """
 
     #: bytes per dense element; the reproduction executes in fp64.
     WB = FP64_BYTES
 
+    #: whether a block this process does not hold is described with its
+    #: nonempty columns (:class:`~repro.sparse.csr.SparseShape`): the
+    #: grid family builds its SUMMA relays from every piece's columns
+    _SHAPE_COLUMNS = False
+
     def __init__(
         self,
         rt: Runtime,
-        a_t: CSRMatrix,
+        a_t: Union[CSRMatrix, Shard],
         widths: Sequence[int],
         seed: int = 0,
         optimizer: Optional[Optimizer] = None,
         distribution: Optional[Distribution] = None,
+        **layout: Any,
     ):
         widths = check_widths(widths)
-        if a_t.nrows != a_t.ncols:
-            raise ValueError(f"adjacency must be square, got {a_t.shape}")
-        if distribution is not None and distribution.n != a_t.nrows:
-            raise ValueError(
-                f"distribution covers {distribution.n} vertices, "
-                f"graph has {a_t.nrows}"
-            )
         # Partition-aware layout: the operand is relabelled part-major
-        # once, here; setup() relabels the dense inputs to match and the
-        # prediction surface maps back, so callers never see internal
-        # ids.  The block-row family additionally adopts the
+        # once, by the cut; setup() relabels the dense inputs to match
+        # and the prediction surface maps back, so callers never see
+        # internal ids.  The block-row family additionally adopts the
         # distribution's per-rank row ranges (see DistGCN1D); the grid
         # families use the relabelling alone.
+        shard = a_t if isinstance(a_t, Shard) else self.cut_shards(
+            rt.mesh, a_t, [rt.local_ranks], distribution=distribution,
+            operand=True, **layout)[0]
         self.distribution = distribution
-        if distribution is not None:
-            a_t = distribution.permute_matrix(a_t)
         self.rt = rt
-        self.a_t = a_t
-        self.n = a_t.nrows
+        #: the whole internal operand and its transpose: held where the
+        #: caller's matrix was cut (the virtual runtime), ``None`` on a
+        #: process-backend worker, which holds only its shard
+        self.a_t, self.a = shard.a_t, shard.a
+        #: the shard's blocks by role and its family structure, for the
+        #: subclass constructor to adopt (:meth:`cut_shards`)
+        self._roles, self._shard_extra = shard.blocks, shard.extra
+        self.n = shard.n
         self.widths = widths
         self.seed = seed
         self.optimizer = optimizer if optimizer is not None else SGD(lr=0.1)
         self.model = GCN(self.widths, seed=seed)
         self._bucket_bounds = bucket_bounds(widths)
-        self.symmetric = self._is_symmetric(a_t)
-        self.a = a_t if self.symmetric else a_t.transpose()
+        self.symmetric = shard.symmetric
         self.perf = SpmmPerfModel.from_profile(rt.profile)
         self._ready = False
         self._labels_provisional = False
-        #: the installed feature matrix (caller's order, a private copy)
-        #: and the product aggregated from it, ``T^0 = A^T H^0`` -- every
-        #: forward sweep starts from ``_t0``; see :meth:`_install_features`.
+        #: the installed feature matrix (caller's order, a private copy;
+        #: ``None`` on a process-backend worker, which keeps none), whether
+        #: one is installed, and the product aggregated from it, ``T^0 =
+        #: A^T H^0`` -- every forward sweep starts from ``_t0``; see
+        #: :meth:`_install_features`.
         self._features: Optional[np.ndarray] = None
+        self._installed = False
         self._t0: Dict[int, np.ndarray] = {}
         self._labels: Optional[np.ndarray] = None
         self._mask: Optional[np.ndarray] = None
@@ -265,7 +284,6 @@ class DistAlgorithm:
         #: shipment, so paying it every epoch just to fill a cache that
         #: is usually never read would tax the scaling path.
         self._last_out_blocks = None
-        self.relu = ReLU()
         self.logsm = LogSoftmax()
         # Backend locality: the data loops touch only `rt.local_ranks`
         # (every rank on the virtual backend; this process's ranks on the
@@ -313,11 +331,82 @@ class DistAlgorithm:
         """Charged forward-only sweep; returns full ``n x f^L`` log-probs."""
         raise NotImplementedError
 
-    @property
-    def installed_features(self) -> Optional[np.ndarray]:
-        """The feature matrix installed last (the caller's order, a
-        private copy; :meth:`_install_features`), or ``None``."""
-        return self._features
+    @classmethod
+    def _cut(cls, mesh: ProcessMesh, a_t: CSRMatrix, a: CSRMatrix,
+             symmetric: bool,
+             **layout: Any) -> Tuple[Dict[str, Dict[int, CSRMatrix]],
+                                     Dict[str, Any]]:
+        """The family's layout of the internal operand over every rank
+        of ``mesh``: ``({role: {rank: block}}, structure)`` -- the
+        blocks of each operand role the epoch reads (two roles may be
+        the same dict) and any further structure the ledger or the data
+        plane needs (:meth:`_localize` cuts it per process).  Every
+        layout error is raised here, before any worker is told."""
+        raise NotImplementedError
+
+    @classmethod
+    def _localize(cls, extra: Dict[str, Any],
+                  ranks: FrozenSet[int]) -> Dict[str, Any]:
+        """The part of :meth:`_cut`'s structure a process holding
+        ``ranks`` needs (all of it by default)."""
+        return extra
+
+    @classmethod
+    def cut_shards(cls, mesh: ProcessMesh, a_t: CSRMatrix,
+                   rank_sets: Sequence[Iterable[int]],
+                   distribution: Optional[Distribution] = None,
+                   operand: bool = False, **layout: Any) -> List[Shard]:
+        """Cut the caller's operand once into one :class:`Shard` per set
+        of ranks: the virtual runtime asks for one shard of every rank,
+        the process backend's driver for one per worker.
+
+        The operand is relabelled by ``distribution``, checked for
+        symmetry and transposed where directed once, here; the family's
+        :meth:`_cut` lays it out over every rank, and each shard holds
+        the blocks of its own ranks, a
+        :class:`~repro.sparse.csr.SparseShape` of every other rank's
+        block (what the global ledger's charges read) and its part of
+        the family's structure.  ``operand=True`` also hands each shard
+        the whole internal ``A^T`` and ``A``."""
+        if a_t.nrows != a_t.ncols:
+            raise ValueError(f"adjacency must be square, got {a_t.shape}")
+        if distribution is not None:
+            if distribution.n != a_t.nrows:
+                raise ValueError(
+                    f"distribution covers {distribution.n} vertices, "
+                    f"graph has {a_t.nrows}"
+                )
+            a_t = distribution.permute_matrix(a_t)
+        symmetric = cls._is_symmetric(a_t)
+        a = a_t if symmetric else a_t.transpose()
+        roles, extra = cls._cut(mesh, a_t, a, symmetric,
+                                distribution=distribution, **layout)
+        shapes: Dict[int, SparseShape] = {}
+
+        def shape(block: CSRMatrix) -> SparseShape:
+            got = shapes.get(id(block))
+            if got is None:
+                got = shapes[id(block)] = SparseShape.of(
+                    block, columns=cls._SHAPE_COLUMNS)
+            return got
+
+        shards = []
+        for ranks in rank_sets:
+            ranks = frozenset(ranks)
+            cut: Dict[int, Dict[int, Any]] = {}
+            for by_rank in roles.values():
+                if id(by_rank) not in cut:
+                    cut[id(by_rank)] = {
+                        r: (block if r in ranks
+                            or not isinstance(block, CSRMatrix)
+                            else shape(block))
+                        for r, block in by_rank.items()}
+            shards.append(Shard(
+                a_t.nrows, symmetric,
+                {role: cut[id(by_rank)] for role, by_rank in roles.items()},
+                cls._localize(extra, ranks),
+                a_t if operand else None, a if operand else None))
+        return shards
 
     def _keep_t0(self, t0: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
         """What :meth:`_install_features` keeps of a freshly aggregated
@@ -659,7 +748,7 @@ class DistAlgorithm:
         self._ready = True
         self._labels_provisional = False
 
-    def _install_features(self, features: np.ndarray) -> None:
+    def _install_features(self, features: Any) -> None:
         """The one door features come in by: ``setup`` and
         ``predict(features)`` both install them here.
 
@@ -668,28 +757,40 @@ class DistAlgorithm:
         the family's ordinary forward sweep (:meth:`_aggregate`: the same
         bits an epoch would compute), charged like any sweep, and kept
         for as long as the matrix is.  Whether a matrix is new is decided
-        by **content** -- bit for bit against a private copy of the last
-        one, over the whole matrix, which every process of a pool
-        receives: ``fit`` comes through here every time and
-        the process backend hands it a fresh array per call, so an
-        unchanged matrix must cost nothing; and every process must
-        reach the same verdict, or one would enter a collective the
-        others skip.  The copy also means a caller editing its array in
-        place changes nothing until it installs the array again.
+        by **content**, bit for bit, by the process the caller hands it
+        to: here, against a private copy of the last one, which also
+        means a caller editing its array in place changes nothing until
+        it installs the array again -- ``fit`` comes through here every
+        time, so an unchanged matrix must cost nothing.  On the process
+        backend that process is the driver
+        (:class:`~repro.parallel.runtime.ParallelAlgorithm`, on its own
+        copy): it ships a worker :data:`HELD_FEATURES` for the matrix
+        installed last and the matrix itself only when it is new, so
+        every worker reaches the driver's verdict -- the virtual run's --
+        by construction, keeps no copy (``rt.compares_features`` is
+        false) and installs whatever matrix arrives.
         """
+        if isinstance(features, str) and features == HELD_FEATURES:
+            if not self._installed:
+                raise RuntimeError(
+                    "the held-features marker reached an algorithm that "
+                    "holds no feature matrix")
+            return
         given = np.asarray(features, dtype=np.float64)
         if given.ndim != 2 or given.shape != (self.n, self.widths[0]):
             raise ValueError(
                 f"features shape {given.shape} does not match "
                 f"(n={self.n}, f^0={self.widths[0]})"
             )
+        keep = self.rt.compares_features
         held = self._features
         if held is not None and (held is given or np.array_equal(
                 held.view(np.int64), given.view(np.int64))):
             return
-        if np.may_share_memory(given, features):
+        if keep and np.may_share_memory(given, features):
             given = given.copy()
-        self._features = None  # nothing is installed until T^0 is whole
+        # nothing is installed until T^0 is whole
+        self._features, self._installed = None, False
         before = set(self.workspace)
         # Internal state lives in the distribution's part-major order.
         self._t0 = self._obs_call(
@@ -703,7 +804,8 @@ class DistAlgorithm:
         # ghost / SUMMA buffers the sweep allocated.
         for key in [k for k in self.workspace if k not in before]:
             del self.workspace[key]
-        self._features = given
+        self._features = given if keep else None
+        self._installed = True
 
     def train_epoch(self, epoch: int = 0) -> EpochStats:
         """Run one charged training epoch; returns stats + ledger delta."""

@@ -33,8 +33,8 @@ sets), which the tests assert.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -223,6 +223,7 @@ class GhostStructure:
     ``None`` otherwise.
     ``ghost_rows[r]`` is the paper's ``r_i`` (distinct remote
     neighbours) and ``nsources[r]`` the distinct owners it fetches from.
+    A process-backend worker holds only its :meth:`local` part.
     """
 
     nranks: int
@@ -235,6 +236,29 @@ class GhostStructure:
     own_slice: Tuple[Optional[Tuple[int, int]], ...]
     pairs: Tuple[Tuple[int, int, np.ndarray], ...]
     pair_slots: Tuple[Tuple[int, int], ...]
+
+    def local(self, ranks: FrozenSet[int]) -> "GhostStructure":
+        """The part of the exchange a process holding ``ranks`` reads:
+        every rank's counts (what the ledger charges), its own ranks'
+        layout, the source rows of the transfers its ranks send and the
+        slots of those they receive -- ``None`` in place of the rest.
+        Every transfer keeps its ends and its place in the global order,
+        which names it on the wire."""
+        if len(ranks) == self.nranks:
+            return self
+
+        def mine(per_rank):
+            return tuple(x if r in ranks else None
+                         for r, x in enumerate(per_rank))
+
+        return replace(
+            self, ref_cols=mine(self.ref_cols), own_pos=mine(self.own_pos),
+            own_idx=mine(self.own_idx), own_slice=mine(self.own_slice),
+            pairs=tuple((src, dst, rows if src in ranks else None)
+                        for src, dst, rows in self.pairs),
+            pair_slots=tuple(
+                slot if dst in ranks else None
+                for (_, dst, _), slot in zip(self.pairs, self.pair_slots)))
 
 
 def ghost_structure(

@@ -28,7 +28,7 @@ from repro.dist.base import (LOSS_TERMS, DistAlgorithm, RoutedStep,
                              band_nbytes, bucket_bands)
 from repro.nn.layers import (check_widths, forward_gemm, funnel_reduces,
                              sweep_order, weight_gradient)
-from repro.sparse.csr import CSRMatrix
+from repro.sparse.csr import CSRMatrix, SparseShape
 from repro.sparse.spmm import spmm
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -167,20 +167,34 @@ class GridAlgorithm(DistAlgorithm):
         metadata."""
         raise NotImplementedError
 
+    #: the stage relays read every piece's nonempty columns, also of the
+    #: pieces another process holds
+    _SHAPE_COLUMNS = True
+
+    #: the sparse distribution onto the layout's mesh
+    #: (:func:`~repro.sparse.distribute.distribute_sparse_2d` / ``_3d``)
+    _distribute: Callable[..., Dict[int, CSRMatrix]]
+
+    @classmethod
+    def _cut(cls, mesh, a_t, a, symmetric, **_layout):
+        """The grid blocks of ``A^T`` and of ``A``: the backward operand
+        is the grid transpose, materialised once and, for a directed
+        operand, charged once, at set-up; for a symmetric operand the
+        ``A`` grid IS the ``A^T`` grid (one dict), never charged."""
+        a_t_blocks = cls._distribute(a_t, mesh)
+        return {"a_t_blocks": a_t_blocks,
+                "a_blocks": (a_t_blocks if symmetric
+                             else cls._distribute(a, mesh))}, {}
+
     def _init_grid(self, pc: int, rank_rows: Sequence[Tuple[int, int]],
-                   distribute: Callable[..., Dict[int, CSRMatrix]],
                    stages_of: Callable[[Dict[int, CSRMatrix]],
                                        List[SummaStage]]) -> None:
         """The layout's shape: ``Pc`` process columns (the
-        feature-column split), every rank's global dense rows, the
-        sparse distribution onto ``self.mesh`` and the function that
-        builds an operand's stages.  The backward operand is the grid
-        transpose, materialised once and, for directed operands,
-        charged once, at set-up; for symmetric operands ``self.a`` IS
-        ``self.a_t``, so the blocks are shared and never charged.  Each
-        operand role's stages (``a_t``, and ``a`` when it differs) are
-        built here; no piece is kept yet: the first install keeps them,
-        per role."""
+        feature-column split), every rank's global dense rows and the
+        function that builds an operand's stages from its blocks (the
+        shard's: :meth:`_cut`).  Each operand role's stages (``a_t``,
+        and ``a`` when it differs) are built here; no piece is kept
+        yet: the first install keeps them, per role."""
         self._pc = pc
         self._rank_row_ranges = list(rank_rows)
         # Rank -> grid coordinate map, precomputed: the epoch loops ask
@@ -209,9 +223,8 @@ class GridAlgorithm(DistAlgorithm):
                                + np.arange(c0, c1)).ravel())
             self._band_slots.append(slots)
         self._band_index = np.concatenate(joined)
-        self.a_t_blocks = distribute(self.a_t, self.mesh)
-        self.a_blocks = (self.a_t_blocks if self.symmetric
-                         else distribute(self.a, self.mesh))
+        self.a_t_blocks = self._roles["a_t_blocks"]
+        self.a_blocks = self._roles["a_blocks"]
         self._summa = {"a_t": stages_of(self.a_t_blocks)}
         if not self.symmetric:
             self._summa["a"] = stages_of(self.a_blocks)
@@ -538,7 +551,8 @@ class GridAlgorithm(DistAlgorithm):
         pieces along the process rows and keeps every row group's
         receipt, and every later sweep multiplies the kept pieces (the
         stationary-operand trade of Koanantakool et al., IPDPS 2016:
-        hold ``A``'s pieces, stop moving them).  Per stage the dense
+        hold ``A``'s pieces, stop moving them; :meth:`_hold_kept_only`).
+        Per stage the dense
         stage rows are relayed down the process columns
         (:meth:`_summa_stage`): the root is booked
         ``|U_1|`` rows and the member ``p`` hops down ``|U_p|``, one
@@ -625,7 +639,21 @@ class GridAlgorithm(DistAlgorithm):
                         yield r, piece.nnz, piece.nrows, width(r)
 
             self._charge_kernel("spmm", ("gsch", op_key, f, t), charges)
-        self._pieces[op_key] = got_pieces
+        if kept is None:
+            self._pieces[op_key] = got_pieces
+            self._hold_kept_only(op_key)
+
+    def _hold_kept_only(self, op_key: str) -> None:
+        """Once an operand's pieces are kept, every sweep multiplies
+        them alone, and its blocks and stage roots' pieces are only
+        charged from: each becomes its :class:`SparseShape`.  A row
+        group's kept pieces hold its whole block row, so keeping the
+        blocks would hold it twice."""
+        blocks = self.a_t_blocks if op_key == "a_t" else self.a_blocks
+        for held in [blocks] + [st.sparse for st in self._summa[op_key]]:
+            for r, block in held.items():
+                if isinstance(block, CSRMatrix):
+                    held[r] = SparseShape.of(block)
 
     #: layer 1's ``T^0``, gathered once at set-up (:meth:`_keep_t0`)
     _t0_stages: Sequence = ()

@@ -189,8 +189,11 @@ def make_algorithm(
     On the process backend the pool is started as soon as the cheap
     arguments check out and *before* the graph is partitioned, so the
     workers boot (interpreter, imports, arena attach, rendezvous) while
-    the driver partitions; a failure after that point closes the pool
-    before it propagates.
+    the driver partitions and then cuts the operand into one shard per
+    worker (:meth:`DistAlgorithm.cut_shards`: each worker receives and
+    holds only its ranks' blocks, never the whole operand); a failure
+    after that point -- a layout error the cut finds included -- closes
+    the pool before it propagates.
     """
     name = name.lower()
     if name not in ALGORITHMS:

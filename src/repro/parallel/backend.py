@@ -24,10 +24,12 @@ driver builds in :meth:`ProcessBackend.start`, and nothing on the worker
 side reads ``os.environ``.
 
 Commands travel as small pickles: the bulk fields of a payload (the
-feature matrix of ``fit`` / ``setup`` / ``predict``, the ``make_algo``
-operand) are written once to the dispatch arena and every worker copies
-them out (:func:`~repro.parallel.shm.park_fields`); the driver reclaims
-the arena when the last reply is in.
+feature matrix of ``fit`` / ``setup`` / ``predict``) are written once to
+the dispatch arena and every worker copies them out
+(:func:`~repro.parallel.shm.park_fields`); ``make_algo`` carries one
+payload per worker instead -- its shard of the operand
+(:class:`~repro.dist.shard.Shard`), parked the same way.  The driver
+reclaims the arena when the last reply is in.
 
 The workers are **resident**: the driver ships whole programs, not
 individual steps.  ``fit`` is one dispatch -- the epoch loop runs
@@ -81,10 +83,11 @@ from repro.parallel.channel import (
     default_timeout,
 )
 from repro.parallel.faults import FaultPlan, parse_plan
-from repro.parallel.runtime import (WorkerRuntime, held_or, ledger_digest,
-                                    owner_map)
-from repro.parallel.shm import Arena, fetch_fields, park_fields
+from repro.parallel.runtime import (WorkerRuntime, ledger_digest, owner_map,
+                                    ranks_of_workers)
+from repro.parallel.shm import Arena, fetch_fields, park_fields, payload_bytes
 from repro.parallel.tcp import TcpChannel, parse_hosts
+from repro.sparse.csr import CSRMatrix, held_csr_bytes, reachable
 
 __all__ = [
     "ProcessBackend",
@@ -254,6 +257,7 @@ class ProcessBackend:
         self.profile = profile
         self.nworkers = nworkers
         self.owners = owner_map(mesh.size, nworkers)
+        self._ranks_of = ranks_of_workers(self.owners)
         self.arena_bytes = arena_bytes or DEFAULT_ARENA_BYTES
         self.timeout = default_timeout() if timeout is None else timeout
         self.transport = transport
@@ -286,6 +290,11 @@ class ProcessBackend:
             "recovery_dispatches": 0,  # dispatches issued for recovery
             "detect_seconds": 0.0,     # failure-detection latency, summed
         }
+        #: per command, the array bytes its last dispatch carried (the
+        #: bulk fields of its payload, parked or inline; one copy of a
+        #: payload every worker shares, each worker's own of a
+        #: per-worker one)
+        self.dispatch_bytes = {}
 
     # ------------------------------------------------------------------ #
     def start(self) -> None:
@@ -386,14 +395,14 @@ class ProcessBackend:
             raise err
 
     # ------------------------------------------------------------------ #
-    def _owned_ranks(self, wid: int) -> list:
-        return [r for r, w in enumerate(self.owners) if w == wid]
-
-    def command(self, op: str, payload, recovery: bool = False) -> list:
+    def command(self, op: str, payload, recovery: bool = False,
+                each: bool = False) -> list:
         """Broadcast one command; return per-worker results (by id).
 
-        ``recovery=True`` marks a dispatch issued by the elastic
-        recovery loop (re-construction / resumed fit after a respawn):
+        ``each=True`` makes ``payload`` a list of one payload per worker
+        (``make_algo``'s shards).  ``recovery=True`` marks a dispatch
+        issued by the elastic recovery loop (re-construction / resumed
+        fit after a respawn):
         it is counted under ``recovery_dispatches`` only, so the
         O(1)-dispatches-per-fit invariant stays checkable on the normal
         counters.
@@ -407,7 +416,7 @@ class ProcessBackend:
             self.counters["commands"] += 1
             if op == "fit":
                 self.counters["fit_dispatches"] += 1
-        return self._dispatch(op, payload)
+        return self._dispatch(op, payload, each)
 
     def command_batch(self, commands) -> list:
         """Fuse N commands into one pickle/wakeup per worker.
@@ -426,8 +435,10 @@ class ProcessBackend:
         self.counters["fused_batches"] += 1
         return self._dispatch("batch", commands)
 
-    def _dispatch(self, op: str, payload) -> list:
-        """Post one command to every worker and gather the replies.
+    def _dispatch(self, op: str, payload, each: bool = False) -> list:
+        """Post one command to every worker -- ``payload``, or with
+        ``each`` its own of ``payload``'s per-worker items -- and gather
+        the replies.
 
         Bulk fields ride the dispatch arena, encoded afresh on every
         call (a recovery re-dispatch lands in the respawned pool's
@@ -437,9 +448,15 @@ class ProcessBackend:
         """
         self._join_launch()
         ephemerals: list = []
+        payloads = payload if each else [payload]
+        self.dispatch_bytes[op] = sum(
+            payload_bytes(field) for item in payloads
+            for field in (item if isinstance(item, tuple) else (item,)))
         try:
-            msg = (op, park_fields(self.dispatch, payload, ephemerals))
-            for q in self.cmd_queues:
+            msgs = [(op, park_fields(self.dispatch, item, ephemerals))
+                    for item in payloads]
+            for q, msg in zip(self.cmd_queues,
+                              msgs if each else msgs * self.nworkers):
                 q.put(msg)
             return self._collect(op)
         finally:
@@ -466,7 +483,7 @@ class ProcessBackend:
                         if p.exitcode is not None]
                 if dead:
                     names = ", ".join(
-                        f"worker {w} (ranks {self._owned_ranks(w)})"
+                        f"worker {w} (ranks {list(self._ranks_of[w])})"
                         for w in dead
                     )
                     self.counters["detect_seconds"] += (
@@ -493,7 +510,7 @@ class ProcessBackend:
                         and now - last_progress > self.timeout):
                     stuck = sorted(set(range(self.nworkers)) - set(results))
                     names = ", ".join(
-                        f"worker {w} (ranks {self._owned_ranks(w)})"
+                        f"worker {w} (ranks {list(self._ranks_of[w])})"
                         for w in stuck
                     )
                     self.counters["detect_seconds"] += now - last_progress
@@ -531,10 +548,15 @@ class ProcessBackend:
         extra dispatch that is *not* included in the snapshot.
         ``per_worker`` keeps the workers' own replies: besides the
         summed fields, each one's ``pid``, its ``ppid`` (the worker
-        template), the modules it has imported since it was forked, and
-        its sanitizer's check counters (``None`` when unarmed).
+        template), the modules it has imported since it was forked, its
+        sanitizer's check counters (``None`` when unarmed) and
+        ``held_sparse_bytes``, the ``indptr`` / ``indices`` / ``data``
+        bytes of every sparse matrix its algorithm holds (its shard's
+        blocks and, on the grid, the stage pieces it kept), counted.
+        ``dispatch_bytes`` is the driver's :attr:`dispatch_bytes`.
         """
         out = dict(self.counters)
+        out["dispatch_bytes"] = dict(self.dispatch_bytes)
         out["transport"] = self.transport
         out["workers"] = self.nworkers
         if workers and self._started:
@@ -645,6 +667,9 @@ def _worker_main(worker_id: int, spec: dict, inboxes, cmd_queue,
                 value = _handle(rt, worker_id, op, payload, state, channel,
                                 paranoid)
                 result_queue.put((worker_id, "ok", value))
+                # hold nothing of a command past it (a shipped feature
+                # matrix, the shard's list) while waiting for the next
+                payload = value = None
             # The worker's one fault barrier: any command failure --
             # taxonomy or not -- must reach the driver as an 'err'
             # reply, never kill the command loop.
@@ -684,7 +709,6 @@ def _handle(rt, worker_id: int, op: str, payload, state: _WorkerState,
         # with zero driver round-trips between epochs.
         features, labels, mask, epochs, capacity, ckpt = payload
         algo = _require_algo(state, op)
-        features = held_or(algo, features)
         extras = []
         epoch_digests = [] if paranoid else None
         ckpt = ckpt or {}
@@ -784,6 +808,8 @@ def _handle(rt, worker_id: int, op: str, payload, state: _WorkerState,
                                     else algo.checkpoints_written),
             "checkpoint_seconds": (0.0 if algo is None
                                    else algo.checkpoint_seconds),
+            "held_sparse_bytes": (0 if algo is None
+                                  else held_csr_bytes(algo)),
         }
     value, extras = _dispatch(rt, worker_id, op, payload, state)
     if op in _LEDGERED_OPS:
@@ -806,21 +832,22 @@ def _dispatch(rt, worker_id: int, op: str, payload, state: _WorkerState):
     if op == "make_algo":
         from repro.dist.registry import ALGORITHMS
 
-        name, a_t, widths, seed, optimizer, kwargs = payload
-        state.algo = ALGORITHMS[name](rt, a_t, widths, seed=seed,
-                                      optimizer=optimizer, **kwargs)
+        name, blocks, shard, widths, seed, optimizer, kwargs = payload
+        state.algo = ALGORITHMS[name](rt, shard.join(blocks), widths,
+                                      seed=seed, optimizer=optimizer,
+                                      **kwargs)
         return None, ()
     algo = _require_algo(state, op)
     if op == "setup":
         features, labels, mask = payload
-        algo.setup(held_or(algo, features), labels, mask)
+        algo.setup(features, labels, mask)
         return None, ()
     if op == "train_epoch":
         stats = algo.train_epoch(payload)
         return (stats if worker_id == 0 else None,
                 (stats.loss, stats.train_accuracy))
     if op == "predict":
-        log_probs = algo.predict(held_or(algo, payload))
+        log_probs = algo.predict(payload)
         return (log_probs if worker_id == 0 else None,
                 (float(np.sum(log_probs)),))
     if op == "evaluate":
@@ -845,16 +872,8 @@ def _dispatch(rt, worker_id: int, op: str, payload, state: _WorkerState):
         algo.optimizer = clone_optimizer(algo.optimizer)
         if worker_id != 0:
             return None, ()
-        return {
-            "seed": seed,
-            "optimizer": clone_optimizer(algo.optimizer),
-            "a_t": algo.a_t,
-            "a": algo.a,
-            # a_t/a live in the distribution's internal vertex order;
-            # the driver must relabel the serial reference's inputs the
-            # same way (None when no distribution is set).
-            "distribution": algo.distribution,
-        }, ()
+        return {"seed": seed,
+                "optimizer": clone_optimizer(algo.optimizer)}, ()
     if op == "reset_stats":
         rt.reset_stats()
         return None, ()
@@ -866,6 +885,13 @@ def _dispatch(rt, worker_id: int, op: str, payload, state: _WorkerState):
         if worker_id == payload:
             rt.tracker.charge(0, Category.MISC, 0.0, nbytes=1)
         return None, ()
+    if op == "debug_held":
+        # Test-only: the shapes of the 2-D arrays and sparse matrices
+        # the worker's algorithm holds.
+        return sorted({(type(obj).__name__, tuple(obj.shape))
+                       for obj in reachable(state.algo,
+                                            (np.ndarray, CSRMatrix))
+                       if len(obj.shape) == 2}), ()
     if op == "debug_hang":
         # Test-only: one worker stops making progress (never touches
         # the heartbeat) so timeout paths can be exercised quickly.

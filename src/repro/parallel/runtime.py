@@ -38,6 +38,7 @@ from repro.comm.mesh import Mesh1D, Mesh2D, Mesh3D, ProcessMesh
 from repro.comm.runtime import RuntimeBase
 from repro.comm.tracker import CommTracker
 from repro.config import MachineProfile
+from repro.dist.base import HELD_FEATURES
 from repro.nn.layers import check_widths
 from repro.nn.optim import Optimizer
 from repro.parallel.channel import PeerChannel
@@ -54,29 +55,10 @@ __all__ = [
     "ParallelRuntime",
     "ParallelAlgorithm",
     "HELD_FEATURES",
-    "held_or",
     "ledger_digest",
     "owner_map",
+    "ranks_of_workers",
 ]
-
-#: What :class:`ParallelAlgorithm` ships in place of a feature matrix
-#: bit-equal to the one its pool installed last: every worker holds a
-#: private copy of that matrix and installs it again (:func:`held_or`),
-#: so all of them reach the "unchanged" verdict by construction.
-HELD_FEATURES = "held-features"
-
-
-def held_or(algo: "DistAlgorithm", features: Any) -> Any:
-    """Worker side of :data:`HELD_FEATURES`: the matrix ``algo``
-    installed last in place of the marker, anything else as shipped."""
-    if not (isinstance(features, str) and features == HELD_FEATURES):
-        return features
-    if algo.installed_features is None:
-        raise RuntimeError(
-            "the driver shipped the held-features marker to a worker "
-            "that holds no feature matrix")
-    return algo.installed_features
-
 
 def owner_map(nranks: int, nworkers: int) -> Tuple[int, ...]:
     """Block assignment of mesh ranks to workers (contiguous, near-equal).
@@ -95,6 +77,13 @@ def owner_map(nranks: int, nworkers: int) -> Tuple[int, ...]:
     for w in range(nworkers):
         owners.extend([w] * (base + (1 if w < extra else 0)))
     return tuple(owners)
+
+
+def ranks_of_workers(owners: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
+    """Each worker's ranks under ``owners`` (:func:`owner_map`),
+    ascending, by worker."""
+    return tuple(tuple(r for r, w in enumerate(owners) if w == wid)
+                 for wid in range(max(owners) + 1))
 
 
 def ledger_digest(tracker: CommTracker, *extra_floats: float) -> str:
@@ -116,6 +105,10 @@ class WorkerRuntime(RuntimeBase):
 
     backend = "process-worker"
 
+    #: the driver ships a matrix only when it is new (and
+    #: :data:`HELD_FEATURES` otherwise), so a worker keeps no copy
+    compares_features = False
+
     def __init__(self, mesh: ProcessMesh, profile: Optional[MachineProfile],
                  channel: PeerChannel, owners: Sequence[int]):
         self._init_core(mesh, profile)
@@ -125,10 +118,7 @@ class WorkerRuntime(RuntimeBase):
         self.nworkers = max(self.owners) + 1
         #: each worker's ranks, and the read-out's routes: one per
         #: worker, from its first rank to every rank it does not own
-        self._ranks_of = [
-            tuple(r for r in range(mesh.size) if self.owners[r] == w)
-            for w in range(self.nworkers)
-        ]
+        self._ranks_of = ranks_of_workers(self.owners)
         self._local_ranks = self._ranks_of[channel.wid]
         self._local_set = frozenset(self._local_ranks)
         self.coll = ProcessCollectives(
@@ -196,17 +186,35 @@ class ParallelAlgorithm:
         #: the :class:`~repro.obs.tracing.MergedTrace` of the last traced
         #: ``fit`` (``None`` until ``fit(trace=...)`` runs)
         self.last_trace = None
-        #: the exact make_algo payload, kept so the recovery loop can
-        #: rebuild the same algorithm on a respawned pool.
-        self._ctor_payload = (name, a_t, self.widths, seed, optimizer,
-                              kwargs)
+        #: the constructor's arguments -- the caller's operand by
+        #: reference, no copy -- from which :meth:`_shards` cuts every
+        #: worker's shard: for the pool, and again for a respawned one
+        self._ctor = (name, a_t, self.widths, seed, optimizer, kwargs)
         #: ``(pool, copy)``: a private copy of the feature matrix the
         #: running pool (:attr:`ProcessBackend.pool`) installed last, by
         #: ``setup`` / ``fit`` / ``predict(features)``.  Another pool --
         #: a respawn, one after ``close()`` -- holds nothing of it, and a
         #: failed dispatch clears it.
         self._held: Optional[Tuple[int, np.ndarray]] = None
-        rt._command("make_algo", self._ctor_payload)
+        rt.start().command("make_algo", self._shards(), each=True)
+
+    def _shards(self) -> list:
+        """The ``make_algo`` payload of every worker: the algorithm's
+        arguments and the worker's shard of the operand, cut once for
+        the whole pool by the function the virtual runtime builds its
+        ranks with (:meth:`DistAlgorithm.cut_shards`) -- its ranks'
+        blocks and the shapes of the others, the shard's matrices as one
+        list the dispatch arena carries (:meth:`Shard.split`)."""
+        from repro.dist.registry import ALGORITHMS
+
+        name, a_t, widths, seed, optimizer, kwargs = self._ctor
+        layout = dict(kwargs)
+        distribution = layout.pop("distribution", None)
+        shards = ALGORITHMS[name].cut_shards(
+            self.rt.mesh, a_t, self.rt.ranks_of_workers,
+            distribution=distribution, **layout)
+        return [(name, *shard.split(), widths, seed, optimizer, kwargs)
+                for shard in shards]
 
     # ------------------------------------------------------------------ #
     def _ship(self, features: np.ndarray) -> Tuple[Any, np.ndarray]:
@@ -332,8 +340,8 @@ class ParallelAlgorithm:
                 time.sleep(delay)
                 backend.counters["restarts"] += 1
                 backend.start()
-                backend.command("make_algo", self._ctor_payload,
-                                recovery=True)
+                backend.command("make_algo", self._shards(), recovery=True,
+                                each=True)
                 _events.emit("respawn", attempt=attempt,
                              restarts=backend.counters["restarts"])
                 if rec is not None:
@@ -396,22 +404,24 @@ class ParallelAlgorithm:
                               mask: Optional[np.ndarray] = None) -> float:
         """Serial-vs-process divergence, mirroring
         :meth:`DistAlgorithm.verify_against_serial` (serial runs on the
-        driver, distributed on the workers, both from fresh weights)."""
-        from repro.dist.base import clone_optimizer
+        driver, on the operand it cut the shards from, distributed on
+        the workers, both from fresh weights)."""
+        from repro.dist.base import DistAlgorithm, clone_optimizer
         from repro.nn.model import GCN, SerialTrainer
 
         info = self.rt._command("reset_model", seed)[0]
         seed, optimizer = info["seed"], info["optimizer"]
-        serial = SerialTrainer(
-            GCN(self.widths, seed=seed),
-            info["a_t"],
-            a=info["a"],
-            optimizer=clone_optimizer(optimizer),
-        )
         # The workers' operand lives in the distribution's internal
         # (part-major) vertex order; feed the serial reference the same
-        # relabelled inputs and map its predictions back.
-        dist = info.get("distribution")
+        # relabelled operand and inputs and map its predictions back.
+        a_t, dist = self._ctor[1], self._ctor[5].get("distribution")
+        if dist is not None:
+            a_t = dist.permute_matrix(a_t)
+        serial = SerialTrainer(
+            GCN(self.widths, seed=seed), a_t,
+            a=a_t if DistAlgorithm._is_symmetric(a_t) else a_t.transpose(),
+            optimizer=clone_optimizer(optimizer),
+        )
         s_features = np.asarray(features, dtype=np.float64)
         s_labels = np.asarray(labels, dtype=np.int64)
         s_mask = None if mask is None else np.asarray(mask, dtype=bool)
@@ -420,7 +430,7 @@ class ParallelAlgorithm:
             s_labels = dist.permute_rows(s_labels)
             s_mask = None if s_mask is None else dist.permute_rows(s_mask)
         s_hist = serial.train(s_features, s_labels, epochs, mask=s_mask)
-        s_lp = serial.model.predict(info["a_t"], s_features)
+        s_lp = serial.model.predict(a_t, s_features)
         if dist is not None:
             s_lp = dist.unpermute_rows(s_lp)
         d_hist = self.fit(features, labels, epochs, mask=mask)
@@ -473,6 +483,8 @@ class ParallelRuntime(RuntimeBase):
             )
         self.workers = workers
         self.owners = owner_map(mesh.size, self.workers)
+        #: each worker's ranks, ascending, by worker
+        self.ranks_of_workers = ranks_of_workers(self.owners)
         self.transport = transport
         #: per-worker span blobs from the last traced dispatch
         self.last_obs = None
@@ -590,7 +602,9 @@ class ParallelRuntime(RuntimeBase):
                        widths: Sequence[int], seed: int = 0,
                        optimizer: Optional[Optimizer] = None,
                        **kwargs: Any) -> ParallelAlgorithm:
-        """Build (on every worker) the named algorithm for this runtime.
+        """Build (on every worker) the named algorithm for this runtime,
+        each worker from its own shard of ``a_t``
+        (:meth:`ParallelAlgorithm._shards`).
 
         One live algorithm per pool: the workers hold a single algorithm
         slot, so a second build would silently hijack the first proxy's

@@ -14,13 +14,16 @@ indices + indptr) so the collectives layer can charge sparse communication
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence, Tuple
+import gc
+import types
+from typing import Any, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.config import INDEX_BYTES
 
-__all__ = ["CSRMatrix", "coo_to_csr_arrays"]
+__all__ = ["CSRMatrix", "SparseShape", "coo_to_csr_arrays",
+           "held_csr_bytes", "reachable"]
 
 
 def _stable_order(
@@ -453,3 +456,93 @@ class CSRMatrix:
             f"CSRMatrix(shape={self.shape}, nnz={self.nnz}, "
             f"density={self.density:.2e})"
         )
+
+
+class SparseShape:
+    """A CSR block's structure without its arrays: what a process that
+    does not hold the block reads of it -- the shape, ``nnz`` and
+    :attr:`~CSRMatrix.nbytes_on_wire` every ledger charge is sized by
+    and, when built with ``columns``, its nonempty columns with their
+    nonzero counts, so column slices (:meth:`block`) and their
+    :meth:`nonempty_columns` (a SUMMA stage's relay rows) are known too.
+    Any use of the values fails: a ``SparseShape`` has none."""
+
+    __slots__ = ("shape", "nnz", "nbytes_on_wire", "_cols", "_ends")
+
+    def __init__(self, shape: Tuple[int, int], nnz: int,
+                 nbytes_on_wire: int, cols: Optional[np.ndarray] = None,
+                 ends: Optional[np.ndarray] = None):
+        self.shape = shape
+        self.nnz = nnz
+        self.nbytes_on_wire = nbytes_on_wire
+        #: the ascending nonempty columns, and per column the nonzeros in
+        #: it and every column before it
+        self._cols, self._ends = cols, ends
+
+    @classmethod
+    def of(cls, block: "CSRMatrix", columns: bool = False) -> "SparseShape":
+        cols = ends = None
+        if columns:
+            cols, counts = np.unique(block.indices, return_counts=True)
+            ends = np.cumsum(counts)
+        return cls(block.shape, block.nnz, block.nbytes_on_wire, cols, ends)
+
+    @property
+    def nrows(self) -> int:
+        return self.shape[0]
+
+    @property
+    def ncols(self) -> int:
+        return self.shape[1]
+
+    def nonempty_columns(self) -> np.ndarray:
+        """:meth:`CSRMatrix.nonempty_columns` over every row."""
+        return self._cols
+
+    def block(self, r0: int, r1: int, c0: int, c1: int) -> "SparseShape":
+        """The shape of :meth:`CSRMatrix.block` over every row and the
+        columns ``[c0, c1)``."""
+        if (r0, r1) != (0, self.nrows):
+            raise ValueError("a SparseShape slices whole-height column "
+                             "ranges only")
+        i0, i1 = np.searchsorted(self._cols, (c0, c1))
+        before = int(self._ends[i0 - 1]) if i0 else 0
+        nnz = (int(self._ends[i1 - 1]) if i1 else 0) - before
+        indptr = (self.nrows + 1) * INDEX_BYTES
+        per_nonzero = (self.nbytes_on_wire - indptr) // max(self.nnz, 1)
+        return SparseShape((self.nrows, c1 - c0), nnz,
+                           nnz * per_nonzero + indptr,
+                           self._cols[i0:i1] - c0,
+                           self._ends[i0:i1] - before)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"SparseShape(shape={self.shape}, nnz={self.nnz})"
+
+
+def reachable(root: Any, kinds: Tuple[type, ...]) -> Iterator[Any]:
+    """Every object of the types ``kinds`` reachable from ``root``
+    through containers and instance attributes (not through modules,
+    classes or code, nor into a found object), each once."""
+    skip = (type, types.ModuleType, types.FunctionType, types.MethodType,
+            types.BuiltinFunctionType, types.CodeType, str, bytes, int,
+            float)
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, kinds):
+            yield obj
+        elif not isinstance(obj, np.ndarray):
+            stack.extend(gc.get_referents(obj))
+
+
+def held_csr_bytes(root: Any) -> int:
+    """Bytes of the ``indptr``, ``indices`` and ``data`` arrays of every
+    :class:`CSRMatrix` :func:`reachable` from ``root``, each array once:
+    what a process holds of the sparse operand, counted."""
+    arrays = {id(arr): arr.nbytes
+              for csr in reachable(root, (CSRMatrix,))
+              for arr in (csr.indptr, csr.indices, csr.data)}
+    return sum(arrays.values())

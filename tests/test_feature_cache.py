@@ -15,7 +15,7 @@ every ``predict()`` starts from it.  These tests pin what that promises:
   fit, with losses and the ledger digest (set-up charge included) equal
   to the virtual run's; a matrix bit-equal to the one the pool installed
   last is not shipped again (the driver sends a marker, each worker
-  reinstalls its own copy), but one a respawned pool needs is;
+  keeps what it aggregated), but one a respawned pool needs is;
 * in 2D / 3D the set-up also all-gathers ``T^0`` along the row groups,
   once: each local row group keeps the pieces, every epoch's layer-1
   replicated-``W`` products run from them, and only a new matrix pays

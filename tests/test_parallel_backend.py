@@ -618,17 +618,17 @@ class TestStartEarly:
         assert runtimes[-1].backend_stats() is None
         assert _pool_leftovers(before) == ([], set(), [])
 
-    def test_worker_failure_in_make_algo_closes_the_pool(self, ds,
-                                                         runtimes):
+    def test_failure_in_make_algo_closes_the_pool(self, ds, runtimes):
         """``variant="ghost"`` on a directed operand is only known once
-        the workers have checked symmetry."""
+        the driver has checked symmetry, cutting the workers' shards --
+        after the pool has started."""
         from repro.graph.generators import erdos_renyi
         from repro.graph.normalize import add_self_loops, row_normalize
 
         directed = dataclasses.replace(ds, adjacency=row_normalize(
             add_self_loops(erdos_renyi(60, 4.0, seed=1, directed=True))))
         before = _shm_segments()
-        with pytest.raises(WorkerError, match="symmetric operand"):
+        with pytest.raises(ValueError, match="symmetric operand"):
             make_algorithm("1d", 4, directed, hidden=HIDDEN, seed=0,
                            backend="process", workers=2, variant="ghost",
                            partition="block")

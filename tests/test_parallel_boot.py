@@ -105,6 +105,27 @@ def test_pools_and_respawn_fork_from_one_template(ds, tmp_path):
 # --------------------------------------------------------------------- #
 # (b) + (f) a script driver that reaches repro through sys.path.insert
 # --------------------------------------------------------------------- #
+#: Appends the name of every shared-memory segment a process creates to
+#: ``segments`` beside it: run by the driver script and, through the
+#: preloaded probe, by the template -- hence by every worker it forks.
+RECORD_SEGMENTS = """
+from multiprocessing import shared_memory as _shared_memory
+
+_SEGMENTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         "segments")
+_create = _shared_memory.SharedMemory.__init__
+
+
+def _recorded(self, *args, **kwargs):
+    _create(self, *args, **kwargs)
+    if kwargs.get("create", len(args) > 1 and args[1]):
+        with open(_SEGMENTS, "a") as fh:
+            fh.write(self.name + "\\n")
+
+
+_shared_memory.SharedMemory.__init__ = _recorded
+"""
+
 PROBE = """
 import os
 
@@ -112,7 +133,7 @@ import os
 # one line per process that ran this module's body.
 with open(os.path.join(os.path.dirname(__file__), "imported_by"), "a") as fh:
     fh.write(f"{os.getpid()}\\n")
-"""
+""" + RECORD_SEGMENTS
 
 SCRIPT_DRIVER = """
 import json
@@ -121,7 +142,7 @@ import sys
 
 sys.path.insert(0, {src!r})
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-
+{record}
 if __name__ == "__main__":
     from multiprocessing import resource_tracker
 
@@ -164,9 +185,9 @@ def script_driver(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("driver")
     (tmp / "bootprobe.py").write_text(textwrap.dedent(PROBE))
     script = tmp / "driver.py"
-    script.write_text(textwrap.dedent(SCRIPT_DRIVER.format(src=SRC)))
+    script.write_text(textwrap.dedent(SCRIPT_DRIVER).format(
+        src=SRC, record=RECORD_SEGMENTS))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    before = _shm_segments()
     # Not from the script's directory: the template is a ``python -c``
     # and would find the probe through its working directory.
     done = subprocess.run([sys.executable, str(script)], env=env,
@@ -178,7 +199,7 @@ def script_driver(tmp_path_factory):
     log = tmp / "imported_by"
     out["imported_by"] = ([int(pid) for pid in log.read_text().split()]
                           if log.exists() else [])
-    out["segments"] = before
+    out["segments"] = set((tmp / "segments").read_text().split())
     return out
 
 
@@ -202,7 +223,10 @@ def test_script_driver_leaves_nothing_behind(script_driver):
         leftovers = [pid for pid in leftovers if not _gone(pid)]
         time.sleep(0.05)
     assert leftovers == []
-    assert _shm_segments() <= script_driver["segments"]
+    # the shm pool's arenas at least; none of them may outlive the script
+    # (another process's segments are no concern of this one)
+    assert script_driver["segments"]
+    assert not _shm_segments() & script_driver["segments"]
 
 
 # --------------------------------------------------------------------- #
