@@ -63,7 +63,7 @@ would change what every receiver sees -- senders must treat transmitted
 buffers as frozen (every algorithm in :mod:`repro.dist` does).  Sparse
 blocks (:class:`CSRMatrix`) are structurally immutable throughout the
 codebase and are shared as-is, which also preserves their cached
-``to_scipy()`` wrapper across epochs.  The ledger models the real
+kernel index pair (``CSRMatrix.kernel_index()``) across epochs.  The ledger models the real
 machine, not the simulation shortcut.
 
 Payloads may be ``numpy.ndarray`` (dense blocks), objects exposing an

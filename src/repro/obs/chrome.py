@@ -199,4 +199,7 @@ def trace_from_chrome(payload: dict) -> MergedTrace:
             workers[int(pid)] = dict(info)
         except (TypeError, ValueError):
             continue
-    return MergedTrace(spans, workers)
+    # a process run's driver footprint rides in the embedded run record
+    measured = meta.get("measured") or {}
+    return MergedTrace(spans, workers,
+                       measured.get("driver_peak_rss_bytes"))

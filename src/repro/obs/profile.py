@@ -25,7 +25,9 @@ Instrumented kernels (each site pays one ``is None`` test when off):
 
 Memory gauges ride along: peak RSS from ``resource.getrusage`` and the
 shared-memory arena's high-water occupancy / ephemeral-spill counters
-(:mod:`repro.parallel.shm`).  Like spans, profiling is strictly
+(:mod:`repro.parallel.shm`).  The merged summary keeps every process's
+peak RSS -- the driver's and each worker's -- and their sum, the run's
+whole footprint.  Like spans, profiling is strictly
 observational -- it never touches the ledger, so profiled runs stay
 bit-identical in losses and ledger digests.  Every traced fit
 profiles; on the process backend each worker profiles locally and the
@@ -103,12 +105,13 @@ class KernelProfiler:
         for i, x in enumerate(extras):
             acc[4 + i] += x
 
-    def snapshot(self, arena=None) -> dict:
+    def snapshot(self, arena=None, process: Optional[str] = None) -> dict:
         """JSON-able summary: kernels, intensities, memory gauges.
 
         ``arena`` is an optional :class:`repro.parallel.shm.Arena`
         whose occupancy/overflow gauges are folded in (process-backend
-        workers pass their payload arena).
+        workers pass their payload arena).  ``process`` names the
+        process in the merged footprint (``"driver"``, ``"worker 1"``).
         """
         kernels = {}
         for name, acc in sorted(self.kernels.items()):
@@ -131,6 +134,8 @@ class KernelProfiler:
             "elapsed_s": self.clock() - self.t_enabled,
             "peak_rss_bytes": peak_rss_bytes(),
         }
+        if process is not None:
+            out["process"] = process
         if arena is not None:
             out["arena"] = {
                 "size_bytes": arena.size,
@@ -164,22 +169,31 @@ def is_enabled() -> bool:
     return ACTIVE is not None
 
 
-def merge_profiles(snapshots: List[Optional[dict]]) -> dict:
+def merge_profiles(snapshots: List[Optional[dict]],
+                   driver_rss_bytes: Optional[int] = None) -> dict:
     """Fold per-worker profile snapshots into one run-level summary.
 
-    Kernel counters sum across workers; memory gauges take the max
-    (peak RSS / arena occupancy are per-process peaks, and the report
-    cares about the worst worker).  ``None`` entries are skipped.
+    Kernel counters sum across workers.  ``peak_rss_bytes`` and the
+    arena gauges take the worst worker; ``peak_rss_by_process`` keeps
+    every process's peak RSS -- ``driver_rss_bytes`` (a driver that ran
+    no kernel of its own) first, then each snapshot under its
+    ``process`` name -- and ``peak_rss_total_bytes`` is their sum.
+    ``None`` entries are skipped.
     """
     kernels: Dict[str, dict] = {}
     peak_rss = 0
+    by_process: Dict[str, int] = {}
+    if driver_rss_bytes is not None:
+        by_process["driver"] = int(driver_rss_bytes)
     arena = None
     nworkers = 0
     for snap in snapshots:
         if not snap:
             continue
+        rss = int(snap.get("peak_rss_bytes", 0))
+        by_process[snap.get("process") or f"worker {nworkers}"] = rss
         nworkers += 1
-        peak_rss = max(peak_rss, snap.get("peak_rss_bytes", 0))
+        peak_rss = max(peak_rss, rss)
         a = snap.get("arena")
         if a and (arena is None
                   or a.get("occupancy", 0) > arena.get("occupancy", 0)):
@@ -209,6 +223,8 @@ def merge_profiles(snapshots: List[Optional[dict]]) -> dict:
         "workers": nworkers,
         "kernels": dict(sorted(kernels.items())),
         "peak_rss_bytes": peak_rss,
+        "peak_rss_by_process": by_process,
+        "peak_rss_total_bytes": sum(by_process.values()),
     }
     if arena is not None:
         out["arena"] = arena

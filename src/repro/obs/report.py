@@ -201,6 +201,8 @@ def _compute_section(trace: MergedTrace, config: dict
         "machine": machine.name,
         "kernels": rows,
         "peak_rss_bytes": prof.get("peak_rss_bytes"),
+        "peak_rss_by_process": prof.get("peak_rss_by_process"),
+        "peak_rss_total_bytes": prof.get("peak_rss_total_bytes"),
     }
     if prof.get("arena"):
         section["arena"] = dict(prof["arena"])
@@ -338,7 +340,13 @@ def format_drift_report(report: dict) -> str:
              for r in compute["kernels"]],
         ))
         rss = compute.get("peak_rss_bytes")
-        if rss:
+        by_process = compute.get("peak_rss_by_process")
+        if by_process:
+            each = ", ".join(f"{name} {b / 1e6:.1f} MB"
+                             for name, b in by_process.items())
+            total = compute["peak_rss_total_bytes"] / 1e6
+            lines.append(f"peak RSS: {each}; all processes {total:.1f} MB")
+        elif rss:
             lines.append(f"peak RSS: {rss / 1e6:.1f} MB")
         arena = compute.get("arena") or {}
         if arena:

@@ -73,12 +73,16 @@ class MergedTrace:
     """All workers' spans on one clock, plus per-worker metadata."""
 
     def __init__(self, spans: Iterable[TraceSpan],
-                 workers: Optional[Dict[int, dict]] = None):
+                 workers: Optional[Dict[int, dict]] = None,
+                 driver_rss_bytes: Optional[int] = None):
         self.spans: List[TraceSpan] = sorted(
             spans, key=lambda s: (s.pid, s.tid, s.t0, -s.t1)
         )
         #: ``{pid: {"ranks": [...], "offset": s, "dropped": n}}``
         self.workers: Dict[int, dict] = dict(workers or {})
+        #: the peak RSS of a driver whose workers ran the fit (``None``
+        #: when the driver ran it and its own profile is in ``workers``)
+        self.driver_rss_bytes = driver_rss_bytes
         self.base = min((s.t0 for s in self.spans), default=0.0)
 
     # ------------------------------------------------------------------ #
@@ -250,13 +254,15 @@ class MergedTrace:
 
         Folds the per-worker :mod:`repro.obs.profile` snapshots that
         rode back on the fit dispatch (kernel counters sum; memory
-        gauges take the worst worker).
+        gauges take the worst worker, and every process's peak RSS is
+        kept beside their sum).
         """
-        blobs = [info.get("profile") for info in self.workers.values()]
+        blobs = [info.get("profile")
+                 for _, info in sorted(self.workers.items())]
         if not any(blobs):
             return None
         from repro.obs.profile import merge_profiles
-        return merge_profiles(blobs)
+        return merge_profiles(blobs, self.driver_rss_bytes)
 
     # ------------------------------------------------------------------ #
     def summary(self) -> dict:
@@ -275,6 +281,8 @@ class MergedTrace:
             "dropped": sum(int(info.get("dropped", 0))
                            for info in self.workers.values()),
         }
+        if self.driver_rss_bytes is not None:
+            out["driver_peak_rss_bytes"] = self.driver_rss_bytes
         profile = self.profile_summary()
         if profile is not None:
             out["profile"] = profile
@@ -283,7 +291,8 @@ class MergedTrace:
 
 def merge_worker_obs(blobs: Sequence[Optional[dict]],
                      t_dispatch: Optional[float] = None,
-                     skew_threshold: float = CLOCK_SKEW_THRESHOLD
+                     skew_threshold: float = CLOCK_SKEW_THRESHOLD,
+                     driver_rss_bytes: Optional[int] = None
                      ) -> MergedTrace:
     """Merge per-worker obs blobs (see ``backend._handle``'s fit path).
 
@@ -291,7 +300,8 @@ def merge_worker_obs(blobs: Sequence[Optional[dict]],
     fit dispatch; a worker whose fit-start timestamp differs by more
     than ``skew_threshold`` is on another host's clock and its spans are
     shifted onto the driver's.  Same-host offsets (queue latency) are
-    left at zero -- the clocks already agree.
+    left at zero -- the clocks already agree.  ``driver_rss_bytes`` is
+    the dispatching driver's peak RSS, for the run's footprint.
     """
     spans: List[TraceSpan] = []
     workers: Dict[int, dict] = {}
@@ -318,7 +328,7 @@ def merge_worker_obs(blobs: Sequence[Optional[dict]],
         }
         if blob.get("profile"):
             workers[pid]["profile"] = blob["profile"]
-    return MergedTrace(spans, workers)
+    return MergedTrace(spans, workers, driver_rss_bytes)
 
 
 def traced_fit(algo, features, labels, epochs: int, mask=None,
@@ -365,6 +375,6 @@ def traced_fit(algo, features, labels, epochs: int, mask=None,
         "align": align,
         "spans": rec.drain(),
         "dropped": rec.dropped,
-        "profile": prof.snapshot(),
+        "profile": prof.snapshot(process="driver"),
     }
     return history, merge_worker_obs([blob], align)

@@ -67,8 +67,9 @@ the connection's sender thread.
 Cold start.  Workers are forked from a **worker template**: one clean,
 single-threaded interpreter per driver (``multiprocessing``'s
 forkserver, launched with the BLAS thread pins and the driver's
-``sys.path``) that has imported numpy, ``scipy.sparse`` and every
-``repro`` module a worker uses.  The driver's first pool launches it;
+``sys.path``) that has imported numpy, scipy's compiled SpMM kernel
+(never the ``scipy.sparse`` package) and every ``repro`` module a
+worker uses.  The driver's first pool launches it;
 that pool, every later one and every recovery respawn then pay a
 ``fork`` per worker, not an interpreter start plus the imports.  A
 worker inherits the template's state -- never the driver's environment

@@ -10,8 +10,10 @@ machines.
 
 Workers are forked from a **worker template**: one clean,
 single-threaded interpreter per driver (``multiprocessing``'s
-forkserver) that has already imported numpy, ``scipy.sparse`` and every
-``repro`` module a worker touches (:data:`_PRELOAD`).  The first pool of
+forkserver) that has already imported numpy, scipy's compiled SpMM
+kernel (not the ``scipy.sparse`` package: :mod:`repro.sparse.spmm`
+loads the one extension) and every ``repro`` module a worker touches
+(:data:`_PRELOAD`).  The first pool of
 a driver launches it; that pool, every later pool and every recovery
 respawn then get each worker for the price of a ``fork`` instead of an
 interpreter start plus the imports.  The driver itself is never forked:
@@ -110,14 +112,18 @@ _THREAD_PIN_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 #: What the worker template imports before it serves its first fork:
-#: every module a worker touches up to the end of its first ``make_algo``
-#: + ``fit`` (traced or checkpointed) + ``predict``, so that a forked
-#: worker imports nothing (``tests/test_parallel_boot.py`` holds the list
-#: to that).  numpy, ``scipy.sparse`` and the obs / serialize modules are
-#: in the import closure of the two ``repro`` roots.
+#: every module a worker touches through any command of any family --
+#: ``make_algo``, a traced or checkpointed ``fit``, ``predict`` on held
+#: or new features, ``evaluate`` -- so that a forked worker imports
+#: nothing (``tests/test_parallel_boot.py`` holds the list to that).  numpy, scipy's compiled SpMM kernel and the obs /
+#: serialize modules are in the import closure of the two ``repro``
+#: roots.  ``numpy.random`` (``default_rng``) and ``numpy.ma`` (which
+#: ``np.unique`` reaches) are outside it, yet every worker runs both.
 _PRELOAD = (
     "repro.parallel.backend",
     "repro.dist",
+    "numpy.random",
+    "numpy.ma",
     "encodings.idna",   # what a tcp dial encodes its host name with
     # what unpickling a worker's queues, locks and shared arrays imports
     "multiprocessing.queues",
@@ -771,7 +777,8 @@ def _handle(rt, worker_id: int, op: str, payload, state: _WorkerState,
                 "spans": rec.drain(),
                 "dropped": rec.dropped,
                 "profile": prof.snapshot(
-                    arena=getattr(channel, "arena", None)),
+                    arena=getattr(channel, "arena", None),
+                    process=f"worker {worker_id}"),
             }
         return _digest_result(rt, worker_id, history, extras,
                               epoch_digests, state, obs=obs)
@@ -892,6 +899,9 @@ def _dispatch(rt, worker_id: int, op: str, payload, state: _WorkerState):
                        for obj in reachable(state.algo,
                                             (np.ndarray, CSRMatrix))
                        if len(obj.shape) == 2}), ()
+    if op == "debug_modules":
+        # Test-only: every module the worker has imported, boot included.
+        return sorted(sys.modules), ()
     if op == "debug_hang":
         # Test-only: one worker stops making progress (never touches
         # the heartbeat) so timeout paths can be exercised quickly.

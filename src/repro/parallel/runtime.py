@@ -368,10 +368,12 @@ class ParallelAlgorithm:
                     _events.emit("checkpoint", path=str(checkpoint_path),
                                  epochs=int(stats.epoch) + 1)
         if capacity is not None:
+            from repro.obs.profile import peak_rss_bytes
             from repro.obs.tracing import merge_worker_obs
 
             self.last_trace = merge_worker_obs(
-                self.rt.last_obs or [], t_dispatch
+                self.rt.last_obs or [], t_dispatch,
+                driver_rss_bytes=peak_rss_bytes(),
             )
         if on_epoch is not None:
             for stats in epoch_stats:

@@ -23,7 +23,9 @@ import numpy as np
 from repro.config import INDEX_BYTES
 
 __all__ = ["CSRMatrix", "SparseShape", "coo_to_csr_arrays",
-           "held_csr_bytes", "reachable"]
+           "held_csr_bytes", "kernel_index_dtype", "reachable"]
+
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 def _stable_order(
@@ -102,6 +104,20 @@ def coo_to_csr_arrays(
     return _indptr_from_ids(rows, m), cols, vals
 
 
+def kernel_index_dtype(shape: Tuple[int, int], nnz: int) -> type:
+    """The index dtype the compiled SpMM kernel runs a matrix at.
+
+    The one scipy's ``csr_matrix`` takes for the same arrays: int32
+    unless a dimension of a non-empty shape or a stored index (at most
+    the row pointer's last entry, ``nnz``) exceeds the int32 range.  The
+    kernel thus gets the inputs scipy's own ``@`` hands it -- the same
+    instantiation, the same bits.
+    """
+    m, n = shape
+    widest = max(nnz, max(m, n) if m and n else 0)
+    return np.int32 if widest <= _INT32_MAX else np.int64
+
+
 class CSRMatrix:
     """Compressed-sparse-row matrix with numpy storage.
 
@@ -113,7 +129,7 @@ class CSRMatrix:
     * ``data`` is float64 and aligned with ``indices``.
     """
 
-    __slots__ = ("shape", "indptr", "indices", "data", "_scipy_cache")
+    __slots__ = ("shape", "indptr", "indices", "data", "_kernel_index")
 
     def __init__(
         self,
@@ -142,26 +158,26 @@ class CSRMatrix:
             self.indptr = indptr
             self.indices = indices
             self.data = data
-            self._scipy_cache = None
+            self._kernel_index = None
             return
         self.shape = (int(shape[0]), int(shape[1]))
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.data = np.asarray(data, dtype=np.float64)
-        self._scipy_cache = None
+        self._kernel_index = None
         if validate or (validate is None and check):
             self._validate()
 
     def __getstate__(self):
-        """Pickle as the four raw fields, dropping the scipy wrapper
+        """Pickle as the four raw fields, dropping the kernel index
         cache -- cross-process shipment (the multiprocess backend sends
-        the adjacency to every worker) must not drag scipy objects
-        along, and the cache rebuilds lazily on first use."""
+        every worker its shard) must not carry a second copy of the
+        index arrays, and the cache rebuilds lazily on first use."""
         return (self.shape, self.indptr, self.indices, self.data)
 
     def __setstate__(self, state) -> None:
         self.shape, self.indptr, self.indices, self.data = state
-        self._scipy_cache = None
+        self._kernel_index = None
 
     def _validate(self) -> None:
         m, n = self.shape
@@ -295,27 +311,23 @@ class CSRMatrix:
             out[self.row_ids(), self.indices] = self.data
         return out
 
-    def to_scipy(self) -> Any:
-        """``scipy.sparse.csr_matrix`` view of this matrix, built once.
+    def kernel_index(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)`` in :func:`kernel_index_dtype`, built once.
 
-        ``data`` is shared; scipy downcasts the int64 ``indices``/
-        ``indptr`` to int32, so those two arrays are copied (~4 bytes per
-        nonzero, held for the matrix's lifetime).  CSRMatrix instances
-        are structurally immutable (every operation returns a new
-        matrix), and the distributed algorithms multiply against the same
-        blocks every SUMMA stage of every epoch -- so the wrapper is
-        cached after the first call, taking per-call construction off the
-        hottest serial SpMM path.
+        The compiled SpMM kernel reads these in place of the int64
+        arrays: a copy of each (~4 bytes per nonzero at int32, held for
+        the matrix's lifetime), none where the dtype already matches.
+        CSRMatrix instances are structurally immutable (every operation
+        returns a new matrix), and the distributed algorithms multiply
+        against the same blocks every SUMMA stage of every epoch -- so
+        the pair is cached after the first call, taking per-call
+        conversion off the hottest serial SpMM path.
         """
-        if self._scipy_cache is None:
-            import scipy.sparse as sp
-
-            self._scipy_cache = sp.csr_matrix(
-                (self.data, self.indices, self.indptr),
-                shape=self.shape,
-                copy=False,
-            )
-        return self._scipy_cache
+        if self._kernel_index is None:
+            dtype = kernel_index_dtype(self.shape, self.nnz)
+            self._kernel_index = (np.asarray(self.indptr, dtype=dtype),
+                                  np.asarray(self.indices, dtype=dtype))
+        return self._kernel_index
 
     def to_coo(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.row_ids(), self.indices.copy(), self.data.copy()

@@ -3,8 +3,12 @@
 The paper's single most expensive local kernel is SpMM ("sparse matrix
 times multiple dense vectors"); the authors call cuSPARSE's ``csrmm2``.
 :func:`spmm` plays that role: it always runs scipy's compiled
-``csr_matvecs`` kernel on the matrix's cached zero-copy wrapper, an
-off-the-shelf optimised library kernel.  One kernel for every call is
+``csr_matvecs`` kernel on the matrix's cached index pair
+(:meth:`CSRMatrix.kernel_index`), an off-the-shelf optimised library
+kernel.  Only the compiled ``_sparsetools`` extension is loaded, not the
+``scipy.sparse`` package around it (:func:`load_sparsetools`): no
+process pays the package's import time and resident memory for the one
+function it calls.  One kernel for every call is
 what makes the bits independent of placement: which ranks a worker
 holds, how wide a received piece is, or whether a block has been
 multiplied before never changes which kernel -- hence which summation
@@ -23,12 +27,19 @@ charging compute time.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+import types
+
 import numpy as np
 
 from repro.obs import profile as _profile
 from repro.sparse.csr import CSRMatrix
 
 __all__ = [
+    "load_sparsetools",
     "spmm",
     "spmm_bytes",
     "spmm_flops",
@@ -83,23 +94,54 @@ def spmm_numpy(a: CSRMatrix, b: np.ndarray) -> np.ndarray:
     return out
 
 
-try:  # the compiled kernel scipy's own __matmul__ dispatches to
-    from scipy.sparse import _sparsetools as _st
+#: Where scipy keeps the compiled kernels its sparse formats dispatch to.
+SPARSETOOLS = "scipy.sparse._sparsetools"
 
-    _csr_matvecs = _st.csr_matvecs
-except (ImportError, AttributeError):  # pragma: no cover - older/newer scipy layouts
-    _csr_matvecs = None
+
+def load_sparsetools() -> types.ModuleType:
+    """scipy's compiled ``_sparsetools`` extension, without its package.
+
+    The extension file is found beside scipy's package directory
+    (``find_spec`` locates a top-level package without importing it)
+    and loaded on its own, under its canonical name: a later ``import
+    scipy.sparse`` finds it in ``sys.modules`` and reuses it.  Where the
+    file is not at that place, the package import yields the same
+    module -- the same kernel, the same bits.
+    """
+    loaded = sys.modules.get(SPARSETOOLS)
+    if loaded is not None:
+        return loaded
+    scipy = importlib.util.find_spec("scipy")
+    for root in (scipy.submodule_search_locations or ()) if scipy else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "sparse", "_sparsetools" + suffix)
+            if not os.path.isfile(path):
+                continue
+            loader = importlib.machinery.ExtensionFileLoader(SPARSETOOLS,
+                                                             path)
+            spec = importlib.util.spec_from_file_location(
+                SPARSETOOLS, path, loader=loader)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[SPARSETOOLS] = module
+            loader.exec_module(module)
+            return module
+    from scipy.sparse import _sparsetools
+    return _sparsetools
+
+
+_csr_matvecs = load_sparsetools().csr_matvecs
 
 
 def spmm(a: CSRMatrix, b: np.ndarray,
          out: "np.ndarray | None" = None) -> np.ndarray:
     """``A @ B`` for CSR ``A`` and dense ``B``, by the compiled kernel.
 
-    The zero-copy ``scipy.sparse`` wrapper is built once per matrix and
-    cached (:meth:`CSRMatrix.to_scipy`); ``csr_matvecs`` is then called
-    directly on its arrays, skipping the format checks scipy's ``@``
-    repeats on every call.  It is the kernel ``@`` dispatches to, so a
-    non-contiguous operand, which takes ``@``, gets the same bits.
+    ``csr_matvecs`` -- the kernel scipy's ``@`` dispatches to -- is
+    called directly on the matrix's index pair, built once per matrix
+    and cached (:meth:`CSRMatrix.kernel_index`), skipping the format
+    checks ``@`` repeats on every call.  A non-contiguous operand or
+    ``out`` goes through a contiguous copy into the same kernel, as
+    ``@`` does, so it gets the same bits.
 
     ``out`` (``A.nrows x B.ncols``) receives the product and is returned;
     whatever it held is overwritten.
@@ -122,21 +164,20 @@ def _compiled(a: CSRMatrix, b: np.ndarray,
     m, f = a.shape[0], b.shape[1]
     if out is not None and out.shape != (m, f):
         raise ValueError(f"out shape {out.shape} != result shape {(m, f)}")
-    sp = a.to_scipy()
-    if _csr_matvecs is None or not b.flags.c_contiguous or (
-        out is not None and not out.flags.c_contiguous
-    ):
-        # The compiled kernel writes through .ravel(), which would be a
-        # throwaway copy for non-contiguous buffers -- use scipy's @.
-        result = np.asarray(sp @ b)
-        if out is None:
-            return result
-        out[:] = result
-        return out
-    if out is None:
-        out = np.zeros((m, f), dtype=np.float64)
+    indptr, indices = a.kernel_index()
+    # The kernel reads B and accumulates into the output through
+    # ``.ravel()``, which is a throwaway copy for a non-contiguous
+    # buffer: such operands go through contiguous ones instead.
+    if not b.flags.c_contiguous:
+        b = np.ascontiguousarray(b)
+    if out is None or not out.flags.c_contiguous:
+        result = np.zeros((m, f), dtype=np.float64)
     else:
-        out.fill(0.0)  # csr_matvecs accumulates into the output
-    _csr_matvecs(m, a.shape[1], f, sp.indptr, sp.indices, sp.data,
-                 b.ravel(), out.ravel())
+        result = out
+        result.fill(0.0)
+    _csr_matvecs(m, a.shape[1], f, indptr, indices, a.data,
+                 b.ravel(), result.ravel())
+    if out is None or result is out:
+        return result
+    out[...] = result
     return out

@@ -820,6 +820,46 @@ class TestKernelProfiling:
         for name in a["kernels"]:
             assert b["kernels"][name]["calls"] == a["kernels"][name]["calls"]
 
+    def test_virtual_footprint_is_the_driver(self, ds):
+        algo = make_algorithm("1d", 4, ds, hidden=HIDDEN, seed=0)
+        _, tr = traced_fit(algo, ds.features, ds.labels, EPOCHS)
+        prof = tr.profile_summary()
+        (name,) = prof["peak_rss_by_process"]
+        assert name == "driver"
+        assert prof["peak_rss_total_bytes"] == prof["peak_rss_bytes"] > 0
+
+    def test_process_footprint_names_every_process(self, ds, tmp_path):
+        """Driver and workers each keep their own peak RSS, and the
+        record, the trace file and the drift report all carry it."""
+        algo = make_algorithm("1d", 4, ds, hidden=HIDDEN, seed=0,
+                              backend="process", workers=2)
+        try:
+            hist = algo.fit(ds.features, ds.labels, EPOCHS, trace=True)
+            tr = algo.last_trace
+        finally:
+            algo.rt.close()
+        prof = tr.profile_summary()
+        by_process = prof["peak_rss_by_process"]
+        assert list(by_process) == ["driver", "worker 0", "worker 1"]
+        assert all(rss > 0 for rss in by_process.values())
+        assert prof["peak_rss_total_bytes"] == sum(by_process.values())
+        assert prof["peak_rss_bytes"] == max(by_process["worker 0"],
+                                             by_process["worker 1"])
+        config = {"algorithm": "1d", "gpus": 4, "hidden": HIDDEN,
+                  "epochs": EPOCHS, "backend": "process"}
+        doc = export_chrome_trace(
+            tr, str(tmp_path / "t.json"),
+            extra=build_trace_meta(config, hist, tr, 0.25))
+        assert trace_from_chrome(doc).profile_summary() == prof
+        rep = drift_report(doc)
+        assert rep["compute"]["peak_rss_by_process"] == by_process
+        text = format_drift_report(rep)
+        line = next(ln for ln in text.splitlines()
+                    if ln.startswith("peak RSS"))
+        assert "driver" in line and "worker 1" in line
+        total = prof["peak_rss_total_bytes"] / 1e6
+        assert line.endswith(f"all processes {total:.1f} MB")
+
 # --------------------------------------------------------------------- #
 # ISSUE 9: drift report's compute column + dropped-span surfacing
 # --------------------------------------------------------------------- #

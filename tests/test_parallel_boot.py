@@ -8,7 +8,8 @@ compares a duration with a threshold chosen for a host:
 * the template really has imported what it was asked to (also when the
   driver reaches ``repro`` through ``sys.path.insert`` alone), and that
   is everything: a worker imports no numpy / scipy / repro module of its
-  own up to the end of its first traced fit and predict;
+  own through any command of any family -- traced and checkpointed
+  fits, predict on held and on new features, evaluate;
 * ``start()`` does not wait for the launch, and a launch that fails
   surfaces at the first dispatch with nothing left behind;
 * the template is single-threaded, carries the BLAS thread pins, and
@@ -20,6 +21,7 @@ compares a duration with a threshold chosen for a host:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -34,6 +36,8 @@ import pytest
 from repro.analysis import sanitize
 from repro.dist import make_algorithm, make_distribution, make_runtime_for
 from repro.graph import make_synthetic
+from repro.graph.generators import erdos_renyi
+from repro.graph.normalize import add_self_loops, row_normalize
 from repro.parallel import ProcessBackend
 from repro.parallel.backend import _PRELOAD, _THREAD_PIN_VARS
 
@@ -46,6 +50,14 @@ GHOST = {"variant": "ghost", "partition": "multilevel"}
 @pytest.fixture(scope="module")
 def ds():
     return make_synthetic(n=60, avg_degree=4, f=8, n_classes=3, seed=11)
+
+
+@pytest.fixture(scope="module")
+def directed(ds):
+    """``ds`` on a directed operand: the transpose variant's roles
+    differ only there."""
+    return dataclasses.replace(ds, adjacency=row_normalize(add_self_loops(
+        erdos_renyi(ds.num_vertices, 4.0, seed=1, directed=True))))
 
 
 @pytest.fixture(autouse=True)
@@ -232,15 +244,29 @@ def test_script_driver_leaves_nothing_behind(script_driver):
 # --------------------------------------------------------------------- #
 # (c) the preload is complete
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("name,transport,kw", [
-    ("1d", "shm", GHOST),
-    ("2d", "tcp", {}),
+@pytest.mark.parametrize("name,p,transport,kw", [
+    ("1d", 4, "shm", GHOST),
+    ("1d", 4, "tcp", {"variant": "outer"}),
+    ("1d", 4, "shm", {"variant": "transpose"}),
+    ("1.5d", 4, "tcp", {"replication": 2}),
+    ("2d", 4, "tcp", {}),
+    ("3d", 8, "shm", {}),
 ])
-def test_a_worker_imports_nothing_of_ours(ds, name, transport, kw):
-    algo = _make(ds, name, transport=transport, **kw)
+def test_a_worker_imports_nothing_of_ours(ds, directed, tmp_path, name, p,
+                                          transport, kw):
+    """Every command a driver issues, on every family: a traced fit,
+    predict on the held and on new features, evaluate, and a
+    checkpointed fit."""
+    data = directed if kw.get("variant") == "transpose" else ds
+    algo = _make(data, name, p=p, transport=transport, **kw)
     try:
-        algo.fit(ds.features, ds.labels, epochs=2, trace=True)
+        algo.fit(data.features, data.labels, epochs=2, trace=True)
         algo.predict()
+        algo.evaluate(data.labels)
+        algo.predict(data.features * 0.5)
+        algo.fit(data.features, data.labels, epochs=2,
+                 checkpoint_path=str(tmp_path / "ck.npz"),
+                 checkpoint_every=1)
         late = [m for w in _workers(algo)
                 for m in w["imported_after_boot"]
                 if m.split(".")[0] in ("numpy", "scipy", "repro")]

@@ -50,17 +50,20 @@ class TestCsrPickle:
         clone = pickle.loads(pickle.dumps(matrix))
         assert_csr_equal(clone, matrix)
 
-    def test_scipy_cache_dropped(self, matrix):
-        matrix.to_scipy()  # populate the cache
+    def test_kernel_index_cache_dropped(self, matrix):
+        held = matrix.kernel_index()  # populate the cache
         payload = pickle.dumps(matrix)
-        assert b"scipy" not in payload  # wrapper must not ship
+        # the index copies do not ship: the payload is a cold matrix's
+        cold = CSRMatrix(matrix.indptr, matrix.indices, matrix.data,
+                         matrix.shape)
+        assert payload == pickle.dumps(cold)
         clone = pickle.loads(payload)
-        assert clone._scipy_cache is None
+        assert clone._kernel_index is None
         assert_csr_equal(clone, matrix)
-        # The cache rebuilds lazily with identical structure.
-        rebuilt = clone.to_scipy()
-        np.testing.assert_array_equal(rebuilt.toarray(),
-                                      matrix.to_scipy().toarray())
+        # The cache rebuilds lazily with identical contents.
+        for got, want in zip(clone.kernel_index(), held):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
     def test_spawn_sized_payload(self, matrix):
         """Protocol-5 pickling (what mp.spawn uses) round-trips too."""

@@ -18,15 +18,15 @@ def random_csr(m, n, density, seed):
 
 def product(kernel, a, b):
     """``a @ b`` by one of the former backend names: ``numpy`` is the
-    reference kernel, ``scipy`` is ``spmm`` on a block whose compiled
-    wrapper is already cached, ``auto`` is ``spmm`` on a cold block (the
-    case the old size heuristic sent to numpy)."""
+    reference kernel, ``scipy`` is ``spmm`` on a block whose kernel
+    index pair is already cached, ``auto`` is ``spmm`` on a cold block
+    (the case the old size heuristic sent to numpy)."""
     if kernel == "numpy":
         return spmm_numpy(a, b)
     if kernel == "scipy":
-        a.to_scipy()
+        a.kernel_index()
     else:
-        assert a._scipy_cache is None
+        assert a._kernel_index is None
     return spmm(a, b)
 
 
@@ -94,15 +94,15 @@ class TestOut:
         np.testing.assert_array_equal(got, spmm(a, b))
 
     def test_the_first_multiply_of_a_block_takes_the_same_kernel(self):
-        """A block whose wrapper is not cached yet -- a fresh receipt, a
-        narrow piece -- gets the warm block's bits: the kernel never
-        depends on cache state."""
+        """A block whose index pair is not cached yet -- a fresh
+        receipt, a narrow piece -- gets the warm block's bits: the kernel
+        never depends on cache state."""
         a, _ = random_csr(16, 16, 0.2, 12)
         b = np.random.default_rng(13).standard_normal((16, 2))
         cold = CSRMatrix(a.indptr, a.indices, a.data, a.shape)
-        assert cold._scipy_cache is None and a.nnz * 2 < 2048
+        assert cold._kernel_index is None and a.nnz * 2 < 2048
         first = spmm(cold, b)
-        a.to_scipy()
+        a.kernel_index()
         np.testing.assert_array_equal(first, spmm(a, b))
 
 
