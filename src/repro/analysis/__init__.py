@@ -1,14 +1,11 @@
 """Analysis layer: the paper's flat closed forms (``formulas``), memory
 estimates, figure reproductions and scaling tables -- the latter two are
 views of :mod:`repro.simulate`, which prices every epoch with the one
-price list of :mod:`repro.comm.cost_model` -- and the invariant tooling
-(static lint rules + runtime sanitizers).
+price list of :mod:`repro.comm.cost_model` -- and the static lint rules.
 
-Names resolve lazily (PEP 562, same mechanism as :mod:`repro`): the
-correctness-critical reason is that :mod:`repro.comm.collectives` hooks
-into :mod:`repro.analysis.sanitize`, and an eager ``__init__`` here
-would close an import cycle through ``scaling -> simulate -> dist ->
-comm``.
+Names resolve lazily (PEP 562, same mechanism as :mod:`repro`), so
+importing one of them does not load ``scaling -> simulate -> dist ->
+comm`` for the others.
 """
 
 from importlib import import_module
@@ -41,8 +38,6 @@ _EXPORTS = {
     "format_crossovers": "repro.analysis.scaling",
     "format_scaling_table": "repro.analysis.scaling",
     "scaling_table": "repro.analysis.scaling",
-    "Sanitizer": "repro.analysis.sanitize",
-    "SanitizerError": "repro.analysis.sanitize",
     "Violation": "repro.analysis.lint",
     "default_rules": "repro.analysis.lint",
     "format_violations": "repro.analysis.lint",
@@ -50,10 +45,8 @@ _EXPORTS = {
     "run_lint": "repro.analysis.lint",
 }
 
-#: Modules reachable as attributes (``repro.analysis.sanitize``).
-_SUBPACKAGES = (
-    "figures", "formulas", "lint", "memory", "sanitize", "scaling",
-)
+#: Modules reachable as attributes (``repro.analysis.lint``).
+_SUBPACKAGES = ("figures", "formulas", "lint", "memory", "scaling")
 
 __all__ = sorted(_EXPORTS)
 

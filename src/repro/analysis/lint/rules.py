@@ -141,7 +141,7 @@ class UnorderedIteration(Rule):
 # R4: instrumentation must be zero-cost when off
 # --------------------------------------------------------------------- #
 class UnguardedInstrumentation(Rule):
-    """Every obs/sanitizer hook follows one idiom: read the module
+    """Every obs hook follows one idiom: read the module
     global once (``rec = _spans.ACTIVE``), test ``is None``, and only
     touch the recorder behind that guard.  An unconditional recorder
     call crashes every untraced run (``None`` has no ``record``) -- or

@@ -150,18 +150,10 @@ def cmd_crossover(_args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    from repro.analysis import sanitize as _sanitize
     from repro.dist import make_algorithm
     from repro.graph import make_standin, make_synthetic
     from repro.nn import SGD
 
-    # The in-process sanitizer covers the virtual backend and the
-    # driver; the process backend arms every worker it launches whenever
-    # the driver's is armed (--sanitize and REPRO_SANITIZE=1 alike).
-    if args.sanitize:
-        _sanitize.enable()
-    else:
-        _sanitize.maybe_enable_from_env()
     if args.dataset:
         ds = make_standin(args.dataset, scale_divisor=args.scale, seed=args.seed)
     else:
@@ -293,19 +285,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         ))
         print(f"wall clock: {elapsed:.2f}s for {args.epochs} epochs "
               f"({args.backend} backend)")
-        san = _sanitize.ACTIVE
-        if san is not None:
-            checks, note = san.stats, ""
-            if backend_stats is not None:
-                # The driver moves no collective payload: the counts
-                # that mean something are the workers', summed.
-                per = [w["sanitizer"] for w in backend_stats["per_worker"]]
-                checks = {k: sum(s[k] for s in per) for k in san.stats}
-                note = " (workers check their own shares)"
-            print("sanitizers: "
-                  f"{checks['cow_verified']} COW receipts verified, "
-                  f"{checks['exchanges_checked']} exchange ledgers "
-                  f"checked{note}")
         if backend_stats is not None:
             st = backend_stats
             print(f"process backend [{st['transport']}]: "
@@ -735,11 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(run lifecycle, epochs, checkpoints, recovery "
                         "taxonomy) here; validate with "
                         "'repro obs validate-events'")
-    p.add_argument("--sanitize", action="store_true",
-                   help="arm the runtime sanitizers (COW receipts, exact "
-                        "exchange ledgers, tag ordering) in the driver "
-                        "and every worker; bit-equal to an unsanitized "
-                        "run (REPRO_SANITIZE=1 does the same)")
     p.add_argument("--json", action="store_true",
                    help="print the run record (schema repro-run/1; the "
                         "one --trace embeds) instead of the human tables")

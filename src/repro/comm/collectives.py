@@ -48,8 +48,8 @@ group sent it locally, in group order.  This class implements the hooks
 for the virtual runtime, where every rank is local and nothing travels;
 the multiprocess backend (:mod:`repro.parallel.collectives`) overrides
 only those three, so every collective works on every backend by
-construction, with the same receipt labels, the same argument checks and
-the same sanitizer coverage, and every step is one rendezvous.
+construction, with the same receipts and the same argument checks, and
+every step is one rendezvous.
 
 Data movement is **copy-on-write**: every receiving rank gets a
 *read-only view* of the transmitted payload (``ndarray.flags.writeable =
@@ -60,7 +60,10 @@ payload raises instead of silently corrupting the peers sharing it.
 That protection is one-directional: the sender still holds its original
 writable buffer, so a caller that mutates a payload *after* sending it
 would change what every receiver sees -- senders must treat transmitted
-buffers as frozen (every algorithm in :mod:`repro.dist` does).  Sparse
+buffers as frozen (every algorithm in :mod:`repro.dist` does).  Such a
+write changes the receivers' arithmetic, which the serial reference
+(``verify_against_serial``) and the process runs' bit equality with the
+virtual run catch; a write no receiver reads is harmless.  Sparse
 blocks (:class:`CSRMatrix`) are structurally immutable throughout the
 codebase and are shared as-is, which also preserves their cached
 kernel index pair (``CSRMatrix.kernel_index()``) across epochs.  The ledger models the real
@@ -80,7 +83,6 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
 
 import numpy as np
 
-from repro.analysis import sanitize as _sanitize
 from repro.comm import cost_model as cm
 from repro.comm.plan import CommPlan
 from repro.comm.tracker import Category, CommTracker
@@ -94,8 +96,9 @@ __all__ = ["Collectives", "payload_nbytes"]
 Charge = Tuple[int, float, int, int, int]
 
 #: The kinds whose rule is exact: the charged bytes of a receiving rank
-#: are precisely the payload bytes delivered to it (what the sanitizer's
-#: byte audit compares).
+#: are precisely the payload bytes delivered to it (what
+#: :meth:`repro.dist.base.DistAlgorithm._collective` audits on a step's
+#: first call).
 EXACT = ("gather_rows",)
 
 
@@ -134,7 +137,7 @@ def _dense(payload: Any) -> np.ndarray:
     return payload
 
 
-def _readonly(payload: Any, kind: str) -> Any:
+def _readonly(payload: Any) -> Any:
     """Copy-on-write receipt: a shared read-only view of the payload.
 
     Dense arrays come back as views with the writeable flag cleared, so
@@ -142,19 +145,10 @@ def _readonly(payload: Any, kind: str) -> Any:
     peer that shares the buffer.  Sparse blocks and ``None`` pass through
     unchanged (CSR blocks are structurally immutable by convention --
     every operation returns a new matrix).
-
-    ``kind`` labels the collective handing out the receipt: the
-    writeable flag cannot stop the *sender* from writing through the
-    original buffer, so under ``REPRO_SANITIZE=1`` the view is also
-    content-hashed and re-verified at epoch boundaries -- a drift raises
-    naming ``kind``.
     """
     if isinstance(payload, np.ndarray):
         view = payload.view()
         view.flags.writeable = False
-        san = _sanitize.ACTIVE
-        if san is not None:
-            san.register_cow(kind, view)
         return view
     return payload
 
@@ -352,7 +346,7 @@ class Collectives:
             return fold, self._routed_post(kind, hops, pick)
 
         def receipts(got: list) -> list:
-            return [_readonly(payload, kind) for payload in got]
+            return [_readonly(payload) for payload in got]
         return receipts, self._routed_post(kind, hops, pick)
 
     def collect(self, posted: Any) -> Any:
@@ -420,7 +414,7 @@ class Collectives:
     def _allgather(self, group: Tuple[int, ...], mine: Sequence[int],
                    payloads: Mapping[int, Any]) -> Tuple[None, Callable]:
         def fold(parts: list) -> dict:
-            shared = [_readonly(part, "allgather") for part in parts]
+            shared = [_readonly(part) for part in parts]
             return {r: list(shared) for r in mine}
         return None, fold
 
@@ -428,8 +422,7 @@ class Collectives:
                    payloads: Mapping[int, Any], donate_first: bool = False
                    ) -> Tuple[None, Callable]:
         def fold(parts: list) -> dict:
-            shared = _readonly(self._reduce_arrays(parts, donate_first),
-                               "allreduce")
+            shared = _readonly(self._reduce_arrays(parts, donate_first))
             return dict.fromkeys(mine, shared)
         return None, fold
 
@@ -470,7 +463,7 @@ class Collectives:
             shards = _axis_shards(
                 acc, [(where[r][0] - base, where[r][1] - base) for r in mine],
                 axis)
-            return {r: _readonly(shard, "reduce_scatter")
+            return {r: _readonly(shard)
                     for r, shard in zip(mine, shards)}
         return cut, fold
 

@@ -243,8 +243,8 @@ class DistGCN1D(BlockRowAlgorithm):
         the fetched ghosts, in referenced-column order.
 
         The charge is the receive-side exact volume (``r_i * f *
-        itemsize`` per rank, which the sanitizer audits against the
-        rows that arrive); the data plane moves only the requested rows
+        itemsize`` per rank, audited against the rows that arrive on
+        the step's first call); the data plane moves only the requested rows
         (really crossing process boundaries on the multiprocess
         backend).  Values are exact copies of the full operand's rows,
         so the compact SpMM is bitwise the all-gather path's.

@@ -43,7 +43,6 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Iterable,
 
 import numpy as np
 
-from repro.analysis import sanitize as _sanitize
 from repro.comm import cost_model as cm
 from repro.comm.collectives import EXACT, payload_nbytes
 from repro.comm.mesh import ProcessMesh
@@ -70,8 +69,8 @@ if TYPE_CHECKING:  # import would cycle: simulate -> dist -> simulate
     from repro.simulate.schedule import CommSchedule
 
 __all__ = ["RoutedStep", "DistAlgorithm", "HELD_FEATURES", "clone_optimizer",
-           "bucket_bounds", "bucket_nbytes", "bucket_bands",
-           "band_nbytes"]
+           "serial_divergence", "bucket_bounds", "bucket_nbytes",
+           "bucket_bands", "band_nbytes"]
 
 #: (wall seconds per category, bytes per category per rank) at a mark
 _LedgerMarks = Tuple[Dict[str, float], List[Dict[str, int]]]
@@ -205,6 +204,45 @@ def clone_optimizer(opt: Optimizer) -> Optimizer:
     if isinstance(opt, Adam):
         return Adam(lr=opt.lr, beta1=opt.beta1, beta2=opt.beta2, eps=opt.eps)
     raise TypeError(f"cannot clone optimiser of type {type(opt).__name__}")
+
+
+def serial_divergence(
+    widths: Sequence[int], seed: int, optimizer: Optimizer,
+    a_t: CSRMatrix, a: CSRMatrix, distribution: Optional[Distribution],
+    features: np.ndarray, labels: np.ndarray, epochs: int,
+    mask: Optional[np.ndarray],
+    distributed: Callable[[], Tuple[Sequence[float], Sequence[np.ndarray],
+                                    np.ndarray]],
+) -> float:
+    """Train the serial reference, then the distributed side, from the
+    same fresh weights; return the largest divergence observed.
+
+    This is the paper's correctness claim ("outputs the same embeddings
+    up to floating point accumulation errors"): the metric is the max
+    over per-epoch loss differences, final weight differences, and final
+    log-probability differences.  ``a_t`` / ``a`` are the internal
+    operand and its transpose (relabelled where ``distribution`` is
+    set), so the reference consumes the internally-ordered inputs and
+    its predictions map back.  ``distributed()`` trains the distributed
+    side and returns its ``(losses, weights, log_probs)``.
+    """
+    serial = SerialTrainer(GCN(widths, seed=seed), a_t, a=a,
+                           optimizer=clone_optimizer(optimizer))
+    rows = (lambda x: x) if distribution is None \
+        else distribution.permute_rows
+    s_features = rows(np.asarray(features, dtype=np.float64))
+    s_mask = None if mask is None else rows(np.asarray(mask, dtype=bool))
+    s_hist = serial.train(s_features, rows(np.asarray(labels, dtype=np.int64)),
+                          epochs, mask=s_mask)
+    s_lp = serial.model.predict(a_t, s_features)
+    if distribution is not None:
+        s_lp = distribution.unpermute_rows(s_lp)
+    losses, weights, d_lp = distributed()
+    diff = max(abs(a - b) for a, b in zip(losses, s_hist.losses))
+    for w_d, w_s in zip(weights, serial.model.weights):
+        if w_d.size:
+            diff = max(diff, float(np.max(np.abs(w_d - w_s))))
+    return max(diff, float(np.max(np.abs(d_lp - s_lp))))
 
 
 class DistAlgorithm:
@@ -493,9 +531,11 @@ class DistAlgorithm:
 
         * a buffer handed to a collective -- as a contribution whose
           receipts alias it, or donated as an accumulator -- must not be
-          rewritten later in the same epoch: the sanitizer re-hashes the
-          receipts at the epoch's end.  A per-layer key written once per
-          epoch satisfies this by construction;
+          rewritten while a receiver still reads it (the receivers'
+          arithmetic would change, which ``verify_against_serial`` and
+          the process runs' bit equality with the virtual run catch).
+          A per-layer key written once per epoch satisfies this by
+          construction;
         * the output layer's log-probabilities stay private arrays:
           :meth:`_set_epoch_output` keeps them for a lazy read-out that
           may come after later ``predict()`` calls have rerun the forward
@@ -558,18 +598,21 @@ class DistAlgorithm:
         a multiprocess worker holds only its own ranks' buffers -- and
         replayed from the cache under ``key`` on later epochs.  The
         data plane runs under one wall-clock span (``span``, default
-        the kind); for the exact-accounting kinds the sanitizer audits
-        that the bytes charged to local receivers are the bytes that
-        arrived (a SUMMA stage's relay books members no route reaches
-        too: they select their rows from a local member's).  ``posted`` finishes a :meth:`Collectives.post` made
-        earlier instead of moving now (a staged routed step): the
-        charge lands here, where the step is collected.
+        the kind).  On that first call an exact-accounting kind is
+        audited too: the bytes charged to local receivers must be the
+        bytes that arrived (a SUMMA stage's relay books members no route
+        reaches too: they select their rows from a local member's), else
+        it raises naming the exchange; the shapes being fixed, later
+        calls need no audit.  ``posted`` finishes a
+        :meth:`Collectives.post` made earlier instead of moving now (a
+        staged routed step): the charge lands here, where the step is
+        collected.
         """
         coll = self.rt.coll
         charges = self._cache.get(key)
-        if charges is None:
+        first = charges is None
+        if first:
             charges = coll.charges(kind, sizes(), pipelined)
-            self._cache[key] = charges
         self.rt.tracker.charge_many(category, charges)
         if posted is None:
             out = self._obs_call(span or kind, category, coll.move,
@@ -577,17 +620,19 @@ class DistAlgorithm:
         else:
             out = self._obs_call(span or kind, category, coll.collect,
                                  posted)
-        if kind in EXACT:
-            san = _sanitize.ACTIVE
-            if san is not None:
+        if first:
+            if kind in EXACT:
                 dsts = {dst for _, dst, _ in where}
-                san.check_exchange(
-                    f"{kind}:{key!r}",
-                    sum(c[2] for c in charges
-                        if c[0] in dsts and self._is_local(c[0])),
-                    sum(payload_nbytes(got) for got in out
-                        if got is not None),
-                )
+                charged = sum(c[2] for c in charges
+                              if c[0] in dsts and self._is_local(c[0]))
+                moved = sum(payload_nbytes(got) for got in out
+                            if got is not None)
+                if charged != moved:
+                    raise RuntimeError(
+                        f"ledger mismatch in exchange '{kind}:{key!r}': "
+                        f"charged {charged} bytes but the data plane "
+                        f"moved {moved} bytes to local ranks")
+            self._cache[key] = charges
         return out
 
     def _routed_stages(
@@ -797,9 +842,6 @@ class DistAlgorithm:
             "setup", Category.MISC,
             lambda: self._keep_t0(self._aggregate(
                 self._setup_data(self._to_internal(given)))))
-        san = _sanitize.ACTIVE
-        if san is not None:
-            san.verify_cow("end of set-up")
         # Nothing reads an f^0-wide operand again: drop the gather /
         # ghost / SUMMA buffers the sweep allocated.
         for key in [k for k in self.workspace if k not in before]:
@@ -813,12 +855,6 @@ class DistAlgorithm:
             raise RuntimeError("call setup(features, labels) before training")
         marks = self._ledger_marks()
         loss, acc = self._run_epoch()
-        san = _sanitize.ACTIVE
-        if san is not None:
-            # Re-hash the copy-on-write receipts handed out this epoch:
-            # the writeable flag stops receivers, this catches senders
-            # writing through a buffer their peers still alias.
-            san.verify_cow(f"end of epoch {epoch}")
         return EpochStats(epoch=epoch, loss=loss, train_accuracy=acc,
                           **self._ledger_since(marks))
 
@@ -838,8 +874,8 @@ class DistAlgorithm:
 
         ``on_epoch``, when given, is called with each epoch's
         :class:`EpochStats` as it completes -- the process backend's
-        resident workers use it to report liveness (and, under paranoid
-        mode, per-epoch ledger digests) from inside the loop.
+        resident workers use it to report liveness and per-epoch ledger
+        digests from inside the loop.
 
         With ``checkpoint_path`` and ``checkpoint_every=k``, the full
         training state -- weights, optimizer moments, completed-epoch
@@ -1002,45 +1038,18 @@ class DistAlgorithm:
         mask: Optional[np.ndarray] = None,
     ) -> float:
         """Train serially and distributed from identical weights; return
-        the largest divergence observed.
-
-        This is the paper's correctness claim ("outputs the same
-        embeddings up to floating point accumulation errors"): the metric
-        is the max over per-epoch loss differences, final weight
-        differences, and final log-probability differences.
-        """
+        the largest divergence observed (:func:`serial_divergence`)."""
         seed = self.seed if seed is None else seed
-        serial = SerialTrainer(
-            GCN(self.widths, seed=seed),
-            self.a_t,
-            a=self.a,
-            optimizer=clone_optimizer(self.optimizer),
-        )
-        # ``self.a_t`` is the internal operand (relabelled when a
-        # distribution is set), so the serial reference consumes the
-        # internally-ordered inputs and its predictions map back.
-        s_features = self._to_internal(
-            np.asarray(features, dtype=np.float64)
-        )
-        s_labels = self._to_internal(np.asarray(labels, dtype=np.int64))
-        s_mask = None if mask is None else self._to_internal(
-            np.asarray(mask, dtype=bool)
-        )
-        s_hist = serial.train(s_features, s_labels, epochs, mask=s_mask)
-        s_lp = self._from_internal(serial.model.predict(self.a_t, s_features))
 
-        self.model = GCN(self.widths, seed=seed)
-        self.optimizer = clone_optimizer(self.optimizer)
-        d_hist = self.fit(features, labels, epochs, mask=mask)
-        d_lp = self.predict()
+        def distributed():
+            self.model = GCN(self.widths, seed=seed)
+            self.optimizer = clone_optimizer(self.optimizer)
+            hist = self.fit(features, labels, epochs, mask=mask)
+            return hist.losses, self.model.weights, self.predict()
 
-        diff = max(
-            abs(a - b) for a, b in zip(d_hist.losses, [e.loss for e in s_hist.epochs])
-        )
-        for w_d, w_s in zip(self.model.weights, serial.model.weights):
-            diff = max(diff, float(np.max(np.abs(w_d - w_s))) if w_d.size else 0.0)
-        diff = max(diff, float(np.max(np.abs(d_lp - s_lp))))
-        return diff
+        return serial_divergence(
+            self.widths, seed, self.optimizer, self.a_t, self.a,
+            self.distribution, features, labels, epochs, mask, distributed)
 
     def _kept_x_width(self, l: int) -> int:
         """Resident columns per rank of layer ``l``'s left operand

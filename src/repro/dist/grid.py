@@ -943,7 +943,7 @@ class GridAlgorithm(DistAlgorithm):
         ``T^l``, a backward ``A G^l``.
 
         A local member's piece is a read-only view of its own block, and
-        the sanitizer re-hashes the pieces at the epoch's end, so
+        the funnels read the pieces after later products ran, so
         ``blocks`` must sit in a buffer nothing else of the epoch
         writes."""
         got = self._row_pieces(blocks, f)

@@ -73,8 +73,8 @@ worker uses.  The driver's first pool launches it;
 that pool, every later one and every recovery respawn then pay a
 ``fork`` per worker, not an interpreter start plus the imports.  A
 worker inherits the template's state -- never the driver's environment
--- so every setting it honours (timeout, fault plan, paranoid digests,
-sanitizers) is read by the driver and shipped in the worker's ``spec``.
+-- so every setting it honours (timeout, fault plan) is read by the
+driver and shipped in the worker's ``spec``.
 ``ParallelRuntime.start()`` hands the fork requests to a launcher
 thread and returns without waiting for it (bare construction stays
 lazy: the first command starts the pool otherwise).
@@ -108,8 +108,7 @@ Layer responsibilities:
   the shards each peer keeps; the inherited reductions fold them in
   group-rank order, a fixed tree, so results match the virtual runtime
   bit for bit on either transport), and ``_members``.  Cost rules,
-  argument checks, receipt labels and sanitizer hooks are inherited,
-  not mirrored;
+  argument checks and receipts are inherited, not mirrored;
 * ``runtime.py``    -- :class:`WorkerRuntime` (the rank-local
   :class:`~repro.comm.runtime.Runtime`), :class:`ParallelRuntime` and
   :class:`ParallelAlgorithm` (driver-side, VirtualRuntime-shaped);

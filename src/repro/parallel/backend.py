@@ -37,10 +37,10 @@ The workers are **resident**: the driver ships whole programs, not
 individual steps.  ``fit`` is one dispatch -- the epoch loop runs
 worker-side with zero driver round-trips on the hot path, and the driver
 collects the final history/ledger.  Remaining driver-initiated paths can
-batch N commands into one pickle/wakeup (``batch``).  Ledger-digest
-checks are likewise batched: one digest per fit / per fused batch by
-default, with full per-epoch and per-command digests behind
-``REPRO_PARALLEL_PARANOID=1``.
+batch N commands into one pickle/wakeup (``batch``).  Every reply that
+checks the ledger carries one digest per item -- per epoch of a fit,
+per sub-command of a batch -- beside the final one, so a divergence
+names the first item where the workers parted.
 
 Liveness is watched through a shared **heartbeat** array: every worker
 bumps its slot on each channel exchange and each resident-fit epoch.
@@ -74,7 +74,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.analysis import sanitize as _sanitize
 from repro.comm.mesh import ProcessMesh
 from repro.config import MachineProfile
 from repro.obs import profile as _profile
@@ -137,15 +136,6 @@ _LEDGERED_OPS = frozenset({"setup", "train_epoch", "predict", "evaluate"})
 
 #: a fresh identity for every pool a driver launches
 _POOL_IDS = itertools.count(1)
-
-
-def paranoid_mode() -> bool:
-    """Full per-command/per-epoch digest checking (default: batched).
-
-    A driver-side read: :meth:`ProcessBackend.start` ships the answer to
-    the workers in ``spec``.
-    """
-    return os.environ.get("REPRO_PARALLEL_PARANOID", "") not in ("", "0")
 
 
 def default_max_restarts() -> int:
@@ -359,8 +349,6 @@ class ProcessBackend:
             "hosts": hosts,
             "heartbeat": self.heartbeat,
             "faults": self.faults,
-            "paranoid": paranoid_mode(),
-            "sanitize": _sanitize.maybe_enable_from_env() is not None,
         }
         self.procs = [
             ctx.Process(
@@ -429,8 +417,8 @@ class ProcessBackend:
 
         ``commands`` is a list of ``(op, payload)`` pairs; each worker
         executes them in order and replies once with
-        ``(values, digest, tracker, obs)`` -- one batched ledger digest
-        for the whole stream (per-command digests under paranoid mode).
+        ``(values, digest, tracker, obs)`` -- the stream's ledger digest
+        and one per command.
         Returns the per-worker tuples.
         """
         if not self._started:
@@ -554,8 +542,7 @@ class ProcessBackend:
         extra dispatch that is *not* included in the snapshot.
         ``per_worker`` keeps the workers' own replies: besides the
         summed fields, each one's ``pid``, its ``ppid`` (the worker
-        template), the modules it has imported since it was forked, its
-        sanitizer's check counters (``None`` when unarmed) and
+        template), the modules it has imported since it was forked and
         ``held_sparse_bytes``, the ``indptr`` / ``indices`` / ``data``
         bytes of every sparse matrix its algorithm holds (its shard's
         blocks and, on the grid, the stage pieces it kept), counted.
@@ -646,8 +633,6 @@ def _worker_main(worker_id: int, spec: dict, inboxes, cmd_queue,
     checkpoint writer closes its file inside ``fit``.
     """
     state = _WorkerState()
-    if spec["sanitize"]:
-        _sanitize.enable()
     heartbeat = spec["heartbeat"]
     if spec["transport"] == "tcp":
         channel = TcpChannel(worker_id, len(inboxes), inboxes=inboxes,
@@ -662,7 +647,6 @@ def _worker_main(worker_id: int, spec: dict, inboxes, cmd_queue,
     rt = WorkerRuntime(spec["mesh"], spec["profile"], channel,
                        spec["owners"])
     dispatch = shared_memory.SharedMemory(name=spec["dispatch_arena"])
-    paranoid = spec["paranoid"]
     try:
         while True:
             op, payload = cmd_queue.get()
@@ -670,8 +654,15 @@ def _worker_main(worker_id: int, spec: dict, inboxes, cmd_queue,
                 break
             try:
                 payload = fetch_fields(payload, dispatch.buf)
-                value = _handle(rt, worker_id, op, payload, state, channel,
-                                paranoid)
+                value = _handle(rt, worker_id, op, payload, state, channel)
+                if channel._stash:
+                    # Every post is collected before its command
+                    # returns: a frame left over was sent twice or to
+                    # the wrong worker.
+                    raise RuntimeError(
+                        f"worker {worker_id}: {len(channel._stash)} "
+                        f"frame(s) left uncollected after {op!r}, first "
+                        f"{next(iter(channel._stash))!r}")
                 result_queue.put((worker_id, "ok", value))
                 # hold nothing of a command past it (a shipped feature
                 # matrix, the shard's list) while waiting for the next
@@ -693,30 +684,28 @@ def _digest_result(rt, worker_id: int, value, extras, item_digests,
     """Digest-carrying reply:
     ``(value-or-None, digest, w0's tracker, obs-or-None)``.
 
-    ``digest`` is the batched ledger digest (covering ``extras`` --
-    the stream's check scalars), or, under paranoid mode, a
-    ``(final, per_item_digests)`` pair so a divergence names the exact
-    epoch / sub-command.  ``obs`` is the worker's span blob when the fit
-    ran traced -- it rides on the same reply and never enters the
-    digest (wall clocks differ per worker; the ledger must not).
+    ``digest`` is the ``(final, per_item_digests)`` pair: the ledger
+    digest covering ``extras`` -- the stream's check scalars -- and one
+    per epoch / sub-command, so a divergence names the exact item.
+    ``obs`` is the worker's span blob when the fit ran traced -- it
+    rides on the same reply and never enters the digest (wall clocks
+    differ per worker; the ledger must not).
     """
     state.ndigests += 1
-    final = ledger_digest(rt.tracker, *extras)
-    digest = final if item_digests is None else (final, tuple(item_digests))
+    digest = (ledger_digest(rt.tracker, *extras), tuple(item_digests))
     tracker = rt.tracker if worker_id == 0 else None
     return (value if worker_id == 0 else None, digest, tracker, obs)
 
 
 def _handle(rt, worker_id: int, op: str, payload, state: _WorkerState,
-            channel, paranoid: bool):
+            channel):
     """Execute one top-level command, wrapping digests as appropriate."""
     if op == "fit":
         # The resident hot path: the whole training program runs here,
         # with zero driver round-trips between epochs.
         features, labels, mask, epochs, capacity, ckpt = payload
         algo = _require_algo(state, op)
-        extras = []
-        epoch_digests = [] if paranoid else None
+        extras, epoch_digests = [], []
         ckpt = ckpt or {}
         ckpt_path = ckpt.get("path")
         resume = bool(ckpt.get("resume"))
@@ -735,11 +724,9 @@ def _handle(rt, worker_id: int, op: str, payload, state: _WorkerState,
         def on_epoch(stats):
             channel.touch()
             extras.extend((stats.loss, stats.train_accuracy))
-            if epoch_digests is not None:
-                state.ndigests += 1
-                epoch_digests.append(
-                    ledger_digest(rt.tracker, stats.loss,
-                                  stats.train_accuracy))
+            state.ndigests += 1
+            epoch_digests.append(ledger_digest(rt.tracker, stats.loss,
+                                               stats.train_accuracy))
             if plan is not None and stats.epoch >= live_start:
                 plan.on_epoch(stats.epoch)
 
@@ -783,22 +770,18 @@ def _handle(rt, worker_id: int, op: str, payload, state: _WorkerState,
         return _digest_result(rt, worker_id, history, extras,
                               epoch_digests, state, obs=obs)
     if op == "batch":
-        values, extras = [], []
-        item_digests = [] if paranoid else None
+        values, extras, item_digests = [], [], []
         for sub_op, sub_payload in payload:
             value, sub_extras = _dispatch(rt, worker_id, sub_op,
                                           sub_payload, state)
             values.append(value)
             extras.extend(sub_extras)
-            if item_digests is not None:
-                state.ndigests += 1
-                item_digests.append(
-                    ledger_digest(rt.tracker, *sub_extras))
+            state.ndigests += 1
+            item_digests.append(ledger_digest(rt.tracker, *sub_extras))
         return _digest_result(rt, worker_id, values, extras, item_digests,
                               state)
     if op == "stats":
         algo = state.algo
-        san = _sanitize.ACTIVE
         return {
             "pid": os.getpid(),
             # the worker template, shared by every pool of one driver
@@ -807,7 +790,6 @@ def _handle(rt, worker_id: int, op: str, payload, state: _WorkerState,
             # numpy / scipy / repro names is boot cost paid per worker
             "imported_after_boot": sorted(
                 set(sys.modules) - state.boot_modules),
-            "sanitizer": None if san is None else dict(san.stats),
             "channel_bytes": channel.bytes_sent,
             "exchanges": channel.nexchanges,
             "digests_computed": state.ndigests,
@@ -820,7 +802,7 @@ def _handle(rt, worker_id: int, op: str, payload, state: _WorkerState,
         }
     value, extras = _dispatch(rt, worker_id, op, payload, state)
     if op in _LEDGERED_OPS:
-        return _digest_result(rt, worker_id, value, extras, None, state)
+        return _digest_result(rt, worker_id, value, extras, (), state)
     return value
 
 

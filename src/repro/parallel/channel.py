@@ -42,6 +42,10 @@ arriving early (a peer posting ahead, or racing ahead on an unrelated
 group) are stashed until their tag is wanted.  A post never blocks and a
 worker posts **all** of a rendezvous' outgoing messages before it
 collects, so cyclic waits cannot form however many tickets are open.
+Every post is collected before the command that made it returns, so the
+stash is empty between commands; a duplicated or stray frame would sit
+in it for good, and the worker fails the command that leaves one
+(:func:`repro.parallel.backend._worker_main`).
 Both halves live in :class:`ChannelBase`; the TCP transport
 (:mod:`repro.parallel.tcp`) supplies a different wire under the exact
 same semantics.
@@ -62,7 +66,6 @@ import queue
 from multiprocessing import shared_memory
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis import sanitize as _sanitize
 from repro.obs import spans as _spans
 from repro.parallel.shm import (
     Arena,
@@ -197,13 +200,8 @@ class ChannelBase:
         hit = self._stash.pop(key, None)
         if hit is not None:
             return hit
-        san = _sanitize.ACTIVE
         while True:
             msg = self._read_msg(src, key)
-            if san is not None:
-                # Every frame pulled off the transport, in arrival
-                # order (stash hits were observed when first read).
-                san.observe_tag(self.wid, msg[2], msg[1], kind=msg[0])
             mkey = (msg[0], msg[1], msg[2])
             if mkey == key:
                 return msg

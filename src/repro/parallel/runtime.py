@@ -8,9 +8,8 @@ payloads through shared memory.  Each worker constructs the *same*
 weights) and runs the *same* epoch program; only the data loops narrow to
 the owned ranks.  Because charging is global and deterministic, every
 worker's tracker is a complete, bit-identical copy of the virtual
-runtime's ledger -- verified via :func:`ledger_digest` (one batched
-digest per fit / per fused command stream; full per-epoch and
-per-command digests under ``REPRO_PARALLEL_PARANOID=1``).
+runtime's ledger -- verified via :func:`ledger_digest` (one digest per
+fit / per fused command stream, and one per epoch / per command in it).
 
 :class:`ParallelRuntime` is the driver-side handle: it exposes the
 :class:`VirtualRuntime` surface (mesh, tracker, profile, describe,
@@ -404,53 +403,32 @@ class ParallelAlgorithm:
     def verify_against_serial(self, features: np.ndarray, labels: np.ndarray,
                               epochs: int, seed: Optional[int] = None,
                               mask: Optional[np.ndarray] = None) -> float:
-        """Serial-vs-process divergence, mirroring
-        :meth:`DistAlgorithm.verify_against_serial` (serial runs on the
+        """Serial-vs-process divergence by
+        :func:`repro.dist.base.serial_divergence`: serial runs on the
         driver, on the operand it cut the shards from, distributed on
-        the workers, both from fresh weights)."""
-        from repro.dist.base import DistAlgorithm, clone_optimizer
-        from repro.nn.model import GCN, SerialTrainer
+        the workers, both from fresh weights."""
+        from repro.dist.base import DistAlgorithm, serial_divergence
 
         info = self.rt._command("reset_model", seed)[0]
-        seed, optimizer = info["seed"], info["optimizer"]
         # The workers' operand lives in the distribution's internal
-        # (part-major) vertex order; feed the serial reference the same
-        # relabelled operand and inputs and map its predictions back.
+        # (part-major) vertex order: the reference gets it relabelled.
         a_t, dist = self._ctor[1], self._ctor[5].get("distribution")
         if dist is not None:
             a_t = dist.permute_matrix(a_t)
-        serial = SerialTrainer(
-            GCN(self.widths, seed=seed), a_t,
-            a=a_t if DistAlgorithm._is_symmetric(a_t) else a_t.transpose(),
-            optimizer=clone_optimizer(optimizer),
-        )
-        s_features = np.asarray(features, dtype=np.float64)
-        s_labels = np.asarray(labels, dtype=np.int64)
-        s_mask = None if mask is None else np.asarray(mask, dtype=bool)
-        if dist is not None:
-            s_features = dist.permute_rows(s_features)
-            s_labels = dist.permute_rows(s_labels)
-            s_mask = None if s_mask is None else dist.permute_rows(s_mask)
-        s_hist = serial.train(s_features, s_labels, epochs, mask=s_mask)
-        s_lp = serial.model.predict(a_t, s_features)
-        if dist is not None:
-            s_lp = dist.unpermute_rows(s_lp)
-        d_hist = self.fit(features, labels, epochs, mask=mask)
-        # Verification read-out rides one fused command stream: the
-        # forward pass and the weight snapshot arrive in a single
-        # pickle/wakeup with one batched digest.
-        d_lp, d_weights = self.rt._command_batch(
-            [("predict", None), ("weights", None)]
-        )
-        diff = max(
-            abs(a - b)
-            for a, b in zip(d_hist.losses, [e.loss for e in s_hist.epochs])
-        )
-        for w_d, w_s in zip(d_weights, serial.model.weights):
-            diff = max(diff, float(np.max(np.abs(w_d - w_s))) if w_d.size
-                       else 0.0)
-        diff = max(diff, float(np.max(np.abs(d_lp - s_lp))))
-        return diff
+        a = a_t if DistAlgorithm._is_symmetric(a_t) else a_t.transpose()
+
+        def distributed():
+            hist = self.fit(features, labels, epochs, mask=mask)
+            # Verification read-out rides one fused command stream: the
+            # forward pass and the weight snapshot arrive in a single
+            # pickle/wakeup with one digest check.
+            log_probs, weights = self.rt._command_batch(
+                [("predict", None), ("weights", None)])
+            return hist.losses, weights, log_probs
+
+        return serial_divergence(
+            self.widths, info["seed"], info["optimizer"], a_t, a, dist,
+            features, labels, epochs, mask, distributed)
 
 
 class ParallelRuntime(RuntimeBase):
@@ -568,10 +546,9 @@ class ParallelRuntime(RuntimeBase):
     def _adopt_and_check(self, results):
         """Adopt worker 0's tracker; insist every worker agrees bit for
         bit.  Each result is ``(value, digest, tracker_or_None, obs)``
-        where ``digest`` is either the batched stream digest or, under
-        paranoid mode, ``(final, per_item_digests)`` -- in which case a
-        mismatch names the first diverging epoch / sub-command.  ``obs``
-        (the per-worker span blobs of a traced fit) is stashed on
+        where ``digest`` is ``(final, per_item_digests)``: a mismatch
+        names the first diverging epoch / sub-command.  ``obs`` (the
+        per-worker span blobs of a traced fit) is stashed on
         :attr:`last_obs` and never enters the digest comparison."""
         self._backend.counters["digest_checks"] += 1
         obs = [r[3] for r in results]
@@ -580,13 +557,11 @@ class ParallelRuntime(RuntimeBase):
         digests = {r[1] for r in results}
         if len(digests) != 1:
             detail = ""
-            per_item = [r[1][1] for r in results
-                        if isinstance(r[1], tuple)]
-            if len(per_item) == len(results) and per_item:
-                for i in range(min(len(p) for p in per_item)):
-                    if len({p[i] for p in per_item}) > 1:
-                        detail = f" (first divergence at stream item {i})"
-                        break
+            items = zip(*(r[1][1] for r in results))
+            first = next((i for i, item in enumerate(items)
+                          if len(set(item)) > 1), None)
+            if first is not None:
+                detail = f" (first divergence at stream item {first})"
             raise RuntimeError(
                 "process backend diverged: workers returned "
                 f"{len(digests)} distinct ledger digests{detail}"

@@ -14,8 +14,8 @@ the backends agree:
 * a group-kind step is one rendezvous per worker, also for a worker
   holding ranks of two of its groups;
 * the reduce-scatter ``bounds`` check fires from every form on both;
-* under the sanitizer a worker registers and re-hashes exactly the
-  receipts the virtual runtime does, and audits the same exchanges.
+* every family's fit on worker runtimes -- one owning every rank, or
+  two -- keeps the virtual run's losses and ledger.
 
 Worker runtimes run as threads of this process over a real channel
 fabric (the ``fabric`` fixture of ``test_parallel_tickets.py``).
@@ -23,15 +23,11 @@ fabric (the ``fabric`` fixture of ``test_parallel_tickets.py``).
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import pytest
 
 from test_parallel_tickets import fabric, run_threads  # noqa: F401
 
-from repro.analysis import sanitize
-from repro.analysis.sanitize import Sanitizer
 from repro.comm import VirtualRuntime
 from repro.comm.mesh import Mesh1D, Mesh2D
 from repro.comm.tracker import Category
@@ -335,33 +331,8 @@ def test_funnel_allgather_ships_its_ledger_bytes(fabric, ds, transport):
 
 
 # --------------------------------------------------------------------- #
-# sanitizer coverage is the same on workers
+# every family on workers keeps the virtual run's bits
 # --------------------------------------------------------------------- #
-class PerThreadSanitizer:
-    """Stands in for ``sanitize.ACTIVE``: every hook goes to the calling
-    thread's own :class:`Sanitizer`, so worker runtimes run as threads
-    keep the separate counters worker processes would."""
-
-    def __init__(self):
-        self._local = threading.local()
-
-    def mine(self) -> Sanitizer:
-        san = getattr(self._local, "san", None)
-        if san is None:
-            san = self._local.san = Sanitizer()
-        return san
-
-    def __getattr__(self, name):
-        return getattr(self.mine(), name)
-
-
-@pytest.fixture
-def per_thread_sanitizer(monkeypatch):
-    proxy = PerThreadSanitizer()
-    monkeypatch.setattr(sanitize, "ACTIVE", proxy)
-    return proxy
-
-
 @pytest.fixture(scope="module")
 def ds():
     return make_synthetic(n=60, avg_degree=4, f=8, n_classes=3, seed=11)
@@ -396,68 +367,44 @@ def mesh_of(name, p):
 @pytest.mark.parametrize("name,p,make_kw", CASES, ids=CASE_IDS)
 def test_one_worker_owning_every_rank_checks_what_virtual_checks(
         fabric, ds, name, p, make_kw):
-    """Same program, same receipt labels, same step helper: the counters
-    match exactly (at the parent the worker registered nothing)."""
-    counts = []
+    """Same program, same receipts, same step helper, same first-call
+    audits: the losses and the ledger match exactly."""
+    runs = []
     mesh = mesh_of(name, p)
-    for backend in ("virtual", "worker"):
-        san = sanitize.enable()
-        try:
-            if backend == "virtual":
-                rt = VirtualRuntime(mesh)
-            else:
-                rt = WorkerRuntime(mesh, None, fabric("shm", 1).chans[0],
-                                   owner_map(p, 1))
-            losses = fit_on(rt, ds, name, make_kw(ds))
-            counts.append((dict(san.stats), losses,
-                           ledger_digest(rt.tracker)))
-        finally:
-            sanitize.disable()
-    (v_stats, v_losses, v_digest), (w_stats, w_losses, w_digest) = counts
-    assert w_stats == v_stats
-    assert v_stats["cow_registered"] > 0 and v_stats["cow_verified"] > 0
-    assert (w_losses, w_digest) == (v_losses, v_digest)
+    for rt in (VirtualRuntime(mesh),
+               WorkerRuntime(mesh, None, fabric("shm", 1).chans[0],
+                             owner_map(p, 1))):
+        runs.append((fit_on(rt, ds, name, make_kw(ds)),
+                     ledger_digest(rt.tracker)))
+    assert runs[1] == runs[0]
 
 
 @pytest.mark.parametrize("name,p,make_kw", CASES, ids=CASE_IDS)
-def test_every_worker_rehashes_receipts_and_audits_exchanges(
-        fabric, ds, per_thread_sanitizer, name, p, make_kw):
+def test_every_worker_keeps_the_virtual_losses_and_ledger(
+        fabric, ds, name, p, make_kw):
     mesh = mesh_of(name, p)
     kw = make_kw(ds)
-    res = spmd(fabric, "shm", 2, mesh,
-               lambda rt: (fit_on(rt, ds, name, kw),
-                           dict(per_thread_sanitizer.mine().stats)))
+    res = spmd(fabric, "shm", 2, mesh, lambda rt: fit_on(rt, ds, name, kw))
     virtual = VirtualRuntime(mesh)
     v_losses = fit_on(virtual, ds, name, kw)
-    for rt, (losses, stats) in res.values():
+    for rt, losses in res.values():
         assert losses == v_losses
         assert ledger_digest(rt.tracker) == ledger_digest(virtual.tracker)
-        assert stats["cow_registered"] > 0
-        assert stats["cow_verified"] > 0
-        if kw.get("variant") == "ghost" or name in ("2d", "3d"):
-            # the exact-accounting kind: the ghost-row fetch, and the
-            # SUMMA stages' dense row gathers (every stage of this graph
-            # gathers)
-            assert stats["exchanges_checked"] > 0
-        else:
-            assert stats["exchanges_checked"] == 0
 
 
 @pytest.mark.parametrize("transport,workers", BACKENDS)
 @pytest.mark.parametrize("name,p", [("2d", 6), ("3d", 8)])
 def test_gathering_summa_stages_agree_with_the_virtual_runtime(
-        fabric, ds, per_thread_sanitizer, name, p, transport, workers):
+        fabric, ds, name, p, transport, workers):
     """The sparsity-aware SUMMA stages on 2 and 3 workers over shm and
-    tcp: the virtual run's losses and ledger on every worker, and the
-    rows each worker receives are the bytes its ranks are charged
-    (the sanitizer's exact audit of every gather)."""
+    tcp: the virtual run's losses and ledger on every worker (and the
+    rows each worker receives are the bytes its ranks are charged:
+    every gather's first call is audited)."""
     mesh = mesh_of(name, p)
     res = spmd(fabric, transport, workers, mesh,
-               lambda rt: (fit_on(rt, ds, name, {}),
-                           dict(per_thread_sanitizer.mine().stats)))
+               lambda rt: fit_on(rt, ds, name, {}))
     virtual = VirtualRuntime(mesh)
     v_losses = fit_on(virtual, ds, name, {})
-    for rt, (losses, stats) in res.values():
+    for rt, losses in res.values():
         assert losses == v_losses
         assert ledger_digest(rt.tracker) == ledger_digest(virtual.tracker)
-        assert stats["exchanges_checked"] > 0

@@ -35,7 +35,6 @@ import pytest
 
 from test_simulate import assert_sections_exact
 
-from repro.analysis import sanitize
 from repro.comm import cost_model as cm
 from repro.comm.tracker import Category
 from repro.dist import ALGORITHMS, make_algorithm, make_runtime_for
@@ -173,12 +172,7 @@ class TestOneDoor:
                                                          kw):
         x = ds.features.copy()
         algo = make(ds, name, p, kw)
-        san = sanitize.enable()
-        try:
-            algo.setup(x, ds.labels)
-            assert not san._cow            # set-up receipts verified, drained
-        finally:
-            sanitize.disable()
+        algo.setup(x, ds.labels)
         assert not algo.workspace          # nothing f^0-wide stays behind
         assert not np.may_share_memory(algo._features, x)
         for block in algo._t0.values():
@@ -590,40 +584,22 @@ def shaped(name, p, hidden, classes, **extra):
                                 **extra)
 
 
-@pytest.fixture
-def sanitizer_off_afterwards():
-    """The driver arms its own sanitizer when it reads the variable."""
-    yield
-    sanitize.disable()
-
-
 class TestRowGroupsAcrossWorkers:
     @pytest.mark.parametrize("hidden,classes", SPANNING_SHAPES)
     @pytest.mark.parametrize("name,p,transport", SPANNING)
-    def test_bit_equal_to_virtual_sanitizer_on_and_off(
-            self, watchdog, monkeypatch, sanitizer_off_afterwards, name,
-            p, transport, hidden, classes):
+    def test_bit_equal_to_virtual(self, watchdog, name, p, transport,
+                                  hidden, classes):
         data, virtual = shaped(name, p, hidden, classes)
         second = edited(data.features)
         want = two_fits(virtual, data, second)
-        for armed in (False, True):
-            if armed:
-                monkeypatch.setenv(sanitize.ENV_FLAG, "1")
-            _, algo = shaped(name, p, hidden, classes, backend="process",
-                             workers=SPANNING_WORKERS, transport=transport)
-            try:
-                got = two_fits(algo, data, second)
-                workers = algo.rt.backend_stats()["per_worker"]
-            finally:
-                algo.rt.close()
-            assert got[:4] == want[:4]   # losses, both set-ups, digest
-            assert got.second_setup.comm_bytes > 0      # gathered again
-            if armed:
-                assert all(w["sanitizer"]["cow_verified"] > 0
-                           for w in workers)
-            else:
-                assert [w["sanitizer"] for w in workers] == \
-                    [None] * SPANNING_WORKERS
+        _, algo = shaped(name, p, hidden, classes, backend="process",
+                         workers=SPANNING_WORKERS, transport=transport)
+        try:
+            got = two_fits(algo, data, second)
+        finally:
+            algo.rt.close()
+        assert got[:4] == want[:4]   # losses, both set-ups, digest
+        assert got.second_setup.comm_bytes > 0      # gathered again
 
     @pytest.mark.parametrize("hidden,classes", SPANNING_SHAPES)
     @pytest.mark.parametrize("name,p,transport", SPANNING)

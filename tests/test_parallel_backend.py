@@ -314,7 +314,8 @@ class TestResidentDispatch:
         assert stats["workers"] == 2
         assert stats["channel_bytes"] > 0
         assert stats["exchanges"] > 0
-        assert stats["digests_computed"] >= 2  # one per worker per fit
+        # per worker: one per epoch and the fit's final one
+        assert stats["digests_computed"] == 6
         assert len(stats["per_worker"]) == 2
         # Workers run the same SPMD program: same exchange count.
         assert len({d["exchanges"] for d in stats["per_worker"]}) == 1
@@ -637,12 +638,10 @@ class TestStartEarly:
 
 
 class TestDigestModes:
-    def test_paranoid_mismatch_names_first_diverging_item(self, ds,
-                                                          monkeypatch):
-        """Fault injection: skew one worker's ledger, then fit under
-        REPRO_PARALLEL_PARANOID=1 -- the per-epoch digests must trip and
-        name the first diverging epoch."""
-        monkeypatch.setenv("REPRO_PARALLEL_PARANOID", "1")
+    def test_mismatch_names_first_diverging_item(self, ds):
+        """Fault injection: skew one worker's ledger, then fit -- the
+        per-epoch digests must trip and name the first diverging
+        epoch."""
         algo = make_algorithm("1d", 4, ds, hidden=HIDDEN, seed=0,
                               backend="process", workers=2)
         try:
@@ -653,9 +652,7 @@ class TestDigestModes:
         finally:
             algo.rt.close()
 
-    def test_default_mode_still_catches_divergence(self, ds):
-        """Without paranoid mode the check is batched (one digest per
-        fit) but a diverged ledger still fails the dispatch."""
+    def test_a_skew_on_the_last_worker_fails_the_fit(self, ds):
         algo = make_algorithm("1d", 4, ds, hidden=HIDDEN, seed=0,
                               backend="process", workers=2)
         try:
@@ -665,8 +662,7 @@ class TestDigestModes:
         finally:
             algo.rt.close()
 
-    def test_paranoid_computes_per_epoch_digests(self, ds, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_PARANOID", "1")
+    def test_computes_per_epoch_digests(self, ds):
         algo = make_algorithm("1d", 2, ds, hidden=HIDDEN, seed=0,
                               backend="process", workers=2)
         try:
@@ -674,8 +670,8 @@ class TestDigestModes:
             stats = algo.rt.backend_stats()
         finally:
             algo.rt.close()
-        # 3 per-epoch digests + 1 batched final, per worker.
-        assert stats["digests_computed"] >= 8
+        # 3 per-epoch digests + 1 final, per worker.
+        assert stats["digests_computed"] == 8
 
 
 class TestLiveness:

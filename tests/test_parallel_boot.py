@@ -33,7 +33,6 @@ import time
 
 import pytest
 
-from repro.analysis import sanitize
 from repro.dist import make_algorithm, make_distribution, make_runtime_for
 from repro.graph import make_synthetic
 from repro.graph.generators import erdos_renyi
@@ -58,13 +57,6 @@ def directed(ds):
     differ only there."""
     return dataclasses.replace(ds, adjacency=row_normalize(add_self_loops(
         erdos_renyi(ds.num_vertices, 4.0, seed=1, directed=True))))
-
-
-@pytest.fixture(autouse=True)
-def _driver_sanitizer_off():
-    sanitize.disable()
-    yield
-    sanitize.disable()
 
 
 def _shm_segments():
@@ -366,57 +358,40 @@ DELAY_S = 1.0
 
 
 def _observe(ds):
-    """One 3-epoch pool; what it shows of the three settings."""
+    """One 3-epoch pool; how long its fit took."""
     algo = _make(ds, p=2)
     try:
         t0 = time.monotonic()
         algo.fit(ds.features, ds.labels, epochs=3)
-        fit_s = time.monotonic() - t0
-        stats = algo.rt.backend_stats()
+        return time.monotonic() - t0
     finally:
         algo.rt.close()
-    return stats, fit_s
 
 
-def _paranoid(stats, fit_s):
-    # 3 per-epoch digests + the batched final one, on each of 2 workers
-    return stats["digests_computed"] >= 8
-
-
-def _sanitized(stats, fit_s):
-    return all(w["sanitizer"] is not None
-               and w["sanitizer"]["cow_verified"] > 0
-               for w in stats["per_worker"])
-
-
-def _delayed(stats, fit_s):
+def _delayed(fit_s):
     return fit_s >= DELAY_S
 
 
 @pytest.mark.parametrize("var,value,honoured", [
-    ("REPRO_PARALLEL_PARANOID", "1", _paranoid),
-    ("REPRO_SANITIZE", "1", _sanitized),
     ("REPRO_PARALLEL_FAULTS",
      f"delay:worker=0,epoch=0,seconds={DELAY_S}", _delayed),
 ])
 def test_a_setting_made_after_the_template_reaches_the_next_pool(
         ds, monkeypatch, var, value, honoured):
     monkeypatch.delenv(var, raising=False)
-    assert not honoured(*_observe(ds))      # the template exists from here
+    assert not honoured(_observe(ds))       # the template exists from here
     monkeypatch.setenv(var, value)
     try:
-        assert honoured(*_observe(ds))
+        assert honoured(_observe(ds))
     finally:
         monkeypatch.delenv(var)
-        sanitize.disable()                  # the driver armed itself too
-    assert not honoured(*_observe(ds))
+    assert not honoured(_observe(ds))
 
 
 STALE_DRIVER = """
 import json
 import os
 
-from repro.analysis import sanitize
 from repro.dist import make_algorithm
 from repro.graph import make_synthetic
 from repro.parallel import WorkerDead
@@ -433,21 +408,16 @@ if __name__ == "__main__":
         finally:
             algo.rt.close()
 
-    # The template is launched here, with all three in its environment.
+    # The template is launched here, with the plan in its environment.
     try:
         pool()
         first = "survived"
     except WorkerDead:
         first = "killed"
-    for var in ("REPRO_PARALLEL_FAULTS", "REPRO_PARALLEL_PARANOID",
-                "REPRO_SANITIZE"):
-        del os.environ[var]
-    sanitize.disable()
+    del os.environ["REPRO_PARALLEL_FAULTS"]
     stats = pool()
     print(json.dumps({"first": first,
-                      "digests": stats["digests_computed"],
-                      "sanitizers": [w["sanitizer"]
-                                     for w in stats["per_worker"]]}))
+                      "digests": stats["digests_computed"]}))
 """
 
 
@@ -457,14 +427,13 @@ def test_a_setting_the_template_captured_does_not_outlive_it(tmp_path):
     the driver has dropped."""
     script = tmp_path / "driver.py"
     script.write_text(textwrap.dedent(STALE_DRIVER))
-    env = dict(os.environ, PYTHONPATH=SRC, REPRO_SANITIZE="1",
-               REPRO_PARALLEL_PARANOID="1",
+    env = dict(os.environ, PYTHONPATH=SRC,
                REPRO_PARALLEL_FAULTS="kill:worker=1,epoch=0")
     done = subprocess.run([sys.executable, str(script)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {
         "first": "killed",          # the plan was live for the first pool
-        "digests": 2,               # one batched digest per worker
-        "sanitizers": [None, None],
+        # per worker: one digest per epoch and the fit's final one
+        "digests": 8,
     }

@@ -12,8 +12,7 @@ file pins
   shares (trainer, simulator, CLI);
 * the process backends: W = 2 over shm and tcp, a shrinking and a
   growing width tuple, 1D ghost and 2D -- losses and ledger digest equal
-  the virtual run's bit for bit, sanitizer on and off, and across a
-  kill-and-recover fit;
+  the virtual run's bit for bit, also across a kill-and-recover fit;
 * memory: a trained ``DistGCN1D`` holds its per-layer workspaces by
   design, so what it holds plus what an epoch adds stays within 10 % of
   the total before the rule (``H^{l-1}`` *replaces* ``T`` where a layer
@@ -36,7 +35,6 @@ import types
 import numpy as np
 import pytest
 
-from repro.analysis import sanitize
 from repro.cli import main
 from repro.dist import ALGORITHMS, make_algorithm, make_runtime_for
 from repro.graph import make_synthetic
@@ -191,30 +189,17 @@ def run(ds, name, kw, hidden, fit_kw=None, **backend):
             algo.rt.close()
 
 
-@pytest.fixture
-def sanitizer_off_afterwards():
-    """The driver arms its own sanitizer when it reads the variable."""
-    yield
-    sanitize.disable()
-
-
 class TestProcessBackends:
     @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize("hidden,classes", SHAPES)
     @pytest.mark.parametrize("name,kw", CONFIGS)
-    def test_bit_equal_to_virtual_sanitizer_on_and_off(
-            self, name, kw, hidden, classes, transport, monkeypatch,
-            sanitizer_off_afterwards):
+    def test_bit_equal_to_virtual(self, name, kw, hidden, classes,
+                                  transport):
         ds = dataset(classes)
         want, _ = run(ds, name, kw, hidden)
-        pool = dict(backend="process", workers=WORKERS, transport=transport)
-        plain, off = run(ds, name, kw, hidden, **pool)
-        monkeypatch.setenv(sanitize.ENV_FLAG, "1")
-        sanitized, on = run(ds, name, kw, hidden, **pool)
-        assert plain == want and sanitized == want
-        assert [w["sanitizer"] for w in off["per_worker"]] == [None, None]
-        assert all(w["sanitizer"]["cow_verified"] > 0
-                   for w in on["per_worker"])
+        got, _ = run(ds, name, kw, hidden, backend="process",
+                     workers=WORKERS, transport=transport)
+        assert got == want
 
     # each shape on each config and on each transport once
     @pytest.mark.parametrize("name,kw,hidden,classes,transport", [
