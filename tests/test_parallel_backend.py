@@ -673,6 +673,23 @@ class TestDigestModes:
         # 3 per-epoch digests + 1 final, per worker.
         assert stats["digests_computed"] == 8
 
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_mismatch_names_the_diverging_sub_command_of_a_batch(self, ds,
+                                                                  at):
+        """A batch carries one digest per sub-command: a skew planted
+        between two of them is named at the first one it reaches."""
+        stream = [("setup", (ds.features, ds.labels, None)),
+                  ("train_epoch", 0), ("train_epoch", 1)]
+        stream.insert(at, ("debug_skew", 1))
+        algo = make_algorithm("1d", 4, ds, hidden=HIDDEN, seed=0,
+                              backend="process", workers=2)
+        try:
+            with pytest.raises(RuntimeError, match=(
+                    rf"diverged.*first divergence at stream item {at}\)")):
+                algo.rt._command_batch(stream)
+        finally:
+            algo.rt.close()
+
 
 class TestLiveness:
     def test_dead_worker_names_worker_and_ranks(self, ds):
