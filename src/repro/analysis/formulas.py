@@ -40,7 +40,11 @@ epoch (and the simulator, hence Figures 2 / 3) runs ``L - 1`` sweeps each
 way at steady state plus one ``A^T H^0`` aggregation per feature matrix
 (:meth:`repro.dist.base.DistAlgorithm._install_features`), so its dense
 terms are smaller than ``L *`` the per-layer term by the two layer-1
-sweeps.
+sweeps.  Nor is the executed 1D all-gather the paper's: it ships each
+block's exported rows (those another block reads), ``|E|`` rows in all,
+between the ``edgecut_P(A)`` rows one process reads and the ``n`` the
+full gather moves; the 1.5D slab broadcasts likewise ship the exported
+rows of the ``q`` groups' blocks, not ``n f / c`` words.
 
 These formulas drive the analytic full-scale reproduction (the real
 Reddit/Amazon/Protein sizes from Table VI), the 1D-vs-2D-vs-3D scaling

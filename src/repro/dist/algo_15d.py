@@ -8,10 +8,16 @@ ranks.  During an SpMM the ``q`` source blocks of the dense operand are
 split among the ``c`` replicas: replica ``j`` receives only its
 ``~q/c``-block slab (broadcasts confined to its replica column), computes
 the partial product against the matching column slab of ``A^T``, and a
-``c``-way all-reduce along the fiber combines the partials.
+``c``-way all-reduce along the fiber combines the partials.  Each slab
+broadcast ships only the rows of its block that another group reads
+(the block's exported rows over the ``q`` groups,
+:func:`repro.dist.distribution.exported_rows`); a receiving process
+writes them into its slab, whose other rows of that block no local rank
+reads.
 
-Per-rank words therefore follow ``~ n f / c`` (broadcasts, falling with
-``c``) plus ``~ 2 n f c / P`` (fiber all-reduce, rising with ``c``) --
+Per-rank words therefore follow ``~ |E| f / c`` (broadcasts, falling
+with ``c``; ``|E| <= n`` rows exported) plus ``~ 2 n f c / P`` (fiber
+all-reduce, rising with ``c``) --
 minimised at ``c* = sqrt(P/2)``, with memory growing by the replication
 factor ``c`` (Section IV-B's cost table).  With ``c = 1`` the algorithm
 degenerates to the 1D symmetric algorithm exactly, including bitwise
@@ -34,6 +40,7 @@ from repro.comm.tracker import Category
 from repro.config import FP64_BYTES
 from repro.dist.base import RoutedStep
 from repro.dist.blockrow import BlockRowAlgorithm
+from repro.dist.distribution import exported_rows
 from repro.dist.shard import Shard
 from repro.nn.layers import check_widths
 from repro.nn.optim import Optimizer
@@ -84,6 +91,27 @@ class DistGCN15D(BlockRowAlgorithm):
             plan.group(self._fiber_group(g)) for g in range(self.q)
         ]
         self.a_slabs = self._roles["a_slabs"]
+        # The rows of each group's block another group reads: what the
+        # slab broadcasts ship (:meth:`_replicated_spmm`), where they
+        # sit in the block (the root packs them) and in the slab of the
+        # one replica column that broadcasts the group (a member of
+        # that column places them).
+        self._exports = exports = self._shard_extra["exports"]
+        self._pack_at: Dict[int, np.ndarray] = {}
+        self._slab_at: Dict[int, np.ndarray] = {}
+        for j, (s0, s1) in enumerate(self.subsets):
+            for s in range(s0, s1):
+                self._pack_at[s] = exports[s] - self.group_ranges[s][0]
+                self._slab_at[s] = exports[s] - self.group_ranges[s0][0]
+        # Broadcast round t: per replica column with a t-th source
+        # group, (column, source group, root) -- all of them, as charged,
+        # and those whose group exports a row, as routed.
+        self._rounds = [
+            [(j, s0 + t, self._rank_of(s0 + t, j))
+             for j, (s0, s1) in enumerate(self.subsets) if t < s1 - s0]
+            for t in range(max(s1 - s0 for s0, s1 in self.subsets))]
+        self._moved = [[src for src in sources if exports[src[1]].size]
+                       for sources in self._rounds]
 
     @classmethod
     def _cut(cls, mesh, a_t, a, symmetric, replication=1,
@@ -112,7 +140,11 @@ class DistGCN15D(BlockRowAlgorithm):
             c0 = group_ranges[s0][0] if s0 < q else n
             c1 = group_ranges[s1 - 1][1] if s1 > s0 else c0
             slabs[r] = bands[g].block(0, g1 - g0, c0, c1)
-        return {"a_slabs": slabs}, {}
+        # A member of replica column j reads, of each source group s it
+        # covers, the rows its band names -- whatever j, so each group
+        # exports what it would to a q-rank 1D all-gather.
+        return {"a_slabs": slabs}, {
+            "exports": exported_rows(a_t, group_ranges)}
 
     # ------------------------------------------------------------------ #
     # grid helpers
@@ -174,56 +206,77 @@ class DistGCN15D(BlockRowAlgorithm):
         """``A^T X`` for block-row-replicated ``X``: slab broadcasts,
         partial SpMM, fiber all-reduce.
 
-        Every rank of replica column ``j`` receives the same source
-        blocks, so the slab is assembled once per column (into a reused
-        workspace) instead of once per rank; the per-rank partial SpMMs
-        against distinct ``A^T`` slabs -- the genuinely per-rank work --
-        are unchanged, as is every charge.  The fiber leader's partial is
-        written into its per-layer workspace ``key`` and donated as the
-        all-reduce's accumulator, so the sweep's result is a view of it.
+        Each broadcast ships only the rows of its root's block that
+        some other member of the column group reads (the group's
+        exported rows), packed at the root; the charge is the broadcast
+        of those rows.  Every rank of replica column ``j`` multiplies
+        the same slab, so it is assembled once per column (into a
+        reused workspace): the blocks whose root is local whole, the
+        others' received rows in place -- the rest of a remote block is
+        read by no local rank, so each SpMM reads bitwise the values of
+        the whole-block broadcast.  The per-rank partial SpMMs against
+        distinct ``A^T`` slabs -- the genuinely per-rank work -- are
+        unchanged.  The fiber leader's partial is written into its
+        per-layer workspace ``key`` and donated as the all-reduce's
+        accumulator, so the sweep's result is a view of it.
         """
-        # Broadcast rounds: round t moves each column's t-th source block,
-        # concurrently across the c replica columns -- staged, so round
-        # t + 1 is on the wire before round t is waited for.
-        col_parts: List[List[np.ndarray]] = [[] for _ in range(self.c)]
-        max_rounds = max(s1 - s0 for s0, s1 in self.subsets)
-        rounds = []
-        for t in range(max_rounds):
-            active = [j for j in range(self.c)
-                      if t < self.subsets[j][1] - self.subsets[j][0]]
-            rounds.append((active, [
-                (self._column_groups[j],
-                 self._rank_of(self.subsets[j][0] + t, j))
-                for j in active
-            ]))
-        received = self._routed_stages(
-            (RoutedStep("broadcast", ("brch", f, t), routes, blocks,
-                        Category.DCOMM,
-                        lambda routes=routes: [
-                            (group, self._rows_of(root) * f * self.WB)
-                            for group, root in routes],
-                        pipelined=False),)
-            for t, (_, routes) in enumerate(rounds)
-        )
-        for (active, _), (got,) in zip(rounds, received):
-            for j, payload in zip(active, got):
-                if payload is not None:
-                    col_parts[j].append(payload)
+        exports = self._exports
+
+        def rounds():
+            # Round t moves each column's t-th source group, concurrently
+            # across the c replica columns -- staged, so round t + 1 is on
+            # the wire before round t is waited for.  A group nobody else
+            # reads sends nothing (its charge is zero).
+            for t, (sources, moved) in enumerate(zip(self._rounds,
+                                                     self._moved)):
+                yield (RoutedStep(
+                    "broadcast", ("brch", f, t),
+                    [(self._column_groups[j], root) for j, _, root in moved],
+                    {root: (self._pack(s, blocks[root], self._pack_at[s], f)
+                            if self._spmd else None)
+                     for _, s, root in moved if self._is_local(root)},
+                    Category.DCOMM,
+                    lambda sources=sources: [
+                        (self._column_groups[j],
+                         exports[s].size * f * self.WB)
+                        for j, s, _ in sources],
+                    pipelined=False),)
+
+        received: Dict[int, np.ndarray] = {}
+        for moved, (got,) in zip(self._moved,
+                                 self._routed_stages(rounds())):
+            received.update((s, rows) for (_, s, _), rows in zip(moved, got))
         local_ranks = self._local(range(self.p))
         local_cols = {self._coords(r)[1] for r in local_ranks}
         slabs: Dict[int, np.ndarray] = {}
         for j in local_cols:
-            parts = col_parts[j]
-            if not parts:
+            s0, s1 = self.subsets[j]
+            if s1 == s0:
                 slabs[j] = np.zeros((0, f))
-            elif len(parts) == 1:
-                # c >= q: the slab IS the single broadcast block -- no copy.
-                slabs[j] = parts[0]
-            else:
-                rows = sum(p.shape[0] for p in parts)
-                slab = self._ws(("slab", j, f), (rows, f))
-                np.concatenate(parts, axis=0, out=slab)
-                slabs[j] = slab
+                continue
+            if s1 - s0 == 1:
+                # c >= q: the slab is the one source block -- no copy
+                # where it is here whole.
+                root = self._rank_of(s0, j)
+                if self._is_local(root):
+                    slabs[j] = blocks[root]
+                    continue
+                if s0 in received and \
+                        exports[s0].size == self._rows_of(root):
+                    slabs[j] = received[s0]
+                    continue
+            base = self.group_ranges[s0][0]
+            slab = self._ws(("slab", j, f),
+                            (self.group_ranges[s1 - 1][1] - base, f))
+            for s in range(s0, s1):
+                g0, g1 = self.group_ranges[s]
+                root = self._rank_of(s, j)
+                if self._is_local(root):
+                    slab[g0 - base:g1 - base] = blocks[root]
+                else:
+                    self._place(slab, self._slab_at[s],
+                                (g0 - base, g1 - base), received.get(s))
+            slabs[j] = slab
         partials: Dict[int, np.ndarray] = {}
         for r in local_ranks:
             j = self._coords(r)[1]
@@ -321,6 +374,8 @@ class DistGCN15D(BlockRowAlgorithm):
         cells = graph.cell_nnz(q, np.asarray(col_bounds))  # (q, c)
         slab_nnz = cells.reshape(-1)  # rank order r = g * c + j
         rows_per_rank = np.repeat(grows, c)
+        # A broadcast ships the rows of its group another group reads.
+        exported = graph.exported_rows(q)
         b = ScheduleBuilder(p, word_bytes)
 
         def replicated_spmm(f: int) -> None:
@@ -331,7 +386,7 @@ class DistGCN15D(BlockRowAlgorithm):
                 ]
                 b.broadcast(
                     Category.DCOMM, q,
-                    grows[sources] * (f * b.wb),
+                    exported[sources] * (f * b.wb),
                 )
             b.spmm(slab_nnz, rows_per_rank, f)
             b.allreduce(Category.DCOMM, c, grows * (f * b.wb))

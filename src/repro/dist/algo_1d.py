@@ -2,10 +2,16 @@
 
 Data distribution (Table III): ``A^T`` in block rows (rank ``i`` owns rows
 ``range_of(n, P, i)``), ``H^l``/``G^l`` in matching block rows, ``W^l``
-replicated.  The forward SpMM gathers the full dense operand (the paper's
+replicated.  The forward SpMM all-gathers the dense operand (the paper's
 broadcast loop, charged as one all-gather) and multiplies it against the
 local block row -- so 1D retains the full average degree and pays no
-hypersparsity penalty.
+hypersparsity penalty.  The all-gather ships, of each rank's block, only
+its *exported rows* -- those some other rank's block names
+(:func:`repro.dist.distribution.exported_rows`, derived once per operand
+by the cut) -- so it moves ``|E|`` rows in all, between the paper's
+``edgecut_P(A)`` (what one rank reads) and ``n``; each process writes its
+own ranks' blocks whole and the others' exported rows into a full-height
+operand whose remaining rows no local rank reads.
 
 The backward pass computing ``A G^l`` is where the variants diverge
 (Sections IV-A.3, IV-A.6, IV-A.7):
@@ -20,7 +26,7 @@ The backward pass computing ``A G^l`` is where the variants diverge
 * ``transpose``    -- materialise the block rows of ``A`` by a per-epoch
   transpose exchange (charged to ``trpose``), then proceed as the
   symmetric trade does;
-* ``ghost``        -- for ``A == A^T``, replace *both* full all-gathers
+* ``ghost``        -- for ``A == A^T``, replace *both* all-gathers
   with a sparsity-aware ghost-row exchange (Section IV-A.8's
   partitioned training): each rank fetches only the distinct
   remote-neighbour rows its local block references, so per-rank
@@ -50,7 +56,8 @@ from repro.comm.runtime import VirtualRuntime
 from repro.comm.tracker import Category
 from repro.config import FP64_BYTES
 from repro.dist.blockrow import BlockRowAlgorithm
-from repro.dist.distribution import Distribution, ghost_structure
+from repro.dist.distribution import (Distribution, exported_rows,
+                                     ghost_structure)
 from repro.dist.shard import Shard
 from repro.nn.layers import check_widths
 from repro.nn.optim import Optimizer
@@ -140,6 +147,17 @@ class DistGCN1D(BlockRowAlgorithm):
             self.a_t_compact = roles["a_t_compact"]
         else:
             self.a_rows = roles["a_rows"]
+        if self.variant != "ghost":
+            # Per operand role, every rank's exported rows (global ids),
+            # their count and, for the local ranks, their positions in
+            # the block.
+            self._exports = self._shard_extra["exports"]
+            self._nexported = {role: sum(r.size for r in rows)
+                               for role, rows in self._exports.items()}
+            self._export_at = {
+                role: {r: rows[r] - self.row_ranges[r][0]
+                       for r in self._local(self.world)}
+                for role, rows in self._exports.items()}
 
     @classmethod
     def _cut(cls, mesh, a_t, a, symmetric, variant="auto",
@@ -150,13 +168,25 @@ class DistGCN1D(BlockRowAlgorithm):
         its column indices remapped onto its referenced-column space --
         the remap is monotone, so every row's nonzero order, hence every
         SpMM row sum, is bitwise the full-width block's; its full-width
-        block is then only a shape), or block rows of ``A``."""
+        block is then only a shape), or block rows of ``A``.  Every
+        variant but ghost also gets each block's exported rows
+        (:func:`~repro.dist.distribution.exported_rows`) of every
+        operand a sweep all-gathers for: ``a_t`` forward, ``a`` for the
+        symmetric and transpose backward."""
         variant = resolve_1d_variant(variant, symmetric)
         n = a_t.nrows
         row_ranges = _row_ranges(n, mesh.size, distribution)
         a_t_rows = {r: a_t.row_slice(lo, hi)
                     for r, (lo, hi) in enumerate(row_ranges)}
         roles, extra = {"a_t_rows": a_t_rows}, {}
+        if variant != "ghost":
+            # The rows each all-gather ships: per operand a sweep
+            # gathers for, the rows of each block another block reads.
+            exports = extra["exports"] = {
+                "a_t": exported_rows(a_t, row_ranges)}
+            if variant in ("symmetric", "transpose"):
+                exports["a"] = exports["a_t"] if symmetric else \
+                    exported_rows(a, row_ranges)
         if variant in ("outer", "outer_sparse"):
             roles["a_cols"] = {r: a.block(0, n, c0, c1)
                                for r, (c0, c1) in enumerate(row_ranges)}
@@ -215,26 +245,43 @@ class DistGCN1D(BlockRowAlgorithm):
         )
 
     def _allgather_rows(
-        self, blocks: Dict[int, np.ndarray]
-    ) -> Dict[int, np.ndarray]:
-        """All ranks receive the full dense matrix (charged all-gather).
+        self, blocks: Dict[int, np.ndarray], role: str, f: int
+    ) -> np.ndarray:
+        """The full-height operand a sweep over ``role`` (``a_t`` or
+        ``a``) multiplies: every rank's exported rows all-gathered.
 
-        Every rank receives the same contributions, so the full operand
-        is assembled once (into a reused workspace) and shared read-only
-        -- P identical concatenations collapsed into one; the all-gather
-        charge is untouched.
+        Each rank contributes only the rows of its block another rank's
+        block of ``role`` reads, packed into a reused workspace; the
+        charge is the all-gather of those rows, and with none exported
+        nothing moves (a step of zero charges).  Every process then
+        writes its own ranks' whole blocks and the other ranks' packed
+        rows into one full-height workspace, shared read-only by its
+        ranks.  The rows of a remote block nobody else reads keep
+        whatever the workspace held: no local rank reads them either,
+        so each SpMM reads bitwise the values of the full gather.  On
+        the virtual runtime every block is local: nothing is packed.
         """
-        received = self._obs_call(
-            "allgather", Category.DCOMM, self.rt.coll.allgather,
-            self.world, blocks, category=Category.DCOMM,
+        rows, at = self._exports[role], self._export_at[role]
+        total = self._nexported[role]
+        local = self._local(self.world)
+        received = self._collective(
+            "allgather", ("ag", role, f), Category.DCOMM,
+            [self.world] if total else [],
+            {r: self._pack(r, blocks[r], at[r], f) if self._spmd else None
+             for r in local},
+            lambda: [(self.world, total * f * self.WB)],
         )
-        parts = next(iter(received.values()))
-        f = parts[0].shape[1]
         full = self._ws(("gather", f), (self.n, f))
-        np.concatenate(parts, axis=0, out=full)
+        for r in local:
+            lo, hi = self.row_ranges[r]
+            full[lo:hi] = blocks[r]
+        if self._spmd and total:
+            for s, part in enumerate(received[local[0]]):
+                if not self._is_local(s):
+                    self._place(full, rows[s], self.row_ranges[s], part)
         shared = full.view()
         shared.flags.writeable = False
-        return {r: shared for r in self._local(self.world)}
+        return shared
 
     def _ghost_operand(
         self, blocks: Dict[int, np.ndarray], f: int
@@ -296,10 +343,10 @@ class DistGCN1D(BlockRowAlgorithm):
         """``A^T X``: gather the (needed) operand, multiply the block row."""
         if self.variant == "ghost":
             return self._ghost_spmm(blocks, f, ("fsp", f), key)
-        full = self._allgather_rows(blocks)
+        full = self._allgather_rows(blocks, "a_t", f)
         out: Dict[int, np.ndarray] = {}
         for r in self._local(self.world):
-            out[r] = spmm(self.a_t_rows[r], full[r],
+            out[r] = spmm(self.a_t_rows[r], full,
                           out=self._rows_ws(key, r, f))
         self._charge_kernel(
             "spmm", ("fsp", f),
@@ -326,10 +373,10 @@ class DistGCN1D(BlockRowAlgorithm):
         if self.variant == "ghost":
             return self._ghost_spmm(g_blocks, f_out, ("bsp", f_out), key)
         if self.variant in ("symmetric", "transpose"):
-            g_full = self._allgather_rows(g_blocks)
+            g_full = self._allgather_rows(g_blocks, "a", f_out)
             ag_blocks: Dict[int, np.ndarray] = {}
             for r in self._local(self.world):
-                ag_blocks[r] = spmm(self.a_rows[r], g_full[r],
+                ag_blocks[r] = spmm(self.a_rows[r], g_full,
                                     out=self._rows_ws(key, r, f_out))
             self._charge_kernel(
                 "spmm", ("bsp", f_out),
@@ -435,8 +482,11 @@ class DistGCN1D(BlockRowAlgorithm):
 
             backward_spmm = forward_spmm  # A == A^T: same exchange
         else:
+            # The all-gathers ship each block's exported rows.
+            exported = graph.exported_rows(p, bounds=bounds).sum()
+
             def forward_spmm(f: int) -> None:
-                b.allgather(Category.DCOMM, p, n * f * b.wb)
+                b.allgather(Category.DCOMM, p, exported * f * b.wb)
                 b.spmm(nnz_at_rows, rows, f)
 
         if variant in ("symmetric", "transpose"):
@@ -446,9 +496,11 @@ class DistGCN1D(BlockRowAlgorithm):
                 nnz_at_rows if graph.symmetric
                 else graph.col_block_nnz(p, bounds=bounds)
             )
+            exported_a = exported if graph.symmetric else \
+                graph.exported_rows(p, transpose=True, bounds=bounds).sum()
 
             def backward_spmm(f: int) -> None:
-                b.allgather(Category.DCOMM, p, n * f * b.wb)
+                b.allgather(Category.DCOMM, p, exported_a * f * b.wb)
                 b.spmm(nnz_a_rows, rows, f)
 
         elif variant != "ghost":

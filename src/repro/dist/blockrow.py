@@ -2,7 +2,11 @@
 
 :class:`BlockRowAlgorithm` is the program both algorithms run on top of
 :class:`repro.dist.base.DistAlgorithm`; the ``algo_1d`` / ``algo_15d``
-modules supply only the data movement that realises the SpMM.
+modules supply only the data movement that realises the SpMM.  That
+movement ships, of each dense block, only the rows another block reads
+(its exported rows): the source packs them (:meth:`BlockRowAlgorithm.
+_pack`) and every receiving process places them into the operand it
+multiplies (:meth:`BlockRowAlgorithm._place`).
 """
 
 from __future__ import annotations
@@ -101,6 +105,34 @@ class BlockRowAlgorithm(DistAlgorithm):
         """Rank ``r``'s rows of the ``f``-wide per-layer workspace
         ``key`` (role, layer)."""
         return self._ws((key, r), (self._rows_of(r), f))
+
+    def _pack(self, r: int, block: np.ndarray, at: np.ndarray,
+              f: int) -> np.ndarray:
+        """The rows at positions ``at`` of rank ``r``'s ``f``-wide
+        ``block``, what a sweep ships of it: the block itself when that
+        is every row, else a copy packed into a reused workspace (both
+        channels copy a payload when it is posted, so the next sweep
+        may repack it)."""
+        if at.size == block.shape[0]:
+            return block
+        # mode="clip": an explicit ``out`` is written in place (the
+        # default "raise" buffers it); every position is in range.
+        return np.take(block, at, axis=0, mode="clip",
+                       out=self._ws(("pack", r, f), (at.size, f)))
+
+    @staticmethod
+    def _place(dst: np.ndarray, rows: np.ndarray, span: Tuple[int, int],
+               packed: np.ndarray) -> None:
+        """Write the ``packed`` rows of a block spanning rows ``span`` of
+        ``dst`` to their rows ``rows`` (a slice copy when they are the
+        whole block)."""
+        lo, hi = span
+        if not rows.size:
+            return
+        if rows.size == hi - lo:
+            dst[lo:hi] = packed
+        else:
+            dst[rows] = packed
 
     def _into(self, key, blocks, f: int, kernel):
         """``kernel(block, out)`` once per distinct block of ``blocks``

@@ -28,7 +28,10 @@ remote rows each rank must fetch, from whom) from the permuted operand
 and the rank ranges; its per-rank ghost counts equal
 :func:`repro.partition.edgecut.ghost_rows_per_part` on the original
 graph by construction (the relabelling is a bijection on neighbour
-sets), which the tests assert.
+sets), which the tests assert.  :func:`exported_rows` is the same
+question asked from the sender's side, for the block-row sweeps that
+gather rather than exchange: which rows of each block some other block
+reads.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ __all__ = [
     "Distribution",
     "GhostStructure",
     "ghost_structure",
+    "exported_rows",
 ]
 
 #: Partitioner names :meth:`Distribution.build` accepts.
@@ -324,3 +328,27 @@ def ghost_structure(
         pairs=tuple(pairs),
         pair_slots=tuple(pair_slots),
     )
+
+
+def exported_rows(
+    matrix: CSRMatrix,
+    row_ranges: Sequence[Tuple[int, int]],
+) -> Tuple[np.ndarray, ...]:
+    """Per block of ``row_ranges``, the rows of it some other block reads.
+
+    ``matrix`` is the operand a block-row sweep multiplies, its block
+    rows owned per ``row_ranges`` (contiguous, ascending, covering
+    ``[0, n)``; empty ranges are legal).  A row of block ``s`` is
+    *exported* when a row of another block holds a nonzero in its
+    column: only those rows of ``s``'s dense block are ever read away
+    from it, so they are all a 1D all-gather (or a 1.5D slab broadcast)
+    has to ship.  Returns global row ids, ascending, one array per
+    block -- one vectorised pass over the nonzeros.
+    """
+    sizes = [hi - lo for lo, hi in row_ranges]
+    owner = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    reader = np.repeat(owner, np.diff(matrix.indptr))
+    read = np.zeros(matrix.ncols, dtype=bool)
+    read[matrix.indices[owner[matrix.indices] != reader]] = True
+    return tuple(lo + np.flatnonzero(read[lo:hi])
+                 for lo, hi in row_ranges)

@@ -21,12 +21,6 @@ from repro.graph.generators import (
     star_graph,
     stochastic_block_model,
 )
-from repro.graph.io import (
-    from_networkx,
-    read_edge_list,
-    to_networkx,
-    write_edge_list,
-)
 from repro.graph.normalize import add_self_loops, gcn_normalize, row_normalize
 from repro.graph.permutation import (
     apply_random_permutation,
@@ -54,10 +48,6 @@ __all__ = [
     "star_graph",
     "grid_graph",
     "edges_to_adjacency",
-    "from_networkx",
-    "to_networkx",
-    "read_edge_list",
-    "write_edge_list",
     "add_self_loops",
     "gcn_normalize",
     "row_normalize",

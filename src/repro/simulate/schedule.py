@@ -94,6 +94,15 @@ def sparse_wire_bytes(nnz, nrows, word_bytes: int) -> np.ndarray:
     return nnz * (word_bytes + INDEX_BYTES) + (nrows + 1.0) * INDEX_BYTES
 
 
+def _occupied(widths: np.ndarray, z) -> np.ndarray:
+    """Expected occupied columns of cells ``widths`` wide holding ``z``
+    uniformly placed nonzeros, ``w (1 - e^{-z / w})``, rounded to the
+    nearest whole row: a cell expected to miss less than half a row is
+    read whole."""
+    safe = np.where(widths > 0, widths, 1.0)
+    return np.floor(widths * (1.0 - np.exp(-z / safe)) + 0.5)
+
+
 # ---------------------------------------------------------------------- #
 # the graph shape oracle
 # ---------------------------------------------------------------------- #
@@ -312,9 +321,7 @@ class GraphModel:
             by_offset[offset, np.arange(ncells)] = self.cell_nnz(
                 row_parts, col_bounds)
             z = np.cumsum(by_offset[::-1], axis=0)[::-1]
-            widths = np.diff(col_bounds).astype(np.float64)
-            safe = np.where(widths > 0, widths, 1.0)
-            return np.floor(widths * (1.0 - np.exp(-z / safe)) + 0.5)
+            return _occupied(np.diff(col_bounds).astype(np.float64), z)
         csr = self._matrix(transpose)
         blocks = np.repeat(self._block_of(row_parts), np.diff(csr.indptr))
         blocks, cols = np.divmod(np.unique(blocks * self.n + csr.indices),
@@ -386,6 +393,30 @@ class GraphModel:
         return np.bincount(
             (unique % parts).astype(np.int64), minlength=parts
         ).astype(np.float64)
+
+    def exported_rows(self, parts: int, transpose: bool = False,
+                      bounds=None) -> np.ndarray:
+        """Rows per block row that another block row reads.
+
+        What a block-row sweep ships of each block (the 1D all-gather's
+        contributions, the 1.5D slab broadcasts' payloads).  The exact
+        backend calls the executed cut's own derivation
+        (:func:`repro.dist.distribution.exported_rows`); the uniform
+        backend uses the expected occupancy of a block ``s`` rows wide
+        holding the other blocks' ``nnz (n - s) s / n^2`` nonzeros in
+        its columns, rounded to whole rows, as :meth:`run_nonzero_cols`
+        does.
+        """
+        bounds = self._row_bounds(parts, bounds)
+        if not self.exact:
+            lens = np.diff(bounds).astype(np.float64)
+            z = self.nnz * (self.n - lens) * lens / float(self.n) ** 2
+            return _occupied(lens, z)
+        from repro.dist.distribution import exported_rows
+
+        ranges = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+        return np.array([rows.size for rows in exported_rows(
+            self._matrix(transpose), ranges)], dtype=np.float64)
 
     def ghost_row_counts(self, bounds) -> Tuple[np.ndarray, np.ndarray]:
         """Per row block: (ghost rows, distinct source blocks).

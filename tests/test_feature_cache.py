@@ -215,14 +215,20 @@ class TestSweepCounts:
 
     @pytest.mark.parametrize("p", [4, 8])
     def test_1d_symmetric_dcomm_from_the_widths(self, ds, p):
-        """All-gathers at the sweep widths, one all-reduce of the
-        gradient bucket -- the loss pair and each ``f^{l-1} x f^l`` weight
-        gradient -- nothing else."""
+        """All-gathers at the sweep widths, each of the rows some other
+        block reads, one all-reduce of the gradient bucket -- the loss
+        pair and each ``f^{l-1} x f^l`` weight gradient -- nothing
+        else."""
+        from test_properties_dist import exported_count
+
         algo = make(ds, "1d", p, {"variant": "symmetric"})
-        profile, n, w = algo.rt.profile, ds.num_vertices, algo.widths
+        profile, w = algo.rt.profile, algo.widths
+        rows = exported_count(ds.adjacency, algo.row_ranges)
+        assert 0 < rows < ds.num_vertices
 
         def gathered(f):
-            return p * cm.allgather_cost(profile, n * f * 8, p).bytes_critical
+            return p * cm.allgather_cost(profile, rows * f * 8,
+                                         p).bytes_critical
 
         def reduced(nbytes):
             return p * cm.allreduce_cost(profile, nbytes, p).bytes_critical

@@ -524,9 +524,10 @@ class TestCli:
         # all-gather at f^0 = 32 against the epoch's four at the narrow
         # side of 8-8 and 8-4 (8, 4 forward; 4, 8 backward) plus its
         # all-reduces (three weight gradients and the loss pair, each
-        # rank moving 2 (P - 1) / P of the buffer)
+        # rank moving 2 (P - 1) / P of the buffer); each all-gather ships
+        # the 66 of the 96 rows some other block reads
         once, epoch = doc["setup"]["comm_bytes"], doc["per_epoch_comm_bytes"]
-        gathered = 3 * 96 * 8                     # (P - 1) n bytes per column
+        gathered = 3 * 66 * 8                     # (P - 1) |E| bytes a column
         assert once["dcomm"] == gathered * 32
         reduced = 2 * 3 * ((32 * 8 + 8 * 8 + 8 * 4) * 8 + 16)
         assert epoch["dcomm"] == gathered * 24 + reduced

@@ -291,6 +291,62 @@ def shaped_problems(draw, directed_ok, n=None, directed=None):
     return a_t, features, labels, widths, seed
 
 
+@st.composite
+def block_row_operands(draw, kind, p):
+    """A symmetric operand of ``kind`` for ``p`` block rows, features,
+    labels and a width tuple over it:
+
+    * ``graph``    -- a GCN-normalised synthetic graph;
+    * ``isolated`` -- the same with vertices holding only a self loop
+      spliced in, rows no other block reads (a fifth of an R-MAT
+      graph's vertices are such);
+    * ``diagonal`` -- self loops only: no block reads another, so
+      nothing is exported;
+    * ``tiny``     -- fewer vertices than ranks (empty blocks)."""
+    widths = draw(width_tuples())
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    rng = np.random.default_rng(seed)
+    if kind == "tiny":
+        n = draw(st.integers(min_value=1, max_value=p - 1))
+        pick = rng.random((n, n)) < 0.5
+        a_t = CSRMatrix.from_dense(np.where(
+            pick | pick.T | np.eye(n, dtype=bool), 0.25, 0.0))
+    else:
+        n = draw(st.integers(min_value=17, max_value=64))
+        if kind == "diagonal":
+            a_t = CSRMatrix.eye(n, 0.5)
+        else:
+            a_t = make_synthetic(n=n, avg_degree=4, f=2, n_classes=2,
+                                 seed=seed).adjacency
+        if kind == "isolated":
+            lone = draw(st.integers(min_value=1, max_value=n))
+            at = np.sort(rng.choice(n + lone, n, replace=False))
+            alone = np.setdiff1d(np.arange(n + lone), at)
+            rows = np.repeat(np.arange(n), np.diff(a_t.indptr))
+            a_t = CSRMatrix.from_coo(
+                np.concatenate([at[rows], alone]),
+                np.concatenate([at[a_t.indices], alone]),
+                np.concatenate([a_t.data, np.ones(lone)]),
+                (n + lone, n + lone))
+            n += lone
+    features = rng.standard_normal((n, widths[0]))
+    labels = rng.integers(0, widths[-1], n)
+    return a_t, features, labels, widths, seed
+
+
+def exported_count(a_t, row_ranges) -> int:
+    """Rows of each block some other block's rows reference, summed over
+    the blocks -- counted on the dense matrix, apart from the trainer's
+    own derivation."""
+    dense = a_t.to_dense() != 0
+    total = 0
+    for lo, hi in row_ranges:
+        others = np.ones(dense.shape[0], dtype=bool)
+        others[lo:hi] = False
+        total += int(dense[others][:, lo:hi].any(axis=0).sum())
+    return total
+
+
 def build_shaped(name, p, kw, a_t, widths, seed, profile=None):
     """``(algorithm, emitter kwargs)`` for explicit widths (``make_
     algorithm`` only takes ``hidden=``)."""
@@ -544,24 +600,46 @@ class TestGeneratedShapes:
                                            rtol=1e-12, atol=1e-12)
         assert algo.verify_against_serial(features, labels, epochs=2) <= 1e-12
 
+    @pytest.mark.parametrize("kind", ["graph", "isolated", "diagonal",
+                                      "tiny"])
     @pytest.mark.parametrize("p", [2, 4, 8])
     @given(data=st.data())
-    def test_1d_symmetric_dcomm_is_the_narrow_sides(self, p, data):
+    def test_1d_symmetric_dcomm_is_the_narrow_sides(self, p, kind, data):
         """(iii) All-gathers at ``min(f^{l-1}, f^l)`` twice per layer
         above the first, one all-reduce of the gradient bucket (the loss
         pair and each weight gradient) -- nothing else, and nothing at a
-        wide side."""
+        wide side.  Each all-gather ships the ``|E|`` rows some other
+        block reads (counted here on the dense matrix), which the
+        paper's full all-gather of all ``n`` rows bounds; with none
+        exported it moves nothing, in no message.  The emitted
+        schedule's set-up charges the same."""
         a_t, features, labels, widths, seed = data.draw(
-            shaped_problems(False))
+            block_row_operands(kind, p))
         algo, _ = build_shaped("1d", p, {"variant": "symmetric"}, a_t,
                                widths, seed)
         n = a_t.nrows
+        exported = exported_count(a_t, algo.row_ranges)
+        if kind == "diagonal":
+            assert exported == 0
         units = sum(2 * min(a, b) for a, b in zip(widths[1:-1], widths[2:]))
         reduced = 16 + sum(8 * a * b for a, b in zip(widths, widths[1:]))
+        gathered = (p - 1) * exported * 8
         hist = algo.fit(features, labels, epochs=2)
-        assert hist.setup.dcomm_bytes == (p - 1) * n * 8 * widths[0]
+        assert hist.setup.dcomm_bytes == gathered * widths[0] <= \
+            (p - 1) * n * 8 * widths[0]
         assert [e.dcomm_bytes for e in hist.epochs] == \
-            [(p - 1) * n * 8 * units + 2 * (p - 1) * reduced] * 2
+            [gathered * units + 2 * (p - 1) * reduced] * 2
+        tracker = algo.rt.tracker
+        before, messages = (tracker.total_bytes(Category.DCOMM),
+                            tracker.total_messages())
+        algo.setup(features + 1.0, labels)  # the set-up's one all-gather
+        assert tracker.total_bytes(Category.DCOMM) - before == \
+            gathered * widths[0]
+        assert (tracker.total_messages() == messages) == (exported == 0)
+        schedule = DistGCN1D.emit_comm_schedule(
+            GraphModel.from_csr(a_t), widths, p, variant="symmetric")
+        assert evaluate_schedule(schedule.setup, algo.rt.profile) \
+            .bytes_by_category[Category.DCOMM] == gathered * widths[0]
 
     @pytest.mark.parametrize("name,p,kw,directed_ok", GRID_CONFIGS)
     @given(data=st.data())
